@@ -11,8 +11,7 @@
 package insta
 
 import (
-	"encoding/json"
-	"os"
+	"math"
 	"runtime"
 	"sort"
 	"testing"
@@ -24,6 +23,8 @@ import (
 	"insta/internal/core"
 	"insta/internal/corners"
 	"insta/internal/exp"
+	"insta/internal/liberty"
+	"insta/internal/rc"
 	"insta/internal/refsta"
 )
 
@@ -140,8 +141,8 @@ func TestBatchBenchRegression(t *testing.T) {
 		row.SubsystemLoopNs, row.SubsystemBatchedNs = pairedMinNs(tc.samples,
 			func() {
 				for _, c := range crns {
-					ref, err := refsta.New(b.D, corners.ScaleLibrary(b.Lib, c), b.Con,
-						corners.ScaleParasitics(b.Par, c.RCScale), refsta.DefaultConfig())
+					ref, err := refsta.New(b.D, scaleLibrary(b.Lib, c), b.Con,
+						scaleParasitics(b.Par, c.RCScale), refsta.DefaultConfig())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -217,11 +218,103 @@ func TestBatchBenchRegression(t *testing.T) {
 		report.Rows = append(report.Rows, row)
 	}
 
-	buf, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
+	writeBenchJSON(t, "BENCH_batch.json", &report)
+}
+
+// The legacy baseline's characterization step: a fully re-characterized
+// library and parasitics set per corner.
+
+// scaleLibrary returns a deep copy of lib with every delay, transition and
+// sigma table scaled for the corner. Pin caps, areas and footprints are
+// unchanged (loading does not move with PVT in this model).
+func scaleLibrary(lib *liberty.Library, c corners.Corner) *liberty.Library {
+	cells := make([]*liberty.Cell, len(lib.Cells))
+	for i, src := range lib.Cells {
+		cp := *src
+		cp.PinCap = make(map[string]float64, len(src.PinCap))
+		for k, v := range src.PinCap {
+			cp.PinCap[k] = v
+		}
+		cp.Inputs = append([]string(nil), src.Inputs...)
+		cp.Outputs = append([]string(nil), src.Outputs...)
+		cp.Setup = [2]float64{src.Setup[0] * c.DelayScale, src.Setup[1] * c.DelayScale}
+		cp.Hold = [2]float64{src.Hold[0] * c.DelayScale, src.Hold[1] * c.DelayScale}
+		cp.Arcs = make([]liberty.Arc, len(src.Arcs))
+		for ai := range src.Arcs {
+			sa := &src.Arcs[ai]
+			da := &cp.Arcs[ai]
+			da.From, da.To, da.Sense = sa.From, sa.To, sa.Sense
+			for rf := 0; rf < 2; rf++ {
+				da.Delay[rf] = scaleTable(&sa.Delay[rf], c.DelayScale)
+				da.OutSlew[rf] = scaleTable(&sa.OutSlew[rf], c.DelayScale)
+				da.Sigma[rf] = scaleTable(&sa.Sigma[rf], c.SigmaScale)
+			}
+		}
+		cells[i] = &cp
+	}
+	return liberty.Rebuild(lib.Name+"@"+c.Name, cells)
+}
+
+func scaleTable(t *liberty.Table, f float64) liberty.Table {
+	out := liberty.Table{
+		Slew: append([]float64(nil), t.Slew...),
+		Load: append([]float64(nil), t.Load...),
+		Val:  make([][]float64, len(t.Val)),
+	}
+	for i, row := range t.Val {
+		r := make([]float64, len(row))
+		for j, v := range row {
+			r[j] = v * f
+		}
+		out.Val[i] = r
+	}
+	return out
+}
+
+// scaleParasitics returns a copy of par with branch R and C scaled.
+func scaleParasitics(par *rc.Parasitics, f float64) *rc.Parasitics {
+	out := &rc.Parasitics{Params: par.Params, Nets: make([]rc.Net, len(par.Nets))}
+	out.Params.RPerUnit *= f
+	out.Params.CPerUnit *= f
+	for i := range par.Nets {
+		if len(par.Nets[i].Branch) == 0 {
+			continue
+		}
+		bs := make([]rc.Branch, len(par.Nets[i].Branch))
+		for j, b := range par.Nets[i].Branch {
+			bs[j] = rc.Branch{Len: b.Len, R: b.R * f, C: b.C * f}
+		}
+		out.Nets[i].Branch = bs
+	}
+	return out
+}
+
+func TestScaleLibraryScalesEverything(t *testing.T) {
+	lib := liberty.NewSynthetic(liberty.TechN3())
+	c := corners.Corner{Name: "ss", DelayScale: 1.2, SigmaScale: 1.5, RCScale: 1}
+	scaled := scaleLibrary(lib, c)
+	if err := scaled.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_batch.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
+	id, _ := lib.CellByName("INV_X1")
+	sid, ok := scaled.CellByName("INV_X1")
+	if !ok || sid != id {
+		t.Fatal("cell ids not stable across scaling")
+	}
+	orig := lib.Cell(id).FindArc("A", "Y")
+	got := scaled.Cell(sid).FindArc("A", "Y")
+	d0 := orig.Delay[0].Lookup(10, 4)
+	d1 := got.Delay[0].Lookup(10, 4)
+	if math.Abs(d1-1.2*d0) > 1e-9 {
+		t.Errorf("delay scale: %v, want %v", d1, 1.2*d0)
+	}
+	s0 := orig.Sigma[0].Lookup(10, 4)
+	s1 := got.Sigma[0].Lookup(10, 4)
+	if math.Abs(s1-1.5*s0) > 1e-9 {
+		t.Errorf("sigma scale: %v, want %v", s1, 1.5*s0)
+	}
+	// Original untouched.
+	if orig.Delay[0].Lookup(10, 4) != d0 {
+		t.Error("scaling mutated the source library")
 	}
 }

@@ -486,11 +486,5 @@ func TestFleetBenchRegression(t *testing.T) {
 		Hedge:      hedge,
 		Swap:       swap,
 	}
-	buf, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_fleet.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeBenchJSON(t, "BENCH_fleet.json", &report)
 }

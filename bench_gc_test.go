@@ -253,11 +253,5 @@ func TestGCBenchRegression(t *testing.T) {
 		t.Errorf("http loop: %.1f allocs/op > %.1f", a, allocLimit)
 	}
 
-	buf2, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_gc.json", append(buf2, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeBenchJSON(t, "BENCH_gc.json", &report)
 }

@@ -10,7 +10,6 @@
 package insta
 
 import (
-	"encoding/json"
 	"math"
 	"os"
 	"runtime"
@@ -177,11 +176,5 @@ func TestHierBenchRegression(t *testing.T) {
 		report.Rows = append(report.Rows, row)
 	}
 
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_hier.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeBenchJSON(t, "BENCH_hier.json", report)
 }

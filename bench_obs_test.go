@@ -13,7 +13,6 @@
 package insta
 
 import (
-	"encoding/json"
 	"math"
 	"os"
 	"runtime"
@@ -27,15 +26,15 @@ import (
 )
 
 type obsBenchReport struct {
-	NumCPU     int     `json:"numcpu"`
-	GoMaxProcs int     `json:"gomaxprocs"`
-	Workers    int     `json:"workers"`
-	Name       string  `json:"name"`
-	Pins       int     `json:"pins"`
-	TopK       int     `json:"top_k"`
-	Samples    int     `json:"samples"`
-	BaselineNs int64   `json:"run_baseline_ns"`
-	DisabledNs int64   `json:"run_disabled_ns"`
+	NumCPU     int    `json:"numcpu"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	Workers    int    `json:"workers"`
+	Name       string `json:"name"`
+	Pins       int    `json:"pins"`
+	TopK       int    `json:"top_k"`
+	Samples    int    `json:"samples"`
+	BaselineNs int64  `json:"run_baseline_ns"`
+	DisabledNs int64  `json:"run_disabled_ns"`
 	// DisabledOverheadPct can dip negative in the noise floor; the gate only
 	// bounds it from above.
 	DisabledOverheadPct float64 `json:"disabled_overhead_pct"`
@@ -206,11 +205,5 @@ func TestObsBenchRegression(t *testing.T) {
 		t.Errorf("burn fixture: got total=%d bad=%d bad_fraction=%g burn=%g, want 1000/100/0.1/1.0", fx.Total, fx.Bad, fx.BadFraction, fx.Burn)
 	}
 
-	buf, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_obs.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeBenchJSON(t, "BENCH_obs.json", &rep)
 }

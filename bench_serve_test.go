@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -214,11 +213,5 @@ func TestServeBenchRegression(t *testing.T) {
 		Parallel:   parallel,
 		Serialized: serialized,
 	}
-	buf, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_serve.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeBenchJSON(t, "BENCH_serve.json", &report)
 }

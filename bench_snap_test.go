@@ -11,7 +11,6 @@
 package insta
 
 import (
-	"encoding/json"
 	"os"
 	"runtime"
 	"testing"
@@ -138,13 +137,7 @@ func TestSnapBenchRegression(t *testing.T) {
 		Speedup:       float64(coldNs) / float64(warmNs),
 		WarmEngineNs:  warmEngineNs,
 	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_snap.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeBenchJSON(t, "BENCH_snap.json", rep)
 	t.Logf("%s: cold build %.1fms, warm open %.3fms (%.0fx), warm engine %.1fms, snapshot %.1f MB",
 		preset, float64(coldNs)/1e6, float64(warmNs)/1e6, rep.Speedup,
 		float64(warmEngineNs)/1e6, float64(info.Size())/1e6)

@@ -12,6 +12,8 @@
 package insta
 
 import (
+	"encoding/json"
+	"os"
 	"runtime"
 	"testing"
 
@@ -23,6 +25,24 @@ import (
 	"insta/internal/refsta"
 	"insta/internal/sizing"
 )
+
+// writeBenchJSON records one regression harness's report in its tracked
+// BENCH_*.json at the repo root — only under INSTA_BENCH=1, which ci.sh
+// exports, so a plain `go test ./...` leaves the worktree clean. The gates
+// the harnesses assert evaluate either way.
+func writeBenchJSON(t *testing.T, name string, report any) {
+	t.Helper()
+	if os.Getenv("INSTA_BENCH") != "1" {
+		return
+	}
+	buf, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(name, append(buf, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // buildBlock generates a block preset and its reference engine + extraction,
 // failing the benchmark on error.
@@ -257,16 +277,13 @@ func BenchmarkTableIII_Fig9_InstaPlaceIteration(b *testing.B) {
 // --- Ablations (DESIGN.md §6) ---
 
 // BenchmarkAblation_Workers compares the level-parallel kernel at different
-// worker-pool sizes (the paper's GPU parallelism axis), and the persistent
-// chunk-claiming pool against the seed's spawn-per-level strategy at the same
-// worker count (the internal/sched tentpole).
-func BenchmarkAblation_Workers1(b *testing.B)      { benchWorkers(b, 1, false) }
-func BenchmarkAblation_Workers4(b *testing.B)      { benchWorkers(b, 4, false) }
-func BenchmarkAblation_SpawnWorkers4(b *testing.B) { benchWorkers(b, 4, true) }
+// worker-pool sizes (the paper's GPU parallelism axis).
+func BenchmarkAblation_Workers1(b *testing.B) { benchWorkers(b, 1) }
+func BenchmarkAblation_Workers4(b *testing.B) { benchWorkers(b, 4) }
 
-func benchWorkers(b *testing.B, workers int, legacySpawn bool) {
+func benchWorkers(b *testing.B, workers int) {
 	s := buildBlock(b, "block-1")
-	e, err := core.NewEngine(s.Tab, core.Options{TopK: 32, Workers: workers, LegacySpawn: legacySpawn})
+	e, err := core.NewEngine(s.Tab, core.Options{TopK: 32, Workers: workers})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,7 +10,6 @@
 package insta
 
 import (
-	"encoding/json"
 	"os"
 	"runtime"
 	"testing"
@@ -182,11 +181,5 @@ func TestTopoBenchRegression(t *testing.T) {
 			report.Speedup, limit)
 	}
 
-	buf, err := json.MarshalIndent(&report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_topo.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeBenchJSON(t, "BENCH_topo.json", &report)
 }

@@ -1,20 +1,9 @@
-// Package batch is the scenario-batched propagation subsystem: one INSTA
-// engine that times S corners/modes in a single levelized traversal.
-//
-// The single-corner stack (internal/corners before this package existed)
-// paid S full refsta builds, S extractions, S engine constructions and S
-// propagations for an S-corner analysis. Here the graph topology, fan-in
-// CSR, levelization, SP/EP tables, clock network and exception table are
-// built once from the nominal extraction, and the per-pin arrival state is
-// laid out as structure-of-arrays vectors with the scenario axis innermost:
-// for every (transition, pin) the S scenarios' Top-K queues are contiguous,
-// so the forward kernel walks the fan-in list once per pin and resolves each
-// scenario's arc delay inside the inner loop from two scale factors —
-// delay/RC scaling of the arc mean (by arc kind) and sigma scaling of the
-// arc spread. Every kernel dispatches over the same internal/sched
-// chunk-claiming pool as the single-corner engine, so an S-scenario
-// propagation costs one traversal plus S× the queue arithmetic instead of S
-// full engines.
+// Package batch is the scenario model over the engine's lane axis: named
+// corners/modes, their parsing, the merged (worst-corner-per-endpoint) views,
+// and Engine/Overlay as scenario-indexed faces of core's. All propagation —
+// forward, hold, slack evaluation, incremental waves, overlays, reseeding —
+// is core's one set of lane-strided kernels (DESIGN.md §9); nothing here
+// touches a Top-K queue.
 //
 // The scenario model is the industrial derate form (set_timing_derate):
 // scenario s sees cell-arc delays scaled by DelayScale, net-arc delays by
@@ -22,23 +11,18 @@
 // times and the clock network are shared. ScaleTables materializes the same
 // model as a standalone extraction, and the differential tests assert that
 // every scenario of a batched engine is bit-identical to an independent
-// core.Engine built from those scaled tables — at any worker count.
+// single-lane core.Engine built from those scaled tables — at any worker
+// count.
 package batch
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"strconv"
 	"strings"
 
 	"insta/internal/circuitops"
 	"insta/internal/core"
-	"insta/internal/levelize"
-	"insta/internal/netlist"
-	"insta/internal/obs"
-	"insta/internal/sched"
-	"insta/internal/sdc"
+	"insta/internal/num"
 )
 
 // Scenario is one timing scenario (corner/mode) expressed as scale factors
@@ -115,8 +99,8 @@ func ParseScenarios(spec string) ([]Scenario, error) {
 // ScaleTables returns a copy of t with every arc annotation scaled for one
 // scenario — the standalone-extraction form of the derate model, used to
 // build the independent single-corner engines the differential tests compare
-// against. The multiplications here are the exact operations the batched
-// kernel performs inline, so the results are bit-identical.
+// against. The multiplications here are the exact operations the engine's
+// kernels perform inline per lane, so the results are bit-identical.
 func ScaleTables(t *circuitops.Tables, scn Scenario) *circuitops.Tables {
 	out := *t
 	out.Arcs = make([]circuitops.ArcRow, len(t.Arcs))
@@ -134,369 +118,62 @@ func ScaleTables(t *circuitops.Tables, scn Scenario) *circuitops.Tables {
 	return &out
 }
 
-// noSP marks an empty Top-K queue slot (same sentinel as core).
-const noSP = int32(-1)
-
-// Kernel tags for scheduler instrumentation.
+// Kernel tags: the batched engine runs core's kernels, so these are core's.
 const (
-	kForward     = "batch-forward"
-	kHold        = "batch-hold"
-	kSlack       = "batch-slack"
-	kHoldSlack   = "batch-hold-slack"
-	kIncremental = "batch-incremental"
-	// KernelOverlay and KernelOverlaySlack are exported so serving tests can
-	// assert a scenario-batched session evaluation stayed cone-limited.
-	KernelOverlay      = "batch-overlay"
-	KernelOverlaySlack = "batch-overlay-slack"
-	// KernelForward is the full batched forward tag, exported for the same
-	// no-full-propagate assertions.
-	KernelForward = kForward
+	KernelOverlay      = core.KernelOverlay
+	KernelOverlaySlack = core.KernelOverlaySlack
+	KernelForward      = core.KernelForward
 )
 
-// Engine is a scenario-batched INSTA instance: one shared graph, S
-// scenarios' arrival state propagated together.
+// Engine is a core.Engine with one lane per scenario. The embedded engine's
+// lane-agnostic methods (Propagate, PropagateIncremental, Reseed, Pool,
+// MemoryBytes, ...) apply as they are; the methods below re-index the
+// per-lane results by scenario.
 type Engine struct {
-	opt     core.Options
-	scns    []Scenario
-	numPins int
-	period  float64
-	nSigma  float64
-
-	// Per-kind per-scenario scale factors the inner kernel resolves arc
-	// delays through: index [arcKind][scenario].
-	scaleMean [2][]float64
-	scaleStd  [2][]float64
-
-	// Fan-in CSR over pins (shared across scenarios).
-	faninStart []int32
-	faninArc   []int32
-	faninFrom  []int32
-	faninSense []uint8
-
-	// Nominal arc annotations, indexed by arc id, per output rf.
-	arcMean [2][]float64
-	arcStd  [2][]float64
-	arcKind []uint8
-	arcFrom []int32
-	arcTo   []int32
-
-	lv *levelize.Result
-
-	// Startpoints / endpoints (shared: the derate model does not move launch
-	// arrivals or required times).
-	spPin   []int32
-	spNode  []int32
-	spMean  []float64
-	spStd   []float64
-	spOfPin []int32
-	epPin   []int32
-	epNode  []int32
-	epBase  [2][]float64
-	epOfPin []int32
-
-	clkParent []int32
-	clkCumVar []float64
-	clkDepth  []int32
-
-	exc *sdc.ExceptionTable
-
-	// Top-K state, SoA with the scenario axis innermost-but-one:
-	// index (((rf*numPins)+pin)*S + s)*K + k. One pin's S scenario queues
-	// are contiguous, so the batched kernel streams them under one fan-in
-	// walk.
-	topArr  []float64
-	topMean []float64
-	topStd  []float64
-	topSP   []int32
-
-	// Per-scenario endpoint slacks, index s*numEPs + i.
-	epSlack []float64
-
-	hold *holdState
-
-	// Fan-out CSR (incremental propagation, overlay wavefronts).
-	foStart, foAdj []int32
-
-	pool   *sched.Pool
-	tracer *obs.Tracer // phase/level span recording; nil is a free no-op
-
-	inc  *propScratch // reusable incremental-propagation state (lazily built)
-	plan []levelGroup // fused-level launch plan (lazily built)
-}
-
-// levelGroup is a run of consecutive timing levels dispatched as one kernel
-// launch; groups wider than one level fit within the pool's serial cutoff, so
-// the fused launch runs inline on the caller in level order — see
-// core.Engine.levelPlan for the full argument.
-type levelGroup struct {
-	lo, hi int // levels [lo, hi)
-	spans  int // total pins across the group
-}
-
-// levelPlan lazily builds the fused-level launch plan.
-func (e *Engine) levelPlan() []levelGroup {
-	if e.plan != nil {
-		return e.plan
-	}
-	cutoff := e.pool.SerialCutoff()
-	plan := make([]levelGroup, 0, e.lv.NumLevels)
-	for l := 0; l < e.lv.NumLevels; l++ {
-		n := len(e.lv.Nodes(l))
-		if len(plan) > 0 {
-			g := &plan[len(plan)-1]
-			if g.spans+n <= cutoff {
-				g.hi, g.spans = l+1, g.spans+n
-				continue
-			}
-		}
-		plan = append(plan, levelGroup{lo: l, hi: l + 1, spans: n})
-	}
-	e.plan = plan
-	return plan
+	*core.Engine
+	scns []Scenario
 }
 
 // New initializes a scenario-batched engine from the nominal extraction
-// tables. opt carries the same knobs as core.Options (TopK, Hold, Workers,
-// Grain); LegacySpawn is not supported here — every kernel runs on the
-// persistent pool. Like the single-corner NewEngine it is compiled-state
-// construction (core.Compile) followed by NewFromState, so warm-started
-// batched engines (internal/snap) are bit-identical to cold-built ones.
+// tables: core.Compile followed by NewFromState, so warm-started batched
+// engines (internal/snap) are bit-identical to cold-built ones.
 func New(t *circuitops.Tables, scns []Scenario, opt core.Options) (*Engine, error) {
-	if err := validateBatch(scns, opt); err != nil {
-		return nil, err
-	}
-	build := opt.Tracer.StartArg("batch-engine-build", "pins", int64(t.NumPins))
-	defer build.End()
-	st, err := core.CompileTraced(t, build)
+	st, err := core.Compile(t)
 	if err != nil {
 		return nil, err
 	}
-	return newFromState(st, scns, opt)
+	return NewFromState(st, scns, opt)
 }
 
 // NewFromState stands up a scenario-batched engine over an already compiled
-// state — the warm-start constructor (see core.NewEngineFromState). The
-// state's skeleton is shared read-only; the nominal arc annotations are
-// copied so SetArcDelay stays private to this engine.
+// state — the warm-start constructor (see core.NewEngineFromState).
 func NewFromState(st *core.State, scns []Scenario, opt core.Options) (*Engine, error) {
-	if err := validateBatch(scns, opt); err != nil {
-		return nil, err
+	if len(scns) == 0 {
+		return nil, fmt.Errorf("batch: no scenarios given")
 	}
-	sp := opt.Tracer.StartArg("batch-engine-restore", "pins", int64(st.NumPins))
-	defer sp.End()
-	return newFromState(st, scns, opt)
-}
-
-// NewSeeded stands up a batched engine over st — the compiled state of a
-// structurally edited netlist — warm-started from prev, a fully evaluated
-// batched engine over the pre-edit netlist with the same scenarios, TopK and
-// hold setting, by re-propagating only the fan-out cone of the seed pins
-// (every pin whose fan-in set changed, including appended pins) in all
-// scenarios at once. The result is bit-identical to a cold
-// NewFromState(st, scns, opt) + Run(), by the same argument as
-// core.NewEngineSeeded: pin ids are stable across structural edits, so
-// prev's converged per-scenario planes are valid arrival state outside the
-// seeds' cone, and the equality-stopping wavefront recomputes the rest.
-func NewSeeded(st *core.State, prev *Engine, seeds []int32, scns []Scenario, opt core.Options) (*Engine, error) {
-	if err := validateBatch(scns, opt); err != nil {
-		return nil, err
-	}
-	if prev == nil {
-		return nil, fmt.Errorf("batch: NewSeeded requires a previous engine")
-	}
-	if opt.TopK != prev.opt.TopK {
-		return nil, fmt.Errorf("batch: seeded engine TopK %d != previous %d", opt.TopK, prev.opt.TopK)
-	}
-	if opt.Hold != (prev.hold != nil) {
-		return nil, fmt.Errorf("batch: seeded engine hold=%v != previous %v", opt.Hold, prev.hold != nil)
-	}
-	if len(scns) != len(prev.scns) {
-		return nil, fmt.Errorf("batch: seeded engine has %d scenarios, previous %d", len(scns), len(prev.scns))
-	}
+	lanes := make([]core.Lane, len(scns))
 	for i, s := range scns {
-		if s != prev.scns[i] {
-			return nil, fmt.Errorf("batch: seeded scenario %d (%q) differs from previous (%q)", i, s.Name, prev.scns[i].Name)
+		if s.DelayScale <= 0 || s.SigmaScale <= 0 || s.RCScale <= 0 {
+			return nil, fmt.Errorf("batch: scenario %q has non-positive scale", s.Name)
 		}
+		lanes[i] = core.Lane{CellScale: s.DelayScale, NetScale: s.RCScale, SigmaScale: s.SigmaScale}
 	}
-	if st.NumPins < prev.numPins {
-		return nil, fmt.Errorf("batch: pin count shrank %d -> %d (pins are append-only)", prev.numPins, st.NumPins)
-	}
-	sp := opt.Tracer.StartArg("batch-engine-seed", "seeds", int64(len(seeds)))
-	defer sp.End()
-	e, err := newFromState(st, scns, opt)
+	e, err := core.NewEngineLanes(st, lanes, opt)
 	if err != nil {
 		return nil, err
 	}
-
-	// Per-rf block copy of prev's converged planes: the tensors are rf-major
-	// ((((rf*numPins)+pin)*S+s)*K), so each rf block of prev.numPins*S*K
-	// entries relocates when numPins grows.
-	k, S := opt.TopK, len(scns)
-	blk := prev.numPins * S * k
-	for rf := 0; rf < 2; rf++ {
-		dst, src := rf*st.NumPins*S*k, rf*blk
-		copy(e.topArr[dst:dst+blk], prev.topArr[src:src+blk])
-		copy(e.topMean[dst:dst+blk], prev.topMean[src:src+blk])
-		copy(e.topStd[dst:dst+blk], prev.topStd[src:src+blk])
-		copy(e.topSP[dst:dst+blk], prev.topSP[src:src+blk])
-		if e.hold != nil {
-			copy(e.hold.negArr[dst:dst+blk], prev.hold.negArr[src:src+blk])
-			copy(e.hold.mean[dst:dst+blk], prev.hold.mean[src:src+blk])
-			copy(e.hold.std[dst:dst+blk], prev.hold.std[src:src+blk])
-			copy(e.hold.sp[dst:dst+blk], prev.hold.sp[src:src+blk])
-		}
-		// Appended pins start with empty queues in every scenario, exactly
-		// like a cold engine entering its first propagatePin.
-		if st.NumPins > prev.numPins {
-			lo := e.qbase(rf, int32(prev.numPins), 0)
-			hi := e.qbase(rf, int32(st.NumPins-1), S-1) + k
-			clearQueues(e.topArr[lo:hi], e.topSP[lo:hi])
-			if e.hold != nil {
-				clearQueues(e.hold.negArr[lo:hi], e.hold.sp[lo:hi])
-			}
-		}
-	}
-
-	e.PropagateIncrementalPins(seeds)
-	e.EvalSlacks()
-	if e.hold != nil {
-		e.EvalHoldSlacks()
-	}
-	return e, nil
+	return &Engine{Engine: e, scns: append([]Scenario(nil), scns...)}, nil
 }
 
-// validateBatch checks the scenario list and analysis knobs shared by both
-// constructors.
-func validateBatch(scns []Scenario, opt core.Options) error {
-	if len(scns) == 0 {
-		return fmt.Errorf("batch: no scenarios given")
+// Over returns e's scenario view over c, an engine with e's lanes — the
+// result of reseeding e.Engine (core.Engine.Reseed) — reusing e itself when
+// the reseed was in place.
+func (e *Engine) Over(c *core.Engine) *Engine {
+	if c == e.Engine {
+		return e
 	}
-	if opt.TopK < 1 {
-		return fmt.Errorf("batch: TopK must be >= 1, got %d", opt.TopK)
-	}
-	for _, s := range scns {
-		if s.DelayScale <= 0 || s.SigmaScale <= 0 || s.RCScale <= 0 {
-			return fmt.Errorf("batch: scenario %q has non-positive scale", s.Name)
-		}
-	}
-	return nil
+	return &Engine{Engine: c, scns: e.scns}
 }
-
-// newFromState builds the batched engine body over a compiled state; both
-// constructors funnel here after validation and span setup.
-func newFromState(st *core.State, scns []Scenario, opt core.Options) (*Engine, error) {
-	if opt.Workers <= 0 {
-		opt.Workers = runtime.NumCPU()
-	}
-	e := &Engine{
-		opt:     opt,
-		scns:    append([]Scenario(nil), scns...),
-		numPins: st.NumPins,
-		period:  st.Period,
-		nSigma:  st.NSigma,
-		pool:    sched.New(opt.Workers, opt.Grain),
-		tracer:  opt.Tracer,
-	}
-	S := len(scns)
-	for kind := 0; kind < 2; kind++ {
-		e.scaleMean[kind] = make([]float64, S)
-		e.scaleStd[kind] = make([]float64, S)
-	}
-	for s, scn := range scns {
-		e.scaleMean[0][s] = scn.DelayScale
-		e.scaleMean[1][s] = scn.RCScale
-		e.scaleStd[0][s] = scn.SigmaScale
-		e.scaleStd[1][s] = scn.SigmaScale
-	}
-
-	// Shared skeleton: topology, schedule, SP/EP, clock. The nominal arc
-	// annotations are copied — SetArcDelay must not leak across engines
-	// sharing one compiled state.
-	e.faninStart, e.faninArc, e.faninFrom, e.faninSense =
-		st.FaninStart, st.FaninArc, st.FaninFrom, st.FaninSense
-	for rf := 0; rf < 2; rf++ {
-		e.arcMean[rf] = append([]float64(nil), st.ArcMean[rf]...)
-		e.arcStd[rf] = append([]float64(nil), st.ArcStd[rf]...)
-	}
-	e.arcKind, e.arcFrom, e.arcTo = st.ArcKind, st.ArcFrom, st.ArcTo
-	e.lv = &levelize.Result{
-		Level:      st.LvLevel,
-		NumLevels:  st.NumLevels,
-		Order:      st.LvOrder,
-		LevelStart: st.LvLevelStart,
-	}
-	e.spPin, e.spNode, e.spMean, e.spStd, e.spOfPin =
-		st.SpPin, st.SpNode, st.SpMean, st.SpStd, st.SpOfPin
-	e.epPin, e.epNode, e.epBase, e.epOfPin = st.EpPin, st.EpNode, st.EpBase, st.EpOfPin
-	e.clkParent, e.clkCumVar, e.clkDepth = st.ClkParent, st.ClkCumVar, st.ClkDepth
-	e.foStart, e.foAdj = st.FoStart, st.FoAdj
-
-	var err error
-	if e.exc, err = st.CompileExceptions(); err != nil {
-		return nil, err
-	}
-
-	k := opt.TopK
-	sz := 2 * st.NumPins * S * k
-	e.topArr = make([]float64, sz)
-	e.topMean = make([]float64, sz)
-	e.topStd = make([]float64, sz)
-	e.topSP = make([]int32, sz)
-	e.epSlack = make([]float64, S*len(st.EpPin))
-	if opt.Hold {
-		e.initHold(st.EpHold[0], st.EpHold[1])
-	}
-	return e, nil
-}
-
-// kern dispatches one kernel launch over [0, n) through the engine's pool.
-func (e *Engine) kern(tag string, level, n int, fn func(lo, hi int)) {
-	e.pool.RunTagged(tag, level, n, fn)
-}
-
-// kernIndexed is kern with participant identity for indexing per-worker
-// scratch; ids are dense in [0, Pool().Workers()).
-func (e *Engine) kernIndexed(tag string, level, n int, fn func(id, lo, hi int)) {
-	e.pool.RunIndexed(tag, level, n, fn)
-}
-
-// qbase returns the flat offset of (rf, pin, scenario)'s Top-K block.
-func (e *Engine) qbase(rf int, pin int32, s int) int {
-	return ((((rf * e.numPins) + int(pin)) * len(e.scns)) + s) * e.opt.TopK
-}
-
-// Close releases the engine's worker pool. Idempotent; the engine must not
-// be used afterwards.
-func (e *Engine) Close() { e.pool.Close() }
-
-// Pool returns the engine's persistent scheduler pool.
-func (e *Engine) Pool() *sched.Pool { return e.pool }
-
-// EnableKernelStats attaches a telemetry collector to the pool and returns
-// the engine for chaining-free use; see core.Engine.EnableKernelStats.
-func (e *Engine) EnableKernelStats() *sched.Stats {
-	if e.pool.Stats() == nil {
-		e.pool.SetStats(sched.NewStats())
-	}
-	return e.pool.Stats()
-}
-
-// KernelStats snapshots the collected kernel profiles (nil before
-// EnableKernelStats).
-func (e *Engine) KernelStats() []sched.KernelProfile {
-	if s := e.pool.Stats(); s != nil {
-		return s.Snapshot()
-	}
-	return nil
-}
-
-// SetTracer attaches (or detaches, with nil) a span tracer recording the
-// engine's phase and per-level timings. Safe to call between passes; not
-// concurrently with one.
-func (e *Engine) SetTracer(t *obs.Tracer) { e.tracer = t }
-
-// Tracer returns the attached span tracer (nil when none).
-func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 
 // Scenarios returns the engine's scenario list in propagation order.
 func (e *Engine) Scenarios() []Scenario { return e.scns }
@@ -514,97 +191,36 @@ func (e *Engine) ScenarioIndex(name string) int {
 	return -1
 }
 
-// NumPins returns the pin count of the shared graph.
-func (e *Engine) NumPins() int { return e.numPins }
-
-// NumArcs returns the arc count of the shared graph.
-func (e *Engine) NumArcs() int { return len(e.arcFrom) }
-
-// NumLevels returns the timing level count — unchanged by S: the batched
-// traversal visits each level once regardless of scenario count.
-func (e *Engine) NumLevels() int { return e.lv.NumLevels }
-
-// TopK returns the configured K.
-func (e *Engine) TopK() int { return e.opt.TopK }
-
-// Options returns the engine's construction options (topo sessions use them
-// to build seeded engines with the base engine's exact configuration).
-func (e *Engine) Options() core.Options { return e.opt }
-
-// HoldEnabled reports whether the engine propagates early arrivals.
-func (e *Engine) HoldEnabled() bool { return e.hold != nil }
-
-// Endpoints returns the endpoint pin ids in extraction order.
-func (e *Engine) Endpoints() []int32 { return e.epPin }
-
-// ArcKind returns arc's annotation kind (0 = cell arc, 1 = net arc) — the
-// axis the per-scenario mean scale factor is selected on.
-func (e *Engine) ArcKind(arc int32) uint8 { return e.arcKind[arc] }
-
-// ArcDelayScale returns the mean/std scale factors scenario s applies to
-// arc's annotation — the factors the inner kernel resolves.
-func (e *Engine) ArcDelayScale(arc int32, s int) (mean, std float64) {
-	kind := e.arcKind[arc]
-	return e.scaleMean[kind][s], e.scaleStd[kind][s]
+// Run performs a full batched evaluation: Propagate, EvalSlacks and — when
+// hold is enabled — EvalHoldSlacks.
+func (e *Engine) Run() {
+	e.Propagate()
+	e.RefreshSlacks()
+	if e.HoldEnabled() {
+		e.RefreshHoldSlacks()
+	}
 }
 
+// EvalSlacks computes every endpoint's setup slack in every scenario.
+func (e *Engine) EvalSlacks() { e.RefreshSlacks() }
+
+// EvalHoldSlacks computes every endpoint's hold slack in every scenario.
+func (e *Engine) EvalHoldSlacks() { e.RefreshHoldSlacks() }
+
 // SetArcDelay re-annotates one arc's *nominal* delay distribution for output
-// transition rf; every scenario sees it through its scale factors. This is
-// the ECO re-annotation entry point — deltas stay in nominal units exactly
-// like the single-corner engine's.
+// transition rf; every scenario sees it through its scale factors.
 func (e *Engine) SetArcDelay(arc int32, rf int, mean, std float64) {
-	e.arcMean[rf][arc] = mean
-	e.arcStd[rf][arc] = std
+	e.Engine.SetArcDelay(arc, rf, num.Dist{Mean: mean, Std: std})
 }
 
 // ArcDelay returns arc's nominal annotation for transition rf.
 func (e *Engine) ArcDelay(arc int32, rf int) (mean, std float64) {
-	return e.arcMean[rf][arc], e.arcStd[rf][arc]
+	d := e.Engine.ArcDelay(arc, rf)
+	return d.Mean, d.Std
 }
 
-// MemoryBytes returns the resident footprint of the batched tensors and
-// shared topology — the amortization ledger: the Top-K tensors grow S×, the
-// graph does not.
-func (e *Engine) MemoryBytes() int64 {
-	var b int64
-	b += int64(len(e.topArr)+len(e.topMean)+len(e.topStd)) * 8
-	b += int64(len(e.topSP)) * 4
-	b += int64(len(e.arcFrom)) * (8*4 + 2*4 + 1)
-	b += int64(len(e.faninArc)+len(e.faninFrom)) * 4
-	b += int64(len(e.faninSense))
-	b += int64(len(e.faninStart)+len(e.spOfPin)+len(e.epOfPin)) * 4
-	b += int64(len(e.lv.Order)+len(e.lv.Level)+len(e.lv.LevelStart)) * 4
-	b += int64(len(e.foStart)+len(e.foAdj)) * 4
-	b += int64(len(e.epSlack)) * 8
-	if e.hold != nil {
-		b += int64(len(e.hold.negArr)+len(e.hold.mean)+len(e.hold.std)) * 8
-		b += int64(len(e.hold.sp)) * 4
-	}
-	return b
-}
-
-// lca returns the lowest common ancestor of two clock nodes.
-func (e *Engine) lca(a, b int32) int32 {
-	for e.clkDepth[a] > e.clkDepth[b] {
-		a = e.clkParent[a]
-	}
-	for e.clkDepth[b] > e.clkDepth[a] {
-		b = e.clkParent[b]
-	}
-	for a != b {
-		a = e.clkParent[a]
-		b = e.clkParent[b]
-	}
-	return a
-}
-
-// credit returns the CPPR common-path credit for launch node l and capture
-// node c — shared across scenarios (the clock network is not derated).
-func (e *Engine) credit(l, c int32) float64 {
-	return 2 * e.nSigma * math.Sqrt(e.clkCumVar[e.lca(l, c)])
-}
-
-// excLookup adapts the pin-keyed sdc exception table.
-func (e *Engine) excLookup(spPin, epPin int32) sdc.Adjust {
-	return e.exc.Lookup(netlist.PinID(spPin), netlist.PinID(epPin))
+// TopEntries returns pin p's Top-K arrival entries for (transition rf,
+// scenario s), for inspection and the differential tests.
+func (e *Engine) TopEntries(rf int, p int32, s int) (arr, mean, std []float64, sps []int32) {
+	return e.LaneTopEntries(rf, p, s)
 }

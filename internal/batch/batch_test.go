@@ -140,7 +140,7 @@ func TestMergedViewSemantics(t *testing.T) {
 	for i := range v.Slacks {
 		min := math.Inf(1)
 		for s := 0; s < S; s++ {
-			if sl := e.slack(s, int32(i)); sl < min {
+			if sl := e.LaneSlacks(s)[i]; sl < min {
 				min = sl
 			}
 		}
@@ -148,7 +148,7 @@ func TestMergedViewSemantics(t *testing.T) {
 			t.Fatalf("ep %d merged %v != min %v", i, v.Slacks[i], min)
 		}
 		if !math.IsInf(min, 1) {
-			if v.WorstOf[i] < 0 || e.slack(v.WorstOf[i], int32(i)) != min {
+			if v.WorstOf[i] < 0 || e.LaneSlacks(v.WorstOf[i])[i] != min {
 				t.Fatalf("ep %d worst-of label wrong", i)
 			}
 			if v.WorstName(e.Scenarios(), i) == "" {

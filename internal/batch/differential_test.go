@@ -80,6 +80,72 @@ func TestBatchBitIdenticalToIndependentEngines(t *testing.T) {
 	}
 }
 
+// TestBackwardLaneBitIdenticalToIndependentEngines puts the differentiable
+// path on the scenario axis: the arc and arrival gradients BackwardLane(s)
+// leaves behind on an S-lane engine equal, bit for bit, those of Backward on
+// an independent engine over ScaleTables(tab, scn[s]) — TNS-seeded and with
+// explicit endpoint weights, at one worker and at four.
+func TestBackwardLaneBitIdenticalToIndependentEngines(t *testing.T) {
+	tab := buildTables(t, 24)
+	scns := diffScenarios[:3]
+	for _, workers := range []int{1, 4} {
+		// A warm tau spreads gradient over many fan-in contributions instead
+		// of one argmax path per endpoint.
+		opt := core.Options{TopK: 8, Tau: 25, Workers: workers, Grain: 8}
+		be, err := New(tab, scns, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		be.Run()
+		weights := make([]float64, len(be.Endpoints()))
+		for i := range weights {
+			weights[i] = 0.25 + float64(i%7)
+		}
+		for s, scn := range scns {
+			se, err := core.NewEngine(ScaleTables(tab, scn), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			se.Run()
+			for _, w := range [][]float64{nil, weights} {
+				be.BackwardLane(s, w)
+				se.BackwardWeighted(w)
+				nonzero := 0
+				for a := int32(0); a < int32(se.NumArcs()); a++ {
+					for rf := 0; rf < 2; rf++ {
+						if g, want := be.ArcGradMean(a, rf), se.ArcGradMean(a, rf); g != want {
+							t.Fatalf("workers=%d scenario %s arc %d rf %d: lane mean gradient %v != independent %v",
+								workers, scn.Name, a, rf, g, want)
+						}
+						if g, want := be.ArcGradStd(a, rf), se.ArcGradStd(a, rf); g != want {
+							t.Fatalf("workers=%d scenario %s arc %d rf %d: lane sigma gradient %v != independent %v",
+								workers, scn.Name, a, rf, g, want)
+						}
+						if se.ArcGradMean(a, rf) != 0 {
+							nonzero++
+						}
+					}
+				}
+				// A fast corner may have nothing violating, hence no TNS
+				// gradient; the weighted pass seeds every timed endpoint.
+				if nonzero == 0 && (w != nil || be.WNS(s) < 0) {
+					t.Fatalf("scenario %s: all gradients zero — test is vacuous", scn.Name)
+				}
+				for p := int32(0); p < int32(se.NumPins()); p++ {
+					for rf := 0; rf < 2; rf++ {
+						if g, want := be.ArrivalGradient(rf, p), se.ArrivalGradient(rf, p); g != want {
+							t.Fatalf("workers=%d scenario %s pin %d rf %d: lane arrival gradient %v != independent %v",
+								workers, scn.Name, p, rf, g, want)
+						}
+					}
+				}
+			}
+			se.Close()
+		}
+		be.Close()
+	}
+}
+
 func TestBatchDeterministicAcrossWorkerCounts(t *testing.T) {
 	tab := buildTables(t, 22)
 	var ref [][]float64
@@ -157,5 +223,58 @@ func TestBatchIncrementalMatchesFullPropagate(t *testing.T) {
 				t.Fatalf("scenario %d ep %d: incremental hold %v != full %v", s, i, hi[i], hf[i])
 			}
 		}
+	}
+}
+
+// TestOverlayMatchesIndependentScaledOverlays extends the lane-independence
+// claim to what-if evaluation: scenario s of one overlay over the batched
+// base equals a fresh single-corner engine over the scaled tables carrying
+// the same ECO in that scenario's units.
+func TestOverlayMatchesIndependentScaledOverlays(t *testing.T) {
+	tab := buildTables(t, 32)
+	opt := core.Options{TopK: 8, Workers: 2}
+	e, err := New(tab, diffScenarios, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	e.Run()
+
+	arcs := pickECOArcs(e, 4)
+	ov := NewOverlay(e)
+	for _, a := range arcs {
+		m, sd := e.ArcDelay(a, 0)
+		ov.SetArcDelay(a, 0, m*1.3+1, sd)
+		m, sd = e.ArcDelay(a, 1)
+		ov.SetArcDelay(a, 1, m*1.3+1, sd)
+	}
+	ov.Propagate()
+
+	// Per scenario, a fresh single-corner engine over the scaled tables with
+	// the same ECO applied (in that scenario's units) must agree bit-for-bit.
+	for s, scn := range diffScenarios {
+		se, err := core.NewEngine(ScaleTables(tab, scn), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range arcs {
+			ms := scn.DelayScale
+			if e.ArcIsNet(a) {
+				ms = scn.RCScale
+			}
+			for rf := 0; rf < 2; rf++ {
+				d := ov.ArcDelay(a, rf)
+				d.Mean *= ms
+				d.Std *= scn.SigmaScale
+				se.SetArcDelay(a, rf, d)
+			}
+		}
+		want := se.Run()
+		for i := range want {
+			if got := ov.Slack(s, int32(i)); got != want[i] {
+				t.Fatalf("scenario %s ep %d: overlay %v != independent %v", scn.Name, i, got, want[i])
+			}
+		}
+		se.Close()
 	}
 }

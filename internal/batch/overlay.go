@@ -1,473 +1,63 @@
 package batch
 
-// Copy-on-write what-if evaluation over a scenario-batched base, the
-// multi-corner analogue of core.Overlay: a serving session re-annotates a
-// handful of arcs in nominal units and reads the resulting slacks in every
-// scenario — one cone re-propagation carries all corners, instead of S
-// per-corner overlays each walking the cone.
-//
-// The base engine's batched propagated state is the immutable snapshot; the
-// overlay holds sparse deltas (nominal arc re-annotations, recomputed
-// per-scenario pin queues over the reached cone, per-scenario slacks of the
-// endpoints inside it). Reads fall through to the base wherever the overlay
-// has no entry. Commit folds the nominal deltas into the base with a batched
-// incremental propagation, which makes committed state bit-identical to the
-// overlay's preview (same merge arithmetic, same order, same equality stop).
-//
-// Concurrency contract: an Overlay is single-threaded, but any number of
-// overlays may evaluate in parallel over one frozen base as long as nothing
-// mutates that base — the serving layer enforces this with its
-// reader/writer lock around commits, exactly as for core.Overlay.
-
 import (
 	"math"
-	"slices"
 
 	"insta/internal/core"
-	"insta/internal/liberty"
+	"insta/internal/num"
 )
 
-// Overlay is a copy-on-write what-if view over a propagated batched engine.
-//
-// Allocation discipline matches core.Overlay (DESIGN.md §12): Reset and
-// Rebase clear the sparse maps in place and recycle pin-queue and slack
-// storage through freelists, so a session's steady-state
-// apply→propagate→read loop settles at zero allocations per operation.
+// Overlay is a core.Overlay over a scenario-batched base: a serving session
+// re-annotates a handful of arcs in nominal units and reads the resulting
+// slacks in every scenario — one cone re-propagation carries all corners.
+// Propagate, Reset, Rebase, RebaseStructural, Commit and the changed-endpoint
+// accessors are core's; the methods below re-index the per-lane reads by
+// scenario and add the merged (worst-corner) view.
 type Overlay struct {
-	e *Engine
-
-	// Sparse nominal arc-delay overlay: arc id -> per-rf (mean, std).
-	arcDelta map[int32]*[2][2]float64
-	touched  []int32
-	pending  []int32
-	distFree []*[2][2]float64
-
-	// Sparse pin-queue overlay: recomputed queues for every scenario,
-	// flattened (rf*S+s)*K + k.
-	pinQ map[int32]*pinOverlay
-	free []*pinOverlay // released queue storage, reused before allocating
-
-	// Per-scenario slacks of re-evaluated endpoints (len S per entry), the
-	// endpoints whose pins changed but are not yet re-evaluated, and the
-	// sorted set of all endpoints ever re-evaluated.
-	epSlack    map[int32][]float64
-	slackFree  [][]float64
-	dirty      []int32
-	changedEPs []int32
-	epOut      []float64 // slack kernel output scratch
-
-	scratch *propScratch // wavefront state, reused across Propagate calls
-
-	// Persistent kernel bindings: the closures are created once and read
-	// their per-launch state through the fields above, so a level launch or
-	// slack evaluation does not allocate (a closure literal per call would
-	// escape into the pool's job slot).
-	kernBucket []int32
-	kernFn     func(id, lo, hi int)
-	slackFn    func(id, lo, hi int)
-}
-
-// pinOverlay holds one pin's recomputed queues across all scenarios.
-type pinOverlay struct {
-	arr, mean, std []float64
-	sp             []int32
+	*core.Overlay
 }
 
 // NewOverlay creates an empty overlay over e. The base must be fully
 // propagated and slack-evaluated (Run) and stay frozen while the overlay
 // evaluates.
 func NewOverlay(e *Engine) *Overlay {
-	return &Overlay{
-		e:        e,
-		arcDelta: make(map[int32]*[2][2]float64),
-		pinQ:     make(map[int32]*pinOverlay),
-		epSlack:  make(map[int32][]float64),
-	}
+	return &Overlay{core.NewOverlay(e.Engine)}
 }
-
-// getPinOverlay returns queue storage for one pin, from the freelist when
-// possible. The three float planes share one backing slab.
-func (o *Overlay) getPinOverlay() *pinOverlay {
-	if n := len(o.free); n > 0 {
-		q := o.free[n-1]
-		o.free = o.free[:n-1]
-		return q
-	}
-	qlen := 2 * len(o.e.scns) * o.e.opt.TopK
-	buf := make([]float64, 3*qlen)
-	return &pinOverlay{
-		arr:  buf[0:qlen:qlen],
-		mean: buf[qlen : 2*qlen : 2*qlen],
-		std:  buf[2*qlen : 3*qlen : 3*qlen],
-		sp:   make([]int32, qlen),
-	}
-}
-
-// seededPinOverlay returns queue storage for pin p preloaded with the base's
-// queues across every scenario. recomputePin's change detection compares
-// against the previously *visible* queues, and a pin touched for the first
-// time this Propagate was showing the base's — recycled freelist storage (or
-// fresh zeroed storage) must not stand in for them, or a wavefront could stop
-// early when stale content happens to match the recomputed result (a Reset
-// followed by reapplying identical deltas often hands pins back their own
-// old storage).
-func (o *Overlay) seededPinOverlay(p int32) *pinOverlay {
-	q := o.getPinOverlay()
-	e := o.e
-	span := len(e.scns) * e.opt.TopK // scenario blocks are contiguous per rf
-	for rf := 0; rf < 2; rf++ {
-		b := e.qbase(rf, p, 0)
-		d := rf * span
-		copy(q.arr[d:d+span], e.topArr[b:b+span])
-		copy(q.mean[d:d+span], e.topMean[b:b+span])
-		copy(q.std[d:d+span], e.topStd[b:b+span])
-		copy(q.sp[d:d+span], e.topSP[b:b+span])
-	}
-	return q
-}
-
-// releasePins returns every overlaid pin queue to the freelist and empties
-// the pin map in place.
-func (o *Overlay) releasePins() {
-	for _, q := range o.pinQ {
-		o.free = append(o.free, q)
-	}
-	clear(o.pinQ)
-}
-
-// Base returns the batched engine this overlay shadows.
-func (o *Overlay) Base() *Engine { return o.e }
 
 // SetArcDelay annotates one arc's *nominal* delay for output transition rf
 // in the overlay only; every scenario sees it through its scale factors.
 // Call Propagate after a batch.
 func (o *Overlay) SetArcDelay(arc int32, rf int, mean, std float64) {
-	od := o.arcDelta[arc]
-	if od == nil {
-		if n := len(o.distFree); n > 0 {
-			od = o.distFree[n-1]
-			o.distFree = o.distFree[:n-1]
-		} else {
-			od = new([2][2]float64)
-		}
-		od[0] = [2]float64{o.e.arcMean[0][arc], o.e.arcStd[0][arc]}
-		od[1] = [2]float64{o.e.arcMean[1][arc], o.e.arcStd[1][arc]}
-		o.arcDelta[arc] = od
-		o.touched = append(o.touched, arc)
-	}
-	od[rf] = [2]float64{mean, std}
-	for _, a := range o.pending {
-		if a == arc {
-			return
-		}
-	}
-	o.pending = append(o.pending, arc)
-}
-
-// arcDelay returns the nominal annotation of arc for rf as seen through the
-// overlay.
-func (o *Overlay) arcDelay(rf int, arc int32) (mean, std float64) {
-	if od := o.arcDelta[arc]; od != nil {
-		return od[rf][0], od[rf][1]
-	}
-	return o.e.arcMean[rf][arc], o.e.arcStd[rf][arc]
-}
-
-// queues returns pin p's Top-K queue slices for (rf, scenario s) as seen
-// through the overlay.
-func (o *Overlay) queues(rf, s int, p int32) (arr, mean, std []float64, sps []int32) {
-	k := o.e.opt.TopK
-	if q := o.pinQ[p]; q != nil {
-		b := (rf*len(o.e.scns) + s) * k
-		return q.arr[b : b+k], q.mean[b : b+k], q.std[b : b+k], q.sp[b : b+k]
-	}
-	b := o.e.qbase(rf, p, s)
-	return o.e.topArr[b : b+k], o.e.topMean[b : b+k], o.e.topStd[b : b+k], o.e.topSP[b : b+k]
-}
-
-// Propagate re-propagates the fan-out cone of every arc annotated since the
-// last call, across all scenarios at once, writing recomputed queues into
-// the overlay only. The wavefront walks the shared level schedule exactly
-// like the base's PropagateIncremental and stops where every scenario's
-// queues converge, so the preview is bit-identical to committing the same
-// deltas.
-func (o *Overlay) Propagate() {
-	arcs := o.pending
-	o.pending = o.pending[:0]
-	if len(arcs) == 0 {
-		return
-	}
-	e := o.e
-	sp := e.tracer.StartArg(KernelOverlay, "arcs", int64(len(arcs)))
-	defer sp.End()
-	foStart, foAdj := e.foStart, e.foAdj
-
-	// Wavefront state is per-overlay (concurrent overlays share one frozen
-	// base but never scratch), reused allocation-free across Propagate calls.
-	if o.scratch == nil {
-		o.scratch = e.newPropScratch()
-	}
-	sc := o.scratch
-	sc.reset()
-	buckets, queued := sc.buckets, sc.queued
-	push := func(p int32) {
-		if !queued[p] {
-			queued[p] = true
-			buckets[e.lv.Level[p]] = append(buckets[e.lv.Level[p]], p)
-		}
-	}
-	for _, a := range arcs {
-		push(e.arcTo[a])
-	}
-
-	for l := 0; l < len(buckets); l++ {
-		bucket := buckets[l]
-		if len(bucket) == 0 {
-			continue
-		}
-		// Startpoint pins reseed constants and never change; stop there.
-		live := bucket[:0]
-		for _, p := range bucket {
-			if e.spOfPin[p] < 0 {
-				live = append(live, p)
-			}
-		}
-		bucket = live
-		if len(bucket) == 0 {
-			continue
-		}
-		// Overlay queue storage is bound serially: map writes must not
-		// run inside the kernel (lower-level parents are read concurrently
-		// through the same map).
-		for _, p := range bucket {
-			if o.pinQ[p] == nil {
-				o.pinQ[p] = o.seededPinOverlay(p)
-			}
-		}
-		if cap(sc.changed) < len(bucket) {
-			sc.changed = make([]bool, len(bucket))
-		}
-		sc.changed = sc.changed[:len(bucket)]
-		changed := sc.changed
-		if o.kernFn == nil {
-			o.kernFn = func(id, lo, hi int) {
-				snap := o.scratch.snaps[id]
-				b, ch := o.kernBucket, o.scratch.changed
-				for i := lo; i < hi; i++ {
-					ch[i] = o.recomputePin(b[i], snap)
-				}
-			}
-		}
-		o.kernBucket = bucket
-		e.kernIndexed(KernelOverlay, l, len(bucket), o.kernFn)
-		for i, p := range bucket {
-			if !changed[i] {
-				continue
-			}
-			// Each pin enters at most one bucket per Propagate and maps to at
-			// most one endpoint, so dirty never holds duplicates per call.
-			if ep := e.epOfPin[p]; ep >= 0 {
-				o.dirty = append(o.dirty, ep)
-			}
-			for _, to := range foAdj[foStart[p]:foStart[p+1]] {
-				push(to)
-			}
-		}
-	}
-	o.evalDirtyEndpoints()
-}
-
-// recomputePin rebuilds pin p's queues for every scenario inside the
-// overlay from its fan-in as seen through the overlay, and reports whether
-// any scenario's result differs from the previously visible queues. The
-// merge is the general path of the batched forward kernel; for single-fan-in
-// pins it produces the same bits as the shiftCopy fast path, as in core.
-func (o *Overlay) recomputePin(p int32, snap *snapshotBuf) bool {
-	e := o.e
-	k := e.opt.TopK
-	S := len(e.scns)
-	for rf := 0; rf < 2; rf++ {
-		for s := 0; s < S; s++ {
-			arr, mean, std, sps := o.queues(rf, s, p)
-			d := (rf*S + s) * k
-			copy(snap.arr[d:d+k], arr)
-			copy(snap.mean[d:d+k], mean)
-			copy(snap.std[d:d+k], std)
-			copy(snap.sp[d:d+k], sps)
-		}
-	}
-
-	q := o.pinQ[p]
-	lo, hi := e.faninStart[p], e.faninStart[p+1]
-	for rf := 0; rf < 2; rf++ {
-		clearQueues(q.arr[rf*S*k:(rf+1)*S*k], q.sp[rf*S*k:(rf+1)*S*k])
-		for pos := lo; pos < hi; pos++ {
-			arc := e.faninArc[pos]
-			parent := e.faninFrom[pos]
-			kind := e.arcKind[arc]
-			am0, as0 := o.arcDelay(rf, arc)
-			inRFs, n := liberty.Unate(e.faninSense[pos]).InRFs(rf)
-			for ri := 0; ri < n; ri++ {
-				for s := 0; s < S; s++ {
-					am := am0 * e.scaleMean[kind][s]
-					as := as0 * e.scaleStd[kind][s]
-					b := (rf*S + s) * k
-					arr := q.arr[b : b+k]
-					mean := q.mean[b : b+k]
-					std := q.std[b : b+k]
-					sps := q.sp[b : b+k]
-					_, pmean, pstd, psps := o.queues(inRFs[ri], s, parent)
-					for kk := 0; kk < k; kk++ {
-						psp := psps[kk]
-						if psp == noSP {
-							break
-						}
-						m := pmean[kk] + am
-						ps := pstd[kk]
-						if m+e.nSigma*(ps+as) <= arr[k-1] {
-							continue
-						}
-						sg := math.Sqrt(ps*ps + as*as)
-						core.InsertTopK(arr, mean, std, sps, m+e.nSigma*sg, m, sg, psp)
-					}
-				}
-			}
-		}
-	}
-	for i := 0; i < 2*S*k; i++ {
-		if q.sp[i] != snap.sp[i] || q.arr[i] != snap.arr[i] ||
-			q.mean[i] != snap.mean[i] || q.std[i] != snap.std[i] {
-			return true
-		}
-	}
-	return false
-}
-
-// evalDirtyEndpoints re-evaluates every dirty endpoint's slack in every
-// scenario through the pool, in sorted endpoint order so the state is
-// independent of map iteration order.
-func (o *Overlay) evalDirtyEndpoints() {
-	if len(o.dirty) == 0 {
-		return
-	}
-	e := o.e
-	dirty := o.dirty
-	slices.Sort(dirty)
-	ssp := e.tracer.StartArg(KernelOverlaySlack, "endpoints", int64(len(dirty)))
-	defer ssp.End()
-	S := len(e.scns)
-	if cap(o.epOut) < len(dirty)*S {
-		o.epOut = make([]float64, len(dirty)*S)
-	}
-	o.epOut = o.epOut[:len(dirty)*S]
-	out := o.epOut
-	if o.slackFn == nil {
-		o.slackFn = func(id, lo, hi int) {
-			e := o.e
-			S := len(e.scns)
-			k := e.opt.TopK
-			dirty, out := o.dirty, o.epOut
-			for i := lo; i < hi; i++ {
-				ep := dirty[i]
-				p := e.epPin[ep]
-				for s := 0; s < S; s++ {
-					best := math.Inf(1)
-					for rf := 0; rf < 2; rf++ {
-						arr, _, _, sps := o.queues(rf, s, p)
-						for kk := 0; kk < k; kk++ {
-							sp := sps[kk]
-							if sp == noSP {
-								break
-							}
-							adj := e.excLookup(e.spPin[sp], p)
-							if adj.False {
-								continue
-							}
-							req := e.epBase[rf][ep] +
-								float64(adj.CycleCount()-1)*e.period +
-								e.credit(e.spNode[sp], e.epNode[ep])
-							if sl := req - arr[kk]; sl < best {
-								best = sl
-							}
-						}
-					}
-					out[i*S+s] = best
-				}
-			}
-		}
-	}
-	e.kernIndexed(KernelOverlaySlack, -1, len(dirty), o.slackFn)
-	grew := false
-	for i, ep := range dirty {
-		sl := o.epSlack[ep]
-		if sl == nil {
-			if n := len(o.slackFree); n > 0 {
-				sl = o.slackFree[n-1]
-				o.slackFree = o.slackFree[:n-1]
-			} else {
-				sl = make([]float64, S)
-			}
-			o.changedEPs = append(o.changedEPs, ep)
-			grew = true
-		}
-		copy(sl, out[i*S:(i+1)*S])
-		o.epSlack[ep] = sl
-	}
-	if grew {
-		slices.Sort(o.changedEPs)
-	}
-	o.dirty = o.dirty[:0]
+	o.Overlay.SetArcDelay(arc, rf, num.Dist{Mean: mean, Std: std})
 }
 
 // Slack returns endpoint i's slack in scenario s as seen through the
 // overlay.
-func (o *Overlay) Slack(s int, i int32) float64 {
-	if sl, ok := o.epSlack[i]; ok {
-		return sl[s]
-	}
-	return o.e.slack(s, i)
-}
+func (o *Overlay) Slack(s int, i int32) float64 { return o.LaneSlack(s, i) }
+
+// WNS returns scenario s's worst negative slack under the overlay.
+func (o *Overlay) WNS(s int) float64 { return o.LaneWNS(s) }
+
+// TNS returns scenario s's total negative slack under the overlay.
+func (o *Overlay) TNS(s int) float64 { return o.LaneTNS(s) }
 
 // MergedSlack returns endpoint i's worst slack across scenarios as seen
 // through the overlay.
 func (o *Overlay) MergedSlack(i int32) float64 {
 	best := math.Inf(1)
-	for s := range o.e.scns {
-		if sl := o.Slack(s, i); sl < best {
+	for s := 0; s < o.Base().Lanes(); s++ {
+		if sl := o.LaneSlack(s, i); sl < best {
 			best = sl
 		}
 	}
 	return best
 }
 
-// WNS returns scenario s's worst negative slack under the overlay, scanning
-// endpoints in index order like the base engine.
-func (o *Overlay) WNS(s int) float64 {
-	w := 0.0
-	for i := range o.e.epPin {
-		if sl := o.Slack(s, int32(i)); sl < w {
-			w = sl
-		}
-	}
-	return w
-}
-
-// TNS returns scenario s's total negative slack under the overlay.
-func (o *Overlay) TNS(s int) float64 {
-	t := 0.0
-	for i := range o.e.epPin {
-		if sl := o.Slack(s, int32(i)); sl < 0 {
-			t += sl
-		}
-	}
-	return t
-}
-
 // MergedWNS returns the merged (per-endpoint worst scenario) WNS under the
-// overlay.
+// overlay, scanning endpoints in index order like the base engine.
 func (o *Overlay) MergedWNS() float64 {
 	w := 0.0
-	for i := range o.e.epPin {
+	for i := range o.Base().Endpoints() {
 		if sl := o.MergedSlack(int32(i)); sl < w {
 			w = sl
 		}
@@ -478,146 +68,10 @@ func (o *Overlay) MergedWNS() float64 {
 // MergedTNS returns the merged TNS under the overlay.
 func (o *Overlay) MergedTNS() float64 {
 	t := 0.0
-	for i := range o.e.epPin {
+	for i := range o.Base().Endpoints() {
 		if sl := o.MergedSlack(int32(i)); sl < 0 {
 			t += sl
 		}
 	}
 	return t
-}
-
-// ChangedEndpoints returns the sorted indices of endpoints whose slacks the
-// overlay re-evaluated. The returned slice is a fresh copy; hot paths use
-// ChangedEndpointsView.
-func (o *Overlay) ChangedEndpoints() []int32 {
-	return append([]int32(nil), o.changedEPs...)
-}
-
-// ChangedEndpointsView is ChangedEndpoints without the copy: the returned
-// slice is owned by the overlay, stays sorted, and is valid until the next
-// Propagate, Reset or Rebase. Callers must not mutate or retain it.
-func (o *Overlay) ChangedEndpointsView() []int32 { return o.changedEPs }
-
-// TouchedArcs returns the overlaid arc ids in first-annotation order.
-func (o *Overlay) TouchedArcs() []int32 {
-	return append([]int32(nil), o.touched...)
-}
-
-// OverlayStats summarizes the overlay's sparse footprint.
-type OverlayStats struct {
-	TouchedArcs int
-	OverlayPins int
-	ChangedEPs  int
-}
-
-// Stats reports the overlay's current sparse footprint.
-func (o *Overlay) Stats() OverlayStats {
-	return OverlayStats{
-		TouchedArcs: len(o.arcDelta),
-		OverlayPins: len(o.pinQ),
-		ChangedEPs:  len(o.epSlack),
-	}
-}
-
-// releaseSlacks returns every per-endpoint slack slice to the freelist and
-// empties the slack map in place.
-func (o *Overlay) releaseSlacks() {
-	for _, sl := range o.epSlack {
-		o.slackFree = append(o.slackFree, sl)
-	}
-	clear(o.epSlack)
-}
-
-// Reset discards all overlay state — the session rollback. The base is
-// untouched. Maps are cleared in place and storage returned to freelists, so
-// a reset-and-reapply cycle does not reallocate.
-func (o *Overlay) Reset() {
-	for _, od := range o.arcDelta {
-		o.distFree = append(o.distFree, od)
-	}
-	clear(o.arcDelta)
-	o.touched = o.touched[:0]
-	o.pending = o.pending[:0]
-	o.releasePins()
-	o.releaseSlacks()
-	o.dirty = o.dirty[:0]
-	o.changedEPs = o.changedEPs[:0]
-}
-
-// Rebase invalidates the overlay's derived state while keeping the nominal
-// arc deltas, and schedules every touched arc for re-propagation — called
-// when another session's commit moved the batched base.
-func (o *Overlay) Rebase() {
-	o.releasePins()
-	o.releaseSlacks()
-	o.dirty = o.dirty[:0]
-	o.changedEPs = o.changedEPs[:0]
-	o.pending = append(o.pending[:0], o.touched...)
-}
-
-// RebaseStructural re-targets the overlay at a structurally edited
-// replacement of its batched base. remap maps the old engine's arc ids to
-// e's (-1 = removed); nil means identity (insert-only edits append arcs
-// without renumbering). Nominal deltas on surviving arcs are kept, re-keyed
-// and scheduled for re-propagation; deltas on removed arcs are dropped to
-// the freelist. Derived state is invalidated like Rebase and the wavefront
-// scratch is discarded (the new engine's level count differs). Pin-queue and
-// slack freelist storage survives: sizes depend only on TopK and S, which a
-// structural edit never changes.
-func (o *Overlay) RebaseStructural(e *Engine, remap []int32) {
-	o.releasePins()
-	o.releaseSlacks()
-	o.dirty = o.dirty[:0]
-	o.changedEPs = o.changedEPs[:0]
-	o.scratch = nil
-
-	// Re-key surviving deltas; old and new id ranges can overlap after a
-	// removal compaction, so drain the map first and reinsert.
-	oldTouched := append([]int32(nil), o.touched...)
-	oldDeltas := make([]*[2][2]float64, len(oldTouched))
-	for i, a := range oldTouched {
-		oldDeltas[i] = o.arcDelta[a]
-	}
-	clear(o.arcDelta)
-	o.touched = o.touched[:0]
-	o.pending = o.pending[:0]
-	for i, a := range oldTouched {
-		na := a
-		if remap != nil {
-			na = remap[a]
-		}
-		if na < 0 {
-			o.distFree = append(o.distFree, oldDeltas[i])
-			continue
-		}
-		o.arcDelta[na] = oldDeltas[i]
-		o.touched = append(o.touched, na)
-		o.pending = append(o.pending, na)
-	}
-	o.e = e
-}
-
-// Commit folds the overlay's nominal arc deltas into the batched base,
-// re-propagates the affected cone incrementally across all scenarios,
-// re-evaluates every scenario's slacks, and resets the overlay. The caller
-// must hold exclusive access to the base.
-func (o *Overlay) Commit() {
-	if len(o.touched) == 0 {
-		return
-	}
-	e := o.e
-	sp := e.tracer.StartArg("batch-overlay-commit", "arcs", int64(len(o.touched)))
-	defer sp.End()
-	for _, arc := range o.touched {
-		od := o.arcDelta[arc]
-		for rf := 0; rf < 2; rf++ {
-			e.SetArcDelay(arc, rf, od[rf][0], od[rf][1])
-		}
-	}
-	e.PropagateIncremental(o.touched)
-	e.EvalSlacks()
-	if e.hold != nil {
-		e.EvalHoldSlacks()
-	}
-	o.Reset()
 }

@@ -1,144 +1,56 @@
 package batch
 
-import "math"
+import (
+	"math"
 
-// EvalSlacks computes every endpoint's setup slack in every scenario from
-// the propagated batched arrivals, in one endpoint sweep: the per-startpoint
-// required times (base requirement + multicycle periods + CPPR credit) are
-// resolved once per retained startpoint and shared across the scenario loop,
-// since the derate model keeps requirements and the clock network nominal.
-// The result for scenario s lands in the s-th stripe of the slack tensor;
-// untimed endpoints carry +Inf.
-func (e *Engine) EvalSlacks() {
-	sp := e.tracer.StartArg(kSlack, "scenarios", int64(len(e.scns)))
-	defer sp.End()
-	k := e.opt.TopK
-	S := len(e.scns)
-	nEP := len(e.epPin)
-	e.kern(kSlack, -1, nEP, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := e.epPin[i]
-			for s := 0; s < S; s++ {
-				best := math.Inf(1)
-				for rf := 0; rf < 2; rf++ {
-					b := e.qbase(rf, p, s)
-					for kk := 0; kk < k; kk++ {
-						sp := e.topSP[b+kk]
-						if sp == noSP {
-							break
-						}
-						adj := e.excLookup(e.spPin[sp], p)
-						if adj.False {
-							continue
-						}
-						req := e.epBase[rf][i] +
-							float64(adj.CycleCount()-1)*e.period +
-							e.credit(e.spNode[sp], e.epNode[i])
-						if sl := req - e.topArr[b+kk]; sl < best {
-							best = sl
-						}
-					}
-				}
-				e.epSlack[s*nEP+i] = best
-			}
-		}
-	})
-}
-
-// Run performs a full batched evaluation: Propagate, EvalSlacks and — when
-// hold is enabled — EvalHoldSlacks.
-func (e *Engine) Run() {
-	e.Propagate()
-	e.EvalSlacks()
-	if e.hold != nil {
-		e.EvalHoldSlacks()
-	}
-}
+	"insta/internal/core"
+)
 
 // Slacks returns a copy of scenario s's endpoint slacks from the last
 // evaluation.
-func (e *Engine) Slacks(s int) []float64 {
-	nEP := len(e.epPin)
-	out := make([]float64, nEP)
-	copy(out, e.epSlack[s*nEP:(s+1)*nEP])
-	return out
-}
+func (e *Engine) Slacks(s int) []float64 { return e.SlacksInto(s, nil) }
 
 // SlacksInto copies scenario s's endpoint slacks into dst, growing it only
 // when too small, and returns the filled slice — the allocation-free serving
 // read (pass dst[:0]-style reusable buffers).
 func (e *Engine) SlacksInto(s int, dst []float64) []float64 {
-	nEP := len(e.epPin)
-	if cap(dst) < nEP {
-		dst = make([]float64, nEP)
-	}
-	dst = dst[:nEP]
-	copy(dst, e.epSlack[s*nEP:(s+1)*nEP])
-	return dst
+	return append(dst[:0], e.LaneSlacks(s)...)
 }
 
 // MergedSlacksInto writes the per-endpoint worst slack across scenarios into
 // dst, growing it only when too small — the allocation-free form of
 // Merged().Slacks for serving reads that need no per-scenario attribution.
 func (e *Engine) MergedSlacksInto(dst []float64) []float64 {
-	nEP := len(e.epPin)
-	S := len(e.scns)
-	if cap(dst) < nEP {
-		dst = make([]float64, nEP)
-	}
-	dst = dst[:nEP]
-	for i := 0; i < nEP; i++ {
-		best := e.epSlack[i]
-		for s := 1; s < S; s++ {
-			if sl := e.epSlack[s*nEP+i]; sl < best {
-				best = sl
+	dst = append(dst[:0], e.LaneSlacks(0)...)
+	for s := 1; s < len(e.scns); s++ {
+		for i, sl := range e.LaneSlacks(s) {
+			if sl < dst[i] {
+				dst[i] = sl
 			}
 		}
-		dst[i] = best
 	}
 	return dst
 }
 
-// slack returns endpoint i's slack in scenario s without copying.
-func (e *Engine) slack(s int, i int32) float64 {
-	return e.epSlack[s*len(e.epPin)+int(i)]
-}
-
 // WNS returns scenario s's worst negative slack (0 when nothing violates).
-func (e *Engine) WNS(s int) float64 {
-	w := 0.0
-	nEP := len(e.epPin)
-	for _, sl := range e.epSlack[s*nEP : (s+1)*nEP] {
-		if sl < w {
-			w = sl
-		}
-	}
-	return w
-}
+func (e *Engine) WNS(s int) float64 { return core.WNS(e.LaneSlacks(s)) }
 
 // TNS returns scenario s's total negative slack.
-func (e *Engine) TNS(s int) float64 {
-	t := 0.0
-	nEP := len(e.epPin)
-	for _, sl := range e.epSlack[s*nEP : (s+1)*nEP] {
-		if sl < 0 {
-			t += sl
-		}
-	}
-	return t
-}
+func (e *Engine) TNS(s int) float64 { return core.TNS(e.LaneSlacks(s)) }
 
 // NumViolations counts scenario s's endpoints with negative slack.
-func (e *Engine) NumViolations(s int) int {
-	n := 0
-	nEP := len(e.epPin)
-	for _, sl := range e.epSlack[s*nEP : (s+1)*nEP] {
-		if sl < 0 {
-			n++
-		}
-	}
-	return n
+func (e *Engine) NumViolations(s int) int { return core.Violations(e.LaneSlacks(s)) }
+
+// HoldSlacks returns a copy of scenario s's hold slacks.
+func (e *Engine) HoldSlacks(s int) []float64 {
+	return append([]float64(nil), e.LaneHoldSlacks(s)...)
 }
+
+// HoldWNS returns scenario s's worst negative hold slack.
+func (e *Engine) HoldWNS(s int) float64 { return core.WNS(e.LaneHoldSlacks(s)) }
+
+// HoldTNS returns scenario s's total negative hold slack.
+func (e *Engine) HoldTNS(s int) float64 { return core.TNS(e.LaneHoldSlacks(s)) }
 
 // ScenarioMetrics is one scenario's summary line in a merged view.
 type ScenarioMetrics struct {
@@ -171,7 +83,7 @@ func (v *MergedView) WorstName(names []Scenario, i int) string {
 // scenarios resolve to the lowest scenario index, so the view is
 // deterministic for any worker count.
 func (e *Engine) Merged() *MergedView {
-	nEP := len(e.epPin)
+	nEP := len(e.Endpoints())
 	S := len(e.scns)
 	v := &MergedView{
 		Slacks:  make([]float64, nEP),
@@ -181,7 +93,7 @@ func (e *Engine) Merged() *MergedView {
 		best := math.Inf(1)
 		worst := -1
 		for s := 0; s < S; s++ {
-			if sl := e.epSlack[s*nEP+i]; sl < best {
+			if sl := e.LaneSlacks(s)[i]; sl < best {
 				best = sl
 				worst = s
 			}

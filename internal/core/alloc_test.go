@@ -16,54 +16,55 @@ const allocEps = 0.5
 
 func TestOverlayPreviewAllocFree(t *testing.T) {
 	h := buildHarness(t, testSpec(81))
-	e, err := NewEngine(h.tab, Options{TopK: 6, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	e.Run()
+	for _, lc := range laneCases {
+		t.Run(lc.name, func(t *testing.T) {
+			e := newLaneEngine(t, h.tab, lc.lanes, Options{TopK: 6, Workers: 2})
+			e.Run()
 
-	deltas := perturb(e, 3, 37, 1.2, 1.1)
-	o := NewOverlay(e)
-	preview := func() {
-		applyToOverlay(o, deltas)
-		_ = o.WNS()
-	}
-	preview() // warm: populates the pin overlay set, scratch and freelists
-	if a := testing.AllocsPerRun(20, preview); a > allocEps {
-		t.Errorf("warm overlay preview: %.1f allocs/op, want 0", a)
+			deltas := perturb(e, 3, 37, 1.2, 1.1)
+			o := NewOverlay(e)
+			preview := func() {
+				o.Reset() // recycle queue storage and slack slots
+				applyToOverlay(o, deltas)
+				_ = o.LaneWNS(len(lc.lanes) - 1)
+			}
+			preview() // warm: populates the pin overlay set, scratch and freelists
+			if a := testing.AllocsPerRun(20, preview); a > allocEps {
+				t.Errorf("warm overlay preview: %.1f allocs/op, want 0", a)
+			}
+		})
 	}
 }
 
 func TestIncrementalPropagateAllocFree(t *testing.T) {
 	h := buildHarness(t, testSpec(82))
-	e, err := NewEngine(h.tab, Options{TopK: 6, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	e.Run()
+	for _, lc := range laneCases {
+		t.Run(lc.name, func(t *testing.T) {
+			e := newLaneEngine(t, h.tab, lc.lanes, Options{TopK: 6, Workers: 2})
+			e.Run()
 
-	// Two alternating annotations so every measured op walks a real changed
-	// cone instead of converging at the first level.
-	arc := int32(3)
-	arcs := []int32{arc}
-	d0 := e.ArcDelay(arc, 0)
-	d1 := d0
-	d1.Mean *= 1.3
-	flip := false
-	reprop := func() {
-		d := d0
-		if flip {
-			d = d1
-		}
-		flip = !flip
-		e.SetArcDelay(arc, 0, d)
-		e.PropagateIncremental(arcs)
-	}
-	reprop()
-	reprop() // warm both cone shapes
-	if a := testing.AllocsPerRun(20, reprop); a > allocEps {
-		t.Errorf("warm incremental re-prop: %.1f allocs/op, want 0", a)
+			// Two alternating annotations so every measured op walks a real
+			// changed cone instead of converging at the first level.
+			arc := int32(3)
+			arcs := []int32{arc}
+			d0 := e.ArcDelay(arc, 0)
+			d1 := d0
+			d1.Mean *= 1.3
+			flip := false
+			reprop := func() {
+				d := d0
+				if flip {
+					d = d1
+				}
+				flip = !flip
+				e.SetArcDelay(arc, 0, d)
+				e.PropagateIncremental(arcs)
+			}
+			reprop()
+			reprop() // warm both cone shapes
+			if a := testing.AllocsPerRun(20, reprop); a > allocEps {
+				t.Errorf("warm incremental re-prop: %.1f allocs/op, want 0", a)
+			}
+		})
 	}
 }

@@ -37,7 +37,9 @@ import (
 // transition; each violating endpoint seeds ∂/∂mean = -1 and ∂/∂sigma =
 // -nSigma into its critical transition. Mean gradients are therefore ≤ 0:
 // making an arc faster raises TNS toward 0 in proportion to |gradient|.
-func (e *Engine) Backward() { e.BackwardWeighted(nil) }
+//
+// Backward differentiates lane 0 — the whole engine at S = 1.
+func (e *Engine) Backward() { e.BackwardLane(0, nil) }
 
 // BackwardWeighted runs the backward kernel with explicit per-endpoint loss
 // gradients: endpoint i's critical transition is seeded with -w[i] on the
@@ -45,43 +47,71 @@ func (e *Engine) Backward() { e.BackwardWeighted(nil) }
 // TNS subgradient (weight 1 on violating endpoints). Combined with
 // WNSWeights this yields ∂(soft-WNS)/∂(arc delay) — the paper's "gradients
 // of WNS and TNS with respect to leaf variables".
-func (e *Engine) BackwardWeighted(w []float64) {
+func (e *Engine) BackwardWeighted(w []float64) { e.BackwardLane(0, w) }
+
+// gradState is the differentiable state, allocated on first Backward and
+// overwritten by each. The slabs are per pin / per arc, not per lane: a
+// backward pass differentiates one lane. The pass is two-phase per level so
+// that accumulation order is fixed by the CSR layout, never by goroutine
+// scheduling: each pin *scatters* weighted gradient into per-arc flow slots
+// it exclusively owns (it is every fan-in arc's unique `to` pin), and
+// *gathers* its own gradient from its fan-out arcs' slots in CSR order.
+// Results are bit-identical for any Workers.
+type gradState struct {
+	gradArr    [2][]float64 // dLoss/d(arrival mean at pin), gathered
+	gradArrStd [2][]float64 // dLoss/d(arrival sigma at pin), gathered
+	seedMean   [2][]float64 // per-pin loss seeds (endpoint injection)
+	seedStd    [2][]float64
+	flowMean   [2][]float64 // per-arc gradient flow, indexed [parent rf][arc]
+	flowStd    [2][]float64
+	gradMean   [2][]float64 // dLoss/d(arc delay mean) — the paper's timing gradient
+	gradStd    [2][]float64 // dLoss/d(arc delay sigma)
+}
+
+// BackwardLane is BackwardWeighted over lane s's propagated state: the
+// gradients it leaves behind are those of lane s's TNS (or weighted loss)
+// with respect to lane s's *derated* arc delays — exactly what Backward on a
+// single-lane engine over tables scaled by that lane's factors computes, bit
+// for bit. Multiply by ArcDelayScale for sensitivities to the nominal
+// annotation.
+func (e *Engine) BackwardLane(s int, w []float64) {
 	sp := e.tracer.StartArg(kBackward, "levels", int64(e.lv.NumLevels))
 	defer sp.End()
 	n := e.numPins
 	nArcs := len(e.arcFrom)
-	if e.gradArr[0] == nil {
+	if e.grad == nil {
+		e.grad = new(gradState)
 		for rf := 0; rf < 2; rf++ {
-			e.gradArr[rf] = make([]float64, n)
-			e.gradArrStd[rf] = make([]float64, n)
-			e.seedMean[rf] = make([]float64, n)
-			e.seedStd[rf] = make([]float64, n)
-			e.flowMean[rf] = make([]float64, nArcs)
-			e.flowStd[rf] = make([]float64, nArcs)
-			e.gradMean[rf] = make([]float64, nArcs)
-			e.gradStd[rf] = make([]float64, nArcs)
+			e.grad.gradArr[rf] = make([]float64, n)
+			e.grad.gradArrStd[rf] = make([]float64, n)
+			e.grad.seedMean[rf] = make([]float64, n)
+			e.grad.seedStd[rf] = make([]float64, n)
+			e.grad.flowMean[rf] = make([]float64, nArcs)
+			e.grad.flowStd[rf] = make([]float64, nArcs)
+			e.grad.gradMean[rf] = make([]float64, nArcs)
+			e.grad.gradStd[rf] = make([]float64, nArcs)
 		}
 	}
-	e.fanoutCSR() // gather phase walks fan-out arcs
+	g := e.grad
 	for rf := 0; rf < 2; rf++ {
-		clearFloats(e.seedMean[rf])
-		clearFloats(e.seedStd[rf])
-		clearFloats(e.flowMean[rf])
-		clearFloats(e.flowStd[rf])
-		clearFloats(e.gradMean[rf])
-		clearFloats(e.gradStd[rf])
+		clear(g.seedMean[rf])
+		clear(g.seedStd[rf])
+		clear(g.flowMean[rf])
+		clear(g.flowStd[rf])
+		clear(g.gradMean[rf])
+		clear(g.gradStd[rf])
 	}
 
-	e.seedEndpointGradients(w)
+	e.seedEndpointGradients(s, w)
 
 	// Reverse level sweep: each pin gathers its gradient from its fan-out
 	// arcs' flow slots, then distributes it to its fan-in arcs and parents.
 	for l := e.lv.NumLevels - 1; l >= 0; l-- {
 		pins := e.lv.Nodes(l)
 		lsp := sp.ChildArg("level", "level", int64(l))
-		e.kern(kBackward, l, len(pins), func(lo, hi int) {
+		e.pool.RunTagged(kBackward, l, len(pins), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				e.backpropPin(pins[i])
+				e.backpropPin(pins[i], s)
 			}
 		})
 		lsp.End()
@@ -93,9 +123,9 @@ func (e *Engine) BackwardWeighted(w []float64) {
 // entries — the K=1 view the differentiable mode operates on. The endpoint
 // corner is mean + nSigma*sigma, so the sigma plane is seeded with
 // -nSigma per unit of slack.
-func (e *Engine) seedEndpointGradients(w []float64) {
+func (e *Engine) seedEndpointGradients(s int, w []float64) {
 	for i, p := range e.epPin {
-		best, bestRF := e.k0Slack(i)
+		best, bestRF := e.k0Slack(s, i)
 		if bestRF < 0 {
 			continue
 		}
@@ -107,22 +137,22 @@ func (e *Engine) seedEndpointGradients(w []float64) {
 			weight = 1
 		}
 		if weight != 0 {
-			e.seedMean[bestRF][p] += -weight
-			e.seedStd[bestRF][p] += -e.nSigma * weight
+			e.grad.seedMean[bestRF][p] += -weight
+			e.grad.seedStd[bestRF][p] += -e.nSigma * weight
 		}
 	}
 }
 
-// k0Slack evaluates endpoint i's slack on the most-critical (k=0) entries —
-// the K=1 view the differentiable mode operates on — returning the slack and
-// its transition, or rf -1 when the endpoint is untimed.
-func (e *Engine) k0Slack(i int) (slack float64, rfOut int) {
+// k0Slack evaluates endpoint i's lane-s slack on the most-critical (k=0)
+// entries — the K=1 view the differentiable mode operates on — returning the
+// slack and its transition, or rf -1 when the endpoint is untimed.
+func (e *Engine) k0Slack(s, i int) (slack float64, rfOut int) {
 	p := e.epPin[i]
 	best := math.Inf(1)
 	bestRF := -1
 	for rf := 0; rf < 2; rf++ {
-		b := e.base(rf, p)
-		sp := e.topSP[b]
+		b := e.base(rf, p) + s*e.opt.TopK
+		sp := e.top.sp[b]
 		if sp == noSP {
 			continue
 		}
@@ -133,15 +163,15 @@ func (e *Engine) k0Slack(i int) (slack float64, rfOut int) {
 		req := e.epBase[rf][i] +
 			float64(adj.CycleCount()-1)*e.period +
 			e.credit(e.spNode[sp], e.epNode[i])
-		if s := req - e.topArr[b]; s < best {
-			best, bestRF = s, rf
+		if sl := req - e.top.arr[b]; sl < best {
+			best, bestRF = sl, rf
 		}
 	}
 	return best, bestRF
 }
 
-// WNSWeights returns soft-min weights over the current endpoint slacks at
-// temperature tau: passing them to BackwardWeighted backpropagates the
+// WNSWeights returns soft-min weights over the current lane-0 endpoint slacks
+// at temperature tau: passing them to BackwardWeighted backpropagates the
 // smooth worst-negative-slack objective
 // WNS_soft = -tau*log Σ exp(-slack_i/tau), whose gradient concentrates on
 // the worst endpoints as tau → 0. Requires a prior Propagate.
@@ -153,7 +183,7 @@ func (e *Engine) WNSWeights(tau float64) []float64 {
 	slacks := make([]float64, n)
 	minSlack := math.Inf(1)
 	for i := range e.epPin {
-		s, rf := e.k0Slack(i)
+		s, rf := e.k0Slack(0, i)
 		if rf < 0 {
 			slacks[i] = math.Inf(1)
 			continue
@@ -185,25 +215,27 @@ func (e *Engine) WNSWeights(tau float64) []float64 {
 
 // backpropPin gathers pin p's gradient from its fan-out flow slots (plus its
 // endpoint seed) in fan-out CSR order, then distributes it across its fan-in
-// contributions using the Eq. 6 softmax over contribution corner values. The
+// contributions using the Eq. 6 softmax over lane's contribution corner values. The
 // distribution writes only flow slots of arcs ending at p, so pins within a
 // level never touch shared state.
-func (e *Engine) backpropPin(p int32) {
+func (e *Engine) backpropPin(p int32, lane int) {
+	g := e.grad
+	laneOff := lane * e.opt.TopK
 	folo, fohi := e.foStart[p], e.foStart[p+1]
 	lo, hi := e.faninStart[p], e.faninStart[p+1]
 	tau := e.opt.Tau
 	var contribs [16]contrib
 	for rf := 0; rf < 2; rf++ {
 		// Gather: fixed CSR order makes the float sum order deterministic.
-		gm := e.seedMean[rf][p]
-		gs := e.seedStd[rf][p]
+		gm := g.seedMean[rf][p]
+		gs := g.seedStd[rf][p]
 		for pos := folo; pos < fohi; pos++ {
 			a := e.foArc[pos]
-			gm += e.flowMean[rf][a]
-			gs += e.flowStd[rf][a]
+			gm += g.flowMean[rf][a]
+			gs += g.flowStd[rf][a]
 		}
-		e.gradArr[rf][p] = gm
-		e.gradArrStd[rf][p] = gs
+		g.gradArr[rf][p] = gm
+		g.gradArrStd[rf][p] = gs
 		if (gm == 0 && gs == 0) || lo == hi {
 			continue
 		}
@@ -212,18 +244,19 @@ func (e *Engine) backpropPin(p int32) {
 		for pos := lo; pos < hi; pos++ {
 			arc := e.faninArc[pos]
 			parent := e.faninFrom[pos]
-			am := e.arcMean[rf][arc]
-			as := e.arcStd[rf][arc]
+			kind := e.arcKind[arc]
+			am := e.arcMean[rf][arc] * e.scaleMean[kind][lane]
+			as := e.arcStd[rf][arc] * e.scaleStd[kind][lane]
 			inRFs, nrf := liberty.Unate(e.faninSense[pos]).InRFs(rf)
 			for ri := 0; ri < nrf; ri++ {
 				prf := inRFs[ri]
-				pb := e.base(prf, parent)
-				if e.topSP[pb] == noSP {
+				pb := e.base(prf, parent) + laneOff
+				if e.top.sp[pb] == noSP {
 					continue
 				}
-				pstd := e.topStd[pb]
+				pstd := e.top.std[pb]
 				rss := math.Sqrt(pstd*pstd + as*as)
-				corner := e.topMean[pb] + am + e.nSigma*rss
+				corner := e.top.mean[pb] + am + e.nSigma*rss
 				// Chain factors through s_child = RSS(s_parent, arc sigma).
 				dsParent, dsArc := 1.0, 0.0
 				if rss > 0 {
@@ -253,13 +286,13 @@ func (e *Engine) backpropPin(p int32) {
 		for i := range cs {
 			c := &cs[i]
 			w := c.w * inv
-			e.gradMean[rf][c.arc] += w * gm
-			e.gradStd[rf][c.arc] += w * gs * c.dsArc
+			g.gradMean[rf][c.arc] += w * gm
+			g.gradStd[rf][c.arc] += w * gs * c.dsArc
 			// Scatter: flow slots of fan-in arcs are owned by p. A non-unate
 			// arc can route both of p's transitions onto the same (prf, arc)
 			// slot, hence += rather than assignment.
-			e.flowMean[int(c.prf)][c.arc] += w * gm
-			e.flowStd[int(c.prf)][c.arc] += w * gs * c.dsParent
+			g.flowMean[int(c.prf)][c.arc] += w * gm
+			g.flowStd[int(c.prf)][c.arc] += w * gs * c.dsParent
 		}
 	}
 }
@@ -273,25 +306,19 @@ type contrib struct {
 	w        float64
 }
 
-func clearFloats(xs []float64) {
-	for i := range xs {
-		xs[i] = 0
-	}
-}
-
 // ArcGradMean returns ∂TNS/∂(mean delay of arc) for output transition rf
 // from the last Backward call.
-func (e *Engine) ArcGradMean(arc int32, rf int) float64 { return e.gradMean[rf][arc] }
+func (e *Engine) ArcGradMean(arc int32, rf int) float64 { return e.grad.gradMean[rf][arc] }
 
 // ArcGradStd returns ∂TNS/∂(sigma of arc) for output transition rf.
-func (e *Engine) ArcGradStd(arc int32, rf int) float64 { return e.gradStd[rf][arc] }
+func (e *Engine) ArcGradStd(arc int32, rf int) float64 { return e.grad.gradStd[rf][arc] }
 
 // TimingGradient returns the arc's combined timing gradient
 // ∂TNS/∂(mean delay), summed over both output transitions. It is ≤ 0; its
 // magnitude ranks the arc's leverage on TNS (paper §III-G).
 func (e *Engine) TimingGradient(arc int32) float64 {
-	return e.gradMean[0][arc] + e.gradMean[1][arc]
+	return e.grad.gradMean[0][arc] + e.grad.gradMean[1][arc]
 }
 
 // ArrivalGradient returns ∂TNS/∂(arrival mean at pin) for transition rf.
-func (e *Engine) ArrivalGradient(rf int, pin int32) float64 { return e.gradArr[rf][pin] }
+func (e *Engine) ArrivalGradient(rf int, pin int32) float64 { return e.grad.gradArr[rf][pin] }

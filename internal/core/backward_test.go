@@ -335,7 +335,7 @@ func TestBackwardWeightedWNSFiniteDifference(t *testing.T) {
 		var minS float64 = math.Inf(1)
 		var ss []float64
 		for i := range e.Endpoints() {
-			s, rf := e.k0Slack(i)
+			s, rf := e.k0Slack(0, i)
 			if rf < 0 {
 				continue
 			}

@@ -34,21 +34,21 @@ func captureState(e *Engine) engineState {
 	cp := func(xs []float64) []float64 { return append([]float64(nil), xs...) }
 	cpi := func(xs []int32) []int32 { return append([]int32(nil), xs...) }
 	s := engineState{
-		topArr:  cp(e.topArr),
-		topMean: cp(e.topMean),
-		topStd:  cp(e.topStd),
-		topSP:   cpi(e.topSP),
+		topArr:  cp(e.top.arr),
+		topMean: cp(e.top.mean),
+		topStd:  cp(e.top.std),
+		topSP:   cpi(e.top.sp),
 		epSlack: cp(e.epSlack),
 		epSP:    cpi(e.epSP),
 	}
-	for rf := 0; rf < 2; rf++ {
-		s.gradArr[rf] = cp(e.gradArr[rf])
-		s.gradArrStd[rf] = cp(e.gradArrStd[rf])
-		s.gradMean[rf] = cp(e.gradMean[rf])
-		s.gradStd[rf] = cp(e.gradStd[rf])
+	for rf := 0; rf < 2 && e.grad != nil; rf++ {
+		s.gradArr[rf] = cp(e.grad.gradArr[rf])
+		s.gradArrStd[rf] = cp(e.grad.gradArrStd[rf])
+		s.gradMean[rf] = cp(e.grad.gradMean[rf])
+		s.gradStd[rf] = cp(e.grad.gradStd[rf])
 	}
 	if e.hold != nil {
-		s.holdNegArr = cp(e.hold.negArr)
+		s.holdNegArr = cp(e.hold.arr)
 		s.holdSlack = cp(e.hold.epSlack)
 	}
 	return s

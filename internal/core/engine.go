@@ -50,10 +50,6 @@ type Options struct {
 	// Grain is the scheduler chunk size in pins/spans; 0 means
 	// sched.DefaultGrain. A kernel launch of at most one grain runs inline.
 	Grain int
-	// LegacySpawn bypasses the persistent pool and dispatches every kernel
-	// with the seed strategy (fresh goroutines per launch, fixed even splits,
-	// n < 256 serial cliff). Ablation/benchmark knob — see sched.Spawn.
-	LegacySpawn bool
 	// Tracer, when non-nil, records hierarchical phase/kernel/level spans for
 	// every engine pass (see internal/obs). A nil or disabled tracer costs
 	// nothing on the hot paths.
@@ -76,9 +72,20 @@ type Engine struct {
 	numPins int
 	capPins int // tensor row stride in pins: >= numPins; the surplus is
 	// headroom so a structural reseed can append pins without relocating
-	// the rf=1 tensor blocks (see ReseedStructural)
-	period float64
-	nSigma float64
+	// the rf=1 tensor blocks (see Reseed)
+	qstride int // queue slots per (rf, pin) row: S*K
+	period  float64
+	nSigma  float64
+
+	// Scenario axis. The engine times S = len(lanes) scenarios in one
+	// traversal: every lane sees the nominal arc annotations through its own
+	// per-arc-kind scale factors, index [arcKind][lane], resolved inside the
+	// inner kernel loops. The paper's single-corner INSTA is S = 1 with unit
+	// factors; x*1.0 == x in IEEE arithmetic, so that engine's numbers are
+	// exactly those of a kernel without the multiplications.
+	lanes     []Lane
+	scaleMean [2][]float64
+	scaleStd  [2][]float64
 
 	// Fan-in CSR over pins: entries faninStart[p]..faninStart[p+1] index the
 	// incoming arcs of pin p (the paper's outPin_parent_start array, Fig. 3).
@@ -107,6 +114,7 @@ type Engine struct {
 	epPin   []int32
 	epNode  []int32
 	epBase  [2][]float64 // base required time per data transition
+	epHold  [2][]float64 // hold requirement (+Inf = unchecked)
 	epOfPin []int32      // per pin: endpoint index or -1 (overlay read path)
 
 	// Clock network (for CPPR credit).
@@ -116,30 +124,18 @@ type Engine struct {
 
 	exc *sdc.ExceptionTable
 
-	// Top-K state, flattened: index ((rf*numPins)+pin)*K + k.
-	topArr  []float64
-	topMean []float64
-	topStd  []float64
-	topSP   []int32
+	// Top-K state, flattened with the scenario axis innermost-but-one:
+	// index ((rf*capPins)+pin)*S*K + s*K + k. One pin's S lane queues are
+	// contiguous, so a kernel walks the pin's fan-in once and streams the
+	// lanes under it.
+	top queues
 
-	// Differentiable state (allocated on first Backward call). The backward
-	// pass is two-phase per level so that accumulation order is fixed by the
-	// CSR layout, never by goroutine scheduling: each pin *scatters* weighted
-	// gradient into per-arc flow slots it exclusively owns (it is every fan-in
-	// arc's unique `to` pin), and *gathers* its own gradient from its fan-out
-	// arcs' slots in CSR order. Results are bit-identical for any Workers.
-	gradArr    [2][]float64 // dLoss/d(arrival mean at pin), gathered
-	gradArrStd [2][]float64 // dLoss/d(arrival sigma at pin), gathered
-	seedMean   [2][]float64 // per-pin loss seeds (endpoint injection)
-	seedStd    [2][]float64
-	flowMean   [2][]float64 // per-arc gradient flow, indexed [parent rf][arc]
-	flowStd    [2][]float64
-	gradMean   [2][]float64 // dLoss/d(arc delay mean) — the paper's timing gradient
-	gradStd    [2][]float64 // dLoss/d(arc delay sigma)
+	grad *gradState // differentiable state (allocated on first Backward)
 
+	// Per-lane endpoint results of the last evaluation, index s*numEPs + i.
 	epSlack []float64
-	epSP    []int32 // critical startpoint per endpoint (last evaluation)
-	epRF    []int8  // critical transition per endpoint
+	epSP    []int32 // critical startpoint
+	epRF    []int8  // critical transition
 
 	hold *holdState // early-arrival state (Options.Hold)
 
@@ -147,12 +143,13 @@ type Engine struct {
 	arcStage []int32   // lazily built arc→owning stage cell (see grads.go)
 	stageAcc []float64 // per-cell accumulation scratch for StageGradients
 
-	// Lazily built fan-out CSR (incremental propagation and backward gather):
-	// slot i holds destination pin foAdj[i] reached through arc foArc[i].
+	// Fan-out CSR (incremental propagation and backward gather): slot i holds
+	// destination pin foAdj[i] reached through arc foArc[i]. The backward
+	// gather relies on this slot order being fixed for its deterministic
+	// float summation.
 	foStart, foAdj, foArc []int32
 
 	pool   *sched.Pool // persistent kernel scheduler, created with the engine
-	stats  *sched.Stats
 	tracer *obs.Tracer // phase/level span recording; nil is a free no-op
 
 	inc  *propScratch // reusable incremental-propagation state (lazily built)
@@ -170,17 +167,12 @@ type levelGroup struct {
 	spans  int // total pins across the group
 }
 
-// levelPlan lazily builds the fused-level launch plan. Merging is skipped
-// under LegacySpawn to keep that ablation's launch pattern identical to the
-// seed strategy.
+// levelPlan lazily builds the fused-level launch plan.
 func (e *Engine) levelPlan() []levelGroup {
 	if e.plan != nil {
 		return e.plan
 	}
-	cutoff := 0
-	if !e.opt.LegacySpawn {
-		cutoff = e.pool.SerialCutoff()
-	}
+	cutoff := e.pool.SerialCutoff()
 	plan := make([]levelGroup, 0, e.lv.NumLevels)
 	for l := 0; l < e.lv.NumLevels; l++ {
 		n := len(e.lv.Nodes(l))
@@ -213,7 +205,7 @@ type propScratch struct {
 	queuedAt []uint32
 	stamp    uint32
 	changed  []bool
-	snaps    []snapshotBuf
+	snaps    []queues
 
 	// Persistent kernel binding (see PropagateIncremental): the closure is
 	// created once and reads the current bucket through this field, so the
@@ -222,22 +214,27 @@ type propScratch struct {
 	kernFn func(id, lo, hi int)
 }
 
-func newPropScratch(levels, pins, width, k int) *propScratch {
+// newPropScratch sizes a scratch for e's current graph: one snapshot of a
+// whole pin (both transitions, every lane) per pool participant.
+func (e *Engine) newPropScratch() *propScratch {
 	s := &propScratch{
-		buckets:  make([][]int32, levels),
-		queuedAt: make([]uint32, pins),
+		buckets:  make([][]int32, e.lv.NumLevels),
+		queuedAt: make([]uint32, e.numPins),
 		stamp:    1,
-		snaps:    make([]snapshotBuf, width),
+		snaps:    make([]queues, e.pool.Workers()),
 	}
 	for i := range s.snaps {
-		s.snaps[i] = snapshotBuf{
-			arr:  make([]float64, 2*k),
-			mean: make([]float64, 2*k),
-			std:  make([]float64, 2*k),
-			sp:   make([]int32, 2*k),
-		}
+		s.snaps[i] = newQueues(2 * e.qstride)
 	}
 	return s
+}
+
+// push enqueues pin p into its level bucket once per call.
+func (s *propScratch) push(level []int32, p int32) {
+	if s.queuedAt[p] != s.stamp {
+		s.queuedAt[p] = s.stamp
+		s.buckets[level[p]] = append(s.buckets[level[p]], p)
+	}
 }
 
 // reset empties the wavefront state for reuse, keeping all capacity. The
@@ -252,16 +249,6 @@ func (s *propScratch) reset() {
 		clear(s.queuedAt)
 		s.stamp = 1
 	}
-}
-
-// markQueued reports whether p was already queued this call, marking it
-// queued either way.
-func (s *propScratch) markQueued(p int32) bool {
-	if s.queuedAt[p] == s.stamp {
-		return true
-	}
-	s.queuedAt[p] = s.stamp
-	return false
 }
 
 // NewEngine initializes INSTA from extracted circuitops tables — the
@@ -280,10 +267,11 @@ func NewEngine(t *circuitops.Tables, opt Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newEngineFromState(st, opt)
+	return newEngine(st, unitLane, opt)
 }
 
-// Kernel tags for scheduler instrumentation (Engine.KernelStats).
+// Kernel tags for scheduler instrumentation (Engine.KernelStats) and span
+// names. One set serves every lane count.
 const (
 	kForward     = "forward"
 	kHold        = "hold"
@@ -300,34 +288,6 @@ const (
 	KernelForward = kForward
 )
 
-// kern dispatches one kernel launch over [0, n) through the engine's
-// persistent pool (or the legacy per-launch spawn path when configured). tag
-// and level identify the launch to the attached stats collector; level is -1
-// for launches not tied to the level schedule (endpoint sweeps).
-func (e *Engine) kern(tag string, level, n int, fn func(lo, hi int)) {
-	if e.opt.LegacySpawn {
-		sched.Spawn(e.opt.Workers, n, fn)
-		return
-	}
-	e.pool.RunTagged(tag, level, n, fn)
-}
-
-// kernIndexed is kern with participant identity: fn receives the claiming
-// participant's id (dense in [0, scratchWidth())) for indexing per-worker
-// scratch. Both dispatch paths honor the same id contract.
-func (e *Engine) kernIndexed(tag string, level, n int, fn func(id, lo, hi int)) {
-	if e.opt.LegacySpawn {
-		sched.SpawnIndexed(e.opt.Workers, n, fn)
-		return
-	}
-	e.pool.RunIndexed(tag, level, n, fn)
-}
-
-// scratchWidth bounds the participant ids either dispatch path can hand out:
-// the pool's worker count covers RunIndexed, and SpawnIndexed creates at most
-// Options.Workers chunks, which New passed through to the pool when positive.
-func (e *Engine) scratchWidth() int { return e.pool.Workers() }
-
 // Pool returns the engine's persistent scheduler pool so applications
 // (placement, sizing) can dispatch their own hot loops onto the same workers.
 func (e *Engine) Pool() *sched.Pool { return e.pool }
@@ -343,11 +303,10 @@ func (e *Engine) Close() { e.pool.Close() }
 // imbalance and wall time. Idempotent — repeated calls return the same
 // collector.
 func (e *Engine) EnableKernelStats() *sched.Stats {
-	if e.stats == nil {
-		e.stats = sched.NewStats()
-		e.pool.SetStats(e.stats)
+	if e.pool.Stats() == nil {
+		e.pool.SetStats(sched.NewStats())
 	}
-	return e.stats
+	return e.pool.Stats()
 }
 
 // SetTracer attaches (or detaches, with nil) a span tracer recording the
@@ -361,17 +320,28 @@ func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 // KernelStats snapshots the collected kernel profiles (nil before
 // EnableKernelStats).
 func (e *Engine) KernelStats() []sched.KernelProfile {
-	if e.stats == nil {
-		return nil
+	if s := e.pool.Stats(); s != nil {
+		return s.Snapshot()
 	}
-	return e.stats.Snapshot()
+	return nil
 }
 
-// base returns the flat offset of (rf, pin)'s Top-K block. The row stride is
-// capPins, not numPins: an engine may carry tensor headroom beyond its live
-// pins so structural reseeds grow in place.
+// base returns the flat offset of (rf, pin)'s lane-0 Top-K block; lane s
+// follows at +s*K and the pin's whole block is qstride = S*K long. The row
+// stride is capPins, not numPins: an engine may carry tensor headroom beyond
+// its live pins so structural reseeds grow in place.
 func (e *Engine) base(rf int, pin int32) int {
-	return ((rf * e.capPins) + int(pin)) * e.opt.TopK
+	return ((rf * e.capPins) + int(pin)) * e.qstride
+}
+
+// Lanes returns S, the number of scenarios the engine propagates together.
+func (e *Engine) Lanes() int { return len(e.lanes) }
+
+// ArcDelayScale returns the mean/std factors lane s applies to arc's nominal
+// annotation — what the inner kernels resolve.
+func (e *Engine) ArcDelayScale(arc int32, s int) (mean, std float64) {
+	kind := e.arcKind[arc]
+	return e.scaleMean[kind][s], e.scaleStd[kind][s]
 }
 
 // NumLevels returns the timing level count; INSTA's runtime scales with this
@@ -383,21 +353,26 @@ func (e *Engine) Level(p int32) int32 { return e.lv.Level[p] }
 
 // MemoryBytes returns the engine's resident state footprint: the Top-K
 // tensors, arc annotations, CSR topology and SP/EP tables — the analogue of
-// Table I's GPU memory column. Gradient buffers are counted once allocated.
+// Table I's GPU memory column. The tensors and endpoint results grow with the
+// lane count, the graph does not. Gradient buffers are counted once
+// allocated.
 func (e *Engine) MemoryBytes() int64 {
 	var b int64
-	b += int64(len(e.topArr)+len(e.topMean)+len(e.topStd)) * 8
-	b += int64(len(e.topSP)) * 4
+	b += int64(len(e.top.sp)) * (3*8 + 4)
 	b += int64(len(e.arcFrom)) * (8*4 + 4*4 + 1) // mean/std both rf + ids + kind
 	b += int64(len(e.faninArc)+len(e.faninFrom)) * 4
 	b += int64(len(e.faninSense))
 	b += int64(len(e.faninStart)+len(e.spOfPin)) * 4
 	b += int64(len(e.lv.Order)+len(e.lv.Level)+len(e.lv.LevelStart)) * 4
 	b += int64(len(e.spPin)) * (4 + 4 + 8 + 8)
-	b += int64(len(e.epPin)) * (4 + 4 + 8 + 8 + 8 + 4 + 1)
-	if e.gradArr[0] != nil {
-		b += int64(len(e.gradArr[0])) * 2 * 4 * 8  // arr/arrStd/seed planes, both rf
-		b += int64(len(e.gradMean[0])) * 2 * 4 * 8 // arc grad + flow planes, both rf
+	b += int64(len(e.epPin)) * (4 + 4 + 8 + 8)
+	b += int64(len(e.epSlack)) * (8 + 4 + 1)
+	if e.hold != nil {
+		b += int64(len(e.hold.sp))*(3*8+4) + int64(len(e.hold.epSlack))*8
+	}
+	if g := e.grad; g != nil {
+		b += int64(len(g.gradArr[0])) * 2 * 4 * 8  // arr/arrStd/seed planes, both rf
+		b += int64(len(g.gradMean[0])) * 2 * 4 * 8 // arc grad + flow planes, both rf
 	}
 	return b
 }

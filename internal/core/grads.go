@@ -39,7 +39,7 @@ func (e *Engine) StageGradients() []StageGradient {
 		e.stageAcc = make([]float64, maxCell+1)
 	}
 	acc := e.stageAcc
-	clearFloats(acc)
+	clear(acc)
 	for arc := range e.arcFrom {
 		if cell := e.arcStage[arc]; cell >= 0 {
 			acc[cell] += e.TimingGradient(int32(arc))

@@ -16,106 +16,70 @@ import (
 	"insta/internal/liberty"
 )
 
-// holdState holds the early-arrival buffers (allocated when Options.Hold).
+// holdState holds the early-arrival state (allocated when Options.Hold): the
+// queues are laid out like the late ones, with arr storing the *negated*
+// early corner so larger = earlier, plus per-lane hold slacks indexed
+// s*numEPs + i.
 type holdState struct {
-	// Flattened like the late queues: index ((rf*numPins)+pin)*K + k.
-	// negArr stores the negated early corner so larger = earlier.
-	negArr []float64
-	mean   []float64
-	std    []float64
-	sp     []int32
-
-	epHold  [2][]float64 // hold requirement (+Inf = unchecked)
+	queues
 	epSlack []float64
-}
-
-// initHold allocates the hold buffers from the extraction tables.
-func (e *Engine) initHold(holdRise, holdFall []float64) {
-	k := e.opt.TopK
-	sz := 2 * e.capPins * k
-	e.hold = &holdState{
-		negArr:  make([]float64, sz),
-		mean:    make([]float64, sz),
-		std:     make([]float64, sz),
-		sp:      make([]int32, sz),
-		epSlack: make([]float64, len(e.epPin)),
-	}
-	e.hold.epHold[0] = holdRise
-	e.hold.epHold[1] = holdFall
 }
 
 // HoldEnabled reports whether the engine propagates early arrivals.
 func (e *Engine) HoldEnabled() bool { return e.hold != nil }
 
-// propagateHold runs the early-arrival forward pass. Propagate calls it
-// automatically when hold is enabled.
-func (e *Engine) propagateHold() {
-	sp := e.tracer.StartArg(kHold, "levels", int64(e.lv.NumLevels))
-	for _, g := range e.levelPlan() {
-		lsp := sp.ChildArg("level", "level", int64(g.lo))
-		if g.hi == g.lo+1 {
-			pins := e.lv.Nodes(g.lo)
-			e.kern(kHold, g.lo, len(pins), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					e.propagatePinMin(pins[i])
-				}
-			})
-		} else {
-			// Fused narrow levels run as one guaranteed-inline chunk; see
-			// Propagate.
-			e.kern(kHold, g.lo, g.spans, func(lo, hi int) {
-				for l := g.lo; l < g.hi; l++ {
-					for _, p := range e.lv.Nodes(l) {
-						e.propagatePinMin(p)
-					}
-				}
-			})
-		}
-		lsp.End()
-	}
-	sp.End()
-}
-
+// propagatePinMin is the early-arrival counterpart of propagatePin; Propagate
+// sweeps it over the level schedule when hold is enabled.
 func (e *Engine) propagatePinMin(p int32) {
 	h := e.hold
 	k := e.opt.TopK
+	S := len(e.lanes)
 	if sp := e.spOfPin[p]; sp >= 0 {
 		for rf := 0; rf < 2; rf++ {
 			b := e.base(rf, p)
-			clearQueue(h.negArr[b:b+k], h.sp[b:b+k])
-			h.mean[b] = e.spMean[sp]
-			h.std[b] = e.spStd[sp]
-			h.negArr[b] = -(e.spMean[sp] - e.nSigma*e.spStd[sp])
-			h.sp[b] = sp
+			clearQueue(h.arr[b:b+S*k], h.sp[b:b+S*k])
+			for end := b + S*k; b < end; b += k {
+				h.mean[b] = e.spMean[sp]
+				h.std[b] = e.spStd[sp]
+				h.arr[b] = -(e.spMean[sp] - e.nSigma*e.spStd[sp])
+				h.sp[b] = sp
+			}
 		}
 		return
 	}
 	lo, hi := e.faninStart[p], e.faninStart[p+1]
 	for rf := 0; rf < 2; rf++ {
-		b := e.base(rf, p)
-		negArr := h.negArr[b : b+k]
-		mean := h.mean[b : b+k]
-		std := h.std[b : b+k]
-		sps := h.sp[b : b+k]
-		clearQueue(negArr, sps)
+		qb := e.base(rf, p)
+		clearQueue(h.arr[qb:qb+S*k], h.sp[qb:qb+S*k])
 		for pos := lo; pos < hi; pos++ {
 			arc := e.faninArc[pos]
 			parent := e.faninFrom[pos]
-			am := e.arcMean[rf][arc]
-			as := e.arcStd[rf][arc]
+			kind := e.arcKind[arc]
+			am0 := e.arcMean[rf][arc]
+			as0 := e.arcStd[rf][arc]
 			inRFs, n := liberty.Unate(e.faninSense[pos]).InRFs(rf)
 			for ri := 0; ri < n; ri++ {
-				pb := e.base(inRFs[ri], parent)
-				for kk := 0; kk < k; kk++ {
-					psp := h.sp[pb+kk]
-					if psp == noSP {
-						break
+				pb0 := e.base(inRFs[ri], parent)
+				for s := 0; s < S; s++ {
+					am := am0 * e.scaleMean[kind][s]
+					as := as0 * e.scaleStd[kind][s]
+					pb := pb0 + s*k
+					b := qb + s*k
+					negArr := h.arr[b : b+k]
+					mean := h.mean[b : b+k]
+					std := h.std[b : b+k]
+					sps := h.sp[b : b+k]
+					for kk := 0; kk < k; kk++ {
+						psp := h.sp[pb+kk]
+						if psp == noSP {
+							break
+						}
+						m := h.mean[pb+kk] + am
+						pstd := h.std[pb+kk]
+						sg := math.Sqrt(pstd*pstd + as*as)
+						// Negated early corner: -(m - nSigma*s).
+						InsertTopK(negArr, mean, std, sps, -(m - e.nSigma*sg), m, sg, psp)
 					}
-					m := h.mean[pb+kk] + am
-					pstd := h.std[pb+kk]
-					s := math.Sqrt(pstd*pstd + as*as)
-					// Negated early corner: -(m - nSigma*s).
-					InsertTopK(negArr, mean, std, sps, -(m - e.nSigma*s), m, s, psp)
 				}
 			}
 		}
@@ -126,69 +90,64 @@ func (e *Engine) propagatePinMin(p int32) {
 //
 //	slack = earlyArrival - holdReq + credit(sp, ep)
 //
-// minimized over startpoints and transitions. Unchecked endpoints (primary
-// outputs) carry +Inf. Requires Options.Hold and a prior Propagate.
+// minimized over startpoints and transitions, for every lane, and returns a
+// copy of lane 0's. Unchecked endpoints (primary outputs) carry +Inf.
+// Requires Options.Hold and a prior Propagate.
 func (e *Engine) EvalHoldSlacks() []float64 {
-	e.evalHoldSlacks()
-	out := make([]float64, len(e.hold.epSlack))
-	copy(out, e.hold.epSlack)
-	return out
+	e.RefreshHoldSlacks()
+	return append([]float64(nil), e.LaneHoldSlacks(0)...)
 }
 
-// evalHoldSlacks is EvalHoldSlacks without the defensive copy.
-func (e *Engine) evalHoldSlacks() {
+// RefreshHoldSlacks is EvalHoldSlacks without the defensive copy; read the
+// result through LaneHoldSlacks.
+func (e *Engine) RefreshHoldSlacks() {
 	sp := e.tracer.StartArg(kHoldSlack, "endpoints", int64(len(e.epPin)))
 	defer sp.End()
 	h := e.hold
 	k := e.opt.TopK
-	e.kern(kHoldSlack, -1, len(e.epPin), func(lo, hiI int) {
+	S := len(e.lanes)
+	nEP := len(e.epPin)
+	e.pool.RunTagged(kHoldSlack, -1, nEP, func(lo, hiI int) {
 		for i := lo; i < hiI; i++ {
 			p := e.epPin[i]
-			best := math.Inf(1)
-			for rf := 0; rf < 2; rf++ {
-				req := h.epHold[rf][i]
-				if math.IsInf(req, 1) {
-					continue
-				}
-				b := e.base(rf, p)
-				for kk := 0; kk < k; kk++ {
-					sp := h.sp[b+kk]
-					if sp == noSP {
-						break
-					}
-					adj := e.excLookup(e.spPin[sp], p)
-					if adj.False {
+			for s := 0; s < S; s++ {
+				best := math.Inf(1)
+				for rf := 0; rf < 2; rf++ {
+					req := e.epHold[rf][i]
+					if math.IsInf(req, 1) {
 						continue
 					}
-					early := -h.negArr[b+kk]
-					if s := early - req + e.credit(e.spNode[sp], e.epNode[i]); s < best {
-						best = s
+					b := e.base(rf, p) + s*k
+					for kk := 0; kk < k; kk++ {
+						sp := h.sp[b+kk]
+						if sp == noSP {
+							break
+						}
+						adj := e.excLookup(e.spPin[sp], p)
+						if adj.False {
+							continue
+						}
+						early := -h.arr[b+kk]
+						if sl := early - req + e.credit(e.spNode[sp], e.epNode[i]); sl < best {
+							best = sl
+						}
 					}
 				}
+				h.epSlack[s*nEP+i] = best
 			}
-			h.epSlack[i] = best
 		}
 	})
 }
 
-// HoldWNS returns the worst negative hold slack of the last evaluation.
-func (e *Engine) HoldWNS() float64 {
-	w := 0.0
-	for _, s := range e.hold.epSlack {
-		if s < w {
-			w = s
-		}
-	}
-	return w
+// LaneHoldSlacks returns lane s's hold slacks from the last evaluation. The
+// slice is the engine's own; callers must not mutate it.
+func (e *Engine) LaneHoldSlacks(s int) []float64 {
+	nEP := len(e.epPin)
+	return e.hold.epSlack[s*nEP : (s+1)*nEP]
 }
 
-// HoldTNS returns the total negative hold slack of the last evaluation.
-func (e *Engine) HoldTNS() float64 {
-	t := 0.0
-	for _, s := range e.hold.epSlack {
-		if s < 0 {
-			t += s
-		}
-	}
-	return t
-}
+// HoldWNS returns lane 0's worst negative hold slack of the last evaluation.
+func (e *Engine) HoldWNS() float64 { return WNS(e.LaneHoldSlacks(0)) }
+
+// HoldTNS returns lane 0's total negative hold slack of the last evaluation.
+func (e *Engine) HoldTNS() float64 { return TNS(e.LaneHoldSlacks(0)) }

@@ -95,7 +95,7 @@ func TestHoldSlackAboveSetupArrivalRelation(t *testing.T) {
 			if e.hold.sp[b] == noSP {
 				continue
 			}
-			early := -e.hold.negArr[b]
+			early := -e.hold.arr[b]
 			if early > lateArr[0]+1e-9 {
 				t.Fatalf("pin %d rf %d: earliest arrival %v above latest %v", p, rf, early, lateArr[0])
 			}

@@ -4,40 +4,11 @@ package core
 // graph — GPU parallelism makes each level O(1), so the total cost is just
 // the level count. On a CPU the trade-off differs: after a local
 // re-annotation (one estimate_eco batch touches a few dozen arcs) only the
-// fan-out cone of the touched arcs can change, so re-processing that cone
-// level by level and stopping wavefronts whose queues converge is much
-// cheaper. This file adds that CPU-oriented mode as an ablation against the
-// paper's full-propagation design (BenchmarkAblation_IncrementalPropagate).
-
-// fanoutCSR lazily builds the pin fan-out adjacency (the forward kernel only
-// needs fan-in): slot i of [foStart[p], foStart[p+1]) holds destination pin
-// foAdj[i] reached through arc foArc[i]. The backward gather phase relies on
-// this slot order being fixed for its deterministic float summation.
-func (e *Engine) fanoutCSR() (start, adj []int32) {
-	if e.foStart != nil {
-		return e.foStart, e.foAdj
-	}
-	n := e.numPins
-	counts := make([]int32, n+1)
-	for i := range e.arcFrom {
-		counts[e.arcFrom[i]+1]++
-	}
-	start = make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		start[i+1] = start[i] + counts[i+1]
-	}
-	adj = make([]int32, len(e.arcFrom))
-	arcs := make([]int32, len(e.arcFrom))
-	cursor := make([]int32, n)
-	for i := range e.arcFrom {
-		f := e.arcFrom[i]
-		adj[start[f]+cursor[f]] = e.arcTo[i]
-		arcs[start[f]+cursor[f]] = int32(i)
-		cursor[f]++
-	}
-	e.foStart, e.foAdj, e.foArc = start, adj, arcs
-	return start, adj
-}
+// fan-out cone of the touched arcs can change — in any lane — so
+// re-processing that cone level by level and stopping wavefronts whose queues
+// converge in every lane is much cheaper. This file adds that CPU-oriented
+// mode as an ablation against the paper's full-propagation design
+// (BenchmarkAblation_IncrementalPropagate).
 
 // PropagateIncremental re-propagates only the fan-out cone of the given
 // arcs, assuming every other annotation is unchanged since the last
@@ -59,7 +30,7 @@ func (e *Engine) PropagateIncremental(arcs []int32) {
 	defer sp.End()
 	sc := e.incScratch()
 	for _, a := range arcs {
-		e.incPush(sc, e.arcTo[a])
+		sc.push(e.lv.Level, e.arcTo[a])
 	}
 	e.runIncrementalWave(sc)
 }
@@ -67,9 +38,8 @@ func (e *Engine) PropagateIncremental(arcs []int32) {
 // PropagateIncrementalPins is PropagateIncremental seeded by pins instead of
 // arcs: every listed pin is recomputed from its (possibly restructured)
 // fan-in and the wavefront expands downstream from there. This is the
-// re-propagation entry point of seeded engine construction after a
-// structural edit (NewEngineSeeded), where the changed unit is a pin's
-// fan-in set rather than a single arc's annotation.
+// re-propagation entry point of Reseed after a structural edit, where the
+// changed unit is a pin's fan-in set rather than a single arc's annotation.
 func (e *Engine) PropagateIncrementalPins(pins []int32) {
 	if len(pins) == 0 {
 		return
@@ -78,7 +48,7 @@ func (e *Engine) PropagateIncrementalPins(pins []int32) {
 	defer sp.End()
 	sc := e.incScratch()
 	for _, p := range pins {
-		e.incPush(sc, p)
+		sc.push(e.lv.Level, p)
 	}
 	e.runIncrementalWave(sc)
 }
@@ -90,23 +60,16 @@ func (e *Engine) PropagateIncrementalPins(pins []int32) {
 // thousands of these).
 func (e *Engine) incScratch() *propScratch {
 	if e.inc == nil {
-		e.inc = newPropScratch(e.lv.NumLevels, e.numPins, e.scratchWidth(), e.opt.TopK)
+		e.inc = e.newPropScratch()
 	}
 	e.inc.reset()
 	return e.inc
 }
 
-// incPush enqueues pin p into its level bucket once.
-func (e *Engine) incPush(sc *propScratch, p int32) {
-	if !sc.markQueued(p) {
-		sc.buckets[e.lv.Level[p]] = append(sc.buckets[e.lv.Level[p]], p)
-	}
-}
-
 // runIncrementalWave walks the pre-seeded level buckets in order, recomputing
-// each bucket through the pool and expanding wavefronts whose queues changed.
+// each bucket through the pool and expanding wavefronts whose queues changed
+// in any lane.
 func (e *Engine) runIncrementalWave(sc *propScratch) {
-	foStart, foAdj := e.fanoutCSR()
 	for l := 0; l < len(sc.buckets); l++ {
 		bucket := sc.buckets[l]
 		if len(bucket) == 0 {
@@ -126,76 +89,43 @@ func (e *Engine) runIncrementalWave(sc *propScratch) {
 				b, ch := sc.bucket, sc.changed
 				for i := lo; i < hi; i++ {
 					p := b[i]
-					c := false
-					// Late queues.
-					e.snapshotPin(p, snap, false)
+					e.snapshotPin(snap, &e.top, p)
 					e.propagatePin(p)
-					if !e.snapshotEqual(p, snap, false) {
-						c = true
-					}
-					// Early queues.
+					c := !e.snapshotEqual(snap, &e.top, p)
 					if e.hold != nil {
-						e.snapshotPin(p, snap, true)
+						e.snapshotPin(snap, &e.hold.queues, p)
 						e.propagatePinMin(p)
-						if !e.snapshotEqual(p, snap, true) {
-							c = true
-						}
+						c = c || !e.snapshotEqual(snap, &e.hold.queues, p)
 					}
 					ch[i] = c
 				}
 			}
 		}
 		sc.bucket = bucket
-		e.kernIndexed(kIncremental, l, len(bucket), sc.kernFn)
+		e.pool.RunIndexed(kIncremental, l, len(bucket), sc.kernFn)
 		for i, p := range bucket {
 			if changed[i] {
-				for _, to := range foAdj[foStart[p]:foStart[p+1]] {
-					e.incPush(sc, to)
+				for _, to := range e.foAdj[e.foStart[p]:e.foStart[p+1]] {
+					sc.push(e.lv.Level, to)
 				}
 			}
 		}
 	}
 }
 
-// snapshotBuf holds one pin's queues across a recompute.
-type snapshotBuf struct {
-	arr, mean, std []float64
-	sp             []int32
-}
-
-func (e *Engine) snapshotPin(p int32, s *snapshotBuf, early bool) {
-	k := e.opt.TopK
+// snapshotPin copies pin p's rows of q — both transitions, every lane — into
+// snap, rf-major, to be compared after a recompute.
+func (e *Engine) snapshotPin(snap, q *queues, p int32) {
 	for rf := 0; rf < 2; rf++ {
-		b := e.base(rf, p)
-		dst := rf * k
-		if early {
-			copy(s.arr[dst:dst+k], e.hold.negArr[b:b+k])
-			copy(s.sp[dst:dst+k], e.hold.sp[b:b+k])
-			continue
-		}
-		copy(s.arr[dst:dst+k], e.topArr[b:b+k])
-		copy(s.mean[dst:dst+k], e.topMean[b:b+k])
-		copy(s.std[dst:dst+k], e.topStd[b:b+k])
-		copy(s.sp[dst:dst+k], e.topSP[b:b+k])
+		snap.copyFrom(rf*e.qstride, q, e.base(rf, p), e.qstride)
 	}
 }
 
-func (e *Engine) snapshotEqual(p int32, s *snapshotBuf, early bool) bool {
-	k := e.opt.TopK
+// snapshotEqual reports whether pin p's rows of q still hold snap's bits.
+func (e *Engine) snapshotEqual(snap, q *queues, p int32) bool {
 	for rf := 0; rf < 2; rf++ {
-		b := e.base(rf, p)
-		src := rf * k
-		for i := 0; i < k; i++ {
-			if early {
-				if e.hold.sp[b+i] != s.sp[src+i] || e.hold.negArr[b+i] != s.arr[src+i] {
-					return false
-				}
-				continue
-			}
-			if e.topSP[b+i] != s.sp[src+i] || e.topArr[b+i] != s.arr[src+i] ||
-				e.topMean[b+i] != s.mean[src+i] || e.topStd[b+i] != s.std[src+i] {
-				return false
-			}
+		if !snap.equal(rf*e.qstride, q, e.base(rf, p), e.qstride) {
+			return false
 		}
 	}
 	return true

@@ -6,8 +6,9 @@ package core
 // the resulting endpoint slacks without paying a full propagation and without
 // cloning the engine's Top-K tensors.
 //
-// An Overlay freezes the base engine's propagated state as the immutable
-// snapshot and holds only sparse deltas on top of it:
+// An Overlay freezes the base engine's propagated state — every lane of it —
+// as the immutable snapshot and holds only sparse deltas on top of it, so one
+// cone re-propagation prices a what-if in all scenarios:
 //
 //   - an arc-delay overlay (the re-annotated arcs),
 //   - a pin-queue overlay covering exactly the fan-out cone the deltas
@@ -47,25 +48,30 @@ import (
 type Overlay struct {
 	e *Engine
 
-	// Sparse arc-delay overlay: arc id -> per-rf delay distributions.
+	// Sparse arc-delay overlay: arc id -> per-rf nominal delay distributions
+	// (every lane sees them through its scale factors).
 	arcDelta map[int32]*[2]num.Dist
 	touched  []int32 // overlaid arc ids in first-annotation order
 	pending  []int32 // arcs annotated since the last propagate
 	distFree []*[2]num.Dist
 
 	// Sparse pin-queue overlay: pins whose Top-K queues were recomputed
-	// under the overlay. Entries may be bit-equal to the base (a wavefront
-	// that converged); reads through them are still correct.
-	pinQ map[int32]*pinOverlay
-	free []*pinOverlay // released queue storage, reused before allocating
+	// under the overlay, each holding both transitions and every lane
+	// flattened rf*S*K + s*K + k like one row pair of the engine's tensors.
+	// Entries may be bit-equal to the base (a wavefront that converged);
+	// reads through them are still correct.
+	pinQ map[int32]*queues
+	free []*queues // released queue storage, reused before allocating
 
-	// Endpoint state: slacks re-evaluated under the overlay, the endpoints
+	// Endpoint state: slacks re-evaluated under the overlay (endpoint ->
+	// slot; slot t holds its S lane slacks at epSlack[t*S:]), the endpoints
 	// whose pins changed but are not yet re-evaluated, and the sorted set of
 	// all endpoints ever re-evaluated (ChangedEndpointsView).
-	epSlack    map[int32]float64
+	epSlot     map[int32]int32
+	epSlack    []float64
 	dirty      []int32
 	changedEPs []int32
-	epOut      []float64 // slack kernel output scratch
+	epOut      []float64 // slack kernel output scratch, S per dirty endpoint
 
 	scratch *propScratch // wavefront state, reused across Propagate calls
 
@@ -78,13 +84,6 @@ type Overlay struct {
 	slackFn    func(id, lo, hi int)
 }
 
-// pinOverlay holds one pin's recomputed Top-K queues, flattened rf*K+k like
-// the engine's own tensors.
-type pinOverlay struct {
-	arr, mean, std []float64
-	sp             []int32
-}
-
 // NewOverlay creates an empty overlay over e. The base engine must be fully
 // propagated and slack-evaluated (Run) before the first ApplyArcDelay, and
 // must stay frozen while the overlay evaluates.
@@ -92,48 +91,29 @@ func NewOverlay(e *Engine) *Overlay {
 	return &Overlay{
 		e:        e,
 		arcDelta: make(map[int32]*[2]num.Dist),
-		pinQ:     make(map[int32]*pinOverlay),
-		epSlack:  make(map[int32]float64),
+		pinQ:     make(map[int32]*queues),
+		epSlot:   make(map[int32]int32),
 	}
 }
 
-// getPinOverlay returns queue storage for one pin, from the freelist when
-// possible. The three float planes share one backing slab.
-func (o *Overlay) getPinOverlay() *pinOverlay {
+// seededPinOverlay returns queue storage for pin p — from the freelist when
+// possible — preloaded with the base's queues. recomputePin's change
+// detection compares against the previously *visible* queues, and a pin
+// touched for the first time this Propagate was showing the base's — recycled
+// freelist storage (or fresh zeroed storage) must not stand in for them, or a
+// wavefront could stop early when stale content happens to match the
+// recomputed result (a Reset followed by reapplying identical deltas often
+// hands pins back their own old storage).
+func (o *Overlay) seededPinOverlay(p int32) *queues {
+	var q *queues
 	if n := len(o.free); n > 0 {
-		q := o.free[n-1]
+		q = o.free[n-1]
 		o.free = o.free[:n-1]
-		return q
+	} else {
+		nq := newQueues(2 * o.e.qstride)
+		q = &nq
 	}
-	k := o.e.opt.TopK
-	buf := make([]float64, 6*k)
-	return &pinOverlay{
-		arr:  buf[0 : 2*k : 2*k],
-		mean: buf[2*k : 4*k : 4*k],
-		std:  buf[4*k : 6*k : 6*k],
-		sp:   make([]int32, 2*k),
-	}
-}
-
-// seededPinOverlay returns queue storage for pin p preloaded with the base's
-// queues. recomputePin's change detection compares against the previously
-// *visible* queues, and a pin touched for the first time this Propagate was
-// showing the base's — recycled freelist storage (or fresh zeroed storage)
-// must not stand in for them, or a wavefront could stop early when stale
-// content happens to match the recomputed result (a Reset followed by
-// reapplying identical deltas often hands pins back their own old storage).
-func (o *Overlay) seededPinOverlay(p int32) *pinOverlay {
-	q := o.getPinOverlay()
-	e := o.e
-	k := e.opt.TopK
-	for rf := 0; rf < 2; rf++ {
-		b := e.base(rf, p)
-		d := rf * k
-		copy(q.arr[d:d+k], e.topArr[b:b+k])
-		copy(q.mean[d:d+k], e.topMean[b:b+k])
-		copy(q.std[d:d+k], e.topStd[b:b+k])
-		copy(q.sp[d:d+k], e.topSP[b:b+k])
-	}
+	o.e.snapshotPin(q, &o.e.top, p)
 	return q
 }
 
@@ -191,17 +171,15 @@ func (o *Overlay) arcDelay(rf int, arc int32) (mean, std float64) {
 	return o.e.arcMean[rf][arc], o.e.arcStd[rf][arc]
 }
 
-// queues returns pin p's Top-K queue slices for transition rf as seen
-// through the overlay: the overlay's recomputed copy if present, else the
-// base engine's frozen tensors.
-func (o *Overlay) queues(rf int, p int32) (arr, mean, std []float64, sps []int32) {
-	k := o.e.opt.TopK
+// queues returns the tensors holding pin p's Top-K queues for transition rf
+// as seen through the overlay — the overlay's recomputed copy if present, else
+// the base engine's frozen tensors — and the offset of lane 0's block in
+// them; lane s follows at +s*K.
+func (o *Overlay) queues(rf int, p int32) (*queues, int) {
 	if q := o.pinQ[p]; q != nil {
-		b := rf * k
-		return q.arr[b : b+k], q.mean[b : b+k], q.std[b : b+k], q.sp[b : b+k]
+		return q, rf * o.e.qstride
 	}
-	b := o.e.base(rf, p)
-	return o.e.topArr[b : b+k], o.e.topMean[b : b+k], o.e.topStd[b : b+k], o.e.topSP[b : b+k]
+	return &o.e.top, o.e.base(rf, p)
 }
 
 // Propagate re-propagates the fan-out cone of every arc annotated since the
@@ -220,27 +198,20 @@ func (o *Overlay) Propagate() {
 	e := o.e
 	sp := e.tracer.StartArg(KernelOverlay, "arcs", int64(len(arcs)))
 	defer sp.End()
-	foStart, foAdj := e.foStart, e.foAdj
 
 	// Wavefront state is per-overlay (concurrent overlays share one frozen
 	// base but never scratch), reused allocation-free across Propagate calls.
 	if o.scratch == nil {
-		o.scratch = newPropScratch(e.lv.NumLevels, e.numPins, e.scratchWidth(), e.opt.TopK)
+		o.scratch = e.newPropScratch()
 	}
 	sc := o.scratch
 	sc.reset()
-	buckets := sc.buckets
-	push := func(p int32) {
-		if !sc.markQueued(p) {
-			buckets[e.lv.Level[p]] = append(buckets[e.lv.Level[p]], p)
-		}
-	}
 	for _, a := range arcs {
-		push(e.arcTo[a])
+		sc.push(e.lv.Level, e.arcTo[a])
 	}
 
-	for l := 0; l < len(buckets); l++ {
-		bucket := buckets[l]
+	for l := 0; l < len(sc.buckets); l++ {
+		bucket := sc.buckets[l]
 		if len(bucket) == 0 {
 			continue
 		}
@@ -280,7 +251,7 @@ func (o *Overlay) Propagate() {
 			}
 		}
 		o.kernBucket = bucket
-		e.kernIndexed(KernelOverlay, l, len(bucket), o.kernFn)
+		e.pool.RunIndexed(KernelOverlay, l, len(bucket), o.kernFn)
 		for i, p := range bucket {
 			if !changed[i] {
 				continue
@@ -291,79 +262,75 @@ func (o *Overlay) Propagate() {
 			if ep := e.epOfPin[p]; ep >= 0 {
 				o.dirty = append(o.dirty, ep)
 			}
-			for _, to := range foAdj[foStart[p]:foStart[p+1]] {
-				push(to)
+			for _, to := range e.foAdj[e.foStart[p]:e.foStart[p+1]] {
+				sc.push(e.lv.Level, to)
 			}
 		}
 	}
 	o.evalDirtyEndpoints()
 }
 
-// recomputePin rebuilds pin p's Top-K queues inside the overlay from its
-// fan-in as seen through the overlay, and reports whether the result differs
-// from the previously visible queues (snapshotted into snap). The merge is
-// the general path of the forward kernel; for single-fan-in pins it produces
-// the same bits as the engine's shiftCopy fast path (same arithmetic, same
-// stable descending order), which the differential tests pin down.
-func (o *Overlay) recomputePin(p int32, snap *snapshotBuf) bool {
+// recomputePin rebuilds pin p's Top-K queues, every lane, inside the overlay
+// from its fan-in as seen through the overlay, and reports whether the result
+// differs from the previously visible queues (snapshotted into snap) in any
+// lane. The merge is the general path of the forward kernel; for
+// single-fan-in pins it produces the same bits as the engine's shiftCopy fast
+// path (same arithmetic, same stable descending order), which the
+// differential tests pin down.
+func (o *Overlay) recomputePin(p int32, snap *queues) bool {
 	e := o.e
 	k := e.opt.TopK
-	// Snapshot the previously visible queues (overlay if this pin was
-	// already recomputed in an earlier batch, else base).
-	for rf := 0; rf < 2; rf++ {
-		arr, mean, std, sps := o.queues(rf, p)
-		d := rf * k
-		copy(snap.arr[d:d+k], arr)
-		copy(snap.mean[d:d+k], mean)
-		copy(snap.std[d:d+k], std)
-		copy(snap.sp[d:d+k], sps)
-	}
-
+	S := len(e.lanes)
+	// The previously visible queues are already in the overlay's storage:
+	// seeded from the base on first touch, or recomputed by an earlier batch.
 	q := o.pinQ[p]
+	snap.copyFrom(0, q, 0, 2*e.qstride)
+
 	lo, hi := e.faninStart[p], e.faninStart[p+1]
 	for rf := 0; rf < 2; rf++ {
-		b := rf * k
-		arr := q.arr[b : b+k]
-		mean := q.mean[b : b+k]
-		std := q.std[b : b+k]
-		sps := q.sp[b : b+k]
-		clearQueue(arr, sps)
+		qb := rf * e.qstride
+		clearQueue(q.arr[qb:qb+e.qstride], q.sp[qb:qb+e.qstride])
 		for pos := lo; pos < hi; pos++ {
 			arc := e.faninArc[pos]
 			parent := e.faninFrom[pos]
-			am, as := o.arcDelay(rf, arc)
+			kind := e.arcKind[arc]
+			am0, as0 := o.arcDelay(rf, arc)
 			inRFs, n := liberty.Unate(e.faninSense[pos]).InRFs(rf)
 			for ri := 0; ri < n; ri++ {
-				_, pmean, pstd, psps := o.queues(inRFs[ri], parent)
-				for kk := 0; kk < k; kk++ {
-					psp := psps[kk]
-					if psp == noSP {
-						break
+				pq, pb0 := o.queues(inRFs[ri], parent)
+				for s := 0; s < S; s++ {
+					am := am0 * e.scaleMean[kind][s]
+					as := as0 * e.scaleStd[kind][s]
+					pb := pb0 + s*k
+					b := qb + s*k
+					arr := q.arr[b : b+k]
+					mean := q.mean[b : b+k]
+					std := q.std[b : b+k]
+					sps := q.sp[b : b+k]
+					for kk := 0; kk < k; kk++ {
+						psp := pq.sp[pb+kk]
+						if psp == noSP {
+							break
+						}
+						m := pq.mean[pb+kk] + am
+						ps := pq.std[pb+kk]
+						if m+e.nSigma*(ps+as) <= arr[k-1] {
+							continue
+						}
+						sg := math.Sqrt(ps*ps + as*as)
+						InsertTopK(arr, mean, std, sps, m+e.nSigma*sg, m, sg, psp)
 					}
-					m := pmean[kk] + am
-					ps := pstd[kk]
-					if m+e.nSigma*(ps+as) <= arr[k-1] {
-						continue
-					}
-					s := math.Sqrt(ps*ps + as*as)
-					InsertTopK(arr, mean, std, sps, m+e.nSigma*s, m, s, psp)
 				}
 			}
 		}
 	}
-	for i := 0; i < 2*k; i++ {
-		if q.sp[i] != snap.sp[i] || q.arr[i] != snap.arr[i] ||
-			q.mean[i] != snap.mean[i] || q.std[i] != snap.std[i] {
-			return true
-		}
-	}
-	return false
+	return !q.equal(0, snap, 0, 2*e.qstride)
 }
 
 // evalDirtyEndpoints re-evaluates the slack of every endpoint whose pin
-// queues changed, through the engine's pool. The dirty set is sorted so the
-// kernel's index space — and therefore the overlay's state — is independent
-// of map iteration order.
+// queues changed, in every lane, through the engine's pool. The dirty set is
+// sorted so the kernel's index space — and therefore the overlay's state — is
+// independent of map iteration order.
 func (o *Overlay) evalDirtyEndpoints() {
 	if len(o.dirty) == 0 {
 		return
@@ -373,51 +340,60 @@ func (o *Overlay) evalDirtyEndpoints() {
 	slices.Sort(dirty)
 	ssp := e.tracer.StartArg(KernelOverlaySlack, "endpoints", int64(len(dirty)))
 	defer ssp.End()
-	if cap(o.epOut) < len(dirty) {
-		o.epOut = make([]float64, len(dirty))
+	S := len(e.lanes)
+	if cap(o.epOut) < len(dirty)*S {
+		o.epOut = make([]float64, len(dirty)*S)
 	}
-	o.epOut = o.epOut[:len(dirty)]
-	out := o.epOut
+	o.epOut = o.epOut[:len(dirty)*S]
 	if o.slackFn == nil {
 		o.slackFn = func(_, lo, hi int) {
 			e := o.e
 			k := e.opt.TopK
+			S := len(e.lanes)
 			dirty, out := o.dirty, o.epOut
 			for i := lo; i < hi; i++ {
 				ep := dirty[i]
 				p := e.epPin[ep]
-				best := math.Inf(1)
-				for rf := 0; rf < 2; rf++ {
-					arr, _, _, sps := o.queues(rf, p)
-					for kk := 0; kk < k; kk++ {
-						sp := sps[kk]
-						if sp == noSP {
-							break
-						}
-						adj := e.excLookup(e.spPin[sp], p)
-						if adj.False {
-							continue
-						}
-						req := e.epBase[rf][ep] +
-							float64(adj.CycleCount()-1)*e.period +
-							e.credit(e.spNode[sp], e.epNode[ep])
-						if s := req - arr[kk]; s < best {
-							best = s
+				for s := 0; s < S; s++ {
+					best := math.Inf(1)
+					for rf := 0; rf < 2; rf++ {
+						q, b := o.queues(rf, p)
+						b += s * k
+						for kk := 0; kk < k; kk++ {
+							sp := q.sp[b+kk]
+							if sp == noSP {
+								break
+							}
+							adj := e.excLookup(e.spPin[sp], p)
+							if adj.False {
+								continue
+							}
+							req := e.epBase[rf][ep] +
+								float64(adj.CycleCount()-1)*e.period +
+								e.credit(e.spNode[sp], e.epNode[ep])
+							if sl := req - q.arr[b+kk]; sl < best {
+								best = sl
+							}
 						}
 					}
+					out[i*S+s] = best
 				}
-				out[i] = best
 			}
 		}
 	}
-	e.kernIndexed(KernelOverlaySlack, -1, len(dirty), o.slackFn)
+	e.pool.RunIndexed(KernelOverlaySlack, -1, len(dirty), o.slackFn)
 	grew := false
 	for i, ep := range dirty {
-		if _, ok := o.epSlack[ep]; !ok {
+		slot, ok := o.epSlot[ep]
+		if !ok {
+			slot = int32(len(o.epSlot))
+			o.epSlot[ep] = slot
+			o.epSlack = append(o.epSlack, o.epOut[i*S:(i+1)*S]...)
 			o.changedEPs = append(o.changedEPs, ep)
 			grew = true
+			continue
 		}
-		o.epSlack[ep] = out[i]
+		copy(o.epSlack[int(slot)*S:], o.epOut[i*S:(i+1)*S])
 	}
 	if grew {
 		slices.Sort(o.changedEPs)
@@ -425,38 +401,47 @@ func (o *Overlay) evalDirtyEndpoints() {
 	o.dirty = o.dirty[:0]
 }
 
-// Slack returns endpoint i's slack as seen through the overlay.
-func (o *Overlay) Slack(i int32) float64 {
-	if s, ok := o.epSlack[i]; ok {
-		return s
+// LaneSlack returns endpoint i's slack in lane s as seen through the overlay.
+func (o *Overlay) LaneSlack(s int, i int32) float64 {
+	if slot, ok := o.epSlot[i]; ok {
+		return o.epSlack[int(slot)*len(o.e.lanes)+s]
 	}
-	return o.e.epSlack[i]
+	return o.e.epSlack[s*len(o.e.epPin)+int(i)]
 }
 
-// WNS returns the worst negative slack under the overlay (0 when nothing
-// violates). The scan visits endpoints in index order, matching the base
-// engine's WNS so committed and previewed figures agree bit-for-bit.
-func (o *Overlay) WNS() float64 {
+// Slack returns endpoint i's lane-0 slack as seen through the overlay.
+func (o *Overlay) Slack(i int32) float64 { return o.LaneSlack(0, i) }
+
+// LaneWNS returns lane s's worst negative slack under the overlay (0 when
+// nothing violates). The scan visits endpoints in index order, matching the
+// base engine's WNS so committed and previewed figures agree bit-for-bit.
+func (o *Overlay) LaneWNS(s int) float64 {
 	w := 0.0
-	for i := range o.e.epSlack {
-		if s := o.Slack(int32(i)); s < w {
-			w = s
+	for i := range o.e.epPin {
+		if sl := o.LaneSlack(s, int32(i)); sl < w {
+			w = sl
 		}
 	}
 	return w
 }
 
-// TNS returns the total negative slack under the overlay, summed in endpoint
-// index order like Engine.TNS.
-func (o *Overlay) TNS() float64 {
+// LaneTNS returns lane s's total negative slack under the overlay, summed in
+// endpoint index order like the base engine's TNS.
+func (o *Overlay) LaneTNS(s int) float64 {
 	t := 0.0
-	for i := range o.e.epSlack {
-		if s := o.Slack(int32(i)); s < 0 {
-			t += s
+	for i := range o.e.epPin {
+		if sl := o.LaneSlack(s, int32(i)); sl < 0 {
+			t += sl
 		}
 	}
 	return t
 }
+
+// WNS returns lane 0's worst negative slack under the overlay.
+func (o *Overlay) WNS() float64 { return o.LaneWNS(0) }
+
+// TNS returns lane 0's total negative slack under the overlay.
+func (o *Overlay) TNS() float64 { return o.LaneTNS(0) }
 
 // ChangedEndpoints returns the sorted indices of endpoints whose slack the
 // overlay re-evaluated (their cone contained at least one changed pin). The
@@ -487,7 +472,7 @@ func (o *Overlay) Stats() OverlayStats {
 	return OverlayStats{
 		TouchedArcs: len(o.arcDelta),
 		OverlayPins: len(o.pinQ),
-		ChangedEPs:  len(o.epSlack),
+		ChangedEPs:  len(o.epSlot),
 	}
 }
 
@@ -501,8 +486,15 @@ func (o *Overlay) Reset() {
 	clear(o.arcDelta)
 	o.touched = o.touched[:0]
 	o.pending = o.pending[:0]
+	o.dropDerived()
+}
+
+// dropDerived invalidates everything computed from the deltas — recomputed
+// queues and re-evaluated slacks — keeping its storage for reuse.
+func (o *Overlay) dropDerived() {
 	o.releasePins()
-	clear(o.epSlack)
+	clear(o.epSlot)
+	o.epSlack = o.epSlack[:0]
 	o.dirty = o.dirty[:0]
 	o.changedEPs = o.changedEPs[:0]
 }
@@ -512,10 +504,7 @@ func (o *Overlay) Reset() {
 // re-propagation. The serving layer calls this when another session's commit
 // changed the base snapshot under this session.
 func (o *Overlay) Rebase() {
-	o.releasePins()
-	clear(o.epSlack)
-	o.dirty = o.dirty[:0]
-	o.changedEPs = o.changedEPs[:0]
+	o.dropDerived()
 	// Arc deltas are kept verbatim: they are the session's pending intent.
 	// A delta that now matches the re-committed base annotation costs only a
 	// one-pin wavefront that stops on equality.
@@ -523,21 +512,18 @@ func (o *Overlay) Rebase() {
 }
 
 // RebaseStructural re-targets the overlay at a structurally edited
-// replacement of its base engine. remap maps the old engine's arc ids to
-// e's (-1 = arc removed by the edit); nil means identity (an insert-only
-// edit appends arcs without renumbering). Arc deltas on surviving arcs are
-// kept — SetArcDelay stores absolute per-rf delays, so the values remain
-// meaningful under the new engine — re-keyed through remap and scheduled for
-// re-propagation; deltas on removed arcs are dropped to the freelist. All
-// derived state (queues, slacks) is invalidated like Rebase, and the
-// wavefront scratch is discarded because the new engine's level count
+// replacement of its base engine (same lanes and TopK). remap maps the old
+// engine's arc ids to e's (-1 = arc removed by the edit); nil means identity
+// (an insert-only edit appends arcs without renumbering). Arc deltas on
+// surviving arcs are kept — SetArcDelay stores absolute per-rf delays, so the
+// values remain meaningful under the new engine — re-keyed through remap and
+// scheduled for re-propagation; deltas on removed arcs are dropped to the
+// freelist. All derived state (queues, slacks) is invalidated like Rebase,
+// and the wavefront scratch is discarded because the new engine's level count
 // differs. Pin-queue freelist storage survives: its size depends only on
-// TopK, which a structural edit never changes.
+// TopK and the lane count, which a structural edit never changes.
 func (o *Overlay) RebaseStructural(e *Engine, remap []int32) {
-	o.releasePins()
-	clear(o.epSlack)
-	o.dirty = o.dirty[:0]
-	o.changedEPs = o.changedEPs[:0]
+	o.dropDerived()
 	o.scratch = nil
 
 	// Re-key surviving deltas. Old and new id ranges can overlap after a
@@ -567,8 +553,8 @@ func (o *Overlay) RebaseStructural(e *Engine, remap []int32) {
 }
 
 // Commit folds the overlay's arc deltas into the base engine, re-propagates
-// the affected cone incrementally, re-evaluates every endpoint slack, and
-// resets the overlay. The caller must hold exclusive access to the base
+// the affected cone incrementally in every lane, re-evaluates every endpoint
+// slack, and resets the overlay. The caller must hold exclusive access to the base
 // engine (no concurrent overlay may be evaluating). The resulting base state
 // is bit-identical to a full Propagate + EvalSlacks under the same
 // annotations, by the incremental-propagation guarantee.
@@ -586,9 +572,9 @@ func (o *Overlay) Commit() {
 		}
 	}
 	e.PropagateIncremental(o.touched)
-	e.evalSlacks()
+	e.RefreshSlacks()
 	if e.hold != nil {
-		e.evalHoldSlacks()
+		e.RefreshHoldSlacks()
 	}
 	o.Reset()
 }

@@ -12,35 +12,28 @@ import "testing"
 
 func TestOverlayResetReapplyMatches(t *testing.T) {
 	h := buildHarness(t, testSpec(83))
-	e, err := NewEngine(h.tab, Options{TopK: 6, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	e.Run()
+	for _, lc := range laneCases {
+		t.Run(lc.name, func(t *testing.T) {
+			e := newLaneEngine(t, h.tab, lc.lanes, Options{TopK: 6, Workers: 2})
+			e.Run()
 
-	deltas := perturb(e, 2, 31, 1.3, 1.1)
-	o := NewOverlay(e)
-	applyToOverlay(o, deltas)
-	want := make([]float64, len(e.Endpoints()))
-	for i := range want {
-		want[i] = o.Slack(int32(i))
-	}
-	changed := len(o.ChangedEndpoints())
-	if changed == 0 {
-		t.Fatal("perturbation changed no endpoints — test is vacuous")
-	}
-
-	for it := 0; it < 5; it++ {
-		o.Reset()
-		applyToOverlay(o, deltas)
-		if got := len(o.ChangedEndpoints()); got != changed {
-			t.Fatalf("iter %d: %d changed endpoints != first apply's %d", it, got, changed)
-		}
-		for i := range want {
-			if got := o.Slack(int32(i)); got != want[i] {
-				t.Fatalf("iter %d: ep %d slack %v != first apply %v", it, i, got, want[i])
+			deltas := perturb(e, 2, 31, 1.3, 1.1)
+			o := NewOverlay(e)
+			applyToOverlay(o, deltas)
+			want := overlaySlacks(o)
+			changed := len(o.ChangedEndpoints())
+			if changed == 0 {
+				t.Fatal("perturbation changed no endpoints — test is vacuous")
 			}
-		}
+
+			for it := 0; it < 5; it++ {
+				o.Reset()
+				applyToOverlay(o, deltas)
+				if got := len(o.ChangedEndpoints()); got != changed {
+					t.Fatalf("iter %d: %d changed endpoints != first apply's %d", it, got, changed)
+				}
+				sameSlacks(t, "reapply vs first apply", overlaySlacks(o), want)
+			}
+		})
 	}
 }

@@ -4,8 +4,74 @@ import (
 	"testing"
 
 	"insta/internal/bench"
+	"insta/internal/circuitops"
 	"insta/internal/num"
 )
+
+// laneCases are the lane sets the overlay, reset and allocation suites run
+// over: the paper's single corner, and a slow/typical/fast derate trio that
+// makes every queue block, snapshot and slack slot S-strided.
+var laneCases = []struct {
+	name  string
+	lanes []Lane
+}{
+	{"S1", unitLane},
+	{"S3", []Lane{
+		{CellScale: 1.18, NetScale: 1.10, SigmaScale: 1.25},
+		{CellScale: 1, NetScale: 1, SigmaScale: 1},
+		{CellScale: 0.86, NetScale: 0.92, SigmaScale: 0.90},
+	}},
+}
+
+// newLaneEngine compiles tab and stands up an engine over the given lanes,
+// closed with the test.
+func newLaneEngine(t *testing.T, tab *circuitops.Tables, lanes []Lane, opt Options) *Engine {
+	t.Helper()
+	st, err := Compile(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngineLanes(st, lanes, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	return e
+}
+
+// overlaySlacks snapshots every lane's slacks as seen through o.
+func overlaySlacks(o *Overlay) [][]float64 {
+	e := o.Base()
+	out := make([][]float64, e.Lanes())
+	for s := range out {
+		out[s] = make([]float64, len(e.Endpoints()))
+		for i := range out[s] {
+			out[s][i] = o.LaneSlack(s, int32(i))
+		}
+	}
+	return out
+}
+
+// engineSlacks copies every lane's committed slacks.
+func engineSlacks(e *Engine) [][]float64 {
+	out := make([][]float64, e.Lanes())
+	for s := range out {
+		out[s] = append([]float64(nil), e.LaneSlacks(s)...)
+	}
+	return out
+}
+
+// sameSlacks fails the test at the first (lane, endpoint) where got != want.
+func sameSlacks(t *testing.T, what string, got, want [][]float64) {
+	t.Helper()
+	for s := range want {
+		for i := range want[s] {
+			if got[s][i] != want[s][i] {
+				t.Fatalf("%s: lane %d ep %d: %v != %v", what, s, i, got[s][i], want[s][i])
+			}
+		}
+	}
+}
 
 // perturb returns a deterministic scattered arc-delay changelist: every
 // stride-th arc gets its mean and sigma scaled.
@@ -45,49 +111,40 @@ func applyToEngine(e *Engine, deltas map[int32][2]num.Dist) {
 // a twin engine carrying the same annotations.
 func TestOverlayMatchesFreshFull(t *testing.T) {
 	h := buildHarness(t, testSpec(71))
-	e, err := NewEngine(h.tab, Options{TopK: 6, Workers: 2, Grain: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	e.Run()
-	baseTNS := e.TNS()
+	for _, lc := range laneCases {
+		t.Run(lc.name, func(t *testing.T) {
+			e := newLaneEngine(t, h.tab, lc.lanes, Options{TopK: 6, Workers: 2, Grain: 8})
+			e.Run()
+			base := engineSlacks(e)
+			twin := newLaneEngine(t, h.tab, lc.lanes, Options{TopK: 6, Workers: 1})
 
-	twin, err := NewEngine(h.tab, Options{TopK: 6, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer twin.Close()
+			deltas := perturb(e, 3, 41, 1.25, 1.1)
+			orig := make(map[int32]num.Dist, len(deltas))
+			for arc := range deltas {
+				orig[arc] = e.ArcDelay(arc, 0)
+			}
+			o := NewOverlay(e)
+			applyToOverlay(o, deltas)
+			applyToEngine(twin, deltas)
+			twin.Run()
 
-	deltas := perturb(e, 3, 41, 1.25, 1.1)
-	orig := make(map[int32]num.Dist, len(deltas))
-	for arc := range deltas {
-		orig[arc] = e.ArcDelay(arc, 0)
-	}
-	o := NewOverlay(e)
-	applyToOverlay(o, deltas)
-	applyToEngine(twin, deltas)
-	want := twin.Run()
-
-	for i := range want {
-		if got := o.Slack(int32(i)); got != want[i] {
-			t.Fatalf("ep %d: overlay slack %v != fresh full %v", i, got, want[i])
-		}
-	}
-	if o.WNS() != twin.WNS() || o.TNS() != twin.TNS() {
-		t.Fatalf("overlay WNS/TNS %v/%v != fresh %v/%v", o.WNS(), o.TNS(), twin.WNS(), twin.TNS())
-	}
-	if len(o.ChangedEndpoints()) == 0 {
-		t.Fatal("perturbation changed no endpoints — test is vacuous")
-	}
-	// The base engine must be untouched by the overlay evaluation.
-	if e.TNS() != baseTNS {
-		t.Fatalf("overlay evaluation mutated base TNS: %v != %v", e.TNS(), baseTNS)
-	}
-	for arc, d := range orig {
-		if e.ArcDelay(arc, 0) != d {
-			t.Fatalf("arc %d: base annotation mutated", arc)
-		}
+			sameSlacks(t, "overlay vs fresh full", overlaySlacks(o), engineSlacks(twin))
+			for s := range lc.lanes {
+				if w, tn := WNS(twin.LaneSlacks(s)), TNS(twin.LaneSlacks(s)); o.LaneWNS(s) != w || o.LaneTNS(s) != tn {
+					t.Fatalf("lane %d: overlay WNS/TNS %v/%v != fresh %v/%v", s, o.LaneWNS(s), o.LaneTNS(s), w, tn)
+				}
+			}
+			if len(o.ChangedEndpoints()) == 0 {
+				t.Fatal("perturbation changed no endpoints — test is vacuous")
+			}
+			// The base engine must be untouched by the overlay evaluation.
+			sameSlacks(t, "base after overlay evaluation", engineSlacks(e), base)
+			for arc, d := range orig {
+				if e.ArcDelay(arc, 0) != d {
+					t.Fatalf("arc %d: base annotation mutated", arc)
+				}
+			}
+		})
 	}
 }
 
@@ -95,35 +152,25 @@ func TestOverlayMatchesFreshFull(t *testing.T) {
 // with exactly the previewed result.
 func TestOverlayCommitMatchesPreview(t *testing.T) {
 	h := buildHarness(t, testSpec(72))
-	e, err := NewEngine(h.tab, Options{TopK: 8, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	e.Run()
-	e.EvalSlacks()
+	for _, lc := range laneCases {
+		t.Run(lc.name, func(t *testing.T) {
+			e := newLaneEngine(t, h.tab, lc.lanes, Options{TopK: 8, Hold: true, Workers: 2})
+			e.Run()
 
-	o := NewOverlay(e)
-	applyToOverlay(o, perturb(e, 1, 53, 0.8, 1.0))
+			o := NewOverlay(e)
+			applyToOverlay(o, perturb(e, 1, 53, 0.8, 1.0))
+			preview := overlaySlacks(o)
+			pWNS, pTNS := o.WNS(), o.TNS()
 
-	preview := make([]float64, len(e.Slacks()))
-	for i := range preview {
-		preview[i] = o.Slack(int32(i))
-	}
-	pWNS, pTNS := o.WNS(), o.TNS()
-
-	o.Commit()
-	got := e.Slacks()
-	for i := range got {
-		if got[i] != preview[i] {
-			t.Fatalf("ep %d: committed slack %v != previewed %v", i, got[i], preview[i])
-		}
-	}
-	if e.WNS() != pWNS || e.TNS() != pTNS {
-		t.Fatalf("committed WNS/TNS %v/%v != previewed %v/%v", e.WNS(), e.TNS(), pWNS, pTNS)
-	}
-	if st := o.Stats(); st.TouchedArcs != 0 || st.OverlayPins != 0 || st.ChangedEPs != 0 {
-		t.Fatalf("overlay not reset after commit: %+v", st)
+			o.Commit()
+			sameSlacks(t, "committed vs previewed", engineSlacks(e), preview)
+			if e.WNS() != pWNS || e.TNS() != pTNS {
+				t.Fatalf("committed WNS/TNS %v/%v != previewed %v/%v", e.WNS(), e.TNS(), pWNS, pTNS)
+			}
+			if st := o.Stats(); st.TouchedArcs != 0 || st.OverlayPins != 0 || st.ChangedEPs != 0 {
+				t.Fatalf("overlay not reset after commit: %+v", st)
+			}
+		})
 	}
 }
 
@@ -166,68 +213,52 @@ func TestOverlayNeverFullPropagates(t *testing.T) {
 // sequential application of both changelists.
 func TestOverlayRebase(t *testing.T) {
 	h := buildHarness(t, testSpec(74))
-	e, err := NewEngine(h.tab, Options{TopK: 6, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	e.Run()
+	for _, lc := range laneCases {
+		t.Run(lc.name, func(t *testing.T) {
+			e := newLaneEngine(t, h.tab, lc.lanes, Options{TopK: 6, Workers: 2})
+			e.Run()
 
-	dA := perturb(e, 1, 37, 1.2, 1.1) // session A: commits first
-	dB := perturb(e, 4, 43, 0.9, 1.0) // session B: rebases over A
+			dA := perturb(e, 1, 37, 1.2, 1.1) // session A: commits first
+			dB := perturb(e, 4, 43, 0.9, 1.0) // session B: rebases over A
 
-	oA, oB := NewOverlay(e), NewOverlay(e)
-	applyToOverlay(oB, dB) // B evaluates against the pre-commit base
-	applyToOverlay(oA, dA)
-	oA.Commit()
+			oA, oB := NewOverlay(e), NewOverlay(e)
+			applyToOverlay(oB, dB) // B evaluates against the pre-commit base
+			applyToOverlay(oA, dA)
+			oA.Commit()
 
-	oB.Rebase()
-	oB.Propagate()
+			oB.Rebase()
+			oB.Propagate()
 
-	twin, err := NewEngine(h.tab, Options{TopK: 6, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer twin.Close()
-	applyToEngine(twin, dA)
-	applyToEngine(twin, dB)
-	want := twin.Run()
-	for i := range want {
-		if got := oB.Slack(int32(i)); got != want[i] {
-			t.Fatalf("ep %d after rebase: %v != sequential %v", i, got, want[i])
-		}
-	}
+			twin := newLaneEngine(t, h.tab, lc.lanes, Options{TopK: 6, Workers: 1})
+			applyToEngine(twin, dA)
+			applyToEngine(twin, dB)
+			twin.Run()
+			want := engineSlacks(twin)
+			sameSlacks(t, "rebased overlay vs sequential", overlaySlacks(oB), want)
 
-	// And B's commit lands the sequential state in the base.
-	oB.Commit()
-	got := e.Slacks()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ep %d after rebase+commit: %v != sequential %v", i, got[i], want[i])
-		}
+			// And B's commit lands the sequential state in the base.
+			oB.Commit()
+			sameSlacks(t, "rebase+commit vs sequential", engineSlacks(e), want)
+		})
 	}
 }
 
 // TestOverlayReset: rollback restores the base view bit-exactly.
 func TestOverlayReset(t *testing.T) {
 	h := buildHarness(t, testSpec(75))
-	e, err := NewEngine(h.tab, Options{TopK: 4, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	base := e.Run()
+	for _, lc := range laneCases {
+		t.Run(lc.name, func(t *testing.T) {
+			e := newLaneEngine(t, h.tab, lc.lanes, Options{TopK: 4, Workers: 1})
+			e.Run()
 
-	o := NewOverlay(e)
-	applyToOverlay(o, perturb(e, 0, 29, 1.5, 1.3))
-	o.Reset()
-	for i := range base {
-		if got := o.Slack(int32(i)); got != base[i] {
-			t.Fatalf("ep %d after reset: %v != base %v", i, got, base[i])
-		}
-	}
-	if st := o.Stats(); st.TouchedArcs != 0 || st.OverlayPins != 0 {
-		t.Fatalf("reset left overlay state: %+v", st)
+			o := NewOverlay(e)
+			applyToOverlay(o, perturb(e, 0, 29, 1.5, 1.3))
+			o.Reset()
+			sameSlacks(t, "overlay after reset vs base", overlaySlacks(o), engineSlacks(e))
+			if st := o.Stats(); st.TouchedArcs != 0 || st.OverlayPins != 0 {
+				t.Fatalf("reset left overlay state: %+v", st)
+			}
+		})
 	}
 }
 

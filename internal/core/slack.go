@@ -2,64 +2,74 @@ package core
 
 import "math"
 
-// EvalSlacks computes every endpoint's setup slack from the propagated Top-K
-// arrivals: each retained startpoint is paired with its own required time
-// (base requirement + multicycle periods + CPPR credit), and the minimum
-// wins. False-path pairs are skipped. The result is cached and returned;
-// untimed endpoints carry +Inf.
+// EvalSlacks computes every endpoint's setup slack in every lane from the
+// propagated Top-K arrivals, in one endpoint sweep: each retained startpoint
+// is paired with its own required time (base requirement + multicycle periods
+// + CPPR credit — shared by all lanes, which derate arcs only), and the
+// minimum wins. False-path pairs are skipped. The result is cached; a copy of
+// lane 0's slacks is returned. Untimed endpoints carry +Inf.
 func (e *Engine) EvalSlacks() []float64 {
-	e.evalSlacks()
-	out := make([]float64, len(e.epSlack))
-	copy(out, e.epSlack)
-	return out
+	e.RefreshSlacks()
+	return append([]float64(nil), e.LaneSlacks(0)...)
 }
 
-// evalSlacks is EvalSlacks without the defensive copy: it refreshes the
-// cached e.epSlack in place. Zero-alloc paths (incremental commit, serving)
-// call this and read the cache through Slacks().
-func (e *Engine) evalSlacks() {
+// RefreshSlacks is EvalSlacks without the defensive copy: it refreshes the
+// cached slacks of every lane in place. Zero-alloc paths (incremental commit,
+// serving, multi-lane callers) call this and read the cache through
+// LaneSlacks.
+func (e *Engine) RefreshSlacks() {
 	sp := e.tracer.StartArg(kSlack, "endpoints", int64(len(e.epPin)))
 	defer sp.End()
 	k := e.opt.TopK
-	e.kern(kSlack, -1, len(e.epPin), func(lo, hi int) {
+	S := len(e.lanes)
+	nEP := len(e.epPin)
+	e.pool.RunTagged(kSlack, -1, nEP, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			p := e.epPin[i]
-			best := math.Inf(1)
-			bestSP, bestRF := noSP, int8(0)
-			for rf := 0; rf < 2; rf++ {
-				b := e.base(rf, p)
-				for kk := 0; kk < k; kk++ {
-					sp := e.topSP[b+kk]
-					if sp == noSP {
-						break
-					}
-					adj := e.excLookup(e.spPin[sp], p)
-					if adj.False {
-						continue
-					}
-					req := e.epBase[rf][i] +
-						float64(adj.CycleCount()-1)*e.period +
-						e.credit(e.spNode[sp], e.epNode[i])
-					if s := req - e.topArr[b+kk]; s < best {
-						best, bestSP, bestRF = s, sp, int8(rf)
+			for s := 0; s < S; s++ {
+				best := math.Inf(1)
+				bestSP, bestRF := noSP, int8(0)
+				for rf := 0; rf < 2; rf++ {
+					b := e.base(rf, p) + s*k
+					for kk := 0; kk < k; kk++ {
+						sp := e.top.sp[b+kk]
+						if sp == noSP {
+							break
+						}
+						adj := e.excLookup(e.spPin[sp], p)
+						if adj.False {
+							continue
+						}
+						req := e.epBase[rf][i] +
+							float64(adj.CycleCount()-1)*e.period +
+							e.credit(e.spNode[sp], e.epNode[i])
+						if sl := req - e.top.arr[b+kk]; sl < best {
+							best, bestSP, bestRF = sl, sp, int8(rf)
+						}
 					}
 				}
+				e.epSlack[s*nEP+i] = best
+				e.epSP[s*nEP+i] = bestSP
+				e.epRF[s*nEP+i] = bestRF
 			}
-			e.epSlack[i] = best
-			e.epSP[i] = bestSP
-			e.epRF[i] = bestRF
 		}
 	})
 }
 
-// Slacks returns the cached endpoint slacks from the last EvalSlacks call.
-func (e *Engine) Slacks() []float64 { return e.epSlack }
+// LaneSlacks returns lane s's cached endpoint slacks from the last
+// evaluation. The slice is the engine's own; callers must not mutate it.
+func (e *Engine) LaneSlacks(s int) []float64 {
+	nEP := len(e.epPin)
+	return e.epSlack[s*nEP : (s+1)*nEP]
+}
 
-// WNS returns the worst negative slack of the last evaluation (0 when
-// nothing violates).
-func (e *Engine) WNS() float64 {
+// Slacks returns lane 0's cached endpoint slacks from the last evaluation.
+func (e *Engine) Slacks() []float64 { return e.LaneSlacks(0) }
+
+// WNS returns the worst negative slack in slacks (0 when nothing violates).
+func WNS(slacks []float64) float64 {
 	w := 0.0
-	for _, s := range e.epSlack {
+	for _, s := range slacks {
 		if s < w {
 			w = s
 		}
@@ -67,10 +77,10 @@ func (e *Engine) WNS() float64 {
 	return w
 }
 
-// TNS returns the total negative slack of the last evaluation.
-func (e *Engine) TNS() float64 {
+// TNS returns the total negative slack in slacks, summed in index order.
+func TNS(slacks []float64) float64 {
 	t := 0.0
-	for _, s := range e.epSlack {
+	for _, s := range slacks {
 		if s < 0 {
 			t += s
 		}
@@ -78,10 +88,10 @@ func (e *Engine) TNS() float64 {
 	return t
 }
 
-// NumViolations counts endpoints with negative slack.
-func (e *Engine) NumViolations() int {
+// Violations counts the negative entries of slacks.
+func Violations(slacks []float64) int {
 	n := 0
-	for _, s := range e.epSlack {
+	for _, s := range slacks {
 		if s < 0 {
 			n++
 		}
@@ -89,8 +99,17 @@ func (e *Engine) NumViolations() int {
 	return n
 }
 
+// WNS returns lane 0's worst negative slack of the last evaluation.
+func (e *Engine) WNS() float64 { return WNS(e.Slacks()) }
+
+// TNS returns lane 0's total negative slack of the last evaluation.
+func (e *Engine) TNS() float64 { return TNS(e.Slacks()) }
+
+// NumViolations counts lane 0's endpoints with negative slack.
+func (e *Engine) NumViolations() int { return Violations(e.Slacks()) }
+
 // CriticalStartpoint returns the startpoint index and data transition behind
-// endpoint i's last-evaluated slack (-1 when untimed).
+// endpoint i's last-evaluated lane-0 slack (-1 when untimed).
 func (e *Engine) CriticalStartpoint(i int) (sp int32, rf int) {
 	return e.epSP[i], int(e.epRF[i])
 }

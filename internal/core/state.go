@@ -353,8 +353,7 @@ func faninPos(st *State, arc int32) int32 {
 }
 
 // CompileExceptions rebuilds the O(1) exception lookup from the state's
-// rows, reusing the sdc compiler (shared by the warm single-corner and
-// batched constructors).
+// rows, reusing the sdc compiler (engine construction and hier extraction).
 func (st *State) CompileExceptions() (*sdc.ExceptionTable, error) {
 	return st.exceptionTables().CompileExceptions()
 }
@@ -530,6 +529,17 @@ func validateCSR(name string, start []int32, rows, slots int) error {
 	return nil
 }
 
+// Lane is one scenario of a scenario-strided engine, given as the derate
+// factors its kernels apply to the nominal arc annotations: cell-arc means by
+// CellScale, net-arc means by NetScale, every sigma by SigmaScale. Launch
+// arrivals, required times and the clock network are shared by all lanes.
+type Lane struct {
+	CellScale, NetScale, SigmaScale float64
+}
+
+// unitLane is the lane set of the paper's single-corner engine.
+var unitLane = []Lane{{CellScale: 1, NetScale: 1, SigmaScale: 1}}
+
 // NewEngineFromState stands up a ready-to-propagate engine over a compiled
 // state — the warm-start constructor. It shares the state's immutable
 // skeleton (topology, schedule, SP/EP, clock, fan-out CSR), copies the arc
@@ -541,7 +551,15 @@ func validateCSR(name string, start []int32, rows, slots int) error {
 // NewEngine over the tables the state was compiled from: NewEngine itself is
 // Compile + this constructor.
 func NewEngineFromState(st *State, opt Options) (*Engine, error) {
-	e, err := newEngineFromState(st, opt)
+	return NewEngineLanes(st, unitLane, opt)
+}
+
+// NewEngineLanes is NewEngineFromState for an engine that propagates
+// len(lanes) scenarios in one traversal (see Lane). Lane s of the result is
+// bit-identical to a single-lane engine over tables whose arc rows were
+// multiplied by lanes[s]'s factors.
+func NewEngineLanes(st *State, lanes []Lane, opt Options) (*Engine, error) {
+	e, err := newEngine(st, lanes, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -550,19 +568,30 @@ func NewEngineFromState(st *State, opt Options) (*Engine, error) {
 	return e, nil
 }
 
-// newEngineFromState is NewEngineFromState without the restore span, shared
-// with the cold NewEngine path (which records "engine-build" instead).
-func newEngineFromState(st *State, opt Options) (*Engine, error) {
-	return newEngineFromStateCap(st, opt, st.NumPins)
+// newEngine builds an engine over st with freshly allocated, unpropagated
+// Top-K tensors.
+func newEngine(st *State, lanes []Lane, opt Options) (*Engine, error) {
+	e, err := newEngineBody(st, lanes, opt)
+	if err != nil {
+		return nil, err
+	}
+	e.capPins = st.NumPins
+	sz := 2 * e.capPins * e.qstride
+	e.top = newQueues(sz)
+	if e.hold != nil {
+		e.hold.queues = newQueues(sz)
+	}
+	return e, nil
 }
 
-// newEngineFromStateCap is newEngineFromState with an explicit tensor row
-// stride capPins >= st.NumPins. The surplus rows are headroom the seeded
-// constructor reserves so later structural reseeds can append pins without
-// relocating the rf=1 tensor blocks; a plain engine gets no headroom.
-func newEngineFromStateCap(st *State, opt Options, capPins int) (*Engine, error) {
+// newEngineBody builds everything but the Top-K tensors, which the caller
+// allocates (newEngine) or takes over from a previous engine (Reseed).
+func newEngineBody(st *State, lanes []Lane, opt Options) (*Engine, error) {
 	if opt.TopK < 1 {
 		return nil, fmt.Errorf("core: TopK must be >= 1, got %d", opt.TopK)
+	}
+	if len(lanes) == 0 {
+		return nil, fmt.Errorf("core: no lanes given")
 	}
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.NumCPU()
@@ -570,212 +599,54 @@ func newEngineFromStateCap(st *State, opt Options, capPins int) (*Engine, error)
 	if opt.Tau <= 0 {
 		opt.Tau = 0.01
 	}
+	S := len(lanes)
 	e := &Engine{
 		opt:     opt,
-		st:      st,
-		numPins: st.NumPins,
-		capPins: capPins,
-		period:  st.Period,
-		nSigma:  st.NSigma,
-		pool:    sched.New(opt.Workers, opt.Grain),
+		lanes:   append([]Lane(nil), lanes...),
+		qstride: S * opt.TopK,
 		tracer:  opt.Tracer,
 	}
-	e.faninStart, e.faninArc, e.faninFrom, e.faninSense =
-		st.FaninStart, st.FaninArc, st.FaninFrom, st.FaninSense
+	for kind := 0; kind < 2; kind++ {
+		e.scaleMean[kind] = make([]float64, S)
+		e.scaleStd[kind] = make([]float64, S)
+	}
+	for s, l := range lanes {
+		if l.CellScale <= 0 || l.NetScale <= 0 || l.SigmaScale <= 0 {
+			return nil, fmt.Errorf("core: lane %d has a non-positive scale", s)
+		}
+		e.scaleMean[0][s], e.scaleMean[1][s] = l.CellScale, l.NetScale
+		e.scaleStd[0][s], e.scaleStd[1][s] = l.SigmaScale, l.SigmaScale
+	}
+	// The engine binds to its own shallow copy of the state whose annotation
+	// slabs are cloned: SetArcDelay must not leak across engines sharing one
+	// compiled state, and st's nominal slabs are not kept alive by the engine.
+	own := *st
 	for rf := 0; rf < 2; rf++ {
-		e.arcMean[rf] = append([]float64(nil), st.ArcMean[rf]...)
-		e.arcStd[rf] = append([]float64(nil), st.ArcStd[rf]...)
+		own.ArcMean[rf] = append([]float64(nil), st.ArcMean[rf]...)
+		own.ArcStd[rf] = append([]float64(nil), st.ArcStd[rf]...)
 	}
-	e.arcKind, e.arcCell, e.arcNet, e.arcFrom, e.arcTo =
-		st.ArcKind, st.ArcCell, st.ArcNet, st.ArcFrom, st.ArcTo
-	e.lv = &levelize.Result{
-		Level:      st.LvLevel,
-		NumLevels:  st.NumLevels,
-		Order:      st.LvOrder,
-		LevelStart: st.LvLevelStart,
-	}
-	e.spPin, e.spNode, e.spMean, e.spStd, e.spOfPin =
-		st.SpPin, st.SpNode, st.SpMean, st.SpStd, st.SpOfPin
-	e.epPin, e.epNode, e.epBase, e.epOfPin = st.EpPin, st.EpNode, st.EpBase, st.EpOfPin
-	e.clkParent, e.clkCumVar, e.clkDepth = st.ClkParent, st.ClkCumVar, st.ClkDepth
-	e.foStart, e.foAdj, e.foArc = st.FoStart, st.FoAdj, st.FoArc
-
+	e.bindState(&own)
 	var err error
-	if e.exc, err = st.exceptionTables().CompileExceptions(); err != nil {
+	if e.exc, err = st.CompileExceptions(); err != nil {
 		return nil, err
 	}
-
-	k := opt.TopK
-	sz := 2 * capPins * k
-	e.topArr = make([]float64, sz)
-	e.topMean = make([]float64, sz)
-	e.topStd = make([]float64, sz)
-	e.topSP = make([]int32, sz)
-	e.epSlack = make([]float64, len(st.EpPin))
-	e.epSP = make([]int32, len(st.EpPin))
-	e.epRF = make([]int8, len(st.EpPin))
+	nEP := S * len(st.EpPin)
+	e.epSlack = make([]float64, nEP)
+	e.epSP = make([]int32, nEP)
+	e.epRF = make([]int8, nEP)
 	if opt.Hold {
-		e.initHold(st.EpHold[0], st.EpHold[1])
+		e.hold = &holdState{epSlack: make([]float64, nEP)}
 	}
+	e.pool = sched.New(opt.Workers, opt.Grain)
 	return e, nil
 }
 
-// NewEngineSeeded stands up an engine over st — the compiled state of a
-// structurally edited netlist — warm-started from prev, a fully propagated
-// engine over the pre-edit netlist, by re-propagating only the fan-out cone
-// of the seed pins (every pin whose fan-in set changed, including appended
-// pins) instead of the whole graph.
-//
-// The result is bit-identical to a cold NewEngineFromState(st, opt) + Run():
-// pin ids are stable across structural edits (pins are append-only; removed
-// instances go floating), so prev's converged Top-K planes are valid arrival
-// state for every pin outside the seeds' cone, and the equality-stopping
-// incremental wavefront recomputes exactly the pins whose queues differ.
-// Requires opt.TopK == prev TopK and opt.Hold == prev hold so the copied
-// planes line up; prev must have completed a full Run (or an equivalent
-// incremental commit) so its queues are converged.
-func NewEngineSeeded(st *State, prev *Engine, seeds []int32, opt Options) (*Engine, error) {
-	if prev == nil {
-		return nil, fmt.Errorf("core: NewEngineSeeded requires a previous engine")
-	}
-	if opt.TopK != prev.opt.TopK {
-		return nil, fmt.Errorf("core: seeded engine TopK %d != previous %d", opt.TopK, prev.opt.TopK)
-	}
-	if opt.Hold != (prev.hold != nil) {
-		return nil, fmt.Errorf("core: seeded engine hold=%v != previous %v", opt.Hold, prev.hold != nil)
-	}
-	if st.NumPins < prev.numPins {
-		return nil, fmt.Errorf("core: pin count shrank %d -> %d (pins are append-only)", prev.numPins, st.NumPins)
-	}
-	// Reserve tensor headroom so that the sessions holding this engine can
-	// keep appending pins through in-place reseeds (ReseedStructural) without
-	// relocating the rf blocks — the steady state of an optimizer issuing
-	// many small structural edits against one session.
-	e, err := newEngineFromStateCap(st, opt, st.NumPins+seedHeadroom)
-	if err != nil {
-		return nil, err
-	}
-	sp := e.tracer.StartArg("engine-seed", "seeds", int64(len(seeds)))
-	defer sp.End()
-
-	// Per-rf block copy of prev's converged planes. The tensors are rf-major
-	// (((rf*capPins)+pin)*K), so each rf block relocates when the stride
-	// grows.
-	k := opt.TopK
-	blk := prev.numPins * k
-	for rf := 0; rf < 2; rf++ {
-		dst, src := rf*e.capPins*k, rf*prev.capPins*k
-		copy(e.topArr[dst:dst+blk], prev.topArr[src:src+blk])
-		copy(e.topMean[dst:dst+blk], prev.topMean[src:src+blk])
-		copy(e.topStd[dst:dst+blk], prev.topStd[src:src+blk])
-		copy(e.topSP[dst:dst+blk], prev.topSP[src:src+blk])
-		if e.hold != nil {
-			copy(e.hold.negArr[dst:dst+blk], prev.hold.negArr[src:src+blk])
-			copy(e.hold.mean[dst:dst+blk], prev.hold.mean[src:src+blk])
-			copy(e.hold.std[dst:dst+blk], prev.hold.std[src:src+blk])
-			copy(e.hold.sp[dst:dst+blk], prev.hold.sp[src:src+blk])
-		}
-		// Appended pins start with empty queues, exactly like a cold engine
-		// entering its first propagatePin.
-		for p := int32(prev.numPins); int(p) < st.NumPins; p++ {
-			b := e.base(rf, p)
-			clearQueue(e.topArr[b:b+k], e.topSP[b:b+k])
-			if e.hold != nil {
-				clearQueue(e.hold.negArr[b:b+k], e.hold.sp[b:b+k])
-			}
-		}
-	}
-
-	e.PropagateIncrementalPins(seeds)
-	e.evalSlacks()
-	if e.hold != nil {
-		e.evalHoldSlacks()
-	}
-	return e, nil
-}
-
-// seedHeadroom is the pin headroom (tensor rows beyond NumPins) a seeded
-// engine reserves for in-place structural growth: 4096 pins = 2048 buffer
-// insertions before a reseed has to relocate the tensors. The cost is
-// 2*headroom*K float64 slots per tensor — a few MB at most.
-const seedHeadroom = 4096
-
-// ReseedStructural re-points a session-private engine at st — the compiled
-// state of the next structural edit over the engine's current netlist — and
-// re-propagates only the seed pins' fan-out cone, all in place: no tensor
-// allocation, no annotation copy, no exception recompile. It is the
-// steady-state counterpart of NewEngineSeeded for an optimizer applying many
-// edit batches to one session; the result is bit-identical to a cold
-// NewEngineFromState(st, opt) + Run() for the same reason the seeded
-// constructor is (pins are append-only, so converged queues outside the
-// seeds' cone remain exact).
-//
-// Contract: st must be derived from the engine's current compiled state by
-// CompileIncremental/CompileIncrementalPatched (pin count grows, SP/EP/
-// exception tables unchanged), and the engine must be private to the caller
-// — the engine ADOPTS st's annotation slabs (SetArcDelay writes them), and
-// every lazily built cache is dropped. Precondition violations are reported
-// before anything is mutated.
-func (e *Engine) ReseedStructural(st *State, seeds []int32) error {
-	if st == nil {
-		return fmt.Errorf("core: ReseedStructural requires a state")
-	}
-	if st.NumPins < e.numPins {
-		return fmt.Errorf("core: pin count shrank %d -> %d (pins are append-only)", e.numPins, st.NumPins)
-	}
-	if len(st.EpPin) != len(e.epPin) || len(st.SpPin) != len(e.spPin) {
-		return fmt.Errorf("core: ReseedStructural cannot change the SP/EP sets")
-	}
-	sp := e.tracer.StartArg("engine-reseed", "seeds", int64(len(seeds)))
-	defer sp.End()
-
-	k := e.opt.TopK
-	if st.NumPins > e.capPins {
-		// Out of headroom: relocate the rf blocks into fresh tensors with a
-		// new allowance. Rare — it takes headroom/2 insert batches to get
-		// here.
-		newCap := st.NumPins + seedHeadroom
-		grow := func(old []float64) []float64 {
-			nw := make([]float64, 2*newCap*k)
-			for rf := 0; rf < 2; rf++ {
-				copy(nw[rf*newCap*k:], old[rf*e.capPins*k:rf*e.capPins*k+e.numPins*k])
-			}
-			return nw
-		}
-		growI := func(old []int32) []int32 {
-			nw := make([]int32, 2*newCap*k)
-			for rf := 0; rf < 2; rf++ {
-				copy(nw[rf*newCap*k:], old[rf*e.capPins*k:rf*e.capPins*k+e.numPins*k])
-			}
-			return nw
-		}
-		e.topArr, e.topMean, e.topStd = grow(e.topArr), grow(e.topMean), grow(e.topStd)
-		e.topSP = growI(e.topSP)
-		if e.hold != nil {
-			e.hold.negArr, e.hold.mean, e.hold.std = grow(e.hold.negArr), grow(e.hold.mean), grow(e.hold.std)
-			e.hold.sp = growI(e.hold.sp)
-		}
-		e.capPins = newCap
-	}
-	// Appended pins start with empty queues, exactly like a cold engine
-	// entering its first propagatePin. base() depends only on capPins, so
-	// this is safe before numPins moves.
-	for rf := 0; rf < 2; rf++ {
-		for p := int32(e.numPins); int(p) < st.NumPins; p++ {
-			b := e.base(rf, p)
-			clearQueue(e.topArr[b:b+k], e.topSP[b:b+k])
-			if e.hold != nil {
-				clearQueue(e.hold.negArr[b:b+k], e.hold.sp[b:b+k])
-			}
-		}
-	}
-
-	// Adopt the new skeleton — including the annotation slabs: the session
-	// that owns this engine also owns st, and keeping one copy is what lets
-	// SetArcDelay, the tables and the compiled state stay coherent without a
-	// per-edit O(arcs) clone.
+// bindState points the engine at st: topology, schedule, SP/EP tables, clock
+// network and — aliased, not copied — annotation slabs, so e.st always
+// carries the engine's *current* annotations (ExportState).
+func (e *Engine) bindState(st *State) {
 	e.st = st
-	e.numPins = st.NumPins
+	e.numPins, e.period, e.nSigma = st.NumPins, st.Period, st.NSigma
 	e.faninStart, e.faninArc, e.faninFrom, e.faninSense =
 		st.FaninStart, st.FaninArc, st.FaninFrom, st.FaninSense
 	e.arcMean, e.arcStd = st.ArcMean, st.ArcStd
@@ -789,31 +660,95 @@ func (e *Engine) ReseedStructural(st *State, seeds []int32) error {
 	}
 	e.spPin, e.spNode, e.spMean, e.spStd, e.spOfPin =
 		st.SpPin, st.SpNode, st.SpMean, st.SpStd, st.SpOfPin
-	e.epPin, e.epNode, e.epBase, e.epOfPin = st.EpPin, st.EpNode, st.EpBase, st.EpOfPin
+	e.epPin, e.epNode, e.epBase, e.epHold, e.epOfPin =
+		st.EpPin, st.EpNode, st.EpBase, st.EpHold, st.EpOfPin
 	e.clkParent, e.clkCumVar, e.clkDepth = st.ClkParent, st.ClkCumVar, st.ClkDepth
 	e.foStart, e.foAdj, e.foArc = st.FoStart, st.FoAdj, st.FoArc
-	if e.hold != nil {
-		e.hold.epHold = st.EpHold
-	}
-	// The exception lookup keys on SP/EP pins only, which structural edits
-	// never touch — e.exc stays. Every topology-derived lazy cache is
-	// invalidated; it rebuilds on first use at its usual (small) cost.
-	e.inc = nil
-	e.plan = nil
-	e.pinOwner, e.arcStage, e.stageAcc = nil, nil, nil
-	for rf := 0; rf < 2; rf++ {
-		e.gradArr[rf], e.gradArrStd[rf] = nil, nil
-		e.seedMean[rf], e.seedStd[rf] = nil, nil
-		e.flowMean[rf], e.flowStd[rf] = nil, nil
-		e.gradMean[rf], e.gradStd[rf] = nil, nil
-	}
+}
 
-	e.PropagateIncrementalPins(seeds)
-	e.evalSlacks()
-	if e.hold != nil {
-		e.evalHoldSlacks()
+// seedHeadroom is the pin headroom (tensor rows beyond NumPins) a reseeded
+// engine reserves for in-place structural growth: 4096 pins = 2048 buffer
+// insertions before a reseed has to relocate the tensors. The cost is
+// 2*headroom*S*K float64 slots per tensor — a few MB at most.
+const seedHeadroom = 4096
+
+// Reseed returns a fully evaluated engine over st — the compiled state of a
+// structural edit of e's netlist — warm-started from e's converged queues by
+// re-propagating only the fan-out cone of the seed pins (every pin whose
+// fan-in set changed, including appended pins), in every lane at once. The
+// result is bit-identical to a cold NewEngineLanes over st + full evaluation:
+// pin ids are stable across structural edits (pins are append-only; removed
+// instances go floating), so e's converged Top-K planes are valid arrival
+// state for every pin outside the seeds' cone, and the equality-stopping
+// incremental wavefront recomputes exactly the pins whose queues differ. e
+// must have completed a full evaluation.
+//
+// With inPlace false, e is left untouched (it may be a base shared with other
+// sessions) and the result is a new engine with seedHeadroom spare tensor
+// rows. With inPlace true — e is private to the caller, the steady state of
+// an optimizer applying many edit batches to one session — e itself is
+// re-pointed at st and returned: no tensor allocation while the headroom
+// lasts, no annotation copy, no exception recompile. st must then derive
+// from e's current state by CompileIncremental/CompileIncrementalPatched
+// (SP/EP/exception tables unchanged), e ADOPTS st's annotation slabs
+// (SetArcDelay writes them), and every lazily built cache is dropped.
+// Precondition violations are reported before anything is mutated.
+func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error) {
+	if st == nil {
+		return nil, fmt.Errorf("core: Reseed requires a state")
 	}
-	return nil
+	if st.NumPins < e.numPins {
+		return nil, fmt.Errorf("core: pin count shrank %d -> %d (pins are append-only)", e.numPins, st.NumPins)
+	}
+	if inPlace && (len(st.EpPin) != len(e.epPin) || len(st.SpPin) != len(e.spPin)) {
+		return nil, fmt.Errorf("core: in-place Reseed cannot change the SP/EP sets")
+	}
+	sp := e.tracer.StartArg("engine-reseed", "seeds", int64(len(seeds)))
+	defer sp.End()
+	oldPins := e.numPins
+	ne := e
+	if !inPlace {
+		var err error
+		if ne, err = newEngineBody(st, e.lanes, e.opt); err != nil {
+			return nil, err
+		}
+	}
+	if !inPlace || st.NumPins > e.capPins {
+		// Relocate the rf blocks (the tensors are rf-major, so each moves when
+		// the row stride changes) into tensors with a fresh allowance. Rare in
+		// place: it takes headroom/2 insert batches to run out.
+		newCap := st.NumPins + seedHeadroom
+		ne.top = e.top.restride(e.capPins, newCap, oldPins, e.qstride)
+		if e.hold != nil {
+			ne.hold.queues = e.hold.restride(e.capPins, newCap, oldPins, e.qstride)
+		}
+		ne.capPins = newCap
+	}
+	if inPlace {
+		// The exception lookup keys on SP/EP pins only, which structural
+		// edits never touch — e.exc stays. Every topology-derived lazy cache
+		// is invalidated; it rebuilds on first use.
+		e.bindState(st)
+		e.inc, e.plan, e.grad = nil, nil, nil
+		e.pinOwner, e.arcStage, e.stageAcc = nil, nil, nil
+	}
+	// Appended pins start with empty queues, exactly like a cold engine
+	// entering its first propagatePin.
+	if st.NumPins > oldPins {
+		for rf := 0; rf < 2; rf++ {
+			lo, hi := ne.base(rf, int32(oldPins)), ne.base(rf, int32(st.NumPins))
+			clearQueue(ne.top.arr[lo:hi], ne.top.sp[lo:hi])
+			if ne.hold != nil {
+				clearQueue(ne.hold.arr[lo:hi], ne.hold.sp[lo:hi])
+			}
+		}
+	}
+	ne.PropagateIncrementalPins(seeds)
+	ne.RefreshSlacks()
+	if ne.hold != nil {
+		ne.RefreshHoldSlacks()
+	}
+	return ne, nil
 }
 
 // Options returns the engine's construction options (topo sessions use them
@@ -826,8 +761,6 @@ func (e *Engine) Options() Options { return e.opt }
 // engine's memory: serialize it before mutating the engine further.
 func (e *Engine) ExportState() *State {
 	out := *e.st
-	out.ArcMean = e.arcMean
-	out.ArcStd = e.arcStd
 	return &out
 }
 

@@ -8,10 +8,10 @@
 // reference timer, extraction, and INSTA instance S times over and never
 // released the worker pools.
 //
-// ScaleLibrary and ScaleParasitics survive as characterization utilities:
-// they produce fully re-characterized corner libraries/parasitics for
-// reference-grade validation, while the analysis path derates extracted
-// annotations directly (see batch.ScaleTables for the exact arithmetic).
+// The analysis path derates extracted annotations directly (see
+// batch.ScaleTables for the exact arithmetic); the per-corner library and
+// parasitics re-characterization the old construction used lives on only as
+// the baseline of bench_batch_test.go.
 package corners
 
 import (
@@ -71,71 +71,6 @@ func FromScenarios(scns []batch.Scenario) []Corner {
 	out := make([]Corner, len(scns))
 	for i, s := range scns {
 		out[i] = Corner{Name: s.Name, DelayScale: s.DelayScale, SigmaScale: s.SigmaScale, RCScale: s.RCScale}
-	}
-	return out
-}
-
-// ScaleLibrary returns a deep copy of lib with every delay, transition and
-// sigma table scaled for the corner. Pin caps, areas and footprints are
-// unchanged (loading does not move with PVT in this model).
-func ScaleLibrary(lib *liberty.Library, c Corner) *liberty.Library {
-	cells := make([]*liberty.Cell, len(lib.Cells))
-	for i, src := range lib.Cells {
-		cp := *src
-		cp.PinCap = make(map[string]float64, len(src.PinCap))
-		for k, v := range src.PinCap {
-			cp.PinCap[k] = v
-		}
-		cp.Inputs = append([]string(nil), src.Inputs...)
-		cp.Outputs = append([]string(nil), src.Outputs...)
-		cp.Setup = [2]float64{src.Setup[0] * c.DelayScale, src.Setup[1] * c.DelayScale}
-		cp.Hold = [2]float64{src.Hold[0] * c.DelayScale, src.Hold[1] * c.DelayScale}
-		cp.Arcs = make([]liberty.Arc, len(src.Arcs))
-		for ai := range src.Arcs {
-			sa := &src.Arcs[ai]
-			da := &cp.Arcs[ai]
-			da.From, da.To, da.Sense = sa.From, sa.To, sa.Sense
-			for rf := 0; rf < 2; rf++ {
-				da.Delay[rf] = scaleTable(&sa.Delay[rf], c.DelayScale)
-				da.OutSlew[rf] = scaleTable(&sa.OutSlew[rf], c.DelayScale)
-				da.Sigma[rf] = scaleTable(&sa.Sigma[rf], c.SigmaScale)
-			}
-		}
-		cells[i] = &cp
-	}
-	return liberty.Rebuild(lib.Name+"@"+c.Name, cells)
-}
-
-func scaleTable(t *liberty.Table, f float64) liberty.Table {
-	out := liberty.Table{
-		Slew: append([]float64(nil), t.Slew...),
-		Load: append([]float64(nil), t.Load...),
-		Val:  make([][]float64, len(t.Val)),
-	}
-	for i, row := range t.Val {
-		r := make([]float64, len(row))
-		for j, v := range row {
-			r[j] = v * f
-		}
-		out.Val[i] = r
-	}
-	return out
-}
-
-// ScaleParasitics returns a copy of par with branch R and C scaled.
-func ScaleParasitics(par *rc.Parasitics, f float64) *rc.Parasitics {
-	out := &rc.Parasitics{Params: par.Params, Nets: make([]rc.Net, len(par.Nets))}
-	out.Params.RPerUnit *= f
-	out.Params.CPerUnit *= f
-	for i := range par.Nets {
-		if len(par.Nets[i].Branch) == 0 {
-			continue
-		}
-		bs := make([]rc.Branch, len(par.Nets[i].Branch))
-		for j, b := range par.Nets[i].Branch {
-			bs[j] = rc.Branch{Len: b.Len, R: b.R * f, C: b.C * f}
-		}
-		out.Nets[i].Branch = bs
 	}
 	return out
 }

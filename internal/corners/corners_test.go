@@ -36,36 +36,6 @@ func buildAnalysis(t testing.TB) *Analysis {
 	return a
 }
 
-func TestScaleLibraryScalesEverything(t *testing.T) {
-	lib := liberty.NewSynthetic(liberty.TechN3())
-	c := Corner{Name: "ss", DelayScale: 1.2, SigmaScale: 1.5, RCScale: 1}
-	scaled := ScaleLibrary(lib, c)
-	if err := scaled.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	id, _ := lib.CellByName("INV_X1")
-	sid, ok := scaled.CellByName("INV_X1")
-	if !ok || sid != id {
-		t.Fatal("cell ids not stable across scaling")
-	}
-	orig := lib.Cell(id).FindArc("A", "Y")
-	got := scaled.Cell(sid).FindArc("A", "Y")
-	d0 := orig.Delay[0].Lookup(10, 4)
-	d1 := got.Delay[0].Lookup(10, 4)
-	if math.Abs(d1-1.2*d0) > 1e-9 {
-		t.Errorf("delay scale: %v, want %v", d1, 1.2*d0)
-	}
-	s0 := orig.Sigma[0].Lookup(10, 4)
-	s1 := got.Sigma[0].Lookup(10, 4)
-	if math.Abs(s1-1.5*s0) > 1e-9 {
-		t.Errorf("sigma scale: %v, want %v", s1, 1.5*s0)
-	}
-	// Original untouched.
-	if orig.Delay[0].Lookup(10, 4) != d0 {
-		t.Error("scaling mutated the source library")
-	}
-}
-
 func TestSlowCornerIsWorse(t *testing.T) {
 	a := buildAnalysis(t)
 	ss, tt, ff := a.CornerIndex("ss"), a.CornerIndex("tt"), a.CornerIndex("ff")

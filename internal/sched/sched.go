@@ -62,9 +62,9 @@ const (
 type Pool struct{ p *pool }
 
 type pool struct {
-	workers  int  // max claimers per launch, including the caller
-	grain    int  // base chunk size (DefaultGrain when auto)
-	auto     bool // grain <= 0 at New: scale the chunk size per launch
+	workers  int           // max claimers per launch, including the caller
+	grain    int           // base chunk size (DefaultGrain when auto)
+	auto     bool          // grain <= 0 at New: scale the chunk size per launch
 	wake     chan struct{} // parked workers block here; buffered workers-1
 	launchMu sync.Mutex    // serializes parallel launches from concurrent callers
 	job      job
@@ -290,63 +290,4 @@ func (p *pool) runChunks(id int) {
 			}
 		}
 	}
-}
-
-// Spawn is the seed scheduling strategy, kept as an ablation baseline: split
-// [0, n) into one fixed even chunk per worker and spawn a goroutine for each,
-// every launch, with the historical n < 256 serial cliff. Benchmarks compare
-// Pool.Run against it so the per-level spawn overhead stays measurable as the
-// engine evolves (see BENCH_sched.json).
-func Spawn(workers, n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 1 || n < 256 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// SpawnIndexed is Spawn with participant identity: fn receives the chunk's
-// index as id. Spawn creates at most workers chunks (one goroutine each), so
-// ids are dense in [0, workers) and unique per concurrently running chunk —
-// the same per-participant-scratch contract RunIndexed offers.
-func SpawnIndexed(workers, n int, fn func(id, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 1 || n < 256 {
-		fn(0, 0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	id := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(id, lo, hi int) {
-			defer wg.Done()
-			fn(id, lo, hi)
-		}(id, lo, hi)
-		id++
-	}
-	wg.Wait()
 }

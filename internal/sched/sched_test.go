@@ -245,27 +245,6 @@ func TestSerialCutoffRunsInline(t *testing.T) {
 	}
 }
 
-func TestSpawnIndexedCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{1, 3, 8} {
-		for _, n := range []int{0, 10, 255, 256, 1000} {
-			marks := make([]int32, n)
-			SpawnIndexed(workers, n, func(id, lo, hi int) {
-				if id < 0 || id >= max(workers, 1) {
-					t.Errorf("spawn id %d out of range [0, %d)", id, workers)
-				}
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&marks[i], 1)
-				}
-			})
-			for i, m := range marks {
-				if m != 1 {
-					t.Fatalf("workers=%d n=%d: index %d processed %d times", workers, n, i, m)
-				}
-			}
-		}
-	}
-}
-
 func TestStatsDetachedCostsNothing(t *testing.T) {
 	p := New(2, 8)
 	defer p.Close()
@@ -291,14 +270,6 @@ func TestWriteTable(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "forward") || !strings.Contains(out, "level") {
 		t.Errorf("table missing expected rows:\n%s", out)
-	}
-}
-
-func TestSpawnCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{1, 3, 8} {
-		for _, n := range []int{0, 10, 255, 256, 1000} {
-			coverCheck(t, n, func(fn func(lo, hi int)) { Spawn(workers, n, fn) })
-		}
 	}
 }
 

@@ -484,8 +484,10 @@ func (m *Manager) Create() (*Session, error) {
 		epoch:   epoch,
 		topoGen: topoGen,
 	}
+	s.ovs = []*core.Overlay{s.ov}
 	if be != nil {
 		s.bov = batch.NewOverlay(be)
+		s.ovs = append(s.ovs, s.bov.Overlay)
 	}
 	s.touch()
 	m.sessions[s.ID] = s
@@ -758,10 +760,11 @@ type Session struct {
 
 	mu      sync.Mutex
 	ov      *core.Overlay
-	bov     *batch.Overlay // nil when the server runs single-corner
+	bov     *batch.Overlay  // nil when the server runs single-corner
+	ovs     []*core.Overlay // ov, then bov's when present: parallel to Manager.engines
 	epoch   uint64
-	topoGen uint64        // structural generation the overlays bind to
-	ts      *topo.Session // non-nil once the session holds structural edits
+	topoGen uint64           // structural generation the overlays bind to
+	ts      *topo.Session    // non-nil once the session holds structural edits
 	resizes []resolvedResize // netlist changes to replay on commit
 	moves   []resolvedMove
 	closed  bool
@@ -774,6 +777,32 @@ type resolvedMove struct {
 }
 
 func (s *Session) touch() { s.lastUsed.Store(time.Now().UnixNano()) }
+
+// engines returns the base engines as their one underlying type, in the
+// order of Session.ovs. Caller holds at least m.mu.RLock.
+func (m *Manager) engines() []*core.Engine {
+	if m.be == nil {
+		return []*core.Engine{m.e}
+	}
+	return []*core.Engine{m.e, m.be.Engine}
+}
+
+// rebindLocked re-targets every overlay at the manager's current engines
+// after a structural commit replaced them, re-keying recorded deltas through
+// remap (nil = identity). Caller holds s.mu and at least m.mu.RLock.
+func (s *Session) rebindLocked(remap []int32) {
+	for i, e := range s.m.engines() {
+		s.ovs[i].RebaseStructural(e, remap)
+	}
+	s.topoGen = s.m.topoGen
+}
+
+// resetLocked discards every overlay's deltas and derived state.
+func (s *Session) resetLocked() {
+	for _, ov := range s.ovs {
+		ov.Reset()
+	}
+}
 
 // rebaseLocked re-derives the overlay against the current base if a commit
 // happened since this session last evaluated. Caller holds s.mu and at least
@@ -793,14 +822,8 @@ func (s *Session) rebaseLocked() error {
 			m.topoConflicts.Add(1)
 			return ErrStructuralConflict
 		}
-		remap := m.composedRemapSince(s.topoGen)
-		s.ov.RebaseStructural(m.e, remap)
-		s.ov.Propagate()
-		if s.bov != nil {
-			s.bov.RebaseStructural(m.be, remap)
-			s.bov.Propagate()
-		}
-		s.topoGen = m.topoGen
+		s.rebindLocked(m.composedRemapSince(s.topoGen))
+		s.propagateLocked()
 		s.epoch = m.epoch
 		return nil
 	}
@@ -813,12 +836,10 @@ func (s *Session) rebaseLocked() error {
 		m.topoConflicts.Add(1)
 		return ErrStructuralConflict
 	}
-	s.ov.Rebase()
-	s.ov.Propagate()
-	if s.bov != nil {
-		s.bov.Rebase()
-		s.bov.Propagate()
+	for _, ov := range s.ovs {
+		ov.Rebase()
 	}
+	s.propagateLocked()
 	s.epoch = m.epoch
 	return nil
 }
@@ -950,23 +971,20 @@ func (s *Session) topoResultLocked() *ECOResult {
 	return res
 }
 
-// applyArcLocked mirrors one arc re-annotation into both overlays (the
+// applyArcLocked mirrors one arc re-annotation into every overlay (the
 // batched overlay takes the same nominal units; scenarios see them through
 // their scale factors).
 func (s *Session) applyArcLocked(arc int32, rise, fall num.Dist) {
-	s.ov.SetArcDelay(arc, 0, rise)
-	s.ov.SetArcDelay(arc, 1, fall)
-	if s.bov != nil {
-		s.bov.SetArcDelay(arc, 0, rise.Mean, rise.Std)
-		s.bov.SetArcDelay(arc, 1, fall.Mean, fall.Std)
+	for _, ov := range s.ovs {
+		ov.SetArcDelay(arc, 0, rise)
+		ov.SetArcDelay(arc, 1, fall)
 	}
 }
 
-// propagateLocked re-propagates both overlays after a delta batch.
+// propagateLocked re-propagates every overlay after a delta batch.
 func (s *Session) propagateLocked() {
-	s.ov.Propagate()
-	if s.bov != nil {
-		s.bov.Propagate()
+	for _, ov := range s.ovs {
+		ov.Propagate()
 	}
 }
 
@@ -1492,17 +1510,11 @@ func (s *Session) Commit() (*ECOResult, error) {
 		// A structural commit replaced the engine objects under this
 		// annotation session: re-bind (re-keying recorded deltas through the
 		// commits' arc remaps) before folding them in.
-		remap := m.composedRemapSince(s.topoGen)
-		s.ov.RebaseStructural(m.e, remap)
-		if s.bov != nil {
-			s.bov.RebaseStructural(m.be, remap)
-		}
-		s.topoGen = m.topoGen
+		s.rebindLocked(m.composedRemapSince(s.topoGen))
 	}
 	prevWNS, prevTNS := m.baseWNS, m.baseTNS
-	s.ov.Commit()
-	if s.bov != nil {
-		s.bov.Commit()
+	for _, ov := range s.ovs {
+		ov.Commit()
 	}
 	if len(s.resizes) > 0 {
 		for _, rz := range s.resizes {
@@ -1653,13 +1665,9 @@ func (s *Session) commitStructuralLocked(t0 time.Time) (*ECOResult, error) {
 	// Re-bind this session's overlays to the engines it just installed. It
 	// holds no overlay deltas (structural sessions reject them), so the
 	// rebase is a pure re-point.
-	s.ov.RebaseStructural(m.e, nil)
-	if s.bov != nil {
-		s.bov.RebaseStructural(m.be, nil)
-	}
+	s.rebindLocked(nil)
 	s.ts = nil // detached: the manager owns the working set now
 	s.epoch = m.epoch
-	s.topoGen = m.topoGen
 	m.commits.Add(1)
 	m.topoCommits.Add(1)
 	m.log.Info("structural commit", "session", s.ID,
@@ -1736,18 +1744,11 @@ func (s *Session) Rollback() error {
 		s.ts.Close()
 		s.ts = nil
 	}
-	s.ov.Reset()
-	if s.bov != nil {
-		s.bov.Reset()
-	}
+	s.resetLocked()
 	if s.topoGen != m.topoGen {
 		// The base engines were structurally replaced; re-point the emptied
 		// overlays (no deltas survive a reset, so no remap needed).
-		s.ov.RebaseStructural(m.e, nil)
-		if s.bov != nil {
-			s.bov.RebaseStructural(m.be, nil)
-		}
-		s.topoGen = m.topoGen
+		s.rebindLocked(nil)
 	}
 	s.resizes = s.resizes[:0]
 	s.moves = s.moves[:0]
@@ -1769,10 +1770,7 @@ func (s *Session) Close() bool {
 		s.ts.Close()
 		s.ts = nil
 	}
-	s.ov.Reset()
-	if s.bov != nil {
-		s.bov.Reset()
-	}
+	s.resetLocked()
 	return s.m.remove(s.ID)
 }
 

@@ -14,8 +14,8 @@ package topo
 //
 // Each Apply recompiles the edited tables with core.CompileIncremental
 // (localized re-levelization) and stands up the next working engines with
-// core.NewEngineSeeded / batch.NewSeeded (cone-limited re-propagation), so
-// the cost of an edit scales with its fan-out cone, not the design — while
+// core.Engine.Reseed (cone-limited re-propagation), so the cost of an edit
+// scales with its fan-out cone, not the design — while
 // staying bit-identical to a cold compile + full propagation of the edited
 // netlist (the differential tests in this package pin that down).
 
@@ -105,6 +105,25 @@ func (s *Session) Engine() *core.Engine { return s.eng }
 // was opened without one).
 func (s *Session) Batch() *batch.Engine { return s.beng }
 
+// engines returns the working engines as their one underlying type: the
+// single-corner engine, then the scenario-batched one when present.
+func (s *Session) engines() []*core.Engine {
+	if s.beng == nil {
+		return []*core.Engine{s.eng}
+	}
+	return []*core.Engine{s.eng, s.beng.Engine}
+}
+
+// closeWorking closes the working engines unless they are still the shared
+// base (both are replaced together by the first Apply).
+func (s *Session) closeWorking() {
+	if s.eng != s.baseEng {
+		for _, e := range s.engines() {
+			e.Close()
+		}
+	}
+}
+
 // Tables returns the session's current working tables. Callers must not
 // mutate them; a cold core.Compile of this value is the session's
 // bit-identity oracle.
@@ -163,39 +182,31 @@ func (s *Session) Apply(ops []Op) (*Result, error) {
 		}
 	}
 	csp.End()
-	// Stand up the working engines. The scenario-batched engine (if any) is
-	// built first so its failure leaves the session untouched; the
-	// single-corner engine is then either seeded fresh off the base (first
-	// edit) or reseeded in place (session-private already — the steady state,
-	// where an edit costs no tensor allocation at all).
+	// Stand up the working engines: seeded fresh off the shared base on the
+	// first edit, reseeded in place once they are session-private — the
+	// steady state, where an edit costs no tensor allocation at all. The
+	// preconditions are the same for every engine, so an in-place reseed that
+	// passed them on the first cannot fail on the second.
 	rsp := sp.ChildArg("topo-reseed", "seeds", int64(len(res.Seeds)))
 	defer rsp.End()
-	var beng *batch.Engine
-	if s.beng != nil {
-		beng, err = batch.NewSeeded(st, s.beng, res.Seeds, s.beng.Scenarios(), s.beng.Options())
-		if err != nil {
-			return nil, err
-		}
-	}
-	eng := s.eng
-	if s.eng == s.baseEng {
-		eng, err = core.NewEngineSeeded(st, s.eng, res.Seeds, s.eng.Options())
-		if err != nil {
-			if beng != nil {
-				beng.Close()
+	private := s.eng != s.baseEng
+	work := s.engines()
+	next := make([]*core.Engine, len(work))
+	for i, e := range work {
+		if next[i], err = e.Reseed(st, res.Seeds, private); err != nil {
+			if !private {
+				for _, ne := range next[:i] {
+					ne.Close()
+				}
 			}
 			return nil, err
 		}
-	} else if err := s.eng.ReseedStructural(st, res.Seeds); err != nil {
-		if beng != nil {
-			beng.Close()
-		}
-		return nil, err
+	}
+	eng, beng := next[0], s.beng
+	if beng != nil {
+		beng = beng.Over(next[1])
 	}
 
-	if s.beng != nil && s.beng != s.baseBatch {
-		s.beng.Close()
-	}
 	s.tab, s.state, s.eng, s.beng = res.Tables, st, eng, beng
 	s.remap = composeRemap(s.remap, res.Remap, len(s.baseTab.Arcs))
 	s.stats.Edits++
@@ -231,14 +242,14 @@ func (s *Session) Annotate(deltas []Delta) error {
 		}
 	}
 	arcs := make([]int32, 0, len(deltas))
+	engs := s.engines()
 	for _, d := range deltas {
 		a := &s.tab.Arcs[d.Arc]
 		a.MeanRise, a.StdRise = d.Delay[0].Mean, d.Delay[0].Std
 		a.MeanFall, a.StdFall = d.Delay[1].Mean, d.Delay[1].Std
 		for rf := 0; rf < 2; rf++ {
-			s.eng.SetArcDelay(d.Arc, rf, d.Delay[rf])
-			if s.beng != nil {
-				s.beng.SetArcDelay(d.Arc, rf, d.Delay[rf].Mean, d.Delay[rf].Std)
+			for _, e := range engs {
+				e.SetArcDelay(d.Arc, rf, d.Delay[rf])
 			}
 			// The session-private compiled state is the `prev` of the next
 			// patched recompile, whose unchanged rows are taken on faith —
@@ -250,16 +261,11 @@ func (s *Session) Annotate(deltas []Delta) error {
 		}
 		arcs = append(arcs, d.Arc)
 	}
-	s.eng.PropagateIncremental(arcs)
-	s.eng.EvalSlacks()
-	if s.eng.HoldEnabled() {
-		s.eng.EvalHoldSlacks()
-	}
-	if s.beng != nil {
-		s.beng.PropagateIncremental(arcs)
-		s.beng.EvalSlacks()
-		if s.beng.HoldEnabled() {
-			s.beng.EvalHoldSlacks()
+	for _, e := range engs {
+		e.PropagateIncremental(arcs)
+		e.RefreshSlacks()
+		if e.HoldEnabled() {
+			e.RefreshHoldSlacks()
 		}
 	}
 	return nil
@@ -271,12 +277,7 @@ func (s *Session) Reset() {
 	if s.detached || s.closed {
 		return
 	}
-	if s.eng != s.baseEng {
-		s.eng.Close()
-	}
-	if s.beng != nil && s.beng != s.baseBatch {
-		s.beng.Close()
-	}
+	s.closeWorking()
 	s.tab, s.state, s.eng, s.beng = s.baseTab, s.baseState, s.baseEng, s.baseBatch
 	s.remap = nil
 	s.stats = SessionStats{}
@@ -324,12 +325,7 @@ func (s *Session) Close() {
 		return
 	}
 	if !s.detached {
-		if s.eng != nil && s.eng != s.baseEng {
-			s.eng.Close()
-		}
-		if s.beng != nil && s.beng != s.baseBatch {
-			s.beng.Close()
-		}
+		s.closeWorking()
 	}
 	s.closed = true
 }
