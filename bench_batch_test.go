@@ -21,7 +21,6 @@ import (
 	"insta/internal/bench"
 	"insta/internal/circuitops"
 	"insta/internal/core"
-	"insta/internal/corners"
 	"insta/internal/exp"
 	"insta/internal/liberty"
 	"insta/internal/rc"
@@ -130,17 +129,16 @@ func TestBatchBenchRegression(t *testing.T) {
 		{eightScenarios(t), 1},
 	}
 	for _, tc := range cases {
-		crns := corners.FromScenarios(tc.scns)
 		row := batchBenchRow{
 			Name: preset, Pins: b.D.NumPins(), Scenarios: len(tc.scns), TopK: topK,
 		}
 
 		// Full-subsystem comparison, interleaved. Loop side is what the old
-		// corners.New paid per corner; batched side builds the nominal
+		// per-corner construction paid; batched side builds the nominal
 		// reference once and one engine for all S.
 		row.SubsystemLoopNs, row.SubsystemBatchedNs = pairedMinNs(tc.samples,
 			func() {
-				for _, c := range crns {
+				for _, c := range tc.scns {
 					ref, err := refsta.New(b.D, scaleLibrary(b.Lib, c), b.Con,
 						scaleParasitics(b.Par, c.RCScale), refsta.DefaultConfig())
 					if err != nil {
@@ -227,7 +225,7 @@ func TestBatchBenchRegression(t *testing.T) {
 // scaleLibrary returns a deep copy of lib with every delay, transition and
 // sigma table scaled for the corner. Pin caps, areas and footprints are
 // unchanged (loading does not move with PVT in this model).
-func scaleLibrary(lib *liberty.Library, c corners.Corner) *liberty.Library {
+func scaleLibrary(lib *liberty.Library, c batch.Scenario) *liberty.Library {
 	cells := make([]*liberty.Cell, len(lib.Cells))
 	for i, src := range lib.Cells {
 		cp := *src
@@ -291,7 +289,7 @@ func scaleParasitics(par *rc.Parasitics, f float64) *rc.Parasitics {
 
 func TestScaleLibraryScalesEverything(t *testing.T) {
 	lib := liberty.NewSynthetic(liberty.TechN3())
-	c := corners.Corner{Name: "ss", DelayScale: 1.2, SigmaScale: 1.5, RCScale: 1}
+	c := batch.Scenario{Name: "ss", DelayScale: 1.2, SigmaScale: 1.5, RCScale: 1}
 	scaled := scaleLibrary(lib, c)
 	if err := scaled.Validate(); err != nil {
 		t.Fatal(err)

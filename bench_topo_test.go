@@ -90,7 +90,7 @@ func TestTopoBenchRegression(t *testing.T) {
 		topo.Annotate(cellArc, annD),
 	}
 
-	sess, err := topo.NewSession(e, nil)
+	sess, err := topo.NewSession(e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,7 +170,7 @@ func main() {
 	}
 	slog.Info("fleet up", "mode", *mode, "replicas", len(urls), "ready", ready, "addr", *addr)
 
-	httpSrv := &http.Server{Addr: *addr, Handler: pool.Handler()}
+	httpSrv := server.NewHTTPServer(*addr, pool.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -30,11 +30,13 @@
 // the committed base back to the cache so the next boot warm-starts into it;
 // idle sessions are evicted past -ttl.
 //
-// With -corners the daemon also stands up one scenario-batched engine
-// (internal/batch) over the same extraction; every session then prices its
-// what-ifs in all corners with a single cone re-propagation, ECO previews and
-// commits carry per-scenario and merged ΔWNS/ΔTNS, and ?scenario=<name|merged>
-// selects a corner on the slack endpoints.
+// The daemon runs exactly one engine. With -corners it has one lane per
+// scenario (internal/batch): every session prices its what-ifs in all corners
+// with a single cone re-propagation, ECO previews and commits carry
+// per-scenario and merged ΔWNS/ΔTNS, and ?scenario=<name|merged> selects a
+// corner on the slack endpoints. The nominal figures (top-level wns/tns,
+// /slacks, /gradients) are read from the unit-scale scenario, so a -corners
+// list without one gets tt prepended: -corners ss,ff analyses tt,ss,ff.
 package main
 
 import (
@@ -118,13 +120,6 @@ func main() {
 	opt := sf.Options()
 	opt.TopK = *topK
 	opt.Tracer = tr
-	e, err := core.NewEngineFromState(bt.State, opt)
-	if err != nil {
-		fatalf("insta: %v", err)
-	}
-	defer e.Close()
-	e.EnableKernelStats()
-
 	srvOpt := server.Options{MaxSessions: *maxSessions, TTL: *ttl, Design: name}
 	srvOpt.Boot = &server.BootInfo{
 		Mode:        bt.Mode(),
@@ -137,8 +132,14 @@ func main() {
 		// Per-commit manifests: every session commit writes one JSON record.
 		srvOpt.ManifestDir = obs.ManifestDir()
 	}
+	// One engine: a lane per scenario with -corners (e stays nil), the single
+	// nominal lane without.
+	var e *core.Engine
 	if cf.Enabled() {
 		scns, sErr := cf.Scenarios()
+		if sErr == nil {
+			scns, sErr = batch.WithUnit(scns)
+		}
 		if sErr != nil {
 			fatalf("corners: %v", sErr)
 		}
@@ -147,11 +148,19 @@ func main() {
 			fatalf("corners: %v", bErr)
 		}
 		defer be.Close()
+		be.EnableKernelStats()
 		srvOpt.Batch = be
+	} else {
+		if e, err = core.NewEngineFromState(bt.State, opt); err != nil {
+			fatalf("insta: %v", err)
+		}
+		defer e.Close()
+		e.EnableKernelStats()
 	}
 	// Warm boots run without the reference engine: resize-form ECOs and pin
 	// names answer 501/blank until a cold start rebuilds it.
 	mgr := server.NewManager(e, bt.Ref, srvOpt)
+	e = mgr.Engine()
 	defer ob.Finish(func(m *obs.Manifest) {
 		m.Design = name
 		m.Pins, m.Arcs, m.Endpoints, m.Levels = e.NumPins(), e.NumArcs(), len(e.Endpoints()), e.NumLevels()
@@ -182,7 +191,7 @@ func main() {
 	}
 	srv.EnableSLO(obs.NewSLOTracker(obs.SLOOptions{Objective: *sloObjective, ErrorBudget: *sloBudget}))
 	srv.EnableDebug(tr) // /debug/pprof/*, windowed /debug/trace?dur=, /debug/flightrecorder
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := server.NewHTTPServer(*addr, srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

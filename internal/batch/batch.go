@@ -34,8 +34,7 @@ type Scenario struct {
 	RCScale    float64 // net-arc (interconnect) delay scaling
 }
 
-// DefaultScenarios returns the usual slow/typical/fast trio, matching the
-// historical corners.DefaultCorners factors.
+// DefaultScenarios returns the usual slow/typical/fast trio.
 func DefaultScenarios() []Scenario {
 	return []Scenario{
 		{Name: "ss", DelayScale: 1.18, SigmaScale: 1.25, RCScale: 1.10},
@@ -94,6 +93,32 @@ func ParseScenarios(spec string) ([]Scenario, error) {
 		return nil, fmt.Errorf("batch: empty scenario spec")
 	}
 	return out, nil
+}
+
+// unitIndex returns the index of the first scenario whose three factors are
+// all exactly 1, or -1.
+func unitIndex(scns []Scenario) int {
+	for i, s := range scns {
+		if s.DelayScale == 1 && s.SigmaScale == 1 && s.RCScale == 1 {
+			return i
+		}
+	}
+	return -1
+}
+
+// WithUnit returns scns with the typical scenario tt (1/1/1) prepended unless
+// the list already has a unit-scale scenario: a serving daemon reads its
+// nominal figures from that lane, so it always analyses one.
+func WithUnit(scns []Scenario) ([]Scenario, error) {
+	if unitIndex(scns) >= 0 {
+		return scns, nil
+	}
+	for _, s := range scns {
+		if s.Name == "tt" {
+			return nil, fmt.Errorf("batch: scenario tt is derated and the list has no unit-scale (1/1/1) scenario; name one")
+		}
+	}
+	return append([]Scenario{{Name: "tt", DelayScale: 1, SigmaScale: 1, RCScale: 1}}, scns...), nil
 }
 
 // ScaleTables returns a copy of t with every arc annotation scaled for one
@@ -165,6 +190,22 @@ func NewFromState(st *core.State, scns []Scenario, opt core.Options) (*Engine, e
 	return &Engine{Engine: e, scns: append([]Scenario(nil), scns...)}, nil
 }
 
+// Wrap returns the scenario view of an engine built directly on core: lane s
+// becomes scenario "lane<s>" with that lane's factors. A single-lane engine
+// from core.NewEngine wraps to one unit-scale scenario, which is how a
+// single-corner daemon serves through the same code as a multi-corner one.
+func Wrap(c *core.Engine) *Engine {
+	scns := make([]Scenario, c.Lanes())
+	for s := range scns {
+		l := c.Lane(s)
+		scns[s] = Scenario{
+			Name:       "lane" + strconv.Itoa(s),
+			DelayScale: l.CellScale, SigmaScale: l.SigmaScale, RCScale: l.NetScale,
+		}
+	}
+	return &Engine{Engine: c, scns: scns}
+}
+
 // Over returns e's scenario view over c, an engine with e's lanes — the
 // result of reseeding e.Engine (core.Engine.Reseed) — reusing e itself when
 // the reseed was in place.
@@ -190,6 +231,11 @@ func (e *Engine) ScenarioIndex(name string) int {
 	}
 	return -1
 }
+
+// UnitScenario returns the index of the first unit-scale (1/1/1) scenario —
+// the lane that holds, bit for bit, what a single-lane engine over the
+// nominal tables computes (x*1.0 == x) — or -1.
+func (e *Engine) UnitScenario() int { return unitIndex(e.scns) }
 
 // Run performs a full batched evaluation: Propagate, EvalSlacks and — when
 // hold is enabled — EvalHoldSlacks.

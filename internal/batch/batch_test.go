@@ -11,8 +11,9 @@ import (
 	"insta/internal/refsta"
 )
 
-// buildTables generates a small design and extracts the nominal tables.
-func buildTables(t testing.TB, seed int64) *circuitops.Tables {
+// buildRef generates a small design, signs it off with the reference timer
+// and extracts the nominal tables.
+func buildRef(t testing.TB, seed int64) (*refsta.Engine, *circuitops.Tables) {
 	t.Helper()
 	b, err := bench.Generate(bench.Spec{
 		Name: "batchtest", Seed: seed, Tech: liberty.TechN3(),
@@ -27,7 +28,13 @@ func buildTables(t testing.TB, seed int64) *circuitops.Tables {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return circuitops.Extract(ref)
+	return ref, circuitops.Extract(ref)
+}
+
+func buildTables(t testing.TB, seed int64) *circuitops.Tables {
+	t.Helper()
+	_, tab := buildRef(t, seed)
+	return tab
 }
 
 func TestParseScenarios(t *testing.T) {
@@ -188,5 +195,36 @@ func TestMemoryBytesGrowsWithScenariosNotGraph(t *testing.T) {
 	// well under 3x.
 	if m3 >= 3*m1 {
 		t.Fatalf("S=3 footprint %d >= 3x S=1 %d — topology not shared?", m3, m1)
+	}
+}
+
+// TestWithUnitAndWrap: a scenario list served by a daemon always has a
+// unit-scale scenario (tt is prepended when none is), and a single-lane
+// engine built on core wraps to exactly one such scenario.
+func TestWithUnitAndWrap(t *testing.T) {
+	ds := DefaultScenarios()
+	if got, err := WithUnit(ds); err != nil || len(got) != 3 || unitIndex(got) != 1 {
+		t.Fatalf("WithUnit({ss,tt,ff}) = %+v, %v", got, err)
+	}
+	got, err := WithUnit([]Scenario{ds[0], ds[2]})
+	if err != nil || len(got) != 3 || got[0] != ds[1] || got[1] != ds[0] || got[2] != ds[2] {
+		t.Fatalf("WithUnit({ss,ff}) = %+v, %v; want tt prepended", got, err)
+	}
+	if _, err := WithUnit([]Scenario{{Name: "tt", DelayScale: 1.1, SigmaScale: 1, RCScale: 1}}); err == nil {
+		t.Fatal("WithUnit accepted a derated tt with no unit scenario to stand in")
+	}
+
+	c, err := core.NewEngine(buildTables(t, 15), core.Options{TopK: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	w := Wrap(c)
+	if w.Engine != c || w.NumScenarios() != 1 || w.UnitScenario() != 0 {
+		t.Fatalf("Wrap of a single-lane engine: %+v", w.Scenarios())
+	}
+	w.Run()
+	if w.WNS(0) != c.WNS() || w.MergedWNS() != c.WNS() || w.MergedTNS() != c.TNS() {
+		t.Fatal("the wrapped view disagrees with the engine it wraps")
 	}
 }

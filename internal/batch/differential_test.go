@@ -7,6 +7,7 @@ package batch
 // under -race as well, so the claim covers concurrent chunk claiming.
 
 import (
+	"math"
 	"testing"
 
 	"insta/internal/core"
@@ -77,6 +78,38 @@ func TestBatchBitIdenticalToIndependentEngines(t *testing.T) {
 			se.Close()
 		}
 		be.Close()
+	}
+}
+
+// TestUnitScenarioMatchesReference keeps the reference-grade anchor the
+// differentials above lack (they compare engine to engine): at a K large
+// enough to be exact, the unit-scale scenario of a batched engine agrees with
+// the nominal reference timer on every endpoint — same untimed set, slacks
+// within float noise.
+func TestUnitScenarioMatchesReference(t *testing.T) {
+	ref, tab := buildRef(t, 9)
+	be, err := New(tab, DefaultScenarios(), core.Options{TopK: 64, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	be.Run()
+	want, got := ref.EndpointSlacks(), be.Slacks(be.UnitScenario())
+	timed := 0
+	for i := range want {
+		if math.IsInf(want[i], 0) || math.IsInf(got[i], 0) {
+			if want[i] != got[i] {
+				t.Fatalf("ep %d: reference %v vs tt %v disagree on being timed", i, want[i], got[i])
+			}
+			continue
+		}
+		timed++
+		if d := math.Abs(got[i] - want[i]); d > 1e-6 {
+			t.Fatalf("ep %d: tt slack %v vs reference %v (|Δ| %g)", i, got[i], want[i], d)
+		}
+	}
+	if timed == 0 {
+		t.Fatal("no timed endpoints — vacuous")
 	}
 }
 

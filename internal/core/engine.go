@@ -337,6 +337,9 @@ func (e *Engine) base(rf int, pin int32) int {
 // Lanes returns S, the number of scenarios the engine propagates together.
 func (e *Engine) Lanes() int { return len(e.lanes) }
 
+// Lane returns lane s's derate factors.
+func (e *Engine) Lane(s int) Lane { return e.lanes[s] }
+
 // ArcDelayScale returns the mean/std factors lane s applies to arc's nominal
 // annotation — what the inner kernels resolve.
 func (e *Engine) ArcDelayScale(arc int32, s int) (mean, std float64) {

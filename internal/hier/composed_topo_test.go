@@ -126,7 +126,7 @@ func TestComposedTopoSession(t *testing.T) {
 	}
 	defer e.Close()
 	e.Run()
-	sess, err := topo.NewSession(e, nil)
+	sess, err := topo.NewSession(e)
 	if err != nil {
 		t.Fatal(err)
 	}

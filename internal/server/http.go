@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"insta/internal/core"
 	"insta/internal/obs"
 )
 
@@ -86,6 +87,18 @@ func New(mgr *Manager, design string) *Server {
 	mux.HandleFunc("POST /admin/snapshot", s.route("admin-snapshot", s.handleSnapshot))
 	s.mux = mux
 	return s
+}
+
+// readHeaderTimeout bounds how long a connection may take to deliver its
+// request headers, so a client trickling bytes (slowloris) cannot pin a
+// goroutine and a file descriptor per connection for ever. Bodies are bounded
+// by size (maxBodyBytes), not time: a long what-if is legitimate.
+const readHeaderTimeout = 10 * time.Second
+
+// NewHTTPServer returns the http.Server insta-served and insta-router listen
+// with: handler h on addr, header reads bounded by readHeaderTimeout.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 // Manager returns the session manager the server fronts.
@@ -374,46 +387,32 @@ var slackBufPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // handleSlacks reports the committed base timing; ?worst=N adds the N worst
 // endpoints with their pins, ?scenario=<name|merged> switches the slack set
-// to one corner of the batched engine (multi-corner servers only).
+// to one corner (multi-corner servers only). Everything in the response is
+// read under one hold of the base lock, so it describes a single epoch.
 func (s *Server) handleSlacks(w http.ResponseWriter, r *http.Request) {
 	bufp := slackBufPool.Get().(*[]float64)
 	defer func() { slackBufPool.Put(bufp) }()
-	slacks := s.mgr.BaseSlacksInto((*bufp)[:0])
+	scn := r.URL.Query().Get("scenario")
+	v, err := s.mgr.BaseViewInto(scn, (*bufp)[:0])
+	if err != nil {
+		writeErr(w, errCode(err), err)
+		return
+	}
+	slacks := v.Slacks
 	*bufp = slacks[:0]
 	resp := map[string]any{
-		"wns":       s.mgr.BaseWNS(),
-		"tns":       s.mgr.BaseTNS(),
+		"wns":       v.WNS,
+		"tns":       v.TNS,
 		"endpoints": len(slacks),
-		"epoch":     s.mgr.Epoch(),
+		"epoch":     v.Epoch,
 	}
-	if scn := r.URL.Query().Get("scenario"); scn != "" {
-		var err error
-		if slacks, err = s.mgr.BaseScenarioSlacksInto(scn, slacks[:0]); err != nil {
-			writeErr(w, errCode(err), err)
-			return
-		}
-		*bufp = slacks[:0]
-		wns, tns := 0.0, 0.0
-		for _, sl := range slacks {
-			if sl < 0 {
-				tns += sl
-				if sl < wns {
-					wns = sl
-				}
-			}
-		}
-		resp["scenario"], resp["wns"], resp["tns"] = scn, wns, tns
+	if scn != "" {
+		resp["scenario"] = scn
 	}
-	if corners := s.mgr.Corners(); corners != nil {
-		resp["corners"] = corners
+	if v.Corners != nil {
+		resp["corners"] = v.Corners
 	}
-	viol := 0
-	for _, sl := range slacks {
-		if sl < 0 {
-			viol++
-		}
-	}
-	resp["violations"] = viol
+	resp["violations"] = core.Violations(slacks)
 	if n := intQuery(r, "worst", 0); n > 0 {
 		idx := make([]int, len(slacks))
 		for i := range idx {
@@ -472,21 +471,13 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, sess *Session
 }
 
 // handleSessionSlacks reports the session's full slack view. Default is the
-// nominal engine; ?scenario=<name|merged> selects a corner of the batched
-// view, priced through the session's uncommitted deltas.
+// nominal lane; ?scenario=<name|merged> selects a corner, priced through the
+// session's uncommitted deltas.
 func (s *Server) handleSessionSlacks(w http.ResponseWriter, r *http.Request, sess *Session) {
 	scn := r.URL.Query().Get("scenario")
 	bufp := slackBufPool.Get().(*[]float64)
 	defer func() { slackBufPool.Put(bufp) }()
-	var (
-		slacks []float64
-		err    error
-	)
-	if scn == "" {
-		slacks, err = sess.SlacksInto((*bufp)[:0])
-	} else {
-		slacks, err = sess.ScenarioSlacksInto(scn, (*bufp)[:0])
-	}
+	slacks, err := sess.ScenarioSlacksInto(scn, (*bufp)[:0])
 	if err != nil {
 		writeErr(w, errCode(err), err)
 		return
@@ -539,10 +530,31 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, sess *Sess
 	writeJSON(w, http.StatusOK, map[string]string{"closed": sess.ID})
 }
 
+// maxBodyBytes caps the /eco and /topo request bodies. The largest batch the
+// stack sends (a 512-arc what-if) is about 50 KB; this leaves two orders of
+// headroom while keeping one client from making the daemon buffer gigabytes.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes a size-capped JSON request body into v, answering 413
+// for an oversized body and 400 for a malformed one. It reports whether the
+// handler should go on.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, code, err)
+	return false
+}
+
 func (s *Server) handleECO(w http.ResponseWriter, r *http.Request, sess *Session) {
 	var req ECORequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Resizes) == 0 && len(req.Arcs) == 0 {
@@ -562,8 +574,7 @@ func (s *Server) handleECO(w http.ResponseWriter, r *http.Request, sess *Session
 // uncommitted annotation ECOs or the base moved under its structural edits.
 func (s *Server) handleTopo(w http.ResponseWriter, r *http.Request, sess *Session) {
 	var req TopoRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Ops) == 0 {

@@ -11,23 +11,66 @@ import (
 	"insta/internal/server"
 )
 
-// newCornerManager builds a manager serving both the nominal engine and a
-// scenario-batched engine over the same extraction.
+// newCornerManager builds a manager serving one {ss,tt,ff} scenario engine.
 func newCornerManager(t testing.TB, preset string, topK, workers int) (*server.Manager, *batch.Engine) {
 	t.Helper()
 	s := buildSetup(t, preset)
-	opt := core.Options{TopK: topK, Workers: workers}
-	e, err := core.NewEngine(s.Tab, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(e.Close)
-	be, err := batch.New(s.Tab, batch.DefaultScenarios(), opt)
+	be, err := batch.New(s.Tab, batch.DefaultScenarios(), core.Options{TopK: topK, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(be.Close)
-	return server.NewManager(e, s.Ref, server.Options{Batch: be}), be
+	return server.NewManager(nil, s.Ref, server.Options{Batch: be}), be
+}
+
+// TestSpareEngineIsEvaluatedOnceAndLeftAlone: callers that still hand
+// NewManager a single-lane engine next to Options.Batch (the benchmark's
+// set-up builds its own overlays on it) get it fully evaluated, and nothing
+// the manager does afterwards — previews, commits — touches it.
+func TestSpareEngineIsEvaluatedOnceAndLeftAlone(t *testing.T) {
+	s := buildSetup(t, "des")
+	opt := core.Options{TopK: 6, Workers: 1}
+	e, err := core.NewEngine(s.Tab, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	be, err := batch.New(s.Tab, batch.DefaultScenarios(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	stats := e.EnableKernelStats()
+	mgr := server.NewManager(e, s.Ref, server.Options{Batch: be})
+	if mgr.Engine() != be.Engine {
+		t.Fatal("the manager serves something other than Options.Batch")
+	}
+	before := append([]float64(nil), e.Slacks()...)
+	if stats.KernelSpans(core.KernelForward) == 0 || len(before) == 0 || mgr.BaseWNS() != e.WNS() {
+		t.Fatal("the spare engine was not brought to the evaluated state")
+	}
+	launches := stats.KernelLaunches(core.KernelForward)
+	sess, err := mgr.Create()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.ApplyDeltas(arcDeltas(mgr.Engine(), 1, 53, 1.3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if mgr.BaseWNS() == e.WNS() && mgr.BaseTNS() == e.TNS() {
+		t.Fatal("commit moved nothing — vacuous")
+	}
+	for i, sl := range e.Slacks() {
+		if sl != before[i] {
+			t.Fatalf("commit reached the spare engine: ep %d %v -> %v", i, before[i], sl)
+		}
+	}
+	if stats.KernelLaunches(core.KernelForward) != launches {
+		t.Fatal("the spare engine was propagated again")
+	}
 }
 
 // TestServeMultiCornerPreviewMatchesCommit: a session's per-scenario preview

@@ -13,9 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"insta/internal/batch"
 	"insta/internal/bench"
 	"insta/internal/core"
 	"insta/internal/exp"
+	"insta/internal/obs"
 	"insta/internal/refsta"
 	"insta/internal/server"
 )
@@ -61,6 +63,32 @@ func newTestManager(t testing.TB, preset string, topK, workers int, mopt server.
 	}
 	t.Cleanup(e.Close)
 	return server.NewManager(e, s.Ref, mopt), s
+}
+
+// managerKinds are the two shapes a daemon runs in — one nominal lane, or one
+// lane per corner with the nominal view read from tt (lane 1, so a lane-0
+// shorthand in the serving stack cannot pass) — for tests that must hold in
+// both.
+var managerKinds = []struct {
+	name    string
+	corners bool
+}{{"single", false}, {"ss-tt-ff", true}}
+
+// newKindManager builds a manager of either kind over a fresh engine on the
+// cached design.
+func newKindManager(t testing.TB, corners bool, preset string, topK, workers int, mopt server.Options) (*server.Manager, *exp.Setup) {
+	t.Helper()
+	if !corners {
+		return newTestManager(t, preset, topK, workers, mopt)
+	}
+	s := buildSetup(t, preset)
+	be, err := batch.New(s.Tab, batch.DefaultScenarios(), core.Options{TopK: topK, Workers: workers, Tau: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(be.Close)
+	mopt.Batch = be
+	return server.NewManager(nil, s.Ref, mopt), s
 }
 
 // resizeECOs converts a deterministic changelist into resize-form ECO
@@ -265,47 +293,99 @@ func TestServeSessionLifecycle(t *testing.T) {
 	}
 }
 
-// TestServeECONeverFullPropagates is the ISSUE acceptance criterion on a
-// block-2-size preset: session ECO evaluations (and commits) must run only
-// cone-limited kernels — the full forward kernel's span count is frozen
-// after the one-time initialization.
+// TestServeECONeverFullPropagates is the acceptance criterion on a
+// block-2-size preset, for both kinds of daemon: session ECO evaluations (and
+// commits) run only cone-limited kernels — the full forward kernel's span
+// count is frozen after the one-time initialization — and because a daemon
+// holds one engine, each ECO preview is exactly one overlay propagation and
+// each structural edit exactly one reseed, however many corners it serves.
 func TestServeECONeverFullPropagates(t *testing.T) {
 	s := buildSetup(t, "block-2")
-	e, err := core.NewEngine(s.Tab, core.Options{TopK: 8, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	stats := e.EnableKernelStats()
-	mgr := server.NewManager(e, s.Ref, server.Options{})
-	fwd0 := stats.KernelSpans(core.KernelForward)
-	if fwd0 == 0 {
-		t.Fatal("init ran no forward spans")
-	}
+	for ki, kind := range managerKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			tr := obs.NewTracer()
+			opt := core.Options{TopK: 8, Workers: 2, Tracer: tr}
+			var mgr *server.Manager
+			if kind.corners {
+				be, err := batch.New(s.Tab, batch.DefaultScenarios(), opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer be.Close()
+				mgr = server.NewManager(nil, s.Ref, server.Options{Batch: be})
+			} else {
+				e, err := core.NewEngine(s.Tab, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				mgr = server.NewManager(e, s.Ref, server.Options{})
+			}
+			defer mgr.Close()
+			stats := mgr.Engine().EnableKernelStats()
+			spans := func(name string) int64 {
+				for _, p := range tr.Totals() {
+					if p.Name == name {
+						return p.Count
+					}
+				}
+				return 0
+			}
+			if spans(core.KernelForward) != 1 {
+				t.Fatalf("init ran %d full forward propagations, want 1", spans(core.KernelForward))
+			}
 
-	sess, err := mgr.Create()
-	if err != nil {
-		t.Fatal(err)
-	}
-	changed := 0
-	for _, req := range resizeECOs(s, 57, 6) {
-		res, err := sess.ApplyECO(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		changed += len(res.Changed)
-	}
-	if changed == 0 {
-		t.Fatal("ECO batches changed no endpoints — vacuous")
-	}
-	if _, err := sess.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if got := stats.KernelSpans(core.KernelForward); got != fwd0 {
-		t.Fatalf("session ECO path ran a full propagate: forward spans %d -> %d", fwd0, got)
-	}
-	if ov := stats.KernelSpans(core.KernelOverlay); ov == 0 || ov >= fwd0 {
-		t.Fatalf("overlay spans %d not cone-limited (one full propagate = %d)", ov, fwd0)
+			sess, err := mgr.Create()
+			if err != nil {
+				t.Fatal(err)
+			}
+			changed := 0
+			// The commit below replays its resizes into the shared reference
+			// netlist, so each kind draws its own changelist.
+			reqs := resizeECOs(s, 57+int64(ki), 6)
+			for i, req := range reqs {
+				res, err := sess.ApplyECO(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				changed += len(res.Changed)
+				if got := spans(core.KernelOverlay); got != int64(i+1) {
+					t.Fatalf("%d ECO previews ran %d overlay propagations, want one each", i+1, got)
+				}
+			}
+			if changed == 0 {
+				t.Fatal("ECO batches changed no endpoints — vacuous")
+			}
+			if _, err := sess.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			// Structural edits: one reseed of the one working engine each.
+			for i := 0; i < 2; i++ {
+				if _, err := sess.ApplyTopo(server.TopoRequest{Ops: []server.TopoOp{
+					{Op: "buffer", Arc: firstNetArc(t, s, 3*i)},
+				}}); err != nil {
+					t.Fatal(err)
+				}
+				if got := spans("engine-reseed"); got != int64(i+1) {
+					t.Fatalf("%d structural edits ran %d reseeds, want one each", i+1, got)
+				}
+			}
+			if _, err := sess.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if got := spans(core.KernelForward); got != 1 {
+				t.Fatalf("session path ran a full propagate: %d forward sweeps", got)
+			}
+			if got := spans(core.KernelOverlay); got != int64(len(reqs)) {
+				t.Fatalf("commits re-ran the overlay: %d propagations for %d previews", got, len(reqs))
+			}
+			if stats.KernelSpans(core.KernelForward) != 0 {
+				t.Fatal("a full forward kernel launched after initialization")
+			}
+			if stats.KernelSpans(core.KernelOverlay) == 0 {
+				t.Fatal("no overlay kernel pins recorded — vacuous")
+			}
+		})
 	}
 }
 
@@ -316,8 +396,14 @@ func TestServeECONeverFullPropagates(t *testing.T) {
 // final committed base must be bit-identical to a fresh full propagate of
 // all deltas.
 func TestServeConcurrentSessionsBitIdentical(t *testing.T) {
+	for _, kind := range managerKinds {
+		t.Run(kind.name, func(t *testing.T) { concurrentSessionsBitIdentical(t, kind.corners) })
+	}
+}
+
+func concurrentSessionsBitIdentical(t *testing.T, corners bool) {
 	const n = 8
-	mgr, s := newTestManager(t, "block-5", 6, 4, server.Options{})
+	mgr, s := newKindManager(t, corners, "block-5", 6, 4, server.Options{})
 	e := mgr.Engine()
 
 	deltas := make([][]refsta.ArcDelta, n)
@@ -414,14 +500,14 @@ func TestServeConcurrentSessionsBitIdentical(t *testing.T) {
 		applyAll(twin, deltas[g])
 	}
 	want := twin.Run()
-	got := e.Slacks()
+	got := mgr.BaseSlacks()
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("committed ep %d: %v != sequential %v", i, got[i], want[i])
 		}
 	}
-	if e.WNS() != twin.WNS() || e.TNS() != twin.TNS() {
-		t.Fatalf("committed WNS/TNS %v/%v != sequential %v/%v", e.WNS(), e.TNS(), twin.WNS(), twin.TNS())
+	if mgr.BaseWNS() != twin.WNS() || mgr.BaseTNS() != twin.TNS() {
+		t.Fatalf("committed WNS/TNS %v/%v != sequential %v/%v", mgr.BaseWNS(), mgr.BaseTNS(), twin.WNS(), twin.TNS())
 	}
 	if mgr.Epoch() != n {
 		t.Fatalf("epoch = %d, want %d", mgr.Epoch(), n)
@@ -519,7 +605,13 @@ func TestServeAdmissionAndTTL(t *testing.T) {
 // TestServeLoadSmoke is the ci.sh load check: 100 concurrent ECO requests
 // over 10 sessions against a live HTTP server, zero errors.
 func TestServeLoadSmoke(t *testing.T) {
-	mgr, s := newTestManager(t, "des", 6, 4, server.Options{MaxSessions: 32})
+	for _, kind := range managerKinds {
+		t.Run(kind.name, func(t *testing.T) { loadSmoke(t, kind.corners) })
+	}
+}
+
+func loadSmoke(t *testing.T, corners bool) {
+	mgr, s := newKindManager(t, corners, "des", 6, 4, server.Options{MaxSessions: 32})
 	srv := httptest.NewServer(server.New(mgr, "des").Handler())
 	defer srv.Close()
 	c := srv.Client()

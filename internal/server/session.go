@@ -1,7 +1,15 @@
 // Package server is the serving layer over one signoff-initialized INSTA
 // engine: a session manager that hands out copy-on-write ECO sessions
-// (core.Overlay views over the frozen propagated base) and the HTTP/JSON
-// front end cmd/insta-served mounts on it.
+// (overlay views over the frozen propagated base) and the HTTP/JSON front end
+// cmd/insta-served mounts on it.
+//
+// One engine. A daemon serves exactly one lane-strided engine — the scenario
+// engine it was given, or a single-lane engine wrapped as a one-scenario view
+// — and every session holds exactly one overlay over it, so a what-if is
+// propagated once however many corners are analysed. Everything "nominal"
+// (top-level wns/tns/changed/slacks, base reads, gradients, commit manifests)
+// is read from that engine's unit-scale lane, which holds bit for bit what a
+// separate single-lane engine would compute (x*1.0 == x).
 //
 // Concurrency model. The base engine's propagated state is the shared
 // snapshot. Session evaluations only read it (their writes land in private
@@ -48,7 +56,7 @@ var (
 	ErrUnknownScenario = errors.New("server: unknown scenario")
 	// ErrStructuralConflict: the base was committed (annotation or structural)
 	// after this session started structural edits, or structurally replaced
-	// after annotation edits. The session's working engines were seeded from a
+	// after annotation edits. The session's working engine was seeded from a
 	// base that no longer exists, so there is nothing to merge against —
 	// rollback and re-apply.
 	ErrStructuralConflict = errors.New("server: base changed under this session's edits; rollback and retry")
@@ -67,11 +75,12 @@ type Options struct {
 	// TTL is the idle lifetime a Sweep call uses to evict abandoned
 	// sessions. <= 0 selects 5 minutes.
 	TTL time.Duration
-	// Batch, when non-nil, adds multi-corner serving: every session carries a
-	// scenario-batched overlay alongside its nominal one, so each what-if is
-	// priced in every corner with one cone re-propagation, and commits fold
-	// into the batched base the same way. The manager owns Run/epoch
-	// handling; the caller owns Close.
+	// Batch, when non-nil, is the engine the manager serves, and turns
+	// multi-corner serving on: each what-if is priced in every scenario by
+	// the session's one cone re-propagation, results carry per-scenario and
+	// merged rows, and commits fold into every lane. It must have a
+	// unit-scale (1/1/1) scenario, which is served as the nominal view. The
+	// manager owns Run/epoch handling; the caller owns Close.
 	Batch *batch.Engine
 	// ManifestDir, when non-empty, writes one obs run manifest per session
 	// commit under this directory (WNS/TNS before/after, session id, eco
@@ -110,19 +119,24 @@ type Counters struct {
 
 // Manager owns the base engine and the live session set.
 type Manager struct {
-	e   *core.Engine
 	ref *refsta.Engine // nil disables resize-form ECOs and pin names
-	be  *batch.Engine  // nil disables multi-corner serving
 	opt Options
 
 	// mu is the base-state lock: RLock for overlay evaluation, Lock for
-	// anything that mutates the base engine(s). epoch/baseWNS/baseTNS and the
-	// per-scenario base metrics are guarded by it.
-	mu      sync.RWMutex
+	// anything that mutates the base engine. be (a structural commit replaces
+	// it), epoch/baseWNS/baseTNS and the per-scenario base rows are guarded
+	// by it.
+	mu sync.RWMutex
+	// be is the one engine served: Options.Batch, else the caller's engine
+	// as a one-scenario view. nom is its unit-scale lane, resolved once; the
+	// lane-0 shorthands (Slacks, WNS, Overlay.Slack) are never used here,
+	// because lane 0 of {ss,tt,ff} is ss.
+	be      *batch.Engine
+	nom     int
 	epoch   uint64
-	baseWNS float64
+	baseWNS float64 // lane nom
 	baseTNS float64
-	baseScn []ScenarioView // committed per-scenario + merged figures (be != nil)
+	baseScn []ScenarioView // committed per-scenario + merged rows; nil unless Options.Batch was given
 
 	// Structural-ECO state, guarded by mu. topoGen bumps on every structural
 	// commit (the base engine objects are replaced, not just re-annotated);
@@ -130,8 +144,8 @@ type Manager struct {
 	// against older structure can re-key their deltas lazily; baseRemap is the
 	// composed extraction→current arc remap (nil while identity), through
 	// which estimate_eco deltas — always in extraction space — are translated;
-	// ownsBase marks base engines installed by a structural commit (closed on
-	// the next swap; the boot engines stay caller-owned).
+	// ownsBase marks a base engine installed by a structural commit (closed
+	// on the next swap; the boot engine stays caller-owned).
 	topoGen   uint64
 	remapHist []remapGen
 	baseRemap []int32
@@ -179,10 +193,19 @@ type remapGen struct {
 // hundreds, a leaf edit a handful).
 var relevelBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
-// NewManager wraps an initialized engine. If e has not been propagated yet
-// (no slack state), the manager runs the one-time full evaluation here; the
+// NewManager serves one initialized engine: opt.Batch when given, else e as a
+// one-scenario view. The manager runs the one-time full evaluation here; the
 // base is frozen afterwards. ref, when non-nil, provides estimate_eco
 // resolution for resize-form ECOs and design names for reports.
+//
+// With opt.Batch set, e may be nil. A non-nil e is still brought to the
+// evaluated state once, for callers that build overlays on it themselves, and
+// is otherwise left alone: never retained, propagated, committed into or
+// closed.
+//
+// NewManager panics when the served engine has no unit-scale scenario: there
+// would be no lane to serve as nominal, and answering with some derated lane
+// instead would be silently wrong.
 func NewManager(e *core.Engine, ref *refsta.Engine, opt Options) *Manager {
 	if opt.MaxSessions <= 0 {
 		opt.MaxSessions = 64
@@ -190,27 +213,36 @@ func NewManager(e *core.Engine, ref *refsta.Engine, opt Options) *Manager {
 	if opt.TTL <= 0 {
 		opt.TTL = 5 * time.Minute
 	}
-	e.Run()
+	be := opt.Batch
+	if be == nil {
+		be = batch.Wrap(e)
+	} else if e != nil {
+		e.Run()
+	}
+	nom := be.UnitScenario()
+	if nom < 0 {
+		panic("server: the served engine has no unit-scale (1/1/1) scenario to read the nominal view from; add one to the scenario list (e.g. tt)")
+	}
+	be.Run()
 	m := &Manager{
-		e:           e,
 		ref:         ref,
-		be:          opt.Batch,
+		be:          be,
+		nom:         nom,
 		opt:         opt,
 		sessions:    make(map[string]*Session),
-		extArcs:     e.NumArcs(),
+		extArcs:     be.NumArcs(),
 		relevelHist: obs.NewHistogram(relevelBounds),
 		log:         slog.Default(),
 	}
-	m.baseWNS, m.baseTNS = e.WNS(), e.TNS()
-	if m.be != nil {
-		m.be.Run()
-		m.baseScn = scenarioBaseViews(m.be)
+	m.baseWNS, m.baseTNS = be.WNS(nom), be.TNS(nom)
+	if opt.Batch != nil {
+		m.baseScn = scenarioBaseViews(be)
 	}
 	return m
 }
 
-// scenarioBaseViews snapshots the batched engine's committed figures: one row
-// per scenario plus a trailing "merged" row (per-endpoint worst corner).
+// scenarioBaseViews snapshots the engine's committed figures: one row per
+// scenario plus a trailing "merged" row (per-endpoint worst corner).
 func scenarioBaseViews(be *batch.Engine) []ScenarioView {
 	v := be.Merged()
 	out := make([]ScenarioView, 0, len(v.PerScenario)+1)
@@ -233,16 +265,23 @@ func (m *Manager) debugLog() bool {
 	return m.log.Enabled(context.Background(), slog.LevelDebug)
 }
 
-// Engine returns the base engine. Callers must not mutate it outside
-// Exclusive.
-func (m *Manager) Engine() *core.Engine { return m.e }
+// Engine returns the served engine, every lane of it. Callers must not
+// mutate it outside Exclusive. Its lane-0 shorthands (Slacks, WNS, Backward)
+// read scenario 0, which is the nominal view only on a single-corner server;
+// BaseSlacks/BaseWNS/BaseTNS/Gradients read the nominal lane on any.
+func (m *Manager) Engine() *core.Engine { return m.be.Engine }
 
 // Ref returns the reference engine, or nil.
 func (m *Manager) Ref() *refsta.Engine { return m.ref }
 
-// Batch returns the scenario-batched engine, or nil when the server was
+// Batch returns the served engine's scenario view, or nil when the server was
 // started single-corner. Callers must not mutate it outside Exclusive.
-func (m *Manager) Batch() *batch.Engine { return m.be }
+func (m *Manager) Batch() *batch.Engine {
+	if m.baseScn == nil {
+		return nil
+	}
+	return m.be
+}
 
 // Snapshots returns the snapshot cache, or nil when snapshot saving is
 // disabled.
@@ -252,8 +291,8 @@ func (m *Manager) Snapshots() *snap.Cache { return m.opt.Snapshots }
 func (m *Manager) Boot() *BootInfo { return m.opt.Boot }
 
 // SaveSnapshot exports the committed base state — the engine's current arc
-// annotations over the shared compiled skeleton, plus the batched engine's
-// scenario list on multi-corner servers — and stores it in the snapshot
+// annotations over the shared compiled skeleton, plus its scenario list on
+// multi-corner servers — and stores it in the snapshot
 // cache under the boot key, so the next daemon start warm-boots into the
 // ECO'd state rather than the original extraction. The export runs under the
 // base read lock: sessions keep evaluating, while commits wait for the write
@@ -266,12 +305,11 @@ func (m *Manager) SaveSnapshot() (path string, size int64, key string, err error
 	key = m.opt.Boot.SnapshotKey
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	st := m.e.ExportState()
 	var scns []batch.Scenario
-	if m.be != nil {
+	if m.baseScn != nil {
 		scns = m.be.Scenarios()
 	}
-	path, size, err = c.Store(key, st, scns)
+	path, size, err = c.Store(key, m.be.ExportState(), scns)
 	return path, size, key, err
 }
 
@@ -283,6 +321,50 @@ func (m *Manager) Corners() []ScenarioView {
 	return append([]ScenarioView(nil), m.baseScn...)
 }
 
+// mergedLane selects the per-endpoint worst scenario where a lane index is
+// expected.
+const mergedLane = -1
+
+// laneLocked resolves a scenario name to a lane of the served engine: "" is
+// the nominal lane, "merged" is mergedLane. Caller holds at least m.mu.RLock.
+func (m *Manager) laneLocked(name string) (int, error) {
+	switch {
+	case name == "":
+		return m.nom, nil
+	case m.baseScn == nil:
+		return 0, ErrNoCorners
+	case name == "merged":
+		return mergedLane, nil
+	}
+	if s := m.be.ScenarioIndex(name); s >= 0 {
+		return s, nil
+	}
+	return 0, fmt.Errorf("%w: %q", ErrUnknownScenario, name)
+}
+
+// laneSlacksInto copies one lane of eng's endpoint slacks (or the merged
+// view) into dst, growing it only when too small, and patches in the
+// endpoints ov re-derived — the one body behind every full-vector read, base
+// or session. ov may be nil.
+func laneSlacksInto(eng *batch.Engine, ov *batch.Overlay, lane int, dst []float64) []float64 {
+	var patch []int32
+	if ov != nil {
+		patch = ov.ChangedEndpointsView()
+	}
+	if lane == mergedLane {
+		dst = eng.MergedSlacksInto(dst)
+		for _, ep := range patch {
+			dst[ep] = ov.MergedSlack(ep)
+		}
+		return dst
+	}
+	dst = eng.SlacksInto(lane, dst)
+	for _, ep := range patch {
+		dst[ep] = ov.Slack(lane, ep)
+	}
+	return dst
+}
+
 // BaseScenarioSlacks returns the committed endpoint slacks of one scenario,
 // or the per-endpoint worst across scenarios for "merged".
 func (m *Manager) BaseScenarioSlacks(name string) ([]float64, error) {
@@ -292,19 +374,45 @@ func (m *Manager) BaseScenarioSlacks(name string) ([]float64, error) {
 // BaseScenarioSlacksInto is the allocation-free form of BaseScenarioSlacks:
 // dst is grown only when too small and returned filled.
 func (m *Manager) BaseScenarioSlacksInto(name string, dst []float64) ([]float64, error) {
-	if m.be == nil {
-		return nil, ErrNoCorners
-	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if name == "merged" {
-		return m.be.MergedSlacksInto(dst), nil
+	lane, err := m.laneLocked(name)
+	if err != nil {
+		return nil, err
 	}
-	s := m.be.ScenarioIndex(name)
-	if s < 0 {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownScenario, name)
+	return laneSlacksInto(m.be, nil, lane, dst), nil
+}
+
+// BaseView is one consistent read of the committed base: every field belongs
+// to the same epoch.
+type BaseView struct {
+	Slacks   []float64      // the requested lane's endpoint slacks
+	WNS, TNS float64        // of Slacks
+	Epoch    uint64         // the epoch all of the above were committed at
+	Corners  []ScenarioView // committed per-scenario rows; nil when single-corner
+}
+
+// BaseViewInto reads the committed base under one hold of the read lock, so
+// a commit cannot land between the slacks and the figures reported with
+// them. scenario "" is the nominal lane; dst is grown only when too small.
+func (m *Manager) BaseViewInto(scenario string, dst []float64) (BaseView, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	lane, err := m.laneLocked(scenario)
+	if err != nil {
+		return BaseView{}, err
 	}
-	return m.be.SlacksInto(s, dst), nil
+	v := BaseView{
+		Slacks:  laneSlacksInto(m.be, nil, lane, dst),
+		WNS:     m.baseWNS,
+		TNS:     m.baseTNS,
+		Epoch:   m.epoch,
+		Corners: append([]ScenarioView(nil), m.baseScn...),
+	}
+	if lane != m.nom {
+		v.WNS, v.TNS = core.WNS(v.Slacks), core.TNS(v.Slacks)
+	}
+	return v, nil
 }
 
 // Epoch returns the current base epoch (bumped on every commit).
@@ -338,13 +446,7 @@ func (m *Manager) BaseSlacks() []float64 {
 func (m *Manager) BaseSlacksInto(dst []float64) []float64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	base := m.e.Slacks()
-	if cap(dst) < len(base) {
-		dst = make([]float64, len(base))
-	}
-	dst = dst[:len(base)]
-	copy(dst, base)
-	return dst
+	return laneSlacksInto(m.be, nil, m.nom, dst)
 }
 
 // TopoCounters is a snapshot of the structural-ECO lifetime counters.
@@ -463,11 +565,10 @@ func (m *Manager) MaxSessions() int { return m.opt.MaxSessions }
 // Create opens a new session against the current base, or fails with
 // ErrTooManySessions at the admission cap.
 func (m *Manager) Create() (*Session, error) {
-	// The overlays must bind to the engines of one consistent epoch: hold the
-	// read lock across the reads (a structural commit swaps m.e/m.be).
+	// The overlay must bind to the engine of one consistent epoch: hold the
+	// read lock across the reads (a structural commit swaps m.be).
 	m.mu.RLock()
-	epoch, topoGen := m.epoch, m.topoGen
-	e, be := m.e, m.be
+	epoch, topoGen, be := m.epoch, m.topoGen, m.be
 	m.mu.RUnlock()
 
 	m.smu.Lock()
@@ -480,14 +581,9 @@ func (m *Manager) Create() (*Session, error) {
 	s := &Session{
 		m:       m,
 		ID:      fmt.Sprintf("s%d", m.nextID),
-		ov:      core.NewOverlay(e),
+		ov:      batch.NewOverlay(be),
 		epoch:   epoch,
 		topoGen: topoGen,
-	}
-	s.ovs = []*core.Overlay{s.ov}
-	if be != nil {
-		s.bov = batch.NewOverlay(be)
-		s.ovs = append(s.ovs, s.bov.Overlay)
 	}
 	s.touch()
 	m.sessions[s.ID] = s
@@ -566,20 +662,16 @@ func (m *Manager) CloseAll() {
 	}
 }
 
-// Close releases the engines the manager itself installed through structural
-// commits; the boot engines stay caller-owned. Call after CloseAll at
-// shutdown (or in tests that commit structural edits).
+// Close releases the engine the manager itself installed through a structural
+// commit; the boot engine stays caller-owned. Call after CloseAll at shutdown
+// (or in tests that commit structural edits).
 func (m *Manager) Close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.ownsBase {
-		return
-	}
-	m.e.Close()
-	if m.be != nil {
+	if m.ownsBase {
 		m.be.Close()
+		m.ownsBase = false
 	}
-	m.ownsBase = false
 }
 
 // Exclusive runs fn with exclusive access to the base engine — no session
@@ -591,12 +683,82 @@ func (m *Manager) Exclusive(fn func()) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	fn()
+	m.advanceLocked()
+}
+
+// advanceLocked publishes a base that just changed: it bumps the epoch,
+// re-reads the committed figures from the engine and returns them as a
+// commit result, with deltas against the figures they replace. Caller holds
+// m.mu.Lock.
+func (m *Manager) advanceLocked() *ECOResult {
+	prevWNS, prevTNS, prevScn := m.baseWNS, m.baseTNS, m.baseScn
 	m.epoch++
 	m.epochA.Store(m.epoch)
-	m.baseWNS, m.baseTNS = m.e.WNS(), m.e.TNS()
-	if m.be != nil {
-		m.baseScn = scenarioBaseViews(m.be)
+	m.baseWNS, m.baseTNS = m.be.WNS(m.nom), m.be.TNS(m.nom)
+	res := &ECOResult{
+		WNS:       m.baseWNS,
+		TNS:       m.baseTNS,
+		DeltaWNS:  m.baseWNS - prevWNS,
+		DeltaTNS:  m.baseTNS - prevTNS,
+		Epoch:     m.epoch,
+		Committed: true,
 	}
+	if prevScn != nil {
+		m.baseScn = scenarioBaseViews(m.be)
+		res.Scenarios = make([]ScenarioView, len(m.baseScn))
+		for i, v := range m.baseScn {
+			v.DeltaWNS = v.WNS - prevScn[i].WNS
+			v.DeltaTNS = v.TNS - prevScn[i].TNS
+			res.Scenarios[i] = v
+		}
+	}
+	return res
+}
+
+// finishCommitLocked is the tail every commit shares once the engine holds
+// the new state: publish it (advanceLocked), re-point the session at it,
+// count the commit and, with Options.ManifestDir, write its run manifest —
+// the nominal lane's WNS/TNS before and after, plus the caller's extra keys.
+// Caller holds s.mu and m.mu.Lock.
+func (s *Session) finishCommitLocked(t0 time.Time, extra map[string]any) *ECOResult {
+	m := s.m
+	prevWNS, prevTNS := m.baseWNS, m.baseTNS
+	res := m.advanceLocked()
+	s.epoch = m.epoch
+	m.commits.Add(1)
+	if m.opt.ManifestDir == "" {
+		return res
+	}
+	man := &obs.Manifest{
+		Tool:      "insta-served-commit",
+		Design:    m.opt.Design,
+		StartedAt: t0,
+		WallMS:    float64(time.Since(t0).Nanoseconds()) / 1e6,
+		Pins:      m.be.NumPins(),
+		Arcs:      m.be.NumArcs(),
+		Endpoints: len(m.be.Endpoints()),
+		Levels:    m.be.NumLevels(),
+		TopK:      m.be.TopK(),
+		Workers:   m.be.Pool().Workers(),
+		WNSBefore: prevWNS,
+		TNSBefore: prevTNS,
+		WNSAfter:  res.WNS,
+		TNSAfter:  res.TNS,
+		Extra:     extra,
+	}
+	if m.baseScn != nil {
+		for _, scn := range m.be.Scenarios() {
+			man.Scenarios = append(man.Scenarios, scn.Name)
+		}
+	}
+	man.AddExtra("session", s.ID)
+	man.AddExtra("epoch", m.epoch)
+	if path, err := obs.WriteManifest(m.opt.ManifestDir, man); err != nil {
+		m.log.Warn("commit manifest write failed", "err", err)
+	} else if m.debugLog() {
+		m.log.Debug("commit manifest written", "path", path)
+	}
+	return res
 }
 
 // StageGrad is one cell's timing gradient, most negative first in Gradients'
@@ -607,15 +769,15 @@ type StageGrad struct {
 	Grad float64 `json:"grad"`
 }
 
-// Gradients runs the backward pass on the committed base and returns the top
-// stages by gradient magnitude (top <= 0 returns all). The pass writes the
+// Gradients runs the backward pass on the committed base's nominal lane and
+// returns the top stages by gradient magnitude (top <= 0 returns all). The pass writes the
 // engine's gradient tensors, so it takes the write lock; the forward state
 // is untouched, so sessions do not rebase.
 func (m *Manager) Gradients(top int) []StageGrad {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.e.Backward()
-	stages := m.e.StageGradients()
+	m.be.BackwardLane(m.nom, nil)
+	stages := m.be.StageGradients()
 	// Deterministic ranking: gradient magnitude, cell id on ties.
 	sort.Slice(stages, func(i, j int) bool {
 		if stages[i].Grad != stages[j].Grad {
@@ -679,9 +841,12 @@ type ScenarioView struct {
 }
 
 // ECOResult is the session's view after an evaluation (or the committed base
-// after Commit). Scenarios is present when the server runs multi-corner: one
-// row per corner plus the merged row, each priced by the same cone
-// re-propagation that produced the nominal figures.
+// after Commit). The top-level figures are the nominal lane's. Changed lists
+// the endpoints the overlay re-derived — on a multi-corner server that can
+// include one only a derated lane moved, whose nominal slack equals its base.
+// Scenarios is present when the server runs multi-corner: one row per corner
+// plus the merged row, each priced by the same cone re-propagation that
+// produced the nominal figures.
 type ECOResult struct {
 	WNS         float64         `json:"wns"`
 	TNS         float64         `json:"tns"`
@@ -759,11 +924,9 @@ type Session struct {
 	lastUsed atomic.Int64 // unix nanos of the last touch
 
 	mu      sync.Mutex
-	ov      *core.Overlay
-	bov     *batch.Overlay  // nil when the server runs single-corner
-	ovs     []*core.Overlay // ov, then bov's when present: parallel to Manager.engines
+	ov      *batch.Overlay // the one copy-on-write view, every lane of the base
 	epoch   uint64
-	topoGen uint64           // structural generation the overlays bind to
+	topoGen uint64           // structural generation the overlay binds to
 	ts      *topo.Session    // non-nil once the session holds structural edits
 	resizes []resolvedResize // netlist changes to replay on commit
 	moves   []resolvedMove
@@ -778,42 +941,24 @@ type resolvedMove struct {
 
 func (s *Session) touch() { s.lastUsed.Store(time.Now().UnixNano()) }
 
-// engines returns the base engines as their one underlying type, in the
-// order of Session.ovs. Caller holds at least m.mu.RLock.
-func (m *Manager) engines() []*core.Engine {
-	if m.be == nil {
-		return []*core.Engine{m.e}
-	}
-	return []*core.Engine{m.e, m.be.Engine}
-}
-
-// rebindLocked re-targets every overlay at the manager's current engines
-// after a structural commit replaced them, re-keying recorded deltas through
-// remap (nil = identity). Caller holds s.mu and at least m.mu.RLock.
+// rebindLocked re-targets the overlay at the manager's current engine after a
+// structural commit replaced it, re-keying recorded deltas through remap
+// (nil = identity). Caller holds s.mu and at least m.mu.RLock.
 func (s *Session) rebindLocked(remap []int32) {
-	for i, e := range s.m.engines() {
-		s.ovs[i].RebaseStructural(e, remap)
-	}
+	s.ov.RebaseStructural(s.m.be.Engine, remap)
 	s.topoGen = s.m.topoGen
-}
-
-// resetLocked discards every overlay's deltas and derived state.
-func (s *Session) resetLocked() {
-	for _, ov := range s.ovs {
-		ov.Reset()
-	}
 }
 
 // rebaseLocked re-derives the overlay against the current base if a commit
 // happened since this session last evaluated. Caller holds s.mu and at least
 // m.mu.RLock.
 //
-// Two rebase shapes exist. An annotation commit keeps the engine objects, so
-// the overlay re-derives in place (Rebase). A structural commit replaced them,
-// so the overlay re-binds to the new engines with its recorded deltas re-keyed
+// Two rebase shapes exist. An annotation commit keeps the engine object, so
+// the overlay re-derives in place (Rebase). A structural commit replaced it,
+// so the overlay re-binds to the new engine with its recorded deltas re-keyed
 // through the commits' arc remaps (RebaseStructural) — bit-identical to having
 // recorded the deltas against the new base from the start. A session that
-// itself holds structural edits cannot rebase: its working engines were seeded
+// itself holds structural edits cannot rebase: its working engine was seeded
 // from a base that no longer exists, so it conflicts instead.
 func (s *Session) rebaseLocked() error {
 	m := s.m
@@ -823,7 +968,7 @@ func (s *Session) rebaseLocked() error {
 			return ErrStructuralConflict
 		}
 		s.rebindLocked(m.composedRemapSince(s.topoGen))
-		s.propagateLocked()
+		s.ov.Propagate()
 		s.epoch = m.epoch
 		return nil
 	}
@@ -832,14 +977,12 @@ func (s *Session) rebaseLocked() error {
 	}
 	if s.ts != nil {
 		// An annotation commit moved the base under this session's seeded
-		// engines; their figures are against dead state.
+		// engine; its figures are against dead state.
 		m.topoConflicts.Add(1)
 		return ErrStructuralConflict
 	}
-	for _, ov := range s.ovs {
-		ov.Rebase()
-	}
-	s.propagateLocked()
+	s.ov.Rebase()
+	s.ov.Propagate()
 	s.epoch = m.epoch
 	return nil
 }
@@ -855,137 +998,124 @@ func jsonSlack(v float64) float64 {
 	return v
 }
 
-// resultLocked builds the session's current view. Caller holds s.mu and at
-// least m.mu.RLock.
-func (s *Session) resultLocked() *ECOResult {
-	m := s.m
-	if s.ts != nil {
-		return s.topoResultLocked()
-	}
-	st := s.ov.Stats()
-	res := &ECOResult{
-		WNS:         s.ov.WNS(),
-		TNS:         s.ov.TNS(),
-		TouchedArcs: st.TouchedArcs,
-		OverlayPins: st.OverlayPins,
-		Epoch:       s.epoch,
-	}
-	res.DeltaWNS = res.WNS - m.baseWNS
-	res.DeltaTNS = res.TNS - m.baseTNS
-	if s.bov != nil {
-		res.Scenarios = s.scenarioViewsLocked()
-	}
-	base := m.e.Slacks()
-	eps := m.e.Endpoints()
-	for _, ep := range s.ov.ChangedEndpointsView() {
-		es := EndpointSlack{
-			Endpoint: int(ep),
-			Slack:    jsonSlack(s.ov.Slack(ep)),
-			Base:     jsonSlack(base[ep]),
-		}
-		if m.ref != nil {
-			es.Pin = m.ref.D.Pins[eps[ep]].Name
-		}
-		res.Changed = append(res.Changed, es)
-	}
-	return res
+// figures is what a view's WNS/TNS rows are read from: a session's overlay,
+// or the working engine of one holding structural edits.
+type figures interface {
+	WNS(s int) float64
+	TNS(s int) float64
+	MergedWNS() float64
+	MergedTNS() float64
 }
 
-// scenarioViewsLocked prices the session's overlay in every corner: one row
-// per scenario with ΔWNS/ΔTNS against that scenario's committed base, plus
-// the merged row. Caller holds s.mu and at least m.mu.RLock.
-func (s *Session) scenarioViewsLocked() []ScenarioView {
-	m := s.m
-	out := make([]ScenarioView, 0, len(m.baseScn))
+// scenarioRowsLocked prices src in every corner: one row per scenario with
+// ΔWNS/ΔTNS against that scenario's committed base, plus the merged row.
+// Caller holds at least m.mu.RLock.
+func (m *Manager) scenarioRowsLocked(src figures) []ScenarioView {
+	out := make([]ScenarioView, len(m.baseScn))
 	for i, b := range m.baseScn {
 		var wns, tns float64
 		if b.Name == "merged" {
-			wns, tns = s.bov.MergedWNS(), s.bov.MergedTNS()
+			wns, tns = src.MergedWNS(), src.MergedTNS()
 		} else {
-			wns, tns = s.bov.WNS(i), s.bov.TNS(i)
+			wns, tns = src.WNS(i), src.TNS(i)
 		}
-		out = append(out, ScenarioView{
+		out[i] = ScenarioView{
 			Name:     b.Name,
 			WNS:      wns,
 			TNS:      tns,
 			DeltaWNS: wns - b.WNS,
 			DeltaTNS: tns - b.TNS,
-		})
+		}
 	}
 	return out
 }
 
-// topoResultLocked builds the view of a session holding structural edits from
-// its seeded working engines. Endpoint indices are stable across structural
-// edits (startpoints and endpoints can never be spliced), so Changed is the
-// per-endpoint diff against the committed base. OverlayPins reports the pin
-// count of the last re-levelized region — the structural analogue of the
+// resultLocked builds the session's current view: the nominal lane's figures
+// and changed endpoints, and on a multi-corner server the per-scenario rows.
+//
+// A session holding structural edits reads its seeded working engine instead
+// of the overlay. Endpoint indices are stable across structural edits
+// (startpoints and endpoints can never be spliced), so its Changed is the
+// per-endpoint diff against the committed base, and OverlayPins reports the
+// pin count of the last re-levelized region — the structural analogue of the
 // overlay's recompute footprint. Caller holds s.mu and at least m.mu.RLock.
-func (s *Session) topoResultLocked() *ECOResult {
+func (s *Session) resultLocked() *ECOResult {
 	m := s.m
-	eng := s.ts.Engine()
-	st := s.ts.Stats()
-	res := &ECOResult{
-		WNS:         eng.WNS(),
-		TNS:         eng.TNS(),
-		TouchedArcs: st.Inserted*2 + st.Removed*2 + st.Annotated,
-		OverlayPins: st.Relevel.Region,
-		Epoch:       s.epoch,
+	res := &ECOResult{Epoch: s.epoch}
+	var src figures
+	if s.ts != nil {
+		eng, st := m.be.Over(s.ts.Engine()), s.ts.Stats()
+		src = eng
+		res.TouchedArcs = st.Inserted*2 + st.Removed*2 + st.Annotated
+		res.OverlayPins = st.Relevel.Region
+		base := m.be.LaneSlacks(m.nom)
+		for i, sl := range eng.LaneSlacks(m.nom) {
+			if sl != base[i] {
+				res.Changed = append(res.Changed, m.endpointSlackLocked(i, sl))
+			}
+		}
+	} else {
+		st := s.ov.Stats()
+		src = s.ov
+		res.TouchedArcs = st.TouchedArcs
+		res.OverlayPins = st.OverlayPins
+		for _, ep := range s.ov.ChangedEndpointsView() {
+			res.Changed = append(res.Changed, m.endpointSlackLocked(int(ep), s.ov.Slack(m.nom, ep)))
+		}
 	}
+	res.WNS, res.TNS = src.WNS(m.nom), src.TNS(m.nom)
 	res.DeltaWNS = res.WNS - m.baseWNS
 	res.DeltaTNS = res.TNS - m.baseTNS
-	if be := s.ts.Batch(); be != nil {
-		out := make([]ScenarioView, 0, len(m.baseScn))
-		for i, b := range m.baseScn {
-			var wns, tns float64
-			if b.Name == "merged" {
-				v := be.Merged()
-				wns, tns = v.WNS, v.TNS
-			} else {
-				wns, tns = be.WNS(i), be.TNS(i)
-			}
-			out = append(out, ScenarioView{
-				Name: b.Name, WNS: wns, TNS: tns,
-				DeltaWNS: wns - b.WNS, DeltaTNS: tns - b.TNS,
-			})
-		}
-		res.Scenarios = out
-	}
-	base := m.e.Slacks()
-	cur := eng.Slacks()
-	eps := m.e.Endpoints()
-	for i := range cur {
-		if cur[i] == base[i] {
-			continue
-		}
-		es := EndpointSlack{
-			Endpoint: i,
-			Slack:    jsonSlack(cur[i]),
-			Base:     jsonSlack(base[i]),
-		}
-		if m.ref != nil {
-			es.Pin = m.ref.D.Pins[eps[i]].Name
-		}
-		res.Changed = append(res.Changed, es)
+	if m.baseScn != nil {
+		res.Scenarios = m.scenarioRowsLocked(src)
 	}
 	return res
 }
 
-// applyArcLocked mirrors one arc re-annotation into every overlay (the
-// batched overlay takes the same nominal units; scenarios see them through
-// their scale factors).
-func (s *Session) applyArcLocked(arc int32, rise, fall num.Dist) {
-	for _, ov := range s.ovs {
-		ov.SetArcDelay(arc, 0, rise)
-		ov.SetArcDelay(arc, 1, fall)
+// endpointSlackLocked reports endpoint ep at nominal slack next to its
+// committed nominal slack. Caller holds at least m.mu.RLock.
+func (m *Manager) endpointSlackLocked(ep int, slack float64) EndpointSlack {
+	es := EndpointSlack{
+		Endpoint: ep,
+		Slack:    jsonSlack(slack),
+		Base:     jsonSlack(m.be.LaneSlacks(m.nom)[ep]),
 	}
+	if m.ref != nil {
+		es.Pin = m.ref.D.Pins[m.be.Endpoints()[ep]].Name
+	}
+	return es
 }
 
-// propagateLocked re-propagates every overlay after a delta batch.
-func (s *Session) propagateLocked() {
-	for _, ov := range s.ovs {
-		ov.Propagate()
+// applyArcLocked records one arc re-annotation in the overlay, in nominal
+// units; every lane sees it through its scale factors.
+func (s *Session) applyArcLocked(arc int32, rise, fall num.Dist) {
+	s.ov.Overlay.SetArcDelay(arc, 0, rise)
+	s.ov.Overlay.SetArcDelay(arc, 1, fall)
+}
+
+// checkDelay rejects arc delays no timing engine can propagate: a non-finite
+// mean, or a negative or non-finite sigma. One NaN annotation would otherwise
+// spread through every queue downstream of it and, on commit, into the base.
+func checkDelay(ds ...num.Dist) error {
+	for _, d := range ds {
+		if math.IsNaN(d.Mean) || math.IsInf(d.Mean, 0) {
+			return fmt.Errorf("non-finite delay mean %v", d.Mean)
+		}
+		if math.IsNaN(d.Std) || math.IsInf(d.Std, 0) || d.Std < 0 {
+			return fmt.Errorf("delay sigma %v is negative or non-finite", d.Std)
+		}
 	}
+	return nil
+}
+
+// arcLimitLocked is the exclusive upper bound of arc ids the session accepts:
+// the served engine's, or its structural working set's once it has one.
+// Caller holds s.mu and at least m.mu.RLock.
+func (s *Session) arcLimitLocked() int {
+	if s.ts != nil {
+		return len(s.ts.Tables().Arcs)
+	}
+	return s.m.be.NumArcs()
 }
 
 // ApplyECO validates and applies one what-if batch to the session's overlay,
@@ -1030,13 +1160,13 @@ func (s *Session) ApplyECO(req ECORequest) (*ECOResult, error) {
 		}
 		resolvedRz = append(resolvedRz, resolved{deltas: deltas, rz: resolvedResize{cell: c, lib: lib}})
 	}
-	arcLimit := m.e.NumArcs()
-	if s.ts != nil {
-		arcLimit = len(s.ts.Tables().Arcs)
-	}
+	arcLimit := s.arcLimitLocked()
 	for _, a := range req.Arcs {
 		if a.Arc < 0 || int(a.Arc) >= arcLimit {
 			return nil, fmt.Errorf("server: arc %d out of range [0,%d)", a.Arc, arcLimit)
+		}
+		if err := checkDelay(a.Rise, a.Fall); err != nil {
+			return nil, fmt.Errorf("server: arc %d: %w", a.Arc, err)
 		}
 	}
 
@@ -1051,7 +1181,6 @@ func (s *Session) ApplyECO(req ECORequest) (*ECOResult, error) {
 					deltas = append(deltas, topo.Delta{Arc: a, Delay: dl.Delay})
 				}
 			}
-			s.resizes = append(s.resizes, r.rz)
 		}
 		for _, a := range req.Arcs {
 			ta := s.tsArcLocked(a.Arc)
@@ -1072,12 +1201,16 @@ func (s *Session) ApplyECO(req ECORequest) (*ECOResult, error) {
 					s.applyArcLocked(a, dl.Delay[0], dl.Delay[1])
 				}
 			}
-			s.resizes = append(s.resizes, r.rz)
 		}
 		for _, a := range req.Arcs {
 			s.applyArcLocked(a.Arc, a.Rise, a.Fall)
 		}
-		s.propagateLocked()
+		s.ov.Propagate()
+	}
+	// The batch is in: only now record its resizes for the commit's netlist
+	// replay, so a rejected batch leaves nothing behind.
+	for _, r := range resolvedRz {
+		s.resizes = append(s.resizes, r.rz)
 	}
 	s.ecoN++
 	m.ecoTotal.Add(1)
@@ -1120,7 +1253,7 @@ func (s *Session) ApplyDeltas(deltas []refsta.ArcDelta) (*ECOResult, error) {
 				s.applyArcLocked(a, dl.Delay[0], dl.Delay[1])
 			}
 		}
-		s.propagateLocked()
+		s.ov.Propagate()
 	}
 	s.ecoN++
 	m.ecoTotal.Add(1)
@@ -1186,10 +1319,7 @@ func (s *Session) tsArcFromRefLocked(ref int32) int32 {
 // holds s.mu and at least m.mu.RLock.
 func (s *Session) resolveTopoLocked(req TopoRequest) ([]topo.Op, []resolvedResize, []resolvedMove, error) {
 	m := s.m
-	arcLimit := int32(m.e.NumArcs())
-	if s.ts != nil {
-		arcLimit = int32(len(s.ts.Tables().Arcs))
-	}
+	arcLimit := int32(s.arcLimitLocked())
 	ops := make([]topo.Op, 0, len(req.Ops))
 	var rzs []resolvedResize
 	var mvs []resolvedMove
@@ -1213,6 +1343,9 @@ func (s *Session) resolveTopoLocked(req TopoRequest) ([]topo.Op, []resolvedResiz
 			frac := op.Frac
 			if frac == 0 {
 				frac = 0.5
+			}
+			if math.IsNaN(frac) {
+				return nil, nil, nil, fmt.Errorf("server: topo op %d: frac is NaN", i)
 			}
 			ref := s.sessionToRefLocked(op.Arc)
 			if ref < 0 {
@@ -1274,6 +1407,9 @@ func (s *Session) resolveTopoLocked(req TopoRequest) ([]topo.Op, []resolvedResiz
 			if !ok {
 				return nil, nil, nil, fmt.Errorf("server: topo op %d: unknown cell %q", i, op.Cell)
 			}
+			if math.IsNaN(op.X+op.Y) || math.IsInf(op.X+op.Y, 0) {
+				return nil, nil, nil, fmt.Errorf("server: topo op %d: non-finite position (%v, %v)", i, op.X, op.Y)
+			}
 			deltas, err := m.ref.EstimateMove(c, op.X, op.Y)
 			if err != nil {
 				return nil, nil, nil, fmt.Errorf("server: topo op %d: estimate_move %s: %w", i, op.Cell, err)
@@ -1287,6 +1423,9 @@ func (s *Session) resolveTopoLocked(req TopoRequest) ([]topo.Op, []resolvedResiz
 		case "annotate":
 			if op.Arc < 0 || op.Arc >= arcLimit {
 				return nil, nil, nil, fmt.Errorf("server: topo op %d: arc %d out of range [0,%d)", i, op.Arc, arcLimit)
+			}
+			if err := checkDelay(op.Rise, op.Fall); err != nil {
+				return nil, nil, nil, fmt.Errorf("server: topo op %d: %w", i, err)
 			}
 			ops = append(ops, topo.Annotate(op.Arc, [2]num.Dist{op.Rise, op.Fall}))
 		default:
@@ -1304,7 +1443,7 @@ func (s *Session) resolveTopoLocked(req TopoRequest) ([]topo.Op, []resolvedResiz
 //
 // The first structural batch converts the session: it must hold no
 // uncommitted annotation ECOs (ErrPendingAnnotations), and from then on every
-// evaluation runs against the session's own seeded engines; a commit to the
+// evaluation runs against the session's own seeded engine; a commit to the
 // base by any other session conflicts it (ErrStructuralConflict).
 func (s *Session) ApplyTopo(req TopoRequest) (*TopoResult, error) {
 	s.mu.Lock()
@@ -1331,11 +1470,11 @@ func (s *Session) ApplyTopo(req TopoRequest) (*TopoResult, error) {
 	}
 	created := false
 	if s.ts == nil {
-		ts, err := topo.NewSession(m.e, m.be)
+		ts, err := topo.NewSession(m.be.Engine)
 		if err != nil {
 			return nil, err
 		}
-		ts.SetTracer(m.e.Tracer())
+		ts.SetTracer(m.be.Tracer())
 		s.ts = ts
 		created = true
 	}
@@ -1356,7 +1495,7 @@ func (s *Session) ApplyTopo(req TopoRequest) (*TopoResult, error) {
 	m.relevelHist.Observe(float64(st.Relevel.LevelsSpan))
 	finalArcs := len(s.ts.Tables().Arcs)
 	tr := &TopoResult{
-		View:          s.topoResultLocked(),
+		View:          s.resultLocked(),
 		Inserted:      res.Inserted,
 		Removed:       res.Removed,
 		Annotated:     res.Annotated,
@@ -1392,10 +1531,11 @@ func (s *Session) Result() (*ECOResult, error) {
 	return s.resultLocked(), nil
 }
 
-// Slacks returns the session's full endpoint slack view: the committed base
-// slacks with the overlay's re-derived endpoints applied on top.
+// Slacks returns the session's full nominal endpoint slack view: the
+// committed base slacks with the overlay's re-derived endpoints applied on
+// top.
 func (s *Session) Slacks() ([]float64, error) {
-	return s.SlacksInto(nil)
+	return s.ScenarioSlacksInto("", nil)
 }
 
 // SlacksInto is the allocation-free form of Slacks: the view is written into
@@ -1403,32 +1543,7 @@ func (s *Session) Slacks() ([]float64, error) {
 // dst; per-request reuse through a pool keeps the serving steady state free
 // of per-call allocations.
 func (s *Session) SlacksInto(dst []float64) ([]float64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrSessionClosed
-	}
-	s.touch()
-	s.m.mu.RLock()
-	defer s.m.mu.RUnlock()
-	if err := s.rebaseLocked(); err != nil {
-		return nil, err
-	}
-	base := s.m.e.Slacks()
-	if s.ts != nil {
-		base = s.ts.Engine().Slacks()
-	}
-	if cap(dst) < len(base) {
-		dst = make([]float64, len(base))
-	}
-	dst = dst[:len(base)]
-	copy(dst, base)
-	if s.ts == nil {
-		for _, ep := range s.ov.ChangedEndpointsView() {
-			dst[ep] = s.ov.Slack(ep)
-		}
-	}
-	return dst, nil
+	return s.ScenarioSlacksInto("", dst)
 }
 
 // ScenarioSlacks returns the session's full endpoint slack view in one
@@ -1438,52 +1553,30 @@ func (s *Session) ScenarioSlacks(name string) ([]float64, error) {
 	return s.ScenarioSlacksInto(name, nil)
 }
 
-// ScenarioSlacksInto is the allocation-free form of ScenarioSlacks: the view
-// is written into dst (grown only when too small) and the filled slice
-// returned.
+// ScenarioSlacksInto is the allocation-free form of ScenarioSlacks; the
+// scenario "" is the nominal lane, which every server has. A session holding
+// structural edits reads its working engine, which has nothing to patch.
 func (s *Session) ScenarioSlacksInto(name string, dst []float64) ([]float64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrSessionClosed
 	}
-	if s.bov == nil {
-		return nil, ErrNoCorners
-	}
 	s.touch()
 	m := s.m
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	lane, err := m.laneLocked(name)
+	if err != nil {
+		return nil, err
+	}
 	if err := s.rebaseLocked(); err != nil {
 		return nil, err
 	}
 	if s.ts != nil {
-		be := s.ts.Batch()
-		if name == "merged" {
-			return be.MergedSlacksInto(dst), nil
-		}
-		sc := be.ScenarioIndex(name)
-		if sc < 0 {
-			return nil, fmt.Errorf("%w: %q", ErrUnknownScenario, name)
-		}
-		return be.SlacksInto(sc, dst), nil
+		return laneSlacksInto(m.be.Over(s.ts.Engine()), nil, lane, dst), nil
 	}
-	if name == "merged" {
-		out := m.be.MergedSlacksInto(dst)
-		for _, ep := range s.bov.ChangedEndpointsView() {
-			out[ep] = s.bov.MergedSlack(ep)
-		}
-		return out, nil
-	}
-	sc := m.be.ScenarioIndex(name)
-	if sc < 0 {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownScenario, name)
-	}
-	out := m.be.SlacksInto(sc, dst)
-	for _, ep := range s.bov.ChangedEndpointsView() {
-		out[ep] = s.bov.Slack(sc, ep)
-	}
-	return out, nil
+	return laneSlacksInto(m.be, s.ov, lane, dst), nil
 }
 
 // Commit folds the session's recorded arc deltas into the base engine
@@ -1507,15 +1600,12 @@ func (s *Session) Commit() (*ECOResult, error) {
 		return s.commitStructuralLocked(t0)
 	}
 	if s.topoGen != m.topoGen {
-		// A structural commit replaced the engine objects under this
+		// A structural commit replaced the engine object under this
 		// annotation session: re-bind (re-keying recorded deltas through the
 		// commits' arc remaps) before folding them in.
 		s.rebindLocked(m.composedRemapSince(s.topoGen))
 	}
-	prevWNS, prevTNS := m.baseWNS, m.baseTNS
-	for _, ov := range s.ovs {
-		ov.Commit()
-	}
+	s.ov.Commit()
 	if len(s.resizes) > 0 {
 		for _, rz := range s.resizes {
 			// Already validated by ApplyECO; a failure here means another
@@ -1526,66 +1616,15 @@ func (s *Session) Commit() (*ECOResult, error) {
 		m.ref.UpdateTimingIncremental()
 		s.resizes = s.resizes[:0]
 	}
-	m.epoch++
-	m.epochA.Store(m.epoch)
-	m.baseWNS, m.baseTNS = m.e.WNS(), m.e.TNS()
-	res := &ECOResult{
-		WNS:       m.baseWNS,
-		TNS:       m.baseTNS,
-		Epoch:     m.epoch,
-		Committed: true,
-	}
-	if m.be != nil {
-		prev := m.baseScn
-		m.baseScn = scenarioBaseViews(m.be)
-		res.Scenarios = make([]ScenarioView, len(m.baseScn))
-		for i, v := range m.baseScn {
-			v.DeltaWNS = v.WNS - prev[i].WNS
-			v.DeltaTNS = v.TNS - prev[i].TNS
-			res.Scenarios[i] = v
-		}
-	}
-	s.epoch = m.epoch
-	m.commits.Add(1)
+	res := s.finishCommitLocked(t0, map[string]any{"ecos": s.ecoN})
 	m.log.Info("session committed", "session", s.ID, "ecos", s.ecoN,
 		"epoch", m.epoch, "wns", m.baseWNS, "tns", m.baseTNS,
 		"duration", time.Since(t0))
-	if m.opt.ManifestDir != "" {
-		man := &obs.Manifest{
-			Tool:      "insta-served-commit",
-			Design:    m.opt.Design,
-			StartedAt: t0,
-			WallMS:    float64(time.Since(t0).Nanoseconds()) / 1e6,
-			Pins:      m.e.NumPins(),
-			Arcs:      m.e.NumArcs(),
-			Endpoints: len(m.e.Endpoints()),
-			Levels:    m.e.NumLevels(),
-			TopK:      m.e.TopK(),
-			Workers:   m.e.Pool().Workers(),
-			WNSBefore: prevWNS,
-			TNSBefore: prevTNS,
-			WNSAfter:  m.baseWNS,
-			TNSAfter:  m.baseTNS,
-		}
-		if m.be != nil {
-			for _, scn := range m.be.Scenarios() {
-				man.Scenarios = append(man.Scenarios, scn.Name)
-			}
-		}
-		man.AddExtra("session", s.ID)
-		man.AddExtra("ecos", s.ecoN)
-		man.AddExtra("epoch", m.epoch)
-		if path, err := obs.WriteManifest(m.opt.ManifestDir, man); err != nil {
-			m.log.Warn("commit manifest write failed", "err", err)
-		} else {
-			m.log.Debug("commit manifest written", "path", path)
-		}
-	}
 	return res, nil
 }
 
 // commitStructuralLocked commits a session's structural working set: the
-// manager swaps its base engines for the session's seeded ones (the sequel
+// manager swaps its base engine for the session's seeded one (the sequel
 // bit-identical to a cold compile of the edited netlist), records the arc
 // remap so annotation sessions opened against the old structure can re-key,
 // replays the session's repowers/moves into the signoff netlist, and bumps
@@ -1593,7 +1632,7 @@ func (s *Session) Commit() (*ECOResult, error) {
 // m.mu.Lock (every in-flight evaluation has drained).
 func (s *Session) commitStructuralLocked(t0 time.Time) (*ECOResult, error) {
 	m := s.m
-	sp := m.e.Tracer().StartArg("structural-commit", "edits", int64(s.ts.Stats().Edits))
+	sp := m.be.Tracer().StartArg("structural-commit", "edits", int64(s.ts.Stats().Edits))
 	defer sp.End()
 	if s.epoch != m.epoch {
 		// Someone committed after this session's last edit; the working set
@@ -1605,21 +1644,14 @@ func (s *Session) commitStructuralLocked(t0 time.Time) (*ECOResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	prevWNS, prevTNS := m.baseWNS, m.baseTNS
-	oldE, oldBe := m.e, m.be
-	m.e = d.Engine
-	if d.Batch != nil {
-		m.be = d.Batch
-	}
+	old := m.be
+	m.be = old.Over(d.Engine)
 	if m.ownsBase {
-		// Engines installed by an earlier structural commit: nothing else can
-		// reference them once every overlay rebases, and Close only stops the
-		// scheduler pool — the tensors stay readable for overlays that rebase
-		// lazily later.
-		oldE.Close()
-		if oldBe != nil && d.Batch != nil {
-			oldBe.Close()
-		}
+		// An engine installed by an earlier structural commit: nothing else
+		// can reference it once every overlay rebases, and Close only stops
+		// the scheduler pool — the tensors stay readable for overlays that
+		// rebase lazily later.
+		old.Close()
 	}
 	m.ownsBase = true
 	m.topoGen++
@@ -1641,68 +1673,22 @@ func (s *Session) commitStructuralLocked(t0 time.Time) (*ECOResult, error) {
 	}
 	s.resizes = s.resizes[:0]
 	s.moves = s.moves[:0]
-	m.epoch++
-	m.epochA.Store(m.epoch)
-	m.baseWNS, m.baseTNS = m.e.WNS(), m.e.TNS()
-	res := &ECOResult{
-		WNS:       m.baseWNS,
-		TNS:       m.baseTNS,
-		DeltaWNS:  m.baseWNS - prevWNS,
-		DeltaTNS:  m.baseTNS - prevTNS,
-		Epoch:     m.epoch,
-		Committed: true,
-	}
-	if m.be != nil {
-		prev := m.baseScn
-		m.baseScn = scenarioBaseViews(m.be)
-		res.Scenarios = make([]ScenarioView, len(m.baseScn))
-		for i, v := range m.baseScn {
-			v.DeltaWNS = v.WNS - prev[i].WNS
-			v.DeltaTNS = v.TNS - prev[i].TNS
-			res.Scenarios[i] = v
-		}
-	}
-	// Re-bind this session's overlays to the engines it just installed. It
+	// Re-bind this session's overlay to the engine it just installed. It
 	// holds no overlay deltas (structural sessions reject them), so the
 	// rebase is a pure re-point.
 	s.rebindLocked(nil)
 	s.ts = nil // detached: the manager owns the working set now
-	s.epoch = m.epoch
-	m.commits.Add(1)
+	res := s.finishCommitLocked(t0, map[string]any{
+		"structural": true,
+		"inserted":   d.Stats.Inserted,
+		"removed":    d.Stats.Removed,
+	})
 	m.topoCommits.Add(1)
 	m.log.Info("structural commit", "session", s.ID,
 		"edits", d.Stats.Edits, "inserted", d.Stats.Inserted,
 		"removed", d.Stats.Removed, "annotated", d.Stats.Annotated,
 		"new_pins", d.Stats.NewPins, "epoch", m.epoch, "topo_gen", m.topoGen,
 		"wns", m.baseWNS, "tns", m.baseTNS, "duration", time.Since(t0))
-	if m.opt.ManifestDir != "" {
-		man := &obs.Manifest{
-			Tool:      "insta-served-commit",
-			Design:    m.opt.Design,
-			StartedAt: t0,
-			WallMS:    float64(time.Since(t0).Nanoseconds()) / 1e6,
-			Pins:      m.e.NumPins(),
-			Arcs:      m.e.NumArcs(),
-			Endpoints: len(m.e.Endpoints()),
-			Levels:    m.e.NumLevels(),
-			TopK:      m.e.TopK(),
-			Workers:   m.e.Pool().Workers(),
-			WNSBefore: prevWNS,
-			TNSBefore: prevTNS,
-			WNSAfter:  m.baseWNS,
-			TNSAfter:  m.baseTNS,
-		}
-		man.AddExtra("session", s.ID)
-		man.AddExtra("structural", true)
-		man.AddExtra("inserted", d.Stats.Inserted)
-		man.AddExtra("removed", d.Stats.Removed)
-		man.AddExtra("epoch", m.epoch)
-		if path, err := obs.WriteManifest(m.opt.ManifestDir, man); err != nil {
-			m.log.Warn("commit manifest write failed", "err", err)
-		} else if m.debugLog() {
-			m.log.Debug("commit manifest written", "path", path)
-		}
-	}
 	return res, nil
 }
 
@@ -1744,10 +1730,10 @@ func (s *Session) Rollback() error {
 		s.ts.Close()
 		s.ts = nil
 	}
-	s.resetLocked()
+	s.ov.Reset()
 	if s.topoGen != m.topoGen {
-		// The base engines were structurally replaced; re-point the emptied
-		// overlays (no deltas survive a reset, so no remap needed).
+		// The base engine was structurally replaced; re-point the emptied
+		// overlay (no deltas survive a reset, so no remap needed).
 		s.rebindLocked(nil)
 	}
 	s.resizes = s.resizes[:0]
@@ -1770,7 +1756,7 @@ func (s *Session) Close() bool {
 		s.ts.Close()
 		s.ts = nil
 	}
-	s.resetLocked()
+	s.ov.Reset()
 	return s.m.remove(s.ID)
 }
 

@@ -1,19 +1,19 @@
 package topo
 
-// Structural ECO sessions: a working clone of the extraction tables plus
-// fully evaluated working engines (single-corner and, when serving corners,
-// scenario-batched), rebuilt incrementally per edit batch. The session is
-// the preview/commit/rollback unit the serving layer wraps:
+// Structural ECO sessions: a working clone of the extraction tables plus one
+// fully evaluated working engine (every lane of it, when the base carries
+// scenarios), rebuilt incrementally per edit batch. The session is the
+// preview/commit/rollback unit the serving layer wraps:
 //
-//	preview  = Apply/Annotate against the working set; the base engines
-//	           stay frozen and shared with concurrent annotation sessions
+//	preview  = Apply/Annotate against the working set; the base engine
+//	           stays frozen and shared with concurrent annotation sessions
 //	commit   = Detach hands the working set to the owner, which swaps it in
 //	           as the new base
-//	rollback = Reset closes the working engines and points the session back
+//	rollback = Reset closes the working engine and points the session back
 //	           at the base
 //
 // Each Apply recompiles the edited tables with core.CompileIncremental
-// (localized re-levelization) and stands up the next working engines with
+// (localized re-levelization) and stands up the next working engine with
 // core.Engine.Reseed (cone-limited re-propagation), so the cost of an edit
 // scales with its fan-out cone, not the design — while
 // staying bit-identical to a cold compile + full propagation of the edited
@@ -22,7 +22,6 @@ package topo
 import (
 	"fmt"
 
-	"insta/internal/batch"
 	"insta/internal/circuitops"
 	"insta/internal/core"
 	"insta/internal/levelize"
@@ -50,19 +49,17 @@ type SessionStats struct {
 // Session is one structural ECO session over a frozen base.
 //
 // Concurrency contract: a Session is single-threaded. Apply and Annotate
-// read the base engines' tensors (seeded construction), so the base must be
+// read the base engine's tensors (seeded construction), so the base must be
 // frozen for the duration of the call — the serving layer holds its engine
 // read lock. Reset, Detach and Close touch only session-owned state.
 type Session struct {
 	baseTab   *circuitops.Tables
 	baseState *core.State
 	baseEng   *core.Engine
-	baseBatch *batch.Engine
 
 	tab   *circuitops.Tables
 	state *core.State
 	eng   *core.Engine
-	beng  *batch.Engine
 
 	remap    []int32 // base arc id -> current arc id; nil = identity
 	stats    SessionStats
@@ -77,12 +74,12 @@ type Session struct {
 // Nil (the default) and disabled tracers cost one branch.
 func (s *Session) SetTracer(t *obs.Tracer) { s.tracer = t }
 
-// NewSession opens a structural session over base engine e (which must be
-// fully evaluated — Run, or a previous structural commit) and, optionally,
-// the scenario-batched engine be kept delay-synchronized with e. The base
-// tables are reconstructed from the engine's current state, so annotation
-// ECOs committed before the session opened are already folded in.
-func NewSession(e *core.Engine, be *batch.Engine) (*Session, error) {
+// NewSession opens a structural session over base engine e, which must be
+// fully evaluated — Run, or a previous structural commit — and may carry any
+// number of lanes. The base tables are reconstructed from the engine's
+// current state, so annotation ECOs committed before the session opened are
+// already folded in.
+func NewSession(e *core.Engine) (*Session, error) {
 	if e == nil {
 		return nil, fmt.Errorf("topo: nil base engine")
 	}
@@ -91,9 +88,8 @@ func NewSession(e *core.Engine, be *batch.Engine) (*Session, error) {
 		baseTab:   st.Tables(),
 		baseState: st,
 		baseEng:   e,
-		baseBatch: be,
 	}
-	s.tab, s.state, s.eng, s.beng = s.baseTab, s.baseState, s.baseEng, s.baseBatch
+	s.tab, s.state, s.eng = s.baseTab, s.baseState, s.baseEng
 	return s, nil
 }
 
@@ -101,26 +97,10 @@ func NewSession(e *core.Engine, be *batch.Engine) (*Session, error) {
 // the first Apply, the latest seeded engine after. Read-only for callers.
 func (s *Session) Engine() *core.Engine { return s.eng }
 
-// Batch returns the working scenario-batched engine (nil when the session
-// was opened without one).
-func (s *Session) Batch() *batch.Engine { return s.beng }
-
-// engines returns the working engines as their one underlying type: the
-// single-corner engine, then the scenario-batched one when present.
-func (s *Session) engines() []*core.Engine {
-	if s.beng == nil {
-		return []*core.Engine{s.eng}
-	}
-	return []*core.Engine{s.eng, s.beng.Engine}
-}
-
-// closeWorking closes the working engines unless they are still the shared
-// base (both are replaced together by the first Apply).
+// closeWorking closes the working engine unless it is still the shared base.
 func (s *Session) closeWorking() {
 	if s.eng != s.baseEng {
-		for _, e := range s.engines() {
-			e.Close()
-		}
+		s.eng.Close()
 	}
 }
 
@@ -142,11 +122,11 @@ func (s *Session) Stats() SessionStats { return s.stats }
 func (s *Session) Edited() bool { return s.stats.Edits > 0 }
 
 // Apply validates and applies one structural op batch, recompiles the edited
-// tables with localized re-levelization, and stands up fresh working engines
-// seeded from the current ones. On any error the session — tables, compiled
-// state, engines, remap — is left exactly as it was (the op batch itself is
-// validate-then-apply on a clone, and engine construction failures discard
-// the partial objects before the swap).
+// tables with localized re-levelization, and stands up the next working
+// engine seeded from the current one. On any error the session — tables,
+// compiled state, engine, remap — is left exactly as it was (the op batch
+// itself is validate-then-apply on a clone, and a failed reseed leaves the
+// current engine untouched).
 func (s *Session) Apply(ops []Op) (*Result, error) {
 	if s.detached || s.closed {
 		return nil, fmt.Errorf("topo: session is no longer active")
@@ -182,32 +162,17 @@ func (s *Session) Apply(ops []Op) (*Result, error) {
 		}
 	}
 	csp.End()
-	// Stand up the working engines: seeded fresh off the shared base on the
-	// first edit, reseeded in place once they are session-private — the
-	// steady state, where an edit costs no tensor allocation at all. The
-	// preconditions are the same for every engine, so an in-place reseed that
-	// passed them on the first cannot fail on the second.
+	// Stand up the working engine: seeded fresh off the shared base on the
+	// first edit, reseeded in place once it is session-private — the steady
+	// state, where an edit costs no tensor allocation at all.
 	rsp := sp.ChildArg("topo-reseed", "seeds", int64(len(res.Seeds)))
 	defer rsp.End()
-	private := s.eng != s.baseEng
-	work := s.engines()
-	next := make([]*core.Engine, len(work))
-	for i, e := range work {
-		if next[i], err = e.Reseed(st, res.Seeds, private); err != nil {
-			if !private {
-				for _, ne := range next[:i] {
-					ne.Close()
-				}
-			}
-			return nil, err
-		}
-	}
-	eng, beng := next[0], s.beng
-	if beng != nil {
-		beng = beng.Over(next[1])
+	eng, err := s.eng.Reseed(st, res.Seeds, s.eng != s.baseEng)
+	if err != nil {
+		return nil, err
 	}
 
-	s.tab, s.state, s.eng, s.beng = res.Tables, st, eng, beng
+	s.tab, s.state, s.eng = res.Tables, st, eng
 	s.remap = composeRemap(s.remap, res.Remap, len(s.baseTab.Arcs))
 	s.stats.Edits++
 	s.stats.Inserted += res.Inserted
@@ -220,7 +185,7 @@ func (s *Session) Apply(ops []Op) (*Result, error) {
 
 // Annotate rewrites arc delays in the session's current arc id space —
 // annotation ECOs arriving on a session that already holds structural edits
-// fold in here, keeping the working tables and engines delay-synchronized so
+// fold in here, keeping the working tables and engine delay-synchronized so
 // the cold-compile oracle stays exact. Only legal after the first Apply: the
 // working set before that IS the shared base, which a session must never
 // mutate (pre-structural annotations belong in the serving overlay).
@@ -242,15 +207,12 @@ func (s *Session) Annotate(deltas []Delta) error {
 		}
 	}
 	arcs := make([]int32, 0, len(deltas))
-	engs := s.engines()
 	for _, d := range deltas {
 		a := &s.tab.Arcs[d.Arc]
 		a.MeanRise, a.StdRise = d.Delay[0].Mean, d.Delay[0].Std
 		a.MeanFall, a.StdFall = d.Delay[1].Mean, d.Delay[1].Std
 		for rf := 0; rf < 2; rf++ {
-			for _, e := range engs {
-				e.SetArcDelay(d.Arc, rf, d.Delay[rf])
-			}
+			s.eng.SetArcDelay(d.Arc, rf, d.Delay[rf])
 			// The session-private compiled state is the `prev` of the next
 			// patched recompile, whose unchanged rows are taken on faith —
 			// keep its annotation slabs coherent with the tables. (After an
@@ -261,24 +223,22 @@ func (s *Session) Annotate(deltas []Delta) error {
 		}
 		arcs = append(arcs, d.Arc)
 	}
-	for _, e := range engs {
-		e.PropagateIncremental(arcs)
-		e.RefreshSlacks()
-		if e.HoldEnabled() {
-			e.RefreshHoldSlacks()
-		}
+	s.eng.PropagateIncremental(arcs)
+	s.eng.RefreshSlacks()
+	if s.eng.HoldEnabled() {
+		s.eng.RefreshHoldSlacks()
 	}
 	return nil
 }
 
-// Reset rolls every structural edit back: the working engines are closed and
+// Reset rolls every structural edit back: the working engine is closed and
 // the session points at the untouched base again.
 func (s *Session) Reset() {
 	if s.detached || s.closed {
 		return
 	}
 	s.closeWorking()
-	s.tab, s.state, s.eng, s.beng = s.baseTab, s.baseState, s.baseEng, s.baseBatch
+	s.tab, s.state, s.eng = s.baseTab, s.baseState, s.baseEng
 	s.remap = nil
 	s.stats = SessionStats{}
 }
@@ -288,14 +248,13 @@ type Detached struct {
 	Tables *circuitops.Tables
 	State  *core.State
 	Engine *core.Engine
-	Batch  *batch.Engine
 	Remap  []int32 // base→current arc remap, nil = identity
 	Stats  SessionStats
 }
 
 // Detach hands the session's working set to the caller — the commit path:
-// the caller becomes the owner of the engines (and their Close), and the
-// session deactivates without touching them. Fails when there is nothing to
+// the caller becomes the owner of the engine (and its Close), and the
+// session deactivates without touching it. Fails when there is nothing to
 // commit.
 func (s *Session) Detach() (*Detached, error) {
 	if s.detached || s.closed {
@@ -310,7 +269,6 @@ func (s *Session) Detach() (*Detached, error) {
 		Tables: s.tab,
 		State:  s.state,
 		Engine: s.eng,
-		Batch:  s.beng,
 		Remap:  s.remap,
 		Stats:  s.stats,
 	}
@@ -318,8 +276,8 @@ func (s *Session) Detach() (*Detached, error) {
 	return d, nil
 }
 
-// Close releases the session's working engines unless they were detached (or
-// are the shared base). Idempotent.
+// Close releases the session's working engine unless it was detached (or is
+// the shared base). Idempotent.
 func (s *Session) Close() {
 	if s.closed {
 		return

@@ -5,14 +5,15 @@ package topo
 // *bit-identical* — endpoint slacks, hold slacks, WNS/TNS, Top-K queues,
 // timing gradients — to a cold core.Compile + NewEngineFromState + Run over
 // the session's working tables, at any worker count (ci.sh runs this package
-// under -race as well). The batched working engine is held to the same
-// standard against a cold batch.New per scenario.
+// under -race as well). A session over a scenario engine is held to the same
+// standard per lane against a cold batch.New, and its unit lane against a cold
+// single-lane engine.
 
 import (
 	"testing"
 
-	"insta/internal/bench"
 	"insta/internal/batch"
+	"insta/internal/bench"
 	"insta/internal/circuitops"
 	"insta/internal/core"
 	"insta/internal/liberty"
@@ -120,7 +121,7 @@ func TestInsertBufferDifferential(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		opt := core.Options{TopK: 8, Hold: true, Workers: workers}
 		base := mustEngine(t, tab, opt)
-		s, err := NewSession(base, nil)
+		s, err := NewSession(base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +155,7 @@ func TestRemoveBufferDifferential(t *testing.T) {
 	opt := core.Options{TopK: 8, Hold: true, Workers: 2}
 	base := mustEngine(t, tab, opt)
 	defer base.Close()
-	s, err := NewSession(base, nil)
+	s, err := NewSession(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestAnnotateOnStructuralSessionDifferential(t *testing.T) {
 	opt := core.Options{TopK: 8, Hold: true, Workers: 2}
 	base := mustEngine(t, tab, opt)
 	defer base.Close()
-	s, err := NewSession(base, nil)
+	s, err := NewSession(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestMixedBatchWithAnnotateOps(t *testing.T) {
 	opt := core.Options{TopK: 8, Workers: 2}
 	base := mustEngine(t, tab, opt)
 	defer base.Close()
-	s, err := NewSession(base, nil)
+	s, err := NewSession(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,20 +245,58 @@ func TestMixedBatchWithAnnotateOps(t *testing.T) {
 	assertEnginesIdentical(t, "mixed", s.Engine(), s.Tables(), opt)
 }
 
+// TestBatchedEngineDifferential: the one working engine of a session opened
+// over a scenario engine stays, through insert / remove / annotate batches,
+// bit-identical in every lane to a cold batch.New over the working tables —
+// and its unit lane (tt) to a cold single-lane engine, the figure a daemon
+// serves as nominal.
 func TestBatchedEngineDifferential(t *testing.T) {
 	tab := buildTables(t, 35)
 	scns := batch.DefaultScenarios()
 	for _, workers := range []int{1, 4} {
 		opt := core.Options{TopK: 8, Hold: true, Workers: workers}
-		base := mustEngine(t, tab, opt)
 		bbase, err := batch.New(tab, scns, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bbase.Run()
-		s, err := NewSession(base, bbase)
+		s, err := NewSession(bbase.Engine)
 		if err != nil {
 			t.Fatal(err)
+		}
+		check := func(tag string) {
+			t.Helper()
+			// Per-scenario bit-identity against a cold batched engine over
+			// the session's working tables.
+			cold, err := batch.New(s.Tables(), scns, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cold.Close()
+			cold.Run()
+			got := bbase.Over(s.Engine())
+			for sc := range scns {
+				gs, ws := got.Slacks(sc), cold.Slacks(sc)
+				for i := range ws {
+					if gs[i] != ws[i] {
+						t.Fatalf("%s workers=%d scenario %d ep %d: %v != cold %v", tag, workers, sc, i, gs[i], ws[i])
+					}
+				}
+				gh, wh := got.HoldSlacks(sc), cold.HoldSlacks(sc)
+				for i := range wh {
+					if gh[i] != wh[i] {
+						t.Fatalf("%s workers=%d scenario %d ep %d: hold %v != cold %v", tag, workers, sc, i, gh[i], wh[i])
+					}
+				}
+			}
+			nominal := mustEngine(t, s.Tables(), opt)
+			defer nominal.Close()
+			tt := got.Slacks(got.UnitScenario())
+			for i, w := range nominal.Slacks() {
+				if tt[i] != w {
+					t.Fatalf("%s workers=%d ep %d: unit lane %v != cold single-lane %v", tag, workers, i, tt[i], w)
+				}
+			}
 		}
 		nets := netArcs(tab)
 		if _, err := s.Apply([]Op{
@@ -266,6 +305,10 @@ func TestBatchedEngineDifferential(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+		if s.Engine() == bbase.Engine {
+			t.Fatal("apply did not create a working engine")
+		}
+		check("insert")
 		cellArc := int32(len(s.Tables().Arcs) - 2)
 		if s.Tables().Arcs[cellArc].Kind != 0 {
 			t.Fatalf("arc %d is not a cell arc", cellArc)
@@ -273,33 +316,13 @@ func TestBatchedEngineDifferential(t *testing.T) {
 		if _, err := s.Apply([]Op{RemoveBuffer(cellArc)}); err != nil {
 			t.Fatal(err)
 		}
-
-		// Per-scenario bit-identity against a cold batched engine over the
-		// session's working tables.
-		cold, err := batch.New(s.Tables(), scns, opt)
-		if err != nil {
+		check("remove")
+		if err := s.Annotate([]Delta{{Arc: nets[2], Delay: bufDelay(5, 0.25)}}); err != nil {
 			t.Fatal(err)
 		}
-		cold.Run()
-		got := s.Batch()
-		for sc := range scns {
-			gs, ws := got.Slacks(sc), cold.Slacks(sc)
-			for i := range ws {
-				if gs[i] != ws[i] {
-					t.Fatalf("workers=%d scenario %d ep %d: %v != cold %v", workers, sc, i, gs[i], ws[i])
-				}
-			}
-			gh, wh := got.HoldSlacks(sc), cold.HoldSlacks(sc)
-			for i := range wh {
-				if gh[i] != wh[i] {
-					t.Fatalf("workers=%d scenario %d ep %d: hold %v != cold %v", workers, sc, i, gh[i], wh[i])
-				}
-			}
-		}
-		cold.Close()
+		check("annotate")
 		s.Close()
 		bbase.Close()
-		base.Close()
 	}
 }
 
@@ -308,7 +331,7 @@ func TestApplyAtomicOnInvalidBatch(t *testing.T) {
 	opt := core.Options{TopK: 8, Workers: 2}
 	base := mustEngine(t, tab, opt)
 	defer base.Close()
-	s, err := NewSession(base, nil)
+	s, err := NewSession(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +374,7 @@ func TestResetRestoresBase(t *testing.T) {
 	base := mustEngine(t, tab, opt)
 	defer base.Close()
 	baseWNS := base.WNS()
-	s, err := NewSession(base, nil)
+	s, err := NewSession(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +399,7 @@ func TestDetachTransfersOwnership(t *testing.T) {
 	opt := core.Options{TopK: 8, Workers: 2}
 	base := mustEngine(t, tab, opt)
 	defer base.Close()
-	s, err := NewSession(base, nil)
+	s, err := NewSession(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +432,7 @@ func TestRepeatedEditsStayIdentical(t *testing.T) {
 	opt := core.Options{TopK: 8, Hold: true, Workers: 4}
 	base := mustEngine(t, tab, opt)
 	defer base.Close()
-	s, err := NewSession(base, nil)
+	s, err := NewSession(base)
 	if err != nil {
 		t.Fatal(err)
 	}
