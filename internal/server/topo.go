@@ -1,0 +1,517 @@
+package server
+
+// Structural ECOs on a session: resolving topo requests against the reference
+// engine, applying them to the session's working set, the structural commit
+// that swaps the served engine, and the arc id remaps that keep older ids
+// resolving across such swaps.
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"time"
+
+	"insta/internal/netlist"
+	"insta/internal/num"
+	"insta/internal/obs"
+	"insta/internal/topo"
+)
+
+// remapGen is one structural commit's arc remap: old-current → new-current ids
+// over the pre-commit arc count, nil when the commit only appended arcs.
+type remapGen struct {
+	gen   uint64
+	remap []int32
+}
+
+// relevelBounds buckets the per-batch re-levelized level span — the locality
+// signal of incremental re-levelization (a design-deep edit re-levels
+// hundreds, a leaf edit a handful).
+var relevelBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
+
+// TopoCounters is a snapshot of the structural-ECO lifetime counters.
+type TopoCounters struct {
+	Edits     int64 // structural op batches applied
+	Inserted  int64 // buffers spliced in
+	Removed   int64 // buffers removed
+	Commits   int64 // structural commits (base engine swaps)
+	Conflicts int64 // edits/commits refused for a moved base
+}
+
+// TopoCountersSnapshot snapshots the structural-ECO counters.
+func (m *Manager) TopoCountersSnapshot() TopoCounters {
+	return TopoCounters{
+		Edits:     m.topoEdits.Load(),
+		Inserted:  m.topoInserted.Load(),
+		Removed:   m.topoRemoved.Load(),
+		Commits:   m.topoCommits.Load(),
+		Conflicts: m.topoConflicts.Load(),
+	}
+}
+
+// RelevelHist returns the histogram of levels re-levelized per structural
+// batch, for /metrics exposition.
+func (m *Manager) RelevelHist() *obs.Histogram { return m.relevelHist }
+
+// TopoGen returns the structural generation (bumped on every structural
+// commit; the epoch bumps too, so TopoGen only matters to callers that care
+// whether the engine *objects* were replaced).
+func (m *Manager) TopoGen() uint64 {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.topoGen
+}
+
+// composedRemapSince folds the remaps of every structural commit after gen
+// into one old→current arc remap (-1 = removed), or nil when ids survived
+// unchanged. Caller holds at least m.mu.RLock.
+func (m *Manager) composedRemapSince(gen uint64) []int32 {
+	var acc []int32
+	for _, g := range m.remapHist {
+		if g.gen <= gen || g.remap == nil {
+			continue
+		}
+		if acc == nil {
+			acc = append([]int32(nil), g.remap...)
+			continue
+		}
+		for i, cur := range acc {
+			if cur >= 0 {
+				acc[i] = g.remap[cur]
+			}
+		}
+	}
+	return acc
+}
+
+// refArcLocked translates an extraction-space arc id (the reference engine's
+// space) to the current committed engine's space, or -1 if a structural
+// commit removed the arc. Caller holds at least m.mu.RLock.
+func (m *Manager) refArcLocked(a int32) int32 {
+	if m.baseRemap == nil {
+		return a
+	}
+	return m.baseRemap[a]
+}
+
+// curToRefLocked inverts refArcLocked: the extraction arc that became current
+// arc a, or -1 for arcs that only exist post-edit (inserted buffers). Caller
+// holds at least m.mu.RLock. Linear in the extraction arc count; only
+// resolution paths for structural requests take it.
+func (m *Manager) curToRefLocked(a int32) int32 {
+	if m.baseRemap == nil {
+		return a
+	}
+	for i, cur := range m.baseRemap {
+		if cur == a {
+			return int32(i)
+		}
+	}
+	return -1
+}
+
+// TopoOp is one structural edit in a topo batch. Arc ids are in the session's
+// current working space: identical to the committed engine's ids until the
+// session's first structural batch, and tracked through the new_arcs ranges
+// the topo responses report after that.
+//
+//   - "buffer":   splice a buffer into net arc Arc at position Frac (0 =
+//     driver, default 0.5); Lib names the buffer cell (default BUF_X4) and the
+//     gate delay comes from the reference engine's frozen-slew estimate.
+//   - "unbuffer": remove the buffer whose cell arc is Arc, restoring the
+//     through-wire.
+//   - "repower":  swap instance Cell to library cell Lib; resolved to arc
+//     re-annotations via estimate_eco and replayed into the signoff netlist
+//     on commit.
+//   - "move":     place instance Cell at (X, Y); resolved to wire/driver arc
+//     re-annotations via the frozen-slew move estimate, replayed on commit.
+//   - "annotate": set arc Arc's delay to Rise/Fall directly.
+type TopoOp struct {
+	Op   string   `json:"op"`
+	Arc  int32    `json:"arc,omitempty"`
+	Cell string   `json:"cell,omitempty"`
+	Lib  string   `json:"lib,omitempty"`
+	Frac float64  `json:"frac,omitempty"`
+	X    float64  `json:"x,omitempty"`
+	Y    float64  `json:"y,omitempty"`
+	Rise num.Dist `json:"rise,omitempty"`
+	Fall num.Dist `json:"fall,omitempty"`
+}
+
+// TopoRequest is one structural edit batch, validated and applied atomically.
+type TopoRequest struct {
+	Ops []TopoOp `json:"ops"`
+}
+
+// TopoResult reports one structural batch: the session's post-edit timing view
+// plus the batch's structural footprint. NewArcs is the session-space id range
+// [lo, hi) of arcs this batch appended (each inserted buffer contributes its
+// cell arc then its output net arc, in op order).
+type TopoResult struct {
+	View          *ECOResult `json:"view"`
+	Inserted      int        `json:"inserted"`
+	Removed       int        `json:"removed"`
+	Annotated     int        `json:"annotated"`
+	NewPins       int        `json:"new_pins"`
+	NewArcs       [2]int     `json:"new_arcs"`
+	RelevelLevels int        `json:"relevel_levels"`
+	RelevelRegion int        `json:"relevel_region"`
+	Edits         int        `json:"edits"` // cumulative structural batches this session
+}
+
+type resolvedMove struct {
+	cell netlist.CellID
+	x, y float64
+}
+
+// rebindLocked re-targets the overlay at the manager's current engine after a
+// structural commit replaced it, re-keying recorded deltas through remap
+// (nil = identity). Caller holds s.mu and at least m.mu.RLock.
+func (s *Session) rebindLocked(remap []int32) {
+	s.ov.RebaseStructural(s.m.be.Engine, remap)
+	s.topoGen = s.m.topoGen
+}
+
+// tsArcLocked maps a committed-engine arc id into the structural session's
+// current space (-1 = removed by an edit). Arcs the session itself appended
+// (ids past the remap) pass through unchanged, as does everything when the
+// session holds no structural edits. Caller holds s.mu.
+func (s *Session) tsArcLocked(a int32) int32 {
+	if s.ts == nil {
+		return a
+	}
+	r := s.ts.Remap()
+	if r == nil || int(a) >= len(r) {
+		return a
+	}
+	return r[a]
+}
+
+// sessionToRefLocked inverts the full id chain: a session-current arc id back
+// to the extraction-space id the reference engine speaks, or -1 when the arc
+// only exists post-edit (an inserted buffer's arcs) and so has no signoff
+// counterpart to estimate from. Caller holds s.mu and at least m.mu.RLock.
+func (s *Session) sessionToRefLocked(a int32) int32 {
+	cur := a
+	if s.ts != nil {
+		if r := s.ts.Remap(); r != nil {
+			cur = -1
+			for i, v := range r {
+				if v == a {
+					cur = int32(i)
+					break
+				}
+			}
+			if cur < 0 {
+				return -1
+			}
+		}
+	}
+	ref := s.m.curToRefLocked(cur)
+	if ref < 0 || s.m.ref == nil || int(ref) >= s.m.ref.NumArcs() {
+		return -1
+	}
+	return ref
+}
+
+// tsArcFromRefLocked maps an extraction-space arc id (estimate_eco output)
+// into the structural session's current space, or -1 when some structural
+// edit — committed or session-local — removed it.
+func (s *Session) tsArcFromRefLocked(ref int32) int32 {
+	cur := s.m.refArcLocked(ref)
+	if cur < 0 {
+		return -1
+	}
+	return s.tsArcLocked(cur)
+}
+
+// resolveTopoLocked validates one structural batch and resolves its ops into
+// topo.Ops (delays priced by the reference engine's frozen-slew estimators)
+// plus the netlist changes to replay on commit. Nothing is applied. Caller
+// holds s.mu and at least m.mu.RLock.
+func (s *Session) resolveTopoLocked(req TopoRequest) ([]topo.Op, []resolvedResize, []resolvedMove, error) {
+	m := s.m
+	arcLimit := int32(s.arcLimitLocked())
+	ops := make([]topo.Op, 0, len(req.Ops))
+	var rzs []resolvedResize
+	var mvs []resolvedMove
+	for i, op := range req.Ops {
+		switch op.Op {
+		case "buffer":
+			if m.ref == nil {
+				return nil, nil, nil, ErrNoRefEngine
+			}
+			if op.Arc < 0 || op.Arc >= arcLimit {
+				return nil, nil, nil, fmt.Errorf("server: topo op %d: arc %d out of range [0,%d)", i, op.Arc, arcLimit)
+			}
+			libName := op.Lib
+			if libName == "" {
+				libName = "BUF_X4"
+			}
+			lib, ok := m.ref.Lib.CellByName(libName)
+			if !ok {
+				return nil, nil, nil, fmt.Errorf("server: topo op %d: unknown library cell %q", i, libName)
+			}
+			frac := op.Frac
+			if frac == 0 {
+				frac = 0.5
+			}
+			if math.IsNaN(frac) {
+				return nil, nil, nil, fmt.Errorf("server: topo op %d: frac is NaN", i)
+			}
+			ref := s.sessionToRefLocked(op.Arc)
+			if ref < 0 {
+				return nil, nil, nil, fmt.Errorf("server: topo op %d: arc %d has no signoff counterpart to estimate from", i, op.Arc)
+			}
+			d, err := m.ref.EstimateBuffer(ref, lib, frac)
+			if err != nil {
+				return nil, nil, nil, fmt.Errorf("server: topo op %d: %w", i, err)
+			}
+			// Inserted buffers have no design instance, so the spliced cell
+			// arc carries no cell id (gradients skip it).
+			ops = append(ops, topo.InsertBuffer(op.Arc, -1, d, frac))
+			// The driver sheds the sink-side wire and pin for the buffer's
+			// input cap: re-annotate its cell arcs at the reduced load (this
+			// is the half of buffering that helps — every other sink of the
+			// net rides the faster driver). At most one buffered branch per
+			// driver per batch: a second would claim the same driver arcs.
+			dds, err := m.ref.EstimateBufferDriver(ref, lib, frac)
+			if err != nil {
+				return nil, nil, nil, fmt.Errorf("server: topo op %d: %w", i, err)
+			}
+			for _, dl := range dds {
+				if a := s.tsArcFromRefLocked(dl.ArcID); a >= 0 {
+					ops = append(ops, topo.Annotate(a, dl.Delay))
+				}
+			}
+		case "unbuffer":
+			if op.Arc < 0 || op.Arc >= arcLimit {
+				return nil, nil, nil, fmt.Errorf("server: topo op %d: arc %d out of range [0,%d)", i, op.Arc, arcLimit)
+			}
+			ops = append(ops, topo.RemoveBuffer(op.Arc))
+		case "repower":
+			if m.ref == nil {
+				return nil, nil, nil, ErrNoRefEngine
+			}
+			c, ok := m.ref.D.CellByName(op.Cell)
+			if !ok {
+				return nil, nil, nil, fmt.Errorf("server: topo op %d: unknown cell %q", i, op.Cell)
+			}
+			lib, ok := m.ref.Lib.CellByName(op.Lib)
+			if !ok {
+				return nil, nil, nil, fmt.Errorf("server: topo op %d: unknown library cell %q", i, op.Lib)
+			}
+			deltas, err := m.ref.EstimateECO(c, lib)
+			if err != nil {
+				return nil, nil, nil, fmt.Errorf("server: topo op %d: estimate_eco %s -> %s: %w", i, op.Cell, op.Lib, err)
+			}
+			for _, dl := range deltas {
+				if a := s.tsArcFromRefLocked(dl.ArcID); a >= 0 {
+					ops = append(ops, topo.Annotate(a, dl.Delay))
+				}
+			}
+			rzs = append(rzs, resolvedResize{cell: c, lib: lib})
+		case "move":
+			if m.ref == nil {
+				return nil, nil, nil, ErrNoRefEngine
+			}
+			c, ok := m.ref.D.CellByName(op.Cell)
+			if !ok {
+				return nil, nil, nil, fmt.Errorf("server: topo op %d: unknown cell %q", i, op.Cell)
+			}
+			if math.IsNaN(op.X+op.Y) || math.IsInf(op.X+op.Y, 0) {
+				return nil, nil, nil, fmt.Errorf("server: topo op %d: non-finite position (%v, %v)", i, op.X, op.Y)
+			}
+			deltas, err := m.ref.EstimateMove(c, op.X, op.Y)
+			if err != nil {
+				return nil, nil, nil, fmt.Errorf("server: topo op %d: estimate_move %s: %w", i, op.Cell, err)
+			}
+			for _, dl := range deltas {
+				if a := s.tsArcFromRefLocked(dl.ArcID); a >= 0 {
+					ops = append(ops, topo.Annotate(a, dl.Delay))
+				}
+			}
+			mvs = append(mvs, resolvedMove{cell: c, x: op.X, y: op.Y})
+		case "annotate":
+			if op.Arc < 0 || op.Arc >= arcLimit {
+				return nil, nil, nil, fmt.Errorf("server: topo op %d: arc %d out of range [0,%d)", i, op.Arc, arcLimit)
+			}
+			if err := checkDelay(op.Rise, op.Fall); err != nil {
+				return nil, nil, nil, fmt.Errorf("server: topo op %d: %w", i, err)
+			}
+			ops = append(ops, topo.Annotate(op.Arc, [2]num.Dist{op.Rise, op.Fall}))
+		default:
+			return nil, nil, nil, fmt.Errorf("server: topo op %d: unknown op %q", i, op.Op)
+		}
+	}
+	return ops, rzs, mvs, nil
+}
+
+// ApplyTopo validates and applies one structural edit batch — buffer
+// insertions/removals, repowers, moves, raw annotations — to the session's
+// structural working set, re-levelizing and re-propagating only the edited
+// cone, and returns the post-edit view. The committed base is untouched until
+// Commit. The batch is atomic: on any error the session is exactly as it was.
+//
+// The first structural batch converts the session: it must hold no
+// uncommitted annotation ECOs (ErrPendingAnnotations), and from then on every
+// evaluation runs against the session's own seeded engine; a commit to the
+// base by any other session conflicts it (ErrStructuralConflict).
+func (s *Session) ApplyTopo(req TopoRequest) (*TopoResult, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, ErrSessionClosed
+	}
+	if len(req.Ops) == 0 {
+		return nil, errors.New("server: empty topo batch")
+	}
+	s.touch()
+	m := s.m
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if err := s.rebaseLocked(); err != nil {
+		return nil, err
+	}
+	if s.ts == nil && s.ov.Stats().TouchedArcs > 0 {
+		return nil, ErrPendingAnnotations
+	}
+	ops, rzs, mvs, err := s.resolveTopoLocked(req)
+	if err != nil {
+		return nil, err
+	}
+	created := false
+	if s.ts == nil {
+		ts, err := topo.NewSession(m.be.Engine)
+		if err != nil {
+			return nil, err
+		}
+		ts.SetTracer(m.be.Tracer())
+		s.ts = ts
+		created = true
+	}
+	res, err := s.ts.Apply(ops)
+	if err != nil {
+		if created {
+			s.ts.Close()
+			s.ts = nil
+		}
+		return nil, err
+	}
+	s.resizes = append(s.resizes, rzs...)
+	s.moves = append(s.moves, mvs...)
+	st := s.ts.Stats()
+	m.topoEdits.Add(1)
+	m.topoInserted.Add(int64(res.Inserted))
+	m.topoRemoved.Add(int64(res.Removed))
+	m.relevelHist.Observe(float64(st.Relevel.LevelsSpan))
+	finalArcs := len(s.ts.Tables().Arcs)
+	tr := &TopoResult{
+		View:          s.resultLocked(),
+		Inserted:      res.Inserted,
+		Removed:       res.Removed,
+		Annotated:     res.Annotated,
+		NewPins:       res.NewPins,
+		NewArcs:       [2]int{finalArcs - 2*res.Inserted, finalArcs},
+		RelevelLevels: st.Relevel.LevelsSpan,
+		RelevelRegion: st.Relevel.Region,
+		Edits:         st.Edits,
+	}
+	if m.debugLog() {
+		m.log.Debug("topo applied", "session", s.ID, "edits", st.Edits,
+			"inserted", res.Inserted, "removed", res.Removed,
+			"annotated", res.Annotated, "relevel_levels", st.Relevel.LevelsSpan,
+			"relevel_region", st.Relevel.Region)
+	}
+	return tr, nil
+}
+
+// commitStructuralLocked commits a session's structural working set: the
+// manager swaps its base engine for the session's seeded one (the sequel
+// bit-identical to a cold compile of the edited netlist), records the arc
+// remap so annotation sessions opened against the old structure can re-key,
+// replays the session's repowers/moves into the signoff netlist, and bumps
+// both the epoch and the structural generation. Caller holds s.mu and
+// m.mu.Lock (every in-flight evaluation has drained).
+func (s *Session) commitStructuralLocked(t0 time.Time) (*ECOResult, error) {
+	m := s.m
+	sp := m.be.Tracer().StartArg("structural-commit", "edits", int64(s.ts.Stats().Edits))
+	defer sp.End()
+	if s.epoch != m.epoch {
+		// Someone committed after this session's last edit; the working set
+		// was seeded from a base that no longer exists.
+		m.topoConflicts.Add(1)
+		return nil, ErrStructuralConflict
+	}
+	d, err := s.ts.Detach()
+	if err != nil {
+		return nil, err
+	}
+	old := m.be
+	m.be = old.Over(d.Engine)
+	if m.ownsBase {
+		// An engine installed by an earlier structural commit: nothing else
+		// can reference it once every overlay rebases, and Close only stops
+		// the scheduler pool — the tensors stay readable for overlays that
+		// rebase lazily later.
+		old.Close()
+	}
+	m.ownsBase = true
+	m.topoGen++
+	m.topoGenA.Store(m.topoGen)
+	m.remapHist = append(m.remapHist, remapGen{gen: m.topoGen, remap: d.Remap})
+	m.baseRemap = composeArcRemap(m.baseRemap, d.Remap, m.extArcs)
+	// Replay repowers and moves into the signoff netlist so later estimate_eco
+	// calls price against fresh loads and placement. Inserted buffers have no
+	// netlist counterpart: the reference stays the estimation oracle over the
+	// original instances (documented limitation).
+	if m.ref != nil && (len(s.resizes) > 0 || len(s.moves) > 0) {
+		for _, rz := range s.resizes {
+			_, _ = m.ref.ResizeCell(rz.cell, rz.lib)
+		}
+		for _, mv := range s.moves {
+			_, _, _ = m.ref.MoveCell(mv.cell, mv.x, mv.y)
+		}
+		m.ref.UpdateTimingIncremental()
+	}
+	s.resizes = s.resizes[:0]
+	s.moves = s.moves[:0]
+	// Re-bind this session's overlay to the engine it just installed. It
+	// holds no overlay deltas (structural sessions reject them), so the
+	// rebase is a pure re-point.
+	s.rebindLocked(nil)
+	s.ts = nil // detached: the manager owns the working set now
+	res := s.finishCommitLocked(t0, map[string]any{
+		"structural": true,
+		"inserted":   d.Stats.Inserted,
+		"removed":    d.Stats.Removed,
+	})
+	m.topoCommits.Add(1)
+	m.log.Info("structural commit", "session", s.ID,
+		"edits", d.Stats.Edits, "inserted", d.Stats.Inserted,
+		"removed", d.Stats.Removed, "annotated", d.Stats.Annotated,
+		"new_pins", d.Stats.NewPins, "epoch", m.epoch, "topo_gen", m.topoGen,
+		"wns", m.baseWNS, "tns", m.baseTNS, "duration", time.Since(t0))
+	return res, nil
+}
+
+// composeArcRemap folds one structural commit's remap (old-current → new
+// ids, nil = identity) into the composed extraction→current remap. n is the
+// extraction arc count, the domain of the composed remap.
+func composeArcRemap(prev, next []int32, n int) []int32 {
+	if next == nil {
+		return prev
+	}
+	if prev == nil {
+		prev = make([]int32, n)
+		for i := range prev {
+			prev[i] = int32(i)
+		}
+	}
+	for i, cur := range prev {
+		if cur >= 0 {
+			prev[i] = next[cur]
+		}
+	}
+	return prev
+}
