@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -254,8 +255,8 @@ func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 					Status:  int32(sw.code),
 					ServeNs: int64(d),
 					TotalNs: int64(d),
-					Epoch:   s.mgr.EpochFast(),
-					TopoGen: s.mgr.TopoGenFast(),
+					Epoch:   s.mgr.Epoch(),
+					TopoGen: s.mgr.TopoGen(),
 					Unix:    now.UnixNano(),
 				})
 			}
@@ -305,6 +306,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	}
 	e.buf = b[:0]
 	encPool.Put(e)
+}
+
+// reply answers with v, or with err under the status it maps to.
+func reply(w http.ResponseWriter, v any, err error) {
+	if err != nil {
+		writeErr(w, errCode(err), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, v)
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {
@@ -419,9 +429,7 @@ func (s *Server) handleSlacks(w http.ResponseWriter, r *http.Request) {
 			idx[i] = i
 		}
 		sort.Slice(idx, func(a, b int) bool { return slacks[idx[a]] < slacks[idx[b]] })
-		if n > len(idx) {
-			n = len(idx)
-		}
+		n = min(n, len(idx))
 		worst := make([]EndpointSlack, 0, n)
 		ref := s.mgr.Ref()
 		eps := s.mgr.Engine().Endpoints()
@@ -483,16 +491,9 @@ func (s *Server) handleSessionSlacks(w http.ResponseWriter, r *http.Request, ses
 		return
 	}
 	*bufp = slacks[:0]
-	wns, tns, viol := 0.0, 0.0, 0
+	wns, tns, viol := core.WNS(slacks), core.TNS(slacks), core.Violations(slacks)
 	for i, sl := range slacks {
 		slacks[i] = jsonSlack(sl)
-		if sl < 0 {
-			viol++
-			tns += sl
-			if sl < wns {
-				wns = sl
-			}
-		}
 	}
 	resp := map[string]any{
 		"id":         sess.ID,
@@ -562,11 +563,7 @@ func (s *Server) handleECO(w http.ResponseWriter, r *http.Request, sess *Session
 		return
 	}
 	res, err := sess.ApplyECO(req)
-	if err != nil {
-		writeErr(w, errCode(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	reply(w, res, err)
 }
 
 // handleTopo applies one structural edit batch to the session (buffer
@@ -577,25 +574,13 @@ func (s *Server) handleTopo(w http.ResponseWriter, r *http.Request, sess *Sessio
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if len(req.Ops) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("server: empty topo batch"))
-		return
-	}
-	res, err := sess.ApplyTopo(req)
-	if err != nil {
-		writeErr(w, errCode(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	res, err := sess.ApplyTopo(req) // refuses an empty batch itself
+	reply(w, res, err)
 }
 
 func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request, sess *Session) {
 	res, err := sess.Commit()
-	if err != nil {
-		writeErr(w, errCode(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
+	reply(w, res, err)
 }
 
 func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request, sess *Session) {
@@ -606,17 +591,11 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request, sess *Se
 	writeJSON(w, http.StatusOK, map[string]any{"rolled_back": sess.ID, "epoch": s.mgr.Epoch()})
 }
 
+// intQuery reads a non-negative integer query parameter, or def when it is
+// absent or malformed.
 func intQuery(r *http.Request, key string, def int) int {
-	v := r.URL.Query().Get(key)
-	if v == "" {
-		return def
+	if n, err := strconv.Atoi(r.URL.Query().Get(key)); err == nil && n >= 0 {
+		return n
 	}
-	var n int
-	for _, c := range v {
-		if c < '0' || c > '9' {
-			return def
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n
+	return def
 }

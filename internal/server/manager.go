@@ -5,11 +5,11 @@
 //
 // One engine. A daemon serves exactly one lane-strided engine — the scenario
 // engine it was given, or a single-lane engine wrapped as a one-scenario view
-// — and every session holds exactly one overlay over it, so a what-if is
-// propagated once however many corners are analysed. Everything "nominal"
-// (top-level wns/tns/changed/slacks, base reads, gradients, commit manifests)
-// is read from that engine's unit-scale lane, which holds bit for bit what a
-// separate single-lane engine would compute (x*1.0 == x).
+// — and every session holds one overlay over it, so a what-if is propagated
+// once however many corners are analysed. Everything "nominal" (top-level
+// wns/tns/changed/slacks, base reads, gradients, commit manifests) is read
+// from its unit-scale lane, which holds bit for bit what a separate
+// single-lane engine would compute (x*1.0 == x).
 //
 // Concurrency model. The base engine's propagated state is the shared
 // snapshot. Session evaluations only read it (their writes land in private
@@ -123,10 +123,9 @@ type Manager struct {
 	// it), epoch/baseWNS/baseTNS and the per-scenario base rows are guarded
 	// by it.
 	mu sync.RWMutex
-	// be is the one engine served: Options.Batch, else the caller's engine
-	// as a one-scenario view. nom is its unit-scale lane, resolved once; the
-	// lane-0 shorthands (Slacks, WNS, Overlay.Slack) are never used here,
-	// because lane 0 of {ss,tt,ff} is ss.
+	// be is the one engine served and nom its unit-scale lane, resolved once.
+	// The lane-0 shorthands (Slacks, WNS, Overlay.Slack) are never used here:
+	// lane 0 of {ss,tt,ff} is ss.
 	be      *batch.Engine
 	nom     int
 	epoch   uint64
@@ -163,9 +162,9 @@ type Manager struct {
 	relevelHist                  *obs.Histogram // levels re-levelized per structural batch
 
 	// Lock-free mirrors of epoch/topoGen, stored at each bump while mu is
-	// held. The flight recorder stamps both onto every completed request;
-	// reading the mu-guarded fields there would make request completion
-	// block behind long structural commits.
+	// held: what Epoch and TopoGen return. The flight recorder stamps both
+	// onto every completed request; reading the mu-guarded fields there would
+	// make request completion block behind long structural commits.
 	epochA   atomic.Uint64
 	topoGenA atomic.Uint64
 
@@ -182,14 +181,12 @@ type Manager struct {
 // base is frozen afterwards. ref, when non-nil, provides estimate_eco
 // resolution for resize-form ECOs and design names for reports.
 //
-// With opt.Batch set, e may be nil. A non-nil e is still brought to the
-// evaluated state once, for callers that build overlays on it themselves, and
-// is otherwise left alone: never retained, propagated, committed into or
-// closed.
+// With opt.Batch set, e may be nil. A non-nil e is still evaluated once, for
+// callers that build overlays on it themselves, and is otherwise left alone:
+// never retained, propagated, committed into or closed.
 //
-// NewManager panics when the served engine has no unit-scale scenario: there
-// would be no lane to serve as nominal, and answering with some derated lane
-// instead would be silently wrong.
+// NewManager panics when the served engine has no unit-scale scenario:
+// answering nominal queries from some derated lane would be silently wrong.
 func NewManager(e *core.Engine, ref *refsta.Engine, opt Options) *Manager {
 	if opt.MaxSessions <= 0 {
 		opt.MaxSessions = 64
@@ -297,14 +294,6 @@ func (m *Manager) SaveSnapshot() (path string, size int64, key string, err error
 	return path, size, key, err
 }
 
-// Corners reports the committed per-scenario figures (nil when
-// single-corner). The last row is the merged view.
-func (m *Manager) Corners() []ScenarioView {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return append([]ScenarioView(nil), m.baseScn...)
-}
-
 // mergedLane selects the per-endpoint worst scenario where a lane index is
 // expected.
 const mergedLane = -1
@@ -352,19 +341,8 @@ func laneSlacksInto(eng *batch.Engine, ov *batch.Overlay, lane int, dst []float6
 // BaseScenarioSlacks returns the committed endpoint slacks of one scenario,
 // or the per-endpoint worst across scenarios for "merged".
 func (m *Manager) BaseScenarioSlacks(name string) ([]float64, error) {
-	return m.BaseScenarioSlacksInto(name, nil)
-}
-
-// BaseScenarioSlacksInto is the allocation-free form of BaseScenarioSlacks:
-// dst is grown only when too small and returned filled.
-func (m *Manager) BaseScenarioSlacksInto(name string, dst []float64) ([]float64, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	lane, err := m.laneLocked(name)
-	if err != nil {
-		return nil, err
-	}
-	return laneSlacksInto(m.be, nil, lane, dst), nil
+	v, err := m.BaseViewInto(name, nil)
+	return v.Slacks, err
 }
 
 // BaseView is one consistent read of the committed base: every field belongs
@@ -399,12 +377,10 @@ func (m *Manager) BaseViewInto(scenario string, dst []float64) (BaseView, error)
 	return v, nil
 }
 
-// Epoch returns the current base epoch (bumped on every commit).
-func (m *Manager) Epoch() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.epoch
-}
+// Epoch returns the current base epoch (bumped on every commit), from its
+// lock-free mirror: callers stamp it on responses and telemetry, where taking
+// the base lock would queue them behind a long commit.
+func (m *Manager) Epoch() uint64 { return m.epochA.Load() }
 
 // BaseWNS and BaseTNS report the committed base figures.
 func (m *Manager) BaseWNS() float64 {
@@ -419,18 +395,10 @@ func (m *Manager) BaseTNS() float64 {
 	return m.baseTNS
 }
 
-// BaseSlacks returns a copy of the committed endpoint slacks.
+// BaseSlacks returns a copy of the committed nominal endpoint slacks.
 func (m *Manager) BaseSlacks() []float64 {
-	return m.BaseSlacksInto(nil)
-}
-
-// BaseSlacksInto copies the committed endpoint slacks into dst, growing it
-// only when too small, and returns the filled slice — the allocation-free
-// serving read.
-func (m *Manager) BaseSlacksInto(dst []float64) []float64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return laneSlacksInto(m.be, nil, m.nom, dst)
+	v, _ := m.BaseViewInto("", nil) // the nominal lane always resolves
+	return v.Slacks
 }
 
 // Counters snapshots the lifetime counters.
@@ -450,17 +418,6 @@ func (m *Manager) Counters() Counters {
 func (m *Manager) NumSessions() int {
 	return int(m.live.Value())
 }
-
-// LiveGauge returns the live-session gauge for metrics registration.
-func (m *Manager) LiveGauge() *obs.Gauge { return &m.live }
-
-// EpochFast returns the base epoch from its lock-free mirror — for
-// per-request telemetry stamping, where Epoch()'s RLock would serialize
-// against long commits.
-func (m *Manager) EpochFast() uint64 { return m.epochA.Load() }
-
-// TopoGenFast is EpochFast for the structural generation.
-func (m *Manager) TopoGenFast() uint64 { return m.topoGenA.Load() }
 
 // MaxSessions returns the admission cap Create enforces.
 func (m *Manager) MaxSessions() int { return m.opt.MaxSessions }
@@ -503,18 +460,6 @@ func (m *Manager) Get(id string) *Session {
 	m.smu.Lock()
 	defer m.smu.Unlock()
 	return m.sessions[id]
-}
-
-// SessionIDs returns the live session ids, sorted.
-func (m *Manager) SessionIDs() []string {
-	m.smu.Lock()
-	defer m.smu.Unlock()
-	out := make([]string, 0, len(m.sessions))
-	for id := range m.sessions {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // remove unlinks id from the table and reports whether it was present.

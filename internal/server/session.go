@@ -4,6 +4,7 @@ package server
 // reads, rebase across other sessions' commits, commit and rollback.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -116,30 +117,23 @@ func (s *Session) touch() { s.lastUsed.Store(time.Now().UnixNano()) }
 // so the overlay re-binds to the new engine with its recorded deltas re-keyed
 // through the commits' arc remaps (RebaseStructural) — bit-identical to having
 // recorded the deltas against the new base from the start. A session that
-// itself holds structural edits cannot rebase: its working engine was seeded
-// from a base that no longer exists, so it conflicts instead.
+// itself holds structural edits cannot rebase over either kind of commit: its
+// working engine was seeded from a base that no longer exists, so it
+// conflicts instead.
 func (s *Session) rebaseLocked() error {
 	m := s.m
-	if s.topoGen != m.topoGen {
-		if s.ts != nil {
-			m.topoConflicts.Add(1)
-			return ErrStructuralConflict
-		}
-		s.rebindLocked(m.composedRemapSince(s.topoGen))
-		s.ov.Propagate()
-		s.epoch = m.epoch
-		return nil
-	}
-	if s.epoch == m.epoch {
+	if s.topoGen == m.topoGen && s.epoch == m.epoch {
 		return nil
 	}
 	if s.ts != nil {
-		// An annotation commit moved the base under this session's seeded
-		// engine; its figures are against dead state.
 		m.topoConflicts.Add(1)
 		return ErrStructuralConflict
 	}
-	s.ov.Rebase()
+	if s.topoGen != m.topoGen {
+		s.rebindLocked(m.composedRemapSince(s.topoGen))
+	} else {
+		s.ov.Rebase()
+	}
 	s.ov.Propagate()
 	s.epoch = m.epoch
 	return nil
@@ -147,11 +141,8 @@ func (s *Session) rebaseLocked() error {
 
 // jsonSlack clamps ±Inf (untimed endpoints) to representable JSON numbers.
 func jsonSlack(v float64) float64 {
-	if math.IsInf(v, 1) {
-		return 1e30
-	}
-	if math.IsInf(v, -1) {
-		return -1e30
+	if math.IsInf(v, 0) {
+		return math.Copysign(1e30, v)
 	}
 	return v
 }
@@ -276,163 +267,156 @@ func (s *Session) arcLimitLocked() int {
 	return s.m.be.NumArcs()
 }
 
-// ApplyECO validates and applies one what-if batch to the session's overlay,
-// re-propagates the affected cones, and returns the session's new view
-// (ΔWNS/ΔTNS plus every endpoint whose slack the overlay re-derived). The
-// base engine is untouched. On a validation error nothing is applied.
-func (s *Session) ApplyECO(req ECORequest) (*ECOResult, error) {
+// evalLocked is the protocol every session evaluation follows: take the
+// session's mutex, refuse a closed session, mark it used, take the base read
+// lock and rebase the overlay onto the current base. fn runs with both locks
+// held.
+func (s *Session) evalLocked(fn func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, ErrSessionClosed
-	}
-	s.touch()
-	m := s.m
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if err := s.rebaseLocked(); err != nil {
-		return nil, err
-	}
-
-	// Resolve and validate the whole batch before applying any of it.
-	type resolved struct {
-		deltas []refsta.ArcDelta
-		rz     resolvedResize
-	}
-	resolvedRz := make([]resolved, 0, len(req.Resizes))
-	for _, rz := range req.Resizes {
-		if m.ref == nil {
-			return nil, ErrNoRefEngine
-		}
-		c, ok := m.ref.D.CellByName(rz.Cell)
-		if !ok {
-			return nil, fmt.Errorf("server: unknown cell %q", rz.Cell)
-		}
-		lib, ok := m.ref.Lib.CellByName(rz.Lib)
-		if !ok {
-			return nil, fmt.Errorf("server: unknown library cell %q", rz.Lib)
-		}
-		deltas, err := m.ref.EstimateECO(c, lib)
-		if err != nil {
-			return nil, fmt.Errorf("server: estimate_eco %s -> %s: %w", rz.Cell, rz.Lib, err)
-		}
-		resolvedRz = append(resolvedRz, resolved{deltas: deltas, rz: resolvedResize{cell: c, lib: lib}})
-	}
-	arcLimit := s.arcLimitLocked()
-	for _, a := range req.Arcs {
-		if a.Arc < 0 || int(a.Arc) >= arcLimit {
-			return nil, fmt.Errorf("server: arc %d out of range [0,%d)", a.Arc, arcLimit)
-		}
-		if err := checkDelay(a.Rise, a.Fall); err != nil {
-			return nil, fmt.Errorf("server: arc %d: %w", a.Arc, err)
-		}
-	}
-
-	if s.ts != nil {
-		// Annotation ECOs landing on a session that already holds structural
-		// edits fold into the structural working set, so the one cone re-prop
-		// prices them against the edited topology.
-		deltas := make([]topo.Delta, 0, len(req.Arcs)+4*len(resolvedRz))
-		for _, r := range resolvedRz {
-			for _, dl := range r.deltas {
-				if a := s.tsArcFromRefLocked(dl.ArcID); a >= 0 {
-					deltas = append(deltas, topo.Delta{Arc: a, Delay: dl.Delay})
-				}
-			}
-		}
-		for _, a := range req.Arcs {
-			ta := s.tsArcLocked(a.Arc)
-			if ta < 0 {
-				return nil, fmt.Errorf("server: arc %d was removed by a structural edit", a.Arc)
-			}
-			deltas = append(deltas, topo.Delta{Arc: ta, Delay: [2]num.Dist{a.Rise, a.Fall}})
-		}
-		if err := s.ts.Annotate(deltas); err != nil {
-			return nil, err
-		}
-	} else {
-		for _, r := range resolvedRz {
-			for _, dl := range r.deltas {
-				// estimate_eco speaks extraction arc ids; a structural commit
-				// may have moved (or removed) them in the served engine.
-				if a := m.refArcLocked(dl.ArcID); a >= 0 {
-					s.applyArcLocked(a, dl.Delay[0], dl.Delay[1])
-				}
-			}
-		}
-		for _, a := range req.Arcs {
-			s.applyArcLocked(a.Arc, a.Rise, a.Fall)
-		}
-		s.ov.Propagate()
-	}
-	// The batch is in: only now record its resizes for the commit's netlist
-	// replay, so a rejected batch leaves nothing behind.
-	for _, r := range resolvedRz {
-		s.resizes = append(s.resizes, r.rz)
-	}
-	s.ecoN++
-	m.ecoTotal.Add(1)
-	if m.debugLog() {
-		m.log.Debug("eco applied", "session", s.ID, "eco", s.ecoN,
-			"resizes", len(req.Resizes), "arcs", len(req.Arcs))
-	}
-	return s.resultLocked(), nil
-}
-
-// ApplyDeltas is the in-process fast path ApplyECO's arc form reduces to:
-// annotate pre-computed estimate_eco deltas and re-propagate. The sizing
-// driver uses it to preview candidates without JSON round-trips.
-func (s *Session) ApplyDeltas(deltas []refsta.ArcDelta) (*ECOResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrSessionClosed
-	}
-	s.touch()
-	m := s.m
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if err := s.rebaseLocked(); err != nil {
-		return nil, err
-	}
-	if s.ts != nil {
-		tds := make([]topo.Delta, 0, len(deltas))
-		for _, dl := range deltas {
-			if a := s.tsArcFromRefLocked(dl.ArcID); a >= 0 {
-				tds = append(tds, topo.Delta{Arc: a, Delay: dl.Delay})
-			}
-		}
-		if err := s.ts.Annotate(tds); err != nil {
-			return nil, err
-		}
-	} else {
-		for _, dl := range deltas {
-			if a := m.refArcLocked(dl.ArcID); a >= 0 {
-				s.applyArcLocked(a, dl.Delay[0], dl.Delay[1])
-			}
-		}
-		s.ov.Propagate()
-	}
-	s.ecoN++
-	m.ecoTotal.Add(1)
-	return s.resultLocked(), nil
-}
-
-// Result returns the session's current view without applying anything
-// (rebasing first if the base moved).
-func (s *Session) Result() (*ECOResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrSessionClosed
+		return ErrSessionClosed
 	}
 	s.touch()
 	s.m.mu.RLock()
 	defer s.m.mu.RUnlock()
 	if err := s.rebaseLocked(); err != nil {
-		return nil, err
+		return err
 	}
-	return s.resultLocked(), nil
+	return fn()
+}
+
+// resolveResizeLocked prices swapping the named instance to the named library
+// cell: the netlist change to replay on commit, and estimate_eco's arc deltas
+// in extraction arc ids. Caller holds at least m.mu.RLock.
+func (m *Manager) resolveResizeLocked(cell, lib string) (resolvedResize, []refsta.ArcDelta, error) {
+	if m.ref == nil {
+		return resolvedResize{}, nil, ErrNoRefEngine
+	}
+	c, ok := m.ref.D.CellByName(cell)
+	if !ok {
+		return resolvedResize{}, nil, fmt.Errorf("unknown cell %q", cell)
+	}
+	l, ok := m.ref.Lib.CellByName(lib)
+	if !ok {
+		return resolvedResize{}, nil, fmt.Errorf("unknown library cell %q", lib)
+	}
+	deltas, err := m.ref.EstimateECO(c, l)
+	if err != nil {
+		return resolvedResize{}, nil, fmt.Errorf("estimate_eco %s -> %s: %w", cell, lib, err)
+	}
+	return resolvedResize{cell: c, lib: l}, deltas, nil
+}
+
+// applyLocked applies one validated batch — estimate_eco deltas in extraction
+// arc ids, raw arc ECOs in session arc ids — and re-propagates the affected
+// cones: through the overlay, or, on a session that holds structural edits,
+// folded into its working set so the one cone re-prop prices the batch
+// against the edited topology. It fails, with nothing applied, only when a
+// raw arc was removed by the session's own edits. Caller holds s.mu and at
+// least m.mu.RLock.
+func (s *Session) applyLocked(ref []refsta.ArcDelta, arcs []ArcECO) error {
+	if s.ts != nil {
+		deltas := make([]topo.Delta, 0, len(ref)+len(arcs))
+		for _, dl := range ref {
+			if a := s.tsArcFromRefLocked(dl.ArcID); a >= 0 {
+				deltas = append(deltas, topo.Delta{Arc: a, Delay: dl.Delay})
+			}
+		}
+		for _, a := range arcs {
+			ta := s.tsArcLocked(a.Arc)
+			if ta < 0 {
+				return fmt.Errorf("server: arc %d was removed by a structural edit", a.Arc)
+			}
+			deltas = append(deltas, topo.Delta{Arc: ta, Delay: [2]num.Dist{a.Rise, a.Fall}})
+		}
+		if err := s.ts.Annotate(deltas); err != nil {
+			return err
+		}
+	} else {
+		for _, dl := range ref {
+			// estimate_eco speaks extraction arc ids; a structural commit
+			// may have moved (or removed) them in the served engine.
+			if a := s.m.refArcLocked(dl.ArcID); a >= 0 {
+				s.applyArcLocked(a, dl.Delay[0], dl.Delay[1])
+			}
+		}
+		for _, a := range arcs {
+			s.applyArcLocked(a.Arc, a.Rise, a.Fall)
+		}
+		s.ov.Propagate()
+	}
+	s.ecoN++
+	s.m.ecoTotal.Add(1)
+	return nil
+}
+
+// ApplyECO validates and applies one what-if batch to the session's overlay,
+// re-propagates the affected cones, and returns the session's new view
+// (ΔWNS/ΔTNS plus every endpoint whose slack the overlay re-derived). The
+// base engine is untouched. On a validation error nothing is applied.
+func (s *Session) ApplyECO(req ECORequest) (res *ECOResult, err error) {
+	err = s.evalLocked(func() error {
+		m := s.m
+		// Resolve and validate the whole batch before applying any of it.
+		var ref []refsta.ArcDelta
+		rzs := make([]resolvedResize, 0, len(req.Resizes))
+		for _, rz := range req.Resizes {
+			r, deltas, err := m.resolveResizeLocked(rz.Cell, rz.Lib)
+			if errors.Is(err, ErrNoRefEngine) {
+				return err
+			} else if err != nil {
+				return fmt.Errorf("server: %w", err)
+			}
+			rzs, ref = append(rzs, r), append(ref, deltas...)
+		}
+		arcLimit := s.arcLimitLocked()
+		for _, a := range req.Arcs {
+			if a.Arc < 0 || int(a.Arc) >= arcLimit {
+				return fmt.Errorf("server: arc %d out of range [0,%d)", a.Arc, arcLimit)
+			}
+			if err := checkDelay(a.Rise, a.Fall); err != nil {
+				return fmt.Errorf("server: arc %d: %w", a.Arc, err)
+			}
+		}
+		if err := s.applyLocked(ref, req.Arcs); err != nil {
+			return err
+		}
+		// The batch is in: only now record its resizes for the commit's
+		// netlist replay, so a rejected batch leaves nothing behind.
+		s.resizes = append(s.resizes, rzs...)
+		if m.debugLog() {
+			m.log.Debug("eco applied", "session", s.ID, "eco", s.ecoN,
+				"resizes", len(req.Resizes), "arcs", len(req.Arcs))
+		}
+		res = s.resultLocked()
+		return nil
+	})
+	return res, err
+}
+
+// ApplyDeltas is the in-process fast path ApplyECO's arc form reduces to:
+// annotate pre-computed estimate_eco deltas and re-propagate. The sizing
+// driver uses it to preview candidates without JSON round-trips.
+func (s *Session) ApplyDeltas(deltas []refsta.ArcDelta) (res *ECOResult, err error) {
+	err = s.evalLocked(func() error {
+		if err := s.applyLocked(deltas, nil); err != nil {
+			return err
+		}
+		res = s.resultLocked()
+		return nil
+	})
+	return res, err
+}
+
+// Result returns the session's current view without applying anything
+// (rebasing first if the base moved).
+func (s *Session) Result() (res *ECOResult, err error) {
+	err = s.evalLocked(func() error {
+		res = s.resultLocked()
+		return nil
+	})
+	return res, err
 }
 
 // Slacks returns the session's full nominal endpoint slack view: the
@@ -461,26 +445,23 @@ func (s *Session) ScenarioSlacks(name string) ([]float64, error) {
 // scenario "" is the nominal lane, which every server has. A session holding
 // structural edits reads its working engine, which has nothing to patch.
 func (s *Session) ScenarioSlacksInto(name string, dst []float64) ([]float64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrSessionClosed
-	}
-	s.touch()
-	m := s.m
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	lane, err := m.laneLocked(name)
+	err := s.evalLocked(func() error {
+		m := s.m
+		lane, err := m.laneLocked(name)
+		if err != nil {
+			return err
+		}
+		if s.ts != nil {
+			dst = laneSlacksInto(m.be.Over(s.ts.Engine()), nil, lane, dst)
+		} else {
+			dst = laneSlacksInto(m.be, s.ov, lane, dst)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := s.rebaseLocked(); err != nil {
-		return nil, err
-	}
-	if s.ts != nil {
-		return laneSlacksInto(m.be.Over(s.ts.Engine()), nil, lane, dst), nil
-	}
-	return laneSlacksInto(m.be, s.ov, lane, dst), nil
+	return dst, nil
 }
 
 // Commit folds the session's recorded arc deltas into the base engine
@@ -510,21 +491,45 @@ func (s *Session) Commit() (*ECOResult, error) {
 		s.rebindLocked(m.composedRemapSince(s.topoGen))
 	}
 	s.ov.Commit()
-	if len(s.resizes) > 0 {
-		for _, rz := range s.resizes {
-			// Already validated by ApplyECO; a failure here means another
-			// session committed a conflicting footprint change — skip the
-			// netlist replay, the timing deltas are already in.
-			_, _ = m.ref.ResizeCell(rz.cell, rz.lib)
-		}
-		m.ref.UpdateTimingIncremental()
-		s.resizes = s.resizes[:0]
-	}
+	s.replayNetlistLocked()
 	res := s.finishCommitLocked(t0, map[string]any{"ecos": s.ecoN})
 	m.log.Info("session committed", "session", s.ID, "ecos", s.ecoN,
 		"epoch", m.epoch, "wns", m.baseWNS, "tns", m.baseTNS,
 		"duration", time.Since(t0))
 	return res, nil
+}
+
+// replayNetlistLocked replays the session's resizes and moves into the
+// signoff netlist, so later estimate_eco calls price against fresh loads and
+// placement. Each was validated when it was applied; one that fails now lost
+// to a conflicting footprint change another session committed, and is
+// skipped — its timing deltas are already in. Inserted buffers have no
+// netlist counterpart: the reference stays the estimation oracle over the
+// original instances (documented limitation). Caller holds s.mu and
+// m.mu.Lock.
+func (s *Session) replayNetlistLocked() {
+	if ref := s.m.ref; ref != nil && len(s.resizes)+len(s.moves) > 0 {
+		for _, rz := range s.resizes {
+			_, _ = ref.ResizeCell(rz.cell, rz.lib)
+		}
+		for _, mv := range s.moves {
+			_, _, _ = ref.MoveCell(mv.cell, mv.x, mv.y)
+		}
+		ref.UpdateTimingIncremental()
+	}
+	s.resizes, s.moves = s.resizes[:0], s.moves[:0]
+}
+
+// discardLocked drops everything the session holds uncommitted: its
+// structural working set, its overlay deltas and its queued netlist changes.
+// Caller holds s.mu.
+func (s *Session) discardLocked() {
+	if s.ts != nil {
+		s.ts.Close()
+		s.ts = nil
+	}
+	s.ov.Reset()
+	s.resizes, s.moves = s.resizes[:0], s.moves[:0]
 }
 
 // finishCommitLocked is the tail every commit shares once the engine holds
@@ -586,18 +591,12 @@ func (s *Session) Rollback() error {
 	m := s.m
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if s.ts != nil {
-		s.ts.Close()
-		s.ts = nil
-	}
-	s.ov.Reset()
+	s.discardLocked()
 	if s.topoGen != m.topoGen {
 		// The base engine was structurally replaced; re-point the emptied
 		// overlay (no deltas survive a reset, so no remap needed).
 		s.rebindLocked(nil)
 	}
-	s.resizes = s.resizes[:0]
-	s.moves = s.moves[:0]
 	s.epoch = m.epoch
 	m.rollbacks.Add(1)
 	return nil
@@ -612,11 +611,7 @@ func (s *Session) Close() bool {
 		return false
 	}
 	s.closed = true
-	if s.ts != nil {
-		s.ts.Close()
-		s.ts = nil
-	}
-	s.ov.Reset()
+	s.discardLocked()
 	return s.m.remove(s.ID)
 }
 

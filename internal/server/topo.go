@@ -14,6 +14,7 @@ import (
 	"insta/internal/netlist"
 	"insta/internal/num"
 	"insta/internal/obs"
+	"insta/internal/refsta"
 	"insta/internal/topo"
 )
 
@@ -55,12 +56,8 @@ func (m *Manager) RelevelHist() *obs.Histogram { return m.relevelHist }
 
 // TopoGen returns the structural generation (bumped on every structural
 // commit; the epoch bumps too, so TopoGen only matters to callers that care
-// whether the engine *objects* were replaced).
-func (m *Manager) TopoGen() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.topoGen
-}
+// whether the engine *object* was replaced). Lock-free, like Epoch.
+func (m *Manager) TopoGen() uint64 { return m.topoGenA.Load() }
 
 // composedRemapSince folds the remaps of every structural commit after gen
 // into one old→current arc remap (-1 = removed), or nil when ids survived
@@ -68,17 +65,8 @@ func (m *Manager) TopoGen() uint64 {
 func (m *Manager) composedRemapSince(gen uint64) []int32 {
 	var acc []int32
 	for _, g := range m.remapHist {
-		if g.gen <= gen || g.remap == nil {
-			continue
-		}
-		if acc == nil {
-			acc = append([]int32(nil), g.remap...)
-			continue
-		}
-		for i, cur := range acc {
-			if cur >= 0 {
-				acc[i] = g.remap[cur]
-			}
+		if g.gen > gen {
+			acc = topo.ComposeRemap(acc, g.remap, len(g.remap))
 		}
 	}
 	return acc
@@ -225,126 +213,119 @@ func (s *Session) tsArcFromRefLocked(ref int32) int32 {
 	return s.tsArcLocked(cur)
 }
 
+// resolvedTopo is one structural batch after resolution: the ops to apply to
+// the working set plus the netlist changes to replay on commit.
+type resolvedTopo struct {
+	ops []topo.Op
+	rzs []resolvedResize
+	mvs []resolvedMove
+}
+
+// annotate adds estimate output (extraction arc ids) as Annotate ops on the
+// arcs that still exist in the session's working space.
+func (r *resolvedTopo) annotate(s *Session, deltas []refsta.ArcDelta) {
+	for _, dl := range deltas {
+		if a := s.tsArcFromRefLocked(dl.ArcID); a >= 0 {
+			r.ops = append(r.ops, topo.Annotate(a, dl.Delay))
+		}
+	}
+}
+
 // resolveTopoLocked validates one structural batch and resolves its ops into
 // topo.Ops (delays priced by the reference engine's frozen-slew estimators)
 // plus the netlist changes to replay on commit. Nothing is applied. Caller
 // holds s.mu and at least m.mu.RLock.
-func (s *Session) resolveTopoLocked(req TopoRequest) ([]topo.Op, []resolvedResize, []resolvedMove, error) {
-	m := s.m
-	arcLimit := int32(s.arcLimitLocked())
-	ops := make([]topo.Op, 0, len(req.Ops))
-	var rzs []resolvedResize
-	var mvs []resolvedMove
+func (s *Session) resolveTopoLocked(req TopoRequest) (*resolvedTopo, error) {
+	r := &resolvedTopo{ops: make([]topo.Op, 0, len(req.Ops))}
 	for i, op := range req.Ops {
-		switch op.Op {
-		case "buffer":
-			if m.ref == nil {
-				return nil, nil, nil, ErrNoRefEngine
-			}
-			if op.Arc < 0 || op.Arc >= arcLimit {
-				return nil, nil, nil, fmt.Errorf("server: topo op %d: arc %d out of range [0,%d)", i, op.Arc, arcLimit)
-			}
-			libName := op.Lib
-			if libName == "" {
-				libName = "BUF_X4"
-			}
-			lib, ok := m.ref.Lib.CellByName(libName)
-			if !ok {
-				return nil, nil, nil, fmt.Errorf("server: topo op %d: unknown library cell %q", i, libName)
-			}
-			frac := op.Frac
-			if frac == 0 {
-				frac = 0.5
-			}
-			if math.IsNaN(frac) {
-				return nil, nil, nil, fmt.Errorf("server: topo op %d: frac is NaN", i)
-			}
-			ref := s.sessionToRefLocked(op.Arc)
-			if ref < 0 {
-				return nil, nil, nil, fmt.Errorf("server: topo op %d: arc %d has no signoff counterpart to estimate from", i, op.Arc)
-			}
-			d, err := m.ref.EstimateBuffer(ref, lib, frac)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("server: topo op %d: %w", i, err)
-			}
-			// Inserted buffers have no design instance, so the spliced cell
-			// arc carries no cell id (gradients skip it).
-			ops = append(ops, topo.InsertBuffer(op.Arc, -1, d, frac))
-			// The driver sheds the sink-side wire and pin for the buffer's
-			// input cap: re-annotate its cell arcs at the reduced load (this
-			// is the half of buffering that helps — every other sink of the
-			// net rides the faster driver). At most one buffered branch per
-			// driver per batch: a second would claim the same driver arcs.
-			dds, err := m.ref.EstimateBufferDriver(ref, lib, frac)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("server: topo op %d: %w", i, err)
-			}
-			for _, dl := range dds {
-				if a := s.tsArcFromRefLocked(dl.ArcID); a >= 0 {
-					ops = append(ops, topo.Annotate(a, dl.Delay))
-				}
-			}
-		case "unbuffer":
-			if op.Arc < 0 || op.Arc >= arcLimit {
-				return nil, nil, nil, fmt.Errorf("server: topo op %d: arc %d out of range [0,%d)", i, op.Arc, arcLimit)
-			}
-			ops = append(ops, topo.RemoveBuffer(op.Arc))
-		case "repower":
-			if m.ref == nil {
-				return nil, nil, nil, ErrNoRefEngine
-			}
-			c, ok := m.ref.D.CellByName(op.Cell)
-			if !ok {
-				return nil, nil, nil, fmt.Errorf("server: topo op %d: unknown cell %q", i, op.Cell)
-			}
-			lib, ok := m.ref.Lib.CellByName(op.Lib)
-			if !ok {
-				return nil, nil, nil, fmt.Errorf("server: topo op %d: unknown library cell %q", i, op.Lib)
-			}
-			deltas, err := m.ref.EstimateECO(c, lib)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("server: topo op %d: estimate_eco %s -> %s: %w", i, op.Cell, op.Lib, err)
-			}
-			for _, dl := range deltas {
-				if a := s.tsArcFromRefLocked(dl.ArcID); a >= 0 {
-					ops = append(ops, topo.Annotate(a, dl.Delay))
-				}
-			}
-			rzs = append(rzs, resolvedResize{cell: c, lib: lib})
-		case "move":
-			if m.ref == nil {
-				return nil, nil, nil, ErrNoRefEngine
-			}
-			c, ok := m.ref.D.CellByName(op.Cell)
-			if !ok {
-				return nil, nil, nil, fmt.Errorf("server: topo op %d: unknown cell %q", i, op.Cell)
-			}
-			if math.IsNaN(op.X+op.Y) || math.IsInf(op.X+op.Y, 0) {
-				return nil, nil, nil, fmt.Errorf("server: topo op %d: non-finite position (%v, %v)", i, op.X, op.Y)
-			}
-			deltas, err := m.ref.EstimateMove(c, op.X, op.Y)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("server: topo op %d: estimate_move %s: %w", i, op.Cell, err)
-			}
-			for _, dl := range deltas {
-				if a := s.tsArcFromRefLocked(dl.ArcID); a >= 0 {
-					ops = append(ops, topo.Annotate(a, dl.Delay))
-				}
-			}
-			mvs = append(mvs, resolvedMove{cell: c, x: op.X, y: op.Y})
-		case "annotate":
-			if op.Arc < 0 || op.Arc >= arcLimit {
-				return nil, nil, nil, fmt.Errorf("server: topo op %d: arc %d out of range [0,%d)", i, op.Arc, arcLimit)
-			}
-			if err := checkDelay(op.Rise, op.Fall); err != nil {
-				return nil, nil, nil, fmt.Errorf("server: topo op %d: %w", i, err)
-			}
-			ops = append(ops, topo.Annotate(op.Arc, [2]num.Dist{op.Rise, op.Fall}))
-		default:
-			return nil, nil, nil, fmt.Errorf("server: topo op %d: unknown op %q", i, op.Op)
+		if err := s.resolveTopoOpLocked(op, r); errors.Is(err, ErrNoRefEngine) {
+			return nil, err
+		} else if err != nil {
+			return nil, fmt.Errorf("server: topo op %d: %w", i, err)
 		}
 	}
-	return ops, rzs, mvs, nil
+	return r, nil
+}
+
+func (s *Session) resolveTopoOpLocked(op TopoOp, r *resolvedTopo) error {
+	m := s.m
+	needsArc := op.Op == "buffer" || op.Op == "unbuffer" || op.Op == "annotate"
+	if lim := int32(s.arcLimitLocked()); needsArc && (op.Arc < 0 || op.Arc >= lim) {
+		return fmt.Errorf("arc %d out of range [0,%d)", op.Arc, lim)
+	}
+	if needsRef := op.Op == "buffer" || op.Op == "repower" || op.Op == "move"; needsRef && m.ref == nil {
+		return ErrNoRefEngine
+	}
+	switch op.Op {
+	case "buffer":
+		libName := op.Lib
+		if libName == "" {
+			libName = "BUF_X4"
+		}
+		lib, ok := m.ref.Lib.CellByName(libName)
+		if !ok {
+			return fmt.Errorf("unknown library cell %q", libName)
+		}
+		frac := op.Frac
+		if frac == 0 {
+			frac = 0.5
+		}
+		if math.IsNaN(frac) {
+			return errors.New("frac is NaN")
+		}
+		ref := s.sessionToRefLocked(op.Arc)
+		if ref < 0 {
+			return fmt.Errorf("arc %d has no signoff counterpart to estimate from", op.Arc)
+		}
+		d, err := m.ref.EstimateBuffer(ref, lib, frac)
+		if err != nil {
+			return err
+		}
+		// Inserted buffers have no design instance, so the spliced cell
+		// arc carries no cell id (gradients skip it).
+		r.ops = append(r.ops, topo.InsertBuffer(op.Arc, -1, d, frac))
+		// The driver sheds the sink-side wire and pin for the buffer's
+		// input cap: re-annotate its cell arcs at the reduced load (this
+		// is the half of buffering that helps — every other sink of the
+		// net rides the faster driver). At most one buffered branch per
+		// driver per batch: a second would claim the same driver arcs.
+		dds, err := m.ref.EstimateBufferDriver(ref, lib, frac)
+		if err != nil {
+			return err
+		}
+		r.annotate(s, dds)
+	case "unbuffer":
+		r.ops = append(r.ops, topo.RemoveBuffer(op.Arc))
+	case "repower":
+		rz, deltas, err := m.resolveResizeLocked(op.Cell, op.Lib)
+		if err != nil {
+			return err
+		}
+		r.annotate(s, deltas)
+		r.rzs = append(r.rzs, rz)
+	case "move":
+		c, ok := m.ref.D.CellByName(op.Cell)
+		if !ok {
+			return fmt.Errorf("unknown cell %q", op.Cell)
+		}
+		if math.IsNaN(op.X+op.Y) || math.IsInf(op.X+op.Y, 0) {
+			return fmt.Errorf("non-finite position (%v, %v)", op.X, op.Y)
+		}
+		deltas, err := m.ref.EstimateMove(c, op.X, op.Y)
+		if err != nil {
+			return fmt.Errorf("estimate_move %s: %w", op.Cell, err)
+		}
+		r.annotate(s, deltas)
+		r.mvs = append(r.mvs, resolvedMove{cell: c, x: op.X, y: op.Y})
+	case "annotate":
+		if err := checkDelay(op.Rise, op.Fall); err != nil {
+			return err
+		}
+		r.ops = append(r.ops, topo.Annotate(op.Arc, [2]num.Dist{op.Rise, op.Fall}))
+	default:
+		return fmt.Errorf("unknown op %q", op.Op)
+	}
+	return nil
 }
 
 // ApplyTopo validates and applies one structural edit batch — buffer
@@ -357,49 +338,44 @@ func (s *Session) resolveTopoLocked(req TopoRequest) ([]topo.Op, []resolvedResiz
 // uncommitted annotation ECOs (ErrPendingAnnotations), and from then on every
 // evaluation runs against the session's own seeded engine; a commit to the
 // base by any other session conflicts it (ErrStructuralConflict).
-func (s *Session) ApplyTopo(req TopoRequest) (*TopoResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrSessionClosed
-	}
+func (s *Session) ApplyTopo(req TopoRequest) (tr *TopoResult, err error) {
 	if len(req.Ops) == 0 {
 		return nil, errors.New("server: empty topo batch")
 	}
-	s.touch()
+	err = s.evalLocked(func() error {
+		tr, err = s.applyTopoLocked(req)
+		return err
+	})
+	return tr, err
+}
+
+func (s *Session) applyTopoLocked(req TopoRequest) (*TopoResult, error) {
 	m := s.m
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if err := s.rebaseLocked(); err != nil {
-		return nil, err
-	}
 	if s.ts == nil && s.ov.Stats().TouchedArcs > 0 {
 		return nil, ErrPendingAnnotations
 	}
-	ops, rzs, mvs, err := s.resolveTopoLocked(req)
+	r, err := s.resolveTopoLocked(req)
 	if err != nil {
 		return nil, err
 	}
-	created := false
-	if s.ts == nil {
-		ts, err := topo.NewSession(m.be.Engine)
-		if err != nil {
+	// The session adopts a new working set only once its first batch is in.
+	ts := s.ts
+	if ts == nil {
+		if ts, err = topo.NewSession(m.be.Engine); err != nil {
 			return nil, err
 		}
 		ts.SetTracer(m.be.Tracer())
-		s.ts = ts
-		created = true
 	}
-	res, err := s.ts.Apply(ops)
+	res, err := ts.Apply(r.ops)
 	if err != nil {
-		if created {
-			s.ts.Close()
-			s.ts = nil
+		if ts != s.ts {
+			ts.Close()
 		}
 		return nil, err
 	}
-	s.resizes = append(s.resizes, rzs...)
-	s.moves = append(s.moves, mvs...)
+	s.ts = ts
+	s.resizes = append(s.resizes, r.rzs...)
+	s.moves = append(s.moves, r.mvs...)
 	st := s.ts.Stats()
 	m.topoEdits.Add(1)
 	m.topoInserted.Add(int64(res.Inserted))
@@ -460,22 +436,8 @@ func (s *Session) commitStructuralLocked(t0 time.Time) (*ECOResult, error) {
 	m.topoGen++
 	m.topoGenA.Store(m.topoGen)
 	m.remapHist = append(m.remapHist, remapGen{gen: m.topoGen, remap: d.Remap})
-	m.baseRemap = composeArcRemap(m.baseRemap, d.Remap, m.extArcs)
-	// Replay repowers and moves into the signoff netlist so later estimate_eco
-	// calls price against fresh loads and placement. Inserted buffers have no
-	// netlist counterpart: the reference stays the estimation oracle over the
-	// original instances (documented limitation).
-	if m.ref != nil && (len(s.resizes) > 0 || len(s.moves) > 0) {
-		for _, rz := range s.resizes {
-			_, _ = m.ref.ResizeCell(rz.cell, rz.lib)
-		}
-		for _, mv := range s.moves {
-			_, _, _ = m.ref.MoveCell(mv.cell, mv.x, mv.y)
-		}
-		m.ref.UpdateTimingIncremental()
-	}
-	s.resizes = s.resizes[:0]
-	s.moves = s.moves[:0]
+	m.baseRemap = topo.ComposeRemap(m.baseRemap, d.Remap, m.extArcs)
+	s.replayNetlistLocked()
 	// Re-bind this session's overlay to the engine it just installed. It
 	// holds no overlay deltas (structural sessions reject them), so the
 	// rebase is a pure re-point.
@@ -493,25 +455,4 @@ func (s *Session) commitStructuralLocked(t0 time.Time) (*ECOResult, error) {
 		"new_pins", d.Stats.NewPins, "epoch", m.epoch, "topo_gen", m.topoGen,
 		"wns", m.baseWNS, "tns", m.baseTNS, "duration", time.Since(t0))
 	return res, nil
-}
-
-// composeArcRemap folds one structural commit's remap (old-current → new
-// ids, nil = identity) into the composed extraction→current remap. n is the
-// extraction arc count, the domain of the composed remap.
-func composeArcRemap(prev, next []int32, n int) []int32 {
-	if next == nil {
-		return prev
-	}
-	if prev == nil {
-		prev = make([]int32, n)
-		for i := range prev {
-			prev[i] = int32(i)
-		}
-	}
-	for i, cur := range prev {
-		if cur >= 0 {
-			prev[i] = next[cur]
-		}
-	}
-	return prev
 }

@@ -173,7 +173,7 @@ func (s *Session) Apply(ops []Op) (*Result, error) {
 	}
 
 	s.tab, s.state, s.eng = res.Tables, st, eng
-	s.remap = composeRemap(s.remap, res.Remap, len(s.baseTab.Arcs))
+	s.remap = ComposeRemap(s.remap, res.Remap, len(s.baseTab.Arcs))
 	s.stats.Edits++
 	s.stats.Inserted += res.Inserted
 	s.stats.Removed += res.Removed
@@ -288,9 +288,10 @@ func (s *Session) Close() {
 	s.closed = true
 }
 
-// composeRemap folds the latest batch remap (pre-edit current ids → new ids,
-// nil = identity) into the session's cumulative base→current remap.
-func composeRemap(prev, next []int32, baseArcs int) []int32 {
+// ComposeRemap folds one more arc remap (ids before an edit → ids after it,
+// -1 = removed, nil = identity) into a cumulative remap over a domain of
+// baseArcs ids, in place; a nil prev is the identity.
+func ComposeRemap(prev, next []int32, baseArcs int) []int32 {
 	if next == nil {
 		return prev
 	}
