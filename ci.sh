@@ -4,11 +4,16 @@
 #   1. go vet        — static analysis over every package
 #   2. go build      — everything compiles, including cmd/ and examples/
 #   3. go test       — full suite (unit + determinism + differential + golden
-#                      digests + bench regression smoke). The nine root
-#                      bench_*_test.go harnesses rewrite their tracked
-#                      BENCH_*.json only under INSTA_BENCH=1, which this script
-#                      exports once below; with it emptied the step ends by
-#                      checking that the suite left those files untouched.
+#                      digests + bench regression smoke), including the
+#                      nominal-lane differential of the serving layer: a
+#                      daemon holds one lane-strided engine, and a manager over
+#                      batch{ss,tt,ff} must answer every nominal query bit for
+#                      bit like a manager over a bare single-lane engine. The
+#                      nine root bench_*_test.go harnesses rewrite their
+#                      tracked BENCH_*.json only under INSTA_BENCH=1, which
+#                      this script exports once below; with it emptied the
+#                      step ends by checking that the suite left those files
+#                      untouched.
 #                      BENCH_batch gates the scenario-batched subsystem at
 #                      >= 2x the per-corner rebuild loop at S=3, and BENCH_snap
 #                      gates warm snapshot boot (snap.Open) at >= 10x faster
@@ -17,13 +22,19 @@
 #                      kernels that run on it at S = 1 and S > 1 (including
 #                      the pooled-scratch overlay-reuse differential under 8
 #                      concurrent sessions in internal/batch), the serving
-#                      layer's session manager, the telemetry layer (tracer /
+#                      layer's session manager over its one engine (including
+#                      the base-read-is-one-epoch test: commits in a loop
+#                      against GET /slacks), the telemetry layer (tracer /
 #                      registry / flight recorder / SLO tracker), the
 #                      snapshot codec/cache, and the fleet router — including
 #                      the hedge-race trace test, where the losing attempt's
 #                      span ends concurrently with the request's root span
 #   5. load smoke    — 100 concurrent ECO requests against the HTTP serving
-#                      surface under -race must complete with zero errors
+#                      surface under -race must complete with zero errors,
+#                      and 8 concurrently committing sessions must land the
+#                      sequential result bit for bit — each on a single-corner
+#                      manager and on a {ss,tt,ff} one (nominal = lane tt),
+#                      the shape the daemons and the benchmark run in
 #   6. obs gate      — the disabled-tracer overhead bench re-runs with the
 #                      strict < 1% bound (INSTA_OBS_GATE=1), rewriting
 #                      BENCH_obs.json; the same run asserts the per-request
@@ -86,7 +97,7 @@ fi
 echo "== go test -race (sched + core + batch + topo + server + obs + snap + fleet + hier, short) =="
 go test -race -short ./internal/sched/... ./internal/core/... ./internal/batch/... ./internal/topo/... ./internal/server/... ./internal/obs/... ./internal/snap/... ./internal/fleet/... ./internal/hier/...
 
-echo "== serve load smoke (-race, 100 concurrent ECO requests) =="
+echo "== serve load smoke (-race, 100 concurrent ECO requests; single-corner and {ss,tt,ff} managers) =="
 go test -race -run 'TestServeLoadSmoke|TestServeConcurrentSessionsBitIdentical' ./internal/server/
 
 echo "== obs overhead gate (disabled tracer < 1%) =="

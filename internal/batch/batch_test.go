@@ -224,7 +224,7 @@ func TestWithUnitAndWrap(t *testing.T) {
 		t.Fatalf("Wrap of a single-lane engine: %+v", w.Scenarios())
 	}
 	w.Run()
-	if w.WNS(0) != c.WNS() || w.MergedWNS() != c.WNS() || w.MergedTNS() != c.TNS() {
+	if mv := w.Merged(); w.WNS(0) != c.WNS() || mv.WNS != c.WNS() || mv.TNS != c.TNS() {
 		t.Fatal("the wrapped view disagrees with the engine it wraps")
 	}
 }

@@ -32,13 +32,6 @@ func (e *Engine) MergedSlacksInto(dst []float64) []float64 {
 	return dst
 }
 
-// MergedWNS returns the WNS of the merged (per-endpoint worst scenario)
-// slacks, the base-engine counterpart of Overlay.MergedWNS.
-func (e *Engine) MergedWNS() float64 { return core.WNS(e.MergedSlacksInto(nil)) }
-
-// MergedTNS returns the TNS of the merged slacks.
-func (e *Engine) MergedTNS() float64 { return core.TNS(e.MergedSlacksInto(nil)) }
-
 // WNS returns scenario s's worst negative slack (0 when nothing violates).
 func (e *Engine) WNS(s int) float64 { return core.WNS(e.LaneSlacks(s)) }
 

@@ -220,12 +220,19 @@ func TestBaseReadIsOneEpoch(t *testing.T) {
 }
 
 func baseReadIsOneEpoch(t *testing.T, corners bool) {
-	mgr, _ := newKindManager(t, corners, "des", 6, 2, server.Options{})
+	mgr, s := newKindManager(t, corners, "des", 6, 2, server.Options{})
+	defer mgr.Close()
 	srv := httptest.NewServer(server.New(mgr, "des").Handler())
 	defer srv.Close()
 
 	type figures struct{ wns, tns float64 }
+	// Every eighth commit is structural: it swaps the engine object itself
+	// under the readers, not just its figures.
 	const commits = 40
+	var bufArcs [commits / 8]int32
+	for i := range bufArcs {
+		bufArcs[i] = firstNetArc(t, s, 5*i)
+	}
 	byEpoch := map[uint64]figures{0: {mgr.BaseWNS(), mgr.BaseTNS()}}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -244,7 +251,13 @@ func baseReadIsOneEpoch(t *testing.T, corners bool) {
 			if i%2 == 1 {
 				scale = 1 / 1.3
 			}
-			if _, err := sess.ApplyDeltas(arcDeltas(mgr.Engine(), int32(i%5), 23, scale)); err != nil {
+			var err error
+			if i%8 == 7 {
+				_, err = sess.ApplyTopo(server.TopoRequest{Ops: []server.TopoOp{{Op: "buffer", Arc: bufArcs[i/8]}}})
+			} else {
+				_, err = sess.ApplyDeltas(arcDeltas(mgr.Engine(), int32(i%5), 23, scale))
+			}
+			if err != nil {
 				t.Error(err)
 				return
 			}

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -308,15 +307,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	encPool.Put(e)
 }
 
-// reply answers with v, or with err under the status it maps to.
-func reply(w http.ResponseWriter, v any, err error) {
-	if err != nil {
-		writeErr(w, errCode(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
-}
-
 func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
@@ -429,14 +419,15 @@ func (s *Server) handleSlacks(w http.ResponseWriter, r *http.Request) {
 			idx[i] = i
 		}
 		sort.Slice(idx, func(a, b int) bool { return slacks[idx[a]] < slacks[idx[b]] })
-		n = min(n, len(idx))
+		if n > len(idx) {
+			n = len(idx)
+		}
 		worst := make([]EndpointSlack, 0, n)
 		ref := s.mgr.Ref()
-		eps := s.mgr.Engine().Endpoints()
 		for _, i := range idx[:n] {
 			es := EndpointSlack{Endpoint: i, Slack: jsonSlack(slacks[i]), Base: jsonSlack(slacks[i])}
 			if ref != nil {
-				es.Pin = ref.D.Pins[eps[i]].Name
+				es.Pin = ref.D.Pins[v.Pins[i]].Name
 			}
 			worst = append(worst, es)
 		}
@@ -491,9 +482,16 @@ func (s *Server) handleSessionSlacks(w http.ResponseWriter, r *http.Request, ses
 		return
 	}
 	*bufp = slacks[:0]
-	wns, tns, viol := core.WNS(slacks), core.TNS(slacks), core.Violations(slacks)
+	wns, tns, viol := 0.0, 0.0, 0
 	for i, sl := range slacks {
 		slacks[i] = jsonSlack(sl)
+		if sl < 0 {
+			viol++
+			tns += sl
+			if sl < wns {
+				wns = sl
+			}
+		}
 	}
 	resp := map[string]any{
 		"id":         sess.ID,
@@ -563,7 +561,11 @@ func (s *Server) handleECO(w http.ResponseWriter, r *http.Request, sess *Session
 		return
 	}
 	res, err := sess.ApplyECO(req)
-	reply(w, res, err)
+	if err != nil {
+		writeErr(w, errCode(err), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, res)
 }
 
 // handleTopo applies one structural edit batch to the session (buffer
@@ -574,13 +576,25 @@ func (s *Server) handleTopo(w http.ResponseWriter, r *http.Request, sess *Sessio
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	res, err := sess.ApplyTopo(req) // refuses an empty batch itself
-	reply(w, res, err)
+	if len(req.Ops) == 0 {
+		writeErr(w, http.StatusBadRequest, errors.New("server: empty topo batch"))
+		return
+	}
+	res, err := sess.ApplyTopo(req)
+	if err != nil {
+		writeErr(w, errCode(err), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request, sess *Session) {
 	res, err := sess.Commit()
-	reply(w, res, err)
+	if err != nil {
+		writeErr(w, errCode(err), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request, sess *Session) {
@@ -591,11 +605,17 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request, sess *Se
 	writeJSON(w, http.StatusOK, map[string]any{"rolled_back": sess.ID, "epoch": s.mgr.Epoch()})
 }
 
-// intQuery reads a non-negative integer query parameter, or def when it is
-// absent or malformed.
 func intQuery(r *http.Request, key string, def int) int {
-	if n, err := strconv.Atoi(r.URL.Query().Get(key)); err == nil && n >= 0 {
-		return n
+	v := r.URL.Query().Get(key)
+	if v == "" {
+		return def
 	}
-	return def
+	var n int
+	for _, c := range v {
+		if c < '0' || c > '9' {
+			return def
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n
 }

@@ -250,7 +250,11 @@ func (m *Manager) debugLog() bool {
 // mutate it outside Exclusive. Its lane-0 shorthands (Slacks, WNS, Backward)
 // read scenario 0, which is the nominal view only on a single-corner server;
 // BaseSlacks/BaseWNS/BaseTNS/Gradients read the nominal lane on any.
-func (m *Manager) Engine() *core.Engine { return m.be.Engine }
+func (m *Manager) Engine() *core.Engine {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.be.Engine
+}
 
 // Ref returns the reference engine, or nil.
 func (m *Manager) Ref() *refsta.Engine { return m.ref }
@@ -258,6 +262,8 @@ func (m *Manager) Ref() *refsta.Engine { return m.ref }
 // Batch returns the served engine's scenario view, or nil when the server was
 // started single-corner. Callers must not mutate it outside Exclusive.
 func (m *Manager) Batch() *batch.Engine {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	if m.baseScn == nil {
 		return nil
 	}
@@ -352,6 +358,7 @@ type BaseView struct {
 	WNS, TNS float64        // of Slacks
 	Epoch    uint64         // the epoch all of the above were committed at
 	Corners  []ScenarioView // committed per-scenario rows; nil when single-corner
+	Pins     []int32        // endpoint index -> pin id, of the engine read; not to be modified
 }
 
 // BaseViewInto reads the committed base under one hold of the read lock, so
@@ -370,6 +377,7 @@ func (m *Manager) BaseViewInto(scenario string, dst []float64) (BaseView, error)
 		TNS:     m.baseTNS,
 		Epoch:   m.epoch,
 		Corners: append([]ScenarioView(nil), m.baseScn...),
+		Pins:    m.be.Endpoints(),
 	}
 	if lane != m.nom {
 		v.WNS, v.TNS = core.WNS(v.Slacks), core.TNS(v.Slacks)
@@ -536,18 +544,17 @@ func (m *Manager) Exclusive(fn func()) {
 
 // advanceLocked publishes a base that just changed: it bumps the epoch,
 // re-reads the committed figures from the engine and returns them as a
-// commit result, with deltas against the figures they replace. Caller holds
-// m.mu.Lock.
+// commit result, the scenario rows with deltas against the figures they
+// replace. The top-level deltas stay zero, as an annotation commit has always
+// answered; a structural commit fills them in. Caller holds m.mu.Lock.
 func (m *Manager) advanceLocked() *ECOResult {
-	prevWNS, prevTNS, prevScn := m.baseWNS, m.baseTNS, m.baseScn
+	prevScn := m.baseScn
 	m.epoch++
 	m.epochA.Store(m.epoch)
 	m.baseWNS, m.baseTNS = m.be.WNS(m.nom), m.be.TNS(m.nom)
 	res := &ECOResult{
 		WNS:       m.baseWNS,
 		TNS:       m.baseTNS,
-		DeltaWNS:  m.baseWNS - prevWNS,
-		DeltaTNS:  m.baseTNS - prevTNS,
 		Epoch:     m.epoch,
 		Committed: true,
 	}

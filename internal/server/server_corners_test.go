@@ -11,16 +11,12 @@ import (
 	"insta/internal/server"
 )
 
-// newCornerManager builds a manager serving one {ss,tt,ff} scenario engine.
+// newCornerManager builds a manager serving one {ss,tt,ff} scenario engine
+// and returns that engine's scenario view beside it.
 func newCornerManager(t testing.TB, preset string, topK, workers int) (*server.Manager, *batch.Engine) {
 	t.Helper()
-	s := buildSetup(t, preset)
-	be, err := batch.New(s.Tab, batch.DefaultScenarios(), core.Options{TopK: topK, Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(be.Close)
-	return server.NewManager(nil, s.Ref, server.Options{Batch: be}), be
+	mgr, _ := newKindManager(t, true, preset, topK, workers, server.Options{})
+	return mgr, mgr.Batch()
 }
 
 // TestSpareEngineIsEvaluatedOnceAndLeftAlone: callers that still hand
@@ -142,6 +138,11 @@ func TestServeMultiCornerPreviewMatchesCommit(t *testing.T) {
 	}
 	if len(cres.Scenarios) != S+1 {
 		t.Fatalf("commit scenario views malformed: %+v", cres.Scenarios)
+	}
+	// Wire compatibility: an annotation commit reports its movement in the
+	// scenario rows and leaves the top-level deltas zero.
+	if cres.DeltaWNS != 0 || cres.DeltaTNS != 0 {
+		t.Fatalf("annotation commit top-level deltas %v/%v, want 0/0", cres.DeltaWNS, cres.DeltaTNS)
 	}
 	for sidx := 0; sidx < S; sidx++ {
 		got := be.Slacks(sidx)

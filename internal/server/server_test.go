@@ -19,6 +19,7 @@ import (
 	"insta/internal/exp"
 	"insta/internal/obs"
 	"insta/internal/refsta"
+	"insta/internal/sched"
 	"insta/internal/server"
 )
 
@@ -305,13 +306,17 @@ func TestServeECONeverFullPropagates(t *testing.T) {
 		t.Run(kind.name, func(t *testing.T) {
 			tr := obs.NewTracer()
 			opt := core.Options{TopK: 8, Workers: 2, Tracer: tr}
+			// Kernel stats go on before NewManager so that fwd0, the pin count
+			// of the one full propagate, is there to bound the overlay's.
 			var mgr *server.Manager
+			var stats *sched.Stats
 			if kind.corners {
 				be, err := batch.New(s.Tab, batch.DefaultScenarios(), opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer be.Close()
+				stats = be.EnableKernelStats()
 				mgr = server.NewManager(nil, s.Ref, server.Options{Batch: be})
 			} else {
 				e, err := core.NewEngine(s.Tab, opt)
@@ -319,10 +324,14 @@ func TestServeECONeverFullPropagates(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer e.Close()
+				stats = e.EnableKernelStats()
 				mgr = server.NewManager(e, s.Ref, server.Options{})
 			}
 			defer mgr.Close()
-			stats := mgr.Engine().EnableKernelStats()
+			fwd0 := stats.KernelSpans(core.KernelForward)
+			if fwd0 == 0 {
+				t.Fatal("init ran no forward spans")
+			}
 			spans := func(name string) int64 {
 				for _, p := range tr.Totals() {
 					if p.Name == name {
@@ -359,6 +368,14 @@ func TestServeECONeverFullPropagates(t *testing.T) {
 			if _, err := sess.Commit(); err != nil {
 				t.Fatal(err)
 			}
+			// Cone-limited: six previews and their commit together touch
+			// fewer pins than one full propagate.
+			if got := stats.KernelSpans(core.KernelForward); got != fwd0 {
+				t.Fatalf("session ECO path ran a full propagate: forward spans %d -> %d", fwd0, got)
+			}
+			if ov := stats.KernelSpans(core.KernelOverlay); ov == 0 || ov >= fwd0 {
+				t.Fatalf("overlay spans %d not cone-limited (one full propagate = %d)", ov, fwd0)
+			}
 			// Structural edits: one reseed of the one working engine each.
 			for i := 0; i < 2; i++ {
 				if _, err := sess.ApplyTopo(server.TopoRequest{Ops: []server.TopoOp{
@@ -379,11 +396,8 @@ func TestServeECONeverFullPropagates(t *testing.T) {
 			if got := spans(core.KernelOverlay); got != int64(len(reqs)) {
 				t.Fatalf("commits re-ran the overlay: %d propagations for %d previews", got, len(reqs))
 			}
-			if stats.KernelSpans(core.KernelForward) != 0 {
-				t.Fatal("a full forward kernel launched after initialization")
-			}
-			if stats.KernelSpans(core.KernelOverlay) == 0 {
-				t.Fatal("no overlay kernel pins recorded — vacuous")
+			if got := stats.KernelSpans(core.KernelForward); got != fwd0 {
+				t.Fatalf("a full forward kernel launched after initialization: forward spans %d -> %d", fwd0, got)
 			}
 		})
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"insta/internal/batch"
+	"insta/internal/core"
 	"insta/internal/netlist"
 	"insta/internal/num"
 	"insta/internal/obs"
@@ -100,6 +101,7 @@ type Session struct {
 	epoch   uint64
 	topoGen uint64           // structural generation the overlay binds to
 	ts      *topo.Session    // non-nil once the session holds structural edits
+	tsView  *batch.Engine    // scenario view of ts's working engine (workingLocked)
 	resizes []resolvedResize // netlist changes to replay on commit
 	moves   []resolvedMove
 	closed  bool
@@ -147,25 +149,21 @@ func jsonSlack(v float64) float64 {
 	return v
 }
 
-// figures is what a view's WNS/TNS rows are read from: a session's overlay,
-// or the working engine of one holding structural edits.
+// figures is what a view's per-lane WNS/TNS are read from: a session's
+// overlay, or the working engine of one holding structural edits.
 type figures interface {
 	WNS(s int) float64
 	TNS(s int) float64
-	MergedWNS() float64
-	MergedTNS() float64
 }
 
 // scenarioRowsLocked prices src in every corner: one row per scenario with
-// ΔWNS/ΔTNS against that scenario's committed base, plus the merged row.
-// Caller holds at least m.mu.RLock.
-func (m *Manager) scenarioRowsLocked(src figures) []ScenarioView {
+// ΔWNS/ΔTNS against that scenario's committed base, plus the merged row,
+// whose figures the caller derived. Caller holds at least m.mu.RLock.
+func (m *Manager) scenarioRowsLocked(src figures, mergedWNS, mergedTNS float64) []ScenarioView {
 	out := make([]ScenarioView, len(m.baseScn))
 	for i, b := range m.baseScn {
-		var wns, tns float64
-		if b.Name == "merged" {
-			wns, tns = src.MergedWNS(), src.MergedTNS()
-		} else {
+		wns, tns := mergedWNS, mergedTNS
+		if b.Name != "merged" {
 			wns, tns = src.WNS(i), src.TNS(i)
 		}
 		out[i] = ScenarioView{
@@ -177,6 +175,16 @@ func (m *Manager) scenarioRowsLocked(src figures) []ScenarioView {
 		}
 	}
 	return out
+}
+
+// workingLocked returns the scenario view of the structural working engine,
+// rebuilt only when an edit replaced that engine. Caller holds s.mu, with
+// s.ts non-nil.
+func (s *Session) workingLocked() *batch.Engine {
+	if c := s.ts.Engine(); s.tsView == nil || s.tsView.Engine != c {
+		s.tsView = s.m.be.Over(c)
+	}
+	return s.tsView
 }
 
 // resultLocked builds the session's current view: the nominal lane's figures
@@ -192,9 +200,14 @@ func (s *Session) resultLocked() *ECOResult {
 	m := s.m
 	res := &ECOResult{Epoch: s.epoch}
 	var src figures
+	var mergedWNS, mergedTNS float64
 	if s.ts != nil {
-		eng, st := m.be.Over(s.ts.Engine()), s.ts.Stats()
+		eng, st := s.workingLocked(), s.ts.Stats()
 		src = eng
+		if m.baseScn != nil {
+			merged := eng.MergedSlacksInto(nil)
+			mergedWNS, mergedTNS = core.WNS(merged), core.TNS(merged)
+		}
 		res.TouchedArcs = st.Inserted*2 + st.Removed*2 + st.Annotated
 		res.OverlayPins = st.Relevel.Region
 		base := m.be.LaneSlacks(m.nom)
@@ -206,6 +219,9 @@ func (s *Session) resultLocked() *ECOResult {
 	} else {
 		st := s.ov.Stats()
 		src = s.ov
+		if m.baseScn != nil {
+			mergedWNS, mergedTNS = s.ov.MergedWNS(), s.ov.MergedTNS()
+		}
 		res.TouchedArcs = st.TouchedArcs
 		res.OverlayPins = st.OverlayPins
 		for _, ep := range s.ov.ChangedEndpointsView() {
@@ -216,7 +232,7 @@ func (s *Session) resultLocked() *ECOResult {
 	res.DeltaWNS = res.WNS - m.baseWNS
 	res.DeltaTNS = res.TNS - m.baseTNS
 	if m.baseScn != nil {
-		res.Scenarios = m.scenarioRowsLocked(src)
+		res.Scenarios = m.scenarioRowsLocked(src, mergedWNS, mergedTNS)
 	}
 	return res
 }
@@ -452,7 +468,7 @@ func (s *Session) ScenarioSlacksInto(name string, dst []float64) ([]float64, err
 			return err
 		}
 		if s.ts != nil {
-			dst = laneSlacksInto(m.be.Over(s.ts.Engine()), nil, lane, dst)
+			dst = laneSlacksInto(s.workingLocked(), nil, lane, dst)
 		} else {
 			dst = laneSlacksInto(m.be, s.ov, lane, dst)
 		}
@@ -526,7 +542,7 @@ func (s *Session) replayNetlistLocked() {
 func (s *Session) discardLocked() {
 	if s.ts != nil {
 		s.ts.Close()
-		s.ts = nil
+		s.ts, s.tsView = nil, nil
 	}
 	s.ov.Reset()
 	s.resizes, s.moves = s.resizes[:0], s.moves[:0]

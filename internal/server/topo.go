@@ -82,15 +82,15 @@ func (m *Manager) refArcLocked(a int32) int32 {
 	return m.baseRemap[a]
 }
 
-// curToRefLocked inverts refArcLocked: the extraction arc that became current
-// arc a, or -1 for arcs that only exist post-edit (inserted buffers). Caller
-// holds at least m.mu.RLock. Linear in the extraction arc count; only
-// resolution paths for structural requests take it.
-func (m *Manager) curToRefLocked(a int32) int32 {
-	if m.baseRemap == nil {
+// preimage returns the id remap sends to a (a itself under a nil, identity
+// remap), or -1 when nothing maps there: a was appended after the remap's
+// domain was fixed. Linear in the remap; only resolution paths for structural
+// requests take it.
+func preimage(remap []int32, a int32) int32 {
+	if remap == nil {
 		return a
 	}
-	for i, cur := range m.baseRemap {
+	for i, cur := range remap {
 		if cur == a {
 			return int32(i)
 		}
@@ -180,22 +180,12 @@ func (s *Session) tsArcLocked(a int32) int32 {
 // only exists post-edit (an inserted buffer's arcs) and so has no signoff
 // counterpart to estimate from. Caller holds s.mu and at least m.mu.RLock.
 func (s *Session) sessionToRefLocked(a int32) int32 {
-	cur := a
 	if s.ts != nil {
-		if r := s.ts.Remap(); r != nil {
-			cur = -1
-			for i, v := range r {
-				if v == a {
-					cur = int32(i)
-					break
-				}
-			}
-			if cur < 0 {
-				return -1
-			}
+		if a = preimage(s.ts.Remap(), a); a < 0 {
+			return -1
 		}
 	}
-	ref := s.m.curToRefLocked(cur)
+	ref := preimage(s.m.baseRemap, a)
 	if ref < 0 || s.m.ref == nil || int(ref) >= s.m.ref.NumArcs() {
 		return -1
 	}
@@ -423,6 +413,7 @@ func (s *Session) commitStructuralLocked(t0 time.Time) (*ECOResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	prevWNS, prevTNS := m.baseWNS, m.baseTNS
 	old := m.be
 	m.be = old.Over(d.Engine)
 	if m.ownsBase {
@@ -442,12 +433,13 @@ func (s *Session) commitStructuralLocked(t0 time.Time) (*ECOResult, error) {
 	// holds no overlay deltas (structural sessions reject them), so the
 	// rebase is a pure re-point.
 	s.rebindLocked(nil)
-	s.ts = nil // detached: the manager owns the working set now
+	s.ts, s.tsView = nil, nil // detached: the manager owns the working set now
 	res := s.finishCommitLocked(t0, map[string]any{
 		"structural": true,
 		"inserted":   d.Stats.Inserted,
 		"removed":    d.Stats.Removed,
 	})
+	res.DeltaWNS, res.DeltaTNS = res.WNS-prevWNS, res.TNS-prevTNS
 	m.topoCommits.Add(1)
 	m.log.Info("structural commit", "session", s.ID,
 		"edits", d.Stats.Edits, "inserted", d.Stats.Inserted,
