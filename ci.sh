@@ -4,7 +4,9 @@
 #   1. go vet        — static analysis over every package
 #   2. go build      — everything compiles, including cmd/ and examples/
 #   3. go test       — full suite (unit + determinism + differential + golden
-#                      digests + bench regression smoke), including the
+#                      digests + the packed-tail contract of every queue
+#                      writer + zero-alloc full passes + bench regression
+#                      smoke), including the
 #                      nominal-lane differential of the serving layer: a
 #                      daemon holds one lane-strided engine, and a manager over
 #                      batch{ss,tt,ff} must answer every nominal query bit for
@@ -18,8 +20,14 @@
 #                      >= 2x the per-corner rebuild loop at S=3, and BENCH_snap
 #                      gates warm snapshot boot (snap.Open) at >= 10x faster
 #                      than the cold parse+signoff+extract+compile build
+#  3b. go test -fuzz — 10 s of FuzzInsertTopK: the kernels' fill-tracked Top-K
+#                      insert against the Algorithm-2 reference kept in
+#                      internal/core/queue_ref_test.go, all four planes bit for
+#                      bit after every insert (the checked-in corpus under
+#                      internal/core/testdata/fuzz/ runs in step 3 already)
 #   4. go test -race — short-mode race check of the scheduler, the engine
-#                      kernels that run on it at S = 1 and S > 1 (including
+#                      kernels that run on it at S = 1 and S > 1 — one merge
+#                      helper behind forward, hold and overlay — (including
 #                      the pooled-scratch overlay-reuse differential under 8
 #                      concurrent sessions in internal/batch), the serving
 #                      layer's session manager over its one engine (including
@@ -93,6 +101,9 @@ go test ./...
 if [ "$INSTA_BENCH" != 1 ]; then
 	git diff --exit-code -- 'BENCH_*.json'
 fi
+
+echo "== go test -fuzz FuzzInsertTopK (10s, fill-tracked insert vs the Algorithm-2 reference) =="
+go test ./internal/core -run '^$' -fuzz FuzzInsertTopK -fuzztime 10s
 
 echo "== go test -race (sched + core + batch + topo + server + obs + snap + fleet + hier, short) =="
 go test -race -short ./internal/sched/... ./internal/core/... ./internal/batch/... ./internal/topo/... ./internal/server/... ./internal/obs/... ./internal/snap/... ./internal/fleet/... ./internal/hier/...

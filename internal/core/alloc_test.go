@@ -3,7 +3,8 @@ package core
 // Allocation-discipline unit tests (DESIGN.md §12): the serving hot paths —
 // an overlay ECO preview over a warm cone and an incremental forward
 // re-propagation — must settle at zero heap allocations per operation once
-// their scratch and freelists are populated. These run on the small
+// their scratch and freelists are populated, and the full passes (forward,
+// slack, backward) must launch their levels without allocating. These run on the small
 // generated test design so they stay in the fast tier-1 set; bench_gc_test.go
 // measures the same paths on a real block preset and writes BENCH_gc.json.
 
@@ -64,6 +65,32 @@ func TestIncrementalPropagateAllocFree(t *testing.T) {
 			reprop() // warm both cone shapes
 			if a := testing.AllocsPerRun(20, reprop); a > allocEps {
 				t.Errorf("warm incremental re-prop: %.1f allocs/op, want 0", a)
+			}
+		})
+	}
+}
+
+// TestFullPropagateAllocFree pins the full passes — the op of the paper's
+// Table I — at zero allocations: their per-level launches go through kernels
+// bound once with the engine, so a pass costs no closure per level.
+func TestFullPropagateAllocFree(t *testing.T) {
+	h := buildHarness(t, testSpec(83))
+	for _, lc := range laneCases {
+		t.Run(lc.name, func(t *testing.T) {
+			// Grain 4 splits the wider levels over both workers and fuses the
+			// narrow ones, so the level, fused and inline launches all run.
+			e := newLaneEngine(t, h.tab, lc.lanes, Options{TopK: 6, Hold: true, Workers: 2, Grain: 4})
+			e.Run()
+			e.Backward() // allocates the gradient state once
+			for name, pass := range map[string]func(){
+				"Propagate":         e.Propagate,
+				"RefreshSlacks":     e.RefreshSlacks,
+				"RefreshHoldSlacks": e.RefreshHoldSlacks,
+				"Backward":          e.Backward,
+			} {
+				if a := testing.AllocsPerRun(20, pass); a > allocEps {
+					t.Errorf("%s: %.1f allocs/op, want 0", name, a)
+				}
 			}
 		})
 	}

@@ -106,14 +106,11 @@ func (e *Engine) BackwardLane(s int, w []float64) {
 
 	// Reverse level sweep: each pin gathers its gradient from its fan-out
 	// arcs' flow slots, then distributes it to its fan-in arcs and parents.
+	e.run.lane = s
 	for l := e.lv.NumLevels - 1; l >= 0; l-- {
-		pins := e.lv.Nodes(l)
+		e.run.pins = e.lv.Nodes(l)
 		lsp := sp.ChildArg("level", "level", int64(l))
-		e.pool.RunTagged(kBackward, l, len(pins), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e.backpropPin(pins[i], s)
-			}
-		})
+		e.pool.RunIndexed(kBackward, l, len(e.run.pins), e.kern.backward)
 		lsp.End()
 	}
 }

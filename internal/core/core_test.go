@@ -281,26 +281,22 @@ func TestInsertTopKMatchesBruteForce(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		k := 1 + rng.Intn(6)
 		n := rng.Intn(40)
-		arr := make([]float64, k)
-		mean := make([]float64, k)
-		std := make([]float64, k)
-		sps := make([]int32, k)
-		clearQueue(arr, sps)
+		q := newTestQueue(k)
 		var fed []qEntry
 		for i := 0; i < n; i++ {
 			a := math.Round(rng.Float64()*1000) / 10 // coarse grid avoids fp ties
 			sp := int32(rng.Intn(8))
 			fed = append(fed, qEntry{arr: a, sp: sp})
-			InsertTopK(arr, mean, std, sps, a, a, 0, sp)
+			q.insert(a, a, 0, sp)
 		}
 		want := bruteTopK(fed, k)
 		// Collect non-empty queue entries.
 		var got []qEntry
 		for i := 0; i < k; i++ {
-			if sps[i] == noSP {
+			if q.sp[i] == noSP {
 				break
 			}
-			got = append(got, qEntry{arr: arr[i], sp: sps[i]})
+			got = append(got, qEntry{arr: q.arr[i], sp: q.sp[i]})
 		}
 		if len(got) != len(want) {
 			return false
@@ -331,40 +327,32 @@ func TestInsertTopKMatchesBruteForce(t *testing.T) {
 }
 
 func TestInsertTopKUpdateExisting(t *testing.T) {
-	arr := make([]float64, 3)
-	mean := make([]float64, 3)
-	std := make([]float64, 3)
-	sps := make([]int32, 3)
-	clearQueue(arr, sps)
-	InsertTopK(arr, mean, std, sps, 10, 10, 0, 1)
-	InsertTopK(arr, mean, std, sps, 20, 20, 0, 2)
+	q := newTestQueue(3)
+	q.insert(10, 10, 0, 1)
+	q.insert(20, 20, 0, 2)
 	// Update sp 1 upward past sp 2: must bubble to front.
-	InsertTopK(arr, mean, std, sps, 30, 30, 0, 1)
-	if sps[0] != 1 || arr[0] != 30 || sps[1] != 2 || arr[1] != 20 {
-		t.Fatalf("queue after bubble: arr=%v sps=%v", arr, sps)
+	q.insert(30, 30, 0, 1)
+	if q.sp[0] != 1 || q.arr[0] != 30 || q.sp[1] != 2 || q.arr[1] != 20 || q.n != 2 {
+		t.Fatalf("queue after bubble: arr=%v sps=%v n=%d", q.arr, q.sp, q.n)
 	}
 	// Downward "update" must be ignored.
-	InsertTopK(arr, mean, std, sps, 5, 5, 0, 1)
-	if arr[0] != 30 {
+	q.insert(5, 5, 0, 1)
+	if q.arr[0] != 30 {
 		t.Fatal("smaller arrival overwrote existing startpoint")
 	}
 }
 
 func TestInsertTopKEviction(t *testing.T) {
-	arr := make([]float64, 2)
-	mean := make([]float64, 2)
-	std := make([]float64, 2)
-	sps := make([]int32, 2)
-	clearQueue(arr, sps)
-	InsertTopK(arr, mean, std, sps, 10, 10, 0, 1)
-	InsertTopK(arr, mean, std, sps, 20, 20, 0, 2)
-	InsertTopK(arr, mean, std, sps, 5, 5, 0, 3) // below min: rejected
-	if sps[0] != 2 || sps[1] != 1 {
-		t.Fatalf("unexpected queue %v", sps)
+	q := newTestQueue(2)
+	q.insert(10, 10, 0, 1)
+	q.insert(20, 20, 0, 2)
+	q.insert(5, 5, 0, 3) // below min: rejected
+	if q.sp[0] != 2 || q.sp[1] != 1 {
+		t.Fatalf("unexpected queue %v", q.sp)
 	}
-	InsertTopK(arr, mean, std, sps, 15, 15, 0, 4) // evicts sp 1
-	if sps[0] != 2 || sps[1] != 4 || arr[1] != 15 {
-		t.Fatalf("eviction failed: arr=%v sps=%v", arr, sps)
+	q.insert(15, 15, 0, 4) // evicts sp 1
+	if q.sp[0] != 2 || q.sp[1] != 4 || q.arr[1] != 15 || q.n != 2 {
+		t.Fatalf("eviction failed: arr=%v sps=%v n=%d", q.arr, q.sp, q.n)
 	}
 }
 
@@ -381,23 +369,13 @@ func TestQueueInvariantsAfterPropagation(t *testing.T) {
 	for p := int32(0); p < int32(e.NumPins()); p++ {
 		for rf := 0; rf < 2; rf++ {
 			arr, mean, std, sps := e.TopEntries(rf, p)
-			seenEmpty := false
-			seen := map[int32]bool{}
+			if err := checkPacked(arr, sps); err != nil {
+				t.Fatalf("pin %d rf %d: %v", p, rf, err)
+			}
 			for k := range arr {
 				if sps[k] == noSP {
-					seenEmpty = true
-					continue
+					break
 				}
-				if seenEmpty {
-					t.Fatalf("pin %d rf %d: gap before slot %d", p, rf, k)
-				}
-				if k > 0 && sps[k-1] != noSP && arr[k-1] < arr[k] {
-					t.Fatalf("pin %d rf %d: not descending at %d", p, rf, k)
-				}
-				if seen[sps[k]] {
-					t.Fatalf("pin %d rf %d: duplicate sp %d", p, rf, sps[k])
-				}
-				seen[sps[k]] = true
 				want := mean[k] + 3*std[k]
 				if math.Abs(arr[k]-want) > 1e-9 {
 					t.Fatalf("pin %d rf %d slot %d: arrival %v != mean+3sigma %v", p, rf, k, arr[k], want)

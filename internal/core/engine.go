@@ -154,6 +154,45 @@ type Engine struct {
 
 	inc  *propScratch // reusable incremental-propagation state (lazily built)
 	plan []levelGroup // fused-level launch plan (lazily built; see levelPlan)
+
+	// Full-pass kernels, bound once with the engine (bindKernels): a closure
+	// literal or method value passed to the pool escapes — the job slot
+	// retains it — so building one per launch would cost an allocation per
+	// level. The bound kernels read what a launch varies through run.
+	kern struct{ level, fused, backward, slack, holdSlack func(id, lo, hi int) }
+	run  struct {
+		q      *queues // tensors a sweep rebuilds, and their ordering sign
+		sign   float64
+		pins   []int32 // the launched level's pins (level, backward)
+		lo, hi int     // the launched group's levels (fused)
+		lane   int     // lane a backward pass differentiates
+	}
+}
+
+// bindKernels creates the engine's full-pass kernel closures.
+func (e *Engine) bindKernels() {
+	e.kern.level = func(_, lo, hi int) {
+		for _, p := range e.run.pins[lo:hi] {
+			e.recompute(e.run.q, e.run.sign, p)
+		}
+	}
+	// Fused narrow levels: the group's spans fit the pool's serial cutoff, so
+	// the launch is one inline chunk on the caller and the level-order walk
+	// preserves inter-level dependencies.
+	e.kern.fused = func(_, _, _ int) {
+		for l := e.run.lo; l < e.run.hi; l++ {
+			for _, p := range e.lv.Nodes(l) {
+				e.recompute(e.run.q, e.run.sign, p)
+			}
+		}
+	}
+	e.kern.backward = func(_, lo, hi int) {
+		for _, p := range e.run.pins[lo:hi] {
+			e.backpropPin(p, e.run.lane)
+		}
+	}
+	e.kern.slack = e.slackKernel
+	e.kern.holdSlack = e.holdSlackKernel
 }
 
 // levelGroup is a run of consecutive timing levels dispatched as one kernel

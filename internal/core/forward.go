@@ -63,169 +63,138 @@ func (q *queues) equal(a int, o *queues, b, n int) bool {
 // chunk claiming — the goroutine analogue of one CUDA thread per output pin
 // (Fig. 3).
 func (e *Engine) Propagate() {
-	e.sweep(kForward, e.propagatePin)
+	e.sweep(kForward, &e.top, 1)
 	if e.hold != nil {
-		e.sweep(kHold, e.propagatePinMin)
+		e.sweep(kHold, &e.hold.queues, -1)
 	}
 }
 
-// sweep runs one per-pin kernel over the whole level schedule, one launch per
-// fused level group.
-func (e *Engine) sweep(tag string, pin func(p int32)) {
+// sweep rebuilds every pin's queues in q (with recompute's sign) over the
+// whole level schedule, one launch of a bound kernel per fused level group.
+func (e *Engine) sweep(tag string, q *queues, sign float64) {
 	sp := e.tracer.StartArg(tag, "levels", int64(e.lv.NumLevels))
+	e.run.q, e.run.sign = q, sign
 	for _, g := range e.levelPlan() {
 		lsp := sp.ChildArg("level", "level", int64(g.lo))
 		if g.hi == g.lo+1 {
-			pins := e.lv.Nodes(g.lo)
-			e.pool.RunTagged(tag, g.lo, len(pins), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					pin(pins[i])
-				}
-			})
+			e.run.pins = e.lv.Nodes(g.lo)
+			e.pool.RunIndexed(tag, g.lo, g.spans, e.kern.level)
 		} else {
-			// Fused narrow levels: g.spans <= the pool's serial cutoff, so
-			// this launch is one inline chunk ([0, g.spans) on the caller) and
-			// the level-order walk below preserves inter-level dependencies.
-			e.pool.RunTagged(tag, g.lo, g.spans, func(lo, hi int) {
-				for l := g.lo; l < g.hi; l++ {
-					for _, p := range e.lv.Nodes(l) {
-						pin(p)
-					}
-				}
-			})
+			e.run.lo, e.run.hi = g.lo, g.hi
+			e.pool.RunIndexed(tag, g.lo, g.spans, e.kern.fused)
 		}
 		lsp.End()
 	}
 	sp.End()
 }
 
-// propagatePin recomputes pin p's Top-K queues for both transitions in every
-// lane. The fan-in CSR is walked once per transition; the lane loop sits
-// inside the per-arc contribution, resolving each lane's arc delay from the
-// per-kind scale factors. For a fixed lane the insertion order over (arc
-// position, input transition, parent slot) does not depend on S, which is
-// what makes lane s bit-identical to a single-lane engine over scaled tables.
-func (e *Engine) propagatePin(p int32) {
+// laneTile is how many lanes' live counts a merge keeps on its stack; an
+// engine with more lanes walks the pin's fan-in once per tile of this many.
+const laneTile = 16
+
+// recompute rebuilds pin p's queues in q, both transitions in every lane — the
+// late tensors with sign +1, the early ones (hold) with sign -1: startpoints
+// reseed their launch arrival, single-fan-in unate pins copy their parent,
+// everything else merges its fan-in.
+func (e *Engine) recompute(q *queues, sign float64, p int32) {
 	if sp := e.spOfPin[p]; sp >= 0 {
-		e.initStartpoint(p, sp)
+		e.initStartpoint(q, sign, p, sp)
 		return
 	}
+	if pos := e.faninStart[p]; e.faninStart[p+1]-pos == 1 && liberty.Unate(e.faninSense[pos]) != liberty.NonUnate {
+		e.copyFanin(q, sign, p, pos)
+		return
+	}
+	e.mergeFanin(q, sign, p)
+}
+
+// copyFanin is mergeFanin for a pin whose fan-in is the one unate arc at CSR
+// position pos: each of its queues is one parent merged into an empty queue,
+// so no live counts need carrying.
+func (e *Engine) copyFanin(q *queues, sign float64, p, pos int32) {
+	k := e.opt.TopK
+	ns := sign * e.nSigma
+	arc := e.faninArc[pos]
+	parent := e.faninFrom[pos]
+	kind := e.arcKind[arc]
+	flip := 0
+	if liberty.Unate(e.faninSense[pos]) == liberty.NegativeUnate {
+		flip = 1
+	}
+	for rf := 0; rf < 2; rf++ {
+		am0 := e.arcMean[rf][arc]
+		as0 := e.arcStd[rf][arc]
+		b, pb := e.base(rf, p), e.base(rf^flip, parent)
+		for s := range e.lanes {
+			am := am0 * e.scaleMean[kind][s]
+			as := as0 * e.scaleStd[kind][s]
+			q.blankTail(b, q.merge(b, 0, k, q, pb, am, as, sign, ns), k)
+			b, pb = b+k, pb+k
+		}
+	}
+}
+
+// mergeFanin rebuilds pin p's queues in q from its parents' queues in q, with
+// recompute's sign. The fan-in CSR is walked once per transition; the lane
+// loop sits inside the per-arc contribution, resolving each lane's arc delay
+// from the per-kind scale factors. For a fixed lane the insertion order over
+// (arc position, input transition, parent slot) does not depend on S, which is
+// what makes lane s bit-identical to a single-lane engine over scaled tables.
+//
+// The merge is fill-tracked: each destination queue's live count rides along
+// in a stack-local counter, inserts touch live slots only, and the unused
+// tail is blanked once at the end — the packed-tail contract every reader
+// relies on (n live entries, descending, unique startpoints, then -Inf/noSP).
+func (e *Engine) mergeFanin(q *queues, sign float64, p int32) {
 	k := e.opt.TopK
 	S := len(e.lanes)
-	q := &e.top
+	ns := sign * e.nSigma
 	lo, hi := e.faninStart[p], e.faninStart[p+1]
+	var fill [laneTile]int
 	for rf := 0; rf < 2; rf++ {
 		qb := e.base(rf, p)
-		clearQueue(q.arr[qb:qb+S*k], q.sp[qb:qb+S*k])
-
-		// Vectorized fast path for single-fan-in pins (the paper handles
-		// "input pins" on the CPU without a kernel: one parent each).
-		if hi-lo == 1 && liberty.Unate(e.faninSense[lo]) != liberty.NonUnate {
-			for s := 0; s < S; s++ {
-				e.shiftCopy(rf, s, lo, qb+s*k)
-			}
-			continue
-		}
-
-		for pos := lo; pos < hi; pos++ {
-			arc := e.faninArc[pos]
-			parent := e.faninFrom[pos]
-			kind := e.arcKind[arc]
-			am0 := e.arcMean[rf][arc]
-			as0 := e.arcStd[rf][arc]
-			inRFs, n := liberty.Unate(e.faninSense[pos]).InRFs(rf)
-			for ri := 0; ri < n; ri++ {
-				pb0 := e.base(inRFs[ri], parent)
-				for s := 0; s < S; s++ {
-					am := am0 * e.scaleMean[kind][s]
-					as := as0 * e.scaleStd[kind][s]
-					pb := pb0 + s*k
-					b := qb + s*k
-					arr := q.arr[b : b+k]
-					mean := q.mean[b : b+k]
-					std := q.std[b : b+k]
-					sps := q.sp[b : b+k]
-					for kk := 0; kk < k; kk++ {
-						psp := q.sp[pb+kk]
-						if psp == noSP {
-							break // queues are packed: empties trail
-						}
-						m := q.mean[pb+kk] + am
-						pstd := q.std[pb+kk]
-						// sigma <= pstd+as bounds the arrival from above;
-						// rejecting against the queue minimum here skips the
-						// sqrt for the bulk of contributions.
-						if m+e.nSigma*(pstd+as) <= arr[k-1] {
-							continue
-						}
-						sg := math.Sqrt(pstd*pstd + as*as)
-						InsertTopK(arr, mean, std, sps, m+e.nSigma*sg, m, sg, psp)
+		for s0 := 0; s0 < S; s0 += laneTile {
+			s1 := min(s0+laneTile, S)
+			n := fill[:s1-s0]
+			clear(n)
+			for pos := lo; pos < hi; pos++ {
+				arc := e.faninArc[pos]
+				parent := e.faninFrom[pos]
+				kind := e.arcKind[arc]
+				am0 := e.arcMean[rf][arc]
+				as0 := e.arcStd[rf][arc]
+				inRFs, nrf := liberty.Unate(e.faninSense[pos]).InRFs(rf)
+				for ri := 0; ri < nrf; ri++ {
+					pb0 := e.base(inRFs[ri], parent)
+					for s := s0; s < s1; s++ {
+						am := am0 * e.scaleMean[kind][s]
+						as := as0 * e.scaleStd[kind][s]
+						n[s-s0] = q.merge(qb+s*k, n[s-s0], k, q, pb0+s*k, am, as, sign, ns)
 					}
 				}
 			}
+			for s := s0; s < s1; s++ {
+				q.blankTail(qb+s*k, n[s-s0], k)
+			}
 		}
 	}
 }
 
-// initStartpoint seeds a startpoint pin's queues in every lane with its
+// initStartpoint seeds a startpoint pin's queues in q in every lane with its
 // launch arrival distribution (clock network arrival or input delay); lanes
-// derate arcs, not launches.
-func (e *Engine) initStartpoint(p, sp int32) {
+// derate arcs, not launches. sign is recompute's.
+func (e *Engine) initStartpoint(q *queues, sign float64, p, sp int32) {
 	k := e.opt.TopK
-	q := &e.top
+	m, sg := e.spMean[sp], e.spStd[sp]
 	for rf := 0; rf < 2; rf++ {
 		b := e.base(rf, p)
-		clearQueue(q.arr[b:b+e.qstride], q.sp[b:b+e.qstride])
 		for end := b + e.qstride; b < end; b += k {
-			q.mean[b] = e.spMean[sp]
-			q.std[b] = e.spStd[sp]
-			q.arr[b] = e.spMean[sp] + e.nSigma*e.spStd[sp]
+			q.mean[b] = m
+			q.std[b] = sg
+			q.arr[b] = sign * (m + sign*e.nSigma*sg)
 			q.sp[b] = sp
+			q.blankTail(b, 1, k)
 		}
-	}
-}
-
-// shiftCopy implements the single-parent fast path for lane s: shift the
-// parent's whole queue by the lane's arc delay into the block at b. RSS
-// composition can reorder entries with different mean/sigma trade-offs, so a
-// near-sorted insertion sort restores descending order.
-func (e *Engine) shiftCopy(rf, s int, pos int32, b int) {
-	arc := e.faninArc[pos]
-	parent := e.faninFrom[pos]
-	inRFs, _ := liberty.Unate(e.faninSense[pos]).InRFs(rf)
-	kind := e.arcKind[arc]
-	am := e.arcMean[rf][arc] * e.scaleMean[kind][s]
-	as := e.arcStd[rf][arc] * e.scaleStd[kind][s]
-	k := e.opt.TopK
-	q := &e.top
-	pb := e.base(inRFs[0], parent) + s*k
-	arr := q.arr[b : b+k]
-	mean := q.mean[b : b+k]
-	std := q.std[b : b+k]
-	sps := q.sp[b : b+k]
-	n := 0
-	for kk := 0; kk < k; kk++ {
-		psp := q.sp[pb+kk]
-		if psp == noSP {
-			break
-		}
-		m := q.mean[pb+kk] + am
-		sg := math.Sqrt(q.std[pb+kk]*q.std[pb+kk] + as*as)
-		arr[n] = m + e.nSigma*sg
-		mean[n] = m
-		std[n] = sg
-		sps[n] = psp
-		n++
-	}
-	// Insertion sort (descending by arrival); input is nearly sorted.
-	for i := 1; i < n; i++ {
-		a, m, sg, sp := arr[i], mean[i], std[i], sps[i]
-		j := i - 1
-		for j >= 0 && arr[j] < a {
-			arr[j+1], mean[j+1], std[j+1], sps[j+1] = arr[j], mean[j], std[j], sps[j]
-			j--
-		}
-		arr[j+1], mean[j+1], std[j+1], sps[j+1] = a, m, sg, sp
 	}
 }
 
@@ -238,51 +207,127 @@ func clearQueue(arr []float64, sps []int32) {
 	}
 }
 
-// InsertTopK is Algorithm 2: maintain a descending fixed-size list of
-// arrival distributions keyed by unique startpoints. Step 1 updates an
-// existing startpoint in place (bubbling it up to restore order); Step 2
-// inserts a new startpoint by shifting if it beats the current minimum.
-// Empty slots carry sp == -1 and arr == -Inf.
-func InsertTopK(arr, mean, std []float64, sps []int32, a, m, s float64, sp int32) {
-	k := len(arr)
-	// Fast reject: a contribution at or below the current minimum can change
-	// nothing — if its startpoint is already queued that entry is at least
-	// arr[k-1] >= a, and if it is not queued it cannot displace anything.
-	if a <= arr[k-1] {
-		return
+// blankTail empties slots [n, k) of the queue at b: the unused tail a merge
+// that left n live entries owes its readers.
+func (q *queues) blankTail(b, n, k int) {
+	clearQueue(q.arr[b+n:b+k], q.sp[b+n:b+k])
+}
+
+// merge folds one parent queue — the packed k-slot queue of src at pb, every
+// entry delayed by the arc's (am, as) — into the k-slot queue of q at b, whose
+// first n slots are live, and returns the new live count. Slots from n on are
+// never read, so the destination needs no clearing beforehand. The ordering
+// key is sign*(m + ns*sigma) with ns = sign*nSigma: the late corner for sign
+// +1, the negated early corner for sign -1 (hold keeps the K smallest).
+//
+// A parent merged into an empty queue brings only startpoints the queue does
+// not hold (its own are unique), so Algorithm 2 degenerates to a shifted copy
+// of the parent restored to descending order: RSS composition can reorder
+// entries with different mean/sigma trade-offs, and the stable insertion sort
+// leaves them exactly where one insert per entry would. That is the whole
+// merge of a single-fan-in pin — the paper's "input pins", handled without a
+// kernel — and the first parent's share of every other pin.
+func (q *queues) merge(b, n, k int, src *queues, pb int, am, as, sign, ns float64) int {
+	arr := q.arr[b : b+k]
+	pmean := src.mean[pb : pb+k]
+	pstds := src.std[pb : pb+k]
+	psps := src.sp[pb : pb+k]
+	if n == 0 {
+		mean := q.mean[b : b+k]
+		std := q.std[b : b+k]
+		sps := q.sp[b : b+k]
+		sorted, prev := true, math.Inf(1)
+		for kk, psp := range psps {
+			if psp == noSP {
+				break // queues are packed: empties trail
+			}
+			m := pmean[kk] + am
+			sg := math.Sqrt(pstds[kk]*pstds[kk] + as*as)
+			a := sign * (m + ns*sg)
+			sorted = sorted && a <= prev
+			arr[n], mean[n], std[n], sps[n] = a, m, sg, psp
+			prev = a
+			n++
+		}
+		if sorted {
+			return n
+		}
+		for i := 1; i < n; i++ {
+			a, m, sg, sp := arr[i], mean[i], std[i], sps[i]
+			j := i
+			for j > 0 && arr[j-1] < a {
+				arr[j], mean[j], std[j], sps[j] = arr[j-1], mean[j-1], std[j-1], sps[j-1]
+				j--
+			}
+			arr[j], mean[j], std[j], sps[j] = a, m, sg, sp
+		}
+		return n
 	}
-	// Step 1: startpoint uniqueness check.
-	for j := 0; j < k; j++ {
-		if sps[j] == noSP {
+	for kk, psp := range psps {
+		if psp == noSP {
 			break
 		}
-		if sps[j] != sp {
+		m := pmean[kk] + am
+		pstd := pstds[kk]
+		// sigma <= pstd+as bounds the key from above; once the queue is full,
+		// rejecting against its minimum here skips the sqrt for the bulk of
+		// contributions.
+		if n == k && sign*(m+ns*(pstd+as)) <= arr[k-1] {
+			continue
+		}
+		sg := math.Sqrt(pstd*pstd + as*as)
+		n = q.insert(b, n, k, sign*(m+ns*sg), m, sg, psp)
+	}
+	return n
+}
+
+// insert is Algorithm 2 on the k-slot queue of q at b whose first n slots are
+// live: maintain a descending fixed-size list of arrival distributions keyed
+// by unique startpoints, and return the new live count. Step 1 updates an
+// existing startpoint in place (bubbling it up to restore order); Step 2
+// inserts a new startpoint after the live entries — displacing the minimum
+// once the queue is full — and shifts it up into place. Only slots [0, n] are
+// touched.
+func (q *queues) insert(b, n, k int, a, m, s float64, sp int32) int {
+	arr := q.arr[b : b+k]
+	mean := q.mean[b : b+k]
+	std := q.std[b : b+k]
+	sps := q.sp[b : b+k]
+	// Fast reject: a contribution at or below a full queue's minimum can
+	// change nothing — if its startpoint is already queued that entry is at
+	// least arr[k-1] >= a, and if it is not queued it cannot displace anything.
+	if n == k && a <= arr[k-1] {
+		return n
+	}
+	// Step 1: startpoint uniqueness check.
+	for j, queued := range sps[:n] {
+		if queued != sp {
 			continue
 		}
 		if a <= arr[j] {
-			return // existing entry dominates
+			return n // existing entry dominates
 		}
-		arr[j], mean[j], std[j] = a, m, s
 		// Bubble up: the increased value may beat entries above it.
-		for j > 0 && arr[j-1] < arr[j] {
-			arr[j-1], arr[j] = arr[j], arr[j-1]
-			mean[j-1], mean[j] = mean[j], mean[j-1]
-			std[j-1], std[j] = std[j], std[j-1]
-			sps[j-1], sps[j] = sps[j], sps[j-1]
+		for j > 0 && arr[j-1] < a {
+			arr[j], mean[j], std[j], sps[j] = arr[j-1], mean[j-1], std[j-1], sps[j-1]
 			j--
 		}
-		return
+		arr[j], mean[j], std[j], sps[j] = a, m, s, sp
+		return n
 	}
-	// Step 2: new startpoint; insert if it beats the smallest entry.
-	if a <= arr[k-1] {
-		return
+	// Step 2: new startpoint.
+	j := n
+	if n == k {
+		j = k - 1
+	} else {
+		n++
 	}
-	j := k - 1
 	for j > 0 && arr[j-1] < a {
 		arr[j], mean[j], std[j], sps[j] = arr[j-1], mean[j-1], std[j-1], sps[j-1]
 		j--
 	}
 	arr[j], mean[j], std[j], sps[j] = a, m, s, sp
+	return n
 }
 
 // LaneTopEntries returns pin p's Top-K arrival entries for transition rf in

@@ -5,9 +5,12 @@ import (
 	"testing"
 )
 
-// FuzzInsertTopK drives Algorithm 2's queue insert with byte-decoded
-// (arrival, startpoint) streams and checks every invariant the propagation
-// kernels rely on against the brute-force oracle:
+// FuzzInsertTopK drives the kernels' fill-tracked insert and the Algorithm-2
+// reference (refInsertTopK) with the same byte-decoded stream and requires
+// the two queues to hold the same bits in all four planes after every insert
+// — startpoint tie-breaks included — and the new insert's live count to be
+// the reference's packed length. On top of that differential it checks every
+// invariant the propagation kernels rely on against the brute-force oracle:
 //
 //   - the kept arrivals equal "max per startpoint, then K largest";
 //   - entries are in descending arrival order;
@@ -15,7 +18,8 @@ import (
 //   - empty slots are packed at the tail (-Inf arrival, noSP marker).
 //
 // Bytes decode two per insert: arrival = b0 (a coarse grid that makes
-// duplicate keys and displacement ties common), sp = b1 % 10.
+// duplicate keys and displacement ties common), sp = b1 % 10. Mean and sigma
+// carry the insert's ordinal so a swapped or stale payload plane shows.
 func FuzzInsertTopK(f *testing.F) {
 	// Algorithm-2 edge cases as seeds.
 	// Duplicate SP update: same startpoint arrives twice, larger second.
@@ -28,58 +32,69 @@ func FuzzInsertTopK(f *testing.F) {
 	f.Add(uint8(3), []byte{30, 1, 20, 2, 10, 3, 40, 3})
 	// Saturating duplicates across a tiny queue.
 	f.Add(uint8(1), []byte{5, 0, 9, 1, 7, 0, 9, 2, 1, 1})
+	// testdata/fuzz/FuzzInsertTopK holds the fill-tracking cases: partial_fill
+	// (3 of 8 slots: every shift starts at the live count), fill_to_full (the
+	// n = K-1 -> K transition, then a displacement and a reject when full) and
+	// update_bubbles_to_front (an in-place update of the last live entry that
+	// rises to slot 0 past a tie).
 
 	f.Fuzz(func(t *testing.T, kByte uint8, data []byte) {
 		k := 1 + int(kByte)%8
-		arr := make([]float64, k)
-		mean := make([]float64, k)
-		std := make([]float64, k)
-		sps := make([]int32, k)
-		clearQueue(arr, sps)
+		q := newTestQueue(k)
+		ref := newTestQueue(k)
 
 		var fed []qEntry
 		for i := 0; i+1 < len(data); i += 2 {
 			a := float64(data[i])
 			sp := int32(data[i+1] % 10)
+			m, s := float64(i), float64(i)+0.5
 			fed = append(fed, qEntry{arr: a, sp: sp})
-			InsertTopK(arr, mean, std, sps, a, a, 0, sp)
+			q.insert(a, m, s, sp)
+			refInsertTopK(ref.arr, ref.mean, ref.std, ref.sp, a, m, s, sp)
+			if !q.equal(0, &ref.queues, 0, k) {
+				t.Fatalf("insert %d (arr %v sp %d) diverged from the reference:\n got arr=%v mean=%v std=%v sp=%v\nwant arr=%v mean=%v std=%v sp=%v",
+					i/2, a, sp, q.arr, q.mean, q.std, q.sp, ref.arr, ref.mean, ref.std, ref.sp)
+			}
 		}
 
-		// Invariant: packed empties trailing.
+		// Invariant: packed empties trailing, and the live count says where.
 		n := k
 		for i := 0; i < k; i++ {
-			if sps[i] == noSP {
+			if q.sp[i] == noSP {
 				n = i
 				break
 			}
 		}
+		if q.n != n {
+			t.Fatalf("live count %d, first empty slot %d", q.n, n)
+		}
 		for i := n; i < k; i++ {
-			if sps[i] != noSP || !math.IsInf(arr[i], -1) {
+			if q.sp[i] != noSP || !math.IsInf(q.arr[i], -1) {
 				t.Fatalf("slot %d after first empty not cleared: arr=%v sp=%d",
-					i, arr[i], sps[i])
+					i, q.arr[i], q.sp[i])
 			}
 		}
 		// Invariant: descending order, unique startpoints.
 		seen := make(map[int32]bool, n)
 		for i := 0; i < n; i++ {
-			if i > 0 && arr[i-1] < arr[i] {
-				t.Fatalf("ascending pair at %d: %v < %v", i-1, arr[i-1], arr[i])
+			if i > 0 && q.arr[i-1] < q.arr[i] {
+				t.Fatalf("ascending pair at %d: %v < %v", i-1, q.arr[i-1], q.arr[i])
 			}
-			if seen[sps[i]] {
-				t.Fatalf("duplicate startpoint %d", sps[i])
+			if seen[q.sp[i]] {
+				t.Fatalf("duplicate startpoint %d", q.sp[i])
 			}
-			seen[sps[i]] = true
+			seen[q.sp[i]] = true
 		}
 		// Oracle: arrivals must match brute force exactly. (At equal arrivals
 		// the kept sp may differ from the oracle's tie-break, so only the
-		// values are compared.)
+		// values are compared; the reference differential above pins the sps.)
 		want := bruteTopK(fed, k)
 		if len(want) != n {
 			t.Fatalf("kept %d entries, oracle kept %d", n, len(want))
 		}
 		for i := 0; i < n; i++ {
-			if arr[i] != want[i].arr {
-				t.Fatalf("slot %d: arr %v, oracle %v", i, arr[i], want[i].arr)
+			if q.arr[i] != want[i].arr {
+				t.Fatalf("slot %d: arr %v, oracle %v", i, q.arr[i], want[i].arr)
 			}
 		}
 	})

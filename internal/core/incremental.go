@@ -90,11 +90,11 @@ func (e *Engine) runIncrementalWave(sc *propScratch) {
 				for i := lo; i < hi; i++ {
 					p := b[i]
 					e.snapshotPin(snap, &e.top, p)
-					e.propagatePin(p)
+					e.recompute(&e.top, 1, p)
 					c := !e.snapshotEqual(snap, &e.top, p)
 					if e.hold != nil {
 						e.snapshotPin(snap, &e.hold.queues, p)
-						e.propagatePinMin(p)
+						e.recompute(&e.hold.queues, -1, p)
 						c = c || !e.snapshotEqual(snap, &e.hold.queues, p)
 					}
 					ch[i] = c

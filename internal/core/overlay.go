@@ -273,10 +273,11 @@ func (o *Overlay) Propagate() {
 // recomputePin rebuilds pin p's Top-K queues, every lane, inside the overlay
 // from its fan-in as seen through the overlay, and reports whether the result
 // differs from the previously visible queues (snapshotted into snap) in any
-// lane. The merge is the general path of the forward kernel; for
-// single-fan-in pins it produces the same bits as the engine's shiftCopy fast
-// path (same arithmetic, same stable descending order), which the
-// differential tests pin down.
+// lane. The walk is the engine's mergeFanin with the arc delays and parent
+// queues resolved through the overlay, over the same per-parent merge — so a
+// preview holds the bits a commit will. The comparison is exact on what a
+// queue means: a merge never writes past the live entries it leaves, so two
+// rows differ exactly when their live entries or live counts do.
 func (o *Overlay) recomputePin(p int32, snap *queues) bool {
 	e := o.e
 	k := e.opt.TopK
@@ -287,40 +288,30 @@ func (o *Overlay) recomputePin(p int32, snap *queues) bool {
 	snap.copyFrom(0, q, 0, 2*e.qstride)
 
 	lo, hi := e.faninStart[p], e.faninStart[p+1]
+	var fill [laneTile]int
 	for rf := 0; rf < 2; rf++ {
 		qb := rf * e.qstride
-		clearQueue(q.arr[qb:qb+e.qstride], q.sp[qb:qb+e.qstride])
-		for pos := lo; pos < hi; pos++ {
-			arc := e.faninArc[pos]
-			parent := e.faninFrom[pos]
-			kind := e.arcKind[arc]
-			am0, as0 := o.arcDelay(rf, arc)
-			inRFs, n := liberty.Unate(e.faninSense[pos]).InRFs(rf)
-			for ri := 0; ri < n; ri++ {
-				pq, pb0 := o.queues(inRFs[ri], parent)
-				for s := 0; s < S; s++ {
-					am := am0 * e.scaleMean[kind][s]
-					as := as0 * e.scaleStd[kind][s]
-					pb := pb0 + s*k
-					b := qb + s*k
-					arr := q.arr[b : b+k]
-					mean := q.mean[b : b+k]
-					std := q.std[b : b+k]
-					sps := q.sp[b : b+k]
-					for kk := 0; kk < k; kk++ {
-						psp := pq.sp[pb+kk]
-						if psp == noSP {
-							break
-						}
-						m := pq.mean[pb+kk] + am
-						ps := pq.std[pb+kk]
-						if m+e.nSigma*(ps+as) <= arr[k-1] {
-							continue
-						}
-						sg := math.Sqrt(ps*ps + as*as)
-						InsertTopK(arr, mean, std, sps, m+e.nSigma*sg, m, sg, psp)
+		for s0 := 0; s0 < S; s0 += laneTile {
+			s1 := min(s0+laneTile, S)
+			n := fill[:s1-s0]
+			clear(n)
+			for pos := lo; pos < hi; pos++ {
+				arc := e.faninArc[pos]
+				parent := e.faninFrom[pos]
+				kind := e.arcKind[arc]
+				am0, as0 := o.arcDelay(rf, arc)
+				inRFs, nrf := liberty.Unate(e.faninSense[pos]).InRFs(rf)
+				for ri := 0; ri < nrf; ri++ {
+					pq, pb0 := o.queues(inRFs[ri], parent)
+					for s := s0; s < s1; s++ {
+						am := am0 * e.scaleMean[kind][s]
+						as := as0 * e.scaleStd[kind][s]
+						n[s-s0] = q.merge(qb+s*k, n[s-s0], k, pq, pb0+s*k, am, as, 1, e.nSigma)
 					}
 				}
+			}
+			for s := s0; s < s1; s++ {
+				q.blankTail(qb+s*k, n[s-s0], k)
 			}
 		}
 	}

@@ -103,23 +103,19 @@ func TestHeapAndLinearQueuesAgree(t *testing.T) {
 	for _, k := range []int{1, 4, 16} {
 		in := stream(7, 500, 40)
 
-		arr := make([]float64, k)
-		mean := make([]float64, k)
-		std := make([]float64, k)
-		sps := make([]int32, k)
-		clearQueue(arr, sps)
+		lq := newTestQueue(k)
 		hq := newHeapTopK(k)
 		for _, e := range in {
-			InsertTopK(arr, mean, std, sps, e.arr, e.mean, e.std, e.sp)
+			lq.insert(e.arr, e.mean, e.std, e.sp)
 			hq.insert(e.arr, e.mean, e.std, e.sp)
 		}
 		want := hq.sorted()
 		for i := range want {
-			if sps[i] == noSP {
+			if lq.sp[i] == noSP {
 				t.Fatalf("k=%d: linear queue shorter than heap at %d", k, i)
 			}
-			if math.Abs(arr[i]-want[i].arr) > 1e-12 {
-				t.Fatalf("k=%d slot %d: linear %v heap %v", k, i, arr[i], want[i].arr)
+			if math.Abs(lq.arr[i]-want[i].arr) > 1e-12 {
+				t.Fatalf("k=%d slot %d: linear %v heap %v", k, i, lq.arr[i], want[i].arr)
 			}
 		}
 	}
@@ -136,13 +132,9 @@ func benchQueue(b *testing.B, k int, heapBased bool) {
 				q.insert(e.arr, e.mean, e.std, e.sp)
 			}
 		} else {
-			arr := make([]float64, k)
-			mean := make([]float64, k)
-			std := make([]float64, k)
-			sps := make([]int32, k)
-			clearQueue(arr, sps)
+			q := newTestQueue(k)
 			for _, e := range in {
-				InsertTopK(arr, mean, std, sps, e.arr, e.mean, e.std, e.sp)
+				q.insert(e.arr, e.mean, e.std, e.sp)
 			}
 		}
 	}
@@ -155,3 +147,129 @@ func BenchmarkAblation_QueueLinear_K32(b *testing.B)  { benchQueue(b, 32, false)
 func BenchmarkAblation_QueueHeap_K32(b *testing.B)    { benchQueue(b, 32, true) }
 func BenchmarkAblation_QueueLinear_K128(b *testing.B) { benchQueue(b, 128, false) }
 func BenchmarkAblation_QueueHeap_K128(b *testing.B)   { benchQueue(b, 128, true) }
+
+// --- Fan-in merge microbenchmark ---
+//
+// benchQueue above feeds one long stream into one queue, which is full after
+// K inserts, so it never measures what the forward kernel mostly does: merging
+// a handful of descending parent queues into an *empty* destination, where
+// most inserts land in a queue that is not yet full. fanin builds that shape
+// from the occupancy measured on block-1 at K=32 (about 70 % of parent queues
+// full, the rest partially filled) with startpoints drawn from a pool small
+// enough that parents of one pin share some, and BenchmarkMergeFanin runs it
+// through the kernels' merge. The Ref variant replays the same candidates
+// through the Algorithm-2 reference the way the kernels did before the merge
+// was fill-tracked (clear all K slots, then one refInsertTopK per candidate
+// with the upper-bound reject in front) — the difference is the cost of
+// shifting empty slots.
+
+// faninPin is one destination pin's parents: parent i's packed queue sits at
+// src[i*k:] and is delayed by (am[i], as[i]).
+type faninPin struct {
+	parents int
+	am, as  []float64
+	src     queues
+}
+
+// fanin builds pins destination pins for queue depth k and returns them with
+// the total number of candidates (live parent entries) one pass merges.
+func fanin(seed int64, pins, k int) (out []faninPin, candidates int) {
+	rng := rand.New(rand.NewSource(seed))
+	for p := 0; p < pins; p++ {
+		fp := faninPin{parents: 2 + rng.Intn(3)}
+		fp.src = newQueues(fp.parents * k)
+		clearQueue(fp.src.arr, fp.src.sp)
+		pool := rng.Perm(3 * k) // the startpoints this pin's cone can see
+		for i := 0; i < fp.parents; i++ {
+			fp.am = append(fp.am, 20+30*rng.Float64())
+			fp.as = append(fp.as, 1+2*rng.Float64())
+			n := k
+			if rng.Float64() < 0.3 {
+				n = 1 + rng.Intn(k)
+			}
+			rng.Shuffle(len(pool), func(a, b int) { pool[a], pool[b] = pool[b], pool[a] })
+			ents := make([]heapEntry, n)
+			for j := range ents {
+				m, s := 300+200*rng.Float64(), 2+3*rng.Float64()
+				ents[j] = heapEntry{arr: m + 3*s, mean: m, std: s, sp: int32(pool[j])}
+			}
+			sort.Slice(ents, func(a, b int) bool { return ents[a].arr > ents[b].arr })
+			for j, e := range ents {
+				b := i*k + j
+				fp.src.arr[b], fp.src.mean[b], fp.src.std[b], fp.src.sp[b] = e.arr, e.mean, e.std, e.sp
+			}
+			candidates += n
+		}
+		out = append(out, fp)
+	}
+	return out, candidates
+}
+
+// refMerge merges fp's parents into dst the way the kernels did before the
+// merge was fill-tracked.
+func (fp *faninPin) refMerge(dst *queues, k int) {
+	clearQueue(dst.arr, dst.sp)
+	for par := 0; par < fp.parents; par++ {
+		am, as := fp.am[par], fp.as[par]
+		for kk := par * k; kk < (par+1)*k && fp.src.sp[kk] != noSP; kk++ {
+			m, pstd := fp.src.mean[kk]+am, fp.src.std[kk]
+			if m+3*(pstd+as) <= dst.arr[k-1] {
+				continue
+			}
+			sg := math.Sqrt(pstd*pstd + as*as)
+			refInsertTopK(dst.arr, dst.mean, dst.std, dst.sp, m+3*sg, m, sg, fp.src.sp[kk])
+		}
+	}
+}
+
+// merge merges fp's parents into dst through the kernels' merge.
+func (fp *faninPin) merge(dst *queues, k int) {
+	n := 0
+	for par := 0; par < fp.parents; par++ {
+		n = dst.merge(0, n, k, &fp.src, par*k, fp.am[par], fp.as[par], 1, 3)
+	}
+	dst.blankTail(0, n, k)
+}
+
+func benchMergeFanin(b *testing.B, k int, ref bool) {
+	pins, cands := fanin(13, 64, k)
+	dst := newQueues(k)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for pi := range pins {
+			if ref {
+				pins[pi].refMerge(&dst, k)
+			} else {
+				pins[pi].merge(&dst, k)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cands), "ns/candidate")
+}
+
+func BenchmarkMergeFanin_K8(b *testing.B)      { benchMergeFanin(b, 8, false) }
+func BenchmarkMergeFanin_K32(b *testing.B)     { benchMergeFanin(b, 32, false) }
+func BenchmarkMergeFanin_K128(b *testing.B)    { benchMergeFanin(b, 128, false) }
+func BenchmarkMergeFanin_Ref_K8(b *testing.B)  { benchMergeFanin(b, 8, true) }
+func BenchmarkMergeFanin_Ref_K32(b *testing.B) { benchMergeFanin(b, 32, true) }
+func BenchmarkMergeFanin_Ref_K128(b *testing.B) {
+	benchMergeFanin(b, 128, true)
+}
+
+// TestMergeFaninMatchesReference holds the two bodies of benchMergeFanin to
+// the same answer, so the benchmark pair compares equal work.
+func TestMergeFaninMatchesReference(t *testing.T) {
+	for _, k := range []int{1, 8, 32} {
+		pins, _ := fanin(13, 64, k)
+		for pi := range pins {
+			got, want := newQueues(k), newQueues(k)
+			pins[pi].merge(&got, k)
+			pins[pi].refMerge(&want, k)
+			if !got.equal(0, &want, 0, k) {
+				t.Fatalf("k=%d pin %d: merge diverged from the reference\n got %v %v\nwant %v %v",
+					k, pi, got.arr, got.sp, want.arr, want.sp)
+			}
+		}
+	}
+}

@@ -20,40 +20,43 @@ func (e *Engine) EvalSlacks() []float64 {
 func (e *Engine) RefreshSlacks() {
 	sp := e.tracer.StartArg(kSlack, "endpoints", int64(len(e.epPin)))
 	defer sp.End()
+	e.pool.RunIndexed(kSlack, -1, len(e.epPin), e.kern.slack)
+}
+
+// slackKernel evaluates endpoints [lo, hi) in every lane.
+func (e *Engine) slackKernel(_, lo, hi int) {
 	k := e.opt.TopK
 	S := len(e.lanes)
 	nEP := len(e.epPin)
-	e.pool.RunTagged(kSlack, -1, nEP, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := e.epPin[i]
-			for s := 0; s < S; s++ {
-				best := math.Inf(1)
-				bestSP, bestRF := noSP, int8(0)
-				for rf := 0; rf < 2; rf++ {
-					b := e.base(rf, p) + s*k
-					for kk := 0; kk < k; kk++ {
-						sp := e.top.sp[b+kk]
-						if sp == noSP {
-							break
-						}
-						adj := e.excLookup(e.spPin[sp], p)
-						if adj.False {
-							continue
-						}
-						req := e.epBase[rf][i] +
-							float64(adj.CycleCount()-1)*e.period +
-							e.credit(e.spNode[sp], e.epNode[i])
-						if sl := req - e.top.arr[b+kk]; sl < best {
-							best, bestSP, bestRF = sl, sp, int8(rf)
-						}
+	for i := lo; i < hi; i++ {
+		p := e.epPin[i]
+		for s := 0; s < S; s++ {
+			best := math.Inf(1)
+			bestSP, bestRF := noSP, int8(0)
+			for rf := 0; rf < 2; rf++ {
+				b := e.base(rf, p) + s*k
+				for kk := 0; kk < k; kk++ {
+					sp := e.top.sp[b+kk]
+					if sp == noSP {
+						break
+					}
+					adj := e.excLookup(e.spPin[sp], p)
+					if adj.False {
+						continue
+					}
+					req := e.epBase[rf][i] +
+						float64(adj.CycleCount()-1)*e.period +
+						e.credit(e.spNode[sp], e.epNode[i])
+					if sl := req - e.top.arr[b+kk]; sl < best {
+						best, bestSP, bestRF = sl, sp, int8(rf)
 					}
 				}
-				e.epSlack[s*nEP+i] = best
-				e.epSP[s*nEP+i] = bestSP
-				e.epRF[s*nEP+i] = bestRF
 			}
+			e.epSlack[s*nEP+i] = best
+			e.epSP[s*nEP+i] = bestSP
+			e.epRF[s*nEP+i] = bestRF
 		}
-	})
+	}
 }
 
 // LaneSlacks returns lane s's cached endpoint slacks from the last

@@ -638,6 +638,7 @@ func newEngineBody(st *State, lanes []Lane, opt Options) (*Engine, error) {
 		e.hold = &holdState{epSlack: make([]float64, nEP)}
 	}
 	e.pool = sched.New(opt.Workers, opt.Grain)
+	e.bindKernels()
 	return e, nil
 }
 
@@ -733,7 +734,7 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 		e.pinOwner, e.arcStage, e.stageAcc = nil, nil, nil
 	}
 	// Appended pins start with empty queues, exactly like a cold engine
-	// entering its first propagatePin.
+	// entering its first recompute.
 	if st.NumPins > oldPins {
 		for rf := 0; rf < 2; rf++ {
 			lo, hi := ne.base(rf, int32(oldPins)), ne.base(rf, int32(st.NumPins))

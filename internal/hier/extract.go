@@ -328,8 +328,8 @@ func (sc *coneScratch) run(st *core.State, source int32, r0 int) {
 	sc.mean[r0][source] = 0
 
 	// Reachability sweep over the fan-out CSR. Startpoint pins freeze their
-	// seeds in the engine (propagatePin early-returns), so the cone never
-	// expands into one.
+	// seeds in the engine (recompute reseeds them and returns), so the cone
+	// never expands into one.
 	for qi := 0; qi < len(sc.queue); qi++ {
 		p := sc.queue[qi]
 		for pos := st.FoStart[p]; pos < st.FoStart[p+1]; pos++ {
@@ -372,8 +372,9 @@ func (sc *coneScratch) run(st *core.State, source int32, r0 int) {
 					ps := sc.std[inRFs[ri]][parent]
 					mv := pm + am
 					sv := math.Sqrt(ps*ps + as*as)
-					// Keep-max with keep-existing ties: InsertTopK's update
-					// rule for an already-queued startpoint.
+					// Keep-max with keep-existing ties: the update rule of the
+					// engine's Top-K insert (core's Algorithm 2, Step 1) for
+					// an already-queued startpoint.
 					if a := mv + st.NSigma*sv; a > bestA {
 						bestA, bestM, bestS = a, mv, sv
 					}
