@@ -1,7 +1,8 @@
 #!/bin/sh
 # ci.sh — the checks a PR must pass, in the order a failure is cheapest:
 #
-#   1. go vet        — static analysis over every package
+#   1. gofmt, go vet — `gofmt -l .` must list nothing, then static analysis
+#                      over every package
 #   2. go build      — everything compiles, including cmd/ and examples/
 #   3. go test       — full suite (unit + determinism + differential + golden
 #                      digests + the packed-tail contract of every queue
@@ -26,8 +27,9 @@
 #                      bit after every insert (the checked-in corpus under
 #                      internal/core/testdata/fuzz/ runs in step 3 already)
 #   4. go test -race — short-mode race check of the scheduler, the engine
-#                      kernels that run on it at S = 1 and S > 1 — one merge
-#                      helper behind forward, hold and overlay — (including
+#                      kernels that run on it at S = 1, 3 and 17 — one view,
+#                      one recompute, one cone wave and one slack walk behind
+#                      forward, hold, commit and overlay — (including
 #                      the pooled-scratch overlay-reuse differential under 8
 #                      concurrent sessions in internal/batch), the serving
 #                      layer's session manager over its one engine (including
@@ -90,7 +92,13 @@ set -eu
 # `INSTA_BENCH= ./ci.sh` runs the same checks without recording.
 export INSTA_BENCH="${INSTA_BENCH-1}"
 
-echo "== go vet =="
+echo "== gofmt -l + go vet =="
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l is not empty:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 go vet ./...
 
 echo "== go build =="

@@ -1,19 +1,26 @@
 // Buffering example: INSTA-Buffer, a prototype of the paper's stated future
-// work (§V). Timing gradients from INSTA's backward kernel rank the
-// interconnect arcs hurting TNS the most; long critical branches get a
-// buffer at the wire midpoint, and the reference engine verifies each round
-// at signoff.
+// work (§V). Timing gradients from INSTA's backward kernel rank the stages
+// hurting TNS the most; each critical driver's heaviest side branch gets a
+// buffer previewed in a structural ECO session — localized re-levelization
+// and a cone re-propagation, never a rebuild — and only TNS improvements
+// commit.
 package main
 
 import (
 	"fmt"
 	"log"
+	"log/slog"
+	"runtime"
 	"time"
 
 	"insta/internal/bench"
-	"insta/internal/buffering"
+	"insta/internal/circuitops"
+	"insta/internal/core"
 	"insta/internal/liberty"
 	"insta/internal/rc"
+	"insta/internal/refsta"
+	"insta/internal/server"
+	"insta/internal/sizing"
 )
 
 func main() {
@@ -34,14 +41,22 @@ func main() {
 	fmt.Printf("design: %d cells, %d nets, die %.0f sites\n",
 		b.D.NumCells(), len(b.D.Nets), 260.0)
 
-	ref, res, err := buffering.Run(b.D, b.Lib, b.Con, b.Par, buffering.DefaultConfig())
+	ref, err := refsta.New(b.D, b.Lib, b.Con, b.Par, refsta.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("before: WNS %9.2f ps  TNS %12.2f ps\n", res.WNSBefore, res.TNSBefore)
-	fmt.Printf("after:  WNS %9.2f ps  TNS %12.2f ps\n", res.WNSAfter, res.TNSAfter)
-	fmt.Printf("inserted %d buffers over %d gradient rounds in %v\n",
-		res.BuffersInserted, res.Rounds, res.Runtime.Round(time.Millisecond))
-	fmt.Printf("final design: %d cells (%d added), signoff violations: %d\n",
-		b.D.NumCells(), res.BuffersInserted, ref.NumViolations())
+	e, err := core.NewEngine(circuitops.Extract(ref), core.Options{TopK: 4, Tau: 0.01, Workers: runtime.NumCPU()})
+	if err != nil {
+		log.Fatal(err)
+	}
+	mgr := server.NewManager(e, ref, server.Options{MaxSessions: 2})
+	defer mgr.Close()
+	mgr.SetLogger(slog.New(slog.DiscardHandler)) // one line per commit otherwise
+	wnsBefore, tnsBefore := mgr.BaseWNS(), mgr.BaseTNS()
+
+	res := sizing.InstaBuffer(mgr, sizing.DefaultBufferConfig())
+	fmt.Printf("before: WNS %9.2f ps  TNS %12.2f ps\n", wnsBefore, tnsBefore)
+	fmt.Printf("after:  WNS %9.2f ps  TNS %12.2f ps\n", res.WNS, res.TNS)
+	fmt.Printf("inserted %d buffers (%d previewed) over %d gradient rounds in %v\n",
+		res.Inserted, res.Previewed, res.Rounds, res.Runtime.Round(time.Millisecond))
 }

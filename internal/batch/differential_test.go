@@ -7,6 +7,7 @@ package batch
 // under -race as well, so the claim covers concurrent chunk claiming.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -21,15 +22,33 @@ var diffScenarios = []Scenario{
 }
 
 func TestBatchBitIdenticalToIndependentEngines(t *testing.T) {
+	for _, scns := range [][]Scenario{diffScenarios, spreadScenarios(17)} {
+		t.Run(fmt.Sprintf("S%d", len(scns)), func(t *testing.T) { batchVsIndependent(t, scns) })
+	}
+}
+
+// spreadScenarios returns n distinct scenarios stepping from slow to fast. 17
+// is one past core's lane tile of 16: the kernels walk each pin's fan-in a
+// second time for the last lane, which no smaller scenario set reaches.
+func spreadScenarios(n int) []Scenario {
+	scns := make([]Scenario, n)
+	for s := range scns {
+		f := float64(s) / float64(n)
+		scns[s] = Scenario{Name: fmt.Sprintf("c%d", s), DelayScale: 1.2 - 0.4*f, SigmaScale: 1.3 - 0.5*f, RCScale: 1.1 - 0.2*f}
+	}
+	return scns
+}
+
+func batchVsIndependent(t *testing.T, scns []Scenario) {
 	tab := buildTables(t, 21)
 	for _, workers := range []int{1, 2, 4} {
 		opt := core.Options{TopK: 8, Hold: true, Workers: workers}
-		be, err := New(tab, diffScenarios, opt)
+		be, err := New(tab, scns, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		be.Run()
-		for s, scn := range diffScenarios {
+		for s, scn := range scns {
 			se, err := core.NewEngine(ScaleTables(tab, scn), opt)
 			if err != nil {
 				t.Fatal(err)

@@ -122,8 +122,8 @@ func (e *Engine) BackwardLane(s int, w []float64) {
 // -nSigma per unit of slack.
 func (e *Engine) seedEndpointGradients(s int, w []float64) {
 	for i, p := range e.epPin {
-		best, bestRF := e.k0Slack(s, i)
-		if bestRF < 0 {
+		best, sp, bestRF := e.top.setupSlack(s, int32(i), 1)
+		if sp == noSP {
 			continue
 		}
 		weight := 0.0
@@ -140,33 +140,6 @@ func (e *Engine) seedEndpointGradients(s int, w []float64) {
 	}
 }
 
-// k0Slack evaluates endpoint i's lane-s slack on the most-critical (k=0)
-// entries — the K=1 view the differentiable mode operates on — returning the
-// slack and its transition, or rf -1 when the endpoint is untimed.
-func (e *Engine) k0Slack(s, i int) (slack float64, rfOut int) {
-	p := e.epPin[i]
-	best := math.Inf(1)
-	bestRF := -1
-	for rf := 0; rf < 2; rf++ {
-		b := e.base(rf, p) + s*e.opt.TopK
-		sp := e.top.sp[b]
-		if sp == noSP {
-			continue
-		}
-		adj := e.excLookup(e.spPin[sp], p)
-		if adj.False {
-			continue
-		}
-		req := e.epBase[rf][i] +
-			float64(adj.CycleCount()-1)*e.period +
-			e.credit(e.spNode[sp], e.epNode[i])
-		if sl := req - e.top.arr[b]; sl < best {
-			best, bestRF = sl, rf
-		}
-	}
-	return best, bestRF
-}
-
 // WNSWeights returns soft-min weights over the current lane-0 endpoint slacks
 // at temperature tau: passing them to BackwardWeighted backpropagates the
 // smooth worst-negative-slack objective
@@ -180,12 +153,8 @@ func (e *Engine) WNSWeights(tau float64) []float64 {
 	slacks := make([]float64, n)
 	minSlack := math.Inf(1)
 	for i := range e.epPin {
-		s, rf := e.k0Slack(0, i)
-		if rf < 0 {
-			slacks[i] = math.Inf(1)
-			continue
-		}
-		slacks[i] = s
+		s, _, _ := e.top.setupSlack(0, int32(i), 1)
+		slacks[i] = s // +Inf when untimed
 		if s < minSlack {
 			minSlack = s
 		}
@@ -242,18 +211,20 @@ func (e *Engine) backpropPin(p int32, lane int) {
 			arc := e.faninArc[pos]
 			parent := e.faninFrom[pos]
 			kind := e.arcKind[arc]
-			am := e.arcMean[rf][arc] * e.scaleMean[kind][lane]
-			as := e.arcStd[rf][arc] * e.scaleStd[kind][lane]
+			am, as := e.top.arcDelay(rf, arc)
+			am *= e.scaleMean[kind][lane]
+			as *= e.scaleStd[kind][lane]
 			inRFs, nrf := liberty.Unate(e.faninSense[pos]).InRFs(rf)
 			for ri := 0; ri < nrf; ri++ {
 				prf := inRFs[ri]
-				pb := e.base(prf, parent) + laneOff
-				if e.top.sp[pb] == noSP {
+				pq, pb := e.top.queues(prf, parent)
+				pb += laneOff
+				if pq.sp[pb] == noSP {
 					continue
 				}
-				pstd := e.top.std[pb]
+				pstd := pq.std[pb]
 				rss := math.Sqrt(pstd*pstd + as*as)
-				corner := e.top.mean[pb] + am + e.nSigma*rss
+				corner := pq.mean[pb] + am + e.nSigma*rss
 				// Chain factors through s_child = RSS(s_parent, arc sigma).
 				dsParent, dsArc := 1.0, 0.0
 				if rss > 0 {

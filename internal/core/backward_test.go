@@ -335,8 +335,8 @@ func TestBackwardWeightedWNSFiniteDifference(t *testing.T) {
 		var minS float64 = math.Inf(1)
 		var ss []float64
 		for i := range e.Endpoints() {
-			s, rf := e.k0Slack(0, i)
-			if rf < 0 {
+			s, sp, _ := e.top.setupSlack(0, int32(i), 1)
+			if sp == noSP {
 				continue
 			}
 			ss = append(ss, s)

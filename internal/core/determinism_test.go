@@ -34,10 +34,10 @@ func captureState(e *Engine) engineState {
 	cp := func(xs []float64) []float64 { return append([]float64(nil), xs...) }
 	cpi := func(xs []int32) []int32 { return append([]int32(nil), xs...) }
 	s := engineState{
-		topArr:  cp(e.top.arr),
-		topMean: cp(e.top.mean),
-		topStd:  cp(e.top.std),
-		topSP:   cpi(e.top.sp),
+		topArr:  cp(e.top.q.arr),
+		topMean: cp(e.top.q.mean),
+		topStd:  cp(e.top.q.std),
+		topSP:   cpi(e.top.q.sp),
 		epSlack: cp(e.epSlack),
 		epSP:    cpi(e.epSP),
 	}
@@ -48,7 +48,7 @@ func captureState(e *Engine) engineState {
 		s.gradStd[rf] = cp(e.grad.gradStd[rf])
 	}
 	if e.hold != nil {
-		s.holdNegArr = cp(e.hold.arr)
+		s.holdNegArr = cp(e.hold.q.arr)
 		s.holdSlack = cp(e.hold.epSlack)
 	}
 	return s

@@ -127,8 +127,8 @@ type Engine struct {
 	// Top-K state, flattened with the scenario axis innermost-but-one:
 	// index ((rf*capPins)+pin)*S*K + s*K + k. One pin's S lane queues are
 	// contiguous, so a kernel walks the pin's fan-in once and streams the
-	// lanes under it.
-	top queues
+	// lanes under it. top is the late view (view.go) with nothing shadowed.
+	top view
 
 	grad *gradState // differentiable state (allocated on first Backward)
 
@@ -161,7 +161,7 @@ type Engine struct {
 	// level. The bound kernels read what a launch varies through run.
 	kern struct{ level, fused, backward, slack, holdSlack func(id, lo, hi int) }
 	run  struct {
-		q      *queues // tensors a sweep rebuilds, and their ordering sign
+		v      *view // view a sweep rebuilds, and its ordering sign
 		sign   float64
 		pins   []int32 // the launched level's pins (level, backward)
 		lo, hi int     // the launched group's levels (fused)
@@ -173,7 +173,7 @@ type Engine struct {
 func (e *Engine) bindKernels() {
 	e.kern.level = func(_, lo, hi int) {
 		for _, p := range e.run.pins[lo:hi] {
-			e.recompute(e.run.q, e.run.sign, p)
+			e.run.v.recompute(e.run.sign, p)
 		}
 	}
 	// Fused narrow levels: the group's spans fit the pool's serial cutoff, so
@@ -182,7 +182,7 @@ func (e *Engine) bindKernels() {
 	e.kern.fused = func(_, _, _ int) {
 		for l := e.run.lo; l < e.run.hi; l++ {
 			for _, p := range e.lv.Nodes(l) {
-				e.recompute(e.run.q, e.run.sign, p)
+				e.run.v.recompute(e.run.sign, p)
 			}
 		}
 	}
@@ -228,14 +228,25 @@ func (e *Engine) levelPlan() []levelGroup {
 	return plan
 }
 
-// propScratch is the reusable state of cone-limited re-propagation: per-level
-// wavefront buckets, the queued-pin set, per-bucket change flags, and one
-// queue snapshot per pool participant (indexed by the scheduler's participant
-// id, so kernels never allocate or share a snapshot). The engine owns one for
-// PropagateIncremental — incremental propagation mutates base state, so calls
-// are exclusive — while every Overlay owns its own, because many overlays may
-// evaluate concurrently over one frozen base.
+// propScratch is the reusable state of one cone wave (incremental.go): the
+// views it retimes, its caller's two hooks, per-level wavefront buckets, the
+// queued-pin set, per-bucket change flags, and one queue snapshot per pool
+// participant (indexed by the scheduler's participant id, so kernels never
+// allocate or share a snapshot). The engine owns one for PropagateIncremental
+// — incremental propagation mutates base state, so calls are exclusive — while
+// every Overlay owns its own, because many overlays may evaluate concurrently
+// over one frozen base.
 type propScratch struct {
+	late, early *view // early is nil when hold is off or not retimed
+
+	// bind, when set, runs serially on each level's bucket before its kernel:
+	// an overlay gives the bucket's pins storage there, because map writes
+	// must not run inside the kernel (parents at lower levels are read
+	// concurrently through the same map). sink, when set, is told serially,
+	// in bucket order, each pin whose queues changed.
+	bind func(bucket []int32)
+	sink func(p int32)
+
 	buckets [][]int32
 	// Queued-pin set as an epoch-stamped slice: queuedAt[p] == stamp means p
 	// is in a bucket this call. Reset is O(1) (bump the stamp), membership is
@@ -246,17 +257,19 @@ type propScratch struct {
 	changed  []bool
 	snaps    []queues
 
-	// Persistent kernel binding (see PropagateIncremental): the closure is
-	// created once and reads the current bucket through this field, so the
-	// steady-state wavefront launches nothing on the heap.
+	// The level kernel is bound once per scratch and reads the launched
+	// bucket through this field — a closure literal per launch would escape
+	// into the pool's job slot and cost one allocation per level.
 	bucket []int32
 	kernFn func(id, lo, hi int)
 }
 
-// newPropScratch sizes a scratch for e's current graph: one snapshot of a
-// whole pin (both transitions, every lane) per pool participant.
-func (e *Engine) newPropScratch() *propScratch {
+// newPropScratch sizes a wave scratch over late (and early, when non-nil) for
+// e's current graph: one snapshot of a whole pin (both transitions, every
+// lane) per pool participant.
+func (e *Engine) newPropScratch(late, early *view, bind func([]int32), sink func(int32)) *propScratch {
 	s := &propScratch{
+		late: late, early: early, bind: bind, sink: sink,
 		buckets:  make([][]int32, e.lv.NumLevels),
 		queuedAt: make([]uint32, e.numPins),
 		stamp:    1,
@@ -264,6 +277,17 @@ func (e *Engine) newPropScratch() *propScratch {
 	}
 	for i := range s.snaps {
 		s.snaps[i] = newQueues(2 * e.qstride)
+	}
+	s.kernFn = func(id, lo, hi int) {
+		snap := &s.snaps[id]
+		for i := lo; i < hi; i++ {
+			p := s.bucket[i]
+			c := s.late.retime(snap, 1, p)
+			if s.early != nil {
+				c = s.early.retime(snap, -1, p) || c
+			}
+			s.changed[i] = c
+		}
 	}
 	return s
 }
@@ -400,7 +424,7 @@ func (e *Engine) Level(p int32) int32 { return e.lv.Level[p] }
 // allocated.
 func (e *Engine) MemoryBytes() int64 {
 	var b int64
-	b += int64(len(e.top.sp)) * (3*8 + 4)
+	b += int64(len(e.top.q.sp)) * (3*8 + 4)
 	b += int64(len(e.arcFrom)) * (8*4 + 4*4 + 1) // mean/std both rf + ids + kind
 	b += int64(len(e.faninArc)+len(e.faninFrom)) * 4
 	b += int64(len(e.faninSense))
@@ -410,7 +434,7 @@ func (e *Engine) MemoryBytes() int64 {
 	b += int64(len(e.epPin)) * (4 + 4 + 8 + 8)
 	b += int64(len(e.epSlack)) * (8 + 4 + 1)
 	if e.hold != nil {
-		b += int64(len(e.hold.sp))*(3*8+4) + int64(len(e.hold.epSlack))*8
+		b += int64(len(e.hold.q.sp))*(3*8+4) + int64(len(e.hold.epSlack))*8
 	}
 	if g := e.grad; g != nil {
 		b += int64(len(g.gradArr[0])) * 2 * 4 * 8  // arr/arrStd/seed planes, both rf

@@ -65,15 +65,15 @@ func (q *queues) equal(a int, o *queues, b, n int) bool {
 func (e *Engine) Propagate() {
 	e.sweep(kForward, &e.top, 1)
 	if e.hold != nil {
-		e.sweep(kHold, &e.hold.queues, -1)
+		e.sweep(kHold, &e.hold.view, -1)
 	}
 }
 
-// sweep rebuilds every pin's queues in q (with recompute's sign) over the
+// sweep rebuilds every pin's queues in v (with recompute's sign) over the
 // whole level schedule, one launch of a bound kernel per fused level group.
-func (e *Engine) sweep(tag string, q *queues, sign float64) {
+func (e *Engine) sweep(tag string, v *view, sign float64) {
 	sp := e.tracer.StartArg(tag, "levels", int64(e.lv.NumLevels))
-	e.run.q, e.run.sign = q, sign
+	e.run.v, e.run.sign = v, sign
 	for _, g := range e.levelPlan() {
 		lsp := sp.ChildArg("level", "level", int64(g.lo))
 		if g.hi == g.lo+1 {
@@ -92,26 +92,30 @@ func (e *Engine) sweep(tag string, q *queues, sign float64) {
 // engine with more lanes walks the pin's fan-in once per tile of this many.
 const laneTile = 16
 
-// recompute rebuilds pin p's queues in q, both transitions in every lane — the
-// late tensors with sign +1, the early ones (hold) with sign -1: startpoints
-// reseed their launch arrival, single-fan-in unate pins copy their parent,
-// everything else merges its fan-in.
-func (e *Engine) recompute(q *queues, sign float64, p int32) {
+// recompute rebuilds pin p's queues as seen through v, both transitions in
+// every lane — a late view with sign +1, the early one (hold) with sign -1:
+// startpoints reseed their launch arrival, single-fan-in unate pins copy their
+// parent, everything else merges its fan-in. Arc delays, parent queues and the
+// destination rows all resolve through v, so the full passes, the incremental
+// wave and an overlay's preview run this one walk.
+func (v *view) recompute(sign float64, p int32) {
+	e := v.e
 	if sp := e.spOfPin[p]; sp >= 0 {
-		e.initStartpoint(q, sign, p, sp)
+		v.initStartpoint(sign, p, sp)
 		return
 	}
 	if pos := e.faninStart[p]; e.faninStart[p+1]-pos == 1 && liberty.Unate(e.faninSense[pos]) != liberty.NonUnate {
-		e.copyFanin(q, sign, p, pos)
+		v.copyFanin(sign, p, pos)
 		return
 	}
-	e.mergeFanin(q, sign, p)
+	v.mergeFanin(sign, p)
 }
 
 // copyFanin is mergeFanin for a pin whose fan-in is the one unate arc at CSR
 // position pos: each of its queues is one parent merged into an empty queue,
 // so no live counts need carrying.
-func (e *Engine) copyFanin(q *queues, sign float64, p, pos int32) {
+func (v *view) copyFanin(sign float64, p, pos int32) {
+	e := v.e
 	k := e.opt.TopK
 	ns := sign * e.nSigma
 	arc := e.faninArc[pos]
@@ -122,37 +126,39 @@ func (e *Engine) copyFanin(q *queues, sign float64, p, pos int32) {
 		flip = 1
 	}
 	for rf := 0; rf < 2; rf++ {
-		am0 := e.arcMean[rf][arc]
-		as0 := e.arcStd[rf][arc]
-		b, pb := e.base(rf, p), e.base(rf^flip, parent)
+		am0, as0 := v.arcDelay(rf, arc)
+		q, b := v.queues(rf, p)
+		pq, pb := v.queues(rf^flip, parent)
 		for s := range e.lanes {
 			am := am0 * e.scaleMean[kind][s]
 			as := as0 * e.scaleStd[kind][s]
-			q.blankTail(b, q.merge(b, 0, k, q, pb, am, as, sign, ns), k)
+			q.blankTail(b, q.merge(b, 0, k, pq, pb, am, as, sign, ns), k)
 			b, pb = b+k, pb+k
 		}
 	}
 }
 
-// mergeFanin rebuilds pin p's queues in q from its parents' queues in q, with
-// recompute's sign. The fan-in CSR is walked once per transition; the lane
-// loop sits inside the per-arc contribution, resolving each lane's arc delay
-// from the per-kind scale factors. For a fixed lane the insertion order over
-// (arc position, input transition, parent slot) does not depend on S, which is
-// what makes lane s bit-identical to a single-lane engine over scaled tables.
+// mergeFanin rebuilds pin p's queues from its parents' queues, all as seen
+// through v, with recompute's sign. The fan-in CSR is walked once per
+// transition; the lane loop sits inside the per-arc contribution, resolving
+// each lane's arc delay from the per-kind scale factors. For a fixed lane the
+// insertion order over (arc position, input transition, parent slot) does not
+// depend on S, which is what makes lane s bit-identical to a single-lane
+// engine over scaled tables.
 //
 // The merge is fill-tracked: each destination queue's live count rides along
 // in a stack-local counter, inserts touch live slots only, and the unused
 // tail is blanked once at the end — the packed-tail contract every reader
 // relies on (n live entries, descending, unique startpoints, then -Inf/noSP).
-func (e *Engine) mergeFanin(q *queues, sign float64, p int32) {
+func (v *view) mergeFanin(sign float64, p int32) {
+	e := v.e
 	k := e.opt.TopK
 	S := len(e.lanes)
 	ns := sign * e.nSigma
 	lo, hi := e.faninStart[p], e.faninStart[p+1]
 	var fill [laneTile]int
 	for rf := 0; rf < 2; rf++ {
-		qb := e.base(rf, p)
+		q, qb := v.queues(rf, p)
 		for s0 := 0; s0 < S; s0 += laneTile {
 			s1 := min(s0+laneTile, S)
 			n := fill[:s1-s0]
@@ -161,15 +167,14 @@ func (e *Engine) mergeFanin(q *queues, sign float64, p int32) {
 				arc := e.faninArc[pos]
 				parent := e.faninFrom[pos]
 				kind := e.arcKind[arc]
-				am0 := e.arcMean[rf][arc]
-				as0 := e.arcStd[rf][arc]
+				am0, as0 := v.arcDelay(rf, arc)
 				inRFs, nrf := liberty.Unate(e.faninSense[pos]).InRFs(rf)
 				for ri := 0; ri < nrf; ri++ {
-					pb0 := e.base(inRFs[ri], parent)
+					pq, pb0 := v.queues(inRFs[ri], parent)
 					for s := s0; s < s1; s++ {
 						am := am0 * e.scaleMean[kind][s]
 						as := as0 * e.scaleStd[kind][s]
-						n[s-s0] = q.merge(qb+s*k, n[s-s0], k, q, pb0+s*k, am, as, sign, ns)
+						n[s-s0] = q.merge(qb+s*k, n[s-s0], k, pq, pb0+s*k, am, as, sign, ns)
 					}
 				}
 			}
@@ -180,14 +185,15 @@ func (e *Engine) mergeFanin(q *queues, sign float64, p int32) {
 	}
 }
 
-// initStartpoint seeds a startpoint pin's queues in q in every lane with its
-// launch arrival distribution (clock network arrival or input delay); lanes
-// derate arcs, not launches. sign is recompute's.
-func (e *Engine) initStartpoint(q *queues, sign float64, p, sp int32) {
+// initStartpoint seeds a startpoint pin's queues in every lane with its launch
+// arrival distribution (clock network arrival or input delay); lanes derate
+// arcs, not launches. sign is recompute's.
+func (v *view) initStartpoint(sign float64, p, sp int32) {
+	e := v.e
 	k := e.opt.TopK
 	m, sg := e.spMean[sp], e.spStd[sp]
 	for rf := 0; rf < 2; rf++ {
-		b := e.base(rf, p)
+		q, b := v.queues(rf, p)
 		for end := b + e.qstride; b < end; b += k {
 			q.mean[b] = m
 			q.std[b] = sg
@@ -334,8 +340,9 @@ func (q *queues) insert(b, n, k int, a, m, s float64, sp int32) int {
 // lane s as (arrival, mean, std, sp) quadruples, for inspection and testing.
 func (e *Engine) LaneTopEntries(rf int, p int32, s int) (arr, mean, std []float64, sps []int32) {
 	k := e.opt.TopK
-	b := e.base(rf, p) + s*k
-	return e.top.arr[b : b+k], e.top.mean[b : b+k], e.top.std[b : b+k], e.top.sp[b : b+k]
+	q, b := e.top.queues(rf, p)
+	b += s * k
+	return q.arr[b : b+k], q.mean[b : b+k], q.std[b : b+k], q.sp[b : b+k]
 }
 
 // TopEntries is LaneTopEntries for lane 0.

@@ -14,11 +14,11 @@ package core
 import "math"
 
 // holdState holds the early-arrival state (allocated when Options.Hold): the
-// queues are laid out like the late ones, with arr storing the *negated*
+// early view, laid out like the late one with arr storing the *negated*
 // early corner so larger = earlier, plus per-lane hold slacks indexed
 // s*numEPs + i.
 type holdState struct {
-	queues
+	view
 	epSlack []float64
 }
 
@@ -60,9 +60,10 @@ func (e *Engine) holdSlackKernel(_, lo, hi int) {
 				if math.IsInf(req, 1) {
 					continue
 				}
-				b := e.base(rf, p) + s*k
+				q, b := h.queues(rf, p)
+				b += s * k
 				for kk := 0; kk < k; kk++ {
-					sp := h.sp[b+kk]
+					sp := q.sp[b+kk]
 					if sp == noSP {
 						break
 					}
@@ -70,7 +71,7 @@ func (e *Engine) holdSlackKernel(_, lo, hi int) {
 					if adj.False {
 						continue
 					}
-					early := -h.arr[b+kk]
+					early := -q.arr[b+kk]
 					if sl := early - req + e.credit(e.spNode[sp], e.epNode[i]); sl < best {
 						best = sl
 					}

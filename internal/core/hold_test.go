@@ -92,10 +92,10 @@ func TestHoldSlackAboveSetupArrivalRelation(t *testing.T) {
 				continue
 			}
 			b := e.base(rf, p)
-			if e.hold.sp[b] == noSP {
+			if e.hold.q.sp[b] == noSP {
 				continue
 			}
-			early := -e.hold.arr[b]
+			early := -e.hold.q.arr[b]
 			if early > lateArr[0]+1e-9 {
 				t.Fatalf("pin %d rf %d: earliest arrival %v above latest %v", p, rf, early, lateArr[0])
 			}

@@ -1,24 +1,20 @@
 package core
 
-// Incremental propagation. The paper's INSTA always re-propagates the full
-// graph — GPU parallelism makes each level O(1), so the total cost is just
-// the level count. On a CPU the trade-off differs: after a local
+// Cone-limited re-propagation. The paper's INSTA always re-propagates the
+// full graph — GPU parallelism makes each level O(1), so the total cost is
+// just the level count. On a CPU the trade-off differs: after a local
 // re-annotation (one estimate_eco batch touches a few dozen arcs) only the
 // fan-out cone of the touched arcs can change — in any lane — so
 // re-processing that cone level by level and stopping wavefronts whose queues
-// converge in every lane is much cheaper. This file adds that CPU-oriented
-// mode as an ablation against the paper's full-propagation design
-// (BenchmarkAblation_IncrementalPropagate).
+// converge in every lane is much cheaper. This file holds that one cone wave
+// and the engine's entry points to it — what a commit and a structural reseed
+// run on the base tensors; an Overlay (overlay.go) runs the same wave over its
+// shadowed view to price a what-if without touching them.
 
 // PropagateIncremental re-propagates only the fan-out cone of the given
 // arcs, assuming every other annotation is unchanged since the last
 // Propagate. A wavefront stops at pins whose Top-K queues come out
 // identical. Hold queues, when enabled, are updated over the same cone.
-//
-// Each level's bucket is recomputed through the scheduler pool (pins are
-// independent, exactly as in the full forward kernel); the wavefront
-// expansion that follows is serial and walks the bucket in order, so the
-// resulting state is bit-identical to a full Propagate for any worker count.
 //
 // Callers batching SetArcDelay updates pass the touched arc ids here instead
 // of calling Propagate.
@@ -32,7 +28,7 @@ func (e *Engine) PropagateIncremental(arcs []int32) {
 	for _, a := range arcs {
 		sc.push(e.lv.Level, e.arcTo[a])
 	}
-	e.runIncrementalWave(sc)
+	e.coneWave(kIncremental, sc)
 }
 
 // PropagateIncrementalPins is PropagateIncremental seeded by pins instead of
@@ -50,83 +46,58 @@ func (e *Engine) PropagateIncrementalPins(pins []int32) {
 	for _, p := range pins {
 		sc.push(e.lv.Level, p)
 	}
-	e.runIncrementalWave(sc)
+	e.coneWave(kIncremental, sc)
 }
 
-// incScratch returns the engine's reset incremental-propagation scratch.
-// All wavefront state lives in engine-owned scratch: incremental propagation
-// mutates base tensors, so calls are exclusive and the scratch is reused
-// allocation-free across calls (the serving layer's commit path runs
-// thousands of these).
+// incScratch returns the engine's reset wave scratch, over its late view and
+// — with hold on — its early one. All wavefront state lives in engine-owned
+// scratch: incremental propagation mutates base tensors, so calls are
+// exclusive and the scratch is reused allocation-free across calls (the
+// serving layer's commit path runs thousands of these).
 func (e *Engine) incScratch() *propScratch {
 	if e.inc == nil {
-		e.inc = e.newPropScratch()
+		var early *view
+		if e.hold != nil {
+			early = &e.hold.view
+		}
+		e.inc = e.newPropScratch(&e.top, early, nil, nil)
 	}
 	e.inc.reset()
 	return e.inc
 }
 
-// runIncrementalWave walks the pre-seeded level buckets in order, recomputing
-// each bucket through the pool and expanding wavefronts whose queues changed
-// in any lane.
-func (e *Engine) runIncrementalWave(sc *propScratch) {
+// coneWave walks sc's pre-seeded level buckets in order: each level's bucket
+// is bound (sc.bind, serially), then retimed through the pool — snapshot,
+// recompute, exact compare per pin and view, launched under the caller's
+// kernel tag — and the pins whose queues changed in any lane are reported to
+// sc.sink and expanded into their fan-out's buckets, serially and in bucket
+// order, so the resulting state is bit-identical to a full Propagate for any
+// worker count. Pins that come out identical stop their wavefront.
+func (e *Engine) coneWave(tag string, sc *propScratch) {
 	for l := 0; l < len(sc.buckets); l++ {
 		bucket := sc.buckets[l]
 		if len(bucket) == 0 {
 			continue
 		}
+		if sc.bind != nil {
+			sc.bind(bucket)
+		}
 		if cap(sc.changed) < len(bucket) {
 			sc.changed = make([]bool, len(bucket))
 		}
 		sc.changed = sc.changed[:len(bucket)]
-		changed := sc.changed
-		// The kernel closure is bound once per scratch and reads its
-		// per-launch state through sc — a literal here would escape into the
-		// pool's job slot and cost one allocation per level.
-		if sc.kernFn == nil {
-			sc.kernFn = func(id, lo, hi int) {
-				snap := &sc.snaps[id]
-				b, ch := sc.bucket, sc.changed
-				for i := lo; i < hi; i++ {
-					p := b[i]
-					e.snapshotPin(snap, &e.top, p)
-					e.recompute(&e.top, 1, p)
-					c := !e.snapshotEqual(snap, &e.top, p)
-					if e.hold != nil {
-						e.snapshotPin(snap, &e.hold.queues, p)
-						e.recompute(&e.hold.queues, -1, p)
-						c = c || !e.snapshotEqual(snap, &e.hold.queues, p)
-					}
-					ch[i] = c
-				}
-			}
-		}
 		sc.bucket = bucket
-		e.pool.RunIndexed(kIncremental, l, len(bucket), sc.kernFn)
+		e.pool.RunIndexed(tag, l, len(bucket), sc.kernFn)
 		for i, p := range bucket {
-			if changed[i] {
-				for _, to := range e.foAdj[e.foStart[p]:e.foStart[p+1]] {
-					sc.push(e.lv.Level, to)
-				}
+			if !sc.changed[i] {
+				continue
+			}
+			if sc.sink != nil {
+				sc.sink(p)
+			}
+			for _, to := range e.foAdj[e.foStart[p]:e.foStart[p+1]] {
+				sc.push(e.lv.Level, to)
 			}
 		}
 	}
-}
-
-// snapshotPin copies pin p's rows of q — both transitions, every lane — into
-// snap, rf-major, to be compared after a recompute.
-func (e *Engine) snapshotPin(snap, q *queues, p int32) {
-	for rf := 0; rf < 2; rf++ {
-		snap.copyFrom(rf*e.qstride, q, e.base(rf, p), e.qstride)
-	}
-}
-
-// snapshotEqual reports whether pin p's rows of q still hold snap's bits.
-func (e *Engine) snapshotEqual(snap, q *queues, p int32) bool {
-	for rf := 0; rf < 2; rf++ {
-		if !snap.equal(rf*e.qstride, q, e.base(rf, p), e.qstride) {
-			return false
-		}
-	}
-	return true
 }

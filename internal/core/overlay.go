@@ -20,8 +20,9 @@ package core
 // so N concurrent sessions cost O(Σ cone sizes), not N engine clones. The
 // overlay never writes base state; Commit folds the arc deltas back into the
 // base with a regular incremental propagation, which makes the committed
-// state bit-identical to the overlay's preview (both recompute the same cone
-// with the same merge arithmetic in the same order).
+// state bit-identical to the overlay's preview: the overlay *is* the engine's
+// late view (view.go) with those deltas shadowing it, and both run the one
+// cone wave, the one recompute and the one slack walk over it.
 //
 // Concurrency contract: an Overlay itself is single-threaded (the serving
 // layer serializes per-session), but any number of overlays may evaluate in
@@ -29,10 +30,8 @@ package core
 // serving layer enforces this with a reader/writer lock around commits.
 
 import (
-	"math"
 	"slices"
 
-	"insta/internal/liberty"
 	"insta/internal/num"
 )
 
@@ -46,22 +45,17 @@ import (
 // apply→propagate→read loop therefore settles at zero allocations per
 // operation once its maps have grown to the cone's footprint.
 type Overlay struct {
-	e *Engine
+	// The base engine's late view with two shadows filled in. arcDelta is the
+	// sparse arc-delay overlay: arc id -> per-rf nominal delay distributions.
+	// pinQ is the sparse pin-queue overlay: pins whose Top-K queues were
+	// recomputed under the overlay. Entries may be bit-equal to the base (a
+	// wavefront that converged); reads through them are still correct.
+	view
 
-	// Sparse arc-delay overlay: arc id -> per-rf nominal delay distributions
-	// (every lane sees them through its scale factors).
-	arcDelta map[int32]*[2]num.Dist
 	touched  []int32 // overlaid arc ids in first-annotation order
 	pending  []int32 // arcs annotated since the last propagate
 	distFree []*[2]num.Dist
-
-	// Sparse pin-queue overlay: pins whose Top-K queues were recomputed
-	// under the overlay, each holding both transitions and every lane
-	// flattened rf*S*K + s*K + k like one row pair of the engine's tensors.
-	// Entries may be bit-equal to the base (a wavefront that converged);
-	// reads through them are still correct.
-	pinQ map[int32]*queues
-	free []*queues // released queue storage, reused before allocating
+	free     []*queues // released pin-queue storage, reused before allocating
 
 	// Endpoint state: slacks re-evaluated under the overlay (endpoint ->
 	// slot; slot t holds its S lane slacks at epSlack[t*S:]), the endpoints
@@ -75,35 +69,34 @@ type Overlay struct {
 
 	scratch *propScratch // wavefront state, reused across Propagate calls
 
-	// Persistent kernel closures: a closure literal passed to the pool
-	// escapes (the job slot retains it), so building one per level would
-	// cost an allocation per launch. These are bound once and read their
-	// per-launch state (kernBucket, scratch, dirty, epOut) through o.
-	kernBucket []int32
-	kernFn     func(id, lo, hi int)
-	slackFn    func(id, lo, hi int)
+	// slackFn is bound once: a closure literal passed to the pool escapes
+	// (the job slot retains it), so building one per launch would cost an
+	// allocation. It reads its per-launch state (dirty, epOut) through o.
+	slackFn func(id, lo, hi int)
 }
 
 // NewOverlay creates an empty overlay over e. The base engine must be fully
-// propagated and slack-evaluated (Run) before the first ApplyArcDelay, and
-// must stay frozen while the overlay evaluates.
+// propagated and slack-evaluated (Run) before the first Propagate, and must
+// stay frozen while the overlay evaluates.
 func NewOverlay(e *Engine) *Overlay {
 	return &Overlay{
-		e:        e,
-		arcDelta: make(map[int32]*[2]num.Dist),
-		pinQ:     make(map[int32]*queues),
-		epSlot:   make(map[int32]int32),
+		view: view{
+			e: e, q: e.top.q,
+			arcDelta: make(map[int32]*[2]num.Dist),
+			pinQ:     make(map[int32]*queues),
+		},
+		epSlot: make(map[int32]int32),
 	}
 }
 
 // seededPinOverlay returns queue storage for pin p — from the freelist when
-// possible — preloaded with the base's queues. recomputePin's change
-// detection compares against the previously *visible* queues, and a pin
-// touched for the first time this Propagate was showing the base's — recycled
-// freelist storage (or fresh zeroed storage) must not stand in for them, or a
-// wavefront could stop early when stale content happens to match the
-// recomputed result (a Reset followed by reapplying identical deltas often
-// hands pins back their own old storage).
+// possible — preloaded with the base's queues. The wave's change detection
+// compares against the previously *visible* queues, and a pin touched for the
+// first time this Propagate was showing the base's — recycled freelist storage
+// (or fresh zeroed storage) must not stand in for them, or a wavefront could
+// stop early when stale content happens to match the recomputed result (a
+// Reset followed by reapplying identical deltas often hands pins back their
+// own old storage).
 func (o *Overlay) seededPinOverlay(p int32) *queues {
 	var q *queues
 	if n := len(o.free); n > 0 {
@@ -113,17 +106,27 @@ func (o *Overlay) seededPinOverlay(p int32) *queues {
 		nq := newQueues(2 * o.e.qstride)
 		q = &nq
 	}
-	o.e.snapshotPin(q, &o.e.top, p)
+	o.e.top.snapshot(q, p)
 	return q
 }
 
-// releasePins returns every overlaid pin queue to the freelist and empties
-// the pin map in place.
-func (o *Overlay) releasePins() {
-	for _, q := range o.pinQ {
-		o.free = append(o.free, q)
+// bindBucket is the wave's serial bind hook: every pin about to be retimed
+// gets overlay storage, so the kernel writes the overlay and never the base.
+func (o *Overlay) bindBucket(bucket []int32) {
+	for _, p := range bucket {
+		if o.pinQ[p] == nil {
+			o.pinQ[p] = o.seededPinOverlay(p)
+		}
 	}
-	clear(o.pinQ)
+}
+
+// pinChanged is the wave's sink: a changed endpoint pin owes a slack
+// re-evaluation. Each pin enters at most one bucket per Propagate and maps to
+// at most one endpoint, so dirty never holds duplicates within a call.
+func (o *Overlay) pinChanged(p int32) {
+	if ep := o.e.epOfPin[p]; ep >= 0 {
+		o.dirty = append(o.dirty, ep)
+	}
 }
 
 // Base returns the engine this overlay shadows.
@@ -140,55 +143,29 @@ func (o *Overlay) SetArcDelay(arc int32, rf int, d num.Dist) {
 		} else {
 			od = new([2]num.Dist)
 		}
-		od[0] = num.Dist{Mean: o.e.arcMean[0][arc], Std: o.e.arcStd[0][arc]}
-		od[1] = num.Dist{Mean: o.e.arcMean[1][arc], Std: o.e.arcStd[1][arc]}
+		od[0], od[1] = o.e.ArcDelay(arc, 0), o.e.ArcDelay(arc, 1)
 		o.arcDelta[arc] = od
 		o.touched = append(o.touched, arc)
 	}
 	od[rf] = d
-	// Dedupe pending against re-annotation of an already-pending arc.
-	for _, a := range o.pending {
-		if a == arc {
-			return
-		}
+	// The rise/fall pair of one arc arrives back to back; any other repeat is
+	// deduped per destination pin when the wave is seeded.
+	if n := len(o.pending); n == 0 || o.pending[n-1] != arc {
+		o.pending = append(o.pending, arc)
 	}
-	o.pending = append(o.pending, arc)
 }
 
 // ArcDelay returns the arc's delay as seen through the overlay.
 func (o *Overlay) ArcDelay(arc int32, rf int) num.Dist {
-	if od := o.arcDelta[arc]; od != nil {
-		return od[rf]
-	}
-	return o.e.ArcDelay(arc, rf)
-}
-
-// arcDelay is the hot-path variant of ArcDelay.
-func (o *Overlay) arcDelay(rf int, arc int32) (mean, std float64) {
-	if od := o.arcDelta[arc]; od != nil {
-		return od[rf].Mean, od[rf].Std
-	}
-	return o.e.arcMean[rf][arc], o.e.arcStd[rf][arc]
-}
-
-// queues returns the tensors holding pin p's Top-K queues for transition rf
-// as seen through the overlay — the overlay's recomputed copy if present, else
-// the base engine's frozen tensors — and the offset of lane 0's block in
-// them; lane s follows at +s*K.
-func (o *Overlay) queues(rf int, p int32) (*queues, int) {
-	if q := o.pinQ[p]; q != nil {
-		return q, rf * o.e.qstride
-	}
-	return &o.e.top, o.e.base(rf, p)
+	mean, std := o.arcDelay(rf, arc)
+	return num.Dist{Mean: mean, Std: std}
 }
 
 // Propagate re-propagates the fan-out cone of every arc annotated since the
-// last call, writing recomputed queues into the overlay only. The wavefront
-// walks the level schedule exactly like PropagateIncremental — each level's
-// bucket is recomputed through the base engine's scheduler pool, and pins
-// whose queues come out identical to their previously visible state stop the
-// expansion — so the overlay state is bit-identical to what committing the
-// same deltas would produce on the base.
+// last call, writing recomputed queues into the overlay only: the engine's
+// cone wave (coneWave) over the shadowed late view, so the overlay state is
+// bit-identical to what committing the same deltas would produce on the base.
+// Hold is not previewed — overlays shadow the late view only.
 func (o *Overlay) Propagate() {
 	arcs := o.pending
 	o.pending = o.pending[:0]
@@ -202,120 +179,14 @@ func (o *Overlay) Propagate() {
 	// Wavefront state is per-overlay (concurrent overlays share one frozen
 	// base but never scratch), reused allocation-free across Propagate calls.
 	if o.scratch == nil {
-		o.scratch = e.newPropScratch()
+		o.scratch = e.newPropScratch(&o.view, nil, o.bindBucket, o.pinChanged)
 	}
-	sc := o.scratch
-	sc.reset()
+	o.scratch.reset()
 	for _, a := range arcs {
-		sc.push(e.lv.Level, e.arcTo[a])
+		o.scratch.push(e.lv.Level, e.arcTo[a])
 	}
-
-	for l := 0; l < len(sc.buckets); l++ {
-		bucket := sc.buckets[l]
-		if len(bucket) == 0 {
-			continue
-		}
-		// Startpoint pins reseed constants and never change; drop them
-		// before the kernel so the wavefront stops there, as the base
-		// incremental path does implicitly.
-		live := bucket[:0]
-		for _, p := range bucket {
-			if e.spOfPin[p] < 0 {
-				live = append(live, p)
-			}
-		}
-		bucket = live
-		if len(bucket) == 0 {
-			continue
-		}
-		// Bind overlay queue storage serially: map writes must not run
-		// inside the kernel (parents at lower levels are read concurrently
-		// through the same map).
-		for _, p := range bucket {
-			if o.pinQ[p] == nil {
-				o.pinQ[p] = o.seededPinOverlay(p)
-			}
-		}
-		if cap(sc.changed) < len(bucket) {
-			sc.changed = make([]bool, len(bucket))
-		}
-		sc.changed = sc.changed[:len(bucket)]
-		changed := sc.changed
-		if o.kernFn == nil {
-			o.kernFn = func(id, lo, hi int) {
-				snap := &o.scratch.snaps[id]
-				b, ch := o.kernBucket, o.scratch.changed
-				for i := lo; i < hi; i++ {
-					ch[i] = o.recomputePin(b[i], snap)
-				}
-			}
-		}
-		o.kernBucket = bucket
-		e.pool.RunIndexed(KernelOverlay, l, len(bucket), o.kernFn)
-		for i, p := range bucket {
-			if !changed[i] {
-				continue
-			}
-			// Each pin enters at most one bucket per Propagate (queued
-			// dedupes) and maps to at most one endpoint, so dirty never
-			// holds duplicates within a call.
-			if ep := e.epOfPin[p]; ep >= 0 {
-				o.dirty = append(o.dirty, ep)
-			}
-			for _, to := range e.foAdj[e.foStart[p]:e.foStart[p+1]] {
-				sc.push(e.lv.Level, to)
-			}
-		}
-	}
+	e.coneWave(KernelOverlay, o.scratch)
 	o.evalDirtyEndpoints()
-}
-
-// recomputePin rebuilds pin p's Top-K queues, every lane, inside the overlay
-// from its fan-in as seen through the overlay, and reports whether the result
-// differs from the previously visible queues (snapshotted into snap) in any
-// lane. The walk is the engine's mergeFanin with the arc delays and parent
-// queues resolved through the overlay, over the same per-parent merge — so a
-// preview holds the bits a commit will. The comparison is exact on what a
-// queue means: a merge never writes past the live entries it leaves, so two
-// rows differ exactly when their live entries or live counts do.
-func (o *Overlay) recomputePin(p int32, snap *queues) bool {
-	e := o.e
-	k := e.opt.TopK
-	S := len(e.lanes)
-	// The previously visible queues are already in the overlay's storage:
-	// seeded from the base on first touch, or recomputed by an earlier batch.
-	q := o.pinQ[p]
-	snap.copyFrom(0, q, 0, 2*e.qstride)
-
-	lo, hi := e.faninStart[p], e.faninStart[p+1]
-	var fill [laneTile]int
-	for rf := 0; rf < 2; rf++ {
-		qb := rf * e.qstride
-		for s0 := 0; s0 < S; s0 += laneTile {
-			s1 := min(s0+laneTile, S)
-			n := fill[:s1-s0]
-			clear(n)
-			for pos := lo; pos < hi; pos++ {
-				arc := e.faninArc[pos]
-				parent := e.faninFrom[pos]
-				kind := e.arcKind[arc]
-				am0, as0 := o.arcDelay(rf, arc)
-				inRFs, nrf := liberty.Unate(e.faninSense[pos]).InRFs(rf)
-				for ri := 0; ri < nrf; ri++ {
-					pq, pb0 := o.queues(inRFs[ri], parent)
-					for s := s0; s < s1; s++ {
-						am := am0 * e.scaleMean[kind][s]
-						as := as0 * e.scaleStd[kind][s]
-						n[s-s0] = q.merge(qb+s*k, n[s-s0], k, pq, pb0+s*k, am, as, 1, e.nSigma)
-					}
-				}
-			}
-			for s := s0; s < s1; s++ {
-				q.blankTail(qb+s*k, n[s-s0], k)
-			}
-		}
-	}
-	return !q.equal(0, snap, 0, 2*e.qstride)
 }
 
 // evalDirtyEndpoints re-evaluates the slack of every endpoint whose pin
@@ -338,36 +209,10 @@ func (o *Overlay) evalDirtyEndpoints() {
 	o.epOut = o.epOut[:len(dirty)*S]
 	if o.slackFn == nil {
 		o.slackFn = func(_, lo, hi int) {
-			e := o.e
-			k := e.opt.TopK
-			S := len(e.lanes)
-			dirty, out := o.dirty, o.epOut
+			S := len(o.e.lanes)
 			for i := lo; i < hi; i++ {
-				ep := dirty[i]
-				p := e.epPin[ep]
 				for s := 0; s < S; s++ {
-					best := math.Inf(1)
-					for rf := 0; rf < 2; rf++ {
-						q, b := o.queues(rf, p)
-						b += s * k
-						for kk := 0; kk < k; kk++ {
-							sp := q.sp[b+kk]
-							if sp == noSP {
-								break
-							}
-							adj := e.excLookup(e.spPin[sp], p)
-							if adj.False {
-								continue
-							}
-							req := e.epBase[rf][ep] +
-								float64(adj.CycleCount()-1)*e.period +
-								e.credit(e.spNode[sp], e.epNode[ep])
-							if sl := req - q.arr[b+kk]; sl < best {
-								best = sl
-							}
-						}
-					}
-					out[i*S+s] = best
+					o.epOut[i*S+s], _, _ = o.setupSlack(s, o.dirty[i], o.e.opt.TopK)
 				}
 			}
 		}
@@ -481,9 +326,13 @@ func (o *Overlay) Reset() {
 }
 
 // dropDerived invalidates everything computed from the deltas — recomputed
-// queues and re-evaluated slacks — keeping its storage for reuse.
+// queues (their storage goes to the freelist) and re-evaluated slacks —
+// keeping all storage for reuse.
 func (o *Overlay) dropDerived() {
-	o.releasePins()
+	for _, q := range o.pinQ {
+		o.free = append(o.free, q)
+	}
+	clear(o.pinQ)
 	clear(o.epSlot)
 	o.epSlack = o.epSlack[:0]
 	o.dirty = o.dirty[:0]
@@ -540,7 +389,7 @@ func (o *Overlay) RebaseStructural(e *Engine, remap []int32) {
 		o.touched = append(o.touched, na)
 		o.pending = append(o.pending, na)
 	}
-	o.e = e
+	o.e, o.q = e, e.top.q
 }
 
 // Commit folds the overlay's arc deltas into the base engine, re-propagates

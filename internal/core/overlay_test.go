@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"insta/internal/bench"
@@ -9,8 +10,9 @@ import (
 )
 
 // laneCases are the lane sets the overlay, reset and allocation suites run
-// over: the paper's single corner, and a slow/typical/fast derate trio that
-// makes every queue block, snapshot and slack slot S-strided.
+// over: the paper's single corner, a slow/typical/fast derate trio that makes
+// every queue block, snapshot and slack slot S-strided, and laneTile+1 lanes,
+// so a merge walks its fan-in a second time for the lane past the first tile.
 var laneCases = []struct {
 	name  string
 	lanes []Lane
@@ -21,6 +23,18 @@ var laneCases = []struct {
 		{CellScale: 1, NetScale: 1, SigmaScale: 1},
 		{CellScale: 0.86, NetScale: 0.92, SigmaScale: 0.90},
 	}},
+	{"S17", spreadLanes(laneTile + 1)},
+}
+
+// spreadLanes returns n distinct derate lanes stepping from slow to fast, the
+// last one — alone in its tile when n = laneTile+1 — the fastest.
+func spreadLanes(n int) []Lane {
+	lanes := make([]Lane, n)
+	for s := range lanes {
+		f := float64(s) / float64(n)
+		lanes[s] = Lane{CellScale: 1.2 - 0.4*f, NetScale: 1.1 - 0.2*f, SigmaScale: 1.3 - 0.5*f}
+	}
+	return lanes
 }
 
 // newLaneEngine compiles tab and stands up an engine over the given lanes,
@@ -157,8 +171,11 @@ func TestOverlayCommitMatchesPreview(t *testing.T) {
 			e := newLaneEngine(t, h.tab, lc.lanes, Options{TopK: 8, Hold: true, Workers: 2})
 			e.Run()
 
+			deltas := perturb(e, 1, 53, 0.8, 1.0)
+			e.RefreshHoldSlacks()
+			holdBefore := append([]float64(nil), e.LaneHoldSlacks(0)...)
 			o := NewOverlay(e)
-			applyToOverlay(o, perturb(e, 1, 53, 0.8, 1.0))
+			applyToOverlay(o, deltas)
 			preview := overlaySlacks(o)
 			pWNS, pTNS := o.WNS(), o.TNS()
 
@@ -169,6 +186,29 @@ func TestOverlayCommitMatchesPreview(t *testing.T) {
 			}
 			if st := o.Stats(); st.TouchedArcs != 0 || st.OverlayPins != 0 || st.ChangedEPs != 0 {
 				t.Fatalf("overlay not reset after commit: %+v", st)
+			}
+
+			// Hold rides through the commit: the wave retimes the early view
+			// over the same cone, so the early queues and every lane's hold
+			// slacks are a cold engine's over the same annotations.
+			cold := newLaneEngine(t, h.tab, lc.lanes, Options{TopK: 8, Hold: true, Workers: 1})
+			applyToEngine(cold, deltas)
+			cold.Run()
+			cold.RefreshHoldSlacks()
+			for s := range lc.lanes {
+				if !slices.Equal(e.LaneHoldSlacks(s), cold.LaneHoldSlacks(s)) {
+					t.Fatalf("lane %d: committed hold slacks differ from a cold engine's", s)
+				}
+			}
+			if slices.Equal(e.LaneHoldSlacks(0), holdBefore) {
+				t.Fatal("commit moved no hold slack — test is vacuous")
+			}
+			for rf := 0; rf < 2; rf++ {
+				for p := int32(0); p < int32(e.numPins); p++ {
+					if !sameLive(e.hold.q, e.base(rf, p), cold.hold.q, cold.base(rf, p), e.qstride, e.opt.TopK) {
+						t.Fatalf("rf %d pin %d: committed early queues differ from a cold engine's", rf, p)
+					}
+				}
 			}
 		})
 	}

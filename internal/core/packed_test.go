@@ -65,8 +65,8 @@ func assertPacked(t *testing.T, what string, e *Engine, view func(rf int, p int3
 // assertEnginePacked checks the engine's late and early tensors.
 func assertEnginePacked(t *testing.T, what string, e *Engine) {
 	t.Helper()
-	assertPacked(t, what+" (late)", e, func(rf int, p int32) (*queues, int) { return &e.top, e.base(rf, p) })
-	assertPacked(t, what+" (early)", e, func(rf int, p int32) (*queues, int) { return &e.hold.queues, e.base(rf, p) })
+	assertPacked(t, what+" (late)", e, e.top.queues)
+	assertPacked(t, what+" (early)", e, e.hold.queues)
 }
 
 // structuralEdit returns tab, carrying e's current annotations, with one fan-in
@@ -171,7 +171,7 @@ func TestPackedTailInvariant(t *testing.T) {
 				cold.Run()
 				for rf := 0; rf < 2; rf++ {
 					for p := int32(0); p < int32(ne.numPins); p++ {
-						for _, qs := range [][2]*queues{{&ne.top, &cold.top}, {&ne.hold.queues, &cold.hold.queues}} {
+						for _, qs := range [][2]*queues{{ne.top.q, cold.top.q}, {ne.hold.q, cold.hold.q}} {
 							a, b := ne.base(rf, p), cold.base(rf, p)
 							if !sameLive(qs[0], a, qs[1], b, ne.qstride, k) {
 								t.Fatalf("rf %d pin %d: reseeded queues differ from a cold engine's\n got %v %v\nwant %v %v", rf, p,

@@ -25,38 +25,47 @@ func (e *Engine) RefreshSlacks() {
 
 // slackKernel evaluates endpoints [lo, hi) in every lane.
 func (e *Engine) slackKernel(_, lo, hi int) {
-	k := e.opt.TopK
-	S := len(e.lanes)
 	nEP := len(e.epPin)
 	for i := lo; i < hi; i++ {
-		p := e.epPin[i]
-		for s := 0; s < S; s++ {
-			best := math.Inf(1)
-			bestSP, bestRF := noSP, int8(0)
-			for rf := 0; rf < 2; rf++ {
-				b := e.base(rf, p) + s*k
-				for kk := 0; kk < k; kk++ {
-					sp := e.top.sp[b+kk]
-					if sp == noSP {
-						break
-					}
-					adj := e.excLookup(e.spPin[sp], p)
-					if adj.False {
-						continue
-					}
-					req := e.epBase[rf][i] +
-						float64(adj.CycleCount()-1)*e.period +
-						e.credit(e.spNode[sp], e.epNode[i])
-					if sl := req - e.top.arr[b+kk]; sl < best {
-						best, bestSP, bestRF = sl, sp, int8(rf)
-					}
-				}
-			}
-			e.epSlack[s*nEP+i] = best
-			e.epSP[s*nEP+i] = bestSP
-			e.epRF[s*nEP+i] = bestRF
+		for s := range e.lanes {
+			j := s*nEP + i
+			e.epSlack[j], e.epSP[j], e.epRF[j] = e.top.setupSlack(s, int32(i), e.opt.TopK)
 		}
 	}
+}
+
+// setupSlack is the setup slack walk: endpoint ep's lane-s slack over the
+// first kmax entries of each transition's queue as seen through v, with the
+// startpoint and transition behind it (noSP when the endpoint is untimed, and
+// the slack then +Inf). Each retained startpoint is paired with its own
+// required time; false-path pairs are skipped. kmax = K is the engine's and an
+// overlay's slack; kmax = 1 is the K=1 view the differentiable mode operates
+// on.
+func (v *view) setupSlack(s int, ep int32, kmax int) (slack float64, sp int32, rf int8) {
+	e := v.e
+	p := e.epPin[ep]
+	slack, sp = math.Inf(1), noSP
+	for r := 0; r < 2; r++ {
+		q, b := v.queues(r, p)
+		b += s * e.opt.TopK
+		for kk := 0; kk < kmax; kk++ {
+			qsp := q.sp[b+kk]
+			if qsp == noSP {
+				break
+			}
+			adj := e.excLookup(e.spPin[qsp], p)
+			if adj.False {
+				continue
+			}
+			req := e.epBase[r][ep] +
+				float64(adj.CycleCount()-1)*e.period +
+				e.credit(e.spNode[qsp], e.epNode[ep])
+			if sl := req - q.arr[b+kk]; sl < slack {
+				slack, sp, rf = sl, qsp, int8(r)
+			}
+		}
+	}
+	return slack, sp, rf
 }
 
 // LaneSlacks returns lane s's cached endpoint slacks from the last

@@ -577,9 +577,9 @@ func newEngine(st *State, lanes []Lane, opt Options) (*Engine, error) {
 	}
 	e.capPins = st.NumPins
 	sz := 2 * e.capPins * e.qstride
-	e.top = newQueues(sz)
+	*e.top.q = newQueues(sz)
 	if e.hold != nil {
-		e.hold.queues = newQueues(sz)
+		*e.hold.q = newQueues(sz)
 	}
 	return e, nil
 }
@@ -606,6 +606,7 @@ func newEngineBody(st *State, lanes []Lane, opt Options) (*Engine, error) {
 		qstride: S * opt.TopK,
 		tracer:  opt.Tracer,
 	}
+	e.top = view{e: e, q: new(queues)}
 	for kind := 0; kind < 2; kind++ {
 		e.scaleMean[kind] = make([]float64, S)
 		e.scaleStd[kind] = make([]float64, S)
@@ -635,7 +636,7 @@ func newEngineBody(st *State, lanes []Lane, opt Options) (*Engine, error) {
 	e.epSP = make([]int32, nEP)
 	e.epRF = make([]int8, nEP)
 	if opt.Hold {
-		e.hold = &holdState{epSlack: make([]float64, nEP)}
+		e.hold = &holdState{view: view{e: e, q: new(queues)}, epSlack: make([]float64, nEP)}
 	}
 	e.pool = sched.New(opt.Workers, opt.Grain)
 	e.bindKernels()
@@ -719,9 +720,9 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 		// the row stride changes) into tensors with a fresh allowance. Rare in
 		// place: it takes headroom/2 insert batches to run out.
 		newCap := st.NumPins + seedHeadroom
-		ne.top = e.top.restride(e.capPins, newCap, oldPins, e.qstride)
+		*ne.top.q = e.top.q.restride(e.capPins, newCap, oldPins, e.qstride)
 		if e.hold != nil {
-			ne.hold.queues = e.hold.restride(e.capPins, newCap, oldPins, e.qstride)
+			*ne.hold.q = e.hold.q.restride(e.capPins, newCap, oldPins, e.qstride)
 		}
 		ne.capPins = newCap
 	}
@@ -738,9 +739,9 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 	if st.NumPins > oldPins {
 		for rf := 0; rf < 2; rf++ {
 			lo, hi := ne.base(rf, int32(oldPins)), ne.base(rf, int32(st.NumPins))
-			clearQueue(ne.top.arr[lo:hi], ne.top.sp[lo:hi])
+			clearQueue(ne.top.q.arr[lo:hi], ne.top.q.sp[lo:hi])
 			if ne.hold != nil {
-				clearQueue(ne.hold.arr[lo:hi], ne.hold.sp[lo:hi])
+				clearQueue(ne.hold.q.arr[lo:hi], ne.hold.q.sp[lo:hi])
 			}
 		}
 	}

@@ -24,15 +24,15 @@ import (
 type ReqRecord struct {
 	Trace   TraceID `json:"trace"`
 	Route   string  `json:"route"`
-	Shard   string  `json:"shard,omitempty"`   // router: the consistent-hash key
-	Replica int32   `json:"replica"`           // router: owning replica id; -1 = none/local
-	Status  int32   `json:"status"`            // HTTP status; 0 = transport error
-	QueueNs int64   `json:"queue_ns"`          // admission wait
-	ServeNs int64   `json:"serve_ns"`          // handler/upstream time
-	TotalNs int64   `json:"total_ns"`          // queue + serve
-	Epoch   uint64  `json:"epoch"`             // timing epoch at completion
+	Shard   string  `json:"shard,omitempty"` // router: the consistent-hash key
+	Replica int32   `json:"replica"`         // router: owning replica id; -1 = none/local
+	Status  int32   `json:"status"`          // HTTP status; 0 = transport error
+	QueueNs int64   `json:"queue_ns"`        // admission wait
+	ServeNs int64   `json:"serve_ns"`        // handler/upstream time
+	TotalNs int64   `json:"total_ns"`        // queue + serve
+	Epoch   uint64  `json:"epoch"`           // timing epoch at completion
 	TopoGen uint64  `json:"topo_gen,omitempty"`
-	Unix    int64   `json:"unix_ns"`           // completion time, ns since Unix epoch
+	Unix    int64   `json:"unix_ns"` // completion time, ns since Unix epoch
 }
 
 // bad reports whether the record is an error for anomaly and SLO purposes.

@@ -371,7 +371,7 @@ func (t *Tracer) WriteChromeTraceSince(w io.Writer, mark int) error {
 			}
 		}
 		return emit(`{"name":%q,"ph":"E","pid":1,"tid":%d,"ts":%.3f}`,
-			r.name, tid, float64((r.start + r.dur).Nanoseconds())/1e3)
+			r.name, tid, float64((r.start+r.dur).Nanoseconds())/1e3)
 	}
 	for _, root := range tree.roots {
 		if err := walk(root, tree.recs[root].id); err != nil {
