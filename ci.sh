@@ -38,13 +38,22 @@
 #                      registry / flight recorder / SLO tracker), the
 #                      snapshot codec/cache, and the fleet router — including
 #                      the hedge-race trace test, where the losing attempt's
-#                      span ends concurrently with the request's root span
-#   5. load smoke    — 100 concurrent ECO requests against the HTTP serving
-#                      surface under -race must complete with zero errors,
-#                      and 8 concurrently committing sessions must land the
-#                      sequential result bit for bit — each on a single-corner
-#                      manager and on a {ss,tt,ff} one (nominal = lane tt),
-#                      the shape the daemons and the benchmark run in
+#                      span ends concurrently with the request's root span,
+#                      and the in-process {ss,tt,ff} fleet of server.Daemons
+#                      (TestInprocFleetServesCorners: two daemons assembled
+#                      from the daemon flag set behind the router, byte-equal
+#                      to a lone one) next to the daemon teardown test
+#                      (structural commit, Close, no goroutine left, the
+#                      committed base in the snapshot cache)
+#   5. load smoke    — 100 concurrent ECO requests against a live
+#                      server.Daemon — assembled from the daemon flag set,
+#                      request shell on, as insta-served and every
+#                      insta-router replica run it — under -race must
+#                      complete with zero errors, and 8 concurrently
+#                      committing sessions must land the sequential result
+#                      bit for bit — each single-corner and {ss,tt,ff}
+#                      (nominal = lane tt), the shapes the daemons and the
+#                      benchmark run in
 #   6. obs gate      — the disabled-tracer overhead bench re-runs with the
 #                      strict < 1% bound (INSTA_OBS_GATE=1), rewriting
 #                      BENCH_obs.json; the same run asserts the per-request
@@ -116,7 +125,7 @@ go test ./internal/core -run '^$' -fuzz FuzzInsertTopK -fuzztime 10s
 echo "== go test -race (sched + core + batch + topo + server + obs + snap + fleet + hier, short) =="
 go test -race -short ./internal/sched/... ./internal/core/... ./internal/batch/... ./internal/topo/... ./internal/server/... ./internal/obs/... ./internal/snap/... ./internal/fleet/... ./internal/hier/...
 
-echo "== serve load smoke (-race, 100 concurrent ECO requests; single-corner and {ss,tt,ff} managers) =="
+echo "== serve load smoke (-race, 100 concurrent ECO requests against a server.Daemon; single-corner and {ss,tt,ff}) =="
 go test -race -run 'TestServeLoadSmoke|TestServeConcurrentSessionsBitIdentical' ./internal/server/
 
 echo "== obs overhead gate (disabled tracer < 1%) =="

@@ -34,10 +34,12 @@ type Sched struct {
 
 // SchedFlags registers -workers and -grain on the default flag set. Call
 // before flag.Parse; read the fields after.
-func SchedFlags() *Sched {
+func SchedFlags() *Sched { return schedFlags(flag.CommandLine) }
+
+func schedFlags(fs *flag.FlagSet) *Sched {
 	s := &Sched{}
-	flag.IntVar(&s.Workers, "workers", runtime.NumCPU(), "scheduler pool participants (all parallel kernels)")
-	flag.IntVar(&s.Grain, "grain", 0, "scheduler chunk size in pins (0 = auto-tuned per launch)")
+	fs.IntVar(&s.Workers, "workers", runtime.NumCPU(), "scheduler pool participants (all parallel kernels)")
+	fs.IntVar(&s.Grain, "grain", 0, "scheduler chunk size in pins (0 = auto-tuned per launch)")
 	return s
 }
 
@@ -56,9 +58,11 @@ type Corners struct {
 // scenario spec in batch.ParseScenarios grammar: named presets ("ss,tt,ff")
 // and/or explicit derates ("hot:1.3/1.1/0.95" = delay/sigma/RC scale over
 // nominal). Empty means single-corner (nominal) analysis.
-func CornersFlag() *Corners {
+func CornersFlag() *Corners { return cornersFlag(flag.CommandLine) }
+
+func cornersFlag(fs *flag.FlagSet) *Corners {
 	c := &Corners{}
-	flag.StringVar(&c.Spec, "corners", "",
+	fs.StringVar(&c.Spec, "corners", "",
 		"corner scenarios: preset names and/or name:delay/sigma/rc derates, comma-separated (e.g. ss,tt,ff); empty = nominal only")
 	return c
 }

@@ -35,11 +35,13 @@ type Snap struct {
 // SnapFlags registers -snapshot-dir and -snapshot-max-mb on the default flag
 // set. Call before flag.Parse; empty -snapshot-dir (the default) disables
 // snapshots entirely.
-func SnapFlags() *Snap {
+func SnapFlags() *Snap { return snapFlags(flag.CommandLine) }
+
+func snapFlags(fs *flag.FlagSet) *Snap {
 	s := &Snap{}
-	flag.StringVar(&s.Dir, "snapshot-dir", "",
+	fs.StringVar(&s.Dir, "snapshot-dir", "",
 		"content-addressed snapshot cache: warm-start from a compiled-state snapshot when the inputs hash to a cached entry, write one back after cold builds (empty = off)")
-	flag.Int64Var(&s.MaxMB, "snapshot-max-mb", 2048,
+	fs.Int64Var(&s.MaxMB, "snapshot-max-mb", 2048,
 		"snapshot cache byte bound in MB, LRU-evicted (<= 0 = unbounded)")
 	return s
 }

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"insta/internal/obs"
+	"insta/internal/obs/shell"
 )
 
 // Options tunes the pool. The zero value is serviceable: health checks every
@@ -59,13 +60,9 @@ type Options struct {
 	HedgeMin     time.Duration // floor on the hedge delay (default 1ms)
 	HedgeMax     time.Duration // ceiling on the hedge delay (default 100ms)
 
-	// Retry of proxied requests on connection errors.
-	MaxRetries   int           // extra attempts after the first (default 2)
-	RetryBackoff time.Duration // base backoff, doubled per retry (default 2ms)
-
-	// Placement.
-	VirtualNodes int // ring vnodes per replica (default 64)
-	CreateProbes int // key redraws before giving up (default 4×replicas)
+	// Retry of proxied requests on connection errors: maxRetries extra
+	// attempts, the backoff doubling from here.
+	RetryBackoff time.Duration // default 2ms
 
 	// Swap restarts one replica's backend on a fresh snapshot; the replica is
 	// fully drained when called and may come back on a new URL (r.SetURL).
@@ -74,20 +71,24 @@ type Options struct {
 
 	DrainPoll time.Duration // swap drain/ready poll period (default 20ms)
 
-	// Observability (DESIGN.md §15). The router mints W3C traceparent ids for
-	// every routed request, records each into an always-on flight recorder,
-	// and tracks SLO burn rates over the recorded outcomes. The span tracer is
-	// optional (nil = spans off, trace ids still minted and propagated).
-	Tracer             *obs.Tracer   // router-side span tracer (nil = ids only)
-	FlightRecorderSize int           // request ring entries (0 = 4096, < 0 disables)
-	PinThreshold       time.Duration // anomaly latency pin threshold (default 250ms)
-	SLOObjective       time.Duration // latency objective for burn rates (default 100ms)
-	SLOErrorBudget     float64       // error budget fraction (default 0.01)
+	// Shell is the request shell the work routes run in (DESIGN.md §15): a
+	// W3C traceparent minted or joined for every routed request, each one
+	// recorded in the always-on flight recorder and sampled into the SLO burn
+	// rates. Nil selects shell.New(shell.Options{}): recorder and SLO tracking
+	// on, trace ids minted and propagated, spans off.
+	Shell *shell.Shell
 
 	Logger *slog.Logger
 }
 
-func (o *Options) withDefaults(nReplicas int) Options {
+// Fixed parts of the routing policy; no caller ever asked for other values.
+const (
+	maxRetries       = 2  // extra attempts after the first on a connection error
+	virtualNodes     = 64 // ring vnodes per replica
+	createProbesEach = 4  // key redraws per replica before a create gives up
+)
+
+func (o *Options) withDefaults() Options {
 	v := *o
 	if v.HealthInterval <= 0 {
 		v.HealthInterval = 500 * time.Millisecond
@@ -107,22 +108,14 @@ func (o *Options) withDefaults(nReplicas int) Options {
 	if v.HedgeMax <= 0 {
 		v.HedgeMax = 100 * time.Millisecond
 	}
-	if v.MaxRetries < 0 {
-		v.MaxRetries = 0
-	} else if v.MaxRetries == 0 {
-		v.MaxRetries = 2
-	}
 	if v.RetryBackoff <= 0 {
 		v.RetryBackoff = 2 * time.Millisecond
 	}
-	if v.VirtualNodes <= 0 {
-		v.VirtualNodes = 64
-	}
-	if v.CreateProbes <= 0 {
-		v.CreateProbes = 4 * nReplicas
-	}
 	if v.DrainPoll <= 0 {
 		v.DrainPoll = 20 * time.Millisecond
+	}
+	if v.Shell == nil {
+		v.Shell = shell.New(shell.Options{})
 	}
 	if v.Logger == nil {
 		v.Logger = slog.Default()
@@ -150,9 +143,7 @@ type Pool struct {
 	log      *slog.Logger
 	start    time.Time
 
-	tr      *obs.Tracer         // router span stream (may be nil)
-	fr      *obs.FlightRecorder // always-on request ring (nil when disabled)
-	slo     *obs.SLOTracker
+	sh      *shell.Shell       // the request shell of the work routes
 	streams []obs.StitchStream // extra span streams for stitched export (inproc replicas)
 
 	global  chan struct{} // fleet-wide admission gate (nil = unlimited)
@@ -176,11 +167,12 @@ func New(urls []string, opt Options) (*Pool, error) {
 	if len(urls) == 0 {
 		return nil, ErrNoReplicas
 	}
-	o := (&opt).withDefaults(len(urls))
+	o := (&opt).withDefaults()
 	p := &Pool{
 		opt:   o,
-		ring:  newRing(len(urls), o.VirtualNodes),
+		ring:  newRing(len(urls), virtualNodes),
 		met:   newFleetMetrics(),
+		sh:    o.Shell,
 		log:   o.Logger,
 		start: time.Now(),
 		stop:  make(chan struct{}),
@@ -197,14 +189,7 @@ func New(urls []string, opt Options) (*Pool, error) {
 	if o.GlobalInflight > 0 {
 		p.global = make(chan struct{}, o.GlobalInflight)
 	}
-	p.tr = o.Tracer
-	if o.FlightRecorderSize >= 0 {
-		p.fr = obs.NewFlightRecorder(obs.FlightRecorderOptions{
-			Size: o.FlightRecorderSize, PinThreshold: o.PinThreshold, Tracer: p.tr,
-		})
-	}
-	p.slo = obs.NewSLOTracker(obs.SLOOptions{Objective: o.SLOObjective, ErrorBudget: o.SLOErrorBudget})
-	p.slo.RegisterMetrics(p.met.reg, "fleet")
+	p.sh.SLO.RegisterMetrics(p.met.reg, "fleet")
 	for i, u := range urls {
 		r := newReplica(i, u, o.PerReplicaInflight)
 		p.replicas = append(p.replicas, r)
@@ -225,14 +210,9 @@ func (p *Pool) Replicas() []*Replica { return p.replicas }
 // Metrics returns the pool's obs registry (mounted at /metrics by Handler).
 func (p *Pool) Metrics() *obs.Registry { return p.met.reg }
 
-// Tracer returns the router's span tracer (nil when Options.Tracer was nil).
-func (p *Pool) Tracer() *obs.Tracer { return p.tr }
-
-// FlightRecorder returns the router's request recorder (nil when disabled).
-func (p *Pool) FlightRecorder() *obs.FlightRecorder { return p.fr }
-
-// SLO returns the router's burn-rate tracker.
-func (p *Pool) SLO() *obs.SLOTracker { return p.slo }
+// FlightRecorder returns the router's request recorder (nil when its shell
+// was built without one).
+func (p *Pool) FlightRecorder() *obs.FlightRecorder { return p.sh.Flight }
 
 // AddTraceStream registers an extra span stream for the stitched trace export
 // (GET /debug/trace/{trace}) — in inproc mode the router wires each replica's
@@ -286,10 +266,9 @@ func (p *Pool) nextKey() string {
 // (slot holders are always executing and release in finite time); it can
 // head-of-line block a global slot behind one busy replica, which is accepted
 // — the configurations this pool ships with keep per-replica ≥ global/N.
-func (p *Pool) admit(ctx context.Context, rep *Replica) (func(), error) {
-	m := metaFrom(ctx)
+func (p *Pool) admit(ctx context.Context, rq *shell.Req, rep *Replica) (func(), error) {
 	t0 := time.Now()
-	sp := m.span().Child("admit")
+	sp := rq.Span().Child("admit")
 	var timer *time.Timer
 	deadline := func() <-chan time.Time {
 		if timer == nil {
@@ -302,7 +281,7 @@ func (p *Pool) admit(ctx context.Context, rep *Replica) (func(), error) {
 			timer.Stop()
 		}
 		sp.End()
-		m.addQueue(time.Since(t0))
+		rq.QueueNs += int64(time.Since(t0))
 	}()
 	if p.global != nil {
 		select {

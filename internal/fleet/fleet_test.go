@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"insta/internal/fleet"
+	"insta/internal/server"
 )
 
 // stubBackend emulates one insta-served replica.
@@ -609,5 +610,34 @@ func TestRouterDrainGate(t *testing.T) {
 	}
 	if code := do(t, http.MethodGet, base+"/healthz", nil); code != http.StatusOK {
 		t.Fatalf("draining router healthz: %d", code)
+	}
+}
+
+// TestRouterRefusesOversizedBody: the router buffers a session request's body
+// so retries can replay it, and used to buffer up to a cap of its own twice
+// the daemon's before the daemon refused. One constant now: a body of
+// server.MaxBodyBytes is forwarded, one byte more is a 413 from the router
+// that no replica ever sees.
+func TestRouterRefusesOversizedBody(t *testing.T) {
+	_, _, _, base := newStubFleet(t, 1, fastOpts())
+	fid := createSession(t, base)
+	seen := func() (n int) {
+		for _, ln := range strings.Split(metricsText(t, base), "\n") {
+			fmt.Sscanf(ln, `fleet_replica_requests_total{replica="0"} %d`, &n)
+		}
+		return n
+	}
+	before := seen()
+	if code := do(t, http.MethodPost, base+"/session/"+fid+"/eco", make([]byte, server.MaxBodyBytes)); code != http.StatusOK {
+		t.Fatalf("body at the cap: status %d, want it forwarded", code)
+	}
+	if got := seen(); got != before+1 {
+		t.Fatalf("body at the cap reached the replica %d times, want 1", got-before)
+	}
+	if code := do(t, http.MethodPost, base+"/session/"+fid+"/eco", make([]byte, server.MaxBodyBytes+1)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body one byte over the cap: status %d, want 413", code)
+	}
+	if got := seen(); got != before+1 {
+		t.Fatal("the oversized body was forwarded to the replica")
 	}
 }

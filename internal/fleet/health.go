@@ -1,32 +1,21 @@
 package fleet
 
 // Health checking: one goroutine per replica polls GET /healthz on
-// Options.HealthInterval and decodes the load section internal/server
-// publishes for exactly this consumer. Readiness is asymmetric by design —
-// slow to fall (UnreadyAfter consecutive failures, so one dropped probe
-// during a GC pause doesn't flap the replica out), instant to rise (the
-// first success re-admits it, so recovery latency is one probe period).
+// Options.HealthInterval and decodes the daemon's own body type
+// (server.Healthz), whose load section exists for exactly this consumer.
+// Readiness is asymmetric by design — slow to fall (UnreadyAfter consecutive
+// failures, so one dropped probe during a GC pause doesn't flap the replica
+// out), instant to rise (the first success re-admits it, so recovery latency
+// is one probe period).
 
 import (
 	"context"
 	"encoding/json"
 	"net/http"
 	"time"
-)
 
-// healthzLoad mirrors the wire shape of the replica /healthz fields the
-// router consumes.
-type healthzLoad struct {
-	Status   string `json:"status"`
-	Sessions int    `json:"sessions"`
-	Epoch    uint64 `json:"epoch"`
-	Load     struct {
-		LiveSessions int `json:"live_sessions"`
-		MaxSessions  int `json:"max_sessions"`
-		Headroom     int `json:"headroom"`
-		Inflight     int `json:"inflight"`
-	} `json:"load"`
-}
+	"insta/internal/server"
+)
 
 func (p *Pool) healthLoop(r *Replica) {
 	defer p.wg.Done()
@@ -80,18 +69,11 @@ func fetchHealthz(ctx context.Context, client *http.Client, baseURL string) (Hea
 	if resp.StatusCode != http.StatusOK {
 		return Health{}, &statusError{code: resp.StatusCode}
 	}
-	var hz healthzLoad
+	var hz server.Healthz
 	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
 		return Health{}, err
 	}
-	return Health{
-		OK:           true,
-		LiveSessions: hz.Load.LiveSessions,
-		MaxSessions:  hz.Load.MaxSessions,
-		Headroom:     hz.Load.Headroom,
-		Inflight:     hz.Load.Inflight,
-		Epoch:        hz.Epoch,
-	}, nil
+	return Health{OK: true, Load: hz.Load, Epoch: hz.Epoch}, nil
 }
 
 // statusError is a non-2xx health probe.

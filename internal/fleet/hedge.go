@@ -18,6 +18,9 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"insta/internal/obs/shell"
+	"insta/internal/server"
 )
 
 // latTracker is a fixed 256-entry ring of recent read latencies; p95 over the
@@ -110,12 +113,11 @@ type readResult struct {
 // answers nor errors within hedgeDelay. A primary *error* fails over
 // immediately instead of waiting (that path counts as a retry, not a hedge).
 // First successful response wins; the loser is cancelled and drained.
-func (p *Pool) hedgedRead(w http.ResponseWriter, r *http.Request, primary *Replica) {
+func (p *Pool) hedgedRead(w *shell.Req, r *http.Request, primary *Replica) {
 	path := r.URL.Path
 	if q := r.URL.RawQuery; q != "" {
 		path += "?" + q
 	}
-	m := metaFrom(r.Context())
 	results := make(chan readResult, 2)
 	launch := func(rep *Replica, hedged bool) {
 		// Detached context: the loser must be cancellable independently of
@@ -133,10 +135,8 @@ func (p *Pool) hedgedRead(w http.ResponseWriter, r *http.Request, primary *Repli
 		// one trace id, each parenting its replica's serve span. The loser's
 		// span ends when its response (or error) lands, which may be after
 		// the root has ended — the tracer is append-only, so that is fine.
-		asp := m.span().ChildArg("read-attempt", "replica", int64(rep.ID))
-		if tp := tpFor(asp, m.context()); tp != "" {
-			req.Header.Set("Traceparent", tp)
-		}
+		asp := w.Span().ChildArg("read-attempt", "replica", int64(rep.ID))
+		req.Header.Set("Traceparent", w.Downstream(asp))
 		p.met.requests.With(rep.idStr).Inc()
 		rep.requests.Add(1)
 		resp, err := p.client.Do(req)
@@ -208,12 +208,12 @@ func (p *Pool) hedgedRead(w http.ResponseWriter, r *http.Request, primary *Repli
 			// Client went away; the detached attempt contexts outlive it only
 			// until the drain goroutine below reaps them.
 			go reapReads(results, launched-done)
-			writeProxyErr(w, http.StatusServiceUnavailable, r.Context().Err())
+			server.WriteError(w, http.StatusServiceUnavailable, r.Context().Err())
 			return
 		}
 	}
 	if winner.resp == nil {
-		writeProxyErr(w, http.StatusBadGateway, lastErr)
+		server.WriteError(w, http.StatusBadGateway, lastErr)
 		return
 	}
 	// Reap the loser (if any attempt is still outstanding) off-path.
@@ -223,7 +223,7 @@ func (p *Pool) hedgedRead(w http.ResponseWriter, r *http.Request, primary *Repli
 	if winner.hedged {
 		p.met.hedgeWins.Inc()
 	}
-	m.place(winner.rep)
+	w.Replica = int32(winner.rep.ID)
 	copyResponse(w, winner.resp)
 	winner.cancel()
 	p.readLat.observe(time.Since(t0))

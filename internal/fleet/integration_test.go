@@ -9,7 +9,9 @@ package fleet_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,9 +19,11 @@ import (
 	"time"
 
 	"insta/internal/bench"
+	"insta/internal/cmdutil"
 	"insta/internal/core"
 	"insta/internal/exp"
 	"insta/internal/fleet"
+	"insta/internal/num"
 	"insta/internal/server"
 )
 
@@ -130,4 +134,80 @@ func getBodyBytes(t *testing.T, url string) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestInprocFleetServesCorners is what `insta-router -mode inproc -corners
+// ss,tt,ff` stands up — server.Daemons assembled from the daemon flag set, the
+// way both mains now construct them — and what the router binary could not
+// start before it registered that flag set: a multi-corner fleet. A session
+// read in one corner and an ECO's per-scenario rows must come through the
+// router byte for byte as a lone daemon with the same flags answers them.
+func TestInprocFleetServesCorners(t *testing.T) {
+	fs := flag.NewFlagSet("daemon", flag.ContinueOnError)
+	df := cmdutil.DaemonFlags(fs)
+	if err := fs.Parse([]string{"-design", "des", "-topk", "8", "-workers", "2", "-corners", "ss,tt,ff"}); err != nil {
+		t.Fatal(err)
+	}
+	bt, err := df.Boot(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var urls []string
+	for i := 0; i < 3; i++ { // two replicas and the lone daemon
+		d, err := server.NewDaemon(bt, df, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { d.Close(context.Background()) })
+		urls = append(urls, "http://"+d.Addr())
+	}
+	lone := urls[2]
+	p, err := fleet.New(urls[:2], fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	rt := httptest.NewServer(p.Handler())
+	t.Cleanup(rt.Close)
+
+	// Each side's first session is s1 on the daemon that holds it, so the
+	// bodies, which carry the daemon-local id, can be compared whole.
+	fid := createSession(t, rt.URL)
+	id := createSession(t, lone)
+	a := bt.Tab.Arcs[7]
+	eco, _ := json.Marshal(server.ECORequest{Arcs: []server.ArcECO{{
+		Arc:  7,
+		Rise: num.Dist{Mean: a.MeanRise * 1.5, Std: a.StdRise},
+		Fall: num.Dist{Mean: a.MeanFall * 1.5, Std: a.StdFall},
+	}}})
+	post := func(url string) []byte {
+		resp, err := http.Post(url, "application/json", bytes.NewReader(eco))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d, err %v", url, resp.StatusCode, err)
+		}
+		return b
+	}
+	routed, direct := post(rt.URL+"/session/"+fid+"/eco"), post(lone+"/session/"+id+"/eco")
+	var res server.ECOResult
+	if err := json.Unmarshal(routed, &res); err != nil || len(res.Scenarios) != 4 || len(res.Changed) == 0 {
+		t.Fatalf("ECO through the router carries no ss/tt/ff/merged rows or moved nothing: %s (err %v)", routed, err)
+	}
+	if !bytes.Equal(routed, direct) {
+		t.Fatalf("ECO through the router differs from the lone daemon's:\nrouted: %s\ndirect: %s", routed, direct)
+	}
+	routed, direct = getBodyBytes(t, rt.URL+"/session/"+fid+"/slacks?scenario=ss"), getBodyBytes(t, lone+"/session/"+id+"/slacks?scenario=ss")
+	if !bytes.Equal(routed, direct) {
+		t.Fatalf("?scenario=ss through the router differs from the lone daemon's:\nrouted: %.300s\ndirect: %.300s", routed, direct)
+	}
+	if nominal := getBodyBytes(t, lone+"/session/"+id+"/slacks"); bytes.Equal(nominal, direct) {
+		t.Fatal("?scenario=ss answered the nominal lane")
+	}
 }

@@ -18,11 +18,11 @@ import (
 	"net/url"
 	"sync"
 	"time"
-)
 
-// maxBodyBytes caps a buffered proxy body; ECO batches are KBs, so 16 MiB is
-// a generous sanity bound, not a tuning knob.
-const maxBodyBytes = 16 << 20
+	"insta/internal/obs"
+	"insta/internal/obs/shell"
+	"insta/internal/server"
+)
 
 var (
 	bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -34,56 +34,71 @@ func (p *Pool) buildMux() {
 	p.mux = mux
 	mux.HandleFunc("GET /healthz", p.handleHealthz)
 	mux.HandleFunc("GET /metrics", p.handleMetrics)
-	mux.HandleFunc("GET /debug/flightrecorder", p.handleFlightRecorder)
 	mux.HandleFunc("GET /debug/fleet", p.handleDebugFleet)
 	mux.HandleFunc("GET /debug/trace/{trace}", p.handleStitchedTrace)
-	// Work routes run inside the observability shell (trace identity, flight
-	// recorder, SLO) with the drain gate inside it, so refusals are recorded.
-	mux.HandleFunc("GET /slacks", p.obsWrap("slacks", p.gate(p.handleRead)))
-	mux.HandleFunc("GET /gradients", p.obsWrap("gradients", p.gate(p.handleRead)))
-	mux.HandleFunc("POST /session", p.obsWrap("session-create", p.gate(p.handleCreate)))
-	mux.HandleFunc("GET /session/{id}", p.obsWrap("session-get", p.gate(p.proxySession(""))))
-	mux.HandleFunc("DELETE /session/{id}", p.obsWrap("session-delete", p.gate(p.proxySession(""))))
-	mux.HandleFunc("GET /session/{id}/slacks", p.obsWrap("session-slacks", p.gate(p.proxySession("/slacks"))))
-	mux.HandleFunc("POST /session/{id}/eco", p.obsWrap("eco", p.gate(p.proxySession("/eco"))))
-	mux.HandleFunc("POST /session/{id}/topo", p.obsWrap("topo", p.gate(p.proxySession("/topo"))))
-	mux.HandleFunc("POST /session/{id}/commit", p.obsWrap("commit", p.gate(p.proxySession("/commit"))))
-	mux.HandleFunc("POST /session/{id}/rollback", p.obsWrap("rollback", p.gate(p.proxySession("/rollback"))))
-	mux.HandleFunc("POST /admin/swap", p.obsWrap("swap", p.handleSwap))
+	p.sh.Mount(mux) // /debug/flightrecorder, /debug/pprof/
+	mux.HandleFunc("GET /slacks", p.work("slacks", p.gate(p.handleRead)))
+	mux.HandleFunc("GET /gradients", p.work("gradients", p.gate(p.handleRead)))
+	mux.HandleFunc("POST /session", p.work("session-create", p.gate(p.handleCreate)))
+	mux.HandleFunc("GET /session/{id}", p.work("session-get", p.gate(p.proxySession(""))))
+	mux.HandleFunc("DELETE /session/{id}", p.work("session-delete", p.gate(p.proxySession(""))))
+	mux.HandleFunc("GET /session/{id}/slacks", p.work("session-slacks", p.gate(p.proxySession("/slacks"))))
+	mux.HandleFunc("POST /session/{id}/eco", p.work("eco", p.gate(p.proxySession("/eco"))))
+	mux.HandleFunc("POST /session/{id}/topo", p.work("topo", p.gate(p.proxySession("/topo"))))
+	mux.HandleFunc("POST /session/{id}/commit", p.work("commit", p.gate(p.proxySession("/commit"))))
+	mux.HandleFunc("POST /session/{id}/rollback", p.work("rollback", p.gate(p.proxySession("/rollback"))))
+	mux.HandleFunc("POST /admin/swap", p.work("swap", p.handleSwap))
 }
 
 // Handler returns the router's root handler.
 func (p *Pool) Handler() http.Handler { return p.mux }
 
-// gate refuses new work while the router itself is draining (SIGTERM).
-func (p *Pool) gate(h http.HandlerFunc) http.HandlerFunc {
+// workHandler is a work route's handler: rq is the response writer and the
+// request's handle in the shell, where the handler leaves the shard key, the
+// replica it placed the request on and the admission wait.
+type workHandler func(rq *shell.Req, r *http.Request)
+
+// work runs a work route inside the request shell, with the drain gate inside
+// it so refusals are recorded too. The probe routes (/healthz, /metrics) stay
+// outside: pollers would otherwise fill the recorder window.
+func (p *Pool) work(route string, h workHandler) http.HandlerFunc {
+	span := "route-" + route
 	return func(w http.ResponseWriter, r *http.Request) {
+		rq := p.sh.Begin(span, w, r)
+		h(rq, r)
+		rq.End(route)
+	}
+}
+
+// gate refuses new work while the router itself is draining (SIGTERM).
+func (p *Pool) gate(h workHandler) workHandler {
+	return func(rq *shell.Req, r *http.Request) {
 		if p.draining.Load() {
-			w.Header().Set("Retry-After", "1")
-			writeProxyErr(w, http.StatusServiceUnavailable, errors.New("fleet: router draining"))
+			rq.Header().Set("Retry-After", "1")
+			server.WriteError(rq, http.StatusServiceUnavailable, errors.New("fleet: router draining"))
 			return
 		}
-		h(w, r)
+		h(rq, r)
 	}
 }
 
 // handleCreate places a new session by key redraw: mint a key, hash it to its
 // home replica, and — if that replica is unready, draining, session-full or
 // over its in-flight cap — mint a *new* key and try again, up to
-// Options.CreateProbes times. Redrawing (rather than walking the ring)
-// keeps hash(key)→replica exact forever; see ring.go.
-func (p *Pool) handleCreate(w http.ResponseWriter, r *http.Request) {
+// createProbesEach times per replica. Redrawing (rather than walking the
+// ring) keeps hash(key)→replica exact forever; see ring.go.
+func (p *Pool) handleCreate(w *shell.Req, r *http.Request) {
 	var lastStatus int
 	var lastBody []byte
 	var lastErr error
-	for probe := 0; probe < p.opt.CreateProbes; probe++ {
+	for probe := 0; probe < createProbesEach*len(p.replicas); probe++ {
 		key := p.nextKey()
 		rep := p.replicas[p.ring.owner(key)]
 		if !rep.Ready() || rep.sessionFull() {
 			p.met.createRedraws.Inc()
 			continue
 		}
-		release, err := p.admit(r.Context(), rep)
+		release, err := p.admit(r.Context(), w, rep)
 		if err != nil {
 			if errors.Is(err, errAdmission) {
 				// This replica's lane is saturated; a redrawn key may land on
@@ -92,10 +107,10 @@ func (p *Pool) handleCreate(w http.ResponseWriter, r *http.Request) {
 				lastErr = err
 				continue
 			}
-			writeProxyErr(w, http.StatusServiceUnavailable, err)
+			server.WriteError(w, http.StatusServiceUnavailable, err)
 			return
 		}
-		status, body, err := p.doBuffered(r.Context(), rep, http.MethodPost, "/session", nil, "")
+		status, body, err := p.doBuffered(r.Context(), w, rep, http.MethodPost, "/session")
 		release()
 		if err != nil {
 			rep.errors.Add(1)
@@ -105,19 +120,14 @@ func (p *Pool) handleCreate(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if status == http.StatusCreated {
-			var cr struct {
-				ID    string `json:"id"`
-				Epoch uint64 `json:"epoch"`
-			}
+			var cr server.Created
 			if err := json.Unmarshal(body, &cr); err != nil || cr.ID == "" {
-				writeProxyErr(w, http.StatusBadGateway, errors.New("fleet: malformed create response"))
+				server.WriteError(w, http.StatusBadGateway, errors.New("fleet: malformed create response"))
 				return
 			}
 			p.met.sessionsCreated.Inc()
-			m := metaFrom(r.Context())
-			m.setShard(key)
-			m.place(rep)
-			writeCreated(w, key+"."+cr.ID, cr.Epoch, rep.ID)
+			w.Shard, w.Replica = key, int32(rep.ID)
+			server.WriteJSON(w, http.StatusCreated, created{Epoch: cr.Epoch, ID: key + "." + cr.ID, Replica: rep.ID})
 			return
 		}
 		// Replica-side refusal (admission cap raced the health view, etc.):
@@ -136,35 +146,34 @@ func (p *Pool) handleCreate(w http.ResponseWriter, r *http.Request) {
 		lastErr = errors.New("fleet: no ready replica for new session")
 	}
 	w.Header().Set("Retry-After", "1")
-	writeProxyErr(w, http.StatusServiceUnavailable, lastErr)
+	server.WriteError(w, http.StatusServiceUnavailable, lastErr)
 }
 
-func writeCreated(w http.ResponseWriter, fid string, epoch uint64, replica int) {
-	b, _ := json.Marshal(map[string]any{"id": fid, "epoch": epoch, "replica": replica})
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	_, _ = w.Write(append(b, '\n'))
+// created is the router's POST /session body: the daemon's, under the fleet
+// session id, plus the replica the session lives on. Fields in wire order.
+type created struct {
+	Epoch   uint64 `json:"epoch"`
+	ID      string `json:"id"`
+	Replica int    `json:"replica"`
 }
 
 // proxySession routes a session-scoped request to the session's home replica:
 // split the fleet ID, hash the key, admit, forward with the path rewritten to
 // the replica-local ID. Existing sessions route to their owner even when it
 // is unready or draining — the state lives nowhere else.
-func (p *Pool) proxySession(tail string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
+func (p *Pool) proxySession(tail string) workHandler {
+	return func(w *shell.Req, r *http.Request) {
 		key, local, ok := splitFID(r.PathValue("id"))
 		if !ok {
-			writeProxyErr(w, http.StatusNotFound, errors.New("fleet: malformed session id (want <key>.<local>)"))
+			server.WriteError(w, http.StatusNotFound, errors.New("fleet: malformed session id (want <key>.<local>)"))
 			return
 		}
 		rep := p.replicas[p.ring.owner(key)]
-		m := metaFrom(r.Context())
-		m.setShard(key)
-		m.place(rep)
-		release, err := p.admit(r.Context(), rep)
+		w.Shard, w.Replica = key, int32(rep.ID)
+		release, err := p.admit(r.Context(), w, rep)
 		if err != nil {
 			w.Header().Set("Retry-After", "1")
-			writeProxyErr(w, http.StatusServiceUnavailable, err)
+			server.WriteError(w, http.StatusServiceUnavailable, err)
 			return
 		}
 		defer release()
@@ -173,21 +182,22 @@ func (p *Pool) proxySession(tail string) http.HandlerFunc {
 }
 
 // handleRead serves the idempotent base reads through the hedger.
-func (p *Pool) handleRead(w http.ResponseWriter, r *http.Request) {
+func (p *Pool) handleRead(w *shell.Req, r *http.Request) {
 	primary := p.pickRead(nil)
 	if primary == nil {
 		w.Header().Set("Retry-After", "1")
-		writeProxyErr(w, http.StatusServiceUnavailable, errors.New("fleet: no ready replicas"))
+		server.WriteError(w, http.StatusServiceUnavailable, errors.New("fleet: no ready replicas"))
 		return
 	}
 	p.hedgedRead(w, r, primary)
 }
 
-// forward proxies one request to rep with bounded retry: up to MaxRetries
+// forward proxies one request to rep with bounded retry: up to maxRetries
 // extra attempts, backoff doubling from RetryBackoff, and a method-aware
 // retry predicate (see retriable). The request body is buffered once so
-// retries can replay it.
-func (p *Pool) forward(w http.ResponseWriter, r *http.Request, rep *Replica, path string) {
+// retries can replay it — up to the daemon's own cap: a larger one is refused
+// here rather than buffered for the daemon to refuse.
+func (p *Pool) forward(w *shell.Req, r *http.Request, rep *Replica, path string) {
 	if q := r.URL.RawQuery; q != "" {
 		path += "?" + q
 	}
@@ -196,27 +206,25 @@ func (p *Pool) forward(w http.ResponseWriter, r *http.Request, rep *Replica, pat
 		buf := bodyPool.Get().(*bytes.Buffer)
 		buf.Reset()
 		defer bodyPool.Put(buf)
-		if _, err := io.Copy(buf, io.LimitReader(r.Body, maxBodyBytes+1)); err != nil {
-			writeProxyErr(w, http.StatusBadRequest, err)
+		if _, err := io.Copy(buf, io.LimitReader(r.Body, server.MaxBodyBytes+1)); err != nil {
+			server.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		if buf.Len() > maxBodyBytes {
-			writeProxyErr(w, http.StatusRequestEntityTooLarge, errors.New("fleet: request body too large"))
+		if buf.Len() > server.MaxBodyBytes {
+			server.WriteError(w, http.StatusRequestEntityTooLarge, errors.New("fleet: request body too large"))
 			return
 		}
 		body = buf.Bytes()
 	}
-	m := metaFrom(r.Context())
 	t0 := time.Now()
-	attempts := 1 + p.opt.MaxRetries
 	var lastErr error
-	for a := 0; a < attempts; a++ {
+	for a := 0; a <= maxRetries; a++ {
 		if a > 0 {
 			backoff := p.opt.RetryBackoff << (a - 1)
 			select {
 			case <-time.After(backoff):
 			case <-r.Context().Done():
-				writeProxyErr(w, http.StatusServiceUnavailable, r.Context().Err())
+				server.WriteError(w, http.StatusServiceUnavailable, r.Context().Err())
 				return
 			}
 			p.met.retries.Inc()
@@ -227,16 +235,14 @@ func (p *Pool) forward(w http.ResponseWriter, r *http.Request, rep *Replica, pat
 		}
 		req, err := http.NewRequestWithContext(r.Context(), r.Method, rep.URL()+path, rd)
 		if err != nil {
-			writeProxyErr(w, http.StatusBadGateway, err)
+			server.WriteError(w, http.StatusBadGateway, err)
 			return
 		}
 		if ct := r.Header.Get("Content-Type"); ct != "" {
 			req.Header.Set("Content-Type", ct)
 		}
-		asp := m.span().ChildArg("proxy-attempt", "attempt", int64(a))
-		if tp := tpFor(asp, m.context()); tp != "" {
-			req.Header.Set("Traceparent", tp)
-		}
+		asp := w.Span().ChildArg("proxy-attempt", "attempt", int64(a))
+		req.Header.Set("Traceparent", w.Downstream(asp))
 		p.met.requests.With(rep.idStr).Inc()
 		rep.requests.Add(1)
 		resp, err := p.client.Do(req)
@@ -253,24 +259,19 @@ func (p *Pool) forward(w http.ResponseWriter, r *http.Request, rep *Replica, pat
 			break
 		}
 	}
-	writeProxyErr(w, http.StatusBadGateway, lastErr)
+	server.WriteError(w, http.StatusBadGateway, lastErr)
 }
 
-// doBuffered performs one request and returns the status and fully read body
-// — the create path's helper, where the response is small and must be parsed.
-func (p *Pool) doBuffered(ctx context.Context, rep *Replica, method, path string, body io.Reader, contentType string) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, method, rep.URL()+path, body)
+// doBuffered performs one body-less request and returns the status and fully
+// read body — the create path's helper, where the response is small and must
+// be parsed.
+func (p *Pool) doBuffered(ctx context.Context, rq *shell.Req, rep *Replica, method, path string) (int, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, rep.URL()+path, nil)
 	if err != nil {
 		return 0, nil, err
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	m := metaFrom(ctx)
-	asp := m.span().ChildArg("create-attempt", "replica", int64(rep.ID))
-	if tp := tpFor(asp, m.context()); tp != "" {
-		req.Header.Set("Traceparent", tp)
-	}
+	asp := rq.Span().ChildArg("create-attempt", "replica", int64(rep.ID))
+	req.Header.Set("Traceparent", rq.Downstream(asp))
 	p.met.requests.With(rep.idStr).Inc()
 	rep.requests.Add(1)
 	resp, err := p.client.Do(req)
@@ -328,76 +329,64 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	copyPool.Put(bp)
 }
 
-func writeProxyErr(w http.ResponseWriter, code int, err error) {
-	msg := "fleet: unknown error"
-	if err != nil {
-		msg = err.Error()
-	}
-	b, _ := json.Marshal(map[string]string{"error": msg})
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_, _ = w.Write(append(b, '\n'))
+// replicaView is one replica's row in the router's /healthz.
+type replicaView struct {
+	ID           int    `json:"id"`
+	URL          string `json:"url"`
+	State        string `json:"state"`
+	LiveSessions int    `json:"live_sessions"`
+	MaxSessions  int    `json:"max_sessions"`
+	Headroom     int    `json:"headroom"`
+	Inflight     int64  `json:"inflight"` // router-side admitted requests
+	Epoch        uint64 `json:"epoch"`
+	Err          string `json:"err,omitempty"`
+}
+
+// healthz is the router's GET /healthz body, fields in wire order.
+type healthz struct {
+	Draining     bool                 `json:"draining"`
+	Flight       *shell.FlightSummary `json:"flight_recorder,omitempty"`
+	HedgeDelayMS float64              `json:"hedge_delay_ms"`
+	Ready        int                  `json:"ready"`
+	Replicas     []replicaView        `json:"replicas"`
+	SLO          []obs.BurnRate       `json:"slo"`
+	Status       string               `json:"status"`
+	UptimeS      float64              `json:"uptime_s"`
 }
 
 // handleHealthz aggregates the fleet's state: per-replica condition and load,
 // plus the router's own view (ready count, hedge delay, drain bit). 503 when
 // no replica can take work, so an upstream balancer can see "down".
 func (p *Pool) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	type repView struct {
-		ID           int    `json:"id"`
-		URL          string `json:"url"`
-		State        string `json:"state"`
-		LiveSessions int    `json:"live_sessions"`
-		MaxSessions  int    `json:"max_sessions"`
-		Headroom     int    `json:"headroom"`
-		Inflight     int64  `json:"inflight"` // router-side admitted requests
-		Epoch        uint64 `json:"epoch"`
-		Err          string `json:"err,omitempty"`
+	resp := healthz{
+		Draining:     p.draining.Load(),
+		Flight:       p.sh.FlightSummary(),
+		HedgeDelayMS: float64(p.hedgeDelay().Nanoseconds()) / 1e6,
+		Replicas:     make([]replicaView, 0, len(p.replicas)),
+		SLO:          p.sh.Burn(),
+		Status:       "ok",
+		UptimeS:      time.Since(p.start).Seconds(),
 	}
-	ready := 0
-	views := make([]repView, 0, len(p.replicas))
 	for _, rep := range p.replicas {
 		h := rep.Health()
 		if rep.Ready() {
-			ready++
+			resp.Ready++
 		}
-		views = append(views, repView{
+		resp.Replicas = append(resp.Replicas, replicaView{
 			ID: rep.ID, URL: rep.URL(), State: rep.state(),
 			LiveSessions: h.LiveSessions, MaxSessions: h.MaxSessions,
 			Headroom: h.Headroom, Inflight: rep.inflight.Load(),
 			Epoch: h.Epoch, Err: h.Err,
 		})
 	}
-	status := "ok"
 	code := http.StatusOK
 	switch {
-	case ready == 0:
-		status, code = "down", http.StatusServiceUnavailable
-	case ready < len(p.replicas):
-		status = "degraded"
+	case resp.Ready == 0:
+		resp.Status, code = "down", http.StatusServiceUnavailable
+	case resp.Ready < len(p.replicas):
+		resp.Status = "degraded"
 	}
-	resp := map[string]any{
-		"status":         status,
-		"uptime_s":       time.Since(p.start).Seconds(),
-		"ready":          ready,
-		"replicas":       views,
-		"hedge_delay_ms": float64(p.hedgeDelay().Nanoseconds()) / 1e6,
-		"draining":       p.draining.Load(),
-	}
-	if p.slo != nil {
-		resp["slo"] = p.slo.Snapshot(time.Now())
-	}
-	if p.fr != nil {
-		resp["flight_recorder"] = map[string]any{
-			"size":            p.fr.Size(),
-			"total":           p.fr.Total(),
-			"pin_threshold_s": p.fr.PinThreshold().Seconds(),
-		}
-	}
-	b, _ := json.Marshal(resp)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_, _ = w.Write(append(b, '\n'))
+	server.WriteJSON(w, code, &resp)
 }
 
 func (p *Pool) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -407,17 +396,15 @@ func (p *Pool) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleSwap runs a rolling snapshot-swap across the fleet (swap.go). 501
 // when the pool was built without a swap function.
-func (p *Pool) handleSwap(w http.ResponseWriter, r *http.Request) {
+func (p *Pool) handleSwap(w *shell.Req, r *http.Request) {
 	rep, err := p.RollingSwap(r.Context())
 	if err != nil {
 		code := http.StatusInternalServerError
 		if errors.Is(err, ErrNoSwap) {
 			code = http.StatusNotImplemented
 		}
-		writeProxyErr(w, code, err)
+		server.WriteError(w, code, err)
 		return
 	}
-	b, _ := json.Marshal(rep)
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(append(b, '\n'))
+	server.WriteJSON(w, http.StatusOK, rep)
 }

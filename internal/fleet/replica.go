@@ -5,19 +5,19 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"insta/internal/server"
 )
 
 // Health is the router's last decoded view of one replica's /healthz — the
-// load fields internal/server exposes for exactly this consumer.
+// load section internal/server exposes for exactly this consumer, and the
+// epoch.
 type Health struct {
-	OK           bool      `json:"ok"`
-	LiveSessions int       `json:"live_sessions"`
-	MaxSessions  int       `json:"max_sessions"`
-	Headroom     int       `json:"headroom"`
-	Inflight     int       `json:"inflight"`
-	Epoch        uint64    `json:"epoch"`
-	CheckedAt    time.Time `json:"-"`
-	Err          string    `json:"err,omitempty"`
+	OK bool
+	server.Load
+	Epoch     uint64
+	CheckedAt time.Time
+	Err       string
 }
 
 // Replica is one backend daemon as the pool sees it: a swappable base URL,

@@ -20,6 +20,7 @@ import (
 	"insta/internal/exp"
 	"insta/internal/fleet"
 	"insta/internal/obs"
+	"insta/internal/obs/shell"
 	"insta/internal/server"
 )
 
@@ -42,7 +43,7 @@ func spansNamed(spans []obs.SpanView, name string) []obs.SpanView {
 func TestHedgeSharesTraceDistinctSpans(t *testing.T) {
 	tr := obs.NewTracer()
 	opt := fastOpts()
-	opt.Tracer = tr
+	opt.Shell = shell.New(shell.Options{Tracer: tr})
 	_, stubs, _, base := newStubFleet(t, 2, opt)
 	// Both replicas slow on base reads: the hedge fires at HedgeMin (5ms) and
 	// both attempts run to completion, so both spans land.
@@ -215,7 +216,7 @@ func TestTraceIDsPropagateWithoutTracer(t *testing.T) {
 // the slo section, and /metrics renders the new gauges.
 func TestFleetObsEndpoints(t *testing.T) {
 	opt := fastOpts()
-	opt.Tracer = obs.NewTracer()
+	opt.Shell = shell.New(shell.Options{Tracer: obs.NewTracer()})
 	opt.DisableHedge = true
 	_, _, _, base := newStubFleet(t, 2, opt)
 
@@ -368,7 +369,7 @@ func TestStitchedFleetTrace(t *testing.T) {
 		mgr := server.NewManager(e, s.Ref, server.Options{MaxSessions: 16})
 		srv := server.New(mgr, "des")
 		repTr := obs.NewTracer()
-		srv.EnableTracing(repTr)
+		srv.Observe(shell.New(shell.Options{Tracer: repTr, FlightSize: -1}))
 		repTracers = append(repTracers, repTr)
 		lr, err := fleet.NewLocalReplica(delayReads(srv.Handler(), 30*time.Millisecond))
 		if err != nil {
@@ -378,7 +379,7 @@ func TestStitchedFleetTrace(t *testing.T) {
 		urls = append(urls, lr.URL())
 	}
 	opt := fastOpts()
-	opt.Tracer = routerTr
+	opt.Shell = shell.New(shell.Options{Tracer: routerTr})
 	p, err := fleet.New(urls, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -2,10 +2,10 @@ package server_test
 
 // SIGTERM-drain coverage: the behavior cmd/insta-served (and the fleet's
 // rolling snapshot-swap) rely on was only ever exercised by hand. These tests
-// pin the three contractual pieces against a real http.Server: an in-flight
-// request is allowed to complete before Drain returns, new connections are
-// refused afterwards, and a committed session survives the restart via the
-// snapshot path.
+// pin the three contractual pieces of Daemon.Close against a live daemon: an
+// in-flight request is allowed to complete before it returns, new connections
+// are refused afterwards, and a committed session survives the restart via
+// the snapshot path.
 
 import (
 	"context"
@@ -18,7 +18,6 @@ import (
 
 	"insta/internal/core"
 	"insta/internal/server"
-	"insta/internal/snap"
 )
 
 // getJSON decodes url's JSON response into v.
@@ -52,8 +51,8 @@ func startHTTP(t *testing.T, h http.Handler) (*http.Server, string) {
 // (not cut the connection), the request must finish 200, and once Drain
 // returns the listener must refuse new connections.
 func TestDrainInFlightCompletes(t *testing.T) {
-	mgr, _ := newTestManager(t, "des", 8, 2, server.Options{})
-	httpSrv, url := startHTTP(t, server.New(mgr, "des").Handler())
+	d, _, url := bootDaemon(t)
+	mgr := d.Manager()
 
 	// Pin the base write lock: the in-flight read below blocks on RLock until
 	// we release it, giving a deterministic "request still running" window.
@@ -90,7 +89,7 @@ func TestDrainInFlightCompletes(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		drained <- server.Drain(ctx, httpSrv, mgr, nil)
+		drained <- d.Close(ctx)
 	}()
 
 	// Drain must not return while the request is still blocked inside its
@@ -120,13 +119,8 @@ func TestDrainInFlightCompletes(t *testing.T) {
 // and boots a fresh engine from the snapshot the drain saved: the committed
 // figures must survive the restart bit-identically.
 func TestDrainSavesCommittedSnapshot(t *testing.T) {
-	cache, err := snap.NewCache(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boot := &server.BootInfo{Mode: "cold", SnapshotKey: "drain-key"}
-	mgr, _ := newTestManager(t, "des", 8, 2, server.Options{Snapshots: cache, Boot: boot})
-	httpSrv, _ := startHTTP(t, server.New(mgr, "des").Handler())
+	d, bt, _ := bootDaemon(t, "-snapshot-dir", t.TempDir())
+	mgr := d.Manager()
 
 	sess, err := mgr.Create()
 	if err != nil {
@@ -142,18 +136,18 @@ func TestDrainSavesCommittedSnapshot(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := server.Drain(ctx, httpSrv, mgr, nil); err != nil {
+	if err := d.Close(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	if mgr.NumSessions() != 0 {
 		t.Fatalf("drain left %d live sessions", mgr.NumSessions())
 	}
 
-	snp, err := cache.Load("drain-key")
+	snp, err := bt.Cache.Load(bt.Key)
 	if err != nil || snp == nil {
 		t.Fatalf("drain did not persist the snapshot: %v/%v", snp, err)
 	}
-	e2, err := core.NewEngineFromState(snp.State, core.Options{TopK: 8, Workers: 2, Tau: 0.05})
+	e2, err := core.NewEngineFromState(snp.State, core.Options{TopK: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

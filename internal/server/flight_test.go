@@ -10,25 +10,22 @@ import (
 	"time"
 
 	"insta/internal/obs"
+	"insta/internal/obs/shell"
 	"insta/internal/server"
 )
 
-// newObsServer stands up a server with the full request-observability stack:
-// enabled tracer, flight recorder, SLO tracker, debug surface.
+// newObsServer stands up a server inside the full request shell: enabled
+// tracer, flight recorder, SLO tracker, debug surface.
 func newObsServer(t *testing.T) (*httptest.Server, *server.Server, *obs.Tracer, *obs.FlightRecorder, *obs.SLOTracker) {
 	t.Helper()
 	mgr, _ := newTestManager(t, "des", 8, 2, server.Options{})
 	s := server.New(mgr, "des")
 	tr := obs.NewTracer()
-	fr := obs.NewFlightRecorder(obs.FlightRecorderOptions{Size: 64, PinThreshold: time.Hour, Tracer: tr})
-	slo := obs.NewSLOTracker(obs.SLOOptions{Objective: 100 * time.Millisecond, ErrorBudget: 0.01})
-	s.EnableTracing(tr)
-	s.EnableFlightRecorder(fr)
-	s.EnableSLO(slo)
-	s.EnableDebug(tr)
+	sh := shell.New(shell.Options{Tracer: tr, FlightSize: 64, FlightPin: time.Hour, SLOObjective: 100 * time.Millisecond, SLOBudget: 0.01})
+	s.Observe(sh)
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
-	return srv, s, tr, fr, slo
+	return srv, s, tr, sh.Flight, sh.SLO
 }
 
 // TestServeJoinsRemoteTrace pins the replica half of distributed tracing: a
@@ -191,10 +188,9 @@ func TestFlightRecorderEndpointAndHealthzSLO(t *testing.T) {
 func TestFlightRecorderPinsServerError(t *testing.T) {
 	mgr, _ := newTestManager(t, "des", 8, 2, server.Options{MaxSessions: 1})
 	s := server.New(mgr, "des")
-	tr := obs.NewTracer()
-	fr := obs.NewFlightRecorder(obs.FlightRecorderOptions{Size: 16, PinThreshold: time.Hour, Tracer: tr})
-	s.EnableTracing(tr)
-	s.EnableFlightRecorder(fr)
+	sh := shell.New(shell.Options{Tracer: obs.NewTracer(), FlightSize: 16, FlightPin: time.Hour})
+	s.Observe(sh)
+	fr := sh.Flight
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 

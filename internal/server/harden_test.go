@@ -15,6 +15,8 @@ import (
 	"testing"
 
 	"insta/internal/num"
+	"insta/internal/obs"
+	"insta/internal/obs/shell"
 	"insta/internal/server"
 )
 
@@ -312,5 +314,42 @@ func baseReadIsOneEpoch(t *testing.T, corners bool) {
 	}
 	if reads[len(reads)-1].Epoch != commits {
 		t.Fatalf("last read is of epoch %d, want %d", reads[len(reads)-1].Epoch, commits)
+	}
+}
+
+// TestIntQueryOverflowIsDefault: ?worst=, ?top= and ?dur= were read by a digit
+// loop that wrapped silently, so a 20-digit value became whatever it
+// overflowed to. A value no int holds is now the parameter's default, like
+// any other malformed one.
+func TestIntQueryOverflowIsDefault(t *testing.T) {
+	mgr, _ := newTestManager(t, "des", 6, 1, server.Options{})
+	s := server.New(mgr, "des")
+	s.Observe(shell.New(shell.Options{Tracer: obs.NewTracer()}))
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	const huge = "99999999999999999999" // > 2^64: wrapped to 7766279631452241919 before
+	for _, bad := range []string{huge, "18446744073709551617", "-3", "+3", "3x"} {
+		var sl struct {
+			Worst []server.EndpointSlack `json:"worst"`
+		}
+		getJSON(t, srv.URL+"/slacks?worst="+bad, &sl)
+		if len(sl.Worst) != 0 {
+			t.Fatalf("?worst=%s listed %d endpoints, want the default (none)", bad, len(sl.Worst))
+		}
+		var gr struct {
+			Stages []server.StageGrad `json:"stages"`
+		}
+		getJSON(t, srv.URL+"/gradients?top="+bad, &gr)
+		if len(gr.Stages) != 32 {
+			t.Fatalf("?top=%s returned %d stages, want the default 32", bad, len(gr.Stages))
+		}
+		resp, err := http.Get(srv.URL + "/debug/trace?dur=" + bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("?dur=%s: status %d, want 400", bad, resp.StatusCode)
+		}
 	}
 }

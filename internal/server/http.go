@@ -1,18 +1,19 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
 	"insta/internal/core"
-	"insta/internal/obs"
+	"insta/internal/obs/shell"
 )
 
 // Info describes the served design for /healthz.
@@ -35,16 +36,7 @@ type Server struct {
 	mux   *http.ServeMux
 	start time.Time
 	log   *slog.Logger
-
-	// Request observability, all optional and nil-tolerant on the hot path:
-	// tr opens a "serve-<route>" span per work request (joined to the
-	// caller's trace via the Traceparent header), fr records every work
-	// request into the flight-recorder ring, slo feeds the burn-rate
-	// tracker. Wire via EnableTracing/EnableFlightRecorder/EnableSLO before
-	// serving.
-	tr  *obs.Tracer
-	fr  *obs.FlightRecorder
-	slo *obs.SLOTracker
+	sh    *shell.Shell // nil until Observe: the request shell is off
 }
 
 // New builds the HTTP layer. The design name is the only field the manager
@@ -92,7 +84,7 @@ func New(mgr *Manager, design string) *Server {
 // readHeaderTimeout bounds how long a connection may take to deliver its
 // request headers, so a client trickling bytes (slowloris) cannot pin a
 // goroutine and a file descriptor per connection for ever. Bodies are bounded
-// by size (maxBodyBytes), not time: a long what-if is legitimate.
+// by size (MaxBodyBytes), not time: a long what-if is legitimate.
 const readHeaderTimeout = 10 * time.Second
 
 // NewHTTPServer returns the http.Server insta-served and insta-router listen
@@ -110,57 +102,20 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // SetLogger replaces the request logger (slog.Default() until then).
 func (s *Server) SetLogger(l *slog.Logger) { s.log = l }
 
-// EnableTracing attaches the request span tracer: every work request gets a
-// "serve-<route>" root span joined to the caller's trace when a Traceparent
-// header arrives (the distributed-tracing hook the fleet router drives), and
-// handlers find the span in the request context for sub-spans. A disabled
-// tracer costs one branch per request; pass the same tracer to EnableDebug
-// so /debug/trace?dur= windows capture request spans too.
-func (s *Server) EnableTracing(tr *obs.Tracer) { s.tr = tr }
-
-// EnableFlightRecorder attaches the always-on request ring: every completed
-// work request is recorded (trace id, route, status, latency, epoch/topoGen),
-// and anomalies pin their span trees. Dumped by GET /debug/flightrecorder
-// (mounted by EnableDebug).
-func (s *Server) EnableFlightRecorder(fr *obs.FlightRecorder) { s.fr = fr }
-
-// FlightRecorder returns the attached recorder, or nil.
-func (s *Server) FlightRecorder() *obs.FlightRecorder { return s.fr }
-
-// EnableSLO attaches the burn-rate tracker, feeds it every work request, and
-// exports its gauges (insta_slo_burn_rate_<window>, objective, budget) on
-// /metrics. /healthz grows an "slo" section. Call once, before serving.
-func (s *Server) EnableSLO(t *obs.SLOTracker) {
-	s.slo = t
-	t.RegisterMetrics(s.met.reg, "insta")
-}
-
-// SLO returns the attached tracker, or nil.
-func (s *Server) SLO() *obs.SLOTracker { return s.slo }
-
-// EnableDebug mounts the profiling surface: the net/http/pprof handlers under
-// /debug/pprof/ and, when tr is non-nil, GET /debug/trace?dur=SECONDS — a
-// windowed capture that enables the tracer for the requested duration
-// (default 1s, capped at 60s) and streams the spans recorded in that window
-// as Chrome trace_event JSON. Call before serving; the debug surface is
-// opt-in so embedded/test servers don't expose it by accident.
-func (s *Server) EnableDebug(tr *obs.Tracer) {
-	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	// Flight-recorder dump: the always-on request ring plus pinned
-	// anomalies. 501 when no recorder is attached, so the route shape is
-	// stable across configurations.
-	s.mux.HandleFunc("GET /debug/flightrecorder", func(w http.ResponseWriter, r *http.Request) {
-		if s.fr == nil {
-			writeErr(w, http.StatusNotImplemented, errors.New("server: no flight recorder attached"))
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = s.fr.WriteJSON(w)
-	})
+// Observe puts the work routes inside request shell sh — trace identity,
+// flight recorder, SLO samples, with the SLO gauges (insta_slo_*) on /metrics
+// and the slo/flight_recorder sections on /healthz — and mounts the debug
+// surface: the shell's /debug/flightrecorder and /debug/pprof/, plus, when the
+// shell has a tracer, GET /debug/trace?dur=SECONDS — a windowed capture that
+// enables the tracer for the requested duration (default 1s, capped at 60s)
+// and streams the spans recorded in that window as Chrome trace_event JSON.
+// Call once, before serving; a server that is never told to observe exposes
+// none of it.
+func (s *Server) Observe(sh *shell.Shell) {
+	s.sh = sh
+	sh.SLO.RegisterMetrics(s.met.reg, "insta")
+	sh.Mount(s.mux)
+	tr := sh.Tracer
 	if tr == nil {
 		return
 	}
@@ -175,7 +130,7 @@ func (s *Server) EnableDebug(tr *obs.Tracer) {
 				}
 			}
 			if err != nil || d <= 0 {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("server: bad dur %q", v))
+				WriteError(w, http.StatusBadRequest, fmt.Errorf("server: bad dur %q", v))
 				return
 			}
 			dur = d
@@ -199,78 +154,40 @@ func (s *Server) EnableDebug(tr *obs.Tracer) {
 	})
 }
 
-// statusWriter captures the response code for the request counters.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	sw.code = code
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-// route wraps a handler with latency/count instrumentation under a stable
-// route label (patterns with wildcards would explode the label space),
-// request tracing + flight-recorder + SLO bookkeeping when enabled, and
-// structured request logging: successes at Debug so production log volume is
-// opt-in via the level, error statuses at Warn. The span name is precomputed
-// so the disabled-observability path allocates nothing beyond the baseline.
+// route runs a handler under a stable route label (patterns with wildcards
+// would explode the label space): inside the request shell, except for the
+// /healthz and /metrics probes, whose pollers would otherwise fill the
+// recorder window; then the daemon's own bookkeeping — the request counters
+// and latency histograms, and the request log line, successes at Debug so
+// production log volume is opt-in via the level, error statuses at Warn. The
+// span name is precomputed so a request with the shell off allocates nothing
+// beyond its handle.
 func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 	work := name != "healthz" && name != "metrics"
-	spanName := "serve-" + name
+	span := "serve-" + name
 	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		var sc obs.SpanContext
-		var sp *obs.Span
+		var sh *shell.Shell
 		if work {
+			sh = s.sh
 			s.met.inflight.Inc()
-			if s.tr != nil || s.fr != nil {
-				sc, _ = obs.ParseTraceparent(r.Header.Get("Traceparent"))
-				sp = s.tr.StartRemote(spanName, sc)
-				if sp != nil {
-					sc = sp.Context()
-					r = r.WithContext(obs.WithSpan(r.Context(), sp))
-				} else if sc.Trace.IsZero() && s.fr != nil {
-					sc.Trace = obs.NewTraceID()
-				}
-				if tp := obs.Traceparent(sc); tp != "" {
-					sw.Header().Set("Traceparent", tp)
-				}
-			}
 		}
-		t0 := time.Now()
-		h(sw, r)
-		d := time.Since(t0)
+		rq := sh.Begin(span, w, r)
+		h(rq, r)
 		if work {
 			s.met.inflight.Dec()
-			sp.End()
-			now := t0.Add(d)
-			if s.fr != nil {
-				s.fr.Record(obs.ReqRecord{
-					Trace:   sc.Trace,
-					Route:   name,
-					Replica: -1,
-					Status:  int32(sw.code),
-					ServeNs: int64(d),
-					TotalNs: int64(d),
-					Epoch:   s.mgr.Epoch(),
-					TopoGen: s.mgr.TopoGen(),
-					Unix:    now.UnixNano(),
-				})
-			}
-			s.slo.Record(d, sw.code >= 500, now)
+			rq.Epoch, rq.TopoGen = s.mgr.Epoch(), s.mgr.TopoGen()
 		}
-		s.met.observe(name, sw.code, d)
+		code, d := rq.End(name)
+		s.met.observe(name, code, d)
 		level := slog.LevelDebug
-		if sw.code >= 400 {
+		if code >= 400 {
 			level = slog.LevelWarn
 		}
 		s.log.LogAttrs(r.Context(), level, "request",
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 			slog.String("route", name),
-			slog.Int("status", sw.code),
+			slog.Int("status", code),
 			slog.Duration("duration", d),
 		)
 	}
@@ -281,34 +198,45 @@ func (s *Server) withSession(h func(http.ResponseWriter, *http.Request, *Session
 	return func(w http.ResponseWriter, r *http.Request) {
 		sess := s.mgr.Get(r.PathValue("id"))
 		if sess == nil {
-			writeErr(w, http.StatusNotFound, errors.New("server: no such session"))
+			WriteError(w, http.StatusNotFound, errors.New("server: no such session"))
 			return
 		}
 		h(w, r, sess)
 	}
 }
 
-// writeJSON emits v as compact JSON through a pooled encoder: once a
-// buffer in the pool has grown to the steady-state response size, the
-// serialization itself costs no per-request allocations (see jsonenc.go).
-// On an encoding error the status line is still sent with an empty body,
-// matching the old json.Encoder behavior whose error was discarded after
-// WriteHeader.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	e := encPool.Get().(*jsonEnc)
-	b, err := e.appendValue(e.buf[:0], v)
+// respEnc is one pooled response encoder: encoding/json writing into a
+// buffer that keeps its grown capacity across requests.
+type respEnc struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var encPool = sync.Pool{New: func() any {
+	e := new(respEnc)
+	e.enc = json.NewEncoder(&e.buf)
+	return e
+}}
+
+// WriteJSON answers with status code and v as one line of compact JSON — the
+// one response writer of the daemon and of the router in front of it. The
+// body is encoded before the status line is sent; on an encoding error (a
+// non-finite float) the status still goes out, with an empty body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	e := encPool.Get().(*respEnc)
+	e.buf.Reset()
+	err := e.enc.Encode(v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	if err == nil {
-		b = append(b, '\n')
-		_, _ = w.Write(b)
+		_, _ = w.Write(e.buf.Bytes())
 	}
-	e.buf = b[:0]
 	encPool.Put(e)
 }
 
-func writeErr(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+// WriteError answers with status code and the body {"error": err's text}.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, errorBody{err.Error()})
 }
 
 // errCode maps session-layer errors to HTTP statuses.
@@ -335,44 +263,22 @@ func errCode(err error) int {
 func (s *Server) Inflight() int64 { return int64(s.met.inflight.Value()) }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	live := s.mgr.NumSessions()
-	max := s.mgr.MaxSessions()
-	resp := map[string]any{
-		"status":   "ok",
-		"uptime_s": time.Since(s.start).Seconds(),
-		"design":   s.info,
-		"sessions": live,
-		"epoch":    s.mgr.Epoch(),
-		// The live-load section a fleet router keys admission and hedging
-		// decisions off. Append-only: existing fields above never change shape.
-		"load": map[string]any{
-			"live_sessions": live,
-			"max_sessions":  max,
-			"headroom":      max - live,
-			"inflight":      int(s.Inflight()),
-		},
+	live, max := s.mgr.NumSessions(), s.mgr.MaxSessions()
+	resp := Healthz{
+		Boot:     s.mgr.Boot(),
+		Design:   s.info,
+		Epoch:    s.mgr.Epoch(),
+		Flight:   s.sh.FlightSummary(),
+		Load:     Load{Headroom: max - live, Inflight: int(s.Inflight()), LiveSessions: live, MaxSessions: max},
+		Sessions: live,
+		SLO:      s.sh.Burn(),
+		Status:   "ok",
+		UptimeS:  time.Since(s.start).Seconds(),
 	}
-	if bi := s.mgr.Boot(); bi != nil {
-		resp["boot"] = bi
+	if lat := s.met.latency; lat.Count() > 0 {
+		resp.Latency = &latencyQuantiles{P50: lat.Quantile(0.50), P95: lat.Quantile(0.95), P99: lat.Quantile(0.99)}
 	}
-	if s.slo != nil {
-		resp["slo"] = s.slo.Snapshot(time.Now())
-	}
-	if s.fr != nil {
-		resp["flight_recorder"] = map[string]any{
-			"size":            s.fr.Size(),
-			"total":           s.fr.Total(),
-			"pin_threshold_s": s.fr.PinThreshold().Seconds(),
-		}
-	}
-	if s.met.latency.Count() > 0 {
-		resp["latency_s"] = map[string]float64{
-			"p50": s.met.latency.Quantile(0.50),
-			"p95": s.met.latency.Quantile(0.95),
-			"p99": s.met.latency.Quantile(0.99),
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, &resp)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -395,53 +301,41 @@ func (s *Server) handleSlacks(w http.ResponseWriter, r *http.Request) {
 	scn := r.URL.Query().Get("scenario")
 	v, err := s.mgr.BaseViewInto(scn, (*bufp)[:0])
 	if err != nil {
-		writeErr(w, errCode(err), err)
+		WriteError(w, errCode(err), err)
 		return
 	}
 	slacks := v.Slacks
 	*bufp = slacks[:0]
-	resp := map[string]any{
-		"wns":       v.WNS,
-		"tns":       v.TNS,
-		"endpoints": len(slacks),
-		"epoch":     v.Epoch,
+	resp := baseSlacks{
+		Corners:    v.Corners,
+		Endpoints:  len(slacks),
+		Epoch:      v.Epoch,
+		Scenario:   scn,
+		TNS:        v.TNS,
+		Violations: core.Violations(slacks),
+		WNS:        v.WNS,
 	}
-	if scn != "" {
-		resp["scenario"] = scn
-	}
-	if v.Corners != nil {
-		resp["corners"] = v.Corners
-	}
-	resp["violations"] = core.Violations(slacks)
-	if n := intQuery(r, "worst", 0); n > 0 {
+	if n := min(intQuery(r, "worst", 0), len(slacks)); n > 0 {
 		idx := make([]int, len(slacks))
 		for i := range idx {
 			idx[i] = i
 		}
 		sort.Slice(idx, func(a, b int) bool { return slacks[idx[a]] < slacks[idx[b]] })
-		if n > len(idx) {
-			n = len(idx)
-		}
-		worst := make([]EndpointSlack, 0, n)
+		resp.Worst = make([]EndpointSlack, 0, n)
 		ref := s.mgr.Ref()
 		for _, i := range idx[:n] {
 			es := EndpointSlack{Endpoint: i, Slack: jsonSlack(slacks[i]), Base: jsonSlack(slacks[i])}
 			if ref != nil {
 				es.Pin = ref.D.Pins[v.Pins[i]].Name
 			}
-			worst = append(worst, es)
+			resp.Worst = append(resp.Worst, es)
 		}
-		resp["worst"] = worst
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, &resp)
 }
 
 func (s *Server) handleGradients(w http.ResponseWriter, r *http.Request) {
-	top := intQuery(r, "top", 32)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"epoch":  s.mgr.Epoch(),
-		"stages": s.mgr.Gradients(top),
-	})
+	WriteJSON(w, http.StatusOK, gradients{Epoch: s.mgr.Epoch(), Stages: s.mgr.Gradients(intQuery(r, "top", 32))})
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
@@ -454,19 +348,19 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			s.met.admissionRejects.Inc()
 			w.Header().Set("Retry-After", "1")
 		}
-		writeErr(w, errCode(err), err)
+		WriteError(w, errCode(err), err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{"id": sess.ID, "epoch": s.mgr.Epoch()})
+	WriteJSON(w, http.StatusCreated, Created{Epoch: s.mgr.Epoch(), ID: sess.ID})
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, sess *Session) {
 	res, err := sess.Result()
 	if err != nil {
-		writeErr(w, errCode(err), err)
+		WriteError(w, errCode(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": sess.ID, "ecos": sess.ECOCount(), "view": res})
+	WriteJSON(w, http.StatusOK, sessionView{ECOs: sess.ECOCount(), ID: sess.ID, View: res})
 }
 
 // handleSessionSlacks reports the session's full slack view. Default is the
@@ -478,10 +372,13 @@ func (s *Server) handleSessionSlacks(w http.ResponseWriter, r *http.Request, ses
 	defer func() { slackBufPool.Put(bufp) }()
 	slacks, err := sess.ScenarioSlacksInto(scn, (*bufp)[:0])
 	if err != nil {
-		writeErr(w, errCode(err), err)
+		WriteError(w, errCode(err), err)
 		return
 	}
 	*bufp = slacks[:0]
+	if slacks == nil {
+		slacks = []float64{} // "slacks":[] for a design without endpoints, not null
+	}
 	wns, tns, viol := 0.0, 0.0, 0
 	for i, sl := range slacks {
 		slacks[i] = jsonSlack(sl)
@@ -493,17 +390,7 @@ func (s *Server) handleSessionSlacks(w http.ResponseWriter, r *http.Request, ses
 			}
 		}
 	}
-	resp := map[string]any{
-		"id":         sess.ID,
-		"wns":        wns,
-		"tns":        tns,
-		"violations": viol,
-		"slacks":     slacks,
-	}
-	if scn != "" {
-		resp["scenario"] = scn
-	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, &sessionSlacks{ID: sess.ID, Scenario: scn, Slacks: slacks, TNS: tns, Violations: viol, WNS: wns})
 }
 
 // handleSnapshot persists the committed base state to the snapshot cache so
@@ -512,33 +399,30 @@ func (s *Server) handleSessionSlacks(w http.ResponseWriter, r *http.Request, ses
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	path, size, key, err := s.mgr.SaveSnapshot()
 	if err != nil {
-		writeErr(w, errCode(err), err)
+		WriteError(w, errCode(err), err)
 		return
 	}
 	s.log.Info("snapshot saved", "path", path, "bytes", size, "epoch", s.mgr.Epoch())
-	writeJSON(w, http.StatusOK, map[string]any{
-		"path":  path,
-		"bytes": size,
-		"key":   key,
-		"epoch": s.mgr.Epoch(),
-	})
+	WriteJSON(w, http.StatusOK, snapshotSaved{Bytes: size, Epoch: s.mgr.Epoch(), Key: key, Path: path})
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, sess *Session) {
 	sess.Close()
-	writeJSON(w, http.StatusOK, map[string]string{"closed": sess.ID})
+	WriteJSON(w, http.StatusOK, closed{sess.ID})
 }
 
-// maxBodyBytes caps the /eco and /topo request bodies. The largest batch the
-// stack sends (a 512-arc what-if) is about 50 KB; this leaves two orders of
-// headroom while keeping one client from making the daemon buffer gigabytes.
-const maxBodyBytes = 8 << 20
+// MaxBodyBytes caps the /eco and /topo request bodies, here and at the router
+// in front (which refuses a larger body itself rather than buffer what the
+// daemon is going to refuse). The largest batch the stack sends (a 512-arc
+// what-if) is about 50 KB; this leaves two orders of headroom while keeping
+// one client from making either process buffer gigabytes.
+const MaxBodyBytes = 8 << 20
 
 // decodeBody decodes a size-capped JSON request body into v, answering 413
 // for an oversized body and 400 for a malformed one. It reports whether the
 // handler should go on.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
 	if err == nil {
 		return true
 	}
@@ -547,7 +431,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if errors.As(err, &tooBig) {
 		code = http.StatusRequestEntityTooLarge
 	}
-	writeErr(w, code, err)
+	WriteError(w, code, err)
 	return false
 }
 
@@ -557,15 +441,15 @@ func (s *Server) handleECO(w http.ResponseWriter, r *http.Request, sess *Session
 		return
 	}
 	if len(req.Resizes) == 0 && len(req.Arcs) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("server: empty ECO batch"))
+		WriteError(w, http.StatusBadRequest, errors.New("server: empty ECO batch"))
 		return
 	}
 	res, err := sess.ApplyECO(req)
 	if err != nil {
-		writeErr(w, errCode(err), err)
+		WriteError(w, errCode(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }
 
 // handleTopo applies one structural edit batch to the session (buffer
@@ -577,45 +461,40 @@ func (s *Server) handleTopo(w http.ResponseWriter, r *http.Request, sess *Sessio
 		return
 	}
 	if len(req.Ops) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New("server: empty topo batch"))
+		WriteError(w, http.StatusBadRequest, errors.New("server: empty topo batch"))
 		return
 	}
 	res, err := sess.ApplyTopo(req)
 	if err != nil {
-		writeErr(w, errCode(err), err)
+		WriteError(w, errCode(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request, sess *Session) {
 	res, err := sess.Commit()
 	if err != nil {
-		writeErr(w, errCode(err), err)
+		WriteError(w, errCode(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request, sess *Session) {
 	if err := sess.Rollback(); err != nil {
-		writeErr(w, errCode(err), err)
+		WriteError(w, errCode(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"rolled_back": sess.ID, "epoch": s.mgr.Epoch()})
+	WriteJSON(w, http.StatusOK, rolledBack{Epoch: s.mgr.Epoch(), RolledBack: sess.ID})
 }
 
+// intQuery reads a non-negative decimal query parameter; anything else —
+// absent, signed, not a number, too large for an int — is def.
 func intQuery(r *http.Request, key string, def int) int {
-	v := r.URL.Query().Get(key)
-	if v == "" {
+	n, err := strconv.ParseUint(r.URL.Query().Get(key), 10, 31)
+	if err != nil {
 		return def
 	}
-	var n int
-	for _, c := range v {
-		if c < '0' || c > '9' {
-			return def
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n
+	return int(n)
 }

@@ -14,6 +14,7 @@ import (
 
 	"insta/internal/core"
 	"insta/internal/obs"
+	"insta/internal/obs/shell"
 	"insta/internal/server"
 )
 
@@ -150,7 +151,7 @@ func TestDebugTraceAndPprof(t *testing.T) {
 	tr.Disable() // the trace window enables it on demand
 	mgr.Engine().SetTracer(tr)
 	s := server.New(mgr, "des")
-	s.EnableDebug(tr)
+	s.Observe(shell.New(shell.Options{Tracer: tr}))
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -617,7 +618,8 @@ func TestServeAdmissionAndTTL(t *testing.T) {
 }
 
 // TestServeLoadSmoke is the ci.sh load check: 100 concurrent ECO requests
-// over 10 sessions against a live HTTP server, zero errors.
+// over 10 sessions against a live daemon — a server.Daemon assembled from the
+// daemon flag set, request shell on, as both mains run it — zero errors.
 func TestServeLoadSmoke(t *testing.T) {
 	for _, kind := range managerKinds {
 		t.Run(kind.name, func(t *testing.T) { loadSmoke(t, kind.corners) })
@@ -625,18 +627,27 @@ func TestServeLoadSmoke(t *testing.T) {
 }
 
 func loadSmoke(t *testing.T, corners bool) {
-	mgr, s := newKindManager(t, corners, "des", 6, 4, server.Options{MaxSessions: 32})
-	srv := httptest.NewServer(server.New(mgr, "des").Handler())
-	defer srv.Close()
-	c := srv.Client()
+	args := []string{"-topk", "6", "-workers", "4", "-max-sessions", "32"}
+	if corners {
+		args = append(args, "-corners", "ss,tt,ff")
+	}
+	d, bt, url := bootDaemon(t, args...)
+	tr := &http.Transport{MaxIdleConnsPerHost: 100}
+	defer func() {
+		// Shutdown waits out connections that never carried a request, which
+		// a transport dialing ahead of 100 concurrent posts leaves behind.
+		tr.CloseIdleConnections()
+		d.Close(context.Background())
+	}()
+	mgr, c := d.Manager(), &http.Client{Transport: tr}
 
 	const sessions = 10
 	const perSession = 10
-	reqs := resizeECOs(s, 83, sessions*perSession)
+	reqs := resizeECOs(&exp.Setup{B: bt.B}, 83, sessions*perSession)
 
 	ids := make([]string, sessions)
 	for i := range ids {
-		code, m := postJSON(t, c, srv.URL+"/session", nil)
+		code, m := postJSON(t, c, url+"/session", nil)
 		if code != http.StatusCreated {
 			t.Fatalf("create %d: %d", i, code)
 		}
@@ -652,7 +663,7 @@ func loadSmoke(t *testing.T, corners bool) {
 			id := ids[i%sessions]
 			var buf bytes.Buffer
 			json.NewEncoder(&buf).Encode(reqs[i])
-			resp, err := c.Post(srv.URL+"/session/"+id+"/eco", "application/json", &buf)
+			resp, err := c.Post(url+"/session/"+id+"/eco", "application/json", &buf)
 			if err != nil {
 				errCount <- err.Error()
 				return
