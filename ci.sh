@@ -23,9 +23,13 @@
 #                      than the cold parse+signoff+extract+compile build
 #  3b. go test -fuzz — 10 s of FuzzInsertTopK: the kernels' fill-tracked Top-K
 #                      insert against the Algorithm-2 reference kept in
-#                      internal/core/queue_ref_test.go, all four planes bit for
-#                      bit after every insert (the checked-in corpus under
-#                      internal/core/testdata/fuzz/ runs in step 3 already)
+#                      internal/core/queue_ref_test.go after every insert: the
+#                      three planes the kernels store (mean, sigma, startpoint)
+#                      bit for bit, and the ordering key they derive from a
+#                      live slot equal to the fourth plane the reference still
+#                      stores, -Inf there exactly where the slot is empty (the
+#                      checked-in corpus under internal/core/testdata/fuzz/
+#                      runs in step 3 already)
 #   4. go test -race — short-mode race check of the scheduler, the engine
 #                      kernels that run on it at S = 1, 3 and 17 — one view,
 #                      one recompute, one cone wave and one slack walk behind

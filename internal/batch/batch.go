@@ -267,6 +267,6 @@ func (e *Engine) ArcDelay(arc int32, rf int) (mean, std float64) {
 
 // TopEntries returns pin p's Top-K arrival entries for (transition rf,
 // scenario s), for inspection and the differential tests.
-func (e *Engine) TopEntries(rf int, p int32, s int) (arr, mean, std []float64, sps []int32) {
+func (e *Engine) TopEntries(rf int, p int32, s int) (mean, std []float64, sps []int32) {
 	return e.LaneTopEntries(rf, p, s)
 }

@@ -84,10 +84,10 @@ func batchVsIndependent(t *testing.T, scns []Scenario) {
 			// the slack evaluation reads).
 			for _, p := range be.Endpoints() {
 				for rf := 0; rf < 2; rf++ {
-					ba, bm, bs, bsp := be.TopEntries(rf, p, s)
-					sa, sm, ss, ssp := se.TopEntries(rf, p)
-					for kk := range ba {
-						if ba[kk] != sa[kk] || bm[kk] != sm[kk] || bs[kk] != ss[kk] || bsp[kk] != ssp[kk] {
+					bm, bs, bsp := be.TopEntries(rf, p, s)
+					sm, ss, ssp := se.TopEntries(rf, p)
+					for kk := range bsp {
+						if bm[kk] != sm[kk] || bs[kk] != ss[kk] || bsp[kk] != ssp[kk] {
 							t.Fatalf("workers=%d scenario %s pin %d rf %d slot %d: queue mismatch",
 								workers, scn.Name, p, rf, kk)
 						}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -30,11 +31,24 @@ type engineState struct {
 	holdSlack               []float64
 }
 
+// derivedKeys returns every slot's ordering key under sign as the kernels
+// derive it (orderKey), -Inf for empty slots.
+func derivedKeys(e *Engine, q *queues, sign float64) []float64 {
+	out := make([]float64, len(q.sp))
+	for i, sp := range q.sp {
+		out[i] = math.Inf(-1)
+		if sp != noSP {
+			out[i] = orderKey(q.mean[i], q.std[i], sign, sign*e.nSigma)
+		}
+	}
+	return out
+}
+
 func captureState(e *Engine) engineState {
 	cp := func(xs []float64) []float64 { return append([]float64(nil), xs...) }
 	cpi := func(xs []int32) []int32 { return append([]int32(nil), xs...) }
 	s := engineState{
-		topArr:  cp(e.top.q.arr),
+		topArr:  derivedKeys(e, e.top.q, 1),
 		topMean: cp(e.top.q.mean),
 		topStd:  cp(e.top.q.std),
 		topSP:   cpi(e.top.q.sp),
@@ -48,7 +62,7 @@ func captureState(e *Engine) engineState {
 		s.gradStd[rf] = cp(e.grad.gradStd[rf])
 	}
 	if e.hold != nil {
-		s.holdNegArr = cp(e.hold.q.arr)
+		s.holdNegArr = derivedKeys(e, e.hold.q, -1)
 		s.holdSlack = cp(e.hold.epSlack)
 	}
 	return s

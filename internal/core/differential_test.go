@@ -77,7 +77,7 @@ func TestDifferentialAgainstRefstaAndMC(t *testing.T) {
 		for i, p := range e.Endpoints() {
 			for rf := 0; rf < 2; rf++ {
 				q := quantiles[i][rf]
-				arr, _, _, sps := e.TopEntries(rf, p)
+				mean, std, sps := e.TopEntries(rf, p)
 				if math.IsNaN(q) || sps[0] == noSP {
 					if !math.IsNaN(q) || sps[0] != noSP {
 						t.Fatalf("seed %d ep %d rf %d: timed/untimed disagreement (mc %v, insta sp %d)",
@@ -88,7 +88,7 @@ func TestDifferentialAgainstRefstaAndMC(t *testing.T) {
 				if q == 0 {
 					continue
 				}
-				rel := math.Abs(arr[0]-q) / math.Abs(q)
+				rel := math.Abs(mean[0]+e.nSigma*std[0]-q) / math.Abs(q)
 				relSum += rel
 				if rel > relWorst {
 					relWorst = rel

@@ -74,8 +74,15 @@ type Engine struct {
 	// headroom so a structural reseed can append pins without relocating
 	// the rf=1 tensor blocks (see Reseed)
 	qstride int // queue slots per (rf, pin) row: S*K
-	period  float64
-	nSigma  float64
+	// row maps a pin to its tensor row: its position in the level order the
+	// engine was built over, so the pins a level launch walks — and most of
+	// their parents, one level up — sit in neighbouring memory. A locality
+	// hint fixed at build time, read only by base: a structural reseed keeps
+	// every pin's row and appends new pins at the tail (Reseed), and a cold or
+	// snapshot-booted engine over the edited state is in level order again.
+	row    []int32
+	period float64
+	nSigma float64
 
 	// Scenario axis. The engine times S = len(lanes) scenarios in one
 	// traversal: every lane sees the nominal arc annotations through its own
@@ -125,8 +132,8 @@ type Engine struct {
 	exc *sdc.ExceptionTable
 
 	// Top-K state, flattened with the scenario axis innermost-but-one:
-	// index ((rf*capPins)+pin)*S*K + s*K + k. One pin's S lane queues are
-	// contiguous, so a kernel walks the pin's fan-in once and streams the
+	// index ((rf*capPins)+row[pin])*S*K + s*K + k. One pin's S lane queues
+	// are contiguous, so a kernel walks the pin's fan-in once and streams the
 	// lanes under it. top is the late view (view.go) with nothing shadowed.
 	top view
 
@@ -390,11 +397,12 @@ func (e *Engine) KernelStats() []sched.KernelProfile {
 }
 
 // base returns the flat offset of (rf, pin)'s lane-0 Top-K block; lane s
-// follows at +s*K and the pin's whole block is qstride = S*K long. The row
-// stride is capPins, not numPins: an engine may carry tensor headroom beyond
-// its live pins so structural reseeds grow in place.
+// follows at +s*K and the pin's whole block is qstride = S*K long. It is the
+// only place a pin becomes a tensor offset. The row stride is capPins, not
+// numPins: an engine may carry tensor headroom beyond its live pins so
+// structural reseeds grow in place.
 func (e *Engine) base(rf int, pin int32) int {
-	return ((rf * e.capPins) + int(pin)) * e.qstride
+	return ((rf * e.capPins) + int(e.row[pin])) * e.qstride
 }
 
 // Lanes returns S, the number of scenarios the engine propagates together.
@@ -418,13 +426,12 @@ func (e *Engine) NumLevels() int { return e.lv.NumLevels }
 func (e *Engine) Level(p int32) int32 { return e.lv.Level[p] }
 
 // MemoryBytes returns the engine's resident state footprint: the Top-K
-// tensors, arc annotations, CSR topology and SP/EP tables — the analogue of
-// Table I's GPU memory column. The tensors and endpoint results grow with the
-// lane count, the graph does not. Gradient buffers are counted once
-// allocated.
+// tensors and their row map, arc annotations, CSR topology and SP/EP tables —
+// the analogue of Table I's GPU memory column. The tensors and endpoint
+// results grow with the lane count, the graph does not. Gradient buffers are
+// counted once allocated.
 func (e *Engine) MemoryBytes() int64 {
-	var b int64
-	b += int64(len(e.top.q.sp)) * (3*8 + 4)
+	b := e.tensorBytes()
 	b += int64(len(e.arcFrom)) * (8*4 + 4*4 + 1) // mean/std both rf + ids + kind
 	b += int64(len(e.faninArc)+len(e.faninFrom)) * 4
 	b += int64(len(e.faninSense))
@@ -434,11 +441,21 @@ func (e *Engine) MemoryBytes() int64 {
 	b += int64(len(e.epPin)) * (4 + 4 + 8 + 8)
 	b += int64(len(e.epSlack)) * (8 + 4 + 1)
 	if e.hold != nil {
-		b += int64(len(e.hold.q.sp))*(3*8+4) + int64(len(e.hold.epSlack))*8
+		b += int64(len(e.hold.epSlack)) * 8
 	}
 	if g := e.grad; g != nil {
 		b += int64(len(g.gradArr[0])) * 2 * 4 * 8  // arr/arrStd/seed planes, both rf
 		b += int64(len(g.gradMean[0])) * 2 * 4 * 8 // arc grad + flow planes, both rf
+	}
+	return b
+}
+
+// tensorBytes is the allocated size of the Top-K tensors, late and early, and
+// of the row map they are indexed through.
+func (e *Engine) tensorBytes() int64 {
+	b := e.top.q.bytes() + int64(len(e.row))*4
+	if e.hold != nil {
+		b += e.hold.q.bytes()
 	}
 	return b
 }

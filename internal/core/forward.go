@@ -6,29 +6,41 @@ import (
 	"insta/internal/liberty"
 )
 
-// queues is one set of Top-K tensors: per slot the ordering key (the late
-// corner arrival, or the negated early corner for hold), the distribution
-// behind it, and its startpoint. The engine's late and early state, an
-// overlay's per-pin copies and the wavefront snapshots all have this shape.
+// queues is one set of Top-K tensors: per slot an arrival distribution and
+// its startpoint (noSP = empty), as in the paper's queue. What a queue is
+// ordered by — the late corner, or the negated early corner for hold — is not
+// stored: every site that compares entries derives it from (mean, std) through
+// orderKey. The engine's late and early state, an overlay's per-pin copies and
+// the wavefront snapshots all have this shape.
 type queues struct {
-	arr, mean, std []float64
-	sp             []int32
+	mean, std []float64
+	sp        []int32
 }
 
-// newQueues allocates n slots; the three float planes share one slab.
+// orderKey is the key a queue is kept descending by: sign*(m + ns*sigma) with
+// ns = sign*nSigma — the late corner for sign +1, the negated early corner
+// for sign -1 (hold keeps the K smallest). It is the one place the expression
+// lives: a key is recomputed from the stored operands wherever two entries are
+// compared, so every comparison sees the same bits.
+func orderKey(m, s, sign, ns float64) float64 { return sign * (m + ns*s) }
+
+// newQueues allocates n slots; the two float planes share one slab.
 func newQueues(n int) queues {
-	buf := make([]float64, 3*n)
+	buf := make([]float64, 2*n)
 	return queues{
-		arr:  buf[0:n:n],
-		mean: buf[n : 2*n : 2*n],
-		std:  buf[2*n : 3*n : 3*n],
+		mean: buf[0:n:n],
+		std:  buf[n : 2*n : 2*n],
 		sp:   make([]int32, n),
 	}
 }
 
+// bytes is the size of the allocated planes.
+func (q *queues) bytes() int64 {
+	return int64(len(q.mean)+len(q.std))*8 + int64(len(q.sp))*4
+}
+
 // copyFrom copies n slots of src starting at from into q at dst.
 func (q *queues) copyFrom(dst int, src *queues, from, n int) {
-	copy(q.arr[dst:dst+n], src.arr[from:from+n])
 	copy(q.mean[dst:dst+n], src.mean[from:from+n])
 	copy(q.std[dst:dst+n], src.std[from:from+n])
 	copy(q.sp[dst:dst+n], src.sp[from:from+n])
@@ -47,8 +59,7 @@ func (q *queues) restride(oldCap, newCap, pins, stride int) queues {
 // equal reports whether n slots of q at a and of o at b hold the same bits.
 func (q *queues) equal(a int, o *queues, b, n int) bool {
 	for i := 0; i < n; i++ {
-		if q.sp[a+i] != o.sp[b+i] || q.arr[a+i] != o.arr[b+i] ||
-			q.mean[a+i] != o.mean[b+i] || q.std[a+i] != o.std[b+i] {
+		if q.sp[a+i] != o.sp[b+i] || q.mean[a+i] != o.mean[b+i] || q.std[a+i] != o.std[b+i] {
 			return false
 		}
 	}
@@ -101,7 +112,7 @@ const laneTile = 16
 func (v *view) recompute(sign float64, p int32) {
 	e := v.e
 	if sp := e.spOfPin[p]; sp >= 0 {
-		v.initStartpoint(sign, p, sp)
+		v.initStartpoint(p, sp)
 		return
 	}
 	if pos := e.faninStart[p]; e.faninStart[p+1]-pos == 1 && liberty.Unate(e.faninSense[pos]) != liberty.NonUnate {
@@ -149,7 +160,7 @@ func (v *view) copyFanin(sign float64, p, pos int32) {
 // The merge is fill-tracked: each destination queue's live count rides along
 // in a stack-local counter, inserts touch live slots only, and the unused
 // tail is blanked once at the end — the packed-tail contract every reader
-// relies on (n live entries, descending, unique startpoints, then -Inf/noSP).
+// relies on (n live entries, descending, unique startpoints, then noSP).
 func (v *view) mergeFanin(sign float64, p int32) {
 	e := v.e
 	k := e.opt.TopK
@@ -187,8 +198,8 @@ func (v *view) mergeFanin(sign float64, p int32) {
 
 // initStartpoint seeds a startpoint pin's queues in every lane with its launch
 // arrival distribution (clock network arrival or input delay); lanes derate
-// arcs, not launches. sign is recompute's.
-func (v *view) initStartpoint(sign float64, p, sp int32) {
+// arcs, not launches. A one-entry queue is in order under either sign.
+func (v *view) initStartpoint(p, sp int32) {
 	e := v.e
 	k := e.opt.TopK
 	m, sg := e.spMean[sp], e.spStd[sp]
@@ -197,7 +208,6 @@ func (v *view) initStartpoint(sign float64, p, sp int32) {
 		for end := b + e.qstride; b < end; b += k {
 			q.mean[b] = m
 			q.std[b] = sg
-			q.arr[b] = sign * (m + sign*e.nSigma*sg)
 			q.sp[b] = sp
 			q.blankTail(b, 1, k)
 		}
@@ -205,10 +215,10 @@ func (v *view) initStartpoint(sign float64, p, sp int32) {
 }
 
 // clearQueue empties a run of queue slots (possibly several lanes' contiguous
-// blocks at once).
-func clearQueue(arr []float64, sps []int32) {
-	for i := range arr {
-		arr[i] = math.Inf(-1)
+// blocks at once): a slot is empty when its startpoint is noSP, whatever its
+// mean and sigma hold.
+func clearQueue(sps []int32) {
+	for i := range sps {
 		sps[i] = noSP
 	}
 }
@@ -216,15 +226,14 @@ func clearQueue(arr []float64, sps []int32) {
 // blankTail empties slots [n, k) of the queue at b: the unused tail a merge
 // that left n live entries owes its readers.
 func (q *queues) blankTail(b, n, k int) {
-	clearQueue(q.arr[b+n:b+k], q.sp[b+n:b+k])
+	clearQueue(q.sp[b+n : b+k])
 }
 
 // merge folds one parent queue — the packed k-slot queue of src at pb, every
 // entry delayed by the arc's (am, as) — into the k-slot queue of q at b, whose
 // first n slots are live, and returns the new live count. Slots from n on are
-// never read, so the destination needs no clearing beforehand. The ordering
-// key is sign*(m + ns*sigma) with ns = sign*nSigma: the late corner for sign
-// +1, the negated early corner for sign -1 (hold keeps the K smallest).
+// never read, so the destination needs no clearing beforehand. Entries are
+// ordered by orderKey under (sign, ns).
 //
 // A parent merged into an empty queue brings only startpoints the queue does
 // not hold (its own are unique), so Algorithm 2 degenerates to a shifted copy
@@ -234,13 +243,12 @@ func (q *queues) blankTail(b, n, k int) {
 // merge of a single-fan-in pin — the paper's "input pins", handled without a
 // kernel — and the first parent's share of every other pin.
 func (q *queues) merge(b, n, k int, src *queues, pb int, am, as, sign, ns float64) int {
-	arr := q.arr[b : b+k]
+	mean := q.mean[b : b+k]
+	std := q.std[b : b+k]
 	pmean := src.mean[pb : pb+k]
 	pstds := src.std[pb : pb+k]
 	psps := src.sp[pb : pb+k]
 	if n == 0 {
-		mean := q.mean[b : b+k]
-		std := q.std[b : b+k]
 		sps := q.sp[b : b+k]
 		sorted, prev := true, math.Inf(1)
 		for kk, psp := range psps {
@@ -249,9 +257,9 @@ func (q *queues) merge(b, n, k int, src *queues, pb int, am, as, sign, ns float6
 			}
 			m := pmean[kk] + am
 			sg := math.Sqrt(pstds[kk]*pstds[kk] + as*as)
-			a := sign * (m + ns*sg)
+			a := orderKey(m, sg, sign, ns)
 			sorted = sorted && a <= prev
-			arr[n], mean[n], std[n], sps[n] = a, m, sg, psp
+			mean[n], std[n], sps[n] = m, sg, psp
 			prev = a
 			n++
 		}
@@ -259,15 +267,22 @@ func (q *queues) merge(b, n, k int, src *queues, pb int, am, as, sign, ns float6
 			return n
 		}
 		for i := 1; i < n; i++ {
-			a, m, sg, sp := arr[i], mean[i], std[i], sps[i]
+			m, sg, sp := mean[i], std[i], sps[i]
+			a := orderKey(m, sg, sign, ns)
 			j := i
-			for j > 0 && arr[j-1] < a {
-				arr[j], mean[j], std[j], sps[j] = arr[j-1], mean[j-1], std[j-1], sps[j-1]
+			for j > 0 && orderKey(mean[j-1], std[j-1], sign, ns) < a {
+				mean[j], std[j], sps[j] = mean[j-1], std[j-1], sps[j-1]
 				j--
 			}
-			arr[j], mean[j], std[j], sps[j] = a, m, sg, sp
+			mean[j], std[j], sps[j] = m, sg, sp
 		}
 		return n
+	}
+	// The full queue's minimum key rides in a register across the parent's
+	// entries: it changes only when an insert lands.
+	var floor float64
+	if n == k {
+		floor = orderKey(mean[k-1], std[k-1], sign, ns)
 	}
 	for kk, psp := range psps {
 		if psp == noSP {
@@ -278,11 +293,13 @@ func (q *queues) merge(b, n, k int, src *queues, pb int, am, as, sign, ns float6
 		// sigma <= pstd+as bounds the key from above; once the queue is full,
 		// rejecting against its minimum here skips the sqrt for the bulk of
 		// contributions.
-		if n == k && sign*(m+ns*(pstd+as)) <= arr[k-1] {
+		if n == k && orderKey(m, pstd+as, sign, ns) <= floor {
 			continue
 		}
 		sg := math.Sqrt(pstd*pstd + as*as)
-		n = q.insert(b, n, k, sign*(m+ns*sg), m, sg, psp)
+		if n = q.insert(b, n, k, m, sg, psp, sign, ns); n == k {
+			floor = orderKey(mean[k-1], std[k-1], sign, ns)
+		}
 	}
 	return n
 }
@@ -293,16 +310,18 @@ func (q *queues) merge(b, n, k int, src *queues, pb int, am, as, sign, ns float6
 // existing startpoint in place (bubbling it up to restore order); Step 2
 // inserts a new startpoint after the live entries — displacing the minimum
 // once the queue is full — and shifts it up into place. Only slots [0, n] are
-// touched.
-func (q *queues) insert(b, n, k int, a, m, s float64, sp int32) int {
-	arr := q.arr[b : b+k]
+// touched. The entry (m, s) and the entries it is compared with are all keyed
+// by orderKey under (sign, ns).
+func (q *queues) insert(b, n, k int, m, s float64, sp int32, sign, ns float64) int {
 	mean := q.mean[b : b+k]
 	std := q.std[b : b+k]
 	sps := q.sp[b : b+k]
+	a := orderKey(m, s, sign, ns)
 	// Fast reject: a contribution at or below a full queue's minimum can
 	// change nothing — if its startpoint is already queued that entry is at
-	// least arr[k-1] >= a, and if it is not queued it cannot displace anything.
-	if n == k && a <= arr[k-1] {
+	// least the minimum >= a, and if it is not queued it cannot displace
+	// anything.
+	if n == k && a <= orderKey(mean[k-1], std[k-1], sign, ns) {
 		return n
 	}
 	// Step 1: startpoint uniqueness check.
@@ -310,15 +329,15 @@ func (q *queues) insert(b, n, k int, a, m, s float64, sp int32) int {
 		if queued != sp {
 			continue
 		}
-		if a <= arr[j] {
+		if a <= orderKey(mean[j], std[j], sign, ns) {
 			return n // existing entry dominates
 		}
 		// Bubble up: the increased value may beat entries above it.
-		for j > 0 && arr[j-1] < a {
-			arr[j], mean[j], std[j], sps[j] = arr[j-1], mean[j-1], std[j-1], sps[j-1]
+		for j > 0 && orderKey(mean[j-1], std[j-1], sign, ns) < a {
+			mean[j], std[j], sps[j] = mean[j-1], std[j-1], sps[j-1]
 			j--
 		}
-		arr[j], mean[j], std[j], sps[j] = a, m, s, sp
+		mean[j], std[j], sps[j] = m, s, sp
 		return n
 	}
 	// Step 2: new startpoint.
@@ -328,24 +347,25 @@ func (q *queues) insert(b, n, k int, a, m, s float64, sp int32) int {
 	} else {
 		n++
 	}
-	for j > 0 && arr[j-1] < a {
-		arr[j], mean[j], std[j], sps[j] = arr[j-1], mean[j-1], std[j-1], sps[j-1]
+	for j > 0 && orderKey(mean[j-1], std[j-1], sign, ns) < a {
+		mean[j], std[j], sps[j] = mean[j-1], std[j-1], sps[j-1]
 		j--
 	}
-	arr[j], mean[j], std[j], sps[j] = a, m, s, sp
+	mean[j], std[j], sps[j] = m, s, sp
 	return n
 }
 
 // LaneTopEntries returns pin p's Top-K arrival entries for transition rf in
-// lane s as (arrival, mean, std, sp) quadruples, for inspection and testing.
-func (e *Engine) LaneTopEntries(rf int, p int32, s int) (arr, mean, std []float64, sps []int32) {
+// lane s as (mean, std, sp) triples in descending corner order, for
+// inspection and testing; the live entries end at the first sp < 0.
+func (e *Engine) LaneTopEntries(rf int, p int32, s int) (mean, std []float64, sps []int32) {
 	k := e.opt.TopK
 	q, b := e.top.queues(rf, p)
 	b += s * k
-	return q.arr[b : b+k], q.mean[b : b+k], q.std[b : b+k], q.sp[b : b+k]
+	return q.mean[b : b+k], q.std[b : b+k], q.sp[b : b+k]
 }
 
 // TopEntries is LaneTopEntries for lane 0.
-func (e *Engine) TopEntries(rf int, p int32) (arr, mean, std []float64, sps []int32) {
+func (e *Engine) TopEntries(rf int, p int32) (mean, std []float64, sps []int32) {
 	return e.LaneTopEntries(rf, p, 0)
 }

@@ -1,25 +1,25 @@
 package core
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // FuzzInsertTopK drives the kernels' fill-tracked insert and the Algorithm-2
-// reference (refInsertTopK) with the same byte-decoded stream and requires
-// the two queues to hold the same bits in all four planes after every insert
-// — startpoint tie-breaks included — and the new insert's live count to be
-// the reference's packed length. On top of that differential it checks every
+// reference (refInsertTopK) with the same byte-decoded stream and requires,
+// after every insert, the kernels' three planes to hold the reference's bits
+// — startpoint tie-breaks included — every live slot's derived key to be the
+// reference's stored arr, and the new insert's live count to be the
+// reference's packed length. On top of that differential it checks every
 // invariant the propagation kernels rely on against the brute-force oracle:
 //
 //   - the kept arrivals equal "max per startpoint, then K largest";
 //   - entries are in descending arrival order;
 //   - startpoints are unique;
-//   - empty slots are packed at the tail (-Inf arrival, noSP marker).
+//   - empty slots are packed at the tail (noSP marker).
 //
 // Bytes decode two per insert: arrival = b0 (a coarse grid that makes
-// duplicate keys and displacement ties common), sp = b1 % 10. Mean and sigma
-// carry the insert's ordinal so a swapped or stale payload plane shows.
+// duplicate keys and displacement ties common), sp = b1 % 10. Sigma carries
+// the insert's ordinal so a swapped or stale payload plane shows, and the mean
+// is what puts the entry's key on b0 (all three are small multiples of 1/2, so
+// the key is exact).
 func FuzzInsertTopK(f *testing.F) {
 	// Algorithm-2 edge cases as seeds.
 	// Duplicate SP update: same startpoint arrives twice, larger second.
@@ -41,19 +41,20 @@ func FuzzInsertTopK(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kByte uint8, data []byte) {
 		k := 1 + int(kByte)%8
 		q := newTestQueue(k)
-		ref := newTestQueue(k)
+		ref := newRefQueue(k)
 
 		var fed []qEntry
 		for i := 0; i+1 < len(data); i += 2 {
 			a := float64(data[i])
 			sp := int32(data[i+1] % 10)
-			m, s := float64(i), float64(i)+0.5
+			s := float64(i) + 0.5
+			m := a - testNS*s
 			fed = append(fed, qEntry{arr: a, sp: sp})
-			q.insert(a, m, s, sp)
-			refInsertTopK(ref.arr, ref.mean, ref.std, ref.sp, a, m, s, sp)
-			if !q.equal(0, &ref.queues, 0, k) {
-				t.Fatalf("insert %d (arr %v sp %d) diverged from the reference:\n got arr=%v mean=%v std=%v sp=%v\nwant arr=%v mean=%v std=%v sp=%v",
-					i/2, a, sp, q.arr, q.mean, q.std, q.sp, ref.arr, ref.mean, ref.std, ref.sp)
+			q.insert(m, s, sp)
+			ref.insert(a, m, s, sp)
+			if err := ref.diff(&q.queues, 0, 1, testNS); err != nil {
+				t.Fatalf("insert %d (arr %v sp %d) diverged from the reference: %v\n got mean=%v std=%v sp=%v\nwant arr=%v mean=%v std=%v sp=%v",
+					i/2, a, sp, err, q.mean, q.std, q.sp, ref.arr, ref.mean, ref.std, ref.sp)
 			}
 		}
 
@@ -69,16 +70,15 @@ func FuzzInsertTopK(f *testing.F) {
 			t.Fatalf("live count %d, first empty slot %d", q.n, n)
 		}
 		for i := n; i < k; i++ {
-			if q.sp[i] != noSP || !math.IsInf(q.arr[i], -1) {
-				t.Fatalf("slot %d after first empty not cleared: arr=%v sp=%d",
-					i, q.arr[i], q.sp[i])
+			if q.sp[i] != noSP {
+				t.Fatalf("slot %d after first empty not cleared: sp=%d", i, q.sp[i])
 			}
 		}
 		// Invariant: descending order, unique startpoints.
 		seen := make(map[int32]bool, n)
 		for i := 0; i < n; i++ {
-			if i > 0 && q.arr[i-1] < q.arr[i] {
-				t.Fatalf("ascending pair at %d: %v < %v", i-1, q.arr[i-1], q.arr[i])
+			if i > 0 && q.key(i-1) < q.key(i) {
+				t.Fatalf("ascending pair at %d: %v < %v", i-1, q.key(i-1), q.key(i))
 			}
 			if seen[q.sp[i]] {
 				t.Fatalf("duplicate startpoint %d", q.sp[i])
@@ -93,8 +93,8 @@ func FuzzInsertTopK(f *testing.F) {
 			t.Fatalf("kept %d entries, oracle kept %d", n, len(want))
 		}
 		for i := 0; i < n; i++ {
-			if q.arr[i] != want[i].arr {
-				t.Fatalf("slot %d: arr %v, oracle %v", i, q.arr[i], want[i].arr)
+			if q.key(i) != want[i].arr {
+				t.Fatalf("slot %d: arr %v, oracle %v", i, q.key(i), want[i].arr)
 			}
 		}
 	})

@@ -14,9 +14,8 @@ package core
 import "math"
 
 // holdState holds the early-arrival state (allocated when Options.Hold): the
-// early view, laid out like the late one with arr storing the *negated*
-// early corner so larger = earlier, plus per-lane hold slacks indexed
-// s*numEPs + i.
+// early view, laid out like the late one and ordered by the *negated* early
+// corner so larger = earlier, plus per-lane hold slacks indexed s*numEPs + i.
 type holdState struct {
 	view
 	epSlack []float64
@@ -71,7 +70,7 @@ func (e *Engine) holdSlackKernel(_, lo, hi int) {
 					if adj.False {
 						continue
 					}
-					early := -q.arr[b+kk]
+					early := q.mean[b+kk] - e.nSigma*q.std[b+kk]
 					if sl := early - req + e.credit(e.spNode[sp], e.epNode[i]); sl < best {
 						best = sl
 					}

@@ -87,7 +87,7 @@ func TestHoldSlackAboveSetupArrivalRelation(t *testing.T) {
 	e.Run()
 	for _, p := range e.Endpoints() {
 		for rf := 0; rf < 2; rf++ {
-			lateArr, _, _, lateSP := e.TopEntries(rf, p)
+			lateMean, lateStd, lateSP := e.TopEntries(rf, p)
 			if lateSP[0] == noSP {
 				continue
 			}
@@ -95,9 +95,9 @@ func TestHoldSlackAboveSetupArrivalRelation(t *testing.T) {
 			if e.hold.q.sp[b] == noSP {
 				continue
 			}
-			early := -e.hold.q.arr[b]
-			if early > lateArr[0]+1e-9 {
-				t.Fatalf("pin %d rf %d: earliest arrival %v above latest %v", p, rf, early, lateArr[0])
+			early := e.hold.q.mean[b] - e.nSigma*e.hold.q.std[b]
+			if late := lateMean[0] + e.nSigma*lateStd[0]; early > late+1e-9 {
+				t.Fatalf("pin %d rf %d: earliest arrival %v above latest %v", p, rf, early, late)
 			}
 		}
 	}

@@ -4,20 +4,23 @@ package core
 // queue's live count and blanks the unused tail once, after it — so whoever
 // rebuilds a queue owes its readers (slack evaluation, the backward pass,
 // child merges, hier's TopEntries users), all of which stop at the first
-// noSP: n live entries in descending order with unique startpoints, then
-// exactly -Inf / noSP up to K. These tests hold every writer to it.
+// noSP: n live entries in descending order of the view's key (orderKey, the
+// production helper, under the view's sign) with unique startpoints, then
+// noSP up to K. These tests hold every writer to it.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"insta/internal/circuitops"
 	"insta/internal/liberty"
 )
 
-// checkPacked verifies the contract on one K-slot queue.
-func checkPacked(arr []float64, sps []int32) error {
+// checkPacked verifies the contract on one K-slot queue ordered under
+// (sign, ns).
+func checkPacked(mean, std []float64, sps []int32, sign, ns float64) error {
 	n := len(sps)
 	for i, sp := range sps {
 		if sp == noSP {
@@ -25,13 +28,16 @@ func checkPacked(arr []float64, sps []int32) error {
 			break
 		}
 	}
+	prev := math.Inf(1)
 	for i := 0; i < n; i++ {
-		if math.IsInf(arr[i], 0) || math.IsNaN(arr[i]) {
-			return fmt.Errorf("live slot %d holds arrival %v", i, arr[i])
+		key := orderKey(mean[i], std[i], sign, ns)
+		if math.IsInf(key, 0) || math.IsNaN(key) {
+			return fmt.Errorf("live slot %d holds key %v", i, key)
 		}
-		if i > 0 && arr[i-1] < arr[i] {
-			return fmt.Errorf("slots %d,%d ascend: %v < %v", i-1, i, arr[i-1], arr[i])
+		if prev < key {
+			return fmt.Errorf("slots %d,%d ascend: %v < %v", i-1, i, prev, key)
 		}
+		prev = key
 		for j := 0; j < i; j++ {
 			if sps[j] == sps[i] {
 				return fmt.Errorf("startpoint %d queued at slots %d and %d", sps[i], j, i)
@@ -39,22 +45,24 @@ func checkPacked(arr []float64, sps []int32) error {
 		}
 	}
 	for i := n; i < len(sps); i++ {
-		if sps[i] != noSP || !math.IsInf(arr[i], -1) {
-			return fmt.Errorf("slot %d of the tail (live count %d) holds arr=%v sp=%d", i, n, arr[i], sps[i])
+		if sps[i] != noSP {
+			return fmt.Errorf("slot %d of the tail (live count %d) holds sp=%d", i, n, sps[i])
 		}
 	}
 	return nil
 }
 
-// assertPacked checks every (rf, pin, lane) queue that view resolves.
-func assertPacked(t *testing.T, what string, e *Engine, view func(rf int, p int32) (*queues, int)) {
+// assertPacked checks every (rf, pin, lane) queue that view resolves, ordered
+// with sign (+1 a late view, -1 the early one).
+func assertPacked(t *testing.T, what string, e *Engine, view func(rf int, p int32) (*queues, int), sign float64) {
 	t.Helper()
 	k := e.opt.TopK
 	for rf := 0; rf < 2; rf++ {
 		for p := int32(0); p < int32(e.numPins); p++ {
 			q, b := view(rf, p)
 			for s := range e.lanes {
-				if err := checkPacked(q.arr[b+s*k:b+(s+1)*k], q.sp[b+s*k:b+(s+1)*k]); err != nil {
+				lo, hi := b+s*k, b+(s+1)*k
+				if err := checkPacked(q.mean[lo:hi], q.std[lo:hi], q.sp[lo:hi], sign, sign*e.nSigma); err != nil {
 					t.Fatalf("%s: rf %d pin %d lane %d: %v", what, rf, p, s, err)
 				}
 			}
@@ -65,8 +73,8 @@ func assertPacked(t *testing.T, what string, e *Engine, view func(rf int, p int3
 // assertEnginePacked checks the engine's late and early tensors.
 func assertEnginePacked(t *testing.T, what string, e *Engine) {
 	t.Helper()
-	assertPacked(t, what+" (late)", e, e.top.queues)
-	assertPacked(t, what+" (early)", e, e.hold.queues)
+	assertPacked(t, what+" (late)", e, e.top.queues, 1)
+	assertPacked(t, what+" (early)", e, e.hold.queues, -1)
 }
 
 // structuralEdit returns tab, carrying e's current annotations, with one fan-in
@@ -143,57 +151,103 @@ func TestPackedTailInvariant(t *testing.T) {
 				if o.Stats().OverlayPins == 0 {
 					t.Fatal("overlay preview recomputed no pin — test is vacuous")
 				}
-				assertPacked(t, "overlay preview", e, o.queues)
+				assertPacked(t, "overlay preview", e, o.queues, 1)
 				o.Reset()
-				assertPacked(t, "overlay rollback", e, o.queues)
+				assertPacked(t, "overlay rollback", e, o.queues, 1)
 				applyToOverlay(o, deltas) // recycled storage seeded from the base
-				assertPacked(t, "overlay re-preview", e, o.queues)
+				assertPacked(t, "overlay re-preview", e, o.queues, 1)
 				o.Commit()
 				assertEnginePacked(t, "overlay commit", e)
 
-				edited, seeds := structuralEdit(t, h.tab, e)
-				st, _, err := CompileIncremental(edited, e.st, seeds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ne, err := e.Reseed(st, seeds, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(ne.Close)
-				assertEnginePacked(t, "structural Reseed", ne)
+				// Two structural edits in a row, each appending pins and
+				// shifting levels: the first reseeds e into a new engine, the
+				// second reseeds that private engine in place.
+				tab, cur := h.tab, e
+				for _, inPlace := range []bool{false, true} {
+					what := fmt.Sprintf("structural Reseed (in place: %v)", inPlace)
+					edited, seeds := structuralEdit(t, tab, cur)
+					oldRow, oldLevel := slices.Clone(cur.row), slices.Clone(cur.lv.Level)
+					st, _, err := CompileIncremental(edited, cur.st, seeds)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ne, err := cur.Reseed(st, seeds, inPlace)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if inPlace != (ne == cur) {
+						t.Fatalf("%s returned the wrong engine", what)
+					}
+					if !inPlace {
+						t.Cleanup(ne.Close)
+						if !slices.Equal(cur.row, oldRow) {
+							t.Fatalf("%s changed the parent engine's row map", what)
+						}
+					}
+					assertEnginePacked(t, what, ne)
+					assertRowsKept(t, what, ne, oldRow)
+					if slices.Equal(ne.lv.Level[:len(oldLevel)], oldLevel) {
+						t.Fatalf("%s: the edit shifted no level — the row check is vacuous", what)
+					}
 
-				cold, err := NewEngineLanes(st, lc.lanes, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(cold.Close)
-				cold.Run()
-				for rf := 0; rf < 2; rf++ {
-					for p := int32(0); p < int32(ne.numPins); p++ {
-						for _, qs := range [][2]*queues{{ne.top.q, cold.top.q}, {ne.hold.q, cold.hold.q}} {
+					cold, err := NewEngineLanes(st, lc.lanes, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(cold.Close)
+					cold.Run()
+					for rf := 0; rf < 2; rf++ {
+						for p := int32(0); p < int32(ne.numPins); p++ {
 							a, b := ne.base(rf, p), cold.base(rf, p)
-							if !sameLive(qs[0], a, qs[1], b, ne.qstride, k) {
-								t.Fatalf("rf %d pin %d: reseeded queues differ from a cold engine's\n got %v %v\nwant %v %v", rf, p,
-									qs[0].arr[a:a+ne.qstride], qs[0].sp[a:a+ne.qstride], qs[1].arr[b:b+ne.qstride], qs[1].sp[b:b+ne.qstride])
+							if !sameLive(ne.top.q, a, cold.top.q, b, ne.qstride, 1, ne.nSigma) ||
+								!sameLive(ne.hold.q, a, cold.hold.q, b, ne.qstride, -1, -ne.nSigma) {
+								t.Fatalf("%s: rf %d pin %d: reseeded queues differ from a cold engine's", what, rf, p)
 							}
 						}
 					}
+					tab, cur = edited, ne
 				}
 			})
 		}
 	}
 }
 
-// sameLive compares two rows of lane queues slot for slot on the ordering
-// plane and the startpoints, and on the payload planes where a slot is live
-// (a tail slot's mean and sigma are whatever the row held before).
-func sameLive(q *queues, a int, o *queues, b, stride, k int) bool {
+// assertRowsKept holds a reseeded engine's row map to Reseed's contract: every
+// pin the previous map covered keeps its row, appended pins take the identity
+// tail, and the whole is a bijection onto [0, numPins).
+func assertRowsKept(t *testing.T, what string, ne *Engine, oldRow []int32) {
+	t.Helper()
+	if len(ne.row) != ne.numPins || ne.numPins <= len(oldRow) {
+		t.Fatalf("%s: row map covers %d pins of %d (was %d) — no pin appended?", what, len(ne.row), ne.numPins, len(oldRow))
+	}
+	seen := make([]bool, ne.numPins)
+	for p, r := range ne.row {
+		switch {
+		case p < len(oldRow) && r != oldRow[p]:
+			t.Fatalf("%s: pin %d moved from row %d to %d", what, p, oldRow[p], r)
+		case p >= len(oldRow) && int(r) != p:
+			t.Fatalf("%s: appended pin %d has row %d, not the identity tail", what, p, r)
+		case r < 0 || int(r) >= ne.numPins || seen[r]:
+			t.Fatalf("%s: row %d (pin %d) is out of range or taken", what, r, p)
+		}
+		seen[r] = true
+	}
+}
+
+// sameLive compares two rows of lane queues slot for slot on the startpoints
+// and, where a slot is live, on the stored planes and the ordering key the
+// kernels derive from them under (sign, ns); a tail slot's mean and sigma are
+// whatever the row held before.
+func sameLive(q *queues, a int, o *queues, b, stride int, sign, ns float64) bool {
 	for i := 0; i < stride; i++ {
-		if q.sp[a+i] != o.sp[b+i] || q.arr[a+i] != o.arr[b+i] {
+		if q.sp[a+i] != o.sp[b+i] {
 			return false
 		}
-		if q.sp[a+i] != noSP && (q.mean[a+i] != o.mean[b+i] || q.std[a+i] != o.std[b+i]) {
+		if q.sp[a+i] == noSP {
+			continue
+		}
+		if q.mean[a+i] != o.mean[b+i] || q.std[a+i] != o.std[b+i] ||
+			orderKey(q.mean[a+i], q.std[a+i], sign, ns) != orderKey(o.mean[b+i], o.std[b+i], sign, ns) {
 			return false
 		}
 	}

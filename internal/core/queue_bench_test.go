@@ -106,7 +106,7 @@ func TestHeapAndLinearQueuesAgree(t *testing.T) {
 		lq := newTestQueue(k)
 		hq := newHeapTopK(k)
 		for _, e := range in {
-			lq.insert(e.arr, e.mean, e.std, e.sp)
+			lq.insert(e.mean, e.std, e.sp)
 			hq.insert(e.arr, e.mean, e.std, e.sp)
 		}
 		want := hq.sorted()
@@ -114,8 +114,8 @@ func TestHeapAndLinearQueuesAgree(t *testing.T) {
 			if lq.sp[i] == noSP {
 				t.Fatalf("k=%d: linear queue shorter than heap at %d", k, i)
 			}
-			if math.Abs(lq.arr[i]-want[i].arr) > 1e-12 {
-				t.Fatalf("k=%d slot %d: linear %v heap %v", k, i, lq.arr[i], want[i].arr)
+			if math.Abs(lq.key(i)-want[i].arr) > 1e-12 {
+				t.Fatalf("k=%d slot %d: linear %v heap %v", k, i, lq.key(i), want[i].arr)
 			}
 		}
 	}
@@ -134,7 +134,7 @@ func benchQueue(b *testing.B, k int, heapBased bool) {
 		} else {
 			q := newTestQueue(k)
 			for _, e := range in {
-				q.insert(e.arr, e.mean, e.std, e.sp)
+				q.insert(e.mean, e.std, e.sp)
 			}
 		}
 	}
@@ -178,7 +178,7 @@ func fanin(seed int64, pins, k int) (out []faninPin, candidates int) {
 	for p := 0; p < pins; p++ {
 		fp := faninPin{parents: 2 + rng.Intn(3)}
 		fp.src = newQueues(fp.parents * k)
-		clearQueue(fp.src.arr, fp.src.sp)
+		clearQueue(fp.src.sp)
 		pool := rng.Perm(3 * k) // the startpoints this pin's cone can see
 		for i := 0; i < fp.parents; i++ {
 			fp.am = append(fp.am, 20+30*rng.Float64())
@@ -196,7 +196,7 @@ func fanin(seed int64, pins, k int) (out []faninPin, candidates int) {
 			sort.Slice(ents, func(a, b int) bool { return ents[a].arr > ents[b].arr })
 			for j, e := range ents {
 				b := i*k + j
-				fp.src.arr[b], fp.src.mean[b], fp.src.std[b], fp.src.sp[b] = e.arr, e.mean, e.std, e.sp
+				fp.src.mean[b], fp.src.std[b], fp.src.sp[b] = e.mean, e.std, e.sp
 			}
 			candidates += n
 		}
@@ -207,17 +207,17 @@ func fanin(seed int64, pins, k int) (out []faninPin, candidates int) {
 
 // refMerge merges fp's parents into dst the way the kernels did before the
 // merge was fill-tracked.
-func (fp *faninPin) refMerge(dst *queues, k int) {
-	clearQueue(dst.arr, dst.sp)
+func (fp *faninPin) refMerge(dst *refQueue, k int) {
+	dst.clear()
 	for par := 0; par < fp.parents; par++ {
 		am, as := fp.am[par], fp.as[par]
 		for kk := par * k; kk < (par+1)*k && fp.src.sp[kk] != noSP; kk++ {
 			m, pstd := fp.src.mean[kk]+am, fp.src.std[kk]
-			if m+3*(pstd+as) <= dst.arr[k-1] {
+			if m+testNS*(pstd+as) <= dst.arr[k-1] {
 				continue
 			}
 			sg := math.Sqrt(pstd*pstd + as*as)
-			refInsertTopK(dst.arr, dst.mean, dst.std, dst.sp, m+3*sg, m, sg, fp.src.sp[kk])
+			dst.insert(m+testNS*sg, m, sg, fp.src.sp[kk])
 		}
 	}
 }
@@ -226,20 +226,20 @@ func (fp *faninPin) refMerge(dst *queues, k int) {
 func (fp *faninPin) merge(dst *queues, k int) {
 	n := 0
 	for par := 0; par < fp.parents; par++ {
-		n = dst.merge(0, n, k, &fp.src, par*k, fp.am[par], fp.as[par], 1, 3)
+		n = dst.merge(0, n, k, &fp.src, par*k, fp.am[par], fp.as[par], 1, testNS)
 	}
 	dst.blankTail(0, n, k)
 }
 
 func benchMergeFanin(b *testing.B, k int, ref bool) {
 	pins, cands := fanin(13, 64, k)
-	dst := newQueues(k)
+	dst, refDst := newQueues(k), newRefQueue(k)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for pi := range pins {
 			if ref {
-				pins[pi].refMerge(&dst, k)
+				pins[pi].refMerge(refDst, k)
 			} else {
 				pins[pi].merge(&dst, k)
 			}
@@ -263,12 +263,12 @@ func TestMergeFaninMatchesReference(t *testing.T) {
 	for _, k := range []int{1, 8, 32} {
 		pins, _ := fanin(13, 64, k)
 		for pi := range pins {
-			got, want := newQueues(k), newQueues(k)
+			got, want := newQueues(k), newRefQueue(k)
 			pins[pi].merge(&got, k)
-			pins[pi].refMerge(&want, k)
-			if !got.equal(0, &want, 0, k) {
-				t.Fatalf("k=%d pin %d: merge diverged from the reference\n got %v %v\nwant %v %v",
-					k, pi, got.arr, got.sp, want.arr, want.sp)
+			pins[pi].refMerge(want, k)
+			if err := want.diff(&got, 0, 1, testNS); err != nil {
+				t.Fatalf("k=%d pin %d: merge diverged from the reference: %v\n got %v %v %v\nwant %v %v %v %v",
+					k, pi, err, got.mean, got.std, got.sp, want.arr, want.mean, want.std, want.sp)
 			}
 		}
 	}

@@ -60,7 +60,7 @@ func (v *view) setupSlack(s int, ep int32, kmax int) (slack float64, sp int32, r
 			req := e.epBase[r][ep] +
 				float64(adj.CycleCount()-1)*e.period +
 				e.credit(e.spNode[qsp], e.epNode[ep])
-			if sl := req - q.arr[b+kk]; sl < slack {
+			if sl := req - (q.mean[b+kk] + e.nSigma*q.std[b+kk]); sl < slack {
 				slack, sp, rf = sl, qsp, int8(r)
 			}
 		}

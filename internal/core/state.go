@@ -569,13 +569,17 @@ func NewEngineLanes(st *State, lanes []Lane, opt Options) (*Engine, error) {
 }
 
 // newEngine builds an engine over st with freshly allocated, unpropagated
-// Top-K tensors.
+// Top-K tensors whose rows follow st's level order.
 func newEngine(st *State, lanes []Lane, opt Options) (*Engine, error) {
 	e, err := newEngineBody(st, lanes, opt)
 	if err != nil {
 		return nil, err
 	}
 	e.capPins = st.NumPins
+	e.row = make([]int32, st.NumPins)
+	for i, p := range st.LvOrder {
+		e.row[p] = int32(i)
+	}
 	sz := 2 * e.capPins * e.qstride
 	*e.top.q = newQueues(sz)
 	if e.hold != nil {
@@ -584,8 +588,9 @@ func newEngine(st *State, lanes []Lane, opt Options) (*Engine, error) {
 	return e, nil
 }
 
-// newEngineBody builds everything but the Top-K tensors, which the caller
-// allocates (newEngine) or takes over from a previous engine (Reseed).
+// newEngineBody builds everything but the Top-K tensors and their row map,
+// which the caller allocates (newEngine) or takes over from a previous engine
+// (Reseed).
 func newEngineBody(st *State, lanes []Lane, opt Options) (*Engine, error) {
 	if opt.TopK < 1 {
 		return nil, fmt.Errorf("core: TopK must be >= 1, got %d", opt.TopK)
@@ -734,14 +739,26 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 		e.inc, e.plan, e.grad = nil, nil, nil
 		e.pinOwner, e.arcStage, e.stageAcc = nil, nil, nil
 	}
+	// Every pin keeps its row — e's converged queues stay where they are —
+	// and appended pins take rows oldPins... in id order (levels that drift
+	// apart under edits cost locality only). A new engine owns a copy of the
+	// map; e's is not touched.
+	if !inPlace {
+		ne.row = make([]int32, oldPins, st.NumPins)
+		copy(ne.row, e.row)
+	}
+	for p := oldPins; p < st.NumPins; p++ {
+		ne.row = append(ne.row, int32(p))
+	}
 	// Appended pins start with empty queues, exactly like a cold engine
-	// entering its first recompute.
+	// entering its first recompute; their rows are one contiguous run.
 	if st.NumPins > oldPins {
 		for rf := 0; rf < 2; rf++ {
-			lo, hi := ne.base(rf, int32(oldPins)), ne.base(rf, int32(st.NumPins))
-			clearQueue(ne.top.q.arr[lo:hi], ne.top.q.sp[lo:hi])
+			lo := ne.base(rf, int32(oldPins))
+			hi := lo + (st.NumPins-oldPins)*ne.qstride
+			clearQueue(ne.top.q.sp[lo:hi])
 			if ne.hold != nil {
-				clearQueue(ne.hold.q.arr[lo:hi], ne.hold.q.sp[lo:hi])
+				clearQueue(ne.hold.q.sp[lo:hi])
 			}
 		}
 	}

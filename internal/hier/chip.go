@@ -179,7 +179,7 @@ func ScenarioBound(sr *ScenarioResult) float64 {
 				continue
 			}
 			for rf := 0; rf < 2; rf++ {
-				_, _, std, sps := sr.Engine.TopEntries(rf, x.InPin(inst, j))
+				_, std, sps := sr.Engine.TopEntries(rf, x.InPin(inst, j))
 				for k := range sps {
 					if sps[k] < 0 {
 						break

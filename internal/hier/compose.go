@@ -453,7 +453,7 @@ func (a *Analysis) RecoverBlock(si, inst int, src *core.State, opt core.Options)
 			Kind: 0, Sense: uint8(liberty.PositiveUnate), Cell: -1, Net: -1,
 		}
 		for rf := 0; rf < 2; rf++ {
-			_, mean, std, spsQ := sr.Engine.TopEntries(rf, x.InPin(inst, j))
+			mean, std, spsQ := sr.Engine.TopEntries(rf, x.InPin(inst, j))
 			mv, sv := math.Inf(-1), 0.0
 			if len(spsQ) > 0 && spsQ[0] >= 0 {
 				mv, sv = mean[0], std[0]

@@ -142,9 +142,8 @@ func extractScenario(st *core.State, scn batch.Scenario, m *BlockModel,
 	for o, p := range m.Outs {
 		outIdx[p] = o
 		for rf := 0; rf < 2; rf++ {
-			arr, mean, std, sps := e.TopEntries(rf, p)
-			for kk := range arr {
-				sp := sps[kk]
+			mean, std, sps := e.TopEntries(rf, p)
+			for kk, sp := range sps {
 				if sp < 0 {
 					break // queues are packed: empties trail
 				}
@@ -166,9 +165,8 @@ func extractScenario(st *core.State, scn batch.Scenario, m *BlockModel,
 		p := st.EpPin[i]
 		best := math.Inf(1)
 		for rf := 0; rf < 2; rf++ {
-			arr, _, _, sps := e.TopEntries(rf, p)
-			for kk := range arr {
-				sp := sps[kk]
+			mean, std, sps := e.TopEntries(rf, p)
+			for kk, sp := range sps {
 				if sp < 0 {
 					break
 				}
@@ -182,7 +180,7 @@ func extractScenario(st *core.State, scn batch.Scenario, m *BlockModel,
 				req := st.EpBase[rf][i] +
 					float64(adj.CycleCount()-1)*st.Period +
 					stCredit(st, st.SpNode[sp], st.EpNode[i])
-				if s := req - arr[kk]; s < best {
+				if s := req - (mean[kk] + st.NSigma*std[kk]); s < best {
 					best = s
 				}
 			}

@@ -94,10 +94,10 @@ func assertEnginesIdentical(t *testing.T, tag string, got *core.Engine, tab *cir
 	}
 	for _, p := range want.Endpoints() {
 		for rf := 0; rf < 2; rf++ {
-			ga, gm, gsd, gsp := got.TopEntries(rf, p)
-			wa, wm, wsd, wsp := want.TopEntries(rf, p)
-			for kk := range wa {
-				if ga[kk] != wa[kk] || gm[kk] != wm[kk] || gsd[kk] != wsd[kk] || gsp[kk] != wsp[kk] {
+			gm, gsd, gsp := got.TopEntries(rf, p)
+			wm, wsd, wsp := want.TopEntries(rf, p)
+			for kk := range wsp {
+				if gm[kk] != wm[kk] || gsd[kk] != wsd[kk] || gsp[kk] != wsp[kk] {
 					t.Fatalf("%s: pin %d rf %d slot %d: queue mismatch", tag, p, rf, kk)
 				}
 			}
