@@ -12,8 +12,6 @@
 package insta
 
 import (
-	"encoding/json"
-	"os"
 	"runtime"
 	"testing"
 
@@ -25,24 +23,6 @@ import (
 	"insta/internal/refsta"
 	"insta/internal/sizing"
 )
-
-// writeBenchJSON records one regression harness's report in its tracked
-// BENCH_*.json at the repo root — only under INSTA_BENCH=1, which ci.sh
-// exports, so a plain `go test ./...` leaves the worktree clean. The gates
-// the harnesses assert evaluate either way.
-func writeBenchJSON(t *testing.T, name string, report any) {
-	t.Helper()
-	if os.Getenv("INSTA_BENCH") != "1" {
-		return
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(name, append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // buildBlock generates a block preset and its reference engine + extraction,
 // failing the benchmark on error.

@@ -5,10 +5,14 @@ package core
 // re-propagation — must settle at zero heap allocations per operation once
 // their scratch and freelists are populated, and the full passes (forward,
 // slack, backward) must launch their levels without allocating. These run on the small
-// generated test design so they stay in the fast tier-1 set; bench_gc_test.go
-// measures the same paths on a real block preset and writes BENCH_gc.json.
+// generated test design so they stay in the fast tier-1 set; the benchmark's
+// allocs_per_op and core.kernel_allocs_per_run read the same paths on block-1.
 
-import "testing"
+import (
+	"testing"
+
+	"insta/internal/obs"
+)
 
 // allocEps absorbs a one-off allocation AllocsPerRun may attribute to the
 // harness itself (a timer tick landing a pooled object, a map rehash on the
@@ -72,26 +76,36 @@ func TestIncrementalPropagateAllocFree(t *testing.T) {
 
 // TestFullPropagateAllocFree pins the full passes — the op of the paper's
 // Table I — at zero allocations: their per-level launches go through kernels
-// bound once with the engine, so a pass costs no closure per level.
+// bound once with the engine, so a pass costs no closure per level. Each lane
+// count runs bare and with a disabled tracer attached, the configuration every
+// served engine pays: a span that allocated while switched off would be a
+// per-level cost on the hot path.
 func TestFullPropagateAllocFree(t *testing.T) {
 	h := buildHarness(t, testSpec(83))
+	off := obs.NewTracer()
+	off.Disable()
 	for _, lc := range laneCases {
-		t.Run(lc.name, func(t *testing.T) {
-			// Grain 4 splits the wider levels over both workers and fuses the
-			// narrow ones, so the level, fused and inline launches all run.
-			e := newLaneEngine(t, h.tab, lc.lanes, Options{TopK: 6, Hold: true, Workers: 2, Grain: 4})
-			e.Run()
-			e.Backward() // allocates the gradient state once
-			for name, pass := range map[string]func(){
-				"Propagate":         e.Propagate,
-				"RefreshSlacks":     e.RefreshSlacks,
-				"RefreshHoldSlacks": e.RefreshHoldSlacks,
-				"Backward":          e.Backward,
-			} {
-				if a := testing.AllocsPerRun(20, pass); a > allocEps {
-					t.Errorf("%s: %.1f allocs/op, want 0", name, a)
+		for _, tc := range []struct {
+			name   string
+			tracer *obs.Tracer
+		}{{lc.name, nil}, {lc.name + "/tracer-off", off}} {
+			t.Run(tc.name, func(t *testing.T) {
+				// Grain 4 splits the wider levels over both workers and fuses the
+				// narrow ones, so the level, fused and inline launches all run.
+				e := newLaneEngine(t, h.tab, lc.lanes, Options{TopK: 6, Hold: true, Workers: 2, Grain: 4, Tracer: tc.tracer})
+				e.Run()
+				e.Backward() // allocates the gradient state once
+				for name, pass := range map[string]func(){
+					"Propagate":         e.Propagate,
+					"RefreshSlacks":     e.RefreshSlacks,
+					"RefreshHoldSlacks": e.RefreshHoldSlacks,
+					"Backward":          e.Backward,
+				} {
+					if a := testing.AllocsPerRun(20, pass); a > allocEps {
+						t.Errorf("%s: %.1f allocs/op, want 0", name, a)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -47,8 +47,10 @@ type Options struct {
 	// Workers is the participant count of the engine's persistent scheduler
 	// pool (the launching goroutine counts as one); 0 means runtime.NumCPU().
 	Workers int
-	// Grain is the scheduler chunk size in pins/spans; 0 means
-	// sched.DefaultGrain. A kernel launch of at most one grain runs inline.
+	// Grain is the scheduler chunk size in pins/spans; 0 means auto-tuned per
+	// launch (sched.New: a size that splits the launch into a few chunks per
+	// worker, never below sched.DefaultGrain). A kernel launch of at most one
+	// grain runs inline.
 	Grain int
 	// Tracer, when non-nil, records hierarchical phase/kernel/level spans for
 	// every engine pass (see internal/obs). A nil or disabled tracer costs
@@ -333,7 +335,7 @@ func NewEngine(t *circuitops.Tables, opt Options) (*Engine, error) {
 	}
 	build := opt.Tracer.StartArg("engine-build", "pins", int64(t.NumPins))
 	defer build.End()
-	st, err := compile(t, build, nil)
+	st, err := CompileTraced(t, build)
 	if err != nil {
 		return nil, err
 	}

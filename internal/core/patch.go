@@ -258,13 +258,7 @@ func CompileIncrementalPatched(t *circuitops.Tables, prev *State, seeds, changed
 
 	// Localized re-levelization over the patched CSRs — no adjacency rebuild,
 	// no full-arc floor scan.
-	prevLv := &levelize.Result{
-		Level:      prev.LvLevel,
-		NumLevels:  prev.NumLevels,
-		Order:      prev.LvOrder,
-		LevelStart: prev.LvLevelStart,
-	}
-	lv, is, err := levelize.IncrementalCSR(t.NumPins, st.FoStart, st.FoAdj, st.FaninStart, st.FaninFrom, prevLv, seeds)
+	lv, is, err := levelize.Incremental(t.NumPins, st.FoStart, st.FoAdj, st.FaninStart, st.FaninFrom, prev.levels(), seeds)
 	if err != nil {
 		return nil, is, err
 	}

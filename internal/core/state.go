@@ -102,12 +102,13 @@ type State struct {
 // tables: the one-time initialization of Fig. 1/Fig. 2 minus the engine's
 // working tensors. This is the expensive half of NewEngine; a snapshot of
 // the result warm-starts any engine configuration.
-func Compile(t *circuitops.Tables) (*State, error) { return compile(t, nil, nil) }
+func Compile(t *circuitops.Tables) (*State, error) { return CompileTraced(t, nil) }
 
 // CompileTraced is Compile recording its levelize phase as a child of
 // parent (used by the batched engine, which owns the enclosing build span).
 func CompileTraced(t *circuitops.Tables, parent *obs.Span) (*State, error) {
-	return compile(t, parent, nil)
+	st, _, err := compile(t, parent, nil, nil)
+	return st, err
 }
 
 // CompileIncremental recompiles extraction tables after a structural edit —
@@ -120,31 +121,31 @@ func CompileTraced(t *circuitops.Tables, parent *obs.Span) (*State, error) {
 // phase is localized. The returned stats report the re-levelized region for
 // telemetry (the serving layer's per-op histogram).
 func CompileIncremental(t *circuitops.Tables, prev *State, seeds []int32) (*State, levelize.IncStats, error) {
-	var is levelize.IncStats
 	if prev == nil {
-		return nil, is, fmt.Errorf("core: CompileIncremental requires a previous state")
+		return nil, levelize.IncStats{}, fmt.Errorf("core: CompileIncremental requires a previous state")
 	}
-	prevLv := &levelize.Result{
-		Level:      prev.LvLevel,
-		NumLevels:  prev.NumLevels,
-		Order:      prev.LvOrder,
-		LevelStart: prev.LvLevelStart,
+	return compile(t, nil, prev, seeds)
+}
+
+// levels is the state's level schedule as the levelizer's result type.
+func (st *State) levels() *levelize.Result {
+	return &levelize.Result{
+		Level:      st.LvLevel,
+		NumLevels:  st.NumLevels,
+		Order:      st.LvOrder,
+		LevelStart: st.LvLevelStart,
 	}
-	st, err := compile(t, nil, func(n int, arcs []levelize.Arc) (*levelize.Result, error) {
-		lv, s, err := levelize.Incremental(n, arcs, prevLv, seeds)
-		is = s
-		return lv, err
-	})
-	return st, is, err
 }
 
 // compile is Compile with an optional parent span for build tracing and an
-// optional levelizer override (nil = full levelize.Levelize; the incremental
-// path substitutes a localized re-levelization that is bit-identical on the
-// edited graph).
-func compile(t *circuitops.Tables, build *obs.Span, lvFn func(int, []levelize.Arc) (*levelize.Result, error)) (*State, error) {
+// optional previous state: nil levelizes in full; otherwise only the forward
+// closure of seeds is re-levelized against prev's schedule, over the fan-out
+// and fan-in CSRs this compile has just built (bit-identical on the edited
+// graph, and the stats say what was re-leveled).
+func compile(t *circuitops.Tables, build *obs.Span, prev *State, seeds []int32) (*State, levelize.IncStats, error) {
+	var is levelize.IncStats
 	if err := t.Validate(); err != nil {
-		return nil, err
+		return nil, is, err
 	}
 	st := &State{
 		Design:  t.Design,
@@ -195,18 +196,41 @@ func compile(t *circuitops.Tables, build *obs.Span, lvFn func(int, []levelize.Ar
 		st.FaninSense[pos] = a.Sense
 	}
 
+	// Fan-out CSR (incremental re-levelization and propagation, backward
+	// gather, overlay reads).
+	st.FoStart = make([]int32, t.NumPins+1)
+	for i := range st.ArcFrom {
+		st.FoStart[st.ArcFrom[i]+1]++
+	}
+	for i := 0; i < t.NumPins; i++ {
+		st.FoStart[i+1] += st.FoStart[i]
+	}
+	st.FoAdj = make([]int32, nArcs)
+	st.FoArc = make([]int32, nArcs)
+	foCursor := make([]int32, t.NumPins)
+	for i := range st.ArcFrom {
+		f := st.ArcFrom[i]
+		pos := st.FoStart[f] + foCursor[f]
+		foCursor[f]++
+		st.FoAdj[pos] = st.ArcTo[i]
+		st.FoArc[pos] = int32(i)
+	}
+
 	// Levelize — INSTA's own topological sort (paper §III-A).
 	lsp := build.Child("levelize")
-	lvArcs := make([]levelize.Arc, nArcs)
-	for i := range t.Arcs {
-		lvArcs[i] = levelize.Arc{From: t.Arcs[i].From, To: t.Arcs[i].To}
+	var lv *levelize.Result
+	var err error
+	if prev == nil {
+		lvArcs := make([]levelize.Arc, nArcs)
+		for i := range t.Arcs {
+			lvArcs[i] = levelize.Arc{From: t.Arcs[i].From, To: t.Arcs[i].To}
+		}
+		lv, err = levelize.Levelize(t.NumPins, lvArcs)
+	} else {
+		lv, is, err = levelize.Incremental(t.NumPins, st.FoStart, st.FoAdj, st.FaninStart, st.FaninFrom, prev.levels(), seeds)
 	}
-	if lvFn == nil {
-		lvFn = levelize.Levelize
-	}
-	lv, err := lvFn(t.NumPins, lvArcs)
 	if err != nil {
-		return nil, err
+		return nil, is, err
 	}
 	st.NumLevels = lv.NumLevels
 	st.LvLevel, st.LvOrder, st.LvLevelStart = lv.Level, lv.Order, lv.LevelStart
@@ -268,25 +292,7 @@ func compile(t *circuitops.Tables, build *obs.Span, lvFn func(int, []levelize.Ar
 		st.ExcCycles[i] = x.Cycles
 	}
 
-	// Fan-out CSR (incremental propagation, backward gather, overlay reads).
-	st.FoStart = make([]int32, t.NumPins+1)
-	for i := range st.ArcFrom {
-		st.FoStart[st.ArcFrom[i]+1]++
-	}
-	for i := 0; i < t.NumPins; i++ {
-		st.FoStart[i+1] += st.FoStart[i]
-	}
-	st.FoAdj = make([]int32, nArcs)
-	st.FoArc = make([]int32, nArcs)
-	foCursor := make([]int32, t.NumPins)
-	for i := range st.ArcFrom {
-		f := st.ArcFrom[i]
-		pos := st.FoStart[f] + foCursor[f]
-		foCursor[f]++
-		st.FoAdj[pos] = st.ArcTo[i]
-		st.FoArc[pos] = int32(i)
-	}
-	return st, nil
+	return st, is, nil
 }
 
 // Tables reconstructs extraction tables equivalent to the ones the state was
@@ -659,12 +665,7 @@ func (e *Engine) bindState(st *State) {
 	e.arcMean, e.arcStd = st.ArcMean, st.ArcStd
 	e.arcKind, e.arcCell, e.arcNet, e.arcFrom, e.arcTo =
 		st.ArcKind, st.ArcCell, st.ArcNet, st.ArcFrom, st.ArcTo
-	e.lv = &levelize.Result{
-		Level:      st.LvLevel,
-		NumLevels:  st.NumLevels,
-		Order:      st.LvOrder,
-		LevelStart: st.LvLevelStart,
-	}
+	e.lv = st.levels()
 	e.spPin, e.spNode, e.spMean, e.spStd, e.spOfPin =
 		st.SpPin, st.SpNode, st.SpMean, st.SpStd, st.SpOfPin
 	e.epPin, e.epNode, e.epBase, e.epHold, e.epOfPin =

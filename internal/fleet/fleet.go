@@ -16,7 +16,8 @@
 //     503 + Retry-After — on a loaded box this converts the kernel's
 //     processor-sharing queueing (every request slow) into FIFO-like
 //     queueing (most requests fast, tail bounded), which is where the
-//     fleet's p99 win comes from on few-core hosts (bench_fleet_test.go);
+//     fleet's p99 win comes from on few-core hosts (fleet.queue_wait_* and
+//     fleet.admission_timeouts in the benchmark's traced pass);
 //   - hedged idempotent reads: a second attempt to a different replica
 //     after a p95-derived delay, first response wins (hedge.go);
 //   - bounded retry with backoff on connection errors (proxy.go);

@@ -1,8 +1,8 @@
 package fleet
 
 // The router's HTTP surface: the same endpoint shapes as one insta-served
-// daemon, so a client (or the loadgen) cannot tell a fleet from a single
-// replica apart from the session IDs. Session-scoped routes resolve the home
+// daemon, so a client (benchmark/client.go drives both with one loop) cannot
+// tell a fleet from a single replica apart from the session IDs. Session-scoped routes resolve the home
 // replica from the ID's embedded key, pass admission, and proxy with bounded
 // retry; base reads go through the hedger (hedge.go); /healthz and /metrics
 // are answered by the router itself.

@@ -95,7 +95,7 @@ func TestComposedIncrementalCSRDirect(t *testing.T) {
 		Order:      prev.LvOrder,
 		LevelStart: prev.LvLevelStart,
 	}
-	inc, stats, err := levelize.IncrementalCSR(coldSt.NumPins,
+	inc, stats, err := levelize.Incremental(coldSt.NumPins,
 		coldSt.FoStart, coldSt.FoAdj, coldSt.FaninStart, coldSt.FaninFrom,
 		prevRes, res.Seeds)
 	if err != nil {

@@ -44,8 +44,7 @@ type IncStats struct {
 	TotalLevels int // NumLevels of the resulting schedule
 }
 
-// csr is the validated fanout adjacency of a graph, shared by the full and
-// incremental entry points.
+// csr is the validated fanout adjacency of a graph.
 type csr struct {
 	indeg    []int32
 	outStart []int32
@@ -172,147 +171,20 @@ func Levelize(n int, arcs []Arc) (*Result, error) {
 //   - The launch order is rebuilt by the same counting sort (schedule), so
 //     Order/LevelStart match entry for entry.
 //
-// n and arcs describe the *edited* graph; n must be >= len(prev.Level)
-// (nodes are only ever appended — removed instances become floating level-0
-// nodes). Every node whose fan-in changed, including appended nodes, must be
-// listed in seeds. A cycle introduced by the edit necessarily lies inside the
-// region and is reported as an error, leaving no partial result.
-func Incremental(n int, arcs []Arc, prev *Result, seeds []int32) (*Result, IncStats, error) {
-	var st IncStats
-	if prev == nil {
-		return nil, st, fmt.Errorf("levelize: incremental requires a previous result")
-	}
-	if n < len(prev.Level) {
-		return nil, st, fmt.Errorf("levelize: node count shrank %d -> %d (nodes are append-only)", len(prev.Level), n)
-	}
-	g, err := buildCSR(n, arcs)
-	if err != nil {
-		return nil, st, err
-	}
-	for _, s := range seeds {
-		if s < 0 || int(s) >= n {
-			return nil, st, fmt.Errorf("levelize: seed %d out of range [0,%d)", s, n)
-		}
-	}
-	// Appended nodes have no previous level; they must be seeded or the
-	// region would miss them.
-	seeded := make([]bool, n)
-	for _, s := range seeds {
-		seeded[s] = true
-	}
-	for i := len(prev.Level); i < n; i++ {
-		if !seeded[int32(i)] {
-			return nil, st, fmt.Errorf("levelize: appended node %d not in seeds", i)
-		}
-	}
-
-	// Region R: forward closure of the seeds over the edited fanout adjacency.
-	inR := make([]bool, n)
-	region := make([]int32, 0, len(seeds))
-	for _, s := range seeds {
-		if !inR[s] {
-			inR[s] = true
-			region = append(region, s)
-		}
-	}
-	for i := 0; i < len(region); i++ {
-		u := region[i]
-		for _, v := range g.outAdj[g.outStart[u]:g.outStart[u+1]] {
-			if !inR[v] {
-				inR[v] = true
-				region = append(region, v)
-			}
-		}
-	}
-
-	level := make([]int32, n)
-	copy(level, prev.Level)
-	// In-region in-degree, counted through region nodes' out-edges, and the
-	// floor level each region node inherits from its out-of-region parents.
-	indegR := make([]int32, n)
-	for _, u := range region {
-		level[u] = 0
-		for _, v := range g.outAdj[g.outStart[u]:g.outStart[u+1]] {
-			if inR[v] {
-				indegR[v]++
-			}
-		}
-	}
-	for _, a := range arcs {
-		if inR[a.To] && !inR[a.From] {
-			if lv := level[a.From] + 1; lv > level[a.To] {
-				level[a.To] = lv
-			}
-		}
-	}
-
-	// Restricted Kahn over the region.
-	frontier := make([]int32, 0, len(region))
-	for _, u := range region {
-		if indegR[u] == 0 {
-			frontier = append(frontier, u)
-		}
-	}
-	processed := len(frontier)
-	for len(frontier) > 0 {
-		var next []int32
-		for _, u := range frontier {
-			for _, v := range g.outAdj[g.outStart[u]:g.outStart[u+1]] {
-				if !inR[v] {
-					continue
-				}
-				indegR[v]--
-				if lv := level[u] + 1; lv > level[v] {
-					level[v] = lv
-				}
-				if indegR[v] == 0 {
-					next = append(next, v)
-				}
-			}
-		}
-		frontier = next
-		processed += len(next)
-	}
-	if processed != len(region) {
-		return nil, st, fmt.Errorf("levelize: edit introduced a cycle: %s", sampleCycle(n, indegR, g.outStart, g.outAdj))
-	}
-
-	res := schedule(level)
-	st.Region = len(region)
-	st.TotalLevels = res.NumLevels
-	if len(region) > 0 {
-		st.MinLevel = int(level[region[0]])
-		st.MaxLevel = st.MinLevel
-		for _, u := range region {
-			if l := int(level[u]); l < st.MinLevel {
-				st.MinLevel = l
-			} else if l > st.MaxLevel {
-				st.MaxLevel = l
-			}
-		}
-		st.LevelsSpan = st.MaxLevel - st.MinLevel + 1
-	}
-	return res, st, nil
-}
-
-// IncrementalCSR is Incremental for callers that already hold the edited
-// graph's adjacency in CSR form (the compiled-state fan-out and fan-in CSRs a
-// patched recompile maintains in place): it skips the O(arcs) adjacency
-// build and the O(arcs) floor scan, making the re-levelization itself scale
-// with the re-leveled region rather than the design.
+// The *edited* graph arrives as the adjacency a compiled state already holds:
+// foStart/foAdj is the fan-out CSR (slots of node p list its successors),
+// faninStart/faninFrom the fan-in CSR (slots of node p list its
+// predecessors). Both must describe the same graph with n nodes — they are
+// trusted, not validated (the tables behind a compiled State have passed
+// Validate). Reading floors off the region's fan-in and the closure off its
+// fan-out makes the work scale with the re-leveled region, not the design.
 //
-// foStart/foAdj is the fan-out CSR (slots of pin p list its successor pins);
-// faninStart/faninFrom is the fan-in CSR (slots of pin p list its
-// predecessor pins). Both must describe the same edited graph with n pins —
-// they are trusted, not validated (a compiled State has already passed
-// Validate). The floor pass walks only the region pins' fan-in, which is
-// equivalent to the full-arc scan in Incremental: an arc contributes a floor
-// level exactly when its head is in the region and its tail is not, and max
-// over any visit order yields the same floor. Everything downstream —
-// restricted Kahn, cycle reporting, the counting-sort schedule — is the same
-// code path, so the Result is bit-identical to Incremental and to a full
-// Levelize of the edited graph.
-func IncrementalCSR(n int, foStart, foAdj, faninStart, faninFrom []int32, prev *Result, seeds []int32) (*Result, IncStats, error) {
+// n must be >= len(prev.Level) (nodes are only ever appended — removed
+// instances become floating level-0 nodes). Every node whose fan-in changed,
+// including appended nodes, must be listed in seeds. A cycle introduced by
+// the edit necessarily lies inside the region and is reported as an error,
+// leaving no partial result.
+func Incremental(n int, foStart, foAdj, faninStart, faninFrom []int32, prev *Result, seeds []int32) (*Result, IncStats, error) {
 	var st IncStats
 	if prev == nil {
 		return nil, st, fmt.Errorf("levelize: incremental requires a previous result")
@@ -368,8 +240,8 @@ func IncrementalCSR(n int, foStart, foAdj, faninStart, faninFrom []int32, prev *
 			}
 		}
 	}
-	// Floor levels from out-of-region parents, read off the region pins'
-	// fan-in instead of a full arc scan.
+	// Floor levels from out-of-region parents: an arc contributes one exactly
+	// when its head is in the region and its tail is not.
 	for _, v := range region {
 		for _, u := range faninFrom[faninStart[v]:faninStart[v+1]] {
 			if !inR[u] {

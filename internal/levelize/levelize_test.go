@@ -157,11 +157,29 @@ func TestDeterministicOrderWithinLevel(t *testing.T) {
 	}
 }
 
+// incrementalArcs runs Incremental over the fan-out and fan-in CSRs of an arc
+// list (the fan-in CSR is the fan-out CSR of the reversed arcs).
+func incrementalArcs(n int, arcs []Arc, prev *Result, seeds []int32) (*Result, IncStats, error) {
+	rev := make([]Arc, len(arcs))
+	for i, a := range arcs {
+		rev[i] = Arc{a.To, a.From}
+	}
+	fo, err := buildCSR(n, arcs)
+	if err != nil {
+		return nil, IncStats{}, err
+	}
+	fi, err := buildCSR(n, rev)
+	if err != nil {
+		return nil, IncStats{}, err
+	}
+	return Incremental(n, fo.outStart, fo.outAdj, fi.outStart, fi.outAdj, prev, seeds)
+}
+
 // incrementalMatchesFull applies an edit and checks Incremental against a
 // full Levelize of the edited graph, element for element.
 func incrementalMatchesFull(t *testing.T, n int, arcs []Arc, prev *Result, newN int, newArcs []Arc, seeds []int32) IncStats {
 	t.Helper()
-	inc, st, err := Incremental(newN, newArcs, prev, seeds)
+	inc, st, err := incrementalArcs(newN, newArcs, prev, seeds)
 	if err != nil {
 		t.Fatalf("Incremental: %v", err)
 	}
@@ -275,7 +293,7 @@ func TestIncrementalCycleRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rewire 0->1 into 2->1: creates 1->2->1.
-	if _, _, err := Incremental(3, []Arc{{2, 1}, {1, 2}}, prev, []int32{1}); err == nil {
+	if _, _, err := incrementalArcs(3, []Arc{{2, 1}, {1, 2}}, prev, []int32{1}); err == nil {
 		t.Fatal("cycle not detected")
 	} else if !strings.Contains(err.Error(), "cycle") {
 		t.Errorf("error %q does not mention cycle", err)
@@ -287,16 +305,16 @@ func TestIncrementalValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Incremental(2, nil, prev, nil); err == nil {
+	if _, _, err := incrementalArcs(2, nil, prev, nil); err == nil {
 		t.Error("shrinking node count not rejected")
 	}
-	if _, _, err := Incremental(3, nil, prev, []int32{7}); err == nil {
+	if _, _, err := incrementalArcs(3, nil, prev, []int32{7}); err == nil {
 		t.Error("out-of-range seed not rejected")
 	}
-	if _, _, err := Incremental(4, []Arc{{0, 3}}, prev, nil); err == nil {
+	if _, _, err := incrementalArcs(4, []Arc{{0, 3}}, prev, nil); err == nil {
 		t.Error("unseeded appended node not rejected")
 	}
-	if _, _, err := Incremental(3, nil, nil, nil); err == nil {
+	if _, _, err := incrementalArcs(3, nil, nil, nil); err == nil {
 		t.Error("nil prev not rejected")
 	}
 }
@@ -307,7 +325,7 @@ func TestIncrementalNoSeedsIsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, st, err := Incremental(3, arcs, prev, nil)
+	inc, st, err := incrementalArcs(3, arcs, prev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@ import (
 
 // DefaultManifestDir is where run manifests land relative to the working
 // directory unless INSTA_MANIFEST_DIR overrides it — results/manifests/ at
-// the repo root, next to the BENCH_*.json trajectories the manifests make
-// attributable.
+// the repo root, next to the results/prNN_*.jsonl benchmark runs the manifests
+// make attributable.
 const DefaultManifestDir = "results/manifests"
 
 // Manifest is the JSON record of one run: a CLI invocation, or one session
@@ -58,8 +58,9 @@ type Manifest struct {
 	// Allocator/collector footprint over the process lifetime at manifest
 	// close (FillGC): collection count, cumulative stop-the-world pause and
 	// cumulative bytes allocated. Optional and append-only like every
-	// manifest field; BENCH_gc.json holds the per-operation view, these give
-	// a production run's coarse whole-process counterpart.
+	// manifest field; the benchmark's allocs_per_op and server.gc_pause_max_us
+	// hold the per-operation view, these give a production run's coarse
+	// whole-process counterpart.
 	NumGC        uint32  `json:"num_gc,omitempty"`
 	GCPauseMS    float64 `json:"gc_pause_ms,omitempty"`
 	AllocTotalMB float64 `json:"alloc_total_mb,omitempty"`

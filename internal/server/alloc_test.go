@@ -4,8 +4,8 @@ package server_test
 // once a session is warm, reading its full slack vector into a caller-owned
 // buffer must not allocate — the overlay patch walk uses the no-copy changed
 // endpoint view and the base copy grows the destination at most once.
-// bench_gc_test.go measures the same path on a block preset under the
-// INSTA_GC_GATE harness; this keeps the invariant in the fast tier-1 set.
+// The benchmark's server.allocs_per_read rung counts the same path with HTTP
+// around it on block-5.
 
 import (
 	"testing"

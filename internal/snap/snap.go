@@ -6,7 +6,8 @@
 // A snapshot reconstructs a ready-to-propagate core.Engine or batch.Engine
 // without touching the original sources: no parsing, no reference signoff,
 // no extraction, no levelization — boot from disk in milliseconds where the
-// cold path takes seconds (see DESIGN.md §11 and BENCH_snap.json).
+// cold path takes seconds (see DESIGN.md §11; the benchmark's snap.load_ms
+// rung against refsta.new_ms + circuitops.extract_ms + core.compile_ms).
 //
 // File layout (all integers little-endian):
 //

@@ -10,7 +10,9 @@ package topo
 // single-lane engine.
 
 import (
+	"math"
 	"testing"
+	"time"
 
 	"insta/internal/batch"
 	"insta/internal/bench"
@@ -23,12 +25,20 @@ import (
 
 func buildTables(t testing.TB, seed int64) *circuitops.Tables {
 	t.Helper()
-	b, err := bench.Generate(bench.Spec{
+	return specTables(t, bench.Spec{
 		Name: "topotest", Seed: seed, Tech: liberty.TechN3(),
 		Groups: 2, FFsPerGroup: 8, Layers: 4, Width: 8,
 		CrossFrac: 0.1, NumPIs: 3, NumPOs: 3,
 		Period: 1, Uncertainty: 10, Die: 80, VioFrac: 0.1,
 	})
+}
+
+// specTables generates spec and extracts its tables through the reference
+// engine (internal/exp does the same, but reaches this package through sizing
+// and server, so it cannot be imported here).
+func specTables(t testing.TB, spec bench.Spec) *circuitops.Tables {
+	t.Helper()
+	b, err := bench.Generate(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,4 +469,84 @@ func TestRepeatedEditsStayIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertEnginesIdentical(t, "step4", s.Engine(), s.Tables(), opt)
+}
+
+// TestApplyBeatsColdRebuild holds the subsystem's reason to exist on a real
+// block: a steady-state edit batch on a warmed session — two buffers spliced
+// into net arcs plus one cell-arc re-annotation, the shape one optimizer step
+// produces — must beat the cold alternative (compile the edited tables, build
+// an engine, propagate in full) by an order of magnitude (25-32x measured).
+// That the two agree bit for bit is TestRepeatedEditsStayIdentical's job. The
+// benchmark has no rung for this ratio; this floor goes when it gets one.
+func TestApplyBeatsColdRebuild(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times block-1")
+	}
+	spec, err := bench.BlockSpec("block-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := specTables(t, spec)
+	opt := core.Options{TopK: 8, Workers: 4}
+	base := mustEngine(t, tab, opt)
+	defer base.Close()
+
+	// Targets sit in the deeper half of the level schedule, where
+	// endpoint-driven sizing candidates live; an edit at the input boundary
+	// would re-level (correctly, but unrepresentatively) a quarter of the
+	// design.
+	deep := func(kind uint8, frac float64) int32 {
+		want := int32(float64(base.NumLevels()) * frac)
+		best, bestLv := int32(-1), int32(-1)
+		for i := range tab.Arcs {
+			if lv := base.Level(tab.Arcs[i].To); tab.Arcs[i].Kind == kind && lv <= want && lv > bestLv {
+				best, bestLv = int32(i), lv
+			}
+		}
+		return best
+	}
+	netA, netB, cellArc := deep(1, 0.60), deep(1, 0.75), deep(0, 0.70)
+	if netA < 0 || netB < 0 || netA == netB || cellArc < 0 {
+		t.Fatalf("no suitable edit targets (net %d/%d, cell %d)", netA, netB, cellArc)
+	}
+	ann := [2]num.Dist{base.ArcDelay(cellArc, 0), base.ArcDelay(cellArc, 1)}
+	ann[0].Mean *= 1.05
+	ann[1].Mean *= 1.05
+	// Insert-only, so arc ids stay valid and every Apply splices fresh buffers:
+	// the session keeps growing as an optimizer's would.
+	ops := []Op{
+		InsertBuffer(netA, -1, bufDelay(5, 0.5), 0.5),
+		InsertBuffer(netB, -1, bufDelay(5, 0.5), 0.4),
+		Annotate(cellArc, ann),
+	}
+	s, err := NewSession(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Apply(ops); err != nil { // the first Apply allocates the working engine
+		t.Fatal(err)
+	}
+
+	// Interleaved best-of-7: both sides see the same background load.
+	timed := func(fn func()) time.Duration {
+		t0 := time.Now()
+		fn()
+		return time.Since(t0)
+	}
+	inc, cold := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < 7; i++ {
+		inc = min(inc, timed(func() {
+			if _, err := s.Apply(ops); err != nil {
+				t.Fatal(err)
+			}
+		}))
+		cold = min(cold, timed(func() { mustEngine(t, s.Tables(), opt).Close() }))
+	}
+	t.Logf("block-1: Apply %v vs cold rebuild %v — %.1fx (relevel %+v)",
+		inc, cold, float64(cold)/float64(inc), s.Stats().Relevel)
+	if cold < 10*inc {
+		t.Errorf("steady-state Apply %v is only %.1fx faster than a cold rebuild %v, want >= 10x",
+			inc, float64(cold)/float64(inc), cold)
+	}
 }
