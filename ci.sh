@@ -19,20 +19,26 @@
 #                      next to that row's accuracy check). Every other timing
 #                      claim is a rung of benchmark/ (DESIGN.md §12), measured
 #                      there and nowhere else
-#  3b. go test -fuzz — 10 s of FuzzInsertTopK: the kernels' fill-tracked Top-K
-#                      insert against the Algorithm-2 reference kept in
-#                      internal/core/queue_ref_test.go after every insert: the
-#                      three planes the kernels store (mean, sigma, startpoint)
-#                      bit for bit, and the ordering key they derive from a
-#                      live slot equal to the fourth plane the reference still
-#                      stores, -Inf there exactly where the slot is empty (the
-#                      checked-in corpus under internal/core/testdata/fuzz/
-#                      runs in step 3 already)
+#  3b. go test -fuzz — 10 s of FuzzMergeTopK: up to four packed parent queues
+#                      merged into one destination through the kernels'
+#                      indexed merge (a startpoint is looked up, not scanned
+#                      for) and through the scanning Algorithm-2 reference kept
+#                      in internal/core/queue_ref_test.go, compared after
+#                      every parent: the three planes the kernels store (mean,
+#                      sigma, startpoint) bit for bit, the ordering key they
+#                      derive from a live slot equal to the fourth plane the
+#                      reference still stores, -Inf there exactly where the
+#                      slot is empty — and the startpoint index itself exact:
+#                      current and right for every queued startpoint, current
+#                      for no other (the checked-in corpus under
+#                      internal/core/testdata/fuzz/ runs in step 3 already)
 #   4. go test -race — short-mode race check of the scheduler, the engine
 #                      kernels that run on it at S = 1, 3 and 17 — one view,
 #                      one recompute, one cone wave and one slack walk behind
 #                      forward, hold, commit and overlay — (including
-#                      the pooled-scratch overlay-reuse differential under 8
+#                      eight overlays borrowing the base engine's merge
+#                      scratch sets at once in internal/core and the
+#                      pooled-scratch overlay-reuse differential under 8
 #                      concurrent sessions in internal/batch), the serving
 #                      layer's session manager over its one engine (including
 #                      the base-read-is-one-epoch test: commits in a loop
@@ -77,8 +83,8 @@ go build ./...
 echo "== go test =="
 go test ./...
 
-echo "== go test -fuzz FuzzInsertTopK (10s, fill-tracked insert vs the Algorithm-2 reference) =="
-go test ./internal/core -run '^$' -fuzz FuzzInsertTopK -fuzztime 10s
+echo "== go test -fuzz FuzzMergeTopK (10s, indexed merge vs the scanning Algorithm-2 reference) =="
+go test ./internal/core -run '^$' -fuzz FuzzMergeTopK -fuzztime 10s
 
 echo "== go test -race (sched + levelize + core + batch + topo + server + obs + snap + cmdutil + fleet + hier, short) =="
 go test -race -short ./internal/sched/... ./internal/levelize/... ./internal/core/... ./internal/batch/... ./internal/topo/... ./internal/server/... ./internal/obs/... ./internal/snap/... ./internal/cmdutil/... ./internal/fleet/... ./internal/hier/...

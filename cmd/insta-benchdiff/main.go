@@ -6,6 +6,13 @@
 //
 //	insta-benchdiff [-contract BENCHMARK.json] results/prNN_benchmark_pairs.jsonl
 //
+// With -traced the file holds `--trace 1` runs instead ({"side","run","result"}
+// per line) and the table is one row per per_layer rung of the contract: each
+// side's readings, sorted, and their median. Rungs carry no bounds, so no
+// verdicts.
+//
+//	insta-benchdiff -traced results/prNN_traced_rungs.jsonl
+//
 // Exit status 1: a row regressed, an op failed or a run was not correct.
 package main
 
@@ -17,6 +24,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 )
 
 // contract is the part of BENCHMARK.json a verdict depends on.
@@ -25,6 +33,7 @@ type contract struct {
 		Name string `json:"name"`
 	} `json:"workloads"`
 	EndToEnd []metric `json:"end_to_end"`
+	PerLayer []metric `json:"per_layer"`
 }
 
 type metric struct {
@@ -33,7 +42,8 @@ type metric struct {
 	Bound  float64 `json:"bound"`  // how much worse, as a fraction of the parent median, is a regression
 }
 
-// run is one line of the pairs file: what benchmark/run.sh printed last.
+// run is one line of the pairs file: what benchmark/run.sh printed last. A
+// line of a traced file has the same shape without workload and pair.
 type run struct {
 	Side     string `json:"side"` // "parent" or "change"
 	Workload string `json:"workload"`
@@ -60,6 +70,20 @@ type row struct {
 
 type totals struct{ Runs, Attempted, Failed, Incorrect int }
 
+// tally totals what the runs of a file attempted.
+func tally(runs []run) totals {
+	var tot totals
+	for _, r := range runs {
+		tot.Runs++
+		tot.Attempted += r.Result.Attempted
+		tot.Failed += r.Result.Failed
+		if !r.Result.Correct {
+			tot.Incorrect++
+		}
+	}
+	return tot
+}
+
 // quantile is the linearly interpolated q-quantile of sorted v.
 func quantile(v []float64, q float64) float64 {
 	h := float64(len(v)-1) * q
@@ -74,16 +98,9 @@ func quantile(v []float64, q float64) float64 {
 // unresolved: the parent's quartile spread exceeds the bound and some change
 // run reads no better than some parent run. Otherwise unchanged.
 func diff(c *contract, runs []run) ([]row, totals) {
-	var tot totals
 	type key struct{ workload, side string }
 	byPair := map[key]map[int]run{}
 	for _, r := range runs {
-		tot.Runs++
-		tot.Attempted += r.Result.Attempted
-		tot.Failed += r.Result.Failed
-		if !r.Result.Correct {
-			tot.Incorrect++
-		}
 		k := key{r.Workload, r.Side}
 		if byPair[k] == nil {
 			byPair[k] = map[int]run{}
@@ -136,7 +153,7 @@ func diff(c *contract, runs []run) ([]row, totals) {
 			rows = append(rows, out)
 		}
 	}
-	return rows, tot
+	return rows, tally(runs)
 }
 
 // report prints the table and the totals, and says whether the file passes.
@@ -153,6 +170,75 @@ func report(w io.Writer, rows []row, tot totals) bool {
 	fmt.Fprintf(w, "\n%d runs, %d ops attempted, %d failed, %d runs not `correct`\n",
 		tot.Runs, tot.Attempted, tot.Failed, tot.Incorrect)
 	return ok
+}
+
+// rung is one per-layer metric of the traced runs: each side's readings,
+// sorted.
+type rung struct {
+	Name           string
+	Parent, Change []float64
+}
+
+// rungs collects the traced readings of every per_layer metric of the
+// contract that some run reports, in the contract's order.
+func rungs(c *contract, runs []run) ([]rung, totals) {
+	var out []rung
+	for _, m := range c.PerLayer {
+		g := rung{Name: m.Name}
+		for _, r := range runs {
+			v, ok := r.Result.Metrics[m.Name]
+			switch {
+			case ok && r.Side == "parent":
+				g.Parent = append(g.Parent, v.Value)
+			case ok && r.Side == "change":
+				g.Change = append(g.Change, v.Value)
+			}
+		}
+		if len(g.Parent)+len(g.Change) > 0 {
+			sort.Float64s(g.Parent)
+			sort.Float64s(g.Change)
+			out = append(out, g)
+		}
+	}
+	return out, tally(runs)
+}
+
+// reading formats one value: a count in full (a cone of 13169 pins is not
+// 1.317e+04), a measurement to four significant digits.
+func reading(x float64) string {
+	if x == math.Trunc(x) && math.Abs(x) < 1e15 {
+		return fmt.Sprintf("%.0f", x)
+	}
+	return fmt.Sprintf("%.4g", x)
+}
+
+// readings formats one side of a rung: "a b c → **median**", or the value
+// alone when every run read the same.
+func readings(v []float64) string {
+	if len(v) == 0 {
+		return "—"
+	}
+	if v[0] == v[len(v)-1] {
+		return reading(v[0]) + " (all runs)"
+	}
+	var b strings.Builder
+	for _, x := range v {
+		b.WriteString(reading(x) + " ")
+	}
+	return b.String() + "→ **" + reading(quantile(v, 0.5)) + "**"
+}
+
+// reportRungs prints the rung table and the totals, and says whether every
+// run was correct and complete.
+func reportRungs(w io.Writer, rows []rung, tot totals) bool {
+	fmt.Fprintln(w, "| rung | parent | change |")
+	fmt.Fprintln(w, "|---|---|---|")
+	for _, g := range rows {
+		fmt.Fprintf(w, "| `%s` | %s | %s |\n", g.Name, readings(g.Parent), readings(g.Change))
+	}
+	fmt.Fprintf(w, "\n%d runs, %d ops attempted, %d failed, %d runs not `correct`\n",
+		tot.Runs, tot.Attempted, tot.Failed, tot.Incorrect)
+	return tot.Failed == 0 && tot.Incorrect == 0
 }
 
 func load(contractPath, pairsPath string) (*contract, []run, error) {
@@ -182,9 +268,11 @@ func load(contractPath, pairsPath string) (*contract, []run, error) {
 
 func main() {
 	contractPath := flag.String("contract", "BENCHMARK.json", "the benchmark contract naming workloads, metrics and bounds")
+	traced := flag.Bool("traced", false, "the file holds --trace 1 runs: print each per_layer rung's readings per side")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: insta-benchdiff [-contract BENCHMARK.json] results/prNN_benchmark_pairs.jsonl")
+		fmt.Fprintln(os.Stderr, "usage: insta-benchdiff [-contract BENCHMARK.json] results/prNN_benchmark_pairs.jsonl\n"+
+			"       insta-benchdiff [-contract BENCHMARK.json] -traced results/prNN_traced_rungs.jsonl")
 		os.Exit(2)
 	}
 	c, runs, err := load(*contractPath, flag.Arg(0))
@@ -192,8 +280,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	rows, tot := diff(c, runs)
-	if !report(os.Stdout, rows, tot) {
+	var ok bool
+	if *traced {
+		rows, tot := rungs(c, runs)
+		ok = reportRungs(os.Stdout, rows, tot)
+	} else {
+		rows, tot := diff(c, runs)
+		ok = report(os.Stdout, rows, tot)
+	}
+	if !ok {
 		os.Exit(1)
 	}
 }

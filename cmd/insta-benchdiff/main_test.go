@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -56,6 +58,37 @@ func TestCheckedInPairs(t *testing.T) {
 	}
 	if !ok || !ok16 {
 		t.Errorf("exit status: pr18 ok=%v pr16 ok=%v, want both true", ok, ok16)
+	}
+}
+
+// TestCheckedInTracedRungs reads PR 18's traced file the way EXPERIMENTS.md
+// tabulated it by hand: three runs per side, core.forward_ms 109.1 -> 84.1 at
+// the median, the large cone 13 169 pins in every run.
+func TestCheckedInTracedRungs(t *testing.T) {
+	c, runs, err := load("../../BENCHMARK.json", "../../results/pr18_traced_rungs.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, tot := rungs(c, runs)
+	if tot.Runs != 6 || len(rows) == 0 || len(rows) > len(c.PerLayer) {
+		t.Fatalf("%d rungs of %d from %+v", len(rows), len(c.PerLayer), tot)
+	}
+	by := map[string]rung{}
+	for _, g := range rows {
+		if !sort.Float64sAreSorted(g.Parent) || !sort.Float64sAreSorted(g.Change) {
+			t.Errorf("%s: readings not sorted: %+v", g.Name, g)
+		}
+		by[g.Name] = g
+	}
+	if got := readings(by["core.overlay_pins_large"].Change); got != "13169 (all runs)" {
+		t.Errorf("core.overlay_pins_large: %q", got)
+	}
+	var out strings.Builder
+	if !reportRungs(&out, rows, tot) {
+		t.Error("six correct runs reported as failing")
+	}
+	if want := "| `core.forward_ms` | 98.49 109.1 109.5 → **109.1** | 78.29 84.1 84.18 → **84.1** |"; !strings.Contains(out.String(), want) {
+		t.Errorf("table lacks the row\n%s\ngot\n%s", want, out.String())
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -237,6 +239,22 @@ func TestRejectsBadOptions(t *testing.T) {
 	h := buildHarness(t, testSpec(28))
 	if _, err := NewEngine(h.tab, Options{TopK: 0}); err == nil {
 		t.Error("TopK=0 accepted")
+	}
+	// A queue deeper than a startpoint index entry's slot field can address is
+	// refused by name, before anything is sized by it (where an int can be
+	// that large at all).
+	if big := int64(maxTopK) + 1; big <= math.MaxInt {
+		st, err := Compile(h.tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, cold := NewEngine(h.tab, Options{TopK: int(big)})
+		_, warm := NewEngineFromState(st, Options{TopK: int(big)})
+		for _, err := range []error{cold, warm} {
+			if err == nil || !strings.Contains(err.Error(), strconv.Itoa(maxTopK)) {
+				t.Errorf("TopK=%d: error %v does not name the limit %d", big, err, maxTopK)
+			}
+		}
 	}
 	h.tab.Arcs[0].To = -3
 	if _, err := NewEngine(h.tab, Options{TopK: 4}); err == nil {

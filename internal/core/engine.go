@@ -19,8 +19,8 @@
 package core
 
 import (
-	"fmt"
 	"math"
+	"sync"
 
 	"insta/internal/circuitops"
 	"insta/internal/levelize"
@@ -164,34 +164,41 @@ type Engine struct {
 	inc  *propScratch // reusable incremental-propagation state (lazily built)
 	plan []levelGroup // fused-level launch plan (lazily built; see levelPlan)
 
+	// Merge scratch sets not out with a sweep or wave (borrowScratch).
+	scratchMu   sync.Mutex
+	scratchFree [][]*mergeScratch
+
 	// Full-pass kernels, bound once with the engine (bindKernels): a closure
 	// literal or method value passed to the pool escapes — the job slot
 	// retains it — so building one per launch would cost an allocation per
 	// level. The bound kernels read what a launch varies through run.
 	kern struct{ level, fused, backward, slack, holdSlack func(id, lo, hi int) }
 	run  struct {
-		v      *view // view a sweep rebuilds, and its ordering sign
-		sign   float64
-		pins   []int32 // the launched level's pins (level, backward)
-		lo, hi int     // the launched group's levels (fused)
-		lane   int     // lane a backward pass differentiates
+		v       *view // view a sweep rebuilds, and its ordering sign
+		sign    float64
+		scratch []*mergeScratch // the sweep's borrowed merge scratch, by participant
+		pins    []int32         // the launched level's pins (level, backward)
+		lo, hi  int             // the launched group's levels (fused)
+		lane    int             // lane a backward pass differentiates
 	}
 }
 
 // bindKernels creates the engine's full-pass kernel closures.
 func (e *Engine) bindKernels() {
-	e.kern.level = func(_, lo, hi int) {
+	e.kern.level = func(id, lo, hi int) {
+		ms := e.run.scratch[id]
 		for _, p := range e.run.pins[lo:hi] {
-			e.run.v.recompute(e.run.sign, p)
+			e.run.v.recompute(e.run.sign, p, ms)
 		}
 	}
 	// Fused narrow levels: the group's spans fit the pool's serial cutoff, so
 	// the launch is one inline chunk on the caller and the level-order walk
 	// preserves inter-level dependencies.
-	e.kern.fused = func(_, _, _ int) {
+	e.kern.fused = func(id, _, _ int) {
+		ms := e.run.scratch[id]
 		for l := e.run.lo; l < e.run.hi; l++ {
 			for _, p := range e.lv.Nodes(l) {
-				e.run.v.recompute(e.run.sign, p)
+				e.run.v.recompute(e.run.sign, p, ms)
 			}
 		}
 	}
@@ -241,10 +248,11 @@ func (e *Engine) levelPlan() []levelGroup {
 // views it retimes, its caller's two hooks, per-level wavefront buckets, the
 // queued-pin set, per-bucket change flags, and one queue snapshot per pool
 // participant (indexed by the scheduler's participant id, so kernels never
-// allocate or share a snapshot). The engine owns one for PropagateIncremental
-// — incremental propagation mutates base state, so calls are exclusive — while
-// every Overlay owns its own, because many overlays may evaluate concurrently
-// over one frozen base.
+// allocate or share a snapshot) next to the merge scratch set the wave has on
+// loan from the engine while it runs. The engine owns one for
+// PropagateIncremental — incremental propagation mutates base state, so calls
+// are exclusive — while every Overlay owns its own, because many overlays may
+// evaluate concurrently over one frozen base.
 type propScratch struct {
 	late, early *view // early is nil when hold is off or not retimed
 
@@ -265,6 +273,7 @@ type propScratch struct {
 	stamp    uint32
 	changed  []bool
 	snaps    []queues
+	scratch  []*mergeScratch // borrowed by coneWave for its duration, nil outside
 
 	// The level kernel is bound once per scratch and reads the launched
 	// bucket through this field — a closure literal per launch would escape
@@ -288,12 +297,12 @@ func (e *Engine) newPropScratch(late, early *view, bind func([]int32), sink func
 		s.snaps[i] = newQueues(2 * e.qstride)
 	}
 	s.kernFn = func(id, lo, hi int) {
-		snap := &s.snaps[id]
+		snap, ms := &s.snaps[id], s.scratch[id]
 		for i := lo; i < hi; i++ {
 			p := s.bucket[i]
-			c := s.late.retime(snap, 1, p)
+			c := s.late.retime(snap, 1, p, ms)
 			if s.early != nil {
-				c = s.early.retime(snap, -1, p) || c
+				c = s.early.retime(snap, -1, p, ms) || c
 			}
 			s.changed[i] = c
 		}
@@ -330,8 +339,8 @@ func (s *propScratch) reset() {
 // which is what makes warm-started engines (internal/snap) bit-identical to
 // cold-built ones: both run the same second half over the same slabs.
 func NewEngine(t *circuitops.Tables, opt Options) (*Engine, error) {
-	if opt.TopK < 1 {
-		return nil, fmt.Errorf("core: TopK must be >= 1, got %d", opt.TopK)
+	if err := checkTopK(opt.TopK); err != nil {
+		return nil, err
 	}
 	build := opt.Tracer.StartArg("engine-build", "pins", int64(t.NumPins))
 	defer build.End()
@@ -430,10 +439,10 @@ func (e *Engine) Level(p int32) int32 { return e.lv.Level[p] }
 // MemoryBytes returns the engine's resident state footprint: the Top-K
 // tensors and their row map, arc annotations, CSR topology and SP/EP tables —
 // the analogue of Table I's GPU memory column. The tensors and endpoint
-// results grow with the lane count, the graph does not. Gradient buffers are
-// counted once allocated.
+// results grow with the lane count, the graph does not. Gradient buffers and
+// merge scratch sets are counted once allocated.
 func (e *Engine) MemoryBytes() int64 {
-	b := e.tensorBytes()
+	b := e.tensorBytes() + e.scratchBytes()
 	b += int64(len(e.arcFrom)) * (8*4 + 4*4 + 1) // mean/std both rf + ids + kind
 	b += int64(len(e.faninArc)+len(e.faninFrom)) * 4
 	b += int64(len(e.faninSense))

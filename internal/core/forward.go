@@ -81,10 +81,11 @@ func (e *Engine) Propagate() {
 }
 
 // sweep rebuilds every pin's queues in v (with recompute's sign) over the
-// whole level schedule, one launch of a bound kernel per fused level group.
+// whole level schedule, one launch of a bound kernel per fused level group,
+// on one borrowed set of merge scratch.
 func (e *Engine) sweep(tag string, v *view, sign float64) {
 	sp := e.tracer.StartArg(tag, "levels", int64(e.lv.NumLevels))
-	e.run.v, e.run.sign = v, sign
+	e.run.v, e.run.sign, e.run.scratch = v, sign, e.borrowScratch()
 	for _, g := range e.levelPlan() {
 		lsp := sp.ChildArg("level", "level", int64(g.lo))
 		if g.hi == g.lo+1 {
@@ -96,20 +97,19 @@ func (e *Engine) sweep(tag string, v *view, sign float64) {
 		}
 		lsp.End()
 	}
+	e.returnScratch(e.run.scratch)
+	e.run.scratch = nil
 	sp.End()
 }
-
-// laneTile is how many lanes' live counts a merge keeps on its stack; an
-// engine with more lanes walks the pin's fan-in once per tile of this many.
-const laneTile = 16
 
 // recompute rebuilds pin p's queues as seen through v, both transitions in
 // every lane — a late view with sign +1, the early one (hold) with sign -1:
 // startpoints reseed their launch arrival, single-fan-in unate pins copy their
-// parent, everything else merges its fan-in. Arc delays, parent queues and the
-// destination rows all resolve through v, so the full passes, the incremental
-// wave and an overlay's preview run this one walk.
-func (v *view) recompute(sign float64, p int32) {
+// parent, everything else merges its fan-in on the calling participant's
+// scratch ms. Arc delays, parent queues and the destination rows all resolve
+// through v, so the full passes, the incremental wave and an overlay's preview
+// run this one walk.
+func (v *view) recompute(sign float64, p int32, ms *mergeScratch) {
 	e := v.e
 	if sp := e.spOfPin[p]; sp >= 0 {
 		v.initStartpoint(p, sp)
@@ -119,12 +119,12 @@ func (v *view) recompute(sign float64, p int32) {
 		v.copyFanin(sign, p, pos)
 		return
 	}
-	v.mergeFanin(sign, p)
+	v.mergeFanin(sign, p, ms)
 }
 
 // copyFanin is mergeFanin for a pin whose fan-in is the one unate arc at CSR
 // position pos: each of its queues is one parent merged into an empty queue,
-// so no live counts need carrying.
+// which needs neither a live count carried nor a startpoint index.
 func (v *view) copyFanin(sign float64, p, pos int32) {
 	e := v.e
 	k := e.opt.TopK
@@ -143,55 +143,54 @@ func (v *view) copyFanin(sign float64, p, pos int32) {
 		for s := range e.lanes {
 			am := am0 * e.scaleMean[kind][s]
 			as := as0 * e.scaleStd[kind][s]
-			q.blankTail(b, q.merge(b, 0, k, pq, pb, am, as, sign, ns), k)
+			q.blankTail(b, q.mergeEmpty(b, k, pq, pb, am, as, sign, ns), k)
 			b, pb = b+k, pb+k
 		}
 	}
 }
 
 // mergeFanin rebuilds pin p's queues from its parents' queues, all as seen
-// through v, with recompute's sign. The fan-in CSR is walked once per
-// transition; the lane loop sits inside the per-arc contribution, resolving
-// each lane's arc delay from the per-kind scale factors. For a fixed lane the
-// insertion order over (arc position, input transition, parent slot) does not
-// depend on S, which is what makes lane s bit-identical to a single-lane
-// engine over scaled tables.
+// through v, with recompute's sign. Per transition the fan-in CSR is walked
+// once, gathering the pin's contributions — parent row, nominal arc delay,
+// kind, each resolved through v once — into ms.fan; then the walk is
+// lane-outer: one lane's queue is finished before the next is started, so one
+// scalar live count and the participant's one startpoint index serve any lane
+// count. For a fixed lane the insertion order over (arc position, input
+// transition, parent slot) does not depend on S, which is what makes lane s
+// bit-identical to a single-lane engine over scaled tables.
 //
-// The merge is fill-tracked: each destination queue's live count rides along
-// in a stack-local counter, inserts touch live slots only, and the unused
-// tail is blanked once at the end — the packed-tail contract every reader
-// relies on (n live entries, descending, unique startpoints, then noSP).
-func (v *view) mergeFanin(sign float64, p int32) {
+// The merge is fill-tracked: the queue's live count rides along in a local,
+// inserts touch live slots only, and the unused tail is blanked once at the
+// end — the packed-tail contract every reader relies on (n live entries,
+// descending, unique startpoints, then noSP).
+func (v *view) mergeFanin(sign float64, p int32, ms *mergeScratch) {
 	e := v.e
 	k := e.opt.TopK
-	S := len(e.lanes)
 	ns := sign * e.nSigma
 	lo, hi := e.faninStart[p], e.faninStart[p+1]
-	var fill [laneTile]int
 	for rf := 0; rf < 2; rf++ {
-		q, qb := v.queues(rf, p)
-		for s0 := 0; s0 < S; s0 += laneTile {
-			s1 := min(s0+laneTile, S)
-			n := fill[:s1-s0]
-			clear(n)
-			for pos := lo; pos < hi; pos++ {
-				arc := e.faninArc[pos]
-				parent := e.faninFrom[pos]
-				kind := e.arcKind[arc]
-				am0, as0 := v.arcDelay(rf, arc)
-				inRFs, nrf := liberty.Unate(e.faninSense[pos]).InRFs(rf)
-				for ri := 0; ri < nrf; ri++ {
-					pq, pb0 := v.queues(inRFs[ri], parent)
-					for s := s0; s < s1; s++ {
-						am := am0 * e.scaleMean[kind][s]
-						as := as0 * e.scaleStd[kind][s]
-						n[s-s0] = q.merge(qb+s*k, n[s-s0], k, pq, pb0+s*k, am, as, sign, ns)
-					}
-				}
+		fan := ms.fan[:0]
+		for pos := lo; pos < hi; pos++ {
+			arc := e.faninArc[pos]
+			am, as := v.arcDelay(rf, arc)
+			inRFs, nrf := liberty.Unate(e.faninSense[pos]).InRFs(rf)
+			for ri := 0; ri < nrf; ri++ {
+				pq, pb := v.queues(inRFs[ri], e.faninFrom[pos])
+				fan = append(fan, faninContrib{q: pq, b: pb, am: am, as: as, kind: e.arcKind[arc]})
 			}
-			for s := s0; s < s1; s++ {
-				q.blankTail(qb+s*k, n[s-s0], k)
+		}
+		ms.fan = fan
+		q, b := v.queues(rf, p)
+		for s := range e.lanes {
+			n := 0
+			for i := range fan {
+				c := &fan[i]
+				am := c.am * e.scaleMean[c.kind][s]
+				as := c.as * e.scaleStd[c.kind][s]
+				n = q.merge(b, n, k, c.q, c.b+s*k, am, as, sign, ns, &ms.spIndex)
 			}
+			q.blankTail(b, n, k)
+			b += k
 		}
 	}
 }
@@ -229,11 +228,10 @@ func (q *queues) blankTail(b, n, k int) {
 	clearQueue(q.sp[b+n : b+k])
 }
 
-// merge folds one parent queue — the packed k-slot queue of src at pb, every
-// entry delayed by the arc's (am, as) — into the k-slot queue of q at b, whose
-// first n slots are live, and returns the new live count. Slots from n on are
-// never read, so the destination needs no clearing beforehand. Entries are
-// ordered by orderKey under (sign, ns).
+// mergeEmpty fills the empty k-slot queue of q at b from one parent queue —
+// the packed k-slot queue of src at pb, every entry delayed by the arc's
+// (am, as) — and returns the live count. Entries are ordered by orderKey under
+// (sign, ns); slots past the live count are not written.
 //
 // A parent merged into an empty queue brings only startpoints the queue does
 // not hold (its own are unique), so Algorithm 2 degenerates to a shifted copy
@@ -242,116 +240,134 @@ func (q *queues) blankTail(b, n, k int) {
 // leaves them exactly where one insert per entry would. That is the whole
 // merge of a single-fan-in pin — the paper's "input pins", handled without a
 // kernel — and the first parent's share of every other pin.
-func (q *queues) merge(b, n, k int, src *queues, pb int, am, as, sign, ns float64) int {
+func (q *queues) mergeEmpty(b, k int, src *queues, pb int, am, as, sign, ns float64) int {
 	mean := q.mean[b : b+k]
 	std := q.std[b : b+k]
+	sps := q.sp[b : b+k]
 	pmean := src.mean[pb : pb+k]
 	pstds := src.std[pb : pb+k]
-	psps := src.sp[pb : pb+k]
-	if n == 0 {
-		sps := q.sp[b : b+k]
-		sorted, prev := true, math.Inf(1)
-		for kk, psp := range psps {
-			if psp == noSP {
-				break // queues are packed: empties trail
-			}
-			m := pmean[kk] + am
-			sg := math.Sqrt(pstds[kk]*pstds[kk] + as*as)
-			a := orderKey(m, sg, sign, ns)
-			sorted = sorted && a <= prev
-			mean[n], std[n], sps[n] = m, sg, psp
-			prev = a
-			n++
+	n := 0
+	sorted, prev := true, math.Inf(1)
+	for kk, psp := range src.sp[pb : pb+k] {
+		if psp == noSP {
+			break // queues are packed: empties trail
 		}
-		if sorted {
-			return n
-		}
-		for i := 1; i < n; i++ {
-			m, sg, sp := mean[i], std[i], sps[i]
-			a := orderKey(m, sg, sign, ns)
-			j := i
-			for j > 0 && orderKey(mean[j-1], std[j-1], sign, ns) < a {
-				mean[j], std[j], sps[j] = mean[j-1], std[j-1], sps[j-1]
-				j--
-			}
-			mean[j], std[j], sps[j] = m, sg, sp
-		}
+		m := pmean[kk] + am
+		sg := math.Sqrt(pstds[kk]*pstds[kk] + as*as)
+		a := orderKey(m, sg, sign, ns)
+		sorted = sorted && a <= prev
+		mean[n], std[n], sps[n] = m, sg, psp
+		prev = a
+		n++
+	}
+	if sorted {
 		return n
 	}
+	for i := 1; i < n; i++ {
+		m, sg, sp := mean[i], std[i], sps[i]
+		a := orderKey(m, sg, sign, ns)
+		j := i
+		for j > 0 && orderKey(mean[j-1], std[j-1], sign, ns) < a {
+			mean[j], std[j], sps[j] = mean[j-1], std[j-1], sps[j-1]
+			j--
+		}
+		mean[j], std[j], sps[j] = m, sg, sp
+	}
+	return n
+}
+
+// merge folds one parent queue — the packed k-slot queue of src at pb, every
+// entry delayed by the arc's (am, as) — into the k-slot queue of q at b, whose
+// first n slots are live, and returns the new live count. Slots from n on are
+// never read, so the destination needs no clearing beforehand. A queue is
+// built by calling merge for each of its parents in turn, starting from n = 0,
+// with the same index ix throughout.
+//
+// The first non-empty parent is mergeEmpty's shifted copy and does not touch
+// the index. From the second on, merge is Algorithm 2 per parent entry — the
+// maintenance of a descending fixed-size list keyed by unique startpoints —
+// with ix (loaded from the live entries when that second contribution arrives,
+// kept exact through every write since) standing in for Step 1's scan of the
+// queue: a queued startpoint is compared with its own entry and, when larger,
+// bubbles up from that entry's slot; a new one enters after the live entries —
+// displacing the minimum once the queue is full — and shifts up into place.
+// The writes, and so every tie-break, are those of the scanning algorithm
+// (queue_ref_test.go keeps it as the oracle). Entries are ordered by orderKey
+// under (sign, ns).
+func (q *queues) merge(b, n, k int, src *queues, pb int, am, as, sign, ns float64, ix *spIndex) int {
+	if n == 0 {
+		ix.loaded = false // whatever ix holds describes another queue
+		return q.mergeEmpty(b, k, src, pb, am, as, sign, ns)
+	}
+	mean := q.mean[b : b+k]
+	std := q.std[b : b+k]
+	sps := q.sp[b : b+k]
+	pmean := src.mean[pb : pb+k]
+	pstds := src.std[pb : pb+k]
+	if !ix.loaded {
+		ix.load(sps[:n])
+	}
+	at, tag := ix.at, uint64(ix.epoch)<<slotBits
 	// The full queue's minimum key rides in a register across the parent's
-	// entries: it changes only when an insert lands.
+	// entries: it changes only when an entry lands.
 	var floor float64
 	if n == k {
 		floor = orderKey(mean[k-1], std[k-1], sign, ns)
 	}
-	for kk, psp := range psps {
+	for kk, psp := range src.sp[pb : pb+k] {
 		if psp == noSP {
 			break
 		}
 		m := pmean[kk] + am
 		pstd := pstds[kk]
-		// sigma <= pstd+as bounds the key from above; once the queue is full,
-		// rejecting against its minimum here skips the sqrt for the bulk of
-		// contributions.
-		if n == k && orderKey(m, pstd+as, sign, ns) <= floor {
+		// sigma <= pstd+as bounds the entry's key from above, which settles the
+		// bulk of contributions without a sqrt: against the full queue's minimum
+		// here (a startpoint that is queued sits at or above it), against the
+		// startpoint's own entry below.
+		bound := orderKey(m, pstd+as, sign, ns)
+		if n == k && bound <= floor {
 			continue
 		}
-		sg := math.Sqrt(pstd*pstd + as*as)
-		if n = q.insert(b, n, k, m, sg, psp, sign, ns); n == k {
+		var sg, a float64
+		var j int
+		if slot := at[psp] ^ tag; slot < 1<<slotBits {
+			// Step 1: the startpoint is queued at slot j; only a larger key
+			// replaces its entry, bubbling up from there.
+			j = int(slot)
+			cur := orderKey(mean[j], std[j], sign, ns)
+			if bound <= cur {
+				continue
+			}
+			sg = math.Sqrt(pstd*pstd + as*as)
+			if a = orderKey(m, sg, sign, ns); a <= cur {
+				continue
+			}
+		} else {
+			// Step 2: a new startpoint enters after the live entries, or in
+			// place of the minimum it beats once the queue is full.
+			sg = math.Sqrt(pstd*pstd + as*as)
+			a = orderKey(m, sg, sign, ns)
+			if n < k {
+				j = n
+				n++
+			} else if a <= floor {
+				continue
+			} else {
+				j = k - 1
+				at[sps[j]] = 0
+			}
+		}
+		for j > 0 && orderKey(mean[j-1], std[j-1], sign, ns) < a {
+			mean[j], std[j], sps[j] = mean[j-1], std[j-1], sps[j-1]
+			at[sps[j]] = tag | uint64(j)
+			j--
+		}
+		mean[j], std[j], sps[j] = m, sg, psp
+		at[psp] = tag | uint64(j)
+		if n == k {
 			floor = orderKey(mean[k-1], std[k-1], sign, ns)
 		}
 	}
-	return n
-}
-
-// insert is Algorithm 2 on the k-slot queue of q at b whose first n slots are
-// live: maintain a descending fixed-size list of arrival distributions keyed
-// by unique startpoints, and return the new live count. Step 1 updates an
-// existing startpoint in place (bubbling it up to restore order); Step 2
-// inserts a new startpoint after the live entries — displacing the minimum
-// once the queue is full — and shifts it up into place. Only slots [0, n] are
-// touched. The entry (m, s) and the entries it is compared with are all keyed
-// by orderKey under (sign, ns).
-func (q *queues) insert(b, n, k int, m, s float64, sp int32, sign, ns float64) int {
-	mean := q.mean[b : b+k]
-	std := q.std[b : b+k]
-	sps := q.sp[b : b+k]
-	a := orderKey(m, s, sign, ns)
-	// Fast reject: a contribution at or below a full queue's minimum can
-	// change nothing — if its startpoint is already queued that entry is at
-	// least the minimum >= a, and if it is not queued it cannot displace
-	// anything.
-	if n == k && a <= orderKey(mean[k-1], std[k-1], sign, ns) {
-		return n
-	}
-	// Step 1: startpoint uniqueness check.
-	for j, queued := range sps[:n] {
-		if queued != sp {
-			continue
-		}
-		if a <= orderKey(mean[j], std[j], sign, ns) {
-			return n // existing entry dominates
-		}
-		// Bubble up: the increased value may beat entries above it.
-		for j > 0 && orderKey(mean[j-1], std[j-1], sign, ns) < a {
-			mean[j], std[j], sps[j] = mean[j-1], std[j-1], sps[j-1]
-			j--
-		}
-		mean[j], std[j], sps[j] = m, s, sp
-		return n
-	}
-	// Step 2: new startpoint.
-	j := n
-	if n == k {
-		j = k - 1
-	} else {
-		n++
-	}
-	for j > 0 && orderKey(mean[j-1], std[j-1], sign, ns) < a {
-		mean[j], std[j], sps[j] = mean[j-1], std[j-1], sps[j-1]
-		j--
-	}
-	mean[j], std[j], sps[j] = m, s, sp
 	return n
 }
 

@@ -72,8 +72,10 @@ func (e *Engine) incScratch() *propScratch {
 // kernel tag — and the pins whose queues changed in any lane are reported to
 // sc.sink and expanded into their fan-out's buckets, serially and in bucket
 // order, so the resulting state is bit-identical to a full Propagate for any
-// worker count. Pins that come out identical stop their wavefront.
+// worker count. Pins that come out identical stop their wavefront. The wave
+// holds one set of the engine's merge scratch while it runs.
 func (e *Engine) coneWave(tag string, sc *propScratch) {
+	sc.scratch = e.borrowScratch()
 	for l := 0; l < len(sc.buckets); l++ {
 		bucket := sc.buckets[l]
 		if len(bucket) == 0 {
@@ -100,4 +102,6 @@ func (e *Engine) coneWave(tag string, sc *propScratch) {
 			}
 		}
 	}
+	e.returnScratch(sc.scratch)
+	sc.scratch = nil
 }

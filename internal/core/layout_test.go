@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // inLevelOrder reports whether e's row map is the inverse of its level order.
@@ -107,5 +108,29 @@ func TestMemoryBytesCountsTensors(t *testing.T) {
 	}
 	if mem[1]-mem[0] != tensors[1]-tensors[0] || mem[0] <= tensors[0] {
 		t.Fatalf("MemoryBytes %v does not move with the tensors %v", mem, tensors)
+	}
+
+	// The first pass allocates the engine's one set of merge scratch, and the
+	// figure grows by exactly its slabs: per participant a table entry per
+	// startpoint and the gathered fan-in's backing array.
+	e, err := NewEngine(h.tab, Options{TopK: 2, Hold: true, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	idle := e.MemoryBytes()
+	e.Run()
+	if len(e.scratchFree) != 1 || len(e.scratchFree[0]) != 2 {
+		t.Fatalf("after one pass the free list holds %d sets, want one of 2 participants", len(e.scratchFree))
+	}
+	var scratch int64
+	for _, ms := range e.scratchFree[0] {
+		if len(ms.at) != len(e.spPin) || cap(ms.fan) == 0 {
+			t.Fatalf("scratch indexes %d startpoints of %d, fan-in capacity %d", len(ms.at), len(e.spPin), cap(ms.fan))
+		}
+		scratch += int64(len(ms.at))*8 + int64(cap(ms.fan))*int64(unsafe.Sizeof(faninContrib{}))
+	}
+	if got := e.MemoryBytes() - idle; got != scratch {
+		t.Fatalf("MemoryBytes grew by %d over the first pass, the scratch slabs hold %d", got, scratch)
 	}
 }

@@ -40,8 +40,9 @@ import (
 // Allocation discipline (DESIGN.md §12): the overlay is built to re-evaluate
 // the *same* cone repeatedly without allocating — Reset and Rebase clear the
 // sparse maps in place and return pin-queue storage to a freelist instead of
-// reallocating, the wavefront state lives in a per-overlay propScratch, and
-// endpoint bookkeeping uses reusable slices. A session's steady-state
+// reallocating, the wavefront state lives in a per-overlay propScratch (the
+// merge scratch its kernels index startpoints in is the base engine's, on loan
+// for each Propagate), and endpoint bookkeeping uses reusable slices. A session's steady-state
 // apply→propagate→read loop therefore settles at zero allocations per
 // operation once its maps have grown to the cone's footprint.
 type Overlay struct {

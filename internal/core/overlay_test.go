@@ -11,8 +11,9 @@ import (
 
 // laneCases are the lane sets the overlay, reset and allocation suites run
 // over: the paper's single corner, a slow/typical/fast derate trio that makes
-// every queue block, snapshot and slack slot S-strided, and laneTile+1 lanes,
-// so a merge walks its fan-in a second time for the lane past the first tile.
+// every queue block, snapshot and slack slot S-strided, and 17 lanes — more
+// than any stack-sized structure could hold a counter for, so whatever a merge
+// carries per lane has to work at any lane count.
 var laneCases = []struct {
 	name  string
 	lanes []Lane
@@ -23,11 +24,10 @@ var laneCases = []struct {
 		{CellScale: 1, NetScale: 1, SigmaScale: 1},
 		{CellScale: 0.86, NetScale: 0.92, SigmaScale: 0.90},
 	}},
-	{"S17", spreadLanes(laneTile + 1)},
+	{"S17", spreadLanes(17)},
 }
 
-// spreadLanes returns n distinct derate lanes stepping from slow to fast, the
-// last one — alone in its tile when n = laneTile+1 — the fastest.
+// spreadLanes returns n distinct derate lanes stepping from slow to fast.
 func spreadLanes(n int) []Lane {
 	lanes := make([]Lane, n)
 	for s := range lanes {

@@ -10,6 +10,7 @@ import (
 	"container/heap"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -152,16 +153,22 @@ func BenchmarkAblation_QueueHeap_K128(b *testing.B)   { benchQueue(b, 128, true)
 //
 // benchQueue above feeds one long stream into one queue, which is full after
 // K inserts, so it never measures what the forward kernel mostly does: merging
-// a handful of descending parent queues into an *empty* destination, where
-// most inserts land in a queue that is not yet full. fanin builds that shape
-// from the occupancy measured on block-1 at K=32 (about 70 % of parent queues
-// full, the rest partially filled) with startpoints drawn from a pool small
-// enough that parents of one pin share some, and BenchmarkMergeFanin runs it
-// through the kernels' merge. The Ref variant replays the same candidates
-// through the Algorithm-2 reference the way the kernels did before the merge
-// was fill-tracked (clear all K slots, then one refInsertTopK per candidate
-// with the upper-bound reject in front) — the difference is the cost of
-// shifting empty slots.
+// a handful of descending parent queues that saw much the same startpoints
+// into an *empty* destination. fanin builds that shape from what one forward
+// pass over block-1 at K=32 counts: about 70 % of parent queues full, the rest
+// partially filled; 77 % of the candidates a second or later parent brings
+// carry a startpoint the destination already holds (the parents of a pin sit
+// in one cone and rank its startpoints alike, a few ps apart), so most of the
+// work is finding that entry, not shifting; and startpoint ids spread over a
+// block-1-sized table. BenchmarkMergeFanin runs it through the kernels'
+// indexed merge. The Ref variant replays the same candidates through the
+// Algorithm-2 reference the way the kernels did before the merge was
+// fill-tracked (clear all K slots, then one scanning refInsertTopK per
+// candidate with the upper-bound reject in front).
+
+// faninSPs is the startpoint count the microbenchmark's ids are drawn from:
+// block-1's, so the index table has the kernel's footprint.
+const faninSPs = 1600
 
 // faninPin is one destination pin's parents: parent i's packed queue sits at
 // src[i*k:] and is delayed by (am[i], as[i]).
@@ -179,7 +186,12 @@ func fanin(seed int64, pins, k int) (out []faninPin, candidates int) {
 		fp := faninPin{parents: 2 + rng.Intn(3)}
 		fp.src = newQueues(fp.parents * k)
 		clearQueue(fp.src.sp)
-		pool := rng.Perm(3 * k) // the startpoints this pin's cone can see
+		// The startpoints this pin's cone can see, each with the arrival it
+		// launches; a parent sees most of them, a few ps off.
+		cone := make([]heapEntry, k+k/4+1)
+		for i, sp := range rng.Perm(faninSPs)[:len(cone)] {
+			cone[i] = heapEntry{mean: 300 + 200*rng.Float64(), std: 2 + 3*rng.Float64(), sp: int32(sp)}
+		}
 		for i := 0; i < fp.parents; i++ {
 			fp.am = append(fp.am, 20+30*rng.Float64())
 			fp.as = append(fp.as, 1+2*rng.Float64())
@@ -187,18 +199,21 @@ func fanin(seed int64, pins, k int) (out []faninPin, candidates int) {
 			if rng.Float64() < 0.3 {
 				n = 1 + rng.Intn(k)
 			}
-			rng.Shuffle(len(pool), func(a, b int) { pool[a], pool[b] = pool[b], pool[a] })
-			ents := make([]heapEntry, n)
-			for j := range ents {
-				m, s := 300+200*rng.Float64(), 2+3*rng.Float64()
-				ents[j] = heapEntry{arr: m + 3*s, mean: m, std: s, sp: int32(pool[j])}
+			var ents []heapEntry
+			for _, c := range cone {
+				if rng.Float64() < 0.85 {
+					c.mean += 8 * rng.NormFloat64()
+					c.arr = c.mean + testNS*c.std
+					ents = append(ents, c)
+				}
 			}
 			sort.Slice(ents, func(a, b int) bool { return ents[a].arr > ents[b].arr })
+			ents = ents[:min(n, len(ents))]
 			for j, e := range ents {
 				b := i*k + j
 				fp.src.mean[b], fp.src.std[b], fp.src.sp[b] = e.mean, e.std, e.sp
 			}
-			candidates += n
+			candidates += len(ents)
 		}
 		out = append(out, fp)
 	}
@@ -222,11 +237,11 @@ func (fp *faninPin) refMerge(dst *refQueue, k int) {
 	}
 }
 
-// merge merges fp's parents into dst through the kernels' merge.
-func (fp *faninPin) merge(dst *queues, k int) {
+// merge merges fp's parents into dst through the kernels' merge on index ix.
+func (fp *faninPin) merge(dst *queues, k int, ix *spIndex) {
 	n := 0
 	for par := 0; par < fp.parents; par++ {
-		n = dst.merge(0, n, k, &fp.src, par*k, fp.am[par], fp.as[par], 1, testNS)
+		n = dst.merge(0, n, k, &fp.src, par*k, fp.am[par], fp.as[par], 1, testNS, ix)
 	}
 	dst.blankTail(0, n, k)
 }
@@ -234,6 +249,7 @@ func (fp *faninPin) merge(dst *queues, k int) {
 func benchMergeFanin(b *testing.B, k int, ref bool) {
 	pins, cands := fanin(13, 64, k)
 	dst, refDst := newQueues(k), newRefQueue(k)
+	ix := &spIndex{at: make([]uint64, faninSPs)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -241,7 +257,7 @@ func benchMergeFanin(b *testing.B, k int, ref bool) {
 			if ref {
 				pins[pi].refMerge(refDst, k)
 			} else {
-				pins[pi].merge(&dst, k)
+				pins[pi].merge(&dst, k, ix)
 			}
 		}
 	}
@@ -258,18 +274,49 @@ func BenchmarkMergeFanin_Ref_K128(b *testing.B) {
 }
 
 // TestMergeFaninMatchesReference holds the two bodies of benchMergeFanin to
-// the same answer, so the benchmark pair compares equal work.
+// the same answer, so the benchmark pair compares equal work — and the
+// benchmark's input to the traffic it claims to model: the share of second-
+// and-later-parent candidates whose startpoint is already queued, and the
+// share of full parents, within a few points of the pass's counters.
 func TestMergeFaninMatchesReference(t *testing.T) {
 	for _, k := range []int{1, 8, 32} {
 		pins, _ := fanin(13, 64, k)
+		ix := &spIndex{at: make([]uint64, faninSPs)}
+		var later, queued, parents, full int
 		for pi := range pins {
+			fp := &pins[pi]
 			got, want := newQueues(k), newRefQueue(k)
-			pins[pi].merge(&got, k)
-			pins[pi].refMerge(want, k)
+			fp.merge(&got, k, ix)
+			fp.refMerge(want, k)
 			if err := want.diff(&got, 0, 1, testNS); err != nil {
 				t.Fatalf("k=%d pin %d: merge diverged from the reference: %v\n got %v %v %v\nwant %v %v %v %v",
 					k, pi, err, got.mean, got.std, got.sp, want.arr, want.mean, want.std, want.sp)
 			}
+			// Replay parent by parent to count what each later one found queued.
+			want.clear()
+			for par := 0; par < fp.parents; par++ {
+				parents++
+				if fp.src.sp[(par+1)*k-1] != noSP {
+					full++
+				}
+				for kk := par * k; par > 0 && kk < (par+1)*k && fp.src.sp[kk] != noSP; kk++ {
+					later++
+					if slices.Contains(want.sp, fp.src.sp[kk]) {
+						queued++
+					}
+				}
+				want.merge(&fp.src, par*k, fp.am[par], fp.as[par])
+			}
+		}
+		t.Logf("k=%d: %d/%d later-parent candidates already queued, %d/%d parents full", k, queued, later, full, parents)
+		if k == 1 {
+			continue // a one-slot queue's parents are all full and share at random
+		}
+		if share := float64(queued) / float64(later); share < 0.72 || share > 0.82 {
+			t.Errorf("k=%d: %.0f%% of later-parent candidates were already queued, the kernel measures 77%%", k, 100*share)
+		}
+		if share := float64(full) / float64(parents); share < 0.6 || share > 0.8 {
+			t.Errorf("k=%d: %.0f%% of parents are full, the kernel measures about 70%%", k, 100*share)
 		}
 	}
 }

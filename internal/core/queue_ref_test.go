@@ -10,10 +10,11 @@ import (
 // count, finds the end of the queue by scanning to the noSP sentinel and
 // starts every new-startpoint shift at slot K-1, moving the empties on the
 // way. It still stores the ordering key as a fourth plane, arr, with -Inf in
-// empty slots; the kernels' queues derive theirs, so their insert must leave
+// empty slots; the kernels' queues derive theirs, so their merge must leave
 // the same bits in the three planes they store and every live slot's derived
 // key must be the bits the reference holds in arr (refQueue.diff,
-// FuzzInsertTopK).
+// FuzzMergeTopK). It is also the only place left that finds a startpoint by
+// scanning the queue: the kernels look it up (spIndex).
 func refInsertTopK(arr, mean, std []float64, sps []int32, a, m, s float64, sp int32) {
 	k := len(arr)
 	// Fast reject: a contribution at or below the current minimum can change
@@ -78,6 +79,17 @@ func (r *refQueue) insert(a, m, s float64, sp int32) {
 	refInsertTopK(r.arr, r.mean, r.std, r.sp, a, m, s, sp)
 }
 
+// merge folds src's packed queue at pb, delayed by (am, as) and keyed late
+// under testNS, into r: one Algorithm-2 insert per live parent entry, the
+// composition written as the kernels write it.
+func (r *refQueue) merge(src *queues, pb int, am, as float64) {
+	for kk := pb; kk < pb+len(r.sp) && src.sp[kk] != noSP; kk++ {
+		m := src.mean[kk] + am
+		sg := math.Sqrt(src.std[kk]*src.std[kk] + as*as)
+		r.insert(orderKey(m, sg, 1, testNS), m, sg, src.sp[kk])
+	}
+}
+
 // diff holds the k-slot queue of q at b, ordered under (sign, ns), to the
 // reference: all three stored planes bit-equal in every slot (both queues
 // start zeroed, so a write past the live entries shows), the key derived from
@@ -102,24 +114,63 @@ func (r *refQueue) diff(q *queues, b int, sign, ns float64) error {
 // testNS is the sigma multiple the queue unit tests order by (late, sign +1).
 const testNS = 3.0
 
-// testQueue is one empty K-slot queue with its live count, for driving the
-// kernels' insert the way a late merge does.
+// testSPs is how many startpoints a testQueue's index covers.
+const testSPs = 64
+
+// testQueue is one empty K-slot queue with its live count and startpoint
+// index, for driving the kernels' merge the way a late mergeFanin does.
 type testQueue struct {
 	queues
-	n int
+	n   int
+	ix  spIndex
+	one queues // insert's one-entry parent
 }
 
 func newTestQueue(k int) *testQueue {
-	q := &testQueue{queues: newQueues(k)}
+	q := &testQueue{queues: newQueues(k), ix: spIndex{at: make([]uint64, testSPs)}, one: newQueues(k)}
 	clearQueue(q.sp)
+	clearQueue(q.one.sp)
 	return q
 }
 
-// insert feeds the entry (m, s) of startpoint sp; its ordering key is
-// m + testNS*s (the unit tests pass s = 0 and think in keys).
+// merge folds src's packed queue at pb, delayed by (am, as), into q.
+func (q *testQueue) merge(src *queues, pb int, am, as float64) {
+	q.n = q.queues.merge(0, q.n, len(q.sp), src, pb, am, as, 1, testNS, &q.ix)
+}
+
+// insert feeds the entry (m, s) of startpoint sp — a one-entry parent arriving
+// through a zero-delay arc, which leaves m and s as they are — so from the
+// second call on it is one pass of the indexed Algorithm 2. Its ordering key
+// is m + testNS*s (the unit tests pass s = 0 and think in keys).
 func (q *testQueue) insert(m, s float64, sp int32) {
-	q.n = q.queues.insert(0, q.n, len(q.sp), m, s, sp, 1, testNS)
+	q.one.mean[0], q.one.std[0], q.one.sp[0] = m, s, sp
+	q.merge(&q.one, 0, 0, 0)
 }
 
 // key returns slot i's ordering key.
 func (q *testQueue) key(i int) float64 { return orderKey(q.mean[i], q.std[i], 1, testNS) }
+
+// checkIndex holds q's index to its contract once it is loaded: under the
+// current epoch, at[sp] names slot j exactly for the sps[j] of the live
+// entries and is current for no other startpoint.
+func (q *testQueue) checkIndex() error {
+	if !q.ix.loaded {
+		return nil
+	}
+	slot := make(map[int32]int, q.n)
+	for j, sp := range q.sp[:q.n] {
+		slot[sp] = j
+	}
+	for sp, ent := range q.ix.at {
+		j, queued := slot[int32(sp)]
+		switch current := uint32(ent>>slotBits) == q.ix.epoch; {
+		case current && !queued:
+			return fmt.Errorf("index holds startpoint %d at slot %d, the queue does not: sps %v", sp, uint32(ent), q.sp[:q.n])
+		case queued && !current:
+			return fmt.Errorf("startpoint %d is queued at slot %d, the index does not hold it", sp, j)
+		case queued && int(uint32(ent)) != j:
+			return fmt.Errorf("startpoint %d is queued at slot %d, the index says %d", sp, j, uint32(ent))
+		}
+	}
+	return nil
+}

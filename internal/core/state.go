@@ -594,12 +594,23 @@ func newEngine(st *State, lanes []Lane, opt Options) (*Engine, error) {
 	return e, nil
 }
 
+// checkTopK rejects a queue depth no engine can be built with.
+func checkTopK(k int) error {
+	if k < 1 {
+		return fmt.Errorf("core: TopK must be >= 1, got %d", k)
+	}
+	if k > maxTopK {
+		return fmt.Errorf("core: TopK %d exceeds %d, the deepest queue a startpoint index entry can address", k, maxTopK)
+	}
+	return nil
+}
+
 // newEngineBody builds everything but the Top-K tensors and their row map,
 // which the caller allocates (newEngine) or takes over from a previous engine
 // (Reseed).
 func newEngineBody(st *State, lanes []Lane, opt Options) (*Engine, error) {
-	if opt.TopK < 1 {
-		return nil, fmt.Errorf("core: TopK must be >= 1, got %d", opt.TopK)
+	if err := checkTopK(opt.TopK); err != nil {
+		return nil, err
 	}
 	if len(lanes) == 0 {
 		return nil, fmt.Errorf("core: no lanes given")

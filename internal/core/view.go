@@ -53,17 +53,17 @@ func (v *view) snapshot(dst *queues, p int32) {
 	}
 }
 
-// retime rebuilds pin p's queues (recompute, with its sign) and reports
-// whether any lane's came out different from what the view showed before,
-// which is left in snap. The comparison is exact on what a queue means: a
+// retime rebuilds pin p's queues (recompute, with its sign and scratch) and
+// reports whether any lane's came out different from what the view showed
+// before, which is left in snap. The comparison is exact on what a queue means: a
 // merge never writes past the live entries it leaves, so two rows differ
 // exactly when their live entries or live counts do.
-func (v *view) retime(snap *queues, sign float64, p int32) bool {
+func (v *view) retime(snap *queues, sign float64, p int32, ms *mergeScratch) bool {
 	n := v.e.qstride
 	q0, b0 := v.queues(0, p)
 	q1, b1 := v.queues(1, p)
 	snap.copyFrom(0, q0, b0, n)
 	snap.copyFrom(n, q1, b1, n)
-	v.recompute(sign, p)
+	v.recompute(sign, p, ms)
 	return !snap.equal(0, q0, b0, n) || !snap.equal(n, q1, b1, n)
 }
