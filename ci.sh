@@ -32,10 +32,16 @@
 #                      current and right for every queued startpoint, current
 #                      for no other (the checked-in corpus under
 #                      internal/core/testdata/fuzz/ runs in step 3 already)
-#   4. go test -race — short-mode race check of the scheduler, the engine
-#                      kernels that run on it at S = 1, 3 and 17 — one view,
-#                      one recompute, one cone wave and one slack walk behind
-#                      forward, hold, commit and overlay — (including
+#   4. go test -race — short-mode race check of the scheduler; the reference
+#                      engine's full update, which runs every level and the
+#                      endpoint slack walk on a pool of GOMAXPROCS
+#                      participants, each merging into its own arena (the
+#                      block-5 golden digest, and the same digest at
+#                      GOMAXPROCS 1, 2 and 8 with hold on, in
+#                      internal/refsta); the engine kernels that run on the
+#                      scheduler at S = 1, 3 and 17 — one view, one recompute,
+#                      one cone wave and one slack walk behind forward, hold,
+#                      commit and overlay — (including
 #                      eight overlays borrowing the base engine's merge
 #                      scratch sets at once in internal/core and the
 #                      pooled-scratch overlay-reuse differential under 8
@@ -86,8 +92,8 @@ go test ./...
 echo "== go test -fuzz FuzzMergeTopK (10s, indexed merge vs the scanning Algorithm-2 reference) =="
 go test ./internal/core -run '^$' -fuzz FuzzMergeTopK -fuzztime 10s
 
-echo "== go test -race (sched + levelize + core + batch + topo + server + obs + snap + cmdutil + fleet + hier, short) =="
-go test -race -short ./internal/sched/... ./internal/levelize/... ./internal/core/... ./internal/batch/... ./internal/topo/... ./internal/server/... ./internal/obs/... ./internal/snap/... ./internal/cmdutil/... ./internal/fleet/... ./internal/hier/...
+echo "== go test -race (sched + levelize + refsta + core + batch + topo + server + obs + snap + cmdutil + fleet + hier, short) =="
+go test -race -short ./internal/sched/... ./internal/levelize/... ./internal/refsta/... ./internal/core/... ./internal/batch/... ./internal/topo/... ./internal/server/... ./internal/obs/... ./internal/snap/... ./internal/cmdutil/... ./internal/fleet/... ./internal/hier/...
 
 echo "== serve load smoke (-race, 100 concurrent ECO requests against a server.Daemon; single-corner and {ss,tt,ff}) =="
 go test -race -run 'TestServeLoadSmoke|TestServeConcurrentSessionsBitIdentical' ./internal/server/

@@ -37,7 +37,7 @@ func (e *Engine) affectedArcs(c netlist.CellID) []int32 {
 	for _, p := range d.Cells[c].Pins {
 		pin := &d.Pins[p]
 		if pin.Dir == netlist.Output {
-			for _, ai := range e.fanin[p] {
+			for _, ai := range e.fanin.of(p) {
 				add(ai) // the cell's own arcs
 			}
 			continue
@@ -45,13 +45,13 @@ func (e *Engine) affectedArcs(c netlist.CellID) []int32 {
 		if pin.IsClock {
 			continue // clock pins are fed by the ideal clock tree
 		}
-		for _, ai := range e.fanin[p] {
+		for _, ai := range e.fanin.of(p) {
 			add(ai) // fan-in net arc into this input pin
 			drv := e.Arcs[ai].From
 			if d.Pins[drv].Cell == netlist.NoCell {
 				continue // primary-input driver has no cell arcs
 			}
-			for _, dai := range e.fanin[drv] {
+			for _, dai := range e.fanin.of(drv) {
 				add(dai) // fan-in driver's cell arcs (load change)
 			}
 		}

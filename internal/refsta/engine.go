@@ -76,8 +76,8 @@ type Engine struct {
 	Cfg Config
 
 	Arcs   []Arc
-	fanin  [][]int32 // per pin: arc ids terminating at the pin
-	fanout [][]int32 // per pin: arc ids originating at the pin
+	fanin  adjacency // per pin: arc ids terminating at the pin
+	fanout adjacency // per pin: arc ids originating at the pin
 	Lv     *levelize.Result
 
 	// Startpoints and endpoints.
@@ -91,6 +91,7 @@ type Engine struct {
 
 	// Per-pin analysis state.
 	load    []float64    // capacitive load seen by each driver pin, fF
+	sinkCap []float64    // pinCap of each net sink as of the last computeLoads, fF
 	slew    [2][]float64 // worst transition per pin per rf, ps
 	arr     [2][][]spArr // exact SP-resolved arrivals per pin per rf, sorted by sp
 	isSP    []bool
@@ -136,6 +137,7 @@ func New(d *netlist.Design, lib *liberty.Library, con *sdc.Constraints, par *rc.
 	}
 	n := d.NumPins()
 	e.load = make([]float64, n)
+	e.sinkCap = make([]float64, n)
 	e.slew[0] = make([]float64, n)
 	e.slew[1] = make([]float64, n)
 	e.arr[0] = make([][]spArr, n)
@@ -145,23 +147,57 @@ func New(d *netlist.Design, lib *liberty.Library, con *sdc.Constraints, par *rc.
 	return e, nil
 }
 
+// adjacency is a per-pin arc id list in CSR form. The timing graph is built
+// once and only ever ranged over, so two flat slices replace one slice header
+// (and one allocation) per pin.
+type adjacency struct {
+	start []int32 // len pins+1; of(p) is arcs[start[p]:start[p+1]]
+	arcs  []int32 // arc ids, ascending within each pin
+}
+
+// of returns pin p's arc ids in ascending order — the order the arcs were
+// enumerated in, which is the order merges fold their contributions in.
+func (a *adjacency) of(p netlist.PinID) []int32 {
+	return a.arcs[a.start[p]:a.start[p+1]]
+}
+
+// buildAdjacency groups arc ids by the pin end(arc) returns: count, prefix-sum,
+// fill in arc id order.
+func buildAdjacency(numPins int, arcs []Arc, end func(*Arc) netlist.PinID) adjacency {
+	start := make([]int32, numPins+1)
+	for i := range arcs {
+		start[end(&arcs[i])+1]++
+	}
+	for p := 0; p < numPins; p++ {
+		start[p+1] += start[p]
+	}
+	ids := make([]int32, len(arcs))
+	next := append([]int32(nil), start[:numPins]...)
+	for i := range arcs {
+		p := end(&arcs[i])
+		ids[next[p]] = int32(i)
+		next[p]++
+	}
+	return adjacency{start: start, arcs: ids}
+}
+
 // buildGraph enumerates net and cell arcs and levelizes the pin graph.
 func (e *Engine) buildGraph() error {
 	d := e.D
 	n := d.NumPins()
-	e.fanin = make([][]int32, n)
-	e.fanout = make([][]int32, n)
-	add := func(a Arc) {
-		id := int32(len(e.Arcs))
-		e.Arcs = append(e.Arcs, a)
-		e.fanin[a.To] = append(e.fanin[a.To], id)
-		e.fanout[a.From] = append(e.fanout[a.From], id)
+	numArcs := 0
+	for ni := range d.Nets {
+		numArcs += len(d.Nets[ni].Sinks)
 	}
+	for ci := range d.Cells {
+		numArcs += len(e.Lib.Cell(d.Cells[ci].LibCell).Arcs)
+	}
+	e.Arcs = make([]Arc, 0, numArcs)
 	// Net arcs.
 	for ni := range d.Nets {
 		net := &d.Nets[ni]
 		for si, sink := range net.Sinks {
-			add(Arc{
+			e.Arcs = append(e.Arcs, Arc{
 				From: net.Driver, To: sink, Kind: NetArc,
 				Sense: liberty.PositiveUnate, Cell: netlist.NoCell,
 				Net: netlist.NetID(ni), SinkIdx: int32(si),
@@ -179,12 +215,14 @@ func (e *Engine) buildGraph() error {
 			if from == netlist.NoPin || to == netlist.NoPin {
 				return fmt.Errorf("refsta: cell %s missing pin for arc %s->%s", cell.Name, la.From, la.To)
 			}
-			add(Arc{
+			e.Arcs = append(e.Arcs, Arc{
 				From: from, To: to, Kind: CellArc, Sense: la.Sense,
 				Cell: netlist.CellID(ci), LibArc: int32(ai), Net: netlist.NoNet,
 			})
 		}
 	}
+	e.fanin = buildAdjacency(n, e.Arcs, func(a *Arc) netlist.PinID { return a.To })
+	e.fanout = buildAdjacency(n, e.Arcs, func(a *Arc) netlist.PinID { return a.From })
 	lvArcs := make([]levelize.Arc, len(e.Arcs))
 	for i, a := range e.Arcs {
 		lvArcs[i] = levelize.Arc{From: int32(a.From), To: int32(a.To)}

@@ -88,7 +88,7 @@ func (e *Engine) EstimateBufferDriver(arcID int32, bufLib int32, frac float64) (
 	newLoad := e.load[drv] + capDelta
 	dlc := e.Lib.Cell(d.Cells[d.Pins[drv].Cell].LibCell)
 	var deltas []ArcDelta
-	for _, ai := range e.fanin[drv] {
+	for _, ai := range e.fanin.of(drv) {
 		da := &e.Arcs[ai]
 		if da.Kind != CellArc {
 			continue
@@ -134,7 +134,7 @@ func (e *Engine) NetArc(n netlist.NetID, sinkIdx int) int32 {
 // netArcOf resolves the net arc id for branch sinkIdx of net n.
 func (e *Engine) netArcOf(n netlist.NetID, sinkIdx int) int32 {
 	sink := e.D.Nets[n].Sinks[sinkIdx]
-	for _, ai := range e.fanin[sink] {
+	for _, ai := range e.fanin.of(sink) {
 		a := &e.Arcs[ai]
 		if a.Kind == NetArc && a.Net == n && int(a.SinkIdx) == sinkIdx {
 			return ai
@@ -191,7 +191,7 @@ func (e *Engine) EstimateMove(c netlist.CellID, x, y float64) ([]ArcDelta, error
 		}
 		newLoad := e.load[drv] + capDelta
 		dlc := e.Lib.Cell(d.Cells[d.Pins[drv].Cell].LibCell)
-		for _, ai := range e.fanin[drv] {
+		for _, ai := range e.fanin.of(drv) {
 			a := &e.Arcs[ai]
 			if a.Kind != CellArc {
 				continue

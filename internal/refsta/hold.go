@@ -3,8 +3,8 @@ package refsta
 // Hold (early/min-delay) analysis. The paper's INSTA handles the late/setup
 // check (WNS/TNS are setup metrics); a production signoff engine also checks
 // hold: the earliest data arrival at a flop must not race past the capture
-// edge. This extension mirrors the late machinery with min-merge early
-// arrivals:
+// edge. Early arrivals propagate through the same merge as late ones
+// (mergeInto with early set: per startpoint the smaller early corner wins):
 //
 //	holdSlack(ep, rf, sp) = earlyArrival(ep, rf, sp) corner
 //	                      - (lateCaptureClock + hold[rf] + holdUncertainty)
@@ -19,7 +19,6 @@ import (
 	"math"
 
 	"insta/internal/netlist"
-	"insta/internal/num"
 )
 
 // enableHold turns on early-arrival propagation. It must be called before
@@ -53,126 +52,34 @@ func (e *Engine) EnableHoldAnalysis() {
 // HoldEnabled reports whether early-arrival propagation is active.
 func (e *Engine) HoldEnabled() bool { return e.arrMin[0] != nil }
 
-// initSourcePinMin seeds the early arrival at a timing source.
-func (e *Engine) initSourcePinMin(p netlist.PinID) {
-	pin := &e.D.Pins[p]
-	sp := e.spOfPin[p]
-	var d num.Dist
-	if pin.IsClock {
-		node, _ := e.D.Clock.SinkOf(p)
-		d = e.D.Clock.Arrival(node)
-	} else {
-		d = e.Con.InputDelay[p]
+// holdSlack evaluates the hold slack of endpoint index i, a flip-flop data
+// pin. Primary outputs keep +Inf (no hold check against the external world
+// here).
+func (e *Engine) holdSlack(i int32) float64 {
+	ep := e.EPs[i]
+	if e.D.Pins[ep].Cell == netlist.NoCell {
+		return math.Inf(1)
 	}
-	for rf := 0; rf < 2; rf++ {
-		e.arrMin[rf][p] = []spArr{{sp: sp, dist: d}}
-	}
-}
-
-// mergeArrivalsMin merges fan-in contributions keeping, per startpoint, the
-// minimum-early-corner arrival distribution.
-func (e *Engine) mergeArrivalsMin(p netlist.PinID, rf int) []spArr {
-	var merged []spArr
-	nSigma := e.Cfg.NSigma
-	for _, ai := range e.fanin[p] {
-		a := &e.Arcs[ai]
-		inRFs, n := a.Sense.InRFs(rf)
-		for i := 0; i < n; i++ {
-			parent := e.arrMin[inRFs[i]][a.From]
-			if len(parent) == 0 {
-				continue
-			}
-			merged = mergeShiftedMin(merged, parent, a.Delay[rf], nSigma)
-		}
-	}
-	return merged
-}
-
-// mergeShiftedMin is mergeShifted's early twin: on equal startpoints the
-// smaller early corner wins.
-func mergeShiftedMin(dst, src []spArr, delay num.Dist, nSigma float64) []spArr {
-	if len(dst) == 0 {
-		out := make([]spArr, len(src))
-		for i, s := range src {
-			out[i] = spArr{sp: s.sp, dist: s.dist.Add(delay)}
-		}
-		return out
-	}
-	out := make([]spArr, 0, len(dst)+len(src))
-	i, j := 0, 0
-	for i < len(dst) && j < len(src) {
-		switch {
-		case dst[i].sp < src[j].sp:
-			out = append(out, dst[i])
-			i++
-		case dst[i].sp > src[j].sp:
-			out = append(out, spArr{sp: src[j].sp, dist: src[j].dist.Add(delay)})
-			j++
-		default:
-			cand := src[j].dist.Add(delay)
-			if cand.EarlyCorner(nSigma) < dst[i].dist.EarlyCorner(nSigma) {
-				out = append(out, spArr{sp: src[j].sp, dist: cand})
-			} else {
-				out = append(out, dst[i])
-			}
-			i++
-			j++
-		}
-	}
-	out = append(out, dst[i:]...)
-	for ; j < len(src); j++ {
-		out = append(out, spArr{sp: src[j].sp, dist: src[j].dist.Add(delay)})
-	}
-	return out
-}
-
-// processPinMin updates early arrivals at p; returns true when they changed.
-// Arc delays were already re-annotated by the late pass.
-func (e *Engine) processPinMin(p netlist.PinID) bool {
-	changed := false
-	for rf := 0; rf < 2; rf++ {
-		merged := e.mergeArrivalsMin(p, rf)
-		if !spArrEqual(merged, e.arrMin[rf][p]) {
-			e.arrMin[rf][p] = merged
-			changed = true
-		}
-	}
-	return changed
-}
-
-// computeHoldSlacks evaluates hold slack at flip-flop data endpoints.
-// Primary outputs keep +Inf (no hold check against the external world here).
-func (e *Engine) computeHoldSlacks() {
-	if !e.HoldEnabled() {
-		return
+	captureLate := 0.0
+	if e.D.Clock != nil {
+		captureLate = e.D.Clock.Arrival(e.EPNode[i]).Corner(e.Cfg.NSigma)
 	}
 	hu := e.Con.Clock.HoldUncertainty
-	for i := range e.EPs {
-		ep := e.EPs[i]
-		if e.D.Pins[ep].Cell == netlist.NoCell {
-			e.epHoldSlack[i] = math.Inf(1)
-			continue
-		}
-		captureLate := 0.0
-		if e.D.Clock != nil {
-			captureLate = e.D.Clock.Arrival(e.EPNode[i]).Corner(e.Cfg.NSigma)
-		}
-		slack := math.Inf(1)
-		for rf := 0; rf < 2; rf++ {
-			req := captureLate + e.EPHold[i][rf] + hu
-			for _, entry := range e.arrMin[rf][ep] {
-				adj := e.Exc.Lookup(e.SPs[entry.sp], ep)
-				if adj.False {
-					continue
-				}
-				s := entry.dist.EarlyCorner(e.Cfg.NSigma) - req + e.credit(entry.sp, int32(i))
-				if s < slack {
-					slack = s
-				}
+	slack := math.Inf(1)
+	for rf := 0; rf < 2; rf++ {
+		req := captureLate + e.EPHold[i][rf] + hu
+		for _, entry := range e.arrMin[rf][ep] {
+			adj := e.Exc.Lookup(e.SPs[entry.sp], ep)
+			if adj.False {
+				continue
+			}
+			s := entry.dist.EarlyCorner(e.Cfg.NSigma) - req + e.credit(entry.sp, i)
+			if s < slack {
+				slack = s
 			}
 		}
-		e.epHoldSlack[i] = slack
 	}
+	return slack
 }
 
 // HoldSlacks returns the per-endpoint hold slack (EnableHoldAnalysis first);

@@ -37,7 +37,7 @@ func (e *Engine) PinSlacks() [][2]float64 {
 	// Backward sweep in reverse level order.
 	for li := len(e.Lv.Order) - 1; li >= 0; li-- {
 		p := netlist.PinID(e.Lv.Order[li])
-		for _, ai := range e.fanout[p] {
+		for _, ai := range e.fanout.of(p) {
 			a := &e.Arcs[ai]
 			for outRF := 0; outRF < 2; outRF++ {
 				r := req[outRF][a.To]

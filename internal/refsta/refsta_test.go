@@ -272,6 +272,7 @@ func TestMulticycleAddsPeriods(t *testing.T) {
 
 func TestIncrementalMatchesFullAfterResize(t *testing.T) {
 	m, e := newMiniEngine(t)
+	e.EnableHoldAnalysis()
 	newLib, ok := m.lib.Resize(m.d.Cells[m.inv1].LibCell, 2) // X1 -> X4
 	if !ok {
 		t.Fatal("resize target not found")
@@ -285,12 +286,113 @@ func TestIncrementalMatchesFullAfterResize(t *testing.T) {
 		t.Error("incremental update flagged as full")
 	}
 
+	// A fresh engine on the edited design is the reference: the incremental
+	// update must have left every list — arena-carved ones it kept, exact-size
+	// ones it replaced — entry for entry what a full update builds.
+	fresh, err := New(m.d, m.lib, m.con, m.par, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.EnableHoldAnalysis()
+	for rf := 0; rf < 2; rf++ {
+		for p := range e.arr[rf] {
+			if !spArrEqual(e.arr[rf][p], fresh.arr[rf][p]) {
+				t.Errorf("late list (%d, %s): incremental %v != fresh %v", rf, m.d.Pins[p].Name, e.arr[rf][p], fresh.arr[rf][p])
+			}
+			if !spArrEqual(e.arrMin[rf][p], fresh.arrMin[rf][p]) {
+				t.Errorf("early list (%d, %s): incremental %v != fresh %v", rf, m.d.Pins[p].Name, e.arrMin[rf][p], fresh.arrMin[rf][p])
+			}
+		}
+	}
+	for i, s := range fresh.HoldSlacks() {
+		if s != e.epHoldSlack[i] {
+			t.Errorf("ep %d hold: incremental %v != fresh %v", i, e.epHoldSlack[i], s)
+		}
+	}
+
 	e.UpdateTimingFull()
 	full := e.EndpointSlacks()
 	for i := range full {
-		if math.Abs(full[i]-incr[i]) > 1e-9 {
-			t.Errorf("ep %d: incremental %v != full %v", i, incr[i], full[i])
+		if full[i] != incr[i] || full[i] != fresh.epSlack[i] {
+			t.Errorf("ep %d: incremental %v, full %v, fresh %v", i, incr[i], full[i], fresh.epSlack[i])
 		}
+	}
+}
+
+// TestStoredListsAreFull: a stored list's capacity is its length whether an
+// arena committed it (full update) or an incremental update allocated it, so
+// no append can ever reach into a neighbouring list's entries.
+func TestStoredListsAreFull(t *testing.T) {
+	m, e := newMiniEngine(t)
+	e.EnableHoldAnalysis()
+	check := func(when string) {
+		t.Helper()
+		for rf := 0; rf < 2; rf++ {
+			for p := range e.arr[rf] {
+				for _, list := range [][]spArr{e.arr[rf][p], e.arrMin[rf][p]} {
+					if cap(list) != len(list) {
+						t.Errorf("%s: list at (%d, %s) has len %d, cap %d", when, rf, m.d.Pins[p].Name, len(list), cap(list))
+					}
+				}
+			}
+		}
+	}
+	check("after full update")
+	newLib, _ := m.lib.Resize(m.d.Cells[m.inv1].LibCell, 2)
+	if _, err := e.ResizeCell(m.inv1, newLib); err != nil {
+		t.Fatal(err)
+	}
+	e.UpdateTimingIncremental()
+	check("after incremental update")
+}
+
+// TestArena: reservations are handed out again until committed, committed
+// lists are disjoint and exactly as long as asked, and chunks grow from
+// arenaFirstChunk without a request ever being refused.
+func TestArena(t *testing.T) {
+	var a arena
+	r := a.reserve(8)
+	if again := a.reserve(8); &again[0] != &r[0] {
+		t.Error("an uncommitted reservation was not reused")
+	}
+	first := a.commit(3)
+	if len(first) != 3 || cap(first) != 3 {
+		t.Errorf("commit(3): len %d cap %d", len(first), cap(first))
+	}
+	second := a.reserve(arenaFirstChunk - 3)
+	if &second[0] != &r[3] {
+		t.Error("second list does not start where the first ends")
+	}
+	a.commit(len(second))
+	if big := a.reserve(5 * arenaFirstChunk); len(big) != 5*arenaFirstChunk {
+		t.Errorf("reserve past the chunk size: len %d", len(big))
+	}
+	if a.next > arenaMaxChunk {
+		t.Errorf("next chunk %d entries, cap %d", a.next, arenaMaxChunk)
+	}
+}
+
+// TestMergeIntoTieBreaks: on a shared startpoint the shifted source replaces
+// the destination entry only when strictly worse in the direction of the
+// analysis; equal corners keep the earlier contribution.
+func TestMergeIntoTieBreaks(t *testing.T) {
+	dst := []spArr{{0, num.Dist{Mean: 10}}, {2, num.Dist{Mean: 20}}, {3, num.Dist{Mean: 30, Std: 1}}}
+	src := []spArr{{1, num.Dist{Mean: 1}}, {2, num.Dist{Mean: 15}}, {3, num.Dist{Mean: 28, Std: 1}}, {5, num.Dist{Mean: 2}}}
+	delay := num.Dist{Mean: 5}
+	out := make([]spArr, len(dst)+len(src))
+
+	late := out[:mergeInto(out, dst, src, delay, 3, false)]
+	wantLate := []spArr{dst[0], {1, num.Dist{Mean: 6}}, dst[1], {3, num.Dist{Mean: 33, Std: 1}}, {5, num.Dist{Mean: 7}}}
+	if !spArrEqual(late, wantLate) {
+		t.Errorf("late merge %v, want %v", late, wantLate)
+	}
+	early := out[:mergeInto(out, dst, src, delay, 3, true)]
+	wantEarly := []spArr{dst[0], {1, num.Dist{Mean: 6}}, dst[1], dst[2], {5, num.Dist{Mean: 7}}}
+	if !spArrEqual(early, wantEarly) {
+		t.Errorf("early merge %v, want %v", early, wantEarly)
+	}
+	if n := mergeInto(out, nil, src, delay, 3, false); n != len(src) || out[0] != (spArr{1, num.Dist{Mean: 6}}) {
+		t.Errorf("empty destination: %v", out[:n])
 	}
 }
 

@@ -5,45 +5,58 @@ import (
 
 	"insta/internal/netlist"
 	"insta/internal/num"
+	"insta/internal/sched"
 )
 
-// computeSlacks evaluates every endpoint's setup slack:
+// computeSlacks evaluates every endpoint's setup slack and, with hold on, its
+// hold slack. Endpoints are independent — each pool index writes its own
+// epSlack / epHoldSlack entry from lists nothing is writing any more.
+func (e *Engine) computeSlacks(pool *sched.Pool) {
+	hold := e.HoldEnabled()
+	pool.RunTagged("refsta.slack", -1, len(e.EPs), func(lo, hi int) {
+		for i := int32(lo); i < int32(hi); i++ {
+			e.epSlack[i] = e.setupSlack(i)
+			if hold {
+				e.epHoldSlack[i] = e.holdSlack(i)
+			}
+		}
+	})
+}
+
+// setupSlack evaluates the setup slack of endpoint index i:
 //
 //	slack(ep, rf, sp) = m*T + earlyClk(capture) + credit(sp, ep)
 //	                    - setup[rf] - uncertainty - arrivalCorner(ep, rf, sp)
 //
 // minimized over data transitions and startpoints, honouring false-path and
-// multicycle exceptions per (startpoint, endpoint) pair. Endpoints with no
-// timed arrival get +Inf slack.
-func (e *Engine) computeSlacks() {
+// multicycle exceptions per (startpoint, endpoint) pair. An endpoint with no
+// timed arrival gets +Inf slack.
+func (e *Engine) setupSlack(i int32) float64 {
 	T := e.Con.Clock.Period
 	U := e.Con.Clock.Uncertainty
-	for i := range e.EPs {
-		ep := e.EPs[i]
-		epIdx := int32(i)
-		slack := math.Inf(1)
-		earlyClk := e.earlyClockAt(epIdx)
-		extMargin := 0.0
-		if e.D.Pins[ep].Cell == netlist.NoCell {
-			extMargin = e.Con.OutputDelay[ep]
-		}
-		for rf := 0; rf < 2; rf++ {
-			setup := e.EPSetup[i][rf]
-			for _, entry := range e.arr[rf][ep] {
-				spPin := e.SPs[entry.sp]
-				adj := e.Exc.Lookup(spPin, ep)
-				if adj.False {
-					continue
-				}
-				m := float64(adj.CycleCount())
-				req := m*T + earlyClk + e.credit(entry.sp, epIdx) - setup - U - extMargin
-				if s := req - entry.dist.Corner(e.Cfg.NSigma); s < slack {
-					slack = s
-				}
+	ep := e.EPs[i]
+	slack := math.Inf(1)
+	earlyClk := e.earlyClockAt(i)
+	extMargin := 0.0
+	if e.D.Pins[ep].Cell == netlist.NoCell {
+		extMargin = e.Con.OutputDelay[ep]
+	}
+	for rf := 0; rf < 2; rf++ {
+		setup := e.EPSetup[i][rf]
+		for _, entry := range e.arr[rf][ep] {
+			spPin := e.SPs[entry.sp]
+			adj := e.Exc.Lookup(spPin, ep)
+			if adj.False {
+				continue
+			}
+			m := float64(adj.CycleCount())
+			req := m*T + earlyClk + e.credit(entry.sp, i) - setup - U - extMargin
+			if s := req - entry.dist.Corner(e.Cfg.NSigma); s < slack {
+				slack = s
 			}
 		}
-		e.epSlack[i] = slack
 	}
+	return slack
 }
 
 // EndpointSlacks returns the per-endpoint setup slack, aligned with
@@ -164,7 +177,7 @@ func (e *Engine) WorstPath(ep int32) []PathStep {
 		var pickArc int32
 		var pickRF int
 		bestCorner := math.Inf(-1)
-		for _, ai := range e.fanin[cur] {
+		for _, ai := range e.fanin.of(cur) {
 			a := &e.Arcs[ai]
 			inRFs, n := a.Sense.InRFs(rf)
 			for i := 0; i < n; i++ {
