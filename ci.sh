@@ -41,11 +41,18 @@
 #                      internal/refsta); the engine kernels that run on the
 #                      scheduler at S = 1, 3 and 17 — one view, one recompute,
 #                      one cone wave and one slack walk behind forward, hold,
-#                      commit and overlay — (including
-#                      eight overlays borrowing the base engine's merge
-#                      scratch sets at once in internal/core and the
-#                      pooled-scratch overlay-reuse differential under 8
-#                      concurrent sessions in internal/batch), the serving
+#                      commit and overlay — (including what an overlay
+#                      borrows from its base engine, held for as long as it
+#                      is needed: a merge scratch set per wave, eight
+#                      overlays taking theirs at once, and row chunks and
+#                      look-up indices per overlay lifetime, eight
+#                      goroutines looping create, preview, Release through
+#                      the engine's pools while a ninth resets and
+#                      re-applies on storage it keeps, every preview
+#                      bit-identical to the same preview run alone, both in
+#                      internal/core; and the pooled-scratch overlay-reuse
+#                      differential under 8 concurrent sessions in
+#                      internal/batch), the serving
 #                      layer's session manager over its one engine (including
 #                      the base-read-is-one-epoch test: commits in a loop
 #                      against GET /slacks), the telemetry layer (tracer /

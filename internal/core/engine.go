@@ -21,6 +21,7 @@ package core
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"insta/internal/circuitops"
 	"insta/internal/levelize"
@@ -168,6 +169,13 @@ type Engine struct {
 	scratchMu   sync.Mutex
 	scratchFree [][]*mergeScratch
 
+	// What the overlays over this engine keep for their lifetime and hand back
+	// when released (overlay.go): shadow row chunks (*queues) and look-up
+	// indices (*shadowIndex). sync.Pools, so what no session holds is the
+	// collector's to reclaim. overlayRows counts the shadow rows in use.
+	chunkPool, indexPool sync.Pool
+	overlayRows          atomic.Int64
+
 	// Full-pass kernels, bound once with the engine (bindKernels): a closure
 	// literal or method value passed to the pool escapes — the job slot
 	// retains it — so building one per launch would cost an allocation per
@@ -244,25 +252,28 @@ func (e *Engine) levelPlan() []levelGroup {
 	return plan
 }
 
-// propScratch is the reusable state of one cone wave (incremental.go): the
-// views it retimes, its caller's two hooks, per-level wavefront buckets, the
-// queued-pin set, per-bucket change flags, and one queue snapshot per pool
-// participant (indexed by the scheduler's participant id, so kernels never
-// allocate or share a snapshot) next to the merge scratch set the wave has on
-// loan from the engine while it runs. The engine owns one for
-// PropagateIncremental — incremental propagation mutates base state, so calls
-// are exclusive — while every Overlay owns its own, because many overlays may
-// evaluate concurrently over one frozen base.
+// propScratch is the reusable state of one cone wave (incremental.go): its
+// owner's three hooks, per-level wavefront buckets, the queued-pin set and
+// per-bucket change flags, next to the merge scratch set the wave has on loan
+// from the engine while it runs. The engine owns one for PropagateIncremental
+// — incremental propagation mutates base state, so calls are exclusive — while
+// every Overlay owns its own, because many overlays may evaluate concurrently
+// over one frozen base.
 type propScratch struct {
-	late, early *view // early is nil when hold is off or not retimed
-
+	// retime is the one thing a wave does to a pin, and what differs between
+	// kinds of view: rebuild bucket[i] = p on participant id's scratch and
+	// report whether any lane's queues came out different from what the view
+	// showed before. It runs inside the level's kernel, concurrently for
+	// different i.
+	retime func(id, i int, p int32, ms *mergeScratch) bool
 	// bind, when set, runs serially on each level's bucket before its kernel:
-	// an overlay gives the bucket's pins storage there, because map writes
-	// must not run inside the kernel (parents at lower levels are read
-	// concurrently through the same map). sink, when set, is told serially,
-	// in bucket order, each pin whose queues changed.
-	bind func(bucket []int32)
-	sink func(p int32)
+	// an overlay points the bucket's pins at shadow rows there, because the
+	// index must not be written inside the kernel (parents at lower levels are
+	// read concurrently through it). settle, when set, is told serially, in
+	// bucket order and after the kernel has returned, each retimed pin and
+	// whether its queues changed.
+	bind   func(bucket []int32)
+	settle func(i int, p int32, changed bool)
 
 	buckets [][]int32
 	// Queued-pin set as an epoch-stamped slice: queuedAt[p] == stamp means p
@@ -272,7 +283,6 @@ type propScratch struct {
 	queuedAt []uint32
 	stamp    uint32
 	changed  []bool
-	snaps    []queues
 	scratch  []*mergeScratch // borrowed by coneWave for its duration, nil outside
 
 	// The level kernel is bound once per scratch and reads the launched
@@ -282,29 +292,19 @@ type propScratch struct {
 	kernFn func(id, lo, hi int)
 }
 
-// newPropScratch sizes a wave scratch over late (and early, when non-nil) for
-// e's current graph: one snapshot of a whole pin (both transitions, every
-// lane) per pool participant.
-func (e *Engine) newPropScratch(late, early *view, bind func([]int32), sink func(int32)) *propScratch {
+// newPropScratch sizes a wave scratch for e's current graph around its owner's
+// hooks.
+func (e *Engine) newPropScratch(retime func(id, i int, p int32, ms *mergeScratch) bool, bind func([]int32), settle func(int, int32, bool)) *propScratch {
 	s := &propScratch{
-		late: late, early: early, bind: bind, sink: sink,
+		retime: retime, bind: bind, settle: settle,
 		buckets:  make([][]int32, e.lv.NumLevels),
 		queuedAt: make([]uint32, e.numPins),
 		stamp:    1,
-		snaps:    make([]queues, e.pool.Workers()),
-	}
-	for i := range s.snaps {
-		s.snaps[i] = newQueues(2 * e.qstride)
 	}
 	s.kernFn = func(id, lo, hi int) {
-		snap, ms := &s.snaps[id], s.scratch[id]
+		ms := s.scratch[id]
 		for i := lo; i < hi; i++ {
-			p := s.bucket[i]
-			c := s.late.retime(snap, 1, p, ms)
-			if s.early != nil {
-				c = s.early.retime(snap, -1, p, ms) || c
-			}
-			s.changed[i] = c
+			s.changed[i] = s.retime(id, i, s.bucket[i], ms)
 		}
 	}
 	return s

@@ -10,8 +10,8 @@ import (
 // its startpoint (noSP = empty), as in the paper's queue. What a queue is
 // ordered by — the late corner, or the negated early corner for hold — is not
 // stored: every site that compares entries derives it from (mean, std) through
-// orderKey. The engine's late and early state, an overlay's per-pin copies and
-// the wavefront snapshots all have this shape.
+// orderKey. The engine's late and early state, an overlay's row chunks and the
+// in-place wave's snapshots all have this shape.
 type queues struct {
 	mean, std []float64
 	sp        []int32
@@ -56,10 +56,18 @@ func (q *queues) restride(oldCap, newCap, pins, stride int) queues {
 	return nq
 }
 
-// equal reports whether n slots of q at a and of o at b hold the same bits.
-func (q *queues) equal(a int, o *queues, b, n int) bool {
-	for i := 0; i < n; i++ {
-		if q.sp[a+i] != o.sp[b+i] || q.mean[a+i] != o.mean[b+i] || q.std[a+i] != o.std[b+i] {
+// equalLive reports whether n slots of q at a and of o at b hold the same
+// queues: the same startpoint in every slot and the same (mean, sigma) in every
+// live one. A merge never writes past the live entries it leaves, so an empty
+// slot's mean and sigma are whatever its storage held before — the queue's own
+// older entries when it was rebuilt in place, another cone's when the row was
+// recycled — and say nothing about the queue.
+func (q *queues) equalLive(a int, o *queues, b, n int) bool {
+	qsp, osp := q.sp[a:a+n], o.sp[b:b+n]
+	qm, om := q.mean[a:a+n], o.mean[b:b+n]
+	qs, os := q.std[a:a+n], o.std[b:b+n]
+	for i, sp := range qsp {
+		if sp != osp[i] || sp != noSP && (qm[i] != om[i] || qs[i] != os[i]) {
 			return false
 		}
 	}

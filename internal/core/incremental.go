@@ -49,31 +49,40 @@ func (e *Engine) PropagateIncrementalPins(pins []int32) {
 	e.coneWave(kIncremental, sc)
 }
 
-// incScratch returns the engine's reset wave scratch, over its late view and
-// — with hold on — its early one. All wavefront state lives in engine-owned
-// scratch: incremental propagation mutates base tensors, so calls are
-// exclusive and the scratch is reused allocation-free across calls (the
-// serving layer's commit path runs thousands of these).
+// incScratch returns the engine's reset wave scratch, which retimes its late
+// view and — with hold on — its early one in place. All wavefront state lives
+// in engine-owned scratch: incremental propagation mutates base tensors, so
+// calls are exclusive and the scratch is reused allocation-free across calls
+// (the serving layer's commit path runs thousands of these). An in-place
+// rebuild overwrites what it is compared against, so every pool participant
+// has one snapshot of a whole pin (both transitions, every lane) to copy that
+// to first.
 func (e *Engine) incScratch() *propScratch {
 	if e.inc == nil {
-		var early *view
-		if e.hold != nil {
-			early = &e.hold.view
+		snaps := make([]queues, e.pool.Workers())
+		for i := range snaps {
+			snaps[i] = newQueues(2 * e.qstride)
 		}
-		e.inc = e.newPropScratch(&e.top, early, nil, nil)
+		e.inc = e.newPropScratch(func(id, _ int, p int32, ms *mergeScratch) bool {
+			c := e.top.retime(&snaps[id], 1, p, ms)
+			if e.hold != nil {
+				c = e.hold.retime(&snaps[id], -1, p, ms) || c
+			}
+			return c
+		}, nil, nil)
 	}
 	e.inc.reset()
 	return e.inc
 }
 
 // coneWave walks sc's pre-seeded level buckets in order: each level's bucket
-// is bound (sc.bind, serially), then retimed through the pool — snapshot,
-// recompute, exact compare per pin and view, launched under the caller's
-// kernel tag — and the pins whose queues changed in any lane are reported to
-// sc.sink and expanded into their fan-out's buckets, serially and in bucket
-// order, so the resulting state is bit-identical to a full Propagate for any
-// worker count. Pins that come out identical stop their wavefront. The wave
-// holds one set of the engine's merge scratch while it runs.
+// is bound (sc.bind, serially), then retimed through the pool — sc.retime per
+// pin: rebuild and compare, launched under the caller's kernel tag — and the
+// pins are settled (sc.settle) and those whose queues changed in any lane
+// expanded into their fan-out's buckets, serially and in bucket order, so the
+// resulting state is bit-identical to a full Propagate for any worker count.
+// Pins that come out identical stop their wavefront. The wave holds one set of
+// the engine's merge scratch while it runs.
 func (e *Engine) coneWave(tag string, sc *propScratch) {
 	sc.scratch = e.borrowScratch()
 	for l := 0; l < len(sc.buckets); l++ {
@@ -91,11 +100,11 @@ func (e *Engine) coneWave(tag string, sc *propScratch) {
 		sc.bucket = bucket
 		e.pool.RunIndexed(tag, l, len(bucket), sc.kernFn)
 		for i, p := range bucket {
+			if sc.settle != nil {
+				sc.settle(i, p, sc.changed[i])
+			}
 			if !sc.changed[i] {
 				continue
-			}
-			if sc.sink != nil {
-				sc.sink(p)
 			}
 			for _, to := range e.foAdj[e.foStart[p]:e.foStart[p+1]] {
 				sc.push(e.lv.Level, to)

@@ -37,32 +37,51 @@ import (
 
 // Overlay is a copy-on-write what-if view over a propagated base engine.
 //
-// Allocation discipline (DESIGN.md §12): the overlay is built to re-evaluate
-// the *same* cone repeatedly without allocating — Reset and Rebase clear the
-// sparse maps in place and return pin-queue storage to a freelist instead of
-// reallocating, the wavefront state lives in a per-overlay propScratch (the
-// merge scratch its kernels index startpoints in is the base engine's, on loan
-// for each Propagate), and endpoint bookkeeping uses reusable slices. A session's steady-state
-// apply→propagate→read loop therefore settles at zero allocations per
-// operation once its maps have grown to the cone's footprint.
+// Storage discipline (DESIGN.md §8, §12): an overlay is sparse in storage and
+// dense in look-up. Recomputed queues live in shadow rows carved from
+// fixed-size chunks, found through an index by pin; re-evaluated slacks in
+// slots found through an index by endpoint. A cone pin is written once: the
+// wave points it at a fresh row — whatever bytes that row held — rebuilds its
+// queues there and compares them, on what a queue means (equalLive), with the
+// row the pin showed until then, which nothing has overwritten. Reset and
+// Rebase keep the chunks and indices, so a session's steady-state
+// apply→propagate→read loop settles at zero allocations per operation once
+// they have grown to the cone's footprint; Release hands them to the base
+// engine's pools, where the next overlay over that engine finds them. The
+// wavefront state lives in a per-overlay propScratch (the merge scratch its
+// kernels index startpoints in is the base engine's, on loan for each
+// Propagate), and endpoint bookkeeping uses reusable slices.
 type Overlay struct {
-	// The base engine's late view with two shadows filled in. arcDelta is the
-	// sparse arc-delay overlay: arc id -> per-rf nominal delay distributions.
-	// pinQ is the sparse pin-queue overlay: pins whose Top-K queues were
-	// recomputed under the overlay. Entries may be bit-equal to the base (a
-	// wavefront that converged); reads through them are still correct.
+	// The base engine's late view with its shadows filled in. arcSlot/arcDist
+	// is the sparse arc-delay overlay: arc id -> per-rf nominal delay
+	// distributions, arcDist parallel to touched. slot/chunks is the pin-queue
+	// overlay: pins whose Top-K queues were recomputed under the overlay.
+	// Entries may be equal to the base (a wavefront that converged); reads
+	// through them are still correct.
 	view
 
-	touched  []int32 // overlaid arc ids in first-annotation order
-	pending  []int32 // arcs annotated since the last propagate
-	distFree []*[2]num.Dist
-	free     []*queues // released pin-queue storage, reused before allocating
+	touched []int32 // overlaid arc ids in first-annotation order
+	pending []int32 // arcs annotated since the last propagate
 
-	// Endpoint state: slacks re-evaluated under the overlay (endpoint ->
-	// slot; slot t holds its S lane slacks at epSlack[t*S:]), the endpoints
-	// whose pins changed but are not yet re-evaluated, and the sorted set of
-	// all endpoints ever re-evaluated (ChangedEndpointsView).
-	epSlot     map[int32]int32
+	// Shadow row bookkeeping. ix is the overlay's pair of look-up arrays
+	// (view.slot and epSlot alias it), taken from the base engine at the first
+	// Propagate; shadowed lists the pins slot marks, so clearing is O(cone).
+	// Rows 0..nRows-1 of chunks have been handed out; those not in freeRows
+	// are in use, exactly one per shadowed pin between Propagates. prev is
+	// parallel to the bucket the wave is retiming: the slot entry each pin
+	// showed until bindBucket gave it a fresh row.
+	ix       *shadowIndex
+	shadowed []int32
+	freeRows []int32
+	nRows    int32
+	prev     []int32
+
+	// Endpoint state: slacks re-evaluated under the overlay (epSlot[ep] is 0
+	// while the base's stand, else 1 + t, with the endpoint's S lane slacks at
+	// epSlack[t*S:]), the endpoints whose pins changed but are not yet
+	// re-evaluated, and the sorted set of all endpoints ever re-evaluated
+	// (ChangedEndpointsView).
+	epSlot     []int32
 	epSlack    []float64
 	dirty      []int32
 	changedEPs []int32
@@ -76,55 +95,111 @@ type Overlay struct {
 	slackFn func(id, lo, hi int)
 }
 
+// shadowIndex is one overlay's pair of dense look-up arrays over its base
+// engine's pins and endpoints. An index on the engine's pool is all zero.
+type shadowIndex struct {
+	pin []int32 // view.slot
+	ep  []int32 // Overlay.epSlot
+}
+
 // NewOverlay creates an empty overlay over e. The base engine must be fully
 // propagated and slack-evaluated (Run) before the first Propagate, and must
 // stay frozen while the overlay evaluates.
 func NewOverlay(e *Engine) *Overlay {
-	return &Overlay{
-		view: view{
-			e: e, q: e.top.q,
-			arcDelta: make(map[int32]*[2]num.Dist),
-			pinQ:     make(map[int32]*queues),
-		},
-		epSlot: make(map[int32]int32),
+	return &Overlay{view: view{e: e, q: e.top.q, arcSlot: make(map[int32]int32)}}
+}
+
+// takeIndex gives the overlay its look-up arrays, from the base engine's pool
+// when that holds a pair covering the engine's pins as they are now (an
+// in-place Reseed appends pins under the same engine).
+func (o *Overlay) takeIndex() {
+	e := o.e
+	ix, _ := e.indexPool.Get().(*shadowIndex)
+	if ix == nil || len(ix.pin) < e.numPins || len(ix.ep) < len(e.epPin) {
+		ix = &shadowIndex{pin: make([]int32, e.numPins), ep: make([]int32, len(e.epPin))}
+	}
+	o.ix, o.slot, o.epSlot = ix, ix.pin, ix.ep
+}
+
+// returnIndex hands the look-up arrays, which dropDerived has zeroed, back to
+// the base engine.
+func (o *Overlay) returnIndex() {
+	if o.ix != nil {
+		o.e.indexPool.Put(o.ix)
+		o.ix, o.slot, o.epSlot = nil, nil, nil
 	}
 }
 
-// seededPinOverlay returns queue storage for pin p — from the freelist when
-// possible — preloaded with the base's queues. The wave's change detection
-// compares against the previously *visible* queues, and a pin touched for the
-// first time this Propagate was showing the base's — recycled freelist storage
-// (or fresh zeroed storage) must not stand in for them, or a wavefront could
-// stop early when stale content happens to match the recomputed result (a
-// Reset followed by reapplying identical deltas often hands pins back their
-// own old storage).
-func (o *Overlay) seededPinOverlay(p int32) *queues {
-	var q *queues
-	if n := len(o.free); n > 0 {
-		q = o.free[n-1]
-		o.free = o.free[:n-1]
-	} else {
-		nq := newQueues(2 * o.e.qstride)
-		q = &nq
+// takeRow returns a shadow row nothing shows: a recycled one when there is
+// one, else the next of the overlay's chunks, else the first of a chunk taken
+// from the base engine. Its content is whatever its last user left there.
+func (o *Overlay) takeRow() int32 {
+	if n := len(o.freeRows); n > 0 {
+		r := o.freeRows[n-1]
+		o.freeRows = o.freeRows[:n-1]
+		return r
 	}
-	o.e.top.snapshot(q, p)
-	return q
+	if int(o.nRows) == len(o.chunks)<<chunkShift {
+		c, _ := o.e.chunkPool.Get().(*queues)
+		if c == nil {
+			nq := newQueues(chunkRows * 2 * o.e.qstride)
+			c = &nq
+		}
+		o.chunks = append(o.chunks, c)
+	}
+	o.nRows++
+	return o.nRows - 1
 }
 
-// bindBucket is the wave's serial bind hook: every pin about to be retimed
-// gets overlay storage, so the kernel writes the overlay and never the base.
+// bindBucket is the wave's serial bind hook: every pin about to be retimed is
+// pointed at a fresh row, so the kernel writes the overlay and never the base
+// — and never the row the pin showed until now, which prev remembers for the
+// compare.
 func (o *Overlay) bindBucket(bucket []int32) {
+	o.prev = o.prev[:0]
 	for _, p := range bucket {
-		if o.pinQ[p] == nil {
-			o.pinQ[p] = o.seededPinOverlay(p)
+		was := o.slot[p]
+		if was == 0 {
+			o.shadowed = append(o.shadowed, p)
+		}
+		o.prev = append(o.prev, was)
+		o.slot[p] = 1 + o.takeRow()
+	}
+}
+
+// retimePin is the wave's retime hook: rebuild pin p = bucket[i] into its
+// fresh row and compare that with what the pin showed before. A fresh row's
+// empty slots hold another cone's bytes, which equalLive does not look at; a
+// merge never reads its destination past the live count it carries, so the
+// row needed no seeding either.
+func (o *Overlay) retimePin(_, i int, p int32, ms *mergeScratch) bool {
+	o.recompute(1, p, ms)
+	was := o.prev[i]
+	for rf := 0; rf < 2; rf++ {
+		q, b := o.shadow(rf, o.slot[p])
+		wq, wb := o.q, o.e.base(rf, p)
+		if was != 0 {
+			wq, wb = o.shadow(rf, was)
+		}
+		if !q.equalLive(b, wq, wb, o.e.qstride) {
+			return true
 		}
 	}
+	return false
 }
 
-// pinChanged is the wave's sink: a changed endpoint pin owes a slack
-// re-evaluation. Each pin enters at most one bucket per Propagate and maps to
-// at most one endpoint, so dirty never holds duplicates within a call.
-func (o *Overlay) pinChanged(p int32) {
+// settlePin is the wave's settle hook. The level's kernel has returned, so the
+// shadow row pin p = bucket[i] showed before can be recycled; and a changed
+// endpoint pin owes a slack re-evaluation. Each pin enters at most one bucket
+// per Propagate and maps to at most one endpoint, so dirty never holds
+// duplicates within a call.
+func (o *Overlay) settlePin(i int, p int32, changed bool) {
+	if was := o.prev[i]; was != 0 {
+		o.freeRows = append(o.freeRows, was-1)
+	}
+	if !changed {
+		return
+	}
 	if ep := o.e.epOfPin[p]; ep >= 0 {
 		o.dirty = append(o.dirty, ep)
 	}
@@ -136,19 +211,14 @@ func (o *Overlay) Base() *Engine { return o.e }
 // SetArcDelay annotates one arc's delay for output transition rf in the
 // overlay only. The base engine is untouched. Call Propagate after a batch.
 func (o *Overlay) SetArcDelay(arc int32, rf int, d num.Dist) {
-	od := o.arcDelta[arc]
-	if od == nil {
-		if n := len(o.distFree); n > 0 {
-			od = o.distFree[n-1]
-			o.distFree = o.distFree[:n-1]
-		} else {
-			od = new([2]num.Dist)
-		}
-		od[0], od[1] = o.e.ArcDelay(arc, 0), o.e.ArcDelay(arc, 1)
-		o.arcDelta[arc] = od
+	i, ok := o.arcSlot[arc]
+	if !ok {
+		i = int32(len(o.touched))
+		o.arcSlot[arc] = i
 		o.touched = append(o.touched, arc)
+		o.arcDist = append(o.arcDist, [2]num.Dist{o.e.ArcDelay(arc, 0), o.e.ArcDelay(arc, 1)})
 	}
-	od[rf] = d
+	o.arcDist[i][rf] = d
 	// The rise/fall pair of one arc arrives back to back; any other repeat is
 	// deduped per destination pin when the wave is seeded.
 	if n := len(o.pending); n == 0 || o.pending[n-1] != arc {
@@ -180,20 +250,25 @@ func (o *Overlay) Propagate() {
 	// Wavefront state is per-overlay (concurrent overlays share one frozen
 	// base but never scratch), reused allocation-free across Propagate calls.
 	if o.scratch == nil {
-		o.scratch = e.newPropScratch(&o.view, nil, o.bindBucket, o.pinChanged)
+		o.scratch = e.newPropScratch(o.retimePin, o.bindBucket, o.settlePin)
+	}
+	if o.ix == nil {
+		o.takeIndex()
 	}
 	o.scratch.reset()
 	for _, a := range arcs {
 		o.scratch.push(e.lv.Level, e.arcTo[a])
 	}
+	was := len(o.shadowed)
 	e.coneWave(KernelOverlay, o.scratch)
+	e.overlayRows.Add(int64(len(o.shadowed) - was))
 	o.evalDirtyEndpoints()
 }
 
 // evalDirtyEndpoints re-evaluates the slack of every endpoint whose pin
 // queues changed, in every lane, through the engine's pool. The dirty set is
 // sorted so the kernel's index space — and therefore the overlay's state — is
-// independent of map iteration order.
+// independent of the order the deltas were annotated in.
 func (o *Overlay) evalDirtyEndpoints() {
 	if len(o.dirty) == 0 {
 		return
@@ -221,16 +296,15 @@ func (o *Overlay) evalDirtyEndpoints() {
 	e.pool.RunIndexed(KernelOverlaySlack, -1, len(dirty), o.slackFn)
 	grew := false
 	for i, ep := range dirty {
-		slot, ok := o.epSlot[ep]
-		if !ok {
-			slot = int32(len(o.epSlot))
-			o.epSlot[ep] = slot
-			o.epSlack = append(o.epSlack, o.epOut[i*S:(i+1)*S]...)
+		t := o.epSlot[ep]
+		if t == 0 {
 			o.changedEPs = append(o.changedEPs, ep)
+			o.epSlot[ep] = int32(len(o.changedEPs))
+			o.epSlack = append(o.epSlack, o.epOut[i*S:(i+1)*S]...)
 			grew = true
 			continue
 		}
-		copy(o.epSlack[int(slot)*S:], o.epOut[i*S:(i+1)*S])
+		copy(o.epSlack[int(t-1)*S:], o.epOut[i*S:(i+1)*S])
 	}
 	if grew {
 		slices.Sort(o.changedEPs)
@@ -240,8 +314,10 @@ func (o *Overlay) evalDirtyEndpoints() {
 
 // LaneSlack returns endpoint i's slack in lane s as seen through the overlay.
 func (o *Overlay) LaneSlack(s int, i int32) float64 {
-	if slot, ok := o.epSlot[i]; ok {
-		return o.epSlack[int(slot)*len(o.e.lanes)+s]
+	if o.epSlot != nil {
+		if t := o.epSlot[i]; t != 0 {
+			return o.epSlack[int(t-1)*len(o.e.lanes)+s]
+		}
 	}
 	return o.e.epSlack[s*len(o.e.epPin)+int(i)]
 }
@@ -307,37 +383,63 @@ type OverlayStats struct {
 // Stats reports the overlay's current sparse footprint.
 func (o *Overlay) Stats() OverlayStats {
 	return OverlayStats{
-		TouchedArcs: len(o.arcDelta),
-		OverlayPins: len(o.pinQ),
-		ChangedEPs:  len(o.epSlot),
+		TouchedArcs: len(o.touched),
+		OverlayPins: len(o.shadowed),
+		ChangedEPs:  len(o.changedEPs),
 	}
 }
 
+// OverlayRows returns how many shadow rows the overlays over e hold in use
+// right now — one per pin a live preview recomputed — and their size in bytes.
+// What the overlays hold beyond that (the unused rows of their last chunk, 4
+// bytes of index per pin and endpoint from a session's first preview until it
+// is released) is not in the figure.
+func (e *Engine) OverlayRows() (rows, bytes int64) {
+	rows = e.overlayRows.Load()
+	return rows, rows * 2 * int64(e.qstride) * (8 + 8 + 4)
+}
+
 // Reset discards all overlay state — the session rollback. The base engine
-// is untouched. Maps are cleared in place and queue storage is returned to
-// the freelist, so a reset-and-reapply cycle does not reallocate.
+// is untouched. The arc map and the indices are cleared in place and every
+// shadow row is free again, so a reset-and-reapply cycle does not reallocate.
 func (o *Overlay) Reset() {
-	for _, od := range o.arcDelta {
-		o.distFree = append(o.distFree, od)
-	}
-	clear(o.arcDelta)
+	clear(o.arcSlot)
+	o.arcDist = o.arcDist[:0]
 	o.touched = o.touched[:0]
 	o.pending = o.pending[:0]
 	o.dropDerived()
 }
 
 // dropDerived invalidates everything computed from the deltas — recomputed
-// queues (their storage goes to the freelist) and re-evaluated slacks —
-// keeping all storage for reuse.
+// queues and re-evaluated slacks — keeping all storage for reuse. The indices
+// are zeroed by walking what they mark, never whole.
 func (o *Overlay) dropDerived() {
-	for _, q := range o.pinQ {
-		o.free = append(o.free, q)
+	for _, p := range o.shadowed {
+		o.slot[p] = 0
 	}
-	clear(o.pinQ)
-	clear(o.epSlot)
+	for _, ep := range o.changedEPs {
+		o.epSlot[ep] = 0
+	}
+	o.e.overlayRows.Add(-int64(len(o.shadowed)))
+	o.shadowed = o.shadowed[:0]
+	o.freeRows, o.nRows = o.freeRows[:0], 0
 	o.epSlack = o.epSlack[:0]
 	o.dirty = o.dirty[:0]
 	o.changedEPs = o.changedEPs[:0]
+}
+
+// Release resets the overlay and hands its row chunks and indices to the base
+// engine's pools, for the next overlay over that engine — the end of a
+// session. Unlike Reset it gives up the zero-allocation steady state: a
+// released overlay is as good as new, and as empty.
+func (o *Overlay) Release() {
+	o.Reset()
+	for _, c := range o.chunks {
+		o.e.chunkPool.Put(c)
+	}
+	clear(o.chunks)
+	o.chunks = o.chunks[:0]
+	o.returnIndex()
 }
 
 // Rebase invalidates the overlay's derived state (queues, slacks) while
@@ -353,43 +455,41 @@ func (o *Overlay) Rebase() {
 }
 
 // RebaseStructural re-targets the overlay at a structurally edited
-// replacement of its base engine (same lanes and TopK). remap maps the old
-// engine's arc ids to e's (-1 = arc removed by the edit); nil means identity
-// (an insert-only edit appends arcs without renumbering). Arc deltas on
-// surviving arcs are kept — SetArcDelay stores absolute per-rf delays, so the
-// values remain meaningful under the new engine — re-keyed through remap and
-// scheduled for re-propagation; deltas on removed arcs are dropped to the
-// freelist. All derived state (queues, slacks) is invalidated like Rebase,
-// and the wavefront scratch is discarded because the new engine's level count
-// differs. Pin-queue freelist storage survives: its size depends only on
-// TopK and the lane count, which a structural edit never changes.
+// replacement of its base engine (same lanes and TopK) — or at the same
+// engine, reseeded in place. remap maps the old engine's arc ids to e's (-1 =
+// arc removed by the edit); nil means identity (an insert-only edit appends
+// arcs without renumbering). Arc deltas on surviving arcs are kept —
+// SetArcDelay stores absolute per-rf delays, so the values remain meaningful
+// under the new engine — re-keyed through remap and scheduled for
+// re-propagation; deltas on removed arcs are dropped. All derived state
+// (queues, slacks) is invalidated like Rebase, and the wavefront scratch and
+// the indices are discarded because the new engine's level, pin and endpoint
+// counts differ: the next Propagate takes both at e's size. Row chunks
+// survive: their size depends only on TopK and the lane count, which a
+// structural edit never changes.
 func (o *Overlay) RebaseStructural(e *Engine, remap []int32) {
 	o.dropDerived()
+	o.returnIndex()
 	o.scratch = nil
 
-	// Re-key surviving deltas. Old and new id ranges can overlap after a
-	// removal compaction, so drain the map first and reinsert.
-	oldTouched := append([]int32(nil), o.touched...)
-	oldDeltas := make([]*[2]num.Dist, len(oldTouched))
-	for i, a := range oldTouched {
-		oldDeltas[i] = o.arcDelta[a]
-	}
-	clear(o.arcDelta)
-	o.touched = o.touched[:0]
-	o.pending = o.pending[:0]
-	for i, a := range oldTouched {
-		na := a
+	// Re-key surviving deltas, compacting touched and arcDist in step. Old and
+	// new id ranges can overlap after a removal compaction, so the map is
+	// emptied first.
+	clear(o.arcSlot)
+	n := 0
+	for i, a := range o.touched {
 		if remap != nil {
-			na = remap[a]
+			a = remap[a]
 		}
-		if na < 0 {
-			o.distFree = append(o.distFree, oldDeltas[i])
+		if a < 0 {
 			continue
 		}
-		o.arcDelta[na] = oldDeltas[i]
-		o.touched = append(o.touched, na)
-		o.pending = append(o.pending, na)
+		o.arcSlot[a] = int32(n)
+		o.touched[n], o.arcDist[n] = a, o.arcDist[i]
+		n++
 	}
+	o.touched, o.arcDist = o.touched[:n], o.arcDist[:n]
+	o.pending = append(o.pending[:0], o.touched...)
 	o.e, o.q = e, e.top.q
 }
 
@@ -406,10 +506,9 @@ func (o *Overlay) Commit() {
 	e := o.e
 	sp := e.tracer.StartArg("overlay-commit", "arcs", int64(len(o.touched)))
 	defer sp.End()
-	for _, arc := range o.touched {
-		od := o.arcDelta[arc]
+	for i, arc := range o.touched {
 		for rf := 0; rf < 2; rf++ {
-			e.SetArcDelay(arc, rf, od[rf])
+			e.SetArcDelay(arc, rf, o.arcDist[i][rf])
 		}
 	}
 	e.PropagateIncremental(o.touched)

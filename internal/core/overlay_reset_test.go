@@ -1,12 +1,13 @@
 package core
 
-// Regression guard for freelist recycling in the overlay (DESIGN.md §12):
-// Reset returns pin-queue storage to a freelist and a reapply hands it back
-// out in map-iteration (random) order, so a pin's "previously visible"
-// queues must be reseeded from the base — stale recycled content that
-// happens to equal the recomputed result would otherwise stop the wavefront
-// early and strand downstream endpoints on base slacks. The bug is a
-// storage-assignment lottery, so the test re-runs the cycle several times.
+// Regression guard for row recycling in the overlay (DESIGN.md §8): after a
+// Reset a reapply lands on rows that hold the previous preview — of the same
+// deltas, so often exactly the queues about to be computed. What a pin
+// "showed before" must be the base's row, never the recycled row's content:
+// stale bytes that equal the recomputed result would otherwise stop the
+// wavefront early and strand downstream endpoints on base slacks. When each
+// pin's storage was drawn from a freelist in map order this was a lottery, so
+// the test re-runs the cycle several times.
 
 import "testing"
 

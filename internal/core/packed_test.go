@@ -154,7 +154,7 @@ func TestPackedTailInvariant(t *testing.T) {
 				assertPacked(t, "overlay preview", e, o.queues, 1)
 				o.Reset()
 				assertPacked(t, "overlay rollback", e, o.queues, 1)
-				applyToOverlay(o, deltas) // recycled storage seeded from the base
+				applyToOverlay(o, deltas) // into recycled rows, tails and all
 				assertPacked(t, "overlay re-preview", e, o.queues, 1)
 				o.Commit()
 				assertEnginePacked(t, "overlay commit", e)

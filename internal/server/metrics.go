@@ -78,6 +78,15 @@ func newMetrics(m *Manager) *metrics {
 		fmt.Fprintf(w, "insta_base_topo_gen %d\n", m.TopoGen())
 		m.RelevelHist().WritePrometheus(w, "insta_topo_relevel_levels")
 	})
+	// What open sessions hold in the served engine's overlay rows. Sessions
+	// still bound to an engine a structural commit replaced are not counted:
+	// their rows move over when they rebase.
+	reg.Collector("insta_overlay", func(w io.Writer) {
+		rows, bytes := m.Engine().OverlayRows()
+		fmt.Fprintf(w, "# TYPE insta_overlay gauge\n")
+		fmt.Fprintf(w, "insta_overlay_rows %d\n", rows)
+		fmt.Fprintf(w, "insta_overlay_bytes %d\n", bytes)
+	})
 	// Snapshot cache counters render last so the exposition order of the
 	// families above stays byte-stable for servers without a cache.
 	if c := m.opt.Snapshots; c != nil {

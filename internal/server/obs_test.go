@@ -93,7 +93,10 @@ func TestMetricsByteCompat(t *testing.T) {
 		"insta_topo_conflicts_total 0\n" +
 		"insta_base_topo_gen 0\n" +
 		emptyHistExpositionBounds("insta_topo_relevel_levels",
-			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
+			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}) +
+		"# TYPE insta_overlay gauge\n" +
+		"insta_overlay_rows 0\n" +
+		"insta_overlay_bytes 0\n"
 	if body != want {
 		t.Fatalf("fresh /metrics exposition drifted from the pre-obs bytes:\ngot:\n%s\nwant:\n%s", body, want)
 	}
@@ -112,6 +115,27 @@ func TestMetricsByteCompat(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("post-traffic /metrics missing %q:\n%s", want, body)
 		}
+	}
+
+	// Session memory is visible while the session is open: one row per pin
+	// its preview recomputed (both transitions, K slots of two floats and a
+	// startpoint each), gone when it closes.
+	sess, err := mgr.Create()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.ApplyDeltas(arcDeltas(mgr.Engine(), 0, 97, 1.05))
+	if err != nil || res.OverlayPins == 0 {
+		t.Fatalf("preview recomputed %d pins, err %v", res.OverlayPins, err)
+	}
+	_, body = getBody(t, srv.URL+"/metrics")
+	held := fmt.Sprintf("insta_overlay_rows %d\ninsta_overlay_bytes %d\n", res.OverlayPins, res.OverlayPins*2*8*20)
+	if !strings.Contains(body, held) {
+		t.Fatalf("/metrics with an open session missing %q:\n%s", held, body)
+	}
+	sess.Close()
+	if _, body = getBody(t, srv.URL+"/metrics"); !strings.Contains(body, "insta_overlay_rows 0\ninsta_overlay_bytes 0\n") {
+		t.Fatalf("/metrics still counts a closed session's rows:\n%s", body)
 	}
 }
 

@@ -224,7 +224,9 @@ func (s *Session) resultLocked() *ECOResult {
 		}
 		res.TouchedArcs = st.TouchedArcs
 		res.OverlayPins = st.OverlayPins
-		for _, ep := range s.ov.ChangedEndpointsView() {
+		changed := s.ov.ChangedEndpointsView()
+		res.Changed = make([]EndpointSlack, 0, len(changed))
+		for _, ep := range changed {
 			res.Changed = append(res.Changed, m.endpointSlackLocked(int(ep), s.ov.Slack(m.nom, ep)))
 		}
 	}
@@ -628,6 +630,7 @@ func (s *Session) Close() bool {
 	}
 	s.closed = true
 	s.discardLocked()
+	s.ov.Release() // its rows and indices go to the next session over this engine
 	return s.m.remove(s.ID)
 }
 
