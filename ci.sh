@@ -31,7 +31,11 @@
 #                      slot is empty — and the startpoint index itself exact:
 #                      current and right for every queued startpoint, current
 #                      for no other (the checked-in corpus under
-#                      internal/core/testdata/fuzz/ runs in step 3 already)
+#                      internal/core/testdata/fuzz/ runs in step 3 already);
+#                      then 10 s of FuzzJSONFloat: the float formatter behind
+#                      GET /session/{id}/slacks — cached text and fresh floats
+#                      alike — against encoding/json, byte for byte, for any
+#                      float64 bit pattern
 #   4. go test -race — short-mode race check of the scheduler; the reference
 #                      engine's full update, which runs every level and the
 #                      endpoint slack walk on a pool of GOMAXPROCS
@@ -67,7 +71,10 @@
 #                      from the daemon flag set behind the router, byte-equal
 #                      to a lone one) next to the daemon teardown test
 #                      (structural commit, Close, no goroutine left, the
-#                      committed base in the snapshot cache)
+#                      committed base in the snapshot cache); then the
+#                      router's two request-body tests twenty times over
+#                      (a pooled body buffer is not reused while the
+#                      transport may still be sending from it)
 #   5. load smoke    — 100 concurrent ECO requests against a live
 #                      server.Daemon — assembled from the daemon flag set,
 #                      request shell on, as insta-served and every
@@ -98,9 +105,12 @@ go test ./...
 
 echo "== go test -fuzz FuzzMergeTopK (10s, indexed merge vs the scanning Algorithm-2 reference) =="
 go test ./internal/core -run '^$' -fuzz FuzzMergeTopK -fuzztime 10s
+echo "== go test -fuzz FuzzJSONFloat (10s, the session reads' float formatter vs encoding/json) =="
+go test ./internal/server -run '^$' -fuzz FuzzJSONFloat -fuzztime 10s
 
 echo "== go test -race (sched + levelize + refsta + core + batch + topo + server + obs + snap + cmdutil + fleet + hier, short) =="
 go test -race -short ./internal/sched/... ./internal/levelize/... ./internal/refsta/... ./internal/core/... ./internal/batch/... ./internal/topo/... ./internal/server/... ./internal/obs/... ./internal/snap/... ./internal/cmdutil/... ./internal/fleet/... ./internal/hier/...
+go test -race -count=20 -run 'TestRouterRefusesOversizedBody|TestForwardBodyNotReusedWhileInFlight' ./internal/fleet/
 
 echo "== serve load smoke (-race, 100 concurrent ECO requests against a server.Daemon; single-corner and {ss,tt,ff}) =="
 go test -race -run 'TestServeLoadSmoke|TestServeConcurrentSessionsBitIdentical' ./internal/server/

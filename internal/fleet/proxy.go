@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"net/url"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"insta/internal/obs"
@@ -192,6 +193,47 @@ func (p *Pool) handleRead(w *shell.Req, r *http.Request) {
 	p.hedgedRead(w, r, primary)
 }
 
+// replayBody is a request body buffered once in a bodyPool buffer so that
+// every attempt of forward can send it. The transport may go on reading an
+// attempt's body after its round trip has returned — a replica that answers
+// before it has drained the request, a 413 say — and closes the body when it
+// is done with it, so each attempt's body holds a reference, forward holds
+// one while it may still start attempts, and the buffer goes back to the pool
+// with the last of them.
+type replayBody struct {
+	buf  *bytes.Buffer
+	refs atomic.Int32
+}
+
+// open returns one more reader over the whole body.
+func (b *replayBody) open() io.ReadCloser {
+	b.refs.Add(1)
+	a := &attemptBody{body: b}
+	a.Reset(b.buf.Bytes())
+	return a
+}
+
+func (b *replayBody) release() {
+	if b.refs.Add(-1) == 0 {
+		bodyPool.Put(b.buf)
+	}
+}
+
+// attemptBody is one attempt's view of a replayBody; its first Close gives
+// the reference back.
+type attemptBody struct {
+	bytes.Reader
+	body   *replayBody
+	closed atomic.Bool
+}
+
+func (a *attemptBody) Close() error {
+	if a.closed.CompareAndSwap(false, true) {
+		a.body.release()
+	}
+	return nil
+}
+
 // forward proxies one request to rep with bounded retry: up to maxRetries
 // extra attempts, backoff doubling from RetryBackoff, and a method-aware
 // retry predicate (see retriable). The request body is buffered once so
@@ -201,11 +243,13 @@ func (p *Pool) forward(w *shell.Req, r *http.Request, rep *Replica, path string)
 	if q := r.URL.RawQuery; q != "" {
 		path += "?" + q
 	}
-	var body []byte
+	var body *replayBody
 	if r.Body != nil && r.ContentLength != 0 {
 		buf := bodyPool.Get().(*bytes.Buffer)
 		buf.Reset()
-		defer bodyPool.Put(buf)
+		body = &replayBody{buf: buf}
+		body.refs.Store(1)
+		defer body.release()
 		if _, err := io.Copy(buf, io.LimitReader(r.Body, server.MaxBodyBytes+1)); err != nil {
 			server.WriteError(w, http.StatusBadRequest, err)
 			return
@@ -214,7 +258,6 @@ func (p *Pool) forward(w *shell.Req, r *http.Request, rep *Replica, path string)
 			server.WriteError(w, http.StatusRequestEntityTooLarge, errors.New("fleet: request body too large"))
 			return
 		}
-		body = buf.Bytes()
 	}
 	t0 := time.Now()
 	var lastErr error
@@ -229,14 +272,16 @@ func (p *Pool) forward(w *shell.Req, r *http.Request, rep *Replica, path string)
 			}
 			p.met.retries.Inc()
 		}
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(r.Context(), r.Method, rep.URL()+path, rd)
+		req, err := http.NewRequestWithContext(r.Context(), r.Method, rep.URL()+path, nil)
 		if err != nil {
 			server.WriteError(w, http.StatusBadGateway, err)
 			return
+		}
+		if body != nil && body.buf.Len() > 0 {
+			// What NewRequest sets up for a *bytes.Reader, with a Close
+			// that is seen. GetBody serves the transport's own replays.
+			req.Body, req.ContentLength = body.open(), int64(body.buf.Len())
+			req.GetBody = func() (io.ReadCloser, error) { return body.open(), nil }
 		}
 		if ct := r.Header.Get("Content-Type"); ct != "" {
 			req.Header.Set("Content-Type", ct)

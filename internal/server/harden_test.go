@@ -197,6 +197,65 @@ func TestOversizedBodyRejected(t *testing.T) {
 	}
 }
 
+// TestECOBodyLeavesNothingForTheNext: ECO bodies are decoded into a pooled
+// request, and encoding/json decodes into the elements a slice already holds
+// — so a body that leaves fields out must read them as zero, not as what the
+// body before it said, also past the end of a shorter batch. (Under -race
+// sync.Pool drops at random and most posts decode into a new request; the
+// plain run is the one that reuses.)
+func TestECOBodyLeavesNothingForTheNext(t *testing.T) {
+	mgr, s := newTestManager(t, "des", 6, 1, server.Options{})
+	h := server.New(mgr, "des").Handler()
+	post := func(sess *server.Session, body string) (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/session/"+sess.ID+"/eco", strings.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+	create := func() *server.Session {
+		sess, err := mgr.Create()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	full, err := json.Marshal(slowArcs(mgr.Engine(), mgr.Engine().NumArcs(), 3, 64, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two arcs with no "fall" and no sigma: through the API that is a zero
+	// fall delay and a zero sigma. Before it, a full batch, and one whose
+	// repeated key leaves elements filled in beyond its final length.
+	partial := `{"arcs":[{"arc":11,"rise":{"mean":7}},{"arc":3,"rise":{"mean":40}}]}`
+	want, err := create().ApplyECO(server.ECORequest{Arcs: []server.ArcECO{
+		{Arc: 11, Rise: num.Dist{Mean: 7}}, {Arc: 3, Rise: num.Dist{Mean: 40}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBody, _ := json.Marshal(want)
+	for i := 0; i < 8; i++ {
+		if code, body := post(create(), string(full)); code != http.StatusOK {
+			t.Fatalf("full batch: %d %s", code, body)
+		}
+		if code, body := post(create(), `{"arcs":[{"arc":1},{"arc":2,"rise":{"mean":1,"std":30},"fall":{"mean":90,"std":30}},{"arc":5}],"arcs":[{"arc":9}]}`); code != http.StatusOK {
+			t.Fatalf("repeated key: %d %s", code, body)
+		}
+		if code, body := post(create(), partial); code != http.StatusOK || body != string(wantBody)+"\n" {
+			t.Fatalf("a batch without fall delays, after a full one: %d, not what the API answers for it\n got: %.300s\nwant: %.300s", code, body, wantBody)
+		}
+	}
+	rz := resizeECOs(s, 31, 1)[0].Resizes[0]
+	for i := 0; i < 8; i++ {
+		full, _ := json.Marshal(server.ECORequest{Resizes: []server.ResizeReq{rz}})
+		if code, body := post(create(), string(full)); code != http.StatusOK {
+			t.Fatalf("resize: %d %s", code, body)
+		}
+		code, body := post(create(), `{"resizes":[{"cell":"`+rz.Cell+`"}]}`)
+		if code != http.StatusBadRequest || !strings.Contains(body, `unknown library cell \"\"`) {
+			t.Fatalf("a resize without a lib, after a full one: %d %s", code, body)
+		}
+	}
+}
+
 // TestHTTPServerBoundsHeaderReads: the server both daemons listen with gives
 // a connection a bounded time to deliver its request headers.
 func TestHTTPServerBoundsHeaderReads(t *testing.T) {

@@ -210,6 +210,7 @@ func (s *Server) withSession(h func(http.ResponseWriter, *http.Request, *Session
 type respEnc struct {
 	buf bytes.Buffer
 	enc *json.Encoder
+	out []byte // a stitched session slack body (writeSessionSlacks)
 }
 
 var encPool = sync.Pool{New: func() any {
@@ -225,13 +226,22 @@ var encPool = sync.Pool{New: func() any {
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	e := encPool.Get().(*respEnc)
 	e.buf.Reset()
-	err := e.enc.Encode(v)
+	var body []byte
+	if err := e.enc.Encode(v); err == nil {
+		body = e.buf.Bytes()
+	}
+	writeBody(w, code, body)
+	encPool.Put(e)
+}
+
+// writeBody sends the status line and a JSON body; a nil body is the one that
+// failed to encode.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	if err == nil {
-		_, _ = w.Write(e.buf.Bytes())
+	if body != nil {
+		_, _ = w.Write(body)
 	}
-	encPool.Put(e)
 }
 
 // WriteError answers with status code and the body {"error": err's text}.
@@ -370,15 +380,12 @@ func (s *Server) handleSessionSlacks(w http.ResponseWriter, r *http.Request, ses
 	scn := r.URL.Query().Get("scenario")
 	bufp := slackBufPool.Get().(*[]float64)
 	defer func() { slackBufPool.Put(bufp) }()
-	slacks, err := sess.ScenarioSlacksInto(scn, (*bufp)[:0])
+	slacks, lane, err := sess.scenarioSlacksInto(scn, (*bufp)[:0])
 	if err != nil {
 		WriteError(w, errCode(err), err)
 		return
 	}
 	*bufp = slacks[:0]
-	if slacks == nil {
-		slacks = []float64{} // "slacks":[] for a design without endpoints, not null
-	}
 	wns, tns, viol := 0.0, 0.0, 0
 	for i, sl := range slacks {
 		slacks[i] = jsonSlack(sl)
@@ -390,7 +397,7 @@ func (s *Server) handleSessionSlacks(w http.ResponseWriter, r *http.Request, ses
 			}
 		}
 	}
-	WriteJSON(w, http.StatusOK, &sessionSlacks{ID: sess.ID, Scenario: scn, Slacks: slacks, TNS: tns, Violations: viol, WNS: wns})
+	s.writeSessionSlacks(w, &sessionSlacks{ID: sess.ID, Scenario: scn, TNS: tns, Violations: viol, WNS: wns}, lane, slacks)
 }
 
 // handleSnapshot persists the committed base state to the snapshot cache so
@@ -418,11 +425,20 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, sess *Sess
 // one client from making either process buffer gigabytes.
 const MaxBodyBytes = 8 << 20
 
-// decodeBody decodes a size-capped JSON request body into v, answering 413
-// for an oversized body and 400 for a malformed one. It reports whether the
-// handler should go on.
+// reqBodyPool recycles the buffers request bodies are read into.
+var reqBodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeBody reads a size-capped request body into a pooled buffer and
+// decodes its JSON into v, answering 413 for an oversized body and 400 for a
+// malformed one. It reports whether the handler should go on.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	buf := reqBodyPool.Get().(*bytes.Buffer)
+	defer reqBodyPool.Put(buf)
+	buf.Reset()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	if err == nil {
+		err = unmarshalFirst(buf.Bytes(), v)
+	}
 	if err == nil {
 		return true
 	}
@@ -435,16 +451,54 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
+// unmarshalFirst decodes the first JSON value of data into v and answers what
+// json.Decoder.Decode answered while bodies were streamed through one, which
+// clients and the wire goldens have seen: whatever follows the first value is
+// ignored, and input that ends early is io.EOF or io.ErrUnexpectedEOF. Those
+// are the inputs json.Unmarshal calls a syntax error — before it has touched
+// v — so for them, and only them, a decoder is built to answer.
+func unmarshalFirst(data []byte, v any) error {
+	err := json.Unmarshal(data, v)
+	var syn *json.SyntaxError
+	if errors.As(err, &syn) {
+		return json.NewDecoder(bytes.NewReader(data)).Decode(v)
+	}
+	return err
+}
+
+// ecoReqPool recycles ECO requests with the capacity their batches grew:
+// nothing keeps one past ApplyECO, which stores resolved copies.
+var ecoReqPool = sync.Pool{New: func() any { return new(ECORequest) }}
+
+// maxPooledBatch is the largest batch capacity a pooled ECO request keeps. It
+// is cleared to capacity before every reuse, which has to stay nothing next
+// to a one-arc preview; the largest batch the stack sends is 512 arcs.
+const maxPooledBatch = 4096
+
+// putECORequest returns req to the pool, zeroed to capacity: encoding/json
+// decodes into the elements a slice already holds, so whatever one body left
+// behind would fill in the fields the next leaves out.
+func putECORequest(req *ECORequest) {
+	if cap(req.Arcs) > maxPooledBatch || cap(req.Resizes) > maxPooledBatch {
+		return
+	}
+	clear(req.Arcs[:cap(req.Arcs)])
+	clear(req.Resizes[:cap(req.Resizes)])
+	req.Arcs, req.Resizes = req.Arcs[:0], req.Resizes[:0]
+	ecoReqPool.Put(req)
+}
+
 func (s *Server) handleECO(w http.ResponseWriter, r *http.Request, sess *Session) {
-	var req ECORequest
-	if !decodeBody(w, r, &req) {
+	req := ecoReqPool.Get().(*ECORequest)
+	defer putECORequest(req)
+	if !decodeBody(w, r, req) {
 		return
 	}
 	if len(req.Resizes) == 0 && len(req.Arcs) == 0 {
 		WriteError(w, http.StatusBadRequest, errors.New("server: empty ECO batch"))
 		return
 	}
-	res, err := sess.ApplyECO(req)
+	res, err := sess.ApplyECO(*req)
 	if err != nil {
 		WriteError(w, errCode(err), err)
 		return

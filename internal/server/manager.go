@@ -173,6 +173,8 @@ type Manager struct {
 	// recorder path — never take smu just to count sessions.
 	live obs.Gauge
 
+	slackText slackText // the session reads' endpoint slack text, per base lane
+
 	log *slog.Logger
 }
 
@@ -215,6 +217,7 @@ func NewManager(e *core.Engine, ref *refsta.Engine, opt Options) *Manager {
 		relevelHist: obs.NewHistogram(relevelBounds),
 		log:         slog.Default(),
 	}
+	m.slackText.lanes = make([]atomic.Pointer[laneText], be.NumScenarios()+1)
 	m.baseWNS, m.baseTNS = be.WNS(nom), be.TNS(nom)
 	if opt.Batch != nil {
 		m.baseScn = scenarioBaseViews(be)

@@ -87,6 +87,16 @@ func newMetrics(m *Manager) *metrics {
 		fmt.Fprintf(w, "insta_overlay_rows %d\n", rows)
 		fmt.Fprintf(w, "insta_overlay_bytes %d\n", bytes)
 	})
+	// The session reads' slack text cache: endpoints answered by copying
+	// cached text against endpoints formatted, lane renders, memory held.
+	reg.Collector("insta_slack_text", func(w io.Writer) {
+		c := &m.slackText
+		fmt.Fprintf(w, "# TYPE insta_slack_text gauge\n")
+		fmt.Fprintf(w, "insta_slack_text_hits_total %d\n", c.hits.Load())
+		fmt.Fprintf(w, "insta_slack_text_formats_total %d\n", c.formats.Load())
+		fmt.Fprintf(w, "insta_slack_text_rebuilds_total %d\n", c.rebuilds.Load())
+		fmt.Fprintf(w, "insta_slack_text_bytes %d\n", c.bytes())
+	})
 	// Snapshot cache counters render last so the exposition order of the
 	// families above stays byte-stable for servers without a cache.
 	if c := m.opt.Snapshots; c != nil {

@@ -96,7 +96,12 @@ func TestMetricsByteCompat(t *testing.T) {
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}) +
 		"# TYPE insta_overlay gauge\n" +
 		"insta_overlay_rows 0\n" +
-		"insta_overlay_bytes 0\n"
+		"insta_overlay_bytes 0\n" +
+		"# TYPE insta_slack_text gauge\n" +
+		"insta_slack_text_hits_total 0\n" +
+		"insta_slack_text_formats_total 0\n" +
+		"insta_slack_text_rebuilds_total 0\n" +
+		"insta_slack_text_bytes 0\n"
 	if body != want {
 		t.Fatalf("fresh /metrics exposition drifted from the pre-obs bytes:\ngot:\n%s\nwant:\n%s", body, want)
 	}

@@ -463,10 +463,16 @@ func (s *Session) ScenarioSlacks(name string) ([]float64, error) {
 // scenario "" is the nominal lane, which every server has. A session holding
 // structural edits reads its working engine, which has nothing to patch.
 func (s *Session) ScenarioSlacksInto(name string, dst []float64) ([]float64, error) {
-	err := s.evalLocked(func() error {
+	dst, _, err := s.scenarioSlacksInto(name, dst)
+	return dst, err
+}
+
+// scenarioSlacksInto is ScenarioSlacksInto, also reporting the lane the name
+// resolved to.
+func (s *Session) scenarioSlacksInto(name string, dst []float64) (_ []float64, lane int, err error) {
+	err = s.evalLocked(func() error {
 		m := s.m
-		lane, err := m.laneLocked(name)
-		if err != nil {
+		if lane, err = m.laneLocked(name); err != nil {
 			return err
 		}
 		if s.ts != nil {
@@ -477,9 +483,9 @@ func (s *Session) ScenarioSlacksInto(name string, dst []float64) ([]float64, err
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return dst, nil
+	return dst, lane, nil
 }
 
 // Commit folds the session's recorded arc deltas into the base engine
