@@ -35,7 +35,14 @@
 #                      then 10 s of FuzzJSONFloat: the float formatter behind
 #                      GET /session/{id}/slacks — cached text and fresh floats
 #                      alike — against encoding/json, byte for byte, for any
-#                      float64 bit pattern
+#                      float64 bit pattern; then 10 s of FuzzTopoSession:
+#                      structural op batches decoded from bytes drive one
+#                      session — no panic, a rejected batch changes nothing,
+#                      and after every accepted one the session engine is
+#                      bit-identical to a cold compile of its tables and every
+#                      arc id handed out so far still names its row and pins
+#                      (arc ids are permanent: a removed buffer is bypassed,
+#                      not compacted away)
 #   4. go test -race — short-mode race check of the scheduler; the reference
 #                      engine's full update, which runs every level and the
 #                      endpoint slack walk on a pool of GOMAXPROCS
@@ -107,6 +114,8 @@ echo "== go test -fuzz FuzzMergeTopK (10s, indexed merge vs the scanning Algorit
 go test ./internal/core -run '^$' -fuzz FuzzMergeTopK -fuzztime 10s
 echo "== go test -fuzz FuzzJSONFloat (10s, the session reads' float formatter vs encoding/json) =="
 go test ./internal/server -run '^$' -fuzz FuzzJSONFloat -fuzztime 10s
+echo "== go test -fuzz FuzzTopoSession (10s, structural op batches vs a cold compile, arc ids permanent) =="
+go test ./internal/topo -run '^$' -fuzz FuzzTopoSession -fuzztime 10s
 
 echo "== go test -race (sched + levelize + refsta + core + batch + topo + server + obs + snap + cmdutil + fleet + hier, short) =="
 go test -race -short ./internal/sched/... ./internal/levelize/... ./internal/refsta/... ./internal/core/... ./internal/batch/... ./internal/topo/... ./internal/server/... ./internal/obs/... ./internal/snap/... ./internal/cmdutil/... ./internal/fleet/... ./internal/hier/...

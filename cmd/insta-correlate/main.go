@@ -43,7 +43,7 @@ func main() {
 	var hierRun *hier.ChipRun
 	var hierCmp *hier.Compare
 	defer ob.Finish(func(m *obs.Manifest) {
-		m.TopK, m.Workers, m.Grain = *topK, sf.Workers, sf.Grain
+		m.TopK, m.Workers = *topK, sf.Workers
 		m.AddExtra("blocks", *blocks)
 		if hierRun != nil {
 			m.AddExtra("hier_chip", *hierChip)

@@ -100,7 +100,7 @@ func main() {
 
 	defer ob.Finish(func(m *obs.Manifest) {
 		m.Design = spec.Name
-		m.TopK, m.Workers, m.Grain = *topK, sf.Workers, sf.Grain
+		m.TopK, m.Workers = *topK, sf.Workers
 		m.AddExtra("hier_chip", spec.Name)
 		m.AddExtra("hier_instances", len(spec.Blocks))
 		m.AddExtra("hier_cache_hits", run.CacheHits)

@@ -46,7 +46,7 @@ func main() {
 	}
 	defer ob.Finish(func(m *obs.Manifest) {
 		m.Design = spec.Name
-		m.TopK, m.Workers, m.Grain = *topK, sf.Workers, sf.Grain
+		m.TopK, m.Workers = *topK, sf.Workers
 		m.AddExtra("iterations", *n)
 		m.AddExtra("batch", *batch)
 		if *ops != "" {

@@ -31,7 +31,7 @@ func main() {
 		exp.UseSnapshots(c)
 	}
 	defer ob.Finish(func(m *obs.Manifest) {
-		m.Workers, m.Grain = sf.Workers, sf.Grain
+		m.Workers = sf.Workers
 		m.AddExtra("designs", *designs)
 	})
 	if _, err := exp.TableIII(os.Stdout, strings.Split(*designs, ","), *iters, opt); err != nil {

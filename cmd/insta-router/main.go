@@ -8,13 +8,11 @@
 //
 //	insta-router -design block-2 -replicas 4                 # in-process fleet
 //	insta-router -design block-2 -replicas 2 -corners ss,tt,ff
-//	insta-router -mode spawn -design block-2 -replicas 4 \
-//	    -served-bin ./insta-served -snapshot-dir ~/.cache/insta
 //	insta-router -mode attach -attach http://h1:8080,http://h2:8080
 //
 // The router registers insta-served's own flag set (cmdutil.DaemonFlags:
 // -design/-dir/-tech, -topk, -corners, -max-sessions, -ttl, -sweep, -drain,
-// -workers/-grain, -snapshot-dir, -flight-size/-flight-pin/-slo-objective/
+// -workers, -snapshot-dir, -flight-size/-flight-pin/-slo-objective/
 // -slo-budget) and every replica it starts is configured by it, so a fleet
 // replica is the daemon a lone insta-served with the same flags would be.
 //
@@ -27,16 +25,13 @@
 //     machine: one cold build, warm replicas. A rolling swap closes a
 //     replica's daemon (which persists its committed base) and starts a new
 //     one from the latest snapshot on a fresh port.
-//   - spawn: execs -replicas insta-served children on consecutive ports, the
-//     daemon flag set re-emitted as their argv. With -snapshot-dir the first
-//     child cold-builds and writes the snapshot; the rest (and every
-//     rolling-swap respawn) boot warm from it.
-//   - attach: joins daemons already running elsewhere; the router adds
+//   - attach: joins daemons already running elsewhere — insta-served
+//     processes started by hand or by a supervisor; the router adds
 //     routing, health, admission and hedging but owns no lifecycle, so
 //     POST /admin/swap answers 501.
 //
 // Endpoints are the daemon's plus POST /admin/swap (rolling snapshot-swap;
-// inproc and spawn modes). GET /healthz aggregates per-replica state; GET
+// inproc mode). GET /healthz aggregates per-replica state; GET
 // /metrics exposes the fleet counters (per-replica requests, hedge
 // fires/wins, retries, unready transitions, admission timeouts) and the SLO
 // burn-rate gauges. Every routed request carries a W3C traceparent (minted
@@ -49,9 +44,8 @@
 // these, for the router's recorder and every replica's alike;
 // -trace/-manifest/-log-level as in the other tools). SIGTERM drains: new
 // work is refused with 503 + Retry-After, in-flight requests finish, then the
-// replicas shut down — children (spawn) and in-process daemons (inproc) by the
-// same teardown, each persisting its committed base when a snapshot cache is
-// configured.
+// in-process daemons shut down, each persisting its committed base when a
+// snapshot cache is configured.
 package main
 
 import (
@@ -82,11 +76,9 @@ func fatalf(format string, args ...any) {
 
 func main() {
 	addr := flag.String("addr", ":8090", "router listen address")
-	mode := flag.String("mode", "inproc", "fleet backend: inproc, spawn or attach")
-	replicas := flag.Int("replicas", 4, "replica count (inproc/spawn modes)")
+	mode := flag.String("mode", "inproc", "fleet backend: inproc or attach")
+	replicas := flag.Int("replicas", 4, "replica count (inproc mode)")
 	attach := flag.String("attach", "", "comma-separated replica base URLs (attach mode)")
-	servedBin := flag.String("served-bin", "insta-served", "insta-served binary (spawn mode)")
-	basePort := flag.Int("base-port", 18080, "first replica port, consecutive from here (spawn mode)")
 
 	globalInflight := flag.Int("global-inflight", 0, "fleet-wide in-flight cap on session-scoped requests (0 = unlimited)")
 	replicaInflight := flag.Int("replica-inflight", 0, "per-replica in-flight cap on session-scoped requests (0 = unlimited)")
@@ -130,8 +122,6 @@ func main() {
 	switch *mode {
 	case "inproc":
 		urls, repTracers, fopt.Swap, cleanup = bootInproc(df, *replicas)
-	case "spawn":
-		urls, fopt.Swap, cleanup = bootSpawn(df, *servedBin, *basePort, *replicas)
 	case "attach":
 		for _, u := range strings.Split(*attach, ",") {
 			if u = strings.TrimSpace(u); u != "" {
@@ -143,7 +133,7 @@ func main() {
 		}
 		cleanup = func() {}
 	default:
-		fatalf("unknown -mode %q (want inproc, spawn or attach)", *mode)
+		fatalf("unknown -mode %q (want inproc or attach)", *mode)
 	}
 
 	pool, err := fleet.New(urls, fopt)
@@ -274,41 +264,4 @@ func bootInproc(df *cmdutil.Daemon, n int) ([]string, []*obs.Tracer, func(contex
 		}
 	}
 	return urls, tracers, swap, cleanup
-}
-
-// bootSpawn execs n insta-served children on consecutive loopback ports, the
-// daemon flag set re-emitted as their argv. The swap function restarts one
-// child in place (SIGTERM → its drain persists the committed base → respawn
-// warm-boots from the shared snapshot cache).
-func bootSpawn(df *cmdutil.Daemon, bin string, basePort, n int) ([]string, func(context.Context, *fleet.Replica) error, func()) {
-	if df.Design == "" && df.Dir == "" {
-		fatalf("pass -design <preset> or -dir <design directory>")
-	}
-	procs := make([]*fleet.Proc, n)
-	urls := make([]string, n)
-	for i := 0; i < n; i++ {
-		pAddr := fmt.Sprintf("127.0.0.1:%d", basePort+i)
-		// 10 min ready budget: the first child may cold-build; later ones
-		// warm-boot in milliseconds from the shared cache.
-		pr, err := fleet.SpawnProc(context.Background(), bin, append(df.Args(), "-addr", pAddr), pAddr, 10*time.Minute)
-		if err != nil {
-			for j := 0; j < i; j++ {
-				_ = procs[j].Stop(0)
-			}
-			fatalf("spawn replica %d: %v", i, err)
-		}
-		procs[i] = pr
-		urls[i] = pr.URL()
-		slog.Info("spawned replica", "replica", i, "addr", pAddr)
-	}
-
-	swap := func(ctx context.Context, r *fleet.Replica) error {
-		return procs[r.ID].Restart(ctx, 30*time.Second, 10*time.Minute)
-	}
-	cleanup := func() {
-		for _, pr := range procs {
-			_ = pr.Stop(df.Drain)
-		}
-	}
-	return urls, swap, cleanup
 }

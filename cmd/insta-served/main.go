@@ -86,7 +86,7 @@ func main() {
 	defer ob.Finish(func(m *obs.Manifest) {
 		m.Design = bt.Design
 		m.Pins, m.Arcs, m.Endpoints, m.Levels = e.NumPins(), e.NumArcs(), len(e.Endpoints()), e.NumLevels()
-		m.TopK, m.Workers, m.Grain = df.TopK, df.Sched.Workers, df.Sched.Grain
+		m.TopK, m.Workers = df.TopK, df.Sched.Workers
 		m.WNSAfter, m.TNSAfter = mgr.BaseWNS(), mgr.BaseTNS()
 		bt.FillManifest(m)
 	})

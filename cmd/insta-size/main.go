@@ -37,7 +37,7 @@ func main() {
 		exp.UseSnapshots(c)
 	}
 	defer ob.Finish(func(m *obs.Manifest) {
-		m.TopK, m.Workers, m.Grain = *topK, sf.Workers, sf.Grain
+		m.TopK, m.Workers = *topK, sf.Workers
 		m.AddExtra("designs", *designs)
 		if *buffer {
 			m.AddExtra("mode", "buffer")

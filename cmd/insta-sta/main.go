@@ -50,7 +50,7 @@ func main() {
 	ob := cmdutil.ObsFlags()
 	flag.Parse()
 	tr := ob.Setup("insta-sta")
-	man := &obs.Manifest{TopK: *topK, Workers: sf.Workers, Grain: sf.Grain}
+	man := &obs.Manifest{TopK: *topK, Workers: sf.Workers}
 	defer ob.Finish(func(m *obs.Manifest) {
 		man.Tool, man.StartedAt, man.WallMS, man.Phases = m.Tool, m.StartedAt, m.WallMS, m.Phases
 		*m = *man

@@ -74,11 +74,6 @@ func ChipSpecByName(name string) (ChipSpec, error) {
 	}
 }
 
-// ChipNames lists the stitched chip presets, smallest first.
-func ChipNames() []string {
-	return []string{"chip-2x", "chip-4x", "chip-16x"}
-}
-
 // ChipBlockSpec resolves a chip instance's block preset name against the
 // Table I blocks and then the Table II IWLS designs.
 func ChipBlockSpec(name string) (Spec, error) {

@@ -1,5 +1,5 @@
 // Package cmdutil holds the small pieces every cmd tool shares: the
-// scheduler flags (-workers/-grain), the multi-corner flag (-corners),
+// scheduler flag (-workers), the multi-corner flag (-corners),
 // preset-name resolution across the three benchmark suites, and
 // loading/generating a design directory in the repo's file formats
 // (design.lib/.v/.sdc/.spef).
@@ -26,27 +26,25 @@ import (
 	"insta/internal/vlog"
 )
 
-// Sched carries the scheduler-pool flags after flag.Parse.
+// Sched carries the scheduler-pool flag after flag.Parse.
 type Sched struct {
 	Workers int
-	Grain   int
 }
 
-// SchedFlags registers -workers and -grain on the default flag set. Call
-// before flag.Parse; read the fields after.
+// SchedFlags registers -workers on the default flag set. Call before
+// flag.Parse; read the field after.
 func SchedFlags() *Sched { return schedFlags(flag.CommandLine) }
 
 func schedFlags(fs *flag.FlagSet) *Sched {
 	s := &Sched{}
 	fs.IntVar(&s.Workers, "workers", runtime.NumCPU(), "scheduler pool participants (all parallel kernels)")
-	fs.IntVar(&s.Grain, "grain", 0, "scheduler chunk size in pins (0 = auto-tuned per launch)")
 	return s
 }
 
-// Options returns engine options carrying the scheduler flags; the caller
+// Options returns engine options carrying the scheduler flag; the caller
 // fills the analysis knobs (TopK, Tau, Hold).
 func (s *Sched) Options() core.Options {
-	return core.Options{Workers: s.Workers, Grain: s.Grain}
+	return core.Options{Workers: s.Workers}
 }
 
 // Corners carries the -corners flag after flag.Parse.

@@ -2,11 +2,10 @@ package cmdutil
 
 // The serving daemon's flag set: everything that decides what one
 // insta-served process serves and how, declared once. insta-served registers
-// it for itself; insta-router registers the same set and hands it on — to the
-// server.Daemon of each in-process replica, or, re-emitted by Args, to each
-// spawned child — so a fleet replica cannot be configured differently from a
-// lone daemon. Only the listen address is not part of it: each process has
-// its own.
+// it for itself; insta-router registers the same set and hands it on to the
+// server.Daemon of each in-process replica, so a fleet replica cannot be
+// configured differently from a lone daemon. Only the listen address is not
+// part of it: each daemon has its own.
 
 import (
 	"errors"
@@ -34,38 +33,26 @@ type Daemon struct {
 	// ManifestDir, not a flag: the main sets it from -manifest to have every
 	// session commit write a run manifest there.
 	ManifestDir string
-
-	own *flag.FlagSet // the set alone, for Args
 }
 
 // DaemonFlags registers the daemon flag set on fs (flag.CommandLine in the
 // mains). Call before fs.Parse; read the fields after.
 func DaemonFlags(fs *flag.FlagSet) *Daemon {
-	own := flag.NewFlagSet("daemon", flag.ContinueOnError)
-	d := &Daemon{own: own}
-	own.StringVar(&d.Design, "design", "", "serve a built-in preset (block-*/IWLS/superblue name)")
-	own.StringVar(&d.Dir, "dir", "", "serve a design directory (design.lib/.v/.sdc/.spef)")
-	own.StringVar(&d.Tech, "tech", "", "fallback library when design.lib is absent: n3 or asap7")
-	own.IntVar(&d.TopK, "topk", 32, "INSTA Top-K")
-	own.IntVar(&d.MaxSessions, "max-sessions", 64, "admission cap on live sessions, per daemon")
-	own.DurationVar(&d.TTL, "ttl", 5*time.Minute, "idle session lifetime")
-	own.DurationVar(&d.Sweep, "sweep", 30*time.Second, "eviction sweep interval")
-	own.DurationVar(&d.Drain, "drain", 10*time.Second, "graceful shutdown budget")
-	own.IntVar(&d.Shell.FlightSize, "flight-size", 4096, "request flight-recorder ring entries (negative disables)")
-	own.DurationVar(&d.Shell.FlightPin, "flight-pin", 250*time.Millisecond, "latency at which a request pins as an anomaly")
-	own.DurationVar(&d.Shell.SLOObjective, "slo-objective", 100*time.Millisecond, "request latency SLO objective")
-	own.Float64Var(&d.Shell.SLOBudget, "slo-budget", 0.01, "SLO error budget fraction")
-	d.Sched, d.Corners, d.Snap = schedFlags(own), cornersFlag(own), snapFlags(own)
-	own.VisitAll(func(f *flag.Flag) { fs.Var(f.Value, f.Name, f.Usage) })
+	d := &Daemon{}
+	fs.StringVar(&d.Design, "design", "", "serve a built-in preset (block-*/IWLS/superblue name)")
+	fs.StringVar(&d.Dir, "dir", "", "serve a design directory (design.lib/.v/.sdc/.spef)")
+	fs.StringVar(&d.Tech, "tech", "", "fallback library when design.lib is absent: n3 or asap7")
+	fs.IntVar(&d.TopK, "topk", 32, "INSTA Top-K")
+	fs.IntVar(&d.MaxSessions, "max-sessions", 64, "admission cap on live sessions, per daemon")
+	fs.DurationVar(&d.TTL, "ttl", 5*time.Minute, "idle session lifetime")
+	fs.DurationVar(&d.Sweep, "sweep", 30*time.Second, "eviction sweep interval")
+	fs.DurationVar(&d.Drain, "drain", 10*time.Second, "graceful shutdown budget")
+	fs.IntVar(&d.Shell.FlightSize, "flight-size", 4096, "request flight-recorder ring entries (negative disables)")
+	fs.DurationVar(&d.Shell.FlightPin, "flight-pin", 250*time.Millisecond, "latency at which a request pins as an anomaly")
+	fs.DurationVar(&d.Shell.SLOObjective, "slo-objective", 100*time.Millisecond, "request latency SLO objective")
+	fs.Float64Var(&d.Shell.SLOBudget, "slo-budget", 0.01, "SLO error budget fraction")
+	d.Sched, d.Corners, d.Snap = schedFlags(fs), cornersFlag(fs), snapFlags(fs)
 	return d
-}
-
-// Args re-emits every flag of the set at its current value, as the argv of a
-// child daemon that is to serve the same thing.
-func (d *Daemon) Args() []string {
-	var args []string
-	d.own.VisitAll(func(f *flag.Flag) { args = append(args, "-"+f.Name+"="+f.Value.String()) })
-	return args
 }
 
 // Boot obtains the compiled design the flags name — exactly one of -design

@@ -72,8 +72,8 @@ type gradState struct {
 // gradients it leaves behind are those of lane s's TNS (or weighted loss)
 // with respect to lane s's *derated* arc delays — exactly what Backward on a
 // single-lane engine over tables scaled by that lane's factors computes, bit
-// for bit. Multiply by ArcDelayScale for sensitivities to the nominal
-// annotation.
+// for bit. Multiply by the lane's factor for the arc's kind for sensitivities
+// to the nominal annotation.
 func (e *Engine) BackwardLane(s int, w []float64) {
 	sp := e.tracer.StartArg(kBackward, "levels", int64(e.lv.NumLevels))
 	defer sp.End()

@@ -216,7 +216,7 @@ func TestNetArcGradients(t *testing.T) {
 		if g.Grad >= 0 {
 			t.Fatalf("net arc %d gradient %v not negative", g.Arc, g.Grad)
 		}
-		if f, to := e.ArcEndpoints(g.Arc); f != g.From || to != g.To {
+		if f, to := e.arcFrom[g.Arc], e.arcTo[g.Arc]; f != g.From || to != g.To {
 			t.Fatalf("net arc %d endpoint mismatch", g.Arc)
 		}
 	}

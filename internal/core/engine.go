@@ -59,11 +59,6 @@ type Options struct {
 	Tracer *obs.Tracer
 }
 
-// DefaultOptions mirrors the paper's Table I configuration.
-func DefaultOptions() Options {
-	return Options{TopK: 32, Tau: 0.01}
-}
-
 // noSP marks an empty Top-K queue slot.
 const noSP = int32(-1)
 
@@ -422,13 +417,6 @@ func (e *Engine) Lanes() int { return len(e.lanes) }
 // Lane returns lane s's derate factors.
 func (e *Engine) Lane(s int) Lane { return e.lanes[s] }
 
-// ArcDelayScale returns the mean/std factors lane s applies to arc's nominal
-// annotation — what the inner kernels resolve.
-func (e *Engine) ArcDelayScale(arc int32, s int) (mean, std float64) {
-	kind := e.arcKind[arc]
-	return e.scaleMean[kind][s], e.scaleStd[kind][s]
-}
-
 // NumLevels returns the timing level count; INSTA's runtime scales with this
 // rather than with pin count (paper §IV-A).
 func (e *Engine) NumLevels() int { return e.lv.NumLevels }
@@ -491,11 +479,6 @@ func (e *Engine) SetArcDelay(arc int32, rf int, d num.Dist) {
 // ArcDelay returns the current annotation of arc for transition rf.
 func (e *Engine) ArcDelay(arc int32, rf int) num.Dist {
 	return num.Dist{Mean: e.arcMean[rf][arc], Std: e.arcStd[rf][arc]}
-}
-
-// ArcEndpoints returns the (from, to) pins of arc.
-func (e *Engine) ArcEndpoints(arc int32) (from, to int32) {
-	return e.arcFrom[arc], e.arcTo[arc]
 }
 
 // ArcIsNet reports whether arc is an interconnect arc.

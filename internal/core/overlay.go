@@ -456,39 +456,18 @@ func (o *Overlay) Rebase() {
 
 // RebaseStructural re-targets the overlay at a structurally edited
 // replacement of its base engine (same lanes and TopK) — or at the same
-// engine, reseeded in place. remap maps the old engine's arc ids to e's (-1 =
-// arc removed by the edit); nil means identity (an insert-only edit appends
-// arcs without renumbering). Arc deltas on surviving arcs are kept —
-// SetArcDelay stores absolute per-rf delays, so the values remain meaningful
-// under the new engine — re-keyed through remap and scheduled for
-// re-propagation; deltas on removed arcs are dropped. All derived state
-// (queues, slacks) is invalidated like Rebase, and the wavefront scratch and
-// the indices are discarded because the new engine's level, pin and endpoint
+// engine, reseeded in place. Arc ids are permanent across structural edits and
+// SetArcDelay stores absolute per-rf delays, so every arc delta is kept as
+// recorded and scheduled for re-propagation. All derived state (queues,
+// slacks) is invalidated like Rebase, and the wavefront scratch and the
+// indices are discarded because the new engine's level, pin and endpoint
 // counts differ: the next Propagate takes both at e's size. Row chunks
 // survive: their size depends only on TopK and the lane count, which a
 // structural edit never changes.
-func (o *Overlay) RebaseStructural(e *Engine, remap []int32) {
+func (o *Overlay) RebaseStructural(e *Engine) {
 	o.dropDerived()
 	o.returnIndex()
 	o.scratch = nil
-
-	// Re-key surviving deltas, compacting touched and arcDist in step. Old and
-	// new id ranges can overlap after a removal compaction, so the map is
-	// emptied first.
-	clear(o.arcSlot)
-	n := 0
-	for i, a := range o.touched {
-		if remap != nil {
-			a = remap[a]
-		}
-		if a < 0 {
-			continue
-		}
-		o.arcSlot[a] = int32(n)
-		o.touched[n], o.arcDist[n] = a, o.arcDist[i]
-		n++
-	}
-	o.touched, o.arcDist = o.touched[:n], o.arcDist[:n]
 	o.pending = append(o.pending[:0], o.touched...)
 	o.e, o.q = e, e.top.q
 }

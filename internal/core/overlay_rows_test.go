@@ -315,8 +315,9 @@ func TestOverlaysShareChunkPool(t *testing.T) {
 // TestOverlayFollowsStructuralReseeds: an overlay re-targeted at a reseeded
 // engine takes indices of the new engine's size — also when that is the same
 // engine, grown in place, whose pool still holds the index the overlay gave
-// back at the old size — and keeps its row chunks. Its re-keyed deltas preview
-// what a cold engine over the edited state computes.
+// back at the old size — and keeps its row chunks. Its deltas, kept on the ids
+// they were recorded on, preview what a cold engine over the edited state
+// computes.
 func TestOverlayFollowsStructuralReseeds(t *testing.T) {
 	h := buildHarness(t, testSpec(94))
 	opt := Options{TopK: 6, Hold: true, Workers: 2, Grain: 8}
@@ -329,22 +330,6 @@ func TestOverlayFollowsStructuralReseeds(t *testing.T) {
 	tab, cur := h.tab, e
 	for _, inPlace := range []bool{false, true} {
 		edited, seeds := structuralEdit(t, tab, cur)
-		// structuralEdit drops one arc and splits another in three through an
-		// appended buffer; neither survives, every other id shifts.
-		remap := make([]int32, len(tab.Arcs))
-		j := int32(0)
-		for i, a := range tab.Arcs {
-			switch b := edited.Arcs[j]; {
-			case b.From == a.From && b.To == a.To:
-				remap[i] = j
-				j++
-			case b.To >= int32(tab.NumPins): // into the buffer, through it, out of it
-				remap[i] = -1
-				j += 3
-			default: // cut
-				remap[i] = -1
-			}
-		}
 		st, _, err := CompileIncremental(edited, cur.st, seeds)
 		if err != nil {
 			t.Fatal(err)
@@ -357,7 +342,7 @@ func TestOverlayFollowsStructuralReseeds(t *testing.T) {
 			t.Cleanup(ne.Close)
 		}
 		chunks := slices.Clone(o.chunks)
-		o.RebaseStructural(ne, remap)
+		o.RebaseStructural(ne)
 		o.Propagate()
 		if len(o.slot) != ne.numPins || len(o.epSlot) != len(ne.epPin) {
 			t.Fatalf("in place %v: index covers %d pins / %d endpoints, engine has %d / %d", inPlace, len(o.slot), len(o.epSlot), ne.numPins, len(ne.epPin))

@@ -27,16 +27,16 @@ import (
 
 // errPatchShape is returned — before anything is mutated — when the edit is
 // outside the append-only shape this path handles (e.g. an existing pin's
-// arc count changed, which only arc removal can cause). Callers fall back to
-// CompileIncremental.
+// arc count changed, as a buffer bypass moving a wire between existing pins
+// does). Callers fall back to CompileIncremental.
 var errPatchShape = fmt.Errorf("core: edit shape not patchable; use CompileIncremental")
 
 // CompileIncrementalPatched recompiles the edited tables t against prev by
 // patching prev's slabs rather than rebuilding them, for batches that only
-// appended arcs and pins or rewrote arc rows in place (topo.Result.Remap ==
-// nil). changed lists every arc id — in t's id space — whose row differs
-// from the row prev was compiled with, including all appended ids; seeds is
-// the usual re-levelization seed set (pins whose fan-in changed).
+// appended arcs and pins or rewrote arc rows in place. changed lists every
+// arc id whose row differs from the row prev was compiled with, including all
+// appended ids; seeds is the usual re-levelization seed set (pins whose
+// fan-in changed).
 //
 // owned declares that prev is private to the caller (the typical case: the
 // previous patched state of the same session) and may be cannibalized — its

@@ -696,11 +696,11 @@ const seedHeadroom = 4096
 // re-propagating only the fan-out cone of the seed pins (every pin whose
 // fan-in set changed, including appended pins), in every lane at once. The
 // result is bit-identical to a cold NewEngineLanes over st + full evaluation:
-// pin ids are stable across structural edits (pins are append-only; removed
-// instances go floating), so e's converged Top-K planes are valid arrival
-// state for every pin outside the seeds' cone, and the equality-stopping
-// incremental wavefront recomputes exactly the pins whose queues differ. e
-// must have completed a full evaluation.
+// pin ids are stable across structural edits (pins are append-only; a
+// bypassed buffer keeps its pins as a dead end), so e's converged Top-K
+// planes are valid arrival state for every pin outside the seeds' cone, and
+// the equality-stopping incremental wavefront recomputes exactly the pins
+// whose queues differ. e must have completed a full evaluation.
 //
 // With inPlace false, e is left untouched (it may be a base shared with other
 // sessions) and the result is a new engine with seedHeadroom spare tensor

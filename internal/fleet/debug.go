@@ -22,8 +22,8 @@ var errBadTraceID = errors.New("fleet: bad trace id (want 32 hex digits)")
 
 // handleStitchedTrace exports one request's merged span tree as a Chrome
 // trace_event file: the router's stream plus any registered replica streams
-// (AddTraceStream — inproc mode wires every replica tracer). In spawn/attach
-// modes only the router stream is local, so the export shows the routing half;
+// (AddTraceStream — inproc mode wires every replica tracer). In attach mode
+// only the router stream is local, so the export shows the routing half;
 // replica-side spans live in the replica processes' own /debug/trace surface.
 func (p *Pool) handleStitchedTrace(w http.ResponseWriter, r *http.Request) {
 	trace, ok := obs.ParseTraceID(r.PathValue("trace"))

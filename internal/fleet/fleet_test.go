@@ -149,21 +149,36 @@ func fastOpts() fleet.Options {
 	}
 }
 
+// swapServer is a replica backend on a loopback listener whose handler a test's
+// Options.Swap replaces at runtime, the way a rolling swap puts a new daemon
+// behind a replica; in-flight requests finish on the old handler.
+type swapServer struct {
+	*httptest.Server
+	h atomic.Pointer[http.Handler]
+}
+
+func newSwapServer(t *testing.T, h http.Handler) *swapServer {
+	s := &swapServer{}
+	s.SetHandler(h)
+	s.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		(*s.h.Load()).ServeHTTP(w, r)
+	}))
+	t.Cleanup(s.Close)
+	return s
+}
+
+func (s *swapServer) SetHandler(h http.Handler) { s.h.Store(&h) }
+
 // newStubFleet stands up n stub replicas behind a pool and an HTTP router.
-func newStubFleet(t *testing.T, n int, opt fleet.Options) (*fleet.Pool, []*stubBackend, []*fleet.LocalReplica, string) {
+func newStubFleet(t *testing.T, n int, opt fleet.Options) (*fleet.Pool, []*stubBackend, []*swapServer, string) {
 	t.Helper()
 	stubs := make([]*stubBackend, n)
-	locals := make([]*fleet.LocalReplica, n)
+	locals := make([]*swapServer, n)
 	urls := make([]string, n)
 	for i := range stubs {
 		stubs[i] = newStub(0, 1)
-		lr, err := fleet.NewLocalReplica(stubs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { lr.Close() })
-		locals[i] = lr
-		urls[i] = lr.URL()
+		locals[i] = newSwapServer(t, stubs[i])
+		urls[i] = locals[i].URL
 	}
 	p, err := fleet.New(urls, opt)
 	if err != nil {
@@ -311,12 +326,9 @@ func TestCreateAvoidsUnready(t *testing.T) {
 	stubs[1].healthErr.Store(true) // down before the pool ever sees it
 	var urls []string
 	for _, s := range stubs {
-		lr, err := fleet.NewLocalReplica(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { lr.Close() })
-		urls = append(urls, lr.URL())
+		lr := httptest.NewServer(s)
+		t.Cleanup(lr.Close)
+		urls = append(urls, lr.URL)
 	}
 	p, err := fleet.New(urls, opt)
 	if err != nil {
@@ -468,7 +480,7 @@ func TestReadFailoverOnDeadReplica(t *testing.T) {
 func TestRollingSwapZeroDroppedSessions(t *testing.T) {
 	opt := fastOpts()
 	var swapped atomic.Int32
-	var localsRef []*fleet.LocalReplica
+	var localsRef []*swapServer
 	opt.Swap = func(ctx context.Context, r *fleet.Replica) error {
 		localsRef[r.ID].SetHandler(newStub(0, 2))
 		swapped.Add(1)
@@ -528,7 +540,7 @@ func TestRollingSwapZeroDroppedSessions(t *testing.T) {
 		var out struct {
 			Gen int `json:"gen"`
 		}
-		resp, err := http.Get(locals[i].URL() + "/slacks")
+		resp, err := http.Get(locals[i].URL + "/slacks")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -663,7 +675,7 @@ func TestForwardBodyNotReusedWhileInFlight(t *testing.T) {
 	}
 	stub := newStub(0, 1)
 	var seq atomic.Int32
-	lr, err := fleet.NewLocalReplica(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	lr := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost || !strings.HasSuffix(r.URL.Path, "/eco") {
 			stub.ServeHTTP(w, r)
 			return
@@ -679,11 +691,8 @@ func TestForwardBodyNotReusedWhileInFlight(t *testing.T) {
 		}
 		_, _ = w.Write([]byte("ok\n"))
 	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lr.Close() })
-	p, err := fleet.New([]string{lr.URL()}, fastOpts())
+	t.Cleanup(lr.Close)
+	p, err := fleet.New([]string{lr.URL}, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,12 +47,9 @@ func TestFleetOverRealServers(t *testing.T) {
 		}
 		t.Cleanup(e.Close)
 		mgr := server.NewManager(e, s.Ref, server.Options{MaxSessions: 16})
-		lr, err := fleet.NewLocalReplica(server.New(mgr, "des").Handler())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { lr.Close() })
-		urls = append(urls, lr.URL())
+		lr := httptest.NewServer(server.New(mgr, "des").Handler())
+		t.Cleanup(lr.Close)
+		urls = append(urls, lr.URL)
 	}
 	p, err := fleet.New(urls, fastOpts())
 	if err != nil {

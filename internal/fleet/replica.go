@@ -41,7 +41,7 @@ type Replica struct {
 	ID    int
 	idStr string // preformatted metric label
 
-	url atomic.Value // string; swapped when a respawned backend moves ports
+	url atomic.Value // string; swapped when a restarted backend moves ports
 
 	healthy  atomic.Bool
 	draining atomic.Bool

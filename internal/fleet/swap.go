@@ -9,9 +9,9 @@ package fleet
 //     zero AND the replica's own /healthz reports zero live sessions (the
 //     load fields added for exactly this — the replica itself knows when its
 //     last session closed, the router only knows what it routed);
-//  3. call Options.Swap, which restarts the backend (process SIGTERM+respawn,
-//     in-process daemon replaced, ...) on the new snapshot — the backend's own
-//     teardown persists its committed base first (server.Daemon.Close);
+//  3. call Options.Swap, which restarts the backend (the in-process daemon
+//     replaced) on the new snapshot — the backend's own teardown persists
+//     its committed base first (server.Daemon.Close);
 //  4. wait for the health check to pass again, then clear draining.
 //
 // Zero dropped sessions falls out of step 2: no session-scoped request can

@@ -162,14 +162,11 @@ func (ts *traceSink) received() []string {
 // cross-process correlation works even with spans off.
 func TestTraceIDsPropagateWithoutTracer(t *testing.T) {
 	sink := &traceSink{}
-	lr, err := fleet.NewLocalReplica(sink.handler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lr.Close() })
+	lr := httptest.NewServer(sink.handler())
+	t.Cleanup(lr.Close)
 	opt := fastOpts()
 	opt.DisableHedge = true
-	p, err := fleet.New([]string{lr.URL()}, opt)
+	p, err := fleet.New([]string{lr.URL}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,12 +368,9 @@ func TestStitchedFleetTrace(t *testing.T) {
 		repTr := obs.NewTracer()
 		srv.Observe(shell.New(shell.Options{Tracer: repTr, FlightSize: -1}))
 		repTracers = append(repTracers, repTr)
-		lr, err := fleet.NewLocalReplica(delayReads(srv.Handler(), 30*time.Millisecond))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { lr.Close() })
-		urls = append(urls, lr.URL())
+		lr := httptest.NewServer(delayReads(srv.Handler(), 30*time.Millisecond))
+		t.Cleanup(lr.Close)
+		urls = append(urls, lr.URL)
 	}
 	opt := fastOpts()
 	opt.Shell = shell.New(shell.Options{Tracer: routerTr})

@@ -74,7 +74,7 @@ func TestWireGolden(t *testing.T) {
 	var out bytes.Buffer
 	opt := fastOpts()
 	opt.DisableHedge = true
-	var locals []*fleet.LocalReplica
+	var locals []*swapServer
 	opt.Swap = func(ctx context.Context, r *fleet.Replica) error {
 		locals[r.ID].SetHandler(newStub(0, 2))
 		return nil

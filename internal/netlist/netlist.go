@@ -159,21 +159,6 @@ func (d *Design) Connect(n NetID, sinks ...PinID) {
 	}
 }
 
-// DisconnectSink detaches sink pin s from net n, leaving s floating
-// (reconnect it before validating). It reports whether s was a sink of n.
-// Used by netlist surgery such as buffer insertion.
-func (d *Design) DisconnectSink(n NetID, s PinID) bool {
-	sinks := d.Nets[n].Sinks
-	for i, p := range sinks {
-		if p == s {
-			d.Nets[n].Sinks = append(sinks[:i], sinks[i+1:]...)
-			d.Pins[s].Net = NoNet
-			return true
-		}
-	}
-	return false
-}
-
 // PinPos returns the physical location of pin p: its cell's placement
 // coordinate, or the port's own coordinate for top-level pins. Pin offsets
 // within a cell are ignored (cells are small relative to wire spans).

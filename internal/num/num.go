@@ -235,12 +235,3 @@ func Clamp(x, lo, hi float64) float64 {
 	}
 	return x
 }
-
-// Norm2 returns the Euclidean norm of xs.
-func Norm2(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}

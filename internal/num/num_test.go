@@ -315,12 +315,3 @@ func TestClamp(t *testing.T) {
 		t.Error("Clamp misbehaves")
 	}
 }
-
-func TestNorm2(t *testing.T) {
-	if got := Norm2([]float64{3, 4}); !almostEqual(got, 5, 1e-12) {
-		t.Errorf("Norm2 = %v, want 5", got)
-	}
-	if got := Norm2(nil); got != 0 {
-		t.Errorf("Norm2(nil) = %v, want 0", got)
-	}
-}

@@ -88,13 +88,6 @@ func NewFlightRecorder(opt FlightRecorderOptions) *FlightRecorder {
 	return f
 }
 
-// SetPinThreshold adjusts the anomaly latency threshold at runtime.
-func (f *FlightRecorder) SetPinThreshold(d time.Duration) {
-	if f != nil {
-		f.pinNs.Store(int64(d))
-	}
-}
-
 // PinThreshold returns the current anomaly latency threshold.
 func (f *FlightRecorder) PinThreshold() time.Duration {
 	if f == nil {

@@ -36,7 +36,6 @@ type Manifest struct {
 	// Configuration.
 	TopK      int      `json:"top_k,omitempty"`
 	Workers   int      `json:"workers,omitempty"`
-	Grain     int      `json:"grain,omitempty"`
 	Scenarios []string `json:"scenarios,omitempty"`
 
 	// Timing figures, in ps. Before/after bracket whatever the run changed

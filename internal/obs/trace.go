@@ -20,16 +20,13 @@
 //	sp.End()
 //
 // Completed spans accumulate in the tracer and export as Chrome trace_event
-// JSON (chrome://tracing, Perfetto) with properly nested B/E pairs, or as a
-// plain-text tree with per-node share of the root's wall time.
+// JSON (chrome://tracing, Perfetto) with properly nested B/E pairs.
 package obs
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,9 +60,8 @@ type Tracer struct {
 	epoch   time.Time
 	seed    uint64 // per-process wire-id seed (see wireID)
 
-	mu      sync.Mutex
-	spans   []spanRecord
-	dropped int64
+	mu    sync.Mutex
+	spans []spanRecord
 }
 
 // NewTracer returns an enabled tracer. Use Disable for a tracer that is wired
@@ -178,7 +174,6 @@ func (t *Tracer) Reset() {
 	}
 	t.mu.Lock()
 	t.spans = nil
-	t.dropped = 0
 	t.mu.Unlock()
 }
 
@@ -190,16 +185,6 @@ func (t *Tracer) NumSpans() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.spans)
-}
-
-// Dropped returns how many spans were discarded at the retention cap.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // Span is one in-flight or completed timing span. A nil *Span is the disabled
@@ -267,8 +252,6 @@ func (s *Span) End() {
 	t.mu.Lock()
 	if len(t.spans) < maxSpans {
 		t.spans = append(t.spans, rec)
-	} else {
-		t.dropped++
 	}
 	t.mu.Unlock()
 }
@@ -382,60 +365,6 @@ func (t *Tracer) WriteChromeTraceSince(w io.Writer, mark int) error {
 	return err
 }
 
-// WriteTree renders the completed spans as an indented text tree: duration,
-// share of the parent's wall time, and the span argument when present.
-// Sibling spans with the same name (per-level kernel spans) are folded into
-// one line with a count, keeping deep propagations readable.
-func (t *Tracer) WriteTree(w io.Writer) {
-	if t == nil {
-		return
-	}
-	tree := buildTree(t.snapshot(0))
-	var walk func(indices []int, depth int, parentDur time.Duration)
-	walk = func(indices []int, depth int, parentDur time.Duration) {
-		type fold struct {
-			dur      time.Duration
-			count    int
-			children []int
-		}
-		order := []string{}
-		folded := map[string]*fold{}
-		for _, idx := range indices {
-			r := tree.recs[idx]
-			f := folded[r.name]
-			if f == nil {
-				f = &fold{}
-				folded[r.name] = f
-				order = append(order, r.name)
-			}
-			f.dur += r.dur
-			f.count++
-			f.children = append(f.children, tree.children[r.id]...)
-		}
-		for _, name := range order {
-			f := folded[name]
-			share := ""
-			if parentDur > 0 {
-				share = fmt.Sprintf(" %5.1f%%", 100*float64(f.dur)/float64(parentDur))
-			}
-			count := ""
-			if f.count > 1 {
-				count = fmt.Sprintf(" ×%d", f.count)
-			}
-			fmt.Fprintf(w, "%s%-*s %12s%s%s\n",
-				strings.Repeat("  ", depth), 24-2*depth, name,
-				f.dur.Round(time.Microsecond), share, count)
-			if len(f.children) > 0 {
-				walk(f.children, depth+1, f.dur)
-			}
-		}
-	}
-	walk(tree.roots, 0, 0)
-	if d := t.Dropped(); d > 0 {
-		fmt.Fprintf(w, "(%d spans dropped at the %d-span retention cap)\n", d, maxSpans)
-	}
-}
-
 // PhaseTotal is one span name's aggregate across the whole trace.
 type PhaseTotal struct {
 	Name  string        `json:"name"`
@@ -475,53 +404,4 @@ func (t *Tracer) Totals() []PhaseTotal {
 		return out[i].Name < out[j].Name
 	})
 	return out
-}
-
-// ctxKey keys the span/tracer context plumbing.
-type ctxKey int
-
-const (
-	ctxSpan ctxKey = iota
-	ctxTracer
-)
-
-// WithTracer returns a context carrying the tracer, for request paths that
-// propagate context instead of engine handles.
-func WithTracer(ctx context.Context, t *Tracer) context.Context {
-	return context.WithValue(ctx, ctxTracer, t)
-}
-
-// FromContext returns the span carried by ctx, or nil.
-func FromContext(ctx context.Context) *Span {
-	sp, _ := ctx.Value(ctxSpan).(*Span)
-	return sp
-}
-
-// WithSpan returns a context carrying sp, so obs.Start(ctx, ...) nests under
-// it. No-op (returns ctx) when sp is nil.
-func WithSpan(ctx context.Context, sp *Span) context.Context {
-	if sp == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxSpan, sp)
-}
-
-// Start opens a span as a child of the context's span — or as a root of the
-// context's tracer when no span is present — and returns the derived context.
-// With neither in ctx (or a disabled tracer) it returns ctx unchanged and a
-// nil span.
-func Start(ctx context.Context, name string) (context.Context, *Span) {
-	if parent := FromContext(ctx); parent != nil {
-		sp := parent.Child(name)
-		if sp == nil {
-			return ctx, nil
-		}
-		return context.WithValue(ctx, ctxSpan, sp), sp
-	}
-	if t, _ := ctx.Value(ctxTracer).(*Tracer); t != nil {
-		if sp := t.Start(name); sp != nil {
-			return context.WithValue(ctx, ctxSpan, sp), sp
-		}
-	}
-	return ctx, nil
 }

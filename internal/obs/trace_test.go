@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -186,38 +185,8 @@ func TestTracerTotalsAndTree(t *testing.T) {
 	if byName["run"].Count != 1 || byName["forward"].Count != 1 {
 		t.Fatalf("unexpected totals: %+v", totals)
 	}
-	var buf bytes.Buffer
-	tr.WriteTree(&buf)
-	out := buf.String()
-	for _, want := range []string{"run", "forward", "level", "×3", "slack"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("tree missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestContextPlumbing(t *testing.T) {
-	tr := NewTracer()
-	ctx := WithTracer(context.Background(), tr)
-	ctx, root := Start(ctx, "request")
-	if root == nil {
-		t.Fatal("Start with tracer in ctx returned nil span")
-	}
-	_, child := Start(ctx, "eco")
-	if child == nil {
-		t.Fatal("Start with span in ctx returned nil child")
-	}
-	child.End()
-	root.End()
-	if tr.NumSpans() != 2 {
-		t.Fatalf("want 2 spans, got %d", tr.NumSpans())
-	}
-	// Disabled tracer: ctx passes through unchanged, span nil.
-	tr.Disable()
-	ctx2 := WithTracer(context.Background(), tr)
-	got, sp := Start(ctx2, "request")
-	if sp != nil || got != ctx2 {
-		t.Fatal("disabled tracer must return nil span and the same ctx")
+	if byName["slack"].Count != 1 || len(totals) != 4 {
+		t.Fatalf("the toy tree's four span names folded into %+v", totals)
 	}
 }
 

@@ -83,7 +83,6 @@ type Engine struct {
 	// Startpoints and endpoints.
 	SPs     []netlist.PinID // flip-flop clock pins, then primary inputs
 	SPNode  []int32         // clock tree node per SP (root for primary inputs)
-	spIndex map[netlist.PinID]int32
 	EPs     []netlist.PinID // flip-flop D pins, then primary outputs
 	epIndex map[netlist.PinID]int32
 	EPSetup [][2]float64 // setup requirement per EP per data transition
@@ -125,7 +124,6 @@ func New(d *netlist.Design, lib *liberty.Library, con *sdc.Constraints, par *rc.
 	}
 	e := &Engine{
 		D: d, Lib: lib, Con: con, Par: par, Exc: exc, Cfg: cfg,
-		spIndex: make(map[netlist.PinID]int32),
 		epIndex: make(map[netlist.PinID]int32),
 		dirty:   make(map[netlist.PinID]bool),
 	}
@@ -248,7 +246,6 @@ func (e *Engine) identifyEndpoints() error {
 		idx := int32(len(e.SPs))
 		e.SPs = append(e.SPs, p)
 		e.SPNode = append(e.SPNode, node)
-		e.spIndex[p] = idx
 		e.isSP[p] = true
 		e.spOfPin[p] = idx
 	}
@@ -304,22 +301,6 @@ func (e *Engine) Endpoints() []netlist.PinID { return e.EPs }
 
 // Startpoints returns the startpoint pin list (FF clock pins, then primary inputs).
 func (e *Engine) Startpoints() []netlist.PinID { return e.SPs }
-
-// SPIndexOf returns the startpoint index of pin p, or -1.
-func (e *Engine) SPIndexOf(p netlist.PinID) int32 {
-	if i, ok := e.spIndex[p]; ok {
-		return i
-	}
-	return -1
-}
-
-// EPIndexOf returns the endpoint index of pin p, or -1.
-func (e *Engine) EPIndexOf(p netlist.PinID) int32 {
-	if i, ok := e.epIndex[p]; ok {
-		return i
-	}
-	return -1
-}
 
 // Slew returns the worst propagated transition at pin p for transition rf.
 func (e *Engine) Slew(rf int, p netlist.PinID) float64 { return e.slew[rf][p] }

@@ -115,8 +115,8 @@ func epOf(t testing.TB, e *Engine, pinName string) int32 {
 	if !ok {
 		t.Fatalf("pin %s not found", pinName)
 	}
-	i := e.EPIndexOf(p)
-	if i < 0 {
+	i, ok := e.epIndex[p]
+	if !ok {
 		t.Fatalf("pin %s is not an endpoint", pinName)
 	}
 	return i
@@ -538,7 +538,7 @@ func TestWorstPathTracesToStartpoint(t *testing.T) {
 		}
 	}
 	last := e.Arcs[steps[len(steps)-1].ArcID].From
-	if e.SPIndexOf(last) < 0 {
+	if e.spOfPin[last] < 0 {
 		t.Errorf("path does not end at a startpoint (ends at %s)", e.D.Pins[last].Name)
 	}
 }

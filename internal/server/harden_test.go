@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -103,12 +104,13 @@ func TestTopoRejectsUnpropagatableDelays(t *testing.T) {
 	}
 }
 
-// TestStructuralECORejectionRecordsNoResize is the atomicity bug: an ECO
-// batch on a session holding structural edits that is refused after its
-// resizes resolved (here: one of its arcs was removed by the session's own
-// unbuffer) used to leave those resizes queued, and the next commit replayed
-// them into the signoff netlist although "on a validation error nothing is
-// applied".
+// TestStructuralECORejectionRecordsNoResize: an ECO batch on a session
+// holding structural edits records its resizes for the commit's netlist
+// replay only once it is in, and once. Naming the arc of a buffer the
+// session's own unbuffer bypassed refuses nothing any more — arc ids are
+// permanent, the arc is a stub that drives nothing — so the batch is accepted,
+// the stub's annotation moves no endpoint slack, and the commit replays the
+// batch's resize into the signoff netlist exactly one time.
 func TestStructuralECORejectionRecordsNoResize(t *testing.T) {
 	mgr, s := newTestManager(t, "des", 6, 1, server.Options{})
 	defer mgr.Close()
@@ -118,8 +120,7 @@ func TestStructuralECORejectionRecordsNoResize(t *testing.T) {
 	}
 	defer sess.Close()
 
-	// Commit two buffers, then remove the first in a new structural batch:
-	// its arcs become ids the session's remap resolves to "removed".
+	// Commit two buffers, then bypass the first in a new structural batch.
 	var first int32
 	for i := 0; i < 2; i++ {
 		res, err := sess.ApplyTopo(server.TopoRequest{Ops: []server.TopoOp{{Op: "buffer", Arc: firstNetArc(t, s, 4*i)}}})
@@ -137,6 +138,19 @@ func TestStructuralECORejectionRecordsNoResize(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	before, err := sess.Slacks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := num.Dist{Mean: 500, Std: 10}
+	stub := []server.ArcECO{{Arc: first, Rise: d, Fall: d}}
+	if _, err := sess.ApplyECO(server.ECORequest{Arcs: stub}); err != nil {
+		t.Fatalf("ECO on a bypassed buffer's arc: %v", err)
+	}
+	if after, err := sess.Slacks(); err != nil || !slices.Equal(after, before) {
+		t.Fatalf("annotating a bypassed buffer's arc moved an endpoint slack (err %v)", err)
+	}
+
 	rz := resizeECOs(s, 211, 1)[0].Resizes[0]
 	cell, _ := s.Ref.D.CellByName(rz.Cell)
 	libBefore := s.Ref.D.Cells[cell].LibCell
@@ -144,19 +158,27 @@ func TestStructuralECORejectionRecordsNoResize(t *testing.T) {
 	if want == libBefore {
 		t.Fatal("changelist resize is a no-op — vacuous")
 	}
-	d := num.Dist{Mean: 5, Std: 0.1}
-	_, err = sess.ApplyECO(server.ECORequest{
-		Resizes: []server.ResizeReq{rz},
-		Arcs:    []server.ArcECO{{Arc: first, Rise: d, Fall: d}},
-	})
-	if err == nil || !strings.Contains(err.Error(), "removed by a structural edit") {
-		t.Fatalf("ECO on a removed arc: err %v", err)
+	if _, err := sess.ApplyECO(server.ECORequest{Resizes: []server.ResizeReq{rz}, Arcs: stub}); err != nil {
+		t.Fatalf("resize batch naming a bypassed buffer's arc: %v", err)
+	}
+	if got := s.Ref.D.Cells[cell].LibCell; got != libBefore {
+		t.Fatalf("the preview resized the signoff netlist: %s is lib cell %d, was %d", rz.Cell, got, libBefore)
+	}
+	if _, err := sess.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Ref.D.Cells[cell].LibCell; got != want {
+		t.Fatalf("accepted batch's resize was not replayed at commit: %s is lib cell %d, want %d", rz.Cell, got, want)
+	}
+	// Undo it behind the session's back: a second commit must not redo it.
+	if _, err := s.Ref.ResizeCell(cell, libBefore); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := sess.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Ref.D.Cells[cell].LibCell; got != libBefore {
-		t.Fatalf("rejected batch's resize was replayed at commit: %s is lib cell %d, was %d", rz.Cell, got, libBefore)
+		t.Fatalf("the resize was replayed by a second commit: %s is lib cell %d, want %d", rz.Cell, got, libBefore)
 	}
 }
 

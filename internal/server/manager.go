@@ -135,17 +135,10 @@ type Manager struct {
 
 	// Structural-ECO state, guarded by mu. topoGen bumps on every structural
 	// commit (the base engine objects are replaced, not just re-annotated);
-	// remapHist records each commit's arc remap so annotation sessions opened
-	// against older structure can re-key their deltas lazily; baseRemap is the
-	// composed extraction→current arc remap (nil while identity), through
-	// which estimate_eco deltas — always in extraction space — are translated;
 	// ownsBase marks a base engine installed by a structural commit (closed
 	// on the next swap; the boot engine stays caller-owned).
-	topoGen   uint64
-	remapHist []remapGen
-	baseRemap []int32
-	extArcs   int // boot engine arc count: the domain of baseRemap
-	ownsBase  bool
+	topoGen  uint64
+	ownsBase bool
 
 	// smu guards the session table only. Lock ordering: smu may be taken
 	// while holding neither lock or after mu; never take mu or a session's
@@ -213,7 +206,6 @@ func NewManager(e *core.Engine, ref *refsta.Engine, opt Options) *Manager {
 		nom:         nom,
 		opt:         opt,
 		sessions:    make(map[string]*Session),
-		extArcs:     be.NumArcs(),
 		relevelHist: obs.NewHistogram(relevelBounds),
 		log:         slog.Default(),
 	}

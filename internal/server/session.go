@@ -116,8 +116,8 @@ func (s *Session) touch() { s.lastUsed.Store(time.Now().UnixNano()) }
 //
 // Two rebase shapes exist. An annotation commit keeps the engine object, so
 // the overlay re-derives in place (Rebase). A structural commit replaced it,
-// so the overlay re-binds to the new engine with its recorded deltas re-keyed
-// through the commits' arc remaps (RebaseStructural) — bit-identical to having
+// so the overlay re-binds to the new engine, its recorded deltas on the arc
+// ids they were recorded on (RebaseStructural) — bit-identical to having
 // recorded the deltas against the new base from the start. A session that
 // itself holds structural edits cannot rebase over either kind of commit: its
 // working engine was seeded from a base that no longer exists, so it
@@ -132,7 +132,7 @@ func (s *Session) rebaseLocked() error {
 		return ErrStructuralConflict
 	}
 	if s.topoGen != m.topoGen {
-		s.rebindLocked(m.composedRemapSince(s.topoGen))
+		s.rebindLocked()
 	} else {
 		s.ov.Rebase()
 	}
@@ -305,8 +305,8 @@ func (s *Session) evalLocked(fn func() error) error {
 }
 
 // resolveResizeLocked prices swapping the named instance to the named library
-// cell: the netlist change to replay on commit, and estimate_eco's arc deltas
-// in extraction arc ids. Caller holds at least m.mu.RLock.
+// cell: the netlist change to replay on commit, and estimate_eco's arc
+// deltas. Caller holds at least m.mu.RLock.
 func (m *Manager) resolveResizeLocked(cell, lib string) (resolvedResize, []refsta.ArcDelta, error) {
 	if m.ref == nil {
 		return resolvedResize{}, nil, ErrNoRefEngine
@@ -326,38 +326,26 @@ func (m *Manager) resolveResizeLocked(cell, lib string) (resolvedResize, []refst
 	return resolvedResize{cell: c, lib: l}, deltas, nil
 }
 
-// applyLocked applies one validated batch — estimate_eco deltas in extraction
-// arc ids, raw arc ECOs in session arc ids — and re-propagates the affected
-// cones: through the overlay, or, on a session that holds structural edits,
-// folded into its working set so the one cone re-prop prices the batch
-// against the edited topology. It fails, with nothing applied, only when a
-// raw arc was removed by the session's own edits. Caller holds s.mu and at
-// least m.mu.RLock.
+// applyLocked applies one validated batch — estimate_eco deltas and raw arc
+// ECOs — and re-propagates the affected cones: through the overlay, or, on a
+// session that holds structural edits, folded into its working set so the one
+// cone re-prop prices the batch against the edited topology. Caller holds s.mu
+// and at least m.mu.RLock.
 func (s *Session) applyLocked(ref []refsta.ArcDelta, arcs []ArcECO) error {
 	if s.ts != nil {
 		deltas := make([]topo.Delta, 0, len(ref)+len(arcs))
 		for _, dl := range ref {
-			if a := s.tsArcFromRefLocked(dl.ArcID); a >= 0 {
-				deltas = append(deltas, topo.Delta{Arc: a, Delay: dl.Delay})
-			}
+			deltas = append(deltas, topo.Delta{Arc: dl.ArcID, Delay: dl.Delay})
 		}
 		for _, a := range arcs {
-			ta := s.tsArcLocked(a.Arc)
-			if ta < 0 {
-				return fmt.Errorf("server: arc %d was removed by a structural edit", a.Arc)
-			}
-			deltas = append(deltas, topo.Delta{Arc: ta, Delay: [2]num.Dist{a.Rise, a.Fall}})
+			deltas = append(deltas, topo.Delta{Arc: a.Arc, Delay: [2]num.Dist{a.Rise, a.Fall}})
 		}
 		if err := s.ts.Annotate(deltas); err != nil {
 			return err
 		}
 	} else {
 		for _, dl := range ref {
-			// estimate_eco speaks extraction arc ids; a structural commit
-			// may have moved (or removed) them in the served engine.
-			if a := s.m.refArcLocked(dl.ArcID); a >= 0 {
-				s.applyArcLocked(a, dl.Delay[0], dl.Delay[1])
-			}
+			s.applyArcLocked(dl.ArcID, dl.Delay[0], dl.Delay[1])
 		}
 		for _, a := range arcs {
 			s.applyArcLocked(a.Arc, a.Rise, a.Fall)
@@ -510,9 +498,8 @@ func (s *Session) Commit() (*ECOResult, error) {
 	}
 	if s.topoGen != m.topoGen {
 		// A structural commit replaced the engine object under this
-		// annotation session: re-bind (re-keying recorded deltas through the
-		// commits' arc remaps) before folding them in.
-		s.rebindLocked(m.composedRemapSince(s.topoGen))
+		// annotation session: re-bind before folding its deltas in.
+		s.rebindLocked()
 	}
 	s.ov.Commit()
 	s.replayNetlistLocked()
@@ -618,8 +605,8 @@ func (s *Session) Rollback() error {
 	s.discardLocked()
 	if s.topoGen != m.topoGen {
 		// The base engine was structurally replaced; re-point the emptied
-		// overlay (no deltas survive a reset, so no remap needed).
-		s.rebindLocked(nil)
+		// overlay.
+		s.rebindLocked()
 	}
 	s.epoch = m.epoch
 	m.rollbacks.Add(1)

@@ -1,9 +1,10 @@
 package server
 
 // Structural ECOs on a session: resolving topo requests against the reference
-// engine, applying them to the session's working set, the structural commit
-// that swaps the served engine, and the arc id remaps that keep older ids
-// resolving across such swaps.
+// engine, applying them to the session's working set, and the structural
+// commit that swaps the served engine. Arc ids are permanent: the extraction,
+// the committed base and every session's working set share one id space that
+// only ever grows at the end.
 
 import (
 	"errors"
@@ -17,13 +18,6 @@ import (
 	"insta/internal/refsta"
 	"insta/internal/topo"
 )
-
-// remapGen is one structural commit's arc remap: old-current → new-current ids
-// over the pre-commit arc count, nil when the commit only appended arcs.
-type remapGen struct {
-	gen   uint64
-	remap []int32
-}
 
 // relevelBounds buckets the per-batch re-levelized level span — the locality
 // signal of incremental re-levelization (a design-deep edit re-levels
@@ -59,55 +53,19 @@ func (m *Manager) RelevelHist() *obs.Histogram { return m.relevelHist }
 // whether the engine *object* was replaced). Lock-free, like Epoch.
 func (m *Manager) TopoGen() uint64 { return m.topoGenA.Load() }
 
-// composedRemapSince folds the remaps of every structural commit after gen
-// into one old→current arc remap (-1 = removed), or nil when ids survived
-// unchanged. Caller holds at least m.mu.RLock.
-func (m *Manager) composedRemapSince(gen uint64) []int32 {
-	var acc []int32
-	for _, g := range m.remapHist {
-		if g.gen > gen {
-			acc = topo.ComposeRemap(acc, g.remap, len(g.remap))
-		}
-	}
-	return acc
-}
-
-// refArcLocked translates an extraction-space arc id (the reference engine's
-// space) to the current committed engine's space, or -1 if a structural
-// commit removed the arc. Caller holds at least m.mu.RLock.
-func (m *Manager) refArcLocked(a int32) int32 {
-	if m.baseRemap == nil {
-		return a
-	}
-	return m.baseRemap[a]
-}
-
-// preimage returns the id remap sends to a (a itself under a nil, identity
-// remap), or -1 when nothing maps there: a was appended after the remap's
-// domain was fixed. Linear in the remap; only resolution paths for structural
-// requests take it.
-func preimage(remap []int32, a int32) int32 {
-	if remap == nil {
-		return a
-	}
-	for i, cur := range remap {
-		if cur == a {
-			return int32(i)
-		}
-	}
-	return -1
-}
-
-// TopoOp is one structural edit in a topo batch. Arc ids are in the session's
-// current working space: identical to the committed engine's ids until the
-// session's first structural batch, and tracked through the new_arcs ranges
-// the topo responses report after that.
+// TopoOp is one structural edit in a topo batch. An arc id is permanent: it
+// names the same arc in the committed engine and in every session, before and
+// after any structural edit. The arcs a session appends take the ids the topo
+// responses report in new_arcs.
 //
 //   - "buffer":   splice a buffer into net arc Arc at position Frac (0 =
 //     driver, default 0.5); Lib names the buffer cell (default BUF_X4) and the
-//     gate delay comes from the reference engine's frozen-slew estimate.
-//   - "unbuffer": remove the buffer whose cell arc is Arc, restoring the
-//     through-wire.
+//     gate delay comes from the reference engine's frozen-slew estimate. Arc
+//     keeps its id as the driver-side wire.
+//   - "unbuffer": bypass the buffer whose cell arc is Arc: its output wires
+//     keep their ids and become through-wires from the buffer's driver. Arc
+//     and the buffer's input wire keep theirs as a stub that drives nothing;
+//     annotating either is accepted and moves no slack.
 //   - "repower":  swap instance Cell to library cell Lib; resolved to arc
 //     re-annotations via estimate_eco and replayed into the signoff netlist
 //     on commit.
@@ -132,9 +90,10 @@ type TopoRequest struct {
 }
 
 // TopoResult reports one structural batch: the session's post-edit timing view
-// plus the batch's structural footprint. NewArcs is the session-space id range
-// [lo, hi) of arcs this batch appended (each inserted buffer contributes its
-// cell arc then its output net arc, in op order).
+// plus the batch's structural footprint. NewArcs is the id range [lo, hi) of
+// the arcs this batch appended — always [len, len+2·inserted) over the arc
+// count the batch found, each inserted buffer contributing its cell arc then
+// its output net arc, in op order.
 type TopoResult struct {
 	View          *ECOResult `json:"view"`
 	Inserted      int        `json:"inserted"`
@@ -153,54 +112,11 @@ type resolvedMove struct {
 }
 
 // rebindLocked re-targets the overlay at the manager's current engine after a
-// structural commit replaced it, re-keying recorded deltas through remap
-// (nil = identity). Caller holds s.mu and at least m.mu.RLock.
-func (s *Session) rebindLocked(remap []int32) {
-	s.ov.RebaseStructural(s.m.be.Engine, remap)
+// structural commit replaced it; recorded deltas keep their arc ids. Caller
+// holds s.mu and at least m.mu.RLock.
+func (s *Session) rebindLocked() {
+	s.ov.RebaseStructural(s.m.be.Engine)
 	s.topoGen = s.m.topoGen
-}
-
-// tsArcLocked maps a committed-engine arc id into the structural session's
-// current space (-1 = removed by an edit). Arcs the session itself appended
-// (ids past the remap) pass through unchanged, as does everything when the
-// session holds no structural edits. Caller holds s.mu.
-func (s *Session) tsArcLocked(a int32) int32 {
-	if s.ts == nil {
-		return a
-	}
-	r := s.ts.Remap()
-	if r == nil || int(a) >= len(r) {
-		return a
-	}
-	return r[a]
-}
-
-// sessionToRefLocked inverts the full id chain: a session-current arc id back
-// to the extraction-space id the reference engine speaks, or -1 when the arc
-// only exists post-edit (an inserted buffer's arcs) and so has no signoff
-// counterpart to estimate from. Caller holds s.mu and at least m.mu.RLock.
-func (s *Session) sessionToRefLocked(a int32) int32 {
-	if s.ts != nil {
-		if a = preimage(s.ts.Remap(), a); a < 0 {
-			return -1
-		}
-	}
-	ref := preimage(s.m.baseRemap, a)
-	if ref < 0 || s.m.ref == nil || int(ref) >= s.m.ref.NumArcs() {
-		return -1
-	}
-	return ref
-}
-
-// tsArcFromRefLocked maps an extraction-space arc id (estimate_eco output)
-// into the structural session's current space, or -1 when some structural
-// edit — committed or session-local — removed it.
-func (s *Session) tsArcFromRefLocked(ref int32) int32 {
-	cur := s.m.refArcLocked(ref)
-	if cur < 0 {
-		return -1
-	}
-	return s.tsArcLocked(cur)
 }
 
 // resolvedTopo is one structural batch after resolution: the ops to apply to
@@ -211,13 +127,10 @@ type resolvedTopo struct {
 	mvs []resolvedMove
 }
 
-// annotate adds estimate output (extraction arc ids) as Annotate ops on the
-// arcs that still exist in the session's working space.
-func (r *resolvedTopo) annotate(s *Session, deltas []refsta.ArcDelta) {
+// annotate adds estimate output as Annotate ops.
+func (r *resolvedTopo) annotate(deltas []refsta.ArcDelta) {
 	for _, dl := range deltas {
-		if a := s.tsArcFromRefLocked(dl.ArcID); a >= 0 {
-			r.ops = append(r.ops, topo.Annotate(a, dl.Delay))
-		}
+		r.ops = append(r.ops, topo.Annotate(dl.ArcID, dl.Delay))
 	}
 }
 
@@ -263,11 +176,12 @@ func (s *Session) resolveTopoOpLocked(op TopoOp, r *resolvedTopo) error {
 		if math.IsNaN(frac) {
 			return errors.New("frac is NaN")
 		}
-		ref := s.sessionToRefLocked(op.Arc)
-		if ref < 0 {
+		// The estimators price from signoff data, which an inserted buffer's
+		// arcs (ids past the extraction's) do not have.
+		if int(op.Arc) >= m.ref.NumArcs() {
 			return fmt.Errorf("arc %d has no signoff counterpart to estimate from", op.Arc)
 		}
-		d, err := m.ref.EstimateBuffer(ref, lib, frac)
+		d, err := m.ref.EstimateBuffer(op.Arc, lib, frac)
 		if err != nil {
 			return err
 		}
@@ -279,11 +193,11 @@ func (s *Session) resolveTopoOpLocked(op TopoOp, r *resolvedTopo) error {
 		// is the half of buffering that helps — every other sink of the
 		// net rides the faster driver). At most one buffered branch per
 		// driver per batch: a second would claim the same driver arcs.
-		dds, err := m.ref.EstimateBufferDriver(ref, lib, frac)
+		dds, err := m.ref.EstimateBufferDriver(op.Arc, lib, frac)
 		if err != nil {
 			return err
 		}
-		r.annotate(s, dds)
+		r.annotate(dds)
 	case "unbuffer":
 		r.ops = append(r.ops, topo.RemoveBuffer(op.Arc))
 	case "repower":
@@ -291,7 +205,7 @@ func (s *Session) resolveTopoOpLocked(op TopoOp, r *resolvedTopo) error {
 		if err != nil {
 			return err
 		}
-		r.annotate(s, deltas)
+		r.annotate(deltas)
 		r.rzs = append(r.rzs, rz)
 	case "move":
 		c, ok := m.ref.D.CellByName(op.Cell)
@@ -305,7 +219,7 @@ func (s *Session) resolveTopoOpLocked(op TopoOp, r *resolvedTopo) error {
 		if err != nil {
 			return fmt.Errorf("estimate_move %s: %w", op.Cell, err)
 		}
-		r.annotate(s, deltas)
+		r.annotate(deltas)
 		r.mvs = append(r.mvs, resolvedMove{cell: c, x: op.X, y: op.Y})
 	case "annotate":
 		if err := checkDelay(op.Rise, op.Fall); err != nil {
@@ -394,11 +308,10 @@ func (s *Session) applyTopoLocked(req TopoRequest) (*TopoResult, error) {
 
 // commitStructuralLocked commits a session's structural working set: the
 // manager swaps its base engine for the session's seeded one (the sequel
-// bit-identical to a cold compile of the edited netlist), records the arc
-// remap so annotation sessions opened against the old structure can re-key,
-// replays the session's repowers/moves into the signoff netlist, and bumps
-// both the epoch and the structural generation. Caller holds s.mu and
-// m.mu.Lock (every in-flight evaluation has drained).
+// bit-identical to a cold compile of the edited netlist), replays the
+// session's repowers/moves into the signoff netlist, and bumps both the epoch
+// and the structural generation. Caller holds s.mu and m.mu.Lock (every
+// in-flight evaluation has drained).
 func (s *Session) commitStructuralLocked(t0 time.Time) (*ECOResult, error) {
 	m := s.m
 	sp := m.be.Tracer().StartArg("structural-commit", "edits", int64(s.ts.Stats().Edits))
@@ -426,13 +339,11 @@ func (s *Session) commitStructuralLocked(t0 time.Time) (*ECOResult, error) {
 	m.ownsBase = true
 	m.topoGen++
 	m.topoGenA.Store(m.topoGen)
-	m.remapHist = append(m.remapHist, remapGen{gen: m.topoGen, remap: d.Remap})
-	m.baseRemap = topo.ComposeRemap(m.baseRemap, d.Remap, m.extArcs)
 	s.replayNetlistLocked()
 	// Re-bind this session's overlay to the engine it just installed. It
 	// holds no overlay deltas (structural sessions reject them), so the
 	// rebase is a pure re-point.
-	s.rebindLocked(nil)
+	s.rebindLocked()
 	s.ts, s.tsView = nil, nil // detached: the manager owns the working set now
 	res := s.finishCommitLocked(t0, map[string]any{
 		"structural": true,

@@ -11,9 +11,11 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
+	"insta/internal/batch"
 	"insta/internal/bench"
 	"insta/internal/core"
 	"insta/internal/exp"
@@ -123,8 +125,7 @@ func TestTopoHTTPBufferLifecycle(t *testing.T) {
 	}
 
 	// Remove the committed buffer from a fresh session: its cell arc id is
-	// the first id of the reported new-arc range (stable across the commit —
-	// an insert-only batch never renumbers).
+	// the first id of the reported new-arc range.
 	code, m = postJSON(t, c, srv.URL+"/session", nil)
 	if code != http.StatusCreated {
 		t.Fatalf("create 2: %d", code)
@@ -320,8 +321,8 @@ func TestTopoPendingAnnotationsRejected(t *testing.T) {
 
 // TestTopoStructuralCommitRebasesAnnotationSessions: annotation sessions
 // opened before a structural commit keep working afterwards — their recorded
-// deltas survive the engine swap (re-keyed through the commit's remap) and
-// both the estimate_eco path and their own commit land on the new base.
+// deltas survive the engine swap and both the estimate_eco path and their own
+// commit land on the new base.
 func TestTopoStructuralCommitRebasesAnnotationSessions(t *testing.T) {
 	mgr, s := newTestManager(t, "des", 8, 2, server.Options{})
 	defer mgr.Close()
@@ -366,7 +367,7 @@ func TestTopoStructuralCommitRebasesAnnotationSessions(t *testing.T) {
 	}
 
 	// estimate_eco resolution still works against the structurally edited
-	// base (extraction ids translate through the composed remap).
+	// base: extraction arc ids are the base's arc ids.
 	sNew, err := mgr.Create()
 	if err != nil {
 		t.Fatal(err)
@@ -375,6 +376,101 @@ func TestTopoStructuralCommitRebasesAnnotationSessions(t *testing.T) {
 	ecos := resizeECOs(s, 13, 1)
 	if _, err := sNew.ApplyECO(ecos[0]); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnbufferCommitRebasesAnnotationSessions: an annotation session holding
+// deltas — on the buffer's own three arcs among others — rebases over another
+// session's commit that removes that buffer. It keeps every delta on the id it
+// was recorded on, and reads, in every lane, what a cold manager over the
+// edited tables reads with the same deltas applied.
+func TestUnbufferCommitRebasesAnnotationSessions(t *testing.T) {
+	mgr, s := newKindManager(t, true, "des", 8, 2, server.Options{})
+	defer mgr.Close()
+
+	sTopo, err := mgr.Create()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sTopo.Close()
+	wire := firstNetArc(t, s, 2)
+	tr, err := sTopo.ApplyTopo(server.TopoRequest{Ops: []server.TopoOp{{Op: "buffer", Arc: wire}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sTopo.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	cellArc := int32(tr.NewArcs[0])
+
+	sAnn, err := mgr.Create()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sAnn.Close()
+	deltas := arcDeltas(mgr.Engine(), 0, 89, 1.07)
+	for _, a := range []int32{wire, cellArc, cellArc + 1} {
+		if a%89 != 0 {
+			deltas = append(deltas, arcDeltas(mgr.Engine(), a, int32(mgr.Engine().NumArcs()), 1.2)...)
+		}
+	}
+	if _, err := sAnn.ApplyDeltas(deltas); err != nil {
+		t.Fatal(err)
+	}
+
+	// The removal rides in a batch with an insert, so ids are appended and
+	// rows rewritten by one commit.
+	arcs := mgr.Engine().NumArcs()
+	if _, err := sTopo.ApplyTopo(server.TopoRequest{Ops: []server.TopoOp{
+		{Op: "unbuffer", Arc: cellArc},
+		{Op: "buffer", Arc: firstNetArc(t, s, 9), Frac: 0.3},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sTopo.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := mgr.Engine().NumArcs(); got != arcs+2 {
+		t.Fatalf("committed base has %d arcs, want %d: a removal deletes no row", got, arcs+2)
+	}
+
+	res, err := sAnn.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Epoch != mgr.Epoch() || res.TouchedArcs != len(deltas) {
+		t.Fatalf("rebased session at epoch %d with %d deltas, want epoch %d with %d", res.Epoch, res.TouchedArcs, mgr.Epoch(), len(deltas))
+	}
+
+	cold, err := batch.New(mgr.Engine().ExportState().Tables(), batch.DefaultScenarios(), core.Options{TopK: 8, Workers: 2, Tau: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	coldMgr := server.NewManager(nil, nil, server.Options{Batch: cold})
+	sCold, err := coldMgr.Create()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sCold.Close()
+	if _, err := sCold.ApplyDeltas(deltas); err != nil {
+		t.Fatal(err)
+	}
+	for _, lane := range []string{"", "ss", "tt", "ff", "merged"} {
+		got, err := sAnn.ScenarioSlacks(lane)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sCold.ScenarioSlacks(lane)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("lane %q: the rebased session's slacks differ from a cold manager's over the edited tables", lane)
+		}
+		if base, _ := mgr.BaseScenarioSlacks(lane); slices.Equal(got, base) {
+			t.Fatalf("lane %q: the session's deltas move no slack — test is vacuous", lane)
+		}
 	}
 }
 

@@ -74,7 +74,7 @@ func InstaBuffer(mgr *server.Manager, cfg BufferConfig) BufferResult {
 	}
 	defer sess.Close()
 
-	buffered := map[int32]bool{} // net arcs already split (ids are stable: insert-only commits never renumber)
+	buffered := map[int32]bool{} // net arcs already split (arc ids are permanent)
 	for round := 0; round < cfg.MaxRounds && res.Inserted < cfg.MaxBuffers; round++ {
 		res.Rounds++
 		insertedThisRound := false

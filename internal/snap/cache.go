@@ -54,9 +54,6 @@ func NewCache(dir string, maxBytes int64) (*Cache, error) {
 // Dir returns the cache directory.
 func (c *Cache) Dir() string { return c.dir }
 
-// MaxBytes returns the configured byte bound (<= 0 for unbounded).
-func (c *Cache) MaxBytes() int64 { return c.maxBytes }
-
 // Path returns where the snapshot for key lives (whether or not it exists).
 func (c *Cache) Path(key string) string {
 	return filepath.Join(c.dir, sanitizeKey(key)+".snap")

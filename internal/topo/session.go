@@ -14,13 +14,14 @@ package topo
 //
 // Each Apply recompiles the edited tables with core.CompileIncrementalPatched
 // (the previous state's slabs patched at the rows the batch touched, localized
-// re-levelization; batches that remove arcs fall back to
-// core.CompileIncremental, which rebuilds the slabs) and stands up the next
-// working engine with core.Engine.Reseed (cone-limited re-propagation), so the
-// cost of an edit scales with its fan-out cone, not the design — while staying
-// bit-identical to a cold compile + full propagation of the edited netlist
-// (the differential tests in this package pin that down;
-// TestApplyBeatsColdRebuild holds the cost claim at >= 10x on block-1).
+// re-levelization; batches that bypass a buffer move arcs between existing
+// pins and fall back to core.CompileIncremental, which rebuilds the slabs) and
+// stands up the next working engine with core.Engine.Reseed (cone-limited
+// re-propagation), so the cost of an edit scales with its fan-out cone, not
+// the design — while staying bit-identical to a cold compile + full
+// propagation of the edited netlist (the differential tests in this package
+// pin that down; TestApplyBeatsColdRebuild holds the cost claim at >= 10x on
+// block-1).
 
 import (
 	"fmt"
@@ -32,8 +33,8 @@ import (
 	"insta/internal/obs"
 )
 
-// Delta is one annotation in the session's *current* arc id space (after any
-// structural remaps), used by Annotate.
+// Delta is one annotation of an arc of the session's working tables, used by
+// Annotate.
 type Delta struct {
 	Arc   int32
 	Delay [2]num.Dist
@@ -64,7 +65,6 @@ type Session struct {
 	state *core.State
 	eng   *core.Engine
 
-	remap    []int32 // base arc id -> current arc id; nil = identity
 	stats    SessionStats
 	detached bool
 	closed   bool
@@ -112,11 +112,6 @@ func (s *Session) closeWorking() {
 // bit-identity oracle.
 func (s *Session) Tables() *circuitops.Tables { return s.tab }
 
-// Remap returns the composed base→current arc id remap (-1 = removed), or
-// nil when every base arc id is still valid. The returned slice is owned by
-// the session.
-func (s *Session) Remap() []int32 { return s.remap }
-
 // Stats returns the session's cumulative edit statistics; Relevel reflects
 // the most recent Apply.
 func (s *Session) Stats() SessionStats { return s.stats }
@@ -127,9 +122,8 @@ func (s *Session) Edited() bool { return s.stats.Edits > 0 }
 // Apply validates and applies one structural op batch, recompiles the edited
 // tables with localized re-levelization, and stands up the next working
 // engine seeded from the current one. On any error the session — tables,
-// compiled state, engine, remap — is left exactly as it was (the op batch
-// itself is validate-then-apply on a clone, and a failed reseed leaves the
-// current engine untouched).
+// compiled state, engine — is left exactly as it was (the op batch validates
+// before it writes, and a failed reseed leaves the current engine untouched).
 func (s *Session) Apply(ops []Op) (*Result, error) {
 	if s.detached || s.closed {
 		return nil, fmt.Errorf("topo: session is no longer active")
@@ -143,15 +137,16 @@ func (s *Session) Apply(ops []Op) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Recompile: append/rewrite batches (nil remap) patch the previous
-	// compiled state — cannibalizing it in place once it is session-private —
-	// instead of rebuilding every O(arcs) slab; removal batches and any
-	// unpatchable shape take the slow slab rebuild. Both are bit-identical
-	// to a cold Compile of the edited tables.
+	// Recompile: append/rewrite batches patch the previous compiled state —
+	// cannibalizing it in place once it is session-private — instead of
+	// rebuilding every O(arcs) slab; a buffer removal changes the arc count
+	// of pins that already exist, which like any other unpatchable shape
+	// takes the slow slab rebuild. Both are bit-identical to a cold Compile
+	// of the edited tables.
 	csp := sp.Child("topo-recompile")
 	var st *core.State
 	var inc levelize.IncStats
-	if res.Remap == nil {
+	if res.Removed == 0 {
 		st, inc, err = core.CompileIncrementalPatched(res.Tables, s.state, res.Seeds, res.Changed, s.state != s.baseState)
 		if err != nil {
 			st = nil
@@ -176,7 +171,6 @@ func (s *Session) Apply(ops []Op) (*Result, error) {
 	}
 
 	s.tab, s.state, s.eng = res.Tables, st, eng
-	s.remap = ComposeRemap(s.remap, res.Remap, len(s.baseTab.Arcs))
 	s.stats.Edits++
 	s.stats.Inserted += res.Inserted
 	s.stats.Removed += res.Removed
@@ -186,8 +180,8 @@ func (s *Session) Apply(ops []Op) (*Result, error) {
 	return res, nil
 }
 
-// Annotate rewrites arc delays in the session's current arc id space —
-// annotation ECOs arriving on a session that already holds structural edits
+// Annotate rewrites arc delays in the session's working tables — annotation
+// ECOs arriving on a session that already holds structural edits
 // fold in here, keeping the working tables and engine delay-synchronized so
 // the cold-compile oracle stays exact. Only legal after the first Apply: the
 // working set before that IS the shared base, which a session must never
@@ -242,7 +236,6 @@ func (s *Session) Reset() {
 	}
 	s.closeWorking()
 	s.tab, s.state, s.eng = s.baseTab, s.baseState, s.baseEng
-	s.remap = nil
 	s.stats = SessionStats{}
 }
 
@@ -251,7 +244,6 @@ type Detached struct {
 	Tables *circuitops.Tables
 	State  *core.State
 	Engine *core.Engine
-	Remap  []int32 // base→current arc remap, nil = identity
 	Stats  SessionStats
 }
 
@@ -272,7 +264,6 @@ func (s *Session) Detach() (*Detached, error) {
 		Tables: s.tab,
 		State:  s.state,
 		Engine: s.eng,
-		Remap:  s.remap,
 		Stats:  s.stats,
 	}
 	s.detached = true
@@ -289,25 +280,4 @@ func (s *Session) Close() {
 		s.closeWorking()
 	}
 	s.closed = true
-}
-
-// ComposeRemap folds one more arc remap (ids before an edit → ids after it,
-// -1 = removed, nil = identity) into a cumulative remap over a domain of
-// baseArcs ids, in place; a nil prev is the identity.
-func ComposeRemap(prev, next []int32, baseArcs int) []int32 {
-	if next == nil {
-		return prev
-	}
-	if prev == nil {
-		prev = make([]int32, baseArcs)
-		for i := range prev {
-			prev[i] = int32(i)
-		}
-	}
-	for i, cur := range prev {
-		if cur >= 0 {
-			prev[i] = next[cur]
-		}
-	}
-	return prev
 }

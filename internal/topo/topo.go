@@ -12,20 +12,20 @@
 //
 //   - Pin ids are append-only. InsertBuffer appends the buffer's input and
 //     output pins at the end of the pin space; RemoveBuffer leaves the
-//     buffer's pins in place as floating level-0 nodes. No surviving pin is
-//     ever renumbered, so a previous engine's per-pin tensors remain valid
-//     arrival state for every pin outside the edit's fan-out cone
-//     (core.NewEngineSeeded's contract).
-//   - Arc ids are stable except under removal. Insert-only batches append
-//     arcs and return a nil remap (identity); batches that remove arcs
-//     compact the arc table and return an old→new remap with -1 for removed
-//     ids, which sessions compose across edits so annotation ECOs addressed
-//     in the original id space keep resolving.
+//     buffer's pins in place. No pin is ever renumbered, so a previous
+//     engine's per-pin tensors remain valid arrival state for every pin
+//     outside the edit's fan-out cone (core.NewEngineSeeded's contract).
+//   - Arc ids are append-only too. InsertBuffer appends the buffer's cell arc
+//     and sink-side wire; RemoveBuffer bypasses the buffer — its sink wires
+//     are re-pointed at the driver — and leaves the input wire and the cell
+//     arc in their rows as a dead-end stub that reaches no endpoint. No row
+//     is ever deleted or renumbered, so an arc id handed out once names the
+//     same row in every later table, working set and committed base.
 //
 // Application is batch-atomic: every op is validated against a claim-tracked
-// snapshot before anything is written, and the edit is built on a clone of
-// the tables — a failed batch leaves the input tables (and everything
-// downstream: compiled state, engines, freelists) untouched.
+// snapshot before anything is written — a failed batch leaves the input
+// tables (and everything downstream: compiled state, engines, freelists)
+// untouched.
 package topo
 
 import (
@@ -46,10 +46,10 @@ const (
 	// u→x (the driver-side wire), a new cell arc x→y (the buffer) and a new
 	// net arc y→v (the sink-side wire), with pins x, y appended.
 	OpInsertBuffer OpKind = iota
-	// OpRemoveBuffer undoes the shape InsertBuffer creates: the buffer's
-	// cell arc x→y plus its single input wire u→x are deleted, every output
-	// wire y→v is rewritten to a direct u→v with the composed delay, and
-	// pins x, y go floating.
+	// OpRemoveBuffer bypasses the shape InsertBuffer creates: every output
+	// wire y→v of the buffer x→y is rewritten to a direct u→v with the
+	// composed delay, u being the driver of the buffer's single input wire.
+	// u→x and x→y keep their rows: a stub that drives nothing.
 	OpRemoveBuffer
 	// OpAnnotate rewrites one arc's delay distributions in place — the
 	// table-level form of repower (cell arcs re-characterized for a new
@@ -114,25 +114,19 @@ func Annotate(arc int32, d [2]num.Dist) Op {
 }
 
 // Result is one applied batch: the edited tables (via Apply, a clone — the
-// input is never mutated; sessions edit their private tables in place), the
-// arc id remap, and the re-propagation seeds.
+// input is never mutated; sessions edit their private tables in place) and the
+// re-propagation seeds.
 type Result struct {
 	Tables *circuitops.Tables
-
-	// Remap maps input arc ids to output arc ids, -1 for removed arcs. nil
-	// means identity: the batch only appended and rewrote in place.
-	Remap []int32
 
 	// Seeds are the pins whose fan-in set changed (including appended pins),
 	// sorted — exactly the seed set core.CompileIncremental and
 	// core.NewEngineSeeded require.
 	Seeds []int32
 
-	// Changed lists every arc id (in the output id space) whose row differs
-	// from the input tables — rewritten in place or appended — when Remap is
-	// nil; it is the change set core.CompileIncrementalPatched patches. Nil
-	// when the batch removed arcs (Remap != nil): compaction renumbers the
-	// tail, so the patched fast path does not apply.
+	// Changed lists every arc id whose row differs from the input tables —
+	// rewritten in place or appended; it is the change set
+	// core.CompileIncrementalPatched patches.
 	Changed []int32
 
 	// NewPins counts pins appended by the batch.
@@ -153,8 +147,7 @@ func Apply(t *circuitops.Tables, ops []Op) (*Result, error) {
 // no arc-table clone — which Session uses once its working tables are
 // private (every preview after the first). Safe because validation is
 // complete before the first write, so the no-partial-edit guarantee holds
-// either way; batches containing a removal still clone (the compaction +
-// re-validate path reads pre-edit rows throughout).
+// either way.
 func applyOps(t *circuitops.Tables, ops []Op, inPlace bool) (*Result, error) {
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("topo: empty op batch")
@@ -166,7 +159,7 @@ func applyOps(t *circuitops.Tables, ops []Op, inPlace bool) (*Result, error) {
 	// validates against graph structure, so insert/annotate-only batches —
 	// the overwhelming steady state — skip the O(design) build entirely.
 	var fanin, fanout csr
-	var timed []bool // pins that must not go floating
+	var timed []bool // startpoint and endpoint pins: never a buffer's
 	for oi := range ops {
 		if ops[oi].Kind != OpRemoveBuffer {
 			continue
@@ -277,18 +270,16 @@ func applyOps(t *circuitops.Tables, ops []Op, inPlace bool) (*Result, error) {
 
 	// Apply on a clone — shallow struct copy (SP/EP/clock/exception rows are
 	// shared, never mutated by structural edits) with a fresh arc slice — or
-	// directly on t when the caller owns it and no op removes arcs. The
-	// removal path composes delays from pre-edit rows and re-validates, so it
-	// always works on a clone.
+	// directly on t when the caller owns it. Every row an op reads it has
+	// claimed, so no op sees another's writes either way.
 	out := t
-	if !inPlace || timed != nil {
+	if !inPlace {
 		c := *t
 		c.Arcs = append(make([]circuitops.ArcRow, 0, nArcs+2*len(ops)), t.Arcs...)
 		out = &c
 	}
 	res := &Result{Tables: out}
 	seeds := make(map[int32]bool)
-	var deleted []int32
 
 	for oi := range ops {
 		op := &ops[oi]
@@ -334,28 +325,22 @@ func applyOps(t *circuitops.Tables, ops []Op, inPlace bool) (*Result, error) {
 			res.Changed = append(res.Changed, op.Arc, int32(len(out.Arcs)-2), int32(len(out.Arcs)-1))
 			res.Inserted++
 		case OpRemoveBuffer:
-			ca := t.Arcs[op.Arc]
-			x, y := ca.From, ca.To
-			in := fanin.at(x)[0]
-			uin := t.Arcs[in]
-			for _, o := range fanout.at(y) {
+			ca := out.Arcs[op.Arc]
+			uin := out.Arcs[fanin.at(ca.From)[0]]
+			for _, o := range fanout.at(ca.To) {
 				oa := &out.Arcs[o]
 				// u→v replaces u→x→y→v: means add, sigmas RSS (independent
 				// stage variations, the same composition the extraction uses
 				// along a path).
 				oa.From = uin.From
 				oa.Net = uin.Net
-				oa.MeanRise = uin.MeanRise + ca.MeanRise + t.Arcs[o].MeanRise
-				oa.StdRise = math.Sqrt(uin.StdRise*uin.StdRise + ca.StdRise*ca.StdRise + t.Arcs[o].StdRise*t.Arcs[o].StdRise)
-				oa.MeanFall = uin.MeanFall + ca.MeanFall + t.Arcs[o].MeanFall
-				oa.StdFall = math.Sqrt(uin.StdFall*uin.StdFall + ca.StdFall*ca.StdFall + t.Arcs[o].StdFall*t.Arcs[o].StdFall)
-				seeds[t.Arcs[o].To] = true
+				oa.MeanRise = uin.MeanRise + ca.MeanRise + oa.MeanRise
+				oa.StdRise = math.Sqrt(uin.StdRise*uin.StdRise + ca.StdRise*ca.StdRise + oa.StdRise*oa.StdRise)
+				oa.MeanFall = uin.MeanFall + ca.MeanFall + oa.MeanFall
+				oa.StdFall = math.Sqrt(uin.StdFall*uin.StdFall + ca.StdFall*ca.StdFall + oa.StdFall*oa.StdFall)
+				seeds[oa.To] = true
+				res.Changed = append(res.Changed, o)
 			}
-			deleted = append(deleted, in, op.Arc)
-			// x and y keep their ids but lose all fan-in: they become
-			// floating level-0 pins and must be re-propagated to empty.
-			seeds[x] = true
-			seeds[y] = true
 			res.Removed++
 		case OpAnnotate:
 			a := &out.Arcs[op.Arc]
@@ -369,50 +354,16 @@ func applyOps(t *circuitops.Tables, ops []Op, inPlace bool) (*Result, error) {
 		}
 	}
 
-	// Compact deleted arcs and build the remap. Insert-only batches keep a
-	// nil remap: every surviving id is unchanged. Compaction renumbers the
-	// tail wholesale, so the per-arc change set is meaningless there.
-	if len(deleted) > 0 {
-		res.Changed = nil
-		del := make(map[int32]bool, len(deleted))
-		for _, d := range deleted {
-			del[d] = true
-		}
-		remap := make([]int32, nArcs)
-		kept := out.Arcs[:0]
-		next := int32(0)
-		for i := range out.Arcs {
-			if i < nArcs && del[int32(i)] {
-				remap[i] = -1
-				continue
-			}
-			if i < nArcs {
-				remap[i] = next
-			}
-			kept = append(kept, out.Arcs[i])
-			next++
-		}
-		out.Arcs = kept
-		res.Remap = remap
-	}
-
 	res.Seeds = make([]int32, 0, len(seeds))
 	for p := range seeds {
 		res.Seeds = append(res.Seeds, p)
 	}
 	slices.Sort(res.Seeds)
 
-	// Removal batches rewrote graph structure wholesale; re-validate the
-	// result. Insert/annotate batches only append well-formed rows and scale
-	// delays in place, every one individually range-checked above — skipping
-	// the O(arcs) Validate keeps the optimizer-loop preview cost proportional
-	// to the edit (the differential suite still compares against a cold
-	// compile, which validates).
-	if res.Remap != nil {
-		if err := out.Validate(); err != nil {
-			return nil, fmt.Errorf("topo: edited tables invalid: %w", err)
-		}
-	}
+	// Every row written above is well-formed by construction and every input
+	// was range-checked during validation, so the O(arcs) Validate is skipped:
+	// the preview cost stays proportional to the edit (the differential suite
+	// still compares against a cold compile, which validates).
 	return res, nil
 }
 

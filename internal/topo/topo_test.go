@@ -11,6 +11,7 @@ package topo
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -145,9 +146,6 @@ func TestInsertBufferDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Remap != nil {
-			t.Fatalf("insert-only batch produced a remap")
-		}
 		if res.NewPins != 6 || res.Inserted != 3 {
 			t.Fatalf("unexpected result %+v", res)
 		}
@@ -172,9 +170,10 @@ func TestRemoveBufferDifferential(t *testing.T) {
 	defer s.Close()
 
 	// Insert a buffer, then remove it in a second batch: the remove batch
-	// must produce a compaction remap and a graph that cold-compiles to the
-	// same bits as the session's preview.
+	// must restore the through-wire's timing, renumber nothing, and leave a
+	// graph that cold-compiles to the same bits as the session's preview.
 	target := netArcs(tab)[2]
+	orig := tab.Arcs[target]
 	if _, err := s.Apply([]Op{InsertBuffer(target, 7, bufDelay(3, 0.2), 0)}); err != nil {
 		t.Fatal(err)
 	}
@@ -183,22 +182,42 @@ func TestRemoveBufferDifferential(t *testing.T) {
 	if s.Tables().Arcs[cellArc].Kind != 0 {
 		t.Fatalf("arc %d is not the inserted cell arc", cellArc)
 	}
+	before := append([]circuitops.ArcRow(nil), s.Tables().Arcs...)
 	res, err := s.Apply([]Op{RemoveBuffer(cellArc)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Remap == nil {
-		t.Fatal("removal batch returned no remap")
+	if !slices.Equal(res.Changed, []int32{cellArc + 1}) || !slices.Equal(res.Seeds, []int32{orig.To}) {
+		t.Fatalf("bypass changed arcs %v and seeded pins %v, want the sink wire %d and its sink %d", res.Changed, res.Seeds, cellArc+1, orig.To)
 	}
-	if res.Remap[target] != -1 {
-		t.Fatalf("split driver arc %d should be removed, remap says %d", target, res.Remap[target])
+	after := s.Tables().Arcs
+	if len(after) != len(before) {
+		t.Fatalf("removal changed the arc count: %d -> %d", len(before), len(after))
 	}
-	if s.Remap() == nil {
-		t.Fatal("session remap not composed")
+	for i := range before {
+		if int32(i) != cellArc+1 && after[i] != before[i] {
+			t.Fatalf("arc %d is not the buffer's sink wire and was rewritten: %+v -> %+v", i, before[i], after[i])
+		}
+	}
+	if w := after[cellArc+1]; w.From != orig.From || w.To != orig.To || w.Net != orig.Net {
+		t.Fatalf("sink wire became %d->%d (net %d), want the original %d->%d (net %d)", w.From, w.To, w.Net, orig.From, orig.To, orig.Net)
 	}
 	assertEnginesIdentical(t, "remove", s.Engine(), s.Tables(), opt)
 
-	// Pin count never shrinks; the buffer pins are floating now.
+	// A bypassed buffer cannot be removed twice, and its stub stays addressable.
+	if _, err := s.Apply([]Op{RemoveBuffer(cellArc)}); err == nil {
+		t.Fatal("removing a bypassed buffer again was accepted")
+	}
+	slacks := append([]float64(nil), s.Engine().Slacks()...)
+	if _, err := s.Apply([]Op{Annotate(cellArc, bufDelay(50, 5)), Annotate(target, bufDelay(50, 5))}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(s.Engine().Slacks(), slacks) {
+		t.Fatal("annotating a bypassed buffer's stub moved an endpoint slack")
+	}
+	assertEnginesIdentical(t, "stub annotated", s.Engine(), s.Tables(), opt)
+
+	// Pin count never shrinks.
 	if s.Tables().NumPins != tab.NumPins+2 {
 		t.Fatalf("pin count %d, want %d", s.Tables().NumPins, tab.NumPins+2)
 	}
@@ -396,7 +415,7 @@ func TestResetRestoresBase(t *testing.T) {
 		t.Fatal("apply did not create a working engine")
 	}
 	s.Reset()
-	if s.Engine() != base || s.Edited() || s.Remap() != nil {
+	if s.Engine() != base || s.Edited() {
 		t.Fatal("reset did not restore the base")
 	}
 	if base.WNS() != baseWNS {
