@@ -36,13 +36,16 @@
 #                      GET /session/{id}/slacks — cached text and fresh floats
 #                      alike — against encoding/json, byte for byte, for any
 #                      float64 bit pattern; then 10 s of FuzzTopoSession:
-#                      structural op batches decoded from bytes drive one
-#                      session — no panic, a rejected batch changes nothing,
-#                      and after every accepted one the session engine is
-#                      bit-identical to a cold compile of its tables and every
-#                      arc id handed out so far still names its row and pins
-#                      (arc ids are permanent: a removed buffer is bypassed,
-#                      not compacted away)
+#                      op batches decoded from bytes — inserts, bypasses and
+#                      annotations, annotate-only batches included, a
+#                      session's first among them — drive one session through
+#                      its one way in, Session.Apply (one patched recompile,
+#                      one reseed) — no panic, a rejected batch changes
+#                      nothing, and after every accepted one the session
+#                      engine is bit-identical to a cold compile of its
+#                      tables and every arc id handed out so far still names
+#                      its row and pins (arc ids are permanent: a removed
+#                      buffer is bypassed, not compacted away)
 #   4. go test -race — short-mode race check of the scheduler; the reference
 #                      engine's full update, which runs every level and the
 #                      endpoint slack walk on a pool of GOMAXPROCS

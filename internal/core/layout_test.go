@@ -43,7 +43,7 @@ func TestRowsFollowLevelOrder(t *testing.T) {
 	cold.Run()
 
 	edited, seeds := structuralEdit(t, h.tab, cold)
-	st, _, err := CompileIncremental(edited, cold.st, seeds)
+	st, err := Compile(edited)
 	if err != nil {
 		t.Fatal(err)
 	}

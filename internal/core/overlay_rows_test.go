@@ -330,7 +330,7 @@ func TestOverlayFollowsStructuralReseeds(t *testing.T) {
 	tab, cur := h.tab, e
 	for _, inPlace := range []bool{false, true} {
 		edited, seeds := structuralEdit(t, tab, cur)
-		st, _, err := CompileIncremental(edited, cur.st, seeds)
+		st, err := Compile(edited)
 		if err != nil {
 			t.Fatal(err)
 		}

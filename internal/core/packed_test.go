@@ -167,7 +167,7 @@ func TestPackedTailInvariant(t *testing.T) {
 					what := fmt.Sprintf("structural Reseed (in place: %v)", inPlace)
 					edited, seeds := structuralEdit(t, tab, cur)
 					oldRow, oldLevel := slices.Clone(cur.row), slices.Clone(cur.lv.Level)
-					st, _, err := CompileIncremental(edited, cur.st, seeds)
+					st, err := Compile(edited)
 					if err != nil {
 						t.Fatal(err)
 					}

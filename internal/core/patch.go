@@ -1,20 +1,20 @@
 package core
 
-// Patched recompilation: the append-only fast path under structural ECO
-// sessions. CompileIncremental is already localized in its levelize phase,
-// but it still rebuilds every O(arcs) slab of the State from the edited
-// tables — fan-in CSR, annotation planes, fan-out CSR — which dominates the
-// cost of a small edit on a large design. For the batches the optimizer loop
-// actually produces (buffer insertions and re-annotations: arcs appended or
-// rewritten in place, never removed) the previous compiled state differs
-// from the next one only in the rows the batch touched, so this file patches
-// those rows instead: per-arc slabs are extended and overwritten at the
-// changed ids, and the two CSRs are repaired segment by segment for just the
-// pins whose adjacency changed. The repaired segments are re-sorted by arc
-// id, which is exactly the order the full compile's ascending arc scan
-// produces — so the patched State is bit-identical, slab for slab, to
-// Compile of the same edited tables (the topo differential suite pins this
-// against the cold oracle).
+// Patched recompilation: the one recompile under structural ECO sessions.
+// Compile rebuilds every O(arcs) slab of the State from the tables — fan-in
+// CSR, annotation planes, fan-out CSR — which would dominate the cost of a
+// small edit on a large design. An op batch (buffers spliced in or bypassed,
+// arcs re-annotated) leaves the previous compiled state different from the
+// next one only in the rows the batch touched, so this file patches those
+// rows instead: per-arc slabs are extended and overwritten at the changed
+// ids, and the fan-in CSR is repaired segment by segment for just the pins
+// whose adjacency changed. The fan-out CSR is patched the same way unless a
+// bypass moved a wire from the buffer's output to its driver, which changes
+// existing pins' fan-out counts; then it is rebuilt with the counting sort
+// Compile uses. Repaired segments are re-sorted by arc id, which is exactly
+// the order the full compile's ascending arc scan produces — so the patched
+// State is bit-identical, slab for slab, to Compile of the same edited
+// tables (the topo differential suite pins this against the cold oracle).
 
 import (
 	"fmt"
@@ -25,18 +25,12 @@ import (
 	"insta/internal/liberty"
 )
 
-// errPatchShape is returned — before anything is mutated — when the edit is
-// outside the append-only shape this path handles (e.g. an existing pin's
-// arc count changed, as a buffer bypass moving a wire between existing pins
-// does). Callers fall back to CompileIncremental.
-var errPatchShape = fmt.Errorf("core: edit shape not patchable; use CompileIncremental")
-
 // CompileIncrementalPatched recompiles the edited tables t against prev by
-// patching prev's slabs rather than rebuilding them, for batches that only
-// appended arcs and pins or rewrote arc rows in place. changed lists every
-// arc id whose row differs from the row prev was compiled with, including all
-// appended ids; seeds is the usual re-levelization seed set (pins whose
-// fan-in changed).
+// patching prev's slabs rather than rebuilding them. changed lists every arc
+// id whose row differs from the row prev was compiled with, including all
+// appended ids; seeds is the re-levelization seed set (pins whose fan-in
+// changed). Arcs and pins may be appended and rows rewritten, but no pin's
+// fan-in count may change — insert, bypass and annotate never change one.
 //
 // owned declares that prev is private to the caller (the typical case: the
 // previous patched state of the same session) and may be cannibalized — its
@@ -45,9 +39,9 @@ var errPatchShape = fmt.Errorf("core: edit shape not patchable; use CompileIncre
 // (the session's first edit patches the shared base state this way).
 //
 // All shape violations are detected before the first write; the only
-// post-mutation failure is a levelize cycle, which an append/rewrite batch
-// cannot introduce (no edge is ever added between two pre-existing pins
-// except via a fresh intermediate pin).
+// post-mutation failure is a levelize cycle, which no op batch can introduce
+// (an insert adds an edge only via a fresh intermediate pin, a bypass
+// shortcuts a path that already existed).
 func CompileIncrementalPatched(t *circuitops.Tables, prev *State, seeds, changed []int32, owned bool) (*State, levelize.IncStats, error) {
 	var is levelize.IncStats
 	if prev == nil {
@@ -56,7 +50,7 @@ func CompileIncrementalPatched(t *circuitops.Tables, prev *State, seeds, changed
 	nArcs := len(t.Arcs)
 	prevArcs := len(prev.ArcFrom)
 	if nArcs < prevArcs || t.NumPins < prev.NumPins {
-		return nil, is, errPatchShape
+		return nil, is, fmt.Errorf("core: patch: %d arcs / %d pins shrank to %d / %d (ids are append-only)", prevArcs, prev.NumPins, nArcs, t.NumPins)
 	}
 	newPins := t.NumPins - prev.NumPins
 
@@ -65,19 +59,19 @@ func CompileIncrementalPatched(t *circuitops.Tables, prev *State, seeds, changed
 	inChanged := make(map[int32]bool, len(chg))
 	for _, c := range chg {
 		if c < 0 || int(c) >= nArcs || inChanged[c] {
-			return nil, is, errPatchShape
+			return nil, is, fmt.Errorf("core: patch: changed arc %d out of range or repeated", c)
 		}
 		inChanged[c] = true
 	}
 	for i := prevArcs; i < nArcs; i++ {
 		if !inChanged[int32(i)] {
-			return nil, is, errPatchShape
+			return nil, is, fmt.Errorf("core: patch: appended arc %d missing from the change set", i)
 		}
 	}
 
-	// Per-pin adjacency deltas. Existing pins must come out net-zero on both
-	// sides (append/rewrite batches preserve arc counts everywhere except on
-	// appended pins); the appended pins' counts extend the CSRs.
+	// Per-pin adjacency deltas. Existing pins must come out net-zero on the
+	// fan-in side; a non-zero fan-out delta (a bypass) sends the fan-out CSR
+	// to a full rebuild. The appended pins' counts extend the CSRs.
 	inDelta := make(map[int32]int32)
 	outDelta := make(map[int32]int32)
 	newInCount := make([]int32, newPins)
@@ -87,7 +81,7 @@ func CompileIncrementalPatched(t *circuitops.Tables, prev *State, seeds, changed
 	for _, c := range chg {
 		row := &t.Arcs[c]
 		if row.From < 0 || int(row.From) >= t.NumPins || row.To < 0 || int(row.To) >= t.NumPins {
-			return nil, is, errPatchShape
+			return nil, is, fmt.Errorf("core: patch: arc %d joins pins outside [0,%d)", c, t.NumPins)
 		}
 		addIn[row.To] = append(addIn[row.To], c)
 		addOut[row.From] = append(addOut[row.From], c)
@@ -107,25 +101,17 @@ func CompileIncrementalPatched(t *circuitops.Tables, prev *State, seeds, changed
 			outDelta[prev.ArcFrom[c]]--
 		}
 	}
-	for _, d := range inDelta {
+	for p, d := range inDelta {
 		if d != 0 {
-			return nil, is, errPatchShape
+			return nil, is, fmt.Errorf("core: patch: pin %d's fan-in count changed by %d", p, d)
 		}
 	}
+	rebuildFo := false
 	for _, d := range outDelta {
 		if d != 0 {
-			return nil, is, errPatchShape
+			rebuildFo = true
+			break
 		}
-	}
-	sumIn, sumOut := 0, 0
-	for _, c := range newInCount {
-		sumIn += int(c)
-	}
-	for _, c := range newOutCount {
-		sumOut += int(c)
-	}
-	if prevArcs+sumIn != nArcs || prevArcs+sumOut != nArcs {
-		return nil, is, errPatchShape
 	}
 
 	// Capture the pre-edit segments of every affected existing pin before any
@@ -147,13 +133,16 @@ func CompileIncrementalPatched(t *circuitops.Tables, prev *State, seeds, changed
 	type outSlot struct {
 		adj, arc int32
 	}
-	oldOut := make(map[int32][]outSlot, len(outDelta))
-	for p := range outDelta {
-		seg := make([]outSlot, 0, prev.FoStart[p+1]-prev.FoStart[p])
-		for pos := prev.FoStart[p]; pos < prev.FoStart[p+1]; pos++ {
-			seg = append(seg, outSlot{prev.FoAdj[pos], prev.FoArc[pos]})
+	var oldOut map[int32][]outSlot
+	if !rebuildFo {
+		oldOut = make(map[int32][]outSlot, len(outDelta))
+		for p := range outDelta {
+			seg := make([]outSlot, 0, prev.FoStart[p+1]-prev.FoStart[p])
+			for pos := prev.FoStart[p]; pos < prev.FoStart[p+1]; pos++ {
+				seg = append(seg, outSlot{prev.FoAdj[pos], prev.FoArc[pos]})
+			}
+			oldOut[p] = seg
 		}
-		oldOut[p] = seg
 	}
 
 	// From here on the state is mutated (or copied, owned=false); no error
@@ -223,37 +212,42 @@ func CompileIncrementalPatched(t *circuitops.Tables, prev *State, seeds, changed
 		writeIn(int32(p), nil)
 	}
 
-	// Fan-out CSR, symmetric (slot content is the arc's head pin + arc id).
+	// Fan-out CSR (slot content is the arc's head pin + arc id): rebuilt from
+	// the patched arc slabs after a bypass, otherwise patched like the fan-in.
 	st.FoStart = extendSlab(prev.FoStart, t.NumPins+1, owned)
-	for p := prev.NumPins; p < t.NumPins; p++ {
-		st.FoStart[p+1] = st.FoStart[p] + newOutCount[p-prev.NumPins]
-	}
 	st.FoAdj = extendSlab(prev.FoAdj, nArcs, owned)
 	st.FoArc = extendSlab(prev.FoArc, nArcs, owned)
-	outScratch := make([]outSlot, 0, 16)
-	writeOut := func(p int32, kept []outSlot) {
-		merged := outScratch[:0]
-		for _, s := range kept {
-			if !inChanged[s.arc] {
-				merged = append(merged, s)
+	if rebuildFo {
+		fanoutCSR(st.ArcFrom, st.ArcTo, st.FoStart, st.FoAdj, st.FoArc)
+	} else {
+		for p := prev.NumPins; p < t.NumPins; p++ {
+			st.FoStart[p+1] = st.FoStart[p] + newOutCount[p-prev.NumPins]
+		}
+		outScratch := make([]outSlot, 0, 16)
+		writeOut := func(p int32, kept []outSlot) {
+			merged := outScratch[:0]
+			for _, s := range kept {
+				if !inChanged[s.arc] {
+					merged = append(merged, s)
+				}
 			}
+			for _, c := range addOut[p] {
+				merged = append(merged, outSlot{t.Arcs[c].To, c})
+			}
+			slices.SortFunc(merged, func(a, b outSlot) int { return int(a.arc - b.arc) })
+			pos := st.FoStart[p]
+			for _, s := range merged {
+				st.FoAdj[pos], st.FoArc[pos] = s.adj, s.arc
+				pos++
+			}
+			outScratch = merged[:0]
 		}
-		for _, c := range addOut[p] {
-			merged = append(merged, outSlot{t.Arcs[c].To, c})
+		for p := range outDelta {
+			writeOut(p, oldOut[p])
 		}
-		slices.SortFunc(merged, func(a, b outSlot) int { return int(a.arc - b.arc) })
-		pos := st.FoStart[p]
-		for _, s := range merged {
-			st.FoAdj[pos], st.FoArc[pos] = s.adj, s.arc
-			pos++
+		for p := prev.NumPins; p < t.NumPins; p++ {
+			writeOut(int32(p), nil)
 		}
-		outScratch = merged[:0]
-	}
-	for p := range outDelta {
-		writeOut(p, oldOut[p])
-	}
-	for p := prev.NumPins; p < t.NumPins; p++ {
-		writeOut(int32(p), nil)
 	}
 
 	// Localized re-levelization over the patched CSRs — no adjacency rebuild,
@@ -265,8 +259,8 @@ func CompileIncrementalPatched(t *circuitops.Tables, prev *State, seeds, changed
 	st.NumLevels = lv.NumLevels
 	st.LvLevel, st.LvOrder, st.LvLevelStart = lv.Level, lv.Order, lv.LevelStart
 
-	// SP/EP rows, clock network and exception rows are untouched by
-	// append/rewrite batches and stay shared via the struct copy above.
+	// SP/EP rows, clock network and exception rows are untouched by op
+	// batches and stay shared via the struct copy above.
 	return st, is, nil
 }
 

@@ -104,29 +104,6 @@ type State struct {
 // the result warm-starts any engine configuration.
 func Compile(t *circuitops.Tables) (*State, error) { return CompileTraced(t, nil) }
 
-// CompileTraced is Compile recording its levelize phase as a child of
-// parent (used by the batched engine, which owns the enclosing build span).
-func CompileTraced(t *circuitops.Tables, parent *obs.Span) (*State, error) {
-	st, _, err := compile(t, parent, nil, nil)
-	return st, err
-}
-
-// CompileIncremental recompiles extraction tables after a structural edit —
-// arcs spliced, retargeted or removed, pins appended — re-levelizing only
-// the forward closure of the seed pins (every pin whose fan-in set changed,
-// including appended pins) against the previous compiled state. The slab
-// building body is shared with Compile and levelize.Incremental is
-// bit-identical to a full levelization, so the returned State equals
-// Compile(t) of the same edited tables slab for slab; only the levelize
-// phase is localized. The returned stats report the re-levelized region for
-// telemetry (the serving layer's per-op histogram).
-func CompileIncremental(t *circuitops.Tables, prev *State, seeds []int32) (*State, levelize.IncStats, error) {
-	if prev == nil {
-		return nil, levelize.IncStats{}, fmt.Errorf("core: CompileIncremental requires a previous state")
-	}
-	return compile(t, nil, prev, seeds)
-}
-
 // levels is the state's level schedule as the levelizer's result type.
 func (st *State) levels() *levelize.Result {
 	return &levelize.Result{
@@ -137,15 +114,11 @@ func (st *State) levels() *levelize.Result {
 	}
 }
 
-// compile is Compile with an optional parent span for build tracing and an
-// optional previous state: nil levelizes in full; otherwise only the forward
-// closure of seeds is re-levelized against prev's schedule, over the fan-out
-// and fan-in CSRs this compile has just built (bit-identical on the edited
-// graph, and the stats say what was re-leveled).
-func compile(t *circuitops.Tables, build *obs.Span, prev *State, seeds []int32) (*State, levelize.IncStats, error) {
-	var is levelize.IncStats
+// CompileTraced is Compile recording its levelize phase as a child of
+// parent (used by the batched engine, which owns the enclosing build span).
+func CompileTraced(t *circuitops.Tables, parent *obs.Span) (*State, error) {
 	if err := t.Validate(); err != nil {
-		return nil, is, err
+		return nil, err
 	}
 	st := &State{
 		Design:  t.Design,
@@ -199,38 +172,19 @@ func compile(t *circuitops.Tables, build *obs.Span, prev *State, seeds []int32) 
 	// Fan-out CSR (incremental re-levelization and propagation, backward
 	// gather, overlay reads).
 	st.FoStart = make([]int32, t.NumPins+1)
-	for i := range st.ArcFrom {
-		st.FoStart[st.ArcFrom[i]+1]++
-	}
-	for i := 0; i < t.NumPins; i++ {
-		st.FoStart[i+1] += st.FoStart[i]
-	}
 	st.FoAdj = make([]int32, nArcs)
 	st.FoArc = make([]int32, nArcs)
-	foCursor := make([]int32, t.NumPins)
-	for i := range st.ArcFrom {
-		f := st.ArcFrom[i]
-		pos := st.FoStart[f] + foCursor[f]
-		foCursor[f]++
-		st.FoAdj[pos] = st.ArcTo[i]
-		st.FoArc[pos] = int32(i)
-	}
+	fanoutCSR(st.ArcFrom, st.ArcTo, st.FoStart, st.FoAdj, st.FoArc)
 
 	// Levelize — INSTA's own topological sort (paper §III-A).
-	lsp := build.Child("levelize")
-	var lv *levelize.Result
-	var err error
-	if prev == nil {
-		lvArcs := make([]levelize.Arc, nArcs)
-		for i := range t.Arcs {
-			lvArcs[i] = levelize.Arc{From: t.Arcs[i].From, To: t.Arcs[i].To}
-		}
-		lv, err = levelize.Levelize(t.NumPins, lvArcs)
-	} else {
-		lv, is, err = levelize.Incremental(t.NumPins, st.FoStart, st.FoAdj, st.FaninStart, st.FaninFrom, prev.levels(), seeds)
+	lsp := parent.Child("levelize")
+	lvArcs := make([]levelize.Arc, nArcs)
+	for i := range t.Arcs {
+		lvArcs[i] = levelize.Arc{From: t.Arcs[i].From, To: t.Arcs[i].To}
 	}
+	lv, err := levelize.Levelize(t.NumPins, lvArcs)
 	if err != nil {
-		return nil, is, err
+		return nil, err
 	}
 	st.NumLevels = lv.NumLevels
 	st.LvLevel, st.LvOrder, st.LvLevelStart = lv.Level, lv.Order, lv.LevelStart
@@ -292,7 +246,29 @@ func compile(t *circuitops.Tables, build *obs.Span, prev *State, seeds []int32) 
 		st.ExcCycles[i] = x.Cycles
 	}
 
-	return st, is, nil
+	return st, nil
+}
+
+// fanoutCSR fills the fan-out CSR of the arcs from[i]→to[i] over
+// len(start)-1 pins with a counting sort, so each pin's slots list its arcs
+// in ascending id order. start is overwritten; adj and arc take len(from)
+// slots. Compile builds with it, and CompileIncrementalPatched rebuilds with
+// it when a bypass changed an existing pin's fan-out count.
+func fanoutCSR(from, to, start, adj, arc []int32) {
+	clear(start)
+	for _, f := range from {
+		start[f+1]++
+	}
+	for p := 1; p < len(start); p++ {
+		start[p] += start[p-1]
+	}
+	cursor := make([]int32, len(start)-1)
+	for i, f := range from {
+		pos := start[f] + cursor[f]
+		cursor[f]++
+		adj[pos] = to[i]
+		arc[pos] = int32(i)
+	}
 }
 
 // Tables reconstructs extraction tables equivalent to the ones the state was
@@ -691,10 +667,11 @@ func (e *Engine) bindState(st *State) {
 // 2*headroom*S*K float64 slots per tensor — a few MB at most.
 const seedHeadroom = 4096
 
-// Reseed returns a fully evaluated engine over st — the compiled state of a
-// structural edit of e's netlist — warm-started from e's converged queues by
-// re-propagating only the fan-out cone of the seed pins (every pin whose
-// fan-in set changed, including appended pins), in every lane at once. The
+// Reseed returns a fully evaluated engine over st — the compiled state of an
+// op batch applied to e's tables: buffers spliced in or bypassed, arcs
+// re-annotated — warm-started from e's converged queues by re-propagating
+// only the fan-out cone of the seed pins (every pin whose fan-in set or
+// fan-in delay changed, including appended pins), in every lane at once. The
 // result is bit-identical to a cold NewEngineLanes over st + full evaluation:
 // pin ids are stable across structural edits (pins are append-only; a
 // bypassed buffer keeps its pins as a dead end), so e's converged Top-K
@@ -708,8 +685,8 @@ const seedHeadroom = 4096
 // an optimizer applying many edit batches to one session — e itself is
 // re-pointed at st and returned: no tensor allocation while the headroom
 // lasts, no annotation copy, no exception recompile. st must then derive
-// from e's current state by CompileIncremental/CompileIncrementalPatched
-// (SP/EP/exception tables unchanged), e ADOPTS st's annotation slabs
+// from e's current state by CompileIncrementalPatched (SP/EP/exception
+// tables unchanged), e ADOPTS st's annotation slabs
 // (SetArcDelay writes them), and every lazily built cache is dropped.
 // Precondition violations are reported before anything is mutated.
 func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error) {

@@ -21,9 +21,9 @@
 //   - hedged idempotent reads: a second attempt to a different replica
 //     after a p95-derived delay, first response wins (hedge.go);
 //   - bounded retry with backoff on connection errors (proxy.go);
-//   - health-checked membership — a replica is unready after
-//     Options.UnreadyAfter consecutive /healthz failures and re-admitted on
-//     the first success (health.go);
+//   - health-checked membership — a replica is unready after unreadyAfter
+//     consecutive /healthz failures and re-admitted on the first success
+//     (health.go);
 //   - rolling snapshot-swap deploys that drain one replica at a time with
 //     zero dropped sessions (swap.go).
 package fleet
@@ -46,10 +46,7 @@ import (
 // Options tunes the pool. The zero value is serviceable: health checks every
 // 500ms, two strikes to unready, no admission caps, hedging on.
 type Options struct {
-	// Health checking.
-	HealthInterval time.Duration // probe period (default 500ms)
-	HealthTimeout  time.Duration // per-probe budget (default 2s)
-	UnreadyAfter   int           // consecutive failures before unready (default 2)
+	HealthInterval time.Duration // health probe period (default 500ms)
 
 	// Admission control over session-scoped requests. Zero = unlimited.
 	PerReplicaInflight int           // cap per replica
@@ -61,16 +58,10 @@ type Options struct {
 	HedgeMin     time.Duration // floor on the hedge delay (default 1ms)
 	HedgeMax     time.Duration // ceiling on the hedge delay (default 100ms)
 
-	// Retry of proxied requests on connection errors: maxRetries extra
-	// attempts, the backoff doubling from here.
-	RetryBackoff time.Duration // default 2ms
-
 	// Swap restarts one replica's backend on a fresh snapshot; the replica is
 	// fully drained when called and may come back on a new URL (r.SetURL).
 	// Nil disables POST /admin/swap and RollingSwap.
 	Swap func(ctx context.Context, r *Replica) error
-
-	DrainPoll time.Duration // swap drain/ready poll period (default 20ms)
 
 	// Shell is the request shell the work routes run in (DESIGN.md §15): a
 	// W3C traceparent minted or joined for every routed request, each one
@@ -84,21 +75,19 @@ type Options struct {
 
 // Fixed parts of the routing policy; no caller ever asked for other values.
 const (
-	maxRetries       = 2  // extra attempts after the first on a connection error
-	virtualNodes     = 64 // ring vnodes per replica
-	createProbesEach = 4  // key redraws per replica before a create gives up
+	maxRetries       = 2                     // extra attempts after the first on a connection error
+	retryBackoff     = 2 * time.Millisecond  // first retry's backoff, doubling per attempt
+	virtualNodes     = 64                    // ring vnodes per replica
+	createProbesEach = 4                     // key redraws per replica before a create gives up
+	healthTimeout    = 2 * time.Second       // per-probe budget
+	unreadyAfter     = 2                     // consecutive probe failures before unready
+	drainPoll        = 20 * time.Millisecond // swap drain/ready poll period
 )
 
 func (o *Options) withDefaults() Options {
 	v := *o
 	if v.HealthInterval <= 0 {
 		v.HealthInterval = 500 * time.Millisecond
-	}
-	if v.HealthTimeout <= 0 {
-		v.HealthTimeout = 2 * time.Second
-	}
-	if v.UnreadyAfter <= 0 {
-		v.UnreadyAfter = 2
 	}
 	if v.AdmissionWait <= 0 {
 		v.AdmissionWait = 2 * time.Second
@@ -108,12 +97,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if v.HedgeMax <= 0 {
 		v.HedgeMax = 100 * time.Millisecond
-	}
-	if v.RetryBackoff <= 0 {
-		v.RetryBackoff = 2 * time.Millisecond
-	}
-	if v.DrainPoll <= 0 {
-		v.DrainPoll = 20 * time.Millisecond
 	}
 	if v.Shell == nil {
 		v.Shell = shell.New(shell.Options{})

@@ -140,12 +140,8 @@ func writeStubJSON(w http.ResponseWriter, code int, v any) {
 func fastOpts() fleet.Options {
 	return fleet.Options{
 		HealthInterval: 10 * time.Millisecond,
-		HealthTimeout:  500 * time.Millisecond,
-		UnreadyAfter:   2,
-		DrainPoll:      5 * time.Millisecond,
 		HedgeMin:       5 * time.Millisecond,
 		HedgeMax:       20 * time.Millisecond,
-		RetryBackoff:   time.Millisecond,
 	}
 }
 
@@ -355,7 +351,7 @@ func TestCreateAvoidsUnready(t *testing.T) {
 	})
 }
 
-// TestUnreadyAfterConsecutiveFailures: readiness needs UnreadyAfter strikes,
+// TestUnreadyAfterConsecutiveFailures: readiness needs unreadyAfter strikes,
 // then recovers on the first success; transitions are counted.
 func TestUnreadyAfterConsecutiveFailures(t *testing.T) {
 	p, stubs, _, base := newStubFleet(t, 2, fastOpts())

@@ -3,7 +3,7 @@ package fleet
 // Health checking: one goroutine per replica polls GET /healthz on
 // Options.HealthInterval and decodes the daemon's own body type
 // (server.Healthz), whose load section exists for exactly this consumer.
-// Readiness is asymmetric by design — slow to fall (UnreadyAfter consecutive
+// Readiness is asymmetric by design — slow to fall (unreadyAfter consecutive
 // failures, so one dropped probe during a GC pause doesn't flap the replica
 // out), instant to rise (the first success re-admits it, so recovery latency
 // is one probe period).
@@ -34,13 +34,13 @@ func (p *Pool) healthLoop(r *Replica) {
 // checkOnce probes r once and folds the outcome into its readiness state.
 // Returns whether the probe succeeded.
 func (p *Pool) checkOnce(r *Replica) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), p.opt.HealthTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), healthTimeout)
 	defer cancel()
 	h, err := fetchHealthz(ctx, p.client, r.URL())
 	if err != nil {
 		r.setHealth(Health{OK: false, Err: err.Error()})
 		fails := r.fails.Add(1)
-		if int(fails) >= p.opt.UnreadyAfter && r.healthy.Swap(false) {
+		if int(fails) >= unreadyAfter && r.healthy.Swap(false) {
 			p.met.unready.With(r.idStr).Inc()
 			p.log.Warn("fleet: replica unready", "replica", r.ID, "url", r.URL(), "err", err)
 		}

@@ -235,7 +235,7 @@ func (a *attemptBody) Close() error {
 }
 
 // forward proxies one request to rep with bounded retry: up to maxRetries
-// extra attempts, backoff doubling from RetryBackoff, and a method-aware
+// extra attempts, backoff doubling from retryBackoff, and a method-aware
 // retry predicate (see retriable). The request body is buffered once so
 // retries can replay it — up to the daemon's own cap: a larger one is refused
 // here rather than buffered for the daemon to refuse.
@@ -263,7 +263,7 @@ func (p *Pool) forward(w *shell.Req, r *http.Request, rep *Replica, path string)
 	var lastErr error
 	for a := 0; a <= maxRetries; a++ {
 		if a > 0 {
-			backoff := p.opt.RetryBackoff << (a - 1)
+			backoff := retryBackoff << (a - 1)
 			select {
 			case <-time.After(backoff):
 			case <-r.Context().Done():

@@ -26,7 +26,7 @@ type Health struct {
 // The two bits are deliberately independent:
 //
 //   - healthy is owned by the health-check loop — it falls after
-//     Options.UnreadyAfter consecutive probe failures and rises again on the
+//     unreadyAfter consecutive probe failures and rises again on the
 //     first success, so a crashed or wedged replica is re-admitted the moment
 //     it recovers.
 //   - draining is owned by RollingSwap — a draining replica is still healthy

@@ -88,7 +88,7 @@ func (p *Pool) awaitQuiescent(ctx context.Context, r *Replica) error {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(p.opt.DrainPoll):
+		case <-time.After(drainPoll):
 		}
 	}
 }
@@ -102,7 +102,7 @@ func (p *Pool) awaitReady(ctx context.Context, r *Replica) error {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(p.opt.DrainPoll):
+		case <-time.After(drainPoll):
 		}
 	}
 }

@@ -44,29 +44,56 @@ func composedEdit(t *testing.T) (flatTab *circuitops.Tables, prev *core.State, o
 		topo.InsertBuffer(wireA, -1, bufD, 0.5),
 		topo.Annotate(wireB, annD),
 	}
-	res, err = topo.Apply(flatTab, ops)
+	res, err = topo.Apply(flatTab, prev, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return flatTab, prev, ops, res
 }
 
+// TestComposedIncrementalPatch recompiles two batches through the patched
+// path — the composed edit, then an unbuffer of the buffer it spliced in,
+// riding with an annotation — and holds each patched state to a cold Compile
+// of the same tables, slab for slab: the bypass re-points the sink wire from
+// the buffer's output to its driver, which changes both pins' fan-out counts
+// and so takes the fan-out CSR rebuild.
 func TestComposedIncrementalPatch(t *testing.T) {
-	_, prev, _, res := composedEdit(t)
+	_, prev, ops, res := composedEdit(t)
+	patched := patchMatchesCold(t, "insert", prev, res, false)
+
+	cellArc := int32(len(res.Tables.Arcs) - 2)
+	res2, err := topo.Apply(res.Tables, patched, []topo.Op{
+		topo.RemoveBuffer(cellArc),
+		topo.Annotate(ops[1].Arc, [2]num.Dist{{Mean: 30, Std: 1.5}, {Mean: 31, Std: 1.5}}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.Removed != 1 || res2.Annotated != 1 {
+		t.Fatalf("unbuffer batch footprint: %+v", res2)
+	}
+	patchMatchesCold(t, "unbuffer", patched, res2, true)
+}
+
+// patchMatchesCold patches prev with res's batch and checks the result against
+// core.Compile of res's tables field by field, then by the slacks an engine
+// over each reads.
+func patchMatchesCold(t *testing.T, tag string, prev *core.State, res *topo.Result, owned bool) *core.State {
+	t.Helper()
 	coldSt, err := core.Compile(res.Tables)
 	if err != nil {
 		t.Fatal(err)
 	}
-	patched, is, err := core.CompileIncrementalPatched(res.Tables, prev, res.Seeds, res.Changed, false)
+	patched, is, err := core.CompileIncrementalPatched(res.Tables, prev, res.Seeds, res.Changed, owned)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", tag, err)
 	}
-	t.Logf("relevel: %+v", is)
-	if patched.NumLevels != coldSt.NumLevels {
-		t.Fatalf("patched %d levels, cold %d", patched.NumLevels, coldSt.NumLevels)
-	}
-	if !reflect.DeepEqual(patched.LvLevel, coldSt.LvLevel) {
-		t.Fatal("patched levelization differs from cold compile")
+	t.Logf("%s relevel: %+v", tag, is)
+	got, want := reflect.ValueOf(*patched), reflect.ValueOf(*coldSt)
+	for i := 0; i < got.NumField(); i++ {
+		if !reflect.DeepEqual(got.Field(i).Interface(), want.Field(i).Interface()) {
+			t.Fatalf("%s: patched %s differs from cold compile", tag, got.Type().Field(i).Name)
+		}
 	}
 	opt := core.Options{TopK: 8, Workers: 2}
 	slacks := func(st *core.State) []float64 {
@@ -79,8 +106,9 @@ func TestComposedIncrementalPatch(t *testing.T) {
 		return e.EvalSlacks()
 	}
 	if !reflect.DeepEqual(slacks(patched), slacks(coldSt)) {
-		t.Fatal("patched-state slacks differ from cold compile")
+		t.Fatalf("%s: patched-state slacks differ from cold compile", tag)
 	}
+	return patched
 }
 
 func TestComposedIncrementalCSRDirect(t *testing.T) {

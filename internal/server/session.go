@@ -328,20 +328,34 @@ func (m *Manager) resolveResizeLocked(cell, lib string) (resolvedResize, []refst
 
 // applyLocked applies one validated batch — estimate_eco deltas and raw arc
 // ECOs — and re-propagates the affected cones: through the overlay, or, on a
-// session that holds structural edits, folded into its working set so the one
-// cone re-prop prices the batch against the edited topology. Caller holds s.mu
-// and at least m.mu.RLock.
+// session that holds structural edits, as one batch of Annotate ops on its
+// working set so the one cone re-prop prices the batch against the edited
+// topology. Either way the last delay the batch names for an arc wins. Caller
+// holds s.mu and at least m.mu.RLock.
 func (s *Session) applyLocked(ref []refsta.ArcDelta, arcs []ArcECO) error {
 	if s.ts != nil {
-		deltas := make([]topo.Delta, 0, len(ref)+len(arcs))
+		// One op per arc: a batch may not claim an arc twice, and two resizes'
+		// estimate_eco deltas — or a raw ECO and a resize — can overlap.
+		ops := make([]topo.Op, 0, len(ref)+len(arcs))
+		opOf := make(map[int32]int, len(ref)+len(arcs))
+		annotate := func(arc int32, d [2]num.Dist) {
+			if i, ok := opOf[arc]; ok {
+				ops[i].Delay = d
+				return
+			}
+			opOf[arc] = len(ops)
+			ops = append(ops, topo.Annotate(arc, d))
+		}
 		for _, dl := range ref {
-			deltas = append(deltas, topo.Delta{Arc: dl.ArcID, Delay: dl.Delay})
+			annotate(dl.ArcID, dl.Delay)
 		}
 		for _, a := range arcs {
-			deltas = append(deltas, topo.Delta{Arc: a.Arc, Delay: [2]num.Dist{a.Rise, a.Fall}})
+			annotate(a.Arc, [2]num.Dist{a.Rise, a.Fall})
 		}
-		if err := s.ts.Annotate(deltas); err != nil {
-			return err
+		if len(ops) > 0 {
+			if _, err := s.ts.Apply(ops); err != nil {
+				return err
+			}
 		}
 	} else {
 		for _, dl := range ref {

@@ -103,7 +103,7 @@ type TopoResult struct {
 	NewArcs       [2]int     `json:"new_arcs"`
 	RelevelLevels int        `json:"relevel_levels"`
 	RelevelRegion int        `json:"relevel_region"`
-	Edits         int        `json:"edits"` // cumulative structural batches this session
+	Edits         int        `json:"edits"` // cumulative op batches on the working set, ECOs included
 }
 
 type resolvedMove struct {

@@ -19,6 +19,8 @@ import (
 	"insta/internal/bench"
 	"insta/internal/core"
 	"insta/internal/exp"
+	"insta/internal/num"
+	"insta/internal/refsta"
 	"insta/internal/server"
 	"insta/internal/snap"
 )
@@ -470,6 +472,120 @@ func TestUnbufferCommitRebasesAnnotationSessions(t *testing.T) {
 		}
 		if base, _ := mgr.BaseScenarioSlacks(lane); slices.Equal(got, base) {
 			t.Fatalf("lane %q: the session's deltas move no slack — test is vacuous", lane)
+		}
+	}
+}
+
+// TestStructuralECOLastDelayWins: an ECO on a session holding structural
+// edits reaches its working set as one batch of Annotate ops, and a batch may
+// not claim an arc twice — yet an ECO may name one raw arc twice, and a
+// resize's estimate_eco deltas may name an arc the raw arcs name too. The ECO
+// is accepted, the last delay named for an arc wins (raw arcs after the
+// resize's deltas, as in the overlay), and every lane reads what a cold
+// manager over the edited tables reads.
+func TestStructuralECOLastDelayWins(t *testing.T) {
+	mgr, s := newKindManager(t, true, "des", 8, 2, server.Options{})
+	defer mgr.Close()
+	sess, err := mgr.Create()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	want := mgr.Engine().ExportState().Tables()
+	set := func(arc int32, rise, fall num.Dist) {
+		a := &want.Arcs[arc]
+		a.MeanRise, a.StdRise, a.MeanFall, a.StdFall = rise.Mean, rise.Std, fall.Mean, fall.Std
+	}
+	slower := func(arc int32, ps float64) num.Dist {
+		a := want.Arcs[arc]
+		return num.Dist{Mean: a.MeanRise + ps, Std: a.StdRise}
+	}
+
+	// Every arc the test names is on a critical path (non-zero timing
+	// gradient), so every delay it sets shows in the slacks.
+	probe, err := core.NewEngine(want, core.Options{TopK: 8, Workers: 2, Tau: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Close()
+	probe.Run()
+	probe.Backward()
+	critical := func(a int32) bool { return probe.TimingGradient(a) != 0 }
+
+	// A resize whose estimate_eco deltas name a critical arc: the raw arcs
+	// re-annotate that one.
+	var rz server.ResizeReq
+	var deltas []refsta.ArcDelta
+	overlap := int32(-1)
+	for _, eco := range resizeECOs(s, 47, 40) {
+		rz = eco.Resizes[0]
+		cell, _ := s.Ref.D.CellByName(rz.Cell)
+		lib, _ := s.Ref.Lib.CellByName(rz.Lib)
+		if deltas, err = s.Ref.EstimateECO(cell, lib); err != nil {
+			t.Fatal(err)
+		}
+		if i := slices.IndexFunc(deltas, func(dl refsta.ArcDelta) bool { return critical(dl.ArcID) }); i >= 0 {
+			overlap = deltas[i].ArcID
+			break
+		}
+	}
+	if overlap < 0 {
+		t.Fatal("no changelist resize touches a critical arc")
+	}
+	named := map[int32]bool{}
+	for _, dl := range deltas {
+		named[dl.ArcID] = true
+	}
+	var picks []int32 // the topo batch's arc, then the arc the ECO names twice
+	for a := int32(0); len(picks) < 2; a++ {
+		if critical(a) && !named[a] {
+			picks = append(picks, a)
+		}
+	}
+
+	// An annotate-only topo batch makes the session structural.
+	first := server.TopoOp{Op: "annotate", Arc: picks[0], Rise: slower(picks[0], 40), Fall: slower(picks[0], 40)}
+	if _, err := sess.ApplyTopo(server.TopoRequest{Ops: []server.TopoOp{first}}); err != nil {
+		t.Fatal(err)
+	}
+	set(first.Arc, first.Rise, first.Fall)
+	for _, dl := range deltas {
+		set(dl.ArcID, dl.Delay[0], dl.Delay[1])
+	}
+	twice := picks[1]
+	arcs := []server.ArcECO{
+		{Arc: overlap, Rise: slower(overlap, 60), Fall: slower(overlap, 60)},
+		{Arc: twice, Rise: slower(twice, 10), Fall: slower(twice, 10)},
+		{Arc: twice, Rise: slower(twice, 80), Fall: slower(twice, 80)},
+	}
+	for _, a := range arcs {
+		set(a.Arc, a.Rise, a.Fall)
+	}
+	if _, err := sess.ApplyECO(server.ECORequest{Resizes: []server.ResizeReq{rz}, Arcs: arcs}); err != nil {
+		t.Fatalf("ECO naming arc %d twice and resize arc %d again: %v", twice, overlap, err)
+	}
+
+	cold, err := batch.New(want, batch.DefaultScenarios(), core.Options{TopK: 8, Workers: 2, Tau: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	coldMgr := server.NewManager(nil, nil, server.Options{Batch: cold})
+	for _, lane := range []string{"", "ss", "tt", "ff", "merged"} {
+		got, err := sess.ScenarioSlacks(lane)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := coldMgr.BaseScenarioSlacks(lane)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, w) {
+			t.Fatalf("lane %q: the session's slacks differ from a cold manager's over the edited tables", lane)
+		}
+		if base, _ := mgr.BaseScenarioSlacks(lane); slices.Equal(got, base) {
+			t.Fatalf("lane %q: the ECO moves no slack — test is vacuous", lane)
 		}
 	}
 }

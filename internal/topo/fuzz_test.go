@@ -44,8 +44,8 @@ func fuzzBase(t *testing.T) (*circuitops.Tables, *core.Engine) {
 // at its driver.
 //
 // Encoding: a batch is a header byte then 1 + header&3 ops of four bytes; header
-// bit 7 sends the batch's ops down Session.Annotate as deltas instead of
-// Apply. Op byte 0 holds the kind (mod 3: insert, remove, annotate) in bits
+// bit 7 turns every op of the batch into an Annotate of its arc and delay (an
+// annotate-only batch, legal as a session's first). Op byte 0 holds the kind (mod 3: insert, remove, annotate) in bits
 // 0-2, the insert's driver fraction in sixths in bits 3-5 (7/6 is out of
 // range), and in bit 7 whether the arc is counted back from the newest
 // (arcs-1-id&7, how a script reaches the arcs it just appended) or is the
@@ -56,16 +56,18 @@ func FuzzTopoSession(f *testing.F) {
 	const back, insert, remove, annotate = 0x80, 0, 1, 2
 	// Insert into arc 5 at 3/6, remove the buffer again, remove it twice.
 	f.Add([]byte{0, insert | 3<<3, 5, 0, 41, 0, back | remove, 1, 0, 0, 0, back | remove, 1, 0, 0})
-	// One batch: two inserts and an annotation; then deltas on the new arcs.
+	// One batch: two inserts and an annotation; then an annotate-only batch on
+	// the new arcs.
 	f.Add([]byte{2, insert, 5, 0, 30, insert | 2<<3, 9, 0, 22, annotate, 1, 0, 77, 0x81, back, 0, 0, 9, back, 3, 0, 13})
 	// Out-of-range arc, driver fraction 7/6, negative sigma, the same arc twice.
 	f.Add([]byte{0, annotate, 255, 255, 8, 0, insert | 7<<3, 5, 0, 8, 0, annotate, 3, 0, 255, 1, annotate, 3, 0, 8, annotate, 3, 0, 9})
 	// testdata/fuzz/FuzzTopoSession holds the bypass cases: nested_bypass (a
 	// buffer on another buffer's output wire, inner then outer removed: the
-	// outer removal re-points the inner one's stub), stub_edits (annotate,
-	// re-buffer and delta the arcs a removal left behind) and mixed_batches
-	// (removals riding with inserts and annotations, Apply and delta batches
-	// interleaved).
+	// outer removal re-points the inner one's stub), stub_edits (annotate and
+	// re-buffer the arcs a removal left behind), mixed_batches (removals riding
+	// with inserts and annotations, annotate-only batches interleaved) and
+	// annotate_first (an annotate-only first batch on the unedited session,
+	// then an unbuffer and a second annotate-only batch).
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tab, base := fuzzBase(t)
@@ -122,41 +124,35 @@ func FuzzTopoSession(f *testing.F) {
 			}
 
 			if head&0x80 != 0 {
-				deltas := make([]Delta, len(ops))
 				for i, op := range ops {
-					deltas[i] = Delta{Arc: op.Arc, Delay: op.Delay}
+					ops[i] = Annotate(op.Arc, op.Delay)
 				}
-				if err := s.Annotate(deltas); err != nil {
-					checkPins("rejected deltas")
-					continue
-				}
-			} else {
-				res, err := s.Apply(ops)
-				if err != nil {
-					checkPins("rejected batch")
-					continue
-				}
-				// The batch was accepted, so its ops claimed disjoint arcs and
-				// each reads the tables as the batch found them.
-				before := pins
-				pins = append([]wire(nil), pins...)
-				newPin := int32(s.Tables().NumPins - res.NewPins)
-				for _, op := range ops {
-					switch op.Kind {
-					case OpInsertBuffer:
-						pins = append(pins, wire{newPin, newPin + 1}, wire{newPin + 1, before[op.Arc].to})
-						pins[op.Arc].to = newPin
-						newPin += 2
-					case OpRemoveBuffer:
-						buf := before[op.Arc]
-						for _, in := range before {
-							if in.to != buf.from {
-								continue
-							}
-							for i, out := range before {
-								if out.from == buf.to {
-									pins[i].from = in.from
-								}
+			}
+			res, err := s.Apply(ops)
+			if err != nil {
+				checkPins("rejected batch")
+				continue
+			}
+			// The batch was accepted, so its ops claimed disjoint arcs and
+			// each reads the tables as the batch found them.
+			before := pins
+			pins = append([]wire(nil), pins...)
+			newPin := int32(s.Tables().NumPins - res.NewPins)
+			for _, op := range ops {
+				switch op.Kind {
+				case OpInsertBuffer:
+					pins = append(pins, wire{newPin, newPin + 1}, wire{newPin + 1, before[op.Arc].to})
+					pins[op.Arc].to = newPin
+					newPin += 2
+				case OpRemoveBuffer:
+					buf := before[op.Arc]
+					for _, in := range before {
+						if in.to != buf.from {
+							continue
+						}
+						for i, out := range before {
+							if out.from == buf.to {
+								pins[i].from = in.from
 							}
 						}
 					}

@@ -182,12 +182,10 @@ func TestGoldenDigests(t *testing.T) {
 				b := g.bufs[g.intn(len(g.bufs))]
 				c := g.arc(wire{b.x, b.y}, 0)
 				apply(Annotate(w, g.scaled(w)), Annotate(c, g.scaled(c)))
-			case 6: // annotate through the session's delta path
+			case 6: // annotate an original cell arc and a wire
 				c := g.arc(g.cell[g.intn(len(g.cell))], 0)
 				w := g.arc(g.nets[g.intn(len(g.nets))], 1)
-				if err := s.Annotate([]Delta{{Arc: c, Delay: g.scaled(c)}, {Arc: w, Delay: g.scaled(w)}}); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
+				apply(Annotate(c, g.scaled(c)), Annotate(w, g.scaled(w)))
 			case 7: // one batch of all three kinds, on disjoint arcs
 				b := g.intn(len(g.bufs))
 				buf := g.bufs[b]

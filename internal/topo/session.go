@@ -2,26 +2,29 @@ package topo
 
 // Structural ECO sessions: a working clone of the extraction tables plus one
 // fully evaluated working engine (every lane of it, when the base carries
-// scenarios), rebuilt incrementally per edit batch. The session is the
+// scenarios), rebuilt incrementally per op batch. The session is the
 // preview/commit/rollback unit the serving layer wraps:
 //
-//	preview  = Apply/Annotate against the working set; the base engine
-//	           stays frozen and shared with concurrent annotation sessions
+//	preview  = Apply against the working set — buffer insertions and
+//	           removals, and annotations (the serving layer's estimate_eco
+//	           deltas and raw arc ECOs arrive as Annotate ops); the base
+//	           engine stays frozen and shared with concurrent annotation
+//	           sessions
 //	commit   = Detach hands the working set to the owner, which swaps it in
 //	           as the new base
 //	rollback = Reset closes the working engine and points the session back
 //	           at the base
 //
-// Each Apply recompiles the edited tables with core.CompileIncrementalPatched
-// (the previous state's slabs patched at the rows the batch touched, localized
-// re-levelization; batches that bypass a buffer move arcs between existing
-// pins and fall back to core.CompileIncremental, which rebuilds the slabs) and
-// stands up the next working engine with core.Engine.Reseed (cone-limited
-// re-propagation), so the cost of an edit scales with its fan-out cone, not
-// the design — while staying bit-identical to a cold compile + full
-// propagation of the edited netlist (the differential tests in this package
-// pin that down; TestApplyBeatsColdRebuild holds the cost claim at >= 10x on
-// block-1).
+// Apply is the one way into the working set. Each batch validates against
+// the session's compiled state, recompiles the edited tables with
+// core.CompileIncrementalPatched (the previous state's slabs patched at the
+// rows the batch touched — a bypass rebuilds the fan-out CSR — and localized
+// re-levelization) and stands up the next working engine with
+// core.Engine.Reseed (cone-limited re-propagation), so the cost of an edit
+// scales with its fan-out cone, not the design — while staying bit-identical
+// to a cold compile + full propagation of the edited netlist (the
+// differential tests in this package pin that down; TestApplyBeatsColdRebuild
+// holds the cost claim at >= 10x on block-1).
 
 import (
 	"fmt"
@@ -29,31 +32,23 @@ import (
 	"insta/internal/circuitops"
 	"insta/internal/core"
 	"insta/internal/levelize"
-	"insta/internal/num"
 	"insta/internal/obs"
 )
 
-// Delta is one annotation of an arc of the session's working tables, used by
-// Annotate.
-type Delta struct {
-	Arc   int32
-	Delay [2]num.Dist
-}
-
 // SessionStats accumulates what a session's edits did, for metrics.
 type SessionStats struct {
-	Edits     int // structural Apply batches
+	Edits     int // Apply batches
 	Inserted  int // buffers spliced in
 	Removed   int // buffers removed
-	Annotated int // arcs rewritten via structural batches
+	Annotated int // arcs re-annotated
 	NewPins   int // pins appended
 	Relevel   levelize.IncStats
 }
 
 // Session is one structural ECO session over a frozen base.
 //
-// Concurrency contract: a Session is single-threaded. Apply and Annotate
-// read the base engine's tensors (seeded construction), so the base must be
+// Concurrency contract: a Session is single-threaded. Apply reads the base
+// engine's tensors (seeded construction), so the base must be
 // frozen for the duration of the call — the serving layer holds its engine
 // read lock. Reset, Detach and Close touch only session-owned state.
 type Session struct {
@@ -131,35 +126,21 @@ func (s *Session) Apply(ops []Op) (*Result, error) {
 	sp := s.tracer.StartArg("topo-apply", "ops", int64(len(ops)))
 	defer sp.End()
 	// Once the working tables are session-private (after the first edit) the
-	// batch applies in place — the arc-table clone, like the slab rebuild and
+	// batch applies in place — the arc-table clone, like the slab copies and
 	// the tensor allocation below, drops out of the steady-state preview.
-	res, err := applyOps(s.tab, ops, s.tab != s.baseTab)
+	res, err := applyOps(s.tab, s.state, ops, s.tab != s.baseTab)
 	if err != nil {
 		return nil, err
 	}
-	// Recompile: append/rewrite batches patch the previous compiled state —
-	// cannibalizing it in place once it is session-private — instead of
-	// rebuilding every O(arcs) slab; a buffer removal changes the arc count
-	// of pins that already exist, which like any other unpatchable shape
-	// takes the slow slab rebuild. Both are bit-identical to a cold Compile
-	// of the edited tables.
+	// Recompile by patching the previous compiled state — cannibalizing it in
+	// place once it is session-private — instead of rebuilding every O(arcs)
+	// slab; bit-identical to a cold Compile of the edited tables.
 	csp := sp.Child("topo-recompile")
-	var st *core.State
-	var inc levelize.IncStats
-	if res.Removed == 0 {
-		st, inc, err = core.CompileIncrementalPatched(res.Tables, s.state, res.Seeds, res.Changed, s.state != s.baseState)
-		if err != nil {
-			st = nil
-		}
-	}
-	if st == nil {
-		st, inc, err = core.CompileIncremental(res.Tables, s.state, res.Seeds)
-		if err != nil {
-			csp.End()
-			return nil, err
-		}
-	}
+	st, inc, err := core.CompileIncrementalPatched(res.Tables, s.state, res.Seeds, res.Changed, s.state != s.baseState)
 	csp.End()
+	if err != nil {
+		return nil, err
+	}
 	// Stand up the working engine: seeded fresh off the shared base on the
 	// first edit, reseeded in place once it is session-private — the steady
 	// state, where an edit costs no tensor allocation at all.
@@ -178,54 +159,6 @@ func (s *Session) Apply(ops []Op) (*Result, error) {
 	s.stats.NewPins += res.NewPins
 	s.stats.Relevel = inc
 	return res, nil
-}
-
-// Annotate rewrites arc delays in the session's working tables — annotation
-// ECOs arriving on a session that already holds structural edits
-// fold in here, keeping the working tables and engine delay-synchronized so
-// the cold-compile oracle stays exact. Only legal after the first Apply: the
-// working set before that IS the shared base, which a session must never
-// mutate (pre-structural annotations belong in the serving overlay).
-func (s *Session) Annotate(deltas []Delta) error {
-	if s.detached || s.closed {
-		return fmt.Errorf("topo: session is no longer active")
-	}
-	if s.stats.Edits == 0 {
-		return fmt.Errorf("topo: no structural edits; annotate through the overlay")
-	}
-	for _, d := range deltas {
-		if d.Arc < 0 || int(d.Arc) >= len(s.tab.Arcs) {
-			return fmt.Errorf("topo: annotate: arc %d out of range [0,%d)", d.Arc, len(s.tab.Arcs))
-		}
-		for rf := 0; rf < 2; rf++ {
-			if d.Delay[rf].Std < 0 {
-				return fmt.Errorf("topo: annotate: negative sigma on arc %d", d.Arc)
-			}
-		}
-	}
-	arcs := make([]int32, 0, len(deltas))
-	for _, d := range deltas {
-		a := &s.tab.Arcs[d.Arc]
-		a.MeanRise, a.StdRise = d.Delay[0].Mean, d.Delay[0].Std
-		a.MeanFall, a.StdFall = d.Delay[1].Mean, d.Delay[1].Std
-		for rf := 0; rf < 2; rf++ {
-			s.eng.SetArcDelay(d.Arc, rf, d.Delay[rf])
-			// The session-private compiled state is the `prev` of the next
-			// patched recompile, whose unchanged rows are taken on faith —
-			// keep its annotation slabs coherent with the tables. (After an
-			// in-place reseed the engine aliases these slabs and the write
-			// above already landed here; this is then a harmless re-store.)
-			s.state.ArcMean[rf][d.Arc] = d.Delay[rf].Mean
-			s.state.ArcStd[rf][d.Arc] = d.Delay[rf].Std
-		}
-		arcs = append(arcs, d.Arc)
-	}
-	s.eng.PropagateIncremental(arcs)
-	s.eng.RefreshSlacks()
-	if s.eng.HoldEnabled() {
-		s.eng.RefreshHoldSlacks()
-	}
-	return nil
 }
 
 // Reset rolls every structural edit back: the working engine is closed and

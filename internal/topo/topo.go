@@ -2,10 +2,12 @@
 // extraction tables: buffer insertion and removal splice pins and arcs into
 // the timing graph, and annotation ops (the table-level form of repower and
 // move) rewrite arc delays in place. It is the structural layer under the
-// serving stack's /session/{id}/topo endpoint and the InstaBuffer client —
-// today's overlay sessions can only re-annotate a frozen graph; this package
-// edits the graph itself and, through Session, re-levelizes and re-propagates
-// only the region downstream of the edit.
+// serving stack's /session/{id}/topo endpoint, the InstaBuffer client and any
+// annotation ECO on a session that holds structural edits — overlay sessions
+// can only re-annotate a frozen graph; this package edits the graph itself
+// and, through Session, re-levelizes and re-propagates only the region
+// downstream of the edit. Every change reaches a working set the same way: one
+// op batch through Session.Apply.
 //
 // Edits follow two global invariants that keep incremental recompilation
 // exact and cheap:
@@ -14,7 +16,7 @@
 //     output pins at the end of the pin space; RemoveBuffer leaves the
 //     buffer's pins in place. No pin is ever renumbered, so a previous
 //     engine's per-pin tensors remain valid arrival state for every pin
-//     outside the edit's fan-out cone (core.NewEngineSeeded's contract).
+//     outside the edit's fan-out cone (core.Engine.Reseed's contract).
 //   - Arc ids are append-only too. InsertBuffer appends the buffer's cell arc
 //     and sink-side wire; RemoveBuffer bypasses the buffer — its sink wires
 //     are re-pointed at the driver — and leaves the input wire and the cell
@@ -34,6 +36,7 @@ import (
 	"slices"
 
 	"insta/internal/circuitops"
+	"insta/internal/core"
 	"insta/internal/liberty"
 	"insta/internal/num"
 )
@@ -119,9 +122,9 @@ func Annotate(arc int32, d [2]num.Dist) Op {
 type Result struct {
 	Tables *circuitops.Tables
 
-	// Seeds are the pins whose fan-in set changed (including appended pins),
-	// sorted — exactly the seed set core.CompileIncremental and
-	// core.NewEngineSeeded require.
+	// Seeds are the pins whose fan-in set or fan-in delay changed (including
+	// appended pins), sorted — the seed set core.CompileIncrementalPatched
+	// re-levelizes from and core.Engine.Reseed re-propagates from.
 	Seeds []int32
 
 	// Changed lists every arc id whose row differs from the input tables —
@@ -137,10 +140,13 @@ type Result struct {
 }
 
 // Apply validates and applies a batch of structural ops to t, returning the
-// edited clone. Validation is strict and happens entirely before the first
-// write: any error leaves t untouched and returns no partial result.
-func Apply(t *circuitops.Tables, ops []Op) (*Result, error) {
-	return applyOps(t, ops, false)
+// edited clone. st is t's compiled state (core.Compile output, or the last
+// patched recompile of the same tables): removals validate against its
+// adjacency and startpoint/endpoint tables. Validation is strict and happens
+// entirely before the first write: any error leaves t untouched and returns no
+// partial result.
+func Apply(t *circuitops.Tables, st *core.State, ops []Op) (*Result, error) {
+	return applyOps(t, st, ops, false)
 }
 
 // applyOps is Apply with an ownership flag: inPlace=true edits t directly —
@@ -148,33 +154,19 @@ func Apply(t *circuitops.Tables, ops []Op) (*Result, error) {
 // private (every preview after the first). Safe because validation is
 // complete before the first write, so the no-partial-edit guarantee holds
 // either way.
-func applyOps(t *circuitops.Tables, ops []Op, inPlace bool) (*Result, error) {
+func applyOps(t *circuitops.Tables, st *core.State, ops []Op, inPlace bool) (*Result, error) {
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("topo: empty op batch")
 	}
 	nArcs := len(t.Arcs)
-
-	// Batch-start adjacency (CSR, not maps — this runs per preview on the
-	// optimizer hot path) and endpoint-pin snapshot. Only buffer removal
-	// validates against graph structure, so insert/annotate-only batches —
-	// the overwhelming steady state — skip the O(design) build entirely.
-	var fanin, fanout csr
-	var timed []bool // startpoint and endpoint pins: never a buffer's
-	for oi := range ops {
-		if ops[oi].Kind != OpRemoveBuffer {
-			continue
-		}
-		fanin = newCSR(t.NumPins, t.Arcs, func(a *circuitops.ArcRow) int32 { return a.To })
-		fanout = newCSR(t.NumPins, t.Arcs, func(a *circuitops.ArcRow) int32 { return a.From })
-		timed = make([]bool, t.NumPins)
-		for _, s := range t.SPs {
-			timed[s.Pin] = true
-		}
-		for _, ep := range t.EPs {
-			timed[ep.Pin] = true
-		}
-		break
+	if st.NumPins != t.NumPins || len(st.ArcFrom) != nArcs {
+		return nil, fmt.Errorf("topo: compiled state (%d pins, %d arcs) is not of these tables (%d, %d)", st.NumPins, len(st.ArcFrom), t.NumPins, nArcs)
 	}
+	// Batch-start adjacency: the state's CSRs list a pin's arcs in ascending
+	// id order, as the tables number them.
+	fanin := func(p int32) []int32 { return st.FaninArc[st.FaninStart[p]:st.FaninStart[p+1]] }
+	fanout := func(p int32) []int32 { return st.FoArc[st.FoStart[p]:st.FoStart[p+1]] }
+	timed := func(p int32) bool { return st.SpOfPin[p] >= 0 || st.EpOfPin[p] >= 0 }
 
 	// Validate every op against the snapshot, claiming arcs as we go.
 	claimed := make(map[int32]string)
@@ -222,13 +214,13 @@ func applyOps(t *circuitops.Tables, ops []Op, inPlace bool) (*Result, error) {
 				return nil, fmt.Errorf("topo: remove-buffer: cell arc %d is not positive-unate (not a buffer)", op.Arc)
 			}
 			x, y := ca.From, ca.To
-			if timed[x] || timed[y] {
+			if timed(x) || timed(y) {
 				return nil, fmt.Errorf("topo: remove-buffer: buffer pins %d/%d are timing start/endpoints", x, y)
 			}
-			if len(fanout.at(x)) != 1 || len(fanin.at(y)) != 1 {
+			if len(fanout(x)) != 1 || len(fanin(y)) != 1 {
 				return nil, fmt.Errorf("topo: remove-buffer: pins %d/%d have side fanout/fanin, not a buffer", x, y)
 			}
-			ins := fanin.at(x)
+			ins := fanin(x)
 			if len(ins) != 1 {
 				return nil, fmt.Errorf("topo: remove-buffer: buffer input pin %d has %d fan-in arcs, want 1", x, len(ins))
 			}
@@ -236,7 +228,7 @@ func applyOps(t *circuitops.Tables, ops []Op, inPlace bool) (*Result, error) {
 			if uin.Kind != 1 || liberty.Unate(uin.Sense) != liberty.PositiveUnate {
 				return nil, fmt.Errorf("topo: remove-buffer: input arc %d of pin %d is not a net arc", ins[0], x)
 			}
-			outs := fanout.at(y)
+			outs := fanout(y)
 			if len(outs) == 0 {
 				return nil, fmt.Errorf("topo: remove-buffer: buffer output pin %d drives nothing", y)
 			}
@@ -326,8 +318,8 @@ func applyOps(t *circuitops.Tables, ops []Op, inPlace bool) (*Result, error) {
 			res.Inserted++
 		case OpRemoveBuffer:
 			ca := out.Arcs[op.Arc]
-			uin := out.Arcs[fanin.at(ca.From)[0]]
-			for _, o := range fanout.at(ca.To) {
+			uin := out.Arcs[fanin(ca.From)[0]]
+			for _, o := range fanout(ca.To) {
 				oa := &out.Arcs[o]
 				// u→v replaces u→x→y→v: means add, sigmas RSS (independent
 				// stage variations, the same composition the extraction uses
@@ -365,33 +357,4 @@ func applyOps(t *circuitops.Tables, ops []Op, inPlace bool) (*Result, error) {
 	// the preview cost stays proportional to the edit (the differential suite
 	// still compares against a cold compile, which validates).
 	return res, nil
-}
-
-// csr is a compact adjacency index over the arc table: at(p) lists the arc
-// ids keyed to pin p. Built with two counting passes — no per-pin slice
-// headers, no map overhead — because Apply may run per candidate preview in
-// an optimizer loop.
-type csr struct {
-	start []int32
-	arc   []int32
-}
-
-func (c csr) at(p int32) []int32 { return c.arc[c.start[p]:c.start[p+1]] }
-
-func newCSR(nPins int, arcs []circuitops.ArcRow, key func(*circuitops.ArcRow) int32) csr {
-	start := make([]int32, nPins+1)
-	for i := range arcs {
-		start[key(&arcs[i])+1]++
-	}
-	for p := 0; p < nPins; p++ {
-		start[p+1] += start[p]
-	}
-	out := make([]int32, len(arcs))
-	cursor := make([]int32, nPins)
-	for i := range arcs {
-		p := key(&arcs[i])
-		out[start[p]+cursor[p]] = int32(i)
-		cursor[p]++
-	}
-	return csr{start: start, arc: out}
 }

@@ -1,7 +1,7 @@
 package topo
 
 // Differential suite for structural ECOs. The correctness contract: a
-// session's working engine after any sequence of Apply/Annotate batches is
+// session's working engine after any sequence of Apply batches is
 // *bit-identical* — endpoint slacks, hold slacks, WNS/TNS, Top-K queues,
 // timing gradients — to a cold core.Compile + NewEngineFromState + Run over
 // the session's working tables, at any worker count (ci.sh runs this package
@@ -234,19 +234,12 @@ func TestAnnotateOnStructuralSessionDifferential(t *testing.T) {
 	}
 	defer s.Close()
 
-	if err := s.Annotate([]Delta{{Arc: 0, Delay: bufDelay(9, 0.5)}}); err == nil {
-		t.Fatal("annotate before any structural edit must be rejected")
-	}
 	if _, err := s.Apply([]Op{InsertBuffer(netArcs(tab)[0], 7, bufDelay(3, 0.2), 0)}); err != nil {
 		t.Fatal(err)
 	}
 	// Annotate a few arcs, including one appended by the insert.
 	newArc := int32(len(s.Tables().Arcs) - 1)
-	deltas := []Delta{
-		{Arc: 5, Delay: bufDelay(7, 0.4)},
-		{Arc: newArc, Delay: bufDelay(1.5, 0.1)},
-	}
-	if err := s.Annotate(deltas); err != nil {
+	if _, err := s.Apply([]Op{Annotate(5, bufDelay(7, 0.4)), Annotate(newArc, bufDelay(1.5, 0.1))}); err != nil {
 		t.Fatal(err)
 	}
 	assertEnginesIdentical(t, "annotate", s.Engine(), s.Tables(), opt)
@@ -346,7 +339,7 @@ func TestBatchedEngineDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("remove")
-		if err := s.Annotate([]Delta{{Arc: nets[2], Delay: bufDelay(5, 0.25)}}); err != nil {
+		if _, err := s.Apply([]Op{Annotate(nets[2], bufDelay(5, 0.25))}); err != nil {
 			t.Fatal(err)
 		}
 		check("annotate")
@@ -473,7 +466,7 @@ func TestRepeatedEditsStayIdentical(t *testing.T) {
 	}
 	assertEnginesIdentical(t, "step1", s.Engine(), s.Tables(), opt)
 
-	if err := s.Annotate([]Delta{{Arc: nets[1], Delay: bufDelay(5, 0.25)}}); err != nil {
+	if _, err := s.Apply([]Op{Annotate(nets[1], bufDelay(5, 0.25))}); err != nil {
 		t.Fatal(err)
 	}
 	assertEnginesIdentical(t, "step2", s.Engine(), s.Tables(), opt)
