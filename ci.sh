@@ -2,7 +2,10 @@
 # ci.sh — the checks a PR must pass, in the order a failure is cheapest:
 #
 #   1. gofmt, go vet — `gofmt -l .` must list nothing, then static analysis
-#                      over every package
+#                      over every package; and internal/batch, the shim the
+#                      frozen benchmark/ calls, has no other importer than
+#                      server/manager.go and snap/snap.go (its two
+#                      compatibility points)
 #   2. go build      — everything compiles, including cmd/ and examples/
 #   3. go test       — full suite (unit + determinism + differential + golden
 #                      digests + the packed-tail contract of every queue
@@ -10,10 +13,10 @@
 #                      disabled tracer attached), including the
 #                      nominal-lane differential of the serving layer: a
 #                      daemon holds one lane-strided engine, and a manager over
-#                      batch{ss,tt,ff} must answer every nominal query bit for
-#                      bit like a manager over a bare single-lane engine; and
-#                      the two speed floors no benchmark rung holds yet, each
-#                      inside its own package: a steady-state structural edit
+#                      an {ss,tt,ff} engine must answer every nominal query bit
+#                      for bit like a manager over a bare single-lane engine;
+#                      and the two speed floors no benchmark rung holds yet,
+#                      each inside its own package: a steady-state structural edit
 #                      >= 10x a cold rebuild on block-1 (internal/topo) and
 #                      composed chip-16x analysis >= 10x flat (internal/hier,
 #                      next to that row's accuracy check). Every other timing
@@ -64,9 +67,9 @@
 #                      the engine's pools while a ninth resets and
 #                      re-applies on storage it keeps, every preview
 #                      bit-identical to the same preview run alone, both in
-#                      internal/core; and the pooled-scratch overlay-reuse
-#                      differential under 8 concurrent sessions in
-#                      internal/batch), the serving
+#                      internal/core, next to the pooled-scratch overlay-reuse
+#                      differential under 8 concurrent sessions over an
+#                      {ss,tt,ff} engine), the serving
 #                      layer's session manager over its one engine (including
 #                      the base-read-is-one-epoch test: commits in a loop
 #                      against GET /slacks), the telemetry layer (tracer /
@@ -106,6 +109,11 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 go vet ./...
+batch_importers=$(git grep --untracked -l '"insta/internal/batch"' -- '*.go' ':!benchmark/' | tr '\n' ' ')
+if [ "$batch_importers" != "internal/server/manager.go internal/snap/snap.go " ]; then
+	echo "internal/batch is the benchmark's shim; outside benchmark/ only internal/server/manager.go and internal/snap/snap.go may import it, not: $batch_importers" >&2
+	exit 1
+fi
 
 echo "== go build =="
 go build ./...
@@ -120,8 +128,8 @@ go test ./internal/server -run '^$' -fuzz FuzzJSONFloat -fuzztime 10s
 echo "== go test -fuzz FuzzTopoSession (10s, structural op batches vs a cold compile, arc ids permanent) =="
 go test ./internal/topo -run '^$' -fuzz FuzzTopoSession -fuzztime 10s
 
-echo "== go test -race (sched + levelize + refsta + core + batch + topo + server + obs + snap + cmdutil + fleet + hier, short) =="
-go test -race -short ./internal/sched/... ./internal/levelize/... ./internal/refsta/... ./internal/core/... ./internal/batch/... ./internal/topo/... ./internal/server/... ./internal/obs/... ./internal/snap/... ./internal/cmdutil/... ./internal/fleet/... ./internal/hier/...
+echo "== go test -race (sched + levelize + refsta + core + topo + server + obs + snap + cmdutil + fleet + hier, short) =="
+go test -race -short ./internal/sched/... ./internal/levelize/... ./internal/refsta/... ./internal/core/... ./internal/topo/... ./internal/server/... ./internal/obs/... ./internal/snap/... ./internal/cmdutil/... ./internal/fleet/... ./internal/hier/...
 go test -race -count=20 -run 'TestRouterRefusesOversizedBody|TestForwardBodyNotReusedWhileInFlight' ./internal/fleet/
 
 echo "== serve load smoke (-race, 100 concurrent ECO requests against a server.Daemon; single-corner and {ss,tt,ff}) =="

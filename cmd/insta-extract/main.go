@@ -10,8 +10,8 @@ import (
 	"os"
 	"time"
 
-	"insta/internal/batch"
 	"insta/internal/cmdutil"
+	"insta/internal/core"
 	"insta/internal/hier"
 	"insta/internal/obs"
 )
@@ -61,7 +61,7 @@ func main() {
 	})
 
 	if *blockModel != "" {
-		var scns []batch.Scenario
+		var scns []core.Scenario
 		if co.Enabled() {
 			if scns, err = co.Scenarios(); err != nil {
 				fmt.Fprintln(os.Stderr, err)

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"os"
 
-	"insta/internal/batch"
 	"insta/internal/bench"
 	"insta/internal/cmdutil"
 	"insta/internal/core"
@@ -39,7 +38,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	var scns []batch.Scenario
+	var scns []core.Scenario
 	if co.Enabled() {
 		if scns, err = co.Scenarios(); err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -30,8 +30,8 @@
 // the committed base back to the cache so the next boot warm-starts into it;
 // idle sessions are evicted past -ttl.
 //
-// The daemon runs exactly one engine. With -corners it has one lane per
-// scenario (internal/batch): every session prices its what-ifs in all corners
+// The daemon runs exactly one engine. With -corners it has one named lane per
+// scenario (core.Scenario): every session prices its what-ifs in all corners
 // with a single cone re-propagation, ECO previews and commits carry
 // per-scenario and merged ΔWNS/ΔTNS, and ?scenario=<name|merged> selects a
 // corner on the slack endpoints. The nominal figures (top-level wns/tns,
@@ -96,9 +96,8 @@ func main() {
 	if bt.Warm {
 		slog.Info("warm boot: reference engine disabled (resize ECOs answer 501; POST /admin/snapshot persists the current base)")
 	}
-	if be := mgr.Batch(); be != nil {
-		slog.Info("multi-corner", "scenarios", be.NumScenarios(),
-			"mem_mb", float64(be.MemoryBytes())/1e6)
+	if scns := mgr.Scenarios(); scns != nil {
+		slog.Info("multi-corner", "scenarios", len(scns), "mem_mb", float64(e.MemoryBytes())/1e6)
 	}
 
 	if err := d.Listen(*addr); err != nil {

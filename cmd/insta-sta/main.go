@@ -23,7 +23,6 @@ import (
 	"sort"
 	"time"
 
-	"insta/internal/batch"
 	"insta/internal/cmdutil"
 	"insta/internal/core"
 	"insta/internal/exp"
@@ -157,26 +156,31 @@ func main() {
 	}
 }
 
-// reportCorners runs the scenario-batched engine over the compiled state —
-// one traversal for every corner, warm or cold — and prints per-corner and
-// merged metrics plus the worst-corner-per-endpoint breakdown.
-func reportCorners(st *core.State, scns []batch.Scenario, opt core.Options, hold bool) {
+// reportCorners runs an engine with one lane per scenario over the compiled
+// state — one traversal for every corner, warm or cold — and prints
+// per-corner and merged metrics plus the worst-corner-per-endpoint breakdown.
+func reportCorners(st *core.State, scns []core.Scenario, opt core.Options, hold bool) {
 	opt.Hold = hold
-	be, err := batch.NewFromState(st, scns, opt)
+	e, err := core.NewEngineLanes(st, scns, opt)
 	if err != nil {
 		fatalf("corners: %v", err)
 	}
-	defer be.Close()
-	be.Run()
+	defer e.Close()
+	e.Run()
+	if hold {
+		e.RefreshHoldSlacks()
+	}
 
-	v := be.Merged()
+	v := e.Merged()
 	fmt.Printf("\nmulti-corner (%d scenarios, one batched traversal, %.1f MB):\n",
-		be.NumScenarios(), float64(be.MemoryBytes())/1e6)
-	for s, m := range v.PerScenario {
+		e.Lanes(), float64(e.MemoryBytes())/1e6)
+	for s, scn := range scns {
+		sl := e.LaneSlacks(s)
 		line := fmt.Sprintf("  %-8s delay x%.2f sigma x%.2f rc x%.2f | WNS %8.2f ps, TNS %10.2f ps, %d violations",
-			m.Name, scns[s].DelayScale, scns[s].SigmaScale, scns[s].RCScale, m.WNS, m.TNS, m.Violations)
+			scn.Name, scn.DelayScale, scn.SigmaScale, scn.RCScale, core.WNS(sl), core.TNS(sl), core.Violations(sl))
 		if hold {
-			line += fmt.Sprintf(" | hold WNS %.2f TNS %.2f", be.HoldWNS(s), be.HoldTNS(s))
+			hs := e.LaneHoldSlacks(s)
+			line += fmt.Sprintf(" | hold WNS %.2f TNS %.2f", core.WNS(hs), core.TNS(hs))
 		}
 		fmt.Println(line)
 	}
@@ -185,9 +189,9 @@ func reportCorners(st *core.State, scns []batch.Scenario, opt core.Options, hold
 
 	// Which corner dominates: endpoints per worst corner, worst first.
 	counts := map[string]int{}
-	for i := range v.WorstOf {
-		if n := v.WorstName(scns, i); n != "" {
-			counts[n]++
+	for _, w := range v.WorstOf {
+		if w >= 0 {
+			counts[scns[w].Name]++
 		}
 	}
 	names := make([]string, 0, len(counts))

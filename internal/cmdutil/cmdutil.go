@@ -15,7 +15,6 @@ import (
 	"strings"
 	"time"
 
-	"insta/internal/batch"
 	"insta/internal/bench"
 	"insta/internal/core"
 	"insta/internal/liberty"
@@ -53,9 +52,10 @@ type Corners struct {
 }
 
 // CornersFlag registers -corners on the default flag set. The value is a
-// scenario spec in batch.ParseScenarios grammar: named presets ("ss,tt,ff")
+// scenario spec in core.ParseScenarios grammar: named presets ("ss,tt,ff")
 // and/or explicit derates ("hot:1.3/1.1/0.95" = delay/sigma/RC scale over
-// nominal). Empty means single-corner (nominal) analysis.
+// nominal), one engine lane each. Empty means single-corner (nominal)
+// analysis.
 func CornersFlag() *Corners { return cornersFlag(flag.CommandLine) }
 
 func cornersFlag(fs *flag.FlagSet) *Corners {
@@ -68,9 +68,9 @@ func cornersFlag(fs *flag.FlagSet) *Corners {
 // Enabled reports whether multi-corner analysis was requested.
 func (c *Corners) Enabled() bool { return c.Spec != "" }
 
-// Scenarios parses the flag value into batched-engine scenarios.
-func (c *Corners) Scenarios() ([]batch.Scenario, error) {
-	return batch.ParseScenarios(c.Spec)
+// Scenarios parses the flag value into engine scenarios.
+func (c *Corners) Scenarios() ([]core.Scenario, error) {
+	return core.ParseScenarios(c.Spec)
 }
 
 // Obs carries the observability flags after flag.Parse: -trace (Chrome

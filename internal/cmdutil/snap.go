@@ -76,7 +76,7 @@ type Boot struct {
 	Key    string // content address; "" when snapshots are disabled
 
 	// State is the compiled timing state, ready for
-	// core.NewEngineFromState / batch.NewFromState. Always set.
+	// core.NewEngineFromState / core.NewEngineLanes. Always set.
 	State *core.State
 
 	// Cold-path artifacts: the parsed design bundle, the initialized

@@ -82,13 +82,13 @@ type Engine struct {
 	period float64
 	nSigma float64
 
-	// Scenario axis. The engine times S = len(lanes) scenarios in one
+	// Scenario axis. The engine times S = len(scns) scenarios in one
 	// traversal: every lane sees the nominal arc annotations through its own
 	// per-arc-kind scale factors, index [arcKind][lane], resolved inside the
 	// inner kernel loops. The paper's single-corner INSTA is S = 1 with unit
 	// factors; x*1.0 == x in IEEE arithmetic, so that engine's numbers are
 	// exactly those of a kernel without the multiplications.
-	lanes     []Lane
+	scns      []Scenario
 	scaleMean [2][]float64
 	scaleStd  [2][]float64
 
@@ -334,6 +334,12 @@ func (s *propScratch) reset() {
 // which is what makes warm-started engines (internal/snap) bit-identical to
 // cold-built ones: both run the same second half over the same slabs.
 func NewEngine(t *circuitops.Tables, opt Options) (*Engine, error) {
+	return NewEngineScenarios(t, unitLane, opt)
+}
+
+// NewEngineScenarios is NewEngine for an engine with one lane per scenario:
+// Compile followed by NewEngineLanes.
+func NewEngineScenarios(t *circuitops.Tables, scns []Scenario, opt Options) (*Engine, error) {
 	if err := checkTopK(opt.TopK); err != nil {
 		return nil, err
 	}
@@ -343,7 +349,7 @@ func NewEngine(t *circuitops.Tables, opt Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(st, unitLane, opt)
+	return newEngine(st, scns, opt)
 }
 
 // Kernel tags for scheduler instrumentation (Engine.KernelStats) and span
@@ -412,10 +418,7 @@ func (e *Engine) base(rf int, pin int32) int {
 }
 
 // Lanes returns S, the number of scenarios the engine propagates together.
-func (e *Engine) Lanes() int { return len(e.lanes) }
-
-// Lane returns lane s's derate factors.
-func (e *Engine) Lane(s int) Lane { return e.lanes[s] }
+func (e *Engine) Lanes() int { return len(e.scns) }
 
 // NumLevels returns the timing level count; INSTA's runtime scales with this
 // rather than with pin count (paper §IV-A).

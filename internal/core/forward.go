@@ -148,7 +148,7 @@ func (v *view) copyFanin(sign float64, p, pos int32) {
 		am0, as0 := v.arcDelay(rf, arc)
 		q, b := v.queues(rf, p)
 		pq, pb := v.queues(rf^flip, parent)
-		for s := range e.lanes {
+		for s := range e.scns {
 			am := am0 * e.scaleMean[kind][s]
 			as := as0 * e.scaleStd[kind][s]
 			q.blankTail(b, q.mergeEmpty(b, k, pq, pb, am, as, sign, ns), k)
@@ -189,7 +189,7 @@ func (v *view) mergeFanin(sign float64, p int32, ms *mergeScratch) {
 		}
 		ms.fan = fan
 		q, b := v.queues(rf, p)
-		for s := range e.lanes {
+		for s := range e.scns {
 			n := 0
 			for i := range fan {
 				c := &fan[i]

@@ -9,8 +9,8 @@ package core_test
 // bench block presets at K ∈ {1, 8, 32}. A refactor of the propagation
 // kernels must leave this file untouched and passing.
 //
-// The test lives in the external test package so it can drive internal/batch
-// (which imports core) next to the single-corner engine.
+// The test lives in the external test package: it drives the engine through
+// its exported API only.
 
 import (
 	"hash"
@@ -18,7 +18,6 @@ import (
 	"math"
 	"testing"
 
-	"insta/internal/batch"
 	"insta/internal/bench"
 	"insta/internal/circuitops"
 	"insta/internal/core"
@@ -98,18 +97,19 @@ func goldenDigest(t *testing.T, tab *circuitops.Tables, k int) uint64 {
 	d.floats(e.EvalHoldSlacks()...)
 
 	// Three scenarios through the batched engine: per scenario and merged.
-	scns := batch.DefaultScenarios()
-	be, err := batch.New(tab, scns, opt)
+	scns := core.DefaultScenarios()
+	be, err := core.NewEngineScenarios(tab, scns, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer be.Close()
 	be.Run()
+	be.RefreshHoldSlacks()
 	for s := range scns {
-		d.floats(be.Slacks(s)...)
-		d.floats(be.WNS(s), be.TNS(s))
-		d.floats(be.HoldSlacks(s)...)
-		d.floats(be.HoldWNS(s), be.HoldTNS(s))
+		d.floats(be.LaneSlacks(s)...)
+		d.floats(core.WNS(be.LaneSlacks(s)), core.TNS(be.LaneSlacks(s)))
+		d.floats(be.LaneHoldSlacks(s)...)
+		d.floats(core.WNS(be.LaneHoldSlacks(s)), core.TNS(be.LaneHoldSlacks(s)))
 	}
 	v := be.Merged()
 	d.floats(v.Slacks...)

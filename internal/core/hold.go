@@ -48,7 +48,7 @@ func (e *Engine) RefreshHoldSlacks() {
 func (e *Engine) holdSlackKernel(_, lo, hi int) {
 	h := e.hold
 	k := e.opt.TopK
-	S := len(e.lanes)
+	S := len(e.scns)
 	nEP := len(e.epPin)
 	for i := lo; i < hi; i++ {
 		p := e.epPin[i]

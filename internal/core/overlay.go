@@ -205,9 +205,6 @@ func (o *Overlay) settlePin(i int, p int32, changed bool) {
 	}
 }
 
-// Base returns the engine this overlay shadows.
-func (o *Overlay) Base() *Engine { return o.e }
-
 // SetArcDelay annotates one arc's delay for output transition rf in the
 // overlay only. The base engine is untouched. Call Propagate after a batch.
 func (o *Overlay) SetArcDelay(arc int32, rf int, d num.Dist) {
@@ -278,14 +275,14 @@ func (o *Overlay) evalDirtyEndpoints() {
 	slices.Sort(dirty)
 	ssp := e.tracer.StartArg(KernelOverlaySlack, "endpoints", int64(len(dirty)))
 	defer ssp.End()
-	S := len(e.lanes)
+	S := len(e.scns)
 	if cap(o.epOut) < len(dirty)*S {
 		o.epOut = make([]float64, len(dirty)*S)
 	}
 	o.epOut = o.epOut[:len(dirty)*S]
 	if o.slackFn == nil {
 		o.slackFn = func(_, lo, hi int) {
-			S := len(o.e.lanes)
+			S := len(o.e.scns)
 			for i := lo; i < hi; i++ {
 				for s := 0; s < S; s++ {
 					o.epOut[i*S+s], _, _ = o.setupSlack(s, o.dirty[i], o.e.opt.TopK)
@@ -316,7 +313,7 @@ func (o *Overlay) evalDirtyEndpoints() {
 func (o *Overlay) LaneSlack(s int, i int32) float64 {
 	if o.epSlot != nil {
 		if t := o.epSlot[i]; t != 0 {
-			return o.epSlack[int(t-1)*len(o.e.lanes)+s]
+			return o.epSlack[int(t-1)*len(o.e.scns)+s]
 		}
 	}
 	return o.e.epSlack[s*len(o.e.epPin)+int(i)]

@@ -16,30 +16,30 @@ import (
 // carries per lane has to work at any lane count.
 var laneCases = []struct {
 	name  string
-	lanes []Lane
+	lanes []Scenario
 }{
 	{"S1", unitLane},
-	{"S3", []Lane{
-		{CellScale: 1.18, NetScale: 1.10, SigmaScale: 1.25},
-		{CellScale: 1, NetScale: 1, SigmaScale: 1},
-		{CellScale: 0.86, NetScale: 0.92, SigmaScale: 0.90},
+	{"S3", []Scenario{
+		{DelayScale: 1.18, RCScale: 1.10, SigmaScale: 1.25},
+		{DelayScale: 1, RCScale: 1, SigmaScale: 1},
+		{DelayScale: 0.86, RCScale: 0.92, SigmaScale: 0.90},
 	}},
 	{"S17", spreadLanes(17)},
 }
 
 // spreadLanes returns n distinct derate lanes stepping from slow to fast.
-func spreadLanes(n int) []Lane {
-	lanes := make([]Lane, n)
+func spreadLanes(n int) []Scenario {
+	lanes := make([]Scenario, n)
 	for s := range lanes {
 		f := float64(s) / float64(n)
-		lanes[s] = Lane{CellScale: 1.2 - 0.4*f, NetScale: 1.1 - 0.2*f, SigmaScale: 1.3 - 0.5*f}
+		lanes[s] = Scenario{DelayScale: 1.2 - 0.4*f, RCScale: 1.1 - 0.2*f, SigmaScale: 1.3 - 0.5*f}
 	}
 	return lanes
 }
 
 // newLaneEngine compiles tab and stands up an engine over the given lanes,
 // closed with the test.
-func newLaneEngine(t *testing.T, tab *circuitops.Tables, lanes []Lane, opt Options) *Engine {
+func newLaneEngine(t *testing.T, tab *circuitops.Tables, lanes []Scenario, opt Options) *Engine {
 	t.Helper()
 	st, err := Compile(tab)
 	if err != nil {
@@ -55,7 +55,7 @@ func newLaneEngine(t *testing.T, tab *circuitops.Tables, lanes []Lane, opt Optio
 
 // overlaySlacks snapshots every lane's slacks as seen through o.
 func overlaySlacks(o *Overlay) [][]float64 {
-	e := o.Base()
+	e := o.e
 	out := make([][]float64, e.Lanes())
 	for s := range out {
 		out[s] = make([]float64, len(e.Endpoints()))

@@ -60,7 +60,7 @@ func assertPacked(t *testing.T, what string, e *Engine, view func(rf int, p int3
 	for rf := 0; rf < 2; rf++ {
 		for p := int32(0); p < int32(e.numPins); p++ {
 			q, b := view(rf, p)
-			for s := range e.lanes {
+			for s := range e.scns {
 				lo, hi := b+s*k, b+(s+1)*k
 				if err := checkPacked(q.mean[lo:hi], q.std[lo:hi], q.sp[lo:hi], sign, sign*e.nSigma); err != nil {
 					t.Fatalf("%s: rf %d pin %d lane %d: %v", what, rf, p, s, err)

@@ -27,7 +27,7 @@ func (e *Engine) RefreshSlacks() {
 func (e *Engine) slackKernel(_, lo, hi int) {
 	nEP := len(e.epPin)
 	for i := lo; i < hi; i++ {
-		for s := range e.lanes {
+		for s := range e.scns {
 			j := s*nEP + i
 			e.epSlack[j], e.epSP[j], e.epRF[j] = e.top.setupSlack(s, int32(i), e.opt.TopK)
 		}

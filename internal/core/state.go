@@ -115,7 +115,7 @@ func (st *State) levels() *levelize.Result {
 }
 
 // CompileTraced is Compile recording its levelize phase as a child of
-// parent (used by the batched engine, which owns the enclosing build span).
+// parent (used by NewEngineScenarios, which owns the enclosing build span).
 func CompileTraced(t *circuitops.Tables, parent *obs.Span) (*State, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -511,17 +511,6 @@ func validateCSR(name string, start []int32, rows, slots int) error {
 	return nil
 }
 
-// Lane is one scenario of a scenario-strided engine, given as the derate
-// factors its kernels apply to the nominal arc annotations: cell-arc means by
-// CellScale, net-arc means by NetScale, every sigma by SigmaScale. Launch
-// arrivals, required times and the clock network are shared by all lanes.
-type Lane struct {
-	CellScale, NetScale, SigmaScale float64
-}
-
-// unitLane is the lane set of the paper's single-corner engine.
-var unitLane = []Lane{{CellScale: 1, NetScale: 1, SigmaScale: 1}}
-
 // NewEngineFromState stands up a ready-to-propagate engine over a compiled
 // state — the warm-start constructor. It shares the state's immutable
 // skeleton (topology, schedule, SP/EP, clock, fan-out CSR), copies the arc
@@ -537,11 +526,11 @@ func NewEngineFromState(st *State, opt Options) (*Engine, error) {
 }
 
 // NewEngineLanes is NewEngineFromState for an engine that propagates
-// len(lanes) scenarios in one traversal (see Lane). Lane s of the result is
-// bit-identical to a single-lane engine over tables whose arc rows were
-// multiplied by lanes[s]'s factors.
-func NewEngineLanes(st *State, lanes []Lane, opt Options) (*Engine, error) {
-	e, err := newEngine(st, lanes, opt)
+// len(scns) scenarios in one traversal, one lane each (see Scenario). Lane s
+// of the result is bit-identical to a single-lane engine over
+// ScaleTables(tables, scns[s]).
+func NewEngineLanes(st *State, scns []Scenario, opt Options) (*Engine, error) {
+	e, err := newEngine(st, scns, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -552,8 +541,8 @@ func NewEngineLanes(st *State, lanes []Lane, opt Options) (*Engine, error) {
 
 // newEngine builds an engine over st with freshly allocated, unpropagated
 // Top-K tensors whose rows follow st's level order.
-func newEngine(st *State, lanes []Lane, opt Options) (*Engine, error) {
-	e, err := newEngineBody(st, lanes, opt)
+func newEngine(st *State, scns []Scenario, opt Options) (*Engine, error) {
+	e, err := newEngineBody(st, scns, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -584,12 +573,12 @@ func checkTopK(k int) error {
 // newEngineBody builds everything but the Top-K tensors and their row map,
 // which the caller allocates (newEngine) or takes over from a previous engine
 // (Reseed).
-func newEngineBody(st *State, lanes []Lane, opt Options) (*Engine, error) {
+func newEngineBody(st *State, scns []Scenario, opt Options) (*Engine, error) {
 	if err := checkTopK(opt.TopK); err != nil {
 		return nil, err
 	}
-	if len(lanes) == 0 {
-		return nil, fmt.Errorf("core: no lanes given")
+	if len(scns) == 0 {
+		return nil, fmt.Errorf("core: no scenarios given")
 	}
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.NumCPU()
@@ -597,10 +586,10 @@ func newEngineBody(st *State, lanes []Lane, opt Options) (*Engine, error) {
 	if opt.Tau <= 0 {
 		opt.Tau = 0.01
 	}
-	S := len(lanes)
+	S := len(scns)
 	e := &Engine{
 		opt:     opt,
-		lanes:   append([]Lane(nil), lanes...),
+		scns:    append([]Scenario(nil), scns...),
 		qstride: S * opt.TopK,
 		tracer:  opt.Tracer,
 	}
@@ -609,11 +598,11 @@ func newEngineBody(st *State, lanes []Lane, opt Options) (*Engine, error) {
 		e.scaleMean[kind] = make([]float64, S)
 		e.scaleStd[kind] = make([]float64, S)
 	}
-	for s, l := range lanes {
-		if l.CellScale <= 0 || l.NetScale <= 0 || l.SigmaScale <= 0 {
-			return nil, fmt.Errorf("core: lane %d has a non-positive scale", s)
+	for s, l := range scns {
+		if !validScale(l.DelayScale) || !validScale(l.SigmaScale) || !validScale(l.RCScale) {
+			return nil, fmt.Errorf("core: scenario %d (%q) has a non-finite or non-positive scale", s, l.Name)
 		}
-		e.scaleMean[0][s], e.scaleMean[1][s] = l.CellScale, l.NetScale
+		e.scaleMean[0][s], e.scaleMean[1][s] = l.DelayScale, l.RCScale
 		e.scaleStd[0][s], e.scaleStd[1][s] = l.SigmaScale, l.SigmaScale
 	}
 	// The engine binds to its own shallow copy of the state whose annotation
@@ -705,7 +694,7 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 	ne := e
 	if !inPlace {
 		var err error
-		if ne, err = newEngineBody(st, e.lanes, e.opt); err != nil {
+		if ne, err = newEngineBody(st, e.scns, e.opt); err != nil {
 			return nil, err
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"time"
 
-	"insta/internal/batch"
 	"insta/internal/bench"
 	"insta/internal/core"
 	"insta/internal/snap"
@@ -36,7 +35,7 @@ type ChipRun struct {
 // instead of re-extracting, and any block edit flips its hash so exactly
 // that model misses.
 func BuildChip(spec bench.ChipSpec, boot func(name string) (*core.State, error),
-	scns []batch.Scenario, opt core.Options, cache *snap.Cache) (*ChipRun, error) {
+	scns []core.Scenario, opt core.Options, cache *snap.Cache) (*ChipRun, error) {
 
 	r := &ChipRun{
 		Spec:   spec,
@@ -70,7 +69,7 @@ func BuildChip(spec bench.ChipSpec, boot func(name string) (*core.State, error),
 }
 
 // obtainModel loads the state's model from cache or extracts (and stores) it.
-func obtainModel(st *core.State, scns []batch.Scenario, opt core.Options,
+func obtainModel(st *core.State, scns []core.Scenario, opt core.Options,
 	cache *snap.Cache, r *ChipRun) (*BlockModel, error) {
 
 	topK := opt.TopK
@@ -235,7 +234,7 @@ func (r *ChipRun) CompareFlat(opt core.Options) (*Compare, error) {
 	for si, sr := range a.Scen {
 		c.TopPins = sr.Tab.NumPins
 		t0 = time.Now()
-		fst, err := core.Compile(batch.ScaleTables(flatTab, sr.Scenario))
+		fst, err := core.Compile(core.ScaleTables(flatTab, sr.Scenario))
 		if err != nil {
 			return nil, err
 		}

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math"
 
-	"insta/internal/batch"
 	"insta/internal/bench"
 	"insta/internal/circuitops"
 	"insta/internal/core"
@@ -296,7 +295,7 @@ func ComposeTop(c *Chip, si int) (*circuitops.Tables, *TopIndex, error) {
 
 // ScenarioResult is one scenario's composed-graph analysis.
 type ScenarioResult struct {
-	Scenario batch.Scenario
+	Scenario core.Scenario
 	Tab      *circuitops.Tables
 	Index    *TopIndex
 	Engine   *core.Engine
@@ -427,7 +426,7 @@ func (a *Analysis) RecoverBlock(si, inst int, src *core.State, opt core.Options)
 	sr := a.Scen[si]
 	x := sr.Index
 
-	tab := batch.ScaleTables(src.Tables(), sr.Scenario)
+	tab := core.ScaleTables(src.Tables(), sr.Scenario)
 	wiredPins := make(map[int32]int, len(m.Ins)) // block pin -> boundary index
 	var wired []int
 	for j := range m.Ins {

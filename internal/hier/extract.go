@@ -26,7 +26,6 @@ import (
 	"math"
 	"sort"
 
-	"insta/internal/batch"
 	"insta/internal/core"
 	"insta/internal/liberty"
 	"insta/internal/netlist"
@@ -37,7 +36,7 @@ import (
 // given scenario block (nil = nominal). opt supplies the engine
 // configuration used for the launch/internal-slack extraction (TopK,
 // Workers); hold analysis is block-internal and not part of the model.
-func Extract(st *core.State, scns []batch.Scenario, opt core.Options) (*BlockModel, error) {
+func Extract(st *core.State, scns []core.Scenario, opt core.Options) (*BlockModel, error) {
 	scns = NormScenarios(scns)
 	ins, outs := Boundary(st)
 	if len(ins) == 0 && len(outs) == 0 {
@@ -104,7 +103,7 @@ func Extract(st *core.State, scns []batch.Scenario, opt core.Options) (*BlockMod
 }
 
 // extractScenario produces one scenario's model slabs from the scaled state.
-func extractScenario(st *core.State, scn batch.Scenario, m *BlockModel,
+func extractScenario(st *core.State, scn core.Scenario, m *BlockModel,
 	boundarySP []bool, exc *sdc.ExceptionTable, sc *coneScratch, opt core.Options) (*ScenarioModel, error) {
 
 	nI, nO, nEP := len(m.Ins), len(m.Outs), len(st.EpPin)

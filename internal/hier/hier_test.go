@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"insta/internal/batch"
 	"insta/internal/bench"
 	"insta/internal/circuitops"
 	"insta/internal/core"
@@ -53,7 +52,7 @@ func bootBlock(tb testing.TB, name string) *core.State {
 	return st
 }
 
-func mustChipRun(tb testing.TB, chip string, scns []batch.Scenario,
+func mustChipRun(tb testing.TB, chip string, scns []core.Scenario,
 	opt core.Options, cache *snap.Cache) *ChipRun {
 	tb.Helper()
 	spec, err := bench.ChipSpecByName(chip)
@@ -71,10 +70,10 @@ func mustChipRun(tb testing.TB, chip string, scns []batch.Scenario,
 
 // flatOracle runs the ordinary flat engine over the flattened chip for one
 // scenario.
-func flatOracle(tb testing.TB, flatTab *circuitops.Tables, scn batch.Scenario,
+func flatOracle(tb testing.TB, flatTab *circuitops.Tables, scn core.Scenario,
 	opt core.Options) (slacks []float64, wns, tns float64) {
 	tb.Helper()
-	st, err := core.Compile(batch.ScaleTables(flatTab, scn))
+	st, err := core.Compile(core.ScaleTables(flatTab, scn))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -102,11 +101,11 @@ func summarize(slacks []float64) (wns, tns float64) {
 func TestHierFlatDifferential(t *testing.T) {
 	cases := []struct {
 		chip  string
-		scns  []batch.Scenario
+		scns  []core.Scenario
 		topK  int
 		floor int // composed analysis must beat flat by this factor; 0 = untimed
 	}{
-		{"chip-2x", batch.DefaultScenarios(), 32, 0},
+		{"chip-2x", core.DefaultScenarios(), 32, 0},
 		{"chip-4x", nil, 32, 0},
 		// The largest preset carries the layer's speed claim (85-120x
 		// measured) and the only nonzero boundary-selection error of the three
@@ -204,7 +203,7 @@ func TestHierFlatDifferential(t *testing.T) {
 // TestHierWorkerStability pins the bit-for-bit determinism of the composed
 // analysis and the recovery path across worker counts.
 func TestHierWorkerStability(t *testing.T) {
-	scns := batch.DefaultScenarios()
+	scns := core.DefaultScenarios()
 	base := core.Options{TopK: 16}
 	run := mustChipRun(t, "chip-2x", scns, base, nil)
 	_, fm, err := ComposeFlat(run.Spec.Name, run.States, run.Spec.Wires)
@@ -278,7 +277,7 @@ func TestBlockModelCache(t *testing.T) {
 	// perturbed state's model must be a clean miss while the original stays
 	// cached.
 	st := run1.States[0]
-	pert := scaleState(st, batch.Scenario{DelayScale: 1.001, SigmaScale: 1, RCScale: 1})
+	pert := scaleState(st, core.Scenario{DelayScale: 1.001, SigmaScale: 1, RCScale: 1})
 	h0, h1 := StateHash(st, nil, 8), StateHash(pert, nil, 8)
 	if h0 == h1 {
 		t.Fatal("perturbed state hashes identically to original")

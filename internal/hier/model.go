@@ -38,7 +38,6 @@ import (
 	"encoding/hex"
 	"math"
 
-	"insta/internal/batch"
 	"insta/internal/core"
 	"insta/internal/snap"
 )
@@ -61,7 +60,7 @@ type InPin struct {
 // 0) marks "no path", exactly the engine's empty-queue sentinel; a ConsReq
 // of +Inf marks "no constraint".
 type ScenarioModel struct {
-	Scenario batch.Scenario
+	Scenario core.Scenario
 
 	ThruMean, ThruStd []float64 // I*O*4
 
@@ -160,9 +159,9 @@ func Boundary(st *core.State) (ins []InPin, outs []int32) {
 // NormScenarios normalizes a scenario list: nil or empty means the single
 // nominal (all scales 1) scenario, so hashing and extraction agree on what
 // "no scenarios" means.
-func NormScenarios(scns []batch.Scenario) []batch.Scenario {
+func NormScenarios(scns []core.Scenario) []core.Scenario {
 	if len(scns) == 0 {
-		return []batch.Scenario{{Name: "nominal", DelayScale: 1, SigmaScale: 1, RCScale: 1}}
+		return []core.Scenario{{Name: "nominal", DelayScale: 1, SigmaScale: 1, RCScale: 1}}
 	}
 	return scns
 }
@@ -173,7 +172,7 @@ func NormScenarios(scns []batch.Scenario) []batch.Scenario {
 // attribute, a scenario derate — lands in the encoding and flips the hash,
 // so re-extraction of an unchanged block hits the cache and an edited block
 // invalidates exactly its own model.
-func StateHash(st *core.State, scns []batch.Scenario, topK int) string {
+func StateHash(st *core.State, scns []core.Scenario, topK int) string {
 	h := sha256.New()
 	h.Write([]byte("insta-hier-model-v1\x00"))
 	h.Write(snap.Encode(st, NormScenarios(scns), ""))
@@ -184,11 +183,11 @@ func StateHash(st *core.State, scns []batch.Scenario, topK int) string {
 }
 
 // scaleState returns st with its arc annotations scaled for one scenario —
-// the exact multiplications of batch.ScaleTables applied to the compiled
+// the exact multiplications of core.ScaleTables applied to the compiled
 // slabs (cell-arc means by DelayScale, net-arc means by RCScale, sigmas by
 // SigmaScale), with every other slab shared. The nominal scenario returns st
 // itself.
-func scaleState(st *core.State, scn batch.Scenario) *core.State {
+func scaleState(st *core.State, scn core.Scenario) *core.State {
 	if scn.DelayScale == 1 && scn.SigmaScale == 1 && scn.RCScale == 1 {
 		return st
 	}

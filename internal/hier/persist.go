@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 
-	"insta/internal/batch"
 	"insta/internal/core"
 	"insta/internal/snap"
 )
@@ -224,7 +223,7 @@ func DecodeModel(payload []byte) (*BlockModel, error) {
 	perScen := 4 + 3*8 + 8*(8*nI*nO+12*nI+4*nO+nEP+2)
 	nScen := c.count(perScen)
 	for si := 0; si < nScen && c.err == nil; si++ {
-		s := ScenarioModel{Scenario: batch.Scenario{
+		s := ScenarioModel{Scenario: core.Scenario{
 			Name: c.str(),
 		}}
 		s.Scenario.DelayScale = c.f64()

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"insta/internal/batch"
 	"insta/internal/circuitops"
 	"insta/internal/core"
 	"insta/internal/liberty"
@@ -42,7 +41,7 @@ func minimalTables() *circuitops.Tables {
 func testModel(tb testing.TB) *BlockModel {
 	tb.Helper()
 	st := bootBlock(tb, "des")
-	m, err := Extract(st, batch.DefaultScenarios(), core.Options{TopK: 8, Workers: 2})
+	m, err := Extract(st, core.DefaultScenarios(), core.Options{TopK: 8, Workers: 2})
 	if err != nil {
 		tb.Fatal(err)
 	}

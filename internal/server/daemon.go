@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"time"
 
-	"insta/internal/batch"
 	"insta/internal/cmdutil"
 	"insta/internal/core"
 	"insta/internal/obs"
@@ -63,34 +62,31 @@ func NewDaemon(bt *cmdutil.Boot, df *cmdutil.Daemon, tr *obs.Tracer) (*Daemon, e
 			ColdBuildMS: float64(bt.Build.Nanoseconds()) / 1e6,
 		},
 	}
-	// One engine: a lane per scenario with -corners, the single nominal lane
-	// without. The nominal figures are read from the unit-scale scenario, so
-	// a list without one gets tt prepended.
+	// One engine: a named lane per scenario with -corners, the single nominal
+	// lane without. The nominal figures are read from the unit-scale scenario,
+	// so a list without one gets tt prepended.
 	d := &Daemon{stop: make(chan struct{}), swept: make(chan struct{})}
-	var e *core.Engine // what NewManager wraps; nil when it serves mopt.Batch
 	if df.Corners.Enabled() {
 		scns, err := df.Corners.Scenarios()
 		if err == nil {
-			scns, err = batch.WithUnit(scns)
+			scns, err = core.WithUnit(scns)
 		}
 		if err == nil {
-			mopt.Batch, err = batch.NewFromState(bt.State, scns, opt)
+			d.eng, err = core.NewEngineLanes(bt.State, scns, opt)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("corners: %w", err)
 		}
-		d.eng = mopt.Batch.Engine
 	} else {
 		var err error
-		if e, err = core.NewEngineFromState(bt.State, opt); err != nil {
+		if d.eng, err = core.NewEngineFromState(bt.State, opt); err != nil {
 			return nil, fmt.Errorf("insta: %w", err)
 		}
-		d.eng = e
 	}
 	d.eng.EnableKernelStats()
 	// Warm boots run without the reference engine (bt.Ref is nil): resize-form
 	// ECOs answer 501 and pin names stay blank until a cold start rebuilds it.
-	d.mgr = NewManager(e, bt.Ref, mopt)
+	d.mgr = NewManager(d.eng, bt.Ref, mopt)
 	srv := New(d.mgr, bt.Design)
 	so := df.Shell
 	so.Tracer = tr

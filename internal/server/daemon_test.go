@@ -10,6 +10,7 @@ import (
 	"flag"
 	"net/http"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -110,5 +111,32 @@ func TestDaemonCloseReleasesCommittedEngine(t *testing.T) {
 	}
 	if got := len(snp.State.Tables().Arcs); got != arcs+2 {
 		t.Fatalf("the saved base has %d arcs, want the committed %d", got, arcs+2)
+	}
+}
+
+// TestDaemonRefusesReservedScenarioNames: a server reads scenario "" as its
+// nominal lane and "merged" as the worst-corner row, so a -corners list
+// naming either would list two "merged" rows or a lane no query can reach. A
+// daemon started with one fails at construction.
+func TestDaemonRefusesReservedScenarioNames(t *testing.T) {
+	fs := flag.NewFlagSet("daemon", flag.ContinueOnError)
+	df := cmdutil.DaemonFlags(fs)
+	if err := fs.Parse([]string{"-design", "des", "-topk", "4", "-workers", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	bt, err := df.Boot(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"ss,merged:1.2/1/1", ":1.2/1/1", "hot:NaN/1/1"} {
+		df.Corners.Spec = spec
+		d, err := server.NewDaemon(bt, df, nil)
+		if err == nil {
+			d.Close(context.Background())
+			t.Fatalf("-corners %s: daemon constructed", spec)
+		}
+		if !strings.Contains(err.Error(), "corners") {
+			t.Fatalf("-corners %s: error %q does not name the flag", spec, err)
+		}
 	}
 }

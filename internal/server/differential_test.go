@@ -8,14 +8,13 @@ package server_test
 // every step demands bit-for-bit agreement of the top-level WNS/TNS, the full
 // nominal slack vectors and the /gradients ranking. The multi-corner
 // manager's per-scenario rows are held to independent single-lane engines over
-// batch.ScaleTables of the tables the step should have produced.
+// core.ScaleTables of the tables the step should have produced.
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
-	"insta/internal/batch"
 	"insta/internal/circuitops"
 	"insta/internal/core"
 	"insta/internal/num"
@@ -29,7 +28,7 @@ type diffPair struct {
 	opt    core.Options
 	single *server.Manager
 	multi  *server.Manager
-	scns   []batch.Scenario
+	scns   []core.Scenario
 }
 
 type sessPair struct{ single, multi *server.Session }
@@ -162,7 +161,7 @@ func (p *diffPair) checkScenarios(tag string, model *circuitops.Tables, rows []s
 	t.Helper()
 	var merged []float64
 	for i, scn := range p.scns {
-		e, err := core.NewEngine(batch.ScaleTables(model, scn), p.opt)
+		e, err := core.NewEngine(core.ScaleTables(model, scn), p.opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,18 +202,18 @@ func TestNominalLaneDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	be, err := batch.New(s.Tab, batch.DefaultScenarios(), opt)
+	be, err := core.NewEngineScenarios(s.Tab, core.DefaultScenarios(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer be.Close()
-	if be.UnitScenario() == 0 {
+	if core.UnitLane(be.Scenarios()) == 0 {
 		t.Fatal("lane 0 is the unit lane: the test cannot tell a lane-0 shorthand from the nominal view")
 	}
 	p := &diffPair{
 		t: t, opt: opt, scns: be.Scenarios(),
 		single: server.NewManager(e, s.Ref, server.Options{}),
-		multi:  server.NewManager(nil, s.Ref, server.Options{Batch: be}),
+		multi:  server.NewManager(be, s.Ref, server.Options{}),
 	}
 	defer p.single.Close()
 	defer p.multi.Close()
@@ -375,8 +374,8 @@ func TestNominalLaneDifferential(t *testing.T) {
 // nominal view, and must not be served as if some derated lane were one.
 func TestManagerNeedsUnitLane(t *testing.T) {
 	s := buildSetup(t, "des")
-	scns := batch.DefaultScenarios()
-	be, err := batch.New(s.Tab, []batch.Scenario{scns[0], scns[2]}, core.Options{TopK: 4, Workers: 1})
+	scns := core.DefaultScenarios()
+	be, err := core.NewEngineScenarios(s.Tab, []core.Scenario{scns[0], scns[2]}, core.Options{TopK: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,5 +385,5 @@ func TestManagerNeedsUnitLane(t *testing.T) {
 			t.Fatal("NewManager served {ss,ff} without a nominal lane")
 		}
 	}()
-	server.NewManager(nil, s.Ref, server.Options{Batch: be})
+	server.NewManager(be, s.Ref, server.Options{})
 }

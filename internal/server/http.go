@@ -58,10 +58,8 @@ func New(mgr *Manager, design string) *Server {
 		log:   slog.Default(),
 	}
 	s.met = newMetrics(mgr)
-	if be := mgr.Batch(); be != nil {
-		for _, scn := range be.Scenarios() {
-			s.info.Corners = append(s.info.Corners, scn.Name)
-		}
+	for _, scn := range mgr.Scenarios() {
+		s.info.Corners = append(s.info.Corners, scn.Name)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.route("healthz", s.handleHealthz))

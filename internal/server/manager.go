@@ -3,13 +3,14 @@
 // (overlay views over the frozen propagated base) and the HTTP/JSON front end
 // cmd/insta-served mounts on it.
 //
-// One engine. A daemon serves exactly one lane-strided engine — the scenario
-// engine it was given, or a single-lane engine wrapped as a one-scenario view
-// — and every session holds one overlay over it, so a what-if is propagated
-// once however many corners are analysed. Everything "nominal" (top-level
-// wns/tns/changed/slacks, base reads, gradients, commit manifests) is read
-// from its unit-scale lane, which holds bit for bit what a separate
-// single-lane engine would compute (x*1.0 == x).
+// One engine. A daemon serves exactly one lane-strided core engine — one lane
+// per scenario — and every session holds one overlay over it, so a what-if is
+// propagated once however many corners are analysed. The daemon is
+// multi-corner when the engine was built from named scenarios (a -corners
+// list, even of one); core.NewEngine's single unnamed lane is not. Everything
+// "nominal" (top-level wns/tns/changed/slacks, base reads, gradients, commit
+// manifests) is read from its unit-scale lane, which holds bit for bit what a
+// separate single-lane engine would compute (x*1.0 == x).
 //
 // Concurrency model. The base engine's propagated state is the shared
 // snapshot. Session evaluations only read it (their writes land in private
@@ -71,12 +72,8 @@ type Options struct {
 	// TTL is the idle lifetime a Sweep call uses to evict abandoned
 	// sessions. <= 0 selects 5 minutes.
 	TTL time.Duration
-	// Batch, when non-nil, is the engine the manager serves, and turns
-	// multi-corner serving on: each what-if is priced in every scenario by
-	// the session's one cone re-propagation, results carry per-scenario and
-	// merged rows, and commits fold into every lane. It must have a
-	// unit-scale (1/1/1) scenario, which is served as the nominal view. The
-	// manager owns Run/epoch handling; the caller owns Close.
+	// Batch, when non-nil, is served in place of NewManager's engine: the
+	// benchmark harness's way in, deleted with internal/batch (DESIGN.md §9).
 	Batch *batch.Engine
 	// ManifestDir, when non-empty, writes one obs run manifest per session
 	// commit under this directory (WNS/TNS before/after, session id, eco
@@ -115,23 +112,24 @@ type Counters struct {
 
 // Manager owns the base engine and the live session set.
 type Manager struct {
-	ref *refsta.Engine // nil disables resize-form ECOs and pin names
-	opt Options
+	ref     *refsta.Engine // nil disables resize-form ECOs and pin names
+	opt     Options
+	corners []core.Scenario // the served scenarios on a multi-corner server, else nil; fixed
 
 	// mu is the base-state lock: RLock for overlay evaluation, Lock for
-	// anything that mutates the base engine. be (a structural commit replaces
+	// anything that mutates the base engine. eng (a structural commit replaces
 	// it), epoch/baseWNS/baseTNS and the per-scenario base rows are guarded
 	// by it.
 	mu sync.RWMutex
-	// be is the one engine served and nom its unit-scale lane, resolved once.
+	// eng is the one engine served and nom its unit-scale lane, resolved once.
 	// The lane-0 shorthands (Slacks, WNS, Overlay.Slack) are never used here:
 	// lane 0 of {ss,tt,ff} is ss.
-	be      *batch.Engine
+	eng     *core.Engine
 	nom     int
 	epoch   uint64
 	baseWNS float64 // lane nom
 	baseTNS float64
-	baseScn []ScenarioView // committed per-scenario + merged rows; nil unless Options.Batch was given
+	baseScn []ScenarioView // committed per-scenario + merged rows; nil on a single-corner server
 
 	// Structural-ECO state, guarded by mu. topoGen bumps on every structural
 	// commit (the base engine objects are replaced, not just re-annotated);
@@ -171,14 +169,11 @@ type Manager struct {
 	log *slog.Logger
 }
 
-// NewManager serves one initialized engine: opt.Batch when given, else e as a
-// one-scenario view. The manager runs the one-time full evaluation here; the
-// base is frozen afterwards. ref, when non-nil, provides estimate_eco
-// resolution for resize-form ECOs and design names for reports.
-//
-// With opt.Batch set, e may be nil. A non-nil e is still evaluated once, for
-// callers that build overlays on it themselves, and is otherwise left alone:
-// never retained, propagated, committed into or closed.
+// NewManager serves one initialized engine, e — one lane per scenario. The
+// manager runs the one-time full evaluation here; the base is frozen
+// afterwards. ref, when non-nil, provides estimate_eco resolution for
+// resize-form ECOs and design names for reports. With opt.Batch set, opt.Batch
+// is served instead, and e is evaluated once and otherwise left alone.
 //
 // NewManager panics when the served engine has no unit-scale scenario:
 // answering nominal queries from some derated lane would be silently wrong.
@@ -189,44 +184,47 @@ func NewManager(e *core.Engine, ref *refsta.Engine, opt Options) *Manager {
 	if opt.TTL <= 0 {
 		opt.TTL = 5 * time.Minute
 	}
-	be := opt.Batch
-	if be == nil {
-		be = batch.Wrap(e)
-	} else if e != nil {
+	if opt.Batch != nil {
 		e.Run()
+		e = opt.Batch.Engine
 	}
-	nom := be.UnitScenario()
+	nom := core.UnitLane(e.Scenarios())
 	if nom < 0 {
 		panic("server: the served engine has no unit-scale (1/1/1) scenario to read the nominal view from; add one to the scenario list (e.g. tt)")
 	}
-	be.Run()
+	e.Run()
+	if e.HoldEnabled() {
+		e.RefreshHoldSlacks()
+	}
 	m := &Manager{
 		ref:         ref,
-		be:          be,
+		eng:         e,
 		nom:         nom,
 		opt:         opt,
 		sessions:    make(map[string]*Session),
 		relevelHist: obs.NewHistogram(relevelBounds),
 		log:         slog.Default(),
 	}
-	m.slackText.lanes = make([]atomic.Pointer[laneText], be.NumScenarios()+1)
-	m.baseWNS, m.baseTNS = be.WNS(nom), be.TNS(nom)
-	if opt.Batch != nil {
-		m.baseScn = scenarioBaseViews(be)
+	m.slackText.lanes = make([]atomic.Pointer[laneText], e.Lanes()+1)
+	m.baseWNS, m.baseTNS = core.WNS(e.LaneSlacks(nom)), core.TNS(e.LaneSlacks(nom))
+	if e.Scenarios()[0].Name != "" {
+		m.corners = e.Scenarios()
+		m.baseScn = scenarioBaseViews(e)
 	}
 	return m
 }
 
 // scenarioBaseViews snapshots the engine's committed figures: one row per
 // scenario plus a trailing "merged" row (per-endpoint worst corner).
-func scenarioBaseViews(be *batch.Engine) []ScenarioView {
-	v := be.Merged()
-	out := make([]ScenarioView, 0, len(v.PerScenario)+1)
-	for _, m := range v.PerScenario {
-		out = append(out, ScenarioView{Name: m.Name, WNS: m.WNS, TNS: m.TNS, Violations: m.Violations})
+func scenarioBaseViews(e *core.Engine) []ScenarioView {
+	row := func(name string, sl []float64) ScenarioView {
+		return ScenarioView{Name: name, WNS: core.WNS(sl), TNS: core.TNS(sl), Violations: core.Violations(sl)}
 	}
-	out = append(out, ScenarioView{Name: "merged", WNS: v.WNS, TNS: v.TNS, Violations: v.Violations})
-	return out
+	out := make([]ScenarioView, 0, e.Lanes()+1)
+	for s, scn := range e.Scenarios() {
+		out = append(out, row(scn.Name, e.LaneSlacks(s)))
+	}
+	return append(out, row("merged", e.MergedSlacksInto(nil)))
 }
 
 // SetLogger replaces the manager's structured logger (slog.Default() until
@@ -248,22 +246,15 @@ func (m *Manager) debugLog() bool {
 func (m *Manager) Engine() *core.Engine {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.be.Engine
+	return m.eng
 }
 
 // Ref returns the reference engine, or nil.
 func (m *Manager) Ref() *refsta.Engine { return m.ref }
 
-// Batch returns the served engine's scenario view, or nil when the server was
-// started single-corner. Callers must not mutate it outside Exclusive.
-func (m *Manager) Batch() *batch.Engine {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.baseScn == nil {
-		return nil
-	}
-	return m.be
-}
+// Scenarios returns the served scenarios in lane order, or nil on a
+// single-corner server. Callers must not mutate the slice.
+func (m *Manager) Scenarios() []core.Scenario { return m.corners }
 
 // Snapshots returns the snapshot cache, or nil when snapshot saving is
 // disabled.
@@ -287,11 +278,7 @@ func (m *Manager) SaveSnapshot() (path string, size int64, key string, err error
 	key = m.opt.Boot.SnapshotKey
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	var scns []batch.Scenario
-	if m.baseScn != nil {
-		scns = m.be.Scenarios()
-	}
-	path, size, err = c.Store(key, m.be.ExportState(), scns)
+	path, size, err = c.Store(key, m.eng.ExportState(), m.corners)
 	return path, size, key, err
 }
 
@@ -310,8 +297,10 @@ func (m *Manager) laneLocked(name string) (int, error) {
 	case name == "merged":
 		return mergedLane, nil
 	}
-	if s := m.be.ScenarioIndex(name); s >= 0 {
-		return s, nil
+	for s, scn := range m.corners {
+		if scn.Name == name {
+			return s, nil
+		}
 	}
 	return 0, fmt.Errorf("%w: %q", ErrUnknownScenario, name)
 }
@@ -320,7 +309,7 @@ func (m *Manager) laneLocked(name string) (int, error) {
 // view) into dst, growing it only when too small, and patches in the
 // endpoints ov re-derived — the one body behind every full-vector read, base
 // or session. ov may be nil.
-func laneSlacksInto(eng *batch.Engine, ov *batch.Overlay, lane int, dst []float64) []float64 {
+func laneSlacksInto(eng *core.Engine, ov *core.Overlay, lane int, dst []float64) []float64 {
 	var patch []int32
 	if ov != nil {
 		patch = ov.ChangedEndpointsView()
@@ -332,9 +321,9 @@ func laneSlacksInto(eng *batch.Engine, ov *batch.Overlay, lane int, dst []float6
 		}
 		return dst
 	}
-	dst = eng.SlacksInto(lane, dst)
+	dst = append(dst[:0], eng.LaneSlacks(lane)...)
 	for _, ep := range patch {
-		dst[ep] = ov.Slack(lane, ep)
+		dst[ep] = ov.LaneSlack(lane, ep)
 	}
 	return dst
 }
@@ -367,12 +356,12 @@ func (m *Manager) BaseViewInto(scenario string, dst []float64) (BaseView, error)
 		return BaseView{}, err
 	}
 	v := BaseView{
-		Slacks:  laneSlacksInto(m.be, nil, lane, dst),
+		Slacks:  laneSlacksInto(m.eng, nil, lane, dst),
 		WNS:     m.baseWNS,
 		TNS:     m.baseTNS,
 		Epoch:   m.epoch,
 		Corners: append([]ScenarioView(nil), m.baseScn...),
-		Pins:    m.be.Endpoints(),
+		Pins:    m.eng.Endpoints(),
 	}
 	if lane != m.nom {
 		v.WNS, v.TNS = core.WNS(v.Slacks), core.TNS(v.Slacks)
@@ -429,9 +418,9 @@ func (m *Manager) MaxSessions() int { return m.opt.MaxSessions }
 // ErrTooManySessions at the admission cap.
 func (m *Manager) Create() (*Session, error) {
 	// The overlay must bind to the engine of one consistent epoch: hold the
-	// read lock across the reads (a structural commit swaps m.be).
+	// read lock across the reads (a structural commit swaps m.eng).
 	m.mu.RLock()
-	epoch, topoGen, be := m.epoch, m.topoGen, m.be
+	epoch, topoGen, eng := m.epoch, m.topoGen, m.eng
 	m.mu.RUnlock()
 
 	m.smu.Lock()
@@ -444,7 +433,7 @@ func (m *Manager) Create() (*Session, error) {
 	s := &Session{
 		m:       m,
 		ID:      fmt.Sprintf("s%d", m.nextID),
-		ov:      batch.NewOverlay(be),
+		ov:      core.NewOverlay(eng),
 		epoch:   epoch,
 		topoGen: topoGen,
 	}
@@ -520,7 +509,7 @@ func (m *Manager) Close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.ownsBase {
-		m.be.Close()
+		m.eng.Close()
 		m.ownsBase = false
 	}
 }
@@ -546,7 +535,7 @@ func (m *Manager) advanceLocked() *ECOResult {
 	prevScn := m.baseScn
 	m.epoch++
 	m.epochA.Store(m.epoch)
-	m.baseWNS, m.baseTNS = m.be.WNS(m.nom), m.be.TNS(m.nom)
+	m.baseWNS, m.baseTNS = core.WNS(m.eng.LaneSlacks(m.nom)), core.TNS(m.eng.LaneSlacks(m.nom))
 	res := &ECOResult{
 		WNS:       m.baseWNS,
 		TNS:       m.baseTNS,
@@ -554,7 +543,7 @@ func (m *Manager) advanceLocked() *ECOResult {
 		Committed: true,
 	}
 	if prevScn != nil {
-		m.baseScn = scenarioBaseViews(m.be)
+		m.baseScn = scenarioBaseViews(m.eng)
 		res.Scenarios = make([]ScenarioView, len(m.baseScn))
 		for i, v := range m.baseScn {
 			v.DeltaWNS = v.WNS - prevScn[i].WNS
@@ -580,8 +569,8 @@ type StageGrad struct {
 func (m *Manager) Gradients(top int) []StageGrad {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.be.BackwardLane(m.nom, nil)
-	stages := m.be.StageGradients()
+	m.eng.BackwardLane(m.nom, nil)
+	stages := m.eng.StageGradients()
 	// Deterministic ranking: gradient magnitude, cell id on ties.
 	sort.Slice(stages, func(i, j int) bool {
 		if stages[i].Grad != stages[j].Grad {

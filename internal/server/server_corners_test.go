@@ -1,28 +1,46 @@
 package server_test
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
+	"time"
 
-	"insta/internal/batch"
+	"insta/internal/circuitops"
 	"insta/internal/core"
 	"insta/internal/server"
+	"insta/internal/snap"
 )
 
 // newCornerManager builds a manager serving one {ss,tt,ff} scenario engine
-// and returns that engine's scenario view beside it.
-func newCornerManager(t testing.TB, preset string, topK, workers int) (*server.Manager, *batch.Engine) {
+// and returns that engine beside it.
+func newCornerManager(t testing.TB, preset string, topK, workers int) (*server.Manager, *core.Engine) {
 	t.Helper()
 	mgr, _ := newKindManager(t, true, preset, topK, workers, server.Options{})
-	return mgr, mgr.Batch()
+	return mgr, mgr.Engine()
+}
+
+// newScenarioTwin builds an independent {ss,tt,ff} engine on the cached
+// design, closed with the test.
+func newScenarioTwin(t testing.TB, topK int) *core.Engine {
+	t.Helper()
+	twin, err := core.NewEngineScenarios(buildSetup(t, "des").Tab, core.DefaultScenarios(), core.Options{TopK: topK, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(twin.Close)
+	return twin
 }
 
 // TestSpareEngineIsEvaluatedOnceAndLeftAlone: callers that still hand
 // NewManager a single-lane engine next to Options.Batch (the benchmark's
 // set-up builds its own overlays on it) get it fully evaluated, and nothing
-// the manager does afterwards — previews, commits — touches it.
+// the manager does afterwards — previews, commits — touches it. The served
+// engine comes from snap.Snapshot.Batch, the way the benchmark builds it.
 func TestSpareEngineIsEvaluatedOnceAndLeftAlone(t *testing.T) {
 	s := buildSetup(t, "des")
 	opt := core.Options{TopK: 6, Workers: 1}
@@ -31,7 +49,11 @@ func TestSpareEngineIsEvaluatedOnceAndLeftAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	be, err := batch.New(s.Tab, batch.DefaultScenarios(), opt)
+	snp, err := snap.Decode(snap.Encode(e.ExportState(), nil, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	be, err := snp.Batch(core.DefaultScenarios(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +97,6 @@ func TestSpareEngineIsEvaluatedOnceAndLeftAlone(t *testing.T) {
 // nominal deltas.
 func TestServeMultiCornerPreviewMatchesCommit(t *testing.T) {
 	mgr, be := newCornerManager(t, "des", 8, 2)
-	s := buildSetup(t, "des")
 
 	deltas := arcDeltas(mgr.Engine(), 3, 41, 1.25)
 	sess, err := mgr.Create()
@@ -86,7 +107,7 @@ func TestServeMultiCornerPreviewMatchesCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	S := be.NumScenarios()
+	S := be.Lanes()
 	if len(res.Scenarios) != S+1 || res.Scenarios[S].Name != "merged" {
 		t.Fatalf("scenario views malformed: %+v", res.Scenarios)
 	}
@@ -104,26 +125,22 @@ func TestServeMultiCornerPreviewMatchesCommit(t *testing.T) {
 	}
 
 	// Independent batched twin with the same nominal deltas.
-	twin, err := batch.New(s.Tab, batch.DefaultScenarios(), core.Options{TopK: 8, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer twin.Close()
+	twin := newScenarioTwin(t, 8)
 	for _, dl := range deltas {
-		twin.SetArcDelay(dl.ArcID, 0, dl.Delay[0].Mean, dl.Delay[0].Std)
-		twin.SetArcDelay(dl.ArcID, 1, dl.Delay[1].Mean, dl.Delay[1].Std)
+		twin.SetArcDelay(dl.ArcID, 0, dl.Delay[0])
+		twin.SetArcDelay(dl.ArcID, 1, dl.Delay[1])
 	}
 	twin.Run()
 	for sidx := 0; sidx < S; sidx++ {
-		want := twin.Slacks(sidx)
+		want := twin.LaneSlacks(sidx)
 		for i := range want {
 			if previews[sidx][i] != want[i] {
 				t.Fatalf("scenario %d ep %d: preview %v != twin %v", sidx, i, previews[sidx][i], want[i])
 			}
 		}
-		if res.Scenarios[sidx].WNS != twin.WNS(sidx) || res.Scenarios[sidx].TNS != twin.TNS(sidx) {
+		if res.Scenarios[sidx].WNS != core.WNS(want) || res.Scenarios[sidx].TNS != core.TNS(want) {
 			t.Fatalf("scenario %d view WNS/TNS %v/%v != twin %v/%v", sidx,
-				res.Scenarios[sidx].WNS, res.Scenarios[sidx].TNS, twin.WNS(sidx), twin.TNS(sidx))
+				res.Scenarios[sidx].WNS, res.Scenarios[sidx].TNS, core.WNS(want), core.TNS(want))
 		}
 	}
 	tm := twin.Merged()
@@ -145,7 +162,7 @@ func TestServeMultiCornerPreviewMatchesCommit(t *testing.T) {
 		t.Fatalf("annotation commit top-level deltas %v/%v, want 0/0", cres.DeltaWNS, cres.DeltaTNS)
 	}
 	for sidx := 0; sidx < S; sidx++ {
-		got := be.Slacks(sidx)
+		got := be.LaneSlacks(sidx)
 		for i := range got {
 			if got[i] != previews[sidx][i] {
 				t.Fatalf("scenario %d ep %d: committed %v != preview %v", sidx, i, got[i], previews[sidx][i])
@@ -164,7 +181,6 @@ func TestServeMultiCornerPreviewMatchesCommit(t *testing.T) {
 // session's scenario view must rebase to sequential-application semantics.
 func TestServeMultiCornerRebase(t *testing.T) {
 	mgr, be := newCornerManager(t, "des", 6, 2)
-	s := buildSetup(t, "des")
 	e := mgr.Engine()
 
 	dA := arcDeltas(e, 2, 73, 1.2)
@@ -187,22 +203,14 @@ func TestServeMultiCornerRebase(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	twin, err := batch.New(s.Tab, batch.DefaultScenarios(), core.Options{TopK: 6, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer twin.Close()
-	for _, dl := range dA {
-		twin.SetArcDelay(dl.ArcID, 0, dl.Delay[0].Mean, dl.Delay[0].Std)
-		twin.SetArcDelay(dl.ArcID, 1, dl.Delay[1].Mean, dl.Delay[1].Std)
-	}
-	for _, dl := range dB {
-		twin.SetArcDelay(dl.ArcID, 0, dl.Delay[0].Mean, dl.Delay[0].Std)
-		twin.SetArcDelay(dl.ArcID, 1, dl.Delay[1].Mean, dl.Delay[1].Std)
+	twin := newScenarioTwin(t, 6)
+	for _, dl := range append(dA, dB...) {
+		twin.SetArcDelay(dl.ArcID, 0, dl.Delay[0])
+		twin.SetArcDelay(dl.ArcID, 1, dl.Delay[1])
 	}
 	twin.Run()
-	ss := twin.ScenarioIndex("ss")
-	want := twin.Slacks(ss)
+	const ss = 0 // lane 0 of {ss,tt,ff}
+	want := twin.LaneSlacks(ss)
 	for i := range want {
 		if view[i] != want[i] {
 			t.Fatalf("rebased ss ep %d: %v != sequential %v", i, view[i], want[i])
@@ -211,7 +219,7 @@ func TestServeMultiCornerRebase(t *testing.T) {
 	if _, err := b.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	got := be.Slacks(ss)
+	got := be.LaneSlacks(ss)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("committed ss ep %d: %v != sequential %v", i, got[i], want[i])
@@ -293,4 +301,59 @@ func TestServeMultiCornerHTTP(t *testing.T) {
 		t.Fatalf("single-corner scenario query: %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestMultiCornerRule pins which daemons serve corners: one started with
+// -corners — even a one-scenario -corners tt, whose engine has a single lane
+// — answers with corners and scenarios sections; one started without, over
+// core.NewEngineFromState's single lane, answers with neither. Both
+// transcripts are held byte for byte to testdata/corners_rule.golden, which
+// was recorded before the scenario engine moved into core (re-record with
+// -update only when the wire format is meant to change).
+func TestMultiCornerRule(t *testing.T) {
+	var out bytes.Buffer
+	for _, kind := range []struct {
+		name    string
+		args    []string
+		corners bool
+	}{{"plain", nil, false}, {"corners-tt", []string{"-corners", "tt"}, true}} {
+		d, bt, _ := bootDaemon(t, kind.args...)
+		mgr := d.Manager()
+		if got := mgr.Engine().Lanes(); got != 1 {
+			t.Fatalf("%s: %d lanes, want 1", kind.name, got)
+		}
+		w := &wireTranscript{t: t, h: server.New(mgr, "des").Handler(), out: &out}
+		k := kind.name
+		var bodies [][]byte
+		bodies = append(bodies, w.do(k, "GET", "/healthz", nil))
+		bodies = append(bodies, w.do(k, "GET", "/slacks?worst=2", nil))
+		w.do(k, "GET", "/slacks?scenario=tt&worst=1", nil)
+		w.do(k, "GET", "/slacks?scenario=merged", nil)
+		w.do(k, "POST", "/session", nil)
+		// Slow an arc into the worst endpoint: the ECO moves WNS.
+		base, worst := mgr.BaseSlacks(), 0
+		for i, sl := range base {
+			if sl < base[worst] {
+				worst = i
+			}
+		}
+		pin := mgr.Engine().Endpoints()[worst]
+		arc := slices.IndexFunc(bt.Tab.Arcs, func(a circuitops.ArcRow) bool { return a.To == pin })
+		eco := server.ECORequest{Arcs: []server.ArcECO{shiftArc(mgr.Engine(), int32(arc), 30)}}
+		bodies = append(bodies, w.do(k, "POST", "/session/s1/eco", eco))
+		bodies = append(bodies, w.do(k, "GET", "/session/s1", nil))
+		bodies = append(bodies, w.do(k, "POST", "/session/s1/commit", nil))
+		bodies = append(bodies, w.do(k, "GET", "/slacks?worst=1", nil))
+		for _, b := range bodies {
+			if has := bytes.Contains(b, []byte(`"corners"`)) || bytes.Contains(b, []byte(`"scenarios"`)); has != kind.corners {
+				t.Errorf("%s: corner sections present = %v, want %v in %s", k, has, kind.corners, b)
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		if err := d.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+	}
+	compareGolden(t, "corners_rule.golden", out.Bytes())
 }

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"insta/internal/batch"
 	"insta/internal/bench"
 	"insta/internal/core"
 	"insta/internal/exp"
@@ -84,13 +83,12 @@ func newKindManager(t testing.TB, corners bool, preset string, topK, workers int
 		return newTestManager(t, preset, topK, workers, mopt)
 	}
 	s := buildSetup(t, preset)
-	be, err := batch.New(s.Tab, batch.DefaultScenarios(), core.Options{TopK: topK, Workers: workers, Tau: 0.05})
+	be, err := core.NewEngineScenarios(s.Tab, core.DefaultScenarios(), core.Options{TopK: topK, Workers: workers, Tau: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(be.Close)
-	mopt.Batch = be
-	return server.NewManager(nil, s.Ref, mopt), s
+	return server.NewManager(be, s.Ref, mopt), s
 }
 
 // resizeECOs converts a deterministic changelist into resize-form ECO
@@ -312,13 +310,13 @@ func TestServeECONeverFullPropagates(t *testing.T) {
 			var mgr *server.Manager
 			var stats *sched.Stats
 			if kind.corners {
-				be, err := batch.New(s.Tab, batch.DefaultScenarios(), opt)
+				be, err := core.NewEngineScenarios(s.Tab, core.DefaultScenarios(), opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer be.Close()
 				stats = be.EnableKernelStats()
-				mgr = server.NewManager(nil, s.Ref, server.Options{Batch: be})
+				mgr = server.NewManager(be, s.Ref, server.Options{})
 			} else {
 				e, err := core.NewEngine(s.Tab, opt)
 				if err != nil {

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"insta/internal/batch"
 	"insta/internal/core"
 	"insta/internal/netlist"
 	"insta/internal/num"
@@ -97,11 +96,10 @@ type Session struct {
 	lastUsed atomic.Int64 // unix nanos of the last touch
 
 	mu      sync.Mutex
-	ov      *batch.Overlay // the one copy-on-write view, every lane of the base
+	ov      *core.Overlay // the one copy-on-write view, every lane of the base
 	epoch   uint64
 	topoGen uint64           // structural generation the overlay binds to
 	ts      *topo.Session    // non-nil once the session holds structural edits
-	tsView  *batch.Engine    // scenario view of ts's working engine (workingLocked)
 	resizes []resolvedResize // netlist changes to replay on commit
 	moves   []resolvedMove
 	closed  bool
@@ -152,9 +150,15 @@ func jsonSlack(v float64) float64 {
 // figures is what a view's per-lane WNS/TNS are read from: a session's
 // overlay, or the working engine of one holding structural edits.
 type figures interface {
-	WNS(s int) float64
-	TNS(s int) float64
+	LaneWNS(s int) float64
+	LaneTNS(s int) float64
 }
+
+// engineFigures reads an engine's per-lane figures from its cached slacks.
+type engineFigures struct{ e *core.Engine }
+
+func (f engineFigures) LaneWNS(s int) float64 { return core.WNS(f.e.LaneSlacks(s)) }
+func (f engineFigures) LaneTNS(s int) float64 { return core.TNS(f.e.LaneSlacks(s)) }
 
 // scenarioRowsLocked prices src in every corner: one row per scenario with
 // ΔWNS/ΔTNS against that scenario's committed base, plus the merged row,
@@ -164,7 +168,7 @@ func (m *Manager) scenarioRowsLocked(src figures, mergedWNS, mergedTNS float64) 
 	for i, b := range m.baseScn {
 		wns, tns := mergedWNS, mergedTNS
 		if b.Name != "merged" {
-			wns, tns = src.WNS(i), src.TNS(i)
+			wns, tns = src.LaneWNS(i), src.LaneTNS(i)
 		}
 		out[i] = ScenarioView{
 			Name:     b.Name,
@@ -175,16 +179,6 @@ func (m *Manager) scenarioRowsLocked(src figures, mergedWNS, mergedTNS float64) 
 		}
 	}
 	return out
-}
-
-// workingLocked returns the scenario view of the structural working engine,
-// rebuilt only when an edit replaced that engine. Caller holds s.mu, with
-// s.ts non-nil.
-func (s *Session) workingLocked() *batch.Engine {
-	if c := s.ts.Engine(); s.tsView == nil || s.tsView.Engine != c {
-		s.tsView = s.m.be.Over(c)
-	}
-	return s.tsView
 }
 
 // resultLocked builds the session's current view: the nominal lane's figures
@@ -202,15 +196,15 @@ func (s *Session) resultLocked() *ECOResult {
 	var src figures
 	var mergedWNS, mergedTNS float64
 	if s.ts != nil {
-		eng, st := s.workingLocked(), s.ts.Stats()
-		src = eng
+		eng, st := s.ts.Engine(), s.ts.Stats()
+		src = engineFigures{eng}
 		if m.baseScn != nil {
 			merged := eng.MergedSlacksInto(nil)
 			mergedWNS, mergedTNS = core.WNS(merged), core.TNS(merged)
 		}
 		res.TouchedArcs = st.Inserted*2 + st.Removed*2 + st.Annotated
 		res.OverlayPins = st.Relevel.Region
-		base := m.be.LaneSlacks(m.nom)
+		base := m.eng.LaneSlacks(m.nom)
 		for i, sl := range eng.LaneSlacks(m.nom) {
 			if sl != base[i] {
 				res.Changed = append(res.Changed, m.endpointSlackLocked(i, sl))
@@ -227,10 +221,10 @@ func (s *Session) resultLocked() *ECOResult {
 		changed := s.ov.ChangedEndpointsView()
 		res.Changed = make([]EndpointSlack, 0, len(changed))
 		for _, ep := range changed {
-			res.Changed = append(res.Changed, m.endpointSlackLocked(int(ep), s.ov.Slack(m.nom, ep)))
+			res.Changed = append(res.Changed, m.endpointSlackLocked(int(ep), s.ov.LaneSlack(m.nom, ep)))
 		}
 	}
-	res.WNS, res.TNS = src.WNS(m.nom), src.TNS(m.nom)
+	res.WNS, res.TNS = src.LaneWNS(m.nom), src.LaneTNS(m.nom)
 	res.DeltaWNS = res.WNS - m.baseWNS
 	res.DeltaTNS = res.TNS - m.baseTNS
 	if m.baseScn != nil {
@@ -245,10 +239,10 @@ func (m *Manager) endpointSlackLocked(ep int, slack float64) EndpointSlack {
 	es := EndpointSlack{
 		Endpoint: ep,
 		Slack:    jsonSlack(slack),
-		Base:     jsonSlack(m.be.LaneSlacks(m.nom)[ep]),
+		Base:     jsonSlack(m.eng.LaneSlacks(m.nom)[ep]),
 	}
 	if m.ref != nil {
-		es.Pin = m.ref.D.Pins[m.be.Endpoints()[ep]].Name
+		es.Pin = m.ref.D.Pins[m.eng.Endpoints()[ep]].Name
 	}
 	return es
 }
@@ -256,8 +250,8 @@ func (m *Manager) endpointSlackLocked(ep int, slack float64) EndpointSlack {
 // applyArcLocked records one arc re-annotation in the overlay, in nominal
 // units; every lane sees it through its scale factors.
 func (s *Session) applyArcLocked(arc int32, rise, fall num.Dist) {
-	s.ov.Overlay.SetArcDelay(arc, 0, rise)
-	s.ov.Overlay.SetArcDelay(arc, 1, fall)
+	s.ov.SetArcDelay(arc, 0, rise)
+	s.ov.SetArcDelay(arc, 1, fall)
 }
 
 // checkDelay rejects arc delays no timing engine can propagate: a non-finite
@@ -282,7 +276,7 @@ func (s *Session) arcLimitLocked() int {
 	if s.ts != nil {
 		return len(s.ts.Tables().Arcs)
 	}
-	return s.m.be.NumArcs()
+	return s.m.eng.NumArcs()
 }
 
 // evalLocked is the protocol every session evaluation follows: take the
@@ -478,9 +472,9 @@ func (s *Session) scenarioSlacksInto(name string, dst []float64) (_ []float64, l
 			return err
 		}
 		if s.ts != nil {
-			dst = laneSlacksInto(s.workingLocked(), nil, lane, dst)
+			dst = laneSlacksInto(s.ts.Engine(), nil, lane, dst)
 		} else {
-			dst = laneSlacksInto(m.be, s.ov, lane, dst)
+			dst = laneSlacksInto(m.eng, s.ov, lane, dst)
 		}
 		return nil
 	})
@@ -551,7 +545,7 @@ func (s *Session) replayNetlistLocked() {
 func (s *Session) discardLocked() {
 	if s.ts != nil {
 		s.ts.Close()
-		s.ts, s.tsView = nil, nil
+		s.ts = nil
 	}
 	s.ov.Reset()
 	s.resizes, s.moves = s.resizes[:0], s.moves[:0]
@@ -576,22 +570,20 @@ func (s *Session) finishCommitLocked(t0 time.Time, extra map[string]any) *ECORes
 		Design:    m.opt.Design,
 		StartedAt: t0,
 		WallMS:    float64(time.Since(t0).Nanoseconds()) / 1e6,
-		Pins:      m.be.NumPins(),
-		Arcs:      m.be.NumArcs(),
-		Endpoints: len(m.be.Endpoints()),
-		Levels:    m.be.NumLevels(),
-		TopK:      m.be.TopK(),
-		Workers:   m.be.Pool().Workers(),
+		Pins:      m.eng.NumPins(),
+		Arcs:      m.eng.NumArcs(),
+		Endpoints: len(m.eng.Endpoints()),
+		Levels:    m.eng.NumLevels(),
+		TopK:      m.eng.TopK(),
+		Workers:   m.eng.Pool().Workers(),
 		WNSBefore: prevWNS,
 		TNSBefore: prevTNS,
 		WNSAfter:  res.WNS,
 		TNSAfter:  res.TNS,
 		Extra:     extra,
 	}
-	if m.baseScn != nil {
-		for _, scn := range m.be.Scenarios() {
-			man.Scenarios = append(man.Scenarios, scn.Name)
-		}
+	for _, scn := range m.corners {
+		man.Scenarios = append(man.Scenarios, scn.Name)
 	}
 	man.AddExtra("session", s.ID)
 	man.AddExtra("epoch", m.epoch)

@@ -54,7 +54,7 @@ func (m *Manager) laneText(lane, n int) *laneText {
 		return t
 	}
 	m.mu.RLock()
-	epoch, topoGen, base := m.epoch, m.topoGen, laneSlacksInto(m.be, nil, lane, nil)
+	epoch, topoGen, base := m.epoch, m.topoGen, laneSlacksInto(m.eng, nil, lane, nil)
 	m.mu.RUnlock()
 	t := renderLaneText(base)
 	t.epoch, t.topoGen = epoch, topoGen

@@ -115,7 +115,7 @@ type resolvedMove struct {
 // structural commit replaced it; recorded deltas keep their arc ids. Caller
 // holds s.mu and at least m.mu.RLock.
 func (s *Session) rebindLocked() {
-	s.ov.RebaseStructural(s.m.be.Engine)
+	s.ov.RebaseStructural(s.m.eng)
 	s.topoGen = s.m.topoGen
 }
 
@@ -265,10 +265,10 @@ func (s *Session) applyTopoLocked(req TopoRequest) (*TopoResult, error) {
 	// The session adopts a new working set only once its first batch is in.
 	ts := s.ts
 	if ts == nil {
-		if ts, err = topo.NewSession(m.be.Engine); err != nil {
+		if ts, err = topo.NewSession(m.eng); err != nil {
 			return nil, err
 		}
-		ts.SetTracer(m.be.Tracer())
+		ts.SetTracer(m.eng.Tracer())
 	}
 	res, err := ts.Apply(r.ops)
 	if err != nil {
@@ -314,7 +314,7 @@ func (s *Session) applyTopoLocked(req TopoRequest) (*TopoResult, error) {
 // in-flight evaluation has drained).
 func (s *Session) commitStructuralLocked(t0 time.Time) (*ECOResult, error) {
 	m := s.m
-	sp := m.be.Tracer().StartArg("structural-commit", "edits", int64(s.ts.Stats().Edits))
+	sp := m.eng.Tracer().StartArg("structural-commit", "edits", int64(s.ts.Stats().Edits))
 	defer sp.End()
 	if s.epoch != m.epoch {
 		// Someone committed after this session's last edit; the working set
@@ -327,8 +327,8 @@ func (s *Session) commitStructuralLocked(t0 time.Time) (*ECOResult, error) {
 		return nil, err
 	}
 	prevWNS, prevTNS := m.baseWNS, m.baseTNS
-	old := m.be
-	m.be = old.Over(d.Engine)
+	old := m.eng
+	m.eng = d.Engine
 	if m.ownsBase {
 		// An engine installed by an earlier structural commit: nothing else
 		// can reference it once every overlay rebases, and Close only stops
@@ -344,7 +344,7 @@ func (s *Session) commitStructuralLocked(t0 time.Time) (*ECOResult, error) {
 	// holds no overlay deltas (structural sessions reject them), so the
 	// rebase is a pure re-point.
 	s.rebindLocked()
-	s.ts, s.tsView = nil, nil // detached: the manager owns the working set now
+	s.ts = nil // detached: the manager owns the working set now
 	res := s.finishCommitLocked(t0, map[string]any{
 		"structural": true,
 		"inserted":   d.Stats.Inserted,

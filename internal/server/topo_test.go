@@ -15,7 +15,6 @@ import (
 	"strings"
 	"testing"
 
-	"insta/internal/batch"
 	"insta/internal/bench"
 	"insta/internal/core"
 	"insta/internal/exp"
@@ -444,12 +443,12 @@ func TestUnbufferCommitRebasesAnnotationSessions(t *testing.T) {
 		t.Fatalf("rebased session at epoch %d with %d deltas, want epoch %d with %d", res.Epoch, res.TouchedArcs, mgr.Epoch(), len(deltas))
 	}
 
-	cold, err := batch.New(mgr.Engine().ExportState().Tables(), batch.DefaultScenarios(), core.Options{TopK: 8, Workers: 2, Tau: 0.05})
+	cold, err := core.NewEngineScenarios(mgr.Engine().ExportState().Tables(), core.DefaultScenarios(), core.Options{TopK: 8, Workers: 2, Tau: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cold.Close()
-	coldMgr := server.NewManager(nil, nil, server.Options{Batch: cold})
+	coldMgr := server.NewManager(cold, nil, server.Options{})
 	sCold, err := coldMgr.Create()
 	if err != nil {
 		t.Fatal(err)
@@ -566,12 +565,12 @@ func TestStructuralECOLastDelayWins(t *testing.T) {
 		t.Fatalf("ECO naming arc %d twice and resize arc %d again: %v", twice, overlap, err)
 	}
 
-	cold, err := batch.New(want, batch.DefaultScenarios(), core.Options{TopK: 8, Workers: 2, Tau: 0.05})
+	cold, err := core.NewEngineScenarios(want, core.DefaultScenarios(), core.Options{TopK: 8, Workers: 2, Tau: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cold.Close()
-	coldMgr := server.NewManager(nil, nil, server.Options{Batch: cold})
+	coldMgr := server.NewManager(cold, nil, server.Options{})
 	for _, lane := range []string{"", "ss", "tt", "ff", "merged"} {
 		got, err := sess.ScenarioSlacks(lane)
 		if err != nil {

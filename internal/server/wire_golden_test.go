@@ -27,7 +27,6 @@ import (
 	"testing"
 	"time"
 
-	"insta/internal/batch"
 	"insta/internal/bench"
 	"insta/internal/core"
 	"insta/internal/exp"
@@ -193,18 +192,14 @@ func TestWireGolden(t *testing.T) {
 		}
 		var e *core.Engine
 		if kind.corners {
-			be, err := batch.New(s.Tab, batch.DefaultScenarios(), opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(be.Close)
-			mopt.Batch = be
+			e, err = core.NewEngineScenarios(s.Tab, core.DefaultScenarios(), opt)
 		} else {
-			if e, err = core.NewEngine(s.Tab, opt); err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(e.Close)
+			e, err = core.NewEngine(s.Tab, opt)
 		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(e.Close)
 		mgr := server.NewManager(e, s.Ref, mopt)
 		t.Cleanup(mgr.Close)
 		e = mgr.Engine()

@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"insta/internal/batch"
 	"insta/internal/bench"
 	"insta/internal/core"
 	"insta/internal/obs"
@@ -101,7 +100,7 @@ func (c *Cache) Load(key string) (*Snapshot, error) {
 // Store serializes st (plus optional scenarios) under key — atomically, via
 // a temp file in the cache directory and a rename — then enforces the byte
 // bound. Returns the final path and encoded size.
-func (c *Cache) Store(key string, st *core.State, scns []batch.Scenario) (string, int64, error) {
+func (c *Cache) Store(key string, st *core.State, scns []core.Scenario) (string, int64, error) {
 	return c.StoreBytes(key, Encode(st, scns, key))
 }
 

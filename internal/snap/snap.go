@@ -2,12 +2,13 @@
 // a versioned, sectioned, checksummed binary container for the fully
 // compiled timing state (core.State — levelized topology, SoA arc
 // annotations, SP/EP attributes, clock arrival distributions, exception
-// rows, fan-out CSR) plus the scenario derate blocks of a batched analysis.
-// A snapshot reconstructs a ready-to-propagate core.Engine or batch.Engine
-// without touching the original sources: no parsing, no reference signoff,
-// no extraction, no levelization — boot from disk in milliseconds where the
-// cold path takes seconds (see DESIGN.md §11; the benchmark's snap.load_ms
-// rung against refsta.new_ms + circuitops.extract_ms + core.compile_ms).
+// rows, fan-out CSR) plus the scenario list of a multi-corner analysis.
+// A snapshot reconstructs a ready-to-propagate core.Engine — one lane per
+// recorded scenario, or the single nominal lane — without touching the
+// original sources: no parsing, no reference signoff, no extraction, no
+// levelization — boot from disk in milliseconds where the cold path takes
+// seconds (see DESIGN.md §11; the benchmark's snap.load_ms rung against
+// refsta.new_ms + circuitops.extract_ms + core.compile_ms).
 //
 // File layout (all integers little-endian):
 //
@@ -87,7 +88,7 @@ func corruptf(format string, args ...any) error {
 // key it was stored under ("" when written outside a Cache).
 type Snapshot struct {
 	State     *core.State
-	Scenarios []batch.Scenario
+	Scenarios []core.Scenario
 	Key       string
 	Bytes     int64 // encoded size
 
@@ -112,12 +113,9 @@ func (s *Snapshot) Engine(opt core.Options) (*core.Engine, error) {
 	return core.NewEngineFromState(s.State, opt)
 }
 
-// Batch stands up a scenario-batched engine over the snapshot. A nil scns
-// uses the scenario list recorded at write time.
-func (s *Snapshot) Batch(scns []batch.Scenario, opt core.Options) (*batch.Engine, error) {
-	if scns == nil {
-		scns = s.Scenarios
-	}
+// Batch stands up the benchmark harness's engine over the snapshot, one lane
+// per scenario (core.NewEngineLanes); deleted with internal/batch.
+func (s *Snapshot) Batch(scns []core.Scenario, opt core.Options) (*batch.Engine, error) {
 	return batch.NewFromState(s.State, scns, opt)
 }
 
@@ -192,7 +190,7 @@ func appendString(dst []byte, s string) []byte {
 
 // Encode serializes the compiled state (plus an optional scenario list and
 // cache key) into the snapshot byte format.
-func Encode(st *core.State, scns []batch.Scenario, key string) []byte {
+func Encode(st *core.State, scns []core.Scenario, key string) []byte {
 	return EncodeExtra(st, scns, key, nil)
 }
 
@@ -200,7 +198,7 @@ func Encode(st *core.State, scns []batch.Scenario, key string) []byte {
 // the scenario section and before the state slabs — the position Decode
 // captures them from, so Decode→EncodeExtra round-trips a canonical file
 // byte-identically even when this reader has no schema for those sections.
-func EncodeExtra(st *core.State, scns []batch.Scenario, key string, extra []ExtraSection) []byte {
+func EncodeExtra(st *core.State, scns []core.Scenario, key string, extra []ExtraSection) []byte {
 	slabs := stateSlabs(st)
 
 	// Meta section.
@@ -279,7 +277,7 @@ func EncodeExtra(st *core.State, scns []batch.Scenario, key string, extra []Extr
 
 // Write serializes st (plus optional scenarios and cache key) to w,
 // returning the byte count.
-func Write(w io.Writer, st *core.State, scns []batch.Scenario, key string) (int64, error) {
+func Write(w io.Writer, st *core.State, scns []core.Scenario, key string) (int64, error) {
 	n, err := w.Write(Encode(st, scns, key))
 	return int64(n), err
 }
@@ -364,7 +362,7 @@ func Decode(buf []byte) (*Snapshot, error) {
 			n := binary.LittleEndian.Uint32(payload)
 			rest := payload[4:]
 			for j := uint32(0); j < n; j++ {
-				var s batch.Scenario
+				var s core.Scenario
 				var err error
 				if s.Name, rest, err = readString(rest); err != nil {
 					return nil, err

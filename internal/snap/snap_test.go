@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"insta/internal/batch"
 	"insta/internal/bench"
 	"insta/internal/circuitops"
 	"insta/internal/core"
@@ -43,7 +42,7 @@ func compileState(t testing.TB, seed int64) *core.State {
 	return st
 }
 
-var testScenarios = []batch.Scenario{
+var testScenarios = []core.Scenario{
 	{Name: "ss", DelayScale: 1.18, SigmaScale: 1.25, RCScale: 1.10},
 	{Name: "tt", DelayScale: 1.00, SigmaScale: 1.00, RCScale: 1.00},
 	{Name: "ff", DelayScale: 0.86, SigmaScale: 0.90, RCScale: 0.92},
@@ -145,25 +144,25 @@ func TestWarmColdBitIdentical(t *testing.T) {
 			warm.Close()
 
 			// Scenario-batched path (S=3).
-			bcold, err := batch.New(tab, testScenarios, opt)
+			bcold, err := core.NewEngineScenarios(tab, testScenarios, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bwarm, err := s.Batch(nil, opt)
+			bwarm, err := core.NewEngineLanes(s.State, s.Scenarios, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			bcold.Run()
 			bwarm.Run()
 			for sc := range testScenarios {
-				cs, ws := bcold.Slacks(sc), bwarm.Slacks(sc)
+				cs, ws := bcold.LaneSlacks(sc), bwarm.LaneSlacks(sc)
 				for i := range cs {
 					if cs[i] != ws[i] {
 						t.Fatalf("seed %d workers %d scenario %d ep %d: batched warm slack %v != cold %v",
 							seed, workers, sc, i, ws[i], cs[i])
 					}
 				}
-				if bcold.WNS(sc) != bwarm.WNS(sc) || bcold.TNS(sc) != bwarm.TNS(sc) {
+				if core.WNS(cs) != core.WNS(ws) || core.TNS(cs) != core.TNS(ws) {
 					t.Fatalf("seed %d workers %d scenario %d: batched WNS/TNS mismatch", seed, workers, sc)
 				}
 			}
@@ -240,18 +239,18 @@ func TestWarmColdBitIdenticalPresets(t *testing.T) {
 		cold.Close()
 		warm.Close()
 
-		bcold, err := batch.New(tab, testScenarios, opt)
+		bcold, err := core.NewEngineScenarios(tab, testScenarios, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bwarm, err := s.Batch(nil, opt)
+		bwarm, err := core.NewEngineLanes(s.State, s.Scenarios, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bcold.Run()
 		bwarm.Run()
 		for sc := range testScenarios {
-			cs, ws := bcold.Slacks(sc), bwarm.Slacks(sc)
+			cs, ws := bcold.LaneSlacks(sc), bwarm.LaneSlacks(sc)
 			for i := range cs {
 				if cs[i] != ws[i] {
 					t.Fatalf("%s scenario %d ep %d: batched warm slack mismatch", tc.name, sc, i)

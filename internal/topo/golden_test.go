@@ -21,7 +21,6 @@ import (
 	"math"
 	"testing"
 
-	"insta/internal/batch"
 	"insta/internal/core"
 	"insta/internal/num"
 )
@@ -140,12 +139,13 @@ func TestGoldenDigests(t *testing.T) {
 	for _, seed := range []int64{41, 42, 43} {
 		tab := buildTables(t, seed)
 		opt := core.Options{TopK: 8, Hold: true, Workers: 2}
-		base, err := batch.New(tab, batch.DefaultScenarios(), opt)
+		base, err := core.NewEngineScenarios(tab, core.DefaultScenarios(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		base.Run()
-		s, err := NewSession(base.Engine)
+		base.RefreshHoldSlacks()
+		s, err := NewSession(base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,10 +198,10 @@ func TestGoldenDigests(t *testing.T) {
 				ins := g.insertOp(n)
 				apply(ins, Annotate(c, g.scaled(c)), g.removeOp(b))
 			}
-			got := base.Over(s.Engine())
-			for sc := 0; sc < got.NumScenarios(); sc++ {
-				h.floats(got.Slacks(sc)...)
-				h.floats(got.HoldSlacks(sc)...)
+			got := s.Engine()
+			for sc := 0; sc < got.Lanes(); sc++ {
+				h.floats(got.LaneSlacks(sc)...)
+				h.floats(got.LaneHoldSlacks(sc)...)
 			}
 		}
 		t.Logf("seed %d: %d inserts, %d unbuffers, %d annotations, digest %#x",

@@ -6,8 +6,8 @@ package topo
 // timing gradients — to a cold core.Compile + NewEngineFromState + Run over
 // the session's working tables, at any worker count (ci.sh runs this package
 // under -race as well). A session over a scenario engine is held to the same
-// standard per lane against a cold batch.New, and its unit lane against a cold
-// single-lane engine.
+// standard per lane against a cold core.NewEngineScenarios, and its unit lane
+// against a cold single-lane engine.
 
 import (
 	"math"
@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"insta/internal/batch"
 	"insta/internal/bench"
 	"insta/internal/circuitops"
 	"insta/internal/core"
@@ -269,20 +268,22 @@ func TestMixedBatchWithAnnotateOps(t *testing.T) {
 
 // TestBatchedEngineDifferential: the one working engine of a session opened
 // over a scenario engine stays, through insert / remove / annotate batches,
-// bit-identical in every lane to a cold batch.New over the working tables —
+// bit-identical in every lane to a cold core.NewEngineScenarios over the
+// working tables —
 // and its unit lane (tt) to a cold single-lane engine, the figure a daemon
 // serves as nominal.
 func TestBatchedEngineDifferential(t *testing.T) {
 	tab := buildTables(t, 35)
-	scns := batch.DefaultScenarios()
+	scns := core.DefaultScenarios()
 	for _, workers := range []int{1, 4} {
 		opt := core.Options{TopK: 8, Hold: true, Workers: workers}
-		bbase, err := batch.New(tab, scns, opt)
+		bbase, err := core.NewEngineScenarios(tab, scns, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bbase.Run()
-		s, err := NewSession(bbase.Engine)
+		bbase.RefreshHoldSlacks()
+		s, err := NewSession(bbase)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,21 +291,22 @@ func TestBatchedEngineDifferential(t *testing.T) {
 			t.Helper()
 			// Per-scenario bit-identity against a cold batched engine over
 			// the session's working tables.
-			cold, err := batch.New(s.Tables(), scns, opt)
+			cold, err := core.NewEngineScenarios(s.Tables(), scns, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer cold.Close()
 			cold.Run()
-			got := bbase.Over(s.Engine())
+			cold.RefreshHoldSlacks()
+			got := s.Engine()
 			for sc := range scns {
-				gs, ws := got.Slacks(sc), cold.Slacks(sc)
+				gs, ws := got.LaneSlacks(sc), cold.LaneSlacks(sc)
 				for i := range ws {
 					if gs[i] != ws[i] {
 						t.Fatalf("%s workers=%d scenario %d ep %d: %v != cold %v", tag, workers, sc, i, gs[i], ws[i])
 					}
 				}
-				gh, wh := got.HoldSlacks(sc), cold.HoldSlacks(sc)
+				gh, wh := got.LaneHoldSlacks(sc), cold.LaneHoldSlacks(sc)
 				for i := range wh {
 					if gh[i] != wh[i] {
 						t.Fatalf("%s workers=%d scenario %d ep %d: hold %v != cold %v", tag, workers, sc, i, gh[i], wh[i])
@@ -313,7 +315,7 @@ func TestBatchedEngineDifferential(t *testing.T) {
 			}
 			nominal := mustEngine(t, s.Tables(), opt)
 			defer nominal.Close()
-			tt := got.Slacks(got.UnitScenario())
+			tt := got.LaneSlacks(core.UnitLane(got.Scenarios()))
 			for i, w := range nominal.Slacks() {
 				if tt[i] != w {
 					t.Fatalf("%s workers=%d ep %d: unit lane %v != cold single-lane %v", tag, workers, i, tt[i], w)
@@ -327,7 +329,7 @@ func TestBatchedEngineDifferential(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if s.Engine() == bbase.Engine {
+		if s.Engine() == bbase {
 			t.Fatal("apply did not create a working engine")
 		}
 		check("insert")
