@@ -15,9 +15,12 @@
 //     work, queued up to Options.AdmissionWait and then refused with
 //     503 + Retry-After — on a loaded box this converts the kernel's
 //     processor-sharing queueing (every request slow) into FIFO-like
-//     queueing (most requests fast, tail bounded), which is where the
-//     fleet's p99 win comes from on few-core hosts (fleet.queue_wait_* and
-//     fleet.admission_timeouts in the benchmark's traced pass);
+//     queueing (most requests fast, tail bounded). That it wins the fleet
+//     p99 under contention is unmeasured: the claim was dropped when the
+//     harness that showed it was retired, and no workload of the benchmark
+//     drives a daemon with concurrent clients yet (fleet.queue_wait_* and
+//     fleet.admission_timeouts in its traced pass show the queue, not a
+//     win);
 //   - hedged idempotent reads: a second attempt to a different replica
 //     after a p95-derived delay, first response wins (hedge.go);
 //   - bounded retry with backoff on connection errors (proxy.go);

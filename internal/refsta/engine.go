@@ -5,6 +5,11 @@
 // slack/WNS/TNS computation with timing exceptions, incremental
 // update-timing, and estimate_eco-style local delay estimation.
 //
+// New runs delay calculation only. The exact arrival lists and the slacks
+// over them are a cache: the first method that reads them builds them in one
+// level-parallel sweep, incremental updates maintain them only once they
+// exist, and UpdateTimingFull rebuilds them eagerly.
+//
 // INSTA (internal/core) initializes from this engine via the circuitops
 // extraction and is validated against its endpoint slacks, exactly as the
 // paper validates against PrimeTime (Table I, Figs. 6-8).
@@ -13,6 +18,8 @@ package refsta
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"insta/internal/levelize"
 	"insta/internal/liberty"
@@ -88,15 +95,21 @@ type Engine struct {
 	EPSetup [][2]float64 // setup requirement per EP per data transition
 	EPNode  []int32      // capture clock node per EP
 
-	// Per-pin analysis state.
+	// Per-pin delay state: what New computes and extraction reads.
 	load    []float64    // capacitive load seen by each driver pin, fF
 	sinkCap []float64    // pinCap of each net sink as of the last computeLoads, fF
 	slew    [2][]float64 // worst transition per pin per rf, ps
-	arr     [2][][]spArr // exact SP-resolved arrivals per pin per rf, sorted by sp
 	isSP    []bool
 	spOfPin []int32 // SP index for source pins, -1 otherwise
 
-	epSlack []float64 // per EP, +Inf when fully excepted/unreached
+	// Arrival state: a cache over the delay state, built by the first reader
+	// (arrivals) or by UpdateTimingFull, and maintained by incremental
+	// updates only once built. The lists are nil until then.
+	arr           [2][][]spArr // exact SP-resolved arrivals per pin per rf, sorted by sp
+	epSlack       []float64    // per EP, +Inf when fully excepted/unreached
+	listed        atomic.Bool  // arr, arrMin, epSlack and epHoldSlack are current
+	listMu        sync.Mutex   // serializes the first readers' build
+	arrivalSweeps int          // arrival sweeps run so far
 
 	// Hold analysis state (nil until EnableHoldAnalysis).
 	arrMin      [2][][]spArr // early SP-resolved arrivals
@@ -110,7 +123,8 @@ type Engine struct {
 }
 
 // New builds an engine: constructs the timing graph, levelizes it, computes
-// loads, and runs a full timing update.
+// loads, and runs delay calculation — every arc delay and worst slew. The
+// arrival lists and slacks are left to their first reader.
 func New(d *netlist.Design, lib *liberty.Library, con *sdc.Constraints, par *rc.Parasitics, cfg Config) (*Engine, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -138,10 +152,12 @@ func New(d *netlist.Design, lib *liberty.Library, con *sdc.Constraints, par *rc.
 	e.sinkCap = make([]float64, n)
 	e.slew[0] = make([]float64, n)
 	e.slew[1] = make([]float64, n)
-	e.arr[0] = make([][]spArr, n)
-	e.arr[1] = make([][]spArr, n)
 	e.epSlack = make([]float64, len(e.EPs))
-	e.UpdateTimingFull()
+	e.computeLoads()
+	pool := newPool()
+	defer pool.Close()
+	e.sweepDelays(pool)
+	e.LastFullUpdate = true
 	return e, nil
 }
 

@@ -23,14 +23,12 @@ import (
 
 // enableHold turns on early-arrival propagation. It must be called before
 // the next UpdateTimingFull; New-created engines have it off so the setup
-// experiments pay nothing for it.
+// experiments pay nothing for it. The early lists are allocated by the
+// arrival sweep that first builds them.
 func (e *Engine) enableHold() {
-	if e.arrMin[0] != nil {
+	if e.HoldEnabled() {
 		return
 	}
-	n := e.D.NumPins()
-	e.arrMin[0] = make([][]spArr, n)
-	e.arrMin[1] = make([][]spArr, n)
 	e.epHoldSlack = make([]float64, len(e.EPs))
 	e.EPHold = make([][2]float64, len(e.EPs))
 	for i, p := range e.EPs {
@@ -50,7 +48,7 @@ func (e *Engine) EnableHoldAnalysis() {
 }
 
 // HoldEnabled reports whether early-arrival propagation is active.
-func (e *Engine) HoldEnabled() bool { return e.arrMin[0] != nil }
+func (e *Engine) HoldEnabled() bool { return e.epHoldSlack != nil }
 
 // holdSlack evaluates the hold slack of endpoint index i, a flip-flop data
 // pin. Primary outputs keep +Inf (no hold check against the external world
@@ -85,6 +83,7 @@ func (e *Engine) holdSlack(i int32) float64 {
 // HoldSlacks returns the per-endpoint hold slack (EnableHoldAnalysis first);
 // +Inf marks unchecked endpoints.
 func (e *Engine) HoldSlacks() []float64 {
+	e.arrivals()
 	out := make([]float64, len(e.epHoldSlack))
 	copy(out, e.epHoldSlack)
 	return out
@@ -92,6 +91,7 @@ func (e *Engine) HoldSlacks() []float64 {
 
 // HoldWNS returns the worst negative hold slack (0 when clean).
 func (e *Engine) HoldWNS() float64 {
+	e.arrivals()
 	w := 0.0
 	for _, s := range e.epHoldSlack {
 		if s < w {
@@ -103,6 +103,7 @@ func (e *Engine) HoldWNS() float64 {
 
 // HoldTNS returns the total negative hold slack.
 func (e *Engine) HoldTNS() float64 {
+	e.arrivals()
 	t := 0.0
 	for _, s := range e.epHoldSlack {
 		if s < 0 {
@@ -114,6 +115,7 @@ func (e *Engine) HoldTNS() float64 {
 
 // EarlyArrivals returns the startpoint-resolved early arrivals at pin p.
 func (e *Engine) EarlyArrivals(rf int, p netlist.PinID) []SPArrival {
+	e.arrivals()
 	in := e.arrMin[rf][p]
 	out := make([]SPArrival, len(in))
 	for i, a := range in {

@@ -15,6 +15,7 @@ import (
 // net weighting consumes (DREAMPlace 4.0's criticality source). Pins with no
 // timed fanout cone carry +Inf.
 func (e *Engine) PinSlacks() [][2]float64 {
+	e.arrivals()
 	n := e.D.NumPins()
 	req := [2][]float64{make([]float64, n), make([]float64, n)}
 	for rf := 0; rf < 2; rf++ {

@@ -88,26 +88,41 @@ func (e *Engine) outSlewOf(a *Arc, rf int) float64 {
 	return la.OutSlew[rf].Lookup(worstSlew, e.load[a.To])
 }
 
-// initSourcePin seeds slew and the late (and, with hold on, early) arrival at
-// a timing source (primary input or flip-flop clock pin) — the launch
-// distribution for both — during a full update. Returns false if p is not a
-// source.
-func (e *Engine) initSourcePin(p netlist.PinID, s *mergeScratch) bool {
+// sourceLaunch returns the launch distribution and seed slew of a timing
+// source (primary input or flip-flop clock pin), or ok false when p is not
+// one.
+func (e *Engine) sourceLaunch(p netlist.PinID) (launch num.Dist, slew float64, ok bool) {
 	pin := &e.D.Pins[p]
-	var launch num.Dist
-	var slew float64
 	switch {
 	case pin.IsClock:
 		node, _ := e.D.Clock.SinkOf(p)
-		launch = e.D.Clock.Arrival(node)
-		slew = e.Cfg.ClockSlew
+		return e.D.Clock.Arrival(node), e.Cfg.ClockSlew, true
 	case pin.Cell == netlist.NoCell && pin.Dir == netlist.Input:
-		launch = e.Con.InputDelay[p]
 		slew = e.Con.InputSlew[p]
 		if slew == 0 {
 			slew = e.Cfg.ClockSlew
 		}
-	default:
+		return e.Con.InputDelay[p], slew, true
+	}
+	return num.Dist{}, 0, false
+}
+
+// seedSlew sets the slew of a timing source during a delay sweep. Returns
+// false if p is not a source.
+func (e *Engine) seedSlew(p netlist.PinID) bool {
+	_, slew, ok := e.sourceLaunch(p)
+	if ok {
+		e.slew[0][p], e.slew[1][p] = slew, slew
+	}
+	return ok
+}
+
+// seedLists sets the late (and, with hold on, early) arrival list of a
+// timing source to its launch during an arrival sweep. Returns false if p is
+// not a source.
+func (e *Engine) seedLists(p netlist.PinID, s *mergeScratch) bool {
+	launch, _, ok := e.sourceLaunch(p)
+	if !ok {
 		return false
 	}
 	seed := func(slot *[]spArr) {
@@ -116,7 +131,6 @@ func (e *Engine) initSourcePin(p netlist.PinID, s *mergeScratch) bool {
 		s.store(slot, list)
 	}
 	for rf := 0; rf < 2; rf++ {
-		e.slew[rf][p] = slew
 		seed(&e.arr[rf][p])
 		if e.HoldEnabled() {
 			seed(&e.arrMin[rf][p])
@@ -125,10 +139,9 @@ func (e *Engine) initSourcePin(p netlist.PinID, s *mergeScratch) bool {
 	return true
 }
 
-// processPin recomputes fan-in arc delays, worst slews and SP-resolved late
-// (and, with hold on, early) arrivals at pin p. It returns true when any
-// propagated value changed.
-func (e *Engine) processPin(p netlist.PinID, s *mergeScratch) bool {
+// retimePin recomputes fan-in arc delays and worst slews at pin p — the delay
+// half of a pin's update. It returns true when any of them changed.
+func (e *Engine) retimePin(p netlist.PinID) bool {
 	if e.isSP[p] {
 		// Source values are constant after init.
 		return false
@@ -144,7 +157,6 @@ func (e *Engine) processPin(p netlist.PinID, s *mergeScratch) bool {
 		}
 	}
 	for rf := 0; rf < 2; rf++ {
-		// Worst slew.
 		var worst float64
 		for _, ai := range fanin {
 			if slew := e.outSlewOf(&e.Arcs[ai], rf); slew > worst {
@@ -155,7 +167,20 @@ func (e *Engine) processPin(p netlist.PinID, s *mergeScratch) bool {
 			e.slew[rf][p] = worst
 			changed = true
 		}
-		// SP-resolved arrival merges.
+	}
+	return changed
+}
+
+// mergePin recomputes the SP-resolved late (and, with hold on, early)
+// arrivals at pin p from its fan-in lists and the delays retimePin left on
+// its fan-in arcs — the arrival half of a pin's update. It returns true when
+// any list changed.
+func (e *Engine) mergePin(p netlist.PinID, s *mergeScratch) bool {
+	if e.isSP[p] {
+		return false
+	}
+	changed := false
+	for rf := 0; rf < 2; rf++ {
 		if s.store(&e.arr[rf][p], e.mergeArrivals(p, rf, false, s)) {
 			changed = true
 		}
@@ -351,33 +376,83 @@ func newPool() *sched.Pool {
 	return sched.New(runtime.GOMAXPROCS(0), 0)
 }
 
-// UpdateTimingFull recomputes loads, delays, slews, arrivals and endpoint
-// slacks over the whole design, the equivalent of a from-scratch
-// update_timing in the reference tool. Pins of one level are independent —
-// each writes its own fan-in arcs' delays, its own slews and lists, and reads
-// only lower levels — so every level is one launch on the pool, each
-// participant merging through its own scratch into its own arena. Which
-// arena a list lands in depends on the schedule; no value does.
-func (e *Engine) UpdateTimingFull() {
-	e.computeLoads()
-	pool := newPool()
-	defer pool.Close()
+// sweepDelays recomputes every arc delay and worst slew, level by level.
+// Pins of one level are independent — each writes its own fan-in arcs'
+// delays and its own slews, and reads only lower levels — so every level is
+// one launch on the pool.
+func (e *Engine) sweepDelays(pool *sched.Pool) {
+	for l := 0; l < e.Lv.NumLevels; l++ {
+		nodes := e.Lv.Nodes(l)
+		pool.RunTagged("refsta.delays", l, len(nodes), func(lo, hi int) {
+			for _, p := range nodes[lo:hi] {
+				if pid := netlist.PinID(p); !e.seedSlew(pid) {
+					e.retimePin(pid)
+				}
+			}
+		})
+	}
+}
+
+// sweepArrivals builds (or, when they exist, refreshes) every arrival list
+// from the current delays, level by level, each participant merging through
+// its own scratch into its own arena, then evaluates the endpoint slacks.
+// Which arena a list lands in depends on the schedule; no value does.
+func (e *Engine) sweepArrivals(pool *sched.Pool) {
+	n := e.D.NumPins()
+	if e.arr[0] == nil {
+		e.arr = [2][][]spArr{make([][]spArr, n), make([][]spArr, n)}
+	}
+	if e.HoldEnabled() && e.arrMin[0] == nil {
+		e.arrMin = [2][][]spArr{make([][]spArr, n), make([][]spArr, n)}
+	}
 	scratch := make([]*mergeScratch, pool.Workers())
 	for i := range scratch {
 		scratch[i] = e.newMergeScratch(new(arena))
 	}
 	for l := 0; l < e.Lv.NumLevels; l++ {
 		nodes := e.Lv.Nodes(l)
-		pool.RunIndexed("refsta.sweep", l, len(nodes), func(id, lo, hi int) {
+		pool.RunIndexed("refsta.arrivals", l, len(nodes), func(id, lo, hi int) {
 			s := scratch[id]
 			for _, p := range nodes[lo:hi] {
-				if pid := netlist.PinID(p); !e.initSourcePin(pid, s) {
-					e.processPin(pid, s)
+				if pid := netlist.PinID(p); !e.seedLists(pid, s) {
+					e.mergePin(pid, s)
 				}
 			}
 		})
 	}
 	e.computeSlacks(pool)
+	e.arrivalSweeps++
+	e.listed.Store(true)
+}
+
+// arrivals makes sure the arrival lists and slacks exist, building them on
+// the first call after New. Every method that reads arr, arrMin, epSlack or
+// epHoldSlack calls it first; concurrent first readers wait for one sweep.
+func (e *Engine) arrivals() {
+	if e.listed.Load() {
+		return
+	}
+	e.listMu.Lock()
+	defer e.listMu.Unlock()
+	if !e.listed.Load() {
+		pool := newPool()
+		defer pool.Close()
+		e.sweepArrivals(pool)
+	}
+}
+
+// UpdateTimingFull recomputes loads, delays, slews, arrivals and endpoint
+// slacks over the whole design, the equivalent of a from-scratch
+// update_timing in the reference tool. It builds the arrival lists eagerly
+// even when nothing has read them yet: it is the reference column the
+// experiments time, and it must time the same work whether or not a reader
+// came first.
+func (e *Engine) UpdateTimingFull() {
+	e.computeLoads()
+	pool := newPool()
+	defer pool.Close()
+	e.sweepDelays(pool)
+	e.sweepArrivals(pool)
 	e.dirty = make(map[netlist.PinID]bool)
 	e.LastFullUpdate = true
 }
@@ -390,7 +465,9 @@ func (e *Engine) MarkDirty(p netlist.PinID) { e.dirty[p] = true }
 // marked dirty since the last update, in level order, stopping wavefronts
 // whose values converge — the selective re-propagation PrimeTime performs on
 // incremental update_timing. Loads are recomputed (cheap) to absorb pin-cap
-// changes. Endpoint slacks are refreshed.
+// changes. Arrival lists and endpoint slacks are maintained only once a
+// reader has built them; until then the cone's delays and slews are all
+// there is to re-time, and a wavefront stops where they stop moving.
 func (e *Engine) UpdateTimingIncremental() {
 	if len(e.dirty) == 0 {
 		return
@@ -409,20 +486,30 @@ func (e *Engine) UpdateTimingIncremental() {
 	for p := range e.dirty {
 		push(p)
 	}
-	s := e.newMergeScratch(nil)
+	listed := e.listed.Load()
+	var s *mergeScratch
+	if listed {
+		s = e.newMergeScratch(nil)
+	}
 	for l := 0; l < len(buckets); l++ {
 		for i := 0; i < len(buckets[l]); i++ { // fanouts are always deeper, so buckets never grow behind the cursor
 			p := buckets[l][i]
-			if e.processPin(p, s) {
+			changed := e.retimePin(p)
+			if listed && e.mergePin(p, s) {
+				changed = true
+			}
+			if changed {
 				for _, ai := range e.fanout.of(p) {
 					push(e.Arcs[ai].To)
 				}
 			}
 		}
 	}
-	pool := newPool()
-	defer pool.Close()
-	e.computeSlacks(pool)
+	if listed {
+		pool := newPool()
+		defer pool.Close()
+		e.computeSlacks(pool)
+	}
 	e.dirty = make(map[netlist.PinID]bool)
 	e.LastFullUpdate = false
 }

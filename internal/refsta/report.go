@@ -14,6 +14,7 @@ import (
 // WorstEndpoints returns up to n endpoint indexes ordered by ascending
 // slack (worst first), skipping untimed endpoints.
 func (e *Engine) WorstEndpoints(n int) []int32 {
+	e.arrivals()
 	type item struct {
 		i int32
 		s float64
@@ -45,6 +46,7 @@ func (e *Engine) WorstEndpoints(n int) []int32 {
 // endpoints: the full data path of each, with per-stage incremental delay
 // and cumulative arrival corners.
 func (e *Engine) ReportTiming(w io.Writer, n int) {
+	e.arrivals()
 	fmt.Fprintf(w, "report_timing: %d endpoints, WNS %.2f ps, TNS %.2f ps, %d violating\n",
 		len(e.EPs), e.WNS(), e.TNS(), e.NumViolations())
 	for rank, ep := range e.WorstEndpoints(n) {
@@ -55,6 +57,7 @@ func (e *Engine) ReportTiming(w io.Writer, n int) {
 
 // FormatPath writes endpoint index ep's worst path, startpoint first.
 func (e *Engine) FormatPath(w io.Writer, ep int32) {
+	e.arrivals()
 	steps := e.WorstPath(ep)
 	epPin := e.EPs[ep]
 	slack := e.epSlack[ep]
@@ -121,6 +124,7 @@ func (e *Engine) criticalSPOf(ep int32) int32 {
 // `bins` equal-width buckets, the quick design-health view interactive
 // timing shells print.
 func (e *Engine) SlackHistogram(w io.Writer, bins int) {
+	e.arrivals()
 	var vals []float64
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, s := range e.epSlack {

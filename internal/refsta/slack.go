@@ -62,6 +62,7 @@ func (e *Engine) setupSlack(i int32) float64 {
 // EndpointSlacks returns the per-endpoint setup slack, aligned with
 // Endpoints(). Untimed endpoints carry +Inf.
 func (e *Engine) EndpointSlacks() []float64 {
+	e.arrivals()
 	out := make([]float64, len(e.epSlack))
 	copy(out, e.epSlack)
 	return out
@@ -69,6 +70,7 @@ func (e *Engine) EndpointSlacks() []float64 {
 
 // WNS returns the worst negative slack (0 when nothing violates).
 func (e *Engine) WNS() float64 {
+	e.arrivals()
 	w := 0.0
 	for _, s := range e.epSlack {
 		if s < w {
@@ -80,6 +82,7 @@ func (e *Engine) WNS() float64 {
 
 // TNS returns the total negative slack: the sum of negative endpoint slacks.
 func (e *Engine) TNS() float64 {
+	e.arrivals()
 	t := 0.0
 	for _, s := range e.epSlack {
 		if s < 0 {
@@ -91,6 +94,7 @@ func (e *Engine) TNS() float64 {
 
 // NumViolations counts endpoints with negative slack.
 func (e *Engine) NumViolations() int {
+	e.arrivals()
 	n := 0
 	for _, s := range e.epSlack {
 		if s < 0 {
@@ -109,6 +113,7 @@ type SPArrival struct {
 // Arrivals returns the startpoint-resolved arrival entries at pin p for
 // transition rf, sorted by startpoint index.
 func (e *Engine) Arrivals(rf int, p netlist.PinID) []SPArrival {
+	e.arrivals()
 	in := e.arr[rf][p]
 	out := make([]SPArrival, len(in))
 	for i, a := range in {
@@ -120,6 +125,7 @@ func (e *Engine) Arrivals(rf int, p netlist.PinID) []SPArrival {
 // WorstArrivalCorner returns the maximum corner arrival at pin p for
 // transition rf, or -Inf when the pin has no arrival.
 func (e *Engine) WorstArrivalCorner(rf int, p netlist.PinID) float64 {
+	e.arrivals()
 	w := math.Inf(-1)
 	for _, a := range e.arr[rf][p] {
 		if c := a.dist.Corner(e.Cfg.NSigma); c > w {
@@ -142,6 +148,7 @@ type PathStep struct {
 // arc whose shifted parent arrival reproduces the pin's stored arrival for
 // the critical startpoint — the standard reference-tool path expansion.
 func (e *Engine) WorstPath(ep int32) []PathStep {
+	e.arrivals()
 	p := e.EPs[ep]
 	T := e.Con.Clock.Period
 	U := e.Con.Clock.Uncertainty

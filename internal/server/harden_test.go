@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"insta/internal/num"
 	"insta/internal/obs"
@@ -279,12 +280,23 @@ func TestECOBodyLeavesNothingForTheNext(t *testing.T) {
 }
 
 // TestHTTPServerBoundsHeaderReads: the server both daemons listen with gives
-// a connection a bounded time to deliver its request headers.
+// a connection a bounded time to deliver its request headers, and a bounded
+// time to deliver headers and body, while leaving the handler's response
+// unbounded.
 func TestHTTPServerBoundsHeaderReads(t *testing.T) {
 	h := http.NewServeMux()
 	srv := server.NewHTTPServer("127.0.0.1:0", h)
 	if srv.ReadHeaderTimeout <= 0 {
 		t.Fatal("no ReadHeaderTimeout: a slowloris client holds its connection for ever")
+	}
+	if srv.ReadTimeout < srv.ReadHeaderTimeout {
+		t.Fatalf("ReadTimeout %v below ReadHeaderTimeout %v: a client trickling its body holds its connection for ever", srv.ReadTimeout, srv.ReadHeaderTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Fatalf("WriteTimeout %v would cap a long what-if or commit", srv.WriteTimeout)
+	}
+	if srv.IdleTimeout <= 90*time.Second {
+		t.Fatalf("IdleTimeout %v not above the router's 90 s IdleConnTimeout: it would reuse connections the replica closed", srv.IdleTimeout)
 	}
 	if srv.Addr != "127.0.0.1:0" || srv.Handler != http.Handler(h) {
 		t.Fatalf("NewHTTPServer dropped its arguments: %+v", srv)

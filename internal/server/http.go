@@ -80,15 +80,26 @@ func New(mgr *Manager, design string) *Server {
 }
 
 // readHeaderTimeout bounds how long a connection may take to deliver its
-// request headers, so a client trickling bytes (slowloris) cannot pin a
-// goroutine and a file descriptor per connection for ever. Bodies are bounded
-// by size (MaxBodyBytes), not time: a long what-if is legitimate.
-const readHeaderTimeout = 10 * time.Second
+// request headers, and readTimeout how long it may take to deliver headers
+// and body, so a client trickling bytes (slowloris) cannot pin a goroutine
+// and a file descriptor per connection for ever. readTimeout is far above
+// any loopback or LAN read of a MaxBodyBytes body. No WriteTimeout is set:
+// it would also cap the handler, and a long what-if or commit is legitimate.
+// idleTimeout is set because net/http would otherwise close idle keep-alive
+// connections after readTimeout; it stays above the router's 90 s
+// IdleConnTimeout, so the client end retires a pooled connection first.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+)
 
 // NewHTTPServer returns the http.Server insta-served and insta-router listen
-// with: handler h on addr, header reads bounded by readHeaderTimeout.
+// with: handler h on addr, header reads bounded by readHeaderTimeout and
+// whole-request reads by readTimeout.
 func NewHTTPServer(addr string, h http.Handler) *http.Server {
-	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+	return &http.Server{Addr: addr, Handler: h,
+		ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
 }
 
 // Manager returns the session manager the server fronts.
