@@ -7,8 +7,11 @@
 #                      server/manager.go and snap/snap.go (its two
 #                      compatibility points)
 #   2. go build      — everything compiles, including cmd/ and examples/
-#   3. go test       — full suite (unit + determinism + differential + golden
-#                      digests + the packed-tail contract of every queue
+#   3. go test       — full suite (unit + determinism + differential + the
+#                      four golden-digest files — core, refsta, topo and hier,
+#                      the last pinning extracted block models and the
+#                      flat-vs-composed comparison of three chip
+#                      configurations — + the packed-tail contract of every queue
 #                      writer + zero-alloc full passes, bare and with a
 #                      disabled tracer attached), including the
 #                      nominal-lane differential of the serving layer: a
@@ -45,10 +48,17 @@
 #                      its one way in, Session.Apply (one patched recompile,
 #                      one reseed) — no panic, a rejected batch changes
 #                      nothing, and after every accepted one the session
-#                      engine is bit-identical to a cold compile of its
-#                      tables and every arc id handed out so far still names
-#                      its row and pins (arc ids are permanent: a removed
-#                      buffer is bypassed, not compacted away)
+#                      engine is bit-identical to a cold compile of tables
+#                      the fuzzer advances itself by each batch's arc edits
+#                      (a session keeps no tables), and every arc id handed
+#                      out so far still names its row and pins in both
+#                      (arc ids are permanent: a removed buffer is bypassed,
+#                      not compacted away); then one target per decoder of
+#                      bytes from outside the process, 10 s each:
+#                      FuzzDecodeModel (a block-model payload decodes only if
+#                      it re-encodes byte for byte and names pins and ports
+#                      that exist) and FuzzSnapRoundTrip (a snapshot decodes
+#                      to a typed error or re-encodes byte for byte and runs)
 #   4. go test -race — short-mode race check of the scheduler; the reference
 #                      engine's full update, which runs every level and the
 #                      endpoint slack walk on a pool of GOMAXPROCS
@@ -125,8 +135,12 @@ echo "== go test -fuzz FuzzMergeTopK (10s, indexed merge vs the scanning Algorit
 go test ./internal/core -run '^$' -fuzz FuzzMergeTopK -fuzztime 10s
 echo "== go test -fuzz FuzzJSONFloat (10s, the session reads' float formatter vs encoding/json) =="
 go test ./internal/server -run '^$' -fuzz FuzzJSONFloat -fuzztime 10s
-echo "== go test -fuzz FuzzTopoSession (10s, structural op batches vs a cold compile, arc ids permanent) =="
+echo "== go test -fuzz FuzzTopoSession (10s, structural op batches vs a cold compile of self-advanced tables, arc ids permanent) =="
 go test ./internal/topo -run '^$' -fuzz FuzzTopoSession -fuzztime 10s
+echo "== go test -fuzz FuzzDecodeModel (10s, block-model payloads: canonical and in range) =="
+go test ./internal/hier -run '^$' -fuzz FuzzDecodeModel -fuzztime 10s
+echo "== go test -fuzz FuzzSnapRoundTrip (10s, snapshots: typed error or byte-identical re-encode) =="
+go test ./internal/snap -run '^$' -fuzz FuzzSnapRoundTrip -fuzztime 10s
 
 echo "== go test -race (sched + levelize + refsta + core + topo + server + obs + snap + cmdutil + fleet + hier, short) =="
 go test -race -short ./internal/sched/... ./internal/levelize/... ./internal/refsta/... ./internal/core/... ./internal/topo/... ./internal/server/... ./internal/obs/... ./internal/snap/... ./internal/cmdutil/... ./internal/fleet/... ./internal/hier/...

@@ -37,9 +37,6 @@ func main() {
 	opt.TopK = *topK
 	tr := ob.Setup("insta-correlate")
 	opt.Tracer = tr
-	if c := sn.Cache(); c != nil {
-		exp.UseSnapshots(c)
-	}
 	var hierRun *hier.ChipRun
 	var hierCmp *hier.Compare
 	defer ob.Finish(func(m *obs.Manifest) {

@@ -36,9 +36,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	// Warm boots reconstruct the tables from the cached compiled state — the
-	// serialization is a lossless inverse — without generating the design or
-	// running the reference engine.
+	// The tables are reconstructed from the compiled state — a lossless
+	// inverse of the compile — on either boot; a warm boot skips generating
+	// the design and running the reference engine.
 	bt, err := sn.BootPreset(spec, tr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

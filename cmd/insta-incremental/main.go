@@ -22,7 +22,6 @@ func main() {
 	batch := flag.Int("batch", 120, "cells resized per iteration")
 	topK := flag.Int("topk", 32, "INSTA Top-K")
 	sf := cmdutil.SchedFlags()
-	sn := cmdutil.SnapFlags()
 	ob := cmdutil.ObsFlags()
 	flag.Parse()
 
@@ -34,9 +33,6 @@ func main() {
 	opt := sf.Options()
 	opt.TopK = *topK
 	opt.Tracer = ob.Setup("insta-incremental")
-	if c := sn.Cache(); c != nil {
-		exp.UseSnapshots(c)
-	}
 	defer ob.Finish(func(m *obs.Manifest) {
 		m.Design = spec.Name
 		m.TopK, m.Workers = *topK, sf.Workers

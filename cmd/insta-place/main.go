@@ -21,15 +21,11 @@ func main() {
 	fig9 := flag.Bool("fig9", true, "also run the Figure 9 breakdown")
 	fig9Design := flag.String("fig9-design", "superblue10", "benchmark for Figure 9")
 	sf := cmdutil.SchedFlags()
-	sn := cmdutil.SnapFlags()
 	ob := cmdutil.ObsFlags()
 	flag.Parse()
 
 	opt := sf.Options()
 	opt.Tracer = ob.Setup("insta-place")
-	if c := sn.Cache(); c != nil {
-		exp.UseSnapshots(c)
-	}
 	defer ob.Finish(func(m *obs.Manifest) {
 		m.Workers = sf.Workers
 		m.AddExtra("designs", *designs)

@@ -26,16 +26,12 @@ func main() {
 	bufMax := flag.Int("buffer-max", 40, "with -buffer: insertion budget")
 	bufCell := flag.String("buffer-cell", "BUF_X4", "with -buffer: buffer library cell")
 	sf := cmdutil.SchedFlags()
-	sn := cmdutil.SnapFlags()
 	ob := cmdutil.ObsFlags()
 	flag.Parse()
 
 	opt := sf.Options()
 	opt.TopK = *topK
 	opt.Tracer = ob.Setup("insta-size")
-	if c := sn.Cache(); c != nil {
-		exp.UseSnapshots(c)
-	}
 	defer ob.Finish(func(m *obs.Manifest) {
 		m.TopK, m.Workers = *topK, sf.Workers
 		m.AddExtra("designs", *designs)

@@ -21,16 +21,9 @@ func main() {
 	designs := flag.String("designs", "block-5,block-2", "comma-separated presets")
 	samples := flag.Int("samples", 500, "Monte Carlo trials")
 	seed := flag.Int64("seed", 1, "sampling seed")
-	// Monte Carlo runs single-threaded for reproducibility; the flags are
-	// accepted so every tool shares one CLI surface.
-	cmdutil.SchedFlags()
-	sn := cmdutil.SnapFlags()
 	ob := cmdutil.ObsFlags()
 	flag.Parse()
 	tr := ob.Setup("insta-validate")
-	if c := sn.Cache(); c != nil {
-		exp.UseSnapshots(c)
-	}
 	defer ob.Finish(func(m *obs.Manifest) {
 		m.AddExtra("designs", *designs)
 		m.AddExtra("samples", *samples)

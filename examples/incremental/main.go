@@ -72,5 +72,5 @@ func main() {
 			iter, tInsta.Round(time.Microsecond), tAnnotate.Round(time.Microsecond),
 			tRef.Round(time.Microsecond), r, ms.Worst)
 	}
-	fmt.Println("\ndrift stays bounded; a full re-extraction (exp.SyncDelays) resets it to zero at any point")
+	fmt.Println("\ndrift stays bounded; a full re-extraction (circuitops.Extract + core.Compile) resets it to zero at any point")
 }

@@ -123,10 +123,6 @@ func (o *Obs) Setup(tool string) *obs.Tracer {
 	return o.tracer
 }
 
-// Tracer returns the tracer Setup created, or nil when neither -trace nor
-// -manifest was requested.
-func (o *Obs) Tracer() *obs.Tracer { return o.tracer }
-
 // Finish flushes the requested telemetry: the Chrome trace to -trace, and a
 // run manifest (tool, wall time, git describe, phase rollup) with -manifest.
 // fill customizes the manifest — design name, engine shape, WNS/TNS — before

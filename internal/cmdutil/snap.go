@@ -1,12 +1,14 @@
 package cmdutil
 
-// Snapshot flags and the shared boot path: every cmd tool takes
-// -snapshot-dir/-snapshot-max-mb, hashes its inputs to a content address, and
-// either warm-starts from a cached compiled-state snapshot (internal/snap) or
-// cold-builds — parse, reference signoff, extraction, compile — and writes the
-// snapshot back for the next invocation. Warm boots skip the reference engine
-// entirely, so Boot.Ref is nil on the warm path and ref-dependent reporting
-// (correlation, path reports, resize-form ECOs) degrades explicitly.
+// Snapshot flags and the shared boot path: the tools that boot one compiled
+// design (insta-sta, insta-extract, insta-served, insta-router, insta-hier,
+// insta-correlate -hier) take -snapshot-dir/-snapshot-max-mb, hash their
+// inputs to a content address, and either warm-start from a cached
+// compiled-state snapshot (internal/snap) or cold-build — parse, reference
+// signoff, extraction, compile — and write the snapshot back for the next
+// invocation. Warm boots skip the reference engine entirely, so Boot.Ref is
+// nil on the warm path and ref-dependent reporting (correlation, path
+// reports, resize-form ECOs) degrades explicitly.
 
 import (
 	"flag"
@@ -79,11 +81,11 @@ type Boot struct {
 	// core.NewEngineFromState / core.NewEngineLanes. Always set.
 	State *core.State
 
-	// Cold-path artifacts: the parsed design bundle, the initialized
-	// reference engine, and the extraction tables. All nil on warm boots.
+	// Cold-path artifacts: the parsed design bundle and the initialized
+	// reference engine. Both nil on warm boots. The extraction tables are not
+	// kept once compiled; Tables rebuilds them.
 	B   *bench.Design
 	Ref *refsta.Engine
-	Tab *circuitops.Tables
 
 	// Load is the snapshot decode wall time (warm); Build is the full
 	// cold-build wall time (cold).
@@ -110,14 +112,9 @@ func (b *Boot) FillManifest(m *obs.Manifest) {
 	m.ColdBuildMS = float64(b.Build.Nanoseconds()) / 1e6
 }
 
-// Tables returns extraction tables for the boot: the cold path's extracted
-// tables, or their reconstruction from the snapshot state on warm boots.
-func (b *Boot) Tables() *circuitops.Tables {
-	if b.Tab != nil {
-		return b.Tab
-	}
-	return b.State.Tables()
-}
+// Tables reconstructs extraction tables from the boot's compiled state — the
+// same rows on a cold and a warm boot.
+func (b *Boot) Tables() *circuitops.Tables { return b.State.Tables() }
 
 // BootDir boots from a design directory (design.v/.sdc/.spef with design.lib
 // optional): with a snapshot cache the file contents are hashed and a hit
@@ -208,7 +205,7 @@ func (s *Snap) finishCold(bt *Boot, b *bench.Design, name string, sp *obs.Span, 
 	if err != nil {
 		return err
 	}
-	bt.Design, bt.State, bt.B, bt.Ref, bt.Tab = name, st, b, ref, tab
+	bt.Design, bt.State, bt.B, bt.Ref = name, st, b, ref
 	bt.Build = time.Since(t0)
 	if bt.Cache != nil && bt.Key != "" {
 		if _, _, err := bt.Cache.Store(bt.Key, st, nil); err != nil {

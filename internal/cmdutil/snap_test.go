@@ -1,9 +1,11 @@
 package cmdutil
 
 import (
+	"slices"
 	"testing"
 
 	"insta/internal/bench"
+	"insta/internal/circuitops"
 	"insta/internal/core"
 	"insta/internal/liberty"
 )
@@ -28,6 +30,14 @@ func wnsTNS(t *testing.T, st *core.State) (float64, float64) {
 	return e.WNS(), e.TNS()
 }
 
+// sameTables compares two table sets row for row (a nil and an empty table
+// are the same table).
+func sameTables(a, b *circuitops.Tables) bool {
+	return a.Design == b.Design && a.NumPins == b.NumPins && a.Period == b.Period && a.NSigma == b.NSigma &&
+		slices.Equal(a.Arcs, b.Arcs) && slices.Equal(a.SPs, b.SPs) && slices.Equal(a.EPs, b.EPs) &&
+		slices.Equal(a.ClockNodes, b.ClockNodes) && slices.Equal(a.Exceptions, b.Exceptions)
+}
+
 func TestBootPresetWarmCycle(t *testing.T) {
 	s := &Snap{Dir: t.TempDir(), MaxMB: 16}
 	spec := bootSpec(1)
@@ -36,7 +46,7 @@ func TestBootPresetWarmCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Warm || cold.Ref == nil || cold.B == nil || cold.Tab == nil || cold.State == nil || cold.Key == "" {
+	if cold.Warm || cold.Ref == nil || cold.B == nil || cold.State == nil || cold.Key == "" {
 		t.Fatalf("cold boot shape wrong: %+v", cold)
 	}
 	if cold.Mode() != "cold" || cold.Build <= 0 {
@@ -56,9 +66,12 @@ func TestBootPresetWarmCycle(t *testing.T) {
 	if warm.Mode() != "warm" || warm.Load <= 0 {
 		t.Fatalf("warm boot mode %q load %v", warm.Mode(), warm.Load)
 	}
-	// Boot.Tables() round-trips on the warm path.
-	if tab := warm.Tables(); tab.NumPins != cold.Tab.NumPins || len(tab.Arcs) != len(cold.Tab.Arcs) {
-		t.Fatal("warm Tables() disagrees with cold extraction")
+	// Boot.Tables() reproduces the extraction row for row on both paths.
+	want := circuitops.Extract(cold.Ref)
+	for _, bt := range []*Boot{cold, warm} {
+		if !sameTables(bt.Tables(), want) {
+			t.Fatalf("%s boot: Tables() disagrees with the extraction", bt.Mode())
+		}
 	}
 
 	cw, ct := wnsTNS(t, cold.State)

@@ -490,14 +490,8 @@ func (e *Engine) ArcIsNet(arc int32) bool { return e.arcKind[arc] == 1 }
 // ArcCell returns the owning cell of a cell arc, or -1.
 func (e *Engine) ArcCell(arc int32) int32 { return e.arcCell[arc] }
 
-// ArcNet returns the net of a net arc, or -1.
-func (e *Engine) ArcNet(arc int32) int32 { return e.arcNet[arc] }
-
 // Endpoints returns the endpoint pin ids in extraction order.
 func (e *Engine) Endpoints() []int32 { return e.epPin }
-
-// Startpoints returns the startpoint pin ids in extraction order.
-func (e *Engine) Startpoints() []int32 { return e.spPin }
 
 // lca returns the lowest common ancestor of two clock nodes.
 func (e *Engine) lca(a, b int32) int32 {

@@ -5,10 +5,10 @@ package core
 // CSR, annotation planes, fan-out CSR — which would dominate the cost of a
 // small edit on a large design. An op batch (buffers spliced in or bypassed,
 // arcs re-annotated) leaves the previous compiled state different from the
-// next one only in the rows the batch touched, so this file patches those
-// rows instead: per-arc slabs are extended and overwritten at the changed
-// ids, and the fan-in CSR is repaired segment by segment for just the pins
-// whose adjacency changed. The fan-out CSR is patched the same way unless a
+// next one only in the rows the batch wrote — its ArcEdits — so this file
+// patches those rows instead: per-arc slabs are extended and overwritten at
+// the edited ids, and the fan-in CSR is repaired segment by segment for just
+// the pins whose adjacency changed. The fan-out CSR is patched the same way unless a
 // bypass moved a wire from the buffer's output to its driver, which changes
 // existing pins' fan-out counts; then it is rebuilt with the counting sort
 // Compile uses. Repaired segments are re-sorted by arc id, which is exactly
@@ -25,12 +25,19 @@ import (
 	"insta/internal/liberty"
 )
 
-// CompileIncrementalPatched recompiles the edited tables t against prev by
-// patching prev's slabs rather than rebuilding them. changed lists every arc
-// id whose row differs from the row prev was compiled with, including all
-// appended ids; seeds is the re-levelization seed set (pins whose fan-in
-// changed). Arcs and pins may be appended and rows rewritten, but no pin's
-// fan-in count may change — insert, bypass and annotate never change one.
+// ArcEdit is one arc row a structural batch writes: an existing id rewritten
+// in place, or an appended one.
+type ArcEdit struct {
+	ID  int32
+	Row circuitops.ArcRow
+}
+
+// CompileIncrementalPatched recompiles prev after a structural batch by
+// patching prev's slabs rather than rebuilding them. edits lists every row the
+// batch writes, including every appended id (appended ids must continue prev's
+// arc range without gaps); newPins counts the pins it appends; seeds is the
+// re-levelization seed set (pins whose fan-in changed). No pin's fan-in count
+// may change — insert, bypass and annotate never change one.
 //
 // owned declares that prev is private to the caller (the typical case: the
 // previous patched state of the same session) and may be cannibalized — its
@@ -42,49 +49,57 @@ import (
 // post-mutation failure is a levelize cycle, which no op batch can introduce
 // (an insert adds an edge only via a fresh intermediate pin, a bypass
 // shortcuts a path that already existed).
-func CompileIncrementalPatched(t *circuitops.Tables, prev *State, seeds, changed []int32, owned bool) (*State, levelize.IncStats, error) {
+func CompileIncrementalPatched(prev *State, edits []ArcEdit, newPins int, seeds []int32, owned bool) (*State, levelize.IncStats, error) {
 	var is levelize.IncStats
 	if prev == nil {
 		return nil, is, fmt.Errorf("core: CompileIncrementalPatched requires a previous state")
 	}
-	nArcs := len(t.Arcs)
-	prevArcs := len(prev.ArcFrom)
-	if nArcs < prevArcs || t.NumPins < prev.NumPins {
-		return nil, is, fmt.Errorf("core: patch: %d arcs / %d pins shrank to %d / %d (ids are append-only)", prevArcs, prev.NumPins, nArcs, t.NumPins)
+	if newPins < 0 {
+		return nil, is, fmt.Errorf("core: patch: %d new pins (ids are append-only)", newPins)
 	}
-	newPins := t.NumPins - prev.NumPins
+	prevArcs := len(prev.ArcFrom)
+	numPins := prev.NumPins + newPins
 
-	chg := append(make([]int32, 0, len(changed)), changed...)
-	slices.Sort(chg)
+	chg := slices.Clone(edits)
+	slices.SortFunc(chg, func(a, b ArcEdit) int { return int(a.ID - b.ID) })
+	nArcs := prevArcs
 	inChanged := make(map[int32]bool, len(chg))
-	for _, c := range chg {
-		if c < 0 || int(c) >= nArcs || inChanged[c] {
-			return nil, is, fmt.Errorf("core: patch: changed arc %d out of range or repeated", c)
+	for _, ed := range chg {
+		if ed.ID < 0 || inChanged[ed.ID] {
+			return nil, is, fmt.Errorf("core: patch: edited arc %d out of range or repeated", ed.ID)
 		}
-		inChanged[c] = true
+		inChanged[ed.ID] = true
+		nArcs = max(nArcs, int(ed.ID)+1)
 	}
 	for i := prevArcs; i < nArcs; i++ {
 		if !inChanged[int32(i)] {
-			return nil, is, fmt.Errorf("core: patch: appended arc %d missing from the change set", i)
+			return nil, is, fmt.Errorf("core: patch: appended arc %d missing from the edit set", i)
 		}
 	}
 
 	// Per-pin adjacency deltas. Existing pins must come out net-zero on the
 	// fan-in side; a non-zero fan-out delta (a bypass) sends the fan-out CSR
 	// to a full rebuild. The appended pins' counts extend the CSRs.
+	type inSlot struct {
+		arc, from int32
+		sense     uint8
+	}
+	type outSlot struct {
+		adj, arc int32
+	}
 	inDelta := make(map[int32]int32)
 	outDelta := make(map[int32]int32)
 	newInCount := make([]int32, newPins)
 	newOutCount := make([]int32, newPins)
-	addIn := make(map[int32][]int32)  // changed arcs by new To, ascending (chg is sorted)
-	addOut := make(map[int32][]int32) // changed arcs by new From, ascending
-	for _, c := range chg {
-		row := &t.Arcs[c]
-		if row.From < 0 || int(row.From) >= t.NumPins || row.To < 0 || int(row.To) >= t.NumPins {
-			return nil, is, fmt.Errorf("core: patch: arc %d joins pins outside [0,%d)", c, t.NumPins)
+	addIn := make(map[int32][]inSlot)   // edited arcs by new To, ascending (chg is sorted)
+	addOut := make(map[int32][]outSlot) // edited arcs by new From, ascending
+	for _, ed := range chg {
+		c, row := ed.ID, &ed.Row
+		if row.From < 0 || int(row.From) >= numPins || row.To < 0 || int(row.To) >= numPins {
+			return nil, is, fmt.Errorf("core: patch: arc %d joins pins outside [0,%d)", c, numPins)
 		}
-		addIn[row.To] = append(addIn[row.To], c)
-		addOut[row.From] = append(addOut[row.From], c)
+		addIn[row.To] = append(addIn[row.To], inSlot{c, row.From, row.Sense})
+		addOut[row.From] = append(addOut[row.From], outSlot{row.To, c})
 		if int(row.To) >= prev.NumPins {
 			newInCount[int(row.To)-prev.NumPins]++
 		} else {
@@ -116,12 +131,8 @@ func CompileIncrementalPatched(t *circuitops.Tables, prev *State, seeds, changed
 
 	// Capture the pre-edit segments of every affected existing pin before any
 	// in-place rewrite (with owned=true the source slabs are about to change
-	// under us). A pin is affected when a changed arc attaches to or detaches
+	// under us). A pin is affected when an edited arc attaches to or detaches
 	// from it — or keeps it but changes content (rewritten in place).
-	type inSlot struct {
-		arc, from int32
-		sense     uint8
-	}
 	oldIn := make(map[int32][]inSlot, len(inDelta))
 	for p := range inDelta {
 		seg := make([]inSlot, 0, prev.FaninStart[p+1]-prev.FaninStart[p])
@@ -129,9 +140,6 @@ func CompileIncrementalPatched(t *circuitops.Tables, prev *State, seeds, changed
 			seg = append(seg, inSlot{prev.FaninArc[pos], prev.FaninFrom[pos], prev.FaninSense[pos]})
 		}
 		oldIn[p] = seg
-	}
-	type outSlot struct {
-		adj, arc int32
 	}
 	var oldOut map[int32][]outSlot
 	if !rebuildFo {
@@ -149,7 +157,7 @@ func CompileIncrementalPatched(t *circuitops.Tables, prev *State, seeds, changed
 	// can be reported short of the unreachable levelize cycle.
 	st := new(State)
 	*st = *prev
-	st.Design, st.NumPins, st.Period, st.NSigma = t.Design, t.NumPins, t.Period, t.NSigma
+	st.NumPins = numPins
 
 	for rf := 0; rf < 2; rf++ {
 		st.ArcMean[rf] = extendSlab(prev.ArcMean[rf], nArcs, owned)
@@ -160,8 +168,8 @@ func CompileIncrementalPatched(t *circuitops.Tables, prev *State, seeds, changed
 	st.ArcNet = extendSlab(prev.ArcNet, nArcs, owned)
 	st.ArcFrom = extendSlab(prev.ArcFrom, nArcs, owned)
 	st.ArcTo = extendSlab(prev.ArcTo, nArcs, owned)
-	for _, c := range chg {
-		a := &t.Arcs[c]
+	for _, ed := range chg {
+		c, a := ed.ID, &ed.Row
 		st.ArcMean[liberty.Rise][c], st.ArcStd[liberty.Rise][c] = a.MeanRise, a.StdRise
 		st.ArcMean[liberty.Fall][c], st.ArcStd[liberty.Fall][c] = a.MeanFall, a.StdFall
 		st.ArcKind[c], st.ArcCell[c], st.ArcNet[c] = a.Kind, a.Cell, a.Net
@@ -169,9 +177,9 @@ func CompileIncrementalPatched(t *circuitops.Tables, prev *State, seeds, changed
 	}
 
 	// Per-pin tables: appended pins are neither startpoints nor endpoints.
-	st.SpOfPin = extendSlab(prev.SpOfPin, t.NumPins, owned)
-	st.EpOfPin = extendSlab(prev.EpOfPin, t.NumPins, owned)
-	for p := prev.NumPins; p < t.NumPins; p++ {
+	st.SpOfPin = extendSlab(prev.SpOfPin, numPins, owned)
+	st.EpOfPin = extendSlab(prev.EpOfPin, numPins, owned)
+	for p := prev.NumPins; p < numPins; p++ {
 		st.SpOfPin[p], st.EpOfPin[p] = -1, -1
 	}
 
@@ -179,8 +187,8 @@ func CompileIncrementalPatched(t *circuitops.Tables, prev *State, seeds, changed
 	// the start array only gains the appended pins' prefix sums; affected
 	// segments are rebuilt sorted by arc id — the order the full compile's
 	// ascending arc scan yields.
-	st.FaninStart = extendSlab(prev.FaninStart, t.NumPins+1, owned)
-	for p := prev.NumPins; p < t.NumPins; p++ {
+	st.FaninStart = extendSlab(prev.FaninStart, numPins+1, owned)
+	for p := prev.NumPins; p < numPins; p++ {
 		st.FaninStart[p+1] = st.FaninStart[p] + newInCount[p-prev.NumPins]
 	}
 	st.FaninArc = extendSlab(prev.FaninArc, nArcs, owned)
@@ -194,9 +202,7 @@ func CompileIncrementalPatched(t *circuitops.Tables, prev *State, seeds, changed
 				merged = append(merged, s)
 			}
 		}
-		for _, c := range addIn[p] {
-			merged = append(merged, inSlot{c, t.Arcs[c].From, t.Arcs[c].Sense})
-		}
+		merged = append(merged, addIn[p]...)
 		slices.SortFunc(merged, func(a, b inSlot) int { return int(a.arc - b.arc) })
 		pos := st.FaninStart[p]
 		for _, s := range merged {
@@ -208,19 +214,19 @@ func CompileIncrementalPatched(t *circuitops.Tables, prev *State, seeds, changed
 	for p := range inDelta {
 		writeIn(p, oldIn[p])
 	}
-	for p := prev.NumPins; p < t.NumPins; p++ {
+	for p := prev.NumPins; p < numPins; p++ {
 		writeIn(int32(p), nil)
 	}
 
 	// Fan-out CSR (slot content is the arc's head pin + arc id): rebuilt from
 	// the patched arc slabs after a bypass, otherwise patched like the fan-in.
-	st.FoStart = extendSlab(prev.FoStart, t.NumPins+1, owned)
+	st.FoStart = extendSlab(prev.FoStart, numPins+1, owned)
 	st.FoAdj = extendSlab(prev.FoAdj, nArcs, owned)
 	st.FoArc = extendSlab(prev.FoArc, nArcs, owned)
 	if rebuildFo {
 		fanoutCSR(st.ArcFrom, st.ArcTo, st.FoStart, st.FoAdj, st.FoArc)
 	} else {
-		for p := prev.NumPins; p < t.NumPins; p++ {
+		for p := prev.NumPins; p < numPins; p++ {
 			st.FoStart[p+1] = st.FoStart[p] + newOutCount[p-prev.NumPins]
 		}
 		outScratch := make([]outSlot, 0, 16)
@@ -231,9 +237,7 @@ func CompileIncrementalPatched(t *circuitops.Tables, prev *State, seeds, changed
 					merged = append(merged, s)
 				}
 			}
-			for _, c := range addOut[p] {
-				merged = append(merged, outSlot{t.Arcs[c].To, c})
-			}
+			merged = append(merged, addOut[p]...)
 			slices.SortFunc(merged, func(a, b outSlot) int { return int(a.arc - b.arc) })
 			pos := st.FoStart[p]
 			for _, s := range merged {
@@ -245,14 +249,14 @@ func CompileIncrementalPatched(t *circuitops.Tables, prev *State, seeds, changed
 		for p := range outDelta {
 			writeOut(p, oldOut[p])
 		}
-		for p := prev.NumPins; p < t.NumPins; p++ {
+		for p := prev.NumPins; p < numPins; p++ {
 			writeOut(int32(p), nil)
 		}
 	}
 
 	// Localized re-levelization over the patched CSRs — no adjacency rebuild,
 	// no full-arc floor scan.
-	lv, is, err := levelize.Incremental(t.NumPins, st.FoStart, st.FoAdj, st.FaninStart, st.FaninFrom, prev.levels(), seeds)
+	lv, is, err := levelize.Incremental(numPins, st.FoStart, st.FoAdj, st.FaninStart, st.FaninFrom, prev.levels(), seeds)
 	if err != nil {
 		return nil, is, err
 	}

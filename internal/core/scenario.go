@@ -31,6 +31,18 @@ type Scenario struct {
 	RCScale    float64 // net-arc (interconnect) delay scaling
 }
 
+// Scale returns the scenario's derate factors for an arc of the given kind
+// (0 = cell, 1 = net): the mean factor — DelayScale for a cell arc, RCScale
+// for a net arc — and the sigma factor, SigmaScale for both. It is the derate
+// model's one statement: ScaleTables, the engine's lane factors, hier's
+// extraction cone and its composed top-level wires all read it.
+func (s Scenario) Scale(kind uint8) (mean, std float64) {
+	if kind == 1 {
+		return s.RCScale, s.SigmaScale
+	}
+	return s.DelayScale, s.SigmaScale
+}
+
 // unitLane is the scenario list of the paper's single-corner engine.
 var unitLane = []Scenario{{DelayScale: 1, SigmaScale: 1, RCScale: 1}}
 
@@ -133,14 +145,11 @@ func ScaleTables(t *circuitops.Tables, scn Scenario) *circuitops.Tables {
 	out := *t
 	out.Arcs = make([]circuitops.ArcRow, len(t.Arcs))
 	for i, a := range t.Arcs {
-		ms := scn.DelayScale
-		if a.Kind == 1 {
-			ms = scn.RCScale
-		}
+		ms, ss := scn.Scale(a.Kind)
 		a.MeanRise *= ms
 		a.MeanFall *= ms
-		a.StdRise *= scn.SigmaScale
-		a.StdFall *= scn.SigmaScale
+		a.StdRise *= ss
+		a.StdFall *= ss
 		out.Arcs[i] = a
 	}
 	return &out

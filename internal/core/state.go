@@ -11,7 +11,7 @@ package core
 // Construction is split so both paths share one code body:
 //
 //	NewEngine(t, opt)          = Compile(t) + NewEngineFromState(st, opt)
-//	warm start (internal/snap) =  snap.Open  + NewEngineFromState(st, opt)
+//	warm start (internal/snap) = Cache.Load + NewEngineFromState(st, opt)
 //
 // which is what makes the warm/cold differential guarantee cheap to uphold:
 // the slices a warm engine propagates over are bit-identical to the ones a
@@ -271,10 +271,22 @@ func fanoutCSR(from, to, start, adj, arc []int32) {
 	}
 }
 
+// Arc returns arc id's extraction row as the state holds it now: the row
+// circuitops.Extract wrote, or the last structural edit of it.
+func (st *State) Arc(id int32) circuitops.ArcRow {
+	return circuitops.ArcRow{
+		From: st.ArcFrom[id], To: st.ArcTo[id],
+		Kind: st.ArcKind[id], Sense: st.FaninSense[faninPos(st, id)],
+		Cell: st.ArcCell[id], Net: st.ArcNet[id],
+		MeanRise: st.ArcMean[liberty.Rise][id], StdRise: st.ArcStd[liberty.Rise][id],
+		MeanFall: st.ArcMean[liberty.Fall][id], StdFall: st.ArcStd[liberty.Fall][id],
+	}
+}
+
 // Tables reconstructs extraction tables equivalent to the ones the state was
-// compiled from (arc order and all attributes preserved). Warm-started tools
-// use this to run table-level consumers (Monte Carlo validation, re-export)
-// without the original sources.
+// compiled from (arc order and all attributes preserved). It builds a new
+// table set; tools that need one for a table-level consumer (re-export, a
+// flattened chip, a block recovery) call it on purpose.
 func (st *State) Tables() *circuitops.Tables {
 	t := &circuitops.Tables{
 		Design:  st.Design,
@@ -284,13 +296,7 @@ func (st *State) Tables() *circuitops.Tables {
 	}
 	t.Arcs = make([]circuitops.ArcRow, len(st.ArcFrom))
 	for i := range t.Arcs {
-		t.Arcs[i] = circuitops.ArcRow{
-			From: st.ArcFrom[i], To: st.ArcTo[i],
-			Kind: st.ArcKind[i], Sense: st.FaninSense[faninPos(st, int32(i))],
-			Cell: st.ArcCell[i], Net: st.ArcNet[i],
-			MeanRise: st.ArcMean[liberty.Rise][i], StdRise: st.ArcStd[liberty.Rise][i],
-			MeanFall: st.ArcMean[liberty.Fall][i], StdFall: st.ArcStd[liberty.Fall][i],
-		}
+		t.Arcs[i] = st.Arc(int32(i))
 	}
 	t.SPs = make([]circuitops.SPRow, len(st.SpPin))
 	for i := range t.SPs {
@@ -594,7 +600,7 @@ func newEngineBody(st *State, scns []Scenario, opt Options) (*Engine, error) {
 		tracer:  opt.Tracer,
 	}
 	e.top = view{e: e, q: new(queues)}
-	for kind := 0; kind < 2; kind++ {
+	for kind := range e.scaleMean {
 		e.scaleMean[kind] = make([]float64, S)
 		e.scaleStd[kind] = make([]float64, S)
 	}
@@ -602,8 +608,9 @@ func newEngineBody(st *State, scns []Scenario, opt Options) (*Engine, error) {
 		if !validScale(l.DelayScale) || !validScale(l.SigmaScale) || !validScale(l.RCScale) {
 			return nil, fmt.Errorf("core: scenario %d (%q) has a non-finite or non-positive scale", s, l.Name)
 		}
-		e.scaleMean[0][s], e.scaleMean[1][s] = l.DelayScale, l.RCScale
-		e.scaleStd[0][s], e.scaleStd[1][s] = l.SigmaScale, l.SigmaScale
+		for kind := range e.scaleMean {
+			e.scaleMean[kind][s], e.scaleStd[kind][s] = l.Scale(uint8(kind))
+		}
 	}
 	// The engine binds to its own shallow copy of the state whose annotation
 	// slabs are cloned: SetArcDelay must not leak across engines sharing one
@@ -747,10 +754,6 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 	}
 	return ne, nil
 }
-
-// Options returns the engine's construction options (topo sessions use them
-// to build seeded engines with the base engine's exact configuration).
-func (e *Engine) Options() Options { return e.opt }
 
 // ExportState returns the engine's compiled state with its *current* arc
 // annotations — the payload of a snapshot save (e.g. the serving daemon's

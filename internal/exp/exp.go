@@ -25,7 +25,6 @@ import (
 	"insta/internal/core"
 	"insta/internal/num"
 	"insta/internal/refsta"
-	"insta/internal/snap"
 )
 
 // Setup bundles one generated design with its initialized reference engine
@@ -37,23 +36,11 @@ type Setup struct {
 	State *core.State
 }
 
-// snapCache, when set via UseSnapshots, short-circuits the extraction +
-// compile half of Build through the content-addressed snapshot store.
-var snapCache *snap.Cache
-
-// UseSnapshots routes Build's extraction/compile through a snapshot cache:
-// on a hit the compiled state is decoded from disk (and the tables
-// reconstructed from it) instead of re-extracted; on a miss the freshly
-// compiled state is written back. Call once at tool startup, before any
-// Build. The reference engine is always built — every harness correlates
-// against it.
-func UseSnapshots(c *snap.Cache) { snapCache = c }
-
 // Build generates a design and initializes the reference engine, the
 // extraction tables, and the compiled state (the one-time initialization of
-// Fig. 2). With UseSnapshots, repeated Builds of one spec — within a run
-// (Table II builds each design three times) or across tool invocations —
-// compile once and warm-start after.
+// Fig. 2). Generation and reference set-up dominate a Build and no snapshot
+// can skip them; extract + compile are a few percent of it, so every Build
+// runs all of it.
 func Build(spec bench.Spec) (*Setup, error) {
 	b, err := bench.Generate(spec)
 	if err != nil {
@@ -63,22 +50,7 @@ func Build(spec bench.Spec) (*Setup, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Setup{B: b, Ref: ref}
-	if c := snapCache; c != nil {
-		key := snap.KeyForPreset(spec)
-		if snp, lerr := c.Load(key); lerr == nil && snp != nil {
-			s.State = snp.State
-			s.Tab = snp.State.Tables()
-			return s, nil
-		}
-		s.Tab = circuitops.Extract(ref)
-		if s.State, err = core.Compile(s.Tab); err != nil {
-			return nil, err
-		}
-		c.Store(key, s.State, nil) // best-effort write-back
-		return s, nil
-	}
-	s.Tab = circuitops.Extract(ref)
+	s := &Setup{B: b, Ref: ref, Tab: circuitops.Extract(ref)}
 	if s.State, err = core.Compile(s.Tab); err != nil {
 		return nil, err
 	}
@@ -109,16 +81,6 @@ func Correlate(ref, got []float64) (r float64, ms num.MismatchStats, n, disagree
 	}
 	ms, err = num.Mismatch(a, b)
 	return r, ms, len(a), disagree, err
-}
-
-// SyncDelays clones the reference engine's current arc annotations into
-// INSTA (the full re-synchronization path of Fig. 2).
-func SyncDelays(ref *refsta.Engine, e *core.Engine) {
-	for i := range ref.Arcs {
-		a := &ref.Arcs[i]
-		e.SetArcDelay(int32(i), 0, a.Delay[0])
-		e.SetArcDelay(int32(i), 1, a.Delay[1])
-	}
 }
 
 // timeIt runs fn and returns its wall-clock duration.

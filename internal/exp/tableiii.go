@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"insta/internal/bench"
-	"insta/internal/circuitops"
 	"insta/internal/core"
 	"insta/internal/place"
 )
@@ -140,10 +139,9 @@ func Fig9(w io.Writer, name string, iterations int, opt core.Options) (*Fig9Resu
 		}
 		var eng *core.Engine
 		if mode == place.ModeInsta {
-			tab := circuitops.Extract(s.Ref)
 			pOpt := opt
 			pOpt.TopK, pOpt.Tau = 2, 60
-			eng, err = core.NewEngine(tab, pOpt)
+			eng, err = core.NewEngineFromState(s.State, pOpt)
 			if err != nil {
 				return place.Breakdown{}, err
 			}

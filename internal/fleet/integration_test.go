@@ -174,7 +174,7 @@ func TestInprocFleetServesCorners(t *testing.T) {
 	// bodies, which carry the daemon-local id, can be compared whole.
 	fid := createSession(t, rt.URL)
 	id := createSession(t, lone)
-	a := bt.Tab.Arcs[7]
+	a := bt.Tables().Arcs[7]
 	eco, _ := json.Marshal(server.ECORequest{Arcs: []server.ArcECO{{
 		Arc:  7,
 		Rise: num.Dist{Mean: a.MeanRise * 1.5, Std: a.StdRise},

@@ -207,7 +207,7 @@ type CompareScenario struct {
 type Compare struct {
 	Scen              []CompareScenario
 	FlatPins, TopPins int
-	FlatNs            int64 // flat path: scale + compile + propagate, all scenarios
+	FlatNs            int64 // flat path: compile + one lane-per-scenario propagate
 	AnalyzeNs         int64 // hier path: compose + compile + propagate, all scenarios
 	RecoverNs         int64 // per-block recovery, all scenarios
 }
@@ -231,21 +231,30 @@ func (r *ChipRun) CompareFlat(opt core.Options) (*Compare, error) {
 		FlatPins:  flatTab.NumPins,
 		AnalyzeNs: time.Since(t0).Nanoseconds(),
 	}
+
+	// The flat side: one compile and one engine with a lane per scenario.
+	t0 = time.Now()
+	scns := make([]core.Scenario, len(a.Scen))
+	for si, sr := range a.Scen {
+		scns[si] = sr.Scenario
+	}
+	fst, err := core.Compile(flatTab)
+	if err != nil {
+		return nil, err
+	}
+	fe, err := core.NewEngineLanes(fst, scns, opt)
+	if err != nil {
+		return nil, err
+	}
+	defer fe.Close()
+	fe.Propagate()
+	fe.RefreshSlacks()
+	c.FlatNs = time.Since(t0).Nanoseconds()
+
 	for si, sr := range a.Scen {
 		c.TopPins = sr.Tab.NumPins
-		t0 = time.Now()
-		fst, err := core.Compile(core.ScaleTables(flatTab, sr.Scenario))
-		if err != nil {
-			return nil, err
-		}
-		fe, err := core.NewEngineFromState(fst, opt)
-		if err != nil {
-			return nil, err
-		}
-		fe.Run()
-		flatSl, flatWNS, flatTNS := fe.EvalSlacks(), fe.WNS(), fe.TNS()
-		fe.Close()
-		c.FlatNs += time.Since(t0).Nanoseconds()
+		flatSl := fe.LaneSlacks(si)
+		flatWNS, flatTNS := core.WNS(flatSl), core.TNS(flatSl)
 
 		t0 = time.Now()
 		rec, err := r.RecoveredSlacks(a, si, fm, opt)

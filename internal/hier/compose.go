@@ -149,8 +149,8 @@ func (c *Chip) newTopIndex() *TopIndex {
 
 // ComposeTop stitches the chip's top graph for scenario index si: block
 // models become launch/cons/thru arcs and virtual SP/EP rows, wires become
-// net arcs with the scenario's RC and sigma derates (matching what the
-// flattened chip's ScaleTables pass would do to them).
+// net arcs with the scenario's net-arc derates (Scenario.Scale, as a lane
+// over the flattened chip applies them).
 func ComposeTop(c *Chip, si int) (*circuitops.Tables, *TopIndex, error) {
 	nScen, err := c.validate()
 	if err != nil {
@@ -280,9 +280,10 @@ func ComposeTop(c *Chip, si int) (*circuitops.Tables, *TopIndex, error) {
 		}
 	}
 	// Top-level interconnect, derated like any flattened net arc.
+	ms, ss := scn.Scale(1)
 	for wi, w := range c.Wires {
-		mean := w.Mean * scn.RCScale
-		std := w.Std * scn.SigmaScale
+		mean := w.Mean * ms
+		std := w.Std * ss
 		t.Arcs = append(t.Arcs, circuitops.ArcRow{
 			From: x.OutPin(w.FromInst, w.FromPort), To: x.InPin(w.ToInst, w.ToPort),
 			Kind: 1, Sense: uint8(liberty.PositiveUnate), Cell: -1, Net: int32(wi),

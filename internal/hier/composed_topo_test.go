@@ -7,6 +7,7 @@ package hier
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"insta/internal/circuitops"
@@ -16,10 +17,27 @@ import (
 	"insta/internal/topo"
 )
 
+// advanced returns a copy of tab with an applied batch written in: its edited
+// rows by id (appended ids grow the arc table) and its appended pins. It is
+// the cold-compile oracle's netlist; the patched state is never read back for
+// it.
+func advanced(tab *circuitops.Tables, res *topo.Result) *circuitops.Tables {
+	out := *tab
+	out.Arcs = slices.Clone(tab.Arcs)
+	out.NumPins += res.NewPins
+	for _, ed := range res.Edits {
+		if n := int(ed.ID) + 1; n > len(out.Arcs) {
+			out.Arcs = append(out.Arcs, make([]circuitops.ArcRow, n-len(out.Arcs))...)
+		}
+		out.Arcs[ed.ID] = ed.Row
+	}
+	return &out
+}
+
 // composedEdit builds the flattened chip-2x, an edit batch targeting its
-// top-level wires (one buffer insertion, one annotation), and the applied
-// result.
-func composedEdit(t *testing.T) (flatTab *circuitops.Tables, prev *core.State, ops []topo.Op, res *topo.Result) {
+// top-level wires (one buffer insertion, one annotation), the applied result,
+// and the edited netlist.
+func composedEdit(t *testing.T) (prev *core.State, ops []topo.Op, res *topo.Result, edited *circuitops.Tables) {
 	t.Helper()
 	run := mustChipRun(t, "chip-2x", nil, core.Options{TopK: 8, Workers: 2}, nil)
 	flatTab, _, err := ComposeFlat(run.Spec.Name, run.States, run.Spec.Wires)
@@ -44,11 +62,11 @@ func composedEdit(t *testing.T) (flatTab *circuitops.Tables, prev *core.State, o
 		topo.InsertBuffer(wireA, -1, bufD, 0.5),
 		topo.Annotate(wireB, annD),
 	}
-	res, err = topo.Apply(flatTab, prev, ops)
+	res, err = topo.Apply(prev, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return flatTab, prev, ops, res
+	return prev, ops, res, advanced(flatTab, res)
 }
 
 // TestComposedIncrementalPatch recompiles two batches through the patched
@@ -58,11 +76,11 @@ func composedEdit(t *testing.T) (flatTab *circuitops.Tables, prev *core.State, o
 // the buffer's output to its driver, which changes both pins' fan-out counts
 // and so takes the fan-out CSR rebuild.
 func TestComposedIncrementalPatch(t *testing.T) {
-	_, prev, ops, res := composedEdit(t)
-	patched := patchMatchesCold(t, "insert", prev, res, false)
+	prev, ops, res, edited := composedEdit(t)
+	patched := patchMatchesCold(t, "insert", prev, res, edited, false)
 
-	cellArc := int32(len(res.Tables.Arcs) - 2)
-	res2, err := topo.Apply(res.Tables, patched, []topo.Op{
+	cellArc := int32(len(edited.Arcs) - 2)
+	res2, err := topo.Apply(patched, []topo.Op{
 		topo.RemoveBuffer(cellArc),
 		topo.Annotate(ops[1].Arc, [2]num.Dist{{Mean: 30, Std: 1.5}, {Mean: 31, Std: 1.5}}),
 	})
@@ -72,19 +90,19 @@ func TestComposedIncrementalPatch(t *testing.T) {
 	if res2.Removed != 1 || res2.Annotated != 1 {
 		t.Fatalf("unbuffer batch footprint: %+v", res2)
 	}
-	patchMatchesCold(t, "unbuffer", patched, res2, true)
+	patchMatchesCold(t, "unbuffer", patched, res2, advanced(edited, res2), true)
 }
 
 // patchMatchesCold patches prev with res's batch and checks the result against
-// core.Compile of res's tables field by field, then by the slacks an engine
-// over each reads.
-func patchMatchesCold(t *testing.T, tag string, prev *core.State, res *topo.Result, owned bool) *core.State {
+// core.Compile of the edited netlist field by field, then by the slacks an
+// engine over each reads.
+func patchMatchesCold(t *testing.T, tag string, prev *core.State, res *topo.Result, edited *circuitops.Tables, owned bool) *core.State {
 	t.Helper()
-	coldSt, err := core.Compile(res.Tables)
+	coldSt, err := core.Compile(edited)
 	if err != nil {
 		t.Fatal(err)
 	}
-	patched, is, err := core.CompileIncrementalPatched(res.Tables, prev, res.Seeds, res.Changed, owned)
+	patched, is, err := core.CompileIncrementalPatched(prev, res.Edits, res.NewPins, res.Seeds, owned)
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
@@ -112,8 +130,8 @@ func patchMatchesCold(t *testing.T, tag string, prev *core.State, res *topo.Resu
 }
 
 func TestComposedIncrementalCSRDirect(t *testing.T) {
-	_, prev, _, res := composedEdit(t)
-	coldSt, err := core.Compile(res.Tables)
+	prev, _, res, edited := composedEdit(t)
+	coldSt, err := core.Compile(edited)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +164,7 @@ func TestComposedIncrementalCSRDirect(t *testing.T) {
 }
 
 func TestComposedTopoSession(t *testing.T) {
-	_, prev, ops, res := composedEdit(t)
+	prev, ops, _, edited := composedEdit(t)
 	opt := core.Options{TopK: 8, Workers: 2}
 	e, err := core.NewEngineFromState(prev, opt)
 	if err != nil {
@@ -163,7 +181,7 @@ func TestComposedTopoSession(t *testing.T) {
 	if _, err := sess.Apply(ops); err != nil {
 		t.Fatal(err)
 	}
-	coldSt, err := core.Compile(res.Tables)
+	coldSt, err := core.Compile(edited)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,23 +2,24 @@
 // boundary-to-boundary arcs, internal constraint summaries, and launch
 // distributions of a BlockModel, per scenario.
 //
-// Two machines produce the numbers:
+// Two machines produce the numbers, and neither copies the state:
 //
-//   - A full engine run over the (scenario-scaled) block supplies the launch
-//     arcs (worst internally-launched Top-K entry at each output) and the
-//     internal-only endpoint slacks (the engine's slack evaluation replayed
-//     with boundary startpoints filtered out).
+//   - One forward propagation of a lane engine over the block — one lane per
+//     scenario, each derating the shared arc annotations inline — supplies
+//     the launch arcs (worst internally-launched Top-K entry at each output)
+//     and the internal-only endpoint slacks (the engine's slack evaluation
+//     replayed over lane s with boundary startpoints filtered out).
 //
 //   - A per-input cone propagation supplies the thru and cons arcs: from
 //     each boundary input, seeded at one transition with a zero arrival, the
 //     worst RSS-composed path distribution to every reachable pin is pushed
 //     level-by-level through the fan-in CSR using exactly the engine's
-//     arithmetic (same unateness expansion, same keep-max rule with
-//     keep-existing ties). Because the flat engine retains at most one entry
-//     per unique startpoint, a Top-1 cone from a single source reproduces
-//     the entry the flat engine would carry for that startpoint bit for bit
-//     (modulo Top-K eviction, which only ever drops paths from the flat
-//     side).
+//     arithmetic (the same inline derate, same unateness expansion, same
+//     keep-max rule with keep-existing ties). Because the flat engine
+//     retains at most one entry per unique startpoint, a Top-1 cone from a
+//     single source reproduces the entry the flat engine would carry for
+//     that startpoint bit for bit (modulo Top-K eviction, which only ever
+//     drops paths from the flat side).
 package hier
 
 import (
@@ -90,23 +91,29 @@ func Extract(st *core.State, scns []core.Scenario, opt core.Options) (*BlockMode
 		}
 	}
 
+	// One engine, one lane per scenario: launch arcs and internal-only
+	// slacks come from its Top-K queues, so propagation is all it runs.
+	e, err := core.NewEngineLanes(st, scns, opt)
+	if err != nil {
+		return nil, err
+	}
+	defer e.Close()
+	e.Propagate()
+
 	sc := newConeScratch(st.NumPins)
-	for _, scn := range scns {
-		sst := scaleState(st, scn)
-		sm, err := extractScenario(sst, scn, m, boundarySP, exc, sc, opt)
-		if err != nil {
-			return nil, err
-		}
-		m.Scen = append(m.Scen, *sm)
+	for s := range scns {
+		m.Scen = append(m.Scen, *extractScenario(st, e, s, m, boundarySP, exc, sc))
 	}
 	return m, nil
 }
 
-// extractScenario produces one scenario's model slabs from the scaled state.
-func extractScenario(st *core.State, scn core.Scenario, m *BlockModel,
-	boundarySP []bool, exc *sdc.ExceptionTable, sc *coneScratch, opt core.Options) (*ScenarioModel, error) {
+// extractScenario produces scenario s's model slabs from lane s of the
+// propagated engine e and from cone passes derated for the scenario.
+func extractScenario(st *core.State, e *core.Engine, s int, m *BlockModel,
+	boundarySP []bool, exc *sdc.ExceptionTable, sc *coneScratch) *ScenarioModel {
 
 	nI, nO, nEP := len(m.Ins), len(m.Outs), len(st.EpPin)
+	scn := e.Scenarios()[s]
 	sm := &ScenarioModel{
 		Scenario:    scn,
 		ThruMean:    fill(nI*nO*4, math.Inf(-1)),
@@ -129,19 +136,12 @@ func extractScenario(st *core.State, scn core.Scenario, m *BlockModel,
 		isPortEp[p] = true
 	}
 
-	// Engine pass: launch arcs and internal-only slacks.
-	e, err := core.NewEngineFromState(st, opt)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	e.Run()
-
+	// Engine lane: launch arcs and internal-only slacks.
 	outIdx := make(map[int32]int, nO)
 	for o, p := range m.Outs {
 		outIdx[p] = o
 		for rf := 0; rf < 2; rf++ {
-			mean, std, sps := e.TopEntries(rf, p)
+			mean, std, sps := e.LaneTopEntries(rf, p, s)
 			for kk, sp := range sps {
 				if sp < 0 {
 					break // queues are packed: empties trail
@@ -164,7 +164,7 @@ func extractScenario(st *core.State, scn core.Scenario, m *BlockModel,
 		p := st.EpPin[i]
 		best := math.Inf(1)
 		for rf := 0; rf < 2; rf++ {
-			mean, std, sps := e.TopEntries(rf, p)
+			mean, std, sps := e.LaneTopEntries(rf, p, s)
 			for kk, sp := range sps {
 				if sp < 0 {
 					break
@@ -199,7 +199,7 @@ func extractScenario(st *core.State, scn core.Scenario, m *BlockModel,
 	credit0 := 2 * st.NSigma * math.Sqrt(st.ClkCumVar[0])
 	for i, in := range m.Ins {
 		for r0 := 0; r0 < 2; r0++ {
-			sc.run(st, in.Pin, r0)
+			sc.run(st, scn, in.Pin, r0)
 			// Thru: the cone seeded at transition r0 yields the r0 slot of
 			// every positive-unate arc and the (1-r0) slot of every
 			// negative-unate arc.
@@ -254,7 +254,7 @@ func extractScenario(st *core.State, scn core.Scenario, m *BlockModel,
 			}
 		}
 	}
-	return sm, nil
+	return sm
 }
 
 func fill(n int, v float64) []float64 {
@@ -299,8 +299,9 @@ func (sc *coneScratch) at(rf int, p int32) (mean, std float64, ok bool) {
 
 // run propagates the worst path distribution from source (seeded with a
 // zero arrival at transition r0 only) through its fan-out cone, in level
-// order, with the engine's exact per-contribution arithmetic.
-func (sc *coneScratch) run(st *core.State, source int32, r0 int) {
+// order, with the engine's exact per-contribution arithmetic: arc values
+// derated for scn the way a lane of the engine derates them.
+func (sc *coneScratch) run(st *core.State, scn core.Scenario, source int32, r0 int) {
 	sc.epoch++
 	sc.reach = sc.reach[:0]
 	sc.eps = sc.eps[:0]
@@ -358,8 +359,9 @@ func (sc *coneScratch) run(st *core.State, source int32, r0 int) {
 				if sc.stamp[parent] != sc.epoch {
 					continue
 				}
-				am := st.ArcMean[rf][arc]
-				as := st.ArcStd[rf][arc]
+				ms, ss := scn.Scale(st.ArcKind[arc])
+				am := st.ArcMean[rf][arc] * ms
+				as := st.ArcStd[rf][arc] * ss
 				inRFs, n := liberty.Unate(st.FaninSense[pos]).InRFs(rf)
 				for ri := 0; ri < n; ri++ {
 					pm := sc.mean[inRFs[ri]][parent]

@@ -277,7 +277,10 @@ func TestBlockModelCache(t *testing.T) {
 	// perturbed state's model must be a clean miss while the original stays
 	// cached.
 	st := run1.States[0]
-	pert := scaleState(st, core.Scenario{DelayScale: 1.001, SigmaScale: 1, RCScale: 1})
+	pert, err := core.Compile(core.ScaleTables(st.Tables(), core.Scenario{DelayScale: 1.001, SigmaScale: 1, RCScale: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	h0, h1 := StateHash(st, nil, 8), StateHash(pert, nil, 8)
 	if h0 == h1 {
 		t.Fatal("perturbed state hashes identically to original")

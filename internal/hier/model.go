@@ -25,11 +25,15 @@
 // re-ranks per arrival. DESIGN.md §16 derives the resulting slack error
 // bound: at most NSigma times the boundary arrival sigma per crossing.
 //
-// The composition engine (compose.go) stitches N block models plus
-// top-level interconnect into a tiny circuitops.Tables/core.State and runs
+// Extraction (extract.go) reads every scenario from one lane engine over the
+// block's compiled state — a scenario is a lane derating the shared arc
+// annotations (core.Scenario.Scale), never a scaled copy of the state. The
+// composition engine (compose.go) stitches N block models plus top-level
+// interconnect into a tiny circuitops.Tables/core.State per scenario and runs
 // the ordinary flat engine over it; flat.go builds the equivalent flattened
-// chip for the differential suites; persist.go serializes models through the
-// internal/snap container keyed by the source state's content hash.
+// chip, which ChipRun.CompareFlat compiles once and analyzes in one lane
+// engine; persist.go serializes models through the internal/snap container
+// keyed by the source state's content hash.
 package hier
 
 import (
@@ -180,31 +184,6 @@ func StateHash(st *core.State, scns []core.Scenario, topK int) string {
 	binary.LittleEndian.PutUint64(tk[:], uint64(topK))
 	h.Write(tk[:])
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// scaleState returns st with its arc annotations scaled for one scenario —
-// the exact multiplications of core.ScaleTables applied to the compiled
-// slabs (cell-arc means by DelayScale, net-arc means by RCScale, sigmas by
-// SigmaScale), with every other slab shared. The nominal scenario returns st
-// itself.
-func scaleState(st *core.State, scn core.Scenario) *core.State {
-	if scn.DelayScale == 1 && scn.SigmaScale == 1 && scn.RCScale == 1 {
-		return st
-	}
-	out := *st
-	for rf := 0; rf < 2; rf++ {
-		out.ArcMean[rf] = make([]float64, len(st.ArcMean[rf]))
-		out.ArcStd[rf] = make([]float64, len(st.ArcStd[rf]))
-		for i := range st.ArcMean[rf] {
-			ms := scn.DelayScale
-			if st.ArcKind[i] == 1 {
-				ms = scn.RCScale
-			}
-			out.ArcMean[rf][i] = st.ArcMean[rf][i] * ms
-			out.ArcStd[rf][i] = st.ArcStd[rf][i] * scn.SigmaScale
-		}
-	}
-	return &out
 }
 
 // stLCA is the engine's clock-tree lowest-common-ancestor walk over a

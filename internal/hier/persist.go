@@ -179,7 +179,18 @@ func (c *modelCursor) f64slab(n int) []float64 {
 	return out
 }
 
-// DecodeModel parses a SecBlockModel payload.
+// pin fails unless p is a pin id of a source block with pins pins.
+func (c *modelCursor) pin(what string, p int32, pins int) {
+	if c.err == nil && (p < 0 || int(p) >= pins) {
+		c.fail("%s pin %d outside [0,%d)", what, p, pins)
+	}
+}
+
+// DecodeModel parses a SecBlockModel payload. Beyond the layout it checks
+// what a composition would index with: every boundary and endpoint pin lies
+// in the source block, every port exception names an existing input and
+// output, its flag byte is 0 or 1 and its cycle count is not negative — so
+// anything it accepts re-encodes to the same bytes.
 func DecodeModel(payload []byte) (*BlockModel, error) {
 	c := &modelCursor{b: payload}
 	if v := c.u16(); c.err == nil && v != modelVersion {
@@ -196,25 +207,38 @@ func DecodeModel(payload []byte) (*BlockModel, error) {
 	}
 	nI := c.count(20)
 	for i := 0; i < nI && c.err == nil; i++ {
-		m.Ins = append(m.Ins, InPin{Pin: int32(c.u32()), Mean: c.f64(), Std: c.f64()})
+		in := InPin{Pin: int32(c.u32()), Mean: c.f64(), Std: c.f64()}
+		c.pin("input", in.Pin, m.SourcePins)
+		m.Ins = append(m.Ins, in)
 	}
 	nO := c.count(4)
 	for i := 0; i < nO && c.err == nil; i++ {
-		m.Outs = append(m.Outs, int32(c.u32()))
+		p := int32(c.u32())
+		c.pin("output", p, m.SourcePins)
+		m.Outs = append(m.Outs, p)
 	}
 	nEP := c.count(4)
 	for i := 0; i < nEP && c.err == nil; i++ {
-		m.EpPin = append(m.EpPin, int32(c.u32()))
+		p := int32(c.u32())
+		c.pin("endpoint", p, m.SourcePins)
+		m.EpPin = append(m.EpPin, p)
 	}
 	m.OutReq = c.f64slab(nO * 2)
 	nPE := c.count(13)
 	for i := 0; i < nPE && c.err == nil; i++ {
 		pe := PortExc{In: int32(c.u32()), Out: int32(c.u32())}
-		if f := c.take(1); f != nil {
-			pe.False = f[0] != 0
-		}
+		flag := c.take(1)
 		pe.Cycles = int32(c.u32())
-		if c.err == nil {
+		switch {
+		case c.err != nil:
+		case flag[0] > 1:
+			c.fail("port exception %d flag byte %d (want 0 or 1)", i, flag[0])
+		case pe.In < 0 || int(pe.In) >= nI || pe.Out < 0 || int(pe.Out) >= nO:
+			c.fail("port exception %d names input %d of %d, output %d of %d", i, pe.In, nI, pe.Out, nO)
+		case pe.Cycles < 0:
+			c.fail("port exception %d has %d cycles", i, pe.Cycles)
+		default:
+			pe.False = flag[0] == 1
 			m.PortExc = append(m.PortExc, pe)
 		}
 	}

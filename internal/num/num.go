@@ -1,8 +1,8 @@
 // Package num provides the small numeric kernels shared across the INSTA
-// reproduction: Gaussian (POCV) distribution arithmetic, the numerically
-// stable Log-Sum-Exp operator and its softmax gradient, bilinear table
+// reproduction: Gaussian (POCV) distribution arithmetic, bilinear table
 // interpolation for NLDM lookups, and summary statistics used by the
-// correlation studies.
+// correlation studies. The Log-Sum-Exp operator of the backward pass (paper
+// Eq. 4-6) lives in internal/core, inside the kernel that uses it.
 package num
 
 import (
@@ -42,67 +42,10 @@ func RSS(a, b float64) float64 {
 	return math.Sqrt(a*a + b*b)
 }
 
-// LSE computes the numerically stable Log-Sum-Exp of xs with temperature tau
-// (paper Eq. 4): max(xs) + tau*log(sum(exp((x-max)/tau))). For tau <= 0 it
-// degenerates to the exact maximum (paper Eq. 5). An empty input returns -Inf.
-func LSE(xs []float64, tau float64) float64 {
-	if len(xs) == 0 {
-		return math.Inf(-1)
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	if tau <= 0 {
-		return m
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += math.Exp((x - m) / tau)
-	}
-	return m + tau*math.Log(sum)
-}
-
-// Softmax writes the LSE gradient weights (paper Eq. 6) of xs at temperature
-// tau into out, which must have len(xs). For tau <= 0 the full weight is
-// assigned to the (first) maximum, matching the hard-max subgradient. The
-// weights always sum to 1 for non-empty input.
-func Softmax(xs []float64, tau float64, out []float64) {
-	if len(xs) == 0 {
-		return
-	}
-	m := xs[0]
-	argmax := 0
-	for i, x := range xs[1:] {
-		if x > m {
-			m = x
-			argmax = i + 1
-		}
-	}
-	if tau <= 0 {
-		for i := range out {
-			out[i] = 0
-		}
-		out[argmax] = 1
-		return
-	}
-	var sum float64
-	for i, x := range xs {
-		w := math.Exp((x - m) / tau)
-		out[i] = w
-		sum += w
-	}
-	inv := 1 / sum
-	for i := range out {
-		out[i] *= inv
-	}
-}
-
-// Interp1 linearly interpolates (and extrapolates at the edges) f sampled at
-// the strictly increasing axis points xs.
-func Interp1(xs, fs []float64, x float64) float64 {
+// interp1 linearly interpolates (and extrapolates at the edges) f sampled at
+// the strictly increasing axis points xs: Bilinear's lookup on a one-point
+// axis.
+func interp1(xs, fs []float64, x float64) float64 {
 	n := len(xs)
 	switch {
 	case n == 0:
@@ -132,14 +75,14 @@ func Bilinear(xAxis, yAxis []float64, values [][]float64, x, y float64) float64 
 		return 0
 	}
 	if nx == 1 {
-		return Interp1(yAxis, values[0], y)
+		return interp1(yAxis, values[0], y)
 	}
 	if ny == 1 {
 		col := make([]float64, nx)
 		for i := range col {
 			col[i] = values[i][0]
 		}
-		return Interp1(xAxis, col, x)
+		return interp1(xAxis, col, x)
 	}
 	i := sort.SearchFloat64s(xAxis, x) - 1
 	if i < 0 {

@@ -55,120 +55,6 @@ func TestRSSMonotone(t *testing.T) {
 	}
 }
 
-func TestLSEEmpty(t *testing.T) {
-	if got := LSE(nil, 0.1); !math.IsInf(got, -1) {
-		t.Errorf("LSE(nil) = %v, want -Inf", got)
-	}
-}
-
-func TestLSEZeroTauIsMax(t *testing.T) {
-	xs := []float64{1, 7, 3, -2}
-	if got := LSE(xs, 0); got != 7 {
-		t.Errorf("LSE(tau=0) = %v, want 7", got)
-	}
-}
-
-func TestLSEUpperBoundsMax(t *testing.T) {
-	// LSE >= max always; LSE <= max + tau*log(n).
-	f := func(a, b, c float64) bool {
-		xs := []float64{a, b, c}
-		for i, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				xs[i] = 0
-			}
-			// Keep magnitudes bounded so exp stays finite.
-			xs[i] = math.Mod(xs[i], 1e6)
-		}
-		tau := 0.5
-		m := math.Max(xs[0], math.Max(xs[1], xs[2]))
-		l := LSE(xs, tau)
-		return l >= m-1e-9 && l <= m+tau*math.Log(3)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLSEConvergesToMax(t *testing.T) {
-	xs := []float64{3.0, 2.9, 1.0}
-	prev := math.Inf(1)
-	for _, tau := range []float64{1, 0.1, 0.01, 0.001} {
-		l := LSE(xs, tau)
-		if l > prev+1e-12 {
-			t.Errorf("LSE not monotone non-increasing in tau: %v then %v", prev, l)
-		}
-		prev = l
-	}
-	if !almostEqual(prev, 3.0, 1e-6) {
-		t.Errorf("LSE(tau=0.001) = %v, want ~3.0", prev)
-	}
-}
-
-func TestSoftmaxSumsToOne(t *testing.T) {
-	f := func(a, b, c, d float64) bool {
-		xs := []float64{a, b, c, d}
-		for i := range xs {
-			if math.IsNaN(xs[i]) || math.IsInf(xs[i], 0) {
-				xs[i] = 0
-			}
-			xs[i] = math.Mod(xs[i], 1e4)
-		}
-		out := make([]float64, 4)
-		Softmax(xs, 0.3, out)
-		var sum float64
-		for _, w := range out {
-			if w < 0 || w > 1 {
-				return false
-			}
-			sum += w
-		}
-		return almostEqual(sum, 1, 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSoftmaxHardMax(t *testing.T) {
-	out := make([]float64, 3)
-	Softmax([]float64{1, 5, 2}, 0, out)
-	want := []float64{0, 1, 0}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("hard softmax = %v, want %v", out, want)
-		}
-	}
-}
-
-func TestSoftmaxWeightsOrdered(t *testing.T) {
-	// Larger input must get at least as much weight.
-	xs := []float64{1, 2, 3}
-	out := make([]float64, 3)
-	Softmax(xs, 0.7, out)
-	if !(out[0] < out[1] && out[1] < out[2]) {
-		t.Errorf("weights not ordered with inputs: %v", out)
-	}
-}
-
-func TestSoftmaxMatchesLSEGradient(t *testing.T) {
-	// Finite-difference check of Eq. 6 against Eq. 4.
-	xs := []float64{1.0, 1.5, 0.5}
-	tau := 0.4
-	out := make([]float64, 3)
-	Softmax(xs, tau, out)
-	const h = 1e-6
-	for i := range xs {
-		up := append([]float64(nil), xs...)
-		dn := append([]float64(nil), xs...)
-		up[i] += h
-		dn[i] -= h
-		fd := (LSE(up, tau) - LSE(dn, tau)) / (2 * h)
-		if !almostEqual(fd, out[i], 1e-5) {
-			t.Errorf("dLSE/dx[%d]: fd=%v softmax=%v", i, fd, out[i])
-		}
-	}
-}
-
 func TestInterp1(t *testing.T) {
 	xs := []float64{0, 1, 2}
 	fs := []float64{0, 10, 40}
@@ -178,17 +64,17 @@ func TestInterp1(t *testing.T) {
 		{3, 70},   // right extrapolation
 	}
 	for _, c := range cases {
-		if got := Interp1(xs, fs, c.x); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("Interp1(%v) = %v, want %v", c.x, got, c.want)
+		if got := interp1(xs, fs, c.x); !almostEqual(got, c.want, 1e-12) {
+			t.Errorf("interp1(%v) = %v, want %v", c.x, got, c.want)
 		}
 	}
 }
 
 func TestInterp1Degenerate(t *testing.T) {
-	if got := Interp1(nil, nil, 5); got != 0 {
+	if got := interp1(nil, nil, 5); got != 0 {
 		t.Errorf("empty axis: got %v", got)
 	}
-	if got := Interp1([]float64{2}, []float64{7}, 5); got != 7 {
+	if got := interp1([]float64{2}, []float64{7}, 5); got != 7 {
 		t.Errorf("single point: got %v, want 7", got)
 	}
 }

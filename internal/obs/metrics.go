@@ -204,61 +204,6 @@ func (p *gaugeFuncPart) render(w io.Writer) {
 	fmt.Fprintf(w, "%s %g\n", p.name, p.fn())
 }
 
-// GaugeVec is a gauge family with a fixed label set; series are created on
-// first use and render sorted by label values.
-type GaugeVec struct {
-	name   string
-	labels []string
-
-	mu     sync.Mutex
-	series map[string]*Gauge
-}
-
-// With returns (creating if needed) the series for the given label values.
-func (gv *GaugeVec) With(values ...string) *Gauge {
-	if len(values) != len(gv.labels) {
-		panic(fmt.Sprintf("obs: %s wants %d label values, got %d", gv.name, len(gv.labels), len(values)))
-	}
-	key := strings.Join(values, "\x00")
-	gv.mu.Lock()
-	defer gv.mu.Unlock()
-	g := gv.series[key]
-	if g == nil {
-		g = &Gauge{}
-		gv.series[key] = g
-	}
-	return g
-}
-
-func (gv *GaugeVec) render(w io.Writer) {
-	gv.mu.Lock()
-	keys := make([]string, 0, len(gv.series))
-	for k := range gv.series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	fmt.Fprintf(w, "# TYPE %s gauge\n", gv.name)
-	for _, k := range keys {
-		values := strings.Split(k, "\x00")
-		var sb strings.Builder
-		for i, l := range gv.labels {
-			if i > 0 {
-				sb.WriteString(",")
-			}
-			fmt.Fprintf(&sb, "%s=%q", l, values[i])
-		}
-		fmt.Fprintf(w, "%s{%s} %g\n", gv.name, sb.String(), gv.series[k].Value())
-	}
-	gv.mu.Unlock()
-}
-
-// GaugeVec registers a labeled gauge family.
-func (r *Registry) GaugeVec(name string, labels ...string) *GaugeVec {
-	gv := &GaugeVec{name: name, labels: labels, series: make(map[string]*Gauge)}
-	r.register(name, gv)
-	return gv
-}
-
 // Collector registers a callback rendered in place at its registration
 // position — the escape hatch for series derived from live state (session
 // counts, kernel telemetry) rather than stored in the registry.
@@ -319,13 +264,6 @@ func (h *Histogram) Count() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.n
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }
 
 // Quantile estimates the q-quantile (q in [0, 1]) by linear interpolation

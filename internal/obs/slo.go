@@ -107,14 +107,6 @@ func (s *SLOTracker) Objective() time.Duration {
 	return time.Duration(s.objectiveNs)
 }
 
-// ErrorBudget returns the allowed bad fraction.
-func (s *SLOTracker) ErrorBudget() float64 {
-	if s == nil {
-		return 0
-	}
-	return s.budget
-}
-
 // Record counts one request: bad when it failed outright or exceeded the
 // latency objective. Allocation-free. Safe on nil.
 func (s *SLOTracker) Record(total time.Duration, failed bool, now time.Time) {

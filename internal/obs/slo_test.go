@@ -144,14 +144,10 @@ func TestGauges(t *testing.T) {
 		t.Fatalf("gauge = %g, want 3.5", v)
 	}
 	g.Set(7)
-	gv := reg.GaugeVec("test_labeled", "shard")
-	gv.With("a").Set(1.25)
-	gv.With("b").Inc()
 	reg.GaugeFunc("test_fn", func() float64 { return 42 })
 	var sb strings.Builder
 	reg.WritePrometheus(&sb)
 	want := "# TYPE test_depth gauge\ntest_depth 7\n" +
-		"# TYPE test_labeled gauge\ntest_labeled{shard=\"a\"} 1.25\ntest_labeled{shard=\"b\"} 1\n" +
 		"# TYPE test_fn gauge\ntest_fn 42\n"
 	if sb.String() != want {
 		t.Fatalf("exposition:\n%s\nwant:\n%s", sb.String(), want)

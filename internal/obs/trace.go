@@ -84,16 +84,6 @@ func (t *Tracer) wireID(id int64) uint64 {
 	return w
 }
 
-// Epoch returns the tracer's time origin; span starts are offsets from it.
-// The stitched exporter uses it to place spans from different processes on
-// one absolute timeline.
-func (t *Tracer) Epoch() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.epoch
-}
-
 // Enable switches span recording on. Safe on nil (no-op).
 func (t *Tracer) Enable() {
 	if t != nil {
@@ -165,16 +155,6 @@ func (t *Tracer) Mark() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.spans)
-}
-
-// Reset discards all completed spans.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = nil
-	t.mu.Unlock()
 }
 
 // NumSpans returns the completed span count.

@@ -1,14 +1,12 @@
 // Package rc models interconnect parasitics and wire delay for the reference
 // STA engine: a star RC topology per net, Elmore branch delays, PERI-style
-// slew degradation, and a POCV wire-delay sigma. Parasitics can be derived
-// either from placement geometry (placement flows) or from fanout-based
-// synthetic wirelengths (pre-placement correlation studies).
+// slew degradation, and a POCV wire-delay sigma. Parasitics are derived from
+// placement geometry (FromPlacement) or read from SPEF (internal/spef).
 package rc
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"insta/internal/netlist"
 	"insta/internal/num"
@@ -92,27 +90,6 @@ func (par *Parasitics) RebuildNet(d *netlist.Design, id netlist.NetID) {
 		branches[s] = branchFromLen(par.Params, l)
 	}
 	par.Nets[id].Branch = branches
-}
-
-// FromFanout synthesizes parasitics without placement: branch length grows
-// with the net's fanout (bigger nets route farther) plus deterministic
-// per-branch jitter from seed. This plays the role of the extracted SPEF the
-// reference signoff tool would read.
-func FromFanout(d *netlist.Design, p Params, seed int64) *Parasitics {
-	rng := rand.New(rand.NewSource(seed))
-	par := &Parasitics{Params: p, Nets: make([]Net, len(d.Nets))}
-	for i := range d.Nets {
-		net := &d.Nets[i]
-		fo := float64(len(net.Sinks))
-		base := p.MinLen + 8*math.Log1p(fo)
-		branches := make([]Branch, len(net.Sinks))
-		for s := range net.Sinks {
-			l := base * (0.6 + 0.8*rng.Float64())
-			branches[s] = branchFromLen(p, l)
-		}
-		par.Nets[i].Branch = branches
-	}
-	return par
 }
 
 func branchFromLen(p Params, l float64) Branch {

@@ -107,49 +107,6 @@ func TestDegradeSlew(t *testing.T) {
 	}
 }
 
-func TestFromFanoutDeterministic(t *testing.T) {
-	d := twoSinkDesign()
-	p := DefaultParams()
-	a := FromFanout(d, p, 42)
-	b := FromFanout(d, p, 42)
-	c := FromFanout(d, p, 43)
-	if err := a.Validate(d); err != nil {
-		t.Fatal(err)
-	}
-	if a.Nets[0].Branch[0].Len != b.Nets[0].Branch[0].Len {
-		t.Error("same seed produced different parasitics")
-	}
-	if a.Nets[0].Branch[0].Len == c.Nets[0].Branch[0].Len {
-		t.Error("different seeds produced identical parasitics (suspicious)")
-	}
-}
-
-func TestFromFanoutGrowsWithFanout(t *testing.T) {
-	// Build a net with 1 sink and a net with 8 sinks; average branch length
-	// of the big net should exceed the small one's (log1p growth).
-	d := netlist.New("fo")
-	drv1 := d.AddPort("d1", netlist.Input)
-	drv2 := d.AddPort("d2", netlist.Input)
-	n1 := d.AddNet("n1", drv1)
-	n2 := d.AddNet("n2", drv2)
-	c := d.AddCell("u", 0, false)
-	d.Connect(n1, d.AddPin(c, "A", netlist.Input, false))
-	for i := 0; i < 8; i++ {
-		d.Connect(n2, d.AddPin(c, "B"+string(rune('0'+i)), netlist.Input, false))
-	}
-	par := FromFanout(d, DefaultParams(), 7)
-	avg := func(n netlist.NetID) float64 {
-		var s float64
-		for _, b := range par.Nets[n].Branch {
-			s += b.Len
-		}
-		return s / float64(len(par.Nets[n].Branch))
-	}
-	if avg(n2) <= avg(n1) {
-		t.Errorf("fanout-8 avg len %v not above fanout-1 avg len %v", avg(n2), avg(n1))
-	}
-}
-
 func TestValidateCatchesMismatch(t *testing.T) {
 	d := twoSinkDesign()
 	par := FromPlacement(d, DefaultParams())

@@ -16,93 +16,74 @@ import (
 	"insta/internal/rc"
 )
 
-// EstimateBuffer predicts, with slews frozen at their current values, the
-// gate delay of a buffer (library cell bufLib) inserted on net arc arcID at
-// fractional position frac along the branch (0 = at the driver, 1 = at the
-// sink). The input slew is the driver's current slew degraded across the
-// driver-side wire fraction; the output load is the sink-side wire fraction
-// plus the sink pin capacitance. The returned distributions are what a topo
-// InsertBuffer op should carry as its cell-arc delay; the op itself splits
-// the existing wire annotation frac/(1-frac).
-func (e *Engine) EstimateBuffer(arcID int32, bufLib int32, frac float64) ([2]num.Dist, error) {
-	var out [2]num.Dist
+// EstimateBuffer predicts, with slews frozen at their current values, what a
+// buffer (library cell bufLib) inserted on net arc arcID at fractional
+// position frac along the branch (0 = at the driver, 1 = at the sink) does to
+// the arc annotations:
+//
+//   - cell is the buffer's gate delay. The input slew is the driver's current
+//     slew degraded across the driver-side wire fraction; the output load is
+//     the sink-side wire fraction plus the sink pin capacitance. It is what a
+//     topo InsertBuffer op carries as its cell-arc delay; the op itself splits
+//     the existing wire annotation frac/(1-frac).
+//   - driver re-annotates the driver's cell arcs: the driver sheds the
+//     sink-side wire fraction and the sink pin, seeing the buffer's input
+//     capacitance instead, so its cell arcs re-evaluate at the reduced load.
+//     This is the half of buffering that *improves* timing — every other sink
+//     of the net rides the faster driver for free. It is empty when the
+//     driver is a primary input (no cell arcs to re-annotate).
+func (e *Engine) EstimateBuffer(arcID int32, bufLib int32, frac float64) (cell [2]num.Dist, driver []ArcDelta, err error) {
 	if arcID < 0 || int(arcID) >= len(e.Arcs) {
-		return out, fmt.Errorf("refsta: estimate_buffer: arc %d out of range [0,%d)", arcID, len(e.Arcs))
+		return cell, nil, fmt.Errorf("refsta: estimate_buffer: arc %d out of range [0,%d)", arcID, len(e.Arcs))
 	}
 	a := &e.Arcs[arcID]
 	if a.Kind != NetArc {
-		return out, fmt.Errorf("refsta: estimate_buffer: arc %d is not a net arc", arcID)
+		return cell, nil, fmt.Errorf("refsta: estimate_buffer: arc %d is not a net arc", arcID)
 	}
 	if frac < 0 || frac > 1 || math.IsNaN(frac) {
-		return out, fmt.Errorf("refsta: estimate_buffer: position %v outside [0,1]", frac)
+		return cell, nil, fmt.Errorf("refsta: estimate_buffer: position %v outside [0,1]", frac)
 	}
 	if bufLib < 0 || int(bufLib) >= len(e.Lib.Cells) {
-		return out, fmt.Errorf("refsta: estimate_buffer: library cell %d out of range", bufLib)
+		return cell, nil, fmt.Errorf("refsta: estimate_buffer: library cell %d out of range", bufLib)
 	}
 	lc := e.Lib.Cell(bufLib)
-	if len(lc.Arcs) != 1 || lc.Arcs[0].Sense != liberty.PositiveUnate {
-		return out, fmt.Errorf("refsta: estimate_buffer: library cell %s is not a buffer", lc.Name)
+	if len(lc.Arcs) != 1 || lc.Arcs[0].Sense != liberty.PositiveUnate || len(lc.Inputs) != 1 {
+		return cell, nil, fmt.Errorf("refsta: estimate_buffer: library cell %s is not a buffer", lc.Name)
 	}
 	la := &lc.Arcs[0]
 	branch := e.Par.Nets[a.Net].Branch[a.SinkIdx]
 	load := (1-frac)*branch.C + e.pinCap(a.To)
 	for rf := 0; rf < 2; rf++ {
 		s := e.Par.DegradeSlew(e.slew[rf][a.From], frac*a.Delay[rf].Mean)
-		out[rf] = num.Dist{Mean: la.Delay[rf].Lookup(s, load), Std: la.Sigma[rf].Lookup(s, load)}
+		cell[rf] = num.Dist{Mean: la.Delay[rf].Lookup(s, load), Std: la.Sigma[rf].Lookup(s, load)}
 	}
-	return out, nil
+	drv := e.D.Nets[a.Net].Driver
+	capDelta := lc.PinCap[lc.Inputs[0]] - (1-frac)*branch.C - e.pinCap(a.To)
+	return cell, e.retimeDriver(nil, drv, e.load[drv]+capDelta), nil
 }
 
-// EstimateBufferDriver predicts, with slews frozen, the driver-side cell arc
-// re-annotations that accompany a buffer insertion on net arc arcID at frac:
-// the driver sheds the sink-side wire fraction and the sink pin, seeing the
-// buffer's input capacitance instead, so its cell arcs re-evaluate at the
-// reduced load. This is the half of buffering that *improves* timing — every
-// other sink of the net rides the faster driver for free. Returns no deltas
-// when the driver is a primary input (no cell arcs to re-annotate).
-func (e *Engine) EstimateBufferDriver(arcID int32, bufLib int32, frac float64) ([]ArcDelta, error) {
-	if arcID < 0 || int(arcID) >= len(e.Arcs) {
-		return nil, fmt.Errorf("refsta: estimate_buffer_driver: arc %d out of range [0,%d)", arcID, len(e.Arcs))
-	}
-	a := &e.Arcs[arcID]
-	if a.Kind != NetArc {
-		return nil, fmt.Errorf("refsta: estimate_buffer_driver: arc %d is not a net arc", arcID)
-	}
-	if frac < 0 || frac > 1 || math.IsNaN(frac) {
-		return nil, fmt.Errorf("refsta: estimate_buffer_driver: position %v outside [0,1]", frac)
-	}
-	if bufLib < 0 || int(bufLib) >= len(e.Lib.Cells) {
-		return nil, fmt.Errorf("refsta: estimate_buffer_driver: library cell %d out of range", bufLib)
-	}
-	lc := e.Lib.Cell(bufLib)
-	if len(lc.Inputs) != 1 {
-		return nil, fmt.Errorf("refsta: estimate_buffer_driver: library cell %s is not a buffer", lc.Name)
-	}
+// retimeDriver appends to deltas the cell arcs into driver pin drv re-timed
+// at output load newLoad with slews frozen; a primary-input driver has none.
+func (e *Engine) retimeDriver(deltas []ArcDelta, drv netlist.PinID, newLoad float64) []ArcDelta {
 	d := e.D
-	drv := d.Nets[a.Net].Driver
 	if d.Pins[drv].Cell == netlist.NoCell {
-		return nil, nil
+		return deltas
 	}
-	branch := e.Par.Nets[a.Net].Branch[a.SinkIdx]
-	capDelta := lc.PinCap[lc.Inputs[0]] - (1-frac)*branch.C - e.pinCap(a.To)
-	newLoad := e.load[drv] + capDelta
 	dlc := e.Lib.Cell(d.Cells[d.Pins[drv].Cell].LibCell)
-	var deltas []ArcDelta
 	for _, ai := range e.fanin.of(drv) {
-		da := &e.Arcs[ai]
-		if da.Kind != CellArc {
+		a := &e.Arcs[ai]
+		if a.Kind != CellArc {
 			continue
 		}
-		la := &dlc.Arcs[da.LibArc]
-		var delta ArcDelta
-		delta.ArcID = ai
+		la := &dlc.Arcs[a.LibArc]
+		delta := ArcDelta{ArcID: ai}
 		for rf := 0; rf < 2; rf++ {
-			s := e.frozenWorstSlew(da, rf)
+			s := e.frozenWorstSlew(a, rf)
 			delta.Delay[rf] = num.Dist{Mean: la.Delay[rf].Lookup(s, newLoad), Std: la.Sigma[rf].Lookup(s, newLoad)}
 		}
 		deltas = append(deltas, delta)
 	}
-	return deltas, nil
+	return deltas
 }
 
 // movedPinPos returns pin p's position under the hypothesis that cell c sits
@@ -182,28 +163,8 @@ func (e *Engine) EstimateMove(c netlist.CellID, x, y float64) ([]ArcDelta, error
 			dd := num.Dist{Mean: mean, Std: e.Par.Params.WireSigmaFrac * mean}
 			deltas = append(deltas, ArcDelta{ArcID: ai, Delay: [2]num.Dist{dd, dd}})
 		}
-		if capDelta == 0 {
-			continue
-		}
-		drv := net.Driver
-		if d.Pins[drv].Cell == netlist.NoCell {
-			continue // primary-input driver has no cell arcs to re-estimate
-		}
-		newLoad := e.load[drv] + capDelta
-		dlc := e.Lib.Cell(d.Cells[d.Pins[drv].Cell].LibCell)
-		for _, ai := range e.fanin.of(drv) {
-			a := &e.Arcs[ai]
-			if a.Kind != CellArc {
-				continue
-			}
-			la := &dlc.Arcs[a.LibArc]
-			var delta ArcDelta
-			delta.ArcID = ai
-			for rf := 0; rf < 2; rf++ {
-				s := e.frozenWorstSlew(a, rf)
-				delta.Delay[rf] = num.Dist{Mean: la.Delay[rf].Lookup(s, newLoad), Std: la.Sigma[rf].Lookup(s, newLoad)}
-			}
-			deltas = append(deltas, delta)
+		if capDelta != 0 {
+			deltas = e.retimeDriver(deltas, net.Driver, e.load[net.Driver]+capDelta)
 		}
 	}
 	return deltas, nil

@@ -16,7 +16,7 @@ func TestEstimateBufferMatchesTableLookup(t *testing.T) {
 		}
 	}
 	a := &e.Arcs[arc]
-	d, err := e.EstimateBuffer(arc, buf, 0.5)
+	d, _, err := e.EstimateBuffer(arc, buf, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,19 +35,19 @@ func TestEstimateBufferMatchesTableLookup(t *testing.T) {
 	}
 
 	// Invalid inputs are rejected.
-	if _, err := e.EstimateBuffer(-1, buf, 0.5); err == nil {
+	if _, _, err := e.EstimateBuffer(-1, buf, 0.5); err == nil {
 		t.Fatal("bad arc accepted")
 	}
-	if _, err := e.EstimateBuffer(arc, buf, 1.5); err == nil {
+	if _, _, err := e.EstimateBuffer(arc, buf, 1.5); err == nil {
 		t.Fatal("bad frac accepted")
 	}
 	inv, _ := m.lib.CellByName("INV_X1")
-	if _, err := e.EstimateBuffer(arc, inv, 0.5); err == nil {
+	if _, _, err := e.EstimateBuffer(arc, inv, 0.5); err == nil {
 		t.Fatal("non-buffer library cell accepted")
 	}
 	for i := range e.Arcs {
 		if e.Arcs[i].Kind == CellArc {
-			if _, err := e.EstimateBuffer(int32(i), buf, 0.5); err == nil {
+			if _, _, err := e.EstimateBuffer(int32(i), buf, 0.5); err == nil {
 				t.Fatal("cell arc accepted")
 			}
 			break

@@ -74,7 +74,7 @@ func TestDaemonCloseReleasesCommittedEngine(t *testing.T) {
 	d, bt, url := bootDaemon(t, "-snapshot-dir", t.TempDir())
 	arcs := d.Manager().Engine().NumArcs()
 	netArc := int32(-1)
-	for i, a := range bt.Tab.Arcs {
+	for i, a := range bt.Tables().Arcs {
 		if a.Kind == 1 {
 			netArc = int32(i)
 			break

@@ -108,9 +108,6 @@ func (s *Server) Manager() *Manager { return s.mgr }
 // Handler returns the root handler to mount on an http.Server.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// SetLogger replaces the request logger (slog.Default() until then).
-func (s *Server) SetLogger(l *slog.Logger) { s.log = l }
-
 // Observe puts the work routes inside request shell sh — trace identity,
 // flight recorder, SLO samples, with the SLO gauges (insta_slo_*) on /metrics
 // and the slo/flight_recorder sections on /healthz — and mounts the debug

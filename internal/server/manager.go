@@ -256,10 +256,6 @@ func (m *Manager) Ref() *refsta.Engine { return m.ref }
 // single-corner server. Callers must not mutate the slice.
 func (m *Manager) Scenarios() []core.Scenario { return m.corners }
 
-// Snapshots returns the snapshot cache, or nil when snapshot saving is
-// disabled.
-func (m *Manager) Snapshots() *snap.Cache { return m.opt.Snapshots }
-
 // Boot returns the boot provenance, or nil when the caller didn't record it.
 func (m *Manager) Boot() *BootInfo { return m.opt.Boot }
 

@@ -338,7 +338,7 @@ func TestMultiCornerRule(t *testing.T) {
 			}
 		}
 		pin := mgr.Engine().Endpoints()[worst]
-		arc := slices.IndexFunc(bt.Tab.Arcs, func(a circuitops.ArcRow) bool { return a.To == pin })
+		arc := slices.IndexFunc(bt.Tables().Arcs, func(a circuitops.ArcRow) bool { return a.To == pin })
 		eco := server.ECORequest{Arcs: []server.ArcECO{shiftArc(mgr.Engine(), int32(arc), 30)}}
 		bodies = append(bodies, w.do(k, "POST", "/session/s1/eco", eco))
 		bodies = append(bodies, w.do(k, "GET", "/session/s1", nil))

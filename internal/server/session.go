@@ -274,7 +274,7 @@ func checkDelay(ds ...num.Dist) error {
 // Caller holds s.mu and at least m.mu.RLock.
 func (s *Session) arcLimitLocked() int {
 	if s.ts != nil {
-		return len(s.ts.Tables().Arcs)
+		return s.ts.Engine().NumArcs()
 	}
 	return s.m.eng.NumArcs()
 }

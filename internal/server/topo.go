@@ -181,7 +181,7 @@ func (s *Session) resolveTopoOpLocked(op TopoOp, r *resolvedTopo) error {
 		if int(op.Arc) >= m.ref.NumArcs() {
 			return fmt.Errorf("arc %d has no signoff counterpart to estimate from", op.Arc)
 		}
-		d, err := m.ref.EstimateBuffer(op.Arc, lib, frac)
+		d, dds, err := m.ref.EstimateBuffer(op.Arc, lib, frac)
 		if err != nil {
 			return err
 		}
@@ -193,10 +193,6 @@ func (s *Session) resolveTopoOpLocked(op TopoOp, r *resolvedTopo) error {
 		// is the half of buffering that helps — every other sink of the
 		// net rides the faster driver). At most one buffered branch per
 		// driver per batch: a second would claim the same driver arcs.
-		dds, err := m.ref.EstimateBufferDriver(op.Arc, lib, frac)
-		if err != nil {
-			return err
-		}
 		r.annotate(dds)
 	case "unbuffer":
 		r.ops = append(r.ops, topo.RemoveBuffer(op.Arc))
@@ -285,7 +281,7 @@ func (s *Session) applyTopoLocked(req TopoRequest) (*TopoResult, error) {
 	m.topoInserted.Add(int64(res.Inserted))
 	m.topoRemoved.Add(int64(res.Removed))
 	m.relevelHist.Observe(float64(st.Relevel.LevelsSpan))
-	finalArcs := len(s.ts.Tables().Arcs)
+	finalArcs := s.ts.Engine().NumArcs()
 	tr := &TopoResult{
 		View:          s.resultLocked(),
 		Inserted:      res.Inserted,

@@ -59,8 +59,8 @@ type BufferResult struct {
 // stages by |timing gradient| (INSTA's backward kernel on the committed
 // base), picks each critical driver's highest-capacitance side branch, and
 // previews splicing cfg.BufCell into it through one structural session —
-// EstimateBuffer prices the buffer's gate delay, EstimateBufferDriver the
-// driver's re-annotation at reduced load, and the session's incremental
+// EstimateBuffer prices the buffer's gate delay and the driver's
+// re-annotation at reduced load, and the session's incremental
 // re-levelization prices the result in every corner. Improvements commit
 // (engine swap); everything else rolls back. Strictly TNS-greedy, like
 // InstaSize.

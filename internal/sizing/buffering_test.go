@@ -11,7 +11,7 @@ import (
 // TestInstaBufferInsertsThroughSessions runs the full buffering flow against a
 // live manager: every candidate is previewed in a structural session, and at
 // least one must survive the strict TNS-improvement gate and commit — the
-// end-to-end proof that EstimateBufferDriver's load shedding makes buffer
+// end-to-end proof that EstimateBuffer's driver load shedding makes buffer
 // insertion profitable, not just priced.
 func TestInstaBufferInsertsThroughSessions(t *testing.T) {
 	_, ref := buildSizing(t, 2)

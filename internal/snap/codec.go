@@ -4,7 +4,7 @@ package snap
 // little-endian slabs, one per structure-of-arrays field of the compiled
 // state. On little-endian hosts (every platform this repo targets) a slab
 // encodes and decodes as a single memcpy through a byte view of the backing
-// array — no per-element loop, which is what keeps snap.Open allocation-lean
+// array — no per-element loop, which is what keeps Decode allocation-lean
 // and dominated by the file read. Big-endian hosts fall through to a
 // per-element encoding/binary path producing byte-identical files.
 

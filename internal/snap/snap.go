@@ -32,9 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
-	"os"
 
 	"insta/internal/batch"
 	"insta/internal/core"
@@ -275,13 +273,6 @@ func EncodeExtra(st *core.State, scns []core.Scenario, key string, extra []Extra
 	return buf
 }
 
-// Write serializes st (plus optional scenarios and cache key) to w,
-// returning the byte count.
-func Write(w io.Writer, st *core.State, scns []core.Scenario, key string) (int64, error) {
-	n, err := w.Write(Encode(st, scns, key))
-	return int64(n), err
-}
-
 // readString consumes a u32-length-prefixed string from b, returning the
 // remainder.
 func readString(b []byte) (string, []byte, error) {
@@ -418,23 +409,4 @@ func Decode(buf []byte) (*Snapshot, error) {
 		return nil, corruptf("state validation: %v", err)
 	}
 	return snap, nil
-}
-
-// Read decodes a snapshot from r (reading it fully).
-func Read(r io.Reader) (*Snapshot, error) {
-	buf, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(buf)
-}
-
-// Open reads and decodes the snapshot at path. Integrity failures match
-// ErrCorrupt; a missing file surfaces as the usual *PathError.
-func Open(path string) (*Snapshot, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(buf)
 }

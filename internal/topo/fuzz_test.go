@@ -35,13 +35,14 @@ func fuzzBase(t *testing.T) (*circuitops.Tables, *core.Engine) {
 }
 
 // FuzzTopoSession decodes op batches from bytes and drives one session with
-// them. No input may panic. A rejected batch leaves the working tables as they
-// were. After every accepted batch the session engine is bit-identical to a
-// cold compile of Session.Tables(), every arc id handed out so far still names
-// a row, and that row still joins the pins it joined when the id was handed
-// out unless an op of the batch rewrote exactly that arc: an insert re-points
-// its target at the new buffer, a removal re-points the buffer's output wires
-// at its driver.
+// them. No input may panic. A rejected batch leaves the working state as it
+// was. After every accepted batch the session engine is bit-identical to a
+// cold compile of the fuzzer's own tables, advanced by each accepted batch's
+// edits; every arc id handed out so far still names a row of the session's
+// state and of those tables, and that row still joins the pins it joined when
+// the id was handed out unless an op of the batch rewrote exactly that arc: an
+// insert re-points its target at the new buffer, a removal re-points the
+// buffer's output wires at its driver.
 //
 // Encoding: a batch is a header byte then 1 + header&3 ops of four bytes; header
 // bit 7 turns every op of the batch into an Annotate of its arc and delay (an
@@ -76,6 +77,7 @@ func FuzzTopoSession(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer s.Close()
+		work := cloneTables(tab)
 
 		pins := make([]wire, len(tab.Arcs)) // what every id handed out so far must name
 		for i, a := range tab.Arcs {
@@ -83,13 +85,16 @@ func FuzzTopoSession(f *testing.F) {
 		}
 		checkPins := func(when string) {
 			t.Helper()
-			arcs := s.Tables().Arcs
-			if len(arcs) != len(pins) {
-				t.Fatalf("%s: %d arcs, want %d", when, len(arcs), len(pins))
+			st := s.Engine().ExportState()
+			if len(st.ArcFrom) != len(pins) || len(work.Arcs) != len(pins) {
+				t.Fatalf("%s: %d arcs in the session, %d in the tables, want %d", when, len(st.ArcFrom), len(work.Arcs), len(pins))
 			}
 			for i, w := range pins {
-				if arcs[i].From != w.from || arcs[i].To != w.to {
-					t.Fatalf("%s: arc %d joins %d->%d, want %d->%d", when, i, arcs[i].From, arcs[i].To, w.from, w.to)
+				if st.ArcFrom[i] != w.from || st.ArcTo[i] != w.to {
+					t.Fatalf("%s: session arc %d joins %d->%d, want %d->%d", when, i, st.ArcFrom[i], st.ArcTo[i], w.from, w.to)
+				}
+				if a := work.Arcs[i]; a.From != w.from || a.To != w.to {
+					t.Fatalf("%s: table arc %d joins %d->%d, want %d->%d", when, i, a.From, a.To, w.from, w.to)
 				}
 			}
 		}
@@ -134,10 +139,11 @@ func FuzzTopoSession(f *testing.F) {
 				continue
 			}
 			// The batch was accepted, so its ops claimed disjoint arcs and
-			// each reads the tables as the batch found them.
+			// each reads the netlist as the batch found it.
 			before := pins
 			pins = append([]wire(nil), pins...)
-			newPin := int32(s.Tables().NumPins - res.NewPins)
+			newPin := int32(work.NumPins)
+			advance(work, res)
 			for _, op := range ops {
 				switch op.Kind {
 				case OpInsertBuffer:
@@ -159,7 +165,7 @@ func FuzzTopoSession(f *testing.F) {
 				}
 			}
 			checkPins("accepted batch")
-			assertEnginesIdentical(t, "fuzzed session", s.Engine(), s.Tables(), fuzzOpt)
+			assertEnginesIdentical(t, "fuzzed session", s.Engine(), work, fuzzOpt)
 		}
 	})
 }

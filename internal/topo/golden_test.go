@@ -10,7 +10,7 @@ package topo
 //
 // The script never holds an arc id across a step. It names an arc by its
 // (From, To) pins — pin ids are append-only — and resolves the id against the
-// working tables when it builds the op, so it reads the same under any arc
+// working state when it builds the op, so it reads the same under any arc
 // numbering. It only names arcs of the live netlist: the original arcs, the
 // buffers it spliced in and has not removed, and the wires between them.
 //
@@ -67,16 +67,16 @@ func (g *goldenScript) intn(n int) int { return int(g.next() % uint64(n)) }
 // unit is uniform in [0, 1).
 func (g *goldenScript) unit() float64 { return float64(g.next()>>11) / (1 << 53) }
 
-// arc resolves w to the first row of the working tables that joins its pins.
+// arc resolves w to the first row of the working state that joins its pins.
 func (g *goldenScript) arc(w wire, kind uint8) int32 {
 	g.t.Helper()
-	arcs := g.s.Tables().Arcs
-	for i := range arcs {
-		if a := &arcs[i]; a.From == w.from && a.To == w.to && a.Kind == kind {
+	st := g.s.Engine().ExportState()
+	for i := range st.ArcFrom {
+		if st.ArcFrom[i] == w.from && st.ArcTo[i] == w.to && st.ArcKind[i] == kind {
 			return int32(i)
 		}
 	}
-	g.t.Fatalf("no kind-%d arc %d->%d in the working tables", kind, w.from, w.to)
+	g.t.Fatalf("no kind-%d arc %d->%d in the working state", kind, w.from, w.to)
 	return -1
 }
 
@@ -84,7 +84,7 @@ func (g *goldenScript) arc(w wire, kind uint8) int32 {
 func (g *goldenScript) insertOp(n int) Op {
 	w := g.nets[n]
 	id := g.arc(w, 1)
-	x := int32(g.s.Tables().NumPins) + 2*int32(g.pending)
+	x := int32(g.s.Engine().NumPins()) + 2*int32(g.pending)
 	g.pending++
 	y := x + 1
 	g.nets[n] = wire{w.from, x}
@@ -123,7 +123,7 @@ func (g *goldenScript) removeOp(b int) Op {
 // scaled is arc id's current delay with every mean and sigma scaled by one
 // factor in [0.8, 1.3).
 func (g *goldenScript) scaled(id int32) [2]num.Dist {
-	a := g.s.Tables().Arcs[id]
+	a := g.s.Engine().ExportState().Arc(id)
 	f := 0.8 + 0.5*g.unit()
 	g.annotated++
 	return [2]num.Dist{

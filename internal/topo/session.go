@@ -1,7 +1,7 @@
 package topo
 
-// Structural ECO sessions: a working clone of the extraction tables plus one
-// fully evaluated working engine (every lane of it, when the base carries
+// Structural ECO sessions: a working compiled state plus one fully evaluated
+// working engine over it (every lane of it, when the base carries
 // scenarios), rebuilt incrementally per op batch. The session is the
 // preview/commit/rollback unit the serving layer wraps:
 //
@@ -16,20 +16,19 @@ package topo
 //	           at the base
 //
 // Apply is the one way into the working set. Each batch validates against
-// the session's compiled state, recompiles the edited tables with
-// core.CompileIncrementalPatched (the previous state's slabs patched at the
-// rows the batch touched — a bypass rebuilds the fan-out CSR — and localized
-// re-levelization) and stands up the next working engine with
-// core.Engine.Reseed (cone-limited re-propagation), so the cost of an edit
-// scales with its fan-out cone, not the design — while staying bit-identical
-// to a cold compile + full propagation of the edited netlist (the
-// differential tests in this package pin that down; TestApplyBeatsColdRebuild
-// holds the cost claim at >= 10x on block-1).
+// the session's compiled state and yields the arc rows it writes;
+// core.CompileIncrementalPatched patches them into the previous state's slabs
+// (a bypass rebuilds the fan-out CSR) with localized re-levelization, and
+// core.Engine.Reseed stands up the next working engine (cone-limited
+// re-propagation). So the cost of an edit scales with its fan-out cone, not
+// the design, while staying bit-identical to a cold compile + full
+// propagation of the edited netlist (the differential tests in this package
+// pin that down against tables they advance themselves;
+// TestApplyBeatsColdRebuild holds the cost claim at >= 10x on block-1).
 
 import (
 	"fmt"
 
-	"insta/internal/circuitops"
 	"insta/internal/core"
 	"insta/internal/levelize"
 	"insta/internal/obs"
@@ -52,11 +51,9 @@ type SessionStats struct {
 // frozen for the duration of the call — the serving layer holds its engine
 // read lock. Reset, Detach and Close touch only session-owned state.
 type Session struct {
-	baseTab   *circuitops.Tables
 	baseState *core.State
 	baseEng   *core.Engine
 
-	tab   *circuitops.Tables
 	state *core.State
 	eng   *core.Engine
 
@@ -74,21 +71,14 @@ func (s *Session) SetTracer(t *obs.Tracer) { s.tracer = t }
 
 // NewSession opens a structural session over base engine e, which must be
 // fully evaluated — Run, or a previous structural commit — and may carry any
-// number of lanes. The base tables are reconstructed from the engine's
-// current state, so annotation ECOs committed before the session opened are
-// already folded in.
+// number of lanes. The base state is the engine's current one, so annotation
+// ECOs committed before the session opened are already folded in.
 func NewSession(e *core.Engine) (*Session, error) {
 	if e == nil {
 		return nil, fmt.Errorf("topo: nil base engine")
 	}
 	st := e.ExportState()
-	s := &Session{
-		baseTab:   st.Tables(),
-		baseState: st,
-		baseEng:   e,
-	}
-	s.tab, s.state, s.eng = s.baseTab, s.baseState, s.baseEng
-	return s, nil
+	return &Session{baseState: st, baseEng: e, state: st, eng: e}, nil
 }
 
 // Engine returns the session's current working engine: the base engine until
@@ -102,11 +92,6 @@ func (s *Session) closeWorking() {
 	}
 }
 
-// Tables returns the session's current working tables. Callers must not
-// mutate them; a cold core.Compile of this value is the session's
-// bit-identity oracle.
-func (s *Session) Tables() *circuitops.Tables { return s.tab }
-
 // Stats returns the session's cumulative edit statistics; Relevel reflects
 // the most recent Apply.
 func (s *Session) Stats() SessionStats { return s.stats }
@@ -114,29 +99,28 @@ func (s *Session) Stats() SessionStats { return s.stats }
 // Edited reports whether the session holds uncommitted structural edits.
 func (s *Session) Edited() bool { return s.stats.Edits > 0 }
 
-// Apply validates and applies one structural op batch, recompiles the edited
-// tables with localized re-levelization, and stands up the next working
-// engine seeded from the current one. On any error the session — tables,
-// compiled state, engine — is left exactly as it was (the op batch validates
-// before it writes, and a failed reseed leaves the current engine untouched).
+// Apply validates and applies one structural op batch, patches the working
+// state with localized re-levelization, and stands up the next working engine
+// seeded from the current one. On any error the session — compiled state,
+// engine — is left exactly as it was (the op batch validates before it
+// writes, and a failed reseed leaves the current engine untouched).
 func (s *Session) Apply(ops []Op) (*Result, error) {
 	if s.detached || s.closed {
 		return nil, fmt.Errorf("topo: session is no longer active")
 	}
 	sp := s.tracer.StartArg("topo-apply", "ops", int64(len(ops)))
 	defer sp.End()
-	// Once the working tables are session-private (after the first edit) the
-	// batch applies in place — the arc-table clone, like the slab copies and
-	// the tensor allocation below, drops out of the steady-state preview.
-	res, err := applyOps(s.tab, s.state, ops, s.tab != s.baseTab)
+	res, err := Apply(s.state, ops)
 	if err != nil {
 		return nil, err
 	}
 	// Recompile by patching the previous compiled state — cannibalizing it in
-	// place once it is session-private — instead of rebuilding every O(arcs)
-	// slab; bit-identical to a cold Compile of the edited tables.
+	// place once it is session-private, so the slab copies, like the tensor
+	// allocation below, drop out of the steady-state preview — instead of
+	// rebuilding every O(arcs) slab; bit-identical to a cold Compile of the
+	// edited netlist.
 	csp := sp.Child("topo-recompile")
-	st, inc, err := core.CompileIncrementalPatched(res.Tables, s.state, res.Seeds, res.Changed, s.state != s.baseState)
+	st, inc, err := core.CompileIncrementalPatched(s.state, res.Edits, res.NewPins, res.Seeds, s.state != s.baseState)
 	csp.End()
 	if err != nil {
 		return nil, err
@@ -151,7 +135,7 @@ func (s *Session) Apply(ops []Op) (*Result, error) {
 		return nil, err
 	}
 
-	s.tab, s.state, s.eng = res.Tables, st, eng
+	s.state, s.eng = st, eng
 	s.stats.Edits++
 	s.stats.Inserted += res.Inserted
 	s.stats.Removed += res.Removed
@@ -168,14 +152,13 @@ func (s *Session) Reset() {
 		return
 	}
 	s.closeWorking()
-	s.tab, s.state, s.eng = s.baseTab, s.baseState, s.baseEng
+	s.state, s.eng = s.baseState, s.baseEng
 	s.stats = SessionStats{}
 }
 
-// Detached is the working set a commit takes over from a session.
+// Detached is the working set a commit takes over from a session: the
+// engine, which carries the working state, and what the edits did.
 type Detached struct {
-	Tables *circuitops.Tables
-	State  *core.State
 	Engine *core.Engine
 	Stats  SessionStats
 }
@@ -193,12 +176,7 @@ func (s *Session) Detach() (*Detached, error) {
 	}
 	dsp := s.tracer.StartArg("topo-detach", "edits", int64(s.stats.Edits))
 	defer dsp.End()
-	d := &Detached{
-		Tables: s.tab,
-		State:  s.state,
-		Engine: s.eng,
-		Stats:  s.stats,
-	}
+	d := &Detached{Engine: s.eng, Stats: s.stats}
 	s.detached = true
 	return d, nil
 }

@@ -1,6 +1,6 @@
-// Package topo implements topology-mutating ECO operations over the
-// extraction tables: buffer insertion and removal splice pins and arcs into
-// the timing graph, and annotation ops (the table-level form of repower and
+// Package topo implements topology-mutating ECO operations over a compiled
+// design (core.State): buffer insertion and removal splice pins and arcs into
+// the timing graph, and annotation ops (the arc-level form of repower and
 // move) rewrite arc delays in place. It is the structural layer under the
 // serving stack's /session/{id}/topo endpoint, the InstaBuffer client and any
 // annotation ECO on a session that holds structural edits — overlay sessions
@@ -8,6 +8,11 @@
 // and, through Session, re-levelizes and re-propagates only the region
 // downstream of the edit. Every change reaches a working set the same way: one
 // op batch through Session.Apply.
+//
+// A working set is a compiled state plus the engine over it; no extraction
+// tables are kept. Apply reads the batch-start rows through core.State.Arc
+// and hands back the rows the batch writes as core.ArcEdits, which
+// core.CompileIncrementalPatched patches into the next state.
 //
 // Edits follow two global invariants that keep incremental recompilation
 // exact and cheap:
@@ -22,12 +27,11 @@
 //     are re-pointed at the driver — and leaves the input wire and the cell
 //     arc in their rows as a dead-end stub that reaches no endpoint. No row
 //     is ever deleted or renumbered, so an arc id handed out once names the
-//     same row in every later table, working set and committed base.
+//     same row in every later state, working set and committed base.
 //
 // Application is batch-atomic: every op is validated against a claim-tracked
-// snapshot before anything is written — a failed batch leaves the input
-// tables (and everything downstream: compiled state, engines, freelists)
-// untouched.
+// snapshot before any row is built — a failed batch leaves the state (and
+// everything downstream: engines, freelists) untouched.
 package topo
 
 import (
@@ -55,7 +59,7 @@ const (
 	// u→x and x→y keep their rows: a stub that drives nothing.
 	OpRemoveBuffer
 	// OpAnnotate rewrites one arc's delay distributions in place — the
-	// table-level form of repower (cell arcs re-characterized for a new
+	// arc-level form of repower (cell arcs re-characterized for a new
 	// drive) and move (net arcs re-derived from new RC). No topology change.
 	OpAnnotate
 )
@@ -73,8 +77,8 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("opkind(%d)", uint8(k))
 }
 
-// Op is one structural edit. Arc ids address the tables as they are at the
-// start of the batch; each op claims the arcs it touches and two ops may not
+// Op is one structural edit. Arc ids address the state as it is at the start
+// of the batch; each op claims the arcs it touches and two ops may not
 // claim the same arc (the batch would not be order-independent).
 type Op struct {
 	Kind OpKind
@@ -110,27 +114,25 @@ func RemoveBuffer(cellArc int32) Op {
 }
 
 // Annotate builds an annotation op: rewrite arc's delay to d. Repower and
-// move reach the tables as batches of these (see refsta.EstimateECO,
+// move reach a working set as batches of these (see refsta.EstimateECO,
 // refsta.EstimateBuffer and refsta.EstimateMove for the delay derivations).
 func Annotate(arc int32, d [2]num.Dist) Op {
 	return Op{Kind: OpAnnotate, Arc: arc, Delay: d}
 }
 
-// Result is one applied batch: the edited tables (via Apply, a clone — the
-// input is never mutated; sessions edit their private tables in place) and the
-// re-propagation seeds.
+// Result is one applied batch: the arc rows it writes and the
+// re-propagation seeds. The state it was validated against is never mutated;
+// core.CompileIncrementalPatched turns the two into the next state.
 type Result struct {
-	Tables *circuitops.Tables
+	// Edits lists every arc row the batch writes, in op order: an insert
+	// lists its rewritten wire and then its two appended arcs, a removal its
+	// re-pointed sink wires, an annotation its arc.
+	Edits []core.ArcEdit
 
 	// Seeds are the pins whose fan-in set or fan-in delay changed (including
 	// appended pins), sorted — the seed set core.CompileIncrementalPatched
 	// re-levelizes from and core.Engine.Reseed re-propagates from.
 	Seeds []int32
-
-	// Changed lists every arc id whose row differs from the input tables —
-	// rewritten in place or appended; it is the change set
-	// core.CompileIncrementalPatched patches.
-	Changed []int32
 
 	// NewPins counts pins appended by the batch.
 	NewPins int
@@ -139,34 +141,25 @@ type Result struct {
 	Inserted, Removed, Annotated int
 }
 
-// Apply validates and applies a batch of structural ops to t, returning the
-// edited clone. st is t's compiled state (core.Compile output, or the last
-// patched recompile of the same tables): removals validate against its
-// adjacency and startpoint/endpoint tables. Validation is strict and happens
-// entirely before the first write: any error leaves t untouched and returns no
-// partial result.
-func Apply(t *circuitops.Tables, st *core.State, ops []Op) (*Result, error) {
-	return applyOps(t, st, ops, false)
-}
-
-// applyOps is Apply with an ownership flag: inPlace=true edits t directly —
-// no arc-table clone — which Session uses once its working tables are
-// private (every preview after the first). Safe because validation is
-// complete before the first write, so the no-partial-edit guarantee holds
-// either way.
-func applyOps(t *circuitops.Tables, st *core.State, ops []Op, inPlace bool) (*Result, error) {
+// Apply validates a batch of structural ops against st — core.Compile output,
+// or the last patched recompile of it — and returns the rows the batch writes.
+// Ops read rows through st.Arc and adjacency through st's CSRs; removals also
+// validate against its startpoint/endpoint tables. Validation is strict and
+// happens entirely before the first row is built, and st is only read: any
+// error returns no partial result.
+func Apply(st *core.State, ops []Op) (*Result, error) {
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("topo: empty op batch")
 	}
-	nArcs := len(t.Arcs)
-	if st.NumPins != t.NumPins || len(st.ArcFrom) != nArcs {
-		return nil, fmt.Errorf("topo: compiled state (%d pins, %d arcs) is not of these tables (%d, %d)", st.NumPins, len(st.ArcFrom), t.NumPins, nArcs)
-	}
+	nArcs := len(st.ArcFrom)
 	// Batch-start adjacency: the state's CSRs list a pin's arcs in ascending
-	// id order, as the tables number them.
+	// id order.
 	fanin := func(p int32) []int32 { return st.FaninArc[st.FaninStart[p]:st.FaninStart[p+1]] }
 	fanout := func(p int32) []int32 { return st.FoArc[st.FoStart[p]:st.FoStart[p+1]] }
 	timed := func(p int32) bool { return st.SpOfPin[p] >= 0 || st.EpOfPin[p] >= 0 }
+	posNet := func(a circuitops.ArcRow) bool {
+		return a.Kind == 1 && liberty.Unate(a.Sense) == liberty.PositiveUnate
+	}
 
 	// Validate every op against the snapshot, claiming arcs as we go.
 	claimed := make(map[int32]string)
@@ -187,7 +180,7 @@ func applyOps(t *circuitops.Tables, st *core.State, ops []Op, inPlace bool) (*Re
 			if err := claim(op.Arc, op.Kind.String()); err != nil {
 				return nil, err
 			}
-			a := &t.Arcs[op.Arc]
+			a := st.Arc(op.Arc)
 			if a.Kind != 1 {
 				return nil, fmt.Errorf("topo: insert-buffer: arc %d is not a net arc", op.Arc)
 			}
@@ -206,7 +199,7 @@ func applyOps(t *circuitops.Tables, st *core.State, ops []Op, inPlace bool) (*Re
 			if err := claim(op.Arc, op.Kind.String()); err != nil {
 				return nil, err
 			}
-			ca := &t.Arcs[op.Arc]
+			ca := st.Arc(op.Arc)
 			if ca.Kind != 0 {
 				return nil, fmt.Errorf("topo: remove-buffer: arc %d is not a cell arc", op.Arc)
 			}
@@ -224,8 +217,7 @@ func applyOps(t *circuitops.Tables, st *core.State, ops []Op, inPlace bool) (*Re
 			if len(ins) != 1 {
 				return nil, fmt.Errorf("topo: remove-buffer: buffer input pin %d has %d fan-in arcs, want 1", x, len(ins))
 			}
-			uin := &t.Arcs[ins[0]]
-			if uin.Kind != 1 || liberty.Unate(uin.Sense) != liberty.PositiveUnate {
+			if !posNet(st.Arc(ins[0])) {
 				return nil, fmt.Errorf("topo: remove-buffer: input arc %d of pin %d is not a net arc", ins[0], x)
 			}
 			outs := fanout(y)
@@ -233,8 +225,7 @@ func applyOps(t *circuitops.Tables, st *core.State, ops []Op, inPlace bool) (*Re
 				return nil, fmt.Errorf("topo: remove-buffer: buffer output pin %d drives nothing", y)
 			}
 			for _, o := range outs {
-				oa := &t.Arcs[o]
-				if oa.Kind != 1 || liberty.Unate(oa.Sense) != liberty.PositiveUnate {
+				if !posNet(st.Arc(o)) {
 					return nil, fmt.Errorf("topo: remove-buffer: output arc %d of pin %d is not a net arc", o, y)
 				}
 			}
@@ -260,18 +251,15 @@ func applyOps(t *circuitops.Tables, st *core.State, ops []Op, inPlace bool) (*Re
 		}
 	}
 
-	// Apply on a clone — shallow struct copy (SP/EP/clock/exception rows are
-	// shared, never mutated by structural edits) with a fresh arc slice — or
-	// directly on t when the caller owns it. Every row an op reads it has
-	// claimed, so no op sees another's writes either way.
-	out := t
-	if !inPlace {
-		c := *t
-		c.Arcs = append(make([]circuitops.ArcRow, 0, nArcs+2*len(ops)), t.Arcs...)
-		out = &c
-	}
-	res := &Result{Tables: out}
+	// Build the rows. Every row an op reads it has claimed, so it reads the
+	// batch-start row from st whatever the other ops write; appended pins and
+	// arcs are numbered in op order.
+	res := &Result{}
 	seeds := make(map[int32]bool)
+	numPins, appended := int32(st.NumPins), int32(nArcs)
+	edit := func(id int32, row circuitops.ArcRow) {
+		res.Edits = append(res.Edits, core.ArcEdit{ID: id, Row: row})
+	}
 
 	for oi := range ops {
 		op := &ops[oi]
@@ -281,46 +269,44 @@ func applyOps(t *circuitops.Tables, st *core.State, ops []Op, inPlace bool) (*Re
 			if frac == 0 {
 				frac = 0.5
 			}
-			// Pre-edit row captured by value: the in-place path has no
-			// pristine t to read back from, and the appends below may move
-			// the arc backing anyway.
-			orig := out.Arcs[op.Arc]
+			orig := st.Arc(op.Arc)
 			v := orig.To
-			x := int32(out.NumPins)
+			x := numPins
 			y := x + 1
-			out.NumPins += 2
+			numPins += 2
 			res.NewPins += 2
 			// u→v becomes u→x with the driver-side share of the wire delay.
-			a := &out.Arcs[op.Arc]
+			a := orig
 			a.To = x
 			a.MeanRise *= frac
 			a.StdRise *= frac
 			a.MeanFall *= frac
 			a.StdFall *= frac
+			edit(op.Arc, a)
 			// x→y: the buffer's gate arc.
-			out.Arcs = append(out.Arcs, circuitops.ArcRow{
+			edit(appended, circuitops.ArcRow{
 				From: x, To: y, Kind: 0, Sense: uint8(liberty.PositiveUnate),
 				Cell: op.Cell, Net: -1,
 				MeanRise: op.Delay[liberty.Rise].Mean, StdRise: op.Delay[liberty.Rise].Std,
 				MeanFall: op.Delay[liberty.Fall].Mean, StdFall: op.Delay[liberty.Fall].Std,
 			})
 			// y→v: the sink-side share of the wire.
-			out.Arcs = append(out.Arcs, circuitops.ArcRow{
+			edit(appended+1, circuitops.ArcRow{
 				From: y, To: v, Kind: 1, Sense: uint8(liberty.PositiveUnate),
 				Cell: -1, Net: orig.Net,
 				MeanRise: orig.MeanRise * (1 - frac), StdRise: orig.StdRise * (1 - frac),
 				MeanFall: orig.MeanFall * (1 - frac), StdFall: orig.StdFall * (1 - frac),
 			})
+			appended += 2
 			seeds[x] = true
 			seeds[y] = true
 			seeds[v] = true
-			res.Changed = append(res.Changed, op.Arc, int32(len(out.Arcs)-2), int32(len(out.Arcs)-1))
 			res.Inserted++
 		case OpRemoveBuffer:
-			ca := out.Arcs[op.Arc]
-			uin := out.Arcs[fanin(ca.From)[0]]
+			ca := st.Arc(op.Arc)
+			uin := st.Arc(fanin(ca.From)[0])
 			for _, o := range fanout(ca.To) {
-				oa := &out.Arcs[o]
+				oa := st.Arc(o)
 				// u→v replaces u→x→y→v: means add, sigmas RSS (independent
 				// stage variations, the same composition the extraction uses
 				// along a path).
@@ -331,17 +317,17 @@ func applyOps(t *circuitops.Tables, st *core.State, ops []Op, inPlace bool) (*Re
 				oa.MeanFall = uin.MeanFall + ca.MeanFall + oa.MeanFall
 				oa.StdFall = math.Sqrt(uin.StdFall*uin.StdFall + ca.StdFall*ca.StdFall + oa.StdFall*oa.StdFall)
 				seeds[oa.To] = true
-				res.Changed = append(res.Changed, o)
+				edit(o, oa)
 			}
 			res.Removed++
 		case OpAnnotate:
-			a := &out.Arcs[op.Arc]
+			a := st.Arc(op.Arc)
 			a.MeanRise = op.Delay[liberty.Rise].Mean
 			a.StdRise = op.Delay[liberty.Rise].Std
 			a.MeanFall = op.Delay[liberty.Fall].Mean
 			a.StdFall = op.Delay[liberty.Fall].Std
 			seeds[a.To] = true
-			res.Changed = append(res.Changed, op.Arc)
+			edit(op.Arc, a)
 			res.Annotated++
 		}
 	}
@@ -351,10 +337,5 @@ func applyOps(t *circuitops.Tables, st *core.State, ops []Op, inPlace bool) (*Re
 		res.Seeds = append(res.Seeds, p)
 	}
 	slices.Sort(res.Seeds)
-
-	// Every row written above is well-formed by construction and every input
-	// was range-checked during validation, so the O(arcs) Validate is skipped:
-	// the preview cost stays proportional to the edit (the differential suite
-	// still compares against a cold compile, which validates).
 	return res, nil
 }

@@ -4,8 +4,10 @@ package topo
 // session's working engine after any sequence of Apply batches is
 // *bit-identical* — endpoint slacks, hold slacks, WNS/TNS, Top-K queues,
 // timing gradients — to a cold core.Compile + NewEngineFromState + Run over
-// the session's working tables, at any worker count (ci.sh runs this package
-// under -race as well). A session over a scenario engine is held to the same
+// the edited netlist, at any worker count (ci.sh runs this package under -race
+// as well). The oracle's netlist is the test's own circuitops.Tables, advanced
+// by each accepted batch's Result.Edits (advance); the session's state is
+// never read back for it. A session over a scenario engine is held to the same
 // standard per lane against a cold core.NewEngineScenarios, and its unit lane
 // against a cold single-lane engine.
 
@@ -58,6 +60,38 @@ func netArcs(tab *circuitops.Tables) []int32 {
 		}
 	}
 	return out
+}
+
+// cloneTables copies tab deeply enough for advance to edit the copy.
+func cloneTables(tab *circuitops.Tables) *circuitops.Tables {
+	c := *tab
+	c.Arcs = slices.Clone(tab.Arcs)
+	return &c
+}
+
+// advance writes an accepted batch into tab, the test's own copy of the
+// session's netlist: its edited rows by id (appended ids grow the arc table)
+// and its appended pins.
+func advance(tab *circuitops.Tables, res *Result) {
+	tab.NumPins += res.NewPins
+	for _, ed := range res.Edits {
+		if n := int(ed.ID) + 1; n > len(tab.Arcs) {
+			tab.Arcs = append(tab.Arcs, make([]circuitops.ArcRow, n-len(tab.Arcs))...)
+		}
+		tab.Arcs[ed.ID] = ed.Row
+	}
+}
+
+// applyTo applies ops to s, which must accept them, and advances tab by the
+// batch.
+func applyTo(t testing.TB, s *Session, tab *circuitops.Tables, ops ...Op) *Result {
+	t.Helper()
+	res, err := s.Apply(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	advance(tab, res)
+	return res
 }
 
 // mustEngine builds and fully evaluates a cold engine over tab.
@@ -136,22 +170,19 @@ func TestInsertBufferDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		nets := netArcs(tab)
-		ops := []Op{
+		work := cloneTables(tab)
+		res := applyTo(t, s, work,
 			InsertBuffer(nets[0], 7, bufDelay(3, 0.2), 0),
 			InsertBuffer(nets[len(nets)/2], 7, bufDelay(2.5, 0.15), 0.3),
 			InsertBuffer(nets[len(nets)-1], -1, bufDelay(4, 0.3), 0.7),
-		}
-		res, err := s.Apply(ops)
-		if err != nil {
-			t.Fatal(err)
-		}
+		)
 		if res.NewPins != 6 || res.Inserted != 3 {
 			t.Fatalf("unexpected result %+v", res)
 		}
 		if st := s.Stats(); st.Relevel.Region <= 0 || st.Relevel.Region >= tab.NumPins {
 			t.Fatalf("re-levelized region %d not localized (pins %d)", st.Relevel.Region, tab.NumPins)
 		}
-		assertEnginesIdentical(t, "insert", s.Engine(), s.Tables(), opt)
+		assertEnginesIdentical(t, "insert", s.Engine(), work, opt)
 		s.Close()
 		base.Close()
 	}
@@ -173,23 +204,19 @@ func TestRemoveBufferDifferential(t *testing.T) {
 	// graph that cold-compiles to the same bits as the session's preview.
 	target := netArcs(tab)[2]
 	orig := tab.Arcs[target]
-	if _, err := s.Apply([]Op{InsertBuffer(target, 7, bufDelay(3, 0.2), 0)}); err != nil {
-		t.Fatal(err)
-	}
+	work := cloneTables(tab)
+	applyTo(t, s, work, InsertBuffer(target, 7, bufDelay(3, 0.2), 0))
 	// The inserted buffer's cell arc is the second-to-last arc.
-	cellArc := int32(len(s.Tables().Arcs) - 2)
-	if s.Tables().Arcs[cellArc].Kind != 0 {
+	cellArc := int32(len(work.Arcs) - 2)
+	if work.Arcs[cellArc].Kind != 0 {
 		t.Fatalf("arc %d is not the inserted cell arc", cellArc)
 	}
-	before := append([]circuitops.ArcRow(nil), s.Tables().Arcs...)
-	res, err := s.Apply([]Op{RemoveBuffer(cellArc)})
-	if err != nil {
-		t.Fatal(err)
+	before := slices.Clone(work.Arcs)
+	res := applyTo(t, s, work, RemoveBuffer(cellArc))
+	if len(res.Edits) != 1 || res.Edits[0].ID != cellArc+1 || !slices.Equal(res.Seeds, []int32{orig.To}) {
+		t.Fatalf("bypass edited %+v and seeded pins %v, want the sink wire %d and its sink %d", res.Edits, res.Seeds, cellArc+1, orig.To)
 	}
-	if !slices.Equal(res.Changed, []int32{cellArc + 1}) || !slices.Equal(res.Seeds, []int32{orig.To}) {
-		t.Fatalf("bypass changed arcs %v and seeded pins %v, want the sink wire %d and its sink %d", res.Changed, res.Seeds, cellArc+1, orig.To)
-	}
-	after := s.Tables().Arcs
+	after := work.Arcs
 	if len(after) != len(before) {
 		t.Fatalf("removal changed the arc count: %d -> %d", len(before), len(after))
 	}
@@ -201,24 +228,22 @@ func TestRemoveBufferDifferential(t *testing.T) {
 	if w := after[cellArc+1]; w.From != orig.From || w.To != orig.To || w.Net != orig.Net {
 		t.Fatalf("sink wire became %d->%d (net %d), want the original %d->%d (net %d)", w.From, w.To, w.Net, orig.From, orig.To, orig.Net)
 	}
-	assertEnginesIdentical(t, "remove", s.Engine(), s.Tables(), opt)
+	assertEnginesIdentical(t, "remove", s.Engine(), work, opt)
 
 	// A bypassed buffer cannot be removed twice, and its stub stays addressable.
 	if _, err := s.Apply([]Op{RemoveBuffer(cellArc)}); err == nil {
 		t.Fatal("removing a bypassed buffer again was accepted")
 	}
 	slacks := append([]float64(nil), s.Engine().Slacks()...)
-	if _, err := s.Apply([]Op{Annotate(cellArc, bufDelay(50, 5)), Annotate(target, bufDelay(50, 5))}); err != nil {
-		t.Fatal(err)
-	}
+	applyTo(t, s, work, Annotate(cellArc, bufDelay(50, 5)), Annotate(target, bufDelay(50, 5)))
 	if !slices.Equal(s.Engine().Slacks(), slacks) {
 		t.Fatal("annotating a bypassed buffer's stub moved an endpoint slack")
 	}
-	assertEnginesIdentical(t, "stub annotated", s.Engine(), s.Tables(), opt)
+	assertEnginesIdentical(t, "stub annotated", s.Engine(), work, opt)
 
 	// Pin count never shrinks.
-	if s.Tables().NumPins != tab.NumPins+2 {
-		t.Fatalf("pin count %d, want %d", s.Tables().NumPins, tab.NumPins+2)
+	if got := s.Engine().NumPins(); got != tab.NumPins+2 {
+		t.Fatalf("pin count %d, want %d", got, tab.NumPins+2)
 	}
 }
 
@@ -233,15 +258,12 @@ func TestAnnotateOnStructuralSessionDifferential(t *testing.T) {
 	}
 	defer s.Close()
 
-	if _, err := s.Apply([]Op{InsertBuffer(netArcs(tab)[0], 7, bufDelay(3, 0.2), 0)}); err != nil {
-		t.Fatal(err)
-	}
+	work := cloneTables(tab)
+	applyTo(t, s, work, InsertBuffer(netArcs(tab)[0], 7, bufDelay(3, 0.2), 0))
 	// Annotate a few arcs, including one appended by the insert.
-	newArc := int32(len(s.Tables().Arcs) - 1)
-	if _, err := s.Apply([]Op{Annotate(5, bufDelay(7, 0.4)), Annotate(newArc, bufDelay(1.5, 0.1))}); err != nil {
-		t.Fatal(err)
-	}
-	assertEnginesIdentical(t, "annotate", s.Engine(), s.Tables(), opt)
+	newArc := int32(len(work.Arcs) - 1)
+	applyTo(t, s, work, Annotate(5, bufDelay(7, 0.4)), Annotate(newArc, bufDelay(1.5, 0.1)))
+	assertEnginesIdentical(t, "annotate", s.Engine(), work, opt)
 }
 
 func TestMixedBatchWithAnnotateOps(t *testing.T) {
@@ -255,22 +277,19 @@ func TestMixedBatchWithAnnotateOps(t *testing.T) {
 	}
 	defer s.Close()
 	nets := netArcs(tab)
-	ops := []Op{
+	work := cloneTables(tab)
+	applyTo(t, s, work,
 		InsertBuffer(nets[1], 7, bufDelay(2, 0.1), 0),
 		Annotate(nets[3], bufDelay(6, 0.3)),
 		Annotate(0, bufDelay(4, 0.2)),
-	}
-	if _, err := s.Apply(ops); err != nil {
-		t.Fatal(err)
-	}
-	assertEnginesIdentical(t, "mixed", s.Engine(), s.Tables(), opt)
+	)
+	assertEnginesIdentical(t, "mixed", s.Engine(), work, opt)
 }
 
 // TestBatchedEngineDifferential: the one working engine of a session opened
 // over a scenario engine stays, through insert / remove / annotate batches,
 // bit-identical in every lane to a cold core.NewEngineScenarios over the
-// working tables —
-// and its unit lane (tt) to a cold single-lane engine, the figure a daemon
+// edited netlist — and its unit lane (tt) to a cold single-lane engine, the figure a daemon
 // serves as nominal.
 func TestBatchedEngineDifferential(t *testing.T) {
 	tab := buildTables(t, 35)
@@ -287,11 +306,12 @@ func TestBatchedEngineDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		work := cloneTables(tab)
 		check := func(tag string) {
 			t.Helper()
 			// Per-scenario bit-identity against a cold batched engine over
-			// the session's working tables.
-			cold, err := core.NewEngineScenarios(s.Tables(), scns, opt)
+			// the edited netlist.
+			cold, err := core.NewEngineScenarios(work, scns, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -313,7 +333,7 @@ func TestBatchedEngineDifferential(t *testing.T) {
 					}
 				}
 			}
-			nominal := mustEngine(t, s.Tables(), opt)
+			nominal := mustEngine(t, work, opt)
 			defer nominal.Close()
 			tt := got.LaneSlacks(core.UnitLane(got.Scenarios()))
 			for i, w := range nominal.Slacks() {
@@ -323,27 +343,21 @@ func TestBatchedEngineDifferential(t *testing.T) {
 			}
 		}
 		nets := netArcs(tab)
-		if _, err := s.Apply([]Op{
+		applyTo(t, s, work,
 			InsertBuffer(nets[0], 7, bufDelay(3, 0.2), 0),
 			InsertBuffer(nets[4], 7, bufDelay(2, 0.1), 0.4),
-		}); err != nil {
-			t.Fatal(err)
-		}
+		)
 		if s.Engine() == bbase {
 			t.Fatal("apply did not create a working engine")
 		}
 		check("insert")
-		cellArc := int32(len(s.Tables().Arcs) - 2)
-		if s.Tables().Arcs[cellArc].Kind != 0 {
+		cellArc := int32(len(work.Arcs) - 2)
+		if work.Arcs[cellArc].Kind != 0 {
 			t.Fatalf("arc %d is not a cell arc", cellArc)
 		}
-		if _, err := s.Apply([]Op{RemoveBuffer(cellArc)}); err != nil {
-			t.Fatal(err)
-		}
+		applyTo(t, s, work, RemoveBuffer(cellArc))
 		check("remove")
-		if _, err := s.Apply([]Op{Annotate(nets[2], bufDelay(5, 0.25))}); err != nil {
-			t.Fatal(err)
-		}
+		applyTo(t, s, work, Annotate(nets[2], bufDelay(5, 0.25)))
 		check("annotate")
 		s.Close()
 		bbase.Close()
@@ -362,7 +376,6 @@ func TestApplyAtomicOnInvalidBatch(t *testing.T) {
 	defer s.Close()
 
 	nets := netArcs(tab)
-	before := s.Tables()
 	beforeEng := s.Engine()
 	// Valid insert + claim conflict on the same arc: whole batch rejected.
 	bad := []Op{
@@ -372,7 +385,7 @@ func TestApplyAtomicOnInvalidBatch(t *testing.T) {
 	if _, err := s.Apply(bad); err == nil {
 		t.Fatal("conflicting batch accepted")
 	}
-	if s.Tables() != before || s.Engine() != beforeEng || s.Edited() {
+	if s.Engine() != beforeEng || s.Edited() {
 		t.Fatal("failed batch mutated the session")
 	}
 	// Bad arc id, bad fraction, wrong arc kind, cell arc removal shape.
@@ -430,14 +443,13 @@ func TestDetachTransfersOwnership(t *testing.T) {
 	if _, err := s.Detach(); err == nil {
 		t.Fatal("detach with no edits accepted")
 	}
-	if _, err := s.Apply([]Op{InsertBuffer(netArcs(tab)[0], 7, bufDelay(3, 0.2), 0)}); err != nil {
-		t.Fatal(err)
-	}
+	work := cloneTables(tab)
+	applyTo(t, s, work, InsertBuffer(netArcs(tab)[0], 7, bufDelay(3, 0.2), 0))
 	d, err := s.Detach()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Engine == base || d.Tables == nil || d.State == nil {
+	if d.Engine == base || d.Stats.Inserted != 1 {
 		t.Fatal("detached set incomplete")
 	}
 	// Close after detach must not kill the detached engine.
@@ -445,7 +457,7 @@ func TestDetachTransfersOwnership(t *testing.T) {
 	if got := d.Engine.WNS(); got != d.Engine.WNS() {
 		t.Fatal("detached engine unusable after session close")
 	}
-	assertEnginesIdentical(t, "detached", d.Engine, d.Tables, opt)
+	assertEnginesIdentical(t, "detached", d.Engine, work, opt)
 	d.Engine.Close()
 }
 
@@ -463,26 +475,19 @@ func TestRepeatedEditsStayIdentical(t *testing.T) {
 	defer s.Close()
 
 	nets := netArcs(tab)
-	if _, err := s.Apply([]Op{InsertBuffer(nets[0], 7, bufDelay(3, 0.2), 0)}); err != nil {
-		t.Fatal(err)
-	}
-	assertEnginesIdentical(t, "step1", s.Engine(), s.Tables(), opt)
+	work := cloneTables(tab)
+	applyTo(t, s, work, InsertBuffer(nets[0], 7, bufDelay(3, 0.2), 0))
+	assertEnginesIdentical(t, "step1", s.Engine(), work, opt)
 
-	if _, err := s.Apply([]Op{Annotate(nets[1], bufDelay(5, 0.25))}); err != nil {
-		t.Fatal(err)
-	}
-	assertEnginesIdentical(t, "step2", s.Engine(), s.Tables(), opt)
+	applyTo(t, s, work, Annotate(nets[1], bufDelay(5, 0.25)))
+	assertEnginesIdentical(t, "step2", s.Engine(), work, opt)
 
-	if _, err := s.Apply([]Op{InsertBuffer(nets[2], 7, bufDelay(2, 0.1), 0.25)}); err != nil {
-		t.Fatal(err)
-	}
-	assertEnginesIdentical(t, "step3", s.Engine(), s.Tables(), opt)
+	applyTo(t, s, work, InsertBuffer(nets[2], 7, bufDelay(2, 0.1), 0.25))
+	assertEnginesIdentical(t, "step3", s.Engine(), work, opt)
 
-	cellArc := int32(len(s.Tables().Arcs) - 2)
-	if _, err := s.Apply([]Op{RemoveBuffer(cellArc)}); err != nil {
-		t.Fatal(err)
-	}
-	assertEnginesIdentical(t, "step4", s.Engine(), s.Tables(), opt)
+	cellArc := int32(len(work.Arcs) - 2)
+	applyTo(t, s, work, RemoveBuffer(cellArc))
+	assertEnginesIdentical(t, "step4", s.Engine(), work, opt)
 }
 
 // TestApplyBeatsColdRebuild holds the subsystem's reason to exist on a real
@@ -538,9 +543,8 @@ func TestApplyBeatsColdRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Apply(ops); err != nil { // the first Apply allocates the working engine
-		t.Fatal(err)
-	}
+	work := cloneTables(tab)
+	applyTo(t, s, work, ops...) // the first Apply allocates the working engine
 
 	// Interleaved best-of-7: both sides see the same background load.
 	timed := func(fn func()) time.Duration {
@@ -550,12 +554,8 @@ func TestApplyBeatsColdRebuild(t *testing.T) {
 	}
 	inc, cold := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
 	for i := 0; i < 7; i++ {
-		inc = min(inc, timed(func() {
-			if _, err := s.Apply(ops); err != nil {
-				t.Fatal(err)
-			}
-		}))
-		cold = min(cold, timed(func() { mustEngine(t, s.Tables(), opt).Close() }))
+		inc = min(inc, timed(func() { applyTo(t, s, work, ops...) }))
+		cold = min(cold, timed(func() { mustEngine(t, work, opt).Close() }))
 	}
 	t.Logf("block-1: Apply %v vs cold rebuild %v — %.1fx (relevel %+v)",
 		inc, cold, float64(cold)/float64(inc), s.Stats().Relevel)
