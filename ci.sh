@@ -11,8 +11,11 @@
 #                      four golden-digest files — core, refsta, topo and hier,
 #                      the last pinning extracted block models and the
 #                      flat-vs-composed comparison of three chip
-#                      configurations — + the packed-tail contract of every queue
-#                      writer + zero-alloc full passes, bare and with a
+#                      configurations; core's has a deep-K companion,
+#                      block-5 at K = 64 and 128, where row capacities
+#                      differ from K most — + the packed-tail contract of every
+#                      queue writer + the row-capacity invariants on every
+#                      block preset + zero-alloc full passes, bare and with a
 #                      disabled tracer attached), including the
 #                      nominal-lane differential of the serving layer: a
 #                      daemon holds one lane-strided engine, and a manager over
@@ -30,8 +33,13 @@
 #                      indexed merge (a startpoint is looked up, not scanned
 #                      for) and through the scanning Algorithm-2 reference kept
 #                      in internal/core/queue_ref_test.go, compared after
-#                      every parent: the three planes the kernels store (mean,
-#                      sigma, startpoint) bit for bit, the ordering key they
+#                      every parent — the destination a row of c slots and
+#                      each parent a row of its own length, as the engine
+#                      sizes them (c between the parents' distinct
+#                      startpoints and K), against the reference's K-slot
+#                      queue: the three planes the kernels store (mean,
+#                      sigma, startpoint) bit for bit on the first c slots
+#                      and nothing live past them, the ordering key they
 #                      derive from a live slot equal to the fourth plane the
 #                      reference still stores, -Inf there exactly where the
 #                      slot is empty — and the startpoint index itself exact:

@@ -186,7 +186,6 @@ func (e *Engine) WNSWeights(tau float64) []float64 {
 // level never touch shared state.
 func (e *Engine) backpropPin(p int32, lane int) {
 	g := e.grad
-	laneOff := lane * e.opt.TopK
 	folo, fohi := e.foStart[p], e.foStart[p+1]
 	lo, hi := e.faninStart[p], e.faninStart[p+1]
 	tau := e.opt.Tau
@@ -217,8 +216,8 @@ func (e *Engine) backpropPin(p int32, lane int) {
 			inRFs, nrf := liberty.Unate(e.faninSense[pos]).InRFs(rf)
 			for ri := 0; ri < nrf; ri++ {
 				prf := inRFs[ri]
-				pq, pb := e.top.queues(prf, parent)
-				pb += laneOff
+				pq, pb, pk := e.top.queues(prf, parent)
+				pb += lane * pk
 				if pq.sp[pb] == noSP {
 					continue
 				}

@@ -68,19 +68,22 @@ type Engine struct {
 	opt     Options
 	st      *State // compiled state the engine was built over (ExportState)
 	numPins int
-	capPins int // tensor row stride in pins: >= numPins; the surplus is
-	// headroom so a structural reseed can append pins without relocating
-	// the rf=1 tensor blocks (see Reseed)
-	qstride int // queue slots per (rf, pin) row: S*K
-	// row maps a pin to its tensor row: its position in the level order the
-	// engine was built over, so the pins a level launch walks — and most of
-	// their parents, one level up — sit in neighbouring memory. A locality
-	// hint fixed at build time, read only by base: a structural reseed keeps
-	// every pin's row and appends new pins at the tail (Reseed), and a cold or
+	// rows maps a pin to its tensor row (rowSpan): where it starts and its
+	// capacity, the slots each lane's queue has there. Rows are laid out in
+	// the level order the engine was built over, so the pins a level launch
+	// walks — and most of their parents, one level up — sit in neighbouring
+	// memory; a structural reseed keeps every row that still fits and gives
+	// the others fresh rows at the tail (Reseed), and a cold or
 	// snapshot-booted engine over the edited state is in level order again.
-	row    []int32
-	period float64
-	nSigma float64
+	// Read only by base.
+	rows []rowSpan
+	// Row units handed out, and allocated, per rf block; a unit is S slots
+	// (one per lane). capUnits >= rowUnits: the surplus is headroom so a
+	// structural reseed can add rows without relocating the rf=1 block.
+	rowUnits, capUnits int
+	qstride            int // S*K: the slots per rf of the widest row, an overlay's shadow row and a wave's snapshot
+	period             float64
+	nSigma             float64
 
 	// Scenario axis. The engine times S = len(scns) scenarios in one
 	// traversal: every lane sees the nominal arc annotations through its own
@@ -129,9 +132,10 @@ type Engine struct {
 
 	exc *sdc.ExceptionTable
 
-	// Top-K state, flattened with the scenario axis innermost-but-one:
-	// index ((rf*capPins)+row[pin])*S*K + s*K + k. One pin's S lane queues
-	// are contiguous, so a kernel walks the pin's fan-in once and streams the
+	// Top-K state, flattened with the scenario axis innermost-but-one: with
+	// (off, k) = rows[pin], slot kk of lane s is at
+	// (rf*capUnits + off)*S + s*k + kk. One pin's S lane queues are
+	// contiguous, so a kernel walks the pin's fan-in once and streams the
 	// lanes under it. top is the late view (view.go) with nothing shadowed.
 	top view
 
@@ -408,14 +412,49 @@ func (e *Engine) KernelStats() []sched.KernelProfile {
 	return nil
 }
 
-// base returns the flat offset of (rf, pin)'s lane-0 Top-K block; lane s
-// follows at +s*K and the pin's whole block is qstride = S*K long. It is the
-// only place a pin becomes a tensor offset. The row stride is capPins, not
-// numPins: an engine may carry tensor headroom beyond its live pins so
-// structural reseeds grow in place.
-func (e *Engine) base(rf int, pin int32) int {
-	return ((rf * e.capPins) + int(e.row[pin])) * e.qstride
+// rowSpan is one pin's tensor row: it starts off units into each rf block and
+// holds k slots per lane, k being the pin's capacity (rowCap).
+type rowSpan struct{ off, k int32 }
+
+// rowCap is pin p's capacity over st given its parents' rows: 1 for a startpoint
+// or a pin with no fan-in, else min(K, the sum of cap(parent) over p's fan-in
+// arcs). By induction over the levels, a capacity below K is at least the
+// number of distinct startpoints that can reach p — a startpoint's queue holds
+// itself, and a non-unate arc brings both of a parent's queues, whose
+// startpoints are the parent's — so no queue at p ever holds more live
+// entries. While its queue has room a c-slot merge writes what a K-slot one
+// does; once a queue with c < K is full (n = c), every startpoint that can
+// reach p is queued, so the full-queue reject only drops an entry that the
+// K-slot merge also drops after comparing it with its own startpoint's entry,
+// which sits at or above the minimum. A row of c slots therefore holds exactly
+// the K-slot queue, order and tie-breaks included. The sum is never below a
+// parent's term, so a parent's row always fits its child's.
+func rowCap(st *State, rows []rowSpan, p int32, topK int) int32 {
+	lo, hi := st.FaninStart[p], st.FaninStart[p+1]
+	if st.SpOfPin[p] >= 0 || lo == hi {
+		return 1
+	}
+	c := 0
+	for _, from := range st.FaninFrom[lo:hi] {
+		if c += int(rows[from].k); c >= topK {
+			return int32(topK)
+		}
+	}
+	return int32(c)
 }
+
+// base returns the flat offset of (rf, pin)'s lane-0 Top-K queue and the
+// pin's capacity k: lane s follows at +s*k and the pin's whole row is S*k
+// slots long. It is the only place a pin becomes a tensor offset. The rf
+// stride is capUnits, not rowUnits: an engine may carry tensor headroom
+// beyond its rows so structural reseeds grow in place.
+func (e *Engine) base(rf int, pin int32) (b, k int) {
+	r := e.rows[pin]
+	return (rf*e.capUnits + int(r.off)) * len(e.scns), int(r.k)
+}
+
+// rowSlots is the length of pin p's row per rf: S times its capacity.
+func (e *Engine) rowSlots(p int32) int { return len(e.scns) * int(e.rows[p].k) }
 
 // Lanes returns S, the number of scenarios the engine propagates together.
 func (e *Engine) Lanes() int { return len(e.scns) }
@@ -428,7 +467,7 @@ func (e *Engine) NumLevels() int { return e.lv.NumLevels }
 func (e *Engine) Level(p int32) int32 { return e.lv.Level[p] }
 
 // MemoryBytes returns the engine's resident state footprint: the Top-K
-// tensors and their row map, arc annotations, CSR topology and SP/EP tables —
+// tensors and their row spans, arc annotations, CSR topology and SP/EP tables —
 // the analogue of Table I's GPU memory column. The tensors and endpoint
 // results grow with the lane count, the graph does not. Gradient buffers and
 // merge scratch sets are counted once allocated.
@@ -438,6 +477,7 @@ func (e *Engine) MemoryBytes() int64 {
 	b += int64(len(e.faninArc)+len(e.faninFrom)) * 4
 	b += int64(len(e.faninSense))
 	b += int64(len(e.faninStart)+len(e.spOfPin)) * 4
+	b += int64(len(e.rows)) * 8
 	b += int64(len(e.lv.Order)+len(e.lv.Level)+len(e.lv.LevelStart)) * 4
 	b += int64(len(e.spPin)) * (4 + 4 + 8 + 8)
 	b += int64(len(e.epPin)) * (4 + 4 + 8 + 8)
@@ -452,10 +492,9 @@ func (e *Engine) MemoryBytes() int64 {
 	return b
 }
 
-// tensorBytes is the allocated size of the Top-K tensors, late and early, and
-// of the row map they are indexed through.
+// tensorBytes is the allocated size of the Top-K tensors, late and early.
 func (e *Engine) tensorBytes() int64 {
-	b := e.top.q.bytes() + int64(len(e.row))*4
+	b := e.top.q.bytes()
 	if e.hold != nil {
 		b += e.hold.q.bytes()
 	}

@@ -46,14 +46,32 @@ func (q *queues) copyFrom(dst int, src *queues, from, n int) {
 	copy(q.sp[dst:dst+n], src.sp[from:from+n])
 }
 
-// restride returns a copy of q re-laid from row stride oldCap to newCap pins,
-// keeping the first pins rows of each rf block; stride is the slots per row.
-func (q *queues) restride(oldCap, newCap, pins, stride int) queues {
+// restride returns a copy of q re-laid from an rf stride of oldCap to newCap
+// units, keeping the first used units of each rf block; a unit is stride
+// slots.
+func (q *queues) restride(oldCap, newCap, used, stride int) queues {
 	nq := newQueues(2 * newCap * stride)
 	for rf := 0; rf < 2; rf++ {
-		nq.copyFrom(rf*newCap*stride, q, rf*oldCap*stride, pins*stride)
+		nq.copyFrom(rf*newCap*stride, q, rf*oldCap*stride, used*stride)
 	}
 	return nq
+}
+
+// relay moves a row of lanes queues from oldK slots per lane at from to k
+// slots per lane at to — lane s from from+s*oldK to to+s*k — keeping each
+// queue's first min(k, oldK) slots, and reports whether a live entry did not
+// fit. Either the rows start at the same offset (a row shrunk where it is:
+// each lane moves down, and no lane's write reaches a later lane's queue
+// before that is read) or the new row is a fresh one, whose slots past oldK
+// are already empty.
+func (q *queues) relay(to, k, from, oldK, lanes int) (lost bool) {
+	n := min(k, oldK)
+	for s := 0; s < lanes; s++ {
+		src := from + s*oldK
+		lost = lost || n < oldK && q.sp[src+n] != noSP
+		q.copyFrom(to+s*k, q, src, n)
+	}
+	return lost
 }
 
 // equalLive reports whether n slots of q at a and of o at b hold the same
@@ -135,7 +153,6 @@ func (v *view) recompute(sign float64, p int32, ms *mergeScratch) {
 // which needs neither a live count carried nor a startpoint index.
 func (v *view) copyFanin(sign float64, p, pos int32) {
 	e := v.e
-	k := e.opt.TopK
 	ns := sign * e.nSigma
 	arc := e.faninArc[pos]
 	parent := e.faninFrom[pos]
@@ -146,13 +163,13 @@ func (v *view) copyFanin(sign float64, p, pos int32) {
 	}
 	for rf := 0; rf < 2; rf++ {
 		am0, as0 := v.arcDelay(rf, arc)
-		q, b := v.queues(rf, p)
-		pq, pb := v.queues(rf^flip, parent)
+		q, b, k := v.queues(rf, p)
+		pq, pb, pk := v.queues(rf^flip, parent)
 		for s := range e.scns {
 			am := am0 * e.scaleMean[kind][s]
 			as := as0 * e.scaleStd[kind][s]
-			q.blankTail(b, q.mergeEmpty(b, k, pq, pb, am, as, sign, ns), k)
-			b, pb = b+k, pb+k
+			q.blankTail(b, q.mergeEmpty(b, k, pq, pb, pk, am, as, sign, ns), k)
+			b, pb = b+k, pb+pk
 		}
 	}
 }
@@ -173,7 +190,6 @@ func (v *view) copyFanin(sign float64, p, pos int32) {
 // descending, unique startpoints, then noSP).
 func (v *view) mergeFanin(sign float64, p int32, ms *mergeScratch) {
 	e := v.e
-	k := e.opt.TopK
 	ns := sign * e.nSigma
 	lo, hi := e.faninStart[p], e.faninStart[p+1]
 	for rf := 0; rf < 2; rf++ {
@@ -183,19 +199,20 @@ func (v *view) mergeFanin(sign float64, p int32, ms *mergeScratch) {
 			am, as := v.arcDelay(rf, arc)
 			inRFs, nrf := liberty.Unate(e.faninSense[pos]).InRFs(rf)
 			for ri := 0; ri < nrf; ri++ {
-				pq, pb := v.queues(inRFs[ri], e.faninFrom[pos])
-				fan = append(fan, faninContrib{q: pq, b: pb, am: am, as: as, kind: e.arcKind[arc]})
+				pq, pb, pk := v.queues(inRFs[ri], e.faninFrom[pos])
+				fan = append(fan, faninContrib{q: pq, b: pb, k: int32(pk), am: am, as: as, kind: e.arcKind[arc]})
 			}
 		}
 		ms.fan = fan
-		q, b := v.queues(rf, p)
+		q, b, k := v.queues(rf, p)
 		for s := range e.scns {
 			n := 0
 			for i := range fan {
 				c := &fan[i]
 				am := c.am * e.scaleMean[c.kind][s]
 				as := c.as * e.scaleStd[c.kind][s]
-				n = q.merge(b, n, k, c.q, c.b+s*k, am, as, sign, ns, &ms.spIndex)
+				pk := int(c.k)
+				n = q.merge(b, n, k, c.q, c.b+s*pk, pk, am, as, sign, ns, &ms.spIndex)
 			}
 			q.blankTail(b, n, k)
 			b += k
@@ -208,11 +225,10 @@ func (v *view) mergeFanin(sign float64, p int32, ms *mergeScratch) {
 // arcs, not launches. A one-entry queue is in order under either sign.
 func (v *view) initStartpoint(p, sp int32) {
 	e := v.e
-	k := e.opt.TopK
 	m, sg := e.spMean[sp], e.spStd[sp]
 	for rf := 0; rf < 2; rf++ {
-		q, b := v.queues(rf, p)
-		for end := b + e.qstride; b < end; b += k {
+		q, b, k := v.queues(rf, p)
+		for end := b + len(e.scns)*k; b < end; b += k {
 			q.mean[b] = m
 			q.std[b] = sg
 			q.sp[b] = sp
@@ -237,9 +253,11 @@ func (q *queues) blankTail(b, n, k int) {
 }
 
 // mergeEmpty fills the empty k-slot queue of q at b from one parent queue —
-// the packed k-slot queue of src at pb, every entry delayed by the arc's
-// (am, as) — and returns the live count. Entries are ordered by orderKey under
-// (sign, ns); slots past the live count are not written.
+// the packed pk-slot queue of src at pb, every entry delayed by the arc's
+// (am, as) — and returns the live count. The destination is the parent's
+// child, so its capacity k holds every live entry of the parent (rowCap).
+// Entries are ordered by orderKey under (sign, ns); slots past the live count
+// are not written.
 //
 // A parent merged into an empty queue brings only startpoints the queue does
 // not hold (its own are unique), so Algorithm 2 degenerates to a shifted copy
@@ -248,15 +266,15 @@ func (q *queues) blankTail(b, n, k int) {
 // leaves them exactly where one insert per entry would. That is the whole
 // merge of a single-fan-in pin — the paper's "input pins", handled without a
 // kernel — and the first parent's share of every other pin.
-func (q *queues) mergeEmpty(b, k int, src *queues, pb int, am, as, sign, ns float64) int {
+func (q *queues) mergeEmpty(b, k int, src *queues, pb, pk int, am, as, sign, ns float64) int {
 	mean := q.mean[b : b+k]
 	std := q.std[b : b+k]
 	sps := q.sp[b : b+k]
-	pmean := src.mean[pb : pb+k]
-	pstds := src.std[pb : pb+k]
+	pmean := src.mean[pb : pb+pk]
+	pstds := src.std[pb : pb+pk]
 	n := 0
 	sorted, prev := true, math.Inf(1)
-	for kk, psp := range src.sp[pb : pb+k] {
+	for kk, psp := range src.sp[pb : pb+pk] {
 		if psp == noSP {
 			break // queues are packed: empties trail
 		}
@@ -284,7 +302,7 @@ func (q *queues) mergeEmpty(b, k int, src *queues, pb int, am, as, sign, ns floa
 	return n
 }
 
-// merge folds one parent queue — the packed k-slot queue of src at pb, every
+// merge folds one parent queue — the packed pk-slot queue of src at pb, every
 // entry delayed by the arc's (am, as) — into the k-slot queue of q at b, whose
 // first n slots are live, and returns the new live count. Slots from n on are
 // never read, so the destination needs no clearing beforehand. A queue is
@@ -302,16 +320,16 @@ func (q *queues) mergeEmpty(b, k int, src *queues, pb int, am, as, sign, ns floa
 // The writes, and so every tie-break, are those of the scanning algorithm
 // (queue_ref_test.go keeps it as the oracle). Entries are ordered by orderKey
 // under (sign, ns).
-func (q *queues) merge(b, n, k int, src *queues, pb int, am, as, sign, ns float64, ix *spIndex) int {
+func (q *queues) merge(b, n, k int, src *queues, pb, pk int, am, as, sign, ns float64, ix *spIndex) int {
 	if n == 0 {
 		ix.loaded = false // whatever ix holds describes another queue
-		return q.mergeEmpty(b, k, src, pb, am, as, sign, ns)
+		return q.mergeEmpty(b, k, src, pb, pk, am, as, sign, ns)
 	}
 	mean := q.mean[b : b+k]
 	std := q.std[b : b+k]
 	sps := q.sp[b : b+k]
-	pmean := src.mean[pb : pb+k]
-	pstds := src.std[pb : pb+k]
+	pmean := src.mean[pb : pb+pk]
+	pstds := src.std[pb : pb+pk]
 	if !ix.loaded {
 		ix.load(sps[:n])
 	}
@@ -322,7 +340,7 @@ func (q *queues) merge(b, n, k int, src *queues, pb int, am, as, sign, ns float6
 	if n == k {
 		floor = orderKey(mean[k-1], std[k-1], sign, ns)
 	}
-	for kk, psp := range src.sp[pb : pb+k] {
+	for kk, psp := range src.sp[pb : pb+pk] {
 		if psp == noSP {
 			break
 		}
@@ -381,10 +399,11 @@ func (q *queues) merge(b, n, k int, src *queues, pb int, am, as, sign, ns float6
 
 // LaneTopEntries returns pin p's Top-K arrival entries for transition rf in
 // lane s as (mean, std, sp) triples in descending corner order, for
-// inspection and testing; the live entries end at the first sp < 0.
+// inspection and testing. The slices are the pin's row, as long as its
+// capacity — min(K, what its fan-in can bring) — and the live entries end at
+// the first sp < 0 or at the end.
 func (e *Engine) LaneTopEntries(rf int, p int32, s int) (mean, std []float64, sps []int32) {
-	k := e.opt.TopK
-	q, b := e.top.queues(rf, p)
+	q, b, k := e.top.queues(rf, p)
 	b += s * k
 	return q.mean[b : b+k], q.std[b : b+k], q.sp[b : b+k]
 }

@@ -21,6 +21,15 @@ import (
 //   - startpoints are unique;
 //   - empty slots are packed at the tail (noSP marker).
 //
+// The destination is a row of c slots and each parent a row of its own
+// length, as the engine sizes them (rowCap): c is at least the distinct
+// startpoints across the parents (or K when they outnumber it) and at most K,
+// and a parent's length is at least its live count and at most c. The
+// reference stays a K-slot queue, so the differential is the exactness lemma
+// itself: the c-slot destination holds the reference's first c slots bit for
+// bit and the reference holds nothing live past them. A parent row's slots
+// past its length hold a poisoned live-looking entry, which no merge may read.
+//
 // Bytes decode two per parent entry: key = b0 (a coarse grid that makes
 // duplicate keys, displacement ties and same-startpoint raises common),
 // parent = b1 >> 6, sp = (b1 & 63) % 10. A parent is whatever Top-K queue its
@@ -31,29 +40,36 @@ import (
 // multiples of 1/2, so the key is exact). Parent p arrives through an arc of
 // mean p; bit 3+p of kByte gives that arc a sigma of 2, which takes its keys
 // off the grid and opens the gap between the no-sqrt upper bound and the exact
-// key that the two dominated-by-own-entry tests sit on either side of.
+// key that the two dominated-by-own-entry tests sit on either side of. shape
+// draws the lengths: c is K less (shape & 7) modulo its range, parent p's
+// length c less (shape >> (3+3p) & 7) modulo its range, so shape 0 is the
+// dense layout — every row K long.
 func FuzzMergeTopK(f *testing.F) {
 	const p1, p2 = 1 << 6, 2 << 6
 	// Algorithm-2 edge cases as seeds.
 	// Duplicate SP update: same startpoint arrives twice, larger second.
-	f.Add(uint8(3), []byte{10, 1, 20, p1 | 1})
+	f.Add(uint8(3), []byte{10, 1, 20, p1 | 1}, uint16(0))
 	// Duplicate SP with a smaller second arrival (must be ignored).
-	f.Add(uint8(3), []byte{20, 1, 10, p1 | 1})
+	f.Add(uint8(3), []byte{20, 1, 10, p1 | 1}, uint16(0))
 	// Displacement at k-1: full queue, new sp lands exactly above the min.
-	f.Add(uint8(1), []byte{30, 1, 10, 2, 20, p1 | 3})
+	f.Add(uint8(1), []byte{30, 1, 10, 2, 20, p1 | 3}, uint16(0))
 	// Bubble-up: in-place update that must rise past two entries.
-	f.Add(uint8(3), []byte{30, 1, 20, 2, 10, 3, 40, p1 | 3})
+	f.Add(uint8(3), []byte{30, 1, 20, 2, 10, 3, 40, p1 | 3}, uint16(0))
 	// Saturating duplicates across a tiny queue, sigma on the second arc.
-	f.Add(uint8(1|1<<4), []byte{5, 0, 9, 1, 7, p1 | 0, 9, p1 | 2, 1, p2 | 1})
+	f.Add(uint8(1|1<<4), []byte{5, 0, 9, 1, 7, p1 | 0, 9, p1 | 2, 1, p2 | 1}, uint16(0))
 	// testdata/fuzz/FuzzMergeTopK holds the fill-tracking cases: partial_fill
 	// (a second parent into 2 of 8 slots: the shift starts at the live count),
 	// fill_to_full (the n = K-1 -> K transition, then a displacement and a
 	// reject when full), update_bubbles_to_front (an in-place update of the
 	// last live entry that rises to slot 0 past a tie) and
 	// raise_evicted_startpoint (a startpoint the full queue evicted returns
-	// with a larger key and must enter as new).
+	// with a larger key and must enter as new); and the capacity cases:
+	// cap_tight_rows (c and every parent length at their minimum), cap_full_raise
+	// (a destination filled to c < K whose later parents raise queued
+	// startpoints and bring dominated ones) and cap_short_parents (parent rows
+	// shorter than c, one full to its last slot).
 
-	f.Fuzz(func(t *testing.T, kByte uint8, data []byte) {
+	f.Fuzz(func(t *testing.T, kByte uint8, data []byte, shape uint16) {
 		const maxParents = 4
 		k := 1 + int(kByte)%8
 		var built [maxParents]*refQueue
@@ -65,14 +81,33 @@ func FuzzMergeTopK(f *testing.F) {
 			s := float64(i) + 0.5
 			built[data[i+1]>>6].insert(a, a-testNS*s, s, int32(data[i+1]&63)%10)
 		}
+		var live [maxParents]int
+		distinct := make(map[int32]bool)
+		for p, r := range built {
+			for _, sp := range r.sp {
+				if sp == noSP {
+					break
+				}
+				live[p]++
+				distinct[sp] = true
+			}
+		}
+		lo := max(1, min(len(distinct), k))
+		c := k - int(shape&7)%(k-lo+1)
+		var pk [maxParents]int
 		parents := newQueues(maxParents * k)
 		for p, r := range built {
-			copy(parents.mean[p*k:], r.mean)
-			copy(parents.std[p*k:], r.std)
-			copy(parents.sp[p*k:], r.sp)
+			least := max(1, live[p])
+			pk[p] = c - int(shape>>(3+3*p)&7)%(c-least+1)
+			copy(parents.mean[p*k:], r.mean[:pk[p]])
+			copy(parents.std[p*k:], r.std[:pk[p]])
+			copy(parents.sp[p*k:], r.sp[:pk[p]])
+			for i := p*k + pk[p]; i < (p+1)*k; i++ {
+				parents.mean[i], parents.std[i], parents.sp[i] = math.NaN(), math.NaN(), 0
+			}
 		}
 
-		q := newTestQueue(k)
+		q := newTestQueue(c)
 		ref := newRefQueue(k)
 		var fed []qEntry
 		for p := 0; p < maxParents; p++ {
@@ -81,11 +116,11 @@ func FuzzMergeTopK(f *testing.F) {
 				as = 2
 			}
 			second := q.n > 0
-			q.merge(&parents, p*k, am, as)
-			ref.merge(&parents, p*k, am, as)
-			if err := ref.diff(&q.queues, 0, 1, testNS); err != nil {
-				t.Fatalf("parent %d diverged from the reference: %v\n got mean=%v std=%v sp=%v\nwant arr=%v mean=%v std=%v sp=%v",
-					p, err, q.mean, q.std, q.sp, ref.arr, ref.mean, ref.std, ref.sp)
+			q.merge(&parents, p*k, pk[p], am, as)
+			ref.merge(&parents, p*k, pk[p], am, as)
+			if err := ref.diff(&q.queues, 0, c, 1, testNS); err != nil {
+				t.Fatalf("parent %d diverged from the reference (c=%d, parent lengths %v): %v\n got mean=%v std=%v sp=%v\nwant arr=%v mean=%v std=%v sp=%v",
+					p, c, pk, err, q.mean, q.std, q.sp, ref.arr, ref.mean, ref.std, ref.sp)
 			}
 			if second && !q.ix.loaded {
 				t.Fatalf("parent %d merged into %d live entries without a loaded index", p, q.n)
@@ -93,7 +128,7 @@ func FuzzMergeTopK(f *testing.F) {
 			if err := q.checkIndex(); err != nil {
 				t.Fatalf("after parent %d: %v", p, err)
 			}
-			for kk := p * k; kk < (p+1)*k && parents.sp[kk] != noSP; kk++ {
+			for kk := p * k; kk < p*k+pk[p] && parents.sp[kk] != noSP; kk++ {
 				m := parents.mean[kk] + am
 				sg := math.Sqrt(parents.std[kk]*parents.std[kk] + as*as)
 				fed = append(fed, qEntry{arr: orderKey(m, sg, 1, testNS), sp: parents.sp[kk]})
@@ -101,8 +136,8 @@ func FuzzMergeTopK(f *testing.F) {
 		}
 
 		// Invariant: packed empties trailing, and the live count says where.
-		n := k
-		for i := 0; i < k; i++ {
+		n := c
+		for i := 0; i < c; i++ {
 			if q.sp[i] == noSP {
 				n = i
 				break
@@ -111,7 +146,7 @@ func FuzzMergeTopK(f *testing.F) {
 		if q.n != n {
 			t.Fatalf("live count %d, first empty slot %d", q.n, n)
 		}
-		for i := n; i < k; i++ {
+		for i := n; i < c; i++ {
 			if q.sp[i] != noSP {
 				t.Fatalf("slot %d after first empty not cleared: sp=%d", i, q.sp[i])
 			}

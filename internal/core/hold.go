@@ -47,7 +47,6 @@ func (e *Engine) RefreshHoldSlacks() {
 // holdSlackKernel evaluates the hold slack of endpoints [lo, hi) in every lane.
 func (e *Engine) holdSlackKernel(_, lo, hi int) {
 	h := e.hold
-	k := e.opt.TopK
 	S := len(e.scns)
 	nEP := len(e.epPin)
 	for i := lo; i < hi; i++ {
@@ -59,7 +58,7 @@ func (e *Engine) holdSlackKernel(_, lo, hi int) {
 				if math.IsInf(req, 1) {
 					continue
 				}
-				q, b := h.queues(rf, p)
+				q, b, k := h.queues(rf, p)
 				b += s * k
 				for kk := 0; kk < k; kk++ {
 					sp := q.sp[b+kk]

@@ -91,7 +91,7 @@ func TestHoldSlackAboveSetupArrivalRelation(t *testing.T) {
 			if lateSP[0] == noSP {
 				continue
 			}
-			b := e.base(rf, p)
+			b, _ := e.base(rf, p)
 			if e.hold.q.sp[b] == noSP {
 				continue
 			}

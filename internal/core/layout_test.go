@@ -2,7 +2,8 @@ package core
 
 // The tensor layout's two contracts that no result depends on, so no golden
 // would notice: rows follow the level order an engine is built over, and
-// MemoryBytes reports what the tensors really occupy.
+// MemoryBytes reports what the tensors really occupy. What a row holds — its
+// pin's capacity — is held in TestRowCapacity.
 
 import (
 	"runtime"
@@ -11,24 +12,28 @@ import (
 	"unsafe"
 )
 
-// inLevelOrder reports whether e's row map is the inverse of its level order.
+// inLevelOrder reports whether e's rows are laid out in its level order: from
+// unit 0, each row starting where the previous one ends, the last ending where
+// the engine's rows do.
 func inLevelOrder(e *Engine) bool {
-	if len(e.row) != len(e.lv.Order) {
+	if len(e.rows) != len(e.lv.Order) {
 		return false
 	}
-	for i, p := range e.lv.Order {
-		if e.row[p] != int32(i) {
+	next := int32(0)
+	for _, p := range e.lv.Order {
+		if e.rows[p].off != next {
 			return false
 		}
+		next += e.rows[p].k
 	}
-	return true
+	return int(next) == e.rowUnits
 }
 
 // TestRowsFollowLevelOrder: a cold engine's rows are its level order, and so
 // are those of an engine booted from an exported state (the snapshot path) —
 // even the state of a reseeded engine whose own rows have drifted, because the
-// map is derived at build time and never travels with the state. What a
-// Reseed does to the map is held in TestPackedTailInvariant.
+// layout is derived at build time and never travels with the state. What a
+// Reseed does to the rows is held in TestPackedTailInvariant.
 func TestRowsFollowLevelOrder(t *testing.T) {
 	h := buildHarness(t, testSpec(85))
 	opt := Options{TopK: 4, Hold: true, Workers: 1}
@@ -70,9 +75,10 @@ func TestRowsFollowLevelOrder(t *testing.T) {
 
 // TestMemoryBytesCountsTensors holds MemoryBytes' tensor term to the slabs:
 // queues.bytes to what newQueues takes from the allocator, the engine's term
-// to the lengths of the planes and the row map it holds, and the reported
-// figure to that term (two engines that differ in K differ by their tensors
-// and by nothing else).
+// to the lengths of the planes it holds — S slots per row unit, every unit
+// allocated, both transitions — and the reported figure to that term plus the
+// row spans (two engines that differ in K differ by their tensors and by
+// nothing else).
 func TestMemoryBytesCountsTensors(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -85,7 +91,7 @@ func TestMemoryBytesCountsTensors(t *testing.T) {
 
 	h := buildHarness(t, testSpec(86))
 	slabs := func(e *Engine) int64 {
-		b := int64(len(e.row)) * 4
+		var b int64
 		for _, q := range []*queues{e.top.q, e.hold.q} {
 			b += int64(len(q.mean)+len(q.std))*8 + int64(len(q.sp))*4
 		}
@@ -98,11 +104,14 @@ func TestMemoryBytesCountsTensors(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		if len(e.row) != e.numPins || len(e.top.q.sp) != 2*e.capPins*e.qstride {
-			t.Fatalf("K=%d: row map %d / slots %d do not match %d pins", k, len(e.row), len(e.top.q.sp), e.numPins)
+		if len(e.rows) != e.numPins || len(e.top.q.sp) != 2*e.capUnits*len(e.scns) || len(e.hold.q.sp) != len(e.top.q.sp) {
+			t.Fatalf("K=%d: rows %d / slots %d, %d do not match %d pins in %d units", k, len(e.rows), len(e.top.q.sp), len(e.hold.q.sp), e.numPins, e.capUnits)
 		}
 		if e.tensorBytes() != slabs(e) {
 			t.Fatalf("K=%d: tensor term %d, slabs hold %d", k, e.tensorBytes(), slabs(e))
+		}
+		if e.MemoryBytes() < slabs(e)+int64(len(e.rows))*int64(unsafe.Sizeof(rowSpan{})) {
+			t.Fatalf("K=%d: MemoryBytes %d does not cover the tensors %d and the row spans", k, e.MemoryBytes(), slabs(e))
 		}
 		mem[i], tensors[i] = e.MemoryBytes(), slabs(e)
 	}

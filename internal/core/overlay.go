@@ -175,13 +175,15 @@ func (o *Overlay) bindBucket(bucket []int32) {
 func (o *Overlay) retimePin(_, i int, p int32, ms *mergeScratch) bool {
 	o.recompute(1, p, ms)
 	was := o.prev[i]
+	n := o.e.rowSlots(p)
 	for rf := 0; rf < 2; rf++ {
 		q, b := o.shadow(rf, o.slot[p])
-		wq, wb := o.q, o.e.base(rf, p)
+		wq := o.q
+		wb, _ := o.e.base(rf, p)
 		if was != 0 {
 			wq, wb = o.shadow(rf, was)
 		}
-		if !q.equalLive(b, wq, wb, o.e.qstride) {
+		if !q.equalLive(b, wq, wb, n) {
 			return true
 		}
 	}

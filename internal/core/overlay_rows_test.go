@@ -25,8 +25,9 @@ func sameOverlayQueues(t *testing.T, what string, o *Overlay, want *Engine) {
 	e := o.e
 	for rf := 0; rf < 2; rf++ {
 		for p := int32(0); p < int32(e.numPins); p++ {
-			q, b := o.queues(rf, p)
-			if !sameLive(q, b, want.top.q, want.base(rf, p), e.qstride, 1, e.nSigma) {
+			q, b, k := o.queues(rf, p)
+			wb, wk := want.base(rf, p)
+			if k != wk || !sameLive(q, b, want.top.q, wb, e.rowSlots(p), 1, e.nSigma) {
 				t.Fatalf("%s: rf %d pin %d: queues through the overlay differ from the committed ones", what, rf, p)
 			}
 		}

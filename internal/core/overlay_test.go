@@ -205,7 +205,9 @@ func TestOverlayCommitMatchesPreview(t *testing.T) {
 			}
 			for rf := 0; rf < 2; rf++ {
 				for p := int32(0); p < int32(e.numPins); p++ {
-					if !sameLive(e.hold.q, e.base(rf, p), cold.hold.q, cold.base(rf, p), e.qstride, -1, -e.nSigma) {
+					a, k := e.base(rf, p)
+					b, ck := cold.base(rf, p)
+					if k != ck || !sameLive(e.hold.q, a, cold.hold.q, b, e.rowSlots(p), -1, -e.nSigma) {
 						t.Fatalf("rf %d pin %d: committed early queues differ from a cold engine's", rf, p)
 					}
 				}

@@ -6,7 +6,7 @@ package core
 // child merges, hier's TopEntries users), all of which stop at the first
 // noSP: n live entries in descending order of the view's key (orderKey, the
 // production helper, under the view's sign) with unique startpoints, then
-// noSP up to K. These tests hold every writer to it.
+// noSP up to the pin's capacity. These tests hold every writer to it.
 
 import (
 	"fmt"
@@ -18,8 +18,8 @@ import (
 	"insta/internal/liberty"
 )
 
-// checkPacked verifies the contract on one K-slot queue ordered under
-// (sign, ns).
+// checkPacked verifies the contract on one queue, as long as its pin's
+// capacity, ordered under (sign, ns).
 func checkPacked(mean, std []float64, sps []int32, sign, ns float64) error {
 	n := len(sps)
 	for i, sp := range sps {
@@ -53,13 +53,16 @@ func checkPacked(mean, std []float64, sps []int32, sign, ns float64) error {
 }
 
 // assertPacked checks every (rf, pin, lane) queue that view resolves, ordered
-// with sign (+1 a late view, -1 the early one).
-func assertPacked(t *testing.T, what string, e *Engine, view func(rf int, p int32) (*queues, int), sign float64) {
+// with sign (+1 a late view, -1 the early one), over the queue length the
+// view hands out, which must be the pin's capacity.
+func assertPacked(t *testing.T, what string, e *Engine, view func(rf int, p int32) (*queues, int, int), sign float64) {
 	t.Helper()
-	k := e.opt.TopK
 	for rf := 0; rf < 2; rf++ {
 		for p := int32(0); p < int32(e.numPins); p++ {
-			q, b := view(rf, p)
+			q, b, k := view(rf, p)
+			if k != int(e.rows[p].k) || k < 1 || k > e.opt.TopK {
+				t.Fatalf("%s: rf %d pin %d: queue length %d, capacity %d, K %d", what, rf, p, k, e.rows[p].k, e.opt.TopK)
+			}
 			for s := range e.scns {
 				lo, hi := b+s*k, b+(s+1)*k
 				if err := checkPacked(q.mean[lo:hi], q.std[lo:hi], q.sp[lo:hi], sign, sign*e.nSigma); err != nil {
@@ -166,7 +169,7 @@ func TestPackedTailInvariant(t *testing.T) {
 				for _, inPlace := range []bool{false, true} {
 					what := fmt.Sprintf("structural Reseed (in place: %v)", inPlace)
 					edited, seeds := structuralEdit(t, tab, cur)
-					oldRow, oldLevel := slices.Clone(cur.row), slices.Clone(cur.lv.Level)
+					oldRows, oldUnits, oldLevel := slices.Clone(cur.rows), cur.rowUnits, slices.Clone(cur.lv.Level)
 					st, err := Compile(edited)
 					if err != nil {
 						t.Fatal(err)
@@ -180,12 +183,12 @@ func TestPackedTailInvariant(t *testing.T) {
 					}
 					if !inPlace {
 						t.Cleanup(ne.Close)
-						if !slices.Equal(cur.row, oldRow) {
-							t.Fatalf("%s changed the parent engine's row map", what)
+						if !slices.Equal(cur.rows, oldRows) || cur.rowUnits != oldUnits {
+							t.Fatalf("%s changed the parent engine's rows", what)
 						}
 					}
 					assertEnginePacked(t, what, ne)
-					assertRowsKept(t, what, ne, oldRow)
+					assertRowsKept(t, what, ne, oldRows, oldUnits)
 					if slices.Equal(ne.lv.Level[:len(oldLevel)], oldLevel) {
 						t.Fatalf("%s: the edit shifted no level — the row check is vacuous", what)
 					}
@@ -198,9 +201,10 @@ func TestPackedTailInvariant(t *testing.T) {
 					cold.Run()
 					for rf := 0; rf < 2; rf++ {
 						for p := int32(0); p < int32(ne.numPins); p++ {
-							a, b := ne.base(rf, p), cold.base(rf, p)
-							if !sameLive(ne.top.q, a, cold.top.q, b, ne.qstride, 1, ne.nSigma) ||
-								!sameLive(ne.hold.q, a, cold.hold.q, b, ne.qstride, -1, -ne.nSigma) {
+							a, k := ne.base(rf, p)
+							b, ck := cold.base(rf, p)
+							if k != ck || !sameLive(ne.top.q, a, cold.top.q, b, ne.rowSlots(p), 1, ne.nSigma) ||
+								!sameLive(ne.hold.q, a, cold.hold.q, b, ne.rowSlots(p), -1, -ne.nSigma) {
 								t.Fatalf("%s: rf %d pin %d: reseeded queues differ from a cold engine's", what, rf, p)
 							}
 						}
@@ -212,26 +216,56 @@ func TestPackedTailInvariant(t *testing.T) {
 	}
 }
 
-// assertRowsKept holds a reseeded engine's row map to Reseed's contract: every
-// pin the previous map covered keeps its row, appended pins take the identity
-// tail, and the whole is a bijection onto [0, numPins).
-func assertRowsKept(t *testing.T, what string, ne *Engine, oldRow []int32) {
+// assertRowsKept holds a reseeded engine's rows to Reseed's contract: every
+// pin's capacity is rowCap over the edited state; a pin the previous layout
+// covered keeps its row's offset while its capacity fits there; every other
+// pin — appended, or grown out of its row — has a fresh row at the tail, the
+// fresh rows following one another in (level, pin) order from where the
+// previous layout ended; and no two rows share a unit, all inside the
+// allocation.
+func assertRowsKept(t *testing.T, what string, ne *Engine, oldRows []rowSpan, oldUnits int) {
 	t.Helper()
-	if len(ne.row) != ne.numPins || ne.numPins <= len(oldRow) {
-		t.Fatalf("%s: row map covers %d pins of %d (was %d) — no pin appended?", what, len(ne.row), ne.numPins, len(oldRow))
+	if len(ne.rows) != ne.numPins || ne.numPins <= len(oldRows) {
+		t.Fatalf("%s: rows cover %d pins of %d (was %d) — no pin appended?", what, len(ne.rows), ne.numPins, len(oldRows))
 	}
-	seen := make([]bool, ne.numPins)
-	for p, r := range ne.row {
-		switch {
-		case p < len(oldRow) && r != oldRow[p]:
-			t.Fatalf("%s: pin %d moved from row %d to %d", what, p, oldRow[p], r)
-		case p >= len(oldRow) && int(r) != p:
-			t.Fatalf("%s: appended pin %d has row %d, not the identity tail", what, p, r)
-		case r < 0 || int(r) >= ne.numPins || seen[r]:
-			t.Fatalf("%s: row %d (pin %d) is out of range or taken", what, r, p)
+	next := int32(oldUnits)
+	for l := 0; l < ne.lv.NumLevels; l++ {
+		for _, p := range sortedPins(ne.lv.Nodes(l)) {
+			r := ne.rows[p]
+			if want := rowCap(ne.st, ne.rows, p, ne.opt.TopK); r.k != want {
+				t.Fatalf("%s: pin %d has capacity %d, rowCap says %d", what, p, r.k, want)
+			}
+			kept := int(p) < len(oldRows) && r.k <= oldRows[p].k
+			switch {
+			case kept && r.off != oldRows[p].off:
+				t.Fatalf("%s: pin %d moved from unit %d to %d though its capacity %d fits its row of %d", what, p, oldRows[p].off, r.off, r.k, oldRows[p].k)
+			case !kept && r.off != next:
+				t.Fatalf("%s: pin %d has a fresh row at unit %d, not the next tail unit %d", what, p, r.off, next)
+			}
+			if !kept {
+				next += r.k
+			}
 		}
-		seen[r] = true
 	}
+	if int(next) != ne.rowUnits || ne.rowUnits > ne.capUnits {
+		t.Fatalf("%s: rows end at unit %d, engine says %d of %d allocated", what, next, ne.rowUnits, ne.capUnits)
+	}
+	owner := make([]int32, ne.rowUnits)
+	for p, r := range ne.rows {
+		for u := r.off; u < r.off+r.k; u++ {
+			if owner[u] != 0 {
+				t.Fatalf("%s: unit %d belongs to pins %d and %d", what, u, owner[u]-1, p)
+			}
+			owner[u] = int32(p) + 1
+		}
+	}
+}
+
+// sortedPins returns a sorted copy of pins.
+func sortedPins(pins []int32) []int32 {
+	out := slices.Clone(pins)
+	slices.Sort(out)
+	return out
 }
 
 // sameLive compares two rows of lane queues slot for slot on the startpoints

@@ -241,7 +241,7 @@ func (fp *faninPin) refMerge(dst *refQueue, k int) {
 func (fp *faninPin) merge(dst *queues, k int, ix *spIndex) {
 	n := 0
 	for par := 0; par < fp.parents; par++ {
-		n = dst.merge(0, n, k, &fp.src, par*k, fp.am[par], fp.as[par], 1, testNS, ix)
+		n = dst.merge(0, n, k, &fp.src, par*k, k, fp.am[par], fp.as[par], 1, testNS, ix)
 	}
 	dst.blankTail(0, n, k)
 }
@@ -288,7 +288,7 @@ func TestMergeFaninMatchesReference(t *testing.T) {
 			got, want := newQueues(k), newRefQueue(k)
 			fp.merge(&got, k, ix)
 			fp.refMerge(want, k)
-			if err := want.diff(&got, 0, 1, testNS); err != nil {
+			if err := want.diff(&got, 0, k, 1, testNS); err != nil {
 				t.Fatalf("k=%d pin %d: merge diverged from the reference: %v\n got %v %v %v\nwant %v %v %v %v",
 					k, pi, err, got.mean, got.std, got.sp, want.arr, want.mean, want.std, want.sp)
 			}
@@ -305,7 +305,7 @@ func TestMergeFaninMatchesReference(t *testing.T) {
 						queued++
 					}
 				}
-				want.merge(&fp.src, par*k, fp.am[par], fp.as[par])
+				want.merge(&fp.src, par*k, k, fp.am[par], fp.as[par])
 			}
 		}
 		t.Logf("k=%d: %d/%d later-parent candidates already queued, %d/%d parents full", k, queued, later, full, parents)

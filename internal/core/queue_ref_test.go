@@ -79,24 +79,30 @@ func (r *refQueue) insert(a, m, s float64, sp int32) {
 	refInsertTopK(r.arr, r.mean, r.std, r.sp, a, m, s, sp)
 }
 
-// merge folds src's packed queue at pb, delayed by (am, as) and keyed late
-// under testNS, into r: one Algorithm-2 insert per live parent entry, the
+// merge folds src's packed pk-slot queue at pb, delayed by (am, as) and keyed
+// late under testNS, into r: one Algorithm-2 insert per live parent entry, the
 // composition written as the kernels write it.
-func (r *refQueue) merge(src *queues, pb int, am, as float64) {
-	for kk := pb; kk < pb+len(r.sp) && src.sp[kk] != noSP; kk++ {
+func (r *refQueue) merge(src *queues, pb, pk int, am, as float64) {
+	for kk := pb; kk < pb+pk && src.sp[kk] != noSP; kk++ {
 		m := src.mean[kk] + am
 		sg := math.Sqrt(src.std[kk]*src.std[kk] + as*as)
 		r.insert(orderKey(m, sg, 1, testNS), m, sg, src.sp[kk])
 	}
 }
 
-// diff holds the k-slot queue of q at b, ordered under (sign, ns), to the
-// reference: all three stored planes bit-equal in every slot (both queues
-// start zeroed, so a write past the live entries shows), the key derived from
-// every live slot equal to the reference's stored one, and the reference's arr
-// -Inf exactly where the slot is empty.
-func (r *refQueue) diff(q *queues, b int, sign, ns float64) error {
-	for i, rsp := range r.sp {
+// diff holds the c-slot queue of q at b, ordered under (sign, ns), to the
+// reference's first c slots: all three stored planes bit-equal in every slot
+// (both queues start zeroed, so a write past the live entries shows), the key
+// derived from every live slot equal to the reference's stored one, and the
+// reference's arr -Inf exactly where the slot is empty; and the reference
+// holds nothing live past c.
+func (r *refQueue) diff(q *queues, b, c int, sign, ns float64) error {
+	for i := c; i < len(r.sp); i++ {
+		if r.sp[i] != noSP {
+			return fmt.Errorf("reference slot %d holds sp=%d, past the %d slots of the queue", i, r.sp[i], c)
+		}
+	}
+	for i, rsp := range r.sp[:c] {
 		m, s, sp := q.mean[b+i], q.std[b+i], q.sp[b+i]
 		if sp != rsp || m != r.mean[i] || s != r.std[i] {
 			return fmt.Errorf("slot %d: (mean, std, sp) = (%v, %v, %d), reference (%v, %v, %d)", i, m, s, sp, r.mean[i], r.std[i], rsp)
@@ -127,15 +133,15 @@ type testQueue struct {
 }
 
 func newTestQueue(k int) *testQueue {
-	q := &testQueue{queues: newQueues(k), ix: spIndex{at: make([]uint64, testSPs)}, one: newQueues(k)}
+	q := &testQueue{queues: newQueues(k), ix: spIndex{at: make([]uint64, testSPs)}, one: newQueues(1)}
 	clearQueue(q.sp)
 	clearQueue(q.one.sp)
 	return q
 }
 
-// merge folds src's packed queue at pb, delayed by (am, as), into q.
-func (q *testQueue) merge(src *queues, pb int, am, as float64) {
-	q.n = q.queues.merge(0, q.n, len(q.sp), src, pb, am, as, 1, testNS, &q.ix)
+// merge folds src's packed pk-slot queue at pb, delayed by (am, as), into q.
+func (q *testQueue) merge(src *queues, pb, pk int, am, as float64) {
+	q.n = q.queues.merge(0, q.n, len(q.sp), src, pb, pk, am, as, 1, testNS, &q.ix)
 }
 
 // insert feeds the entry (m, s) of startpoint sp — a one-entry parent arriving
@@ -144,7 +150,7 @@ func (q *testQueue) merge(src *queues, pb int, am, as float64) {
 // is m + testNS*s (the unit tests pass s = 0 and think in keys).
 func (q *testQueue) insert(m, s float64, sp int32) {
 	q.one.mean[0], q.one.std[0], q.one.sp[0] = m, s, sp
-	q.merge(&q.one, 0, 0, 0)
+	q.merge(&q.one, 0, 1, 0, 0)
 }
 
 // key returns slot i's ordering key.

@@ -1,0 +1,239 @@
+package core
+
+// Row capacities (rowCap): a pin's row holds min(K, Σ cap(parent)) slots per
+// lane, the exactness lemma behind it is fuzzed in FuzzMergeTopK, and the
+// golden digests hold the results to the dense layout's. This file holds the
+// layout's own invariants on the block presets, cold and across the two
+// structural edits the serving layer makes.
+
+import (
+	"fmt"
+	"math"
+	"runtime/debug"
+	"slices"
+	"testing"
+
+	"insta/internal/bench"
+	"insta/internal/circuitops"
+	"insta/internal/liberty"
+)
+
+// assertCapacities checks e's rows against the capacity rule: every capacity
+// in [1, K], never below a parent's along an arc into a non-startpoint pin,
+// every late and early queue packed within it in every lane, and the tensors
+// exactly 20 B per slot over S slots per unit of every row plus headroom
+// units, both transitions, late and early.
+func assertCapacities(t *testing.T, what string, e *Engine, headroom int) {
+	t.Helper()
+	sum := 0
+	for p := int32(0); p < int32(e.numPins); p++ {
+		k := e.rows[p].k
+		if k < 1 || int(k) > e.opt.TopK {
+			t.Fatalf("%s: pin %d has capacity %d, K = %d", what, p, k, e.opt.TopK)
+		}
+		sum += int(k)
+		if e.spOfPin[p] >= 0 {
+			continue
+		}
+		for _, from := range e.faninFrom[e.faninStart[p]:e.faninStart[p+1]] {
+			if pk := e.rows[from].k; k < pk {
+				t.Fatalf("%s: pin %d has capacity %d below its parent %d's %d", what, p, k, from, pk)
+			}
+		}
+	}
+	assertEnginePacked(t, what, e)
+	if want := int64(2*20*len(e.scns)*(sum+headroom)) * 2; e.tensorBytes() != want {
+		t.Fatalf("%s: tensors take %d B, 2 x 20 B x S x (Σcap %d + headroom %d) x 2 is %d", what, e.tensorBytes(), sum, headroom, want)
+	}
+}
+
+// assertNothingMoved holds the pins a reseed found to the spans they had: an
+// op that preserves every capacity relocates no queue.
+func assertNothingMoved(t *testing.T, what string, ne *Engine, oldRows []rowSpan) {
+	t.Helper()
+	for p, r := range oldRows {
+		if ne.rows[p] != r {
+			t.Fatalf("%s: pin %d moved from %+v to %+v", what, p, r, ne.rows[p])
+		}
+	}
+}
+
+// bufferEdits splits net arc a into u→x→y→v with a fresh buffer (x, y), as
+// topo's insert op does: the arc edits, the pins appended and the seeds.
+func bufferEdits(st *State, a int32) ([]ArcEdit, int, []int32) {
+	orig := st.Arc(a)
+	x, y, n := int32(st.NumPins), int32(st.NumPins+1), int32(len(st.ArcFrom))
+	in, out := orig, orig
+	in.To, out.From = x, y
+	in.MeanRise, in.MeanFall, out.MeanRise, out.MeanFall = orig.MeanRise/2, orig.MeanFall/2, orig.MeanRise/2, orig.MeanFall/2
+	cell := circuitops.ArcRow{
+		From: x, To: y, Kind: 0, Sense: uint8(liberty.PositiveUnate), Cell: -1, Net: -1,
+		MeanRise: 14, StdRise: 1.5, MeanFall: 16, StdFall: 1.7,
+	}
+	return []ArcEdit{{a, in}, {n, cell}, {n + 1, out}}, 2, []int32{x, y, orig.To}
+}
+
+// bypassEdits bypasses the buffer with input wire in, gate arc cell and
+// output wire out, as topo's remove op does: out is re-pointed at in's
+// driver, carrying the three stages' composed delay, and the buffer stays as
+// a dead end.
+func bypassEdits(st *State, in, cell, out int32) ([]ArcEdit, []int32) {
+	ia, ca, oa := st.Arc(in), st.Arc(cell), st.Arc(out)
+	oa.From, oa.Net = ia.From, ia.Net
+	oa.MeanRise = ia.MeanRise + ca.MeanRise + oa.MeanRise
+	oa.MeanFall = ia.MeanFall + ca.MeanFall + oa.MeanFall
+	oa.StdRise = math.Sqrt(ia.StdRise*ia.StdRise + ca.StdRise*ca.StdRise + oa.StdRise*oa.StdRise)
+	oa.StdFall = math.Sqrt(ia.StdFall*ia.StdFall + ca.StdFall*ca.StdFall + oa.StdFall*oa.StdFall)
+	return []ArcEdit{{out, oa}}, []int32{oa.To}
+}
+
+// TestRowCapacity runs every block preset at K = 1, 8 and 32 with hold on over
+// {ss,tt,ff}: the capacity invariants on the cold engine, then after a buffer
+// is inserted on a net arc (reseeding into a new engine) and bypassed again
+// (reseeding that engine in place). Both ops keep every existing pin's
+// capacity, so both reseeds must move no row.
+func TestRowCapacity(t *testing.T) {
+	// On block-1 at K = 32 a not-in-place reseed holds two {ss,tt,ff} engines
+	// with hold, 1.3 GB between them: collect early rather than let the heap
+	// double past that.
+	defer debug.SetGCPercent(debug.SetGCPercent(20))
+	presets := bench.BlockNames()
+	if testing.Short() {
+		presets = []string{"block-5"}
+	}
+	for _, name := range presets {
+		spec, err := bench.BlockSpec(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := Compile(buildHarness(t, spec).tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The middle positive-unate net arc.
+		var nets []int32
+		for a := range st.ArcFrom {
+			if st.ArcKind[a] == 1 && liberty.Unate(st.FaninSense[faninPos(st, int32(a))]) == liberty.PositiveUnate {
+				nets = append(nets, int32(a))
+			}
+		}
+		arc := nets[len(nets)/2]
+		for _, k := range []int{1, 8, 32} {
+			t.Run(fmt.Sprintf("%s/K%d", name, k), func(t *testing.T) {
+				e, err := NewEngineLanes(st, DefaultScenarios(), Options{TopK: k, Hold: true, Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.Run()
+				e.RefreshHoldSlacks()
+				assertCapacities(t, "cold", e, 0)
+				if k > 1 && !slices.ContainsFunc(e.rows, func(r rowSpan) bool { return int(r.k) < k }) {
+					t.Fatal("no pin has a capacity below K — the layout check is vacuous")
+				}
+
+				edits, newPins, seeds := bufferEdits(st, arc)
+				st1, _, err := CompileIncrementalPatched(st, edits, newPins, seeds, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				oldRows, oldUnits := slices.Clone(e.rows), e.rowUnits
+				ne, err := e.Reseed(st1, seeds, false)
+				e.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ne.Close()
+				what := "buffer inserted (new engine)"
+				assertRowsKept(t, what, ne, oldRows, oldUnits)
+				assertNothingMoved(t, what, ne, oldRows)
+				assertCapacities(t, what, ne, seedHeadroom*k)
+
+				n := int32(len(st.ArcFrom))
+				edits, seeds = bypassEdits(st1, arc, n, n+1)
+				st2, _, err := CompileIncrementalPatched(st1, edits, 0, seeds, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				oldRows = slices.Clone(ne.rows)
+				if got, err := ne.Reseed(st2, seeds, true); err != nil || got != ne {
+					t.Fatalf("in-place reseed: %v", err)
+				}
+				what = "buffer bypassed (in place)"
+				if ne.arcFrom[n+1] != st.ArcFrom[arc] {
+					t.Fatalf("%s: the output wire starts at pin %d, not the driver %d", what, ne.arcFrom[n+1], st.ArcFrom[arc])
+				}
+				assertNothingMoved(t, what, ne, oldRows)
+				assertCapacities(t, what, ne, seedHeadroom*k)
+			})
+		}
+	}
+}
+
+// TestReseedShrunkRowSeedsFanout: startpoints A, B and C; B reaches p through
+// u, A directly, and p's child c also hears from C. At K = 2, p and c both
+// have capacity 2 and c keeps A and B, which beat C. Cutting u→p shrinks p to
+// capacity 1: its row keeps A — exactly what the rebuild computes, so the
+// wave's compare finds p unchanged — and c, whose capacity is still 2, would
+// go on holding B where a cold engine holds C. A row that loses a live entry
+// to its new capacity must therefore seed its fan-out. (With hold on, p's
+// early queue, which keeps B first, does change and carries the wave on; the
+// late view alone is the case that needs the seeds.)
+func TestReseedShrunkRowSeedsFanout(t *testing.T) {
+	const a, b, c, u, p, ch = 0, 1, 2, 3, 4, 5
+	inf := math.Inf(1)
+	arc := func(from, to int32, mean float64) circuitops.ArcRow {
+		return circuitops.ArcRow{From: from, To: to, Kind: 0, Sense: uint8(liberty.PositiveUnate), Cell: -1, Net: -1,
+			MeanRise: mean, StdRise: 0.1, MeanFall: mean, StdFall: 0.1}
+	}
+	tab := &circuitops.Tables{
+		Design: "shrink", NumPins: 6, Period: 200, NSigma: 3,
+		ClockNodes: []circuitops.ClockNodeRow{{Parent: -1}},
+		SPs: []circuitops.SPRow{
+			{Pin: a, Mean: 100, Std: 1}, {Pin: b, Mean: 80, Std: 1}, {Pin: c, Mean: 50, Std: 1},
+		},
+		EPs:  []circuitops.EPRow{{Pin: ch, BaseReqRise: 300, BaseReqFall: 300, HoldReqRise: inf, HoldReqFall: inf}},
+		Arcs: []circuitops.ArcRow{arc(b, u, 1), arc(a, p, 1), arc(u, p, 1), arc(p, ch, 1), arc(c, ch, 1)},
+	}
+	cut := *tab
+	cut.Arcs = slices.Delete(slices.Clone(tab.Arcs), 2, 3)
+	st, err := Compile(&cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []struct{ hold, inPlace bool }{{false, false}, {false, true}, {true, false}, {true, true}} {
+		opt := Options{TopK: 2, Hold: mode.hold, Workers: 1}
+		cold, err := NewEngineFromState(st, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cold.Close()
+		cold.Run()
+		e, err := NewEngine(tab, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		e.Run()
+		if _, _, sps := e.TopEntries(0, ch); !slices.Equal(sps, []int32{a, b}) {
+			t.Fatalf("before the cut c holds startpoints %v, want A and B", sps)
+		}
+		ne, err := e.Reseed(st, []int32{p}, mode.inPlace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ne.Close()
+		if ne.rows[p].k != 1 || ne.rows[ch].k != 2 {
+			t.Fatalf("capacities after the cut: p %d, c %d; want 1 and 2", ne.rows[p].k, ne.rows[ch].k)
+		}
+		for rf := 0; rf < 2; rf++ {
+			for q := int32(0); q < int32(ne.numPins); q++ {
+				x, k := ne.base(rf, q)
+				y, ck := cold.base(rf, q)
+				if k != ck || !sameLive(ne.top.q, x, cold.top.q, y, ne.rowSlots(q), 1, ne.nSigma) ||
+					mode.hold && !sameLive(ne.hold.q, x, cold.hold.q, y, ne.rowSlots(q), -1, -ne.nSigma) {
+					t.Fatalf("%+v: rf %d pin %d: reseeded queues differ from a cold engine's", mode, rf, q)
+				}
+			}
+		}
+	}
+}

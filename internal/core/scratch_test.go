@@ -25,7 +25,7 @@ func TestSPIndexEpochWrap(t *testing.T) {
 		got, want := newQueues(k), newRefQueue(k)
 		pins[pi].merge(&got, k, ix) // one load, so one epoch, per pin
 		pins[pi].refMerge(want, k)
-		if err := want.diff(&got, 0, 1, testNS); err != nil {
+		if err := want.diff(&got, 0, k, 1, testNS); err != nil {
 			t.Fatalf("pin %d (epoch %d after it): merge diverged from the reference: %v", pi, ix.epoch, err)
 		}
 	}

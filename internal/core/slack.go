@@ -40,15 +40,15 @@ func (e *Engine) slackKernel(_, lo, hi int) {
 // the slack then +Inf). Each retained startpoint is paired with its own
 // required time; false-path pairs are skipped. kmax = K is the engine's and an
 // overlay's slack; kmax = 1 is the K=1 view the differentiable mode operates
-// on.
+// on. Either is clamped to the pin's capacity.
 func (v *view) setupSlack(s int, ep int32, kmax int) (slack float64, sp int32, rf int8) {
 	e := v.e
 	p := e.epPin[ep]
 	slack, sp = math.Inf(1), noSP
 	for r := 0; r < 2; r++ {
-		q, b := v.queues(r, p)
-		b += s * e.opt.TopK
-		for kk := 0; kk < kmax; kk++ {
+		q, b, k := v.queues(r, p)
+		b += s * k
+		for kk := 0; kk < min(kmax, k); kk++ {
 			qsp := q.sp[b+kk]
 			if qsp == noSP {
 				break

@@ -49,12 +49,14 @@ func (ix *spIndex) load(sps []int32) {
 }
 
 // faninContrib is one contribution to a destination queue row: a parent's row of
-// lane queues (lane s at b + s*K of q), the nominal delay of the arc it
-// arrives through and the arc's kind, which selects each lane's scale factors.
+// lane queues (lane s at b + s*k of q, k the parent's capacity, not the
+// destination's), the nominal delay of the arc it arrives through and the
+// arc's kind, which selects each lane's scale factors.
 type faninContrib struct {
 	q      *queues
 	b      int
 	am, as float64
+	k      int32
 	kind   uint8
 }
 

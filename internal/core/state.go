@@ -19,7 +19,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 
 	"insta/internal/circuitops"
 	"insta/internal/levelize"
@@ -546,18 +548,26 @@ func NewEngineLanes(st *State, scns []Scenario, opt Options) (*Engine, error) {
 }
 
 // newEngine builds an engine over st with freshly allocated, unpropagated
-// Top-K tensors whose rows follow st's level order.
+// Top-K tensors whose rows follow st's level order, each as long as its pin's
+// capacity (rowCap): one pass over the fan-in CSR in level order, so every
+// parent's capacity is known before its children's.
 func newEngine(st *State, scns []Scenario, opt Options) (*Engine, error) {
 	e, err := newEngineBody(st, scns, opt)
 	if err != nil {
 		return nil, err
 	}
-	e.capPins = st.NumPins
-	e.row = make([]int32, st.NumPins)
-	for i, p := range st.LvOrder {
-		e.row[p] = int32(i)
+	e.rows = make([]rowSpan, st.NumPins)
+	units := 0
+	for _, p := range st.LvOrder {
+		k := rowCap(st, e.rows, p, opt.TopK)
+		e.rows[p] = rowSpan{off: int32(units), k: k}
+		units += int(k)
 	}
-	sz := 2 * e.capPins * e.qstride
+	if units > math.MaxInt32 {
+		return nil, fmt.Errorf("core: %d pins at TopK %d need %d row units, more than a row offset addresses", st.NumPins, opt.TopK, units)
+	}
+	e.rowUnits, e.capUnits = units, units
+	sz := 2 * units * len(scns)
 	*e.top.q = newQueues(sz)
 	if e.hold != nil {
 		*e.hold.q = newQueues(sz)
@@ -576,7 +586,7 @@ func checkTopK(k int) error {
 	return nil
 }
 
-// newEngineBody builds everything but the Top-K tensors and their row map,
+// newEngineBody builds everything but the Top-K tensors and their row spans,
 // which the caller allocates (newEngine) or takes over from a previous engine
 // (Reseed).
 func newEngineBody(st *State, scns []Scenario, opt Options) (*Engine, error) {
@@ -657,10 +667,11 @@ func (e *Engine) bindState(st *State) {
 	e.foStart, e.foAdj, e.foArc = st.FoStart, st.FoAdj, st.FoArc
 }
 
-// seedHeadroom is the pin headroom (tensor rows beyond NumPins) a reseeded
-// engine reserves for in-place structural growth: 4096 pins = 2048 buffer
-// insertions before a reseed has to relocate the tensors. The cost is
-// 2*headroom*S*K float64 slots per tensor — a few MB at most.
+// seedHeadroom is the tensor headroom a reseeded engine reserves for
+// in-place structural growth, in rows of the widest capacity: 4096 rows of K
+// slots per lane, the room 2048 buffer insertions take at most before a
+// reseed has to relocate the tensors. The cost is 2*headroom*S*K slots per
+// tensor — a few MB at most.
 const seedHeadroom = 4096
 
 // Reseed returns a fully evaluated engine over st — the compiled state of an
@@ -674,6 +685,14 @@ const seedHeadroom = 4096
 // planes are valid arrival state for every pin outside the seeds' cone, and
 // the equality-stopping incremental wavefront recomputes exactly the pins
 // whose queues differ. e must have completed a full evaluation.
+//
+// Capacities are recomputed over st. A pin keeps its row while its new
+// capacity fits there (a shrunk row gives up its tail) and moves, queues and
+// all, to a fresh row at the tail when it does not; appended pins take fresh
+// rows too, in level order. Buffer insertion and bypass preserve every
+// existing pin's capacity, so they move nothing. A pin that shrinks below its
+// live entries has changed, but its truncated queues could compare equal to
+// the rebuilt ones, so it and its fan-out join the seeds.
 //
 // With inPlace false, e is left untouched (it may be a base shared with other
 // sessions) and the result is a new engine with seedHeadroom spare tensor
@@ -695,27 +714,13 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 	if inPlace && (len(st.EpPin) != len(e.epPin) || len(st.SpPin) != len(e.spPin)) {
 		return nil, fmt.Errorf("core: in-place Reseed cannot change the SP/EP sets")
 	}
+	if e.rowUnits+st.NumPins*e.opt.TopK > math.MaxInt32 {
+		return nil, fmt.Errorf("core: %d pins at TopK %d could need more row units than a row offset addresses", st.NumPins, e.opt.TopK)
+	}
 	sp := e.tracer.StartArg("engine-reseed", "seeds", int64(len(seeds)))
 	defer sp.End()
-	oldPins := e.numPins
-	ne := e
-	if !inPlace {
-		var err error
-		if ne, err = newEngineBody(st, e.scns, e.opt); err != nil {
-			return nil, err
-		}
-	}
-	if !inPlace || st.NumPins > e.capPins {
-		// Relocate the rf blocks (the tensors are rf-major, so each moves when
-		// the row stride changes) into tensors with a fresh allowance. Rare in
-		// place: it takes headroom/2 insert batches to run out.
-		newCap := st.NumPins + seedHeadroom
-		*ne.top.q = e.top.q.restride(e.capPins, newCap, oldPins, e.qstride)
-		if e.hold != nil {
-			*ne.hold.q = e.hold.q.restride(e.capPins, newCap, oldPins, e.qstride)
-		}
-		ne.capPins = newCap
-	}
+	oldPins, oldUnits := e.numPins, e.rowUnits
+	ne, rows := e, []rowSpan(nil)
 	if inPlace {
 		// The exception lookup keys on SP/EP pins only, which structural
 		// edits never touch — e.exc stays. Every topology-derived lazy cache
@@ -723,29 +728,94 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 		e.bindState(st)
 		e.inc, e.plan, e.grad = nil, nil, nil
 		e.pinOwner, e.arcStage, e.stageAcc = nil, nil, nil
+		rows = append(e.rows, make([]rowSpan, st.NumPins-oldPins)...)
+	} else {
+		var err error
+		if ne, err = newEngineBody(st, e.scns, e.opt); err != nil {
+			return nil, err
+		}
+		// A new engine owns a copy of the spans; e's are not touched.
+		rows = make([]rowSpan, st.NumPins)
+		copy(rows, e.rows)
 	}
-	// Every pin keeps its row — e's converged queues stay where they are —
-	// and appended pins take rows oldPins... in id order (levels that drift
-	// apart under edits cost locality only). A new engine owns a copy of the
-	// map; e's is not touched.
-	if !inPlace {
-		ne.row = make([]int32, oldPins, st.NumPins)
-		copy(ne.row, e.row)
+	// Capacities can only change downstream of the seeds, so they are
+	// recomputed by a wave over the seeds' fan-out in level order (pin order
+	// within a level) that stops where a capacity comes out as it was.
+	type move struct {
+		p   int32
+		was rowSpan
+	}
+	var moved []move
+	units := oldUnits
+	sc := ne.incScratch()
+	for _, p := range seeds {
+		sc.push(ne.lv.Level, p)
 	}
 	for p := oldPins; p < st.NumPins; p++ {
-		ne.row = append(ne.row, int32(p))
+		sc.push(ne.lv.Level, int32(p))
 	}
-	// Appended pins start with empty queues, exactly like a cold engine
-	// entering its first recompute; their rows are one contiguous run.
-	if st.NumPins > oldPins {
-		for rf := 0; rf < 2; rf++ {
-			lo := ne.base(rf, int32(oldPins))
-			hi := lo + (st.NumPins-oldPins)*ne.qstride
-			clearQueue(ne.top.q.sp[lo:hi])
-			if ne.hold != nil {
-				clearQueue(ne.hold.q.sp[lo:hi])
+	for l := range sc.buckets {
+		bucket := sc.buckets[l]
+		slices.Sort(bucket)
+		for _, p := range bucket {
+			k := rowCap(st, rows, p, e.opt.TopK)
+			was := rows[p] // zero for an appended pin
+			switch {
+			case k == was.k:
+				continue
+			case k < was.k:
+				rows[p].k = k
+			default:
+				rows[p] = rowSpan{off: int32(units), k: k}
+				units += int(k)
+			}
+			if int(p) < oldPins {
+				moved = append(moved, move{p, was})
+			}
+			for _, to := range ne.foAdj[ne.foStart[p]:ne.foStart[p+1]] {
+				sc.push(ne.lv.Level, to)
 			}
 		}
+	}
+	S := len(e.scns)
+	if !inPlace || units > e.capUnits {
+		// Relocate the rf blocks (the tensors are rf-major, so each moves when
+		// the rf stride changes) into tensors with a fresh allowance. Rare in
+		// place: it takes headroom/2 insert batches to run out.
+		newCap := units + seedHeadroom*e.opt.TopK
+		*ne.top.q = e.top.q.restride(e.capUnits, newCap, oldUnits, S)
+		if e.hold != nil {
+			*ne.hold.q = e.hold.q.restride(e.capUnits, newCap, oldUnits, S)
+		}
+		ne.capUnits = newCap
+	}
+	ne.rows, ne.rowUnits = rows, units
+	// Fresh rows start empty — an appended pin's exactly like a cold engine's
+	// entering its first recompute — and are one contiguous run per rf block.
+	for rf := 0; rf < 2; rf++ {
+		lo, hi := (rf*ne.capUnits+oldUnits)*S, (rf*ne.capUnits+units)*S
+		clearQueue(ne.top.q.sp[lo:hi])
+		if ne.hold != nil {
+			clearQueue(ne.hold.q.sp[lo:hi])
+		}
+	}
+	var extra []int32
+	for _, m := range moved {
+		lost := false
+		for rf := 0; rf < 2; rf++ {
+			to, k := ne.base(rf, m.p)
+			from := (rf*ne.capUnits + int(m.was.off)) * S
+			lost = ne.top.q.relay(to, k, from, int(m.was.k), S) || lost
+			if ne.hold != nil {
+				lost = ne.hold.q.relay(to, k, from, int(m.was.k), S) || lost
+			}
+		}
+		if lost {
+			extra = append(append(extra, m.p), st.FoAdj[st.FoStart[m.p]:st.FoStart[m.p+1]]...)
+		}
+	}
+	if len(extra) > 0 {
+		seeds = append(slices.Clip(seeds), extra...)
 	}
 	ne.PropagateIncrementalPins(seeds)
 	ne.RefreshSlacks()

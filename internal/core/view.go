@@ -15,8 +15,9 @@ type view struct {
 
 	// slot shadows whole pins, sparse in storage and dense in look-up: slot[p]
 	// is 0 while pin p shows its dense row, else 1 + its shadow row. Shadow row
-	// r is chunk r/chunkRows' row r%chunkRows: both transitions and every lane
-	// flattened rf*S*K + s*K + k, like one row pair of the dense tensors.
+	// r is chunk r/chunkRows' row r%chunkRows: both transitions, S*K slots
+	// each, so any pin fits; pin p's lanes are laid out in it as in its dense
+	// row, slot kk of lane s at rf*S*K + s*cap(p) + kk.
 	// arcSlot shadows per-rf nominal arc delays, held in arcDist (every lane
 	// sees them through its scale factors). All nil on the engine's own views.
 	slot    []int32
@@ -33,15 +34,18 @@ const (
 )
 
 // queues resolves pin p's Top-K queues for transition rf — for reads and for
-// writes — to the tensors holding them and the offset of lane 0's block; lane
-// s follows at +s*K.
-func (v *view) queues(rf int, p int32) (*queues, int) {
+// writes — to the tensors holding them, the offset of lane 0's queue and the
+// pin's capacity k, every lane's queue length: lane s follows at +s*k. Every
+// loop over a queue's slots takes its length from here.
+func (v *view) queues(rf int, p int32) (*queues, int, int) {
 	if v.slot != nil {
 		if t := v.slot[p]; t != 0 {
-			return v.shadow(rf, t)
+			q, b := v.shadow(rf, t)
+			return q, b, int(v.e.rows[p].k)
 		}
 	}
-	return v.q, v.e.base(rf, p)
+	b, k := v.e.base(rf, p)
+	return v.q, b, k
 }
 
 // shadow resolves the shadow row a non-zero slot entry t names.
@@ -64,11 +68,11 @@ func (v *view) arcDelay(rf int, arc int32) (mean, std float64) {
 // retime rebuilds pin p's queues in place (recompute, with its sign and
 // scratch) and reports whether any lane's came out different from what the
 // view showed before. The rebuild overwrites what it is compared against, so
-// that is copied to snap first.
+// that is copied to snap, which holds the widest row, first.
 func (v *view) retime(snap *queues, sign float64, p int32, ms *mergeScratch) bool {
-	n := v.e.qstride
-	q0, b0 := v.queues(0, p)
-	q1, b1 := v.queues(1, p)
+	n := v.e.rowSlots(p)
+	q0, b0, _ := v.queues(0, p)
+	q1, b1, _ := v.queues(1, p)
 	snap.copyFrom(0, q0, b0, n)
 	snap.copyFrom(n, q1, b1, n)
 	v.recompute(sign, p, ms)
