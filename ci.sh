@@ -65,8 +65,12 @@
 #                      bytes from outside the process, 10 s each:
 #                      FuzzDecodeModel (a block-model payload decodes only if
 #                      it re-encodes byte for byte and names pins and ports
-#                      that exist) and FuzzSnapRoundTrip (a snapshot decodes
+#                      that exist), FuzzSnapRoundTrip (a snapshot decodes
 #                      to a typed error or re-encodes byte for byte and runs)
+#                      and FuzzReadTables (a circuitops TSV document never
+#                      panics Read, one it accepts writes back to itself and
+#                      either fails core.Compile with an error or compiles to
+#                      a State that passes Validate and runs)
 #   4. go test -race — short-mode race check of the scheduler; the reference
 #                      engine's full update, which runs every level and the
 #                      endpoint slack walk on a pool of GOMAXPROCS
@@ -149,6 +153,8 @@ echo "== go test -fuzz FuzzDecodeModel (10s, block-model payloads: canonical and
 go test ./internal/hier -run '^$' -fuzz FuzzDecodeModel -fuzztime 10s
 echo "== go test -fuzz FuzzSnapRoundTrip (10s, snapshots: typed error or byte-identical re-encode) =="
 go test ./internal/snap -run '^$' -fuzz FuzzSnapRoundTrip -fuzztime 10s
+echo "== go test -fuzz FuzzReadTables (10s, circuitops TSV: no panic, round trip, accepted documents compile and run) =="
+go test ./internal/circuitops -run '^$' -fuzz FuzzReadTables -fuzztime 10s
 
 echo "== go test -race (sched + levelize + refsta + core + topo + server + obs + snap + cmdutil + fleet + hier, short) =="
 go test -race -short ./internal/sched/... ./internal/levelize/... ./internal/refsta/... ./internal/core/... ./internal/topo/... ./internal/server/... ./internal/obs/... ./internal/snap/... ./internal/cmdutil/... ./internal/fleet/... ./internal/hier/...

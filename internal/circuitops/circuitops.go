@@ -194,19 +194,29 @@ func (t *Tables) CompileExceptions() (*sdc.ExceptionTable, error) {
 	return con.Compile()
 }
 
-// Validate performs structural checks on the tables.
+// Validate performs the structural checks that make the tables safe to
+// compile and propagate: every index in range; arc kinds 0 (cell) or 1 (net),
+// the rows of the kernels' per-kind lane factors; one clock tree rooted at
+// node 0, each parent before its child, so the CPPR walk always meets a
+// common ancestor; and exceptions the sdc compiler accepts.
 func (t *Tables) Validate() error {
+	if t.NumPins < 0 {
+		return fmt.Errorf("circuitops: negative pin count %d", t.NumPins)
+	}
 	for i, a := range t.Arcs {
 		if a.From < 0 || int(a.From) >= t.NumPins || a.To < 0 || int(a.To) >= t.NumPins {
 			return fmt.Errorf("circuitops: arc %d pins out of range", i)
+		}
+		if a.Kind > 1 {
+			return fmt.Errorf("circuitops: arc %d kind %d is neither cell (0) nor net (1)", i, a.Kind)
 		}
 		if a.StdRise < 0 || a.StdFall < 0 {
 			return fmt.Errorf("circuitops: arc %d negative sigma", i)
 		}
 	}
 	for i, n := range t.ClockNodes {
-		if n.Parent >= int32(i) {
-			return fmt.Errorf("circuitops: clock node %d has non-preceding parent %d", i, n.Parent)
+		if i == 0 && n.Parent != -1 || i > 0 && (n.Parent < 0 || n.Parent >= int32(i)) {
+			return fmt.Errorf("circuitops: clock node %d has parent %d, outside the one clock tree rooted at node 0", i, n.Parent)
 		}
 		if n.CumVar < 0 {
 			return fmt.Errorf("circuitops: clock node %d negative variance", i)
@@ -223,7 +233,13 @@ func (t *Tables) Validate() error {
 			return fmt.Errorf("circuitops: ep %d out of range", i)
 		}
 	}
-	return nil
+	for i, x := range t.Exceptions {
+		if x.SPPin < -1 || int(x.SPPin) >= t.NumPins || x.EPPin < -1 || int(x.EPPin) >= t.NumPins {
+			return fmt.Errorf("circuitops: exception %d pins out of range", i)
+		}
+	}
+	_, err := t.CompileExceptions()
+	return err
 }
 
 // Write serializes the tables as a line-oriented TSV document.
@@ -325,87 +341,72 @@ func Read(r io.Reader) (*Tables, error) {
 		}
 		return n, nil
 	}
-	n, err := count("arcs")
-	if err != nil {
-		return nil, err
-	}
-	t.Arcs = make([]ArcRow, n)
-	for i := 0; i < n; i++ {
-		f, err := line()
+	// section reads a count line and that many rows, handing each row's
+	// fields to row. The count is the document's claim, not an allocation
+	// size: rows are appended as they arrive, so a short document claiming
+	// 2^40 rows fails at its end instead of asking for terabytes first.
+	section := func(key string, row func(f []string) error) error {
+		n, err := count(key)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if len(f) != 10 {
-			return nil, fmt.Errorf("circuitops: arc row %d has %d fields", i, len(f))
+		for i := 0; i < n; i++ {
+			f, err := line()
+			if err != nil {
+				return err
+			}
+			if err := row(f); err != nil {
+				return fmt.Errorf("circuitops: %s row %d: %w", key, i, err)
+			}
 		}
-		a := &t.Arcs[i]
+		return nil
+	}
+	if err := section("arcs", func(f []string) error {
+		var a ArcRow
 		var k, sen int64
-		if err := parseAll(f,
+		err := parseAll(f,
 			pInt32(&a.From), pInt32(&a.To), pInt64(&k), pInt64(&sen), pInt32(&a.Cell), pInt32(&a.Net),
-			pFloat(&a.MeanRise), pFloat(&a.StdRise), pFloat(&a.MeanFall), pFloat(&a.StdFall)); err != nil {
-			return nil, fmt.Errorf("circuitops: arc row %d: %w", i, err)
-		}
+			pFloat(&a.MeanRise), pFloat(&a.StdRise), pFloat(&a.MeanFall), pFloat(&a.StdFall))
 		a.Kind, a.Sense = uint8(k), uint8(sen)
-	}
-	if n, err = count("sps"); err != nil {
+		t.Arcs = append(t.Arcs, a)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	t.SPs = make([]SPRow, n)
-	for i := 0; i < n; i++ {
-		f, err := line()
-		if err != nil {
-			return nil, err
-		}
-		s := &t.SPs[i]
-		if err := parseAll(f, pInt32(&s.Pin), pInt32(&s.ClockNode), pFloat(&s.Mean), pFloat(&s.Std)); err != nil {
-			return nil, fmt.Errorf("circuitops: sp row %d: %w", i, err)
-		}
-	}
-	if n, err = count("eps"); err != nil {
+	if err := section("sps", func(f []string) error {
+		var s SPRow
+		err := parseAll(f, pInt32(&s.Pin), pInt32(&s.ClockNode), pFloat(&s.Mean), pFloat(&s.Std))
+		t.SPs = append(t.SPs, s)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	t.EPs = make([]EPRow, n)
-	for i := 0; i < n; i++ {
-		f, err := line()
-		if err != nil {
-			return nil, err
-		}
-		e := &t.EPs[i]
-		if err := parseAll(f, pInt32(&e.Pin), pInt32(&e.CaptureNode),
-			pFloat(&e.BaseReqRise), pFloat(&e.BaseReqFall),
-			pFloat(&e.HoldReqRise), pFloat(&e.HoldReqFall)); err != nil {
-			return nil, fmt.Errorf("circuitops: ep row %d: %w", i, err)
-		}
-	}
-	if n, err = count("clocknodes"); err != nil {
+	if err := section("eps", func(f []string) error {
+		var e EPRow
+		err := parseAll(f, pInt32(&e.Pin), pInt32(&e.CaptureNode),
+			pFloat(&e.BaseReqRise), pFloat(&e.BaseReqFall), pFloat(&e.HoldReqRise), pFloat(&e.HoldReqFall))
+		t.EPs = append(t.EPs, e)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	t.ClockNodes = make([]ClockNodeRow, n)
-	for i := 0; i < n; i++ {
-		f, err := line()
-		if err != nil {
-			return nil, err
-		}
-		c := &t.ClockNodes[i]
-		if err := parseAll(f, pInt32(&c.Parent), pFloat(&c.CumVar)); err != nil {
-			return nil, fmt.Errorf("circuitops: clock row %d: %w", i, err)
-		}
-	}
-	if n, err = count("exceptions"); err != nil {
+	if err := section("clocknodes", func(f []string) error {
+		var c ClockNodeRow
+		err := parseAll(f, pInt32(&c.Parent), pFloat(&c.CumVar))
+		t.ClockNodes = append(t.ClockNodes, c)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	t.Exceptions = make([]ExceptionRow, n)
-	for i := 0; i < n; i++ {
-		f, err := line()
-		if err != nil {
-			return nil, err
-		}
-		x := &t.Exceptions[i]
+	if err := section("exceptions", func(f []string) error {
+		var x ExceptionRow
 		var k int64
-		if err := parseAll(f, pInt32(&x.SPPin), pInt32(&x.EPPin), pInt64(&k), pInt32(&x.Cycles)); err != nil {
-			return nil, fmt.Errorf("circuitops: exception row %d: %w", i, err)
-		}
+		err := parseAll(f, pInt32(&x.SPPin), pInt32(&x.EPPin), pInt64(&k), pInt32(&x.Cycles))
 		x.Kind = uint8(k)
+		t.Exceptions = append(t.Exceptions, x)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

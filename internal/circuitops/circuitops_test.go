@@ -154,4 +154,31 @@ func TestValidateCatchesNegativeSigma(t *testing.T) {
 	}
 }
 
+// The next three tables used to pass Validate and then crash a kernel: a
+// negative pin count sized Compile's slabs, an arc kind indexed the per-kind
+// lane factors out of range, and a second clock root sent the CPPR walk off
+// the tree.
+
+func TestValidateRejectsNegativePins(t *testing.T) {
+	if err := (&Tables{NumPins: -1}).Validate(); err == nil {
+		t.Error("negative pin count accepted")
+	}
+}
+
+func TestValidateRejectsArcKind(t *testing.T) {
+	_, tab := extractTiny(t)
+	tab.Arcs[0].Kind = 2
+	if err := tab.Validate(); err == nil || !strings.Contains(err.Error(), "kind 2") {
+		t.Errorf("arc kind 2: Validate = %v", err)
+	}
+}
+
+func TestValidateRejectsClockForest(t *testing.T) {
+	_, tab := extractTiny(t)
+	tab.ClockNodes[len(tab.ClockNodes)-1].Parent = -1
+	if err := tab.Validate(); err == nil || !strings.Contains(err.Error(), "one clock tree") {
+		t.Errorf("second clock root: Validate = %v", err)
+	}
+}
+
 func pin(i int32) netlist.PinID { return netlist.PinID(i) }

@@ -75,10 +75,11 @@ type gradState struct {
 // for bit. Multiply by the lane's factor for the arc's kind for sensitivities
 // to the nominal annotation.
 func (e *Engine) BackwardLane(s int, w []float64) {
-	sp := e.tracer.StartArg(kBackward, "levels", int64(e.lv.NumLevels))
+	st := e.st
+	sp := e.opt.Tracer.StartArg(kBackward, "levels", int64(st.NumLevels))
 	defer sp.End()
-	n := e.numPins
-	nArcs := len(e.arcFrom)
+	n := st.NumPins
+	nArcs := len(st.ArcFrom)
 	if e.grad == nil {
 		e.grad = new(gradState)
 		for rf := 0; rf < 2; rf++ {
@@ -107,8 +108,8 @@ func (e *Engine) BackwardLane(s int, w []float64) {
 	// Reverse level sweep: each pin gathers its gradient from its fan-out
 	// arcs' flow slots, then distributes it to its fan-in arcs and parents.
 	e.run.lane = s
-	for l := e.lv.NumLevels - 1; l >= 0; l-- {
-		e.run.pins = e.lv.Nodes(l)
+	for l := st.NumLevels - 1; l >= 0; l-- {
+		e.run.pins = st.levelPins(l)
 		lsp := sp.ChildArg("level", "level", int64(l))
 		e.pool.RunIndexed(kBackward, l, len(e.run.pins), e.kern.backward)
 		lsp.End()
@@ -121,7 +122,7 @@ func (e *Engine) BackwardLane(s int, w []float64) {
 // corner is mean + nSigma*sigma, so the sigma plane is seeded with
 // -nSigma per unit of slack.
 func (e *Engine) seedEndpointGradients(s int, w []float64) {
-	for i, p := range e.epPin {
+	for i, p := range e.st.EpPin {
 		best, sp, bestRF := e.top.setupSlack(s, int32(i), 1)
 		if sp == noSP {
 			continue
@@ -135,7 +136,7 @@ func (e *Engine) seedEndpointGradients(s int, w []float64) {
 		}
 		if weight != 0 {
 			e.grad.seedMean[bestRF][p] += -weight
-			e.grad.seedStd[bestRF][p] += -e.nSigma * weight
+			e.grad.seedStd[bestRF][p] += -e.st.NSigma * weight
 		}
 	}
 }
@@ -149,10 +150,10 @@ func (e *Engine) WNSWeights(tau float64) []float64 {
 	if tau <= 0 {
 		tau = 1
 	}
-	n := len(e.epPin)
+	n := len(e.st.EpPin)
 	slacks := make([]float64, n)
 	minSlack := math.Inf(1)
-	for i := range e.epPin {
+	for i := range e.st.EpPin {
 		s, _, _ := e.top.setupSlack(0, int32(i), 1)
 		slacks[i] = s // +Inf when untimed
 		if s < minSlack {
@@ -185,9 +186,9 @@ func (e *Engine) WNSWeights(tau float64) []float64 {
 // distribution writes only flow slots of arcs ending at p, so pins within a
 // level never touch shared state.
 func (e *Engine) backpropPin(p int32, lane int) {
-	g := e.grad
-	folo, fohi := e.foStart[p], e.foStart[p+1]
-	lo, hi := e.faninStart[p], e.faninStart[p+1]
+	g, st := e.grad, e.st
+	folo, fohi := st.FoStart[p], st.FoStart[p+1]
+	lo, hi := st.FaninStart[p], st.FaninStart[p+1]
 	tau := e.opt.Tau
 	var contribs [16]contrib
 	for rf := 0; rf < 2; rf++ {
@@ -195,7 +196,7 @@ func (e *Engine) backpropPin(p int32, lane int) {
 		gm := g.seedMean[rf][p]
 		gs := g.seedStd[rf][p]
 		for pos := folo; pos < fohi; pos++ {
-			a := e.foArc[pos]
+			a := st.FoArc[pos]
 			gm += g.flowMean[rf][a]
 			gs += g.flowStd[rf][a]
 		}
@@ -207,13 +208,13 @@ func (e *Engine) backpropPin(p int32, lane int) {
 		cs := contribs[:0]
 		maxCorner := math.Inf(-1)
 		for pos := lo; pos < hi; pos++ {
-			arc := e.faninArc[pos]
-			parent := e.faninFrom[pos]
-			kind := e.arcKind[arc]
+			arc := st.FaninArc[pos]
+			parent := st.FaninFrom[pos]
+			kind := st.ArcKind[arc]
 			am, as := e.top.arcDelay(rf, arc)
 			am *= e.scaleMean[kind][lane]
 			as *= e.scaleStd[kind][lane]
-			inRFs, nrf := liberty.Unate(e.faninSense[pos]).InRFs(rf)
+			inRFs, nrf := liberty.Unate(st.FaninSense[pos]).InRFs(rf)
 			for ri := 0; ri < nrf; ri++ {
 				prf := inRFs[ri]
 				pq, pb, pk := e.top.queues(prf, parent)
@@ -223,7 +224,7 @@ func (e *Engine) backpropPin(p int32, lane int) {
 				}
 				pstd := pq.std[pb]
 				rss := math.Sqrt(pstd*pstd + as*as)
-				corner := pq.mean[pb] + am + e.nSigma*rss
+				corner := pq.mean[pb] + am + st.NSigma*rss
 				// Chain factors through s_child = RSS(s_parent, arc sigma).
 				dsParent, dsArc := 1.0, 0.0
 				if rss > 0 {

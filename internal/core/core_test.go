@@ -386,7 +386,7 @@ func TestQueueInvariantsAfterPropagation(t *testing.T) {
 	for p := int32(0); p < int32(e.NumPins()); p++ {
 		for rf := 0; rf < 2; rf++ {
 			mean, std, sps := e.TopEntries(rf, p)
-			if err := checkPacked(mean, std, sps, 1, e.nSigma); err != nil {
+			if err := checkPacked(mean, std, sps, 1, e.st.NSigma); err != nil {
 				t.Fatalf("pin %d rf %d: %v", p, rf, err)
 			}
 		}

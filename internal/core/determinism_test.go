@@ -38,7 +38,7 @@ func derivedKeys(e *Engine, q *queues, sign float64) []float64 {
 	for i, sp := range q.sp {
 		out[i] = math.Inf(-1)
 		if sp != noSP {
-			out[i] = orderKey(q.mean[i], q.std[i], sign, sign*e.nSigma)
+			out[i] = orderKey(q.mean[i], q.std[i], sign, sign*e.st.NSigma)
 		}
 	}
 	return out

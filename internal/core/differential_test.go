@@ -88,7 +88,7 @@ func TestDifferentialAgainstRefstaAndMC(t *testing.T) {
 				if q == 0 {
 					continue
 				}
-				rel := math.Abs(mean[0]+e.nSigma*std[0]-q) / math.Abs(q)
+				rel := math.Abs(mean[0]+e.st.NSigma*std[0]-q) / math.Abs(q)
 				relSum += rel
 				if rel > relWorst {
 					relWorst = rel

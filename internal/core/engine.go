@@ -19,12 +19,10 @@
 package core
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
 	"insta/internal/circuitops"
-	"insta/internal/levelize"
 	"insta/internal/netlist"
 	"insta/internal/num"
 	"insta/internal/obs"
@@ -65,9 +63,14 @@ const noSP = int32(-1)
 // Engine is an initialized INSTA session. All heavy state lives in flat
 // structure-of-arrays buffers, the CPU analogue of the paper's GPU tensors.
 type Engine struct {
-	opt     Options
-	st      *State // compiled state the engine was built over (ExportState)
-	numPins int
+	opt Options
+	// st is the compiled design the engine propagates over, and the one copy
+	// of it the engine reads: topology, level schedule, SP/EP tables, clock
+	// network and the current arc annotations, which SetArcDelay writes. It is
+	// the engine's own shallow copy of the state it was built over, annotation
+	// slabs cloned (newEngineBody), or the state an in-place Reseed adopted.
+	// Kernels load it once per call (st := e.st) and index its slabs.
+	st *State
 	// rows maps a pin to its tensor row (rowSpan): where it starts and its
 	// capacity, the slots each lane's queue has there. Rows are laid out in
 	// the level order the engine was built over, so the pins a level launch
@@ -82,8 +85,6 @@ type Engine struct {
 	// structural reseed can add rows without relocating the rf=1 block.
 	rowUnits, capUnits int
 	qstride            int // S*K: the slots per rf of the widest row, an overlay's shadow row and a wave's snapshot
-	period             float64
-	nSigma             float64
 
 	// Scenario axis. The engine times S = len(scns) scenarios in one
 	// traversal: every lane sees the nominal arc annotations through its own
@@ -94,41 +95,6 @@ type Engine struct {
 	scns      []Scenario
 	scaleMean [2][]float64
 	scaleStd  [2][]float64
-
-	// Fan-in CSR over pins: entries faninStart[p]..faninStart[p+1] index the
-	// incoming arcs of pin p (the paper's outPin_parent_start array, Fig. 3).
-	faninStart []int32
-	faninArc   []int32
-	faninFrom  []int32
-	faninSense []uint8
-
-	// Arc annotations, indexed by the extraction arc id, per output rf.
-	arcMean [2][]float64
-	arcStd  [2][]float64
-	arcKind []uint8
-	arcCell []int32 // owning cell for cell arcs, -1 otherwise
-	arcNet  []int32 // net id for net arcs, -1 otherwise
-	arcFrom []int32
-	arcTo   []int32
-
-	lv *levelize.Result
-
-	// Startpoints / endpoints.
-	spPin   []int32
-	spNode  []int32
-	spMean  []float64
-	spStd   []float64
-	spOfPin []int32 // per pin: SP index or -1
-	epPin   []int32
-	epNode  []int32
-	epBase  [2][]float64 // base required time per data transition
-	epHold  [2][]float64 // hold requirement (+Inf = unchecked)
-	epOfPin []int32      // per pin: endpoint index or -1 (overlay read path)
-
-	// Clock network (for CPPR credit).
-	clkParent []int32
-	clkCumVar []float64
-	clkDepth  []int32
 
 	exc *sdc.ExceptionTable
 
@@ -152,14 +118,7 @@ type Engine struct {
 	arcStage []int32   // lazily built arc→owning stage cell (see grads.go)
 	stageAcc []float64 // per-cell accumulation scratch for StageGradients
 
-	// Fan-out CSR (incremental propagation and backward gather): slot i holds
-	// destination pin foAdj[i] reached through arc foArc[i]. The backward
-	// gather relies on this slot order being fixed for its deterministic
-	// float summation.
-	foStart, foAdj, foArc []int32
-
-	pool   *sched.Pool // persistent kernel scheduler, created with the engine
-	tracer *obs.Tracer // phase/level span recording; nil is a free no-op
+	pool *sched.Pool // persistent kernel scheduler, created with the engine
 
 	inc  *propScratch // reusable incremental-propagation state (lazily built)
 	plan []levelGroup // fused-level launch plan (lazily built; see levelPlan)
@@ -202,9 +161,9 @@ func (e *Engine) bindKernels() {
 	// the launch is one inline chunk on the caller and the level-order walk
 	// preserves inter-level dependencies.
 	e.kern.fused = func(id, _, _ int) {
-		ms := e.run.scratch[id]
+		ms, st := e.run.scratch[id], e.st
 		for l := e.run.lo; l < e.run.hi; l++ {
-			for _, p := range e.lv.Nodes(l) {
+			for _, p := range st.levelPins(l) {
 				e.run.v.recompute(e.run.sign, p, ms)
 			}
 		}
@@ -234,10 +193,10 @@ func (e *Engine) levelPlan() []levelGroup {
 	if e.plan != nil {
 		return e.plan
 	}
-	cutoff := e.pool.SerialCutoff()
-	plan := make([]levelGroup, 0, e.lv.NumLevels)
-	for l := 0; l < e.lv.NumLevels; l++ {
-		n := len(e.lv.Nodes(l))
+	cutoff := e.pool.Grain()
+	plan := make([]levelGroup, 0, e.st.NumLevels)
+	for l := 0; l < e.st.NumLevels; l++ {
+		n := len(e.st.levelPins(l))
 		if len(plan) > 0 {
 			g := &plan[len(plan)-1]
 			if g.spans+n <= cutoff {
@@ -296,8 +255,8 @@ type propScratch struct {
 func (e *Engine) newPropScratch(retime func(id, i int, p int32, ms *mergeScratch) bool, bind func([]int32), settle func(int, int32, bool)) *propScratch {
 	s := &propScratch{
 		retime: retime, bind: bind, settle: settle,
-		buckets:  make([][]int32, e.lv.NumLevels),
-		queuedAt: make([]uint32, e.numPins),
+		buckets:  make([][]int32, e.st.NumLevels),
+		queuedAt: make([]uint32, e.st.NumPins),
 		stamp:    1,
 	}
 	s.kernFn = func(id, lo, hi int) {
@@ -396,12 +355,13 @@ func (e *Engine) EnableKernelStats() *sched.Stats {
 }
 
 // SetTracer attaches (or detaches, with nil) a span tracer recording the
-// engine's phase and per-level timings. Safe to call between passes; not
-// concurrently with one.
-func (e *Engine) SetTracer(t *obs.Tracer) { e.tracer = t }
+// engine's phase and per-level timings. It replaces Options.Tracer, so an
+// engine Reseed builds from this one records to it too. Safe to call between
+// passes; not concurrently with one.
+func (e *Engine) SetTracer(t *obs.Tracer) { e.opt.Tracer = t }
 
 // Tracer returns the attached span tracer (nil when none).
-func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
+func (e *Engine) Tracer() *obs.Tracer { return e.opt.Tracer }
 
 // KernelStats snapshots the collected kernel profiles (nil before
 // EnableKernelStats).
@@ -461,10 +421,10 @@ func (e *Engine) Lanes() int { return len(e.scns) }
 
 // NumLevels returns the timing level count; INSTA's runtime scales with this
 // rather than with pin count (paper §IV-A).
-func (e *Engine) NumLevels() int { return e.lv.NumLevels }
+func (e *Engine) NumLevels() int { return e.st.NumLevels }
 
 // Level returns the timing level of pin p.
-func (e *Engine) Level(p int32) int32 { return e.lv.Level[p] }
+func (e *Engine) Level(p int32) int32 { return e.st.LvLevel[p] }
 
 // MemoryBytes returns the engine's resident state footprint: the Top-K
 // tensors and their row spans, arc annotations, CSR topology and SP/EP tables —
@@ -473,14 +433,14 @@ func (e *Engine) Level(p int32) int32 { return e.lv.Level[p] }
 // merge scratch sets are counted once allocated.
 func (e *Engine) MemoryBytes() int64 {
 	b := e.tensorBytes() + e.scratchBytes()
-	b += int64(len(e.arcFrom)) * (8*4 + 4*4 + 1) // mean/std both rf + ids + kind
-	b += int64(len(e.faninArc)+len(e.faninFrom)) * 4
-	b += int64(len(e.faninSense))
-	b += int64(len(e.faninStart)+len(e.spOfPin)) * 4
+	b += int64(len(e.st.ArcFrom)) * (8*4 + 4*4 + 1) // mean/std both rf + ids + kind
+	b += int64(len(e.st.FaninArc)+len(e.st.FaninFrom)) * 4
+	b += int64(len(e.st.FaninSense))
+	b += int64(len(e.st.FaninStart)+len(e.st.SpOfPin)) * 4
 	b += int64(len(e.rows)) * 8
-	b += int64(len(e.lv.Order)+len(e.lv.Level)+len(e.lv.LevelStart)) * 4
-	b += int64(len(e.spPin)) * (4 + 4 + 8 + 8)
-	b += int64(len(e.epPin)) * (4 + 4 + 8 + 8)
+	b += int64(len(e.st.LvOrder)+len(e.st.LvLevel)+len(e.st.LvLevelStart)) * 4
+	b += int64(len(e.st.SpPin)) * (4 + 4 + 8 + 8)
+	b += int64(len(e.st.EpPin)) * (4 + 4 + 8 + 8)
 	b += int64(len(e.epSlack)) * (8 + 4 + 1)
 	if e.hold != nil {
 		b += int64(len(e.hold.epSlack)) * 8
@@ -502,10 +462,10 @@ func (e *Engine) tensorBytes() int64 {
 }
 
 // NumPins returns the pin count of the initialized graph.
-func (e *Engine) NumPins() int { return e.numPins }
+func (e *Engine) NumPins() int { return e.st.NumPins }
 
 // NumArcs returns the arc count.
-func (e *Engine) NumArcs() int { return len(e.arcFrom) }
+func (e *Engine) NumArcs() int { return len(e.st.ArcFrom) }
 
 // TopK returns the configured K.
 func (e *Engine) TopK() int { return e.opt.TopK }
@@ -514,44 +474,23 @@ func (e *Engine) TopK() int { return e.opt.TopK }
 // transition rf, the estimate_eco re-annotation entry point (Fig. 2's
 // "update delays" path).
 func (e *Engine) SetArcDelay(arc int32, rf int, d num.Dist) {
-	e.arcMean[rf][arc] = d.Mean
-	e.arcStd[rf][arc] = d.Std
+	e.st.ArcMean[rf][arc] = d.Mean
+	e.st.ArcStd[rf][arc] = d.Std
 }
 
 // ArcDelay returns the current annotation of arc for transition rf.
 func (e *Engine) ArcDelay(arc int32, rf int) num.Dist {
-	return num.Dist{Mean: e.arcMean[rf][arc], Std: e.arcStd[rf][arc]}
+	return num.Dist{Mean: e.st.ArcMean[rf][arc], Std: e.st.ArcStd[rf][arc]}
 }
 
 // ArcIsNet reports whether arc is an interconnect arc.
-func (e *Engine) ArcIsNet(arc int32) bool { return e.arcKind[arc] == 1 }
+func (e *Engine) ArcIsNet(arc int32) bool { return e.st.ArcKind[arc] == 1 }
 
 // ArcCell returns the owning cell of a cell arc, or -1.
-func (e *Engine) ArcCell(arc int32) int32 { return e.arcCell[arc] }
+func (e *Engine) ArcCell(arc int32) int32 { return e.st.ArcCell[arc] }
 
 // Endpoints returns the endpoint pin ids in extraction order.
-func (e *Engine) Endpoints() []int32 { return e.epPin }
-
-// lca returns the lowest common ancestor of two clock nodes.
-func (e *Engine) lca(a, b int32) int32 {
-	for e.clkDepth[a] > e.clkDepth[b] {
-		a = e.clkParent[a]
-	}
-	for e.clkDepth[b] > e.clkDepth[a] {
-		b = e.clkParent[b]
-	}
-	for a != b {
-		a = e.clkParent[a]
-		b = e.clkParent[b]
-	}
-	return a
-}
-
-// credit returns the CPPR common-path credit for launch node l and capture
-// node c: 2*nSigma*sqrt(shared variance), identical to the reference model.
-func (e *Engine) credit(l, c int32) float64 {
-	return 2 * e.nSigma * math.Sqrt(e.clkCumVar[e.lca(l, c)])
-}
+func (e *Engine) Endpoints() []int32 { return e.st.EpPin }
 
 // excLookup adapts the pin-keyed sdc exception table.
 func (e *Engine) excLookup(spPin, epPin int32) sdc.Adjust {

@@ -110,12 +110,12 @@ func (e *Engine) Propagate() {
 // whole level schedule, one launch of a bound kernel per fused level group,
 // on one borrowed set of merge scratch.
 func (e *Engine) sweep(tag string, v *view, sign float64) {
-	sp := e.tracer.StartArg(tag, "levels", int64(e.lv.NumLevels))
+	sp := e.opt.Tracer.StartArg(tag, "levels", int64(e.st.NumLevels))
 	e.run.v, e.run.sign, e.run.scratch = v, sign, e.borrowScratch()
 	for _, g := range e.levelPlan() {
 		lsp := sp.ChildArg("level", "level", int64(g.lo))
 		if g.hi == g.lo+1 {
-			e.run.pins = e.lv.Nodes(g.lo)
+			e.run.pins = e.st.levelPins(g.lo)
 			e.pool.RunIndexed(tag, g.lo, g.spans, e.kern.level)
 		} else {
 			e.run.lo, e.run.hi = g.lo, g.hi
@@ -136,12 +136,12 @@ func (e *Engine) sweep(tag string, v *view, sign float64) {
 // through v, so the full passes, the incremental wave and an overlay's preview
 // run this one walk.
 func (v *view) recompute(sign float64, p int32, ms *mergeScratch) {
-	e := v.e
-	if sp := e.spOfPin[p]; sp >= 0 {
+	st := v.e.st
+	if sp := st.SpOfPin[p]; sp >= 0 {
 		v.initStartpoint(p, sp)
 		return
 	}
-	if pos := e.faninStart[p]; e.faninStart[p+1]-pos == 1 && liberty.Unate(e.faninSense[pos]) != liberty.NonUnate {
+	if pos := st.FaninStart[p]; st.FaninStart[p+1]-pos == 1 && liberty.Unate(st.FaninSense[pos]) != liberty.NonUnate {
 		v.copyFanin(sign, p, pos)
 		return
 	}
@@ -152,13 +152,13 @@ func (v *view) recompute(sign float64, p int32, ms *mergeScratch) {
 // position pos: each of its queues is one parent merged into an empty queue,
 // which needs neither a live count carried nor a startpoint index.
 func (v *view) copyFanin(sign float64, p, pos int32) {
-	e := v.e
-	ns := sign * e.nSigma
-	arc := e.faninArc[pos]
-	parent := e.faninFrom[pos]
-	kind := e.arcKind[arc]
+	e, st := v.e, v.e.st
+	ns := sign * st.NSigma
+	arc := st.FaninArc[pos]
+	parent := st.FaninFrom[pos]
+	kind := st.ArcKind[arc]
 	flip := 0
-	if liberty.Unate(e.faninSense[pos]) == liberty.NegativeUnate {
+	if liberty.Unate(st.FaninSense[pos]) == liberty.NegativeUnate {
 		flip = 1
 	}
 	for rf := 0; rf < 2; rf++ {
@@ -189,18 +189,18 @@ func (v *view) copyFanin(sign float64, p, pos int32) {
 // end — the packed-tail contract every reader relies on (n live entries,
 // descending, unique startpoints, then noSP).
 func (v *view) mergeFanin(sign float64, p int32, ms *mergeScratch) {
-	e := v.e
-	ns := sign * e.nSigma
-	lo, hi := e.faninStart[p], e.faninStart[p+1]
+	e, st := v.e, v.e.st
+	ns := sign * st.NSigma
+	lo, hi := st.FaninStart[p], st.FaninStart[p+1]
 	for rf := 0; rf < 2; rf++ {
 		fan := ms.fan[:0]
 		for pos := lo; pos < hi; pos++ {
-			arc := e.faninArc[pos]
+			arc := st.FaninArc[pos]
 			am, as := v.arcDelay(rf, arc)
-			inRFs, nrf := liberty.Unate(e.faninSense[pos]).InRFs(rf)
+			inRFs, nrf := liberty.Unate(st.FaninSense[pos]).InRFs(rf)
 			for ri := 0; ri < nrf; ri++ {
-				pq, pb, pk := v.queues(inRFs[ri], e.faninFrom[pos])
-				fan = append(fan, faninContrib{q: pq, b: pb, k: int32(pk), am: am, as: as, kind: e.arcKind[arc]})
+				pq, pb, pk := v.queues(inRFs[ri], st.FaninFrom[pos])
+				fan = append(fan, faninContrib{q: pq, b: pb, k: int32(pk), am: am, as: as, kind: st.ArcKind[arc]})
 			}
 		}
 		ms.fan = fan
@@ -225,7 +225,7 @@ func (v *view) mergeFanin(sign float64, p int32, ms *mergeScratch) {
 // arcs, not launches. A one-entry queue is in order under either sign.
 func (v *view) initStartpoint(p, sp int32) {
 	e := v.e
-	m, sg := e.spMean[sp], e.spStd[sp]
+	m, sg := e.st.SpMean[sp], e.st.SpStd[sp]
 	for rf := 0; rf < 2; rf++ {
 		q, b, k := v.queues(rf, p)
 		for end := b + len(e.scns)*k; b < end; b += k {

@@ -20,16 +20,16 @@ type StageGradient struct {
 // ranking signal INSTA-Size sorts by magnitude.
 func (e *Engine) StageGradients() []StageGradient {
 	if e.arcStage == nil {
-		e.arcStage = make([]int32, len(e.arcFrom))
+		e.arcStage = make([]int32, len(e.st.ArcFrom))
 		maxCell := int32(-1)
-		for arc := range e.arcFrom {
+		for arc := range e.st.ArcFrom {
 			var cell int32
-			if e.arcKind[arc] == 0 {
-				cell = e.arcCell[arc]
+			if e.st.ArcKind[arc] == 0 {
+				cell = e.st.ArcCell[arc]
 			} else {
 				// Net arc: attribute to the driving cell (-1 when driven by a
 				// primary input).
-				cell = e.ownerOfPin(e.arcFrom[arc])
+				cell = e.ownerOfPin(e.st.ArcFrom[arc])
 			}
 			e.arcStage[arc] = cell
 			if cell > maxCell {
@@ -40,7 +40,7 @@ func (e *Engine) StageGradients() []StageGradient {
 	}
 	acc := e.stageAcc
 	clear(acc)
-	for arc := range e.arcFrom {
+	for arc := range e.st.ArcFrom {
 		if cell := e.arcStage[arc]; cell >= 0 {
 			acc[cell] += e.TimingGradient(int32(arc))
 		}
@@ -58,16 +58,16 @@ func (e *Engine) StageGradients() []StageGradient {
 // (-1 for port pins and pins not touched by any cell arc).
 func (e *Engine) ownerOfPin(p int32) int32 {
 	if e.pinOwner == nil {
-		e.pinOwner = make([]int32, e.numPins)
+		e.pinOwner = make([]int32, e.st.NumPins)
 		for i := range e.pinOwner {
 			e.pinOwner[i] = -1
 		}
-		for arc := range e.arcFrom {
-			if e.arcKind[arc] != 0 {
+		for arc := range e.st.ArcFrom {
+			if e.st.ArcKind[arc] != 0 {
 				continue
 			}
-			e.pinOwner[e.arcFrom[arc]] = e.arcCell[arc]
-			e.pinOwner[e.arcTo[arc]] = e.arcCell[arc]
+			e.pinOwner[e.st.ArcFrom[arc]] = e.st.ArcCell[arc]
+			e.pinOwner[e.st.ArcTo[arc]] = e.st.ArcCell[arc]
 		}
 	}
 	return e.pinOwner[p]
@@ -87,8 +87,8 @@ type NetArcGrad struct {
 // the last Backward call.
 func (e *Engine) NetArcGradients() []NetArcGrad {
 	var out []NetArcGrad
-	for arc := range e.arcFrom {
-		if e.arcKind[arc] != 1 {
+	for arc := range e.st.ArcFrom {
+		if e.st.ArcKind[arc] != 1 {
 			continue
 		}
 		g := e.TimingGradient(int32(arc))
@@ -96,8 +96,8 @@ func (e *Engine) NetArcGradients() []NetArcGrad {
 			continue
 		}
 		out = append(out, NetArcGrad{
-			Arc: int32(arc), From: e.arcFrom[arc], To: e.arcTo[arc],
-			Net: e.arcNet[arc], Grad: g,
+			Arc: int32(arc), From: e.st.ArcFrom[arc], To: e.st.ArcTo[arc],
+			Net: e.st.ArcNet[arc], Grad: g,
 		})
 	}
 	return out

@@ -39,22 +39,22 @@ func (e *Engine) EvalHoldSlacks() []float64 {
 // RefreshHoldSlacks is EvalHoldSlacks without the defensive copy; read the
 // result through LaneHoldSlacks.
 func (e *Engine) RefreshHoldSlacks() {
-	sp := e.tracer.StartArg(kHoldSlack, "endpoints", int64(len(e.epPin)))
+	sp := e.opt.Tracer.StartArg(kHoldSlack, "endpoints", int64(len(e.st.EpPin)))
 	defer sp.End()
-	e.pool.RunIndexed(kHoldSlack, -1, len(e.epPin), e.kern.holdSlack)
+	e.pool.RunIndexed(kHoldSlack, -1, len(e.st.EpPin), e.kern.holdSlack)
 }
 
 // holdSlackKernel evaluates the hold slack of endpoints [lo, hi) in every lane.
 func (e *Engine) holdSlackKernel(_, lo, hi int) {
-	h := e.hold
+	h, st := e.hold, e.st
 	S := len(e.scns)
-	nEP := len(e.epPin)
+	nEP := len(st.EpPin)
 	for i := lo; i < hi; i++ {
-		p := e.epPin[i]
+		p := st.EpPin[i]
 		for s := 0; s < S; s++ {
 			best := math.Inf(1)
 			for rf := 0; rf < 2; rf++ {
-				req := e.epHold[rf][i]
+				req := st.EpHold[rf][i]
 				if math.IsInf(req, 1) {
 					continue
 				}
@@ -65,12 +65,12 @@ func (e *Engine) holdSlackKernel(_, lo, hi int) {
 					if sp == noSP {
 						break
 					}
-					adj := e.excLookup(e.spPin[sp], p)
+					adj := e.excLookup(st.SpPin[sp], p)
 					if adj.False {
 						continue
 					}
-					early := q.mean[b+kk] - e.nSigma*q.std[b+kk]
-					if sl := early - req + e.credit(e.spNode[sp], e.epNode[i]); sl < best {
+					early := q.mean[b+kk] - st.NSigma*q.std[b+kk]
+					if sl := early - req + st.Credit(st.SpNode[sp], st.EpNode[i]); sl < best {
 						best = sl
 					}
 				}
@@ -83,7 +83,7 @@ func (e *Engine) holdSlackKernel(_, lo, hi int) {
 // LaneHoldSlacks returns lane s's hold slacks from the last evaluation. The
 // slice is the engine's own; callers must not mutate it.
 func (e *Engine) LaneHoldSlacks(s int) []float64 {
-	nEP := len(e.epPin)
+	nEP := len(e.st.EpPin)
 	return e.hold.epSlack[s*nEP : (s+1)*nEP]
 }
 

@@ -95,8 +95,8 @@ func TestHoldSlackAboveSetupArrivalRelation(t *testing.T) {
 			if e.hold.q.sp[b] == noSP {
 				continue
 			}
-			early := e.hold.q.mean[b] - e.nSigma*e.hold.q.std[b]
-			if late := lateMean[0] + e.nSigma*lateStd[0]; early > late+1e-9 {
+			early := e.hold.q.mean[b] - e.st.NSigma*e.hold.q.std[b]
+			if late := lateMean[0] + e.st.NSigma*lateStd[0]; early > late+1e-9 {
 				t.Fatalf("pin %d rf %d: earliest arrival %v above latest %v", p, rf, early, late)
 			}
 		}

@@ -22,11 +22,11 @@ func (e *Engine) PropagateIncremental(arcs []int32) {
 	if len(arcs) == 0 {
 		return
 	}
-	sp := e.tracer.StartArg(kIncremental, "arcs", int64(len(arcs)))
+	sp := e.opt.Tracer.StartArg(kIncremental, "arcs", int64(len(arcs)))
 	defer sp.End()
 	sc := e.incScratch()
 	for _, a := range arcs {
-		sc.push(e.lv.Level, e.arcTo[a])
+		sc.push(e.st.LvLevel, e.st.ArcTo[a])
 	}
 	e.coneWave(kIncremental, sc)
 }
@@ -40,11 +40,11 @@ func (e *Engine) PropagateIncrementalPins(pins []int32) {
 	if len(pins) == 0 {
 		return
 	}
-	sp := e.tracer.StartArg(kIncremental, "pins", int64(len(pins)))
+	sp := e.opt.Tracer.StartArg(kIncremental, "pins", int64(len(pins)))
 	defer sp.End()
 	sc := e.incScratch()
 	for _, p := range pins {
-		sc.push(e.lv.Level, p)
+		sc.push(e.st.LvLevel, p)
 	}
 	e.coneWave(kIncremental, sc)
 }
@@ -84,6 +84,7 @@ func (e *Engine) incScratch() *propScratch {
 // Pins that come out identical stop their wavefront. The wave holds one set of
 // the engine's merge scratch while it runs.
 func (e *Engine) coneWave(tag string, sc *propScratch) {
+	st := e.st
 	sc.scratch = e.borrowScratch()
 	for l := 0; l < len(sc.buckets); l++ {
 		bucket := sc.buckets[l]
@@ -106,8 +107,8 @@ func (e *Engine) coneWave(tag string, sc *propScratch) {
 			if !sc.changed[i] {
 				continue
 			}
-			for _, to := range e.foAdj[e.foStart[p]:e.foStart[p+1]] {
-				sc.push(e.lv.Level, to)
+			for _, to := range st.FoAdj[st.FoStart[p]:st.FoStart[p+1]] {
+				sc.push(st.LvLevel, to)
 			}
 		}
 	}

@@ -16,11 +16,11 @@ import (
 // unit 0, each row starting where the previous one ends, the last ending where
 // the engine's rows do.
 func inLevelOrder(e *Engine) bool {
-	if len(e.rows) != len(e.lv.Order) {
+	if len(e.rows) != len(e.st.LvOrder) {
 		return false
 	}
 	next := int32(0)
-	for _, p := range e.lv.Order {
+	for _, p := range e.st.LvOrder {
 		if e.rows[p].off != next {
 			return false
 		}
@@ -104,8 +104,8 @@ func TestMemoryBytesCountsTensors(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		if len(e.rows) != e.numPins || len(e.top.q.sp) != 2*e.capUnits*len(e.scns) || len(e.hold.q.sp) != len(e.top.q.sp) {
-			t.Fatalf("K=%d: rows %d / slots %d, %d do not match %d pins in %d units", k, len(e.rows), len(e.top.q.sp), len(e.hold.q.sp), e.numPins, e.capUnits)
+		if len(e.rows) != e.st.NumPins || len(e.top.q.sp) != 2*e.capUnits*len(e.scns) || len(e.hold.q.sp) != len(e.top.q.sp) {
+			t.Fatalf("K=%d: rows %d / slots %d, %d do not match %d pins in %d units", k, len(e.rows), len(e.top.q.sp), len(e.hold.q.sp), e.st.NumPins, e.capUnits)
 		}
 		if e.tensorBytes() != slabs(e) {
 			t.Fatalf("K=%d: tensor term %d, slabs hold %d", k, e.tensorBytes(), slabs(e))
@@ -134,8 +134,8 @@ func TestMemoryBytesCountsTensors(t *testing.T) {
 	}
 	var scratch int64
 	for _, ms := range e.scratchFree[0] {
-		if len(ms.at) != len(e.spPin) || cap(ms.fan) == 0 {
-			t.Fatalf("scratch indexes %d startpoints of %d, fan-in capacity %d", len(ms.at), len(e.spPin), cap(ms.fan))
+		if len(ms.at) != len(e.st.SpPin) || cap(ms.fan) == 0 {
+			t.Fatalf("scratch indexes %d startpoints of %d, fan-in capacity %d", len(ms.at), len(e.st.SpPin), cap(ms.fan))
 		}
 		scratch += int64(len(ms.at))*8 + int64(cap(ms.fan))*int64(unsafe.Sizeof(faninContrib{}))
 	}

@@ -115,8 +115,8 @@ func NewOverlay(e *Engine) *Overlay {
 func (o *Overlay) takeIndex() {
 	e := o.e
 	ix, _ := e.indexPool.Get().(*shadowIndex)
-	if ix == nil || len(ix.pin) < e.numPins || len(ix.ep) < len(e.epPin) {
-		ix = &shadowIndex{pin: make([]int32, e.numPins), ep: make([]int32, len(e.epPin))}
+	if ix == nil || len(ix.pin) < e.st.NumPins || len(ix.ep) < len(e.st.EpPin) {
+		ix = &shadowIndex{pin: make([]int32, e.st.NumPins), ep: make([]int32, len(e.st.EpPin))}
 	}
 	o.ix, o.slot, o.epSlot = ix, ix.pin, ix.ep
 }
@@ -202,7 +202,7 @@ func (o *Overlay) settlePin(i int, p int32, changed bool) {
 	if !changed {
 		return
 	}
-	if ep := o.e.epOfPin[p]; ep >= 0 {
+	if ep := o.e.st.EpOfPin[p]; ep >= 0 {
 		o.dirty = append(o.dirty, ep)
 	}
 }
@@ -243,7 +243,7 @@ func (o *Overlay) Propagate() {
 		return
 	}
 	e := o.e
-	sp := e.tracer.StartArg(KernelOverlay, "arcs", int64(len(arcs)))
+	sp := e.opt.Tracer.StartArg(KernelOverlay, "arcs", int64(len(arcs)))
 	defer sp.End()
 
 	// Wavefront state is per-overlay (concurrent overlays share one frozen
@@ -256,7 +256,7 @@ func (o *Overlay) Propagate() {
 	}
 	o.scratch.reset()
 	for _, a := range arcs {
-		o.scratch.push(e.lv.Level, e.arcTo[a])
+		o.scratch.push(e.st.LvLevel, e.st.ArcTo[a])
 	}
 	was := len(o.shadowed)
 	e.coneWave(KernelOverlay, o.scratch)
@@ -275,7 +275,7 @@ func (o *Overlay) evalDirtyEndpoints() {
 	e := o.e
 	dirty := o.dirty
 	slices.Sort(dirty)
-	ssp := e.tracer.StartArg(KernelOverlaySlack, "endpoints", int64(len(dirty)))
+	ssp := e.opt.Tracer.StartArg(KernelOverlaySlack, "endpoints", int64(len(dirty)))
 	defer ssp.End()
 	S := len(e.scns)
 	if cap(o.epOut) < len(dirty)*S {
@@ -318,7 +318,7 @@ func (o *Overlay) LaneSlack(s int, i int32) float64 {
 			return o.epSlack[int(t-1)*len(o.e.scns)+s]
 		}
 	}
-	return o.e.epSlack[s*len(o.e.epPin)+int(i)]
+	return o.e.epSlack[s*len(o.e.st.EpPin)+int(i)]
 }
 
 // Slack returns endpoint i's lane-0 slack as seen through the overlay.
@@ -329,7 +329,7 @@ func (o *Overlay) Slack(i int32) float64 { return o.LaneSlack(0, i) }
 // base engine's WNS so committed and previewed figures agree bit-for-bit.
 func (o *Overlay) LaneWNS(s int) float64 {
 	w := 0.0
-	for i := range o.e.epPin {
+	for i := range o.e.st.EpPin {
 		if sl := o.LaneSlack(s, int32(i)); sl < w {
 			w = sl
 		}
@@ -341,7 +341,7 @@ func (o *Overlay) LaneWNS(s int) float64 {
 // endpoint index order like the base engine's TNS.
 func (o *Overlay) LaneTNS(s int) float64 {
 	t := 0.0
-	for i := range o.e.epPin {
+	for i := range o.e.st.EpPin {
 		if sl := o.LaneSlack(s, int32(i)); sl < 0 {
 			t += sl
 		}
@@ -482,7 +482,7 @@ func (o *Overlay) Commit() {
 		return
 	}
 	e := o.e
-	sp := e.tracer.StartArg("overlay-commit", "arcs", int64(len(o.touched)))
+	sp := e.opt.Tracer.StartArg("overlay-commit", "arcs", int64(len(o.touched)))
 	defer sp.End()
 	for i, arc := range o.touched {
 		for rf := 0; rf < 2; rf++ {

@@ -24,10 +24,10 @@ func sameOverlayQueues(t *testing.T, what string, o *Overlay, want *Engine) {
 	t.Helper()
 	e := o.e
 	for rf := 0; rf < 2; rf++ {
-		for p := int32(0); p < int32(e.numPins); p++ {
+		for p := int32(0); p < int32(e.st.NumPins); p++ {
 			q, b, k := o.queues(rf, p)
 			wb, wk := want.base(rf, p)
-			if k != wk || !sameLive(q, b, want.top.q, wb, e.rowSlots(p), 1, e.nSigma) {
+			if k != wk || !sameLive(q, b, want.top.q, wb, e.rowSlots(p), 1, e.st.NSigma) {
 				t.Fatalf("%s: rf %d pin %d: queues through the overlay differ from the committed ones", what, rf, p)
 			}
 		}
@@ -345,8 +345,8 @@ func TestOverlayFollowsStructuralReseeds(t *testing.T) {
 		chunks := slices.Clone(o.chunks)
 		o.RebaseStructural(ne)
 		o.Propagate()
-		if len(o.slot) != ne.numPins || len(o.epSlot) != len(ne.epPin) {
-			t.Fatalf("in place %v: index covers %d pins / %d endpoints, engine has %d / %d", inPlace, len(o.slot), len(o.epSlot), ne.numPins, len(ne.epPin))
+		if len(o.slot) != ne.st.NumPins || len(o.epSlot) != len(ne.st.EpPin) {
+			t.Fatalf("in place %v: index covers %d pins / %d endpoints, engine has %d / %d", inPlace, len(o.slot), len(o.epSlot), ne.st.NumPins, len(ne.st.EpPin))
 		}
 		if !slices.Equal(o.chunks[:len(chunks)], chunks) {
 			t.Fatalf("in place %v: the rebase did not keep the overlay's chunks", inPlace)

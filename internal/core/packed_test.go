@@ -58,14 +58,14 @@ func checkPacked(mean, std []float64, sps []int32, sign, ns float64) error {
 func assertPacked(t *testing.T, what string, e *Engine, view func(rf int, p int32) (*queues, int, int), sign float64) {
 	t.Helper()
 	for rf := 0; rf < 2; rf++ {
-		for p := int32(0); p < int32(e.numPins); p++ {
+		for p := int32(0); p < int32(e.st.NumPins); p++ {
 			q, b, k := view(rf, p)
 			if k != int(e.rows[p].k) || k < 1 || k > e.opt.TopK {
 				t.Fatalf("%s: rf %d pin %d: queue length %d, capacity %d, K %d", what, rf, p, k, e.rows[p].k, e.opt.TopK)
 			}
 			for s := range e.scns {
 				lo, hi := b+s*k, b+(s+1)*k
-				if err := checkPacked(q.mean[lo:hi], q.std[lo:hi], q.sp[lo:hi], sign, sign*e.nSigma); err != nil {
+				if err := checkPacked(q.mean[lo:hi], q.std[lo:hi], q.sp[lo:hi], sign, sign*e.st.NSigma); err != nil {
 					t.Fatalf("%s: rf %d pin %d lane %d: %v", what, rf, p, s, err)
 				}
 			}
@@ -169,7 +169,7 @@ func TestPackedTailInvariant(t *testing.T) {
 				for _, inPlace := range []bool{false, true} {
 					what := fmt.Sprintf("structural Reseed (in place: %v)", inPlace)
 					edited, seeds := structuralEdit(t, tab, cur)
-					oldRows, oldUnits, oldLevel := slices.Clone(cur.rows), cur.rowUnits, slices.Clone(cur.lv.Level)
+					oldRows, oldUnits, oldLevel := slices.Clone(cur.rows), cur.rowUnits, slices.Clone(cur.st.LvLevel)
 					st, err := Compile(edited)
 					if err != nil {
 						t.Fatal(err)
@@ -189,7 +189,7 @@ func TestPackedTailInvariant(t *testing.T) {
 					}
 					assertEnginePacked(t, what, ne)
 					assertRowsKept(t, what, ne, oldRows, oldUnits)
-					if slices.Equal(ne.lv.Level[:len(oldLevel)], oldLevel) {
+					if slices.Equal(ne.st.LvLevel[:len(oldLevel)], oldLevel) {
 						t.Fatalf("%s: the edit shifted no level — the row check is vacuous", what)
 					}
 
@@ -200,11 +200,11 @@ func TestPackedTailInvariant(t *testing.T) {
 					t.Cleanup(cold.Close)
 					cold.Run()
 					for rf := 0; rf < 2; rf++ {
-						for p := int32(0); p < int32(ne.numPins); p++ {
+						for p := int32(0); p < int32(ne.st.NumPins); p++ {
 							a, k := ne.base(rf, p)
 							b, ck := cold.base(rf, p)
-							if k != ck || !sameLive(ne.top.q, a, cold.top.q, b, ne.rowSlots(p), 1, ne.nSigma) ||
-								!sameLive(ne.hold.q, a, cold.hold.q, b, ne.rowSlots(p), -1, -ne.nSigma) {
+							if k != ck || !sameLive(ne.top.q, a, cold.top.q, b, ne.rowSlots(p), 1, ne.st.NSigma) ||
+								!sameLive(ne.hold.q, a, cold.hold.q, b, ne.rowSlots(p), -1, -ne.st.NSigma) {
 								t.Fatalf("%s: rf %d pin %d: reseeded queues differ from a cold engine's", what, rf, p)
 							}
 						}
@@ -225,12 +225,12 @@ func TestPackedTailInvariant(t *testing.T) {
 // allocation.
 func assertRowsKept(t *testing.T, what string, ne *Engine, oldRows []rowSpan, oldUnits int) {
 	t.Helper()
-	if len(ne.rows) != ne.numPins || ne.numPins <= len(oldRows) {
-		t.Fatalf("%s: rows cover %d pins of %d (was %d) — no pin appended?", what, len(ne.rows), ne.numPins, len(oldRows))
+	if len(ne.rows) != ne.st.NumPins || ne.st.NumPins <= len(oldRows) {
+		t.Fatalf("%s: rows cover %d pins of %d (was %d) — no pin appended?", what, len(ne.rows), ne.st.NumPins, len(oldRows))
 	}
 	next := int32(oldUnits)
-	for l := 0; l < ne.lv.NumLevels; l++ {
-		for _, p := range sortedPins(ne.lv.Nodes(l)) {
+	for l := 0; l < ne.st.NumLevels; l++ {
+		for _, p := range sortedPins(ne.st.levelPins(l)) {
 			r := ne.rows[p]
 			if want := rowCap(ne.st, ne.rows, p, ne.opt.TopK); r.k != want {
 				t.Fatalf("%s: pin %d has capacity %d, rowCap says %d", what, p, r.k, want)

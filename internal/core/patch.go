@@ -256,7 +256,8 @@ func CompileIncrementalPatched(prev *State, edits []ArcEdit, newPins int, seeds 
 
 	// Localized re-levelization over the patched CSRs — no adjacency rebuild,
 	// no full-arc floor scan.
-	lv, is, err := levelize.Incremental(numPins, st.FoStart, st.FoAdj, st.FaninStart, st.FaninFrom, prev.levels(), seeds)
+	lv, is, err := levelize.Incremental(numPins, st.FoStart, st.FoAdj, st.FaninStart, st.FaninFrom,
+		&levelize.Result{Level: prev.LvLevel, NumLevels: prev.NumLevels, Order: prev.LvOrder, LevelStart: prev.LvLevelStart}, seeds)
 	if err != nil {
 		return nil, is, err
 	}

@@ -26,16 +26,16 @@ import (
 func assertCapacities(t *testing.T, what string, e *Engine, headroom int) {
 	t.Helper()
 	sum := 0
-	for p := int32(0); p < int32(e.numPins); p++ {
+	for p := int32(0); p < int32(e.st.NumPins); p++ {
 		k := e.rows[p].k
 		if k < 1 || int(k) > e.opt.TopK {
 			t.Fatalf("%s: pin %d has capacity %d, K = %d", what, p, k, e.opt.TopK)
 		}
 		sum += int(k)
-		if e.spOfPin[p] >= 0 {
+		if e.st.SpOfPin[p] >= 0 {
 			continue
 		}
-		for _, from := range e.faninFrom[e.faninStart[p]:e.faninStart[p+1]] {
+		for _, from := range e.st.FaninFrom[e.st.FaninStart[p]:e.st.FaninStart[p+1]] {
 			if pk := e.rows[from].k; k < pk {
 				t.Fatalf("%s: pin %d has capacity %d below its parent %d's %d", what, p, k, from, pk)
 			}
@@ -159,8 +159,8 @@ func TestRowCapacity(t *testing.T) {
 					t.Fatalf("in-place reseed: %v", err)
 				}
 				what = "buffer bypassed (in place)"
-				if ne.arcFrom[n+1] != st.ArcFrom[arc] {
-					t.Fatalf("%s: the output wire starts at pin %d, not the driver %d", what, ne.arcFrom[n+1], st.ArcFrom[arc])
+				if ne.st.ArcFrom[n+1] != st.ArcFrom[arc] {
+					t.Fatalf("%s: the output wire starts at pin %d, not the driver %d", what, ne.st.ArcFrom[n+1], st.ArcFrom[arc])
 				}
 				assertNothingMoved(t, what, ne, oldRows)
 				assertCapacities(t, what, ne, seedHeadroom*k)
@@ -226,11 +226,11 @@ func TestReseedShrunkRowSeedsFanout(t *testing.T) {
 			t.Fatalf("capacities after the cut: p %d, c %d; want 1 and 2", ne.rows[p].k, ne.rows[ch].k)
 		}
 		for rf := 0; rf < 2; rf++ {
-			for q := int32(0); q < int32(ne.numPins); q++ {
+			for q := int32(0); q < int32(ne.st.NumPins); q++ {
 				x, k := ne.base(rf, q)
 				y, ck := cold.base(rf, q)
-				if k != ck || !sameLive(ne.top.q, x, cold.top.q, y, ne.rowSlots(q), 1, ne.nSigma) ||
-					mode.hold && !sameLive(ne.hold.q, x, cold.hold.q, y, ne.rowSlots(q), -1, -ne.nSigma) {
+				if k != ck || !sameLive(ne.top.q, x, cold.top.q, y, ne.rowSlots(q), 1, ne.st.NSigma) ||
+					mode.hold && !sameLive(ne.hold.q, x, cold.hold.q, y, ne.rowSlots(q), -1, -ne.st.NSigma) {
 					t.Fatalf("%+v: rf %d pin %d: reseeded queues differ from a cold engine's", mode, rf, q)
 				}
 			}

@@ -173,7 +173,7 @@ type MergedView struct {
 // resolve to the lowest lane index, so the view is deterministic for any
 // worker count.
 func (e *Engine) Merged() *MergedView {
-	v := &MergedView{Slacks: e.MergedSlacksInto(nil), WorstOf: make([]int, len(e.epPin))}
+	v := &MergedView{Slacks: e.MergedSlacksInto(nil), WorstOf: make([]int, len(e.st.EpPin))}
 	for i, best := range v.Slacks {
 		v.WorstOf[i] = -1
 		for s := 0; s < len(e.scns) && !math.IsInf(best, 1); s++ {
@@ -218,7 +218,7 @@ func (o *Overlay) MergedSlack(i int32) float64 {
 // overlay, scanning endpoints in index order like the base engine.
 func (o *Overlay) MergedWNS() float64 {
 	w := 0.0
-	for i := range o.e.epPin {
+	for i := range o.e.st.EpPin {
 		if sl := o.MergedSlack(int32(i)); sl < w {
 			w = sl
 		}
@@ -229,7 +229,7 @@ func (o *Overlay) MergedWNS() float64 {
 // MergedTNS returns the merged TNS under the overlay.
 func (o *Overlay) MergedTNS() float64 {
 	t := 0.0
-	for i := range o.e.epPin {
+	for i := range o.e.st.EpPin {
 		if sl := o.MergedSlack(int32(i)); sl < 0 {
 			t += sl
 		}

@@ -18,14 +18,14 @@ func (e *Engine) EvalSlacks() []float64 {
 // serving, multi-lane callers) call this and read the cache through
 // LaneSlacks.
 func (e *Engine) RefreshSlacks() {
-	sp := e.tracer.StartArg(kSlack, "endpoints", int64(len(e.epPin)))
+	sp := e.opt.Tracer.StartArg(kSlack, "endpoints", int64(len(e.st.EpPin)))
 	defer sp.End()
-	e.pool.RunIndexed(kSlack, -1, len(e.epPin), e.kern.slack)
+	e.pool.RunIndexed(kSlack, -1, len(e.st.EpPin), e.kern.slack)
 }
 
 // slackKernel evaluates endpoints [lo, hi) in every lane.
 func (e *Engine) slackKernel(_, lo, hi int) {
-	nEP := len(e.epPin)
+	nEP := len(e.st.EpPin)
 	for i := lo; i < hi; i++ {
 		for s := range e.scns {
 			j := s*nEP + i
@@ -42,8 +42,8 @@ func (e *Engine) slackKernel(_, lo, hi int) {
 // overlay's slack; kmax = 1 is the K=1 view the differentiable mode operates
 // on. Either is clamped to the pin's capacity.
 func (v *view) setupSlack(s int, ep int32, kmax int) (slack float64, sp int32, rf int8) {
-	e := v.e
-	p := e.epPin[ep]
+	e, st := v.e, v.e.st
+	p := st.EpPin[ep]
 	slack, sp = math.Inf(1), noSP
 	for r := 0; r < 2; r++ {
 		q, b, k := v.queues(r, p)
@@ -53,14 +53,14 @@ func (v *view) setupSlack(s int, ep int32, kmax int) (slack float64, sp int32, r
 			if qsp == noSP {
 				break
 			}
-			adj := e.excLookup(e.spPin[qsp], p)
+			adj := e.excLookup(st.SpPin[qsp], p)
 			if adj.False {
 				continue
 			}
-			req := e.epBase[r][ep] +
-				float64(adj.CycleCount()-1)*e.period +
-				e.credit(e.spNode[qsp], e.epNode[ep])
-			if sl := req - (q.mean[b+kk] + e.nSigma*q.std[b+kk]); sl < slack {
+			req := st.EpBase[r][ep] +
+				float64(adj.CycleCount()-1)*st.Period +
+				st.Credit(st.SpNode[qsp], st.EpNode[ep])
+			if sl := req - (q.mean[b+kk] + st.NSigma*q.std[b+kk]); sl < slack {
 				slack, sp, rf = sl, qsp, int8(r)
 			}
 		}
@@ -71,7 +71,7 @@ func (v *view) setupSlack(s int, ep int32, kmax int) (slack float64, sp int32, r
 // LaneSlacks returns lane s's cached endpoint slacks from the last
 // evaluation. The slice is the engine's own; callers must not mutate it.
 func (e *Engine) LaneSlacks(s int) []float64 {
-	nEP := len(e.epPin)
+	nEP := len(e.st.EpPin)
 	return e.epSlack[s*nEP : (s+1)*nEP]
 }
 

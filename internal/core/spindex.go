@@ -78,6 +78,7 @@ type mergeScratch struct {
 // base); sessions own none, so scratch memory is O(concurrent waves * workers
 // * startpoints) however many overlays exist.
 func (e *Engine) borrowScratch() []*mergeScratch {
+	st := e.st
 	e.scratchMu.Lock()
 	var set []*mergeScratch
 	if n := len(e.scratchFree); n > 0 {
@@ -89,21 +90,21 @@ func (e *Engine) borrowScratch() []*mergeScratch {
 		// participant's first wide pin does not allocate mid-pass; a structural
 		// edit that widens a pin lets append grow it.
 		width := 0
-		for p := 0; p < e.numPins; p++ {
-			width = max(width, int(e.faninStart[p+1]-e.faninStart[p]))
+		for p := 0; p < st.NumPins; p++ {
+			width = max(width, int(st.FaninStart[p+1]-st.FaninStart[p]))
 		}
 		set = make([]*mergeScratch, e.pool.Workers())
 		for i := range set {
 			set[i] = &mergeScratch{
-				spIndex: spIndex{at: make([]uint64, len(e.spPin))},
+				spIndex: spIndex{at: make([]uint64, len(st.SpPin))},
 				fan:     make([]faninContrib, 0, 2*width),
 			}
 		}
 	}
 	// An in-place Reseed keeps the startpoint set, so every set on the list
 	// still covers it; one that did not would index out of range mid-kernel.
-	if len(set[0].at) != len(e.spPin) {
-		panic(fmt.Sprintf("core: merge scratch indexes %d startpoints, engine has %d", len(set[0].at), len(e.spPin)))
+	if len(set[0].at) != len(st.SpPin) {
+		panic(fmt.Sprintf("core: merge scratch indexes %d startpoints, engine has %d", len(set[0].at), len(st.SpPin)))
 	}
 	return set
 }

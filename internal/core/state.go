@@ -47,7 +47,8 @@ type State struct {
 	Period  float64
 	NSigma  float64
 
-	// Fan-in CSR over pins (see Engine).
+	// Fan-in CSR over pins: slots FaninStart[p]..FaninStart[p+1] hold the
+	// incoming arcs of pin p (the paper's outPin_parent_start array, Fig. 3).
 	FaninStart []int32
 	FaninArc   []int32
 	FaninFrom  []int32
@@ -56,9 +57,9 @@ type State struct {
 	// Arc annotations indexed by extraction arc id, per output transition.
 	ArcMean [2][]float64
 	ArcStd  [2][]float64
-	ArcKind []uint8
-	ArcCell []int32
-	ArcNet  []int32
+	ArcKind []uint8 // 0 = cell arc, 1 = net arc: the row of the per-kind lane factors
+	ArcCell []int32 // owning cell for cell arcs, -1 otherwise
+	ArcNet  []int32 // net id for net arcs, -1 otherwise
 	ArcFrom []int32
 	ArcTo   []int32
 
@@ -75,14 +76,14 @@ type State struct {
 	SpNode  []int32
 	SpMean  []float64
 	SpStd   []float64
-	SpOfPin []int32
+	SpOfPin []int32 // per pin: SP index or -1
 	EpPin   []int32
 	EpNode  []int32
-	EpBase  [2][]float64
-	EpHold  [2][]float64
-	EpOfPin []int32
+	EpBase  [2][]float64 // base required time per data transition
+	EpHold  [2][]float64 // hold requirement (+Inf = unchecked)
+	EpOfPin []int32      // per pin: endpoint index or -1
 
-	// Clock network (CPPR credit).
+	// Clock network (CPPR credit, Credit): one tree rooted at node 0.
 	ClkParent []int32
 	ClkCumVar []float64
 	ClkDepth  []int32
@@ -94,7 +95,9 @@ type State struct {
 	ExcKind   []uint8
 	ExcCycles []int32
 
-	// Fan-out CSR: slot i reaches pin FoAdj[i] through arc FoArc[i].
+	// Fan-out CSR: slot i reaches pin FoAdj[i] through arc FoArc[i]. The
+	// backward gather relies on this slot order being fixed for its
+	// deterministic float summation.
 	FoStart []int32
 	FoAdj   []int32
 	FoArc   []int32
@@ -106,14 +109,26 @@ type State struct {
 // the result warm-starts any engine configuration.
 func Compile(t *circuitops.Tables) (*State, error) { return CompileTraced(t, nil) }
 
-// levels is the state's level schedule as the levelizer's result type.
-func (st *State) levels() *levelize.Result {
-	return &levelize.Result{
-		Level:      st.LvLevel,
-		NumLevels:  st.NumLevels,
-		Order:      st.LvOrder,
-		LevelStart: st.LvLevelStart,
+// levelPins returns level l's pins in schedule order.
+func (st *State) levelPins(l int) []int32 { return st.LvOrder[st.LvLevelStart[l]:st.LvLevelStart[l+1]] }
+
+// Credit is the CPPR common-path credit of a path launched from clock node
+// launch and captured at clock node capture: 2·nσ·sqrt of the variance their
+// clock paths share, the root→LCA(launch, capture) segment's. The walk climbs
+// the deeper node to the other's depth, then both until they meet, which they
+// do on the one clock tree Validate admits.
+func (st *State) Credit(launch, capture int32) float64 {
+	depth, parent := st.ClkDepth, st.ClkParent
+	for depth[launch] > depth[capture] {
+		launch = parent[launch]
 	}
+	for depth[capture] > depth[launch] {
+		capture = parent[capture]
+	}
+	for launch != capture {
+		launch, capture = parent[launch], parent[capture]
+	}
+	return 2 * st.NSigma * math.Sqrt(st.ClkCumVar[launch])
 }
 
 // CompileTraced is Compile recording its levelize phase as a child of
@@ -365,9 +380,10 @@ func (st *State) exceptionTables() *circuitops.Tables {
 
 // Validate performs the structural checks that make a decoded State safe to
 // hand to NewEngineFromState: every index in range, every CSR monotone and
-// consistent with its slab lengths. It is the second line of defense behind
-// the snapshot checksum — a corrupted snapshot must produce a typed error,
-// never an out-of-range panic inside a kernel.
+// consistent with its slab lengths, every arc kind one the kernels have lane
+// factors for, and one clock tree for Credit to climb. It is the second line
+// of defense behind the snapshot checksum — a corrupted snapshot must produce
+// a typed error, never an out-of-range panic inside a kernel.
 func (st *State) Validate() error {
 	n := st.NumPins
 	if n < 0 {
@@ -387,6 +403,9 @@ func (st *State) Validate() error {
 	for i := 0; i < nArcs; i++ {
 		if st.ArcFrom[i] < 0 || int(st.ArcFrom[i]) >= n || st.ArcTo[i] < 0 || int(st.ArcTo[i]) >= n {
 			return fmt.Errorf("core: state: arc %d pins out of range", i)
+		}
+		if st.ArcKind[i] > 1 {
+			return fmt.Errorf("core: state: arc %d kind %d is neither cell (0) nor net (1)", i, st.ArcKind[i])
 		}
 	}
 	if err := validateCSR("fanin", st.FaninStart, n, nArcs); err != nil {
@@ -447,8 +466,10 @@ func (st *State) Validate() error {
 		return fmt.Errorf("core: state: inconsistent clock slab lengths")
 	}
 	for i, p := range st.ClkParent {
-		if p >= int32(i) || p < -1 {
-			return fmt.Errorf("core: state: clock node %d has non-preceding parent %d", i, p)
+		root := i == 0 && p == -1 && st.ClkDepth[0] == 0
+		child := i > 0 && p >= 0 && p < int32(i) && st.ClkDepth[i] == st.ClkDepth[p]+1
+		if !root && !child {
+			return fmt.Errorf("core: state: clock node %d (parent %d, depth %d) breaks the one clock tree rooted at node 0", i, p, st.ClkDepth[i])
 		}
 	}
 	nSP := len(st.SpPin)
@@ -542,7 +563,7 @@ func NewEngineLanes(st *State, scns []Scenario, opt Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp := e.tracer.StartArg("engine-restore", "pins", int64(st.NumPins))
+	sp := e.opt.Tracer.StartArg("engine-restore", "pins", int64(st.NumPins))
 	sp.End()
 	return e, nil
 }
@@ -607,7 +628,6 @@ func newEngineBody(st *State, scns []Scenario, opt Options) (*Engine, error) {
 		opt:     opt,
 		scns:    append([]Scenario(nil), scns...),
 		qstride: S * opt.TopK,
-		tracer:  opt.Tracer,
 	}
 	e.top = view{e: e, q: new(queues)}
 	for kind := range e.scaleMean {
@@ -622,7 +642,7 @@ func newEngineBody(st *State, scns []Scenario, opt Options) (*Engine, error) {
 			e.scaleMean[kind][s], e.scaleStd[kind][s] = l.Scale(uint8(kind))
 		}
 	}
-	// The engine binds to its own shallow copy of the state whose annotation
+	// The engine reads its own shallow copy of the state whose annotation
 	// slabs are cloned: SetArcDelay must not leak across engines sharing one
 	// compiled state, and st's nominal slabs are not kept alive by the engine.
 	own := *st
@@ -630,7 +650,7 @@ func newEngineBody(st *State, scns []Scenario, opt Options) (*Engine, error) {
 		own.ArcMean[rf] = append([]float64(nil), st.ArcMean[rf]...)
 		own.ArcStd[rf] = append([]float64(nil), st.ArcStd[rf]...)
 	}
-	e.bindState(&own)
+	e.st = &own
 	var err error
 	if e.exc, err = st.CompileExceptions(); err != nil {
 		return nil, err
@@ -645,26 +665,6 @@ func newEngineBody(st *State, scns []Scenario, opt Options) (*Engine, error) {
 	e.pool = sched.New(opt.Workers, opt.Grain)
 	e.bindKernels()
 	return e, nil
-}
-
-// bindState points the engine at st: topology, schedule, SP/EP tables, clock
-// network and — aliased, not copied — annotation slabs, so e.st always
-// carries the engine's *current* annotations (ExportState).
-func (e *Engine) bindState(st *State) {
-	e.st = st
-	e.numPins, e.period, e.nSigma = st.NumPins, st.Period, st.NSigma
-	e.faninStart, e.faninArc, e.faninFrom, e.faninSense =
-		st.FaninStart, st.FaninArc, st.FaninFrom, st.FaninSense
-	e.arcMean, e.arcStd = st.ArcMean, st.ArcStd
-	e.arcKind, e.arcCell, e.arcNet, e.arcFrom, e.arcTo =
-		st.ArcKind, st.ArcCell, st.ArcNet, st.ArcFrom, st.ArcTo
-	e.lv = st.levels()
-	e.spPin, e.spNode, e.spMean, e.spStd, e.spOfPin =
-		st.SpPin, st.SpNode, st.SpMean, st.SpStd, st.SpOfPin
-	e.epPin, e.epNode, e.epBase, e.epHold, e.epOfPin =
-		st.EpPin, st.EpNode, st.EpBase, st.EpHold, st.EpOfPin
-	e.clkParent, e.clkCumVar, e.clkDepth = st.ClkParent, st.ClkCumVar, st.ClkDepth
-	e.foStart, e.foAdj, e.foArc = st.FoStart, st.FoAdj, st.FoArc
 }
 
 // seedHeadroom is the tensor headroom a reseeded engine reserves for
@@ -708,24 +708,24 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 	if st == nil {
 		return nil, fmt.Errorf("core: Reseed requires a state")
 	}
-	if st.NumPins < e.numPins {
-		return nil, fmt.Errorf("core: pin count shrank %d -> %d (pins are append-only)", e.numPins, st.NumPins)
+	if st.NumPins < e.st.NumPins {
+		return nil, fmt.Errorf("core: pin count shrank %d -> %d (pins are append-only)", e.st.NumPins, st.NumPins)
 	}
-	if inPlace && (len(st.EpPin) != len(e.epPin) || len(st.SpPin) != len(e.spPin)) {
+	if inPlace && (len(st.EpPin) != len(e.st.EpPin) || len(st.SpPin) != len(e.st.SpPin)) {
 		return nil, fmt.Errorf("core: in-place Reseed cannot change the SP/EP sets")
 	}
 	if e.rowUnits+st.NumPins*e.opt.TopK > math.MaxInt32 {
 		return nil, fmt.Errorf("core: %d pins at TopK %d could need more row units than a row offset addresses", st.NumPins, e.opt.TopK)
 	}
-	sp := e.tracer.StartArg("engine-reseed", "seeds", int64(len(seeds)))
+	sp := e.opt.Tracer.StartArg("engine-reseed", "seeds", int64(len(seeds)))
 	defer sp.End()
-	oldPins, oldUnits := e.numPins, e.rowUnits
+	oldPins, oldUnits := e.st.NumPins, e.rowUnits
 	ne, rows := e, []rowSpan(nil)
 	if inPlace {
 		// The exception lookup keys on SP/EP pins only, which structural
 		// edits never touch — e.exc stays. Every topology-derived lazy cache
 		// is invalidated; it rebuilds on first use.
-		e.bindState(st)
+		e.st = st
 		e.inc, e.plan, e.grad = nil, nil, nil
 		e.pinOwner, e.arcStage, e.stageAcc = nil, nil, nil
 		rows = append(e.rows, make([]rowSpan, st.NumPins-oldPins)...)
@@ -749,10 +749,10 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 	units := oldUnits
 	sc := ne.incScratch()
 	for _, p := range seeds {
-		sc.push(ne.lv.Level, p)
+		sc.push(st.LvLevel, p)
 	}
 	for p := oldPins; p < st.NumPins; p++ {
-		sc.push(ne.lv.Level, int32(p))
+		sc.push(st.LvLevel, int32(p))
 	}
 	for l := range sc.buckets {
 		bucket := sc.buckets[l]
@@ -772,8 +772,8 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 			if int(p) < oldPins {
 				moved = append(moved, move{p, was})
 			}
-			for _, to := range ne.foAdj[ne.foStart[p]:ne.foStart[p+1]] {
-				sc.push(ne.lv.Level, to)
+			for _, to := range st.FoAdj[st.FoStart[p]:st.FoStart[p+1]] {
+				sc.push(st.LvLevel, to)
 			}
 		}
 	}

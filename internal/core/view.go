@@ -62,7 +62,8 @@ func (v *view) arcDelay(rf int, arc int32) (mean, std float64) {
 			return d.Mean, d.Std
 		}
 	}
-	return v.e.arcMean[rf][arc], v.e.arcStd[rf][arc]
+	st := v.e.st
+	return st.ArcMean[rf][arc], st.ArcStd[rf][arc]
 }
 
 // retime rebuilds pin p's queues in place (recompute, with its sign and

@@ -178,7 +178,7 @@ func extractScenario(st *core.State, e *core.Engine, s int, m *BlockModel,
 				}
 				req := st.EpBase[rf][i] +
 					float64(adj.CycleCount()-1)*st.Period +
-					stCredit(st, st.SpNode[sp], st.EpNode[i])
+					st.Credit(st.SpNode[sp], st.EpNode[i])
 				if s := req - (mean[kk] + st.NSigma*std[kk]); s < best {
 					best = s
 				}
@@ -196,7 +196,7 @@ func extractScenario(st *core.State, e *core.Engine, s int, m *BlockModel,
 	// Cone passes: thru and cons arcs. Boundary-launched constraints fold
 	// the CPPR credit of a root-launched path (lca(root, ·) is always the
 	// root), which is constant per block.
-	credit0 := 2 * st.NSigma * math.Sqrt(st.ClkCumVar[0])
+	credit0 := st.Credit(0, 0)
 	for i, in := range m.Ins {
 		for r0 := 0; r0 < 2; r0++ {
 			sc.run(st, scn, in.Pin, r0)

@@ -185,25 +185,3 @@ func StateHash(st *core.State, scns []core.Scenario, topK int) string {
 	h.Write(tk[:])
 	return hex.EncodeToString(h.Sum(nil))
 }
-
-// stLCA is the engine's clock-tree lowest-common-ancestor walk over a
-// state's slabs (extraction computes CPPR credit without an engine).
-func stLCA(st *core.State, a, b int32) int32 {
-	for st.ClkDepth[a] > st.ClkDepth[b] {
-		a = st.ClkParent[a]
-	}
-	for st.ClkDepth[b] > st.ClkDepth[a] {
-		b = st.ClkParent[b]
-	}
-	for a != b {
-		a = st.ClkParent[a]
-		b = st.ClkParent[b]
-	}
-	return a
-}
-
-// stCredit is the engine's CPPR credit (2·nσ·sqrt of shared variance) over a
-// state's slabs.
-func stCredit(st *core.State, l, c int32) float64 {
-	return 2 * st.NSigma * math.Sqrt(st.ClkCumVar[stLCA(st, l, c)])
-}

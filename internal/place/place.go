@@ -61,8 +61,6 @@ type Config struct {
 	// TimingStrength scales the Eq. 8 balance factor; 1.0 makes the timing
 	// gradient norm equal to the default objective's.
 	TimingStrength float64
-	// DensityOff disables the density term (diagnostics only).
-	DensityOff bool
 	// Workers sizes the placer's scheduler pool for the wirelength-gradient
 	// and position-update kernels; 0 means NumCPU. In INSTA mode the engine's
 	// pool is shared instead, so timing and placement kernels reuse the same
@@ -334,9 +332,7 @@ func (p *Placer) Step(it int) {
 	default:
 		p.addWirelengthGrad(nil)
 	}
-	if !p.cfg.DensityOff {
-		p.addDensityGrad()
-	}
+	p.addDensityGrad()
 	if p.cfg.Mode == ModeInsta && p.arcW != nil {
 		p.addArcTimingGrad()
 	}

@@ -121,16 +121,13 @@ func New(workers, grain int) *Pool {
 // caller counts as one of them).
 func (h *Pool) Workers() int { return h.p.workers }
 
-// Grain returns the chunk size.
+// Grain returns the base chunk size, which is also the largest launch size
+// guaranteed to run inline on the calling goroutine in submission order (one
+// chunk, no helpers, no launch mutex): auto-tuned pools only ever grow the
+// chunk size beyond it. Callers use this to fuse work that must stay ordered
+// — e.g. merging consecutive narrow levels into one launch — without risking
+// a parallel split.
 func (h *Pool) Grain() int { return h.p.grain }
-
-// SerialCutoff returns the largest launch size guaranteed to run inline on the
-// calling goroutine in submission order (one chunk, no helpers, no launch
-// mutex). Auto-tuned pools only ever grow the chunk size beyond the base
-// grain, so the base grain is a sound bound for both modes. Callers use this
-// to fuse work that must stay ordered — e.g. merging consecutive narrow
-// levels into one launch — without risking a parallel split.
-func (h *Pool) SerialCutoff() int { return h.p.grain }
 
 // SetStats attaches a stats collector recording every subsequent launch; nil
 // detaches. Attaching costs two time.Now calls and one mutex acquisition per

@@ -229,7 +229,7 @@ func TestAutoGrainScalesWithLaunchSize(t *testing.T) {
 func TestSerialCutoffRunsInline(t *testing.T) {
 	p := New(4, 0)
 	defer p.Close()
-	n := p.SerialCutoff()
+	n := p.Grain()
 	next := 0
 	p.RunIndexed("", -1, n, func(id, lo, hi int) {
 		if id != 0 {

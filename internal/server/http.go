@@ -30,36 +30,28 @@ type Info struct {
 
 // Server is the HTTP front end over a Manager.
 type Server struct {
-	mgr   *Manager
-	info  Info
-	met   *metrics
-	mux   *http.ServeMux
-	start time.Time
-	log   *slog.Logger
-	sh    *shell.Shell // nil until Observe: the request shell is off
+	mgr     *Manager
+	design  string   // the served design's name, which the manager cannot derive
+	corners []string // scenario names in lane order; nil on a single-corner server
+	met     *metrics
+	mux     *http.ServeMux
+	start   time.Time
+	log     *slog.Logger
+	sh      *shell.Shell // nil until Observe: the request shell is off
 }
 
-// New builds the HTTP layer. The design name is the only field the manager
-// cannot derive itself; everything else in Info is filled from the engine.
+// New builds the HTTP layer. The design name is the only field of Info the
+// manager cannot derive itself; /healthz reads the rest from its engine.
 func New(mgr *Manager, design string) *Server {
-	e := mgr.Engine()
 	s := &Server{
-		mgr: mgr,
-		info: Info{
-			Design:    design,
-			Pins:      e.NumPins(),
-			Arcs:      e.NumArcs(),
-			Endpoints: len(e.Endpoints()),
-			Levels:    e.NumLevels(),
-			TopK:      e.TopK(),
-			Workers:   e.Pool().Workers(),
-		},
-		start: time.Now(),
-		log:   slog.Default(),
+		mgr:    mgr,
+		design: design,
+		start:  time.Now(),
+		log:    slog.Default(),
 	}
 	s.met = newMetrics(mgr)
 	for _, scn := range mgr.Scenarios() {
-		s.info.Corners = append(s.info.Corners, scn.Name)
+		s.corners = append(s.corners, scn.Name)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.route("healthz", s.handleHealthz))
@@ -278,11 +270,21 @@ func errCode(err error) int {
 // insta_inflight gauge.
 func (s *Server) Inflight() int64 { return int64(s.met.inflight.Value()) }
 
+// info describes the design the manager serves now: a structural commit swaps
+// in an engine with more pins and arcs than the one the server started on.
+func (s *Server) info() Info {
+	e := s.mgr.Engine()
+	return Info{
+		Design: s.design, Pins: e.NumPins(), Arcs: e.NumArcs(), Endpoints: len(e.Endpoints()),
+		Levels: e.NumLevels(), TopK: e.TopK(), Workers: e.Pool().Workers(), Corners: s.corners,
+	}
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	live, max := s.mgr.NumSessions(), s.mgr.MaxSessions()
 	resp := Healthz{
 		Boot:     s.mgr.Boot(),
-		Design:   s.info,
+		Design:   s.info(),
 		Epoch:    s.mgr.Epoch(),
 		Flight:   s.sh.FlightSummary(),
 		Load:     Load{Headroom: max - live, Inflight: int(s.Inflight()), LiveSessions: live, MaxSessions: max},

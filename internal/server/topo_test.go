@@ -104,6 +104,13 @@ func TestTopoHTTPBufferLifecycle(t *testing.T) {
 	if got := mgr.Engine().NumArcs(); got != len(s.Tab.Arcs)+2 {
 		t.Fatalf("committed base has %d arcs, want %d", got, len(s.Tab.Arcs)+2)
 	}
+	// /healthz describes the committed design, not the boot one.
+	var hz server.Healthz
+	getJSON(t, srv.URL+"/healthz", &hz)
+	if hz.Design.Pins != mgr.Engine().NumPins() || hz.Design.Arcs != mgr.Engine().NumArcs() {
+		t.Fatalf("/healthz design %d pins / %d arcs, served engine has %d / %d",
+			hz.Design.Pins, hz.Design.Arcs, mgr.Engine().NumPins(), mgr.Engine().NumArcs())
+	}
 
 	// Structural counters and the re-levelization histogram are on /metrics.
 	resp, err := c.Get(srv.URL + "/metrics")

@@ -371,6 +371,25 @@ func TestDecodeRejectsForgedValidCRC(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsKernelCrashers: a checksummed snapshot whose state would
+// crash a kernel — an arc kind with no lane-factor row, a second clock root
+// the CPPR walk cannot climb past — decodes to ErrCorrupt.
+func TestDecodeRejectsKernelCrashers(t *testing.T) {
+	for name, forge := range map[string]func(st *core.State){
+		"arc kind 2": func(st *core.State) { st.ArcKind[0] = 2 },
+		"clock forest": func(st *core.State) {
+			last := len(st.ClkParent) - 1
+			st.ClkParent[last], st.ClkDepth[last] = -1, 0
+		},
+	} {
+		st := compileState(t, 5)
+		forge(st)
+		if _, err := Decode(Encode(st, nil, "")); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decode = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
 func FuzzSnapRoundTrip(f *testing.F) {
 	st, err := core.Compile(func() *circuitops.Tables {
 		b, err := bench.Generate(bench.Spec{

@@ -86,6 +86,9 @@ func FuzzTopoSession(f *testing.F) {
 		checkPins := func(when string) {
 			t.Helper()
 			st := s.Engine().ExportState()
+			if err := st.Validate(); err != nil {
+				t.Fatalf("%s: working state fails Validate: %v", when, err)
+			}
 			if len(st.ArcFrom) != len(pins) || len(work.Arcs) != len(pins) {
 				t.Fatalf("%s: %d arcs in the session, %d in the tables, want %d", when, len(st.ArcFrom), len(work.Arcs), len(pins))
 			}

@@ -1,8 +1,8 @@
 package topo
 
-// Structural ECO sessions: a working compiled state plus one fully evaluated
-// working engine over it (every lane of it, when the base carries
-// scenarios), rebuilt incrementally per op batch. The session is the
+// Structural ECO sessions: one fully evaluated working engine (every lane of
+// it, when the base carries scenarios), which carries the compiled state it
+// times, rebuilt incrementally per op batch. The session is the
 // preview/commit/rollback unit the serving layer wraps:
 //
 //	preview  = Apply against the working set — buffer insertions and
@@ -51,11 +51,8 @@ type SessionStats struct {
 // frozen for the duration of the call — the serving layer holds its engine
 // read lock. Reset, Detach and Close touch only session-owned state.
 type Session struct {
-	baseState *core.State
-	baseEng   *core.Engine
-
-	state *core.State
-	eng   *core.Engine
+	baseEng *core.Engine
+	eng     *core.Engine // the working engine, which carries the state it edits
 
 	stats    SessionStats
 	detached bool
@@ -77,8 +74,7 @@ func NewSession(e *core.Engine) (*Session, error) {
 	if e == nil {
 		return nil, fmt.Errorf("topo: nil base engine")
 	}
-	st := e.ExportState()
-	return &Session{baseState: st, baseEng: e, state: st, eng: e}, nil
+	return &Session{baseEng: e, eng: e}, nil
 }
 
 // Engine returns the session's current working engine: the base engine until
@@ -110,17 +106,19 @@ func (s *Session) Apply(ops []Op) (*Result, error) {
 	}
 	sp := s.tracer.StartArg("topo-apply", "ops", int64(len(ops)))
 	defer sp.End()
-	res, err := Apply(s.state, ops)
+	cur := s.eng.ExportState()
+	res, err := Apply(cur, ops)
 	if err != nil {
 		return nil, err
 	}
-	// Recompile by patching the previous compiled state — cannibalizing it in
-	// place once it is session-private, so the slab copies, like the tensor
-	// allocation below, drop out of the steady-state preview — instead of
-	// rebuilding every O(arcs) slab; bit-identical to a cold Compile of the
+	// Recompile by patching the working engine's state — cannibalizing it in
+	// place once the engine is session-private, so the slab copies, like the
+	// tensor allocation below, drop out of the steady-state preview — instead
+	// of rebuilding every O(arcs) slab; bit-identical to a cold Compile of the
 	// edited netlist.
+	owned := s.eng != s.baseEng
 	csp := sp.Child("topo-recompile")
-	st, inc, err := core.CompileIncrementalPatched(s.state, res.Edits, res.NewPins, res.Seeds, s.state != s.baseState)
+	st, inc, err := core.CompileIncrementalPatched(cur, res.Edits, res.NewPins, res.Seeds, owned)
 	csp.End()
 	if err != nil {
 		return nil, err
@@ -130,12 +128,12 @@ func (s *Session) Apply(ops []Op) (*Result, error) {
 	// state, where an edit costs no tensor allocation at all.
 	rsp := sp.ChildArg("topo-reseed", "seeds", int64(len(res.Seeds)))
 	defer rsp.End()
-	eng, err := s.eng.Reseed(st, res.Seeds, s.eng != s.baseEng)
+	eng, err := s.eng.Reseed(st, res.Seeds, owned)
 	if err != nil {
 		return nil, err
 	}
 
-	s.state, s.eng = st, eng
+	s.eng = eng
 	s.stats.Edits++
 	s.stats.Inserted += res.Inserted
 	s.stats.Removed += res.Removed
@@ -152,7 +150,7 @@ func (s *Session) Reset() {
 		return
 	}
 	s.closeWorking()
-	s.state, s.eng = s.baseState, s.baseEng
+	s.eng = s.baseEng
 	s.stats = SessionStats{}
 }
 

@@ -115,6 +115,9 @@ func assertEnginesIdentical(t *testing.T, tag string, got *core.Engine, tab *cir
 	t.Helper()
 	want := mustEngine(t, tab, opt)
 	defer want.Close()
+	if err := got.ExportState().Validate(); err != nil {
+		t.Fatalf("%s: patched state fails Validate: %v", tag, err)
+	}
 
 	gs, ws := got.Slacks(), want.Slacks()
 	if len(gs) != len(ws) {
