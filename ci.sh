@@ -15,8 +15,12 @@
 #                      block-5 at K = 64 and 128, where row capacities
 #                      differ from K most — + the packed-tail contract of every
 #                      queue writer + the row-capacity invariants on every
-#                      block preset + zero-alloc full passes, bare and with a
-#                      disabled tracer attached), including the
+#                      block preset + the derived-pin layout on every block
+#                      preset — the rule, every replayed row one hop of its
+#                      parent's, every stored head its queue's, cold and
+#                      across a buffer insertion and bypass, reseeded into a
+#                      new engine and in place + zero-alloc full passes,
+#                      bare and with a disabled tracer attached), including the
 #                      nominal-lane differential of the serving layer: a
 #                      daemon holds one lane-strided engine, and a manager over
 #                      an {ss,tt,ff} engine must answer every nominal query bit
@@ -44,8 +48,12 @@
 #                      reference still stores, -Inf there exactly where the
 #                      slot is empty — and the startpoint index itself exact:
 #                      current and right for every queued startpoint, current
-#                      for no other (the checked-in corpus under
-#                      internal/core/testdata/fuzz/ runs in step 3 already);
+#                      for no other — with every parent, when the input asks,
+#                      a derived pin's queues replayed through one or two
+#                      shifted-copy hops, each hop bit for bit the scanning
+#                      reference's queue fed the row before it (the
+#                      checked-in corpus under internal/core/testdata/fuzz/
+#                      runs in step 3 already);
 #                      then 10 s of FuzzJSONFloat: the float formatter behind
 #                      GET /session/{id}/slacks — cached text and fresh floats
 #                      alike — against encoding/json, byte for byte, for any
@@ -67,10 +75,14 @@
 #                      it re-encodes byte for byte and names pins and ports
 #                      that exist), FuzzSnapRoundTrip (a snapshot decodes
 #                      to a typed error or re-encodes byte for byte and runs)
-#                      and FuzzReadTables (a circuitops TSV document never
+#                      FuzzReadTables (a circuitops TSV document never
 #                      panics Read, one it accepts writes back to itself and
 #                      either fails core.Compile with an error or compiles to
-#                      a State that passes Validate and runs)
+#                      a State that passes Validate and runs) and FuzzReadSDC
+#                      (an SDC document over a generated netlist never panics
+#                      sdcio.Read, and one it accepts writes back through
+#                      sdcio.Write and reads again to equal constraints; the
+#                      seeds include the NaN/Inf documents Read once accepted)
 #   4. go test -race — short-mode race check of the scheduler; the reference
 #                      engine's full update, which runs every level and the
 #                      endpoint slack walk on a pool of GOMAXPROCS
@@ -155,6 +167,8 @@ echo "== go test -fuzz FuzzSnapRoundTrip (10s, snapshots: typed error or byte-id
 go test ./internal/snap -run '^$' -fuzz FuzzSnapRoundTrip -fuzztime 10s
 echo "== go test -fuzz FuzzReadTables (10s, circuitops TSV: no panic, round trip, accepted documents compile and run) =="
 go test ./internal/circuitops -run '^$' -fuzz FuzzReadTables -fuzztime 10s
+echo "== go test -fuzz FuzzReadSDC (10s, SDC text: no panic, accepted documents round-trip) =="
+go test ./internal/sdcio -run '^$' -fuzz FuzzReadSDC -fuzztime 10s
 
 echo "== go test -race (sched + levelize + refsta + core + topo + server + obs + snap + cmdutil + fleet + hier, short) =="
 go test -race -short ./internal/sched/... ./internal/levelize/... ./internal/refsta/... ./internal/core/... ./internal/topo/... ./internal/server/... ./internal/obs/... ./internal/snap/... ./internal/cmdutil/... ./internal/fleet/... ./internal/hier/...

@@ -1,0 +1,213 @@
+package core
+
+// Derived pins (derivedPin): a pin whose queues are a shifted copy of its one
+// parent's, read by nobody but its one child, stores only its heads, and the
+// child replays the rest (view.replay). The golden digests hold every result
+// to the stored layout's; this file holds the rule itself, the replayed rows
+// and the heads, cold and across the two structural edits the serving layer
+// makes.
+
+import (
+	"fmt"
+	"runtime/debug"
+	"testing"
+
+	"insta/internal/bench"
+	"insta/internal/liberty"
+)
+
+// derivedRule is the derived-pin rule worked out from st's arc rows alone:
+// one fan-in arc, unate; one fan-out arc, into a pin that is not a
+// startpoint; the pin itself neither a startpoint nor an endpoint.
+func derivedRule(st *State) []bool {
+	in, out := make([]int, st.NumPins), make([]int, st.NumPins)
+	inArc, child := make([]int32, st.NumPins), make([]int32, st.NumPins)
+	for a := range st.ArcFrom {
+		in[st.ArcTo[a]]++
+		inArc[st.ArcTo[a]] = int32(a)
+		out[st.ArcFrom[a]]++
+		child[st.ArcFrom[a]] = st.ArcTo[a]
+	}
+	rule := make([]bool, st.NumPins)
+	for p := range rule {
+		rule[p] = in[p] == 1 && out[p] == 1 && st.SpOfPin[p] < 0 && st.EpOfPin[p] < 0 &&
+			liberty.Unate(st.Arc(inArc[p]).Sense) != liberty.NonUnate && st.SpOfPin[child[p]] < 0
+	}
+	return rule
+}
+
+// assertDerived holds e to the derived layout: the derived set is exactly
+// derivedRule's; every derived pin's replayed queues, late and early, are one
+// mergeEmpty hop of its parent's as the engine shows them, every lane; and
+// its stored heads are the heads of those queues.
+func assertDerived(t *testing.T, what string, e *Engine) {
+	t.Helper()
+	st, S := e.st, len(e.scns)
+	rule := derivedRule(st)
+	ms := new(mergeScratch)
+	n := 0
+	for p := int32(0); p < int32(st.NumPins); p++ {
+		if e.rows[p].derived != rule[p] {
+			t.Fatalf("%s: pin %d derived %v, the rule says %v", what, p, e.rows[p].derived, rule[p])
+		}
+		if !rule[p] {
+			continue
+		}
+		n++
+		pos := st.FaninStart[p]
+		arc, parent, kind := st.FaninArc[pos], st.FaninFrom[pos], st.ArcKind[st.FaninArc[pos]]
+		flip := 0
+		if liberty.Unate(st.FaninSense[pos]) == liberty.NegativeUnate {
+			flip = 1
+		}
+		for _, v := range []struct {
+			view *view
+			sign float64
+		}{{&e.top, 1}, {&e.hold.view, -1}} {
+			got, from := shownRow(v.view, v.sign, p, ms, 1), shownRow(v.view, v.sign, parent, ms, 2)
+			hop := newQueues(got.k)
+			for rf := 0; rf < 2; rf++ {
+				hb, _ := e.base(rf, p)
+				for s := 0; s < S; s++ {
+					am := st.ArcMean[rf][arc] * e.scaleMean[kind][s]
+					as := st.ArcStd[rf][arc] * e.scaleStd[kind][s]
+					hop.blankTail(0, hop.mergeEmpty(0, got.k, from.q, from.b[rf^flip]+s*from.k, from.k, am, as, v.sign, v.sign*st.NSigma), got.k)
+					g := got.b[rf] + s*got.k
+					if !sameLive(got.q, g, &hop, 0, got.k, v.sign, v.sign*st.NSigma) {
+						t.Fatalf("%s: sign %v rf %d lane %d: derived pin %d is not one hop of its parent %d", what, v.sign, rf, s, p, parent)
+					}
+					if !sameLive(v.view.q, hb+s, got.q, g, 1, v.sign, v.sign*st.NSigma) {
+						t.Fatalf("%s: sign %v rf %d lane %d: derived pin %d stores a head that is not its queue's", what, v.sign, rf, s, p)
+					}
+				}
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatalf("%s: no pin is derived — the check is vacuous", what)
+	}
+}
+
+// assertSameLayout holds a reseeded engine to a cold one over the same state:
+// the same derived set and capacities, and the same queues at every pin, late
+// and early.
+func assertSameLayout(t *testing.T, what string, got, cold *Engine) {
+	t.Helper()
+	for p := int32(0); p < int32(cold.st.NumPins); p++ {
+		if g, c := got.rows[p], cold.rows[p]; g.derived != c.derived || g.k != c.k {
+			t.Fatalf("%s: pin %d has capacity %d, derived %v; a cold engine's %d, %v", what, p, g.k, g.derived, c.k, c.derived)
+		}
+		if !sameShown(&got.top, &cold.top, 1, p) || !sameShown(&got.hold.view, &cold.hold.view, -1, p) {
+			t.Fatalf("%s: pin %d: queues differ from a cold engine's", what, p)
+		}
+	}
+	assertDerived(t, what, got)
+}
+
+// TestDerivedRows runs every block preset at K = 1, 8 and 32 with hold on, at
+// S = 1 and over {ss,tt,ff}: the derived layout on the cold engine, then after
+// a buffer is inserted on a net arc whose driver is derived and after it is
+// bypassed again — which gives the driver a second fan-out and takes the
+// buffer output's only one, so both stop being derived — each reseeded into a
+// new engine and in place, against a cold engine over the edited state.
+func TestDerivedRows(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(20))
+	presets := bench.BlockNames()
+	if testing.Short() {
+		presets = []string{"block-5"}
+	}
+	for _, name := range presets {
+		spec, err := bench.BlockSpec(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := Compile(buildHarness(t, spec).tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The middle positive-unate net arc out of a derived driver.
+		rule := derivedRule(st)
+		var nets []int32
+		for a := range st.ArcFrom {
+			if st.ArcKind[a] == 1 && rule[st.ArcFrom[a]] && liberty.Unate(st.FaninSense[faninPos(st, int32(a))]) == liberty.PositiveUnate {
+				nets = append(nets, int32(a))
+			}
+		}
+		if len(nets) == 0 {
+			t.Fatalf("%s: no net arc has a derived driver", name)
+		}
+		arc := nets[len(nets)/2]
+		edits, newPins, seeds1 := bufferEdits(st, arc)
+		st1, _, err := CompileIncrementalPatched(st, edits, newPins, seeds1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := int32(len(st.ArcFrom))
+		edits, seeds2 := bypassEdits(st1, arc, n, n+1)
+		st2, _, err := CompileIncrementalPatched(st1, edits, 0, seeds2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rule2 := derivedRule(st2); rule2[st.ArcFrom[arc]] || rule2[st1.ArcTo[n]] {
+			t.Fatalf("%s: the bypass left the driver or the buffer output derived — the flip check is vacuous", name)
+		}
+		for _, k := range []int{1, 8, 32} {
+			for _, lanes := range []struct {
+				name string
+				scns []Scenario
+			}{{"S1", unitLane}, {"S3", DefaultScenarios()}} {
+				t.Run(fmt.Sprintf("%s/K%d/%s", name, k, lanes.name), func(t *testing.T) {
+					opt := Options{TopK: k, Hold: true, Workers: 2}
+					cold := func(st *State) *Engine {
+						e, err := NewEngineLanes(st, lanes.scns, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						e.Run()
+						e.RefreshHoldSlacks()
+						return e
+					}
+					e := cold(st)
+					defer e.Close()
+					assertDerived(t, "cold", e)
+					if name == "block-1" && k == 32 && lanes.name == "S1" {
+						units, heads := 0, 0
+						for _, r := range e.rows {
+							units += int(r.slots())
+							if r.derived {
+								heads++
+							}
+						}
+						t.Logf("%d of %d pins derived; %d row units (%.1f MB of tensors, late)", heads, st.NumPins, units, float64(2*20*units)/1e6)
+					}
+
+					want := cold(st1)
+					ne, err := e.Reseed(st1, seeds1, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameLayout(t, "buffer inserted (new engine)", ne, want)
+					if got, err := e.Reseed(st1, seeds1, true); err != nil || got != e {
+						t.Fatalf("in-place reseed: %v", err)
+					}
+					assertSameLayout(t, "buffer inserted (in place)", e, want)
+					want.Close()
+
+					ne2, err := ne.Reseed(st2, seeds2, false)
+					ne.Close()
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer ne2.Close()
+					want = cold(st2)
+					defer want.Close()
+					assertSameLayout(t, "buffer bypassed (new engine)", ne2, want)
+					if got, err := e.Reseed(st2, seeds2, true); err != nil || got != e {
+						t.Fatalf("in-place reseed: %v", err)
+					}
+					assertSameLayout(t, "buffer bypassed (in place)", e, want)
+				})
+			}
+		}
+	}
+}

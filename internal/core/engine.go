@@ -21,8 +21,10 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"insta/internal/circuitops"
+	"insta/internal/liberty"
 	"insta/internal/netlist"
 	"insta/internal/num"
 	"insta/internal/obs"
@@ -71,14 +73,14 @@ type Engine struct {
 	// slabs cloned (newEngineBody), or the state an in-place Reseed adopted.
 	// Kernels load it once per call (st := e.st) and index its slabs.
 	st *State
-	// rows maps a pin to its tensor row (rowSpan): where it starts and its
-	// capacity, the slots each lane's queue has there. Rows are laid out in
-	// the level order the engine was built over, so the pins a level launch
-	// walks — and most of their parents, one level up — sit in neighbouring
-	// memory; a structural reseed keeps every row that still fits and gives
-	// the others fresh rows at the tail (Reseed), and a cold or
-	// snapshot-booted engine over the edited state is in level order again.
-	// Read only by base.
+	// rows maps a pin to its tensor row (rowSpan): where it starts, its
+	// capacity and whether the pin is derived, which leaves one slot per lane
+	// in the row. Rows are laid out in the level order the engine was built
+	// over, so the pins a level launch walks — and most of their parents, one
+	// level up — sit in neighbouring memory; a structural reseed keeps every
+	// row that still fits and gives the others fresh rows at the tail
+	// (Reseed), and a cold or snapshot-booted engine over the edited state is
+	// in level order again.
 	rows []rowSpan
 	// Row units handed out, and allocated, per rf block; a unit is S slots
 	// (one per lane). capUnits >= rowUnits: the surplus is headroom so a
@@ -373,8 +375,21 @@ func (e *Engine) KernelStats() []sched.KernelProfile {
 }
 
 // rowSpan is one pin's tensor row: it starts off units into each rf block and
-// holds k slots per lane, k being the pin's capacity (rowCap).
-type rowSpan struct{ off, k int32 }
+// holds k slots per lane, k being the pin's capacity (rowCap) — or, for a
+// derived pin (derivedPin), one slot per lane: the head of the queue its one
+// reader replays (view.replay).
+type rowSpan struct {
+	off, k  int32
+	derived bool
+}
+
+// slots is how many slots each lane's queue has in the row.
+func (r rowSpan) slots() int32 {
+	if r.derived {
+		return 1
+	}
+	return r.k
+}
 
 // rowCap is pin p's capacity over st given its parents' rows: 1 for a startpoint
 // or a pin with no fan-in, else min(K, the sum of cap(parent) over p's fan-in
@@ -403,18 +418,35 @@ func rowCap(st *State, rows []rowSpan, p int32, topK int) int32 {
 	return int32(c)
 }
 
-// base returns the flat offset of (rf, pin)'s lane-0 Top-K queue and the
-// pin's capacity k: lane s follows at +s*k and the pin's whole row is S*k
-// slots long. It is the only place a pin becomes a tensor offset. The rf
-// stride is capUnits, not rowUnits: an engine may carry tensor headroom
-// beyond its rows so structural reseeds grow in place.
-func (e *Engine) base(rf int, pin int32) (b, k int) {
-	r := e.rows[pin]
-	return (rf*e.capUnits + int(r.off)) * len(e.scns), int(r.k)
+// derivedPin reports whether pin p is derived over st: its one fan-in arc is
+// unate, it has one fan-out, it is neither a startpoint nor an endpoint, and
+// its child is not a startpoint. Its queues are then a shifted copy of its
+// parent's (shift) read by nobody but its child, which replays them from
+// the nearest stored ancestor when it is rebuilt (view.replay), so the pin's
+// row keeps only the heads (k = 0), for the backward pass. Its capacity is
+// its parent's.
+func derivedPin(st *State, p int32) bool {
+	lo, fo := st.FaninStart[p], st.FoStart[p]
+	if st.FaninStart[p+1]-lo != 1 || liberty.Unate(st.FaninSense[lo]) == liberty.NonUnate ||
+		st.FoStart[p+1]-fo != 1 || st.SpOfPin[p] >= 0 || st.EpOfPin[p] >= 0 {
+		return false
+	}
+	return st.SpOfPin[st.FoAdj[fo]] < 0
 }
 
-// rowSlots is the length of pin p's row per rf: S times its capacity.
-func (e *Engine) rowSlots(p int32) int { return len(e.scns) * int(e.rows[p].k) }
+// base returns the flat offset of (rf, pin)'s lane-0 Top-K queue and k, the
+// slots each lane has there — the pin's capacity, or 1 for a derived pin:
+// lane s follows at +s*k and the pin's whole row is S*k slots long. It is the
+// only place a pin becomes a tensor offset. The rf stride is capUnits, not
+// rowUnits: an engine may carry tensor headroom beyond its rows so structural
+// reseeds grow in place.
+func (e *Engine) base(rf int, pin int32) (b, k int) {
+	r := e.rows[pin]
+	return (rf*e.capUnits + int(r.off)) * len(e.scns), int(r.slots())
+}
+
+// rowSlots is the length of pin p's row per rf: S times its slots per lane.
+func (e *Engine) rowSlots(p int32) int { return len(e.scns) * int(e.rows[p].slots()) }
 
 // Lanes returns S, the number of scenarios the engine propagates together.
 func (e *Engine) Lanes() int { return len(e.scns) }
@@ -437,7 +469,7 @@ func (e *Engine) MemoryBytes() int64 {
 	b += int64(len(e.st.FaninArc)+len(e.st.FaninFrom)) * 4
 	b += int64(len(e.st.FaninSense))
 	b += int64(len(e.st.FaninStart)+len(e.st.SpOfPin)) * 4
-	b += int64(len(e.rows)) * 8
+	b += int64(len(e.rows)) * int64(unsafe.Sizeof(rowSpan{}))
 	b += int64(len(e.st.LvOrder)+len(e.st.LvLevel)+len(e.st.LvLevelStart)) * 4
 	b += int64(len(e.st.SpPin)) * (4 + 4 + 8 + 8)
 	b += int64(len(e.st.EpPin)) * (4 + 4 + 8 + 8)

@@ -1,5 +1,11 @@
 package core
 
-// rowsInUse returns how many shadow rows the overlay has handed out and not
-// recycled. Between Propagates that is one per shadowed pin; more is a leak.
-func (o *Overlay) rowsInUse() int { return int(o.nRows) - len(o.freeRows) }
+// DerivedPins reports, per pin, whether e keeps only its heads (derivedPin),
+// for tests outside the package that drive e through its callers.
+func DerivedPins(e *Engine) []bool {
+	out := make([]bool, len(e.rows))
+	for p, r := range e.rows {
+		out[p] = r.derived
+	}
+	return out
+}

@@ -132,30 +132,101 @@ func (e *Engine) sweep(tag string, v *view, sign float64) {
 // every lane — a late view with sign +1, the early one (hold) with sign -1:
 // startpoints reseed their launch arrival, single-fan-in unate pins copy their
 // parent, everything else merges its fan-in on the calling participant's
-// scratch ms. Arc delays, parent queues and the destination rows all resolve
-// through v, so the full passes, the incremental wave and an overlay's preview
-// run this one walk.
+// scratch ms. A derived pin is skipped: its one reader replays it. Arc delays,
+// parent queues and the destination rows all resolve through v, so the full
+// passes, the incremental wave and an overlay's preview run this one walk.
 func (v *view) recompute(sign float64, p int32, ms *mergeScratch) {
 	st := v.e.st
+	if v.e.rows[p].derived {
+		return
+	}
 	if sp := st.SpOfPin[p]; sp >= 0 {
 		v.initStartpoint(p, sp)
 		return
 	}
 	if pos := st.FaninStart[p]; st.FaninStart[p+1]-pos == 1 && liberty.Unate(st.FaninSense[pos]) != liberty.NonUnate {
-		v.copyFanin(sign, p, pos)
+		v.shift(sign, pos, v.ref(sign, st.FaninFrom[pos], ms, 1), v.row(p))
 		return
 	}
 	v.mergeFanin(sign, p, ms)
 }
 
-// copyFanin is mergeFanin for a pin whose fan-in is the one unate arc at CSR
-// position pos: each of its queues is one parent merged into an empty queue,
-// which needs neither a live count carried nor a startpoint index.
-func (v *view) copyFanin(sign float64, p, pos int32) {
+// rowRef is where a pin's queues are read or written: transition rf's lane-0
+// queue at b[rf] of q, k slots per lane, lane s at +s*k.
+type rowRef struct {
+	q *queues
+	b [2]int
+	k int
+}
+
+// row resolves a stored pin's row through v.
+func (v *view) row(p int32) rowRef {
+	q, b0, k := v.queues(0, p)
+	_, b1, _ := v.queues(1, p)
+	return rowRef{q, [2]int{b0, b1}, k}
+}
+
+// ref resolves pin p's row for a pin being rebuilt: its row through v, or —
+// for a derived pin — region r of ms, where it is replayed first. The
+// engine's own views store the replayed heads; an overlay writes no base
+// memory.
+func (v *view) ref(sign float64, p int32, ms *mergeScratch, r int) rowRef {
+	if v.e.rows[p].derived {
+		return v.replay(sign, p, ms, r, v.arcSlot == nil)
+	}
+	return v.row(p)
+}
+
+// replay rebuilds derived pin d's queues as v shows them — both transitions,
+// every lane — into region r of ms and returns where they are. The chain of
+// derived pins d hangs under is replayed hop by hop from its nearest stored
+// ancestor, each hop shift's copy of the one before, alternating between
+// region 0 and region r so that d's lands in r: the arithmetic of a stored
+// copy, so every queue is bit for bit the one a row would hold. With heads
+// set every hop also stores its queues' k = 0 entries in its pin's row, where
+// the backward pass reads them.
+func (v *view) replay(sign float64, d int32, ms *mergeScratch, r int, heads bool) rowRef {
+	e, st := v.e, v.e.st
+	hops := ms.hops[:0]
+	p := d
+	for ; e.rows[p].derived; p = st.FaninFrom[st.FaninStart[p]] {
+		hops = append(hops, p)
+	}
+	ms.hops = hops
+	src := v.row(p)
+	for i := len(hops) - 1; i >= 0; i-- {
+		p := hops[i]
+		k := int(e.rows[p].k)
+		reg := r
+		if i&1 == 1 {
+			reg = 0
+		}
+		b := ms.region(reg, 2*e.qstride)
+		dst := rowRef{&ms.rows, [2]int{b, b + len(e.scns)*k}, k}
+		v.shift(sign, st.FaninStart[p], src, dst)
+		if heads {
+			h := v.row(p)
+			for rf := 0; rf < 2; rf++ {
+				for s := range e.scns {
+					j, i := h.b[rf]+s, dst.b[rf]+s*k
+					h.q.mean[j], h.q.std[j], h.q.sp[j] = dst.q.mean[i], dst.q.std[i], dst.q.sp[i]
+				}
+			}
+		}
+		src = dst
+	}
+	return src
+}
+
+// shift fills dst with src's queues shifted by the unate arc at fan-in CSR
+// position pos — each queue src's merged into an empty queue (mergeEmpty),
+// the transitions swapped through a negative-unate arc: the whole rebuild of
+// a pin whose fan-in is that one arc, which needs neither a live count
+// carried nor a startpoint index.
+func (v *view) shift(sign float64, pos int32, src, dst rowRef) {
 	e, st := v.e, v.e.st
 	ns := sign * st.NSigma
 	arc := st.FaninArc[pos]
-	parent := st.FaninFrom[pos]
 	kind := st.ArcKind[arc]
 	flip := 0
 	if liberty.Unate(st.FaninSense[pos]) == liberty.NegativeUnate {
@@ -163,26 +234,27 @@ func (v *view) copyFanin(sign float64, p, pos int32) {
 	}
 	for rf := 0; rf < 2; rf++ {
 		am0, as0 := v.arcDelay(rf, arc)
-		q, b, k := v.queues(rf, p)
-		pq, pb, pk := v.queues(rf^flip, parent)
+		b, pb := dst.b[rf], src.b[rf^flip]
 		for s := range e.scns {
 			am := am0 * e.scaleMean[kind][s]
 			as := as0 * e.scaleStd[kind][s]
-			q.blankTail(b, q.mergeEmpty(b, k, pq, pb, pk, am, as, sign, ns), k)
-			b, pb = b+k, pb+pk
+			dst.q.blankTail(b, dst.q.mergeEmpty(b, dst.k, src.q, pb, src.k, am, as, sign, ns), dst.k)
+			b, pb = b+dst.k, pb+src.k
 		}
 	}
 }
 
 // mergeFanin rebuilds pin p's queues from its parents' queues, all as seen
-// through v, with recompute's sign. Per transition the fan-in CSR is walked
-// once, gathering the pin's contributions — parent row, nominal arc delay,
-// kind, each resolved through v once — into ms.fan; then the walk is
-// lane-outer: one lane's queue is finished before the next is started, so one
-// scalar live count and the participant's one startpoint index serve any lane
-// count. For a fixed lane the insertion order over (arc position, input
-// transition, parent slot) does not depend on S, which is what makes lane s
-// bit-identical to a single-lane engine over scaled tables.
+// through v, with recompute's sign. The parents' rows are resolved once —
+// derived ones replayed into ms, one region each — into ms.par; then per
+// transition the fan-in CSR is walked once, gathering the pin's contributions
+// — parent row, nominal arc delay, kind, each resolved through v once — into
+// ms.fan; then the walk is lane-outer: one lane's queue is finished before the
+// next is started, so one scalar live count and the participant's one
+// startpoint index serve any lane count. For a fixed lane the insertion order
+// over (arc position, input transition, parent slot) does not depend on S,
+// which is what makes lane s bit-identical to a single-lane engine over
+// scaled tables.
 //
 // The merge is fill-tracked: the queue's live count rides along in a local,
 // inserts touch live slots only, and the unused tail is blanked once at the
@@ -192,15 +264,22 @@ func (v *view) mergeFanin(sign float64, p int32, ms *mergeScratch) {
 	e, st := v.e, v.e.st
 	ns := sign * st.NSigma
 	lo, hi := st.FaninStart[p], st.FaninStart[p+1]
+	par, r := ms.par[:0], 1
+	for _, from := range st.FaninFrom[lo:hi] {
+		if par = append(par, v.ref(sign, from, ms, r)); e.rows[from].derived {
+			r++
+		}
+	}
+	ms.par = par
 	for rf := 0; rf < 2; rf++ {
 		fan := ms.fan[:0]
 		for pos := lo; pos < hi; pos++ {
 			arc := st.FaninArc[pos]
 			am, as := v.arcDelay(rf, arc)
+			c := &par[pos-lo]
 			inRFs, nrf := liberty.Unate(st.FaninSense[pos]).InRFs(rf)
 			for ri := 0; ri < nrf; ri++ {
-				pq, pb, pk := v.queues(inRFs[ri], st.FaninFrom[pos])
-				fan = append(fan, faninContrib{q: pq, b: pb, k: int32(pk), am: am, as: as, kind: st.ArcKind[arc]})
+				fan = append(fan, faninContrib{q: c.q, b: c.b[inRFs[ri]], k: int32(c.k), am: am, as: as, kind: st.ArcKind[arc]})
 			}
 		}
 		ms.fan = fan
@@ -399,13 +478,16 @@ func (q *queues) merge(b, n, k int, src *queues, pb, pk int, am, as, sign, ns fl
 
 // LaneTopEntries returns pin p's Top-K arrival entries for transition rf in
 // lane s as (mean, std, sp) triples in descending corner order, for
-// inspection and testing. The slices are the pin's row, as long as its
-// capacity — min(K, what its fan-in can bring) — and the live entries end at
-// the first sp < 0 or at the end.
+// inspection and testing. The slices are the pin's row — a replayed copy for
+// a derived pin — as long as its capacity, min(K, what its fan-in can bring),
+// and the live entries end at the first sp < 0 or at the end.
 func (e *Engine) LaneTopEntries(rf int, p int32, s int) (mean, std []float64, sps []int32) {
-	q, b, k := e.top.queues(rf, p)
-	b += s * k
-	return q.mean[b : b+k], q.std[b : b+k], q.sp[b : b+k]
+	r := e.top.row(p)
+	if e.rows[p].derived {
+		r = e.top.replay(1, p, new(mergeScratch), 1, false)
+	}
+	b := r.b[rf] + s*r.k
+	return r.q.mean[b : b+r.k], r.q.std[b : b+r.k], r.q.sp[b : b+r.k]
 }
 
 // TopEntries is LaneTopEntries for lane 0.

@@ -44,6 +44,14 @@ import (
 // draws the lengths: c is K less (shape & 7) modulo its range, parent p's
 // length c less (shape >> (3+3p) & 7) modulo its range, so shape 0 is the
 // dense layout — every row K long.
+//
+// The top bits of kByte and shape make every parent a derived pin's queues,
+// replayed through one hop each (view.replay): hop h shifts the row by an arc
+// of mean h + 1/2 and sigma h + 1 — RSS enough to reorder entries — into a row
+// of the same length with the arithmetic a replay uses (mergeEmpty, then the
+// tail blanked). Each hop must equal the scanning reference's queue fed the
+// row before it, bit for bit on all three planes, and the merge that follows
+// is held to the reference fed the replayed row.
 func FuzzMergeTopK(f *testing.F) {
 	const p1, p2 = 1 << 6, 2 << 6
 	// Algorithm-2 edge cases as seeds.
@@ -67,7 +75,9 @@ func FuzzMergeTopK(f *testing.F) {
 	// cap_tight_rows (c and every parent length at their minimum), cap_full_raise
 	// (a destination filled to c < K whose later parents raise queued
 	// startpoints and bring dominated ones) and cap_short_parents (parent rows
-	// shorter than c, one full to its last slot).
+	// shorter than c, one full to its last slot); and the derived parents:
+	// replay_one_hop and replay_two_hops (parents whose replayed hops reorder
+	// their entries).
 
 	f.Fuzz(func(t *testing.T, kByte uint8, data []byte, shape uint16) {
 		const maxParents = 4
@@ -104,6 +114,21 @@ func FuzzMergeTopK(f *testing.F) {
 			copy(parents.sp[p*k:], r.sp[:pk[p]])
 			for i := p*k + pk[p]; i < (p+1)*k; i++ {
 				parents.mean[i], parents.std[i], parents.sp[i] = math.NaN(), math.NaN(), 0
+			}
+		}
+
+		for h := 0; h < int(kByte>>7)+int(shape>>15); h++ {
+			am, as := float64(h)+0.5, float64(h+1)
+			for p := range built {
+				hop := newQueues(pk[p])
+				n := hop.mergeEmpty(0, pk[p], &parents, p*k, pk[p], am, as, 1, testNS)
+				hop.blankTail(0, n, pk[p])
+				want := newRefQueue(pk[p])
+				want.merge(&parents, p*k, pk[p], am, as)
+				if err := want.diff(&hop, 0, pk[p], 1, testNS); err != nil {
+					t.Fatalf("hop %d of parent %d diverged from the reference: %v", h, p, err)
+				}
+				parents.copyFrom(p*k, &hop, 0, pk[p])
 			}
 		}
 

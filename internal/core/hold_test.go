@@ -91,11 +91,12 @@ func TestHoldSlackAboveSetupArrivalRelation(t *testing.T) {
 			if lateSP[0] == noSP {
 				continue
 			}
-			b, _ := e.base(rf, p)
-			if e.hold.q.sp[b] == noSP {
+			r := shownRow(&e.hold.view, -1, p, new(mergeScratch), 1)
+			b := r.b[rf]
+			if r.q.sp[b] == noSP {
 				continue
 			}
-			early := e.hold.q.mean[b] - e.st.NSigma*e.hold.q.std[b]
+			early := r.q.mean[b] - e.st.NSigma*r.q.std[b]
 			if late := lateMean[0] + e.st.NSigma*lateStd[0]; early > late+1e-9 {
 				t.Fatalf("pin %d rf %d: earliest arrival %v above latest %v", p, rf, early, late)
 			}

@@ -24,7 +24,7 @@ func inLevelOrder(e *Engine) bool {
 		if e.rows[p].off != next {
 			return false
 		}
-		next += e.rows[p].k
+		next += e.rows[p].slots()
 	}
 	return int(next) == e.rowUnits
 }
@@ -110,6 +110,17 @@ func TestMemoryBytesCountsTensors(t *testing.T) {
 		if e.tensorBytes() != slabs(e) {
 			t.Fatalf("K=%d: tensor term %d, slabs hold %d", k, e.tensorBytes(), slabs(e))
 		}
+		units := 0
+		for _, r := range e.rows {
+			if r.derived {
+				units++
+			} else {
+				units += int(r.k)
+			}
+		}
+		if want := int64(2*20*len(e.scns)*units) * 2; slabs(e) != want {
+			t.Fatalf("K=%d: slabs hold %d B, 2 x 20 B x S x (Σcap + derived heads %d) x 2 is %d", k, slabs(e), units, want)
+		}
 		if e.MemoryBytes() < slabs(e)+int64(len(e.rows))*int64(unsafe.Sizeof(rowSpan{})) {
 			t.Fatalf("K=%d: MemoryBytes %d does not cover the tensors %d and the row spans", k, e.MemoryBytes(), slabs(e))
 		}
@@ -121,7 +132,9 @@ func TestMemoryBytesCountsTensors(t *testing.T) {
 
 	// The first pass allocates the engine's one set of merge scratch, and the
 	// figure grows by exactly its slabs: per participant a table entry per
-	// startpoint and the gathered fan-in's backing array.
+	// startpoint, the gathered fan-in's and the resolved parents' backing
+	// arrays, the replayed chain's, and the regions derived parents are
+	// replayed into.
 	e, err := NewEngine(h.tab, Options{TopK: 2, Hold: true, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -134,10 +147,12 @@ func TestMemoryBytesCountsTensors(t *testing.T) {
 	}
 	var scratch int64
 	for _, ms := range e.scratchFree[0] {
-		if len(ms.at) != len(e.st.SpPin) || cap(ms.fan) == 0 {
-			t.Fatalf("scratch indexes %d startpoints of %d, fan-in capacity %d", len(ms.at), len(e.st.SpPin), cap(ms.fan))
+		if len(ms.at) != len(e.st.SpPin) || cap(ms.fan) == 0 || len(ms.rows.sp) == 0 {
+			t.Fatalf("scratch indexes %d startpoints of %d, fan-in capacity %d, replay slots %d", len(ms.at), len(e.st.SpPin), cap(ms.fan), len(ms.rows.sp))
 		}
-		scratch += int64(len(ms.at))*8 + int64(cap(ms.fan))*int64(unsafe.Sizeof(faninContrib{}))
+		scratch += int64(len(ms.at))*8 + int64(cap(ms.fan))*int64(unsafe.Sizeof(faninContrib{})) +
+			int64(cap(ms.par))*int64(unsafe.Sizeof(rowRef{})) + int64(cap(ms.hops))*4 +
+			int64(len(ms.rows.mean)+len(ms.rows.std))*8 + int64(len(ms.rows.sp))*4
 	}
 	if got := e.MemoryBytes() - idle; got != scratch {
 		t.Fatalf("MemoryBytes grew by %d over the first pass, the scratch slabs hold %d", got, scratch)

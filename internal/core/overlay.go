@@ -67,9 +67,9 @@ type Overlay struct {
 	// (view.slot and epSlot alias it), taken from the base engine at the first
 	// Propagate; shadowed lists the pins slot marks, so clearing is O(cone).
 	// Rows 0..nRows-1 of chunks have been handed out; those not in freeRows
-	// are in use, exactly one per shadowed pin between Propagates. prev is
-	// parallel to the bucket the wave is retiming: the slot entry each pin
-	// showed until bindBucket gave it a fresh row.
+	// are in use, exactly one per shadowed pin that is not derived between
+	// Propagates. prev is parallel to the bucket the wave is retiming: the
+	// slot entry each pin showed until bindBucket gave it a fresh row.
 	ix       *shadowIndex
 	shadowed []int32
 	freeRows []int32
@@ -154,7 +154,8 @@ func (o *Overlay) takeRow() int32 {
 // bindBucket is the wave's serial bind hook: every pin about to be retimed is
 // pointed at a fresh row, so the kernel writes the overlay and never the base
 // — and never the row the pin showed until now, which prev remembers for the
-// compare.
+// compare. A derived pin is marked as in the cone and takes no row: the wave
+// passes through it, and its child replays it.
 func (o *Overlay) bindBucket(bucket []int32) {
 	o.prev = o.prev[:0]
 	for _, p := range bucket {
@@ -163,7 +164,11 @@ func (o *Overlay) bindBucket(bucket []int32) {
 			o.shadowed = append(o.shadowed, p)
 		}
 		o.prev = append(o.prev, was)
-		o.slot[p] = 1 + o.takeRow()
+		if o.e.rows[p].derived {
+			o.slot[p] = -1
+		} else {
+			o.slot[p] = 1 + o.takeRow()
+		}
 	}
 }
 
@@ -171,8 +176,11 @@ func (o *Overlay) bindBucket(bucket []int32) {
 // fresh row and compare that with what the pin showed before. A fresh row's
 // empty slots hold another cone's bytes, which equalLive does not look at; a
 // merge never reads its destination past the live count it carries, so the
-// row needed no seeding either.
+// row needed no seeding either. A derived pin passes the wave on.
 func (o *Overlay) retimePin(_, i int, p int32, ms *mergeScratch) bool {
+	if o.e.rows[p].derived {
+		return true
+	}
 	o.recompute(1, p, ms)
 	was := o.prev[i]
 	n := o.e.rowSlots(p)
@@ -196,7 +204,7 @@ func (o *Overlay) retimePin(_, i int, p int32, ms *mergeScratch) bool {
 // per Propagate and maps to at most one endpoint, so dirty never holds
 // duplicates within a call.
 func (o *Overlay) settlePin(i int, p int32, changed bool) {
-	if was := o.prev[i]; was != 0 {
+	if was := o.prev[i]; was > 0 {
 		o.freeRows = append(o.freeRows, was-1)
 	}
 	if !changed {
@@ -258,9 +266,9 @@ func (o *Overlay) Propagate() {
 	for _, a := range arcs {
 		o.scratch.push(e.st.LvLevel, e.st.ArcTo[a])
 	}
-	was := len(o.shadowed)
+	was := o.rowsInUse()
 	e.coneWave(KernelOverlay, o.scratch)
-	e.overlayRows.Add(int64(len(o.shadowed) - was))
+	e.overlayRows.Add(int64(o.rowsInUse() - was))
 	o.evalDirtyEndpoints()
 }
 
@@ -375,7 +383,7 @@ func (o *Overlay) TouchedArcs() []int32 {
 // OverlayStats summarizes the overlay's sparse footprint.
 type OverlayStats struct {
 	TouchedArcs int // arcs re-annotated
-	OverlayPins int // pins with recomputed queues (the reached cone)
+	OverlayPins int // pins with recomputed queues (the reached cone, derived pins included)
 	ChangedEPs  int // endpoints re-evaluated
 }
 
@@ -389,7 +397,8 @@ func (o *Overlay) Stats() OverlayStats {
 }
 
 // OverlayRows returns how many shadow rows the overlays over e hold in use
-// right now — one per pin a live preview recomputed — and their size in bytes.
+// right now — one per pin a live preview recomputed, but for the derived pins
+// in its cone, which are recomputed without a row — and their size in bytes.
 // What the overlays hold beyond that (the unused rows of their last chunk, 4
 // bytes of index per pin and endpoint from a session's first preview until it
 // is released) is not in the figure.
@@ -397,6 +406,10 @@ func (e *Engine) OverlayRows() (rows, bytes int64) {
 	rows = e.overlayRows.Load()
 	return rows, rows * 2 * int64(e.qstride) * (8 + 8 + 4)
 }
+
+// rowsInUse returns how many shadow rows the overlay has handed out and not
+// recycled: between Propagates, one per shadowed pin that is not derived.
+func (o *Overlay) rowsInUse() int { return int(o.nRows) - len(o.freeRows) }
 
 // Reset discards all overlay state — the session rollback. The base engine
 // is untouched. The arc map and the indices are cleared in place and every
@@ -419,7 +432,7 @@ func (o *Overlay) dropDerived() {
 	for _, ep := range o.changedEPs {
 		o.epSlot[ep] = 0
 	}
-	o.e.overlayRows.Add(-int64(len(o.shadowed)))
+	o.e.overlayRows.Add(-int64(o.rowsInUse()))
 	o.shadowed = o.shadowed[:0]
 	o.freeRows, o.nRows = o.freeRows[:0], 0
 	o.epSlack = o.epSlack[:0]

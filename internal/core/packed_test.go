@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"insta/internal/circuitops"
@@ -52,20 +53,21 @@ func checkPacked(mean, std []float64, sps []int32, sign, ns float64) error {
 	return nil
 }
 
-// assertPacked checks every (rf, pin, lane) queue that view resolves, ordered
-// with sign (+1 a late view, -1 the early one), over the queue length the
-// view hands out, which must be the pin's capacity.
-func assertPacked(t *testing.T, what string, e *Engine, view func(rf int, p int32) (*queues, int, int), sign float64) {
+// assertPacked checks every (rf, pin, lane) queue that v shows — a derived
+// pin's replayed — ordered with sign (+1 a late view, -1 the early one), over
+// the queue length it has, which must be the pin's capacity.
+func assertPacked(t *testing.T, what string, e *Engine, v *view, sign float64) {
 	t.Helper()
-	for rf := 0; rf < 2; rf++ {
-		for p := int32(0); p < int32(e.st.NumPins); p++ {
-			q, b, k := view(rf, p)
-			if k != int(e.rows[p].k) || k < 1 || k > e.opt.TopK {
-				t.Fatalf("%s: rf %d pin %d: queue length %d, capacity %d, K %d", what, rf, p, k, e.rows[p].k, e.opt.TopK)
-			}
+	ms := new(mergeScratch)
+	for p := int32(0); p < int32(e.st.NumPins); p++ {
+		r := shownRow(v, sign, p, ms, 1)
+		if r.k != int(e.rows[p].k) || r.k < 1 || r.k > e.opt.TopK {
+			t.Fatalf("%s: pin %d: queue length %d, capacity %d, K %d", what, p, r.k, e.rows[p].k, e.opt.TopK)
+		}
+		for rf := 0; rf < 2; rf++ {
 			for s := range e.scns {
-				lo, hi := b+s*k, b+(s+1)*k
-				if err := checkPacked(q.mean[lo:hi], q.std[lo:hi], q.sp[lo:hi], sign, sign*e.st.NSigma); err != nil {
+				lo, hi := r.b[rf]+s*r.k, r.b[rf]+(s+1)*r.k
+				if err := checkPacked(r.q.mean[lo:hi], r.q.std[lo:hi], r.q.sp[lo:hi], sign, sign*e.st.NSigma); err != nil {
 					t.Fatalf("%s: rf %d pin %d lane %d: %v", what, rf, p, s, err)
 				}
 			}
@@ -76,15 +78,40 @@ func assertPacked(t *testing.T, what string, e *Engine, view func(rf int, p int3
 // assertEnginePacked checks the engine's late and early tensors.
 func assertEnginePacked(t *testing.T, what string, e *Engine) {
 	t.Helper()
-	assertPacked(t, what+" (late)", e, e.top.queues, 1)
-	assertPacked(t, what+" (early)", e, e.hold.queues, -1)
+	assertPacked(t, what+" (late)", e, &e.top, 1)
+	assertPacked(t, what+" (early)", e, &e.hold.view, -1)
+}
+
+// shownRow returns pin p's queues as v shows them, ordered under sign: its
+// row, or a replay of it into region r of ms for a derived pin.
+func shownRow(v *view, sign float64, p int32, ms *mergeScratch, r int) rowRef {
+	if v.e.rows[p].derived {
+		return v.replay(sign, p, ms, r, false)
+	}
+	return v.row(p)
+}
+
+// shownScratch is the replay scratch sameShown borrows.
+var shownScratch = sync.Pool{New: func() any { return new(mergeScratch) }}
+
+// sameShown reports whether pin p shows the same queues, live entries and
+// capacity, through a and b, ordered under sign.
+func sameShown(a, b *view, sign float64, p int32) bool {
+	ms := shownScratch.Get().(*mergeScratch)
+	defer shownScratch.Put(ms)
+	x, y := shownRow(a, sign, p, ms, 1), shownRow(b, sign, p, ms, 2)
+	n := len(a.e.scns) * x.k
+	return x.k == y.k &&
+		sameLive(x.q, x.b[0], y.q, y.b[0], n, sign, sign*a.e.st.NSigma) &&
+		sameLive(x.q, x.b[1], y.q, y.b[1], n, sign, sign*a.e.st.NSigma)
 }
 
 // structuralEdit returns tab, carrying e's current annotations, with one fan-in
 // arc of a multi-fan-in pin cut — downstream queues lose startpoints, so live
 // counts shrink and former live slots must be blanked — and one net arc split
 // by an appended buffer (two new pins, whose rows start unwritten), plus the
-// seed pins of the edit.
+// seed pins of the edit — the cut arc's driver among them, as Reseed asks of
+// a pin an edited arc leaves.
 func structuralEdit(t *testing.T, tab *circuitops.Tables, e *Engine) (*circuitops.Tables, []int32) {
 	t.Helper()
 	fanin := make(map[int32]int)
@@ -124,7 +151,7 @@ func structuralEdit(t *testing.T, tab *circuitops.Tables, e *Engine) (*circuitop
 			out.Arcs = append(out.Arcs, a)
 		}
 	}
-	return &out, []int32{tab.Arcs[cut].To, bufIn, bufOut, tab.Arcs[split].To}
+	return &out, []int32{tab.Arcs[cut].To, tab.Arcs[cut].From, bufIn, bufOut, tab.Arcs[split].To}
 }
 
 func TestPackedTailInvariant(t *testing.T) {
@@ -154,11 +181,11 @@ func TestPackedTailInvariant(t *testing.T) {
 				if o.Stats().OverlayPins == 0 {
 					t.Fatal("overlay preview recomputed no pin — test is vacuous")
 				}
-				assertPacked(t, "overlay preview", e, o.queues, 1)
+				assertPacked(t, "overlay preview", e, &o.view, 1)
 				o.Reset()
-				assertPacked(t, "overlay rollback", e, o.queues, 1)
+				assertPacked(t, "overlay rollback", e, &o.view, 1)
 				applyToOverlay(o, deltas) // into recycled rows, tails and all
-				assertPacked(t, "overlay re-preview", e, o.queues, 1)
+				assertPacked(t, "overlay re-preview", e, &o.view, 1)
 				o.Commit()
 				assertEnginePacked(t, "overlay commit", e)
 
@@ -199,14 +226,9 @@ func TestPackedTailInvariant(t *testing.T) {
 					}
 					t.Cleanup(cold.Close)
 					cold.Run()
-					for rf := 0; rf < 2; rf++ {
-						for p := int32(0); p < int32(ne.st.NumPins); p++ {
-							a, k := ne.base(rf, p)
-							b, ck := cold.base(rf, p)
-							if k != ck || !sameLive(ne.top.q, a, cold.top.q, b, ne.rowSlots(p), 1, ne.st.NSigma) ||
-								!sameLive(ne.hold.q, a, cold.hold.q, b, ne.rowSlots(p), -1, -ne.st.NSigma) {
-								t.Fatalf("%s: rf %d pin %d: reseeded queues differ from a cold engine's", what, rf, p)
-							}
+					for p := int32(0); p < int32(ne.st.NumPins); p++ {
+						if !sameShown(&ne.top, &cold.top, 1, p) || !sameShown(&ne.hold.view, &cold.hold.view, -1, p) {
+							t.Fatalf("%s: pin %d: reseeded queues differ from a cold engine's", what, p)
 						}
 					}
 					tab, cur = edited, ne
@@ -217,12 +239,12 @@ func TestPackedTailInvariant(t *testing.T) {
 }
 
 // assertRowsKept holds a reseeded engine's rows to Reseed's contract: every
-// pin's capacity is rowCap over the edited state; a pin the previous layout
-// covered keeps its row's offset while its capacity fits there; every other
-// pin — appended, or grown out of its row — has a fresh row at the tail, the
-// fresh rows following one another in (level, pin) order from where the
-// previous layout ended; and no two rows share a unit, all inside the
-// allocation.
+// pin's capacity is rowCap and its status derivedPin over the edited state; a
+// pin the previous layout covered keeps its row's offset while the slots it
+// stores fit there; every other pin — appended, or grown out of its row — has
+// a fresh row at the tail, the fresh rows following one another in (level,
+// pin) order from where the previous layout ended; and no two rows share a
+// unit, all inside the allocation.
 func assertRowsKept(t *testing.T, what string, ne *Engine, oldRows []rowSpan, oldUnits int) {
 	t.Helper()
 	if len(ne.rows) != ne.st.NumPins || ne.st.NumPins <= len(oldRows) {
@@ -235,15 +257,18 @@ func assertRowsKept(t *testing.T, what string, ne *Engine, oldRows []rowSpan, ol
 			if want := rowCap(ne.st, ne.rows, p, ne.opt.TopK); r.k != want {
 				t.Fatalf("%s: pin %d has capacity %d, rowCap says %d", what, p, r.k, want)
 			}
-			kept := int(p) < len(oldRows) && r.k <= oldRows[p].k
+			if want := derivedPin(ne.st, p); r.derived != want {
+				t.Fatalf("%s: pin %d derived %v, derivedPin says %v", what, p, r.derived, want)
+			}
+			kept := int(p) < len(oldRows) && r.slots() <= oldRows[p].slots()
 			switch {
 			case kept && r.off != oldRows[p].off:
-				t.Fatalf("%s: pin %d moved from unit %d to %d though its capacity %d fits its row of %d", what, p, oldRows[p].off, r.off, r.k, oldRows[p].k)
+				t.Fatalf("%s: pin %d moved from unit %d to %d though its %d slots fit its row of %d", what, p, oldRows[p].off, r.off, r.slots(), oldRows[p].slots())
 			case !kept && r.off != next:
 				t.Fatalf("%s: pin %d has a fresh row at unit %d, not the next tail unit %d", what, p, r.off, next)
 			}
 			if !kept {
-				next += r.k
+				next += r.slots()
 			}
 		}
 	}
@@ -252,7 +277,7 @@ func assertRowsKept(t *testing.T, what string, ne *Engine, oldRows []rowSpan, ol
 	}
 	owner := make([]int32, ne.rowUnits)
 	for p, r := range ne.rows {
-		for u := r.off; u < r.off+r.k; u++ {
+		for u := r.off; u < r.off+r.slots(); u++ {
 			if owner[u] != 0 {
 				t.Fatalf("%s: unit %d belongs to pins %d and %d", what, u, owner[u]-1, p)
 			}

@@ -1,0 +1,81 @@
+package core_test
+
+import (
+	"slices"
+	"testing"
+
+	"insta/internal/bench"
+	"insta/internal/circuitops"
+	"insta/internal/core"
+	"insta/internal/liberty"
+	"insta/internal/num"
+	"insta/internal/refsta"
+	"insta/internal/topo"
+)
+
+// TestSessionKeepsDerivedLayout: a structural session inserts a buffer on a
+// net arc whose driver is derived (a reseed off the base) and bypasses it
+// again (a reseed in place). The bypass takes the buffer output's only
+// fan-out, which the patched state no longer records, so the session has to
+// name that pin to the reseed; either way the engine it leaves must derive
+// exactly the pins a cold engine over its state does.
+func TestSessionKeepsDerivedLayout(t *testing.T) {
+	spec, err := bench.BlockSpec("block-5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := bench.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := refsta.New(gen.D, gen.Lib, gen.Con, gen.Par, refsta.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := circuitops.Extract(ref)
+	opt := core.Options{TopK: 8, Hold: true, Workers: 1}
+	base, err := core.NewEngine(tab, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+	base.Run()
+	derived := core.DerivedPins(base)
+	arc := int32(-1)
+	for i, a := range tab.Arcs {
+		if a.Kind == 1 && derived[a.From] && liberty.Unate(a.Sense) == liberty.PositiveUnate {
+			arc = int32(i)
+			break
+		}
+	}
+	if arc < 0 {
+		t.Fatal("no net arc has a derived driver")
+	}
+	s, err := topo.NewSession(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	delay := [2]num.Dist{{Mean: 5, Std: 0.5}, {Mean: 5.5, Std: 0.5}}
+	for _, op := range []topo.Op{topo.InsertBuffer(arc, -1, delay, 0.5), topo.RemoveBuffer(int32(len(tab.Arcs)))} {
+		if _, err := s.Apply([]topo.Op{op}); err != nil {
+			t.Fatal(err)
+		}
+		cold, err := core.NewEngineFromState(s.Engine().ExportState(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := core.DerivedPins(s.Engine()), core.DerivedPins(cold)
+		cold.Close()
+		if !slices.Equal(got, want) {
+			for p := range want {
+				if got[p] != want[p] {
+					t.Fatalf("after %+v: pin %d derived %v, a cold engine's %v", op, p, got[p], want[p])
+				}
+			}
+		}
+	}
+	if core.DerivedPins(s.Engine())[tab.Arcs[arc].From] {
+		t.Fatal("the bypassed buffer's driver is still derived — the check is vacuous")
+	}
+}

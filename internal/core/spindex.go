@@ -60,14 +60,31 @@ type faninContrib struct {
 	kind   uint8
 }
 
-const faninContribBytes = int64(unsafe.Sizeof(faninContrib{}))
-
-// mergeScratch is what one pool participant needs to merge a pin's fan-in:
-// the startpoint index of the queue it is filling and the pin's gathered
-// contributions (mergeFanin).
+// mergeScratch is what one pool participant needs to rebuild a pin: the
+// startpoint index of the queue it is filling and the pin's gathered
+// contributions (mergeFanin), and where its derived parents are replayed
+// (view.replay): par is the pin's fan-in resolved to rows, hops the chain
+// being replayed, and region r of rows holds one replayed pin — both
+// transitions, every lane — region 0 being the other half of a multi-hop
+// replay's ping-pong.
 type mergeScratch struct {
 	spIndex
-	fan []faninContrib
+	fan  []faninContrib
+	par  []rowRef
+	hops []int32
+	rows queues
+}
+
+// region returns the offset of region r of ms.rows, in regions of size slots,
+// growing rows — keeping what the regions below hold — when it is short.
+func (ms *mergeScratch) region(r, size int) int {
+	b := r * size
+	if n := len(ms.rows.sp); n < b+size {
+		nq := newQueues(max(b+size, 2*n))
+		nq.copyFrom(0, &ms.rows, 0, n)
+		ms.rows = nq
+	}
+	return b
 }
 
 // borrowScratch takes a set of merge scratch — one per pool participant,
@@ -86,18 +103,31 @@ func (e *Engine) borrowScratch() []*mergeScratch {
 	}
 	e.scratchMu.Unlock()
 	if set == nil {
-		// Room for the widest fan-in (a non-unate arc contributes twice), so a
-		// participant's first wide pin does not allocate mid-pass; a structural
-		// edit that widens a pin lets append grow it.
-		width := 0
+		// Room for the widest fan-in (a non-unate arc contributes twice) and
+		// for the most derived parents a pin has, each replayed into a region
+		// of its own, next to region 0, so a participant's first wide pin does
+		// not allocate mid-pass; a structural edit that widens a pin lets
+		// append and region grow them.
+		width, replays := 0, 0
 		for p := 0; p < st.NumPins; p++ {
-			width = max(width, int(st.FaninStart[p+1]-st.FaninStart[p]))
+			lo, hi := st.FaninStart[p], st.FaninStart[p+1]
+			width = max(width, int(hi-lo))
+			n := 0
+			for _, from := range st.FaninFrom[lo:hi] {
+				if e.rows[from].derived {
+					n++
+				}
+			}
+			replays = max(replays, n)
 		}
 		set = make([]*mergeScratch, e.pool.Workers())
 		for i := range set {
 			set[i] = &mergeScratch{
 				spIndex: spIndex{at: make([]uint64, len(st.SpPin))},
 				fan:     make([]faninContrib, 0, 2*width),
+				par:     make([]rowRef, 0, width),
+				hops:    make([]int32, 0, 16),
+				rows:    newQueues((1 + replays) * 2 * e.qstride),
 			}
 		}
 	}
@@ -124,7 +154,8 @@ func (e *Engine) scratchBytes() int64 {
 	var b int64
 	for _, set := range e.scratchFree {
 		for _, ms := range set {
-			b += int64(len(ms.at))*8 + int64(cap(ms.fan))*faninContribBytes
+			b += int64(len(ms.at))*8 + int64(cap(ms.fan))*int64(unsafe.Sizeof(faninContrib{})) +
+				int64(cap(ms.par))*int64(unsafe.Sizeof(rowRef{})) + int64(cap(ms.hops))*4 + ms.rows.bytes()
 		}
 	}
 	return b

@@ -570,8 +570,9 @@ func NewEngineLanes(st *State, scns []Scenario, opt Options) (*Engine, error) {
 
 // newEngine builds an engine over st with freshly allocated, unpropagated
 // Top-K tensors whose rows follow st's level order, each as long as its pin's
-// capacity (rowCap): one pass over the fan-in CSR in level order, so every
-// parent's capacity is known before its children's.
+// capacity (rowCap), or one slot for a derived pin (derivedPin): one pass over
+// the fan-in CSR in level order, so every parent's capacity is known before
+// its children's.
 func newEngine(st *State, scns []Scenario, opt Options) (*Engine, error) {
 	e, err := newEngineBody(st, scns, opt)
 	if err != nil {
@@ -580,9 +581,9 @@ func newEngine(st *State, scns []Scenario, opt Options) (*Engine, error) {
 	e.rows = make([]rowSpan, st.NumPins)
 	units := 0
 	for _, p := range st.LvOrder {
-		k := rowCap(st, e.rows, p, opt.TopK)
-		e.rows[p] = rowSpan{off: int32(units), k: k}
-		units += int(k)
+		r := rowSpan{off: int32(units), k: rowCap(st, e.rows, p, opt.TopK), derived: derivedPin(st, p)}
+		e.rows[p] = r
+		units += int(r.slots())
 	}
 	if units > math.MaxInt32 {
 		return nil, fmt.Errorf("core: %d pins at TopK %d need %d row units, more than a row offset addresses", st.NumPins, opt.TopK, units)
@@ -678,7 +679,8 @@ const seedHeadroom = 4096
 // op batch applied to e's tables: buffers spliced in or bypassed, arcs
 // re-annotated — warm-started from e's converged queues by re-propagating
 // only the fan-out cone of the seed pins (every pin whose fan-in set or
-// fan-in delay changed, including appended pins), in every lane at once. The
+// fan-in delay changed, including appended pins, and every pin an edited arc
+// no longer leaves from), in every lane at once. The
 // result is bit-identical to a cold NewEngineLanes over st + full evaluation:
 // pin ids are stable across structural edits (pins are append-only; a
 // bypassed buffer keeps its pins as a dead end), so e's converged Top-K
@@ -686,13 +688,20 @@ const seedHeadroom = 4096
 // the equality-stopping incremental wavefront recomputes exactly the pins
 // whose queues differ. e must have completed a full evaluation.
 //
-// Capacities are recomputed over st. A pin keeps its row while its new
-// capacity fits there (a shrunk row gives up its tail) and moves, queues and
-// all, to a fresh row at the tail when it does not; appended pins take fresh
-// rows too, in level order. Buffer insertion and bypass preserve every
-// existing pin's capacity, so they move nothing. A pin that shrinks below its
-// live entries has changed, but its truncated queues could compare equal to
-// the rebuilt ones, so it and its fan-out join the seeds.
+// Capacities are recomputed over st, and so is the derived status
+// (derivedPin) of every pin whose fan-in, fan-out or child can have changed:
+// the seeds and the pins they hear from. A pin that lost a fan-out arc is
+// neither unless it is listed; left out, it keeps its status — its results
+// are exact either way, but its layout is not a cold engine's. A pin keeps its row
+// while what it now stores fits there (a shrunk row gives up its tail, a pin
+// that became derived keeps one slot per lane) and moves, queues and all, to
+// a fresh row at the tail when it does not; appended pins take fresh rows
+// too, in level order. Buffer insertion and bypass preserve every existing
+// pin's capacity, so they move only the pins that stop being derived — a
+// bypass gives the driver a second fan-out and takes the buffer output's only
+// one. A pin that shrinks below its live entries has changed, but its
+// truncated queues could compare equal to the rebuilt ones, so it and its
+// fan-out join the seeds; a pin whose status flipped joins them too.
 //
 // With inPlace false, e is left untouched (it may be a base shared with other
 // sessions) and the result is a new engine with seedHeadroom spare tensor
@@ -740,12 +749,15 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 	}
 	// Capacities can only change downstream of the seeds, so they are
 	// recomputed by a wave over the seeds' fan-out in level order (pin order
-	// within a level) that stops where a capacity comes out as it was.
+	// within a level) that stops where a capacity comes out as it was. A
+	// seed's parent may have gained a fan-out or a child, which is upstream:
+	// it joins the wave when its status flipped.
 	type move struct {
 		p   int32
 		was rowSpan
 	}
 	var moved []move
+	var flipped []int32
 	units := oldUnits
 	sc := ne.incScratch()
 	for _, p := range seeds {
@@ -754,26 +766,35 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 	for p := oldPins; p < st.NumPins; p++ {
 		sc.push(st.LvLevel, int32(p))
 	}
+	for _, s := range seeds {
+		for _, p := range st.FaninFrom[st.FaninStart[s]:st.FaninStart[s+1]] {
+			if int(p) < oldPins && derivedPin(st, p) != rows[p].derived {
+				sc.push(st.LvLevel, p)
+				flipped = append(flipped, p)
+			}
+		}
+	}
 	for l := range sc.buckets {
 		bucket := sc.buckets[l]
 		slices.Sort(bucket)
 		for _, p := range bucket {
-			k := rowCap(st, rows, p, e.opt.TopK)
 			was := rows[p] // zero for an appended pin
-			switch {
-			case k == was.k:
+			now := rowSpan{off: was.off, k: rowCap(st, rows, p, e.opt.TopK), derived: derivedPin(st, p)}
+			if now == was {
 				continue
-			case k < was.k:
-				rows[p].k = k
-			default:
-				rows[p] = rowSpan{off: int32(units), k: k}
-				units += int(k)
 			}
+			if now.slots() > was.slots() {
+				now.off = int32(units)
+				units += int(now.slots())
+			}
+			rows[p] = now
 			if int(p) < oldPins {
 				moved = append(moved, move{p, was})
 			}
-			for _, to := range st.FoAdj[st.FoStart[p]:st.FoStart[p+1]] {
-				sc.push(st.LvLevel, to)
+			if now.k != was.k {
+				for _, to := range st.FoAdj[st.FoStart[p]:st.FoStart[p+1]] {
+					sc.push(st.LvLevel, to)
+				}
 			}
 		}
 	}
@@ -799,15 +820,21 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 			clearQueue(ne.hold.q.sp[lo:hi])
 		}
 	}
-	var extra []int32
+	// A derived pin's heads are rewritten by its child, which the wave
+	// reaches whenever they can have changed: a flipped pin is a seed, and a
+	// derived pin passes the wave on.
+	extra := flipped
 	for _, m := range moved {
+		if ne.rows[m.p].derived {
+			continue
+		}
 		lost := false
 		for rf := 0; rf < 2; rf++ {
 			to, k := ne.base(rf, m.p)
 			from := (rf*ne.capUnits + int(m.was.off)) * S
-			lost = ne.top.q.relay(to, k, from, int(m.was.k), S) || lost
+			lost = ne.top.q.relay(to, k, from, int(m.was.slots()), S) || lost
 			if ne.hold != nil {
-				lost = ne.hold.q.relay(to, k, from, int(m.was.k), S) || lost
+				lost = ne.hold.q.relay(to, k, from, int(m.was.slots()), S) || lost
 			}
 		}
 		if lost {

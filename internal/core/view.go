@@ -14,7 +14,8 @@ type view struct {
 	q *queues // dense tensors, row (rf, pin) at e.base(rf, pin)
 
 	// slot shadows whole pins, sparse in storage and dense in look-up: slot[p]
-	// is 0 while pin p shows its dense row, else 1 + its shadow row. Shadow row
+	// is 0 while pin p shows its dense row, -1 for a derived pin a wave passed
+	// through (it has no row to shadow), else 1 + its shadow row. Shadow row
 	// r is chunk r/chunkRows' row r%chunkRows: both transitions, S*K slots
 	// each, so any pin fits; pin p's lanes are laid out in it as in its dense
 	// row, slot kk of lane s at rf*S*K + s*cap(p) + kk.
@@ -39,7 +40,7 @@ const (
 // loop over a queue's slots takes its length from here.
 func (v *view) queues(rf int, p int32) (*queues, int, int) {
 	if v.slot != nil {
-		if t := v.slot[p]; t != 0 {
+		if t := v.slot[p]; t > 0 {
 			q, b := v.shadow(rf, t)
 			return q, b, int(v.e.rows[p].k)
 		}
@@ -69,8 +70,13 @@ func (v *view) arcDelay(rf int, arc int32) (mean, std float64) {
 // retime rebuilds pin p's queues in place (recompute, with its sign and
 // scratch) and reports whether any lane's came out different from what the
 // view showed before. The rebuild overwrites what it is compared against, so
-// that is copied to snap, which holds the widest row, first.
+// that is copied to snap, which holds the widest row, first. A derived pin
+// has no queues to compare: the wave passes through it to its child, which
+// replays it.
 func (v *view) retime(snap *queues, sign float64, p int32, ms *mergeScratch) bool {
+	if v.e.rows[p].derived {
+		return true
+	}
 	n := v.e.rowSlots(p)
 	q0, b0, _ := v.queues(0, p)
 	q1, b1, _ := v.queues(1, p)

@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,7 +22,11 @@ import (
 func Write(w io.Writer, con *sdc.Constraints, d *netlist.Design) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# insta SDC\n")
-	fmt.Fprintf(bw, "create_clock -name %s -period %.17g\n", con.Clock.Name, con.Clock.Period)
+	if con.Clock.Name != "" {
+		fmt.Fprintf(bw, "create_clock -name %s -period %.17g\n", con.Clock.Name, con.Clock.Period)
+	} else {
+		fmt.Fprintf(bw, "create_clock -period %.17g\n", con.Clock.Period)
+	}
 	if con.Clock.Uncertainty != 0 {
 		fmt.Fprintf(bw, "set_clock_uncertainty -setup %.17g [get_clocks %s]\n",
 			con.Clock.Uncertainty, con.Clock.Name)
@@ -89,7 +94,7 @@ func sortedPinsF(m map[netlist.PinID]float64) []netlist.PinID { return sortedPin
 // Read parses SDC text against design d.
 func Read(r io.Reader, d *netlist.Design) (*sdc.Constraints, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	con := sdc.New(sdc.Clock{})
 	lineNo := 0
 	for sc.Scan() {
@@ -107,9 +112,9 @@ func Read(r io.Reader, d *netlist.Design) (*sdc.Constraints, error) {
 			if err != nil {
 				return nil, err
 			}
-			sigma, err := strconv.ParseFloat(f[1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("sdcio: line %d: %w", lineNo, err)
+			sigma, ok, err := number(f[1])
+			if !ok || err != nil {
+				return nil, fmt.Errorf("sdcio: line %d: input_sigma %q is not a finite number", lineNo, f[1])
 			}
 			dist := con.InputDelay[p]
 			dist.Std = sigma
@@ -122,12 +127,14 @@ func Read(r io.Reader, d *netlist.Design) (*sdc.Constraints, error) {
 				switch args[i] {
 				case "-name":
 					i++
-					con.Clock.Name = arg(args, i)
+					if con.Clock.Name = arg(args, i); strings.HasPrefix(con.Clock.Name, "-") {
+						return nil, fmt.Errorf("sdcio: line %d: create_clock -name without a name", lineNo)
+					}
 				case "-period":
 					i++
-					v, err := strconv.ParseFloat(arg(args, i), 64)
-					if err != nil {
-						return nil, fmt.Errorf("sdcio: line %d: bad period: %w", lineNo, err)
+					v, ok, err := number(arg(args, i))
+					if !ok || err != nil {
+						return nil, fmt.Errorf("sdcio: line %d: create_clock -period %q is not a finite number", lineNo, arg(args, i))
 					}
 					con.Clock.Period = v
 				}
@@ -145,9 +152,14 @@ func Read(r io.Reader, d *netlist.Design) (*sdc.Constraints, error) {
 				case args[i] == "-hold":
 					hold = true
 				case args[i] == "-setup":
-				case strings.HasPrefix(args[i], "get_clocks"), args[i] == con.Clock.Name:
+				case args[i] == "get_clocks":
+					i++ // the clock's name, whatever it spells
 				default:
-					if v, err := strconv.ParseFloat(args[i], 64); err == nil {
+					v, ok, err := number(args[i])
+					if err != nil {
+						return nil, fmt.Errorf("sdcio: line %d: set_clock_uncertainty %w", lineNo, err)
+					}
+					if ok {
 						val, seen = v, true
 					}
 				}
@@ -213,6 +225,20 @@ func tokenize(line string) []string {
 	return strings.Fields(replacer.Replace(line))
 }
 
+// number parses a token as a number: ok is false when it is not one, and err
+// is set when it is one but not finite — NaN and ±Inf parse, yet no
+// constraint can hold them.
+func number(tok string) (v float64, ok bool, err error) {
+	v, perr := strconv.ParseFloat(tok, 64)
+	if perr != nil {
+		return 0, false, nil
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return v, true, fmt.Errorf("value %q is not a finite number", tok)
+	}
+	return v, true, nil
+}
+
 func firstWord(line string) string {
 	if i := strings.IndexByte(line, ' '); i > 0 {
 		return line[:i]
@@ -252,7 +278,11 @@ func parsePortValue(d *netlist.Design, line, cmd string, lineNo int) (netlist.Pi
 			pin = p
 			continue
 		}
-		if v, err := strconv.ParseFloat(a, 64); err == nil && !seenVal {
+		v, ok, err := number(a)
+		if err != nil {
+			return 0, 0, fmt.Errorf("sdcio: line %d: %s %w", lineNo, cmd, err)
+		}
+		if ok && !seenVal {
 			val, seenVal = v, true
 		}
 	}

@@ -114,3 +114,29 @@ func TestWriteReadableText(t *testing.T) {
 		}
 	}
 }
+
+// TestReadRejectsNonFinite: every number a constraint holds is finite. NaN
+// passes a `<= 0` check and Inf a `> 0` one, so each command that reads a
+// number must reject both by name, with the line they are on.
+func TestReadRejectsNonFinite(t *testing.T) {
+	b := genDesign(t)
+	clock := "create_clock -name c -period 10\n"
+	for cmd, line := range map[string]string{
+		"create_clock -period NaN":    "create_clock -name c -period NaN",
+		"create_clock -period Inf":    "create_clock -name c -period Inf",
+		"set_clock_uncertainty":       "set_clock_uncertainty -setup NaN [get_clocks c]",
+		"set_clock_uncertainty -hold": "set_clock_uncertainty -hold -Inf [get_clocks c]",
+		"set_input_delay":             "set_input_delay NaN [get_ports pi0]",
+		"set_output_delay":            "set_output_delay +Inf [get_ports po0]",
+		"set_input_transition":        "set_input_transition nan [get_ports pi0]",
+		"set_load":                    "set_load NaN [get_ports po0]",
+		"#insta:input_sigma":          "#insta:input_sigma pi0 NaN",
+	} {
+		t.Run(cmd, func(t *testing.T) {
+			_, err := Read(strings.NewReader(clock+line+"\n"), b.D)
+			if err == nil || !strings.Contains(err.Error(), "line 2:") || !strings.Contains(err.Error(), "not a finite number") {
+				t.Fatalf("%q: error %v, want a non-finite number on line 2", line, err)
+			}
+		})
+	}
+}

@@ -78,14 +78,20 @@ func newMetrics(m *Manager) *metrics {
 		fmt.Fprintf(w, "insta_base_topo_gen %d\n", m.TopoGen())
 		m.RelevelHist().WritePrometheus(w, "insta_topo_relevel_levels")
 	})
-	// What open sessions hold in the served engine's overlay rows. Sessions
-	// still bound to an engine a structural commit replaced are not counted:
-	// their rows move over when they rebase.
+	// What open sessions hold in the served engine's overlay rows, and what
+	// the served engine itself holds resident (core.Engine.MemoryBytes, read
+	// under the read lock a commit excludes). Sessions still bound to an
+	// engine a structural commit replaced are not counted: their rows move
+	// over when they rebase.
 	reg.Collector("insta_overlay", func(w io.Writer) {
 		rows, bytes := m.Engine().OverlayRows()
+		m.mu.RLock()
+		resident := m.eng.MemoryBytes()
+		m.mu.RUnlock()
 		fmt.Fprintf(w, "# TYPE insta_overlay gauge\n")
 		fmt.Fprintf(w, "insta_overlay_rows %d\n", rows)
 		fmt.Fprintf(w, "insta_overlay_bytes %d\n", bytes)
+		fmt.Fprintf(w, "insta_engine_bytes %d\n", resident)
 	})
 	// The session reads' slack text cache: endpoints answered by copying
 	// cached text against endpoints formatted, lane renders, memory held.

@@ -97,6 +97,7 @@ func TestMetricsByteCompat(t *testing.T) {
 		"# TYPE insta_overlay gauge\n" +
 		"insta_overlay_rows 0\n" +
 		"insta_overlay_bytes 0\n" +
+		fmt.Sprintf("insta_engine_bytes %d\n", mgr.Engine().MemoryBytes()) +
 		"# TYPE insta_slack_text gauge\n" +
 		"insta_slack_text_hits_total 0\n" +
 		"insta_slack_text_formats_total 0\n" +
@@ -123,18 +124,29 @@ func TestMetricsByteCompat(t *testing.T) {
 	}
 
 	// Session memory is visible while the session is open: one row per pin
-	// its preview recomputed (both transitions, K slots of two floats and a
-	// startpoint each), gone when it closes.
+	// its preview recomputed but for the derived pins, which take none (both
+	// transitions, K slots of two floats and a startpoint each) — as many as
+	// a bare overlay previewing the same deltas holds — gone when it closes.
+	deltas := arcDeltas(mgr.Engine(), 0, 97, 1.05)
+	bare := core.NewOverlay(mgr.Engine())
+	for _, dl := range deltas {
+		bare.SetArcDelay(dl.ArcID, 0, dl.Delay[0])
+		bare.SetArcDelay(dl.ArcID, 1, dl.Delay[1])
+	}
+	bare.Propagate()
+	rows, _ := mgr.Engine().OverlayRows()
+	pins := bare.Stats().OverlayPins
+	bare.Release()
 	sess, err := mgr.Create()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sess.ApplyDeltas(arcDeltas(mgr.Engine(), 0, 97, 1.05))
-	if err != nil || res.OverlayPins == 0 {
-		t.Fatalf("preview recomputed %d pins, err %v", res.OverlayPins, err)
+	res, err := sess.ApplyDeltas(deltas)
+	if err != nil || res.OverlayPins != pins || rows == 0 || rows >= int64(pins) {
+		t.Fatalf("preview recomputed %d pins, err %v; a bare overlay %d pins into %d rows", res.OverlayPins, err, pins, rows)
 	}
 	_, body = getBody(t, srv.URL+"/metrics")
-	held := fmt.Sprintf("insta_overlay_rows %d\ninsta_overlay_bytes %d\n", res.OverlayPins, res.OverlayPins*2*8*20)
+	held := fmt.Sprintf("insta_overlay_rows %d\ninsta_overlay_bytes %d\n", rows, rows*2*8*20)
 	if !strings.Contains(body, held) {
 		t.Fatalf("/metrics with an open session missing %q:\n%s", held, body)
 	}

@@ -28,6 +28,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 
 	"insta/internal/core"
 	"insta/internal/levelize"
@@ -117,6 +118,15 @@ func (s *Session) Apply(ops []Op) (*Result, error) {
 	// of rebuilding every O(arcs) slab; bit-identical to a cold Compile of the
 	// edited netlist.
 	owned := s.eng != s.baseEng
+	// The reseed also re-derives which pins are derived (core.Engine.Reseed):
+	// a pin an edited arc no longer leaves from has lost a fan-out, and only
+	// cur, before the patch rewrites it, still says which one.
+	seeds := slices.Clip(res.Seeds)
+	for _, ed := range res.Edits {
+		if int(ed.ID) < len(cur.ArcFrom) && cur.ArcFrom[ed.ID] != ed.Row.From {
+			seeds = append(seeds, cur.ArcFrom[ed.ID])
+		}
+	}
 	csp := sp.Child("topo-recompile")
 	st, inc, err := core.CompileIncrementalPatched(cur, res.Edits, res.NewPins, res.Seeds, owned)
 	csp.End()
@@ -128,7 +138,7 @@ func (s *Session) Apply(ops []Op) (*Result, error) {
 	// state, where an edit costs no tensor allocation at all.
 	rsp := sp.ChildArg("topo-reseed", "seeds", int64(len(res.Seeds)))
 	defer rsp.End()
-	eng, err := s.eng.Reseed(st, res.Seeds, owned)
+	eng, err := s.eng.Reseed(st, seeds, owned)
 	if err != nil {
 		return nil, err
 	}
