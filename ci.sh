@@ -74,15 +74,21 @@
 #                      FuzzDecodeModel (a block-model payload decodes only if
 #                      it re-encodes byte for byte and names pins and ports
 #                      that exist), FuzzSnapRoundTrip (a snapshot decodes
-#                      to a typed error or re-encodes byte for byte and runs)
+#                      to a typed error or re-encodes byte for byte and runs),
 #                      FuzzReadTables (a circuitops TSV document never
 #                      panics Read, one it accepts writes back to itself and
 #                      either fails core.Compile with an error or compiles to
-#                      a State that passes Validate and runs) and FuzzReadSDC
+#                      a State that passes Validate and runs), FuzzReadSDC
 #                      (an SDC document over a generated netlist never panics
 #                      sdcio.Read, and one it accepts writes back through
 #                      sdcio.Write and reads again to equal constraints; the
 #                      seeds include the NaN/Inf documents Read once accepted)
+#                      and FuzzReadSPEF (a SPEF document over block-5's
+#                      netlist never panics spef.Read, and one it accepts
+#                      writes back through spef.Write and reads again to equal
+#                      parasitics; the seeds are block-5's generated SPEF and
+#                      the non-finite, out-of-order and repeated-net documents
+#                      Read rejects)
 #   4. go test -race — short-mode race check of the scheduler; the reference
 #                      engine's full update, which runs every level and the
 #                      endpoint slack walk on a pool of GOMAXPROCS
@@ -169,6 +175,8 @@ echo "== go test -fuzz FuzzReadTables (10s, circuitops TSV: no panic, round trip
 go test ./internal/circuitops -run '^$' -fuzz FuzzReadTables -fuzztime 10s
 echo "== go test -fuzz FuzzReadSDC (10s, SDC text: no panic, accepted documents round-trip) =="
 go test ./internal/sdcio -run '^$' -fuzz FuzzReadSDC -fuzztime 10s
+echo "== go test -fuzz FuzzReadSPEF (10s, SPEF text: no panic, accepted documents round-trip) =="
+go test ./internal/spef -run '^$' -fuzz FuzzReadSPEF -fuzztime 10s
 
 echo "== go test -race (sched + levelize + refsta + core + topo + server + obs + snap + cmdutil + fleet + hier, short) =="
 go test -race -short ./internal/sched/... ./internal/levelize/... ./internal/refsta/... ./internal/core/... ./internal/topo/... ./internal/server/... ./internal/obs/... ./internal/snap/... ./internal/cmdutil/... ./internal/fleet/... ./internal/hier/...

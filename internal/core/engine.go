@@ -122,7 +122,7 @@ type Engine struct {
 
 	pool *sched.Pool // persistent kernel scheduler, created with the engine
 
-	inc  *propScratch // reusable incremental-propagation state (lazily built)
+	inc  *propScratch // the in-place cone wave's reusable state (lazily built)
 	plan []levelGroup // fused-level launch plan (lazily built; see levelPlan)
 
 	// Merge scratch sets not out with a sweep or wave (borrowScratch).
@@ -156,7 +156,7 @@ func (e *Engine) bindKernels() {
 	e.kern.level = func(id, lo, hi int) {
 		ms := e.run.scratch[id]
 		for _, p := range e.run.pins[lo:hi] {
-			e.run.v.recompute(e.run.sign, p, ms)
+			e.run.v.recompute(e.run.sign, p, ms, e.run.v.row(p))
 		}
 	}
 	// Fused narrow levels: the group's spans fit the pool's serial cutoff, so
@@ -166,7 +166,7 @@ func (e *Engine) bindKernels() {
 		ms, st := e.run.scratch[id], e.st
 		for l := e.run.lo; l < e.run.hi; l++ {
 			for _, p := range st.levelPins(l) {
-				e.run.v.recompute(e.run.sign, p, ms)
+				e.run.v.recompute(e.run.sign, p, ms, e.run.v.row(p))
 			}
 		}
 	}
@@ -215,23 +215,23 @@ func (e *Engine) levelPlan() []levelGroup {
 // propScratch is the reusable state of one cone wave (incremental.go): its
 // owner's three hooks, per-level wavefront buckets, the queued-pin set and
 // per-bucket change flags, next to the merge scratch set the wave has on loan
-// from the engine while it runs. The engine owns one for PropagateIncremental
-// — incremental propagation mutates base state, so calls are exclusive — while
+// from the engine while it runs. The engine owns one for its in-place wave —
+// a commit and a Reseed mutate base state, so calls are exclusive — while
 // every Overlay owns its own, because many overlays may evaluate concurrently
 // over one frozen base.
 type propScratch struct {
-	// retime is the one thing a wave does to a pin, and what differs between
-	// kinds of view: rebuild bucket[i] = p on participant id's scratch and
-	// report whether any lane's queues came out different from what the view
-	// showed before. It runs inside the level's kernel, concurrently for
-	// different i.
-	retime func(id, i int, p int32, ms *mergeScratch) bool
+	// rebuild is what a wave does to stored pin bucket[i] = p on a
+	// participant's scratch: view.rebuild into a row of the owner's choosing,
+	// then whatever the owner does with that row, reporting whether any lane's
+	// queues came out different from what the view shows. It runs inside the
+	// level's kernel, concurrently for different i.
+	rebuild func(i int, p int32, ms *mergeScratch) bool
 	// bind, when set, runs serially on each level's bucket before its kernel:
-	// an overlay points the bucket's pins at shadow rows there, because the
-	// index must not be written inside the kernel (parents at lower levels are
-	// read concurrently through it). settle, when set, is told serially, in
-	// bucket order and after the kernel has returned, each retimed pin and
-	// whether its queues changed.
+	// an overlay takes the bucket's fresh shadow rows there. settle, when set,
+	// is told serially, in bucket order and after the kernel has returned,
+	// each pin and whether its queues changed: an overlay points the pins at
+	// their new rows there, because the index must not be written inside the
+	// kernel (parents at lower levels are read concurrently through it).
 	bind   func(bucket []int32)
 	settle func(i int, p int32, changed bool)
 
@@ -253,10 +253,11 @@ type propScratch struct {
 }
 
 // newPropScratch sizes a wave scratch for e's current graph around its owner's
-// hooks.
-func (e *Engine) newPropScratch(retime func(id, i int, p int32, ms *mergeScratch) bool, bind func([]int32), settle func(int, int32, bool)) *propScratch {
+// hooks. A derived pin is never handed to rebuild: it has no row, and the
+// wave passes on to its one child, which replays it.
+func (e *Engine) newPropScratch(rebuild func(int, int32, *mergeScratch) bool, bind func([]int32), settle func(int, int32, bool)) *propScratch {
 	s := &propScratch{
-		retime: retime, bind: bind, settle: settle,
+		rebuild: rebuild, bind: bind, settle: settle,
 		buckets:  make([][]int32, e.st.NumLevels),
 		queuedAt: make([]uint32, e.st.NumPins),
 		stamp:    1,
@@ -264,7 +265,8 @@ func (e *Engine) newPropScratch(retime func(id, i int, p int32, ms *mergeScratch
 	s.kernFn = func(id, lo, hi int) {
 		ms := s.scratch[id]
 		for i := lo; i < hi; i++ {
-			s.changed[i] = s.retime(id, i, s.bucket[i], ms)
+			p := s.bucket[i]
+			s.changed[i] = e.rows[p].derived || s.rebuild(i, p, ms)
 		}
 	}
 	return s

@@ -10,8 +10,8 @@ import (
 // its startpoint (noSP = empty), as in the paper's queue. What a queue is
 // ordered by — the late corner, or the negated early corner for hold — is not
 // stored: every site that compares entries derives it from (mean, std) through
-// orderKey. The engine's late and early state, an overlay's row chunks and the
-// in-place wave's snapshots all have this shape.
+// orderKey. The engine's late and early state, an overlay's row chunks and a
+// participant's merge scratch all have this shape.
 type queues struct {
 	mean, std []float64
 	sp        []int32
@@ -55,23 +55,6 @@ func (q *queues) restride(oldCap, newCap, used, stride int) queues {
 		nq.copyFrom(rf*newCap*stride, q, rf*oldCap*stride, used*stride)
 	}
 	return nq
-}
-
-// relay moves a row of lanes queues from oldK slots per lane at from to k
-// slots per lane at to — lane s from from+s*oldK to to+s*k — keeping each
-// queue's first min(k, oldK) slots, and reports whether a live entry did not
-// fit. Either the rows start at the same offset (a row shrunk where it is:
-// each lane moves down, and no lane's write reaches a later lane's queue
-// before that is read) or the new row is a fresh one, whose slots past oldK
-// are already empty.
-func (q *queues) relay(to, k, from, oldK, lanes int) (lost bool) {
-	n := min(k, oldK)
-	for s := 0; s < lanes; s++ {
-		src := from + s*oldK
-		lost = lost || n < oldK && q.sp[src+n] != noSP
-		q.copyFrom(to+s*k, q, src, n)
-	}
-	return lost
 }
 
 // equalLive reports whether n slots of q at a and of o at b hold the same
@@ -128,27 +111,29 @@ func (e *Engine) sweep(tag string, v *view, sign float64) {
 	sp.End()
 }
 
-// recompute rebuilds pin p's queues as seen through v, both transitions in
-// every lane — a late view with sign +1, the early one (hold) with sign -1:
-// startpoints reseed their launch arrival, single-fan-in unate pins copy their
-// parent, everything else merges its fan-in on the calling participant's
-// scratch ms. A derived pin is skipped: its one reader replays it. Arc delays,
-// parent queues and the destination rows all resolve through v, so the full
-// passes, the incremental wave and an overlay's preview run this one walk.
-func (v *view) recompute(sign float64, p int32, ms *mergeScratch) {
+// recompute rebuilds pin p's queues as seen through v into dst, a row of p's
+// length, both transitions in every lane — a late view with sign +1, the
+// early one (hold) with sign -1: startpoints reseed their launch arrival,
+// single-fan-in unate pins copy their parent, everything else merges its
+// fan-in on the calling participant's scratch ms. A derived pin is skipped:
+// its one reader replays it. Arc delays and parent queues resolve through v,
+// so the full passes, the incremental wave and an overlay's preview run this
+// one walk; a full pass writes p's own row, a wave a row p does not show
+// (rebuild).
+func (v *view) recompute(sign float64, p int32, ms *mergeScratch, dst rowRef) {
 	st := v.e.st
 	if v.e.rows[p].derived {
 		return
 	}
 	if sp := st.SpOfPin[p]; sp >= 0 {
-		v.initStartpoint(p, sp)
+		v.initStartpoint(sp, dst)
 		return
 	}
 	if pos := st.FaninStart[p]; st.FaninStart[p+1]-pos == 1 && liberty.Unate(st.FaninSense[pos]) != liberty.NonUnate {
-		v.shift(sign, pos, v.ref(sign, st.FaninFrom[pos], ms, 1), v.row(p))
+		v.shift(sign, pos, v.ref(sign, st.FaninFrom[pos], ms, firstReplay), dst)
 		return
 	}
-	v.mergeFanin(sign, p, ms)
+	v.mergeFanin(sign, p, ms, dst)
 }
 
 // rowRef is where a pin's queues are read or written: transition rf's lane-0
@@ -196,19 +181,17 @@ func (v *view) replay(sign float64, d int32, ms *mergeScratch, r int, heads bool
 	src := v.row(p)
 	for i := len(hops) - 1; i >= 0; i-- {
 		p := hops[i]
-		k := int(e.rows[p].k)
 		reg := r
 		if i&1 == 1 {
 			reg = 0
 		}
-		b := ms.region(reg, 2*e.qstride)
-		dst := rowRef{&ms.rows, [2]int{b, b + len(e.scns)*k}, k}
+		dst := ms.row(e, reg, int(e.rows[p].k))
 		v.shift(sign, st.FaninStart[p], src, dst)
 		if heads {
 			h := v.row(p)
 			for rf := 0; rf < 2; rf++ {
 				for s := range e.scns {
-					j, i := h.b[rf]+s, dst.b[rf]+s*k
+					j, i := h.b[rf]+s, dst.b[rf]+s*dst.k
 					h.q.mean[j], h.q.std[j], h.q.sp[j] = dst.q.mean[i], dst.q.std[i], dst.q.sp[i]
 				}
 			}
@@ -244,8 +227,8 @@ func (v *view) shift(sign float64, pos int32, src, dst rowRef) {
 	}
 }
 
-// mergeFanin rebuilds pin p's queues from its parents' queues, all as seen
-// through v, with recompute's sign. The parents' rows are resolved once —
+// mergeFanin rebuilds pin p's queues into dst from its parents' queues, all as
+// seen through v, with recompute's sign. The parents' rows are resolved once —
 // derived ones replayed into ms, one region each — into ms.par; then per
 // transition the fan-in CSR is walked once, gathering the pin's contributions
 // — parent row, nominal arc delay, kind, each resolved through v once — into
@@ -260,11 +243,11 @@ func (v *view) shift(sign float64, pos int32, src, dst rowRef) {
 // inserts touch live slots only, and the unused tail is blanked once at the
 // end — the packed-tail contract every reader relies on (n live entries,
 // descending, unique startpoints, then noSP).
-func (v *view) mergeFanin(sign float64, p int32, ms *mergeScratch) {
+func (v *view) mergeFanin(sign float64, p int32, ms *mergeScratch, dst rowRef) {
 	e, st := v.e, v.e.st
 	ns := sign * st.NSigma
 	lo, hi := st.FaninStart[p], st.FaninStart[p+1]
-	par, r := ms.par[:0], 1
+	par, r := ms.par[:0], firstReplay
 	for _, from := range st.FaninFrom[lo:hi] {
 		if par = append(par, v.ref(sign, from, ms, r)); e.rows[from].derived {
 			r++
@@ -283,7 +266,7 @@ func (v *view) mergeFanin(sign float64, p int32, ms *mergeScratch) {
 			}
 		}
 		ms.fan = fan
-		q, b, k := v.queues(rf, p)
+		q, b, k := dst.q, dst.b[rf], dst.k
 		for s := range e.scns {
 			n := 0
 			for i := range fan {
@@ -299,15 +282,15 @@ func (v *view) mergeFanin(sign float64, p int32, ms *mergeScratch) {
 	}
 }
 
-// initStartpoint seeds a startpoint pin's queues in every lane with its launch
-// arrival distribution (clock network arrival or input delay); lanes derate
-// arcs, not launches. A one-entry queue is in order under either sign.
-func (v *view) initStartpoint(p, sp int32) {
+// initStartpoint seeds startpoint sp's queues in dst, every lane, with its
+// launch arrival distribution (clock network arrival or input delay); lanes
+// derate arcs, not launches. A one-entry queue is in order under either sign.
+func (v *view) initStartpoint(sp int32, dst rowRef) {
 	e := v.e
 	m, sg := e.st.SpMean[sp], e.st.SpStd[sp]
+	q, k := dst.q, dst.k
 	for rf := 0; rf < 2; rf++ {
-		q, b, k := v.queues(rf, p)
-		for end := b + len(e.scns)*k; b < end; b += k {
+		for b, end := dst.b[rf], dst.b[rf]+len(e.scns)*k; b < end; b += k {
 			q.mean[b] = m
 			q.std[b] = sg
 			q.sp[b] = sp
@@ -316,9 +299,8 @@ func (v *view) initStartpoint(p, sp int32) {
 	}
 }
 
-// clearQueue empties a run of queue slots (possibly several lanes' contiguous
-// blocks at once): a slot is empty when its startpoint is noSP, whatever its
-// mean and sigma hold.
+// clearQueue empties a run of queue slots: a slot is empty when its
+// startpoint is noSP, whatever its mean and sigma hold.
 func clearQueue(sps []int32) {
 	for i := range sps {
 		sps[i] = noSP

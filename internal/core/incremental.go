@@ -7,9 +7,9 @@ package core
 // fan-out cone of the touched arcs can change — in any lane — so
 // re-processing that cone level by level and stopping wavefronts whose queues
 // converge in every lane is much cheaper. This file holds that one cone wave
-// and the engine's entry points to it — what a commit and a structural reseed
-// run on the base tensors; an Overlay (overlay.go) runs the same wave over its
-// shadowed view to price a what-if without touching them.
+// and the engine's in-place entry to it — what a commit and a structural
+// reseed run on the base tensors; an Overlay (overlay.go) runs the same wave
+// over its shadowed view to price a what-if without touching them.
 
 // PropagateIncremental re-propagates only the fan-out cone of the given
 // arcs, assuming every other annotation is unchanged since the last
@@ -31,42 +31,24 @@ func (e *Engine) PropagateIncremental(arcs []int32) {
 	e.coneWave(kIncremental, sc)
 }
 
-// PropagateIncrementalPins is PropagateIncremental seeded by pins instead of
-// arcs: every listed pin is recomputed from its (possibly restructured)
-// fan-in and the wavefront expands downstream from there. This is the
-// re-propagation entry point of Reseed after a structural edit, where the
-// changed unit is a pin's fan-in set rather than a single arc's annotation.
-func (e *Engine) PropagateIncrementalPins(pins []int32) {
-	if len(pins) == 0 {
-		return
-	}
-	sp := e.opt.Tracer.StartArg(kIncremental, "pins", int64(len(pins)))
-	defer sp.End()
-	sc := e.incScratch()
-	for _, p := range pins {
-		sc.push(e.st.LvLevel, p)
-	}
-	e.coneWave(kIncremental, sc)
-}
-
-// incScratch returns the engine's reset wave scratch, which retimes its late
+// incScratch returns the engine's reset wave scratch, which updates its late
 // view and — with hold on — its early one in place. All wavefront state lives
 // in engine-owned scratch: incremental propagation mutates base tensors, so
 // calls are exclusive and the scratch is reused allocation-free across calls
-// (the serving layer's commit path runs thousands of these). An in-place
-// rebuild overwrites what it is compared against, so every pool participant
-// has one snapshot of a whole pin (both transitions, every lane) to copy that
-// to first.
+// (the serving layer's commit path runs thousands of these). Each view
+// rebuilds the pin into the participant's merge scratch (region waveRegion)
+// and, when it changed, copies that back over the row.
 func (e *Engine) incScratch() *propScratch {
 	if e.inc == nil {
-		snaps := make([]queues, e.pool.Workers())
-		for i := range snaps {
-			snaps[i] = newQueues(2 * e.qstride)
-		}
-		e.inc = e.newPropScratch(func(id, _ int, p int32, ms *mergeScratch) bool {
-			c := e.top.retime(&snaps[id], 1, p, ms)
-			if e.hold != nil {
-				c = e.hold.retime(&snaps[id], -1, p, ms) || c
+		e.inc = e.newPropScratch(func(_ int, p int32, ms *mergeScratch) bool {
+			dst, n := ms.row(e, waveRegion, int(e.rows[p].k)), e.rowSlots(p)
+			c := e.top.rebuild(1, p, ms, dst)
+			if c {
+				e.top.row(p).store(dst, n)
+			}
+			if e.hold != nil && e.hold.rebuild(-1, p, ms, dst) {
+				e.hold.row(p).store(dst, n)
+				c = true
 			}
 			return c
 		}, nil, nil)
@@ -76,13 +58,17 @@ func (e *Engine) incScratch() *propScratch {
 }
 
 // coneWave walks sc's pre-seeded level buckets in order: each level's bucket
-// is bound (sc.bind, serially), then retimed through the pool — sc.retime per
-// pin: rebuild and compare, launched under the caller's kernel tag — and the
-// pins are settled (sc.settle) and those whose queues changed in any lane
-// expanded into their fan-out's buckets, serially and in bucket order, so the
+// is bound (sc.bind, serially), then rebuilt through the pool — sc.rebuild per
+// stored pin: view.rebuild into a row the pin does not show and the compare
+// with the one it does, launched under the caller's kernel tag — and the pins
+// are settled (sc.settle) and those whose queues changed in any lane expanded
+// into their fan-out's buckets, serially and in bucket order, so the
 // resulting state is bit-identical to a full Propagate for any worker count.
-// Pins that come out identical stop their wavefront. The wave holds one set of
-// the engine's merge scratch while it runs.
+// Pins that come out identical stop their wavefront; a derived pin always
+// passes it on to its one child, which replays it. The wave holds one set of
+// the engine's merge scratch while it runs. Its three callers — a commit
+// (PropagateIncremental), a structural Reseed and an Overlay's preview —
+// differ only in the hooks.
 func (e *Engine) coneWave(tag string, sc *propScratch) {
 	st := e.st
 	sc.scratch = e.borrowScratch()

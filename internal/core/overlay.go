@@ -41,9 +41,10 @@ import (
 // dense in look-up. Recomputed queues live in shadow rows carved from
 // fixed-size chunks, found through an index by pin; re-evaluated slacks in
 // slots found through an index by endpoint. A cone pin is written once: the
-// wave points it at a fresh row — whatever bytes that row held — rebuilds its
-// queues there and compares them, on what a queue means (equalLive), with the
-// row the pin showed until then, which nothing has overwritten. Reset and
+// wave rebuilds its queues into a fresh row — whatever bytes that row held —
+// and compares them, on what a queue means (equalLive), with the row the pin
+// shows, which nothing has overwritten; once the level is done the pin is
+// pointed at the fresh row and the one it showed is recycled. Reset and
 // Rebase keep the chunks and indices, so a session's steady-state
 // apply→propagate→read loop settles at zero allocations per operation once
 // they have grown to the cone's footprint; Release hands them to the base
@@ -68,13 +69,14 @@ type Overlay struct {
 	// Propagate; shadowed lists the pins slot marks, so clearing is O(cone).
 	// Rows 0..nRows-1 of chunks have been handed out; those not in freeRows
 	// are in use, exactly one per shadowed pin that is not derived between
-	// Propagates. prev is parallel to the bucket the wave is retiming: the
-	// slot entry each pin showed until bindBucket gave it a fresh row.
+	// Propagates. fresh is parallel to the bucket the wave is rebuilding: the
+	// slot entry bindBucket took for each pin — 1 + a row nothing shows, or -1
+	// for a derived pin — which settlePin points it at.
 	ix       *shadowIndex
 	shadowed []int32
 	freeRows []int32
 	nRows    int32
-	prev     []int32
+	fresh    []int32
 
 	// Endpoint state: slacks re-evaluated under the overlay (epSlot[ep] is 0
 	// while the base's stand, else 1 + t, with the endpoint's S lane slacks at
@@ -151,62 +153,43 @@ func (o *Overlay) takeRow() int32 {
 	return o.nRows - 1
 }
 
-// bindBucket is the wave's serial bind hook: every pin about to be retimed is
-// pointed at a fresh row, so the kernel writes the overlay and never the base
-// — and never the row the pin showed until now, which prev remembers for the
-// compare. A derived pin is marked as in the cone and takes no row: the wave
-// passes through it, and its child replays it.
+// bindBucket is the wave's serial bind hook: every stored pin about to be
+// rebuilt takes a fresh row, so the kernel writes the overlay and never the
+// base — and never the row the pin shows, which the compare reads. A derived
+// pin takes no row: the wave passes through it, and its child replays it.
 func (o *Overlay) bindBucket(bucket []int32) {
-	o.prev = o.prev[:0]
+	o.fresh = o.fresh[:0]
 	for _, p := range bucket {
-		was := o.slot[p]
-		if was == 0 {
-			o.shadowed = append(o.shadowed, p)
+		t := int32(-1)
+		if !o.e.rows[p].derived {
+			t = 1 + o.takeRow()
 		}
-		o.prev = append(o.prev, was)
-		if o.e.rows[p].derived {
-			o.slot[p] = -1
-		} else {
-			o.slot[p] = 1 + o.takeRow()
-		}
+		o.fresh = append(o.fresh, t)
 	}
 }
 
-// retimePin is the wave's retime hook: rebuild pin p = bucket[i] into its
-// fresh row and compare that with what the pin showed before. A fresh row's
-// empty slots hold another cone's bytes, which equalLive does not look at; a
-// merge never reads its destination past the live count it carries, so the
-// row needed no seeding either. A derived pin passes the wave on.
-func (o *Overlay) retimePin(_, i int, p int32, ms *mergeScratch) bool {
-	if o.e.rows[p].derived {
-		return true
-	}
-	o.recompute(1, p, ms)
-	was := o.prev[i]
-	n := o.e.rowSlots(p)
-	for rf := 0; rf < 2; rf++ {
-		q, b := o.shadow(rf, o.slot[p])
-		wq := o.q
-		wb, _ := o.e.base(rf, p)
-		if was != 0 {
-			wq, wb = o.shadow(rf, was)
-		}
-		if !q.equalLive(b, wq, wb, n) {
-			return true
-		}
-	}
-	return false
+// rebuildPin is the wave's rebuild hook: pin p = bucket[i] into its fresh row.
+func (o *Overlay) rebuildPin(i int, p int32, ms *mergeScratch) bool {
+	t := o.fresh[i]
+	q, b0 := o.shadow(0, t)
+	_, b1 := o.shadow(1, t)
+	return o.rebuild(1, p, ms, rowRef{q, [2]int{b0, b1}, int(o.e.rows[p].k)})
 }
 
-// settlePin is the wave's settle hook. The level's kernel has returned, so the
-// shadow row pin p = bucket[i] showed before can be recycled; and a changed
-// endpoint pin owes a slack re-evaluation. Each pin enters at most one bucket
-// per Propagate and maps to at most one endpoint, so dirty never holds
+// settlePin is the wave's settle hook. The level's kernel has returned, so pin
+// p = bucket[i] is pointed at the row it was rebuilt into (a derived pin is
+// marked as in the cone), the shadow row it showed before is recycled, and a
+// changed endpoint pin owes a slack re-evaluation. Each pin enters at most one
+// bucket per Propagate and maps to at most one endpoint, so dirty never holds
 // duplicates within a call.
 func (o *Overlay) settlePin(i int, p int32, changed bool) {
-	if was := o.prev[i]; was > 0 {
+	switch was := o.slot[p]; {
+	case was == 0:
+		o.shadowed = append(o.shadowed, p)
+	case was > 0:
 		o.freeRows = append(o.freeRows, was-1)
 	}
+	o.slot[p] = o.fresh[i]
 	if !changed {
 		return
 	}
@@ -257,7 +240,7 @@ func (o *Overlay) Propagate() {
 	// Wavefront state is per-overlay (concurrent overlays share one frozen
 	// base but never scratch), reused allocation-free across Propagate calls.
 	if o.scratch == nil {
-		o.scratch = e.newPropScratch(o.retimePin, o.bindBucket, o.settlePin)
+		o.scratch = e.newPropScratch(o.rebuildPin, o.bindBucket, o.settlePin)
 	}
 	if o.ix == nil {
 		o.takeIndex()

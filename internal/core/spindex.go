@@ -62,10 +62,12 @@ type faninContrib struct {
 
 // mergeScratch is what one pool participant needs to rebuild a pin: the
 // startpoint index of the queue it is filling and the pin's gathered
-// contributions (mergeFanin), and where its derived parents are replayed
-// (view.replay): par is the pin's fan-in resolved to rows, hops the chain
-// being replayed, and region r of rows holds one replayed pin — both
-// transitions, every lane — region 0 being the other half of a multi-hop
+// contributions (mergeFanin), and rows of queues to write to: par is the
+// pin's fan-in resolved to rows, hops the chain of derived pins being
+// replayed (view.replay), and each region of rows holds one pin — both
+// transitions, every lane. Region waveRegion is where the in-place wave
+// rebuilds the pin itself (incScratch); from firstReplay on, each region
+// holds one replayed parent, region 0 being the other half of a multi-hop
 // replay's ping-pong.
 type mergeScratch struct {
 	spIndex
@@ -75,16 +77,24 @@ type mergeScratch struct {
 	rows queues
 }
 
-// region returns the offset of region r of ms.rows, in regions of size slots,
-// growing rows — keeping what the regions below hold — when it is short.
-func (ms *mergeScratch) region(r, size int) int {
+// The regions of mergeScratch.rows that are not region 0.
+const (
+	waveRegion  = 1
+	firstReplay = 2
+)
+
+// row returns region r of ms.rows as a row of k slots per lane over e's
+// lanes, growing rows — keeping what the regions below hold — when it is
+// short.
+func (ms *mergeScratch) row(e *Engine, r, k int) rowRef {
+	size := 2 * e.qstride
 	b := r * size
 	if n := len(ms.rows.sp); n < b+size {
 		nq := newQueues(max(b+size, 2*n))
 		nq.copyFrom(0, &ms.rows, 0, n)
 		ms.rows = nq
 	}
-	return b
+	return rowRef{&ms.rows, [2]int{b, b + len(e.scns)*k}, k}
 }
 
 // borrowScratch takes a set of merge scratch — one per pool participant,
@@ -105,9 +115,9 @@ func (e *Engine) borrowScratch() []*mergeScratch {
 	if set == nil {
 		// Room for the widest fan-in (a non-unate arc contributes twice) and
 		// for the most derived parents a pin has, each replayed into a region
-		// of its own, next to region 0, so a participant's first wide pin does
-		// not allocate mid-pass; a structural edit that widens a pin lets
-		// append and region grow them.
+		// of its own after regions 0 and waveRegion, so a participant's first
+		// wide pin does not allocate mid-pass; a structural edit that widens a
+		// pin lets append and row grow them.
 		width, replays := 0, 0
 		for p := 0; p < st.NumPins; p++ {
 			lo, hi := st.FaninStart[p], st.FaninStart[p+1]
@@ -127,7 +137,7 @@ func (e *Engine) borrowScratch() []*mergeScratch {
 				fan:     make([]faninContrib, 0, 2*width),
 				par:     make([]rowRef, 0, width),
 				hops:    make([]int32, 0, 16),
-				rows:    newQueues((1 + replays) * 2 * e.qstride),
+				rows:    newQueues((firstReplay + replays) * 2 * e.qstride),
 			}
 		}
 	}

@@ -694,14 +694,14 @@ const seedHeadroom = 4096
 // neither unless it is listed; left out, it keeps its status — its results
 // are exact either way, but its layout is not a cold engine's. A pin keeps its row
 // while what it now stores fits there (a shrunk row gives up its tail, a pin
-// that became derived keeps one slot per lane) and moves, queues and all, to
-// a fresh row at the tail when it does not; appended pins take fresh rows
-// too, in level order. Buffer insertion and bypass preserve every existing
-// pin's capacity, so they move only the pins that stop being derived — a
-// bypass gives the driver a second fan-out and takes the buffer output's only
-// one. A pin that shrinks below its live entries has changed, but its
-// truncated queues could compare equal to the rebuilt ones, so it and its
-// fan-out join the seeds; a pin whose status flipped joins them too.
+// that became derived keeps one slot per lane) and takes a fresh row at the
+// tail when it does not; appended pins take fresh rows too, in level order.
+// Buffer insertion and bypass preserve every existing pin's capacity, so they
+// re-lay only the pins whose status flips — a bypass gives the driver a
+// second fan-out and takes the buffer output's only one. A re-laid row is not
+// carried over but rebuilt: every pin whose span changed — moved, grown,
+// shrunk or flipped — joins the seeds, its row poisoned so that the wave
+// finds it changed and carries on to its fan-out.
 //
 // With inPlace false, e is left untouched (it may be a base shared with other
 // sessions) and the result is a new engine with seedHeadroom spare tensor
@@ -751,13 +751,11 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 	// recomputed by a wave over the seeds' fan-out in level order (pin order
 	// within a level) that stops where a capacity comes out as it was. A
 	// seed's parent may have gained a fan-out or a child, which is upstream:
-	// it joins the wave when its status flipped.
-	type move struct {
-		p   int32
-		was rowSpan
-	}
-	var moved []move
-	var flipped []int32
+	// it joins the wave when its status flipped. The cone wave then runs on
+	// the same buckets: they hold every seed and every re-laid pin, and every
+	// other pin in them is the child of a re-laid one, which the wave reaches
+	// anyway.
+	var relaid []int32
 	units := oldUnits
 	sc := ne.incScratch()
 	for _, p := range seeds {
@@ -770,7 +768,6 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 		for _, p := range st.FaninFrom[st.FaninStart[s]:st.FaninStart[s+1]] {
 			if int(p) < oldPins && derivedPin(st, p) != rows[p].derived {
 				sc.push(st.LvLevel, p)
-				flipped = append(flipped, p)
 			}
 		}
 	}
@@ -788,9 +785,7 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 				units += int(now.slots())
 			}
 			rows[p] = now
-			if int(p) < oldPins {
-				moved = append(moved, move{p, was})
-			}
+			relaid = append(relaid, p)
 			if now.k != was.k {
 				for _, to := range st.FoAdj[st.FoStart[p]:st.FoStart[p+1]] {
 					sc.push(st.LvLevel, to)
@@ -811,40 +806,23 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 		ne.capUnits = newCap
 	}
 	ne.rows, ne.rowUnits = rows, units
-	// Fresh rows start empty — an appended pin's exactly like a cold engine's
-	// entering its first recompute — and are one contiguous run per rf block.
-	for rf := 0; rf < 2; rf++ {
-		lo, hi := (rf*ne.capUnits+oldUnits)*S, (rf*ne.capUnits+units)*S
-		clearQueue(ne.top.q.sp[lo:hi])
-		if ne.hold != nil {
-			clearQueue(ne.hold.q.sp[lo:hi])
-		}
-	}
-	// A derived pin's heads are rewritten by its child, which the wave
-	// reaches whenever they can have changed: a flipped pin is a seed, and a
-	// derived pin passes the wave on.
-	extra := flipped
-	for _, m := range moved {
-		if ne.rows[m.p].derived {
-			continue
-		}
-		lost := false
+	// A re-laid row holds nothing a rebuild can be compared with, so it is
+	// poisoned: startpoint noSP-1, which no queue holds, makes the compare
+	// find it changed. A derived pin's heads are rewritten by its child,
+	// which the wave reaches through it.
+	for _, p := range relaid {
+		n := ne.rowSlots(p)
 		for rf := 0; rf < 2; rf++ {
-			to, k := ne.base(rf, m.p)
-			from := (rf*ne.capUnits + int(m.was.off)) * S
-			lost = ne.top.q.relay(to, k, from, int(m.was.slots()), S) || lost
-			if ne.hold != nil {
-				lost = ne.hold.q.relay(to, k, from, int(m.was.slots()), S) || lost
+			b, _ := ne.base(rf, p)
+			for i := b; i < b+n; i++ {
+				ne.top.q.sp[i] = noSP - 1
+				if ne.hold != nil {
+					ne.hold.q.sp[i] = noSP - 1
+				}
 			}
 		}
-		if lost {
-			extra = append(append(extra, m.p), st.FoAdj[st.FoStart[m.p]:st.FoStart[m.p+1]]...)
-		}
 	}
-	if len(extra) > 0 {
-		seeds = append(slices.Clip(seeds), extra...)
-	}
-	ne.PropagateIncrementalPins(seeds)
+	ne.coneWave(kIncremental, sc)
 	ne.RefreshSlacks()
 	if ne.hold != nil {
 		ne.RefreshHoldSlacks()

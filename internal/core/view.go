@@ -67,21 +67,30 @@ func (v *view) arcDelay(rf int, arc int32) (mean, std float64) {
 	return st.ArcMean[rf][arc], st.ArcStd[rf][arc]
 }
 
-// retime rebuilds pin p's queues in place (recompute, with its sign and
-// scratch) and reports whether any lane's came out different from what the
-// view showed before. The rebuild overwrites what it is compared against, so
-// that is copied to snap, which holds the widest row, first. A derived pin
-// has no queues to compare: the wave passes through it to its child, which
-// replays it.
-func (v *view) retime(snap *queues, sign float64, p int32, ms *mergeScratch) bool {
-	if v.e.rows[p].derived {
-		return true
+// rebuild rebuilds stored pin p's queues (recompute, with its sign and
+// scratch) into dst, a row p does not show, and reports whether any lane's
+// came out different from the row p does show: the one thing a cone wave does
+// to a pin, whether it then copies dst back (the engine's in-place wave) or
+// points p at it (an overlay). Only live entries are compared (equalLive), so
+// dst needs no clearing first and whatever its last user left in it is moot.
+func (v *view) rebuild(sign float64, p int32, ms *mergeScratch, dst rowRef) bool {
+	v.recompute(sign, p, ms, dst)
+	cur, n := v.row(p), v.e.rowSlots(p)
+	return !dst.q.equalLive(dst.b[0], cur.q, cur.b[0], n) || !dst.q.equalLive(dst.b[1], cur.q, cur.b[1], n)
+}
+
+// store writes n slots of each transition of row src over r: every
+// startpoint, and mean and sigma where the slot is live. An empty slot keeps
+// what r held there, as it would had the queues been rebuilt in place.
+func (r rowRef) store(src rowRef, n int) {
+	for rf := 0; rf < 2; rf++ {
+		a, b := r.b[rf], src.b[rf]
+		sps := src.q.sp[b : b+n]
+		copy(r.q.sp[a:a+n], sps)
+		for i, sp := range sps {
+			if sp != noSP {
+				r.q.mean[a+i], r.q.std[a+i] = src.q.mean[b+i], src.q.std[b+i]
+			}
+		}
 	}
-	n := v.e.rowSlots(p)
-	q0, b0, _ := v.queues(0, p)
-	q1, b1, _ := v.queues(1, p)
-	snap.copyFrom(0, q0, b0, n)
-	snap.copyFrom(n, q1, b1, n)
-	v.recompute(sign, p, ms)
-	return !snap.equalLive(0, q0, b0, n) || !snap.equalLive(n, q1, b1, n)
 }

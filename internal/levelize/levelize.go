@@ -132,16 +132,34 @@ func Levelize(n int, arcs []Arc) (*Result, error) {
 			frontier = append(frontier, i)
 		}
 	}
+	if relax(frontier, nil, g.outStart, g.outAdj, g.indeg, level) != n {
+		return nil, fmt.Errorf("levelize: graph has a cycle: %s", sampleCycle(n, g.indeg, g.outStart, g.outAdj))
+	}
+	return schedule(level), nil
+}
+
+// relax is the Kahn relaxation both passes run: from frontier, the region's
+// nodes with no unprocessed in-region parent, it walks the fan-out CSR level
+// by level, raising each region node's level past its parent's and releasing
+// it when indeg, its count of unprocessed in-region parents, reaches zero.
+// The region is every node when inR is nil; level holds each region node's
+// floor on entry (0, or what its out-of-region parents give it) and its
+// longest-path level on return. It returns how many region nodes it
+// processed: fewer than the region holds means a cycle.
+func relax(frontier []int32, inR []bool, outStart, outAdj, indeg, level []int32) int {
 	processed := len(frontier)
 	for len(frontier) > 0 {
 		var next []int32
 		for _, u := range frontier {
-			for _, v := range g.outAdj[g.outStart[u]:g.outStart[u+1]] {
-				g.indeg[v]--
+			for _, v := range outAdj[outStart[u]:outStart[u+1]] {
+				if inR != nil && !inR[v] {
+					continue
+				}
+				indeg[v]--
 				if lv := level[u] + 1; lv > level[v] {
 					level[v] = lv
 				}
-				if g.indeg[v] == 0 {
+				if indeg[v] == 0 {
 					next = append(next, v)
 				}
 			}
@@ -149,10 +167,7 @@ func Levelize(n int, arcs []Arc) (*Result, error) {
 		frontier = next
 		processed += len(next)
 	}
-	if processed != n {
-		return nil, fmt.Errorf("levelize: graph has a cycle: %s", sampleCycle(n, g.indeg, g.outStart, g.outAdj))
-	}
-	return schedule(level), nil
+	return processed
 }
 
 // Incremental re-levelizes a graph after a structural edit, recomputing
@@ -165,9 +180,10 @@ func Levelize(n int, arcs []Arc) (*Result, error) {
 //     closure), so a node outside the region has only out-of-region parents,
 //     whose levels are unchanged by induction — its longest incoming path,
 //     and hence its level, is unchanged.
-//   - Inside the region the restricted Kahn relaxation below computes exactly
-//     the longest-path level, with out-of-region parents contributing fixed
-//     floor levels: the same unique solution the full pass finds.
+//   - Inside the region the Kahn relaxation Levelize runs (relax), restricted
+//     to the region, computes exactly the longest-path level, with
+//     out-of-region parents contributing fixed floor levels: the same unique
+//     solution the full pass finds.
 //   - The launch order is rebuilt by the same counting sort (schedule), so
 //     Order/LevelStart match entry for entry.
 //
@@ -259,27 +275,7 @@ func Incremental(n int, foStart, foAdj, faninStart, faninFrom []int32, prev *Res
 			frontier = append(frontier, u)
 		}
 	}
-	processed := len(frontier)
-	for len(frontier) > 0 {
-		var next []int32
-		for _, u := range frontier {
-			for _, v := range foAdj[foStart[u]:foStart[u+1]] {
-				if !inR[v] {
-					continue
-				}
-				indegR[v]--
-				if lv := level[u] + 1; lv > level[v] {
-					level[v] = lv
-				}
-				if indegR[v] == 0 {
-					next = append(next, v)
-				}
-			}
-		}
-		frontier = next
-		processed += len(next)
-	}
-	if processed != len(region) {
+	if relax(frontier, inR, foStart, foAdj, indegR, level) != len(region) {
 		return nil, st, fmt.Errorf("levelize: edit introduced a cycle: %s", sampleCycle(n, indegR, foStart, foAdj))
 	}
 

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"encoding/binary"
+	"encoding/hex"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -139,38 +142,21 @@ func ParseTraceparent(s string) (SpanContext, bool) {
 	return sc, true
 }
 
-const hexDigits = "0123456789abcdef"
-
 // putHex64 writes v as 16 lowercase hex characters into dst.
 func putHex64(dst []byte, v uint64) {
-	for i := 15; i >= 0; i-- {
-		dst[i] = hexDigits[v&0xf]
-		v >>= 4
-	}
+	var raw [8]byte
+	binary.BigEndian.PutUint64(raw[:], v)
+	hex.Encode(dst, raw[:])
 }
 
-// parseHex64 parses exactly 16 lowercase-or-uppercase hex characters.
+// parseHex64 parses exactly 16 hex characters, either case. With an explicit
+// base ParseUint takes neither a sign, a prefix nor underscores.
 func parseHex64(s string) (uint64, bool) {
 	if len(s) != 16 {
 		return 0, false
 	}
-	var v uint64
-	for i := 0; i < 16; i++ {
-		c := s[i]
-		var d uint64
-		switch {
-		case c >= '0' && c <= '9':
-			d = uint64(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = uint64(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			d = uint64(c-'A') + 10
-		default:
-			return 0, false
-		}
-		v = v<<4 | d
-	}
-	return v, true
+	v, err := strconv.ParseUint(s, 16, 64)
+	return v, err == nil
 }
 
 // mix64 is the splitmix64 finalizer — the same full-avalanche mix the fleet

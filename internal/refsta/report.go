@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"insta/internal/liberty"
-	"insta/internal/netlist"
 )
 
 // WorstEndpoints returns up to n endpoint indexes ordered by ascending
@@ -71,16 +70,13 @@ func (e *Engine) FormatPath(w io.Writer, ep int32) {
 	fmt.Fprintf(w, "  %-36s %6s %10s %12s\n", "pin", "edge", "incr(ps)", "arrival(ps)")
 
 	// Walk startpoint-first.
-	spIdx := e.spOfPin[spPin]
-	if launch, ok := lookupSP(e.arr[steps[len(steps)-1].RF][spPin], spIdx); ok {
-		_ = launch
-	}
+	_, _, sp := e.setupSlack(ep)
 	for i := len(steps) - 1; i >= 0; i-- {
 		st := steps[i]
 		a := &e.Arcs[st.ArcID]
 		incr := a.Delay[st.RF].Corner(e.Cfg.NSigma)
 		arrStr := "-"
-		if d, ok := lookupSP(e.arr[st.RF][st.Pin], e.criticalSPOf(ep)); ok {
+		if d, ok := lookupSP(e.arr[st.RF][st.Pin], sp); ok {
 			arrStr = fmt.Sprintf("%.2f", d.Corner(e.Cfg.NSigma))
 		}
 		kind := "net"
@@ -90,34 +86,6 @@ func (e *Engine) FormatPath(w io.Writer, ep int32) {
 		fmt.Fprintf(w, "  %-36s %6s %10.2f %12s  (%s)\n",
 			e.D.Pins[st.Pin].Name, liberty.RFName(st.RF), incr, arrStr, kind)
 	}
-}
-
-// criticalSPOf returns the startpoint index of endpoint ep's worst slack.
-func (e *Engine) criticalSPOf(ep int32) int32 {
-	p := e.EPs[ep]
-	T := e.Con.Clock.Period
-	U := e.Con.Clock.Uncertainty
-	earlyClk := e.earlyClockAt(ep)
-	ext := 0.0
-	if e.D.Pins[p].Cell == netlist.NoCell {
-		ext = e.Con.OutputDelay[p]
-	}
-	bestSlack := math.Inf(1)
-	bestSP := int32(-1)
-	for rf := 0; rf < 2; rf++ {
-		for _, entry := range e.arr[rf][p] {
-			adj := e.Exc.Lookup(e.SPs[entry.sp], p)
-			if adj.False {
-				continue
-			}
-			m := float64(adj.CycleCount())
-			req := m*T + earlyClk + e.credit(entry.sp, ep) - e.EPSetup[ep][rf] - U - ext
-			if s := req - entry.dist.Corner(e.Cfg.NSigma); s < bestSlack {
-				bestSlack, bestSP = s, entry.sp
-			}
-		}
-	}
-	return bestSP
 }
 
 // SlackHistogram writes a text histogram of the timed endpoint slacks in

@@ -15,7 +15,7 @@ func (e *Engine) computeSlacks(pool *sched.Pool) {
 	hold := e.HoldEnabled()
 	pool.RunTagged("refsta.slack", -1, len(e.EPs), func(lo, hi int) {
 		for i := int32(lo); i < int32(hi); i++ {
-			e.epSlack[i] = e.setupSlack(i)
+			e.epSlack[i], _, _ = e.setupSlack(i)
 			if hold {
 				e.epHoldSlack[i] = e.holdSlack(i)
 			}
@@ -29,34 +29,36 @@ func (e *Engine) computeSlacks(pool *sched.Pool) {
 //	                    - setup[rf] - uncertainty - arrivalCorner(ep, rf, sp)
 //
 // minimized over data transitions and startpoints, honouring false-path and
-// multicycle exceptions per (startpoint, endpoint) pair. An endpoint with no
-// timed arrival gets +Inf slack.
-func (e *Engine) setupSlack(i int32) float64 {
+// multicycle exceptions per (startpoint, endpoint) pair, together with the
+// transition and startpoint that attain it (the first in scan order among
+// equals). An endpoint with no timed arrival gets +Inf slack, rf -1 and sp -1.
+// It reads the arrival lists as they stand: computeSlacks runs it inside
+// arrivals(), the path reports after it.
+func (e *Engine) setupSlack(i int32) (slack float64, rf int, sp int32) {
 	T := e.Con.Clock.Period
 	U := e.Con.Clock.Uncertainty
 	ep := e.EPs[i]
-	slack := math.Inf(1)
+	slack, rf, sp = math.Inf(1), -1, -1
 	earlyClk := e.earlyClockAt(i)
 	extMargin := 0.0
 	if e.D.Pins[ep].Cell == netlist.NoCell {
 		extMargin = e.Con.OutputDelay[ep]
 	}
-	for rf := 0; rf < 2; rf++ {
-		setup := e.EPSetup[i][rf]
-		for _, entry := range e.arr[rf][ep] {
-			spPin := e.SPs[entry.sp]
-			adj := e.Exc.Lookup(spPin, ep)
+	for r := 0; r < 2; r++ {
+		setup := e.EPSetup[i][r]
+		for _, entry := range e.arr[r][ep] {
+			adj := e.Exc.Lookup(e.SPs[entry.sp], ep)
 			if adj.False {
 				continue
 			}
 			m := float64(adj.CycleCount())
 			req := m*T + earlyClk + e.credit(entry.sp, i) - setup - U - extMargin
 			if s := req - entry.dist.Corner(e.Cfg.NSigma); s < slack {
-				slack = s
+				slack, rf, sp = s, r, entry.sp
 			}
 		}
 	}
-	return slack
+	return slack, rf, sp
 }
 
 // EndpointSlacks returns the per-endpoint setup slack, aligned with
@@ -149,36 +151,13 @@ type PathStep struct {
 // the critical startpoint — the standard reference-tool path expansion.
 func (e *Engine) WorstPath(ep int32) []PathStep {
 	e.arrivals()
-	p := e.EPs[ep]
-	T := e.Con.Clock.Period
-	U := e.Con.Clock.Uncertainty
-	earlyClk := e.earlyClockAt(ep)
-	extMargin := 0.0
-	if e.D.Pins[p].Cell == netlist.NoCell {
-		extMargin = e.Con.OutputDelay[p]
-	}
-
-	bestSlack := math.Inf(1)
-	bestRF, bestSP := -1, int32(-1)
-	for rf := 0; rf < 2; rf++ {
-		for _, entry := range e.arr[rf][p] {
-			adj := e.Exc.Lookup(e.SPs[entry.sp], p)
-			if adj.False {
-				continue
-			}
-			m := float64(adj.CycleCount())
-			req := m*T + earlyClk + e.credit(entry.sp, ep) - e.EPSetup[ep][rf] - U - extMargin
-			if s := req - entry.dist.Corner(e.Cfg.NSigma); s < bestSlack {
-				bestSlack, bestRF, bestSP = s, rf, entry.sp
-			}
-		}
-	}
-	if bestRF < 0 {
+	_, rf, sp := e.setupSlack(ep)
+	if rf < 0 {
 		return nil
 	}
 
 	var steps []PathStep
-	cur, rf, sp := p, bestRF, bestSP
+	cur := e.EPs[ep]
 	for !e.isSP[cur] {
 		found := false
 		var pickArc int32

@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -38,7 +39,8 @@ func Write(w io.Writer, par *rc.Parasitics, d *netlist.Design) error {
 }
 
 // Read parses parasitics written by Write back against design d (nets are
-// matched by name and must cover the whole design).
+// matched by name and must cover the whole design, each once). Every number
+// must be finite, and a net's branches come in index order.
 func Read(r io.Reader, d *netlist.Design) (*rc.Parasitics, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -74,13 +76,9 @@ func Read(r io.Reader, d *netlist.Design) (*rc.Parasitics, error) {
 			if len(f) != 5 {
 				return nil, fmt.Errorf("spef: line %d: bad PARAMS", lineNo)
 			}
-			vals := make([]float64, 5)
-			for i, s := range f {
-				v, err := strconv.ParseFloat(s, 64)
-				if err != nil {
-					return nil, fmt.Errorf("spef: line %d: %w", lineNo, err)
-				}
-				vals[i] = v
+			var vals [5]float64
+			if err := parseNums(f, vals[:]); err != nil {
+				return nil, fmt.Errorf("spef: line %d: %w", lineNo, err)
 			}
 			par.Params = rc.Params{
 				RPerUnit: vals[0], CPerUnit: vals[1], MinLen: vals[2],
@@ -94,6 +92,9 @@ func Read(r io.Reader, d *netlist.Design) (*rc.Parasitics, error) {
 			id, ok := netByName[f[0]]
 			if !ok {
 				return nil, fmt.Errorf("spef: line %d: unknown net %q", lineNo, f[0])
+			}
+			if seen[id] {
+				return nil, fmt.Errorf("spef: line %d: net of %q repeated", lineNo, f[0])
 			}
 			n, err := strconv.Atoi(f[1])
 			if err != nil || n < 0 {
@@ -117,18 +118,15 @@ func Read(r io.Reader, d *netlist.Design) (*rc.Parasitics, error) {
 			if len(f) != 4 {
 				return nil, fmt.Errorf("spef: line %d: bad BRANCH", lineNo)
 			}
-			var b rc.Branch
-			var err error
-			if b.Len, err = strconv.ParseFloat(f[1], 64); err != nil {
+			next := len(par.Nets[cur].Branch)
+			if i, err := strconv.Atoi(f[0]); err != nil || i != next {
+				return nil, fmt.Errorf("spef: line %d: branch %q where branch %d is next", lineNo, f[0], next)
+			}
+			var vals [3]float64
+			if err := parseNums(f[1:], vals[:]); err != nil {
 				return nil, fmt.Errorf("spef: line %d: %w", lineNo, err)
 			}
-			if b.R, err = strconv.ParseFloat(f[2], 64); err != nil {
-				return nil, fmt.Errorf("spef: line %d: %w", lineNo, err)
-			}
-			if b.C, err = strconv.ParseFloat(f[3], 64); err != nil {
-				return nil, fmt.Errorf("spef: line %d: %w", lineNo, err)
-			}
-			par.Nets[cur].Branch = append(par.Nets[cur].Branch, b)
+			par.Nets[cur].Branch = append(par.Nets[cur].Branch, rc.Branch{Len: vals[0], R: vals[1], C: vals[2]})
 			expectBranches--
 		default:
 			return nil, fmt.Errorf("spef: line %d: unrecognized %q", lineNo, line)
@@ -146,4 +144,21 @@ func Read(r io.Reader, d *netlist.Design) (*rc.Parasitics, error) {
 		return nil, err
 	}
 	return par, nil
+}
+
+// parseNums parses each field into vals. NaN and ±Inf parse, but no
+// parasitic is one: a single such value would reach delay calculation and
+// every queue downstream of it.
+func parseNums(fields []string, vals []float64) error {
+	for i, s := range fields {
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return err
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%q is not a finite number", s)
+		}
+		vals[i] = v
+	}
+	return nil
 }

@@ -2,7 +2,9 @@ package spef
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -71,5 +73,58 @@ func TestReadRejectsMissingNets(t *testing.T) {
 	doc := "*SPEF insta v1\n*DESIGN speftest\n*PARAMS 1 1 1 1 1\n*END\n"
 	if _, err := Read(strings.NewReader(doc), b.D); err == nil {
 		t.Error("file without nets accepted")
+	}
+}
+
+// TestReadRejectsNonFinite: NaN and ±Inf parse as floats, and
+// rc.Parasitics.Validate lets them through (NaN < 0 is false), so Read itself
+// must refuse them — in *PARAMS and in every *BRANCH field — as it refuses a
+// branch out of index order and a net given twice, naming the line.
+func TestReadRejectsNonFinite(t *testing.T) {
+	b := genDesign(t)
+	var buf bytes.Buffer
+	if err := Write(&buf, b.Par, b.D); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(buf.String(), "\n")
+	params, dnet := -1, -1
+	for i, l := range lines {
+		switch {
+		case strings.HasPrefix(l, "*PARAMS "):
+			params = i
+		case dnet < 0 && strings.HasPrefix(l, "*D_NET ") && strings.HasSuffix(l, " 2"):
+			dnet = i
+		}
+	}
+	if params < 0 || dnet < 0 {
+		t.Fatal("no *PARAMS line or no two-branch net to edit")
+	}
+	// field returns the document with field f of line i replaced by v.
+	field := func(i, f int, v string) []string {
+		out := slices.Clone(lines)
+		fs := strings.Fields(out[i])
+		fs[f] = v
+		out[i] = strings.Join(fs, " ")
+		return out
+	}
+	cases := []struct {
+		name string
+		doc  []string
+		line int // 0-based index of the line the error must name
+	}{
+		{"params NaN", field(params, 1, "NaN"), params},
+		{"params +Inf", field(params, 5, "+Inf"), params},
+		{"branch length NaN", field(dnet+1, 2, "NaN"), dnet + 1},
+		{"branch R -Inf", field(dnet+2, 3, "-Inf"), dnet + 2},
+		{"branch C Inf", field(dnet+1, 4, "Inf"), dnet + 1},
+		{"branch index repeated", field(dnet+2, 1, "0"), dnet + 2},
+		{"branch index skipped", field(dnet+1, 1, "1"), dnet + 1},
+		{"net repeated", slices.Insert(slices.Clone(lines), dnet+3, lines[dnet:dnet+3]...), dnet + 3},
+	}
+	for _, c := range cases {
+		_, err := Read(strings.NewReader(strings.Join(c.doc, "\n")), b.D)
+		if want := fmt.Sprintf("line %d:", c.line+1); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, want)
+		}
 	}
 }
