@@ -88,7 +88,13 @@
 #                      writes back through spef.Write and reads again to equal
 #                      parasitics; the seeds are block-5's generated SPEF and
 #                      the non-finite, out-of-order and repeated-net documents
-#                      Read rejects)
+#                      Read rejects) and FuzzReadVerilog (a structural Verilog
+#                      document never panics vlog.Read, and one it accepts
+#                      writes back through vlog.Write and reads again to an
+#                      equal design: cells, pins, nets, ports, clock nodes,
+#                      edges and positions bit for bit; the seeds are a
+#                      generated netlist, the garbage documents Read rejects
+#                      and one bad number per //insta: pragma field)
 #   4. go test -race — short-mode race check of the scheduler; the reference
 #                      engine's full update, which runs every level and the
 #                      endpoint slack walk on a pool of GOMAXPROCS
@@ -177,6 +183,8 @@ echo "== go test -fuzz FuzzReadSDC (10s, SDC text: no panic, accepted documents 
 go test ./internal/sdcio -run '^$' -fuzz FuzzReadSDC -fuzztime 10s
 echo "== go test -fuzz FuzzReadSPEF (10s, SPEF text: no panic, accepted documents round-trip) =="
 go test ./internal/spef -run '^$' -fuzz FuzzReadSPEF -fuzztime 10s
+echo "== go test -fuzz FuzzReadVerilog (10s, structural Verilog: no panic, accepted documents round-trip) =="
+go test ./internal/vlog -run '^$' -fuzz FuzzReadVerilog -fuzztime 10s
 
 echo "== go test -race (sched + levelize + refsta + core + topo + server + obs + snap + cmdutil + fleet + hier, short) =="
 go test -race -short ./internal/sched/... ./internal/levelize/... ./internal/refsta/... ./internal/core/... ./internal/topo/... ./internal/server/... ./internal/obs/... ./internal/snap/... ./internal/cmdutil/... ./internal/fleet/... ./internal/hier/...

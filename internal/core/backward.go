@@ -50,22 +50,21 @@ func (e *Engine) Backward() { e.BackwardLane(0, nil) }
 func (e *Engine) BackwardWeighted(w []float64) { e.BackwardLane(0, w) }
 
 // gradState is the differentiable state, allocated on first Backward and
-// overwritten by each. The slabs are per pin / per arc, not per lane: a
-// backward pass differentiates one lane. The pass is two-phase per level so
+// overwritten by each. The slabs are per pin, endpoint or arc, not per lane:
+// a backward pass differentiates one lane. The pass is two-phase per level so
 // that accumulation order is fixed by the CSR layout, never by goroutine
 // scheduling: each pin *scatters* weighted gradient into per-arc flow slots
 // it exclusively owns (it is every fan-in arc's unique `to` pin), and
 // *gathers* its own gradient from its fan-out arcs' slots in CSR order.
 // Results are bit-identical for any Workers.
 type gradState struct {
-	gradArr    [2][]float64 // dLoss/d(arrival mean at pin), gathered
-	gradArrStd [2][]float64 // dLoss/d(arrival sigma at pin), gathered
-	seedMean   [2][]float64 // per-pin loss seeds (endpoint injection)
-	seedStd    [2][]float64
-	flowMean   [2][]float64 // per-arc gradient flow, indexed [parent rf][arc]
-	flowStd    [2][]float64
-	gradMean   [2][]float64 // dLoss/d(arc delay mean) — the paper's timing gradient
-	gradStd    [2][]float64 // dLoss/d(arc delay sigma)
+	gradArr  [2][]float64 // dLoss/d(arrival mean at pin), gathered
+	seedMean [2][]float64 // per-endpoint loss seeds (EpOfPin), injected at the endpoint pin
+	seedStd  [2][]float64
+	flowMean [2][]float64 // per-arc gradient flow, indexed [parent rf][arc]
+	flowStd  [2][]float64
+	gradMean [2][]float64 // dLoss/d(arc delay mean) — the paper's timing gradient
+	gradStd  [2][]float64 // dLoss/d(arc delay sigma)
 }
 
 // BackwardLane is BackwardWeighted over lane s's propagated state: the
@@ -73,20 +72,19 @@ type gradState struct {
 // with respect to lane s's *derated* arc delays — exactly what Backward on a
 // single-lane engine over tables scaled by that lane's factors computes, bit
 // for bit. Multiply by the lane's factor for the arc's kind for sensitivities
-// to the nominal annotation.
+// to the nominal annotation. The pass holds one set of the engine's merge
+// scratch, where derived parents are replayed (backpropPin).
 func (e *Engine) BackwardLane(s int, w []float64) {
 	st := e.st
 	sp := e.opt.Tracer.StartArg(kBackward, "levels", int64(st.NumLevels))
 	defer sp.End()
-	n := st.NumPins
 	nArcs := len(st.ArcFrom)
 	if e.grad == nil {
 		e.grad = new(gradState)
 		for rf := 0; rf < 2; rf++ {
-			e.grad.gradArr[rf] = make([]float64, n)
-			e.grad.gradArrStd[rf] = make([]float64, n)
-			e.grad.seedMean[rf] = make([]float64, n)
-			e.grad.seedStd[rf] = make([]float64, n)
+			e.grad.gradArr[rf] = make([]float64, st.NumPins)
+			e.grad.seedMean[rf] = make([]float64, len(st.EpPin))
+			e.grad.seedStd[rf] = make([]float64, len(st.EpPin))
 			e.grad.flowMean[rf] = make([]float64, nArcs)
 			e.grad.flowStd[rf] = make([]float64, nArcs)
 			e.grad.gradMean[rf] = make([]float64, nArcs)
@@ -107,13 +105,15 @@ func (e *Engine) BackwardLane(s int, w []float64) {
 
 	// Reverse level sweep: each pin gathers its gradient from its fan-out
 	// arcs' flow slots, then distributes it to its fan-in arcs and parents.
-	e.run.lane = s
+	e.run.lane, e.run.scratch = s, e.borrowScratch()
 	for l := st.NumLevels - 1; l >= 0; l-- {
 		e.run.pins = st.levelPins(l)
 		lsp := sp.ChildArg("level", "level", int64(l))
 		e.pool.RunIndexed(kBackward, l, len(e.run.pins), e.kern.backward)
 		lsp.End()
 	}
+	e.returnScratch(e.run.scratch)
+	e.run.scratch = nil
 }
 
 // seedEndpointGradients injects the TNS subgradient at each violating
@@ -123,6 +123,7 @@ func (e *Engine) BackwardLane(s int, w []float64) {
 // -nSigma per unit of slack.
 func (e *Engine) seedEndpointGradients(s int, w []float64) {
 	for i, p := range e.st.EpPin {
+		ep := e.st.EpOfPin[p]
 		best, sp, bestRF := e.top.setupSlack(s, int32(i), 1)
 		if sp == noSP {
 			continue
@@ -135,8 +136,8 @@ func (e *Engine) seedEndpointGradients(s int, w []float64) {
 			weight = 1
 		}
 		if weight != 0 {
-			e.grad.seedMean[bestRF][p] += -weight
-			e.grad.seedStd[bestRF][p] += -e.st.NSigma * weight
+			e.grad.seedMean[bestRF][ep] += -weight
+			e.grad.seedStd[bestRF][ep] += -e.st.NSigma * weight
 		}
 	}
 }
@@ -182,43 +183,56 @@ func (e *Engine) WNSWeights(tau float64) []float64 {
 
 // backpropPin gathers pin p's gradient from its fan-out flow slots (plus its
 // endpoint seed) in fan-out CSR order, then distributes it across its fan-in
-// contributions using the Eq. 6 softmax over lane's contribution corner values. The
-// distribution writes only flow slots of arcs ending at p, so pins within a
-// level never touch shared state.
-func (e *Engine) backpropPin(p int32, lane int) {
+// contributions using the Eq. 6 softmax over lane's contribution corner
+// values, each recomputed from its parent's k = 0 entry. The parents' rows are
+// resolved once, and only when a gradient reaches p: a derived parent is
+// replayed into ms (view.parents). A derived pin has one reader, so it is
+// replayed at most once per pass. The distribution writes only flow slots of
+// arcs ending at p, so pins within a level never touch shared state.
+func (e *Engine) backpropPin(p int32, lane int, ms *mergeScratch) {
 	g, st := e.grad, e.st
 	folo, fohi := st.FoStart[p], st.FoStart[p+1]
 	lo, hi := st.FaninStart[p], st.FaninStart[p+1]
-	tau := e.opt.Tau
-	var contribs [16]contrib
+	ep := st.EpOfPin[p]
+	var gms, gss [2]float64
 	for rf := 0; rf < 2; rf++ {
 		// Gather: fixed CSR order makes the float sum order deterministic.
-		gm := g.seedMean[rf][p]
-		gs := g.seedStd[rf][p]
+		var gm, gs float64
+		if ep >= 0 {
+			gm, gs = g.seedMean[rf][ep], g.seedStd[rf][ep]
+		}
 		for pos := folo; pos < fohi; pos++ {
 			a := st.FoArc[pos]
 			gm += g.flowMean[rf][a]
 			gs += g.flowStd[rf][a]
 		}
 		g.gradArr[rf][p] = gm
-		g.gradArrStd[rf][p] = gs
-		if (gm == 0 && gs == 0) || lo == hi {
+		gms[rf], gss[rf] = gm, gs
+	}
+	if lo == hi || gms == [2]float64{} && gss == [2]float64{} {
+		return
+	}
+	par := e.top.parents(1, p, ms)
+	tau := e.opt.Tau
+	var contribs [16]contrib
+	for rf := 0; rf < 2; rf++ {
+		gm, gs := gms[rf], gss[rf]
+		if gm == 0 && gs == 0 {
 			continue
 		}
 		cs := contribs[:0]
 		maxCorner := math.Inf(-1)
 		for pos := lo; pos < hi; pos++ {
 			arc := st.FaninArc[pos]
-			parent := st.FaninFrom[pos]
 			kind := st.ArcKind[arc]
 			am, as := e.top.arcDelay(rf, arc)
 			am *= e.scaleMean[kind][lane]
 			as *= e.scaleStd[kind][lane]
+			pr := &par[pos-lo]
 			inRFs, nrf := liberty.Unate(st.FaninSense[pos]).InRFs(rf)
 			for ri := 0; ri < nrf; ri++ {
 				prf := inRFs[ri]
-				pq, pb, pk := e.top.queues(prf, parent)
-				pb += lane * pk
+				pq, pb := pr.q, pr.b[prf]+lane*pr.k
 				if pq.sp[pb] == noSP {
 					continue
 				}

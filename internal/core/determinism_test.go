@@ -24,7 +24,6 @@ type engineState struct {
 	epSlack                 []float64
 	epSP                    []int32
 	gradArr                 [2][]float64
-	gradArrStd              [2][]float64
 	gradMean                [2][]float64
 	gradStd                 [2][]float64
 	holdNegArr              []float64
@@ -57,7 +56,6 @@ func captureState(e *Engine) engineState {
 	}
 	for rf := 0; rf < 2 && e.grad != nil; rf++ {
 		s.gradArr[rf] = cp(e.grad.gradArr[rf])
-		s.gradArrStd[rf] = cp(e.grad.gradArrStd[rf])
 		s.gradMean[rf] = cp(e.grad.gradMean[rf])
 		s.gradStd[rf] = cp(e.grad.gradStd[rf])
 	}
@@ -111,8 +109,6 @@ func diffState(a, b engineState) string {
 		switch {
 		case !eq(a.gradArr[rf], b.gradArr[rf]):
 			return "gradArr"
-		case !eq(a.gradArrStd[rf], b.gradArrStd[rf]):
-			return "gradArrStd"
 		case !eq(a.gradMean[rf], b.gradMean[rf]):
 			return "gradMean"
 		case !eq(a.gradStd[rf], b.gradStd[rf]):

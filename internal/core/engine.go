@@ -74,13 +74,13 @@ type Engine struct {
 	// Kernels load it once per call (st := e.st) and index its slabs.
 	st *State
 	// rows maps a pin to its tensor row (rowSpan): where it starts, its
-	// capacity and whether the pin is derived, which leaves one slot per lane
-	// in the row. Rows are laid out in the level order the engine was built
-	// over, so the pins a level launch walks — and most of their parents, one
-	// level up — sit in neighbouring memory; a structural reseed keeps every
-	// row that still fits and gives the others fresh rows at the tail
-	// (Reseed), and a cold or snapshot-booted engine over the edited state is
-	// in level order again.
+	// capacity and whether the pin is derived, which owns no slots. Rows are
+	// laid out in the level order the engine was built over, so the pins a
+	// level launch walks — and most of their parents, one level up — sit in
+	// neighbouring memory; a structural reseed keeps every row that still
+	// fits and gives the others fresh rows at the tail (Reseed), and a cold
+	// or snapshot-booted engine over the edited state is in level order
+	// again.
 	rows []rowSpan
 	// Row units handed out, and allocated, per rf block; a unit is S slots
 	// (one per lane). capUnits >= rowUnits: the surplus is headroom so a
@@ -144,7 +144,7 @@ type Engine struct {
 	run  struct {
 		v       *view // view a sweep rebuilds, and its ordering sign
 		sign    float64
-		scratch []*mergeScratch // the sweep's borrowed merge scratch, by participant
+		scratch []*mergeScratch // the pass's borrowed merge scratch, by participant
 		pins    []int32         // the launched level's pins (level, backward)
 		lo, hi  int             // the launched group's levels (fused)
 		lane    int             // lane a backward pass differentiates
@@ -153,10 +153,13 @@ type Engine struct {
 
 // bindKernels creates the engine's full-pass kernel closures.
 func (e *Engine) bindKernels() {
+	// A derived pin has no row to rebuild: its one reader replays it.
 	e.kern.level = func(id, lo, hi int) {
 		ms := e.run.scratch[id]
 		for _, p := range e.run.pins[lo:hi] {
-			e.run.v.recompute(e.run.sign, p, ms, e.run.v.row(p))
+			if !e.rows[p].derived {
+				e.run.v.recompute(e.run.sign, p, ms, e.run.v.row(p))
+			}
 		}
 	}
 	// Fused narrow levels: the group's spans fit the pool's serial cutoff, so
@@ -166,13 +169,16 @@ func (e *Engine) bindKernels() {
 		ms, st := e.run.scratch[id], e.st
 		for l := e.run.lo; l < e.run.hi; l++ {
 			for _, p := range st.levelPins(l) {
-				e.run.v.recompute(e.run.sign, p, ms, e.run.v.row(p))
+				if !e.rows[p].derived {
+					e.run.v.recompute(e.run.sign, p, ms, e.run.v.row(p))
+				}
 			}
 		}
 	}
-	e.kern.backward = func(_, lo, hi int) {
+	e.kern.backward = func(id, lo, hi int) {
+		ms := e.run.scratch[id]
 		for _, p := range e.run.pins[lo:hi] {
-			e.backpropPin(p, e.run.lane)
+			e.backpropPin(p, e.run.lane, ms)
 		}
 	}
 	e.kern.slack = e.slackKernel
@@ -377,18 +383,18 @@ func (e *Engine) KernelStats() []sched.KernelProfile {
 }
 
 // rowSpan is one pin's tensor row: it starts off units into each rf block and
-// holds k slots per lane, k being the pin's capacity (rowCap) — or, for a
-// derived pin (derivedPin), one slot per lane: the head of the queue its one
-// reader replays (view.replay).
+// holds k slots per lane, k being the pin's capacity (rowCap) — unless the pin
+// is derived (derivedPin), when the row is empty: its one reader replays its
+// queues (view.replay), k slots per lane, where it needs them.
 type rowSpan struct {
 	off, k  int32
 	derived bool
 }
 
-// slots is how many slots each lane's queue has in the row.
+// slots is how many slots each lane's queue owns in the tensors.
 func (r rowSpan) slots() int32 {
 	if r.derived {
-		return 1
+		return 0
 	}
 	return r.k
 }
@@ -424,9 +430,9 @@ func rowCap(st *State, rows []rowSpan, p int32, topK int) int32 {
 // unate, it has one fan-out, it is neither a startpoint nor an endpoint, and
 // its child is not a startpoint. Its queues are then a shifted copy of its
 // parent's (shift) read by nobody but its child, which replays them from
-// the nearest stored ancestor when it is rebuilt (view.replay), so the pin's
-// row keeps only the heads (k = 0), for the backward pass. Its capacity is
-// its parent's.
+// the nearest stored ancestor when it is rebuilt (view.replay) or
+// differentiated (backpropPin), so the pin keeps no row. Its capacity is its
+// parent's.
 func derivedPin(st *State, p int32) bool {
 	lo, fo := st.FaninStart[p], st.FoStart[p]
 	if st.FaninStart[p+1]-lo != 1 || liberty.Unate(st.FaninSense[lo]) == liberty.NonUnate ||
@@ -436,18 +442,18 @@ func derivedPin(st *State, p int32) bool {
 	return st.SpOfPin[st.FoAdj[fo]] < 0
 }
 
-// base returns the flat offset of (rf, pin)'s lane-0 Top-K queue and k, the
-// slots each lane has there — the pin's capacity, or 1 for a derived pin:
-// lane s follows at +s*k and the pin's whole row is S*k slots long. It is the
-// only place a pin becomes a tensor offset. The rf stride is capUnits, not
-// rowUnits: an engine may carry tensor headroom beyond its rows so structural
-// reseeds grow in place.
+// base returns the flat offset of stored (rf, pin)'s lane-0 Top-K queue and
+// k, the pin's capacity: lane s follows at +s*k and the pin's whole row is
+// S*k slots long. It is the only place a pin becomes a tensor offset. The rf
+// stride is capUnits, not rowUnits: an engine may carry tensor headroom
+// beyond its rows so structural reseeds grow in place.
 func (e *Engine) base(rf int, pin int32) (b, k int) {
 	r := e.rows[pin]
-	return (rf*e.capUnits + int(r.off)) * len(e.scns), int(r.slots())
+	return (rf*e.capUnits + int(r.off)) * len(e.scns), int(r.k)
 }
 
-// rowSlots is the length of pin p's row per rf: S times its slots per lane.
+// rowSlots is the length of pin p's row per rf: S times its slots per lane,
+// 0 for a derived pin.
 func (e *Engine) rowSlots(p int32) int { return len(e.scns) * int(e.rows[p].slots()) }
 
 // Lanes returns S, the number of scenarios the engine propagates together.
@@ -480,7 +486,8 @@ func (e *Engine) MemoryBytes() int64 {
 		b += int64(len(e.hold.epSlack)) * 8
 	}
 	if g := e.grad; g != nil {
-		b += int64(len(g.gradArr[0])) * 2 * 4 * 8  // arr/arrStd/seed planes, both rf
+		b += int64(len(g.gradArr[0])) * 2 * 8      // arrival-gradient plane, both rf
+		b += int64(len(g.seedMean[0])) * 2 * 2 * 8 // endpoint seed planes, both rf
 		b += int64(len(g.gradMean[0])) * 2 * 4 * 8 // arc grad + flow planes, both rf
 	}
 	return b

@@ -111,20 +111,17 @@ func (e *Engine) sweep(tag string, v *view, sign float64) {
 	sp.End()
 }
 
-// recompute rebuilds pin p's queues as seen through v into dst, a row of p's
-// length, both transitions in every lane — a late view with sign +1, the
-// early one (hold) with sign -1: startpoints reseed their launch arrival,
+// recompute rebuilds stored pin p's queues as seen through v into dst, a row
+// of p's length, both transitions in every lane — a late view with sign +1,
+// the early one (hold) with sign -1: startpoints reseed their launch arrival,
 // single-fan-in unate pins copy their parent, everything else merges its
-// fan-in on the calling participant's scratch ms. A derived pin is skipped:
-// its one reader replays it. Arc delays and parent queues resolve through v,
-// so the full passes, the incremental wave and an overlay's preview run this
-// one walk; a full pass writes p's own row, a wave a row p does not show
-// (rebuild).
+// fan-in on the calling participant's scratch ms. Arc delays and parent
+// queues resolve through v, so the full passes, the incremental wave and an
+// overlay's preview run this one walk; a full pass writes p's own row, a wave
+// a row p does not show (rebuild). A derived pin is never rebuilt: it has no
+// row, and its one reader replays it.
 func (v *view) recompute(sign float64, p int32, ms *mergeScratch, dst rowRef) {
 	st := v.e.st
-	if v.e.rows[p].derived {
-		return
-	}
 	if sp := st.SpOfPin[p]; sp >= 0 {
 		v.initStartpoint(sp, dst)
 		return
@@ -151,15 +148,29 @@ func (v *view) row(p int32) rowRef {
 	return rowRef{q, [2]int{b0, b1}, k}
 }
 
-// ref resolves pin p's row for a pin being rebuilt: its row through v, or —
-// for a derived pin — region r of ms, where it is replayed first. The
-// engine's own views store the replayed heads; an overlay writes no base
-// memory.
+// ref resolves pin p's row for a pin being rebuilt or differentiated: its row
+// through v, or — for a derived pin — region r of ms, where it is replayed
+// first.
 func (v *view) ref(sign float64, p int32, ms *mergeScratch, r int) rowRef {
 	if v.e.rows[p].derived {
-		return v.replay(sign, p, ms, r, v.arcSlot == nil)
+		return v.replay(sign, p, ms, r)
 	}
 	return v.row(p)
+}
+
+// parents resolves pin p's fan-in, in CSR order, to rows through v into
+// ms.par: stored parents' rows, derived ones replayed into ms, one region
+// each from firstReplay on.
+func (v *view) parents(sign float64, p int32, ms *mergeScratch) []rowRef {
+	st := v.e.st
+	par, r := ms.par[:0], firstReplay
+	for _, from := range st.FaninFrom[st.FaninStart[p]:st.FaninStart[p+1]] {
+		if par = append(par, v.ref(sign, from, ms, r)); v.e.rows[from].derived {
+			r++
+		}
+	}
+	ms.par = par
+	return par
 }
 
 // replay rebuilds derived pin d's queues as v shows them — both transitions,
@@ -167,10 +178,9 @@ func (v *view) ref(sign float64, p int32, ms *mergeScratch, r int) rowRef {
 // derived pins d hangs under is replayed hop by hop from its nearest stored
 // ancestor, each hop shift's copy of the one before, alternating between
 // region 0 and region r so that d's lands in r: the arithmetic of a stored
-// copy, so every queue is bit for bit the one a row would hold. With heads
-// set every hop also stores its queues' k = 0 entries in its pin's row, where
-// the backward pass reads them.
-func (v *view) replay(sign float64, d int32, ms *mergeScratch, r int, heads bool) rowRef {
+// copy, so every queue is bit for bit the one a row would hold. Nothing is
+// written to v: a derived pin has no row.
+func (v *view) replay(sign float64, d int32, ms *mergeScratch, r int) rowRef {
 	e, st := v.e, v.e.st
 	hops := ms.hops[:0]
 	p := d
@@ -187,15 +197,6 @@ func (v *view) replay(sign float64, d int32, ms *mergeScratch, r int, heads bool
 		}
 		dst := ms.row(e, reg, int(e.rows[p].k))
 		v.shift(sign, st.FaninStart[p], src, dst)
-		if heads {
-			h := v.row(p)
-			for rf := 0; rf < 2; rf++ {
-				for s := range e.scns {
-					j, i := h.b[rf]+s, dst.b[rf]+s*dst.k
-					h.q.mean[j], h.q.std[j], h.q.sp[j] = dst.q.mean[i], dst.q.std[i], dst.q.sp[i]
-				}
-			}
-		}
 		src = dst
 	}
 	return src
@@ -228,12 +229,11 @@ func (v *view) shift(sign float64, pos int32, src, dst rowRef) {
 }
 
 // mergeFanin rebuilds pin p's queues into dst from its parents' queues, all as
-// seen through v, with recompute's sign. The parents' rows are resolved once —
-// derived ones replayed into ms, one region each — into ms.par; then per
-// transition the fan-in CSR is walked once, gathering the pin's contributions
-// — parent row, nominal arc delay, kind, each resolved through v once — into
-// ms.fan; then the walk is lane-outer: one lane's queue is finished before the
-// next is started, so one scalar live count and the participant's one
+// seen through v, with recompute's sign. The parents' rows are resolved once
+// (parents); then per transition the fan-in CSR is walked once, gathering the
+// pin's contributions — parent row, nominal arc delay, kind, each resolved
+// through v once — into ms.fan; then the walk is lane-outer: one lane's queue
+// is finished before the next is started, so one scalar live count and the participant's one
 // startpoint index serve any lane count. For a fixed lane the insertion order
 // over (arc position, input transition, parent slot) does not depend on S,
 // which is what makes lane s bit-identical to a single-lane engine over
@@ -247,13 +247,7 @@ func (v *view) mergeFanin(sign float64, p int32, ms *mergeScratch, dst rowRef) {
 	e, st := v.e, v.e.st
 	ns := sign * st.NSigma
 	lo, hi := st.FaninStart[p], st.FaninStart[p+1]
-	par, r := ms.par[:0], firstReplay
-	for _, from := range st.FaninFrom[lo:hi] {
-		if par = append(par, v.ref(sign, from, ms, r)); e.rows[from].derived {
-			r++
-		}
-	}
-	ms.par = par
+	par := v.parents(sign, p, ms)
 	for rf := 0; rf < 2; rf++ {
 		fan := ms.fan[:0]
 		for pos := lo; pos < hi; pos++ {
@@ -464,10 +458,7 @@ func (q *queues) merge(b, n, k int, src *queues, pb, pk int, am, as, sign, ns fl
 // a derived pin — as long as its capacity, min(K, what its fan-in can bring),
 // and the live entries end at the first sp < 0 or at the end.
 func (e *Engine) LaneTopEntries(rf int, p int32, s int) (mean, std []float64, sps []int32) {
-	r := e.top.row(p)
-	if e.rows[p].derived {
-		r = e.top.replay(1, p, new(mergeScratch), 1, false)
-	}
+	r := e.top.ref(1, p, new(mergeScratch), 1)
 	b := r.b[rf] + s*r.k
 	return r.q.mean[b : b+r.k], r.q.std[b : b+r.k], r.q.sp[b : b+r.k]
 }

@@ -91,7 +91,7 @@ func TestHoldSlackAboveSetupArrivalRelation(t *testing.T) {
 			if lateSP[0] == noSP {
 				continue
 			}
-			r := shownRow(&e.hold.view, -1, p, new(mergeScratch), 1)
+			r := e.hold.ref(-1, p, new(mergeScratch), 1)
 			b := r.b[rf]
 			if r.q.sp[b] == noSP {
 				continue

@@ -112,14 +112,12 @@ func TestMemoryBytesCountsTensors(t *testing.T) {
 		}
 		units := 0
 		for _, r := range e.rows {
-			if r.derived {
-				units++
-			} else {
+			if !r.derived {
 				units += int(r.k)
 			}
 		}
 		if want := int64(2*20*len(e.scns)*units) * 2; slabs(e) != want {
-			t.Fatalf("K=%d: slabs hold %d B, 2 x 20 B x S x (Σcap + derived heads %d) x 2 is %d", k, slabs(e), units, want)
+			t.Fatalf("K=%d: slabs hold %d B, 2 x 20 B x S x (Σcap of stored pins %d) x 2 is %d", k, slabs(e), units, want)
 		}
 		if e.MemoryBytes() < slabs(e)+int64(len(e.rows))*int64(unsafe.Sizeof(rowSpan{})) {
 			t.Fatalf("K=%d: MemoryBytes %d does not cover the tensors %d and the row spans", k, e.MemoryBytes(), slabs(e))

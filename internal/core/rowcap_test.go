@@ -21,19 +21,17 @@ import (
 // assertCapacities checks e's rows against the capacity rule: every capacity
 // in [1, K], never below a parent's along an arc into a non-startpoint pin,
 // every late and early queue packed within it in every lane, and the tensors
-// exactly 20 B per slot over S slots per unit of every stored row, every
-// derived pin's head and headroom units, both transitions, late and early.
+// exactly 20 B per slot over S slots per unit of every stored row and
+// headroom units, both transitions, late and early: a derived pin takes none.
 func assertCapacities(t *testing.T, what string, e *Engine, headroom int) {
 	t.Helper()
-	sum, heads := 0, 0
+	sum := 0
 	for p := int32(0); p < int32(e.st.NumPins); p++ {
 		k := e.rows[p].k
 		if k < 1 || int(k) > e.opt.TopK {
 			t.Fatalf("%s: pin %d has capacity %d, K = %d", what, p, k, e.opt.TopK)
 		}
-		if e.rows[p].derived {
-			heads++
-		} else {
+		if !e.rows[p].derived {
 			sum += int(k)
 		}
 		if e.st.SpOfPin[p] >= 0 {
@@ -46,19 +44,19 @@ func assertCapacities(t *testing.T, what string, e *Engine, headroom int) {
 		}
 	}
 	assertEnginePacked(t, what, e)
-	if want := int64(2*20*len(e.scns)*(sum+heads+headroom)) * 2; e.tensorBytes() != want {
-		t.Fatalf("%s: tensors take %d B, 2 x 20 B x S x (Σcap %d + heads %d + headroom %d) x 2 is %d", what, e.tensorBytes(), sum, heads, headroom, want)
+	if want := int64(2*20*len(e.scns)*(sum+headroom)) * 2; e.tensorBytes() != want {
+		t.Fatalf("%s: tensors take %d B, 2 x 20 B x S x (Σcap %d + headroom %d) x 2 is %d", what, e.tensorBytes(), sum, headroom, want)
 	}
 }
 
 // assertNothingMoved holds the pins a reseed found to the spans they had: an
 // op that preserves every capacity relocates no queue but a derived pin's
-// that stopped being derived and needs more than its head's one slot.
+// that stopped being derived, which had no row.
 func assertNothingMoved(t *testing.T, what string, ne *Engine, oldRows []rowSpan) {
 	t.Helper()
 	for p, r := range oldRows {
 		now := ne.rows[p]
-		if now.k != r.k || now.off != r.off && !(r.derived && !now.derived && now.k > 1) {
+		if now.k != r.k || now.off != r.off && !(r.derived && !now.derived) {
 			t.Fatalf("%s: pin %d moved from %+v to %+v", what, p, r, now)
 		}
 	}
@@ -170,13 +168,12 @@ func TestRowCapacity(t *testing.T) {
 					t.Fatalf("%s: the output wire starts at pin %d, not the driver %d", what, ne.st.ArcFrom[n+1], st.ArcFrom[arc])
 				}
 				assertNothingMoved(t, what, ne, oldRows)
-				// A pin that stopped being derived with a capacity above one
-				// took a fresh row of k units from the headroom and left its
-				// head's unit behind.
+				// A pin that stopped being derived took a fresh row of k units
+				// from the headroom.
 				grew := 0
 				for p, r := range oldRows {
-					if now := ne.rows[p]; now.off != r.off {
-						grew += int(now.k) - 1
+					if now := ne.rows[p]; r.derived && !now.derived {
+						grew += int(now.k)
 					}
 				}
 				assertCapacities(t, what, ne, seedHeadroom*k-grew)

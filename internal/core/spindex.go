@@ -60,7 +60,8 @@ type faninContrib struct {
 	kind   uint8
 }
 
-// mergeScratch is what one pool participant needs to rebuild a pin: the
+// mergeScratch is what one pool participant needs to rebuild a pin (or to
+// differentiate one, which resolves its parents the same way): the
 // startpoint index of the queue it is filling and the pin's gathered
 // contributions (mergeFanin), and rows of queues to write to: par is the
 // pin's fan-in resolved to rows, hops the chain of derived pins being
@@ -99,11 +100,11 @@ func (ms *mergeScratch) row(e *Engine, r, k int) rowRef {
 
 // borrowScratch takes a set of merge scratch — one per pool participant,
 // indexed by the scheduler's participant id — off the engine's free list for
-// the duration of one full sweep or cone wave, allocating a set only when
-// every existing one is out. The engine owns the sets and their number is the
-// most waves that ever ran at once (overlays previewing concurrently over one
-// base); sessions own none, so scratch memory is O(concurrent waves * workers
-// * startpoints) however many overlays exist.
+// the duration of one full sweep, backward pass or cone wave, allocating a
+// set only when every existing one is out. The engine owns the sets and their
+// number is the most waves that ever ran at once (overlays previewing
+// concurrently over one base); sessions own none, so scratch memory is
+// O(concurrent waves * workers * startpoints) however many overlays exist.
 func (e *Engine) borrowScratch() []*mergeScratch {
 	st := e.st
 	e.scratchMu.Lock()

@@ -570,7 +570,7 @@ func NewEngineLanes(st *State, scns []Scenario, opt Options) (*Engine, error) {
 
 // newEngine builds an engine over st with freshly allocated, unpropagated
 // Top-K tensors whose rows follow st's level order, each as long as its pin's
-// capacity (rowCap), or one slot for a derived pin (derivedPin): one pass over
+// capacity (rowCap), none for a derived pin (derivedPin): one pass over
 // the fan-in CSR in level order, so every parent's capacity is known before
 // its children's.
 func newEngine(st *State, scns []Scenario, opt Options) (*Engine, error) {
@@ -694,14 +694,15 @@ const seedHeadroom = 4096
 // neither unless it is listed; left out, it keeps its status — its results
 // are exact either way, but its layout is not a cold engine's. A pin keeps its row
 // while what it now stores fits there (a shrunk row gives up its tail, a pin
-// that became derived keeps one slot per lane) and takes a fresh row at the
-// tail when it does not; appended pins take fresh rows too, in level order.
-// Buffer insertion and bypass preserve every existing pin's capacity, so they
-// re-lay only the pins whose status flips — a bypass gives the driver a
-// second fan-out and takes the buffer output's only one. A re-laid row is not
-// carried over but rebuilt: every pin whose span changed — moved, grown,
-// shrunk or flipped — joins the seeds, its row poisoned so that the wave
-// finds it changed and carries on to its fan-out.
+// that became derived all of it) and takes a fresh row at the tail when it
+// does not; appended pins take fresh rows too, in level order. Buffer
+// insertion and bypass preserve every existing pin's capacity, so they re-lay
+// only the pins whose status flips — a bypass gives the driver a second
+// fan-out and takes the buffer output's only one, and each takes a fresh row.
+// A re-laid row is not carried over but rebuilt: every pin whose span changed
+// — moved, grown, shrunk or flipped — joins the seeds, its row poisoned so
+// that the wave finds it changed and carries on to its fan-out (a pin that
+// became derived has no row, and the wave passes through it).
 //
 // With inPlace false, e is left untouched (it may be a base shared with other
 // sessions) and the result is a new engine with seedHeadroom spare tensor
@@ -808,8 +809,7 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 	ne.rows, ne.rowUnits = rows, units
 	// A re-laid row holds nothing a rebuild can be compared with, so it is
 	// poisoned: startpoint noSP-1, which no queue holds, makes the compare
-	// find it changed. A derived pin's heads are rewritten by its child,
-	// which the wave reaches through it.
+	// find it changed.
 	for _, p := range relaid {
 		n := ne.rowSlots(p)
 		for rf := 0; rf < 2; rf++ {

@@ -11,9 +11,11 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"insta/internal/liberty"
 	"insta/internal/netlist"
@@ -159,12 +161,25 @@ func Read(r io.Reader, lib *liberty.Library) (*netlist.Design, error) {
 		conns   map[string]string // pin -> signal
 	}
 	var insts []inst
-	wires := map[string]bool{}
 
-	var clockNodes [][4]string
-	var clockPins [][2]string
-	cellPos := map[string][4]string{}
-	portPos := map[string][2]string{}
+	// The pragmas' numbers are parsed where they stand, so an error names
+	// its line; a clock pin's node is range-checked once the tree is built.
+	type clockNode struct {
+		parent int32
+		edge   num.Dist
+	}
+	type clockPin struct {
+		pin        string
+		node, line int
+	}
+	type cellPlace struct {
+		x, y, width float64
+		fixed       bool
+	}
+	var clockNodes []clockNode
+	var clockPins []clockPin
+	cellPos := map[string]cellPlace{}
+	portPos := map[string][2]float64{}
 
 	lineNo := 0
 	for sc.Scan() {
@@ -180,25 +195,56 @@ func Read(r io.Reader, lib *liberty.Library) (*netlist.Design, error) {
 			if len(f) != 4 {
 				return nil, fmt.Errorf("vlog: line %d: bad clocknode", lineNo)
 			}
-			clockNodes = append(clockNodes, [4]string{f[0], f[1], f[2], f[3]})
+			var edge num.Dist
+			id, err := strconv.Atoi(f[0])
+			if err != nil || id != len(clockNodes) {
+				return nil, fmt.Errorf("vlog: line %d: clocknode id %q is not the next node, %d", lineNo, f[0], len(clockNodes))
+			}
+			parent, err := strconv.ParseInt(f[1], 10, 32)
+			if err != nil {
+				return nil, fmt.Errorf("vlog: line %d: clocknode parent: %w", lineNo, err)
+			}
+			if err := parseNums(f[2:], &edge.Mean, &edge.Std); err != nil {
+				return nil, fmt.Errorf("vlog: line %d: clocknode: %w", lineNo, err)
+			}
+			if edge.Std < 0 {
+				return nil, fmt.Errorf("vlog: line %d: clocknode sigma %q is negative", lineNo, f[3])
+			}
+			clockNodes = append(clockNodes, clockNode{int32(parent), edge})
 		case strings.HasPrefix(line, "//insta:clockpin "):
 			f := strings.Fields(strings.TrimPrefix(line, "//insta:clockpin "))
 			if len(f) != 2 {
 				return nil, fmt.Errorf("vlog: line %d: bad clockpin", lineNo)
 			}
-			clockPins = append(clockPins, [2]string{f[0], f[1]})
+			node, err := strconv.ParseInt(f[1], 10, 32)
+			if err != nil || node < 0 {
+				return nil, fmt.Errorf("vlog: line %d: clockpin %q bad node %q", lineNo, f[0], f[1])
+			}
+			clockPins = append(clockPins, clockPin{f[0], int(node), lineNo})
 		case strings.HasPrefix(line, "//insta:cellpos "):
 			f := strings.Fields(strings.TrimPrefix(line, "//insta:cellpos "))
 			if len(f) != 5 {
 				return nil, fmt.Errorf("vlog: line %d: bad cellpos", lineNo)
 			}
-			cellPos[f[0]] = [4]string{f[1], f[2], f[3], f[4]}
+			var c cellPlace
+			if err := parseNums(f[1:4], &c.x, &c.y, &c.width); err != nil {
+				return nil, fmt.Errorf("vlog: line %d: cellpos: %w", lineNo, err)
+			}
+			if f[4] != "0" && f[4] != "1" {
+				return nil, fmt.Errorf("vlog: line %d: cellpos fixed flag %q is not 0 or 1", lineNo, f[4])
+			}
+			c.fixed = f[4] == "1"
+			cellPos[f[0]] = c
 		case strings.HasPrefix(line, "//insta:portpos "):
 			f := strings.Fields(strings.TrimPrefix(line, "//insta:portpos "))
 			if len(f) != 3 {
 				return nil, fmt.Errorf("vlog: line %d: bad portpos", lineNo)
 			}
-			portPos[f[0]] = [2]string{f[1], f[2]}
+			var xy [2]float64
+			if err := parseNums(f[1:], &xy[0], &xy[1]); err != nil {
+				return nil, fmt.Errorf("vlog: line %d: portpos: %w", lineNo, err)
+			}
+			portPos[f[0]] = xy
 		case strings.HasPrefix(line, "//insta:placement"), strings.HasPrefix(line, "//"):
 			continue
 		case strings.HasPrefix(line, "module "):
@@ -207,12 +253,19 @@ func Read(r io.Reader, lib *liberty.Library) (*netlist.Design, error) {
 				name = strings.TrimSpace(name[:i])
 			}
 			d = netlist.New(name)
-		case strings.HasPrefix(line, "input "):
-			inputs = append(inputs, trimDecl(line, "input "))
-		case strings.HasPrefix(line, "output "):
-			outputs = append(outputs, trimDecl(line, "output "))
-		case strings.HasPrefix(line, "wire "):
-			wires[trimDecl(line, "wire ")] = true
+		case strings.HasPrefix(line, "input "), strings.HasPrefix(line, "output "), strings.HasPrefix(line, "wire "):
+			kind, name, _ := strings.Cut(line, " ")
+			if name = trimDecl(name, ""); !isName(name) {
+				return nil, fmt.Errorf("vlog: line %d: bad %s name %q", lineNo, kind, name)
+			}
+			// A wire declares nothing a connection does not: nets are
+			// built from the signals instances and ports name.
+			switch kind {
+			case "input":
+				inputs = append(inputs, name)
+			case "output":
+				outputs = append(outputs, name)
+			}
 		case strings.HasPrefix(line, "assign "):
 			body := trimDecl(line, "assign ")
 			parts := strings.SplitN(body, "=", 2)
@@ -255,10 +308,7 @@ func Read(r io.Reader, lib *liberty.Library) (*netlist.Design, error) {
 		lc := lib.Cell(in.libCell)
 		c := d.AddCell(in.name, in.libCell, lc.Seq)
 		if pos, ok := cellPos[in.name]; ok {
-			d.Cells[c].X, _ = strconv.ParseFloat(pos[0], 64)
-			d.Cells[c].Y, _ = strconv.ParseFloat(pos[1], 64)
-			d.Cells[c].Width, _ = strconv.ParseFloat(pos[2], 64)
-			d.Cells[c].Fixed = pos[3] == "1"
+			d.Cells[c].X, d.Cells[c].Y, d.Cells[c].Width, d.Cells[c].Fixed = pos.x, pos.y, pos.width, pos.fixed
 		} else {
 			d.Cells[c].Width = lc.Area
 		}
@@ -276,6 +326,15 @@ func Read(r io.Reader, lib *liberty.Library) (*netlist.Design, error) {
 			}
 		}
 	}
+	// Write names a net whose one sink is an output port after the port, so
+	// an assigned output's own name must not be a second signal.
+	for _, name := range outputs {
+		if alias, ok := assigns[name]; ok && alias != name {
+			if _, driven := signalDriver[name]; driven {
+				return nil, fmt.Errorf("vlog: output %q is assigned from %q and driven as %q too", name, alias, name)
+			}
+		}
+	}
 	// Nets. Wires without a declared name (port-named signals) included.
 	var signals []string
 	for sig := range signalDriver {
@@ -283,13 +342,7 @@ func Read(r io.Reader, lib *liberty.Library) (*netlist.Design, error) {
 	}
 	sort.Strings(signals)
 	for _, sig := range signals {
-		drv := signalDriver[sig]
-		name := sig
-		if d.Pins[drv].Cell != netlist.NoCell && !wires[sig] {
-			// Port-named net driven by a cell: keep the signal name.
-			name = sig
-		}
-		n := d.AddNet(name, drv)
+		n := d.AddNet(sig, signalDriver[sig])
 		d.Connect(n, signalSinks[sig]...)
 	}
 
@@ -297,44 +350,61 @@ func Read(r io.Reader, lib *liberty.Library) (*netlist.Design, error) {
 	if len(clockNodes) > 0 {
 		var ct *netlist.ClockTree
 		for _, cn := range clockNodes {
-			parent, _ := strconv.ParseInt(cn[1], 10, 32)
-			mean, _ := strconv.ParseFloat(cn[2], 64)
-			std, _ := strconv.ParseFloat(cn[3], 64)
 			if ct == nil {
-				if parent != -1 {
+				if cn.parent != -1 {
 					return nil, fmt.Errorf("vlog: first clock node is not the root")
 				}
-				ct = netlist.NewClockTree(num.Dist{Mean: mean, Std: std})
+				ct = netlist.NewClockTree(cn.edge)
 				continue
 			}
-			ct.AddNode(int32(parent), num.Dist{Mean: mean, Std: std})
+			ct.AddNode(cn.parent, cn.edge)
 		}
 		for _, cp := range clockPins {
-			pin, ok := d.PinByName(cp[0])
+			pin, ok := d.PinByName(cp.pin)
 			if !ok {
-				return nil, fmt.Errorf("vlog: clockpin %q not in design", cp[0])
+				return nil, fmt.Errorf("vlog: line %d: clockpin %q not in design", cp.line, cp.pin)
 			}
-			node, err := strconv.ParseInt(cp[1], 10, 32)
-			if err != nil || node < 0 || int(node) >= ct.NumNodes() {
-				return nil, fmt.Errorf("vlog: clockpin %q bad node %q", cp[0], cp[1])
+			if cp.node >= ct.NumNodes() {
+				return nil, fmt.Errorf("vlog: line %d: clockpin %q bad node %d", cp.line, cp.pin, cp.node)
 			}
-			ct.BindSink(pin, int32(node))
+			ct.BindSink(pin, int32(cp.node))
 		}
 		if err := ct.Finalize(); err != nil {
 			return nil, err
 		}
 		d.Clock = ct
 	}
-	for name, pos := range portPos {
-		if p, ok := d.PinByName(name); ok {
-			d.Pins[p].X, _ = strconv.ParseFloat(pos[0], 64)
-			d.Pins[p].Y, _ = strconv.ParseFloat(pos[1], 64)
+	for p := range d.Pins {
+		if pos, ok := portPos[d.Pins[p].Name]; ok && d.Pins[p].Cell == netlist.NoCell {
+			d.Pins[p].X, d.Pins[p].Y = pos[0], pos[1]
 		}
 	}
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("vlog: parsed design invalid: %w", err)
 	}
 	return d, nil
+}
+
+// parseNums parses each field into the value it points at. NaN and ±Inf
+// parse, but no coordinate or delay can be one: they are rejected.
+func parseNums(fields []string, vals ...*float64) error {
+	for i, s := range fields {
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return err
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%q is not a finite number", s)
+		}
+		*vals[i] = v
+	}
+	return nil
+}
+
+// isName reports whether s can name a port, wire or signal: one token, so
+// the placement pragmas Write adds can carry it back.
+func isName(s string) bool {
+	return s != "" && strings.IndexFunc(s, unicode.IsSpace) < 0
 }
 
 func trimDecl(line, prefix string) string {
@@ -382,8 +452,11 @@ func parseInstance(line string, lib *liberty.Library) (struct {
 			return out, fmt.Errorf("bad connection %q", part)
 		}
 		pin := part[1:lp]
-		sig := strings.TrimSuffix(part[lp+1:], ")")
-		out.conns[pin] = strings.TrimSpace(sig)
+		sig := strings.TrimSpace(strings.TrimSuffix(part[lp+1:], ")"))
+		if !isName(sig) {
+			return out, fmt.Errorf("bad signal name %q", sig)
+		}
+		out.conns[pin] = sig
 	}
 	return out, nil
 }

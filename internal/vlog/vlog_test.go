@@ -2,6 +2,7 @@ package vlog
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -152,19 +153,103 @@ func remapConstraints(t testing.TB, b *bench.Design, got *netlist.Design) *sdc.C
 	return con
 }
 
+// garbage is documents Read must reject, by what is wrong with them.
+var garbage = map[string]string{
+	"no module":      "wire x;\n",
+	"bad instance":   "module m ();\n  FOO u1 (.A(x));\nendmodule\n",
+	"positional":     "module m ();\n  INV_X1 u1 (x, y);\nendmodule\n",
+	"bad assign":     "module m ();\n  assign x;\nendmodule\n",
+	"bad clockpin":   "module m ();\nendmodule\n//insta:clockpin onlyone\n",
+	"two-token port": "module m (a b);\n  input a b;\nendmodule\n",
+	"assigned and driven output": "module m (a, o);\n  input a;\n  input o;\n  output o;\n" +
+		"  INV_X1 u (.A(a), .Y(w));\n  assign o = w;\nendmodule\n",
+}
+
 func TestReadRejectsGarbage(t *testing.T) {
 	lib := liberty.NewSynthetic(liberty.TechN3())
-	cases := map[string]string{
-		"no module":    "wire x;\n",
-		"bad instance": "module m ();\n  FOO u1 (.A(x));\nendmodule\n",
-		"positional":   "module m ();\n  INV_X1 u1 (x, y);\nendmodule\n",
-		"bad assign":   "module m ();\n  assign x;\nendmodule\n",
-		"bad clockpin": "module m ();\nendmodule\n//insta:clockpin onlyone\n",
-	}
-	for name, doc := range cases {
+	for name, doc := range garbage {
 		if _, err := Read(strings.NewReader(doc), lib); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// badNumber puts value in field field (the pragma keyword is field 0) of the
+// nth line of a written document that starts with pragma.
+type badNumber struct {
+	name, pragma string
+	nth, field   int
+	value        string
+}
+
+// apply returns doc with c's field replaced and the 1-based number of the
+// line it edited, 0 when doc has no such line.
+func (c badNumber) apply(doc string) (string, int) {
+	lines := strings.Split(doc, "\n")
+	seen := 0
+	for i, line := range lines {
+		if !strings.HasPrefix(line, c.pragma+" ") {
+			continue
+		}
+		if seen++; seen == c.nth {
+			f := strings.Fields(line)
+			f[c.field] = c.value
+			lines[i] = strings.Join(f, " ")
+			return strings.Join(lines, "\n"), i + 1
+		}
+	}
+	return doc, 0
+}
+
+// badNumbers is one bad value per numeric field of every pragma. Node 1 of the
+// clock tree is edited, so the root rule does not reject it first.
+var badNumbers = []badNumber{
+	{"clocknode/id", "//insta:clocknode", 2, 1, "7"},
+	{"clocknode/id-text", "//insta:clocknode", 2, 1, "one"},
+	{"clocknode/parent", "//insta:clocknode", 2, 2, "bogus"},
+	{"clocknode/mean-nan", "//insta:clocknode", 2, 3, "NaN"},
+	{"clocknode/mean-inf", "//insta:clocknode", 2, 3, "Inf"},
+	{"clocknode/mean-text", "//insta:clocknode", 2, 3, "bogus"},
+	{"clocknode/sigma-nan", "//insta:clocknode", 2, 4, "NaN"},
+	{"clocknode/sigma-neg-inf", "//insta:clocknode", 2, 4, "-Inf"},
+	{"clocknode/sigma-negative", "//insta:clocknode", 2, 4, "-1"},
+	{"clockpin/node-text", "//insta:clockpin", 1, 2, "x"},
+	{"clockpin/node-negative", "//insta:clockpin", 1, 2, "-1"},
+	{"clockpin/node-past-tree", "//insta:clockpin", 1, 2, "1000000"},
+	{"cellpos/x", "//insta:cellpos", 1, 2, "NaN"},
+	{"cellpos/y", "//insta:cellpos", 1, 3, "+Inf"},
+	{"cellpos/width", "//insta:cellpos", 1, 4, "bogus"},
+	{"cellpos/fixed", "//insta:cellpos", 1, 5, "2"},
+	{"portpos/x", "//insta:portpos", 1, 2, "NaN"},
+	{"portpos/y", "//insta:portpos", 1, 3, "-Inf"},
+}
+
+// TestReadRejectsBadNumbers edits one numeric field of one pragma in a
+// written design at a time: Read must reject the document with the edited
+// line's number, where it once took NaN for a coordinate or a clock edge.
+func TestReadRejectsBadNumbers(t *testing.T) {
+	b := genDesign(t, 4)
+	var buf bytes.Buffer
+	if err := Write(&buf, b.D, b.Lib); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(strings.NewReader(buf.String()), b.Lib); err != nil {
+		t.Fatalf("the unedited document: %v", err)
+	}
+	for _, c := range badNumbers {
+		t.Run(c.name, func(t *testing.T) {
+			doc, line := c.apply(buf.String())
+			if line == 0 {
+				t.Fatalf("the document has no %d %s line", c.nth, c.pragma)
+			}
+			_, err := Read(strings.NewReader(doc), b.Lib)
+			if err == nil {
+				t.Fatalf("accepted %q", c.value)
+			}
+			if want := fmt.Sprintf("line %d:", line); !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name line %d", err, line)
+			}
+		})
 	}
 }
 
