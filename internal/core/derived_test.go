@@ -37,22 +37,24 @@ func derivedRule(st *State) []bool {
 }
 
 // assertDerived holds e to the derived layout: the derived set is exactly
-// derivedRule's; every derived pin's replayed queues, late and early, are one
-// mergeEmpty hop of its parent's as the engine shows them, every lane; and a
-// derived pin owns zero slots — the stored pins' rows take every unit the
-// engine has handed out.
+// derivedRule's live pins (a dead pin is never derived); every derived pin's
+// replayed queues, late and early, are one mergeEmpty hop of its parent's as
+// the engine shows them, every lane; and a derived pin owns zero slots — the
+// stored pins' rows take every unit the engine has handed out.
 func assertDerived(t *testing.T, what string, e *Engine) {
 	t.Helper()
 	st, S := e.st, len(e.scns)
-	rule := derivedRule(st)
+	rule, live := derivedRule(st), liveRule(st)
 	ms := new(mergeScratch)
 	n, stored := 0, 0
 	for p := int32(0); p < int32(st.NumPins); p++ {
-		if e.rows[p].derived != rule[p] {
-			t.Fatalf("%s: pin %d derived %v, the rule says %v", what, p, e.rows[p].derived, rule[p])
+		if want := rule[p] && live[p]; e.rows[p].derived != want {
+			t.Fatalf("%s: pin %d derived %v, the rule says %v", what, p, e.rows[p].derived, want)
 		}
-		if !rule[p] {
-			stored += int(e.rows[p].k)
+		if !e.rows[p].derived {
+			if e.rows[p].stored() {
+				stored += int(e.rows[p].k)
+			}
 			continue
 		}
 		if slots := e.rowSlots(p); slots != 0 {
@@ -93,13 +95,13 @@ func assertDerived(t *testing.T, what string, e *Engine) {
 }
 
 // assertSameLayout holds a reseeded engine to a cold one over the same state:
-// the same derived set and capacities, and the same queues at every pin, late
-// and early.
+// the same derived and dead sets and capacities, and the same queues at every
+// live pin, late and early.
 func assertSameLayout(t *testing.T, what string, got, cold *Engine) {
 	t.Helper()
 	for p := int32(0); p < int32(cold.st.NumPins); p++ {
-		if g, c := got.rows[p], cold.rows[p]; g.derived != c.derived || g.k != c.k {
-			t.Fatalf("%s: pin %d has capacity %d, derived %v; a cold engine's %d, %v", what, p, g.k, g.derived, c.k, c.derived)
+		if g, c := got.rows[p], cold.rows[p]; g.derived != c.derived || g.dead != c.dead || g.k != c.k {
+			t.Fatalf("%s: pin %d has capacity %d, derived %v, dead %v; a cold engine's %d, %v, %v", what, p, g.k, g.derived, g.dead, c.k, c.derived, c.dead)
 		}
 		if !sameShown(&got.top, &cold.top, 1, p) || !sameShown(&got.hold.view, &cold.hold.view, -1, p) {
 			t.Fatalf("%s: pin %d: queues differ from a cold engine's", what, p)
@@ -130,10 +132,10 @@ func TestDerivedRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The middle positive-unate net arc out of a derived driver.
-		rule := derivedRule(st)
+		rule, live := derivedRule(st), liveRule(st)
 		var nets []int32
 		for a := range st.ArcFrom {
-			if st.ArcKind[a] == 1 && rule[st.ArcFrom[a]] && liberty.Unate(st.FaninSense[faninPos(st, int32(a))]) == liberty.PositiveUnate {
+			if st.ArcKind[a] == 1 && rule[st.ArcFrom[a]] && live[st.ArcFrom[a]] && liberty.Unate(st.FaninSense[faninPos(st, int32(a))]) == liberty.PositiveUnate {
 				nets = append(nets, int32(a))
 			}
 		}

@@ -74,7 +74,7 @@ type Engine struct {
 	// Kernels load it once per call (st := e.st) and index its slabs.
 	st *State
 	// rows maps a pin to its tensor row (rowSpan): where it starts, its
-	// capacity and whether the pin is derived, which owns no slots. Rows are
+	// capacity and whether the pin is derived or dead, which own no slots. Rows are
 	// laid out in the level order the engine was built over, so the pins a
 	// level launch walks — and most of their parents, one level up — sit in
 	// neighbouring memory; a structural reseed keeps every row that still
@@ -153,11 +153,12 @@ type Engine struct {
 
 // bindKernels creates the engine's full-pass kernel closures.
 func (e *Engine) bindKernels() {
-	// A derived pin has no row to rebuild: its one reader replays it.
+	// Only stored pins are rebuilt: a derived pin's one reader replays it, and
+	// nothing but LaneTopEntries reads a dead pin.
 	e.kern.level = func(id, lo, hi int) {
 		ms := e.run.scratch[id]
 		for _, p := range e.run.pins[lo:hi] {
-			if !e.rows[p].derived {
+			if e.rows[p].stored() {
 				e.run.v.recompute(e.run.sign, p, ms, e.run.v.row(p))
 			}
 		}
@@ -169,7 +170,7 @@ func (e *Engine) bindKernels() {
 		ms, st := e.run.scratch[id], e.st
 		for l := e.run.lo; l < e.run.hi; l++ {
 			for _, p := range st.levelPins(l) {
-				if !e.rows[p].derived {
+				if e.rows[p].stored() {
 					e.run.v.recompute(e.run.sign, p, ms, e.run.v.row(p))
 				}
 			}
@@ -260,7 +261,8 @@ type propScratch struct {
 
 // newPropScratch sizes a wave scratch for e's current graph around its owner's
 // hooks. A derived pin is never handed to rebuild: it has no row, and the
-// wave passes on to its one child, which replays it.
+// wave passes on to its one child, which replays it. A dead pin is never in a
+// bucket (coneWave).
 func (e *Engine) newPropScratch(rebuild func(int, int32, *mergeScratch) bool, bind func([]int32), settle func(int, int32, bool)) *propScratch {
 	s := &propScratch{
 		rebuild: rebuild, bind: bind, settle: settle,
@@ -272,7 +274,7 @@ func (e *Engine) newPropScratch(rebuild func(int, int32, *mergeScratch) bool, bi
 		ms := s.scratch[id]
 		for i := lo; i < hi; i++ {
 			p := s.bucket[i]
-			s.changed[i] = e.rows[p].derived || s.rebuild(i, p, ms)
+			s.changed[i] = !e.rows[p].stored() || s.rebuild(i, p, ms)
 		}
 	}
 	return s
@@ -384,16 +386,21 @@ func (e *Engine) KernelStats() []sched.KernelProfile {
 
 // rowSpan is one pin's tensor row: it starts off units into each rf block and
 // holds k slots per lane, k being the pin's capacity (rowCap) — unless the pin
-// is derived (derivedPin), when the row is empty: its one reader replays its
-// queues (view.replay), k slots per lane, where it needs them.
+// is derived (derivedPin) or dead (livePin), when the row is empty: a derived
+// pin's one reader replays its queues (view.replay), k slots per lane, where
+// it needs them, and a dead pin's are rebuilt only when LaneTopEntries asks
+// (view.revive). A dead pin is never derived.
 type rowSpan struct {
-	off, k  int32
-	derived bool
+	off, k        int32
+	derived, dead bool
 }
+
+// stored reports whether the pin keeps its queues in the tensors.
+func (r rowSpan) stored() bool { return !r.derived && !r.dead }
 
 // slots is how many slots each lane's queue owns in the tensors.
 func (r rowSpan) slots() int32 {
-	if r.derived {
+	if !r.stored() {
 		return 0
 	}
 	return r.k
@@ -442,6 +449,23 @@ func derivedPin(st *State, p int32) bool {
 	return st.SpOfPin[st.FoAdj[fo]] < 0
 }
 
+// livePin reports whether an endpoint can be reached from pin p over st given
+// its children's rows: p is an endpoint or a child is live. A pin that is not
+// (a dead pin) feeds no slack, gradient or preview, so it keeps no row and no
+// pass or wave rebuilds it; a live pin's parents are live, so no rebuild ever
+// reads one.
+func livePin(st *State, rows []rowSpan, p int32) bool {
+	if st.EpOfPin[p] >= 0 {
+		return true
+	}
+	for _, c := range st.FoAdj[st.FoStart[p]:st.FoStart[p+1]] {
+		if !rows[c].dead {
+			return true
+		}
+	}
+	return false
+}
+
 // base returns the flat offset of stored (rf, pin)'s lane-0 Top-K queue and
 // k, the pin's capacity: lane s follows at +s*k and the pin's whole row is
 // S*k slots long. It is the only place a pin becomes a tensor offset. The rf
@@ -453,7 +477,7 @@ func (e *Engine) base(rf int, pin int32) (b, k int) {
 }
 
 // rowSlots is the length of pin p's row per rf: S times its slots per lane,
-// 0 for a derived pin.
+// 0 for a derived or dead pin.
 func (e *Engine) rowSlots(p int32) int { return len(e.scns) * int(e.rows[p].slots()) }
 
 // Lanes returns S, the number of scenarios the engine propagates together.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"insta/internal/liberty"
 )
@@ -200,6 +202,46 @@ func (v *view) replay(sign float64, d int32, ms *mergeScratch, r int) rowRef {
 		src = dst
 	}
 	return src
+}
+
+// revive rebuilds dead pin d's queues — both transitions, every lane — as a
+// pass over the late view would leave them, into rows of its own, and returns
+// where they are. d and every dead pin upstream of it are rebuilt (recompute)
+// in level order into shadow rows of a throwaway view over e's tensors, found
+// through a look-up index off the overlays' pool, each reading its dead
+// parents there and its live ones in the tensors: a live pin's parents are
+// live, so no other pin needs a shadow.
+func (e *Engine) revive(d int32) rowRef {
+	st := e.st
+	ix := e.takeIndex()
+	w := &view{e: e, q: e.top.q, slot: ix.pin}
+	dead := []int32{d}
+	w.slot[d] = -1
+	for i := 0; i < len(dead); i++ {
+		for _, from := range st.FaninFrom[st.FaninStart[dead[i]]:st.FaninStart[dead[i]+1]] {
+			if e.rows[from].dead && w.slot[from] == 0 {
+				w.slot[from] = -1
+				dead = append(dead, from)
+			}
+		}
+	}
+	slices.SortFunc(dead, func(a, b int32) int { return cmp.Compare(st.LvLevel[a], st.LvLevel[b]) })
+	set := e.borrowScratch()
+	for i, p := range dead {
+		if i%chunkRows == 0 {
+			q := newQueues(min(chunkRows, len(dead)-i) * 2 * e.qstride)
+			w.chunks = append(w.chunks, &q)
+		}
+		w.slot[p] = int32(i + 1)
+		w.recompute(1, p, set[0], w.row(p))
+	}
+	e.returnScratch(set)
+	r := w.row(d)
+	for _, p := range dead {
+		w.slot[p] = 0
+	}
+	e.indexPool.Put(ix)
+	return r
 }
 
 // shift fills dst with src's queues shifted by the unate arc at fan-in CSR
@@ -455,10 +497,16 @@ func (q *queues) merge(b, n, k int, src *queues, pb, pk int, am, as, sign, ns fl
 // LaneTopEntries returns pin p's Top-K arrival entries for transition rf in
 // lane s as (mean, std, sp) triples in descending corner order, for
 // inspection and testing. The slices are the pin's row — a replayed copy for
-// a derived pin — as long as its capacity, min(K, what its fan-in can bring),
-// and the live entries end at the first sp < 0 or at the end.
+// a derived pin, a rebuilt one for a dead pin (view.revive) — as long as its
+// capacity, min(K, what its fan-in can bring), and the live entries end at
+// the first sp < 0 or at the end.
 func (e *Engine) LaneTopEntries(rf int, p int32, s int) (mean, std []float64, sps []int32) {
-	r := e.top.ref(1, p, new(mergeScratch), 1)
+	var r rowRef
+	if e.rows[p].dead {
+		r = e.revive(p)
+	} else {
+		r = e.top.ref(1, p, new(mergeScratch), 1)
+	}
 	b := r.b[rf] + s*r.k
 	return r.q.mean[b : b+r.k], r.q.std[b : b+r.k], r.q.sp[b : b+r.k]
 }

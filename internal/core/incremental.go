@@ -26,7 +26,9 @@ func (e *Engine) PropagateIncremental(arcs []int32) {
 	defer sp.End()
 	sc := e.incScratch()
 	for _, a := range arcs {
-		sc.push(e.st.LvLevel, e.st.ArcTo[a])
+		if to := e.st.ArcTo[a]; !e.rows[to].dead {
+			sc.push(e.st.LvLevel, to)
+		}
 	}
 	e.coneWave(kIncremental, sc)
 }
@@ -65,7 +67,8 @@ func (e *Engine) incScratch() *propScratch {
 // into their fan-out's buckets, serially and in bucket order, so the
 // resulting state is bit-identical to a full Propagate for any worker count.
 // Pins that come out identical stop their wavefront; a derived pin always
-// passes it on to its one child, which replays it. The wave holds one set of
+// passes it on to its one child, which replays it; a dead pin never enters a
+// bucket — no caller seeds one, and the wave stops at it. The wave holds one set of
 // the engine's merge scratch while it runs. Its three callers — a commit
 // (PropagateIncremental), a structural Reseed and an Overlay's preview —
 // differ only in the hooks.
@@ -94,7 +97,9 @@ func (e *Engine) coneWave(tag string, sc *propScratch) {
 				continue
 			}
 			for _, to := range st.FoAdj[st.FoStart[p]:st.FoStart[p+1]] {
-				sc.push(st.LvLevel, to)
+				if !e.rows[to].dead {
+					sc.push(st.LvLevel, to)
+				}
 			}
 		}
 	}

@@ -112,7 +112,7 @@ func TestMemoryBytesCountsTensors(t *testing.T) {
 		}
 		units := 0
 		for _, r := range e.rows {
-			if !r.derived {
+			if r.stored() {
 				units += int(r.k)
 			}
 		}

@@ -111,15 +111,20 @@ func NewOverlay(e *Engine) *Overlay {
 	return &Overlay{view: view{e: e, q: e.top.q, arcSlot: make(map[int32]int32)}}
 }
 
-// takeIndex gives the overlay its look-up arrays, from the base engine's pool
-// when that holds a pair covering the engine's pins as they are now (an
-// in-place Reseed appends pins under the same engine).
-func (o *Overlay) takeIndex() {
-	e := o.e
+// takeIndex returns an all-zero pair of look-up arrays, from the engine's pool
+// when that holds one covering the engine's pins as they are now (an in-place
+// Reseed appends pins under the same engine).
+func (e *Engine) takeIndex() *shadowIndex {
 	ix, _ := e.indexPool.Get().(*shadowIndex)
 	if ix == nil || len(ix.pin) < e.st.NumPins || len(ix.ep) < len(e.st.EpPin) {
 		ix = &shadowIndex{pin: make([]int32, e.st.NumPins), ep: make([]int32, len(e.st.EpPin))}
 	}
+	return ix
+}
+
+// takeIndex gives the overlay its look-up arrays off the base engine.
+func (o *Overlay) takeIndex() {
+	ix := o.e.takeIndex()
 	o.ix, o.slot, o.epSlot = ix, ix.pin, ix.ep
 }
 
@@ -161,7 +166,7 @@ func (o *Overlay) bindBucket(bucket []int32) {
 	o.fresh = o.fresh[:0]
 	for _, p := range bucket {
 		t := int32(-1)
-		if !o.e.rows[p].derived {
+		if o.e.rows[p].stored() {
 			t = 1 + o.takeRow()
 		}
 		o.fresh = append(o.fresh, t)
@@ -247,7 +252,9 @@ func (o *Overlay) Propagate() {
 	}
 	o.scratch.reset()
 	for _, a := range arcs {
-		o.scratch.push(e.st.LvLevel, e.st.ArcTo[a])
+		if to := e.st.ArcTo[a]; !e.rows[to].dead {
+			o.scratch.push(e.st.LvLevel, to)
+		}
 	}
 	was := o.rowsInUse()
 	e.coneWave(KernelOverlay, o.scratch)
@@ -366,7 +373,7 @@ func (o *Overlay) TouchedArcs() []int32 {
 // OverlayStats summarizes the overlay's sparse footprint.
 type OverlayStats struct {
 	TouchedArcs int // arcs re-annotated
-	OverlayPins int // pins with recomputed queues (the reached cone, derived pins included)
+	OverlayPins int // pins with recomputed queues (the reached cone's live pins, derived ones included)
 	ChangedEPs  int // endpoints re-evaluated
 }
 

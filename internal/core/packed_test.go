@@ -55,11 +55,15 @@ func checkPacked(mean, std []float64, sps []int32, sign, ns float64) error {
 
 // assertPacked checks every (rf, pin, lane) queue that v shows — a derived
 // pin's replayed — ordered with sign (+1 a late view, -1 the early one), over
-// the queue length it has, which must be the pin's capacity.
+// the queue length it has, which must be the pin's capacity. A dead pin shows
+// none (TestDeadPinReads holds its rebuilt queues to a live engine's).
 func assertPacked(t *testing.T, what string, e *Engine, v *view, sign float64) {
 	t.Helper()
 	ms := new(mergeScratch)
 	for p := int32(0); p < int32(e.st.NumPins); p++ {
+		if e.rows[p].dead {
+			continue
+		}
 		r := v.ref(sign, p, ms, 1)
 		if r.k != int(e.rows[p].k) || r.k < 1 || r.k > e.opt.TopK {
 			t.Fatalf("%s: pin %d: queue length %d, capacity %d, K %d", what, p, r.k, e.rows[p].k, e.opt.TopK)
@@ -86,8 +90,13 @@ func assertEnginePacked(t *testing.T, what string, e *Engine) {
 var shownScratch = sync.Pool{New: func() any { return new(mergeScratch) }}
 
 // sameShown reports whether pin p shows the same queues, live entries and
-// capacity, through a and b, ordered under sign.
+// capacity, through a and b, ordered under sign. A pin dead in both shows
+// nothing — no pass keeps its queues, and LaneTopEntries rebuilds them
+// (TestDeadPinReads) — so it only has to be dead in both.
 func sameShown(a, b *view, sign float64, p int32) bool {
+	if a.e.rows[p].dead || b.e.rows[p].dead {
+		return a.e.rows[p].dead == b.e.rows[p].dead
+	}
 	ms := shownScratch.Get().(*mergeScratch)
 	defer shownScratch.Put(ms)
 	x, y := a.ref(sign, p, ms, 1), b.ref(sign, p, ms, 2)
@@ -230,7 +239,8 @@ func TestPackedTailInvariant(t *testing.T) {
 }
 
 // assertRowsKept holds a reseeded engine's rows to Reseed's contract: every
-// pin's capacity is rowCap and its status derivedPin over the edited state; a
+// pin's capacity is rowCap and its status — dead (liveRule) or derived
+// (derivedPin) — what the edited state says; a
 // pin the previous layout covered keeps its row's offset while the slots it
 // stores fit there; every other pin that stores slots — appended, or grown
 // out of its row — has a fresh row at the tail, the fresh rows following one
@@ -243,13 +253,17 @@ func assertRowsKept(t *testing.T, what string, ne *Engine, oldRows []rowSpan, ol
 		t.Fatalf("%s: rows cover %d pins of %d (was %d) — no pin appended?", what, len(ne.rows), ne.st.NumPins, len(oldRows))
 	}
 	next := int32(oldUnits)
+	live := liveRule(ne.st)
 	for l := 0; l < ne.st.NumLevels; l++ {
 		for _, p := range sortedPins(ne.st.levelPins(l)) {
 			r := ne.rows[p]
 			if want := rowCap(ne.st, ne.rows, p, ne.opt.TopK); r.k != want {
 				t.Fatalf("%s: pin %d has capacity %d, rowCap says %d", what, p, r.k, want)
 			}
-			if want := derivedPin(ne.st, p); r.derived != want {
+			if r.dead == live[p] {
+				t.Fatalf("%s: pin %d dead %v, but an endpoint is reachable: %v", what, p, r.dead, live[p])
+			}
+			if want := live[p] && derivedPin(ne.st, p); r.derived != want {
 				t.Fatalf("%s: pin %d derived %v, derivedPin says %v", what, p, r.derived, want)
 			}
 			kept := int(p) < len(oldRows) && r.slots() <= oldRows[p].slots()

@@ -22,7 +22,8 @@ import (
 // in [1, K], never below a parent's along an arc into a non-startpoint pin,
 // every late and early queue packed within it in every lane, and the tensors
 // exactly 20 B per slot over S slots per unit of every stored row and
-// headroom units, both transitions, late and early: a derived pin takes none.
+// headroom units, both transitions, late and early: a derived or dead pin
+// takes none.
 func assertCapacities(t *testing.T, what string, e *Engine, headroom int) {
 	t.Helper()
 	sum := 0
@@ -31,7 +32,7 @@ func assertCapacities(t *testing.T, what string, e *Engine, headroom int) {
 		if k < 1 || int(k) > e.opt.TopK {
 			t.Fatalf("%s: pin %d has capacity %d, K = %d", what, p, k, e.opt.TopK)
 		}
-		if !e.rows[p].derived {
+		if e.rows[p].stored() {
 			sum += int(k)
 		}
 		if e.st.SpOfPin[p] >= 0 {
@@ -50,13 +51,13 @@ func assertCapacities(t *testing.T, what string, e *Engine, headroom int) {
 }
 
 // assertNothingMoved holds the pins a reseed found to the spans they had: an
-// op that preserves every capacity relocates no queue but a derived pin's
-// that stopped being derived, which had no row.
+// op that preserves every capacity relocates no queue but a pin's that
+// started to store one, which had no row.
 func assertNothingMoved(t *testing.T, what string, ne *Engine, oldRows []rowSpan) {
 	t.Helper()
 	for p, r := range oldRows {
 		now := ne.rows[p]
-		if now.k != r.k || now.off != r.off && !(r.derived && !now.derived) {
+		if now.k != r.k || now.off != r.off && !(!r.stored() && now.stored()) {
 			t.Fatalf("%s: pin %d moved from %+v to %+v", what, p, r, now)
 		}
 	}
@@ -168,11 +169,11 @@ func TestRowCapacity(t *testing.T) {
 					t.Fatalf("%s: the output wire starts at pin %d, not the driver %d", what, ne.st.ArcFrom[n+1], st.ArcFrom[arc])
 				}
 				assertNothingMoved(t, what, ne, oldRows)
-				// A pin that stopped being derived took a fresh row of k units
-				// from the headroom.
+				// A pin that started to store its queues took a fresh row of k
+				// units from the headroom.
 				grew := 0
 				for p, r := range oldRows {
-					if now := ne.rows[p]; r.derived && !now.derived {
+					if now := ne.rows[p]; !r.stored() && now.stored() {
 						grew += int(now.k)
 					}
 				}
@@ -190,7 +191,9 @@ func TestRowCapacity(t *testing.T) {
 // go on holding B where a cold engine holds C. A row that loses a live entry
 // to its new capacity must therefore seed its fan-out. (With hold on, p's
 // early queue, which keeps B first, does change and carries the wave on; the
-// late view alone is the case that needs the seeds.)
+// late view alone is the case that needs the seeds.) The cut leaves u, and so
+// B, with no way to an endpoint; u is listed as the pin the cut arc no longer
+// leaves from, as Reseed asks, so that both die as they do in a cold engine.
 func TestReseedShrunkRowSeedsFanout(t *testing.T) {
 	const a, b, c, u, p, ch = 0, 1, 2, 3, 4, 5
 	inf := math.Inf(1)
@@ -230,7 +233,7 @@ func TestReseedShrunkRowSeedsFanout(t *testing.T) {
 		if _, _, sps := e.TopEntries(0, ch); !slices.Equal(sps, []int32{a, b}) {
 			t.Fatalf("before the cut c holds startpoints %v, want A and B", sps)
 		}
-		ne, err := e.Reseed(st, []int32{p}, mode.inPlace)
+		ne, err := e.Reseed(st, []int32{p, u}, mode.inPlace)
 		if err != nil {
 			t.Fatal(err)
 		}

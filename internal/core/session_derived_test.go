@@ -17,8 +17,9 @@ import (
 // net arc whose driver is derived (a reseed off the base) and bypasses it
 // again (a reseed in place). The bypass takes the buffer output's only
 // fan-out, which the patched state no longer records, so the session has to
-// name that pin to the reseed; either way the engine it leaves must derive
-// exactly the pins a cold engine over its state does.
+// name that pin to the reseed; either way the engine it leaves must store,
+// derive and kill exactly the pins a cold engine over its state does — the
+// bypassed buffer reaches no endpoint, so its pins die.
 func TestSessionKeepsDerivedLayout(t *testing.T) {
 	spec, err := bench.BlockSpec("block-5")
 	if err != nil {
@@ -40,10 +41,10 @@ func TestSessionKeepsDerivedLayout(t *testing.T) {
 	}
 	defer base.Close()
 	base.Run()
-	derived := core.DerivedPins(base)
+	kinds := core.PinKinds(base)
 	arc := int32(-1)
 	for i, a := range tab.Arcs {
-		if a.Kind == 1 && derived[a.From] && liberty.Unate(a.Sense) == liberty.PositiveUnate {
+		if a.Kind == 1 && kinds[a.From] == core.KindDerived && liberty.Unate(a.Sense) == liberty.PositiveUnate {
 			arc = int32(i)
 			break
 		}
@@ -65,17 +66,21 @@ func TestSessionKeepsDerivedLayout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, want := core.DerivedPins(s.Engine()), core.DerivedPins(cold)
+		got, want := core.PinKinds(s.Engine()), core.PinKinds(cold)
 		cold.Close()
 		if !slices.Equal(got, want) {
 			for p := range want {
 				if got[p] != want[p] {
-					t.Fatalf("after %+v: pin %d derived %v, a cold engine's %v", op, p, got[p], want[p])
+					t.Fatalf("after %+v: pin %d is %c, a cold engine's %c", op, p, got[p], want[p])
 				}
 			}
 		}
 	}
-	if core.DerivedPins(s.Engine())[tab.Arcs[arc].From] {
+	kinds = core.PinKinds(s.Engine())
+	if kinds[tab.Arcs[arc].From] == core.KindDerived {
 		t.Fatal("the bypassed buffer's driver is still derived — the check is vacuous")
+	}
+	if buf := kinds[len(kinds)-2:]; buf[0] != core.KindDead || buf[1] != core.KindDead {
+		t.Fatalf("the bypassed buffer's pins are %c, %c; want both dead", buf[0], buf[1])
 	}
 }

@@ -570,19 +570,24 @@ func NewEngineLanes(st *State, scns []Scenario, opt Options) (*Engine, error) {
 
 // newEngine builds an engine over st with freshly allocated, unpropagated
 // Top-K tensors whose rows follow st's level order, each as long as its pin's
-// capacity (rowCap), none for a derived pin (derivedPin): one pass over
-// the fan-in CSR in level order, so every parent's capacity is known before
-// its children's.
+// capacity (rowCap), none for a dead pin (livePin) or a derived one
+// (derivedPin): one pass over the fan-out CSR in reverse level order, so every
+// child's liveness is known before its parents', then one over the fan-in CSR
+// in level order, so every parent's capacity is known before its children's.
 func newEngine(st *State, scns []Scenario, opt Options) (*Engine, error) {
 	e, err := newEngineBody(st, scns, opt)
 	if err != nil {
 		return nil, err
 	}
 	e.rows = make([]rowSpan, st.NumPins)
+	for i := len(st.LvOrder) - 1; i >= 0; i-- {
+		p := st.LvOrder[i]
+		e.rows[p].dead = !livePin(st, e.rows, p)
+	}
 	units := 0
 	for _, p := range st.LvOrder {
-		r := rowSpan{off: int32(units), k: rowCap(st, e.rows, p, opt.TopK), derived: derivedPin(st, p)}
-		e.rows[p] = r
+		r := &e.rows[p]
+		r.off, r.k, r.derived = int32(units), rowCap(st, e.rows, p, opt.TopK), !r.dead && derivedPin(st, p)
 		units += int(r.slots())
 	}
 	if units > math.MaxInt32 {
@@ -688,21 +693,23 @@ const seedHeadroom = 4096
 // the equality-stopping incremental wavefront recomputes exactly the pins
 // whose queues differ. e must have completed a full evaluation.
 //
-// Capacities are recomputed over st, and so is the derived status
-// (derivedPin) of every pin whose fan-in, fan-out or child can have changed:
-// the seeds and the pins they hear from. A pin that lost a fan-out arc is
-// neither unless it is listed; left out, it keeps its status — its results
-// are exact either way, but its layout is not a cold engine's. A pin keeps its row
-// while what it now stores fits there (a shrunk row gives up its tail, a pin
-// that became derived all of it) and takes a fresh row at the tail when it
-// does not; appended pins take fresh rows too, in level order. Buffer
-// insertion and bypass preserve every existing pin's capacity, so they re-lay
-// only the pins whose status flips — a bypass gives the driver a second
-// fan-out and takes the buffer output's only one, and each takes a fresh row.
-// A re-laid row is not carried over but rebuilt: every pin whose span changed
-// — moved, grown, shrunk or flipped — joins the seeds, its row poisoned so
-// that the wave finds it changed and carries on to its fan-out (a pin that
-// became derived has no row, and the wave passes through it).
+// Capacities are recomputed over st, and so are the liveness (livePin) of
+// every pin upstream of a changed fan-out, by an upward wave, and the derived
+// status (derivedPin) of every pin whose fan-in, fan-out or child can have
+// changed: the seeds and the pins they hear from. A pin that lost a fan-out
+// arc is neither unless it is listed; left out, it keeps its status — its
+// results are exact either way, but its layout is not a cold engine's. A pin
+// keeps its row while what it now stores fits there (a shrunk row gives up its
+// tail, a pin that became derived or dead all of it) and takes a fresh row at
+// the tail when it does not; appended pins and pins that came alive take fresh
+// rows too, in level order. Buffer insertion and bypass preserve every
+// existing pin's capacity, so they re-lay only the pins whose status flips — a
+// bypass gives the driver a second fan-out and takes the buffer output's only
+// one, and the buffer, reaching no endpoint, dies. A re-laid row is not
+// carried over but rebuilt: every live pin whose span changed — moved, grown,
+// shrunk or flipped — joins the seeds, its row poisoned so that the wave finds
+// it changed and carries on to its fan-out (a pin that became derived has no
+// row, and the wave passes through it; a dead pin never joins).
 //
 // With inPlace false, e is left untouched (it may be a base shared with other
 // sessions) and the result is a new engine with seedHeadroom spare tensor
@@ -748,36 +755,70 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 		rows = make([]rowSpan, st.NumPins)
 		copy(rows, e.rows)
 	}
-	// Capacities can only change downstream of the seeds, so they are
-	// recomputed by a wave over the seeds' fan-out in level order (pin order
-	// within a level) that stops where a capacity comes out as it was. A
-	// seed's parent may have gained a fan-out or a child, which is upstream:
-	// it joins the wave when its status flipped. The cone wave then runs on
-	// the same buckets: they hold every seed and every re-laid pin, and every
-	// other pin in them is the child of a re-laid one, which the wave reaches
-	// anyway.
-	var relaid []int32
-	units := oldUnits
+	// Liveness can change only upstream of a pin whose fan-out changed — the
+	// seeds, their parents and the appended pins — or at a dead pin that st
+	// makes an endpoint. It is re-derived by a wave
+	// over their level buckets in decreasing level order, which climbs to the
+	// parents of every pin whose liveness flipped. A pin that came alive is
+	// left with the empty span of an appended pin, so that the capacity pass
+	// gives it a fresh row; it, a pin that died and a seed's parent whose
+	// derived status flipped join that pass.
 	sc := ne.incScratch()
-	for _, p := range seeds {
-		sc.push(st.LvLevel, p)
-	}
 	for p := oldPins; p < st.NumPins; p++ {
 		sc.push(st.LvLevel, int32(p))
 	}
 	for _, s := range seeds {
+		sc.push(st.LvLevel, s)
 		for _, p := range st.FaninFrom[st.FaninStart[s]:st.FaninStart[s+1]] {
-			if int(p) < oldPins && derivedPin(st, p) != rows[p].derived {
-				sc.push(st.LvLevel, p)
+			sc.push(st.LvLevel, p)
+		}
+	}
+	for _, p := range st.EpPin {
+		if rows[p].dead {
+			sc.push(st.LvLevel, p)
+		}
+	}
+	var flipped []int32
+	for l := len(sc.buckets) - 1; l >= 0; l-- {
+		for _, p := range sc.buckets[l] {
+			was, dead := rows[p], !livePin(st, rows, p)
+			if dead != was.dead {
+				if rows[p].dead = dead; !dead {
+					rows[p] = rowSpan{}
+				}
+				for _, from := range st.FaninFrom[st.FaninStart[p]:st.FaninStart[p+1]] {
+					sc.push(st.LvLevel, from)
+				}
+			}
+			if dead != was.dead || !dead && derivedPin(st, p) != was.derived {
+				flipped = append(flipped, p)
 			}
 		}
 	}
+	// Capacities can only change downstream of the seeds, so they are
+	// recomputed by a wave over the seeds' fan-out in level order (pin order
+	// within a level) that stops where a capacity comes out as it was. The
+	// cone wave then runs on the same buckets, rid of their dead pins: they
+	// hold every live seed and re-laid pin, and every other pin in them is the
+	// child of a re-laid one, which the wave reaches anyway.
+	sc.reset()
+	for p := oldPins; p < st.NumPins; p++ {
+		sc.push(st.LvLevel, int32(p))
+	}
+	for _, p := range seeds {
+		sc.push(st.LvLevel, p)
+	}
+	for _, p := range flipped {
+		sc.push(st.LvLevel, p)
+	}
+	var relaid []int32
+	units := oldUnits
 	for l := range sc.buckets {
 		bucket := sc.buckets[l]
 		slices.Sort(bucket)
 		for _, p := range bucket {
-			was := rows[p] // zero for an appended pin
-			now := rowSpan{off: was.off, k: rowCap(st, rows, p, e.opt.TopK), derived: derivedPin(st, p)}
+			was := rows[p] // empty for an appended or revived pin
+			now := rowSpan{off: was.off, k: rowCap(st, rows, p, e.opt.TopK), derived: !was.dead && derivedPin(st, p), dead: was.dead}
 			if now == was {
 				continue
 			}
@@ -793,6 +834,7 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 				}
 			}
 		}
+		sc.buckets[l] = slices.DeleteFunc(bucket, func(p int32) bool { return rows[p].dead })
 	}
 	S := len(e.scns)
 	if !inPlace || units > e.capUnits {
