@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"math"
 	"slices"
 
@@ -225,7 +224,7 @@ func (e *Engine) revive(d int32) rowRef {
 			}
 		}
 	}
-	slices.SortFunc(dead, func(a, b int32) int { return cmp.Compare(st.LvLevel[a], st.LvLevel[b]) })
+	slices.SortFunc(dead, func(a, b int32) int { return int(st.LvLevel[a] - st.LvLevel[b]) })
 	set := e.borrowScratch()
 	for i, p := range dead {
 		if i%chunkRows == 0 {

@@ -122,12 +122,6 @@ func (e *Engine) takeIndex() *shadowIndex {
 	return ix
 }
 
-// takeIndex gives the overlay its look-up arrays off the base engine.
-func (o *Overlay) takeIndex() {
-	ix := o.e.takeIndex()
-	o.ix, o.slot, o.epSlot = ix, ix.pin, ix.ep
-}
-
 // returnIndex hands the look-up arrays, which dropDerived has zeroed, back to
 // the base engine.
 func (o *Overlay) returnIndex() {
@@ -248,7 +242,8 @@ func (o *Overlay) Propagate() {
 		o.scratch = e.newPropScratch(o.rebuildPin, o.bindBucket, o.settlePin)
 	}
 	if o.ix == nil {
-		o.takeIndex()
+		o.ix = e.takeIndex()
+		o.slot, o.epSlot = o.ix.pin, o.ix.ep
 	}
 	o.scratch.reset()
 	for _, a := range arcs {

@@ -755,14 +755,17 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 		rows = make([]rowSpan, st.NumPins)
 		copy(rows, e.rows)
 	}
-	// Liveness can change only upstream of a pin whose fan-out changed — the
-	// seeds, their parents and the appended pins — or at a dead pin that st
-	// makes an endpoint. It is re-derived by a wave
-	// over their level buckets in decreasing level order, which climbs to the
-	// parents of every pin whose liveness flipped. A pin that came alive is
-	// left with the empty span of an appended pin, so that the capacity pass
-	// gives it a fresh row; it, a pin that died and a seed's parent whose
-	// derived status flipped join that pass.
+	// Liveness can change only upstream of a pin whose fan-out changed: the
+	// seeds, their parents and the appended pins. It is re-derived by a wave
+	// over their level buckets in decreasing level order that climbs to the
+	// parents of every pin whose liveness flipped; a pin that came alive is
+	// left with the empty span of an appended pin, so that the capacity wave
+	// gives it a fresh row. Capacities can only change downstream of the
+	// buckets' pins, so they are recomputed by a wave over their fan-out in
+	// level order (pin order within a level) that stops where a capacity comes
+	// out as it was. The cone wave then runs on the same buckets, rid of their
+	// dead pins: they hold every live seed and re-laid pin, and every other pin
+	// in them is a seed's parent or the child of a re-laid pin.
 	sc := ne.incScratch()
 	for p := oldPins; p < st.NumPins; p++ {
 		sc.push(st.LvLevel, int32(p))
@@ -773,16 +776,9 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 			sc.push(st.LvLevel, p)
 		}
 	}
-	for _, p := range st.EpPin {
-		if rows[p].dead {
-			sc.push(st.LvLevel, p)
-		}
-	}
-	var flipped []int32
 	for l := len(sc.buckets) - 1; l >= 0; l-- {
 		for _, p := range sc.buckets[l] {
-			was, dead := rows[p], !livePin(st, rows, p)
-			if dead != was.dead {
+			if dead := !livePin(st, rows, p); dead != rows[p].dead {
 				if rows[p].dead = dead; !dead {
 					rows[p] = rowSpan{}
 				}
@@ -790,26 +786,7 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 					sc.push(st.LvLevel, from)
 				}
 			}
-			if dead != was.dead || !dead && derivedPin(st, p) != was.derived {
-				flipped = append(flipped, p)
-			}
 		}
-	}
-	// Capacities can only change downstream of the seeds, so they are
-	// recomputed by a wave over the seeds' fan-out in level order (pin order
-	// within a level) that stops where a capacity comes out as it was. The
-	// cone wave then runs on the same buckets, rid of their dead pins: they
-	// hold every live seed and re-laid pin, and every other pin in them is the
-	// child of a re-laid one, which the wave reaches anyway.
-	sc.reset()
-	for p := oldPins; p < st.NumPins; p++ {
-		sc.push(st.LvLevel, int32(p))
-	}
-	for _, p := range seeds {
-		sc.push(st.LvLevel, p)
-	}
-	for _, p := range flipped {
-		sc.push(st.LvLevel, p)
 	}
 	var relaid []int32
 	units := oldUnits
