@@ -29,10 +29,16 @@
 // the lock entirely, so independent small-cone evaluations proceed fully in
 // parallel. Launches must not nest: a kernel body calling back into the same
 // pool's Run would deadlock on the launch mutex.
+//
+// Faults: a kernel panic on any participant stops the launch and, once every
+// helper is parked, is raised on the launching goroutine with the value and
+// that participant's stack. The pool stays usable.
 package sched
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,6 +91,18 @@ type job struct {
 	claimers  atomic.Int64 // participants that processed at least one chunk
 	maxChunks atomic.Int64 // most chunks claimed by a single participant
 	wg        sync.WaitGroup
+	failed    atomic.Pointer[kernelPanic] // the launch's first panic
+}
+
+// kernelPanic is what a launch whose kernel panicked raises on its caller:
+// the panic value and the stack of the participant it was raised on.
+type kernelPanic struct {
+	val   any
+	stack []byte
+}
+
+func (k *kernelPanic) Error() string {
+	return fmt.Sprintf("sched: kernel panic: %v\n\nparticipant stack:\n%s", k.val, k.stack)
 }
 
 // New creates a pool with the given worker count and grain size. workers <= 0
@@ -241,6 +259,9 @@ func (h *Pool) RunIndexed(tag string, level, n int, fn func(id, lo, hi int)) {
 	p.runChunks(0)
 	j.wg.Wait()
 	j.fn = nil
+	if f := j.failed.Swap(nil); f != nil {
+		panic(f)
+	}
 	if stats != nil {
 		stats.record(tag, level, launchRecord{
 			spans:     int64(n),
@@ -261,10 +282,18 @@ func (p *pool) worker() {
 
 // runChunks claims grain-sized chunks until the launch is drained, then folds
 // this participant's claim count into the launch's imbalance counters. id is
-// this participant's dense identity for the launch (0 = the caller).
+// this participant's dense identity for the launch (0 = the caller). A panic
+// in fn is recovered once per launch: the first is kept for the caller, and
+// the cursor is drained so that no participant claims another chunk.
 func (p *pool) runChunks(id int) {
 	j := &p.job
 	n, grain, fn := j.n, j.grain, j.fn
+	defer func() {
+		if v := recover(); v != nil {
+			j.failed.CompareAndSwap(nil, &kernelPanic{val: v, stack: debug.Stack()})
+			j.cursor.Store(n)
+		}
+	}()
 	var claimed int64
 	for {
 		lo := j.cursor.Add(grain) - grain

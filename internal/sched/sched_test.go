@@ -3,8 +3,10 @@ package sched
 import (
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // coverCheck runs fn over n indices through run and asserts every index is
@@ -293,5 +295,57 @@ func TestWorkStealingSurvivesSkew(t *testing.T) {
 	})
 	if total.Load() != 64 {
 		t.Fatalf("processed %d of 64 indices", total.Load())
+	}
+}
+
+// TestRunPanicIsRaisedOnCaller: a kernel panic on a helper and one on the
+// launching goroutine are both raised on the caller, carrying the value and
+// the panicking participant's stack, only after every helper has stopped —
+// and the pool then runs a clean launch over every index exactly once.
+func TestRunPanicIsRaisedOnCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	p := New(4, 1)
+	defer p.Close()
+	launch := func(fn func(id, lo, hi int)) (v any) {
+		defer func() { v = recover() }()
+		p.RunIndexed("panic", 0, 256, fn)
+		return nil
+	}
+	var once sync.Once
+	helperDown := make(chan struct{})
+	var running atomic.Int64
+	for _, c := range []struct {
+		what string
+		fn   func(id, lo, hi int)
+	}{
+		{"helper", func(id, lo, hi int) {
+			if id == 0 {
+				<-helperDown // the caller holds its first chunk until a helper panics
+				return
+			}
+			once.Do(func() { close(helperDown) })
+			panic("helper boom")
+		}},
+		{"caller", func(id, lo, hi int) {
+			if id == 0 {
+				panic("caller boom")
+			}
+			running.Add(1)
+			time.Sleep(time.Millisecond)
+			running.Add(-1)
+		}},
+	} {
+		v := launch(c.fn)
+		err, ok := v.(error)
+		if !ok {
+			t.Fatalf("%s panic: the caller recovered %v, want an error", c.what, v)
+		}
+		if msg := err.Error(); !strings.Contains(msg, c.what+" boom") || !strings.Contains(msg, "TestRunPanicIsRaisedOnCaller") {
+			t.Fatalf("%s panic: raised as %q, want the value and the kernel's stack", c.what, msg)
+		}
+		if n := running.Load(); n != 0 {
+			t.Fatalf("%s panic: raised while %d helpers still run the launch", c.what, n)
+		}
+		coverCheck(t, 1000, func(fn func(lo, hi int)) { p.Run(1000, fn) })
 	}
 }
