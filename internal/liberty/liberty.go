@@ -10,6 +10,7 @@ package liberty
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"insta/internal/num"
@@ -223,14 +224,17 @@ func checkTable(t *Table) error {
 			return fmt.Errorf("table row %d has %d cols, want %d", i, len(row), len(t.Load))
 		}
 	}
-	for i := 1; i < len(t.Slew); i++ {
-		if t.Slew[i] <= t.Slew[i-1] {
-			return fmt.Errorf("slew axis not increasing at %d", i)
-		}
-	}
-	for i := 1; i < len(t.Load); i++ {
-		if t.Load[i] <= t.Load[i-1] {
-			return fmt.Errorf("load axis not increasing at %d", i)
+	for _, axis := range []struct {
+		name string
+		v    []float64
+	}{{"slew", t.Slew}, {"load", t.Load}} {
+		for i, x := range axis.v {
+			if math.IsNaN(x) {
+				return fmt.Errorf("%s axis holds NaN at %d", axis.name, i)
+			}
+			if i > 0 && x <= axis.v[i-1] {
+				return fmt.Errorf("%s axis not increasing at %d", axis.name, i)
+			}
 		}
 	}
 	return nil

@@ -154,6 +154,26 @@ func TestValidateCatchesBadTable(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesNaNAxis: a NaN compares false with everything, so an
+// order check alone lets one through on either axis, at either end.
+func TestValidateCatchesNaNAxis(t *testing.T) {
+	for _, c := range []struct {
+		what string
+		at   func(a *Arc) *float64
+	}{
+		{"first slew", func(a *Arc) *float64 { return &a.Delay[Rise].Slew[0] }},
+		{"second slew", func(a *Arc) *float64 { return &a.Delay[Rise].Slew[1] }},
+		{"last load", func(a *Arc) *float64 { l := a.Sigma[Fall].Load; return &l[len(l)-1] }},
+	} {
+		lib := NewSynthetic(TechN3())
+		id, _ := lib.CellByName("INV_X1")
+		*c.at(&lib.Cell(id).Arcs[0]) = math.NaN()
+		if err := lib.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted a NaN axis value", c.what)
+		}
+	}
+}
+
 func TestValidateCatchesUndeclaredPin(t *testing.T) {
 	lib := NewSynthetic(TechN3())
 	id, _ := lib.CellByName("INV_X1")

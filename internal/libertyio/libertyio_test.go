@@ -149,3 +149,98 @@ func TestWriteShape(t *testing.T) {
 		}
 	}
 }
+
+// badNumberDoc is a one-cell library whose numeric fields are placeholders:
+// fill it with the valid defaults and one field overridden.
+const badNumberDoc = `library (l) {
+  cell (DFF) {
+    cell_footprint : "DFF";
+    area : {area};
+    {leakage}
+    ff (IQ, IQN) { clocked_on : "CK"; next_state : "D"; }
+    pin (D) {
+      direction : input;
+      capacitance : {cap};
+      timing () {
+        related_pin : "CK";
+        timing_type : setup_rising;
+        rise_constraint (scalar) { values ("{setup}"); }
+        fall_constraint (scalar) { values ("2"); }
+      }
+    }
+    pin (CK) { direction : input; capacitance : 1; clock : true; }
+    pin (Q) {
+      direction : output;
+      timing () {
+        related_pin : "CK";
+        timing_sense : non_unate;
+        cell_rise (t) { index_1 ("{slew}"); index_2 ("{load}"); values ("{delay}, 11", "12, 13"); }
+        rise_transition (t) { index_1 ("1, 2"); index_2 ("1, 2"); values ("5, 6", "7, 8"); }
+        ocv_sigma_cell_rise (t) { index_1 ("1, 2"); index_2 ("1, 2"); values ("{sigma}, 1", "1, 1"); }
+        cell_fall (t) { index_1 ("1, 2"); index_2 ("1, 2"); values ("10, 11", "12, 13"); }
+        fall_transition (t) { index_1 ("1, 2"); index_2 ("1, 2"); values ("5, 6", "7, 8"); }
+        ocv_sigma_cell_fall (t) { index_1 ("1, 2"); index_2 ("1, 2"); values ("1, 1", "1, 1"); }
+      }
+    }
+  }
+}`
+
+func fillBadNumberDoc(override map[string]string) string {
+	fields := map[string]string{
+		"area": "3", "leakage": "cell_leakage_power : 0.5;", "cap": "1.5", "setup": "4",
+		"slew": "1, 2", "load": "1, 2", "delay": "10", "sigma": "1",
+	}
+	for k, v := range override {
+		fields[k] = v
+	}
+	doc := badNumberDoc
+	for k, v := range fields {
+		doc = strings.ReplaceAll(doc, "{"+k+"}", v)
+	}
+	return doc
+}
+
+// TestReadRejectsBadNumbers: every numeric field rejects NaN and ±Inf, a
+// capacitance or σ cannot be negative, and a leakage that is there must
+// parse; the error names the cell, the pin and the group or attribute.
+func TestReadRejectsBadNumbers(t *testing.T) {
+	lib, err := Read(strings.NewReader(fillBadNumberDoc(nil)))
+	if err != nil {
+		t.Fatalf("the valid document: %v", err)
+	}
+	if c := lib.Cells[0]; c.Leakage != 0.5 || c.PinCap["D"] != 1.5 || c.Setup[liberty.Rise] != 4 {
+		t.Fatalf("the valid document read as leakage %v, cap %v, setup %v", c.Leakage, c.PinCap["D"], c.Setup)
+	}
+	if lib, err := Read(strings.NewReader(fillBadNumberDoc(map[string]string{"leakage": ""}))); err != nil || lib.Cells[0].Leakage != 0 {
+		t.Fatalf("an absent leakage must read 0: %v", err)
+	}
+	for _, c := range []struct {
+		name, field, value string
+		want               []string // in the error, besides the cell
+	}{
+		{"area NaN", "area", "NaN", []string{"area"}},
+		{"area Inf", "area", "+Inf", []string{"area"}},
+		{"leakage unparsable", "leakage", "cell_leakage_power : lots;", []string{"cell_leakage_power"}},
+		{"leakage NaN", "leakage", "cell_leakage_power : nan;", []string{"cell_leakage_power"}},
+		{"capacitance NaN", "cap", "NaN", []string{"pin D", "capacitance"}},
+		{"capacitance negative", "cap", "-0.5", []string{"pin D", "capacitance"}},
+		{"setup constraint Inf", "setup", "-Inf", []string{"pin D", "rise_constraint"}},
+		{"slew index NaN", "slew", "1, NaN", []string{"pin Q", "cell_rise", "index_1"}},
+		{"load index Inf", "load", "1, Inf", []string{"pin Q", "cell_rise", "index_2"}},
+		{"delay value NaN", "delay", "NaN", []string{"pin Q", "cell_rise", "values"}},
+		{"sigma NaN", "sigma", "NaN", []string{"pin Q", "ocv_sigma_cell_rise"}},
+		{"sigma negative", "sigma", "-1", []string{"pin Q", "ocv_sigma_cell_rise"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Read(strings.NewReader(fillBadNumberDoc(map[string]string{c.field: c.value})))
+			if err == nil {
+				t.Fatalf("%s = %q accepted", c.field, c.value)
+			}
+			for _, w := range append(c.want, "cell DFF") {
+				if !strings.Contains(err.Error(), w) {
+					t.Fatalf("error %q does not name %q", err, w)
+				}
+			}
+		})
+	}
+}

@@ -3,11 +3,11 @@ package libertyio
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 	"unicode"
 
 	"insta/internal/liberty"
+	"insta/internal/num"
 )
 
 // group is one parsed Liberty group: `name (args) { attrs... subgroups... }`.
@@ -92,7 +92,11 @@ func parseCell(cg *group) (*liberty.Cell, error) {
 	if c.Area, err = parseFloatAttr(cg, "area"); err != nil {
 		return nil, fmt.Errorf("libertyio: cell %s: %w", c.Name, err)
 	}
-	c.Leakage, _ = parseFloatAttr(cg, "cell_leakage_power")
+	if cg.attr("cell_leakage_power") != "" { // absent reads 0
+		if c.Leakage, err = parseFloatAttr(cg, "cell_leakage_power"); err != nil {
+			return nil, fmt.Errorf("libertyio: cell %s: %w", c.Name, err)
+		}
+	}
 
 	for _, ff := range cg.subsNamed("ff") {
 		c.Seq = true
@@ -109,6 +113,9 @@ func parseCell(cg *group) (*liberty.Cell, error) {
 		case "input":
 			c.Inputs = append(c.Inputs, pin)
 			cap, err := parseFloatAttr(pg, "capacitance")
+			if err == nil && cap < 0 {
+				err = fmt.Errorf("capacitance %v is negative", cap)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("libertyio: cell %s pin %s: %w", c.Name, pin, err)
 			}
@@ -168,7 +175,11 @@ func parseScalarTable(tg *group, name string) (float64, error) {
 	if !ok || len(vals) != 1 {
 		return 0, fmt.Errorf("%s without scalar values", name)
 	}
-	return strconv.ParseFloat(strings.Trim(vals[0], `" `), 64)
+	v, err := num.ParseFinite(strings.Trim(vals[0], `" `))
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", name, err)
+	}
+	return v, nil
 }
 
 func parseArc(out string, tg *group) (*liberty.Arc, error) {
@@ -203,6 +214,9 @@ func parseArc(out string, tg *group) (*liberty.Arc, error) {
 			return nil, fmt.Errorf("expected one %s group", sp.group)
 		}
 		tb, err := parseTable(gs[0])
+		if err == nil && strings.HasPrefix(sp.group, "ocv_sigma") {
+			err = nonNegative(tb)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sp.group, err)
 		}
@@ -246,7 +260,7 @@ func parseFloatList(raw []string) ([]float64, error) {
 			if f == "" {
 				continue
 			}
-			v, err := strconv.ParseFloat(f, 64)
+			v, err := num.ParseFinite(f)
 			if err != nil {
 				return nil, err
 			}
@@ -261,7 +275,23 @@ func parseFloatAttr(g *group, key string) (float64, error) {
 	if s == "" {
 		return 0, fmt.Errorf("missing attribute %s", key)
 	}
-	return strconv.ParseFloat(s, 64)
+	v, err := num.ParseFinite(s)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", key, err)
+	}
+	return v, nil
+}
+
+// nonNegative rejects a table holding a negative value: no σ can be one.
+func nonNegative(t *liberty.Table) error {
+	for i, row := range t.Val {
+		for j, v := range row {
+			if v < 0 {
+				return fmt.Errorf("values row %d col %d: %v is negative", i, j, v)
+			}
+		}
+	}
+	return nil
 }
 
 // --- tokenizer / parser ---

@@ -7,8 +7,10 @@ package num
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
+	"strconv"
 )
 
 // Dist is a Gaussian arrival/delay distribution characterized by its mean and
@@ -22,6 +24,21 @@ type Dist struct {
 // deviations combine as root-sum-square (paper Eqs. 1-2).
 func (d Dist) Add(e Dist) Dist {
 	return Dist{Mean: d.Mean + e.Mean, Std: RSS(d.Std, e.Std)}
+}
+
+// ParseFinite parses s as a float64 and rejects what parses but is no finite
+// number: NaN and ±Inf parse, yet no delay, coordinate, parasitic or
+// constraint can hold one. A string that does not parse returns strconv's
+// *strconv.NumError.
+func ParseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("%q is not a finite number", s)
+	}
+	return v, nil
 }
 
 // Corner returns the pessimistic corner value mean + nSigma*std (paper Eq. 3).

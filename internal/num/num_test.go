@@ -1,7 +1,10 @@
 package num
 
 import (
+	"errors"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -199,5 +202,22 @@ func TestMismatch(t *testing.T) {
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Error("Clamp misbehaves")
+	}
+}
+
+func TestParseFinite(t *testing.T) {
+	if v, err := ParseFinite("-1.5e3"); err != nil || v != -1500 {
+		t.Fatalf("ParseFinite(-1.5e3) = %v, %v", v, err)
+	}
+	for _, s := range []string{"NaN", "nan", "Inf", "+Inf", "-inf"} {
+		if _, err := ParseFinite(s); err == nil || !strings.Contains(err.Error(), "is not a finite number") {
+			t.Errorf("ParseFinite(%q): %v, want not finite", s, err)
+		}
+	}
+	for _, s := range []string{"", "x", "1e400"} {
+		var ne *strconv.NumError
+		if _, err := ParseFinite(s); !errors.As(err, &ne) {
+			t.Errorf("ParseFinite(%q): %v, want strconv's error", s, err)
+		}
 	}
 }

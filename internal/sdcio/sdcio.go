@@ -9,12 +9,12 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
 
 	"insta/internal/netlist"
+	"insta/internal/num"
 	"insta/internal/sdc"
 )
 
@@ -226,15 +226,14 @@ func tokenize(line string) []string {
 }
 
 // number parses a token as a number: ok is false when it is not one, and err
-// is set when it is one but not finite — NaN and ±Inf parse, yet no
-// constraint can hold them.
+// is set when it is one but not finite (num.ParseFinite).
 func number(tok string) (v float64, ok bool, err error) {
-	v, perr := strconv.ParseFloat(tok, 64)
-	if perr != nil {
+	v, err = num.ParseFinite(tok)
+	if _, bad := err.(*strconv.NumError); bad {
 		return 0, false, nil
 	}
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return v, true, fmt.Errorf("value %q is not a finite number", tok)
+	if err != nil {
+		return 0, true, fmt.Errorf("value %w", err)
 	}
 	return v, true, nil
 }

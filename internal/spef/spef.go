@@ -9,11 +9,11 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 
 	"insta/internal/netlist"
+	"insta/internal/num"
 	"insta/internal/rc"
 )
 
@@ -146,17 +146,14 @@ func Read(r io.Reader, d *netlist.Design) (*rc.Parasitics, error) {
 	return par, nil
 }
 
-// parseNums parses each field into vals. NaN and ±Inf parse, but no
-// parasitic is one: a single such value would reach delay calculation and
-// every queue downstream of it.
+// parseNums parses each field into vals (num.ParseFinite): a single
+// non-finite parasitic would reach delay calculation and every queue
+// downstream of it.
 func parseNums(fields []string, vals []float64) error {
 	for i, s := range fields {
-		v, err := strconv.ParseFloat(s, 64)
+		v, err := num.ParseFinite(s)
 		if err != nil {
 			return err
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%q is not a finite number", s)
 		}
 		vals[i] = v
 	}

@@ -11,7 +11,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -385,16 +384,12 @@ func Read(r io.Reader, lib *liberty.Library) (*netlist.Design, error) {
 	return d, nil
 }
 
-// parseNums parses each field into the value it points at. NaN and ±Inf
-// parse, but no coordinate or delay can be one: they are rejected.
+// parseNums parses each field into the value it points at (num.ParseFinite).
 func parseNums(fields []string, vals ...*float64) error {
 	for i, s := range fields {
-		v, err := strconv.ParseFloat(s, 64)
+		v, err := num.ParseFinite(s)
 		if err != nil {
 			return err
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%q is not a finite number", s)
 		}
 		*vals[i] = v
 	}
