@@ -17,9 +17,17 @@
 #                      queue writer + the row-capacity invariants on every
 #                      block preset + the derived-pin layout on every block
 #                      preset — the rule, every replayed row one hop of its
-#                      parent's, every stored head its queue's, cold and
+#                      parent's, no derived pin owning a slot, cold and
 #                      across a buffer insertion and bypass, reseeded into a
-#                      new engine and in place + zero-alloc full passes,
+#                      new engine and in place + the dead-pin layout on every
+#                      block preset — liveness equal to a reverse search from
+#                      the endpoints, no dead pin owning a slot, a dead pin
+#                      revived by a reseed, a dead pin's rebuilt reads equal
+#                      to a live engine's + the exact endpoint walker of
+#                      internal/exact, which shares no Top-K machinery, equal
+#                      to refsta within 1e-9 on every unedited block preset
+#                      and to the engine bit for bit through a 200-step
+#                      block-2 edit script at K = 128 + zero-alloc full passes,
 #                      bare and with a disabled tracer attached), including the
 #                      nominal-lane differential of the serving layer: a
 #                      daemon holds one lane-strided engine, and a manager over
@@ -95,7 +103,10 @@
 #                      edges and positions bit for bit; the seeds are a
 #                      generated netlist, the garbage documents Read rejects
 #                      and one bad number per //insta: pragma field)
-#   4. go test -race — short-mode race check of the scheduler; the reference
+#   4. go test -race — short-mode race check of the scheduler, and its kernel
+#                      panic containment twenty times over (a panic on a
+#                      helper or on the caller is raised on the caller after
+#                      every helper has stopped); the reference
 #                      engine's full update, which runs every level and the
 #                      endpoint slack walk on a pool of GOMAXPROCS
 #                      participants, each merging into its own arena (the
@@ -189,6 +200,7 @@ go test ./internal/vlog -run '^$' -fuzz FuzzReadVerilog -fuzztime 10s
 echo "== go test -race (sched + levelize + refsta + core + topo + server + obs + snap + cmdutil + fleet + hier, short) =="
 go test -race -short ./internal/sched/... ./internal/levelize/... ./internal/refsta/... ./internal/core/... ./internal/topo/... ./internal/server/... ./internal/obs/... ./internal/snap/... ./internal/cmdutil/... ./internal/fleet/... ./internal/hier/...
 go test -race -count=20 -run 'TestRouterRefusesOversizedBody|TestForwardBodyNotReusedWhileInFlight' ./internal/fleet/
+go test -race -count=20 -run 'TestRunPanicIsRaisedOnCaller' ./internal/sched/
 
 echo "== serve load smoke (-race, 100 concurrent ECO requests against a server.Daemon; single-corner and {ss,tt,ff}) =="
 go test -race -run 'TestServeLoadSmoke|TestServeConcurrentSessionsBitIdentical' ./internal/server/

@@ -1,7 +1,7 @@
 // Package exact is an endpoint timing oracle that shares none of the
-// engine's Top-K machinery. It walks one endpoint's fan-in cone in level
-// order and keeps, per pin and transition, every startpoint that reaches the
-// pin with the arrival of its most critical path — an unbounded list where
+// engine's Top-K machinery. It walks endpoints' fan-in cones in level order
+// and keeps, per pin and transition, every startpoint that reaches the pin
+// with the arrival of its most critical path — an unbounded list where
 // the engine keeps a capacity-limited queue, stored, replayed or not kept at
 // all. From core it reads only the compiled State's slabs, its CPPR credit
 // and its exception table; rows, capacities, derived and dead pins, the
@@ -15,10 +15,11 @@
 // fan-in CSR order — which is the engine's merge. So wherever the engine's
 // queues are deep enough to hold every startpoint (block presets from K = 8
 // on, Fig. 6) the two agree bit for bit, and where they are not, the oracle's
-// slack is the smaller: truncation can only drop a startpoint.
+// slack is never the larger: truncation can only drop an arrival.
 package exact
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -40,9 +41,6 @@ type Result struct {
 	SP    int32   // the startpoint (State.SpPin index) behind Setup, -1 when untimed
 	RF    int     // the data transition behind Setup
 	Hold  float64 // hold slack, +Inf when unchecked
-	// Entries is how many (pin, transition, startpoint) arrivals the walk
-	// held over the cone, late and early.
-	Entries int
 }
 
 // entry is one startpoint's arrival at a pin.
@@ -56,14 +54,16 @@ type entry struct {
 type Walker struct {
 	st  *core.State
 	exc *sdc.ExceptionTable
-	// at[p] is 1 + pin p's position in the cone being walked, 0 outside it.
+	// at[p] is 1 + pin p's position in the cone being walked, 0 outside it;
+	// uses[i] counts the cone's fan-in arcs from cone pin i not yet read.
 	at   []int32
 	cone []int32
+	uses []int32
 	// lists[i][sign][rf] is cone pin i's arrivals sorted by startpoint:
-	// sign 0 late (the larger corner kept), 1 early (the smaller). spare is
-	// the other half of fold's double buffer.
+	// sign 0 late (the larger corner kept), 1 early (the smaller). A pin's
+	// lists are dropped into free, for reuse, once its last reader is built.
 	lists [][2][2][]entry
-	spare []entry
+	free  [][]entry
 }
 
 // New returns a walker over st, whose exception rows it compiles.
@@ -75,43 +75,65 @@ func New(st *core.State) (*Walker, error) {
 	return &Walker{st: st, exc: exc, at: make([]int32, st.NumPins)}, nil
 }
 
-// Endpoint walks the fan-in cone of endpoint ep (a State.EpPin index) under
-// delay and returns its exact setup and hold slack.
-func (w *Walker) Endpoint(delay Delay, ep int32) Result {
+// Walk walks the union of endpoints eps' fan-in cones (State.EpPin indices)
+// under delay, once, and returns each endpoint's exact timing, in eps' order,
+// with how many (pin, transition, startpoint) arrivals the walk built, late
+// and early. A pin's arrivals are dropped once every pin that reads them is
+// built, so the walk holds a frontier of the union, not all of it.
+func (w *Walker) Walk(delay Delay, eps ...int32) ([]Result, int) {
 	st := w.st
-	w.collect(st.EpPin[ep])
-	res := Result{}
-	signs := 2 // an endpoint with no hold check needs no early arrivals
-	if math.IsInf(st.EpHold[0][ep], 1) && math.IsInf(st.EpHold[1][ep], 1) {
-		signs = 1
-	}
-	for i, p := range w.cone {
-		for sign := 0; sign < signs; sign++ {
-			for rf := 0; rf < 2; rf++ {
-				w.lists[i][sign][rf] = w.arrive(delay, p, sign, rf, w.lists[i][sign][rf][:0])
-				res.Entries += len(w.lists[i][sign][rf])
-			}
+	w.collect(eps)
+	signs := 1 // endpoints with no hold check need no early arrivals
+	for _, ep := range eps {
+		if !math.IsInf(st.EpHold[0][ep], 1) || !math.IsInf(st.EpHold[1][ep], 1) {
+			signs = 2
 		}
 	}
-	last := w.lists[len(w.cone)-1]
-	res.Setup, res.SP, res.RF = w.setup(ep, last[0])
-	res.Hold = math.Inf(1)
-	if signs == 2 {
-		res.Hold = w.hold(ep, last[1])
+	res, entries := make([]Result, len(eps)), 0
+	for i, p := range w.cone {
+		l := &w.lists[i]
+		for sign := 0; sign < signs; sign++ {
+			for rf := 0; rf < 2; rf++ {
+				l[sign][rf] = w.arrive(delay, p, sign, rf, w.take())
+				entries += len(l[sign][rf])
+			}
+		}
+		for j, ep := range eps {
+			if st.EpPin[ep] == p {
+				res[j].Setup, res[j].SP, res[j].RF = w.setup(ep, l[0])
+				res[j].Hold = math.Inf(1)
+				if signs == 2 {
+					res[j].Hold = w.hold(ep, l[1])
+				}
+			}
+		}
+		if st.SpOfPin[p] < 0 {
+			for _, from := range st.FaninFrom[st.FaninStart[p]:st.FaninStart[p+1]] {
+				w.read(w.at[from] - 1)
+			}
+		}
+		if w.uses[i] == 0 {
+			w.drop(i)
+		}
 	}
 	for _, p := range w.cone {
 		w.at[p] = 0
 	}
-	return res
+	return res, entries
 }
 
-// collect gathers pin p's fan-in cone — stopping at startpoints, whose
-// arrival is their launch whatever drives them — into w.cone in level order,
-// p last, and indexes it in w.at.
-func (w *Walker) collect(p int32) {
+// collect gathers the fan-in cones of eps' pins — stopping at startpoints,
+// whose arrival is their launch whatever drives them — into w.cone in level
+// order, indexes it in w.at and counts its readers in w.uses.
+func (w *Walker) collect(eps []int32) {
 	st := w.st
-	w.cone = append(w.cone[:0], p)
-	w.at[p] = -1
+	w.cone = w.cone[:0]
+	for _, ep := range eps {
+		if p := st.EpPin[ep]; w.at[p] == 0 {
+			w.at[p] = -1
+			w.cone = append(w.cone, p)
+		}
+	}
 	for i := 0; i < len(w.cone); i++ {
 		q := w.cone[i]
 		if st.SpOfPin[q] >= 0 {
@@ -128,9 +150,46 @@ func (w *Walker) collect(p int32) {
 	for i, q := range w.cone {
 		w.at[q] = int32(i + 1)
 	}
+	w.uses = append(w.uses[:0], make([]int32, len(w.cone))...)
+	for _, q := range w.cone {
+		if st.SpOfPin[q] < 0 {
+			for _, from := range st.FaninFrom[st.FaninStart[q]:st.FaninStart[q+1]] {
+				w.uses[w.at[from]-1]++
+			}
+		}
+	}
 	for len(w.lists) < len(w.cone) {
 		w.lists = append(w.lists, [2][2][]entry{})
 	}
+}
+
+// read counts one read of cone pin i's arrivals, dropping them after the last.
+func (w *Walker) read(i int32) {
+	if w.uses[i]--; w.uses[i] == 0 {
+		w.drop(int(i))
+	}
+}
+
+// drop hands cone pin i's lists to w.free.
+func (w *Walker) drop(i int) {
+	for sign := range w.lists[i] {
+		for rf, l := range w.lists[i][sign] {
+			if l != nil {
+				w.free = append(w.free, l[:0])
+				w.lists[i][sign][rf] = nil
+			}
+		}
+	}
+}
+
+// take returns an empty list, on dropped storage when there is some.
+func (w *Walker) take() []entry {
+	if n := len(w.free); n > 0 {
+		l := w.free[n-1]
+		w.free = w.free[:n-1]
+		return l
+	}
+	return nil
 }
 
 // arrive builds pin p's arrivals for transition rf, late (sign 0) or early
@@ -153,7 +212,7 @@ func (w *Walker) arrive(delay Delay, p int32, sign, rf int, dst []entry) []entry
 
 // fold merges src, every arrival shifted by d, into acc — both sorted by
 // startpoint — keeping per startpoint the more critical arrival, acc's on a
-// tie, and returns the result; acc's storage becomes w.spare.
+// tie, and returns the result; acc's storage is dropped into w.free.
 func (w *Walker) fold(acc, src []entry, d num.Dist, sign int) []entry {
 	if len(src) == 0 {
 		return acc
@@ -164,11 +223,13 @@ func (w *Walker) fold(acc, src []entry, d num.Dist, sign int) []entry {
 	if sign == 1 {
 		sgn, ns = -1, -ns
 	}
-	out := w.spare[:0]
+	out := w.take()
 	if cap(out) < len(acc)+len(src) {
 		out = make([]entry, 0, 2*(len(acc)+len(src)))
 	}
-	w.spare = acc
+	if acc != nil {
+		w.free = append(w.free, acc[:0])
+	}
 	i := 0
 	for _, e := range src {
 		e.mean, e.std = e.mean+d.Mean, math.Sqrt(e.std*e.std+d.Std*d.Std)
@@ -199,7 +260,7 @@ func (w *Walker) setup(ep int32, late [2][]entry) (slack float64, sp int32, rf i
 	for r := 0; r < 2; r++ {
 		byCorner := slices.Clone(late[r])
 		slices.SortStableFunc(byCorner, func(a, b entry) int {
-			return -cmpFloat(a.mean+st.NSigma*a.std, b.mean+st.NSigma*b.std)
+			return cmp.Compare(b.mean+st.NSigma*b.std, a.mean+st.NSigma*a.std)
 		})
 		for _, e := range byCorner {
 			adj := w.exc.Lookup(netlist.PinID(st.SpPin[e.sp]), netlist.PinID(p))
@@ -237,14 +298,4 @@ func (w *Walker) hold(ep int32, early [2][]entry) float64 {
 		}
 	}
 	return best
-}
-
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }

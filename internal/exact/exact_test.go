@@ -1,9 +1,11 @@
 package exact
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -41,7 +43,7 @@ func audited(slacks []float64, n int, seed int64) []int32 {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	slices.SortStableFunc(order, func(a, b int32) int { return cmpFloat(slacks[a], slacks[b]) })
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(slacks[a], slacks[b]) })
 	eps := slices.Clone(order[:min(n, len(order))])
 	rng := rand.New(rand.NewSource(seed))
 	for _, i := range rng.Perm(len(slacks)) {
@@ -67,6 +69,9 @@ func near(a, b, tol float64) bool {
 // hold slacks equal the reference engine's exact per-startpoint ones, for the
 // 64 worst endpoints and 64 more at random.
 func TestAgainstRefsta(t *testing.T) {
+	// refsta's unbounded lists, late and early, are most of a gigabyte on
+	// block-1: collect early rather than let the heap double past them.
+	defer debug.SetGCPercent(debug.SetGCPercent(20))
 	presets := bench.BlockNames()
 	if testing.Short() {
 		presets = []string{"block-5"}
@@ -87,9 +92,11 @@ func TestAgainstRefsta(t *testing.T) {
 			}
 			ref.EnableHoldAnalysis()
 			setup, hold := ref.EndpointSlacks(), ref.HoldSlacks()
-			timed := 0
-			for _, ep := range audited(setup, 64, 1) {
-				r := w.Endpoint(delay, ep)
+			ref = nil // the walk needs only the tables
+			timed, eps := 0, audited(setup, 64, 1)
+			res, _ := w.Walk(delay, eps...)
+			for i, ep := range eps {
+				r := res[i]
 				if !near(r.Setup, setup[ep], 1e-9) || !near(r.Hold, hold[ep], 1e-9) {
 					t.Fatalf("endpoint %d: setup %v hold %v, refsta %v, %v", ep, r.Setup, r.Hold, setup[ep], hold[ep])
 				}
@@ -180,8 +187,9 @@ func TestEditScriptMatchesEngine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, ep := range eps {
-					r := w.Endpoint(e.ArcDelay, ep)
+				res, _ := w.Walk(e.ArcDelay, eps...)
+				for i, ep := range eps {
+					r := res[i]
 					sp, rf := e.CriticalStartpoint(int(ep))
 					if math.Float64bits(r.Setup) != math.Float64bits(slacks[ep]) || r.SP != sp || r.RF != rf ||
 						math.Float64bits(r.Hold) != math.Float64bits(holds[ep]) {
