@@ -94,7 +94,10 @@ func TestAgainstRefsta(t *testing.T) {
 			setup, hold := ref.EndpointSlacks(), ref.HoldSlacks()
 			ref = nil // the walk needs only the tables
 			timed, eps := 0, audited(setup, 64, 1)
-			res, _ := w.Walk(delay, eps...)
+			res, entries := w.Walk(delay, eps...)
+			if entries < len(eps) {
+				t.Fatalf("the walk built %d arrivals for %d endpoints", entries, len(eps))
+			}
 			for i, ep := range eps {
 				r := res[i]
 				if !near(r.Setup, setup[ep], 1e-9) || !near(r.Hold, hold[ep], 1e-9) {
