@@ -99,12 +99,13 @@ func (w *Walker) Walk(delay Delay, eps ...int32) ([]Result, int) {
 			}
 		}
 		for j, ep := range eps {
-			if st.EpPin[ep] == p {
-				res[j].Setup, res[j].SP, res[j].RF = w.setup(ep, l[0])
-				res[j].Hold = math.Inf(1)
-				if signs == 2 {
-					res[j].Hold = w.hold(ep, l[1])
-				}
+			if ep != st.EpOfPin[p] {
+				continue
+			}
+			res[j].Setup, res[j].SP, res[j].RF = w.setup(ep, l[0])
+			res[j].Hold = math.Inf(1)
+			if signs == 2 {
+				res[j].Hold = w.hold(ep, l[1])
 			}
 		}
 		if st.SpOfPin[p] < 0 {
