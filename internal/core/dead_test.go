@@ -162,20 +162,19 @@ func TestDeadPinReads(t *testing.T) {
 					if all.rows[p].dead && e.st.SpOfPin[p] < 0 {
 						t.Fatalf("pin %d is dead under an endpoint on every sink", p)
 					}
-					if !e.rows[p].dead {
-						continue
+					if e.rows[p].dead {
+						dead++
 					}
-					dead++
 					for rf := 0; rf < 2; rf++ {
 						for s := 0; s < e.Lanes(); s++ {
 							gm, gs, gsp := e.LaneTopEntries(rf, p, s)
 							wm, ws, wsp := all.LaneTopEntries(rf, p, s)
 							if !slices.Equal(gsp, wsp) {
-								t.Fatalf("dead pin %d rf %d lane %d: startpoints %v, a live engine's %v", p, rf, s, gsp, wsp)
+								t.Fatalf("pin %d rf %d lane %d: startpoints %v, a live engine's %v", p, rf, s, gsp, wsp)
 							}
 							for i, sp := range gsp {
 								if sp != noSP && (gm[i] != wm[i] || gs[i] != ws[i]) {
-									t.Fatalf("dead pin %d rf %d lane %d slot %d: (%v, %v), a live engine's (%v, %v)", p, rf, s, i, gm[i], gs[i], wm[i], ws[i])
+									t.Fatalf("pin %d rf %d lane %d slot %d: (%v, %v), a live engine's (%v, %v)", p, rf, s, i, gm[i], gs[i], wm[i], ws[i])
 								}
 							}
 						}
