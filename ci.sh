@@ -27,7 +27,17 @@
 #                      internal/exact, which shares no Top-K machinery, equal
 #                      to refsta within 1e-9 on every unedited block preset
 #                      and to the engine bit for bit through a 200-step
-#                      block-2 edit script at K = 128 + zero-alloc full passes,
+#                      block-2 edit script at K = 128, and on block-1 never
+#                      above the K = 1 engine's slack, strictly below it
+#                      wherever K = 1 and K = 32 disagree (truncation can only
+#                      raise a slack) + the same walker auditing the serving
+#                      layer: every lane of two sessions of an {ss,tt,ff}
+#                      manager over block-2 at K = 128, through a 60-step
+#                      script of ECOs, buffer, unbuffer and annotate batches,
+#                      commits of both kinds and rollbacks, bit for bit after
+#                      every step, and the base after every commit (one
+#                      resolver, one apply path and one overlay rebase behind
+#                      all of it) + zero-alloc full passes,
 #                      bare and with a disabled tracer attached), including the
 #                      nominal-lane differential of the serving layer: a
 #                      daemon holds one lane-strided engine, and a manager over
@@ -144,7 +154,12 @@
 #                      committed base in the snapshot cache); then the
 #                      router's two request-body tests twenty times over
 #                      (a pooled body buffer is not reused while the
-#                      transport may still be sending from it)
+#                      transport may still be sending from it), and session
+#                      poisoning ten times over (a panic in one session's
+#                      preview answers 500 and closes that session, while a
+#                      second session and the base, read throughout, stay
+#                      bit-identical and the overlay row gauge counts only
+#                      the live session's rows)
 #   5. load smoke    — 100 concurrent ECO requests against a live
 #                      server.Daemon — assembled from the daemon flag set,
 #                      request shell on, as insta-served and every
@@ -201,6 +216,7 @@ echo "== go test -race (sched + levelize + refsta + core + topo + server + obs +
 go test -race -short ./internal/sched/... ./internal/levelize/... ./internal/refsta/... ./internal/core/... ./internal/topo/... ./internal/server/... ./internal/obs/... ./internal/snap/... ./internal/cmdutil/... ./internal/fleet/... ./internal/hier/...
 go test -race -count=20 -run 'TestRouterRefusesOversizedBody|TestForwardBodyNotReusedWhileInFlight' ./internal/fleet/
 go test -race -count=20 -run 'TestRunPanicIsRaisedOnCaller' ./internal/sched/
+go test -race -count=10 -run 'TestSessionPanicPoisonsOnlyThatSession' ./internal/server/
 
 echo "== serve load smoke (-race, 100 concurrent ECO requests against a server.Daemon; single-corner and {ss,tt,ff}) =="
 go test -race -run 'TestServeLoadSmoke|TestServeConcurrentSessionsBitIdentical' ./internal/server/

@@ -45,7 +45,8 @@ import (
 // and compares them, on what a queue means (equalLive), with the row the pin
 // shows, which nothing has overwritten; once the level is done the pin is
 // pointed at the fresh row and the one it showed is recycled. Reset and
-// Rebase keep the chunks and indices, so a session's steady-state
+// Rebase keep the chunks and indices (Rebase the indices while they still fit
+// the base), so a session's steady-state
 // apply→propagate→read loop settles at zero allocations per operation once
 // they have grown to the cone's footprint; Release hands them to the base
 // engine's pools, where the next overlay over that engine finds them. The
@@ -251,9 +252,11 @@ func (o *Overlay) Propagate() {
 			o.scratch.push(e.st.LvLevel, to)
 		}
 	}
+	// The rows the wave takes are counted even if it panics, so that a Reset
+	// of the abandoned overlay gives back exactly what it holds.
 	was := o.rowsInUse()
+	defer func() { e.overlayRows.Add(int64(o.rowsInUse() - was)) }()
 	e.coneWave(KernelOverlay, o.scratch)
-	e.overlayRows.Add(int64(o.rowsInUse() - was))
 	o.evalDirtyEndpoints()
 }
 
@@ -439,32 +442,26 @@ func (o *Overlay) Release() {
 	o.returnIndex()
 }
 
-// Rebase invalidates the overlay's derived state (queues, slacks) while
-// keeping the arc deltas, and schedules every touched arc for
-// re-propagation. The serving layer calls this when another session's commit
-// changed the base snapshot under this session.
-func (o *Overlay) Rebase() {
+// Rebase re-targets the overlay at e after the base changed under it: a
+// commit re-annotated it, a structural commit replaced it with e (same lanes
+// and TopK), or a structural edit reseeded it in place. Arc ids are permanent
+// and SetArcDelay stores absolute per-rf delays, so every arc delta is kept as
+// recorded — the session's pending intent — and scheduled for
+// re-propagation; one that now matches the base costs a one-pin wavefront
+// that stops on equality. Everything derived from the deltas (queues,
+// slacks) is invalidated. The wavefront scratch and the indices are kept
+// while they still cover e's levels, pins and endpoints, and discarded when e
+// is another engine or an in-place reseed grew it: the next Propagate then
+// takes both at e's size. Row chunks always survive: their size depends only
+// on TopK and the lane count, which no commit changes.
+func (o *Overlay) Rebase(e *Engine) {
 	o.dropDerived()
-	// Arc deltas are kept verbatim: they are the session's pending intent.
-	// A delta that now matches the re-committed base annotation costs only a
-	// one-pin wavefront that stops on equality.
-	o.pending = append(o.pending[:0], o.touched...)
-}
-
-// RebaseStructural re-targets the overlay at a structurally edited
-// replacement of its base engine (same lanes and TopK) — or at the same
-// engine, reseeded in place. Arc ids are permanent across structural edits and
-// SetArcDelay stores absolute per-rf delays, so every arc delta is kept as
-// recorded and scheduled for re-propagation. All derived state (queues,
-// slacks) is invalidated like Rebase, and the wavefront scratch and the
-// indices are discarded because the new engine's level, pin and endpoint
-// counts differ: the next Propagate takes both at e's size. Row chunks
-// survive: their size depends only on TopK and the lane count, which a
-// structural edit never changes.
-func (o *Overlay) RebaseStructural(e *Engine) {
-	o.dropDerived()
-	o.returnIndex()
-	o.scratch = nil
+	if ix := o.ix; e != o.e || ix != nil && (len(ix.pin) < e.st.NumPins || len(ix.ep) < len(e.st.EpPin)) {
+		o.returnIndex()
+	}
+	if sc := o.scratch; e != o.e || sc != nil && (len(sc.buckets) < e.st.NumLevels || len(sc.queuedAt) < e.st.NumPins) {
+		o.scratch = nil
+	}
 	o.pending = append(o.pending[:0], o.touched...)
 	o.e, o.q = e, e.top.q
 }

@@ -171,7 +171,7 @@ func TestOverlappingPreviews(t *testing.T) {
 			sameOverlayQueues(t, "A then B", o, cold)
 
 			// A rebase re-derives the same cone over rows it has just freed.
-			o.Rebase()
+			o.Rebase(e)
 			o.Propagate()
 			noLeak(o, "after a rebase")
 			samePreview(t, "rebased", o, fresh, cold)
@@ -344,7 +344,7 @@ func TestOverlayFollowsStructuralReseeds(t *testing.T) {
 			t.Cleanup(ne.Close)
 		}
 		chunks := slices.Clone(o.chunks)
-		o.RebaseStructural(ne)
+		o.Rebase(ne)
 		o.Propagate()
 		if len(o.slot) != ne.st.NumPins || len(o.epSlot) != len(ne.st.EpPin) {
 			t.Fatalf("in place %v: index covers %d pins / %d endpoints, engine has %d / %d", inPlace, len(o.slot), len(o.epSlot), ne.st.NumPins, len(ne.st.EpPin))

@@ -264,7 +264,7 @@ func TestOverlayRebase(t *testing.T) {
 			applyToOverlay(oA, dA)
 			oA.Commit()
 
-			oB.Rebase()
+			oB.Rebase(e)
 			oB.Propagate()
 
 			twin := newLaneEngine(t, h.tab, lc.lanes, Options{TopK: 6, Workers: 1})

@@ -213,3 +213,61 @@ func TestEditScriptMatchesEngine(t *testing.T) {
 		t.Fatal("the script's final slacks depend on the worker count")
 	}
 }
+
+// TestTruncationOnlyRaisesSlack: at K = 1 on block-1 a queue keeps one
+// startpoint where several reach a pin, so the engine can drop the arrival
+// that sets an endpoint's slack — Fig. 6's disagreeing endpoints. At every
+// endpoint where the K = 1 and K = 32 engines disagree (up to 128), and at
+// the 32 worst, the exact setup slack equals K = 32's bit for bit; where they
+// disagree it is strictly below K = 1's, and at no sampled endpoint is it
+// above K = 1's: truncation can only raise a slack.
+func TestTruncationOnlyRaisesSlack(t *testing.T) {
+	_, tab := build(t, "block-1")
+	slacks := map[int][]float64{}
+	for _, k := range []int{1, 32} {
+		e, err := core.NewEngine(tab, core.Options{TopK: k, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Run()
+		slacks[k] = slices.Clone(e.Slacks())
+		e.Close()
+	}
+	k1, k32 := slacks[1], slacks[32]
+	var eps []int32
+	for i := range k32 {
+		if len(eps) < 128 && math.Float64bits(k1[i]) != math.Float64bits(k32[i]) {
+			eps = append(eps, int32(i))
+		}
+	}
+	disagree := len(eps)
+	if disagree == 0 {
+		t.Fatal("K = 1 and K = 32 agree everywhere — the check is vacuous")
+	}
+	for _, ep := range audited(k32, 32, 0)[:32] {
+		if !slices.Contains(eps, ep) {
+			eps = append(eps, ep)
+		}
+	}
+	st, err := core.Compile(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := New(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _ := w.Walk(func(arc int32, rf int) num.Dist {
+		return num.Dist{Mean: st.ArcMean[rf][arc], Std: st.ArcStd[rf][arc]}
+	}, eps...)
+	for i, ep := range eps {
+		got := res[i].Setup
+		if math.Float64bits(got) != math.Float64bits(k32[ep]) {
+			t.Fatalf("endpoint %d: exact setup slack %v, K = 32 %v", ep, got, k32[ep])
+		}
+		if got > k1[ep] || i < disagree && got == k1[ep] {
+			t.Fatalf("endpoint %d: exact setup slack %v, K = 1 %v — truncation lowered a slack", ep, got, k1[ep])
+		}
+	}
+	t.Logf("%d endpoints where K = 1 and K = 32 disagree, %d walked", disagree, len(eps))
+}

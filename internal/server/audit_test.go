@@ -1,0 +1,318 @@
+package server
+
+import (
+	"cmp"
+	"errors"
+	"fmt"
+	"io"
+	"log/slog"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"insta/internal/bench"
+	"insta/internal/core"
+	"insta/internal/exact"
+	"insta/internal/num"
+)
+
+// laneDelay is delay as lane scn sees it: each arc's nominal delay times the
+// scenario's factors for the arc's kind, as the engine's kernels derate it.
+func laneDelay(delay exact.Delay, kind []uint8, scn core.Scenario) exact.Delay {
+	return func(arc int32, rf int) num.Dist {
+		d := delay(arc, rf)
+		ms, ss := scn.Scale(kind[arc])
+		return num.Dist{Mean: d.Mean * ms, Std: d.Std * ss}
+	}
+}
+
+// sessionAudit is one run of TestSessionsAuditExact's script.
+type sessionAudit struct {
+	t     *testing.T
+	m     *Manager
+	fixed []int32 // endpoints walked at every audit
+	moved []bool  // per lane: an audited endpoint whose slack differs from the base's
+	walks int     // endpoint walks, over all lanes
+	tag   string  // the step being audited
+	base  [][]float64
+	// seen is, per session, every endpoint it has differed from the base at
+	// since it last committed or rolled back: a view that loses a delta shows
+	// the base slack there, and the walk does not.
+	seen map[*Session][]int32
+}
+
+// changed adds to eps the endpoints where view differs from ref in any lane,
+// up to 64 in all.
+func changed(eps []int32, view, ref [][]float64) []int32 {
+	for ep := range view[0] {
+		for l := range view {
+			if len(eps) < 64 && math.Float64bits(view[l][ep]) != math.Float64bits(ref[l][ep]) && !slices.Contains(eps, int32(ep)) {
+				eps = append(eps, int32(ep))
+			}
+		}
+	}
+	return eps
+}
+
+// check walks, in every lane, endpoints eps and the fixed ones over state st
+// and nominal arc delays delay, and fails where a walked slack is not view's
+// bit for bit.
+func (a *sessionAudit) check(st *core.State, delay exact.Delay, view [][]float64, eps []int32) {
+	t := a.t
+	eps = slices.Clip(eps)
+	for _, ep := range a.fixed {
+		if !slices.Contains(eps, ep) {
+			eps = append(eps, ep)
+		}
+	}
+	// The audit is of setup slacks: over a copy of the state with no hold
+	// check the walk builds no early arrivals.
+	setup := *st
+	unchecked := make([]float64, len(st.EpPin))
+	for i := range unchecked {
+		unchecked[i] = math.Inf(1)
+	}
+	setup.EpHold = [2][]float64{unchecked, unchecked}
+	w, err := exact.New(&setup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l, scn := range a.m.Scenarios() {
+		res, _ := w.Walk(laneDelay(delay, setup.ArcKind, scn), eps...)
+		for i, ep := range eps {
+			if got, want := res[i].Setup, view[l][ep]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: lane %s, endpoint %d: exact setup slack %v, served %v", a.tag, scn.Name, ep, got, want)
+			}
+			if view[l][ep] != a.base[l][ep] {
+				a.moved[l] = true
+			}
+		}
+		a.walks += len(eps)
+	}
+}
+
+// session reads s in every lane through its public read path, which rebases
+// it first, and audits what it read against the walker over the state the
+// session times: its working engine's, or the base's under its overlay. It
+// reports false for a session a commit has conflicted.
+func (a *sessionAudit) session(s *Session) bool {
+	view, err := laneViews(a.m.Scenarios(), s.ScenarioSlacks)
+	if errors.Is(err, ErrStructuralConflict) {
+		return false
+	} else if err != nil {
+		a.t.Fatalf("%s: %v", a.tag, err)
+	}
+	a.seen[s] = changed(a.seen[s], view, a.base)
+	if s.ts != nil {
+		e := s.ts.Engine()
+		a.check(e.ExportState(), e.ArcDelay, view, a.seen[s])
+	} else {
+		a.check(a.m.eng.ExportState(), s.ov.ArcDelay, view, a.seen[s])
+	}
+	return true
+}
+
+// TestSessionsAuditExact holds every lane of every session read to the exact
+// walker of internal/exact, which shares no Top-K machinery, through a seeded
+// 64-step script over two sessions on an {ss,tt,ff} manager over block-2 at
+// K = 128, where every queue holds every startpoint that reaches it, at
+// Workers 1 and 4. The script mixes raw-arc and resize ECOs, buffer,
+// unbuffer and annotate batches, commits of both kinds — so annotation
+// sessions rebase over structural commits — and rollbacks. After every step
+// the session that acted — after a commit both, which rebases the other — is
+// read in every lane and walked at the endpoints it has moved since it last
+// committed or rolled back (up to 64) plus the 16 worst at the start, over the state it times and the arc delays of its overlay or
+// working engine, times the lane's factors; after every commit the base is
+// walked at the endpoints the commit moved. Setup slacks only: the walks skip
+// hold.
+func TestSessionsAuditExact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("walks every session view of a 64-step script")
+	}
+	spec, err := bench.BlockSpec("block-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("W%d", workers), func(t *testing.T) { auditScript(t, spec, workers) })
+	}
+}
+
+func auditScript(t *testing.T, spec bench.Spec, workers int) {
+	ref, tab := buildTables(t, spec)
+	e, err := core.NewEngineScenarios(tab, core.DefaultScenarios(), core.Options{TopK: 128, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	m := NewManager(e, ref, Options{})
+	defer m.Close()
+	m.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	a := &sessionAudit{t: t, m: m, moved: make([]bool, e.Lanes()), seen: map[*Session][]int32{}}
+	if a.base, err = laneViews(m.Scenarios(), m.BaseScenarioSlacks); err != nil {
+		t.Fatal(err)
+	}
+	nom := a.base[m.nom]
+	order := make([]int32, len(nom))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(x, y int32) int { return cmp.Compare(nom[x], nom[y]) })
+	a.fixed = order[:16]
+	rng := rand.New(rand.NewSource(38))
+
+	var sess [2]*Session
+	for i := range sess {
+		if sess[i], err = m.Create(); err != nil {
+			t.Fatal(err)
+		}
+		defer sess[i].Close()
+	}
+	resizes := bench.Changelist(&bench.Design{D: ref.D, Lib: ref.Lib}, 38, 64)
+	var bufs, committedBufs []int32 // cell arcs of the buffers session 1 inserted and has not removed
+	counts := map[string]int{}
+	structEpoch := uint64(0) // the epoch the last structural commit published
+
+	// arcs draws n distinct arcs of s's view and re-annotates each at 0.7x to
+	// 1.5x its current delay.
+	arcs := func(s *Session, n int) []ArcECO {
+		delay, lim := s.ov.ArcDelay, m.eng.NumArcs()
+		if s.ts != nil {
+			delay, lim = s.ts.Engine().ArcDelay, s.ts.Engine().NumArcs()
+		}
+		var out []ArcECO
+		for len(out) < n {
+			arc := int32(rng.Intn(lim))
+			if slices.ContainsFunc(out, func(x ArcECO) bool { return x.Arc == arc }) {
+				continue
+			}
+			f := 0.7 + 0.8*rng.Float64()
+			rise, fall := delay(arc, 0), delay(arc, 1)
+			out = append(out, ArcECO{Arc: arc,
+				Rise: num.Dist{Mean: rise.Mean * f, Std: rise.Std * f},
+				Fall: num.Dist{Mean: fall.Mean * f, Std: fall.Std * f}})
+		}
+		return out
+	}
+	annotate := func(s *Session, n int) TopoRequest {
+		var req TopoRequest
+		for _, x := range arcs(s, n) {
+			req.Ops = append(req.Ops, TopoOp{Op: "annotate", Arc: x.Arc, Rise: x.Rise, Fall: x.Fall})
+		}
+		return req
+	}
+	rollback := func(i int) {
+		if err := sess[i].Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		delete(a.seen, sess[i])
+		if i == 1 {
+			bufs = slices.Clone(committedBufs)
+		}
+	}
+	netArc := func() int32 {
+		st := m.eng.ExportState()
+		for {
+			if arc := int32(rng.Intn(ref.NumArcs())); st.ArcKind[arc] == 1 {
+				return arc
+			}
+		}
+	}
+
+	const steps = 60
+	for step := 0; step < steps; step++ {
+		i := rng.Intn(2)
+		s := sess[i]
+		r := rng.Intn(10)
+		kinds := [2][10]string{
+			{"arcs", "arcs", "arcs", "arcs", "resize", "resize", "commit", "commit", "rollback", "annotate"},
+			{"buffer", "buffer", "buffer", "unbuffer", "annotate", "annotate", "arcs", "commit", "commit", "rollback"},
+		}
+		kind := kinds[i][r]
+		if kind == "unbuffer" && len(bufs) == 0 {
+			kind = "buffer"
+		}
+		a.tag = fmt.Sprintf("W%d step %d: session %d %s", workers, step, i, kind)
+		before := slices.Clone(a.base)
+		structural := s.ts != nil
+		var err error
+		switch kind {
+		case "arcs":
+			_, err = s.ApplyECO(ECORequest{Arcs: arcs(s, 1+rng.Intn(4))})
+		case "resize":
+			rz := resizes[0]
+			resizes = resizes[1:]
+			_, err = s.ApplyECO(ECORequest{Resizes: []ResizeReq{{Cell: ref.D.Cells[rz.Cell].Name, Lib: ref.Lib.Cell(rz.NewLib).Name}}})
+		case "annotate":
+			_, err = s.ApplyTopo(annotate(s, 1+rng.Intn(3)))
+		case "buffer":
+			var tr *TopoResult
+			if tr, err = s.ApplyTopo(TopoRequest{Ops: []TopoOp{{Op: "buffer", Arc: netArc(), Frac: 0.25 + 0.5*rng.Float64()}}}); err == nil {
+				bufs = append(bufs, int32(tr.NewArcs[0]))
+			}
+		case "unbuffer":
+			arc := bufs[rng.Intn(len(bufs))]
+			if _, err = s.ApplyTopo(TopoRequest{Ops: []TopoOp{{Op: "unbuffer", Arc: arc}}}); err == nil {
+				bufs = slices.DeleteFunc(bufs, func(b int32) bool { return b == arc })
+			}
+		case "commit":
+			if _, err = s.Commit(); err == nil {
+				// The base is walked at the endpoints the commit moved.
+				if a.base, err = laneViews(m.Scenarios(), m.BaseScenarioSlacks); err != nil {
+					t.Fatal(err)
+				}
+				a.check(m.eng.ExportState(), m.eng.ArcDelay, a.base, changed(nil, a.base, before))
+				delete(a.seen, s)
+				if structural {
+					structEpoch = m.epoch
+					counts["structural commit"]++
+					committedBufs = slices.Clone(bufs)
+				}
+			}
+		case "rollback":
+			rollback(i)
+		}
+		switch {
+		case errors.Is(err, ErrStructuralConflict):
+			counts["conflict"]++
+			rollback(i)
+		case errors.Is(err, ErrSessionPoisoned), errors.Is(err, ErrSessionClosed):
+			t.Fatalf("%s: %v", a.tag, err)
+		case err != nil:
+			counts["refused"]++
+			t.Logf("%s: %v", a.tag, err)
+		default:
+			counts[kind]++
+		}
+		// The session that acted is audited; after a commit the other is
+		// too, which rebases it — or conflicts it, and it rolls back.
+		for j, s := range sess {
+			if j != i && kind != "commit" {
+				continue
+			}
+			if s.ts == nil && s.ov.Stats().TouchedArcs > 0 && s.epoch < structEpoch {
+				counts["rebase over a structural commit"]++
+			}
+			if !a.session(s) {
+				counts["conflict"]++
+				rollback(j)
+				a.session(s)
+			}
+		}
+	}
+	for _, k := range []string{"arcs", "resize", "buffer", "unbuffer", "annotate", "structural commit", "rebase over a structural commit", "rollback"} {
+		if counts[k] == 0 {
+			t.Fatalf("the script ran %v: no %s", counts, k)
+		}
+	}
+	if counts["commit"] == counts["structural commit"] {
+		t.Fatalf("the script ran %v: no annotation commit", counts)
+	}
+	for l, moved := range a.moved {
+		if !moved {
+			t.Fatalf("no audited endpoint moved in lane %s", m.Scenarios()[l].Name)
+		}
+	}
+	t.Logf("steps %v, %d endpoint walks", counts, a.walks)
+}

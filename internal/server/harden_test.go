@@ -64,6 +64,26 @@ func TestECORejectsUnpropagatableDelays(t *testing.T) {
 	}
 }
 
+// TestEmptyECORefusedInProcess: ApplyECO itself refuses an empty batch, with
+// the text the HTTP route answers, and counts no ECO batch for it.
+func TestEmptyECORefusedInProcess(t *testing.T) {
+	mgr, _ := newTestManager(t, "des", 6, 1, server.Options{})
+	sess, err := mgr.Create()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	before := mgr.Counters().ECOs
+	for _, req := range []server.ECORequest{{}, {Arcs: []server.ArcECO{}, Resizes: []server.ResizeReq{}}} {
+		if _, err := sess.ApplyECO(req); err == nil || err.Error() != "server: empty ECO batch" {
+			t.Fatalf("ApplyECO(%+v): err %v, want the empty-batch refusal", req, err)
+		}
+	}
+	if got := mgr.Counters().ECOs; got != before {
+		t.Fatalf("refused empty batches counted %d ECO batches", got-before)
+	}
+}
+
 // TestTopoRejectsUnpropagatableDelays is the same refusal on the structural
 // route, where a bad annotate rides in a batch with a valid buffer insertion:
 // the session must not even convert to structural.

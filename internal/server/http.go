@@ -260,6 +260,8 @@ func errCode(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, ErrStructuralConflict), errors.Is(err, ErrPendingAnnotations):
 		return http.StatusConflict
+	case errors.Is(err, ErrSessionPoisoned):
+		return http.StatusInternalServerError
 	default:
 		return http.StatusBadRequest
 	}
@@ -502,10 +504,6 @@ func (s *Server) handleECO(w http.ResponseWriter, r *http.Request, sess *Session
 	if !decodeBody(w, r, req) {
 		return
 	}
-	if len(req.Resizes) == 0 && len(req.Arcs) == 0 {
-		WriteError(w, http.StatusBadRequest, errors.New("server: empty ECO batch"))
-		return
-	}
 	res, err := sess.ApplyECO(*req)
 	if err != nil {
 		WriteError(w, errCode(err), err)
@@ -520,10 +518,6 @@ func (s *Server) handleECO(w http.ResponseWriter, r *http.Request, sess *Session
 func (s *Server) handleTopo(w http.ResponseWriter, r *http.Request, sess *Session) {
 	var req TopoRequest
 	if !decodeBody(w, r, &req) {
-		return
-	}
-	if len(req.Ops) == 0 {
-		WriteError(w, http.StatusBadRequest, errors.New("server: empty topo batch"))
 		return
 	}
 	res, err := sess.ApplyTopo(req)

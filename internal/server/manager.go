@@ -62,6 +62,10 @@ var (
 	// the committed base, so those deltas would silently vanish. Commit or
 	// roll back first.
 	ErrPendingAnnotations = errors.New("server: session has uncommitted annotation ECOs; commit or roll back before structural edits")
+	// ErrSessionPoisoned: the call's evaluation panicked. The session is
+	// closed and unlinked, and the panic logged; the committed base and every
+	// other session are as they were.
+	ErrSessionPoisoned = errors.New("server: session evaluation panicked; the session is closed")
 )
 
 // Options tunes the session manager.
@@ -131,11 +135,8 @@ type Manager struct {
 	baseTNS float64
 	baseScn []ScenarioView // committed per-scenario + merged rows; nil on a single-corner server
 
-	// Structural-ECO state, guarded by mu. topoGen bumps on every structural
-	// commit (the base engine objects are replaced, not just re-annotated);
-	// ownsBase marks a base engine installed by a structural commit (closed
-	// on the next swap; the boot engine stays caller-owned).
-	topoGen  uint64
+	// ownsBase, guarded by mu, marks a base engine installed by a structural
+	// commit (closed on the next swap; the boot engine stays caller-owned).
 	ownsBase bool
 
 	// smu guards the session table only. Lock ordering: smu may be taken
@@ -143,6 +144,7 @@ type Manager struct {
 	// mutex while holding smu.
 	smu      sync.Mutex
 	sessions map[string]*Session
+	spare    []edit // closed sessions' request storage, for new sessions
 	nextID   uint64
 
 	created, rejected, evicted   atomic.Int64
@@ -152,12 +154,14 @@ type Manager struct {
 	topoConflicts                atomic.Int64
 	relevelHist                  *obs.Histogram // levels re-levelized per structural batch
 
-	// Lock-free mirrors of epoch/topoGen, stored at each bump while mu is
-	// held: what Epoch and TopoGen return. The flight recorder stamps both
-	// onto every completed request; reading the mu-guarded fields there would
-	// make request completion block behind long structural commits.
-	epochA   atomic.Uint64
-	topoGenA atomic.Uint64
+	// epochA mirrors epoch, stored at each bump while mu is held, and topoGen
+	// counts structural commits (the base engine object was replaced, not
+	// just re-annotated): what Epoch and TopoGen return. The flight recorder
+	// stamps both onto every completed request; reading the mu-guarded epoch
+	// there would make request completion block behind long structural
+	// commits.
+	epochA  atomic.Uint64
+	topoGen atomic.Uint64
 
 	// live is the live-session gauge, maintained at the table mutation
 	// points (Create/remove) so readers — /healthz, /metrics, the flight
@@ -416,7 +420,7 @@ func (m *Manager) Create() (*Session, error) {
 	// The overlay must bind to the engine of one consistent epoch: hold the
 	// read lock across the reads (a structural commit swaps m.eng).
 	m.mu.RLock()
-	epoch, topoGen, eng := m.epoch, m.topoGen, m.eng
+	epoch, eng := m.epoch, m.eng
 	m.mu.RUnlock()
 
 	m.smu.Lock()
@@ -427,11 +431,13 @@ func (m *Manager) Create() (*Session, error) {
 	}
 	m.nextID++
 	s := &Session{
-		m:       m,
-		ID:      fmt.Sprintf("s%d", m.nextID),
-		ov:      core.NewOverlay(eng),
-		epoch:   epoch,
-		topoGen: topoGen,
+		m:     m,
+		ID:    fmt.Sprintf("s%d", m.nextID),
+		ov:    core.NewOverlay(eng),
+		epoch: epoch,
+	}
+	if n := len(m.spare); n > 0 {
+		s.ed, m.spare = m.spare[n-1], m.spare[:n-1]
 	}
 	s.touch()
 	m.sessions[s.ID] = s
@@ -450,14 +456,20 @@ func (m *Manager) Get(id string) *Session {
 	return m.sessions[id]
 }
 
-// remove unlinks id from the table and reports whether it was present.
-func (m *Manager) remove(id string) bool {
+// remove unlinks s from the table, keeping its request storage for the next
+// session unless a batch grew it past what a pooled ECO body keeps, and
+// reports whether it was present. Caller holds s.mu.
+func (m *Manager) remove(s *Session) bool {
 	m.smu.Lock()
 	defer m.smu.Unlock()
-	if _, ok := m.sessions[id]; !ok {
+	if _, ok := m.sessions[s.ID]; !ok {
 		return false
 	}
-	delete(m.sessions, id)
+	delete(m.sessions, s.ID)
+	if cap(s.ed.ops) <= maxPooledBatch {
+		m.spare = append(m.spare, s.ed)
+	}
+	s.ed = edit{}
 	m.live.Dec()
 	return true
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,6 +87,44 @@ type resolvedResize struct {
 	lib  int32
 }
 
+// edit is one resolved request of any kind: the ops to apply, every delay an
+// Annotate, plus the netlist changes to replay on commit. A session resolves
+// each request into its one edit, whose storage passes to the next session
+// when it closes.
+type edit struct {
+	ops []topo.Op
+	rzs []resolvedResize
+	mvs []resolvedMove
+}
+
+// reset empties e for the next request, keeping its storage.
+func (e *edit) reset() *edit {
+	e.ops, e.rzs, e.mvs = e.ops[:0], e.rzs[:0], e.mvs[:0]
+	return e
+}
+
+// annotate adds estimate output as Annotate ops.
+func (e *edit) annotate(deltas []refsta.ArcDelta) {
+	for _, dl := range deltas {
+		e.ops = append(e.ops, topo.Annotate(dl.ArcID, dl.Delay))
+	}
+}
+
+// fold leaves one op per arc in an all-Annotate batch, where the arc first
+// appears, carrying the last delay named for it.
+func (e *edit) fold() {
+	at, n := make(map[int32]int, len(e.ops)), 0
+	for _, op := range e.ops {
+		if i, ok := at[op.Arc]; ok {
+			e.ops[i].Delay = op.Delay
+		} else {
+			at[op.Arc], e.ops[n] = n, op
+			n++
+		}
+	}
+	e.ops = e.ops[:n]
+}
+
 // Session is one copy-on-write what-if view. All methods are safe for
 // concurrent use; calls on one session serialize on its mutex, while calls
 // on different sessions share the base under the manager's read lock.
@@ -98,8 +137,8 @@ type Session struct {
 	mu      sync.Mutex
 	ov      *core.Overlay // the one copy-on-write view, every lane of the base
 	epoch   uint64
-	topoGen uint64           // structural generation the overlay binds to
 	ts      *topo.Session    // non-nil once the session holds structural edits
+	ed      edit             // the request being resolved
 	resizes []resolvedResize // netlist changes to replay on commit
 	moves   []resolvedMove
 	closed  bool
@@ -108,32 +147,21 @@ type Session struct {
 
 func (s *Session) touch() { s.lastUsed.Store(time.Now().UnixNano()) }
 
-// rebaseLocked re-derives the overlay against the current base if a commit
-// happened since this session last evaluated. Caller holds s.mu and at least
-// m.mu.RLock.
-//
-// Two rebase shapes exist. An annotation commit keeps the engine object, so
-// the overlay re-derives in place (Rebase). A structural commit replaced it,
-// so the overlay re-binds to the new engine, its recorded deltas on the arc
-// ids they were recorded on (RebaseStructural) — bit-identical to having
-// recorded the deltas against the new base from the start. A session that
-// itself holds structural edits cannot rebase over either kind of commit: its
-// working engine was seeded from a base that no longer exists, so it
-// conflicts instead.
+// rebaseLocked re-derives the overlay, its deltas kept on their arc ids,
+// against the current engine if a commit of either kind bumped the epoch
+// since this session last evaluated. A session holding structural edits
+// conflicts instead: its working engine was seeded from a base that no longer
+// exists. Caller holds s.mu and at least m.mu.RLock.
 func (s *Session) rebaseLocked() error {
 	m := s.m
-	if s.topoGen == m.topoGen && s.epoch == m.epoch {
+	if s.epoch == m.epoch {
 		return nil
 	}
 	if s.ts != nil {
 		m.topoConflicts.Add(1)
 		return ErrStructuralConflict
 	}
-	if s.topoGen != m.topoGen {
-		s.rebindLocked()
-	} else {
-		s.ov.Rebase()
-	}
+	s.ov.Rebase(m.eng)
 	s.ov.Propagate()
 	s.epoch = m.epoch
 	return nil
@@ -247,43 +275,52 @@ func (m *Manager) endpointSlackLocked(ep int, slack float64) EndpointSlack {
 	return es
 }
 
-// applyArcLocked records one arc re-annotation in the overlay, in nominal
-// units; every lane sees it through its scale factors.
-func (s *Session) applyArcLocked(arc int32, rise, fall num.Dist) {
-	s.ov.SetArcDelay(arc, 0, rise)
-	s.ov.SetArcDelay(arc, 1, fall)
-}
-
-// checkDelay rejects arc delays no timing engine can propagate: a non-finite
-// mean, or a negative or non-finite sigma. One NaN annotation would otherwise
-// spread through every queue downstream of it and, on commit, into the base.
-func checkDelay(ds ...num.Dist) error {
-	for _, d := range ds {
-		if math.IsNaN(d.Mean) || math.IsInf(d.Mean, 0) {
-			return fmt.Errorf("non-finite delay mean %v", d.Mean)
+// resolveArcLocked is the one validator of a caller-given arc delay — a raw
+// ECO arc, an ApplyDeltas delta or a topo annotate — and adds it to e. The arc
+// must exist, and the delay must propagate: one NaN would spread through every
+// queue downstream and, on commit, into the base. Caller holds s.mu and at
+// least m.mu.RLock.
+func (s *Session) resolveArcLocked(e *edit, arc int32, d [2]num.Dist) error {
+	if err := s.checkArcLocked(arc); err != nil {
+		return err
+	}
+	for _, x := range d {
+		if math.IsNaN(x.Mean) || math.IsInf(x.Mean, 0) {
+			return fmt.Errorf("arc %d: non-finite delay mean %v", arc, x.Mean)
 		}
-		if math.IsNaN(d.Std) || math.IsInf(d.Std, 0) || d.Std < 0 {
-			return fmt.Errorf("delay sigma %v is negative or non-finite", d.Std)
+		if math.IsNaN(x.Std) || math.IsInf(x.Std, 0) || x.Std < 0 {
+			return fmt.Errorf("arc %d: delay sigma %v is negative or non-finite", arc, x.Std)
 		}
 	}
+	e.ops = append(e.ops, topo.Annotate(arc, d))
 	return nil
 }
 
-// arcLimitLocked is the exclusive upper bound of arc ids the session accepts:
-// the served engine's, or its structural working set's once it has one.
-// Caller holds s.mu and at least m.mu.RLock.
-func (s *Session) arcLimitLocked() int {
+// checkArcLocked refuses an arc id that neither the served engine nor the
+// session's working set has. Caller holds s.mu and at least m.mu.RLock.
+func (s *Session) checkArcLocked(arc int32) error {
+	lim := s.m.eng.NumArcs()
 	if s.ts != nil {
-		return s.ts.Engine().NumArcs()
+		lim = s.ts.Engine().NumArcs()
 	}
-	return s.m.eng.NumArcs()
+	if arc < 0 || int(arc) >= lim {
+		return fmt.Errorf("arc %d out of range [0,%d)", arc, lim)
+	}
+	return nil
 }
 
 // evalLocked is the protocol every session evaluation follows: take the
 // session's mutex, refuse a closed session, mark it used, take the base read
 // lock and rebase the overlay onto the current base. fn runs with both locks
 // held.
-func (s *Session) evalLocked(fn func() error) error {
+//
+// A panic in the rebase or in fn — a kernel's too, which the scheduler raises
+// here — poisons the session, not the daemon: it is closed, unlinked and
+// logged, and the call answers ErrSessionPoisoned. Its state is unknown, so
+// none of it goes back to the engine's pools: the overlay is Reset, never
+// Released, and keeps its shadow rows, index and any merge scratch its wave
+// had on loan.
+func (s *Session) evalLocked(fn func() error) (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -292,119 +329,128 @@ func (s *Session) evalLocked(fn func() error) error {
 	s.touch()
 	s.m.mu.RLock()
 	defer s.m.mu.RUnlock()
+	defer func() {
+		if p := recover(); p != nil {
+			s.closed = true
+			s.discardLocked()
+			s.m.remove(s)
+			s.m.log.Error("session poisoned", "session", s.ID, "panic", p, "stack", string(debug.Stack()))
+			err = ErrSessionPoisoned
+		}
+	}()
 	if err := s.rebaseLocked(); err != nil {
 		return err
 	}
 	return fn()
 }
 
-// resolveResizeLocked prices swapping the named instance to the named library
-// cell: the netlist change to replay on commit, and estimate_eco's arc
-// deltas. Caller holds at least m.mu.RLock.
-func (m *Manager) resolveResizeLocked(cell, lib string) (resolvedResize, []refsta.ArcDelta, error) {
+// resolveResizeLocked resolves a resize ECO or a repower — the named instance
+// swapped to the named library cell — into e: estimate_eco's arc deltas and
+// the netlist change to replay on commit. Caller holds at least m.mu.RLock.
+func (m *Manager) resolveResizeLocked(e *edit, cell, lib string) error {
 	if m.ref == nil {
-		return resolvedResize{}, nil, ErrNoRefEngine
+		return ErrNoRefEngine
 	}
 	c, ok := m.ref.D.CellByName(cell)
 	if !ok {
-		return resolvedResize{}, nil, fmt.Errorf("unknown cell %q", cell)
+		return fmt.Errorf("unknown cell %q", cell)
 	}
 	l, ok := m.ref.Lib.CellByName(lib)
 	if !ok {
-		return resolvedResize{}, nil, fmt.Errorf("unknown library cell %q", lib)
+		return fmt.Errorf("unknown library cell %q", lib)
 	}
 	deltas, err := m.ref.EstimateECO(c, l)
 	if err != nil {
-		return resolvedResize{}, nil, fmt.Errorf("estimate_eco %s -> %s: %w", cell, lib, err)
+		return fmt.Errorf("estimate_eco %s -> %s: %w", cell, lib, err)
 	}
-	return resolvedResize{cell: c, lib: l}, deltas, nil
+	e.annotate(deltas)
+	e.rzs = append(e.rzs, resolvedResize{cell: c, lib: l})
+	return nil
 }
 
-// applyLocked applies one validated batch — estimate_eco deltas and raw arc
-// ECOs — and re-propagates the affected cones: through the overlay, or, on a
-// session that holds structural edits, as one batch of Annotate ops on its
-// working set so the one cone re-prop prices the batch against the edited
-// topology. Either way the last delay the batch names for an arc wins. Caller
-// holds s.mu and at least m.mu.RLock.
-func (s *Session) applyLocked(ref []refsta.ArcDelta, arcs []ArcECO) error {
-	if s.ts != nil {
-		// One op per arc: a batch may not claim an arc twice, and two resizes'
-		// estimate_eco deltas — or a raw ECO and a resize — can overlap.
-		ops := make([]topo.Op, 0, len(ref)+len(arcs))
-		opOf := make(map[int32]int, len(ref)+len(arcs))
-		annotate := func(arc int32, d [2]num.Dist) {
-			if i, ok := opOf[arc]; ok {
-				ops[i].Delay = d
-				return
-			}
-			opOf[arc] = len(ops)
-			ops = append(ops, topo.Annotate(arc, d))
-		}
-		for _, dl := range ref {
-			annotate(dl.ArcID, dl.Delay)
-		}
-		for _, a := range arcs {
-			annotate(a.Arc, [2]num.Dist{a.Rise, a.Fall})
-		}
-		if len(ops) > 0 {
-			if _, err := s.ts.Apply(ops); err != nil {
-				return err
-			}
-		}
-	} else {
-		for _, dl := range ref {
-			s.applyArcLocked(dl.ArcID, dl.Delay[0], dl.Delay[1])
-		}
-		for _, a := range arcs {
-			s.applyArcLocked(a.Arc, a.Rise, a.Fall)
+// applyLocked is the one writer of a session: it applies one resolved batch
+// and re-propagates the cones it touched. An annotation batch (structural
+// false) goes to the overlay until the session holds structural edits, and to
+// the working set from then on, folded: a topo batch takes an arc once, and
+// the last delay named for it wins, as in the overlay. The session's first
+// structural batch creates the working set, unless the overlay holds
+// annotations a working set derived from the base would drop. Nothing is
+// applied on an error. Caller holds s.mu and at least m.mu.RLock.
+func (s *Session) applyLocked(e *edit, structural bool) (res *topo.Result, err error) {
+	switch ts := s.ts; {
+	case !structural && ts == nil:
+		for _, op := range e.ops {
+			s.ov.SetArcDelay(op.Arc, 0, op.Delay[0])
+			s.ov.SetArcDelay(op.Arc, 1, op.Delay[1])
 		}
 		s.ov.Propagate()
+	case ts == nil && s.ov.Stats().TouchedArcs > 0:
+		return nil, ErrPendingAnnotations
+	default:
+		if ts == nil {
+			if ts, err = topo.NewSession(s.m.eng); err != nil {
+				return nil, err
+			}
+			ts.SetTracer(s.m.eng.Tracer())
+		}
+		if !structural {
+			e.fold()
+		}
+		if structural || len(e.ops) > 0 {
+			if res, err = ts.Apply(e.ops); err != nil {
+				if ts != s.ts {
+					ts.Close()
+				}
+				return nil, err
+			}
+		}
+		s.ts = ts
+	}
+	s.resizes = append(s.resizes, e.rzs...)
+	s.moves = append(s.moves, e.mvs...)
+	return res, nil
+}
+
+// ecoLocked is what ApplyECO and ApplyDeltas end in: apply the annotation
+// batch, count it, return the view. Caller holds s.mu and at least m.mu.RLock.
+func (s *Session) ecoLocked(e *edit) (*ECOResult, error) {
+	if _, err := s.applyLocked(e, false); err != nil {
+		return nil, err
 	}
 	s.ecoN++
 	s.m.ecoTotal.Add(1)
-	return nil
+	if s.m.debugLog() {
+		s.m.log.Debug("eco applied", "session", s.ID, "eco", s.ecoN,
+			"resizes", len(e.rzs), "ops", len(e.ops))
+	}
+	return s.resultLocked(), nil
 }
 
 // ApplyECO validates and applies one what-if batch to the session's overlay,
 // re-propagates the affected cones, and returns the session's new view
 // (ΔWNS/ΔTNS plus every endpoint whose slack the overlay re-derived). The
-// base engine is untouched. On a validation error nothing is applied.
+// base engine is untouched. An empty batch is refused before any lock is
+// taken; on a validation error nothing is applied.
 func (s *Session) ApplyECO(req ECORequest) (res *ECOResult, err error) {
+	if len(req.Resizes) == 0 && len(req.Arcs) == 0 {
+		return nil, errors.New("server: empty ECO batch")
+	}
 	err = s.evalLocked(func() error {
-		m := s.m
-		// Resolve and validate the whole batch before applying any of it.
-		var ref []refsta.ArcDelta
-		rzs := make([]resolvedResize, 0, len(req.Resizes))
+		e := s.ed.reset()
 		for _, rz := range req.Resizes {
-			r, deltas, err := m.resolveResizeLocked(rz.Cell, rz.Lib)
-			if errors.Is(err, ErrNoRefEngine) {
+			if err := s.m.resolveResizeLocked(e, rz.Cell, rz.Lib); errors.Is(err, ErrNoRefEngine) {
 				return err
 			} else if err != nil {
 				return fmt.Errorf("server: %w", err)
 			}
-			rzs, ref = append(rzs, r), append(ref, deltas...)
 		}
-		arcLimit := s.arcLimitLocked()
 		for _, a := range req.Arcs {
-			if a.Arc < 0 || int(a.Arc) >= arcLimit {
-				return fmt.Errorf("server: arc %d out of range [0,%d)", a.Arc, arcLimit)
-			}
-			if err := checkDelay(a.Rise, a.Fall); err != nil {
-				return fmt.Errorf("server: arc %d: %w", a.Arc, err)
+			if err := s.resolveArcLocked(e, a.Arc, [2]num.Dist{a.Rise, a.Fall}); err != nil {
+				return fmt.Errorf("server: %w", err)
 			}
 		}
-		if err := s.applyLocked(ref, req.Arcs); err != nil {
-			return err
-		}
-		// The batch is in: only now record its resizes for the commit's
-		// netlist replay, so a rejected batch leaves nothing behind.
-		s.resizes = append(s.resizes, rzs...)
-		if m.debugLog() {
-			m.log.Debug("eco applied", "session", s.ID, "eco", s.ecoN,
-				"resizes", len(req.Resizes), "arcs", len(req.Arcs))
-		}
-		res = s.resultLocked()
-		return nil
+		res, err = s.ecoLocked(e)
+		return err
 	})
 	return res, err
 }
@@ -414,11 +460,14 @@ func (s *Session) ApplyECO(req ECORequest) (res *ECOResult, err error) {
 // driver uses it to preview candidates without JSON round-trips.
 func (s *Session) ApplyDeltas(deltas []refsta.ArcDelta) (res *ECOResult, err error) {
 	err = s.evalLocked(func() error {
-		if err := s.applyLocked(deltas, nil); err != nil {
-			return err
+		e := s.ed.reset()
+		for _, dl := range deltas {
+			if err := s.resolveArcLocked(e, dl.ArcID, dl.Delay); err != nil {
+				return fmt.Errorf("server: %w", err)
+			}
 		}
-		res = s.resultLocked()
-		return nil
+		res, err = s.ecoLocked(e)
+		return err
 	})
 	return res, err
 }
@@ -504,11 +553,9 @@ func (s *Session) Commit() (*ECOResult, error) {
 	if s.ts != nil {
 		return s.commitStructuralLocked(t0)
 	}
-	if s.topoGen != m.topoGen {
-		// A structural commit replaced the engine object under this
-		// annotation session: re-bind before folding its deltas in.
-		s.rebindLocked()
-	}
+	// Fold the deltas into the current base: a structural commit since this
+	// session last evaluated replaced the engine object.
+	s.ov.Rebase(m.eng)
 	s.ov.Commit()
 	s.replayNetlistLocked()
 	res := s.finishCommitLocked(t0, map[string]any{"ecos": s.ecoN})
@@ -609,11 +656,7 @@ func (s *Session) Rollback() error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	s.discardLocked()
-	if s.topoGen != m.topoGen {
-		// The base engine was structurally replaced; re-point the emptied
-		// overlay.
-		s.rebindLocked()
-	}
+	s.ov.Rebase(m.eng) // empty: this only re-points it at the current base
 	s.epoch = m.epoch
 	m.rollbacks.Add(1)
 	return nil
@@ -630,7 +673,7 @@ func (s *Session) Close() bool {
 	s.closed = true
 	s.discardLocked()
 	s.ov.Release() // its rows and indices go to the next session over this engine
-	return s.m.remove(s.ID)
+	return s.m.remove(s)
 }
 
 // ECOCount returns how many batches this session has evaluated.

@@ -26,8 +26,8 @@ import (
 
 // laneText is one lane's committed slacks as text. Immutable once published.
 type laneText struct {
-	epoch, topoGen uint64    // the base it was read from
-	base           []float64 // clamped as jsonSlack clamps; a NaN is held as 0
+	epoch uint64    // the base it was read from
+	base  []float64 // clamped as jsonSlack clamps; a NaN is held as 0
 	// text[off[i]:off[i+1]] is base[i] as encoding/json renders a float64,
 	// then a comma: a run of matching endpoints is one copy.
 	off  []uint32
@@ -50,14 +50,14 @@ func (m *Manager) laneText(lane, n int) *laneText {
 	if lane != mergedLane {
 		slot = &m.slackText.lanes[lane]
 	}
-	if t := slot.Load(); t != nil && t.epoch == m.Epoch() && t.topoGen == m.TopoGen() && len(t.base) == n {
+	if t := slot.Load(); t != nil && t.epoch == m.Epoch() && len(t.base) == n {
 		return t
 	}
 	m.mu.RLock()
-	epoch, topoGen, base := m.epoch, m.topoGen, laneSlacksInto(m.eng, nil, lane, nil)
+	epoch, base := m.epoch, laneSlacksInto(m.eng, nil, lane, nil)
 	m.mu.RUnlock()
 	t := renderLaneText(base)
-	t.epoch, t.topoGen = epoch, topoGen
+	t.epoch = epoch
 	slot.Store(t)
 	m.slackText.rebuilds.Add(1)
 	return t

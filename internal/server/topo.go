@@ -15,7 +15,6 @@ import (
 	"insta/internal/netlist"
 	"insta/internal/num"
 	"insta/internal/obs"
-	"insta/internal/refsta"
 	"insta/internal/topo"
 )
 
@@ -51,7 +50,7 @@ func (m *Manager) RelevelHist() *obs.Histogram { return m.relevelHist }
 // TopoGen returns the structural generation (bumped on every structural
 // commit; the epoch bumps too, so TopoGen only matters to callers that care
 // whether the engine *object* was replaced). Lock-free, like Epoch.
-func (m *Manager) TopoGen() uint64 { return m.topoGenA.Load() }
+func (m *Manager) TopoGen() uint64 { return m.topoGen.Load() }
 
 // TopoOp is one structural edit in a topo batch. An arc id is permanent: it
 // names the same arc in the committed engine and in every session, before and
@@ -111,52 +110,18 @@ type resolvedMove struct {
 	x, y float64
 }
 
-// rebindLocked re-targets the overlay at the manager's current engine after a
-// structural commit replaced it; recorded deltas keep their arc ids. Caller
-// holds s.mu and at least m.mu.RLock.
-func (s *Session) rebindLocked() {
-	s.ov.RebaseStructural(s.m.eng)
-	s.topoGen = s.m.topoGen
-}
-
-// resolvedTopo is one structural batch after resolution: the ops to apply to
-// the working set plus the netlist changes to replay on commit.
-type resolvedTopo struct {
-	ops []topo.Op
-	rzs []resolvedResize
-	mvs []resolvedMove
-}
-
-// annotate adds estimate output as Annotate ops.
-func (r *resolvedTopo) annotate(deltas []refsta.ArcDelta) {
-	for _, dl := range deltas {
-		r.ops = append(r.ops, topo.Annotate(dl.ArcID, dl.Delay))
-	}
-}
-
-// resolveTopoLocked validates one structural batch and resolves its ops into
-// topo.Ops (delays priced by the reference engine's frozen-slew estimators)
-// plus the netlist changes to replay on commit. Nothing is applied. Caller
-// holds s.mu and at least m.mu.RLock.
-func (s *Session) resolveTopoLocked(req TopoRequest) (*resolvedTopo, error) {
-	r := &resolvedTopo{ops: make([]topo.Op, 0, len(req.Ops))}
-	for i, op := range req.Ops {
-		if err := s.resolveTopoOpLocked(op, r); errors.Is(err, ErrNoRefEngine) {
-			return nil, err
-		} else if err != nil {
-			return nil, fmt.Errorf("server: topo op %d: %w", i, err)
+// resolveTopoOpLocked validates one structural op and resolves it into e —
+// delays priced by the reference engine's frozen-slew estimators — with the
+// netlist changes to replay on commit. Nothing is applied. Caller holds s.mu
+// and at least m.mu.RLock.
+func (s *Session) resolveTopoOpLocked(e *edit, op TopoOp) error {
+	m := s.m
+	if op.Op == "buffer" || op.Op == "unbuffer" {
+		if err := s.checkArcLocked(op.Arc); err != nil {
+			return err
 		}
 	}
-	return r, nil
-}
-
-func (s *Session) resolveTopoOpLocked(op TopoOp, r *resolvedTopo) error {
-	m := s.m
-	needsArc := op.Op == "buffer" || op.Op == "unbuffer" || op.Op == "annotate"
-	if lim := int32(s.arcLimitLocked()); needsArc && (op.Arc < 0 || op.Arc >= lim) {
-		return fmt.Errorf("arc %d out of range [0,%d)", op.Arc, lim)
-	}
-	if needsRef := op.Op == "buffer" || op.Op == "repower" || op.Op == "move"; needsRef && m.ref == nil {
+	if (op.Op == "buffer" || op.Op == "move") && m.ref == nil {
 		return ErrNoRefEngine
 	}
 	switch op.Op {
@@ -187,22 +152,17 @@ func (s *Session) resolveTopoOpLocked(op TopoOp, r *resolvedTopo) error {
 		}
 		// Inserted buffers have no design instance, so the spliced cell
 		// arc carries no cell id (gradients skip it).
-		r.ops = append(r.ops, topo.InsertBuffer(op.Arc, -1, d, frac))
+		e.ops = append(e.ops, topo.InsertBuffer(op.Arc, -1, d, frac))
 		// The driver sheds the sink-side wire and pin for the buffer's
 		// input cap: re-annotate its cell arcs at the reduced load (this
 		// is the half of buffering that helps — every other sink of the
 		// net rides the faster driver). At most one buffered branch per
 		// driver per batch: a second would claim the same driver arcs.
-		r.annotate(dds)
+		e.annotate(dds)
 	case "unbuffer":
-		r.ops = append(r.ops, topo.RemoveBuffer(op.Arc))
+		e.ops = append(e.ops, topo.RemoveBuffer(op.Arc))
 	case "repower":
-		rz, deltas, err := m.resolveResizeLocked(op.Cell, op.Lib)
-		if err != nil {
-			return err
-		}
-		r.annotate(deltas)
-		r.rzs = append(r.rzs, rz)
+		return m.resolveResizeLocked(e, op.Cell, op.Lib)
 	case "move":
 		c, ok := m.ref.D.CellByName(op.Cell)
 		if !ok {
@@ -215,13 +175,10 @@ func (s *Session) resolveTopoOpLocked(op TopoOp, r *resolvedTopo) error {
 		if err != nil {
 			return fmt.Errorf("estimate_move %s: %w", op.Cell, err)
 		}
-		r.annotate(deltas)
-		r.mvs = append(r.mvs, resolvedMove{cell: c, x: op.X, y: op.Y})
+		e.annotate(deltas)
+		e.mvs = append(e.mvs, resolvedMove{cell: c, x: op.X, y: op.Y})
 	case "annotate":
-		if err := checkDelay(op.Rise, op.Fall); err != nil {
-			return err
-		}
-		r.ops = append(r.ops, topo.Annotate(op.Arc, [2]num.Dist{op.Rise, op.Fall}))
+		return s.resolveArcLocked(e, op.Arc, [2]num.Dist{op.Rise, op.Fall})
 	default:
 		return fmt.Errorf("unknown op %q", op.Op)
 	}
@@ -243,39 +200,28 @@ func (s *Session) ApplyTopo(req TopoRequest) (tr *TopoResult, err error) {
 		return nil, errors.New("server: empty topo batch")
 	}
 	err = s.evalLocked(func() error {
-		tr, err = s.applyTopoLocked(req)
-		return err
+		e := s.ed.reset()
+		for i, op := range req.Ops {
+			if err := s.resolveTopoOpLocked(e, op); errors.Is(err, ErrNoRefEngine) {
+				return err
+			} else if err != nil {
+				return fmt.Errorf("server: topo op %d: %w", i, err)
+			}
+		}
+		res, err := s.applyLocked(e, true)
+		if err != nil {
+			return err
+		}
+		tr = s.applyTopoLocked(res)
+		return nil
 	})
 	return tr, err
 }
 
-func (s *Session) applyTopoLocked(req TopoRequest) (*TopoResult, error) {
+// applyTopoLocked counts one applied structural batch and reports it. Caller
+// holds s.mu and at least m.mu.RLock.
+func (s *Session) applyTopoLocked(res *topo.Result) *TopoResult {
 	m := s.m
-	if s.ts == nil && s.ov.Stats().TouchedArcs > 0 {
-		return nil, ErrPendingAnnotations
-	}
-	r, err := s.resolveTopoLocked(req)
-	if err != nil {
-		return nil, err
-	}
-	// The session adopts a new working set only once its first batch is in.
-	ts := s.ts
-	if ts == nil {
-		if ts, err = topo.NewSession(m.eng); err != nil {
-			return nil, err
-		}
-		ts.SetTracer(m.eng.Tracer())
-	}
-	res, err := ts.Apply(r.ops)
-	if err != nil {
-		if ts != s.ts {
-			ts.Close()
-		}
-		return nil, err
-	}
-	s.ts = ts
-	s.resizes = append(s.resizes, r.rzs...)
-	s.moves = append(s.moves, r.mvs...)
 	st := s.ts.Stats()
 	m.topoEdits.Add(1)
 	m.topoInserted.Add(int64(res.Inserted))
@@ -299,7 +245,7 @@ func (s *Session) applyTopoLocked(req TopoRequest) (*TopoResult, error) {
 			"annotated", res.Annotated, "relevel_levels", st.Relevel.LevelsSpan,
 			"relevel_region", st.Relevel.Region)
 	}
-	return tr, nil
+	return tr
 }
 
 // commitStructuralLocked commits a session's structural working set: the
@@ -333,13 +279,12 @@ func (s *Session) commitStructuralLocked(t0 time.Time) (*ECOResult, error) {
 		old.Close()
 	}
 	m.ownsBase = true
-	m.topoGen++
-	m.topoGenA.Store(m.topoGen)
+	m.topoGen.Add(1)
 	s.replayNetlistLocked()
-	// Re-bind this session's overlay to the engine it just installed. It
-	// holds no overlay deltas (structural sessions reject them), so the
-	// rebase is a pure re-point.
-	s.rebindLocked()
+	// Re-point this session's overlay at the engine it just installed. It
+	// holds no overlay deltas (structural sessions take none), so that is all
+	// the rebase does.
+	s.ov.Rebase(m.eng)
 	s.ts = nil // detached: the manager owns the working set now
 	res := s.finishCommitLocked(t0, map[string]any{
 		"structural": true,
@@ -351,7 +296,7 @@ func (s *Session) commitStructuralLocked(t0 time.Time) (*ECOResult, error) {
 	m.log.Info("structural commit", "session", s.ID,
 		"edits", d.Stats.Edits, "inserted", d.Stats.Inserted,
 		"removed", d.Stats.Removed, "annotated", d.Stats.Annotated,
-		"new_pins", d.Stats.NewPins, "epoch", m.epoch, "topo_gen", m.topoGen,
+		"new_pins", d.Stats.NewPins, "epoch", m.epoch, "topo_gen", m.topoGen.Load(),
 		"wns", m.baseWNS, "tns", m.baseTNS, "duration", time.Since(t0))
 	return res, nil
 }
