@@ -159,7 +159,9 @@
 #                      preview answers 500 and closes that session, while a
 #                      second session and the base, read throughout, stay
 #                      bit-identical and the overlay row gauge counts only
-#                      the live session's rows)
+#                      the live session's rows; in internal/core's run above,
+#                      an overlay wave that panics part-way leaves its rows
+#                      counted, so a Reset gives back exactly what it held)
 #   5. load smoke    — 100 concurrent ECO requests against a live
 #                      server.Daemon — assembled from the daemon flag set,
 #                      request shell on, as insta-served and every
