@@ -33,11 +33,14 @@
 #                      raise a slack) + the same walker auditing the serving
 #                      layer: every lane of two sessions of an {ss,tt,ff}
 #                      manager over block-2 at K = 128, through a 60-step
-#                      script of ECOs, buffer, unbuffer and annotate batches,
-#                      commits of both kinds and rollbacks, bit for bit after
-#                      every step, and the base after every commit (one
-#                      resolver, one apply path and one overlay rebase behind
-#                      all of it) + zero-alloc full passes,
+#                      script of ECOs, buffer, unbuffer, annotate, repower
+#                      and move batches, commits of both kinds and
+#                      rollbacks, bit for bit after every step, and the base
+#                      after every commit (one resolver, one apply path and
+#                      one overlay rebase behind all of it), and a session
+#                      rebased across a same-size unbuffer commit, walked at
+#                      every endpoint its re-annotated driver reaches +
+#                      zero-alloc full passes,
 #                      bare and with a disabled tracer attached), including the
 #                      nominal-lane differential of the serving layer: a
 #                      daemon holds one lane-strided engine, and a manager over
@@ -77,14 +80,15 @@
 #                      alike — against encoding/json, byte for byte, for any
 #                      float64 bit pattern; then 10 s of FuzzTopoSession:
 #                      op batches decoded from bytes — inserts, bypasses and
-#                      annotations, annotate-only batches included, a
-#                      session's first among them — drive one session through
-#                      its one way in, Session.Apply (one patched recompile,
-#                      one reseed) — no panic, a rejected batch changes
-#                      nothing, and after every accepted one the session
-#                      engine is bit-identical to a cold compile of tables
-#                      the fuzzer advances itself by each batch's arc edits
-#                      (a session keeps no tables), and every arc id handed
+#                      annotations, annotate-only batches included, the
+#                      first among them — drive one working engine through
+#                      its one way in, topo.Edit (one patched recompile, one
+#                      reseed; off the base first, in place after) — no
+#                      panic, a rejected batch changes nothing, and after
+#                      every accepted one the working engine is
+#                      bit-identical to a cold compile of tables the fuzzer
+#                      advances itself by each batch's arc edits (a working
+#                      engine keeps no tables), and every arc id handed
 #                      out so far still names its row and pins in both
 #                      (arc ids are permanent: a removed buffer is bypassed,
 #                      not compacted away); then one target per decoder of
@@ -161,7 +165,11 @@
 #                      bit-identical and the overlay row gauge counts only
 #                      the live session's rows; in internal/core's run above,
 #                      an overlay wave that panics part-way leaves its rows
-#                      counted, so a Reset gives back exactly what it held)
+#                      counted, so a Reset gives back exactly what it held),
+#                      and a handler panic ten times over (a panic that
+#                      escapes a handler answers 500 and is accounted for:
+#                      the in-flight gauge back at 0, the 500 counted under
+#                      its route and pinned by the flight recorder)
 #   5. load smoke    — 100 concurrent ECO requests against a live
 #                      server.Daemon — assembled from the daemon flag set,
 #                      request shell on, as insta-served and every
@@ -218,7 +226,7 @@ echo "== go test -race (sched + levelize + refsta + core + topo + server + obs +
 go test -race -short ./internal/sched/... ./internal/levelize/... ./internal/refsta/... ./internal/core/... ./internal/topo/... ./internal/server/... ./internal/obs/... ./internal/snap/... ./internal/cmdutil/... ./internal/fleet/... ./internal/hier/...
 go test -race -count=20 -run 'TestRouterRefusesOversizedBody|TestForwardBodyNotReusedWhileInFlight' ./internal/fleet/
 go test -race -count=20 -run 'TestRunPanicIsRaisedOnCaller' ./internal/sched/
-go test -race -count=10 -run 'TestSessionPanicPoisonsOnlyThatSession' ./internal/server/
+go test -race -count=10 -run 'TestSessionPanicPoisonsOnlyThatSession|TestHandlerPanicAnswers500' ./internal/server/
 
 echo "== serve load smoke (-race, 100 concurrent ECO requests against a server.Daemon; single-corner and {ss,tt,ff}) =="
 go test -race -run 'TestServeLoadSmoke|TestServeConcurrentSessionsBitIdentical' ./internal/server/

@@ -13,10 +13,10 @@ import (
 	"insta/internal/topo"
 )
 
-// TestSessionKeepsDerivedLayout: a structural session inserts a buffer on a
+// TestSessionKeepsDerivedLayout: topo.Edit inserts a buffer on a
 // net arc whose driver is derived (a reseed off the base) and bypasses it
 // again (a reseed in place). The bypass takes the buffer output's only
-// fan-out, which the patched state no longer records, so the session has to
+// fan-out, which the patched state no longer records, so the edit has to
 // name that pin to the reseed; either way the engine it leaves must store,
 // derive and kill exactly the pins a cold engine over its state does — the
 // bypassed buffer reaches no endpoint, so its pins die.
@@ -52,21 +52,24 @@ func TestSessionKeepsDerivedLayout(t *testing.T) {
 	if arc < 0 {
 		t.Fatal("no net arc has a derived driver")
 	}
-	s, err := topo.NewSession(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	work := base
+	defer func() {
+		if work != base {
+			work.Close()
+		}
+	}()
 	delay := [2]num.Dist{{Mean: 5, Std: 0.5}, {Mean: 5.5, Std: 0.5}}
 	for _, op := range []topo.Op{topo.InsertBuffer(arc, -1, delay, 0.5), topo.RemoveBuffer(int32(len(tab.Arcs)))} {
-		if _, err := s.Apply([]topo.Op{op}); err != nil {
-			t.Fatal(err)
-		}
-		cold, err := core.NewEngineFromState(s.Engine().ExportState(), opt)
+		next, _, err := topo.Edit(work, []topo.Op{op}, work != base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, want := core.PinKinds(s.Engine()), core.PinKinds(cold)
+		work = next
+		cold, err := core.NewEngineFromState(work.ExportState(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := core.PinKinds(work), core.PinKinds(cold)
 		cold.Close()
 		if !slices.Equal(got, want) {
 			for p := range want {
@@ -76,7 +79,7 @@ func TestSessionKeepsDerivedLayout(t *testing.T) {
 			}
 		}
 	}
-	kinds = core.PinKinds(s.Engine())
+	kinds = core.PinKinds(work)
 	if kinds[tab.Arcs[arc].From] == core.KindDerived {
 		t.Fatal("the bypassed buffer's driver is still derived — the check is vacuous")
 	}

@@ -116,7 +116,7 @@ func TestAgainstRefsta(t *testing.T) {
 
 // TestEditScriptMatchesEngine: on block-2 at K = 128, where every queue holds
 // every startpoint that reaches it, a seeded 200-step script of buffer
-// insertions, bypasses and re-annotations runs through a structural session,
+// insertions, bypasses and re-annotations runs through topo.Edit,
 // at Workers 1 and 4. After every step each endpoint whose slack moved (up to
 // 16) and the 8 worst equal the engine's bit for bit: setup and hold slack and
 // the critical startpoint and transition.
@@ -132,17 +132,18 @@ func TestEditScriptMatchesEngine(t *testing.T) {
 			defer base.Close()
 			base.Run()
 			base.RefreshHoldSlacks()
-			s, err := topo.NewSession(base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
+			work := base
+			defer func() {
+				if work != base {
+					work.Close()
+				}
+			}()
 			rng := rand.New(rand.NewSource(36))
 			var bufs []int32 // cell arcs of the buffers the script inserted and has not removed
 			prev := slices.Clone(base.Slacks())
 			counts := map[string]int{}
 			for step := 0; step < 200; step++ {
-				st := s.Engine().ExportState()
+				st := work.ExportState()
 				var op topo.Op
 				kind := "annotate"
 				switch r := rng.Intn(4); {
@@ -162,10 +163,12 @@ func TestEditScriptMatchesEngine(t *testing.T) {
 					a := st.Arc(arc)
 					op = topo.Annotate(arc, [2]num.Dist{{Mean: a.MeanRise * f, Std: a.StdRise * f}, {Mean: a.MeanFall * f, Std: a.StdFall * f}})
 				}
-				if _, err := s.Apply([]topo.Op{op}); err != nil {
+				next, _, err := topo.Edit(work, []topo.Op{op}, work != base)
+				if err != nil {
 					counts["rejected"]++
 					continue
 				}
+				work = next
 				counts[kind]++
 				switch kind {
 				case "insert":
@@ -173,7 +176,7 @@ func TestEditScriptMatchesEngine(t *testing.T) {
 				case "remove":
 					bufs = slices.DeleteFunc(bufs, func(a int32) bool { return a == op.Arc })
 				}
-				e := s.Engine()
+				e := work
 				slacks, holds := e.Slacks(), e.LaneHoldSlacks(0)
 				var eps []int32
 				for i := range slacks {

@@ -172,15 +172,12 @@ func TestComposedTopoSession(t *testing.T) {
 	}
 	defer e.Close()
 	e.Run()
-	sess, err := topo.NewSession(e)
+	// Same edit batch, through topo.Edit this time.
+	work, _, err := topo.Edit(e, ops, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sess.Close()
-	// Same edit batch, through the session's in-place path this time.
-	if _, err := sess.Apply(ops); err != nil {
-		t.Fatal(err)
-	}
+	defer work.Close()
 	coldSt, err := core.Compile(edited)
 	if err != nil {
 		t.Fatal(err)
@@ -191,11 +188,11 @@ func TestComposedTopoSession(t *testing.T) {
 	}
 	defer ce.Close()
 	ce.Run()
-	if !reflect.DeepEqual(sess.Engine().EvalSlacks(), ce.EvalSlacks()) {
-		t.Fatal("session slacks differ from cold rebuild of the composed edit")
+	if !reflect.DeepEqual(work.EvalSlacks(), ce.EvalSlacks()) {
+		t.Fatal("edited slacks differ from cold rebuild of the composed edit")
 	}
-	if sess.Engine().WNS() != ce.WNS() || sess.Engine().TNS() != ce.TNS() {
-		t.Fatalf("session WNS/TNS %v/%v != cold %v/%v",
-			sess.Engine().WNS(), sess.Engine().TNS(), ce.WNS(), ce.TNS())
+	if work.WNS() != ce.WNS() || work.TNS() != ce.TNS() {
+		t.Fatalf("edited WNS/TNS %v/%v != cold %v/%v",
+			work.WNS(), work.TNS(), ce.WNS(), ce.TNS())
 	}
 }

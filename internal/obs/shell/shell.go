@@ -97,6 +97,10 @@ func (rq *Req) WriteHeader(code int) {
 	rq.ResponseWriter.WriteHeader(code)
 }
 
+// Status is the status written so far, 0 while WriteHeader has not been
+// called.
+func (rq *Req) Status() int { return rq.code }
+
 // Span returns the request's root span, nil when spans are off.
 func (rq *Req) Span() *obs.Span { return rq.sp }
 

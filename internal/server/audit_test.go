@@ -14,6 +14,7 @@ import (
 	"insta/internal/bench"
 	"insta/internal/core"
 	"insta/internal/exact"
+	"insta/internal/liberty"
 	"insta/internal/num"
 )
 
@@ -104,8 +105,8 @@ func (a *sessionAudit) session(s *Session) bool {
 		a.t.Fatalf("%s: %v", a.tag, err)
 	}
 	a.seen[s] = changed(a.seen[s], view, a.base)
-	if s.ts != nil {
-		e := s.ts.Engine()
+	if s.work != nil {
+		e := s.work
 		a.check(e.ExportState(), e.ArcDelay, view, a.seen[s])
 	} else {
 		a.check(a.m.eng.ExportState(), s.ov.ArcDelay, view, a.seen[s])
@@ -171,6 +172,7 @@ func auditScript(t *testing.T, spec bench.Spec, workers int) {
 	}
 	resizes := bench.Changelist(&bench.Design{D: ref.D, Lib: ref.Lib}, 38, 64)
 	var bufs, committedBufs []int32 // cell arcs of the buffers session 1 inserted and has not removed
+	var repowers, moves int         // topo repowers and moves session 1 holds uncommitted
 	counts := map[string]int{}
 	structEpoch := uint64(0) // the epoch the last structural commit published
 
@@ -178,8 +180,8 @@ func auditScript(t *testing.T, spec bench.Spec, workers int) {
 	// 1.5x its current delay.
 	arcs := func(s *Session, n int) []ArcECO {
 		delay, lim := s.ov.ArcDelay, m.eng.NumArcs()
-		if s.ts != nil {
-			delay, lim = s.ts.Engine().ArcDelay, s.ts.Engine().NumArcs()
+		if s.work != nil {
+			delay, lim = s.work.ArcDelay, s.work.NumArcs()
 		}
 		var out []ArcECO
 		for len(out) < n {
@@ -209,6 +211,7 @@ func auditScript(t *testing.T, spec bench.Spec, workers int) {
 		delete(a.seen, sess[i])
 		if i == 1 {
 			bufs = slices.Clone(committedBufs)
+			repowers, moves = 0, 0
 		}
 	}
 	netArc := func() int32 {
@@ -224,10 +227,10 @@ func auditScript(t *testing.T, spec bench.Spec, workers int) {
 	for step := 0; step < steps; step++ {
 		i := rng.Intn(2)
 		s := sess[i]
-		r := rng.Intn(10)
-		kinds := [2][10]string{
-			{"arcs", "arcs", "arcs", "arcs", "resize", "resize", "commit", "commit", "rollback", "annotate"},
-			{"buffer", "buffer", "buffer", "unbuffer", "annotate", "annotate", "arcs", "commit", "commit", "rollback"},
+		r := rng.Intn(12)
+		kinds := [2][12]string{
+			{"arcs", "arcs", "arcs", "arcs", "arcs", "resize", "resize", "resize", "commit", "commit", "rollback", "annotate"},
+			{"buffer", "buffer", "unbuffer", "unbuffer", "annotate", "repower", "move", "arcs", "commit", "commit", "commit", "rollback"},
 		}
 		kind := kinds[i][r]
 		if kind == "unbuffer" && len(bufs) == 0 {
@@ -235,7 +238,7 @@ func auditScript(t *testing.T, spec bench.Spec, workers int) {
 		}
 		a.tag = fmt.Sprintf("W%d step %d: session %d %s", workers, step, i, kind)
 		before := slices.Clone(a.base)
-		structural := s.ts != nil
+		structural := s.work != nil
 		var err error
 		switch kind {
 		case "arcs":
@@ -246,6 +249,21 @@ func auditScript(t *testing.T, spec bench.Spec, workers int) {
 			_, err = s.ApplyECO(ECORequest{Resizes: []ResizeReq{{Cell: ref.D.Cells[rz.Cell].Name, Lib: ref.Lib.Cell(rz.NewLib).Name}}})
 		case "annotate":
 			_, err = s.ApplyTopo(annotate(s, 1+rng.Intn(3)))
+		case "repower":
+			rz := resizes[0]
+			resizes = resizes[1:]
+			if _, err = s.ApplyTopo(TopoRequest{Ops: []TopoOp{{Op: "repower", Cell: ref.D.Cells[rz.Cell].Name, Lib: ref.Lib.Cell(rz.NewLib).Name}}}); err == nil {
+				repowers++
+			}
+		case "move":
+			c := &ref.D.Cells[rng.Intn(len(ref.D.Cells))]
+			for c.Fixed {
+				c = &ref.D.Cells[rng.Intn(len(ref.D.Cells))]
+			}
+			x, y := c.X+float64(rng.Intn(61)-30), c.Y+float64(rng.Intn(61)-30)
+			if _, err = s.ApplyTopo(TopoRequest{Ops: []TopoOp{{Op: "move", Cell: c.Name, X: x, Y: y}}}); err == nil {
+				moves++
+			}
 		case "buffer":
 			var tr *TopoResult
 			if tr, err = s.ApplyTopo(TopoRequest{Ops: []TopoOp{{Op: "buffer", Arc: netArc(), Frac: 0.25 + 0.5*rng.Float64()}}}); err == nil {
@@ -267,7 +285,10 @@ func auditScript(t *testing.T, spec bench.Spec, workers int) {
 				if structural {
 					structEpoch = m.epoch
 					counts["structural commit"]++
+					counts["repower committed"] += repowers
+					counts["move committed"] += moves
 					committedBufs = slices.Clone(bufs)
+					repowers, moves = 0, 0
 				}
 			}
 		case "rollback":
@@ -291,7 +312,7 @@ func auditScript(t *testing.T, spec bench.Spec, workers int) {
 			if j != i && kind != "commit" {
 				continue
 			}
-			if s.ts == nil && s.ov.Stats().TouchedArcs > 0 && s.epoch < structEpoch {
+			if s.work == nil && s.ov.Stats().TouchedArcs > 0 && s.epoch < structEpoch {
 				counts["rebase over a structural commit"]++
 			}
 			if !a.session(s) {
@@ -301,7 +322,8 @@ func auditScript(t *testing.T, spec bench.Spec, workers int) {
 			}
 		}
 	}
-	for _, k := range []string{"arcs", "resize", "buffer", "unbuffer", "annotate", "structural commit", "rebase over a structural commit", "rollback"} {
+	for _, k := range []string{"arcs", "resize", "buffer", "unbuffer", "annotate", "repower", "move", "structural commit",
+		"repower committed", "move committed", "rebase over a structural commit", "rollback"} {
 		if counts[k] == 0 {
 			t.Fatalf("the script ran %v: no %s", counts, k)
 		}
@@ -315,4 +337,133 @@ func auditScript(t *testing.T, spec bench.Spec, workers int) {
 		}
 	}
 	t.Logf("steps %v, %d endpoint walks", counts, a.walks)
+}
+
+// derivedPin is core's rule for a pin that keeps no row: one unate fan-in
+// arc, one fan-out, neither a startpoint nor an endpoint, and a child that is
+// not a startpoint.
+func derivedPin(st *core.State, p int32) bool {
+	lo, fo := st.FaninStart[p], st.FoStart[p]
+	return st.FaninStart[p+1]-lo == 1 && liberty.Unate(st.FaninSense[lo]) != liberty.NonUnate &&
+		st.FoStart[p+1]-fo == 1 && st.SpOfPin[p] < 0 && st.EpOfPin[p] < 0 && st.SpOfPin[st.FoAdj[fo]] < 0
+}
+
+// TestRebaseDropsScratchAcrossEngines: an overlay's wave scratch is bound to
+// the engine it was taken from, so Overlay.Rebase must drop it when a
+// structural commit installs another engine, even one of the same size. An
+// unbuffer-only commit appends no pins. Between a committed buffer insertion
+// and the commit of its removal, an annotation session previews; then it
+// re-annotates the cell arc into the buffer's driver, a pin the bypass turns
+// from derived (one fan-out) into stored (two). On an {ss,tt,ff} manager over
+// block-2 at K = 128, every lane of the session at every endpoint the driver
+// reaches (up to 64) is bit for bit the exact walker's.
+func TestRebaseDropsScratchAcrossEngines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("walks block-2 at K = 128")
+	}
+	spec, err := bench.BlockSpec("block-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, tab := buildTables(t, spec)
+	e, err := core.NewEngineScenarios(tab, core.DefaultScenarios(), core.Options{TopK: 128, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	m := NewManager(e, ref, Options{})
+	defer m.Close()
+	m.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+
+	// A net arc whose driver is derived and is driven through a cell arc.
+	st := e.ExportState()
+	wire := int32(-1)
+	for a := range int32(ref.NumArcs()) {
+		if u := st.ArcFrom[a]; st.ArcKind[a] == 1 && derivedPin(st, u) && st.ArcKind[st.FaninArc[st.FaninStart[u]]] == 0 {
+			wire = a
+			break
+		}
+	}
+	if wire < 0 {
+		t.Fatal("no net arc has a derived driver behind a cell arc")
+	}
+	drv := st.ArcFrom[wire]
+	drvArc := st.FaninArc[st.FaninStart[drv]]
+	slower := func(arc int32, f float64) ECORequest {
+		rise, fall := m.eng.ArcDelay(arc, 0), m.eng.ArcDelay(arc, 1)
+		rise.Mean, fall.Mean = rise.Mean*f, fall.Mean*f
+		return ECORequest{Arcs: []ArcECO{{Arc: arc, Rise: rise, Fall: fall}}}
+	}
+
+	sTopo, err := m.Create()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sTopo.Close()
+	tr, err := sTopo.ApplyTopo(TopoRequest{Ops: []TopoOp{{Op: "buffer", Arc: wire}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sTopo.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	sAnn, err := m.Create()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sAnn.Close()
+	other := int32(0)
+	for other == drvArc || st.ArcKind[other] != 0 {
+		other++
+	}
+	if _, err := sAnn.ApplyECO(slower(other, 1.2)); err != nil {
+		t.Fatal(err)
+	}
+
+	pins := m.eng.NumPins()
+	if _, err := sTopo.ApplyTopo(TopoRequest{Ops: []TopoOp{{Op: "unbuffer", Arc: int32(tr.NewArcs[0])}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sTopo.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	st = m.eng.ExportState()
+	if m.eng.NumPins() != pins || derivedPin(st, drv) {
+		t.Fatalf("after the unbuffer commit: %d pins (was %d), driver derived %v — the premise fails",
+			m.eng.NumPins(), pins, derivedPin(st, drv))
+	}
+	if _, err := sAnn.ApplyECO(slower(drvArc, 1.5)); err != nil {
+		t.Fatal(err)
+	}
+
+	// The endpoints the driver reaches.
+	var eps []int32
+	seen := map[int32]bool{drv: true}
+	for q := []int32{drv}; len(q) > 0 && len(eps) < 64; q = q[1:] {
+		p := q[0]
+		if ep := st.EpOfPin[p]; ep >= 0 {
+			eps = append(eps, ep)
+		}
+		for _, c := range st.FoAdj[st.FoStart[p]:st.FoStart[p+1]] {
+			if !seen[c] {
+				seen[c] = true
+				q = append(q, c)
+			}
+		}
+	}
+	a := &sessionAudit{t: t, m: m, moved: make([]bool, m.eng.Lanes()), tag: "re-annotated driver"}
+	if a.base, err = laneViews(m.Scenarios(), m.BaseScenarioSlacks); err != nil {
+		t.Fatal(err)
+	}
+	view, err := laneViews(m.Scenarios(), sAnn.ScenarioSlacks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.check(st, sAnn.ov.ArcDelay, view, eps)
+	for l, moved := range a.moved {
+		if !moved {
+			t.Fatalf("lane %s: the re-annotation moved no endpoint the driver reaches — the check is vacuous", m.Scenarios()[l].Name)
+		}
+	}
+	t.Logf("driver pin %d, %d endpoints walked per lane", drv, len(eps))
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"sync"
@@ -160,6 +161,12 @@ func (s *Server) Observe(sh *shell.Shell) {
 // production log volume is opt-in via the level, error statuses at Warn. The
 // span name is precomputed so a request with the shell off allocates nothing
 // beyond its handle.
+//
+// A panic that escapes the handler (a commit's, a gradient pass's, a base
+// read's: evalLocked contains a session evaluation's) is logged with its
+// stack, answered 500 if nothing was written yet, and accounted for like any
+// request; http.ErrAbortHandler is raised again after that. A base the panic
+// left half-written stays so.
 func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 	work := name != "healthz" && name != "metrics"
 	span := "serve-" + name
@@ -170,24 +177,36 @@ func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 			s.met.inflight.Inc()
 		}
 		rq := sh.Begin(span, w, r)
+		defer func() {
+			p := recover()
+			if p != nil && p != http.ErrAbortHandler {
+				s.log.Error("handler panic", "route", name, "panic", p, "stack", string(debug.Stack()))
+				if rq.Status() == 0 {
+					WriteError(rq, http.StatusInternalServerError, errors.New("server: internal error"))
+				}
+			}
+			if work {
+				s.met.inflight.Dec()
+				rq.Epoch, rq.TopoGen = s.mgr.Epoch(), s.mgr.TopoGen()
+			}
+			code, d := rq.End(name)
+			s.met.observe(name, code, d)
+			level := slog.LevelDebug
+			if code >= 400 {
+				level = slog.LevelWarn
+			}
+			s.log.LogAttrs(r.Context(), level, "request",
+				slog.String("method", r.Method),
+				slog.String("path", r.URL.Path),
+				slog.String("route", name),
+				slog.Int("status", code),
+				slog.Duration("duration", d),
+			)
+			if p == http.ErrAbortHandler {
+				panic(p)
+			}
+		}()
 		h(rq, r)
-		if work {
-			s.met.inflight.Dec()
-			rq.Epoch, rq.TopoGen = s.mgr.Epoch(), s.mgr.TopoGen()
-		}
-		code, d := rq.End(name)
-		s.met.observe(name, code, d)
-		level := slog.LevelDebug
-		if code >= 400 {
-			level = slog.LevelWarn
-		}
-		s.log.LogAttrs(r.Context(), level, "request",
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.String("route", name),
-			slog.Int("status", code),
-			slog.Duration("duration", d),
-		)
 	}
 }
 

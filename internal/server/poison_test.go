@@ -211,3 +211,47 @@ func TestSessionPanicPoisonsOnlyThatSession(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHandlerPanicAnswers500: a panic that escapes a handler — one a session
+// evaluation does not contain, such as a commit's — answers 500 with a JSON
+// error and is accounted for like any request: the in-flight gauge is back at
+// zero, insta_requests_total counts the 500 under the route, and the flight
+// recorder pins it.
+func TestHandlerPanicAnswers500(t *testing.T) {
+	spec, err := bench.IWLSSpec("des")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Name, spec.Groups, spec.FFsPerGroup, spec.Layers, spec.Width = "tiny", 1, 8, 3, 4
+	_, tab := buildTables(t, spec)
+	e, err := core.NewEngine(tab, core.Options{TopK: 8, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	m := NewManager(e, nil, Options{})
+	defer m.Close()
+	srv := New(m, "tiny")
+	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	sh := shell.New(shell.Options{FlightSize: 16, FlightPin: time.Hour})
+	srv.Observe(sh)
+
+	boom := srv.route("boom", func(http.ResponseWriter, *http.Request) { panic("boom") })
+	w := httptest.NewRecorder()
+	boom(w, httptest.NewRequest("POST", "/boom", nil))
+	var body errorBody
+	if err := json.Unmarshal(w.Body.Bytes(), &body); w.Code != http.StatusInternalServerError || err != nil || body.Error == "" {
+		t.Fatalf("the panicking handler answered %d %q", w.Code, w.Body)
+	}
+	if n := srv.Inflight(); n != 0 {
+		t.Fatalf("%d requests in flight after the panic, want 0", n)
+	}
+	mw := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(mw, httptest.NewRequest("GET", "/metrics", nil))
+	if want := `insta_requests_total{route="boom",code="500"} 1`; !bytes.Contains(mw.Body.Bytes(), []byte(want)) {
+		t.Fatalf("/metrics lacks %s", want)
+	}
+	if pinned := sh.Flight.Pinned(); len(pinned) != 1 || pinned[0].Rec.Status != http.StatusInternalServerError || pinned[0].Rec.Route != "boom" {
+		t.Fatalf("flight recorder pinned %+v, want the one 500", pinned)
+	}
+}

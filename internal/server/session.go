@@ -137,7 +137,8 @@ type Session struct {
 	mu      sync.Mutex
 	ov      *core.Overlay // the one copy-on-write view, every lane of the base
 	epoch   uint64
-	ts      *topo.Session    // non-nil once the session holds structural edits
+	work    *core.Engine     // the working engine, once the session holds structural edits
+	wst     topo.Stats       // what work's edits did
 	ed      edit             // the request being resolved
 	resizes []resolvedResize // netlist changes to replay on commit
 	moves   []resolvedMove
@@ -157,7 +158,7 @@ func (s *Session) rebaseLocked() error {
 	if s.epoch == m.epoch {
 		return nil
 	}
-	if s.ts != nil {
+	if s.work != nil {
 		m.topoConflicts.Add(1)
 		return ErrStructuralConflict
 	}
@@ -223,8 +224,8 @@ func (s *Session) resultLocked() *ECOResult {
 	res := &ECOResult{Epoch: s.epoch}
 	var src figures
 	var mergedWNS, mergedTNS float64
-	if s.ts != nil {
-		eng, st := s.ts.Engine(), s.ts.Stats()
+	if eng := s.work; eng != nil {
+		st := s.wst
 		src = engineFigures{eng}
 		if m.baseScn != nil {
 			merged := eng.MergedSlacksInto(nil)
@@ -300,8 +301,8 @@ func (s *Session) resolveArcLocked(e *edit, arc int32, d [2]num.Dist) error {
 // session's working set has. Caller holds s.mu and at least m.mu.RLock.
 func (s *Session) checkArcLocked(arc int32) error {
 	lim := s.m.eng.NumArcs()
-	if s.ts != nil {
-		lim = s.ts.Engine().NumArcs()
+	if s.work != nil {
+		lim = s.work.NumArcs()
 	}
 	if arc < 0 || int(arc) >= lim {
 		return fmt.Errorf("arc %d out of range [0,%d)", arc, lim)
@@ -377,34 +378,33 @@ func (m *Manager) resolveResizeLocked(e *edit, cell, lib string) error {
 // annotations a working set derived from the base would drop. Nothing is
 // applied on an error. Caller holds s.mu and at least m.mu.RLock.
 func (s *Session) applyLocked(e *edit, structural bool) (res *topo.Result, err error) {
-	switch ts := s.ts; {
-	case !structural && ts == nil:
+	switch {
+	case !structural && s.work == nil:
 		for _, op := range e.ops {
 			s.ov.SetArcDelay(op.Arc, 0, op.Delay[0])
 			s.ov.SetArcDelay(op.Arc, 1, op.Delay[1])
 		}
 		s.ov.Propagate()
-	case ts == nil && s.ov.Stats().TouchedArcs > 0:
+	case s.work == nil && s.ov.Stats().TouchedArcs > 0:
 		return nil, ErrPendingAnnotations
 	default:
-		if ts == nil {
-			if ts, err = topo.NewSession(s.m.eng); err != nil {
-				return nil, err
-			}
-			ts.SetTracer(s.m.eng.Tracer())
-		}
 		if !structural {
 			e.fold()
 		}
 		if structural || len(e.ops) > 0 {
-			if res, err = ts.Apply(e.ops); err != nil {
-				if ts != s.ts {
-					ts.Close()
-				}
+			// The first batch reads the shared base and leaves it as it is;
+			// later ones edit the session's own engine in place.
+			from := s.work
+			if from == nil {
+				from = s.m.eng
+			}
+			var next *core.Engine
+			if next, res, err = topo.Edit(from, e.ops, s.work != nil); err != nil {
 				return nil, err
 			}
+			s.work = next
+			s.wst.Add(res)
 		}
-		s.ts = ts
 	}
 	s.resizes = append(s.resizes, e.rzs...)
 	s.moves = append(s.moves, e.mvs...)
@@ -520,8 +520,8 @@ func (s *Session) scenarioSlacksInto(name string, dst []float64) (_ []float64, l
 		if lane, err = m.laneLocked(name); err != nil {
 			return err
 		}
-		if s.ts != nil {
-			dst = laneSlacksInto(s.ts.Engine(), nil, lane, dst)
+		if s.work != nil {
+			dst = laneSlacksInto(s.work, nil, lane, dst)
 		} else {
 			dst = laneSlacksInto(m.eng, s.ov, lane, dst)
 		}
@@ -550,7 +550,7 @@ func (s *Session) Commit() (*ECOResult, error) {
 	t0 := time.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if s.ts != nil {
+	if s.work != nil {
 		return s.commitStructuralLocked(t0)
 	}
 	// Fold the deltas into the current base: a structural commit since this
@@ -590,9 +590,9 @@ func (s *Session) replayNetlistLocked() {
 // structural working set, its overlay deltas and its queued netlist changes.
 // Caller holds s.mu.
 func (s *Session) discardLocked() {
-	if s.ts != nil {
-		s.ts.Close()
-		s.ts = nil
+	if s.work != nil {
+		s.work.Close()
+		s.work, s.wst = nil, topo.Stats{}
 	}
 	s.ov.Reset()
 	s.resizes, s.moves = s.resizes[:0], s.moves[:0]

@@ -222,12 +222,12 @@ func (s *Session) ApplyTopo(req TopoRequest) (tr *TopoResult, err error) {
 // holds s.mu and at least m.mu.RLock.
 func (s *Session) applyTopoLocked(res *topo.Result) *TopoResult {
 	m := s.m
-	st := s.ts.Stats()
+	st := s.wst
 	m.topoEdits.Add(1)
 	m.topoInserted.Add(int64(res.Inserted))
 	m.topoRemoved.Add(int64(res.Removed))
 	m.relevelHist.Observe(float64(st.Relevel.LevelsSpan))
-	finalArcs := s.ts.Engine().NumArcs()
+	finalArcs := s.work.NumArcs()
 	tr := &TopoResult{
 		View:          s.resultLocked(),
 		Inserted:      res.Inserted,
@@ -256,7 +256,8 @@ func (s *Session) applyTopoLocked(res *topo.Result) *TopoResult {
 // in-flight evaluation has drained).
 func (s *Session) commitStructuralLocked(t0 time.Time) (*ECOResult, error) {
 	m := s.m
-	sp := m.eng.Tracer().StartArg("structural-commit", "edits", int64(s.ts.Stats().Edits))
+	st := s.wst
+	sp := m.eng.Tracer().StartArg("structural-commit", "edits", int64(st.Edits))
 	defer sp.End()
 	if s.epoch != m.epoch {
 		// Someone committed after this session's last edit; the working set
@@ -264,13 +265,11 @@ func (s *Session) commitStructuralLocked(t0 time.Time) (*ECOResult, error) {
 		m.topoConflicts.Add(1)
 		return nil, ErrStructuralConflict
 	}
-	d, err := s.ts.Detach()
-	if err != nil {
-		return nil, err
-	}
 	prevWNS, prevTNS := m.baseWNS, m.baseTNS
 	old := m.eng
-	m.eng = d.Engine
+	// The manager takes the working engine over; the session keeps no
+	// reference to it.
+	m.eng, s.work, s.wst = s.work, nil, topo.Stats{}
 	if m.ownsBase {
 		// An engine installed by an earlier structural commit: nothing else
 		// can reference it once every overlay rebases, and Close only stops
@@ -285,18 +284,17 @@ func (s *Session) commitStructuralLocked(t0 time.Time) (*ECOResult, error) {
 	// holds no overlay deltas (structural sessions take none), so that is all
 	// the rebase does.
 	s.ov.Rebase(m.eng)
-	s.ts = nil // detached: the manager owns the working set now
 	res := s.finishCommitLocked(t0, map[string]any{
 		"structural": true,
-		"inserted":   d.Stats.Inserted,
-		"removed":    d.Stats.Removed,
+		"inserted":   st.Inserted,
+		"removed":    st.Removed,
 	})
 	res.DeltaWNS, res.DeltaTNS = res.WNS-prevWNS, res.TNS-prevTNS
 	m.topoCommits.Add(1)
 	m.log.Info("structural commit", "session", s.ID,
-		"edits", d.Stats.Edits, "inserted", d.Stats.Inserted,
-		"removed", d.Stats.Removed, "annotated", d.Stats.Annotated,
-		"new_pins", d.Stats.NewPins, "epoch", m.epoch, "topo_gen", m.topoGen.Load(),
+		"edits", st.Edits, "inserted", st.Inserted,
+		"removed", st.Removed, "annotated", st.Annotated,
+		"new_pins", st.NewPins, "epoch", m.epoch, "topo_gen", m.topoGen.Load(),
 		"wns", m.baseWNS, "tns", m.baseTNS, "duration", time.Since(t0))
 	return res, nil
 }

@@ -13,8 +13,8 @@ import (
 
 var fuzzOpt = core.Options{TopK: 4, Hold: true, Workers: 1}
 
-// The one small frozen base every fuzz input opens its session over: sessions
-// only read it.
+// The one small frozen base every fuzz input edits from: a first Edit only
+// reads it.
 var (
 	fuzzOnce sync.Once
 	fuzzTab  *circuitops.Tables
@@ -34,19 +34,19 @@ func fuzzBase(t *testing.T) (*circuitops.Tables, *core.Engine) {
 	return fuzzTab, fuzzEng
 }
 
-// FuzzTopoSession decodes op batches from bytes and drives one session with
-// them. No input may panic. A rejected batch leaves the working state as it
-// was. After every accepted batch the session engine is bit-identical to a
-// cold compile of the fuzzer's own tables, advanced by each accepted batch's
-// edits; every arc id handed out so far still names a row of the session's
-// state and of those tables, and that row still joins the pins it joined when
+// FuzzTopoSession decodes op batches from bytes and drives one working engine
+// through Edit with them. No input may panic. A rejected batch leaves the
+// working state as it was. After every accepted batch the working engine is
+// bit-identical to a cold compile of the fuzzer's own tables, advanced by each
+// accepted batch's edits; every arc id handed out so far still names a row of
+// the working state and of those tables, and that row still joins the pins it joined when
 // the id was handed out unless an op of the batch rewrote exactly that arc: an
 // insert re-points its target at the new buffer, a removal re-points the
 // buffer's output wires at its driver.
 //
 // Encoding: a batch is a header byte then 1 + header&3 ops of four bytes; header
 // bit 7 turns every op of the batch into an Annotate of its arc and delay (an
-// annotate-only batch, legal as a session's first). Op byte 0 holds the kind (mod 3: insert, remove, annotate) in bits
+// annotate-only batch, legal as the first). Op byte 0 holds the kind (mod 3: insert, remove, annotate) in bits
 // 0-2, the insert's driver fraction in sixths in bits 3-5 (7/6 is out of
 // range), and in bit 7 whether the arc is counted back from the newest
 // (arcs-1-id&7, how a script reaches the arcs it just appended) or is the
@@ -67,16 +67,13 @@ func FuzzTopoSession(f *testing.F) {
 	// outer removal re-points the inner one's stub), stub_edits (annotate and
 	// re-buffer the arcs a removal left behind), mixed_batches (removals riding
 	// with inserts and annotations, annotate-only batches interleaved) and
-	// annotate_first (an annotate-only first batch on the unedited session,
+	// annotate_first (an annotate-only first batch on the unedited base,
 	// then an unbuffer and a second annotate-only batch).
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tab, base := fuzzBase(t)
-		s, err := NewSession(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
+		eng := base
+		defer func() { closeWorking(eng, base) }()
 		work := cloneTables(tab)
 
 		pins := make([]wire, len(tab.Arcs)) // what every id handed out so far must name
@@ -85,16 +82,16 @@ func FuzzTopoSession(f *testing.F) {
 		}
 		checkPins := func(when string) {
 			t.Helper()
-			st := s.Engine().ExportState()
+			st := eng.ExportState()
 			if err := st.Validate(); err != nil {
 				t.Fatalf("%s: working state fails Validate: %v", when, err)
 			}
 			if len(st.ArcFrom) != len(pins) || len(work.Arcs) != len(pins) {
-				t.Fatalf("%s: %d arcs in the session, %d in the tables, want %d", when, len(st.ArcFrom), len(work.Arcs), len(pins))
+				t.Fatalf("%s: %d arcs in the working state, %d in the tables, want %d", when, len(st.ArcFrom), len(work.Arcs), len(pins))
 			}
 			for i, w := range pins {
 				if st.ArcFrom[i] != w.from || st.ArcTo[i] != w.to {
-					t.Fatalf("%s: session arc %d joins %d->%d, want %d->%d", when, i, st.ArcFrom[i], st.ArcTo[i], w.from, w.to)
+					t.Fatalf("%s: working arc %d joins %d->%d, want %d->%d", when, i, st.ArcFrom[i], st.ArcTo[i], w.from, w.to)
 				}
 				if a := work.Arcs[i]; a.From != w.from || a.To != w.to {
 					t.Fatalf("%s: table arc %d joins %d->%d, want %d->%d", when, i, a.From, a.To, w.from, w.to)
@@ -136,11 +133,12 @@ func FuzzTopoSession(f *testing.F) {
 					ops[i] = Annotate(op.Arc, op.Delay)
 				}
 			}
-			res, err := s.Apply(ops)
+			next, res, err := Edit(eng, ops, eng != base)
 			if err != nil {
 				checkPins("rejected batch")
 				continue
 			}
+			eng = next
 			// The batch was accepted, so its ops claimed disjoint arcs and
 			// each reads the netlist as the batch found it.
 			before := pins
@@ -168,7 +166,7 @@ func FuzzTopoSession(f *testing.F) {
 				}
 			}
 			checkPins("accepted batch")
-			assertEnginesIdentical(t, "fuzzed session", s.Engine(), work, fuzzOpt)
+			assertEnginesIdentical(t, "fuzzed edits", eng, work, fuzzOpt)
 		}
 	})
 }

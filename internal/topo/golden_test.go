@@ -1,8 +1,8 @@
 package topo
 
-// Cross-commit golden digests of structural sessions. The differential suite
-// in topo_test.go compares a session against a cold compile of the session's
-// own tables, so a change to what an op does to the tables moves both sides
+// Cross-commit golden digests of structural edits. The differential suite
+// in topo_test.go compares a working engine against a cold compile of the
+// test's own tables, so a change to what an op does to the tables moves both sides
 // together and passes. This file pins what the ops mean: a fixed script of
 // inserts, unbuffers and annotations runs on three seeds over a three-lane
 // engine, and after every step every lane's setup and hold endpoint slacks are
@@ -42,7 +42,7 @@ type goldenBuf struct{ x, y int32 }
 
 type goldenScript struct {
 	t    *testing.T
-	s    *Session
+	e    *core.Engine // the working engine
 	rng  uint64
 	nets []wire      // live positive-unate net arcs: insertion targets
 	cell []wire      // the original cell arcs: annotation targets
@@ -70,7 +70,7 @@ func (g *goldenScript) unit() float64 { return float64(g.next()>>11) / (1 << 53)
 // arc resolves w to the first row of the working state that joins its pins.
 func (g *goldenScript) arc(w wire, kind uint8) int32 {
 	g.t.Helper()
-	st := g.s.Engine().ExportState()
+	st := g.e.ExportState()
 	for i := range st.ArcFrom {
 		if st.ArcFrom[i] == w.from && st.ArcTo[i] == w.to && st.ArcKind[i] == kind {
 			return int32(i)
@@ -84,7 +84,7 @@ func (g *goldenScript) arc(w wire, kind uint8) int32 {
 func (g *goldenScript) insertOp(n int) Op {
 	w := g.nets[n]
 	id := g.arc(w, 1)
-	x := int32(g.s.Engine().NumPins()) + 2*int32(g.pending)
+	x := int32(g.e.NumPins()) + 2*int32(g.pending)
 	g.pending++
 	y := x + 1
 	g.nets[n] = wire{w.from, x}
@@ -123,7 +123,7 @@ func (g *goldenScript) removeOp(b int) Op {
 // scaled is arc id's current delay with every mean and sigma scaled by one
 // factor in [0.8, 1.3).
 func (g *goldenScript) scaled(id int32) [2]num.Dist {
-	a := g.s.Engine().ExportState().Arc(id)
+	a := g.e.ExportState().Arc(id)
 	f := 0.8 + 0.5*g.unit()
 	g.annotated++
 	return [2]num.Dist{
@@ -145,11 +145,7 @@ func TestGoldenDigests(t *testing.T) {
 		}
 		base.Run()
 		base.RefreshHoldSlacks()
-		s, err := NewSession(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := &goldenScript{t: t, s: s, rng: uint64(seed)}
+		g := &goldenScript{t: t, e: base, rng: uint64(seed)}
 		for i := range tab.Arcs {
 			w := wire{tab.Arcs[i].From, tab.Arcs[i].To}
 			if tab.Arcs[i].Kind == 1 {
@@ -162,9 +158,11 @@ func TestGoldenDigests(t *testing.T) {
 		h := fnv64a(14695981039346656037)
 		apply := func(ops ...Op) {
 			t.Helper()
-			if _, err := s.Apply(ops); err != nil {
+			next, _, err := Edit(g.e, ops, g.e != base)
+			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
+			g.e = next
 		}
 		for step := 0; step < goldenSteps; step++ {
 			g.pending = 0
@@ -198,7 +196,7 @@ func TestGoldenDigests(t *testing.T) {
 				ins := g.insertOp(n)
 				apply(ins, Annotate(c, g.scaled(c)), g.removeOp(b))
 			}
-			got := s.Engine()
+			got := g.e
 			for sc := 0; sc < got.Lanes(); sc++ {
 				h.floats(got.LaneSlacks(sc)...)
 				h.floats(got.LaneHoldSlacks(sc)...)
@@ -212,7 +210,7 @@ func TestGoldenDigests(t *testing.T) {
 		if want := goldenDigests[seed]; uint64(h) != want {
 			t.Errorf("seed %d: digest %#x, want %#x", seed, uint64(h), want)
 		}
-		s.Close()
+		g.e.Close()
 		base.Close()
 	}
 }

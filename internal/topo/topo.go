@@ -5,13 +5,14 @@
 // serving stack's /session/{id}/topo endpoint, the InstaBuffer client and any
 // annotation ECO on a session that holds structural edits — overlay sessions
 // can only re-annotate a frozen graph; this package edits the graph itself
-// and, through Session, re-levelizes and re-propagates only the region
-// downstream of the edit. Every change reaches a working set the same way: one
-// op batch through Session.Apply.
+// and, through Edit, re-levelizes and re-propagates only the region
+// downstream of the edit. Every change reaches a working engine the same way:
+// one op batch through Edit, which returns the next engine; whoever holds
+// that engine (a serving session) decides when it is committed or closed.
 //
-// A working set is a compiled state plus the engine over it; no extraction
-// tables are kept. Apply reads the batch-start rows through core.State.Arc
-// and hands back the rows the batch writes as core.ArcEdits, which
+// A working engine carries its compiled state; no extraction tables are kept.
+// Apply reads the batch-start rows through core.State.Arc and hands back the
+// rows the batch writes as core.ArcEdits, which
 // core.CompileIncrementalPatched patches into the next state.
 //
 // Edits follow two global invariants that keep incremental recompilation
@@ -41,6 +42,7 @@ import (
 
 	"insta/internal/circuitops"
 	"insta/internal/core"
+	"insta/internal/levelize"
 	"insta/internal/liberty"
 	"insta/internal/num"
 )
@@ -139,6 +141,29 @@ type Result struct {
 
 	// Inserted, Removed, Annotated count applied ops by kind.
 	Inserted, Removed, Annotated int
+
+	// Relevel is what the patched recompile re-levelized (set by Edit).
+	Relevel levelize.IncStats
+}
+
+// Stats accumulates what a working engine's edits did, for metrics.
+type Stats struct {
+	Edits     int               // Edit batches
+	Inserted  int               // buffers spliced in
+	Removed   int               // buffers removed
+	Annotated int               // arcs re-annotated
+	NewPins   int               // pins appended
+	Relevel   levelize.IncStats // the most recent batch's
+}
+
+// Add counts one applied batch.
+func (s *Stats) Add(r *Result) {
+	s.Edits++
+	s.Inserted += r.Inserted
+	s.Removed += r.Removed
+	s.Annotated += r.Annotated
+	s.NewPins += r.NewPins
+	s.Relevel = r.Relevel
 }
 
 // Apply validates a batch of structural ops against st — core.Compile output,
@@ -338,4 +363,51 @@ func Apply(st *core.State, ops []Op) (*Result, error) {
 	}
 	slices.Sort(res.Seeds)
 	return res, nil
+}
+
+// Edit applies one op batch to the state that engine e times and returns the
+// engine over the edited state: Apply validates the batch and yields its rows,
+// core.CompileIncrementalPatched patches them in with localized
+// re-levelization, and core.Engine.Reseed re-propagates only the edited cone.
+// The result is bit-identical to a cold compile and full propagation of the
+// edited netlist.
+//
+// inPlace says e is private to the caller — the working engine of an earlier
+// Edit — and may be cannibalized: its state's slabs are patched and its
+// tensors reused, so the steady-state edit allocates no engine, and e itself
+// is returned. With inPlace false, e (a base shared with concurrent readers,
+// which must stay frozen for the call) is only read and a new engine is
+// returned. A rejected batch returns an error and leaves e as it was: the
+// batch validates before anything is written.
+func Edit(e *core.Engine, ops []Op, inPlace bool) (*core.Engine, *Result, error) {
+	sp := e.Tracer().StartArg("topo-apply", "ops", int64(len(ops)))
+	defer sp.End()
+	cur := e.ExportState()
+	res, err := Apply(cur, ops)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The reseed also re-derives which pins are derived (core.Engine.Reseed):
+	// a pin an edited arc no longer leaves from has lost a fan-out, and only
+	// cur, before the patch rewrites it, still says which one.
+	seeds := slices.Clip(res.Seeds)
+	for _, ed := range res.Edits {
+		if int(ed.ID) < len(cur.ArcFrom) && cur.ArcFrom[ed.ID] != ed.Row.From {
+			seeds = append(seeds, cur.ArcFrom[ed.ID])
+		}
+	}
+	csp := sp.Child("topo-recompile")
+	st, inc, err := core.CompileIncrementalPatched(cur, res.Edits, res.NewPins, res.Seeds, inPlace)
+	csp.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	res.Relevel = inc
+	rsp := sp.ChildArg("topo-reseed", "seeds", int64(len(res.Seeds)))
+	defer rsp.End()
+	next, err := e.Reseed(st, seeds, inPlace)
+	if err != nil {
+		return nil, nil, err
+	}
+	return next, res, nil
 }

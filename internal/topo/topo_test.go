@@ -1,13 +1,13 @@
 package topo
 
 // Differential suite for structural ECOs. The correctness contract: a
-// session's working engine after any sequence of Apply batches is
+// working engine after any sequence of Edit batches is
 // *bit-identical* — endpoint slacks, hold slacks, WNS/TNS, Top-K queues,
 // timing gradients — to a cold core.Compile + NewEngineFromState + Run over
 // the edited netlist, at any worker count (ci.sh runs this package under -race
 // as well). The oracle's netlist is the test's own circuitops.Tables, advanced
-// by each accepted batch's Result.Edits (advance); the session's state is
-// never read back for it. A session over a scenario engine is held to the same
+// by each accepted batch's Result.Edits (advance); the working state is
+// never read back for it. A working engine over a scenario base is held to the same
 // standard per lane against a cold core.NewEngineScenarios, and its unit lane
 // against a cold single-lane engine.
 
@@ -70,7 +70,7 @@ func cloneTables(tab *circuitops.Tables) *circuitops.Tables {
 }
 
 // advance writes an accepted batch into tab, the test's own copy of the
-// session's netlist: its edited rows by id (appended ids grow the arc table)
+// working netlist: its edited rows by id (appended ids grow the arc table)
 // and its appended pins.
 func advance(tab *circuitops.Tables, res *Result) {
 	tab.NumPins += res.NewPins
@@ -82,16 +82,24 @@ func advance(tab *circuitops.Tables, res *Result) {
 	}
 }
 
-// applyTo applies ops to s, which must accept them, and advances tab by the
-// batch.
-func applyTo(t testing.TB, s *Session, tab *circuitops.Tables, ops ...Op) *Result {
+// applyTo edits *e by ops, which must be accepted — in place unless *e is
+// base — and advances tab by the batch.
+func applyTo(t testing.TB, e **core.Engine, base *core.Engine, tab *circuitops.Tables, ops ...Op) *Result {
 	t.Helper()
-	res, err := s.Apply(ops)
+	next, res, err := Edit(*e, ops, *e != base)
 	if err != nil {
 		t.Fatal(err)
 	}
+	*e = next
 	advance(tab, res)
 	return res
+}
+
+// closeWorking closes working engine e unless it is still base.
+func closeWorking(e, base *core.Engine) {
+	if e != base {
+		e.Close()
+	}
 }
 
 // mustEngine builds and fully evaluates a cold engine over tab.
@@ -168,13 +176,10 @@ func TestInsertBufferDifferential(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		opt := core.Options{TopK: 8, Hold: true, Workers: workers}
 		base := mustEngine(t, tab, opt)
-		s, err := NewSession(base)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := base
 		nets := netArcs(tab)
 		work := cloneTables(tab)
-		res := applyTo(t, s, work,
+		res := applyTo(t, &eng, base, work,
 			InsertBuffer(nets[0], 7, bufDelay(3, 0.2), 0),
 			InsertBuffer(nets[len(nets)/2], 7, bufDelay(2.5, 0.15), 0.3),
 			InsertBuffer(nets[len(nets)-1], -1, bufDelay(4, 0.3), 0.7),
@@ -182,11 +187,11 @@ func TestInsertBufferDifferential(t *testing.T) {
 		if res.NewPins != 6 || res.Inserted != 3 {
 			t.Fatalf("unexpected result %+v", res)
 		}
-		if st := s.Stats(); st.Relevel.Region <= 0 || st.Relevel.Region >= tab.NumPins {
-			t.Fatalf("re-levelized region %d not localized (pins %d)", st.Relevel.Region, tab.NumPins)
+		if res.Relevel.Region <= 0 || res.Relevel.Region >= tab.NumPins {
+			t.Fatalf("re-levelized region %d not localized (pins %d)", res.Relevel.Region, tab.NumPins)
 		}
-		assertEnginesIdentical(t, "insert", s.Engine(), work, opt)
-		s.Close()
+		assertEnginesIdentical(t, "insert", eng, work, opt)
+		eng.Close()
 		base.Close()
 	}
 }
@@ -196,26 +201,23 @@ func TestRemoveBufferDifferential(t *testing.T) {
 	opt := core.Options{TopK: 8, Hold: true, Workers: 2}
 	base := mustEngine(t, tab, opt)
 	defer base.Close()
-	s, err := NewSession(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	eng := base
+	defer func() { closeWorking(eng, base) }()
 
 	// Insert a buffer, then remove it in a second batch: the remove batch
 	// must restore the through-wire's timing, renumber nothing, and leave a
-	// graph that cold-compiles to the same bits as the session's preview.
+	// graph that cold-compiles to the same bits as the working engine.
 	target := netArcs(tab)[2]
 	orig := tab.Arcs[target]
 	work := cloneTables(tab)
-	applyTo(t, s, work, InsertBuffer(target, 7, bufDelay(3, 0.2), 0))
+	applyTo(t, &eng, base, work, InsertBuffer(target, 7, bufDelay(3, 0.2), 0))
 	// The inserted buffer's cell arc is the second-to-last arc.
 	cellArc := int32(len(work.Arcs) - 2)
 	if work.Arcs[cellArc].Kind != 0 {
 		t.Fatalf("arc %d is not the inserted cell arc", cellArc)
 	}
 	before := slices.Clone(work.Arcs)
-	res := applyTo(t, s, work, RemoveBuffer(cellArc))
+	res := applyTo(t, &eng, base, work, RemoveBuffer(cellArc))
 	if len(res.Edits) != 1 || res.Edits[0].ID != cellArc+1 || !slices.Equal(res.Seeds, []int32{orig.To}) {
 		t.Fatalf("bypass edited %+v and seeded pins %v, want the sink wire %d and its sink %d", res.Edits, res.Seeds, cellArc+1, orig.To)
 	}
@@ -231,21 +233,21 @@ func TestRemoveBufferDifferential(t *testing.T) {
 	if w := after[cellArc+1]; w.From != orig.From || w.To != orig.To || w.Net != orig.Net {
 		t.Fatalf("sink wire became %d->%d (net %d), want the original %d->%d (net %d)", w.From, w.To, w.Net, orig.From, orig.To, orig.Net)
 	}
-	assertEnginesIdentical(t, "remove", s.Engine(), work, opt)
+	assertEnginesIdentical(t, "remove", eng, work, opt)
 
 	// A bypassed buffer cannot be removed twice, and its stub stays addressable.
-	if _, err := s.Apply([]Op{RemoveBuffer(cellArc)}); err == nil {
+	if _, _, err := Edit(eng, []Op{RemoveBuffer(cellArc)}, true); err == nil {
 		t.Fatal("removing a bypassed buffer again was accepted")
 	}
-	slacks := append([]float64(nil), s.Engine().Slacks()...)
-	applyTo(t, s, work, Annotate(cellArc, bufDelay(50, 5)), Annotate(target, bufDelay(50, 5)))
-	if !slices.Equal(s.Engine().Slacks(), slacks) {
+	slacks := append([]float64(nil), eng.Slacks()...)
+	applyTo(t, &eng, base, work, Annotate(cellArc, bufDelay(50, 5)), Annotate(target, bufDelay(50, 5)))
+	if !slices.Equal(eng.Slacks(), slacks) {
 		t.Fatal("annotating a bypassed buffer's stub moved an endpoint slack")
 	}
-	assertEnginesIdentical(t, "stub annotated", s.Engine(), work, opt)
+	assertEnginesIdentical(t, "stub annotated", eng, work, opt)
 
 	// Pin count never shrinks.
-	if got := s.Engine().NumPins(); got != tab.NumPins+2 {
+	if got := eng.NumPins(); got != tab.NumPins+2 {
 		t.Fatalf("pin count %d, want %d", got, tab.NumPins+2)
 	}
 }
@@ -255,18 +257,15 @@ func TestAnnotateOnStructuralSessionDifferential(t *testing.T) {
 	opt := core.Options{TopK: 8, Hold: true, Workers: 2}
 	base := mustEngine(t, tab, opt)
 	defer base.Close()
-	s, err := NewSession(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	eng := base
+	defer func() { closeWorking(eng, base) }()
 
 	work := cloneTables(tab)
-	applyTo(t, s, work, InsertBuffer(netArcs(tab)[0], 7, bufDelay(3, 0.2), 0))
+	applyTo(t, &eng, base, work, InsertBuffer(netArcs(tab)[0], 7, bufDelay(3, 0.2), 0))
 	// Annotate a few arcs, including one appended by the insert.
 	newArc := int32(len(work.Arcs) - 1)
-	applyTo(t, s, work, Annotate(5, bufDelay(7, 0.4)), Annotate(newArc, bufDelay(1.5, 0.1)))
-	assertEnginesIdentical(t, "annotate", s.Engine(), work, opt)
+	applyTo(t, &eng, base, work, Annotate(5, bufDelay(7, 0.4)), Annotate(newArc, bufDelay(1.5, 0.1)))
+	assertEnginesIdentical(t, "annotate", eng, work, opt)
 }
 
 func TestMixedBatchWithAnnotateOps(t *testing.T) {
@@ -274,23 +273,20 @@ func TestMixedBatchWithAnnotateOps(t *testing.T) {
 	opt := core.Options{TopK: 8, Workers: 2}
 	base := mustEngine(t, tab, opt)
 	defer base.Close()
-	s, err := NewSession(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	eng := base
+	defer func() { closeWorking(eng, base) }()
 	nets := netArcs(tab)
 	work := cloneTables(tab)
-	applyTo(t, s, work,
+	applyTo(t, &eng, base, work,
 		InsertBuffer(nets[1], 7, bufDelay(2, 0.1), 0),
 		Annotate(nets[3], bufDelay(6, 0.3)),
 		Annotate(0, bufDelay(4, 0.2)),
 	)
-	assertEnginesIdentical(t, "mixed", s.Engine(), work, opt)
+	assertEnginesIdentical(t, "mixed", eng, work, opt)
 }
 
-// TestBatchedEngineDifferential: the one working engine of a session opened
-// over a scenario engine stays, through insert / remove / annotate batches,
+// TestBatchedEngineDifferential: a working engine edited off a scenario base
+// stays, through insert / remove / annotate batches,
 // bit-identical in every lane to a cold core.NewEngineScenarios over the
 // edited netlist — and its unit lane (tt) to a cold single-lane engine, the figure a daemon
 // serves as nominal.
@@ -299,16 +295,13 @@ func TestBatchedEngineDifferential(t *testing.T) {
 	scns := core.DefaultScenarios()
 	for _, workers := range []int{1, 4} {
 		opt := core.Options{TopK: 8, Hold: true, Workers: workers}
-		bbase, err := core.NewEngineScenarios(tab, scns, opt)
+		base, err := core.NewEngineScenarios(tab, scns, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bbase.Run()
-		bbase.RefreshHoldSlacks()
-		s, err := NewSession(bbase)
-		if err != nil {
-			t.Fatal(err)
-		}
+		base.Run()
+		base.RefreshHoldSlacks()
+		eng := base
 		work := cloneTables(tab)
 		check := func(tag string) {
 			t.Helper()
@@ -321,7 +314,7 @@ func TestBatchedEngineDifferential(t *testing.T) {
 			defer cold.Close()
 			cold.Run()
 			cold.RefreshHoldSlacks()
-			got := s.Engine()
+			got := eng
 			for sc := range scns {
 				gs, ws := got.LaneSlacks(sc), cold.LaneSlacks(sc)
 				for i := range ws {
@@ -346,11 +339,11 @@ func TestBatchedEngineDifferential(t *testing.T) {
 			}
 		}
 		nets := netArcs(tab)
-		applyTo(t, s, work,
+		applyTo(t, &eng, base, work,
 			InsertBuffer(nets[0], 7, bufDelay(3, 0.2), 0),
 			InsertBuffer(nets[4], 7, bufDelay(2, 0.1), 0.4),
 		)
-		if s.Engine() == bbase {
+		if eng == base {
 			t.Fatal("apply did not create a working engine")
 		}
 		check("insert")
@@ -358,110 +351,116 @@ func TestBatchedEngineDifferential(t *testing.T) {
 		if work.Arcs[cellArc].Kind != 0 {
 			t.Fatalf("arc %d is not a cell arc", cellArc)
 		}
-		applyTo(t, s, work, RemoveBuffer(cellArc))
+		applyTo(t, &eng, base, work, RemoveBuffer(cellArc))
 		check("remove")
-		applyTo(t, s, work, Annotate(nets[2], bufDelay(5, 0.25)))
+		applyTo(t, &eng, base, work, Annotate(nets[2], bufDelay(5, 0.25)))
 		check("annotate")
-		s.Close()
-		bbase.Close()
+		closeWorking(eng, base)
+		base.Close()
 	}
 }
 
+// engineView is what a rejected batch must leave alone: the slacks, the pin
+// and arc counts and the state's arc slabs.
+type engineView struct {
+	slacks         []float64
+	pins, arcs     int
+	mean, std      [2][]float64
+	kind           []uint8
+	cell, net      []int32
+	arcFrom, arcTo []int32
+}
+
+func viewOf(e *core.Engine) engineView {
+	st := e.ExportState()
+	v := engineView{
+		slacks: slices.Clone(e.Slacks()), pins: e.NumPins(), arcs: e.NumArcs(),
+		kind: slices.Clone(st.ArcKind), cell: slices.Clone(st.ArcCell), net: slices.Clone(st.ArcNet),
+		arcFrom: slices.Clone(st.ArcFrom), arcTo: slices.Clone(st.ArcTo),
+	}
+	for rf := range v.mean {
+		v.mean[rf], v.std[rf] = slices.Clone(st.ArcMean[rf]), slices.Clone(st.ArcStd[rf])
+	}
+	return v
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+func (v engineView) equal(w engineView) bool {
+	return sameBits(v.slacks, w.slacks) && v.pins == w.pins && v.arcs == w.arcs &&
+		sameBits(v.mean[0], w.mean[0]) && sameBits(v.mean[1], w.mean[1]) &&
+		sameBits(v.std[0], w.std[0]) && sameBits(v.std[1], w.std[1]) &&
+		slices.Equal(v.kind, w.kind) && slices.Equal(v.cell, w.cell) && slices.Equal(v.net, w.net) &&
+		slices.Equal(v.arcFrom, w.arcFrom) && slices.Equal(v.arcTo, w.arcTo)
+}
+
+// TestApplyAtomicOnInvalidBatch: every rejected batch leaves the engine it
+// was given as it was — the shared base an Edit only reads, and a working
+// engine after one good edit, which an accepted batch would edit in place:
+// slacks, pin and arc counts and the state's arc slabs, bit for bit.
 func TestApplyAtomicOnInvalidBatch(t *testing.T) {
 	tab := buildTables(t, 36)
 	opt := core.Options{TopK: 8, Workers: 2}
 	base := mustEngine(t, tab, opt)
 	defer base.Close()
-	s, err := NewSession(base)
+	nets := netArcs(tab)
+	working, _, err := Edit(base, []Op{InsertBuffer(nets[5], 7, bufDelay(3, 0.2), 0)}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer working.Close()
 
-	nets := netArcs(tab)
-	beforeEng := s.Engine()
-	// Valid insert + claim conflict on the same arc: whole batch rejected.
-	bad := []Op{
-		InsertBuffer(nets[0], 7, bufDelay(3, 0.2), 0),
-		Annotate(nets[0], bufDelay(1, 0.1)),
-	}
-	if _, err := s.Apply(bad); err == nil {
-		t.Fatal("conflicting batch accepted")
-	}
-	if s.Engine() != beforeEng || s.Edited() {
-		t.Fatal("failed batch mutated the session")
-	}
-	// Bad arc id, bad fraction, wrong arc kind, cell arc removal shape.
-	for _, ops := range [][]Op{
-		{InsertBuffer(int32(len(tab.Arcs)), 7, bufDelay(1, 0.1), 0)},
-		{InsertBuffer(nets[0], 7, bufDelay(1, 0.1), 1.5)},
-		{RemoveBuffer(nets[0])},
-		{Annotate(-1, bufDelay(1, 0.1))},
-		{},
-	} {
-		if _, err := s.Apply(ops); err == nil {
-			t.Fatalf("invalid batch %+v accepted", ops)
+	for _, c := range []struct {
+		name    string
+		e       *core.Engine
+		inPlace bool
+	}{{"base", base, false}, {"working engine", working, true}} {
+		want := viewOf(c.e)
+		for _, ops := range [][]Op{
+			// Valid insert + claim conflict on the same arc.
+			{InsertBuffer(nets[0], 7, bufDelay(3, 0.2), 0), Annotate(nets[0], bufDelay(1, 0.1))},
+			// Bad arc id, bad fraction, wrong arc kind, cell arc removal shape.
+			{InsertBuffer(int32(c.e.NumArcs()), 7, bufDelay(1, 0.1), 0)},
+			{InsertBuffer(nets[0], 7, bufDelay(1, 0.1), 1.5)},
+			{RemoveBuffer(nets[0])},
+			{Annotate(-1, bufDelay(1, 0.1))},
+			{},
+		} {
+			if next, res, err := Edit(c.e, ops, c.inPlace); err == nil || next != nil || res != nil {
+				t.Fatalf("%s: invalid batch %+v accepted", c.name, ops)
+			}
+			if !viewOf(c.e).equal(want) {
+				t.Fatalf("%s: rejected batch %+v changed the engine", c.name, ops)
+			}
 		}
-	}
-	if s.Edited() {
-		t.Fatal("rejected batches left the session edited")
 	}
 }
 
-func TestResetRestoresBase(t *testing.T) {
+// TestEditLeavesBaseIntact: an edit off the shared base (inPlace false)
+// returns a new engine and leaves the base bit-identical.
+func TestEditLeavesBaseIntact(t *testing.T) {
 	tab := buildTables(t, 37)
 	opt := core.Options{TopK: 8, Workers: 2}
 	base := mustEngine(t, tab, opt)
 	defer base.Close()
-	baseWNS := base.WNS()
-	s, err := NewSession(base)
+	want := viewOf(base)
+	eng, _, err := Edit(base, []Op{InsertBuffer(netArcs(tab)[0], 7, bufDelay(30, 1), 0)}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if _, err := s.Apply([]Op{InsertBuffer(netArcs(tab)[0], 7, bufDelay(30, 1), 0)}); err != nil {
-		t.Fatal(err)
+	defer eng.Close()
+	if eng == base {
+		t.Fatal("the edit did not create a working engine")
 	}
-	if s.Engine() == base {
-		t.Fatal("apply did not create a working engine")
+	if sameBits(eng.Slacks(), want.slacks) {
+		t.Fatal("the edit moved no slack — the check is vacuous")
 	}
-	s.Reset()
-	if s.Engine() != base || s.Edited() {
-		t.Fatal("reset did not restore the base")
+	if !viewOf(base).equal(want) {
+		t.Fatal("an edit off the base changed the base")
 	}
-	if base.WNS() != baseWNS {
-		t.Fatalf("base WNS moved across preview+reset: %v != %v", base.WNS(), baseWNS)
-	}
-}
-
-func TestDetachTransfersOwnership(t *testing.T) {
-	tab := buildTables(t, 38)
-	opt := core.Options{TopK: 8, Workers: 2}
-	base := mustEngine(t, tab, opt)
-	defer base.Close()
-	s, err := NewSession(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Detach(); err == nil {
-		t.Fatal("detach with no edits accepted")
-	}
-	work := cloneTables(tab)
-	applyTo(t, s, work, InsertBuffer(netArcs(tab)[0], 7, bufDelay(3, 0.2), 0))
-	d, err := s.Detach()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Engine == base || d.Stats.Inserted != 1 {
-		t.Fatal("detached set incomplete")
-	}
-	// Close after detach must not kill the detached engine.
-	s.Close()
-	if got := d.Engine.WNS(); got != d.Engine.WNS() {
-		t.Fatal("detached engine unusable after session close")
-	}
-	assertEnginesIdentical(t, "detached", d.Engine, work, opt)
-	d.Engine.Close()
 }
 
 func TestRepeatedEditsStayIdentical(t *testing.T) {
@@ -471,30 +470,27 @@ func TestRepeatedEditsStayIdentical(t *testing.T) {
 	opt := core.Options{TopK: 8, Hold: true, Workers: 4}
 	base := mustEngine(t, tab, opt)
 	defer base.Close()
-	s, err := NewSession(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	eng := base
+	defer func() { closeWorking(eng, base) }()
 
 	nets := netArcs(tab)
 	work := cloneTables(tab)
-	applyTo(t, s, work, InsertBuffer(nets[0], 7, bufDelay(3, 0.2), 0))
-	assertEnginesIdentical(t, "step1", s.Engine(), work, opt)
+	applyTo(t, &eng, base, work, InsertBuffer(nets[0], 7, bufDelay(3, 0.2), 0))
+	assertEnginesIdentical(t, "step1", eng, work, opt)
 
-	applyTo(t, s, work, Annotate(nets[1], bufDelay(5, 0.25)))
-	assertEnginesIdentical(t, "step2", s.Engine(), work, opt)
+	applyTo(t, &eng, base, work, Annotate(nets[1], bufDelay(5, 0.25)))
+	assertEnginesIdentical(t, "step2", eng, work, opt)
 
-	applyTo(t, s, work, InsertBuffer(nets[2], 7, bufDelay(2, 0.1), 0.25))
-	assertEnginesIdentical(t, "step3", s.Engine(), work, opt)
+	applyTo(t, &eng, base, work, InsertBuffer(nets[2], 7, bufDelay(2, 0.1), 0.25))
+	assertEnginesIdentical(t, "step3", eng, work, opt)
 
 	cellArc := int32(len(work.Arcs) - 2)
-	applyTo(t, s, work, RemoveBuffer(cellArc))
-	assertEnginesIdentical(t, "step4", s.Engine(), work, opt)
+	applyTo(t, &eng, base, work, RemoveBuffer(cellArc))
+	assertEnginesIdentical(t, "step4", eng, work, opt)
 }
 
 // TestApplyBeatsColdRebuild holds the subsystem's reason to exist on a real
-// block: a steady-state edit batch on a warmed session — two buffers spliced
+// block: a steady-state edit batch on a warmed working engine — two buffers spliced
 // into net arcs plus one cell-arc re-annotation, the shape one optimizer step
 // produces — must beat the cold alternative (compile the edited tables, build
 // an engine, propagate in full) by an order of magnitude (25-32x measured).
@@ -534,20 +530,17 @@ func TestApplyBeatsColdRebuild(t *testing.T) {
 	ann := [2]num.Dist{base.ArcDelay(cellArc, 0), base.ArcDelay(cellArc, 1)}
 	ann[0].Mean *= 1.05
 	ann[1].Mean *= 1.05
-	// Insert-only, so arc ids stay valid and every Apply splices fresh buffers:
-	// the session keeps growing as an optimizer's would.
+	// Insert-only, so arc ids stay valid and every Edit splices fresh buffers:
+	// the working engine keeps growing as an optimizer's would.
 	ops := []Op{
 		InsertBuffer(netA, -1, bufDelay(5, 0.5), 0.5),
 		InsertBuffer(netB, -1, bufDelay(5, 0.5), 0.4),
 		Annotate(cellArc, ann),
 	}
-	s, err := NewSession(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	eng := base
+	defer func() { closeWorking(eng, base) }()
 	work := cloneTables(tab)
-	applyTo(t, s, work, ops...) // the first Apply allocates the working engine
+	applyTo(t, &eng, base, work, ops...) // the first Edit allocates the working engine
 
 	// Interleaved best-of-7: both sides see the same background load.
 	timed := func(fn func()) time.Duration {
@@ -556,14 +549,15 @@ func TestApplyBeatsColdRebuild(t *testing.T) {
 		return time.Since(t0)
 	}
 	inc, cold := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	var res *Result
 	for i := 0; i < 7; i++ {
-		inc = min(inc, timed(func() { applyTo(t, s, work, ops...) }))
+		inc = min(inc, timed(func() { res = applyTo(t, &eng, base, work, ops...) }))
 		cold = min(cold, timed(func() { mustEngine(t, work, opt).Close() }))
 	}
-	t.Logf("block-1: Apply %v vs cold rebuild %v — %.1fx (relevel %+v)",
-		inc, cold, float64(cold)/float64(inc), s.Stats().Relevel)
+	t.Logf("block-1: Edit %v vs cold rebuild %v — %.1fx (relevel %+v)",
+		inc, cold, float64(cold)/float64(inc), res.Relevel)
 	if cold < 10*inc {
-		t.Errorf("steady-state Apply %v is only %.1fx faster than a cold rebuild %v, want >= 10x",
+		t.Errorf("steady-state Edit %v is only %.1fx faster than a cold rebuild %v, want >= 10x",
 			inc, float64(cold)/float64(inc), cold)
 	}
 }
