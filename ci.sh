@@ -37,9 +37,16 @@
 #                      and move batches, commits of both kinds and
 #                      rollbacks, bit for bit after every step, and the base
 #                      after every commit (one resolver, one apply path and
-#                      one overlay rebase behind all of it), and a session
+#                      one overlay rebase behind all of it) — hold slacks
+#                      too, with hold on: every structural working engine's
+#                      after every step of its session and the base's after
+#                      every commit — and a session
 #                      rebased across a same-size unbuffer commit, walked at
-#                      every endpoint its re-annotated driver reaches +
+#                      every endpoint its re-annotated driver reaches + the
+#                      ECO response writer against encoding/json
+#                      (TestECOResultBodyIsEncodingJSON: random results,
+#                      ±1e30 clamps, exponent-form values, pin names that
+#                      need escaping, byte for byte) +
 #                      zero-alloc full passes,
 #                      bare and with a disabled tracer attached), including the
 #                      nominal-lane differential of the serving layer: a
@@ -78,7 +85,11 @@
 #                      then 10 s of FuzzJSONFloat: the float formatter behind
 #                      GET /session/{id}/slacks — cached text and fresh floats
 #                      alike — against encoding/json, byte for byte, for any
-#                      float64 bit pattern; then 10 s of FuzzTopoSession:
+#                      float64 bit pattern; then 10 s of FuzzDecodeECO: the
+#                      one-pass decoder of POST /session/{id}/eco bodies
+#                      either declines, leaving the request as it was, or
+#                      yields exactly encoding/json's value with no error;
+#                      then 10 s of FuzzTopoSession:
 #                      op batches decoded from bytes — inserts, bypasses and
 #                      annotations, annotate-only batches included, the
 #                      first among them — drive one working engine through
@@ -207,6 +218,8 @@ echo "== go test -fuzz FuzzMergeTopK (10s, indexed merge vs the scanning Algorit
 go test ./internal/core -run '^$' -fuzz FuzzMergeTopK -fuzztime 10s
 echo "== go test -fuzz FuzzJSONFloat (10s, the session reads' float formatter vs encoding/json) =="
 go test ./internal/server -run '^$' -fuzz FuzzJSONFloat -fuzztime 10s
+echo "== go test -fuzz FuzzDecodeECO (10s, the one-pass ECO body decoder: declines, or encoding/json's value) =="
+go test ./internal/server -run '^$' -fuzz FuzzDecodeECO -fuzztime 10s
 echo "== go test -fuzz FuzzTopoSession (10s, structural op batches vs a cold compile of self-advanced tables, arc ids permanent) =="
 go test ./internal/topo -run '^$' -fuzz FuzzTopoSession -fuzztime 10s
 echo "== go test -fuzz FuzzDecodeModel (10s, block-model payloads: canonical and in range) =="

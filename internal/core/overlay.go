@@ -65,9 +65,10 @@ type Overlay struct {
 	touched []int32 // overlaid arc ids in first-annotation order
 	pending []int32 // arcs annotated since the last propagate
 
-	// Shadow row bookkeeping. ix is the overlay's pair of look-up arrays
-	// (view.slot and epSlot alias it), taken from the base engine at the first
-	// Propagate; shadowed lists the pins slot marks, so clearing is O(cone).
+	// Shadow row bookkeeping. ix is the overlay's look-up arrays (view.slot,
+	// view.arcBit and epSlot alias them), taken from the base engine at the
+	// first SetArcDelay; shadowed lists the pins slot marks, so clearing is
+	// O(cone), and touched the arcs arcBit flags.
 	// Rows 0..nRows-1 of chunks have been handed out; those not in freeRows
 	// are in use, exactly one per shadowed pin that is not derived between
 	// Propagates. fresh is parallel to the bucket the wave is rebuilding: the
@@ -98,11 +99,12 @@ type Overlay struct {
 	slackFn func(id, lo, hi int)
 }
 
-// shadowIndex is one overlay's pair of dense look-up arrays over its base
-// engine's pins and endpoints. An index on the engine's pool is all zero.
+// shadowIndex is one overlay's dense look-up arrays over its base engine's
+// pins, endpoints and arcs. An index on the engine's pool is all zero.
 type shadowIndex struct {
-	pin []int32 // view.slot
-	ep  []int32 // Overlay.epSlot
+	pin []int32  // view.slot
+	ep  []int32  // Overlay.epSlot
+	arc []uint64 // view.arcBit
 }
 
 // NewOverlay creates an empty overlay over e. The base engine must be fully
@@ -112,23 +114,50 @@ func NewOverlay(e *Engine) *Overlay {
 	return &Overlay{view: view{e: e, q: e.top.q, arcSlot: make(map[int32]int32)}}
 }
 
-// takeIndex returns an all-zero pair of look-up arrays, from the engine's pool
-// when that holds one covering the engine's pins as they are now (an in-place
-// Reseed appends pins under the same engine).
+// takeIndex returns all-zero look-up arrays, from the engine's pool when that
+// holds a set covering the engine's pins and arcs as they are now (an
+// in-place Reseed appends both under the same engine).
 func (e *Engine) takeIndex() *shadowIndex {
 	ix, _ := e.indexPool.Get().(*shadowIndex)
-	if ix == nil || len(ix.pin) < e.st.NumPins || len(ix.ep) < len(e.st.EpPin) {
-		ix = &shadowIndex{pin: make([]int32, e.st.NumPins), ep: make([]int32, len(e.st.EpPin))}
+	if ix == nil || !ix.covers(e) {
+		ix = &shadowIndex{pin: make([]int32, e.st.NumPins), ep: make([]int32, len(e.st.EpPin)),
+			arc: make([]uint64, (e.NumArcs()+63)>>6)}
 	}
 	return ix
 }
 
-// returnIndex hands the look-up arrays, which dropDerived has zeroed, back to
-// the base engine.
+// covers reports whether ix spans e's pins, endpoints and arcs.
+func (ix *shadowIndex) covers(e *Engine) bool {
+	return len(ix.pin) >= e.st.NumPins && len(ix.ep) >= len(e.st.EpPin) && len(ix.arc)<<6 >= e.NumArcs()
+}
+
+// bindIndex takes the look-up arrays from the base engine and flags the
+// touched arcs in them.
+func (o *Overlay) bindIndex() {
+	o.ix = o.e.takeIndex()
+	o.slot, o.epSlot, o.arcBit = o.ix.pin, o.ix.ep, o.ix.arc
+	for _, a := range o.touched {
+		o.arcBit[a>>6] |= 1 << (a & 63)
+	}
+}
+
+// returnIndex hands the look-up arrays back to the base engine, zeroed:
+// dropDerived has cleared the pin and endpoint entries, and the arc bits are
+// cleared here by walking touched.
 func (o *Overlay) returnIndex() {
 	if o.ix != nil {
+		o.clearArcBits()
 		o.e.indexPool.Put(o.ix)
-		o.ix, o.slot, o.epSlot = nil, nil, nil
+		o.ix, o.slot, o.epSlot, o.arcBit = nil, nil, nil, nil
+	}
+}
+
+// clearArcBits clears the bits of the touched arcs.
+func (o *Overlay) clearArcBits() {
+	if o.arcBit != nil {
+		for _, a := range o.touched {
+			o.arcBit[a>>6] &^= 1 << (a & 63)
+		}
 	}
 }
 
@@ -201,9 +230,15 @@ func (o *Overlay) settlePin(i int, p int32, changed bool) {
 // SetArcDelay annotates one arc's delay for output transition rf in the
 // overlay only. The base engine is untouched. Call Propagate after a batch.
 func (o *Overlay) SetArcDelay(arc int32, rf int, d num.Dist) {
-	i, ok := o.arcSlot[arc]
-	if !ok {
+	if o.ix == nil {
+		o.bindIndex()
+	}
+	var i int32
+	if w, b := arc>>6, uint64(1)<<(arc&63); o.arcBit[w]&b != 0 {
+		i = o.arcSlot[arc]
+	} else {
 		i = int32(len(o.touched))
+		o.arcBit[w] |= b
 		o.arcSlot[arc] = i
 		o.touched = append(o.touched, arc)
 		o.arcDist = append(o.arcDist, [2]num.Dist{o.e.ArcDelay(arc, 0), o.e.ArcDelay(arc, 1)})
@@ -243,8 +278,7 @@ func (o *Overlay) Propagate() {
 		o.scratch = e.newPropScratch(o.rebuildPin, o.bindBucket, o.settlePin)
 	}
 	if o.ix == nil {
-		o.ix = e.takeIndex()
-		o.slot, o.epSlot = o.ix.pin, o.ix.ep
+		o.bindIndex()
 	}
 	o.scratch.reset()
 	for _, a := range arcs {
@@ -403,6 +437,7 @@ func (o *Overlay) rowsInUse() int { return int(o.nRows) - len(o.freeRows) }
 // is untouched. The arc map and the indices are cleared in place and every
 // shadow row is free again, so a reset-and-reapply cycle does not reallocate.
 func (o *Overlay) Reset() {
+	o.clearArcBits()
 	clear(o.arcSlot)
 	o.arcDist = o.arcDist[:0]
 	o.touched = o.touched[:0]
@@ -450,20 +485,25 @@ func (o *Overlay) Release() {
 // re-propagation; one that now matches the base costs a one-pin wavefront
 // that stops on equality. Everything derived from the deltas (queues,
 // slacks) is invalidated. The wavefront scratch and the indices are kept
-// while they still cover e's levels, pins and endpoints, and discarded when e
-// is another engine or an in-place reseed grew it: the next Propagate then
-// takes both at e's size. Row chunks always survive: their size depends only
-// on TopK and the lane count, which no commit changes.
+// while they still cover e's levels, pins, endpoints and arcs, and discarded
+// when e is another engine or an in-place reseed grew it: the next Propagate
+// then takes the scratch at e's size, and the indices are taken at once if
+// the overlay holds deltas, which they flag. Row chunks always survive: their
+// size depends only on TopK and the lane count, which no commit changes.
 func (o *Overlay) Rebase(e *Engine) {
 	o.dropDerived()
-	if ix := o.ix; e != o.e || ix != nil && (len(ix.pin) < e.st.NumPins || len(ix.ep) < len(e.st.EpPin)) {
-		o.returnIndex()
-	}
 	if sc := o.scratch; e != o.e || sc != nil && (len(sc.buckets) < e.st.NumLevels || len(sc.queuedAt) < e.st.NumPins) {
 		o.scratch = nil
 	}
 	o.pending = append(o.pending[:0], o.touched...)
+	retake := o.ix != nil && (e != o.e || !o.ix.covers(e))
+	if retake {
+		o.returnIndex()
+	}
 	o.e, o.q = e, e.top.q
+	if retake && len(o.touched) > 0 {
+		o.bindIndex()
+	}
 }
 
 // Commit folds the overlay's arc deltas into the base engine, re-propagates

@@ -248,3 +248,30 @@ func TestReseedShrunkRowSeedsFanout(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckRowUnitsEdge pins the one bound a reseed checks on growth, at its
+// edge: numPins fresh rows of K units each on top of the units e has handed
+// out fit a row offset up to math.MaxInt32 units, and one pin more does not.
+// No test reaches it through topo.Edit — that takes some 2^31/K pins, and a
+// reseed's scratch regions are S·K slots wide per pin — so the function both
+// check is tested here; Reseed refuses the same count with the same error.
+func TestCheckRowUnitsEdge(t *testing.T) {
+	h := buildHarness(t, testSpec(83))
+	for _, k := range []int{1, 6, 32} {
+		e := newLaneEngine(t, h.tab, unitLane, Options{TopK: k, Workers: 1})
+		n := (math.MaxInt32 - e.rowUnits) / k
+		if err := e.CheckRowUnits(n); err != nil {
+			t.Fatalf("K=%d: %d pins on %d units fit exactly, refused: %v", k, n, e.rowUnits, err)
+		}
+		err := e.CheckRowUnits(n + 1)
+		if err == nil {
+			t.Fatalf("K=%d: %d pins on %d units pass math.MaxInt32 units, accepted", k, n+1, e.rowUnits)
+		}
+		st := *e.st
+		st.NumPins = n + 1
+		if _, rerr := e.Reseed(&st, nil, false); rerr == nil || rerr.Error() != err.Error() {
+			t.Fatalf("K=%d: Reseed of %d pins answered %v, the bound %v", k, n+1, rerr, err)
+		}
+		e.Close()
+	}
+}

@@ -731,8 +731,8 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 	if inPlace && (len(st.EpPin) != len(e.st.EpPin) || len(st.SpPin) != len(e.st.SpPin)) {
 		return nil, fmt.Errorf("core: in-place Reseed cannot change the SP/EP sets")
 	}
-	if e.rowUnits+st.NumPins*e.opt.TopK > math.MaxInt32 {
-		return nil, fmt.Errorf("core: %d pins at TopK %d could need more row units than a row offset addresses", st.NumPins, e.opt.TopK)
+	if err := e.CheckRowUnits(st.NumPins); err != nil {
+		return nil, err
 	}
 	sp := e.opt.Tracer.StartArg("engine-reseed", "seeds", int64(len(seeds)))
 	defer sp.End()
@@ -847,6 +847,18 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 		ne.RefreshHoldSlacks()
 	}
 	return ne, nil
+}
+
+// CheckRowUnits refuses a reseed of e into numPins pins that could lay out
+// more row units than a row offset addresses: the rows e has handed out, plus
+// a fresh row of up to TopK units for every pin. Reseed checks it; a caller
+// that rewrites e's state in place before reseeding (topo.Edit) checks it
+// first, so a refused edit leaves e as it was.
+func (e *Engine) CheckRowUnits(numPins int) error {
+	if e.rowUnits+numPins*e.opt.TopK > math.MaxInt32 {
+		return fmt.Errorf("core: %d pins at TopK %d could need more row units than a row offset addresses", numPins, e.opt.TopK)
+	}
+	return nil
 }
 
 // ExportState returns the engine's compiled state with its *current* arc

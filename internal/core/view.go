@@ -20,10 +20,13 @@ type view struct {
 	// each, so any pin fits; pin p's lanes are laid out in it as in its dense
 	// row, slot kk of lane s at rf*S*K + s*cap(p) + kk.
 	// arcSlot shadows per-rf nominal arc delays, held in arcDist (every lane
-	// sees them through its scale factors). All nil on the engine's own views.
+	// sees them through its scale factors); arcBit flags the arcs it holds, a
+	// bit per arc, so an arc it does not hold — almost every fan-in arc a
+	// wave reads — costs no map look-up. All nil on the engine's own views.
 	slot    []int32
 	chunks  []*queues
 	arcSlot map[int32]int32
+	arcBit  []uint64
 	arcDist [][2]num.Dist
 }
 
@@ -57,11 +60,9 @@ func (v *view) shadow(rf int, t int32) (*queues, int) {
 
 // arcDelay resolves arc's nominal delay for output transition rf.
 func (v *view) arcDelay(rf int, arc int32) (mean, std float64) {
-	if v.arcSlot != nil {
-		if i, ok := v.arcSlot[arc]; ok {
-			d := &v.arcDist[i][rf]
-			return d.Mean, d.Std
-		}
+	if v.arcBit != nil && v.arcBit[arc>>6]&(1<<(arc&63)) != 0 {
+		d := &v.arcDist[v.arcSlot[arc]][rf]
+		return d.Mean, d.Std
 	}
 	st := v.e.st
 	return st.ArcMean[rf][arc], st.ArcStd[rf][arc]

@@ -93,6 +93,10 @@ type Design struct {
 
 	pinByName  map[string]PinID
 	cellByName map[string]CellID
+	// reusedPinName is set once a pin or port took a name an earlier one
+	// had: pinByName then answers the last, which CellPin's scan does not
+	// know.
+	reusedPinName bool
 }
 
 // New returns an empty design named name.
@@ -125,8 +129,17 @@ func (d *Design) AddPin(c CellID, pinName string, dir PinDir, isClock bool) PinI
 	full := d.Cells[c].Name + "/" + pinName
 	d.Pins = append(d.Pins, Pin{Name: full, Cell: c, Net: NoNet, Dir: dir, IsClock: isClock})
 	d.Cells[c].Pins = append(d.Cells[c].Pins, id)
-	d.pinByName[full] = id
+	d.namePin(full, id)
 	return id
+}
+
+// namePin makes name resolve to id, noting whether it named a pin before.
+func (d *Design) namePin(name string, id PinID) {
+	n := len(d.pinByName)
+	d.pinByName[name] = id
+	if len(d.pinByName) == n {
+		d.reusedPinName = true
+	}
 }
 
 // AddPort appends a top-level port pin. dir is the direction seen from the
@@ -134,7 +147,7 @@ func (d *Design) AddPin(c CellID, pinName string, dir PinDir, isClock bool) PinI
 func (d *Design) AddPort(name string, dir PinDir) PinID {
 	id := PinID(len(d.Pins))
 	d.Pins = append(d.Pins, Pin{Name: name, Cell: NoCell, Net: NoNet, Dir: dir})
-	d.pinByName[name] = id
+	d.namePin(name, id)
 	if dir == Input {
 		d.PortIns = append(d.PortIns, id)
 	} else {
@@ -184,10 +197,21 @@ func (d *Design) CellByName(name string) (CellID, bool) {
 }
 
 // CellPin returns cell c's pin whose local (post-slash) name is pinName, or
-// NoPin when absent.
+// NoPin when absent: the pin PinByName resolves "<cell>/<pinName>" to. While
+// no two pins or ports have shared a name, that is the one of c's own pins
+// with that full name, so c's pins are scanned for it without building the
+// name; a miss, or a design where a name was reused, asks the map.
 func (d *Design) CellPin(c CellID, pinName string) PinID {
-	full := d.Cells[c].Name + "/" + pinName
-	if id, ok := d.pinByName[full]; ok {
+	cell := d.Cells[c].Name
+	if !d.reusedPinName {
+		for _, p := range d.Cells[c].Pins {
+			if n := d.Pins[p].Name; len(n) == len(cell)+1+len(pinName) &&
+				n[len(cell)+1:] == pinName && n[len(cell)] == '/' && n[:len(cell)] == cell {
+				return p
+			}
+		}
+	}
+	if id, ok := d.pinByName[cell+"/"+pinName]; ok {
 		return id
 	}
 	return NoPin

@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -218,5 +219,62 @@ func TestClockTreeSinks(t *testing.T) {
 	cp, _ := d.PinByName("u2/CP")
 	if _, ok := d.Clock.SinkOf(cp); !ok {
 		t.Error("SinkOf(u2/CP) missing")
+	}
+}
+
+// TestCellPinIsTheNameLookup holds CellPin, which scans the cell's pins, to
+// what PinByName answers for "<cell>/<pin>" — the last pin or port given a
+// name winning — for every cell and every local name any pin of the design
+// has, plus one no pin has: on a design whose names never repeat, then after
+// each of the ways a full name can be taken twice (two cells of one name, a
+// slash in a cell or pin name, a port named like a cell pin, one pin name
+// added twice to a cell).
+func TestCellPinIsTheNameLookup(t *testing.T) {
+	d := New("names")
+	for i := 0; i < 40; i++ {
+		c := d.AddCell(fmt.Sprintf("u%d", i), 0, false)
+		for _, p := range []string{"A", "B", "Y"}[:1+i%3] {
+			d.AddPin(c, p, Input, false)
+		}
+	}
+	d.AddPort("in0", Input)
+	check := func(what string) {
+		t.Helper()
+		locals := map[string]bool{"none": true}
+		for p := range d.Pins {
+			locals[d.LocalPinName(PinID(p))] = true
+			if i := strings.LastIndexByte(d.Pins[p].Name, '/'); i >= 0 {
+				locals[d.Pins[p].Name[i+1:]] = true
+			}
+		}
+		for c := range d.Cells {
+			for l := range locals {
+				want, ok := d.PinByName(d.Cells[c].Name + "/" + l)
+				if !ok {
+					want = NoPin
+				}
+				if got := d.CellPin(CellID(c), l); got != want {
+					t.Fatalf("%s: CellPin(%s, %q) = %d, the name lookup says %d", what, d.Cells[c].Name, l, got, want)
+				}
+			}
+		}
+	}
+	check("unique names")
+	steps := []struct {
+		what string
+		add  func()
+	}{
+		{"a port named like a cell pin", func() { d.AddPort("u3/Q", Output) }},
+		{"a slash in a pin name", func() { d.AddPin(d.AddCell("w", 0, false), "x/A", Input, false) }},
+		{"a slash in a cell name", func() { d.AddPin(d.AddCell("w/x", 0, false), "A", Input, false) }},
+		{"two cells of one name", func() { d.AddPin(d.AddCell("u5", 0, false), "A", Input, false) }},
+		{"one pin name added twice", func() { d.AddPin(7, "A", Output, false) }},
+	}
+	for _, s := range steps {
+		s.add()
+		check(s.what)
+	}
+	if !d.reusedPinName {
+		t.Fatal("no step reused a pin name: the map path went untested")
 	}
 }

@@ -81,6 +81,34 @@ type ExceptionTable struct {
 	// anyFrom/anyTo handle exceptions with an open side.
 	fromAny map[netlist.PinID]Adjust // -to only
 	toAny   map[netlist.PinID]Adjust // -from only
+	// from and to flag every pin some exception names on that side: every
+	// key of pairs and fromAny has its startpoint in from, every key of
+	// pairs and toAny its endpoint in to. A pair neither flags — almost every
+	// pair a slack walk visits — is answered without touching the maps.
+	from, to pinSet
+}
+
+// pinSet is a dense bit per pin id, sized to the largest id set.
+type pinSet []uint64
+
+func (s *pinSet) add(p netlist.PinID) {
+	if p < 0 {
+		return // has answers "maybe" for every negative id
+	}
+	i := int(p >> 6)
+	if i >= len(*s) {
+		*s = append(*s, make(pinSet, i+1-len(*s))...)
+	}
+	(*s)[i] |= 1 << (uint(p) & 63)
+}
+
+// has reports whether p may be named: false only for an id add never saw.
+func (s pinSet) has(p netlist.PinID) bool {
+	if p < 0 {
+		return true
+	}
+	i := int(p >> 6)
+	return i < len(s) && s[i]&(1<<(uint(p)&63)) != 0
 }
 
 func pairKey(sp, ep netlist.PinID) uint64 {
@@ -117,15 +145,19 @@ func (c *Constraints) Compile() (*ExceptionTable, error) {
 			return nil, fmt.Errorf("sdc: exception %d has neither -from nor -to", i)
 		case len(e.From) == 0:
 			for _, ep := range e.To {
+				t.to.add(ep)
 				t.toAny[ep] = merge(t.toAny[ep], e)
 			}
 		case len(e.To) == 0:
 			for _, sp := range e.From {
+				t.from.add(sp)
 				t.fromAny[sp] = merge(t.fromAny[sp], e)
 			}
 		default:
 			for _, sp := range e.From {
+				t.from.add(sp)
 				for _, ep := range e.To {
+					t.to.add(ep)
 					k := pairKey(sp, ep)
 					t.pairs[k] = merge(t.pairs[k], e)
 				}
@@ -139,19 +171,29 @@ func (c *Constraints) Compile() (*ExceptionTable, error) {
 // Adjust (False=false, Cycles=0) means "no exception"; callers should treat
 // Cycles == 0 as a single-cycle check.
 func (t *ExceptionTable) Lookup(sp, ep netlist.PinID) Adjust {
-	out := t.pairs[pairKey(sp, ep)]
-	if a, ok := t.fromAny[sp]; ok {
-		out.False = out.False || a.False
-		if a.Cycles > out.Cycles {
-			out.Cycles = a.Cycles
+	var out Adjust
+	inFrom, inTo := t.from.has(sp), t.to.has(ep)
+	if inFrom && inTo {
+		out = t.pairs[pairKey(sp, ep)]
+	}
+	if inFrom {
+		if a, ok := t.fromAny[sp]; ok {
+			out = out.with(a)
 		}
 	}
-	if a, ok := t.toAny[ep]; ok {
-		out.False = out.False || a.False
-		if a.Cycles > out.Cycles {
-			out.Cycles = a.Cycles
+	if inTo {
+		if a, ok := t.toAny[ep]; ok {
+			out = out.with(a)
 		}
 	}
+	return out
+}
+
+// with combines a into out: a false path stays false, the larger cycle count
+// wins.
+func (out Adjust) with(a Adjust) Adjust {
+	out.False = out.False || a.False
+	out.Cycles = max(out.Cycles, a.Cycles)
 	return out
 }
 

@@ -1,6 +1,8 @@
 package sdc
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"insta/internal/netlist"
@@ -114,5 +116,53 @@ func TestEmpty(t *testing.T) {
 func TestKindString(t *testing.T) {
 	if FalsePath.String() != "false_path" || Multicycle.String() != "multicycle" {
 		t.Error("ExceptionKind.String misbehaves")
+	}
+}
+
+// TestLookupMatchesExceptionList holds Lookup, which answers most pairs from
+// its per-pin flags alone, to the exception list read directly, on every pair
+// of a small pin range — the negative ids, which the flags cannot hold, and
+// ids past the largest one named included — over random tables of pair,
+// -from-only and -to-only exceptions.
+func TestLookupMatchesExceptionList(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	pins := func() []netlist.PinID {
+		var out []netlist.PinID
+		for n := rng.Intn(3); len(out) < n; {
+			out = append(out, netlist.PinID(rng.Intn(140)-4))
+		}
+		return out
+	}
+	for trial := 0; trial < 200; trial++ {
+		c := New(Clock{})
+		for n := rng.Intn(6); len(c.Exceptions) < n; {
+			e := Exception{Kind: FalsePath, From: pins(), To: pins()}
+			if rng.Intn(2) == 0 {
+				e.Kind, e.Cycles = Multicycle, 1+rng.Intn(4)
+			}
+			if len(e.From)+len(e.To) > 0 {
+				c.Exceptions = append(c.Exceptions, e)
+			}
+		}
+		tab, err := c.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sp := netlist.PinID(-5); sp < 200; sp++ {
+			for ep := netlist.PinID(-5); ep < 200; ep++ {
+				var want Adjust
+				for _, e := range c.Exceptions {
+					if (len(e.From) == 0 || slices.Contains(e.From, sp)) && (len(e.To) == 0 || slices.Contains(e.To, ep)) {
+						want.False = want.False || e.Kind == FalsePath
+						if e.Kind == Multicycle {
+							want.Cycles = max(want.Cycles, e.Cycles)
+						}
+					}
+				}
+				if got := tab.Lookup(sp, ep); got != want {
+					t.Fatalf("trial %d: Lookup(%d, %d) = %+v, the exception list says %+v (%+v)", trial, sp, ep, got, want, c.Exceptions)
+				}
+			}
+		}
 	}
 }

@@ -37,6 +37,14 @@ type sessionAudit struct {
 	walks int     // endpoint walks, over all lanes
 	tag   string  // the step being audited
 	base  [][]float64
+	// The hold audit's counterparts: the endpoints walked at every hold
+	// audit, per lane whether an audited hold slack differed from the boot
+	// base's, how many hold walks ran, and the committed and boot hold slacks.
+	fixedHold []int32
+	holdMoved []bool
+	holdWalks int
+	baseHold  [][]float64
+	boot      [][]float64
 	// seen is, per session, every endpoint it has differed from the base at
 	// since it last committed or rolled back: a view that loses a delta shows
 	// the base slack there, and the walk does not.
@@ -93,6 +101,44 @@ func (a *sessionAudit) check(st *core.State, delay exact.Delay, view [][]float64
 	}
 }
 
+// holdViews copies every lane of e's hold slacks.
+func holdViews(e *core.Engine) [][]float64 {
+	out := make([][]float64, e.Lanes())
+	for l := range out {
+		out[l] = slices.Clone(e.LaneHoldSlacks(l))
+	}
+	return out
+}
+
+// checkHold walks, in every lane, endpoints eps and the fixed hold ones over
+// state st — hold checks and all — and nominal arc delays delay, and fails
+// where a walked hold slack is not hold's bit for bit.
+func (a *sessionAudit) checkHold(st *core.State, delay exact.Delay, hold [][]float64, eps []int32) {
+	t := a.t
+	eps = slices.Clip(eps)
+	for _, ep := range a.fixedHold {
+		if !slices.Contains(eps, ep) {
+			eps = append(eps, ep)
+		}
+	}
+	w, err := exact.New(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l, scn := range a.m.Scenarios() {
+		res, _ := w.Walk(laneDelay(delay, st.ArcKind, scn), eps...)
+		for i, ep := range eps {
+			if got, want := res[i].Hold, hold[l][ep]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: lane %s, endpoint %d: exact hold slack %v, engine %v", a.tag, scn.Name, ep, got, want)
+			}
+			if hold[l][ep] != a.boot[l][ep] {
+				a.holdMoved[l] = true
+			}
+		}
+		a.holdWalks += len(eps)
+	}
+}
+
 // session reads s in every lane through its public read path, which rebases
 // it first, and audits what it read against the walker over the state the
 // session times: its working engine's, or the base's under its overlay. It
@@ -108,6 +154,8 @@ func (a *sessionAudit) session(s *Session) bool {
 	if s.work != nil {
 		e := s.work
 		a.check(e.ExportState(), e.ArcDelay, view, a.seen[s])
+		hold := holdViews(e)
+		a.checkHold(e.ExportState(), e.ArcDelay, hold, changed(nil, hold, a.baseHold))
 	} else {
 		a.check(a.m.eng.ExportState(), s.ov.ArcDelay, view, a.seen[s])
 	}
@@ -125,8 +173,11 @@ func (a *sessionAudit) session(s *Session) bool {
 // read in every lane and walked at the endpoints it has moved since it last
 // committed or rolled back (up to 64) plus the 16 worst at the start, over the state it times and the arc delays of its overlay or
 // working engine, times the lane's factors; after every commit the base is
-// walked at the endpoints the commit moved. Setup slacks only: the walks skip
-// hold.
+// walked at the endpoints the commit moved. The engine runs with hold on, and
+// hold slacks are walked too: a working engine's after every step of its
+// session, at the endpoints where they differ from the committed base's (up
+// to 64) plus the 16 worst at the start, and the base's after every commit,
+// at the endpoints the commit moved plus the same 16.
 func TestSessionsAuditExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("walks every session view of a 64-step script")
@@ -142,7 +193,7 @@ func TestSessionsAuditExact(t *testing.T) {
 
 func auditScript(t *testing.T, spec bench.Spec, workers int) {
 	ref, tab := buildTables(t, spec)
-	e, err := core.NewEngineScenarios(tab, core.DefaultScenarios(), core.Options{TopK: 128, Workers: workers})
+	e, err := core.NewEngineScenarios(tab, core.DefaultScenarios(), core.Options{TopK: 128, Workers: workers, Hold: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,17 +201,21 @@ func auditScript(t *testing.T, spec bench.Spec, workers int) {
 	m := NewManager(e, ref, Options{})
 	defer m.Close()
 	m.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
-	a := &sessionAudit{t: t, m: m, moved: make([]bool, e.Lanes()), seen: map[*Session][]int32{}}
+	a := &sessionAudit{t: t, m: m, moved: make([]bool, e.Lanes()), holdMoved: make([]bool, e.Lanes()), seen: map[*Session][]int32{}}
 	if a.base, err = laneViews(m.Scenarios(), m.BaseScenarioSlacks); err != nil {
 		t.Fatal(err)
 	}
-	nom := a.base[m.nom]
-	order := make([]int32, len(nom))
-	for i := range order {
-		order[i] = int32(i)
+	a.baseHold = holdViews(m.eng)
+	a.boot = a.baseHold
+	worst := func(slacks []float64) []int32 {
+		order := make([]int32, len(slacks))
+		for i := range order {
+			order[i] = int32(i)
+		}
+		slices.SortStableFunc(order, func(x, y int32) int { return cmp.Compare(slacks[x], slacks[y]) })
+		return order[:16]
 	}
-	slices.SortStableFunc(order, func(x, y int32) int { return cmp.Compare(nom[x], nom[y]) })
-	a.fixed = order[:16]
+	a.fixed, a.fixedHold = worst(a.base[m.nom]), worst(a.baseHold[m.nom])
 	rng := rand.New(rand.NewSource(38))
 
 	var sess [2]*Session
@@ -281,6 +336,9 @@ func auditScript(t *testing.T, spec bench.Spec, workers int) {
 					t.Fatal(err)
 				}
 				a.check(m.eng.ExportState(), m.eng.ArcDelay, a.base, changed(nil, a.base, before))
+				hold := holdViews(m.eng)
+				a.checkHold(m.eng.ExportState(), m.eng.ArcDelay, hold, changed(nil, hold, a.baseHold))
+				a.baseHold = hold
 				delete(a.seen, s)
 				if structural {
 					structEpoch = m.epoch
@@ -335,8 +393,11 @@ func auditScript(t *testing.T, spec bench.Spec, workers int) {
 		if !moved {
 			t.Fatalf("no audited endpoint moved in lane %s", m.Scenarios()[l].Name)
 		}
+		if !a.holdMoved[l] {
+			t.Fatalf("no audited hold slack moved in lane %s", m.Scenarios()[l].Name)
+		}
 	}
-	t.Logf("steps %v, %d endpoint walks", counts, a.walks)
+	t.Logf("steps %v, %d endpoint walks, %d hold walks", counts, a.walks, a.holdWalks)
 }
 
 // derivedPin is core's rule for a pin that keeps no row: one unate fan-in

@@ -458,15 +458,18 @@ const MaxBodyBytes = 8 << 20
 var reqBodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // decodeBody reads a size-capped request body into a pooled buffer and
-// decodes its JSON into v, answering 413 for an oversized body and 400 for a
-// malformed one. It reports whether the handler should go on.
+// decodes its JSON into v — an ECO batch in one pass where decodeECO takes
+// it — answering 413 for an oversized body and 400 for a malformed one. It
+// reports whether the handler should go on.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	buf := reqBodyPool.Get().(*bytes.Buffer)
 	defer reqBodyPool.Put(buf)
 	buf.Reset()
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err == nil {
-		err = unmarshalFirst(buf.Bytes(), v)
+		if req, ok := v.(*ECORequest); !ok || !decodeECO(buf.Bytes(), req) {
+			err = unmarshalFirst(buf.Bytes(), v)
+		}
 	}
 	if err == nil {
 		return true
@@ -528,7 +531,7 @@ func (s *Server) handleECO(w http.ResponseWriter, r *http.Request, sess *Session
 		WriteError(w, errCode(err), err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, res)
+	s.writeECOResult(w, res)
 }
 
 // handleTopo applies one structural edit batch to the session (buffer

@@ -369,6 +369,13 @@ func (m *Manager) BaseViewInto(scenario string, dst []float64) (BaseView, error)
 	return v, nil
 }
 
+// numEndpoints returns the served design's endpoint count.
+func (m *Manager) numEndpoints() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return len(m.eng.Endpoints())
+}
+
 // Epoch returns the current base epoch (bumped on every commit), from its
 // lock-free mirror: callers stamp it on responses and telemetry, where taking
 // the base lock would queue them behind a long commit.

@@ -396,6 +396,11 @@ func Edit(e *core.Engine, ops []Op, inPlace bool) (*core.Engine, *Result, error)
 			seeds = append(seeds, cur.ArcFrom[ed.ID])
 		}
 	}
+	// In place, the patch rewrites e's own slabs: what Reseed would refuse
+	// is refused before it.
+	if err := e.CheckRowUnits(cur.NumPins + res.NewPins); err != nil {
+		return nil, nil, err
+	}
 	csp := sp.Child("topo-recompile")
 	st, inc, err := core.CompileIncrementalPatched(cur, res.Edits, res.NewPins, res.Seeds, inPlace)
 	csp.End()
