@@ -323,7 +323,8 @@ func BenchmarkInitialization(b *testing.B) {
 
 // BenchmarkAblation_Incremental* compares the paper's always-full-propagate
 // design against the CPU-oriented cone-limited incremental mode after one
-// estimate_eco batch (see internal/core/incremental.go).
+// estimate_eco batch: an overlay's cone preview, adopted by its commit (see
+// internal/core/incremental.go and overlay.go).
 func BenchmarkAblation_FullPropagateAfterECO(b *testing.B) {
 	s, batches := fig7Setup(b)
 	e := newInsta(b, s, 32, 0.01)
@@ -344,17 +345,14 @@ func BenchmarkAblation_IncrementalPropagateAfterECO(b *testing.B) {
 	e := newInsta(b, s, 32, 0.01)
 	e.Run()
 	deltas := ecoDeltas(b, s, batches[0])
-	arcs := make([]int32, len(deltas))
-	for i, dl := range deltas {
-		arcs[i] = dl.ArcID
-	}
+	o := core.NewOverlay(e)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, dl := range deltas {
-			e.SetArcDelay(dl.ArcID, 0, dl.Delay[0])
-			e.SetArcDelay(dl.ArcID, 1, dl.Delay[1])
+			o.SetArcDelay(dl.ArcID, 0, dl.Delay[0])
+			o.SetArcDelay(dl.ArcID, 1, dl.Delay[1])
 		}
-		e.PropagateIncremental(arcs)
+		o.Commit()
 	}
 }
 

@@ -5,9 +5,21 @@
 #                      over every package; and internal/batch, the shim the
 #                      frozen benchmark/ calls, has no other importer than
 #                      server/manager.go and snap/snap.go (its two
-#                      compatibility points)
+#                      compatibility points); and a session commit stays the
+#                      one writer of the served base: no Manager.Exclusive,
+#                      no exported PropagateIncremental
 #   2. go build      — everything compiles, including cmd/ and examples/
-#   3. go test       — full suite (unit + determinism + differential + the
+#   3. go test       — full suite (unit + determinism + differential + a
+#                      commit adopting its preview equal to a cold run
+#                      (TestCommitEqualsCold: the base's late and early
+#                      queues, setup and hold slacks and critical startpoints
+#                      after a commit over a current preview and one over a
+#                      preview rebased across another commit, S = 1 and 3,
+#                      hold on and off, Workers 1 and 4) and what a served
+#                      commit launches (TestCommitAdoptsPreview: over a
+#                      current preview no cone wave and a slack pass over
+#                      just its changed endpoints, over a stale one one
+#                      overlay wave) + the
 #                      four golden-digest files — core, refsta, topo and hier,
 #                      the last pinning extracted block models and the
 #                      flat-vs-composed comparison of three chip
@@ -127,7 +139,12 @@
 #                      equal design: cells, pins, nets, ports, clock nodes,
 #                      edges and positions bit for bit; the seeds are a
 #                      generated netlist, the garbage documents Read rejects
-#                      and one bad number per //insta: pragma field)
+#                      and one bad number per //insta: pragma field) and
+#                      FuzzLibertyRead (a Liberty document never panics
+#                      libertyio.Read, and a library it accepts writes back
+#                      through libertyio.Write and reads again to an equal
+#                      library; the seeds are synthetic cells with their
+#                      tables cut to 2×2 and a minimal one-cell document)
 #   4. go test -race — short-mode race check of the scheduler, and its kernel
 #                      panic containment twenty times over (a panic on a
 #                      helper or on the caller is raised on the caller after
@@ -207,6 +224,10 @@ if [ "$batch_importers" != "internal/server/manager.go internal/snap/snap.go " ]
 	echo "internal/batch is the benchmark's shim; outside benchmark/ only internal/server/manager.go and internal/snap/snap.go may import it, not: $batch_importers" >&2
 	exit 1
 fi
+if git grep --untracked -n -e 'func (m \*Manager) Exclusive' -e 'func (e \*Engine) PropagateIncremental' -- '*.go'; then
+	echo "a session commit is the one writer of the served base: Manager.Exclusive and an exported PropagateIncremental must stay gone" >&2
+	exit 1
+fi
 
 echo "== go build =="
 go build ./...
@@ -234,6 +255,8 @@ echo "== go test -fuzz FuzzReadSPEF (10s, SPEF text: no panic, accepted document
 go test ./internal/spef -run '^$' -fuzz FuzzReadSPEF -fuzztime 10s
 echo "== go test -fuzz FuzzReadVerilog (10s, structural Verilog: no panic, accepted documents round-trip) =="
 go test ./internal/vlog -run '^$' -fuzz FuzzReadVerilog -fuzztime 10s
+echo "== go test -fuzz FuzzLibertyRead (10s, Liberty text: no panic, accepted libraries round-trip) =="
+go test ./internal/libertyio -run '^$' -fuzz FuzzLibertyRead -fuzztime 10s
 
 echo "== go test -race (sched + levelize + refsta + core + topo + server + obs + snap + cmdutil + fleet + hier, short) =="
 go test -race -short ./internal/sched/... ./internal/levelize/... ./internal/refsta/... ./internal/core/... ./internal/topo/... ./internal/server/... ./internal/obs/... ./internal/snap/... ./internal/cmdutil/... ./internal/fleet/... ./internal/hier/...

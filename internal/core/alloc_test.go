@@ -1,10 +1,10 @@
 package core
 
 // Allocation-discipline unit tests (DESIGN.md §12): the serving hot paths —
-// an overlay ECO preview over a warm cone and an incremental forward
-// re-propagation — must settle at zero heap allocations per operation once
-// their scratch and freelists are populated, and the full passes (forward,
-// slack, backward) must launch their levels without allocating. These run on the small
+// an overlay ECO preview over a warm cone and its commit into the base — must
+// settle at zero heap allocations per operation once their scratch and
+// freelists are populated, and the full passes (forward, slack, backward)
+// must launch their levels without allocating. These run on the small
 // generated test design so they stay in the fast tier-1 set; the benchmark's
 // allocs_per_op and core.kernel_allocs_per_run read the same paths on block-1.
 
@@ -49,26 +49,28 @@ func TestIncrementalPropagateAllocFree(t *testing.T) {
 			e.Run()
 
 			// Two alternating annotations so every measured op walks a real
-			// changed cone instead of converging at the first level.
+			// changed cone instead of converging at the first level: annotate,
+			// preview and commit on one overlay, whose storage the commit keeps.
 			arc := int32(3)
-			arcs := []int32{arc}
 			d0 := e.ArcDelay(arc, 0)
 			d1 := d0
 			d1.Mean *= 1.3
 			flip := false
+			o := NewOverlay(e)
 			reprop := func() {
 				d := d0
 				if flip {
 					d = d1
 				}
 				flip = !flip
-				e.SetArcDelay(arc, 0, d)
-				e.PropagateIncremental(arcs)
+				o.SetArcDelay(arc, 0, d)
+				o.Propagate()
+				o.Commit()
 			}
 			reprop()
 			reprop() // warm both cone shapes
 			if a := testing.AllocsPerRun(20, reprop); a > allocEps {
-				t.Errorf("warm incremental re-prop: %.1f allocs/op, want 0", a)
+				t.Errorf("warm annotate-preview-commit: %.1f allocs/op, want 0", a)
 			}
 		})
 	}

@@ -407,6 +407,8 @@ func TestRunIdempotent(t *testing.T) {
 	}
 }
 
+// TestPropagateIncrementalMatchesFull: a commit propagates only the fan-out
+// cone of the arcs it annotates, and lands where a full propagation would.
 func TestPropagateIncrementalMatchesFull(t *testing.T) {
 	h := buildHarness(t, testSpec(61))
 	e, err := NewEngine(h.tab, Options{TopK: 6, Workers: 1})
@@ -415,21 +417,20 @@ func TestPropagateIncrementalMatchesFull(t *testing.T) {
 	}
 	e.Run()
 
-	// Perturb a scattered set of arcs, run incrementally, and compare to a
-	// from-scratch full propagation on a twin engine.
+	// Perturb a scattered set of arcs, commit them through an overlay, and
+	// compare to a from-scratch full propagation on a twin engine.
 	twin, _ := NewEngine(h.tab, Options{TopK: 6, Workers: 1})
-	var touched []int32
+	o := NewOverlay(e)
 	for arc := int32(3); arc < int32(e.NumArcs()); arc += 97 {
 		for rf := 0; rf < 2; rf++ {
 			d := e.ArcDelay(arc, rf)
 			d.Mean *= 1.1
 			d.Std *= 1.05
-			e.SetArcDelay(arc, rf, d)
+			o.SetArcDelay(arc, rf, d)
 			twin.SetArcDelay(arc, rf, d)
 		}
-		touched = append(touched, arc)
 	}
-	e.PropagateIncremental(touched)
+	o.Commit()
 	got := e.EvalSlacks()
 	want := twin.Run()
 	for i := range want {
@@ -439,6 +440,8 @@ func TestPropagateIncrementalMatchesFull(t *testing.T) {
 	}
 }
 
+// TestPropagateIncrementalWithHold: a commit on a hold engine retimes the
+// early view over the same cone.
 func TestPropagateIncrementalWithHold(t *testing.T) {
 	h := holdHarness(t, 62)
 	e, err := NewEngine(h.tab, Options{TopK: 4, Hold: true, Workers: 1})
@@ -448,13 +451,14 @@ func TestPropagateIncrementalWithHold(t *testing.T) {
 	e.Run()
 	twin, _ := NewEngine(h.tab, Options{TopK: 4, Hold: true, Workers: 1})
 	arc := int32(7)
+	o := NewOverlay(e)
 	for rf := 0; rf < 2; rf++ {
 		d := e.ArcDelay(arc, rf)
 		d.Mean += 15
-		e.SetArcDelay(arc, rf, d)
+		o.SetArcDelay(arc, rf, d)
 		twin.SetArcDelay(arc, rf, d)
 	}
-	e.PropagateIncremental([]int32{arc})
+	o.Commit()
 	gotSetup := e.EvalSlacks()
 	gotHold := e.EvalHoldSlacks()
 	twin.Run()
@@ -470,11 +474,12 @@ func TestPropagateIncrementalWithHold(t *testing.T) {
 	}
 }
 
+// TestPropagateIncrementalEmpty: committing an empty overlay changes nothing.
 func TestPropagateIncrementalEmpty(t *testing.T) {
 	h := buildHarness(t, testSpec(63))
 	e, _ := NewEngine(h.tab, Options{TopK: 4, Workers: 1})
 	before := append([]float64(nil), e.Run()...)
-	e.PropagateIncremental(nil)
+	NewOverlay(e).Commit()
 	after := e.EvalSlacks()
 	for i := range before {
 		if before[i] != after[i] {

@@ -187,8 +187,8 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestIncrementalDeterministicAcrossWorkerCounts covers the fourth migrated
-// pass: after a batch of re-annotations, PropagateIncremental must land on
-// the same bits for any worker count (and agree with a full Propagate).
+// pass: after a batch of re-annotations, an overlay's commit must land on the
+// same bits for any worker count (and agree with a full Propagate).
 func TestIncrementalDeterministicAcrossWorkerCounts(t *testing.T) {
 	spec, err := bench.IWLSSpec("des")
 	if err != nil {
@@ -211,18 +211,16 @@ func TestIncrementalDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 		e.Run()
 		// Perturb a scattered set of arcs so the wavefront covers many levels.
-		var touched []int32
+		o := NewOverlay(e)
 		for arc := int32(3); arc < int32(e.NumArcs()); arc += 61 {
 			for rf := 0; rf < 2; rf++ {
 				d := e.ArcDelay(arc, rf)
 				d.Mean *= 1.15
 				d.Std *= 1.05
-				e.SetArcDelay(arc, rf, d)
+				o.SetArcDelay(arc, rf, d)
 			}
-			touched = append(touched, arc)
 		}
-		e.PropagateIncremental(touched)
-		e.EvalSlacks()
+		o.Commit()
 		return captureState(e)
 	}
 

@@ -148,6 +148,7 @@ type Engine struct {
 		pins    []int32         // the launched level's pins (level, backward)
 		lo, hi  int             // the launched group's levels (fused)
 		lane    int             // lane a backward pass differentiates
+		eps     []int32         // endpoints a slack pass evaluates (nil: every one)
 	}
 }
 
@@ -285,6 +286,15 @@ func (s *propScratch) push(level []int32, p int32) {
 	if s.queuedAt[p] != s.stamp {
 		s.queuedAt[p] = s.stamp
 		s.buckets[level[p]] = append(s.buckets[level[p]], p)
+	}
+}
+
+// seedArcs enqueues the destination of every arc in arcs that is not dead.
+func (s *propScratch) seedArcs(e *Engine, arcs []int32) {
+	for _, a := range arcs {
+		if to := e.st.ArcTo[a]; !e.rows[to].dead {
+			s.push(e.st.LvLevel, to)
+		}
 	}
 }
 

@@ -7,39 +7,29 @@ package core
 // fan-out cone of the touched arcs can change — in any lane — so
 // re-processing that cone level by level and stopping wavefronts whose queues
 // converge in every lane is much cheaper. This file holds that one cone wave
-// and the engine's in-place entry to it — what a commit and a structural
-// reseed run on the base tensors; an Overlay (overlay.go) runs the same wave
-// over its shadowed view to price a what-if without touching them.
+// and the engine's in-place entry to it, which a structural reseed and a hold
+// engine's commit run on the base tensors; an Overlay (overlay.go) runs the
+// same wave over its shadowed view, and a commit adopts what it computed.
 
-// PropagateIncremental re-propagates only the fan-out cone of the given
-// arcs, assuming every other annotation is unchanged since the last
-// Propagate. A wavefront stops at pins whose Top-K queues come out
-// identical. Hold queues, when enabled, are updated over the same cone.
-//
-// Callers batching SetArcDelay updates pass the touched arc ids here instead
-// of calling Propagate.
-func (e *Engine) PropagateIncremental(arcs []int32) {
-	if len(arcs) == 0 {
-		return
-	}
+// propagateIncremental re-propagates only the fan-out cone of the given arcs
+// in place, assuming every other annotation is unchanged since the last
+// Propagate. A wavefront stops at pins whose Top-K queues come out identical.
+// Hold queues, when enabled, are updated over the same cone. Its one caller,
+// a hold engine's commit, has adopted the late rows already.
+func (e *Engine) propagateIncremental(arcs []int32) {
 	sp := e.opt.Tracer.StartArg(kIncremental, "arcs", int64(len(arcs)))
 	defer sp.End()
 	sc := e.incScratch()
-	for _, a := range arcs {
-		if to := e.st.ArcTo[a]; !e.rows[to].dead {
-			sc.push(e.st.LvLevel, to)
-		}
-	}
+	sc.seedArcs(e, arcs)
 	e.coneWave(kIncremental, sc)
 }
 
 // incScratch returns the engine's reset wave scratch, which updates its late
-// view and — with hold on — its early one in place. All wavefront state lives
-// in engine-owned scratch: incremental propagation mutates base tensors, so
-// calls are exclusive and the scratch is reused allocation-free across calls
-// (the serving layer's commit path runs thousands of these). Each view
-// rebuilds the pin into the participant's merge scratch (region waveRegion)
-// and, when it changed, copies that back over the row.
+// view and — with hold on — its early one in place. The wave mutates base
+// tensors, so calls are exclusive and the scratch is the engine's, reused
+// allocation-free. Each view rebuilds the pin into the participant's merge
+// scratch (region waveRegion) and, when it changed, copies that back over the
+// row.
 func (e *Engine) incScratch() *propScratch {
 	if e.inc == nil {
 		e.inc = e.newPropScratch(func(_ int, p int32, ms *mergeScratch) bool {
@@ -69,9 +59,9 @@ func (e *Engine) incScratch() *propScratch {
 // Pins that come out identical stop their wavefront; a derived pin always
 // passes it on to its one child, which replays it; a dead pin never enters a
 // bucket — no caller seeds one, and the wave stops at it. The wave holds one set of
-// the engine's merge scratch while it runs. Its three callers — a commit
-// (PropagateIncremental), a structural Reseed and an Overlay's preview —
-// differ only in the hooks.
+// the engine's merge scratch while it runs. Its three callers — a hold
+// engine's commit (propagateIncremental), a structural Reseed and an
+// Overlay's preview — differ only in the hooks.
 func (e *Engine) coneWave(tag string, sc *propScratch) {
 	st := e.st
 	sc.scratch = e.borrowScratch()

@@ -12,17 +12,15 @@ package core
 //
 //   - an arc-delay overlay (the re-annotated arcs),
 //   - a pin-queue overlay covering exactly the fan-out cone the deltas
-//     reached before the wavefront converged (the same equality-stop as
-//     PropagateIncremental), and
+//     reached before the wavefront converged (incremental.go), and
 //   - the slacks of endpoints inside that cone.
 //
 // Reads fall through to the base engine wherever the overlay has no entry,
 // so N concurrent sessions cost O(Σ cone sizes), not N engine clones. The
-// overlay never writes base state; Commit folds the arc deltas back into the
-// base with a regular incremental propagation, which makes the committed
-// state bit-identical to the overlay's preview: the overlay *is* the engine's
-// late view (view.go) with those deltas shadowing it, and both run the one
-// cone wave, the one recompute and the one slack walk over it.
+// overlay writes no base state until Commit adopts the preview, which is
+// bit-identical to a full propagation: the overlay *is* the engine's late view
+// (view.go) with the deltas shadowing it, run through the one cone wave, the
+// one recompute and the one slack walk.
 //
 // Concurrency contract: an Overlay itself is single-threaded (the serving
 // layer serializes per-session), but any number of overlays may evaluate in
@@ -199,10 +197,14 @@ func (o *Overlay) bindBucket(bucket []int32) {
 
 // rebuildPin is the wave's rebuild hook: pin p = bucket[i] into its fresh row.
 func (o *Overlay) rebuildPin(i int, p int32, ms *mergeScratch) bool {
-	t := o.fresh[i]
+	return o.rebuild(1, p, ms, o.shadowRow(p, o.fresh[i]))
+}
+
+// shadowRow is stored pin p's row in the shadow row slot entry t > 0 names.
+func (o *Overlay) shadowRow(p, t int32) rowRef {
 	q, b0 := o.shadow(0, t)
 	_, b1 := o.shadow(1, t)
-	return o.rebuild(1, p, ms, rowRef{q, [2]int{b0, b1}, int(o.e.rows[p].k)})
+	return rowRef{q, [2]int{b0, b1}, int(o.e.rows[p].k)}
 }
 
 // settlePin is the wave's settle hook. The level's kernel has returned, so pin
@@ -281,11 +283,7 @@ func (o *Overlay) Propagate() {
 		o.bindIndex()
 	}
 	o.scratch.reset()
-	for _, a := range arcs {
-		if to := e.st.ArcTo[a]; !e.rows[to].dead {
-			o.scratch.push(e.st.LvLevel, to)
-		}
-	}
+	o.scratch.seedArcs(e, arcs)
 	// The rows the wave takes are counted even if it panics, so that a Reset
 	// of the abandoned overlay gives back exactly what it holds.
 	was := o.rowsInUse()
@@ -397,11 +395,6 @@ func (o *Overlay) ChangedEndpoints() []int32 {
 // Propagate, Reset or Rebase. Callers must not mutate or retain it.
 func (o *Overlay) ChangedEndpointsView() []int32 { return o.changedEPs }
 
-// TouchedArcs returns the overlaid arc ids in first-annotation order.
-func (o *Overlay) TouchedArcs() []int32 {
-	return append([]int32(nil), o.touched...)
-}
-
 // OverlayStats summarizes the overlay's sparse footprint.
 type OverlayStats struct {
 	TouchedArcs int // arcs re-annotated
@@ -506,16 +499,19 @@ func (o *Overlay) Rebase(e *Engine) {
 	}
 }
 
-// Commit folds the overlay's arc deltas into the base engine, re-propagates
-// the affected cone incrementally in every lane, re-evaluates every endpoint
-// slack, and resets the overlay. The caller must hold exclusive access to the base
-// engine (no concurrent overlay may be evaluating). The resulting base state
-// is bit-identical to a full Propagate + EvalSlacks under the same
-// annotations, by the incremental-propagation guarantee.
+// Commit adopts the overlay's preview (a pending batch is propagated first)
+// into the base engine and resets the overlay: the arc deltas, each rebuilt
+// stored pin's shadow row, and the changed endpoints' slacks, critical
+// startpoints and transitions in every lane from the engine's own slack walk.
+// With hold on, the in-place wave then retimes the early view, which
+// overlays do not preview, and every hold slack. The caller holds the base
+// exclusively and has rebased the overlay onto any change of it; the base is
+// then bit-identical to a full Run.
 func (o *Overlay) Commit() {
 	if len(o.touched) == 0 {
 		return
 	}
+	o.Propagate()
 	e := o.e
 	sp := e.opt.Tracer.StartArg("overlay-commit", "arcs", int64(len(o.touched)))
 	defer sp.End()
@@ -524,9 +520,14 @@ func (o *Overlay) Commit() {
 			e.SetArcDelay(arc, rf, o.arcDist[i][rf])
 		}
 	}
-	e.PropagateIncremental(o.touched)
-	e.RefreshSlacks()
+	for _, p := range o.shadowed {
+		if t := o.slot[p]; t > 0 {
+			e.top.row(p).store(o.shadowRow(p, t), e.rowSlots(p))
+		}
+	}
+	e.refreshSlacks(len(o.changedEPs), o.changedEPs)
 	if e.hold != nil {
+		e.propagateIncremental(o.touched)
 		e.RefreshHoldSlacks()
 	}
 	o.Reset()

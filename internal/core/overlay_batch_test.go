@@ -58,7 +58,7 @@ func TestOverlayLargeBatchAnnotates(t *testing.T) {
 	if best > 100*time.Millisecond {
 		t.Errorf("annotating %d arcs took %v, want well under 100ms", batch, best)
 	}
-	if got := len(o.TouchedArcs()); got != batch {
+	if got := o.Stats().TouchedArcs; got != batch {
 		t.Fatalf("touched %d arcs, want %d", got, batch)
 	}
 

@@ -166,16 +166,11 @@ func TestPackedTailInvariant(t *testing.T) {
 				e.Propagate() // over rows that now hold a previous pass
 				assertEnginePacked(t, "second Propagate", e)
 
-				moved := perturb(e, 2, 29, 1.3, 1.2)
-				applyToEngine(e, moved)
-				var arcs []int32
-				for arc := range moved {
-					arcs = append(arcs, arc)
-				}
-				e.PropagateIncremental(arcs)
-				assertEnginePacked(t, "PropagateIncremental", e)
-
 				o := NewOverlay(e)
+				applyToOverlay(o, perturb(e, 2, 29, 1.3, 1.2))
+				o.Commit()
+				assertEnginePacked(t, "first overlay commit", e)
+
 				deltas := perturb(e, 5, 23, 0.7, 0.9)
 				applyToOverlay(o, deltas)
 				if o.Stats().OverlayPins == 0 {

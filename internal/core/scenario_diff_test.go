@@ -228,17 +228,18 @@ func TestBatchIncrementalMatchesFullPropagate(t *testing.T) {
 	defer inc.Close()
 	runScenarios(inc)
 
-	// Perturb a spread of arcs in nominal units.
+	// Perturb a spread of arcs in nominal units, and commit them: the commit
+	// adopts the late preview and retimes the early view, refreshing the
+	// slacks of both.
 	touched := []int32{0, int32(inc.NumArcs() / 3), int32(inc.NumArcs() / 2), int32(inc.NumArcs() - 1)}
+	o := NewOverlay(inc)
 	for _, a := range touched {
 		for rf := 0; rf < 2; rf++ {
 			d := inc.ArcDelay(a, rf)
-			inc.SetArcDelay(a, rf, num.Dist{Mean: d.Mean*1.2 + 1, Std: d.Std * 1.1})
+			o.SetArcDelay(a, rf, num.Dist{Mean: d.Mean*1.2 + 1, Std: d.Std * 1.1})
 		}
 	}
-	inc.PropagateIncremental(touched)
-	inc.RefreshSlacks()
-	inc.RefreshHoldSlacks()
+	o.Commit()
 
 	full, err := NewEngineScenarios(tab, diffScenarios, opt)
 	if err != nil {

@@ -14,22 +14,30 @@ func (e *Engine) EvalSlacks() []float64 {
 }
 
 // RefreshSlacks is EvalSlacks without the defensive copy: it refreshes the
-// cached slacks of every lane in place. Zero-alloc paths (incremental commit,
-// serving, multi-lane callers) call this and read the cache through
-// LaneSlacks.
-func (e *Engine) RefreshSlacks() {
-	sp := e.opt.Tracer.StartArg(kSlack, "endpoints", int64(len(e.st.EpPin)))
+// cached slacks of every lane in place (read them through LaneSlacks).
+func (e *Engine) RefreshSlacks() { e.refreshSlacks(len(e.st.EpPin), nil) }
+
+// refreshSlacks re-evaluates n endpoints in every lane: eps[:n], or endpoints
+// 0..n-1 when eps is nil.
+func (e *Engine) refreshSlacks(n int, eps []int32) {
+	sp := e.opt.Tracer.StartArg(kSlack, "endpoints", int64(n))
 	defer sp.End()
-	e.pool.RunIndexed(kSlack, -1, len(e.st.EpPin), e.kern.slack)
+	e.run.eps = eps
+	e.pool.RunIndexed(kSlack, -1, n, e.kern.slack)
+	e.run.eps = nil
 }
 
-// slackKernel evaluates endpoints [lo, hi) in every lane.
+// slackKernel evaluates endpoints [lo, hi) of the pass in every lane.
 func (e *Engine) slackKernel(_, lo, hi int) {
 	nEP := len(e.st.EpPin)
 	for i := lo; i < hi; i++ {
+		ep := int32(i)
+		if e.run.eps != nil {
+			ep = e.run.eps[i]
+		}
 		for s := range e.scns {
-			j := s*nEP + i
-			e.epSlack[j], e.epSP[j], e.epRF[j] = e.top.setupSlack(s, int32(i), e.opt.TopK)
+			j := s*nEP + int(ep)
+			e.epSlack[j], e.epSP[j], e.epRF[j] = e.top.setupSlack(s, ep, e.opt.TopK)
 		}
 	}
 }

@@ -60,7 +60,7 @@ func TestDrainInFlightCompletes(t *testing.T) {
 	release := make(chan struct{})
 	exclDone := make(chan struct{})
 	go func() {
-		mgr.Exclusive(func() {
+		server.HoldBaseWriteLock(mgr, func() {
 			close(entered)
 			<-release
 		})

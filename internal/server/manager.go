@@ -16,14 +16,13 @@
 // snapshot. Session evaluations only read it (their writes land in private
 // overlays), so they run under the manager's read lock — fully parallel
 // across sessions, serialized per session by the session's own mutex.
-// Anything that mutates the base — a session commit, a gradient pass, an
-// Exclusive caller — takes the write lock, draining every in-flight
-// evaluation first. Commits bump an epoch; a session created against an
-// older epoch transparently rebases (re-derives its overlay against the new
-// base, keeping its recorded arc deltas) on its next use, which gives every
-// session sequential-application semantics: committing N sessions in any
-// order lands the same state as applying their delta batches one after
-// another.
+// A session commit (the one writer of the base's timing state) and a gradient
+// pass take the write lock, draining every in-flight evaluation first.
+// Commits bump an epoch; a session created against an older epoch
+// transparently rebases (re-derives its overlay against the new base, keeping
+// its recorded arc deltas) on its next use, which gives every session
+// sequential-application semantics: committing N sessions in any order lands
+// the same state as applying their delta batches one after another.
 package server
 
 import (
@@ -243,10 +242,10 @@ func (m *Manager) debugLog() bool {
 	return m.log.Enabled(context.Background(), slog.LevelDebug)
 }
 
-// Engine returns the served engine, every lane of it. Callers must not
-// mutate it outside Exclusive. Its lane-0 shorthands (Slacks, WNS, Backward)
-// read scenario 0, which is the nominal view only on a single-corner server;
-// BaseSlacks/BaseWNS/BaseTNS/Gradients read the nominal lane on any.
+// Engine returns the served engine, every lane of it; a session commit is the
+// one writer of its timing state. Its lane-0 shorthands (Slacks, WNS,
+// Backward) read scenario 0, which is the nominal view only on a single-corner
+// server; BaseSlacks/BaseWNS/BaseTNS/Gradients read the nominal lane on any.
 func (m *Manager) Engine() *core.Engine {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -527,18 +526,6 @@ func (m *Manager) Close() {
 		m.eng.Close()
 		m.ownsBase = false
 	}
-}
-
-// Exclusive runs fn with exclusive access to the base engine — no session
-// evaluates concurrently — and bumps the epoch afterwards so live sessions
-// rebase against whatever fn changed. This is the hook in-process clients
-// (the sizing driver) use for base mutations that bypass the session API,
-// e.g. a full delay resync.
-func (m *Manager) Exclusive(fn func()) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	fn()
-	m.advanceLocked()
 }
 
 // advanceLocked publishes a base that just changed: it bumps the epoch,

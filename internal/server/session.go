@@ -533,12 +533,12 @@ func (s *Session) scenarioSlacksInto(name string, dst []float64) (_ []float64, l
 	return dst, lane, nil
 }
 
-// Commit folds the session's recorded arc deltas into the base engine
-// (incremental propagation, full slack re-evaluation), replays its resizes
-// into the reference netlist, bumps the epoch, and leaves the session open
-// and empty against the new base. Commit order across sessions defines the
-// sequential-application order; each commit is bit-identical to applying the
-// session's deltas on whatever base it lands on.
+// Commit folds the session's recorded arc deltas into the base engine (the
+// base adopts the session's preview), replays its resizes into the reference
+// netlist, bumps the epoch, and leaves the session open and empty against the
+// new base. Commit order across sessions defines the sequential-application
+// order; each commit is bit-identical to applying the session's deltas on
+// whatever base it lands on.
 func (s *Session) Commit() (*ECOResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -550,12 +550,14 @@ func (s *Session) Commit() (*ECOResult, error) {
 	t0 := time.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	// A preview older than the last commit is redone on the current base; a
+	// structural working set seeded from an older base conflicts.
+	if err := s.rebaseLocked(); err != nil {
+		return nil, err
+	}
 	if s.work != nil {
 		return s.commitStructuralLocked(t0)
 	}
-	// Fold the deltas into the current base: a structural commit since this
-	// session last evaluated replaced the engine object.
-	s.ov.Rebase(m.eng)
 	s.ov.Commit()
 	s.replayNetlistLocked()
 	res := s.finishCommitLocked(t0, map[string]any{"ecos": s.ecoN})

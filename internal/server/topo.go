@@ -253,18 +253,13 @@ func (s *Session) applyTopoLocked(res *topo.Result) *TopoResult {
 // bit-identical to a cold compile of the edited netlist), replays the
 // session's repowers/moves into the signoff netlist, and bumps both the epoch
 // and the structural generation. Caller holds s.mu and m.mu.Lock (every
-// in-flight evaluation has drained).
+// in-flight evaluation has drained) and has found the session's epoch current
+// (rebaseLocked).
 func (s *Session) commitStructuralLocked(t0 time.Time) (*ECOResult, error) {
 	m := s.m
 	st := s.wst
 	sp := m.eng.Tracer().StartArg("structural-commit", "edits", int64(st.Edits))
 	defer sp.End()
-	if s.epoch != m.epoch {
-		// Someone committed after this session's last edit; the working set
-		// was seeded from a base that no longer exists.
-		m.topoConflicts.Add(1)
-		return nil, ErrStructuralConflict
-	}
 	prevWNS, prevTNS := m.baseWNS, m.baseTNS
 	old := m.eng
 	// The manager takes the working engine over; the session keeps no

@@ -12,6 +12,7 @@ import (
 
 	"insta/internal/core"
 	"insta/internal/netlist"
+	"insta/internal/num"
 	"insta/internal/refsta"
 	"insta/internal/server"
 )
@@ -92,9 +93,9 @@ func neighborhood(d *netlist.Design, c netlist.CellID, hops int) []netlist.CellI
 // wrapped in a server.Manager and every candidate is previewed on one
 // copy-on-write session (cone-limited overlay propagation) instead of a full
 // re-propagation per alternative, with Rollback between alternatives and
-// Commit folding the winner into the base. Overlay previews are bit-identical
-// to committed state, so the accept/reject decisions are unchanged — a
-// degrading candidate is simply never committed.
+// Commit folding the winner into the base, as the round's resync is. Overlay
+// previews are bit-identical to committed state, so the accept/reject
+// decisions are unchanged — a degrading candidate is simply never committed.
 func InstaSize(ref *refsta.Engine, e *core.Engine, cfg Config) Result {
 	start := time.Now()
 	var bRT time.Duration
@@ -111,25 +112,29 @@ func InstaSize(ref *refsta.Engine, e *core.Engine, cfg Config) Result {
 
 	curTNS := mgr.BaseTNS()
 	for round := 0; round < cfg.MaxRounds; round++ {
-		var stages []core.StageGradient
+		// Re-synchronize INSTA with the reference engine's current arc
+		// delays at each round boundary (the cheap Fig. 2 resync), so
+		// estimate_eco drift cannot accumulate across rounds: the arcs whose
+		// delay moved are one annotation batch, committed on the session.
+		var resync []refsta.ArcDelta
+		for i := range ref.Arcs {
+			if d := ref.Arcs[i].Delay; d != [2]num.Dist{e.ArcDelay(int32(i), 0), e.ArcDelay(int32(i), 1)} {
+				resync = append(resync, refsta.ArcDelta{ArcID: int32(i), Delay: d})
+			}
+		}
+		if len(resync) > 0 {
+			if _, err := sess.ApplyDeltas(resync); err != nil {
+				panic("sizing: resync failed: " + err.Error())
+			}
+			if _, err := sess.Commit(); err != nil {
+				panic("sizing: resync commit failed: " + err.Error())
+			}
+		}
+		// The flow is the manager's one client: nothing evaluates while the
+		// backward pass writes the engine's gradient tensors.
 		t0 := time.Now()
-		mgr.Exclusive(func() {
-			// Re-synchronize INSTA with the reference engine's current arc
-			// delays at each round boundary (the cheap Fig. 2 resync), so
-			// estimate_eco drift cannot accumulate across rounds. Arcs are
-			// disjoint, so the transfer runs on the engine's scheduler pool.
-			e.Pool().RunTagged("size-resync", -1, len(ref.Arcs), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					a := &ref.Arcs[i]
-					e.SetArcDelay(int32(i), 0, a.Delay[0])
-					e.SetArcDelay(int32(i), 1, a.Delay[1])
-				}
-			})
-			e.Run()
-			t0 = time.Now()
-			e.Backward()
-			stages = e.StageGradients()
-		})
+		e.Backward()
+		stages := e.StageGradients()
 		bRT += time.Since(t0)
 		curTNS = mgr.BaseTNS()
 		if len(stages) == 0 {
