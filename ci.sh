@@ -7,7 +7,9 @@
 #                      server/manager.go and snap/snap.go (its two
 #                      compatibility points); and a session commit stays the
 #                      one writer of the served base: no Manager.Exclusive,
-#                      no exported PropagateIncremental
+#                      no exported PropagateIncremental; and an ECO on a
+#                      structural session stays in its overlay: no
+#                      edit.fold into a topo batch, no engineFigures
 #   2. go build      — everything compiles, including cmd/ and examples/
 #   3. go test       — full suite (unit + determinism + differential + a
 #                      commit adopting its preview equal to a cold run
@@ -144,7 +146,11 @@
 #                      libertyio.Read, and a library it accepts writes back
 #                      through libertyio.Write and reads again to an equal
 #                      library; the seeds are synthetic cells with their
-#                      tables cut to 2×2 and a minimal one-cell document)
+#                      tables cut to 2×2 and a minimal one-cell document).
+#                      Each target may spend at most 1 s minimizing an input
+#                      it found interesting (-fuzzminimizetime; with the
+#                      default, 60 s, FuzzReadSDC, FuzzSnapRoundTrip and
+#                      FuzzLibertyRead spent most of their window minimizing)
 #   4. go test -race — short-mode race check of the scheduler, and its kernel
 #                      panic containment twenty times over (a panic on a
 #                      helper or on the caller is raised on the caller after
@@ -228,6 +234,10 @@ if git grep --untracked -n -e 'func (m \*Manager) Exclusive' -e 'func (e \*Engin
 	echo "a session commit is the one writer of the served base: Manager.Exclusive and an exported PropagateIncremental must stay gone" >&2
 	exit 1
 fi
+if git grep --untracked -n -e 'func (e \*edit) fold' -e 'engineFigures' -- '*.go'; then
+	echo "a session's ECOs preview in its overlay, structural or not: edit.fold and engineFigures must stay gone" >&2
+	exit 1
+fi
 
 echo "== go build =="
 go build ./...
@@ -236,27 +246,27 @@ echo "== go test =="
 go test ./...
 
 echo "== go test -fuzz FuzzMergeTopK (10s, indexed merge vs the scanning Algorithm-2 reference) =="
-go test ./internal/core -run '^$' -fuzz FuzzMergeTopK -fuzztime 10s
+go test ./internal/core -run '^$' -fuzz FuzzMergeTopK -fuzztime 10s -fuzzminimizetime 1s
 echo "== go test -fuzz FuzzJSONFloat (10s, the session reads' float formatter vs encoding/json) =="
-go test ./internal/server -run '^$' -fuzz FuzzJSONFloat -fuzztime 10s
+go test ./internal/server -run '^$' -fuzz FuzzJSONFloat -fuzztime 10s -fuzzminimizetime 1s
 echo "== go test -fuzz FuzzDecodeECO (10s, the one-pass ECO body decoder: declines, or encoding/json's value) =="
-go test ./internal/server -run '^$' -fuzz FuzzDecodeECO -fuzztime 10s
+go test ./internal/server -run '^$' -fuzz FuzzDecodeECO -fuzztime 10s -fuzzminimizetime 1s
 echo "== go test -fuzz FuzzTopoSession (10s, structural op batches vs a cold compile of self-advanced tables, arc ids permanent) =="
-go test ./internal/topo -run '^$' -fuzz FuzzTopoSession -fuzztime 10s
+go test ./internal/topo -run '^$' -fuzz FuzzTopoSession -fuzztime 10s -fuzzminimizetime 1s
 echo "== go test -fuzz FuzzDecodeModel (10s, block-model payloads: canonical and in range) =="
-go test ./internal/hier -run '^$' -fuzz FuzzDecodeModel -fuzztime 10s
+go test ./internal/hier -run '^$' -fuzz FuzzDecodeModel -fuzztime 10s -fuzzminimizetime 1s
 echo "== go test -fuzz FuzzSnapRoundTrip (10s, snapshots: typed error or byte-identical re-encode) =="
-go test ./internal/snap -run '^$' -fuzz FuzzSnapRoundTrip -fuzztime 10s
+go test ./internal/snap -run '^$' -fuzz FuzzSnapRoundTrip -fuzztime 10s -fuzzminimizetime 1s
 echo "== go test -fuzz FuzzReadTables (10s, circuitops TSV: no panic, round trip, accepted documents compile and run) =="
-go test ./internal/circuitops -run '^$' -fuzz FuzzReadTables -fuzztime 10s
+go test ./internal/circuitops -run '^$' -fuzz FuzzReadTables -fuzztime 10s -fuzzminimizetime 1s
 echo "== go test -fuzz FuzzReadSDC (10s, SDC text: no panic, accepted documents round-trip) =="
-go test ./internal/sdcio -run '^$' -fuzz FuzzReadSDC -fuzztime 10s
+go test ./internal/sdcio -run '^$' -fuzz FuzzReadSDC -fuzztime 10s -fuzzminimizetime 1s
 echo "== go test -fuzz FuzzReadSPEF (10s, SPEF text: no panic, accepted documents round-trip) =="
-go test ./internal/spef -run '^$' -fuzz FuzzReadSPEF -fuzztime 10s
+go test ./internal/spef -run '^$' -fuzz FuzzReadSPEF -fuzztime 10s -fuzzminimizetime 1s
 echo "== go test -fuzz FuzzReadVerilog (10s, structural Verilog: no panic, accepted documents round-trip) =="
-go test ./internal/vlog -run '^$' -fuzz FuzzReadVerilog -fuzztime 10s
+go test ./internal/vlog -run '^$' -fuzz FuzzReadVerilog -fuzztime 10s -fuzzminimizetime 1s
 echo "== go test -fuzz FuzzLibertyRead (10s, Liberty text: no panic, accepted libraries round-trip) =="
-go test ./internal/libertyio -run '^$' -fuzz FuzzLibertyRead -fuzztime 10s
+go test ./internal/libertyio -run '^$' -fuzz FuzzLibertyRead -fuzztime 10s -fuzzminimizetime 1s
 
 echo "== go test -race (sched + levelize + refsta + core + topo + server + obs + snap + cmdutil + fleet + hier, short) =="
 go test -race -short ./internal/sched/... ./internal/levelize/... ./internal/refsta/... ./internal/core/... ./internal/topo/... ./internal/server/... ./internal/obs/... ./internal/snap/... ./internal/cmdutil/... ./internal/fleet/... ./internal/hier/...

@@ -9,7 +9,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"log/slog"
 	"runtime"
 	"time"
 
@@ -51,7 +50,6 @@ func main() {
 	}
 	mgr := server.NewManager(e, ref, server.Options{MaxSessions: 2})
 	defer mgr.Close()
-	mgr.SetLogger(slog.New(slog.DiscardHandler)) // one line per commit otherwise
 	wnsBefore, tnsBefore := mgr.BaseWNS(), mgr.BaseTNS()
 
 	res := sizing.InstaBuffer(mgr, sizing.DefaultBufferConfig())

@@ -237,11 +237,11 @@ type propScratch struct {
 	// bind, when set, runs serially on each level's bucket before its kernel:
 	// an overlay takes the bucket's fresh shadow rows there. settle, when set,
 	// is told serially, in bucket order and after the kernel has returned,
-	// each pin and whether its queues changed: an overlay points the pins at
-	// their new rows there, because the index must not be written inside the
-	// kernel (parents at lower levels are read concurrently through it).
+	// each pin: an overlay points the pins at their new rows there, because
+	// the index must not be written inside the kernel (parents at lower levels
+	// are read concurrently through it).
 	bind   func(bucket []int32)
-	settle func(i int, p int32, changed bool)
+	settle func(i int, p int32)
 
 	buckets [][]int32
 	// Queued-pin set as an epoch-stamped slice: queuedAt[p] == stamp means p
@@ -252,6 +252,9 @@ type propScratch struct {
 	stamp    uint32
 	changed  []bool
 	scratch  []*mergeScratch // borrowed by coneWave for its duration, nil outside
+	// eps lists, in settle order, the endpoints whose pins the last wave
+	// changed: the slacks its owner re-evaluates.
+	eps []int32
 
 	// The level kernel is bound once per scratch and reads the launched
 	// bucket through this field — a closure literal per launch would escape
@@ -264,7 +267,7 @@ type propScratch struct {
 // hooks. A derived pin is never handed to rebuild: it has no row, and the
 // wave passes on to its one child, which replays it. A dead pin is never in a
 // bucket (coneWave).
-func (e *Engine) newPropScratch(rebuild func(int, int32, *mergeScratch) bool, bind func([]int32), settle func(int, int32, bool)) *propScratch {
+func (e *Engine) newPropScratch(rebuild func(int, int32, *mergeScratch) bool, bind func([]int32), settle func(int, int32)) *propScratch {
 	s := &propScratch{
 		rebuild: rebuild, bind: bind, settle: settle,
 		buckets:  make([][]int32, e.st.NumLevels),
@@ -305,6 +308,7 @@ func (s *propScratch) reset() {
 	for i := range s.buckets {
 		s.buckets[i] = s.buckets[i][:0]
 	}
+	s.eps = s.eps[:0]
 	s.stamp++
 	if s.stamp == 0 {
 		clear(s.queuedAt)

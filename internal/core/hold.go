@@ -38,18 +38,30 @@ func (e *Engine) EvalHoldSlacks() []float64 {
 
 // RefreshHoldSlacks is EvalHoldSlacks without the defensive copy; read the
 // result through LaneHoldSlacks.
-func (e *Engine) RefreshHoldSlacks() {
-	sp := e.opt.Tracer.StartArg(kHoldSlack, "endpoints", int64(len(e.st.EpPin)))
+func (e *Engine) RefreshHoldSlacks() { e.refreshHoldSlacks(len(e.st.EpPin), nil) }
+
+// refreshHoldSlacks is refreshSlacks' hold form: it re-evaluates the hold
+// slacks of n endpoints in every lane, eps[:n], or endpoints 0..n-1 when eps
+// is nil.
+func (e *Engine) refreshHoldSlacks(n int, eps []int32) {
+	sp := e.opt.Tracer.StartArg(kHoldSlack, "endpoints", int64(n))
 	defer sp.End()
-	e.pool.RunIndexed(kHoldSlack, -1, len(e.st.EpPin), e.kern.holdSlack)
+	e.run.eps = eps
+	e.pool.RunIndexed(kHoldSlack, -1, n, e.kern.holdSlack)
+	e.run.eps = nil
 }
 
-// holdSlackKernel evaluates the hold slack of endpoints [lo, hi) in every lane.
+// holdSlackKernel evaluates the hold slack of endpoints [lo, hi) of the pass
+// in every lane.
 func (e *Engine) holdSlackKernel(_, lo, hi int) {
 	h, st := e.hold, e.st
 	S := len(e.scns)
 	nEP := len(st.EpPin)
-	for i := lo; i < hi; i++ {
+	for j := lo; j < hi; j++ {
+		i := j
+		if e.run.eps != nil {
+			i = int(e.run.eps[j])
+		}
 		p := st.EpPin[i]
 		for s := 0; s < S; s++ {
 			best := math.Inf(1)

@@ -15,13 +15,15 @@ package core
 // in place, assuming every other annotation is unchanged since the last
 // Propagate. A wavefront stops at pins whose Top-K queues come out identical.
 // Hold queues, when enabled, are updated over the same cone. Its one caller,
-// a hold engine's commit, has adopted the late rows already.
-func (e *Engine) propagateIncremental(arcs []int32) {
+// a hold engine's commit, has adopted the late rows already. It returns the
+// endpoints whose pins changed, valid until the engine's next wave.
+func (e *Engine) propagateIncremental(arcs []int32) []int32 {
 	sp := e.opt.Tracer.StartArg(kIncremental, "arcs", int64(len(arcs)))
 	defer sp.End()
 	sc := e.incScratch()
 	sc.seedArcs(e, arcs)
 	e.coneWave(kIncremental, sc)
+	return sc.eps
 }
 
 // incScratch returns the engine's reset wave scratch, which updates its late
@@ -54,7 +56,8 @@ func (e *Engine) incScratch() *propScratch {
 // stored pin: view.rebuild into a row the pin does not show and the compare
 // with the one it does, launched under the caller's kernel tag — and the pins
 // are settled (sc.settle) and those whose queues changed in any lane expanded
-// into their fan-out's buckets, serially and in bucket order, so the
+// into their fan-out's buckets — a changed endpoint pin's endpoint listed in
+// sc.eps, for its owner's slack pass — serially and in bucket order, so the
 // resulting state is bit-identical to a full Propagate for any worker count.
 // Pins that come out identical stop their wavefront; a derived pin always
 // passes it on to its one child, which replays it; a dead pin never enters a
@@ -81,10 +84,13 @@ func (e *Engine) coneWave(tag string, sc *propScratch) {
 		e.pool.RunIndexed(tag, l, len(bucket), sc.kernFn)
 		for i, p := range bucket {
 			if sc.settle != nil {
-				sc.settle(i, p, sc.changed[i])
+				sc.settle(i, p)
 			}
 			if !sc.changed[i] {
 				continue
+			}
+			if ep := st.EpOfPin[p]; ep >= 0 {
+				sc.eps = append(sc.eps, ep)
 			}
 			for _, to := range st.FoAdj[st.FoStart[p]:st.FoStart[p+1]] {
 				if !e.rows[to].dead {

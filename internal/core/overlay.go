@@ -80,20 +80,19 @@ type Overlay struct {
 
 	// Endpoint state: slacks re-evaluated under the overlay (epSlot[ep] is 0
 	// while the base's stand, else 1 + t, with the endpoint's S lane slacks at
-	// epSlack[t*S:]), the endpoints whose pins changed but are not yet
-	// re-evaluated, and the sorted set of all endpoints ever re-evaluated
-	// (ChangedEndpointsView).
+	// epSlack[t*S:]) and the sorted set of all endpoints ever re-evaluated
+	// (ChangedEndpointsView). The endpoints a wave changed are its scratch's
+	// eps until they are re-evaluated.
 	epSlot     []int32
 	epSlack    []float64
-	dirty      []int32
 	changedEPs []int32
-	epOut      []float64 // slack kernel output scratch, S per dirty endpoint
+	epOut      []float64 // slack kernel output scratch, S per changed endpoint
 
 	scratch *propScratch // wavefront state, reused across Propagate calls
 
 	// slackFn is bound once: a closure literal passed to the pool escapes
 	// (the job slot retains it), so building one per launch would cost an
-	// allocation. It reads its per-launch state (dirty, epOut) through o.
+	// allocation. It reads its per-launch state (scratch.eps, epOut) through o.
 	slackFn func(id, lo, hi int)
 }
 
@@ -111,6 +110,10 @@ type shadowIndex struct {
 func NewOverlay(e *Engine) *Overlay {
 	return &Overlay{view: view{e: e, q: e.top.q, arcSlot: make(map[int32]int32)}}
 }
+
+// Base returns the engine the overlay shadows: the one it was created over,
+// or the last it was rebased onto.
+func (o *Overlay) Base() *Engine { return o.e }
 
 // takeIndex returns all-zero look-up arrays, from the engine's pool when that
 // holds a set covering the engine's pins and arcs as they are now (an
@@ -209,11 +212,8 @@ func (o *Overlay) shadowRow(p, t int32) rowRef {
 
 // settlePin is the wave's settle hook. The level's kernel has returned, so pin
 // p = bucket[i] is pointed at the row it was rebuilt into (a derived pin is
-// marked as in the cone), the shadow row it showed before is recycled, and a
-// changed endpoint pin owes a slack re-evaluation. Each pin enters at most one
-// bucket per Propagate and maps to at most one endpoint, so dirty never holds
-// duplicates within a call.
-func (o *Overlay) settlePin(i int, p int32, changed bool) {
+// marked as in the cone) and the shadow row it showed before is recycled.
+func (o *Overlay) settlePin(i int, p int32) {
 	switch was := o.slot[p]; {
 	case was == 0:
 		o.shadowed = append(o.shadowed, p)
@@ -221,12 +221,6 @@ func (o *Overlay) settlePin(i int, p int32, changed bool) {
 		o.freeRows = append(o.freeRows, was-1)
 	}
 	o.slot[p] = o.fresh[i]
-	if !changed {
-		return
-	}
-	if ep := o.e.st.EpOfPin[p]; ep >= 0 {
-		o.dirty = append(o.dirty, ep)
-	}
 }
 
 // SetArcDelay annotates one arc's delay for output transition rf in the
@@ -293,15 +287,17 @@ func (o *Overlay) Propagate() {
 }
 
 // evalDirtyEndpoints re-evaluates the slack of every endpoint whose pin
-// queues changed, in every lane, through the engine's pool. The dirty set is
-// sorted so the kernel's index space — and therefore the overlay's state — is
-// independent of the order the deltas were annotated in.
+// queues the wave changed, in every lane, through the engine's pool. Each pin
+// enters at most one bucket per wave and maps to at most one endpoint, so the
+// set holds no duplicates; it is sorted so the kernel's index space — and
+// therefore the overlay's state — is independent of the order the deltas were
+// annotated in.
 func (o *Overlay) evalDirtyEndpoints() {
-	if len(o.dirty) == 0 {
+	dirty := o.scratch.eps
+	if len(dirty) == 0 {
 		return
 	}
 	e := o.e
-	dirty := o.dirty
 	slices.Sort(dirty)
 	ssp := e.opt.Tracer.StartArg(KernelOverlaySlack, "endpoints", int64(len(dirty)))
 	defer ssp.End()
@@ -315,7 +311,7 @@ func (o *Overlay) evalDirtyEndpoints() {
 			S := len(o.e.scns)
 			for i := lo; i < hi; i++ {
 				for s := 0; s < S; s++ {
-					o.epOut[i*S+s], _, _ = o.setupSlack(s, o.dirty[i], o.e.opt.TopK)
+					o.epOut[i*S+s], _, _ = o.setupSlack(s, o.scratch.eps[i], o.e.opt.TopK)
 				}
 			}
 		}
@@ -336,7 +332,6 @@ func (o *Overlay) evalDirtyEndpoints() {
 	if grew {
 		slices.Sort(o.changedEPs)
 	}
-	o.dirty = o.dirty[:0]
 }
 
 // LaneSlack returns endpoint i's slack in lane s as seen through the overlay.
@@ -452,7 +447,6 @@ func (o *Overlay) dropDerived() {
 	o.shadowed = o.shadowed[:0]
 	o.freeRows, o.nRows = o.freeRows[:0], 0
 	o.epSlack = o.epSlack[:0]
-	o.dirty = o.dirty[:0]
 	o.changedEPs = o.changedEPs[:0]
 }
 
@@ -504,9 +498,9 @@ func (o *Overlay) Rebase(e *Engine) {
 // stored pin's shadow row, and the changed endpoints' slacks, critical
 // startpoints and transitions in every lane from the engine's own slack walk.
 // With hold on, the in-place wave then retimes the early view, which
-// overlays do not preview, and every hold slack. The caller holds the base
-// exclusively and has rebased the overlay onto any change of it; the base is
-// then bit-identical to a full Run.
+// overlays do not preview, and the hold slacks of the endpoints it changed.
+// The caller holds the base exclusively and has rebased the overlay onto any
+// change of it; the base is then bit-identical to a full Run.
 func (o *Overlay) Commit() {
 	if len(o.touched) == 0 {
 		return
@@ -527,8 +521,8 @@ func (o *Overlay) Commit() {
 	}
 	e.refreshSlacks(len(o.changedEPs), o.changedEPs)
 	if e.hold != nil {
-		e.propagateIncremental(o.touched)
-		e.RefreshHoldSlacks()
+		eps := e.propagateIncremental(o.touched)
+		e.refreshHoldSlacks(len(eps), eps)
 	}
 	o.Reset()
 }

@@ -691,7 +691,11 @@ const seedHeadroom = 4096
 // bypassed buffer keeps its pins as a dead end), so e's converged Top-K
 // planes are valid arrival state for every pin outside the seeds' cone, and
 // the equality-stopping incremental wavefront recomputes exactly the pins
-// whose queues differ. e must have completed a full evaluation.
+// whose queues differ. e must have completed a full evaluation, its hold
+// slacks included with hold on (Run alone leaves them out): only the
+// endpoints whose pins the wave changed are re-evaluated, setup and hold, and
+// every other endpoint keeps e's results. st keeps e's startpoint and
+// endpoint tables, as every patched state does.
 //
 // Capacities are recomputed over st, and so are the liveness (livePin) of
 // every pin upstream of a changed fan-out, by an upward wave, and the derived
@@ -728,8 +732,8 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 	if st.NumPins < e.st.NumPins {
 		return nil, fmt.Errorf("core: pin count shrank %d -> %d (pins are append-only)", e.st.NumPins, st.NumPins)
 	}
-	if inPlace && (len(st.EpPin) != len(e.st.EpPin) || len(st.SpPin) != len(e.st.SpPin)) {
-		return nil, fmt.Errorf("core: in-place Reseed cannot change the SP/EP sets")
+	if len(st.EpPin) != len(e.st.EpPin) || len(st.SpPin) != len(e.st.SpPin) {
+		return nil, fmt.Errorf("core: Reseed cannot change the SP/EP sets")
 	}
 	if err := e.CheckRowUnits(st.NumPins); err != nil {
 		return nil, err
@@ -751,9 +755,16 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 		if ne, err = newEngineBody(st, e.scns, e.opt); err != nil {
 			return nil, err
 		}
-		// A new engine owns a copy of the spans; e's are not touched.
+		// A new engine owns a copy of the spans and starts from e's endpoint
+		// results; e's are not touched.
 		rows = make([]rowSpan, st.NumPins)
 		copy(rows, e.rows)
+		copy(ne.epSlack, e.epSlack)
+		copy(ne.epSP, e.epSP)
+		copy(ne.epRF, e.epRF)
+		if e.hold != nil {
+			copy(ne.hold.epSlack, e.hold.epSlack)
+		}
 	}
 	// Liveness can change only upstream of a pin whose fan-out changed: the
 	// seeds, their parents and the appended pins. It is re-derived by a wave
@@ -842,9 +853,9 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 		}
 	}
 	ne.coneWave(kIncremental, sc)
-	ne.RefreshSlacks()
+	ne.refreshSlacks(len(sc.eps), sc.eps)
 	if ne.hold != nil {
-		ne.RefreshHoldSlacks()
+		ne.refreshHoldSlacks(len(sc.eps), sc.eps)
 	}
 	return ne, nil
 }

@@ -195,25 +195,7 @@ func diffFinite(plus, minus, here float64) float64 {
 // advantage.
 func (p *Placer) addArcTimingGrad() {
 	for _, ap := range p.arcWSm {
-		w := ap.W
-		from := netlist.PinID(ap.From)
-		to := netlist.PinID(ap.To)
-		fc := p.d.Pins[from].Cell
-		tc := p.d.Pins[to].Cell
-		fx, fy := p.d.PinPos(from)
-		tx, ty := p.d.PinPos(to)
-		// Smooth Manhattan pull, saturating at the wirelength smoothing
-		// scale so close pairs stop oscillating.
-		sx := math.Tanh((fx - tx) / p.cfg.Gamma)
-		sy := math.Tanh((fy - ty) / p.cfg.Gamma)
-		if fc != netlist.NoCell && !p.d.Cells[fc].Fixed {
-			p.gradX[fc] += w * sx
-			p.gradY[fc] += w * sy
-		}
-		if tc != netlist.NoCell && !p.d.Cells[tc].Fixed {
-			p.gradX[tc] -= w * sx
-			p.gradY[tc] -= w * sy
-		}
+		p.pullArc(ap.From, ap.To, ap.W)
 	}
 }
 
@@ -222,26 +204,30 @@ func (p *Placer) addArcTimingGrad() {
 // Eq. 8 balance factor.
 func (p *Placer) addArcTimingGradRaw() {
 	for _, aw := range p.arcW {
-		g := -aw.Grad
-		if g == 0 {
-			continue
+		if g := -aw.Grad; g != 0 {
+			p.pullArc(aw.From, aw.To, p.cfg.LambdaRC*g)
 		}
-		w := p.cfg.LambdaRC * g
-		from := netlist.PinID(aw.From)
-		to := netlist.PinID(aw.To)
-		fc := p.d.Pins[from].Cell
-		tc := p.d.Pins[to].Cell
-		fx, fy := p.d.PinPos(from)
-		tx, ty := p.d.PinPos(to)
-		sx := math.Tanh((fx - tx) / p.cfg.Gamma)
-		sy := math.Tanh((fy - ty) / p.cfg.Gamma)
-		if fc != netlist.NoCell && !p.d.Cells[fc].Fixed {
-			p.gradX[fc] += w * sx
-			p.gradY[fc] += w * sy
-		}
-		if tc != netlist.NoCell && !p.d.Cells[tc].Fixed {
-			p.gradX[tc] -= w * sx
-			p.gradY[tc] -= w * sy
-		}
+	}
+}
+
+// pullArc adds the gradient of arc (from, to)'s weight-w smooth Manhattan
+// span to its two cells: a tanh pull that saturates at the wirelength
+// smoothing scale, so close pairs stop oscillating. Fixed cells and ports
+// take none.
+func (p *Placer) pullArc(fromPin, toPin int32, w float64) {
+	from, to := netlist.PinID(fromPin), netlist.PinID(toPin)
+	fc := p.d.Pins[from].Cell
+	tc := p.d.Pins[to].Cell
+	fx, fy := p.d.PinPos(from)
+	tx, ty := p.d.PinPos(to)
+	sx := math.Tanh((fx - tx) / p.cfg.Gamma)
+	sy := math.Tanh((fy - ty) / p.cfg.Gamma)
+	if fc != netlist.NoCell && !p.d.Cells[fc].Fixed {
+		p.gradX[fc] += w * sx
+		p.gradY[fc] += w * sy
+	}
+	if tc != netlist.NoCell && !p.d.Cells[tc].Fixed {
+		p.gradX[tc] -= w * sx
+		p.gradY[tc] -= w * sy
 	}
 }

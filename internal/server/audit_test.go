@@ -141,8 +141,10 @@ func (a *sessionAudit) checkHold(st *core.State, delay exact.Delay, hold [][]flo
 
 // session reads s in every lane through its public read path, which rebases
 // it first, and audits what it read against the walker over the state the
-// session times: its working engine's, or the base's under its overlay. It
-// reports false for a session a commit has conflicted.
+// session times — its working engine's, or the base's — under its overlay's
+// arc delays. A structural session's hold slacks are its working engine's,
+// which is what it serves. It reports false for a session a commit has
+// conflicted.
 func (a *sessionAudit) session(s *Session) bool {
 	view, err := laneViews(a.m.Scenarios(), s.ScenarioSlacks)
 	if errors.Is(err, ErrStructuralConflict) {
@@ -153,7 +155,7 @@ func (a *sessionAudit) session(s *Session) bool {
 	a.seen[s] = changed(a.seen[s], view, a.base)
 	if s.work != nil {
 		e := s.work
-		a.check(e.ExportState(), e.ArcDelay, view, a.seen[s])
+		a.check(e.ExportState(), s.ov.ArcDelay, view, a.seen[s])
 		hold := holdViews(e)
 		a.checkHold(e.ExportState(), e.ArcDelay, hold, changed(nil, hold, a.baseHold))
 	} else {
@@ -236,7 +238,7 @@ func auditScript(t *testing.T, spec bench.Spec, workers int) {
 	arcs := func(s *Session, n int) []ArcECO {
 		delay, lim := s.ov.ArcDelay, m.eng.NumArcs()
 		if s.work != nil {
-			delay, lim = s.work.ArcDelay, s.work.NumArcs()
+			lim = s.work.NumArcs()
 		}
 		var out []ArcECO
 		for len(out) < n {

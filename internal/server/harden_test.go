@@ -115,8 +115,9 @@ func TestTopoRejectsUnpropagatableDelays(t *testing.T) {
 	if tc := mgr.TopoCountersSnapshot(); tc.Edits != 0 {
 		t.Fatalf("rejected batches counted %d structural edits", tc.Edits)
 	}
-	// Still an annotation session: an overlay ECO is accepted, which a
-	// session holding structural edits would have folded into its working set.
+	// Still an annotation session: after an ECO, a structural batch is refused
+	// for the overlay's annotations, which a session holding structural edits
+	// would fold into its working engine.
 	if _, err := sess.ApplyECO(server.ECORequest{Arcs: []server.ArcECO{{Arc: 3, Rise: good, Fall: good}}}); err != nil {
 		t.Fatal(err)
 	}

@@ -56,10 +56,11 @@ var (
 	// base that no longer exists, so there is nothing to merge against —
 	// rollback and re-apply.
 	ErrStructuralConflict = errors.New("server: base changed under this session's edits; rollback and retry")
-	// ErrPendingAnnotations: a structural edit on a session holding
-	// uncommitted overlay annotations — the topo working set is derived from
-	// the committed base, so those deltas would silently vanish. Commit or
-	// roll back first.
+	// ErrPendingAnnotations: a session's first structural edit while its
+	// overlay holds uncommitted annotations — the working engine is derived
+	// from the committed base, so those deltas would silently vanish. Commit
+	// or roll back first. Later structural edits fold the overlay into the
+	// working engine instead.
 	ErrPendingAnnotations = errors.New("server: session has uncommitted annotation ECOs; commit or roll back before structural edits")
 	// ErrSessionPoisoned: the call's evaluation panicked. The session is
 	// closed and unlinked, and the panic logged; the committed base and every
@@ -231,7 +232,8 @@ func scenarioBaseViews(e *core.Engine) []ScenarioView {
 }
 
 // SetLogger replaces the manager's structured logger (slog.Default() until
-// then). Session lifecycle events log at Debug, commits at Info.
+// then). Session lifecycle events, commits included, log at Debug; a failed
+// commit manifest write and a poisoned session log above it.
 func (m *Manager) SetLogger(l *slog.Logger) { m.log = l }
 
 // debugLog reports whether Debug-level lines would be emitted. Hot paths

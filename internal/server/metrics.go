@@ -82,7 +82,8 @@ func newMetrics(m *Manager) *metrics {
 	// the served engine itself holds resident (core.Engine.MemoryBytes, read
 	// under the read lock a commit excludes). Sessions still bound to an
 	// engine a structural commit replaced are not counted: their rows move
-	// over when they rebase.
+	// over when they rebase. Nor are the rows of a structural session's
+	// previews: they count on its working engine until a commit serves it.
 	reg.Collector("insta_overlay", func(w io.Writer) {
 		rows, bytes := m.Engine().OverlayRows()
 		m.mu.RLock()

@@ -61,13 +61,15 @@ func sameBits(a, b [][]float64) bool {
 // TestSessionPanicPoisonsOnlyThatSession: a session whose preview panics is
 // closed and unlinked, and nothing else notices. Its overlay is pointed at a
 // smaller engine, where it previews once, so that its next ECO indexes past
-// that engine's arcs. The request answers 500 with ErrSessionPoisoned and is
-// pinned by the flight recorder; later calls on the session get
-// ErrSessionClosed (410) and its id is gone. Meanwhile a second session and
-// the base are read in a loop. The daemon keeps serving, the committed base
-// and the second session read bit-identically before and after, the served
-// engine's insta_overlay_rows counts only the second session's rows, and the
-// smaller engine's none.
+// that engine's arcs: a resize, whose estimate_eco deltas name arcs of the
+// served design, which an arc id the caller gives could not (it is checked
+// against the engine under the overlay). The request answers 500 with
+// ErrSessionPoisoned and is pinned by the flight recorder; later calls on the
+// session get ErrSessionClosed (410) and its id is gone. Meanwhile a second
+// session and the base are read in a loop. The daemon keeps serving, the
+// committed base and the second session read bit-identically before and
+// after, the served engine's insta_overlay_rows counts only the second
+// session's rows, and the smaller engine's none.
 func TestSessionPanicPoisonsOnlyThatSession(t *testing.T) {
 	spec, err := bench.IWLSSpec("des")
 	if err != nil {
@@ -146,6 +148,18 @@ func TestSessionPanicPoisonsOnlyThatSession(t *testing.T) {
 	if r, _ := small.OverlayRows(); r == 0 {
 		t.Fatal("the doomed session's preview on the smaller engine holds no rows — the check is vacuous")
 	}
+	// A resize whose deltas name an arc past the smaller engine's.
+	var past ECORequest
+	for _, rz := range bench.Changelist(&bench.Design{D: ref.D, Lib: ref.Lib}, 7, 16) {
+		deltas, err := ref.EstimateECO(rz.Cell, rz.NewLib)
+		if err == nil && slices.ContainsFunc(deltas, func(d refsta.ArcDelta) bool { return int(d.ArcID) >= small.NumArcs() }) {
+			past = ECORequest{Resizes: []ResizeReq{{Cell: ref.D.Cells[rz.Cell].Name, Lib: ref.Lib.Cell(rz.NewLib).Name}}}
+			break
+		}
+	}
+	if past.Resizes == nil {
+		t.Fatal("no resize names an arc past the smaller engine's")
+	}
 
 	// The second session and the base are read throughout.
 	stop := make(chan struct{})
@@ -169,7 +183,7 @@ func TestSessionPanicPoisonsOnlyThatSession(t *testing.T) {
 			}
 		}
 	}()
-	code, body := post("/session/"+doomed.ID+"/eco", slower(int32(small.NumArcs())+5))
+	code, body := post("/session/"+doomed.ID+"/eco", past)
 	close(stop)
 	wg.Wait()
 	if code != http.StatusInternalServerError || !bytes.Contains(body, []byte(ErrSessionPoisoned.Error())) {

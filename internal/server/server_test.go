@@ -299,6 +299,8 @@ func TestServeSessionLifecycle(t *testing.T) {
 // count is frozen after the one-time initialization — and because a daemon
 // holds one engine, each ECO preview is exactly one overlay propagation and
 // each structural edit exactly one reseed, however many corners it serves.
+// An ECO between two structural edits is an overlay propagation too, and no
+// reseed.
 func TestServeECONeverFullPropagates(t *testing.T) {
 	s := buildSetup(t, "block-2")
 	for ki, kind := range managerKinds {
@@ -375,7 +377,8 @@ func TestServeECONeverFullPropagates(t *testing.T) {
 			if ov := stats.KernelSpans(core.KernelOverlay); ov == 0 || ov >= fwd0 {
 				t.Fatalf("overlay spans %d not cone-limited (one full propagate = %d)", ov, fwd0)
 			}
-			// Structural edits: one reseed of the one working engine each.
+			// Structural edits: one reseed of the one working engine each. The
+			// ECO between them previews in the overlay over that engine.
 			for i := 0; i < 2; i++ {
 				if _, err := sess.ApplyTopo(server.TopoRequest{Ops: []server.TopoOp{
 					{Op: "buffer", Arc: firstNetArc(t, s, 3*i)},
@@ -385,6 +388,18 @@ func TestServeECONeverFullPropagates(t *testing.T) {
 				if got := spans("engine-reseed"); got != int64(i+1) {
 					t.Fatalf("%d structural edits ran %d reseeds, want one each", i+1, got)
 				}
+				if i > 0 {
+					continue
+				}
+				if _, err := sess.ApplyECO(resizeECOs(s, 67+int64(ki), 1)[0]); err != nil {
+					t.Fatal(err)
+				}
+				if got := spans(core.KernelOverlay); got != int64(len(reqs)+1) {
+					t.Fatalf("an ECO on a structural session ran %d overlay propagations, want one", got-int64(len(reqs)))
+				}
+				if got := spans("engine-reseed"); got != 1 {
+					t.Fatalf("an ECO on a structural session ran %d reseeds, want none", got-1)
+				}
 			}
 			if _, err := sess.Commit(); err != nil {
 				t.Fatal(err)
@@ -392,8 +407,8 @@ func TestServeECONeverFullPropagates(t *testing.T) {
 			if got := spans(core.KernelForward); got != 1 {
 				t.Fatalf("session path ran a full propagate: %d forward sweeps", got)
 			}
-			if got := spans(core.KernelOverlay); got != int64(len(reqs)) {
-				t.Fatalf("commits re-ran the overlay: %d propagations for %d previews", got, len(reqs))
+			if got := spans(core.KernelOverlay); got != int64(len(reqs)+1) {
+				t.Fatalf("commits re-ran the overlay: %d propagations for %d previews", got, len(reqs)+1)
 			}
 			if got := stats.KernelSpans(core.KernelForward); got != fwd0 {
 				t.Fatalf("a full forward kernel launched after initialization: forward spans %d -> %d", fwd0, got)

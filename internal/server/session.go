@@ -110,21 +110,6 @@ func (e *edit) annotate(deltas []refsta.ArcDelta) {
 	}
 }
 
-// fold leaves one op per arc in an all-Annotate batch, where the arc first
-// appears, carrying the last delay named for it.
-func (e *edit) fold() {
-	at, n := make(map[int32]int, len(e.ops)), 0
-	for _, op := range e.ops {
-		if i, ok := at[op.Arc]; ok {
-			e.ops[i].Delay = op.Delay
-		} else {
-			at[op.Arc], e.ops[n] = n, op
-			n++
-		}
-	}
-	e.ops = e.ops[:n]
-}
-
 // Session is one copy-on-write what-if view. All methods are safe for
 // concurrent use; calls on one session serialize on its mutex, while calls
 // on different sessions share the base under the manager's read lock.
@@ -134,11 +119,14 @@ type Session struct {
 
 	lastUsed atomic.Int64 // unix nanos of the last touch
 
-	mu      sync.Mutex
-	ov      *core.Overlay // the one copy-on-write view, every lane of the base
+	mu sync.Mutex
+	// ov is the session's one copy-on-write view, every lane of the engine it
+	// sits over: the served base, or work once the session holds structural
+	// edits. Every annotation ECO goes to it.
+	ov      *core.Overlay
 	epoch   uint64
 	work    *core.Engine     // the working engine, once the session holds structural edits
-	wst     topo.Stats       // what work's edits did
+	wst     topo.Stats       // what work's structural batches did, plus the arcs folded into it
 	ed      edit             // the request being resolved
 	resizes []resolvedResize // netlist changes to replay on commit
 	moves   []resolvedMove
@@ -176,28 +164,17 @@ func jsonSlack(v float64) float64 {
 	return v
 }
 
-// figures is what a view's per-lane WNS/TNS are read from: a session's
-// overlay, or the working engine of one holding structural edits.
-type figures interface {
-	LaneWNS(s int) float64
-	LaneTNS(s int) float64
-}
-
-// engineFigures reads an engine's per-lane figures from its cached slacks.
-type engineFigures struct{ e *core.Engine }
-
-func (f engineFigures) LaneWNS(s int) float64 { return core.WNS(f.e.LaneSlacks(s)) }
-func (f engineFigures) LaneTNS(s int) float64 { return core.TNS(f.e.LaneSlacks(s)) }
-
-// scenarioRowsLocked prices src in every corner: one row per scenario with
-// ΔWNS/ΔTNS against that scenario's committed base, plus the merged row,
-// whose figures the caller derived. Caller holds at least m.mu.RLock.
-func (m *Manager) scenarioRowsLocked(src figures, mergedWNS, mergedTNS float64) []ScenarioView {
+// scenarioRowsLocked prices ov in every corner: one row per scenario with
+// ΔWNS/ΔTNS against that scenario's committed base, plus the merged row.
+// Caller holds at least m.mu.RLock.
+func (m *Manager) scenarioRowsLocked(ov *core.Overlay) []ScenarioView {
 	out := make([]ScenarioView, len(m.baseScn))
 	for i, b := range m.baseScn {
-		wns, tns := mergedWNS, mergedTNS
-		if b.Name != "merged" {
-			wns, tns = src.LaneWNS(i), src.LaneTNS(i)
+		var wns, tns float64
+		if b.Name == "merged" {
+			wns, tns = ov.MergedWNS(), ov.MergedTNS()
+		} else {
+			wns, tns = ov.LaneWNS(i), ov.LaneTNS(i)
 		}
 		out[i] = ScenarioView{
 			Name:     b.Name,
@@ -210,54 +187,47 @@ func (m *Manager) scenarioRowsLocked(src figures, mergedWNS, mergedTNS float64) 
 	return out
 }
 
-// resultLocked builds the session's current view: the nominal lane's figures
-// and changed endpoints, and on a multi-corner server the per-scenario rows.
+// resultLocked builds the session's current view from its overlay: the
+// nominal lane's figures and changed endpoints, and on a multi-corner server
+// the per-scenario rows.
 //
-// A session holding structural edits reads its seeded working engine instead
-// of the overlay. Endpoint indices are stable across structural edits
-// (startpoints and endpoints can never be spliced), so its Changed is the
-// per-endpoint diff against the committed base, and OverlayPins reports the
-// pin count of the last re-levelized region — the structural analogue of the
-// overlay's recompute footprint. Caller holds s.mu and at least m.mu.RLock.
+// A session holding structural edits reads the overlay over its working
+// engine. Endpoint indices are stable across structural edits (startpoints
+// and endpoints can never be spliced), so its Changed is the per-endpoint
+// diff against the committed base. Its TouchedArcs adds to the overlay's arcs
+// those of its structural batches — two per buffer inserted or removed, one
+// per arc re-annotated — and the overlay arcs a structural batch folded into
+// the working engine, so no arc stops counting when a batch follows the ECO
+// that touched it. Its OverlayPins is the pin count of its last structural
+// batch's re-levelized region, the structural analogue of the overlay's
+// recompute footprint; an ECO's cone is not added. Neither moves when a
+// refused batch folds the overlay. Caller holds s.mu and at least
+// m.mu.RLock.
 func (s *Session) resultLocked() *ECOResult {
-	m := s.m
-	res := &ECOResult{Epoch: s.epoch}
-	var src figures
-	var mergedWNS, mergedTNS float64
-	if eng := s.work; eng != nil {
-		st := s.wst
-		src = engineFigures{eng}
-		if m.baseScn != nil {
-			merged := eng.MergedSlacksInto(nil)
-			mergedWNS, mergedTNS = core.WNS(merged), core.TNS(merged)
-		}
-		res.TouchedArcs = st.Inserted*2 + st.Removed*2 + st.Annotated
-		res.OverlayPins = st.Relevel.Region
-		base := m.eng.LaneSlacks(m.nom)
-		for i, sl := range eng.LaneSlacks(m.nom) {
-			if sl != base[i] {
+	m, ov := s.m, s.ov
+	st := ov.Stats()
+	res := &ECOResult{Epoch: s.epoch, TouchedArcs: st.TouchedArcs, OverlayPins: st.OverlayPins}
+	if s.work != nil {
+		w := s.wst
+		res.TouchedArcs += w.Inserted*2 + w.Removed*2 + w.Annotated
+		res.OverlayPins = w.Relevel.Region
+		for i, b := range m.eng.LaneSlacks(m.nom) {
+			if sl := ov.LaneSlack(m.nom, int32(i)); sl != b {
 				res.Changed = append(res.Changed, m.endpointSlackLocked(i, sl))
 			}
 		}
 	} else {
-		st := s.ov.Stats()
-		src = s.ov
-		if m.baseScn != nil {
-			mergedWNS, mergedTNS = s.ov.MergedWNS(), s.ov.MergedTNS()
-		}
-		res.TouchedArcs = st.TouchedArcs
-		res.OverlayPins = st.OverlayPins
-		changed := s.ov.ChangedEndpointsView()
+		changed := ov.ChangedEndpointsView()
 		res.Changed = make([]EndpointSlack, 0, len(changed))
 		for _, ep := range changed {
-			res.Changed = append(res.Changed, m.endpointSlackLocked(int(ep), s.ov.LaneSlack(m.nom, ep)))
+			res.Changed = append(res.Changed, m.endpointSlackLocked(int(ep), ov.LaneSlack(m.nom, ep)))
 		}
 	}
-	res.WNS, res.TNS = src.LaneWNS(m.nom), src.LaneTNS(m.nom)
+	res.WNS, res.TNS = ov.LaneWNS(m.nom), ov.LaneTNS(m.nom)
 	res.DeltaWNS = res.WNS - m.baseWNS
 	res.DeltaTNS = res.TNS - m.baseTNS
 	if m.baseScn != nil {
-		res.Scenarios = m.scenarioRowsLocked(src, mergedWNS, mergedTNS)
+		res.Scenarios = m.scenarioRowsLocked(ov)
 	}
 	return res
 }
@@ -297,14 +267,11 @@ func (s *Session) resolveArcLocked(e *edit, arc int32, d [2]num.Dist) error {
 	return nil
 }
 
-// checkArcLocked refuses an arc id that neither the served engine nor the
-// session's working set has. Caller holds s.mu and at least m.mu.RLock.
+// checkArcLocked refuses an arc id the engine under the session's overlay —
+// the served one, or its working engine — does not have. Caller holds s.mu
+// and at least m.mu.RLock.
 func (s *Session) checkArcLocked(arc int32) error {
-	lim := s.m.eng.NumArcs()
-	if s.work != nil {
-		lim = s.work.NumArcs()
-	}
-	if arc < 0 || int(arc) >= lim {
+	if lim := s.ov.Base().NumArcs(); arc < 0 || int(arc) >= lim {
 		return fmt.Errorf("arc %d out of range [0,%d)", arc, lim)
 	}
 	return nil
@@ -371,40 +338,41 @@ func (m *Manager) resolveResizeLocked(e *edit, cell, lib string) error {
 
 // applyLocked is the one writer of a session: it applies one resolved batch
 // and re-propagates the cones it touched. An annotation batch (structural
-// false) goes to the overlay until the session holds structural edits, and to
-// the working set from then on, folded: a topo batch takes an arc once, and
-// the last delay named for it wins, as in the overlay. The session's first
-// structural batch creates the working set, unless the overlay holds
-// annotations a working set derived from the base would drop. Nothing is
-// applied on an error. Caller holds s.mu and at least m.mu.RLock.
+// false) goes to the overlay, over whichever engine it sits. A structural
+// batch is the one caller of topo.Edit. The session's first creates the
+// working engine from the served base, unless the overlay holds annotations a
+// working engine derived from the base would drop (ErrPendingAnnotations);
+// a later one first commits the overlay into the working engine, which is
+// private, and edits that in place. Either way the overlay then sits over
+// the working engine. A refused batch applies nothing: a fold it made is the
+// overlay's own preview, committed, so the session's view is as it was.
+// Caller holds s.mu and at least m.mu.RLock.
 func (s *Session) applyLocked(e *edit, structural bool) (res *topo.Result, err error) {
 	switch {
-	case !structural && s.work == nil:
+	case !structural:
 		for _, op := range e.ops {
 			s.ov.SetArcDelay(op.Arc, 0, op.Delay[0])
 			s.ov.SetArcDelay(op.Arc, 1, op.Delay[1])
 		}
 		s.ov.Propagate()
-	case s.work == nil && s.ov.Stats().TouchedArcs > 0:
-		return nil, ErrPendingAnnotations
+	case s.work == nil:
+		if s.ov.Stats().TouchedArcs > 0 {
+			return nil, ErrPendingAnnotations
+		}
+		// The first batch reads the shared base and leaves it as it is.
+		if s.work, res, err = topo.Edit(s.m.eng, e.ops, false); err != nil {
+			return nil, err
+		}
 	default:
-		if !structural {
-			e.fold()
+		s.wst.Annotated += s.ov.Stats().TouchedArcs
+		s.ov.Commit()
+		if _, res, err = topo.Edit(s.work, e.ops, true); err != nil {
+			return nil, err
 		}
-		if structural || len(e.ops) > 0 {
-			// The first batch reads the shared base and leaves it as it is;
-			// later ones edit the session's own engine in place.
-			from := s.work
-			if from == nil {
-				from = s.m.eng
-			}
-			var next *core.Engine
-			if next, res, err = topo.Edit(from, e.ops, s.work != nil); err != nil {
-				return nil, err
-			}
-			s.work = next
-			s.wst.Add(res)
-		}
+	}
+	if structural {
+		s.wst.Add(res)
+		s.ov.Rebase(s.work)
 	}
 	s.resizes = append(s.resizes, e.rzs...)
 	s.moves = append(s.moves, e.mvs...)
@@ -506,7 +474,7 @@ func (s *Session) ScenarioSlacks(name string) ([]float64, error) {
 
 // ScenarioSlacksInto is the allocation-free form of ScenarioSlacks; the
 // scenario "" is the nominal lane, which every server has. A session holding
-// structural edits reads its working engine, which has nothing to patch.
+// structural edits reads its working engine with its overlay on top.
 func (s *Session) ScenarioSlacksInto(name string, dst []float64) ([]float64, error) {
 	dst, _, err := s.scenarioSlacksInto(name, dst)
 	return dst, err
@@ -520,11 +488,7 @@ func (s *Session) scenarioSlacksInto(name string, dst []float64) (_ []float64, l
 		if lane, err = m.laneLocked(name); err != nil {
 			return err
 		}
-		if s.work != nil {
-			dst = laneSlacksInto(s.work, nil, lane, dst)
-		} else {
-			dst = laneSlacksInto(m.eng, s.ov, lane, dst)
-		}
+		dst = laneSlacksInto(s.ov.Base(), s.ov, lane, dst)
 		return nil
 	})
 	if err != nil {
@@ -533,12 +497,14 @@ func (s *Session) scenarioSlacksInto(name string, dst []float64) (_ []float64, l
 	return dst, lane, nil
 }
 
-// Commit folds the session's recorded arc deltas into the base engine (the
-// base adopts the session's preview), replays its resizes into the reference
-// netlist, bumps the epoch, and leaves the session open and empty against the
-// new base. Commit order across sessions defines the sequential-application
-// order; each commit is bit-identical to applying the session's deltas on
-// whatever base it lands on.
+// Commit folds the session's recorded arc deltas into the engine under its
+// overlay (that engine adopts the session's preview): the served base, or a
+// structural session's working engine, which then replaces the base. It
+// replays the session's resizes into the reference netlist, bumps the epoch,
+// and leaves the session open and empty against the new base. Commit order
+// across sessions defines the sequential-application order; each commit is
+// bit-identical to applying the session's deltas on whatever base it lands
+// on.
 func (s *Session) Commit() (*ECOResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -555,15 +521,17 @@ func (s *Session) Commit() (*ECOResult, error) {
 	if err := s.rebaseLocked(); err != nil {
 		return nil, err
 	}
+	s.ov.Commit()
 	if s.work != nil {
 		return s.commitStructuralLocked(t0)
 	}
-	s.ov.Commit()
 	s.replayNetlistLocked()
 	res := s.finishCommitLocked(t0, map[string]any{"ecos": s.ecoN})
-	m.log.Info("session committed", "session", s.ID, "ecos", s.ecoN,
-		"epoch", m.epoch, "wns", m.baseWNS, "tns", m.baseTNS,
-		"duration", time.Since(t0))
+	if m.debugLog() {
+		m.log.Debug("session committed", "session", s.ID, "ecos", s.ecoN,
+			"epoch", m.epoch, "wns", m.baseWNS, "tns", m.baseTNS,
+			"duration", time.Since(t0))
+	}
 	return res, nil
 }
 
@@ -588,15 +556,16 @@ func (s *Session) replayNetlistLocked() {
 	s.resizes, s.moves = s.resizes[:0], s.moves[:0]
 }
 
-// discardLocked drops everything the session holds uncommitted: its
-// structural working set, its overlay deltas and its queued netlist changes.
-// Caller holds s.mu.
+// discardLocked drops everything the session holds uncommitted: its overlay
+// deltas, its structural working engine and its queued netlist changes. An
+// overlay that sat over the working engine still does, until the caller
+// rebases it. Caller holds s.mu.
 func (s *Session) discardLocked() {
+	s.ov.Reset()
 	if s.work != nil {
 		s.work.Close()
 		s.work, s.wst = nil, topo.Stats{}
 	}
-	s.ov.Reset()
 	s.resizes, s.moves = s.resizes[:0], s.moves[:0]
 }
 

@@ -102,7 +102,7 @@ type TopoResult struct {
 	NewArcs       [2]int     `json:"new_arcs"`
 	RelevelLevels int        `json:"relevel_levels"`
 	RelevelRegion int        `json:"relevel_region"`
-	Edits         int        `json:"edits"` // cumulative op batches on the working set, ECOs included
+	Edits         int        `json:"edits"` // cumulative structural batches on the working engine; ECOs are not counted
 }
 
 type resolvedMove struct {
@@ -187,14 +187,16 @@ func (s *Session) resolveTopoOpLocked(e *edit, op TopoOp) error {
 
 // ApplyTopo validates and applies one structural edit batch — buffer
 // insertions/removals, repowers, moves, raw annotations — to the session's
-// structural working set, re-levelizing and re-propagating only the edited
+// structural working engine, re-levelizing and re-propagating only the edited
 // cone, and returns the post-edit view. The committed base is untouched until
-// Commit. The batch is atomic: on any error the session is exactly as it was.
+// Commit. The batch is atomic: on any error the session's view is exactly as
+// it was.
 //
 // The first structural batch converts the session: it must hold no
-// uncommitted annotation ECOs (ErrPendingAnnotations), and from then on every
-// evaluation runs against the session's own seeded engine; a commit to the
-// base by any other session conflicts it (ErrStructuralConflict).
+// uncommitted annotation ECOs (ErrPendingAnnotations), and from then on its
+// overlay sits over the session's own seeded engine, and each later batch
+// first folds the overlay's ECOs into that engine; a commit to the base by
+// any other session conflicts it (ErrStructuralConflict).
 func (s *Session) ApplyTopo(req TopoRequest) (tr *TopoResult, err error) {
 	if len(req.Ops) == 0 {
 		return nil, errors.New("server: empty topo batch")
@@ -275,10 +277,8 @@ func (s *Session) commitStructuralLocked(t0 time.Time) (*ECOResult, error) {
 	m.ownsBase = true
 	m.topoGen.Add(1)
 	s.replayNetlistLocked()
-	// Re-point this session's overlay at the engine it just installed. It
-	// holds no overlay deltas (structural sessions take none), so that is all
-	// the rebase does.
-	s.ov.Rebase(m.eng)
+	// The session's overlay, committed and empty, already sits over the
+	// engine it just installed.
 	res := s.finishCommitLocked(t0, map[string]any{
 		"structural": true,
 		"inserted":   st.Inserted,
@@ -286,10 +286,12 @@ func (s *Session) commitStructuralLocked(t0 time.Time) (*ECOResult, error) {
 	})
 	res.DeltaWNS, res.DeltaTNS = res.WNS-prevWNS, res.TNS-prevTNS
 	m.topoCommits.Add(1)
-	m.log.Info("structural commit", "session", s.ID,
-		"edits", st.Edits, "inserted", st.Inserted,
-		"removed", st.Removed, "annotated", st.Annotated,
-		"new_pins", st.NewPins, "epoch", m.epoch, "topo_gen", m.topoGen.Load(),
-		"wns", m.baseWNS, "tns", m.baseTNS, "duration", time.Since(t0))
+	if m.debugLog() {
+		m.log.Debug("structural commit", "session", s.ID,
+			"edits", st.Edits, "inserted", st.Inserted,
+			"removed", st.Removed, "annotated", st.Annotated,
+			"new_pins", st.NewPins, "epoch", m.epoch, "topo_gen", m.topoGen.Load(),
+			"wns", m.baseWNS, "tns", m.baseTNS, "duration", time.Since(t0))
+	}
 	return res, nil
 }

@@ -2,11 +2,12 @@
 // design (core.State): buffer insertion and removal splice pins and arcs into
 // the timing graph, and annotation ops (the arc-level form of repower and
 // move) rewrite arc delays in place. It is the structural layer under the
-// serving stack's /session/{id}/topo endpoint, the InstaBuffer client and any
-// annotation ECO on a session that holds structural edits — overlay sessions
-// can only re-annotate a frozen graph; this package edits the graph itself
-// and, through Edit, re-levelizes and re-propagates only the region
-// downstream of the edit. Every change reaches a working engine the same way:
+// serving stack's /session/{id}/topo endpoint and the InstaBuffer client. A
+// session's annotation ECOs never come here, structural session or not: its
+// overlay re-annotates a frozen graph, and a structural batch first folds
+// that overlay into the session's working engine. This package edits the
+// graph itself and, through Edit, re-levelizes and re-propagates only the
+// region downstream of the edit. Every change reaches a working engine the same way:
 // one op batch through Edit, which returns the next engine; whoever holds
 // that engine (a serving session) decides when it is committed or closed.
 //

@@ -117,7 +117,7 @@ func mustEngine(t *testing.T, tab *circuitops.Tables, opt core.Options) *core.En
 }
 
 // assertEnginesIdentical compares got against a cold oracle over tab:
-// slacks, hold slacks, WNS/TNS, every endpoint's Top-K queues, and the
+// slacks, critical startpoints, hold slacks, WNS/TNS, every endpoint's Top-K queues, and the
 // backward pass's per-arc timing gradients.
 func assertEnginesIdentical(t *testing.T, tag string, got *core.Engine, tab *circuitops.Tables, opt core.Options) {
 	t.Helper()
@@ -139,8 +139,18 @@ func assertEnginesIdentical(t *testing.T, tag string, got *core.Engine, tab *cir
 	if got.WNS() != want.WNS() || got.TNS() != want.TNS() {
 		t.Fatalf("%s: WNS/TNS %v/%v != cold %v/%v", tag, got.WNS(), got.TNS(), want.WNS(), want.TNS())
 	}
+	// The critical startpoints and hold slacks are read as the edit left
+	// them, not re-evaluated: a reseed re-evaluates only the endpoints its
+	// wave changed.
+	for i := range ws {
+		gsp, grf := got.CriticalStartpoint(i)
+		wsp, wrf := want.CriticalStartpoint(i)
+		if gsp != wsp || grf != wrf {
+			t.Fatalf("%s: ep %d critical startpoint %d/%d != cold %d/%d", tag, i, gsp, grf, wsp, wrf)
+		}
+	}
 	if want.HoldEnabled() {
-		gh, wh := got.EvalHoldSlacks(), want.EvalHoldSlacks()
+		gh, wh := got.LaneHoldSlacks(0), want.EvalHoldSlacks()
 		for i := range wh {
 			if gh[i] != wh[i] {
 				t.Fatalf("%s: ep %d hold slack %v != cold %v", tag, i, gh[i], wh[i])
