@@ -9,7 +9,11 @@
 #                      one writer of the served base: no Manager.Exclusive,
 #                      no exported PropagateIncremental; and an ECO on a
 #                      structural session stays in its overlay: no
-#                      edit.fold into a topo batch, no engineFigures
+#                      edit.fold into a topo batch, no engineFigures; and
+#                      a structural batch has one in-place path behind one
+#                      core call, Engine.Patch: no inPlace or owned
+#                      parameter, no exported Reseed,
+#                      CompileIncrementalPatched or CheckRowUnits
 #   2. go build      — everything compiles, including cmd/ and examples/
 #   3. go test       — full suite (unit + determinism + differential + a
 #                      commit adopting its preview equal to a cold run
@@ -32,8 +36,8 @@
 #                      block preset + the derived-pin layout on every block
 #                      preset — the rule, every replayed row one hop of its
 #                      parent's, no derived pin owning a slot, cold and
-#                      across a buffer insertion and bypass, reseeded into a
-#                      new engine and in place + the dead-pin layout on every
+#                      across a buffer insertion and bypass, patched into a
+#                      fork and in place + the dead-pin layout on every
 #                      block preset — liveness equal to a reverse search from
 #                      the endpoints, no dead pin owning a slot, a dead pin
 #                      revived by a reseed, a dead pin's rebuilt reads equal
@@ -106,9 +110,9 @@
 #                      then 10 s of FuzzTopoSession:
 #                      op batches decoded from bytes — inserts, bypasses and
 #                      annotations, annotate-only batches included, the
-#                      first among them — drive one working engine through
-#                      its one way in, topo.Edit (one patched recompile, one
-#                      reseed; off the base first, in place after) — no
+#                      first among them — drive one working engine, a fork of
+#                      the base, through its one way in, topo.Edit (one
+#                      patched recompile, one reseed, in place) — no
 #                      panic, a rejected batch changes nothing, and after
 #                      every accepted one the working engine is
 #                      bit-identical to a cold compile of tables the fuzzer
@@ -236,6 +240,10 @@ if git grep --untracked -n -e 'func (m \*Manager) Exclusive' -e 'func (e \*Engin
 fi
 if git grep --untracked -n -e 'func (e \*edit) fold' -e 'engineFigures' -- '*.go'; then
 	echo "a session's ECOs preview in its overlay, structural or not: edit.fold and engineFigures must stay gone" >&2
+	exit 1
+fi
+if git grep --untracked -n -E -e '\b(inPlace|owned) bool\b' -e 'func \(e \*Engine\) (Reseed|CheckRowUnits)\(' -e 'func CompileIncrementalPatched\(' -- '*.go'; then
+	echo "a structural batch runs in place on a fork, through Engine.Patch: no inPlace/owned parameter, no exported Reseed, CompileIncrementalPatched or CheckRowUnits" >&2
 	exit 1
 fi
 

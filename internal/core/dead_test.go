@@ -213,7 +213,7 @@ func TestReseedRevivesDeadPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []struct{ hold, inPlace bool }{{false, false}, {false, true}, {true, false}, {true, true}} {
+	for _, mode := range []struct{ hold, fork bool }{{false, false}, {false, true}, {true, false}, {true, true}} {
 		opt := Options{TopK: 2, Hold: mode.hold, Workers: 1}
 		e, err := NewEngine(tab, opt)
 		if err != nil {
@@ -235,10 +235,7 @@ func TestReseedRevivesDeadPin(t *testing.T) {
 		if _, _, sps := cold.TopEntries(0, x); !slices.Contains(sps, b) {
 			t.Fatalf("x holds startpoints %v, not B — the check is vacuous", sps)
 		}
-		ne, err := e.Reseed(st, []int32{x}, mode.inPlace)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ne := reseedOnto(e, st, []int32{x}, mode.fork)
 		defer ne.Close()
 		for p := int32(0); p < int32(st.NumPins); p++ {
 			if ne.rows[p].dead || ne.rows[p].k != cold.rows[p].k {

@@ -114,8 +114,8 @@ func assertSameLayout(t *testing.T, what string, got, cold *Engine) {
 // S = 1 and over {ss,tt,ff}: the derived layout on the cold engine, then after
 // a buffer is inserted on a net arc whose driver is derived and after it is
 // bypassed again — which gives the driver a second fan-out and takes the
-// buffer output's only one, so both stop being derived — each reseeded into a
-// new engine and in place, against a cold engine over the edited state.
+// buffer output's only one, so both stop being derived — each patched into a
+// fork and in place, against a cold engine over the edited state.
 func TestDerivedRows(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(20))
 	presets := bench.BlockNames()
@@ -143,17 +143,11 @@ func TestDerivedRows(t *testing.T) {
 			t.Fatalf("%s: no net arc has a derived driver", name)
 		}
 		arc := nets[len(nets)/2]
-		edits, newPins, seeds1 := bufferEdits(st, arc)
-		st1, _, err := CompileIncrementalPatched(st, edits, newPins, seeds1, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		edits1, newPins, seeds1 := bufferEdits(st, arc)
+		st1 := patched(t, st, edits1, newPins, seeds1)
 		n := int32(len(st.ArcFrom))
-		edits, seeds2 := bypassEdits(st1, arc, n, n+1)
-		st2, _, err := CompileIncrementalPatched(st1, edits, 0, seeds2, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		edits2, seeds2 := bypassEdits(st1, arc, n, n+1)
+		st2 := patched(t, st1, edits2, 0, seeds2)
 		if rule2 := derivedRule(st2); rule2[st.ArcFrom[arc]] || rule2[st1.ArcTo[n]] {
 			t.Fatalf("%s: the bypass left the driver or the buffer output derived — the flip check is vacuous", name)
 		}
@@ -173,7 +167,9 @@ func TestDerivedRows(t *testing.T) {
 						e.RefreshHoldSlacks()
 						return e
 					}
-					e := cold(st)
+					// Patched in place below, so over slabs of its own: an
+					// engine shares those of the state it is built over.
+					e := cold(st.fork())
 					defer e.Close()
 					assertDerived(t, "cold", e)
 					if name == "block-1" && k == 32 && lanes.name == "S1" {
@@ -187,29 +183,21 @@ func TestDerivedRows(t *testing.T) {
 					}
 
 					want := cold(st1)
-					ne, err := e.Reseed(st1, seeds1, false)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSameLayout(t, "buffer inserted (new engine)", ne, want)
-					if got, err := e.Reseed(st1, seeds1, true); err != nil || got != e {
-						t.Fatalf("in-place reseed: %v", err)
-					}
+					ne := e.Fork()
+					mustPatch(t, ne, edits1, newPins, seeds1)
+					assertSameLayout(t, "buffer inserted (fork)", ne, want)
+					mustPatch(t, e, edits1, newPins, seeds1)
 					assertSameLayout(t, "buffer inserted (in place)", e, want)
 					want.Close()
 
-					ne2, err := ne.Reseed(st2, seeds2, false)
+					ne2 := ne.Fork()
 					ne.Close()
-					if err != nil {
-						t.Fatal(err)
-					}
 					defer ne2.Close()
+					mustPatch(t, ne2, edits2, 0, seeds2)
 					want = cold(st2)
 					defer want.Close()
-					assertSameLayout(t, "buffer bypassed (new engine)", ne2, want)
-					if got, err := e.Reseed(st2, seeds2, true); err != nil || got != e {
-						t.Fatalf("in-place reseed: %v", err)
-					}
+					assertSameLayout(t, "buffer bypassed (fork)", ne2, want)
+					mustPatch(t, e, edits2, 0, seeds2)
 					assertSameLayout(t, "buffer bypassed (in place)", e, want)
 				})
 			}

@@ -70,7 +70,8 @@ type Engine struct {
 	// of it the engine reads: topology, level schedule, SP/EP tables, clock
 	// network and the current arc annotations, which SetArcDelay writes. It is
 	// the engine's own shallow copy of the state it was built over, annotation
-	// slabs cloned (newEngineBody), or the state an in-place Reseed adopted.
+	// slabs cloned (newEngine), or the patched state a structural edit adopted
+	// (Patch).
 	// Kernels load it once per call (st := e.st) and index its slabs.
 	st *State
 	// rows maps a pin to its tensor row (rowSpan): where it starts, its
@@ -78,7 +79,7 @@ type Engine struct {
 	// laid out in the level order the engine was built over, so the pins a
 	// level launch walks — and most of their parents, one level up — sit in
 	// neighbouring memory; a structural reseed keeps every row that still
-	// fits and gives the others fresh rows at the tail (Reseed), and a cold
+	// fits and gives the others fresh rows at the tail (reseed), and a cold
 	// or snapshot-booted engine over the edited state is in level order
 	// again.
 	rows []rowSpan
@@ -223,10 +224,10 @@ func (e *Engine) levelPlan() []levelGroup {
 // propScratch is the reusable state of one cone wave (incremental.go): its
 // owner's three hooks, per-level wavefront buckets, the queued-pin set and
 // per-bucket change flags, next to the merge scratch set the wave has on loan
-// from the engine while it runs. The engine owns one for its in-place wave —
-// a commit and a Reseed mutate base state, so calls are exclusive — while
-// every Overlay owns its own, because many overlays may evaluate concurrently
-// over one frozen base.
+// from the engine while it runs. The engine owns one for its in-place wave — a
+// commit and a structural edit mutate base state, so calls are exclusive —
+// while every Overlay owns its own, because many overlays may evaluate
+// concurrently over one frozen base.
 type propScratch struct {
 	// rebuild is what a wave does to stored pin bucket[i] = p on a
 	// participant's scratch: view.rebuild into a row of the owner's choosing,
@@ -382,7 +383,7 @@ func (e *Engine) EnableKernelStats() *sched.Stats {
 
 // SetTracer attaches (or detaches, with nil) a span tracer recording the
 // engine's phase and per-level timings. It replaces Options.Tracer, so an
-// engine Reseed builds from this one records to it too. Safe to call between
+// engine Fork builds from this one records to it too. Safe to call between
 // passes; not concurrently with one.
 func (e *Engine) SetTracer(t *obs.Tracer) { e.opt.Tracer = t }
 

@@ -63,7 +63,7 @@ func (e *Engine) incScratch() *propScratch {
 // passes it on to its one child, which replays it; a dead pin never enters a
 // bucket — no caller seeds one, and the wave stops at it. The wave holds one set of
 // the engine's merge scratch while it runs. Its three callers — a hold
-// engine's commit (propagateIncremental), a structural Reseed and an
+// engine's commit (propagateIncremental), a structural edit's reseed and an
 // Overlay's preview — differ only in the hooks.
 func (e *Engine) coneWave(tag string, sc *propScratch) {
 	st := e.st

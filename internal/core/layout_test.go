@@ -33,7 +33,7 @@ func inLevelOrder(e *Engine) bool {
 // are those of an engine booted from an exported state (the snapshot path) —
 // even the state of a reseeded engine whose own rows have drifted, because the
 // layout is derived at build time and never travels with the state. What a
-// Reseed does to the rows is held in TestPackedTailInvariant.
+// reseed does to the rows is held in TestPackedTailInvariant.
 func TestRowsFollowLevelOrder(t *testing.T) {
 	h := buildHarness(t, testSpec(85))
 	opt := Options{TopK: 4, Hold: true, Workers: 1}
@@ -52,10 +52,7 @@ func TestRowsFollowLevelOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reseeded, err := cold.Reseed(st, seeds, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reseeded := reseedOnto(cold, st, seeds, true)
 	defer reseeded.Close()
 	if inLevelOrder(reseeded) {
 		t.Fatal("the edit left the reseeded engine in level order — the boot check below is vacuous")

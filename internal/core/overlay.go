@@ -117,7 +117,7 @@ func (o *Overlay) Base() *Engine { return o.e }
 
 // takeIndex returns all-zero look-up arrays, from the engine's pool when that
 // holds a set covering the engine's pins and arcs as they are now (an
-// in-place Reseed appends both under the same engine).
+// structural edit appends both under the same engine).
 func (e *Engine) takeIndex() *shadowIndex {
 	ix, _ := e.indexPool.Get().(*shadowIndex)
 	if ix == nil || !ix.covers(e) {

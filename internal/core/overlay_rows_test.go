@@ -330,27 +330,24 @@ func TestOverlayFollowsStructuralReseeds(t *testing.T) {
 	applyToOverlay(o, perturb(e, 3, 19, 1.3, 1.2))
 
 	tab, cur := h.tab, e
-	for _, inPlace := range []bool{false, true} {
+	for _, fork := range []bool{true, false} {
 		edited, seeds := structuralEdit(t, tab, cur)
 		st, err := Compile(edited)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ne, err := cur.Reseed(st, seeds, inPlace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !inPlace {
+		ne := reseedOnto(cur, st, seeds, fork)
+		if fork {
 			t.Cleanup(ne.Close)
 		}
 		chunks := slices.Clone(o.chunks)
 		o.Rebase(ne)
 		o.Propagate()
 		if len(o.slot) != ne.st.NumPins || len(o.epSlot) != len(ne.st.EpPin) {
-			t.Fatalf("in place %v: index covers %d pins / %d endpoints, engine has %d / %d", inPlace, len(o.slot), len(o.epSlot), ne.st.NumPins, len(ne.st.EpPin))
+			t.Fatalf("fork %v: index covers %d pins / %d endpoints, engine has %d / %d", fork, len(o.slot), len(o.epSlot), ne.st.NumPins, len(ne.st.EpPin))
 		}
 		if !slices.Equal(o.chunks[:len(chunks)], chunks) {
-			t.Fatalf("in place %v: the rebase did not keep the overlay's chunks", inPlace)
+			t.Fatalf("fork %v: the rebase did not keep the overlay's chunks", fork)
 		}
 
 		cold, err := NewEngineLanes(st, lanes, opt)
@@ -364,7 +361,7 @@ func TestOverlayFollowsStructuralReseeds(t *testing.T) {
 			}
 		}
 		cold.Run()
-		sameSlacks(t, fmt.Sprintf("rebased over a reseed (in place: %v) vs cold", inPlace), overlaySlacks(o), engineSlacks(cold))
+		sameSlacks(t, fmt.Sprintf("rebased over a reseed (fork: %v) vs cold", fork), overlaySlacks(o), engineSlacks(cold))
 		sameOverlayQueues(t, "rebased over a reseed", o, cold)
 		if len(o.touched) == 0 || len(o.ChangedEndpointsView()) == 0 {
 			t.Fatal("no delta survived the edit — test is vacuous")

@@ -154,6 +154,18 @@ func structuralEdit(t *testing.T, tab *circuitops.Tables, e *Engine) (*circuitop
 	return &out, []int32{tab.Arcs[cut].To, tab.Arcs[cut].From, bufIn, bufOut, tab.Arcs[split].To}
 }
 
+// reseedOnto reseeds e onto st — in place, or in a Fork of e with fork set,
+// which leaves e as it was — and returns the engine it reseeded. st need not
+// come from a patch: a structural edit the patch would refuse (a cut arc
+// renumbers the arcs after it) still holds reseed to a cold engine over st.
+func reseedOnto(e *Engine, st *State, seeds []int32, fork bool) *Engine {
+	if fork {
+		e = e.Fork()
+	}
+	e.reseed(st, seeds)
+	return e
+}
+
 func TestPackedTailInvariant(t *testing.T) {
 	h := buildHarness(t, testSpec(84))
 	for _, lc := range laneCases {
@@ -185,25 +197,22 @@ func TestPackedTailInvariant(t *testing.T) {
 				assertEnginePacked(t, "overlay commit", e)
 
 				// Two structural edits in a row, each appending pins and
-				// shifting levels: the first reseeds e into a new engine, the
-				// second reseeds that private engine in place.
+				// shifting levels: the first reseeds a fork of e, the second
+				// reseeds that private engine in place.
 				tab, cur := h.tab, e
-				for _, inPlace := range []bool{false, true} {
-					what := fmt.Sprintf("structural Reseed (in place: %v)", inPlace)
+				for _, fork := range []bool{true, false} {
+					what := fmt.Sprintf("structural reseed (fork: %v)", fork)
 					edited, seeds := structuralEdit(t, tab, cur)
 					oldRows, oldUnits, oldLevel := slices.Clone(cur.rows), cur.rowUnits, slices.Clone(cur.st.LvLevel)
 					st, err := Compile(edited)
 					if err != nil {
 						t.Fatal(err)
 					}
-					ne, err := cur.Reseed(st, seeds, inPlace)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if inPlace != (ne == cur) {
+					ne := reseedOnto(cur, st, seeds, fork)
+					if fork == (ne == cur) {
 						t.Fatalf("%s returned the wrong engine", what)
 					}
-					if !inPlace {
+					if fork {
 						t.Cleanup(ne.Close)
 						if !slices.Equal(cur.rows, oldRows) || cur.rowUnits != oldUnits {
 							t.Fatalf("%s changed the parent engine's rows", what)
@@ -233,7 +242,7 @@ func TestPackedTailInvariant(t *testing.T) {
 	}
 }
 
-// assertRowsKept holds a reseeded engine's rows to Reseed's contract: every
+// assertRowsKept holds a reseeded engine's rows to reseed's contract: every
 // pin's capacity is rowCap and its status — dead (liveRule) or derived
 // (derivedPin) — what the edited state says; a
 // pin the previous layout covered keeps its row's offset while the slots it

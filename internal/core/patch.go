@@ -32,28 +32,47 @@ type ArcEdit struct {
 	Row circuitops.ArcRow
 }
 
-// CompileIncrementalPatched recompiles prev after a structural batch by
-// patching prev's slabs rather than rebuilding them. edits lists every row the
-// batch writes, including every appended id (appended ids must continue prev's
-// arc range without gaps); newPins counts the pins it appends; seeds is the
-// re-levelization seed set (pins whose fan-in changed). No pin's fan-in count
-// may change — insert, bypass and annotate never change one.
-//
-// owned declares that prev is private to the caller (the typical case: the
-// previous patched state of the same session) and may be cannibalized — its
-// slabs are extended and rewritten in place, so prev must not be used again.
-// With owned=false the touched slabs are copied first and prev stays intact
-// (the session's first edit patches the shared base state this way).
-//
-// All shape violations are detected before the first write; the only
-// post-mutation failure is a levelize cycle, which no op batch can introduce
-// (an insert adds an edge only via a fresh intermediate pin, a bypass
-// shortcuts a path that already existed).
-func CompileIncrementalPatched(prev *State, edits []ArcEdit, newPins int, seeds []int32, owned bool) (*State, levelize.IncStats, error) {
-	var is levelize.IncStats
-	if prev == nil {
-		return nil, is, fmt.Errorf("core: CompileIncrementalPatched requires a previous state")
+// Patch applies one structural batch to e in place — buffers spliced in or
+// bypassed, arcs re-annotated — and leaves e fully evaluated over the edited
+// state, bit-identical to a cold engine over it: e's state slabs are patched,
+// re-levelized from the seeds and reseeded (reseed). edits lists every arc row
+// the batch writes, appended ids continuing e's arc range without gaps;
+// newPins counts the pins it appends; seeds are the pins whose fan-in set or
+// fan-in delay changed, appended pins included. No pin's fan-in count may
+// change — insert, bypass and annotate never change one. e's state slabs must
+// be its own: a Fork's, or those NewEngine compiled, never those of a state
+// NewEngineFromState was given. The row units, the arc ids and the pins are
+// checked before the first write, so a refused batch leaves e as it was; the
+// seeds are trusted, and no op batch can introduce a levelize cycle (an insert
+// adds an edge only via a fresh pin, a bypass shortcuts an existing path).
+func (e *Engine) Patch(edits []ArcEdit, newPins int, seeds []int32) (levelize.IncStats, error) {
+	if err := e.checkRowUnits(e.st.NumPins + newPins); err != nil {
+		return levelize.IncStats{}, err
 	}
+	// A pin an edited arc no longer leaves from has lost a fan-out, so the
+	// reseed re-derives its status too; only the state before the patch still
+	// says which pin that was.
+	reseeds := slices.Clip(seeds)
+	for _, ed := range edits {
+		if ed.ID >= 0 && int(ed.ID) < len(e.st.ArcFrom) && e.st.ArcFrom[ed.ID] != ed.Row.From {
+			reseeds = append(reseeds, e.st.ArcFrom[ed.ID])
+		}
+	}
+	sp := e.opt.Tracer.StartArg("engine-patch", "edits", int64(len(edits)))
+	st, is, err := compileIncrementalPatched(e.st, edits, newPins, seeds)
+	sp.End()
+	if err != nil {
+		return is, err
+	}
+	e.reseed(st, reseeds)
+	return is, nil
+}
+
+// compileIncrementalPatched recompiles prev after Patch's batch by patching
+// prev's slabs in place; prev must not be used again. All shape
+// violations are detected before the first write.
+func compileIncrementalPatched(prev *State, edits []ArcEdit, newPins int, seeds []int32) (*State, levelize.IncStats, error) {
+	var is levelize.IncStats
 	if newPins < 0 {
 		return nil, is, fmt.Errorf("core: patch: %d new pins (ids are append-only)", newPins)
 	}
@@ -129,10 +148,9 @@ func CompileIncrementalPatched(prev *State, edits []ArcEdit, newPins int, seeds 
 		}
 	}
 
-	// Capture the pre-edit segments of every affected existing pin before any
-	// in-place rewrite (with owned=true the source slabs are about to change
-	// under us). A pin is affected when an edited arc attaches to or detaches
-	// from it — or keeps it but changes content (rewritten in place).
+	// Capture the pre-edit segments of every affected existing pin before the
+	// rewrite changes the slabs under us. A pin is affected when an edited arc
+	// attaches to or detaches from it — or keeps it but changes content.
 	oldIn := make(map[int32][]inSlot, len(inDelta))
 	for p := range inDelta {
 		seg := make([]inSlot, 0, prev.FaninStart[p+1]-prev.FaninStart[p])
@@ -153,21 +171,21 @@ func CompileIncrementalPatched(prev *State, edits []ArcEdit, newPins int, seeds 
 		}
 	}
 
-	// From here on the state is mutated (or copied, owned=false); no error
-	// can be reported short of the unreachable levelize cycle.
+	// From here on the state is mutated; no error can be reported short of
+	// the unreachable levelize cycle.
 	st := new(State)
 	*st = *prev
 	st.NumPins = numPins
 
 	for rf := 0; rf < 2; rf++ {
-		st.ArcMean[rf] = extendSlab(prev.ArcMean[rf], nArcs, owned)
-		st.ArcStd[rf] = extendSlab(prev.ArcStd[rf], nArcs, owned)
+		st.ArcMean[rf] = extendSlab(prev.ArcMean[rf], nArcs)
+		st.ArcStd[rf] = extendSlab(prev.ArcStd[rf], nArcs)
 	}
-	st.ArcKind = extendSlab(prev.ArcKind, nArcs, owned)
-	st.ArcCell = extendSlab(prev.ArcCell, nArcs, owned)
-	st.ArcNet = extendSlab(prev.ArcNet, nArcs, owned)
-	st.ArcFrom = extendSlab(prev.ArcFrom, nArcs, owned)
-	st.ArcTo = extendSlab(prev.ArcTo, nArcs, owned)
+	st.ArcKind = extendSlab(prev.ArcKind, nArcs)
+	st.ArcCell = extendSlab(prev.ArcCell, nArcs)
+	st.ArcNet = extendSlab(prev.ArcNet, nArcs)
+	st.ArcFrom = extendSlab(prev.ArcFrom, nArcs)
+	st.ArcTo = extendSlab(prev.ArcTo, nArcs)
 	for _, ed := range chg {
 		c, a := ed.ID, &ed.Row
 		st.ArcMean[liberty.Rise][c], st.ArcStd[liberty.Rise][c] = a.MeanRise, a.StdRise
@@ -177,8 +195,8 @@ func CompileIncrementalPatched(prev *State, edits []ArcEdit, newPins int, seeds 
 	}
 
 	// Per-pin tables: appended pins are neither startpoints nor endpoints.
-	st.SpOfPin = extendSlab(prev.SpOfPin, numPins, owned)
-	st.EpOfPin = extendSlab(prev.EpOfPin, numPins, owned)
+	st.SpOfPin = extendSlab(prev.SpOfPin, numPins)
+	st.EpOfPin = extendSlab(prev.EpOfPin, numPins)
 	for p := prev.NumPins; p < numPins; p++ {
 		st.SpOfPin[p], st.EpOfPin[p] = -1, -1
 	}
@@ -187,13 +205,13 @@ func CompileIncrementalPatched(prev *State, edits []ArcEdit, newPins int, seeds 
 	// the start array only gains the appended pins' prefix sums; affected
 	// segments are rebuilt sorted by arc id — the order the full compile's
 	// ascending arc scan yields.
-	st.FaninStart = extendSlab(prev.FaninStart, numPins+1, owned)
+	st.FaninStart = extendSlab(prev.FaninStart, numPins+1)
 	for p := prev.NumPins; p < numPins; p++ {
 		st.FaninStart[p+1] = st.FaninStart[p] + newInCount[p-prev.NumPins]
 	}
-	st.FaninArc = extendSlab(prev.FaninArc, nArcs, owned)
-	st.FaninFrom = extendSlab(prev.FaninFrom, nArcs, owned)
-	st.FaninSense = extendSlab(prev.FaninSense, nArcs, owned)
+	st.FaninArc = extendSlab(prev.FaninArc, nArcs)
+	st.FaninFrom = extendSlab(prev.FaninFrom, nArcs)
+	st.FaninSense = extendSlab(prev.FaninSense, nArcs)
 	inScratch := make([]inSlot, 0, 16)
 	writeIn := func(p int32, kept []inSlot) {
 		merged := inScratch[:0]
@@ -220,9 +238,9 @@ func CompileIncrementalPatched(prev *State, edits []ArcEdit, newPins int, seeds 
 
 	// Fan-out CSR (slot content is the arc's head pin + arc id): rebuilt from
 	// the patched arc slabs after a bypass, otherwise patched like the fan-in.
-	st.FoStart = extendSlab(prev.FoStart, numPins+1, owned)
-	st.FoAdj = extendSlab(prev.FoAdj, nArcs, owned)
-	st.FoArc = extendSlab(prev.FoArc, nArcs, owned)
+	st.FoStart = extendSlab(prev.FoStart, numPins+1)
+	st.FoAdj = extendSlab(prev.FoAdj, nArcs)
+	st.FoArc = extendSlab(prev.FoArc, nArcs)
 	if rebuildFo {
 		fanoutCSR(st.ArcFrom, st.ArcTo, st.FoStart, st.FoAdj, st.FoArc)
 	} else {
@@ -269,22 +287,40 @@ func CompileIncrementalPatched(prev *State, edits []ArcEdit, newPins int, seeds 
 	return st, is, nil
 }
 
-// extendSlab returns s grown to length n: a fresh copy when the source must
-// stay intact (owned=false), in place — reusing capacity when possible —
-// when the caller owns it. Appended entries are unspecified; every patch
-// site writes them explicitly.
-func extendSlab[T any](s []T, n int, owned bool) []T {
-	if !owned {
-		c := make([]T, n)
-		copy(c, s)
-		return c
-	}
+// extendSlab returns s grown to length n in place when its capacity allows,
+// else a grown copy. Appended entries are unspecified; every patch site
+// writes them explicitly.
+func extendSlab[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	// Grow with slack so a session applying many small batches reallocates
-	// each slab O(log) times, not per edit.
+	return grown(s, n)
+}
+
+// grown returns a copy of s grown to length n, with slack so a session
+// applying many small batches reallocates each slab O(log) times, not per
+// edit.
+func grown[T any](s []T, n int) []T {
 	c := make([]T, n, n+n/8+16)
 	copy(c, s)
 	return c
+}
+
+// own returns a copy of s with the slack of a grown slab.
+func own[T any](s []T) []T { return grown(s, len(s)) }
+
+// fork returns a copy of st that owns every slab a patch rewrites — the arc
+// slabs, the SP/EP pin maps and both CSRs — and shares the rest, which no
+// patch writes (the level schedule is rebuilt, not rewritten).
+func (st *State) fork() *State {
+	c := *st
+	for rf := 0; rf < 2; rf++ {
+		c.ArcMean[rf], c.ArcStd[rf] = own(st.ArcMean[rf]), own(st.ArcStd[rf])
+	}
+	c.ArcKind, c.ArcCell, c.ArcNet = own(st.ArcKind), own(st.ArcCell), own(st.ArcNet)
+	c.ArcFrom, c.ArcTo = own(st.ArcFrom), own(st.ArcTo)
+	c.SpOfPin, c.EpOfPin = own(st.SpOfPin), own(st.EpOfPin)
+	c.FaninStart, c.FaninArc, c.FaninFrom, c.FaninSense = own(st.FaninStart), own(st.FaninArc), own(st.FaninFrom), own(st.FaninSense)
+	c.FoStart, c.FoAdj, c.FoArc = own(st.FoStart), own(st.FoAdj), own(st.FoArc)
+	return &c
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestReseedPoisonsRelaidRows: Reseed rebuilds a re-laid row rather than
+// TestReseedPoisonsRelaidRows: reseed rebuilds a re-laid row rather than
 // compare the rebuild with whatever the row's slots held. A derived pin d is
 // given a second fan-out and a new fan-in delay in one batch: it becomes
 // stored and takes a fresh row at the tensors' tail, while its capacity — so
@@ -19,18 +19,11 @@ func TestReseedPoisonsRelaidRows(t *testing.T) {
 	h := buildHarness(t, testSpec(85))
 	opt := Options{TopK: 6, Workers: 1}
 	// fresh returns a private engine over h.tab with spare tensor rows at its
-	// tail, as a reseed into a new engine leaves it.
+	// tail, as Fork leaves it.
 	fresh := func() *Engine {
 		e := newLaneEngine(t, h.tab, unitLane, opt)
 		e.Run()
-		st, err := Compile(h.tab)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ne, err := e.Reseed(st, nil, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ne := e.Fork()
 		t.Cleanup(ne.Close)
 		return ne
 	}
@@ -73,9 +66,7 @@ func TestReseedPoisonsRelaidRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Reseed(st, seeds, true); err != nil {
-			t.Fatal(err)
-		}
+		e.reseed(st, seeds)
 	}
 
 	twin := fresh()

@@ -81,8 +81,8 @@ func bufferEdits(st *State, a int32) ([]ArcEdit, int, []int32) {
 // bypassEdits bypasses the buffer with input wire in, gate arc cell and
 // output wire out, as topo's remove op does: out is re-pointed at in's
 // driver, carrying the three stages' composed delay, and the buffer stays as
-// a dead end. The seeds are the sink and, as Reseed asks of a pin an edited
-// arc leaves, the buffer's output.
+// a dead end. The seed is the sink; the buffer's output, which out no longer
+// leaves, is Patch's to find.
 func bypassEdits(st *State, in, cell, out int32) ([]ArcEdit, []int32) {
 	ia, ca, oa := st.Arc(in), st.Arc(cell), st.Arc(out)
 	oa.From, oa.Net = ia.From, ia.Net
@@ -90,18 +90,50 @@ func bypassEdits(st *State, in, cell, out int32) ([]ArcEdit, []int32) {
 	oa.MeanFall = ia.MeanFall + ca.MeanFall + oa.MeanFall
 	oa.StdRise = math.Sqrt(ia.StdRise*ia.StdRise + ca.StdRise*ca.StdRise + oa.StdRise*oa.StdRise)
 	oa.StdFall = math.Sqrt(ia.StdFall*ia.StdFall + ca.StdFall*ca.StdFall + oa.StdFall*oa.StdFall)
-	return []ArcEdit{{out, oa}}, []int32{oa.To, ca.To}
+	return []ArcEdit{{out, oa}}, []int32{oa.To}
+}
+
+// patched returns st patched by one batch into a state of its own, st left
+// as it was: the state a cold oracle engine is built over.
+func patched(t *testing.T, st *State, edits []ArcEdit, newPins int, seeds []int32) *State {
+	t.Helper()
+	next, _, err := compileIncrementalPatched(st.fork(), edits, newPins, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return next
+}
+
+// mustPatch patches e in place by one batch, which must be accepted.
+func mustPatch(t *testing.T, e *Engine, edits []ArcEdit, newPins int, seeds []int32) {
+	t.Helper()
+	if _, err := e.Patch(edits, newPins, seeds); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// grownUnits counts the units of the rows e stores that it did not store
+// over rows: the appended pins' and the pins that started to store, each a
+// fresh row of its capacity taken from the headroom.
+func grownUnits(e *Engine, rows []rowSpan) int {
+	grew := 0
+	for p, now := range e.rows {
+		if now.stored() && (p >= len(rows) || !rows[p].stored()) {
+			grew += int(now.k)
+		}
+	}
+	return grew
 }
 
 // TestRowCapacity runs every block preset at K = 1, 8 and 32 with hold on over
 // {ss,tt,ff}: the capacity invariants on the cold engine, then after a buffer
-// is inserted on a net arc (reseeding into a new engine) and bypassed again
-// (reseeding that engine in place). Both ops keep every existing pin's
-// capacity, so both reseeds must move no row.
+// is inserted on a net arc (patching a fork of it) and bypassed again
+// (patching that fork again). Both ops keep every existing pin's capacity, so
+// both patches must move no row.
 func TestRowCapacity(t *testing.T) {
-	// On block-1 at K = 32 a not-in-place reseed holds two {ss,tt,ff} engines
-	// with hold, 1.3 GB between them: collect early rather than let the heap
-	// double past that.
+	// On block-1 at K = 32 a fork holds a second {ss,tt,ff} engine with hold
+	// until the first is closed, 1.3 GB between them: collect early rather
+	// than let the heap double past that.
 	defer debug.SetGCPercent(debug.SetGCPercent(20))
 	presets := bench.BlockNames()
 	if testing.Short() {
@@ -138,45 +170,29 @@ func TestRowCapacity(t *testing.T) {
 				}
 
 				edits, newPins, seeds := bufferEdits(st, arc)
-				st1, _, err := CompileIncrementalPatched(st, edits, newPins, seeds, false)
-				if err != nil {
-					t.Fatal(err)
-				}
 				oldRows, oldUnits := slices.Clone(e.rows), e.rowUnits
-				ne, err := e.Reseed(st1, seeds, false)
+				ne := e.Fork()
 				e.Close()
-				if err != nil {
-					t.Fatal(err)
-				}
 				defer ne.Close()
-				what := "buffer inserted (new engine)"
+				mustPatch(t, ne, edits, newPins, seeds)
+				what := "buffer inserted (fork)"
 				assertRowsKept(t, what, ne, oldRows, oldUnits)
 				assertNothingMoved(t, what, ne, oldRows)
-				assertCapacities(t, what, ne, seedHeadroom*k)
+				// A pin that started to store its queues took a fresh row of k
+				// units from the headroom.
+				grew := grownUnits(ne, oldRows)
+				assertCapacities(t, what, ne, seedHeadroom*k-grew)
 
 				n := int32(len(st.ArcFrom))
-				edits, seeds = bypassEdits(st1, arc, n, n+1)
-				st2, _, err := CompileIncrementalPatched(st1, edits, 0, seeds, true)
-				if err != nil {
-					t.Fatal(err)
-				}
+				edits, seeds = bypassEdits(ne.st, arc, n, n+1)
 				oldRows = slices.Clone(ne.rows)
-				if got, err := ne.Reseed(st2, seeds, true); err != nil || got != ne {
-					t.Fatalf("in-place reseed: %v", err)
-				}
+				mustPatch(t, ne, edits, 0, seeds)
 				what = "buffer bypassed (in place)"
 				if ne.st.ArcFrom[n+1] != st.ArcFrom[arc] {
 					t.Fatalf("%s: the output wire starts at pin %d, not the driver %d", what, ne.st.ArcFrom[n+1], st.ArcFrom[arc])
 				}
 				assertNothingMoved(t, what, ne, oldRows)
-				// A pin that started to store its queues took a fresh row of k
-				// units from the headroom.
-				grew := 0
-				for p, r := range oldRows {
-					if now := ne.rows[p]; !r.stored() && now.stored() {
-						grew += int(now.k)
-					}
-				}
+				grew += grownUnits(ne, oldRows)
 				assertCapacities(t, what, ne, seedHeadroom*k-grew)
 			})
 		}
@@ -193,7 +209,7 @@ func TestRowCapacity(t *testing.T) {
 // early queue, which keeps B first, does change and carries the wave on; the
 // late view alone is the case that needs the seeds.) The cut leaves u, and so
 // B, with no way to an endpoint; u is listed as the pin the cut arc no longer
-// leaves from, as Reseed asks, so that both die as they do in a cold engine.
+// leaves from, as reseed asks, so that both die as they do in a cold engine.
 func TestReseedShrunkRowSeedsFanout(t *testing.T) {
 	const a, b, c, u, p, ch = 0, 1, 2, 3, 4, 5
 	inf := math.Inf(1)
@@ -216,7 +232,7 @@ func TestReseedShrunkRowSeedsFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []struct{ hold, inPlace bool }{{false, false}, {false, true}, {true, false}, {true, true}} {
+	for _, mode := range []struct{ hold, fork bool }{{false, false}, {false, true}, {true, false}, {true, true}} {
 		opt := Options{TopK: 2, Hold: mode.hold, Workers: 1}
 		cold, err := NewEngineFromState(st, opt)
 		if err != nil {
@@ -233,10 +249,7 @@ func TestReseedShrunkRowSeedsFanout(t *testing.T) {
 		if _, _, sps := e.TopEntries(0, ch); !slices.Equal(sps, []int32{a, b}) {
 			t.Fatalf("before the cut c holds startpoints %v, want A and B", sps)
 		}
-		ne, err := e.Reseed(st, []int32{p, u}, mode.inPlace)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ne := reseedOnto(e, st, []int32{p, u}, mode.fork)
 		defer ne.Close()
 		if ne.rows[p].k != 1 || ne.rows[ch].k != 2 {
 			t.Fatalf("capacities after the cut: p %d, c %d; want 1 and 2", ne.rows[p].k, ne.rows[ch].k)
@@ -249,28 +262,27 @@ func TestReseedShrunkRowSeedsFanout(t *testing.T) {
 	}
 }
 
-// TestCheckRowUnitsEdge pins the one bound a reseed checks on growth, at its
+// TestCheckRowUnitsEdge pins the one bound a patch checks on growth, at its
 // edge: numPins fresh rows of K units each on top of the units e has handed
 // out fit a row offset up to math.MaxInt32 units, and one pin more does not.
 // No test reaches it through topo.Edit — that takes some 2^31/K pins, and a
-// reseed's scratch regions are S·K slots wide per pin — so the function both
-// check is tested here; Reseed refuses the same count with the same error.
+// reseed's scratch regions are S·K slots wide per pin — so the function Patch
+// checks is tested here; Patch refuses the same count with the same error,
+// before its first write.
 func TestCheckRowUnitsEdge(t *testing.T) {
 	h := buildHarness(t, testSpec(83))
 	for _, k := range []int{1, 6, 32} {
 		e := newLaneEngine(t, h.tab, unitLane, Options{TopK: k, Workers: 1})
 		n := (math.MaxInt32 - e.rowUnits) / k
-		if err := e.CheckRowUnits(n); err != nil {
+		if err := e.checkRowUnits(n); err != nil {
 			t.Fatalf("K=%d: %d pins on %d units fit exactly, refused: %v", k, n, e.rowUnits, err)
 		}
-		err := e.CheckRowUnits(n + 1)
+		err := e.checkRowUnits(n + 1)
 		if err == nil {
 			t.Fatalf("K=%d: %d pins on %d units pass math.MaxInt32 units, accepted", k, n+1, e.rowUnits)
 		}
-		st := *e.st
-		st.NumPins = n + 1
-		if _, rerr := e.Reseed(&st, nil, false); rerr == nil || rerr.Error() != err.Error() {
-			t.Fatalf("K=%d: Reseed of %d pins answered %v, the bound %v", k, n+1, rerr, err)
+		if _, perr := e.Patch(nil, n+1-e.st.NumPins, nil); perr == nil || perr.Error() != err.Error() {
+			t.Fatalf("K=%d: Patch to %d pins answered %v, the bound %v", k, n+1, perr, err)
 		}
 		e.Close()
 	}

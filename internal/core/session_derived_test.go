@@ -14,12 +14,12 @@ import (
 )
 
 // TestSessionKeepsDerivedLayout: topo.Edit inserts a buffer on a
-// net arc whose driver is derived (a reseed off the base) and bypasses it
-// again (a reseed in place). The bypass takes the buffer output's only
-// fan-out, which the patched state no longer records, so the edit has to
-// name that pin to the reseed; either way the engine it leaves must store,
-// derive and kill exactly the pins a cold engine over its state does — the
-// bypassed buffer reaches no endpoint, so its pins die.
+// net arc whose driver is derived, in a fork of the base, and bypasses it
+// again. The bypass takes the buffer output's only fan-out, which the patched
+// state no longer records, so the patch has to name that pin to the reseed;
+// after each edit the engine must store, derive and kill exactly the pins a
+// cold engine over its state does — the bypassed buffer reaches no endpoint,
+// so its pins die.
 func TestSessionKeepsDerivedLayout(t *testing.T) {
 	spec, err := bench.BlockSpec("block-5")
 	if err != nil {
@@ -52,19 +52,13 @@ func TestSessionKeepsDerivedLayout(t *testing.T) {
 	if arc < 0 {
 		t.Fatal("no net arc has a derived driver")
 	}
-	work := base
-	defer func() {
-		if work != base {
-			work.Close()
-		}
-	}()
+	work := base.Fork()
+	defer work.Close()
 	delay := [2]num.Dist{{Mean: 5, Std: 0.5}, {Mean: 5.5, Std: 0.5}}
 	for _, op := range []topo.Op{topo.InsertBuffer(arc, -1, delay, 0.5), topo.RemoveBuffer(int32(len(tab.Arcs)))} {
-		next, _, err := topo.Edit(work, []topo.Op{op}, work != base)
-		if err != nil {
+		if _, err := topo.Edit(work, []topo.Op{op}); err != nil {
 			t.Fatal(err)
 		}
-		work = next
 		cold, err := core.NewEngineFromState(work.ExportState(), opt)
 		if err != nil {
 			t.Fatal(err)

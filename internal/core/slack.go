@@ -130,8 +130,12 @@ func (e *Engine) NumViolations() int { return Violations(e.Slacks()) }
 
 // CriticalStartpoint returns the startpoint index and data transition behind
 // endpoint i's last-evaluated lane-0 slack (-1 when untimed).
-func (e *Engine) CriticalStartpoint(i int) (sp int32, rf int) {
-	return e.epSP[i], int(e.epRF[i])
+func (e *Engine) CriticalStartpoint(i int) (sp int32, rf int) { return e.LaneCriticalStartpoint(0, i) }
+
+// LaneCriticalStartpoint is CriticalStartpoint for lane s.
+func (e *Engine) LaneCriticalStartpoint(s, i int) (sp int32, rf int) {
+	j := s*len(e.st.EpPin) + i
+	return e.epSP[j], int(e.epRF[j])
 }
 
 // Run performs a full forward evaluation: Propagate followed by EvalSlacks.

@@ -142,7 +142,7 @@ func (e *Engine) borrowScratch() []*mergeScratch {
 			}
 		}
 	}
-	// An in-place Reseed keeps the startpoint set, so every set on the list
+	// A structural edit keeps the startpoint set, so every set on the list
 	// still covers it; one that did not would index out of range mid-kernel.
 	if len(set[0].at) != len(st.SpPin) {
 		panic(fmt.Sprintf("core: merge scratch indexes %d startpoints, engine has %d", len(set[0].at), len(st.SpPin)))

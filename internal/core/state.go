@@ -269,7 +269,7 @@ func CompileTraced(t *circuitops.Tables, parent *obs.Span) (*State, error) {
 // fanoutCSR fills the fan-out CSR of the arcs from[i]→to[i] over
 // len(start)-1 pins with a counting sort, so each pin's slots list its arcs
 // in ascending id order. start is overwritten; adj and arc take len(from)
-// slots. Compile builds with it, and CompileIncrementalPatched rebuilds with
+// slots. Compile builds with it, and a patch (Patch) rebuilds with
 // it when a bypass changed an existing pin's fan-out count.
 func fanoutCSR(from, to, start, adj, arc []int32) {
 	clear(start)
@@ -568,55 +568,15 @@ func NewEngineLanes(st *State, scns []Scenario, opt Options) (*Engine, error) {
 	return e, nil
 }
 
-// newEngine builds an engine over st with freshly allocated, unpropagated
-// Top-K tensors whose rows follow st's level order, each as long as its pin's
-// capacity (rowCap), none for a dead pin (livePin) or a derived one
-// (derivedPin): one pass over the fan-out CSR in reverse level order, so every
-// child's liveness is known before its parents', then one over the fan-in CSR
-// in level order, so every parent's capacity is known before its children's.
+// newEngine builds an engine over st — its own shallow copy of st with the
+// annotation slabs cloned, the exception table, the scheduler pool — with
+// freshly allocated, unpropagated Top-K tensors whose rows follow st's level
+// order, each as long as its pin's capacity (rowCap), none for a dead pin
+// (livePin) or a derived one (derivedPin): one pass over the fan-out CSR in
+// reverse level order, so every child's liveness is known before its
+// parents', then one over the fan-in CSR in level order, so every parent's
+// capacity is known before its children's.
 func newEngine(st *State, scns []Scenario, opt Options) (*Engine, error) {
-	e, err := newEngineBody(st, scns, opt)
-	if err != nil {
-		return nil, err
-	}
-	e.rows = make([]rowSpan, st.NumPins)
-	for i := len(st.LvOrder) - 1; i >= 0; i-- {
-		p := st.LvOrder[i]
-		e.rows[p].dead = !livePin(st, e.rows, p)
-	}
-	units := 0
-	for _, p := range st.LvOrder {
-		r := &e.rows[p]
-		r.off, r.k, r.derived = int32(units), rowCap(st, e.rows, p, opt.TopK), !r.dead && derivedPin(st, p)
-		units += int(r.slots())
-	}
-	if units > math.MaxInt32 {
-		return nil, fmt.Errorf("core: %d pins at TopK %d need %d row units, more than a row offset addresses", st.NumPins, opt.TopK, units)
-	}
-	e.rowUnits, e.capUnits = units, units
-	sz := 2 * units * len(scns)
-	*e.top.q = newQueues(sz)
-	if e.hold != nil {
-		*e.hold.q = newQueues(sz)
-	}
-	return e, nil
-}
-
-// checkTopK rejects a queue depth no engine can be built with.
-func checkTopK(k int) error {
-	if k < 1 {
-		return fmt.Errorf("core: TopK must be >= 1, got %d", k)
-	}
-	if k > maxTopK {
-		return fmt.Errorf("core: TopK %d exceeds %d, the deepest queue a startpoint index entry can address", k, maxTopK)
-	}
-	return nil
-}
-
-// newEngineBody builds everything but the Top-K tensors and their row spans,
-// which the caller allocates (newEngine) or takes over from a previous engine
-// (Reseed).
-func newEngineBody(st *State, scns []Scenario, opt Options) (*Engine, error) {
 	if err := checkTopK(opt.TopK); err != nil {
 		return nil, err
 	}
@@ -670,32 +630,92 @@ func newEngineBody(st *State, scns []Scenario, opt Options) (*Engine, error) {
 	}
 	e.pool = sched.New(opt.Workers, opt.Grain)
 	e.bindKernels()
+	e.rows = make([]rowSpan, st.NumPins)
+	for i := len(st.LvOrder) - 1; i >= 0; i-- {
+		p := st.LvOrder[i]
+		e.rows[p].dead = !livePin(st, e.rows, p)
+	}
+	units := 0
+	for _, p := range st.LvOrder {
+		r := &e.rows[p]
+		r.off, r.k, r.derived = int32(units), rowCap(st, e.rows, p, opt.TopK), !r.dead && derivedPin(st, p)
+		units += int(r.slots())
+	}
+	if units > math.MaxInt32 {
+		return nil, fmt.Errorf("core: %d pins at TopK %d need %d row units, more than a row offset addresses", st.NumPins, opt.TopK, units)
+	}
+	e.rowUnits, e.capUnits = units, units
+	sz := 2 * units * len(scns)
+	*e.top.q = newQueues(sz)
+	if e.hold != nil {
+		*e.hold.q = newQueues(sz)
+	}
 	return e, nil
 }
 
-// seedHeadroom is the tensor headroom a reseeded engine reserves for
-// in-place structural growth, in rows of the widest capacity: 4096 rows of K
-// slots per lane, the room 2048 buffer insertions take at most before a
-// reseed has to relocate the tensors. The cost is 2*headroom*S*K slots per
-// tensor — a few MB at most.
+// checkTopK rejects a queue depth no engine can be built with.
+func checkTopK(k int) error {
+	if k < 1 {
+		return fmt.Errorf("core: TopK must be >= 1, got %d", k)
+	}
+	if k > maxTopK {
+		return fmt.Errorf("core: TopK %d exceeds %d, the deepest queue a startpoint index entry can address", k, maxTopK)
+	}
+	return nil
+}
+
+// seedHeadroom is the tensor headroom a forked engine reserves for in-place
+// structural growth, in rows of the widest capacity: 4096 rows of K slots per
+// lane, the room 2048 buffer insertions take at most before a reseed has to
+// relocate the tensors. The cost is 2*headroom*S*K slots per tensor — a few
+// MB at most.
 const seedHeadroom = 4096
 
-// Reseed returns a fully evaluated engine over st — the compiled state of an
-// op batch applied to e's tables: buffers spliced in or bypassed, arcs
-// re-annotated — warm-started from e's converged queues by re-propagating
-// only the fan-out cone of the seed pins (every pin whose fan-in set or
-// fan-in delay changed, including appended pins, and every pin an edited arc
-// no longer leaves from), in every lane at once. The
-// result is bit-identical to a cold NewEngineLanes over st + full evaluation:
-// pin ids are stable across structural edits (pins are append-only; a
-// bypassed buffer keeps its pins as a dead end), so e's converged Top-K
-// planes are valid arrival state for every pin outside the seeds' cone, and
-// the equality-stopping incremental wavefront recomputes exactly the pins
-// whose queues differ. e must have completed a full evaluation, its hold
-// slacks included with hold on (Run alone leaves them out): only the
-// endpoints whose pins the wave changed are re-evaluated, setup and hold, and
-// every other endpoint keeps e's results. st keeps e's startpoint and
-// endpoint tables, as every patched state does.
+// Fork returns a private, fully evaluated copy of e, the working engine a
+// structural session edits in place (Patch) while e, a base others read, stays
+// as it is; Fork only reads e, so overlays may preview over e meanwhile. The
+// copy owns what an edit rewrites — the state's arc, SP/EP-map and CSR slabs,
+// the row spans, the tensors (seedHeadroom spare rows, so edits grow in place)
+// and the endpoint results — and shares the rest of the state, the scenarios
+// and the exception table, which keys on SP/EP pins only. It has its own
+// scheduler pool, and no lazy cache.
+func (e *Engine) Fork() *Engine {
+	sp := e.opt.Tracer.StartArg("engine-fork", "pins", int64(e.st.NumPins))
+	defer sp.End()
+	f := &Engine{
+		opt: e.opt, st: e.st.fork(), rows: own(e.rows),
+		rowUnits: e.rowUnits, capUnits: e.rowUnits + seedHeadroom*e.opt.TopK, qstride: e.qstride,
+		scns: e.scns, scaleMean: e.scaleMean, scaleStd: e.scaleStd, exc: e.exc,
+		epSlack: slices.Clone(e.epSlack), epSP: slices.Clone(e.epSP), epRF: slices.Clone(e.epRF),
+		pool: sched.New(e.opt.Workers, e.opt.Grain),
+	}
+	S := len(e.scns)
+	q := e.top.q.restride(e.capUnits, f.capUnits, e.rowUnits, S)
+	f.top = view{e: f, q: &q}
+	if e.hold != nil {
+		hq := e.hold.q.restride(e.capUnits, f.capUnits, e.rowUnits, S)
+		f.hold = &holdState{view: view{e: f, q: &hq}, epSlack: slices.Clone(e.hold.epSlack)}
+	}
+	f.bindKernels()
+	return f
+}
+
+// reseed re-points e at st — the compiled state of an op batch applied to
+// e's own: buffers spliced in or bypassed, arcs re-annotated — and leaves e
+// fully evaluated over it, warm-started from its converged queues by
+// re-propagating only the fan-out cone of the seed pins (every pin whose
+// fan-in set or fan-in delay changed, including appended pins, and every pin
+// an edited arc no longer leaves from), in every lane at once. The result is
+// bit-identical to a cold NewEngineLanes over st + full evaluation: pin ids
+// are stable across structural edits (pins are append-only; a bypassed buffer
+// keeps its pins as a dead end), so e's converged Top-K planes are valid
+// arrival state for every pin outside the seeds' cone, and the
+// equality-stopping incremental wavefront recomputes exactly the pins whose
+// queues differ. e must have completed a full evaluation, its hold slacks
+// included with hold on (Run alone leaves them out): only the endpoints whose
+// pins the wave changed are re-evaluated, setup and hold. st keeps e's
+// startpoint, endpoint and exception tables, as every patched state does; e
+// adopts its slabs and drops every lazily built cache.
 //
 // Capacities are recomputed over st, and so are the liveness (livePin) of
 // every pin upstream of a changed fan-out, by an upward wave, and the derived
@@ -713,59 +733,16 @@ const seedHeadroom = 4096
 // carried over but rebuilt: every live pin whose span changed — moved, grown,
 // shrunk or flipped — joins the seeds, its row poisoned so that the wave finds
 // it changed and carries on to its fan-out (a pin that became derived has no
-// row, and the wave passes through it; a dead pin never joins).
-//
-// With inPlace false, e is left untouched (it may be a base shared with other
-// sessions) and the result is a new engine with seedHeadroom spare tensor
-// rows. With inPlace true — e is private to the caller, the steady state of
-// an optimizer applying many edit batches to one session — e itself is
-// re-pointed at st and returned: no tensor allocation while the headroom
-// lasts, no annotation copy, no exception recompile. st must then derive
-// from e's current state by CompileIncrementalPatched (SP/EP/exception
-// tables unchanged), e ADOPTS st's annotation slabs
-// (SetArcDelay writes them), and every lazily built cache is dropped.
-// Precondition violations are reported before anything is mutated.
-func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error) {
-	if st == nil {
-		return nil, fmt.Errorf("core: Reseed requires a state")
-	}
-	if st.NumPins < e.st.NumPins {
-		return nil, fmt.Errorf("core: pin count shrank %d -> %d (pins are append-only)", e.st.NumPins, st.NumPins)
-	}
-	if len(st.EpPin) != len(e.st.EpPin) || len(st.SpPin) != len(e.st.SpPin) {
-		return nil, fmt.Errorf("core: Reseed cannot change the SP/EP sets")
-	}
-	if err := e.CheckRowUnits(st.NumPins); err != nil {
-		return nil, err
-	}
+// row, and the wave passes through it; a dead pin never joins). The tensors
+// are relocated only when the rows outgrow their headroom.
+func (e *Engine) reseed(st *State, seeds []int32) {
 	sp := e.opt.Tracer.StartArg("engine-reseed", "seeds", int64(len(seeds)))
 	defer sp.End()
 	oldPins, oldUnits := e.st.NumPins, e.rowUnits
-	ne, rows := e, []rowSpan(nil)
-	if inPlace {
-		// The exception lookup keys on SP/EP pins only, which structural
-		// edits never touch — e.exc stays. Every topology-derived lazy cache
-		// is invalidated; it rebuilds on first use.
-		e.st = st
-		e.inc, e.plan, e.grad = nil, nil, nil
-		e.pinOwner, e.arcStage, e.stageAcc = nil, nil, nil
-		rows = append(e.rows, make([]rowSpan, st.NumPins-oldPins)...)
-	} else {
-		var err error
-		if ne, err = newEngineBody(st, e.scns, e.opt); err != nil {
-			return nil, err
-		}
-		// A new engine owns a copy of the spans and starts from e's endpoint
-		// results; e's are not touched.
-		rows = make([]rowSpan, st.NumPins)
-		copy(rows, e.rows)
-		copy(ne.epSlack, e.epSlack)
-		copy(ne.epSP, e.epSP)
-		copy(ne.epRF, e.epRF)
-		if e.hold != nil {
-			copy(ne.hold.epSlack, e.hold.epSlack)
-		}
-	}
+	e.st = st
+	e.inc, e.plan, e.grad = nil, nil, nil
+	e.pinOwner, e.arcStage, e.stageAcc = nil, nil, nil
+	rows := append(e.rows, make([]rowSpan, st.NumPins-oldPins)...)
 	// Liveness can change only upstream of a pin whose fan-out changed: the
 	// seeds, their parents and the appended pins. It is re-derived by a wave
 	// over their level buckets in decreasing level order that climbs to the
@@ -777,7 +754,7 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 	// out as it was. The cone wave then runs on the same buckets, rid of their
 	// dead pins: they hold every live seed and re-laid pin, and every other pin
 	// in them is a seed's parent or the child of a re-laid pin.
-	sc := ne.incScratch()
+	sc := e.incScratch()
 	for p := oldPins; p < st.NumPins; p++ {
 		sc.push(st.LvLevel, int32(p))
 	}
@@ -825,47 +802,45 @@ func (e *Engine) Reseed(st *State, seeds []int32, inPlace bool) (*Engine, error)
 		sc.buckets[l] = slices.DeleteFunc(bucket, func(p int32) bool { return rows[p].dead })
 	}
 	S := len(e.scns)
-	if !inPlace || units > e.capUnits {
+	if units > e.capUnits {
 		// Relocate the rf blocks (the tensors are rf-major, so each moves when
-		// the rf stride changes) into tensors with a fresh allowance. Rare in
-		// place: it takes headroom/2 insert batches to run out.
+		// the rf stride changes) into tensors with a fresh allowance. Rare: it
+		// takes headroom/2 insert batches to run out.
 		newCap := units + seedHeadroom*e.opt.TopK
-		*ne.top.q = e.top.q.restride(e.capUnits, newCap, oldUnits, S)
+		*e.top.q = e.top.q.restride(e.capUnits, newCap, oldUnits, S)
 		if e.hold != nil {
-			*ne.hold.q = e.hold.q.restride(e.capUnits, newCap, oldUnits, S)
+			*e.hold.q = e.hold.q.restride(e.capUnits, newCap, oldUnits, S)
 		}
-		ne.capUnits = newCap
+		e.capUnits = newCap
 	}
-	ne.rows, ne.rowUnits = rows, units
+	e.rows, e.rowUnits = rows, units
 	// A re-laid row holds nothing a rebuild can be compared with, so it is
 	// poisoned: startpoint noSP-1, which no queue holds, makes the compare
 	// find it changed.
 	for _, p := range relaid {
-		n := ne.rowSlots(p)
+		n := e.rowSlots(p)
 		for rf := 0; rf < 2; rf++ {
-			b, _ := ne.base(rf, p)
+			b, _ := e.base(rf, p)
 			for i := b; i < b+n; i++ {
-				ne.top.q.sp[i] = noSP - 1
-				if ne.hold != nil {
-					ne.hold.q.sp[i] = noSP - 1
+				e.top.q.sp[i] = noSP - 1
+				if e.hold != nil {
+					e.hold.q.sp[i] = noSP - 1
 				}
 			}
 		}
 	}
-	ne.coneWave(kIncremental, sc)
-	ne.refreshSlacks(len(sc.eps), sc.eps)
-	if ne.hold != nil {
-		ne.refreshHoldSlacks(len(sc.eps), sc.eps)
+	e.coneWave(kIncremental, sc)
+	e.refreshSlacks(len(sc.eps), sc.eps)
+	if e.hold != nil {
+		e.refreshHoldSlacks(len(sc.eps), sc.eps)
 	}
-	return ne, nil
 }
 
-// CheckRowUnits refuses a reseed of e into numPins pins that could lay out
+// checkRowUnits refuses a patch of e into numPins pins that could lay out
 // more row units than a row offset addresses: the rows e has handed out, plus
-// a fresh row of up to TopK units for every pin. Reseed checks it; a caller
-// that rewrites e's state in place before reseeding (topo.Edit) checks it
-// first, so a refused edit leaves e as it was.
-func (e *Engine) CheckRowUnits(numPins int) error {
+// a fresh row of up to TopK units for every pin. Patch checks it before its
+// first write, so a refused batch leaves e as it was.
+func (e *Engine) checkRowUnits(numPins int) error {
 	if e.rowUnits+numPins*e.opt.TopK > math.MaxInt32 {
 		return fmt.Errorf("core: %d pins at TopK %d could need more row units than a row offset addresses", numPins, e.opt.TopK)
 	}

@@ -58,7 +58,8 @@ func TestStateValidateRejectsClockForest(t *testing.T) {
 }
 
 // TestReseedKeepsTracer: a tracer attached after construction is the
-// engine's tracer, so the engine a structural reseed builds records to it.
+// engine's tracer, so the working engine a structural session forks, and
+// reseeds, records to it.
 func TestReseedKeepsTracer(t *testing.T) {
 	e, err := NewEngine(buildTables(t, 2), Options{TopK: 4, Workers: 1})
 	if err != nil {
@@ -68,12 +69,9 @@ func TestReseedKeepsTracer(t *testing.T) {
 	e.Run()
 	tr := obs.NewTracer()
 	e.SetTracer(tr)
-	ne, err := e.Reseed(e.ExportState(), nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ne := e.Fork()
 	defer ne.Close()
 	if ne.Tracer() != tr {
-		t.Fatal("Reseed(inPlace=false) dropped the tracer attached with SetTracer")
+		t.Fatal("Fork dropped the tracer attached with SetTracer")
 	}
 }

@@ -69,18 +69,26 @@ func composedEdit(t *testing.T) (prev *core.State, ops []topo.Op, res *topo.Resu
 	return prev, ops, res, advanced(flatTab, res)
 }
 
-// TestComposedIncrementalPatch recompiles two batches through the patched
-// path — the composed edit, then an unbuffer of the buffer it spliced in,
-// riding with an annotation — and holds each patched state to a cold Compile
-// of the same tables, slab for slab: the bypass re-points the sink wire from
-// the buffer's output to its driver, which changes both pins' fan-out counts
-// and so takes the fan-out CSR rebuild.
+// TestComposedIncrementalPatch patches two batches into a working engine —
+// the composed edit, then an unbuffer of the buffer it spliced in, riding
+// with an annotation — and holds each patched state to a cold Compile of the
+// same tables, slab for slab: the bypass re-points the sink wire from the
+// buffer's output to its driver, which changes both pins' fan-out counts and
+// so takes the fan-out CSR rebuild.
 func TestComposedIncrementalPatch(t *testing.T) {
 	prev, ops, res, edited := composedEdit(t)
-	patched := patchMatchesCold(t, "insert", prev, res, edited, false)
+	base, err := core.NewEngineFromState(prev, core.Options{TopK: 8, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+	base.Run()
+	work := base.Fork()
+	defer work.Close()
+	patchMatchesCold(t, "insert", work, res, edited)
 
 	cellArc := int32(len(edited.Arcs) - 2)
-	res2, err := topo.Apply(patched, []topo.Op{
+	res2, err := topo.Apply(work.ExportState(), []topo.Op{
 		topo.RemoveBuffer(cellArc),
 		topo.Annotate(ops[1].Arc, [2]num.Dist{{Mean: 30, Std: 1.5}, {Mean: 31, Std: 1.5}}),
 	})
@@ -90,43 +98,37 @@ func TestComposedIncrementalPatch(t *testing.T) {
 	if res2.Removed != 1 || res2.Annotated != 1 {
 		t.Fatalf("unbuffer batch footprint: %+v", res2)
 	}
-	patchMatchesCold(t, "unbuffer", patched, res2, advanced(edited, res2), true)
+	patchMatchesCold(t, "unbuffer", work, res2, advanced(edited, res2))
 }
 
-// patchMatchesCold patches prev with res's batch and checks the result against
-// core.Compile of the edited netlist field by field, then by the slacks an
-// engine over each reads.
-func patchMatchesCold(t *testing.T, tag string, prev *core.State, res *topo.Result, edited *circuitops.Tables, owned bool) *core.State {
+// patchMatchesCold patches working engine e with res's batch and checks its
+// state against core.Compile of the edited netlist field by field, then the
+// slacks e reads against those of an engine over the cold state.
+func patchMatchesCold(t *testing.T, tag string, e *core.Engine, res *topo.Result, edited *circuitops.Tables) {
 	t.Helper()
 	coldSt, err := core.Compile(edited)
 	if err != nil {
 		t.Fatal(err)
 	}
-	patched, is, err := core.CompileIncrementalPatched(prev, res.Edits, res.NewPins, res.Seeds, owned)
+	is, err := e.Patch(res.Edits, res.NewPins, res.Seeds)
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
 	t.Logf("%s relevel: %+v", tag, is)
-	got, want := reflect.ValueOf(*patched), reflect.ValueOf(*coldSt)
+	got, want := reflect.ValueOf(*e.ExportState()), reflect.ValueOf(*coldSt)
 	for i := 0; i < got.NumField(); i++ {
 		if !reflect.DeepEqual(got.Field(i).Interface(), want.Field(i).Interface()) {
 			t.Fatalf("%s: patched %s differs from cold compile", tag, got.Type().Field(i).Name)
 		}
 	}
-	opt := core.Options{TopK: 8, Workers: 2}
-	slacks := func(st *core.State) []float64 {
-		e, err := core.NewEngineFromState(st, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		e.Run()
-		return e.EvalSlacks()
+	ce, err := core.NewEngineFromState(coldSt, core.Options{TopK: 8, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(slacks(patched), slacks(coldSt)) {
-		t.Fatalf("%s: patched-state slacks differ from cold compile", tag)
+	defer ce.Close()
+	if !reflect.DeepEqual(e.Slacks(), ce.Run()) {
+		t.Fatalf("%s: patched-engine slacks differ from cold compile", tag)
 	}
-	return patched
 }
 
 func TestComposedIncrementalCSRDirect(t *testing.T) {
@@ -173,11 +175,11 @@ func TestComposedTopoSession(t *testing.T) {
 	defer e.Close()
 	e.Run()
 	// Same edit batch, through topo.Edit this time.
-	work, _, err := topo.Edit(e, ops, false)
-	if err != nil {
+	work := e.Fork()
+	defer work.Close()
+	if _, err := topo.Edit(work, ops); err != nil {
 		t.Fatal(err)
 	}
-	defer work.Close()
 	coldSt, err := core.Compile(edited)
 	if err != nil {
 		t.Fatal(err)

@@ -437,7 +437,12 @@ func (p *parser) parseBodyInto(g *group) error {
 				}
 				vals = append(vals, v.text)
 			}
-			g.attrs[key] = []string{strings.Join(vals, " ")}
+			// A simple attribute's value is one token: Write emits no other,
+			// and a second one would not survive its quoting.
+			if len(vals) > 1 {
+				return fmt.Errorf("libertyio: attribute %s has %d value tokens, want one", key, len(vals))
+			}
+			g.attrs[key] = vals
 		case sep != nil && sep.kind == '(':
 			p.next()
 			var args []string

@@ -57,9 +57,9 @@ var (
 	// rollback and re-apply.
 	ErrStructuralConflict = errors.New("server: base changed under this session's edits; rollback and retry")
 	// ErrPendingAnnotations: a session's first structural edit while its
-	// overlay holds uncommitted annotations — the working engine is derived
-	// from the committed base, so those deltas would silently vanish. Commit
-	// or roll back first. Later structural edits fold the overlay into the
+	// overlay holds uncommitted annotations — the working engine is a fork of
+	// the committed base, so those deltas would silently vanish. Commit or
+	// roll back first. Later structural edits fold the overlay into the
 	// working engine instead.
 	ErrPendingAnnotations = errors.New("server: session has uncommitted annotation ECOs; commit or roll back before structural edits")
 	// ErrSessionPoisoned: the call's evaluation panicked. The session is

@@ -339,14 +339,15 @@ func (m *Manager) resolveResizeLocked(e *edit, cell, lib string) error {
 // applyLocked is the one writer of a session: it applies one resolved batch
 // and re-propagates the cones it touched. An annotation batch (structural
 // false) goes to the overlay, over whichever engine it sits. A structural
-// batch is the one caller of topo.Edit. The session's first creates the
-// working engine from the served base, unless the overlay holds annotations a
-// working engine derived from the base would drop (ErrPendingAnnotations);
-// a later one first commits the overlay into the working engine, which is
-// private, and edits that in place. Either way the overlay then sits over
-// the working engine. A refused batch applies nothing: a fold it made is the
-// overlay's own preview, committed, so the session's view is as it was.
-// Caller holds s.mu and at least m.mu.RLock.
+// batch is the one caller of topo.Edit, and every one takes the same path:
+// the overlay is committed into the working engine, which is private, that
+// engine is edited in place, and the overlay is rebased onto it. The
+// session's first creates the working engine as a fork of the served base —
+// unless the overlay, then over the base, holds annotations the fork would
+// drop (ErrPendingAnnotations) — so its overlay commit is a no-op. A refused
+// batch applies nothing: a fold it made is the overlay's own preview,
+// committed, so the session's view is as it was, and a refused first batch
+// closes the fork. Caller holds s.mu and at least m.mu.RLock.
 func (s *Session) applyLocked(e *edit, structural bool) (res *topo.Result, err error) {
 	switch {
 	case !structural:
@@ -355,22 +356,22 @@ func (s *Session) applyLocked(e *edit, structural bool) (res *topo.Result, err e
 			s.ov.SetArcDelay(op.Arc, 1, op.Delay[1])
 		}
 		s.ov.Propagate()
-	case s.work == nil:
-		if s.ov.Stats().TouchedArcs > 0 {
-			return nil, ErrPendingAnnotations
-		}
-		// The first batch reads the shared base and leaves it as it is.
-		if s.work, res, err = topo.Edit(s.m.eng, e.ops, false); err != nil {
-			return nil, err
-		}
+	case s.work == nil && s.ov.Stats().TouchedArcs > 0:
+		return nil, ErrPendingAnnotations
 	default:
+		forked := s.work == nil
+		if forked {
+			s.work = s.m.eng.Fork()
+		}
 		s.wst.Annotated += s.ov.Stats().TouchedArcs
 		s.ov.Commit()
-		if _, res, err = topo.Edit(s.work, e.ops, true); err != nil {
+		if res, err = topo.Edit(s.work, e.ops); err != nil {
+			if forked {
+				s.work.Close()
+				s.work = nil
+			}
 			return nil, err
 		}
-	}
-	if structural {
 		s.wst.Add(res)
 		s.ov.Rebase(s.work)
 	}

@@ -193,10 +193,11 @@ func (s *Session) resolveTopoOpLocked(e *edit, op TopoOp) error {
 // it was.
 //
 // The first structural batch converts the session: it must hold no
-// uncommitted annotation ECOs (ErrPendingAnnotations), and from then on its
-// overlay sits over the session's own seeded engine, and each later batch
-// first folds the overlay's ECOs into that engine; a commit to the base by
-// any other session conflicts it (ErrStructuralConflict).
+// uncommitted annotation ECOs (ErrPendingAnnotations), it forks the base
+// into the session's own working engine, and from then on the overlay sits
+// over that engine, and each later batch first folds the overlay's ECOs into
+// it; a commit to the base by any other session conflicts it
+// (ErrStructuralConflict). A refused first batch leaves no working engine.
 func (s *Session) ApplyTopo(req TopoRequest) (tr *TopoResult, err error) {
 	if len(req.Ops) == 0 {
 		return nil, errors.New("server: empty topo batch")

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -293,7 +294,7 @@ func TestTopoRollbackAfterFailedStructuralCommit(t *testing.T) {
 // TestTopoPendingAnnotationsRejected: a session holding uncommitted overlay
 // annotations cannot start structural edits (they would be priced against the
 // wrong base); rolling back clears the block. Once structural, annotation
-// ECOs fold into the structural working set instead of the overlay.
+// ECOs preview in the overlay over the working engine.
 func TestTopoPendingAnnotationsRejected(t *testing.T) {
 	mgr, s := newTestManager(t, "des", 8, 2, server.Options{})
 	defer mgr.Close()
@@ -324,6 +325,49 @@ func TestTopoPendingAnnotationsRejected(t *testing.T) {
 	}
 	if res.TouchedArcs == 0 {
 		t.Fatal("annotation on structural session touched nothing")
+	}
+}
+
+// TestTopoRefusedFirstBatchKeepsAnnotationSession: a session's first /topo
+// batch forks the base before topo validates it. An unbuffer of a net arc —
+// the resolver lets any arc through, and topo refuses a removal whose arc is
+// not a buffer's cell arc — is refused there: the fork is dropped and the
+// session stays an annotation session. Its Result is as it was, no structural
+// batch is counted, and after an ECO a buffer batch answers
+// ErrPendingAnnotations, which only a session without a working engine does.
+func TestTopoRefusedFirstBatchKeepsAnnotationSession(t *testing.T) {
+	mgr, s := newTestManager(t, "des", 8, 2, server.Options{})
+	defer mgr.Close()
+	sess, err := mgr.Create()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	before, err := sess.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := firstNetArc(t, s, 0)
+	if _, err := sess.ApplyTopo(server.TopoRequest{Ops: []server.TopoOp{{Op: "unbuffer", Arc: net}}}); err == nil || errors.Is(err, server.ErrPendingAnnotations) {
+		t.Fatalf("unbuffer of net arc %d: err %v, want topo's refusal", net, err)
+	}
+	after, err := sess.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(after, before) {
+		t.Fatalf("a refused first batch changed the session's view: %+v, was %+v", after, before)
+	}
+	if n := mgr.TopoCountersSnapshot().Edits; n != 0 {
+		t.Fatalf("%d structural batches counted after a refused one", n)
+	}
+	if _, err := sess.ApplyDeltas(arcDeltas(mgr.Engine(), 0, 131, 1.02)); err != nil {
+		t.Fatal(err)
+	}
+	req := server.TopoRequest{Ops: []server.TopoOp{{Op: "buffer", Arc: net}}}
+	if _, err := sess.ApplyTopo(req); !errors.Is(err, server.ErrPendingAnnotations) {
+		t.Fatalf("buffer batch after an ECO: err %v, want ErrPendingAnnotations", err)
 	}
 }
 
@@ -483,12 +527,11 @@ func TestUnbufferCommitRebasesAnnotationSessions(t *testing.T) {
 }
 
 // TestStructuralECOLastDelayWins: an ECO on a session holding structural
-// edits reaches its working set as one batch of Annotate ops, and a batch may
-// not claim an arc twice — yet an ECO may name one raw arc twice, and a
-// resize's estimate_eco deltas may name an arc the raw arcs name too. The ECO
-// is accepted, the last delay named for an arc wins (raw arcs after the
-// resize's deltas, as in the overlay), and every lane reads what a cold
-// manager over the edited tables reads.
+// edits previews in the overlay over its working engine, as on any session —
+// and an ECO may name one raw arc twice, and a resize's estimate_eco deltas
+// may name an arc the raw arcs name too. The ECO is accepted, the last delay
+// named for an arc wins (raw arcs after the resize's deltas), and every lane
+// reads what a cold manager over the edited tables reads.
 func TestStructuralECOLastDelayWins(t *testing.T) {
 	mgr, s := newKindManager(t, true, "des", 8, 2, server.Options{})
 	defer mgr.Close()

@@ -13,8 +13,7 @@ import (
 
 var fuzzOpt = core.Options{TopK: 4, Hold: true, Workers: 1}
 
-// The one small frozen base every fuzz input edits from: a first Edit only
-// reads it.
+// The one small frozen base every fuzz input forks its working engine from.
 var (
 	fuzzOnce sync.Once
 	fuzzTab  *circuitops.Tables
@@ -72,8 +71,8 @@ func FuzzTopoSession(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tab, base := fuzzBase(t)
-		eng := base
-		defer func() { closeWorking(eng, base) }()
+		eng := base.Fork()
+		defer eng.Close()
 		work := cloneTables(tab)
 
 		pins := make([]wire, len(tab.Arcs)) // what every id handed out so far must name
@@ -133,12 +132,11 @@ func FuzzTopoSession(f *testing.F) {
 					ops[i] = Annotate(op.Arc, op.Delay)
 				}
 			}
-			next, res, err := Edit(eng, ops, eng != base)
+			res, err := Edit(eng, ops)
 			if err != nil {
 				checkPins("rejected batch")
 				continue
 			}
-			eng = next
 			// The batch was accepted, so its ops claimed disjoint arcs and
 			// each reads the netlist as the batch found it.
 			before := pins

@@ -4,26 +4,28 @@
 // move) rewrite arc delays in place. It is the structural layer under the
 // serving stack's /session/{id}/topo endpoint and the InstaBuffer client. A
 // session's annotation ECOs never come here, structural session or not: its
-// overlay re-annotates a frozen graph, and a structural batch first folds
+// overlay re-annotates a frozen graph, and a structural batch first commits
 // that overlay into the session's working engine. This package edits the
 // graph itself and, through Edit, re-levelizes and re-propagates only the
-// region downstream of the edit. Every change reaches a working engine the same way:
-// one op batch through Edit, which returns the next engine; whoever holds
-// that engine (a serving session) decides when it is committed or closed.
+// region downstream of the edit. Every change reaches a working engine the
+// same way: a session's first structural batch forks the shared base
+// (core.Engine.Fork), and every batch, the first included, is one Edit of
+// that fork in place; whoever holds it (a serving session) decides when it
+// is committed or closed.
 //
 // A working engine carries its compiled state; no extraction tables are kept.
 // Apply reads the batch-start rows through core.State.Arc and hands back the
-// rows the batch writes as core.ArcEdits, which
-// core.CompileIncrementalPatched patches into the next state.
+// rows the batch writes as core.ArcEdits, which core.Engine.Patch patches
+// into the engine's state.
 //
 // Edits follow two global invariants that keep incremental recompilation
 // exact and cheap:
 //
 //   - Pin ids are append-only. InsertBuffer appends the buffer's input and
 //     output pins at the end of the pin space; RemoveBuffer leaves the
-//     buffer's pins in place. No pin is ever renumbered, so a previous
-//     engine's per-pin tensors remain valid arrival state for every pin
-//     outside the edit's fan-out cone (core.Engine.Reseed's contract).
+//     buffer's pins in place. No pin is ever renumbered, so an engine's
+//     per-pin tensors remain valid arrival state for every pin outside the
+//     edit's fan-out cone (what core.Engine.Patch's reseed relies on).
 //   - Arc ids are append-only too. InsertBuffer appends the buffer's cell arc
 //     and sink-side wire; RemoveBuffer bypasses the buffer — its sink wires
 //     are re-pointed at the driver — and leaves the input wire and the cell
@@ -125,7 +127,7 @@ func Annotate(arc int32, d [2]num.Dist) Op {
 
 // Result is one applied batch: the arc rows it writes and the
 // re-propagation seeds. The state it was validated against is never mutated;
-// core.CompileIncrementalPatched turns the two into the next state.
+// core.Engine.Patch writes the two into an engine.
 type Result struct {
 	// Edits lists every arc row the batch writes, in op order: an insert
 	// lists its rewritten wire and then its two appended arcs, a removal its
@@ -133,8 +135,8 @@ type Result struct {
 	Edits []core.ArcEdit
 
 	// Seeds are the pins whose fan-in set or fan-in delay changed (including
-	// appended pins), sorted — the seed set core.CompileIncrementalPatched
-	// re-levelizes from and core.Engine.Reseed re-propagates from.
+	// appended pins), sorted — the seed set core.Engine.Patch re-levelizes and
+	// re-propagates from.
 	Seeds []int32
 
 	// NewPins counts pins appended by the batch.
@@ -143,7 +145,7 @@ type Result struct {
 	// Inserted, Removed, Annotated count applied ops by kind.
 	Inserted, Removed, Annotated int
 
-	// Relevel is what the patched recompile re-levelized (set by Edit).
+	// Relevel is what the patch re-levelized (set by Edit).
 	Relevel levelize.IncStats
 }
 
@@ -366,54 +368,22 @@ func Apply(st *core.State, ops []Op) (*Result, error) {
 	return res, nil
 }
 
-// Edit applies one op batch to the state that engine e times and returns the
-// engine over the edited state: Apply validates the batch and yields its rows,
-// core.CompileIncrementalPatched patches them in with localized
-// re-levelization, and core.Engine.Reseed re-propagates only the edited cone.
-// The result is bit-identical to a cold compile and full propagation of the
-// edited netlist.
-//
-// inPlace says e is private to the caller — the working engine of an earlier
-// Edit — and may be cannibalized: its state's slabs are patched and its
-// tensors reused, so the steady-state edit allocates no engine, and e itself
-// is returned. With inPlace false, e (a base shared with concurrent readers,
-// which must stay frozen for the call) is only read and a new engine is
-// returned. A rejected batch returns an error and leaves e as it was: the
+// Edit applies one op batch to working engine e in place: Apply validates the
+// batch against e's state and yields its rows, and e.Patch patches them in
+// with localized re-levelization and re-propagates only the edited cone. The
+// result is bit-identical to a cold compile and full propagation of the
+// edited netlist. e is the caller's own — a Fork of a shared base, never the
+// base itself. A rejected batch returns an error and leaves e as it was: the
 // batch validates before anything is written.
-func Edit(e *core.Engine, ops []Op, inPlace bool) (*core.Engine, *Result, error) {
+func Edit(e *core.Engine, ops []Op) (*Result, error) {
 	sp := e.Tracer().StartArg("topo-apply", "ops", int64(len(ops)))
 	defer sp.End()
-	cur := e.ExportState()
-	res, err := Apply(cur, ops)
+	res, err := Apply(e.ExportState(), ops)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	// The reseed also re-derives which pins are derived (core.Engine.Reseed):
-	// a pin an edited arc no longer leaves from has lost a fan-out, and only
-	// cur, before the patch rewrites it, still says which one.
-	seeds := slices.Clip(res.Seeds)
-	for _, ed := range res.Edits {
-		if int(ed.ID) < len(cur.ArcFrom) && cur.ArcFrom[ed.ID] != ed.Row.From {
-			seeds = append(seeds, cur.ArcFrom[ed.ID])
-		}
+	if res.Relevel, err = e.Patch(res.Edits, res.NewPins, res.Seeds); err != nil {
+		return nil, err
 	}
-	// In place, the patch rewrites e's own slabs: what Reseed would refuse
-	// is refused before it.
-	if err := e.CheckRowUnits(cur.NumPins + res.NewPins); err != nil {
-		return nil, nil, err
-	}
-	csp := sp.Child("topo-recompile")
-	st, inc, err := core.CompileIncrementalPatched(cur, res.Edits, res.NewPins, res.Seeds, inPlace)
-	csp.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Relevel = inc
-	rsp := sp.ChildArg("topo-reseed", "seeds", int64(len(res.Seeds)))
-	defer rsp.End()
-	next, err := e.Reseed(st, seeds, inPlace)
-	if err != nil {
-		return nil, nil, err
-	}
-	return next, res, nil
+	return res, nil
 }

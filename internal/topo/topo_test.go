@@ -82,15 +82,18 @@ func advance(tab *circuitops.Tables, res *Result) {
 	}
 }
 
-// applyTo edits *e by ops, which must be accepted — in place unless *e is
-// base — and advances tab by the batch.
+// applyTo edits *e by ops, which must be accepted, and advances tab by the
+// batch. A base is never edited: while *e is still base, *e becomes a fork of
+// it first, as a session's first structural batch does.
 func applyTo(t testing.TB, e **core.Engine, base *core.Engine, tab *circuitops.Tables, ops ...Op) *Result {
 	t.Helper()
-	next, res, err := Edit(*e, ops, *e != base)
+	if *e == base {
+		*e = base.Fork()
+	}
+	res, err := Edit(*e, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	*e = next
 	advance(tab, res)
 	return res
 }
@@ -246,7 +249,7 @@ func TestRemoveBufferDifferential(t *testing.T) {
 	assertEnginesIdentical(t, "remove", eng, work, opt)
 
 	// A bypassed buffer cannot be removed twice, and its stub stays addressable.
-	if _, _, err := Edit(eng, []Op{RemoveBuffer(cellArc)}, true); err == nil {
+	if _, err := Edit(eng, []Op{RemoveBuffer(cellArc)}); err == nil {
 		t.Fatal("removing a bypassed buffer again was accepted")
 	}
 	slacks := append([]float64(nil), eng.Slacks()...)
@@ -408,8 +411,8 @@ func (v engineView) equal(w engineView) bool {
 }
 
 // TestApplyAtomicOnInvalidBatch: every rejected batch leaves the engine it
-// was given as it was — the shared base an Edit only reads, and a working
-// engine after one good edit, which an accepted batch would edit in place:
+// was given as it was — a fresh fork of the base, and a working engine after
+// one good edit, either of which an accepted batch would edit in place:
 // slacks, pin and arc counts and the state's arc slabs, bit for bit.
 func TestApplyAtomicOnInvalidBatch(t *testing.T) {
 	tab := buildTables(t, 36)
@@ -417,17 +420,17 @@ func TestApplyAtomicOnInvalidBatch(t *testing.T) {
 	base := mustEngine(t, tab, opt)
 	defer base.Close()
 	nets := netArcs(tab)
-	working, _, err := Edit(base, []Op{InsertBuffer(nets[5], 7, bufDelay(3, 0.2), 0)}, false)
-	if err != nil {
+	fork, working := base.Fork(), base.Fork()
+	defer fork.Close()
+	defer working.Close()
+	if _, err := Edit(working, []Op{InsertBuffer(nets[5], 7, bufDelay(3, 0.2), 0)}); err != nil {
 		t.Fatal(err)
 	}
-	defer working.Close()
 
 	for _, c := range []struct {
-		name    string
-		e       *core.Engine
-		inPlace bool
-	}{{"base", base, false}, {"working engine", working, true}} {
+		name string
+		e    *core.Engine
+	}{{"fresh fork", fork}, {"working engine", working}} {
 		want := viewOf(c.e)
 		for _, ops := range [][]Op{
 			// Valid insert + claim conflict on the same arc.
@@ -439,7 +442,7 @@ func TestApplyAtomicOnInvalidBatch(t *testing.T) {
 			{Annotate(-1, bufDelay(1, 0.1))},
 			{},
 		} {
-			if next, res, err := Edit(c.e, ops, c.inPlace); err == nil || next != nil || res != nil {
+			if res, err := Edit(c.e, ops); err == nil || res != nil {
 				t.Fatalf("%s: invalid batch %+v accepted", c.name, ops)
 			}
 			if !viewOf(c.e).equal(want) {
@@ -449,21 +452,18 @@ func TestApplyAtomicOnInvalidBatch(t *testing.T) {
 	}
 }
 
-// TestEditLeavesBaseIntact: an edit off the shared base (inPlace false)
-// returns a new engine and leaves the base bit-identical.
+// TestEditLeavesBaseIntact: an edit of a fork of the shared base leaves the
+// base bit-identical.
 func TestEditLeavesBaseIntact(t *testing.T) {
 	tab := buildTables(t, 37)
 	opt := core.Options{TopK: 8, Workers: 2}
 	base := mustEngine(t, tab, opt)
 	defer base.Close()
 	want := viewOf(base)
-	eng, _, err := Edit(base, []Op{InsertBuffer(netArcs(tab)[0], 7, bufDelay(30, 1), 0)}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := base.Fork()
 	defer eng.Close()
-	if eng == base {
-		t.Fatal("the edit did not create a working engine")
+	if _, err := Edit(eng, []Op{InsertBuffer(netArcs(tab)[0], 7, bufDelay(30, 1), 0)}); err != nil {
+		t.Fatal(err)
 	}
 	if sameBits(eng.Slacks(), want.slacks) {
 		t.Fatal("the edit moved no slack — the check is vacuous")
