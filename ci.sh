@@ -13,7 +13,9 @@
 #                      a structural batch has one in-place path behind one
 #                      core call, Engine.Patch: no inPlace or owned
 #                      parameter, no exported Reseed,
-#                      CompileIncrementalPatched or CheckRowUnits
+#                      CompileIncrementalPatched or CheckRowUnits; and a
+#                      released overlay goes back whole to its engine's one
+#                      pool: no chunkPool or indexPool
 #   2. go build      — everything compiles, including cmd/ and examples/
 #   3. go test       — full suite (unit + determinism + differential + a
 #                      commit adopting its preview equal to a cold run
@@ -170,10 +172,10 @@
 #                      commit and overlay — (including what an overlay
 #                      borrows from its base engine, held for as long as it
 #                      is needed: a merge scratch set per wave, eight
-#                      overlays taking theirs at once, and row chunks and
-#                      look-up indices per overlay lifetime, eight
+#                      overlays taking theirs at once, and whole released
+#                      overlays with their rows and indices, eight
 #                      goroutines looping create, preview, Release through
-#                      the engine's pools while a ninth resets and
+#                      the engine's pool while a ninth resets and
 #                      re-applies on storage it keeps, every preview
 #                      bit-identical to the same preview run alone, both in
 #                      internal/core, next to the pooled-scratch overlay-reuse
@@ -244,6 +246,10 @@ if git grep --untracked -n -e 'func (e \*edit) fold' -e 'engineFigures' -- '*.go
 fi
 if git grep --untracked -n -E -e '\b(inPlace|owned) bool\b' -e 'func \(e \*Engine\) (Reseed|CheckRowUnits)\(' -e 'func CompileIncrementalPatched\(' -- '*.go'; then
 	echo "a structural batch runs in place on a fork, through Engine.Patch: no inPlace/owned parameter, no exported Reseed, CompileIncrementalPatched or CheckRowUnits" >&2
+	exit 1
+fi
+if git grep --untracked -n -E -e '\b(chunkPool|indexPool)\b' -- '*.go'; then
+	echo "a released overlay goes back whole to its engine's one pool (Engine.overlays): no chunkPool or indexPool" >&2
 	exit 1
 fi
 

@@ -130,12 +130,12 @@ type Engine struct {
 	scratchMu   sync.Mutex
 	scratchFree [][]*mergeScratch
 
-	// What the overlays over this engine keep for their lifetime and hand back
-	// when released (overlay.go): shadow row chunks (*queues) and look-up
-	// indices (*shadowIndex). sync.Pools, so what no session holds is the
-	// collector's to reclaim. overlayRows counts the shadow rows in use.
-	chunkPool, indexPool sync.Pool
-	overlayRows          atomic.Int64
+	// Released overlays over this engine, reset, each with all the storage it
+	// grew — row chunks, look-up index, wave scratch, bookkeeping slices — for
+	// the next NewOverlay (overlay.go). A sync.Pool, so what no session holds
+	// is the collector's to reclaim. overlayRows counts the shadow rows in use.
+	overlays    sync.Pool
+	overlayRows atomic.Int64
 
 	// Full-pass kernels, bound once with the engine (bindKernels): a closure
 	// literal or method value passed to the pool escapes — the job slot

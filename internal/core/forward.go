@@ -204,42 +204,47 @@ func (v *view) replay(sign float64, d int32, ms *mergeScratch, r int) rowRef {
 }
 
 // revive rebuilds dead pin d's queues — both transitions, every lane — as a
-// pass over the late view would leave them, into rows of its own, and returns
-// where they are. d and every dead pin upstream of it are rebuilt (recompute)
-// in level order into shadow rows of a throwaway view over e's tensors, found
-// through a look-up index off the overlays' pool, each reading its dead
-// parents there and its live ones in the tensors: a live pin's parents are
-// live, so no other pin needs a shadow.
+// pass over the late view would leave them, into a row of its own, and returns
+// where it is. d and every dead pin upstream of it are rebuilt (recompute) in
+// level order into shadow rows of an overlay borrowed from e's pool, each
+// reading its dead parents there and its live ones in the tensors: a live
+// pin's parents are live, so no other pin needs a shadow. d's live entries are
+// copied out and the overlay goes back to the pool as it came, empty.
 func (e *Engine) revive(d int32) rowRef {
 	st := e.st
-	ix := e.takeIndex()
-	w := &view{e: e, q: e.top.q, slot: ix.pin}
-	dead := []int32{d}
-	w.slot[d] = -1
+	o := NewOverlay(e)
+	if o.ix == nil {
+		o.bindIndex()
+	}
+	dead := append(o.shadowed[:0], d)
+	o.slot[d] = -1
 	for i := 0; i < len(dead); i++ {
 		for _, from := range st.FaninFrom[st.FaninStart[dead[i]]:st.FaninStart[dead[i]+1]] {
-			if e.rows[from].dead && w.slot[from] == 0 {
-				w.slot[from] = -1
+			if e.rows[from].dead && o.slot[from] == 0 {
+				o.slot[from] = -1
 				dead = append(dead, from)
 			}
 		}
 	}
 	slices.SortFunc(dead, func(a, b int32) int { return int(st.LvLevel[a] - st.LvLevel[b]) })
 	set := e.borrowScratch()
-	for i, p := range dead {
-		if i%chunkRows == 0 {
-			q := newQueues(min(chunkRows, len(dead)-i) * 2 * e.qstride)
-			w.chunks = append(w.chunks, &q)
-		}
-		w.slot[p] = int32(i + 1)
-		w.recompute(1, p, set[0], w.row(p))
+	for _, p := range dead {
+		o.slot[p] = 1 + o.takeRow()
+		o.recompute(1, p, set[0], o.row(p))
 	}
 	e.returnScratch(set)
-	r := w.row(d)
+	// Copied live entries only: an empty slot reads 0, not what the pooled
+	// row's last user left there.
+	k := int(e.rows[d].k)
+	n := len(e.scns) * k
+	q := newQueues(2 * n)
+	r := rowRef{&q, [2]int{0, n}, k}
+	r.store(o.row(d), n)
 	for _, p := range dead {
-		w.slot[p] = 0
+		o.slot[p] = 0
 	}
-	e.indexPool.Put(ix)
+	o.shadowed, o.nRows = dead[:0], 0
+	e.overlays.Put(o)
 	return r
 }
 

@@ -28,6 +28,7 @@ package core
 // serving layer enforces this with a reader/writer lock around commits.
 
 import (
+	"math"
 	"slices"
 
 	"insta/internal/num"
@@ -46,11 +47,13 @@ import (
 // Rebase keep the chunks and indices (Rebase the indices while they still fit
 // the base), so a session's steady-state
 // apply→propagate→read loop settles at zero allocations per operation once
-// they have grown to the cone's footprint; Release hands them to the base
-// engine's pools, where the next overlay over that engine finds them. The
-// wavefront state lives in a per-overlay propScratch (the merge scratch its
-// kernels index startpoints in is the base engine's, on loan for each
-// Propagate), and endpoint bookkeeping uses reusable slices.
+// they have grown to the cone's footprint. Release resets the whole overlay
+// and hands it to the base engine's pool, with everything it grew, and
+// NewOverlay takes one from there: a new session's first what-if runs on
+// storage an earlier one left and allocates nothing. The wavefront state
+// lives in a per-overlay propScratch (the merge scratch its kernels index
+// startpoints in is the base engine's, on loan for each Propagate), and
+// endpoint bookkeeping uses reusable slices.
 type Overlay struct {
 	// The base engine's late view with its shadows filled in. arcSlot/arcDist
 	// is the sparse arc-delay overlay: arc id -> per-rf nominal delay
@@ -64,9 +67,9 @@ type Overlay struct {
 	pending []int32 // arcs annotated since the last propagate
 
 	// Shadow row bookkeeping. ix is the overlay's look-up arrays (view.slot,
-	// view.arcBit and epSlot alias them), taken from the base engine at the
-	// first SetArcDelay; shadowed lists the pins slot marks, so clearing is
-	// O(cone), and touched the arcs arcBit flags.
+	// view.arcBit and epSlot alias them), made at the first SetArcDelay and
+	// kept while they cover the base; shadowed lists the pins slot marks, so
+	// clearing is O(cone), and touched the arcs arcBit flags.
 	// Rows 0..nRows-1 of chunks have been handed out; those not in freeRows
 	// are in use, exactly one per shadowed pin that is not derived between
 	// Propagates. fresh is parallel to the bucket the wave is rebuilding: the
@@ -87,6 +90,7 @@ type Overlay struct {
 	epSlack    []float64
 	changedEPs []int32
 	epOut      []float64 // slack kernel output scratch, S per changed endpoint
+	figs       []float64 // the per-lane figures the accessors fold (figures)
 
 	scratch *propScratch // wavefront state, reused across Propagate calls
 
@@ -97,17 +101,22 @@ type Overlay struct {
 }
 
 // shadowIndex is one overlay's dense look-up arrays over its base engine's
-// pins, endpoints and arcs. An index on the engine's pool is all zero.
+// pins, endpoints and arcs. A reset overlay's is all zero.
 type shadowIndex struct {
 	pin []int32  // view.slot
 	ep  []int32  // Overlay.epSlot
 	arc []uint64 // view.arcBit
 }
 
-// NewOverlay creates an empty overlay over e. The base engine must be fully
+// NewOverlay returns an empty overlay over e: one a Release handed to e's
+// pool, fitted to e as it is now, or a new one. The base engine must be fully
 // propagated and slack-evaluated (Run) before the first Propagate, and must
 // stay frozen while the overlay evaluates.
 func NewOverlay(e *Engine) *Overlay {
+	if o, _ := e.overlays.Get().(*Overlay); o != nil {
+		o.Rebase(e) // empty: this only fits its scratch and index to e
+		return o
+	}
 	return &Overlay{view: view{e: e, q: e.top.q, arcSlot: make(map[int32]int32)}}
 }
 
@@ -115,16 +124,12 @@ func NewOverlay(e *Engine) *Overlay {
 // or the last it was rebased onto.
 func (o *Overlay) Base() *Engine { return o.e }
 
-// takeIndex returns all-zero look-up arrays, from the engine's pool when that
-// holds a set covering the engine's pins and arcs as they are now (an
-// structural edit appends both under the same engine).
-func (e *Engine) takeIndex() *shadowIndex {
-	ix, _ := e.indexPool.Get().(*shadowIndex)
-	if ix == nil || !ix.covers(e) {
-		ix = &shadowIndex{pin: make([]int32, e.st.NumPins), ep: make([]int32, len(e.st.EpPin)),
-			arc: make([]uint64, (e.NumArcs()+63)>>6)}
-	}
-	return ix
+// newShadowIndex returns all-zero look-up arrays over e's pins, endpoints and
+// arcs as they are now (a structural edit appends pins and arcs under the
+// same engine).
+func newShadowIndex(e *Engine) *shadowIndex {
+	return &shadowIndex{pin: make([]int32, e.st.NumPins), ep: make([]int32, len(e.st.EpPin)),
+		arc: make([]uint64, (e.NumArcs()+63)>>6)}
 }
 
 // covers reports whether ix spans e's pins, endpoints and arcs.
@@ -132,24 +137,13 @@ func (ix *shadowIndex) covers(e *Engine) bool {
 	return len(ix.pin) >= e.st.NumPins && len(ix.ep) >= len(e.st.EpPin) && len(ix.arc)<<6 >= e.NumArcs()
 }
 
-// bindIndex takes the look-up arrays from the base engine and flags the
+// bindIndex makes the look-up arrays over the base engine and flags the
 // touched arcs in them.
 func (o *Overlay) bindIndex() {
-	o.ix = o.e.takeIndex()
+	o.ix = newShadowIndex(o.e)
 	o.slot, o.epSlot, o.arcBit = o.ix.pin, o.ix.ep, o.ix.arc
 	for _, a := range o.touched {
 		o.arcBit[a>>6] |= 1 << (a & 63)
-	}
-}
-
-// returnIndex hands the look-up arrays back to the base engine, zeroed:
-// dropDerived has cleared the pin and endpoint entries, and the arc bits are
-// cleared here by walking touched.
-func (o *Overlay) returnIndex() {
-	if o.ix != nil {
-		o.clearArcBits()
-		o.e.indexPool.Put(o.ix)
-		o.ix, o.slot, o.epSlot, o.arcBit = nil, nil, nil, nil
 	}
 }
 
@@ -163,8 +157,8 @@ func (o *Overlay) clearArcBits() {
 }
 
 // takeRow returns a shadow row nothing shows: a recycled one when there is
-// one, else the next of the overlay's chunks, else the first of a chunk taken
-// from the base engine. Its content is whatever its last user left there.
+// one, else the next of the overlay's chunks, else the first of a new chunk.
+// Its content is whatever its last user left there.
 func (o *Overlay) takeRow() int32 {
 	if n := len(o.freeRows); n > 0 {
 		r := o.freeRows[n-1]
@@ -172,12 +166,8 @@ func (o *Overlay) takeRow() int32 {
 		return r
 	}
 	if int(o.nRows) == len(o.chunks)<<chunkShift {
-		c, _ := o.e.chunkPool.Get().(*queues)
-		if c == nil {
-			nq := newQueues(chunkRows * 2 * o.e.qstride)
-			c = &nq
-		}
-		o.chunks = append(o.chunks, c)
+		c := newQueues(chunkRows * 2 * o.e.qstride)
+		o.chunks = append(o.chunks, &c)
 	}
 	o.nRows++
 	return o.nRows - 1
@@ -347,29 +337,75 @@ func (o *Overlay) LaneSlack(s int, i int32) float64 {
 // Slack returns endpoint i's lane-0 slack as seen through the overlay.
 func (o *Overlay) Slack(i int32) float64 { return o.LaneSlack(0, i) }
 
-// LaneWNS returns lane s's worst negative slack under the overlay (0 when
-// nothing violates). The scan visits endpoints in index order, matching the
-// base engine's WNS so committed and previewed figures agree bit-for-bit.
-func (o *Overlay) LaneWNS(s int) float64 {
-	w := 0.0
-	for i := range o.e.st.EpPin {
-		if sl := o.LaneSlack(s, int32(i)); sl < w {
-			w = sl
+// Summarize is every figure an ECO result reports, from one scan of the
+// endpoints in index order: it fills wns[s] and tns[s] with lane s's worst
+// and total negative slack under the overlay for every lane (wns and tns hold
+// at least Lanes() entries), and returns the same two figures over the merged
+// slacks (per endpoint, the worst lane). The folds are the base engine's —
+// WNS starts at 0 and takes any smaller slack, TNS adds each negative one in
+// index order — so committed and previewed figures agree bit-for-bit.
+func (o *Overlay) Summarize(wns, tns []float64) (mergedWNS, mergedTNS float64) {
+	S, n := len(o.e.scns), len(o.e.st.EpPin)
+	wns, tns = wns[:S], tns[:S]
+	clear(wns)
+	clear(tns)
+	for i := 0; i < n; i++ {
+		var shown []float64 // the endpoint's lane slacks, if the overlay re-evaluated it
+		if o.epSlot != nil {
+			if t := int(o.epSlot[i]); t != 0 {
+				shown = o.epSlack[(t-1)*S : t*S]
+			}
+		}
+		best := math.Inf(1)
+		for s := 0; s < S; s++ {
+			sl := o.e.epSlack[s*n+i]
+			if shown != nil {
+				sl = shown[s]
+			}
+			if sl < wns[s] {
+				wns[s] = sl
+			}
+			if sl < 0 {
+				tns[s] += sl
+			}
+			if sl < best {
+				best = sl
+			}
+		}
+		if best < mergedWNS {
+			mergedWNS = best
+		}
+		if best < 0 {
+			mergedTNS += best
 		}
 	}
-	return w
+	return mergedWNS, mergedTNS
 }
 
-// LaneTNS returns lane s's total negative slack under the overlay, summed in
-// endpoint index order like the base engine's TNS.
-func (o *Overlay) LaneTNS(s int) float64 {
-	t := 0.0
-	for i := range o.e.st.EpPin {
-		if sl := o.LaneSlack(s, int32(i)); sl < 0 {
-			t += sl
-		}
+// figures is Summarize for one lane: lane s's WNS and TNS, and the merged
+// ones.
+func (o *Overlay) figures(s int) (wns, tns, mergedWNS, mergedTNS float64) {
+	S := len(o.e.scns)
+	if cap(o.figs) < 2*S {
+		o.figs = make([]float64, 2*S)
 	}
-	return t
+	w, t := o.figs[:S], o.figs[S:2*S]
+	mergedWNS, mergedTNS = o.Summarize(w, t)
+	return w[s], t[s], mergedWNS, mergedTNS
+}
+
+// LaneWNS returns lane s's worst negative slack under the overlay (0 when
+// nothing violates), as Summarize folds it.
+func (o *Overlay) LaneWNS(s int) float64 {
+	wns, _, _, _ := o.figures(s)
+	return wns
+}
+
+// LaneTNS returns lane s's total negative slack under the overlay, as
+// Summarize folds it.
+func (o *Overlay) LaneTNS(s int) float64 {
+	_, tns, _, _ := o.figures(s)
+	return tns
 }
 
 // WNS returns lane 0's worst negative slack under the overlay.
@@ -409,9 +445,9 @@ func (o *Overlay) Stats() OverlayStats {
 // OverlayRows returns how many shadow rows the overlays over e hold in use
 // right now — one per pin a live preview recomputed, but for the derived pins
 // in its cone, which are recomputed without a row — and their size in bytes.
-// What the overlays hold beyond that (the unused rows of their last chunk, 4
-// bytes of index per pin and endpoint from a session's first preview until it
-// is released) is not in the figure.
+// What the overlays hold beyond that (the unused rows of their chunks, 4
+// bytes of index per pin and endpoint from an overlay's first preview on, and
+// all of it for the released overlays in e's pool) is not in the figure.
 func (e *Engine) OverlayRows() (rows, bytes int64) {
 	rows = e.overlayRows.Load()
 	return rows, rows * 2 * int64(e.qstride) * (8 + 8 + 4)
@@ -450,18 +486,12 @@ func (o *Overlay) dropDerived() {
 	o.changedEPs = o.changedEPs[:0]
 }
 
-// Release resets the overlay and hands its row chunks and indices to the base
-// engine's pools, for the next overlay over that engine — the end of a
-// session. Unlike Reset it gives up the zero-allocation steady state: a
-// released overlay is as good as new, and as empty.
+// Release resets the overlay and hands it, with every chunk, index, scratch
+// and slice it grew, to the base engine's pool, where the next NewOverlay over
+// that engine takes it — the end of a session. o must not be used again.
 func (o *Overlay) Release() {
 	o.Reset()
-	for _, c := range o.chunks {
-		o.e.chunkPool.Put(c)
-	}
-	clear(o.chunks)
-	o.chunks = o.chunks[:0]
-	o.returnIndex()
+	o.e.overlays.Put(o)
 }
 
 // Rebase re-targets the overlay at e after the base changed under it: a
@@ -471,25 +501,25 @@ func (o *Overlay) Release() {
 // recorded — the session's pending intent — and scheduled for
 // re-propagation; one that now matches the base costs a one-pin wavefront
 // that stops on equality. Everything derived from the deltas (queues,
-// slacks) is invalidated. The wavefront scratch and the indices are kept
-// while they still cover e's levels, pins, endpoints and arcs, and discarded
-// when e is another engine or an in-place reseed grew it: the next Propagate
-// then takes the scratch at e's size, and the indices are taken at once if
-// the overlay holds deltas, which they flag. Row chunks always survive: their
-// size depends only on TopK and the lane count, which no commit changes.
+// slacks) is invalidated. The indices are kept while they still cover e's
+// pins, endpoints and arcs, and the wavefront scratch while it covers e's
+// levels and pins and e is the same engine (its kernel is bound to it);
+// otherwise the next Propagate makes the scratch at e's size, and the
+// indices are made at once if the overlay holds deltas, which they flag. Row
+// chunks always survive: their size depends only on TopK and the lane count,
+// which no commit changes.
 func (o *Overlay) Rebase(e *Engine) {
 	o.dropDerived()
 	if sc := o.scratch; e != o.e || sc != nil && (len(sc.buckets) < e.st.NumLevels || len(sc.queuedAt) < e.st.NumPins) {
 		o.scratch = nil
 	}
 	o.pending = append(o.pending[:0], o.touched...)
-	retake := o.ix != nil && (e != o.e || !o.ix.covers(e))
-	if retake {
-		o.returnIndex()
-	}
 	o.e, o.q = e, e.top.q
-	if retake && len(o.touched) > 0 {
-		o.bindIndex()
+	if o.ix != nil && !o.ix.covers(e) {
+		o.ix, o.slot, o.epSlot, o.arcBit = nil, nil, nil, nil
+		if len(o.touched) > 0 {
+			o.bindIndex()
+		}
 	}
 }
 

@@ -9,7 +9,11 @@ package core
 // pin's storage was drawn from a freelist in map order this was a lottery, so
 // the test re-runs the cycle several times.
 
-import "testing"
+import (
+	"testing"
+
+	"insta/internal/num"
+)
 
 func TestOverlayResetReapplyMatches(t *testing.T) {
 	h := buildHarness(t, testSpec(83))
@@ -39,30 +43,37 @@ func TestOverlayResetReapplyMatches(t *testing.T) {
 	}
 }
 
-// TestOverlayIndexReturnsClean: an overlay's arc bits live in the index it
-// takes from its base engine's pool, and a bit left set there would send the
-// next overlay over that engine to its arc map for an arc it never annotated.
-// Every way an index goes back — Rebase onto another engine, Release after a
-// Reset, Release holding deltas — must hand it back all zero, and a rebased
-// overlay must still see its deltas through the index it takes instead.
+// TestOverlayIndexReturnsClean: an overlay's arc bits live in its index,
+// which goes with it to its base engine's pool on Release, and a bit left set
+// there would send the next session over that engine to its arc map for an
+// arc it never annotated. Release after a Reset and Release holding deltas
+// must both leave the index all zero; a Rebase onto another engine keeps it,
+// with no pin or endpoint entry and a bit for exactly the arcs it holds, and
+// the rebased overlay must still see its deltas through it.
 func TestOverlayIndexReturnsClean(t *testing.T) {
 	h := buildHarness(t, testSpec(83))
 	e := newLaneEngine(t, h.tab, unitLane, Options{TopK: 6, Workers: 1})
 	e.Run()
 	other := newLaneEngine(t, h.tab, unitLane, Options{TopK: 6, Workers: 1})
 	other.Run()
-	clean := func(what string, e *Engine) {
+	clean := func(what string, ix *shadowIndex, arcs map[int32][2]num.Dist) {
 		t.Helper()
-		ix := e.takeIndex()
-		defer e.indexPool.Put(ix)
 		for i, w := range ix.arc {
-			if w != 0 {
-				t.Fatalf("%s: pooled index has arc bits %#x at word %d", what, w, i)
+			for b := 0; b < 64; b++ {
+				_, held := arcs[int32(i<<6+b)]
+				if set := w&(1<<b) != 0; set != held {
+					t.Fatalf("%s: arc %d's bit is %v, the overlay holds it: %v", what, i<<6+b, set, held)
+				}
 			}
 		}
 		for i := range ix.pin {
 			if ix.pin[i] != 0 {
-				t.Fatalf("%s: pooled index has pin %d set", what, i)
+				t.Fatalf("%s: index has pin %d set", what, i)
+			}
+		}
+		for i := range ix.ep {
+			if ix.ep[i] != 0 {
+				t.Fatalf("%s: index has endpoint %d set", what, i)
 			}
 		}
 	}
@@ -72,7 +83,7 @@ func TestOverlayIndexReturnsClean(t *testing.T) {
 	applyToOverlay(o, deltas)
 	want := overlaySlacks(o)
 	o.Rebase(other)
-	clean("Rebase onto another engine", e)
+	clean("Rebase onto another engine", o.ix, deltas)
 	o.Propagate()
 	sameSlacks(t, "rebased onto an equal engine", overlaySlacks(o), want)
 	for arc, d := range deltas {
@@ -80,12 +91,14 @@ func TestOverlayIndexReturnsClean(t *testing.T) {
 			t.Fatalf("rebased overlay reads arc %d as %v, annotated %v", arc, got, d[1])
 		}
 	}
+	ix := o.ix
 	o.Release()
-	clean("Release holding deltas", other)
+	clean("Release holding deltas", ix, nil)
 
 	o = NewOverlay(e)
 	applyToOverlay(o, deltas)
 	o.Reset()
+	ix = o.ix
 	o.Release()
-	clean("Release after Reset", e)
+	clean("Release after Reset", ix, nil)
 }

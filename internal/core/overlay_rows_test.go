@@ -4,8 +4,9 @@ package core
 // that still holds whatever its last user left there, and compared with the
 // row it showed before. These tests pin what that must never cost — a
 // recycled row's old bytes leaking into an answer or stopping a wavefront, a
-// previous row that is never recycled — and that rows, chunks and indices can
-// go round between overlays over one base while others preview.
+// previous row that is never recycled — and that whole overlays, with their
+// rows and indices, can go round between sessions over one base while others
+// preview.
 
 import (
 	"fmt"
@@ -46,11 +47,11 @@ func samePreview(t *testing.T, what string, o, fresh *Overlay, cold *Engine) {
 }
 
 // TestPreviewOnDirtyRows: a preview that lands on rows another preview filled
-// — the overlay's own after a Reset, or another overlay's by way of the base
-// engine's pool — is the preview a fresh overlay gives and what a commit
-// leaves. The failure this pins is stale storage standing in for what a pin
-// showed before: bytes that happen to match the recomputed queues stop a
-// wavefront early and strand everything downstream on base values.
+// — the overlay's own after a Reset, or a released overlay's taken back from
+// the base engine's pool — is the preview a fresh overlay gives and what a
+// commit leaves. The failure this pins is stale storage standing in for what
+// a pin showed before: bytes that happen to match the recomputed queues stop
+// a wavefront early and strand everything downstream on base values.
 func TestPreviewOnDirtyRows(t *testing.T) {
 	h := buildHarness(t, testSpec(91))
 	for _, lc := range laneCases {
@@ -93,27 +94,56 @@ func TestPreviewOnDirtyRows(t *testing.T) {
 			samePreview(t, "on poisoned rows", own, fresh, cold)
 
 			// Through the pool: under the race detector Put drops a quarter of
-			// what it is given and a Get may miss, so go round until the
-			// preview has run on a chunk the other overlay filled.
+			// what it is given and a Get may miss, so go round until a new
+			// overlay is the donor taken back, with the rows its preview filled.
 			reused := false
 			for try := 0; try < 20 && !reused; try++ {
 				donor := NewOverlay(e)
 				applyToOverlay(donor, dA)
-				released := slices.Clone(donor.chunks)
 				donor.Release()
-				if kept := donor.chunks[:cap(donor.chunks)]; slices.ContainsFunc(kept, func(c *queues) bool { return c != nil }) {
-					t.Fatal("a released overlay still references its chunks")
-				}
 				heir := NewOverlay(e)
+				if reused = heir == donor; reused {
+					releasedEmpty(t, heir)
+				}
 				applyToOverlay(heir, dB)
-				samePreview(t, "on another overlay's released chunks", heir, fresh, cold)
-				reused = slices.ContainsFunc(heir.chunks, func(c *queues) bool { return slices.Contains(released, c) })
+				samePreview(t, "on a released overlay's rows", heir, fresh, cold)
 				heir.Release()
 			}
 			if !reused {
-				t.Fatal("no preview ran on a released chunk — test is vacuous")
+				t.Fatal("no new overlay was a released one — test is vacuous")
 			}
 		})
+	}
+}
+
+// releasedEmpty fails the test unless o, taken back from its engine's pool,
+// is as empty as a new overlay: no shadowed pin, arc bit, arc delta or
+// endpoint slot, and no row in use — while it keeps its storage.
+func releasedEmpty(t *testing.T, o *Overlay) {
+	t.Helper()
+	if len(o.chunks) == 0 || o.ix == nil {
+		t.Fatal("a released overlay came back without its chunks or index")
+	}
+	if n := o.rowsInUse(); n != 0 || len(o.shadowed) != 0 || len(o.freeRows) != 0 {
+		t.Fatalf("a released overlay came back with %d rows in use, %d shadowed pins, %d free rows", n, len(o.shadowed), len(o.freeRows))
+	}
+	if len(o.touched)+len(o.pending)+len(o.arcDist)+len(o.arcSlot) != 0 || len(o.changedEPs)+len(o.epSlack) != 0 {
+		t.Fatalf("a released overlay came back holding arcs %v, changed endpoints %v", o.touched, o.changedEPs)
+	}
+	for p, t0 := range o.slot {
+		if t0 != 0 {
+			t.Fatalf("a released overlay came back shadowing pin %d", p)
+		}
+	}
+	for ep, t0 := range o.epSlot {
+		if t0 != 0 {
+			t.Fatalf("a released overlay came back with a slot for endpoint %d", ep)
+		}
+	}
+	for w, bits := range o.arcBit {
+		if bits != 0 {
+			t.Fatalf("a released overlay came back with arc bits %#x at word %d", bits, w)
+		}
 	}
 }
 
@@ -244,9 +274,9 @@ func TestEqualLive(t *testing.T) {
 }
 
 // TestOverlaysShareChunkPool: eight goroutines each loop create → preview →
-// Release over one {ss,tt,ff} base on a two-worker pool, so chunks and indices
-// change hands through the engine's pools the whole time, while a ninth
-// overlay resets and re-applies on storage it keeps. Every preview is
+// Release over one {ss,tt,ff} base on a two-worker pool, so overlays change
+// hands through the engine's pool the whole time, while a ninth overlay
+// resets and re-applies on storage it keeps. Every preview is
 // bit-identical to the same preview run alone. Runs under -race in ci.sh
 // step 4.
 func TestOverlaysShareChunkPool(t *testing.T) {
@@ -315,10 +345,9 @@ func TestOverlaysShareChunkPool(t *testing.T) {
 }
 
 // TestOverlayFollowsStructuralReseeds: an overlay re-targeted at a reseeded
-// engine takes indices of the new engine's size — also when that is the same
-// engine, grown in place, whose pool still holds the index the overlay gave
-// back at the old size — and keeps its row chunks. Its deltas, kept on the ids
-// they were recorded on, preview what a cold engine over the edited state
+// engine makes indices of the new engine's size — also when that is the same
+// engine, grown in place — and keeps its row chunks. Its deltas, kept on the
+// ids they were recorded on, preview what a cold engine over the edited state
 // computes.
 func TestOverlayFollowsStructuralReseeds(t *testing.T) {
 	h := buildHarness(t, testSpec(94))
@@ -368,4 +397,45 @@ func TestOverlayFollowsStructuralReseeds(t *testing.T) {
 		}
 		tab, cur = edited, ne
 	}
+}
+
+// TestPooledOverlayFitsGrownEngine: an overlay released over an engine that
+// is then patched in place — more pins, arcs and possibly levels — comes back
+// from the pool fitted to the engine as it is now: a preview that annotates
+// the appended arcs and reaches the appended pins is the one a new overlay
+// gives.
+func TestPooledOverlayFitsGrownEngine(t *testing.T) {
+	h := buildHarness(t, testSpec(96))
+	base := newLaneEngine(t, h.tab, laneCases[1].lanes, Options{TopK: 6, Workers: 2})
+	base.Run()
+	e := base.Fork()
+	defer e.Close()
+	arc := positiveNetArc(t, e.st)
+	released := map[*Overlay]bool{}
+	for i := 0; i < 4; i++ {
+		o := NewOverlay(e)
+		applyToOverlay(o, perturb(e, int32(i), 7, 1.3, 1.2))
+		released[o] = true
+		o.Release()
+	}
+	n := int32(e.NumArcs())
+	edits, newPins, seeds := bufferEdits(e.st, arc)
+	mustPatch(t, e, edits, newPins, seeds)
+	deltas := perturb(e, 1, 13, 1.2, 1.1)
+	for _, a := range []int32{arc, n, n + 1} { // the buffer's arcs
+		deltas[a] = [2]num.Dist{{Mean: 40, Std: 3}, {Mean: 45, Std: 3}}
+	}
+	fresh := &Overlay{view: view{e: e, q: e.top.q, arcSlot: make(map[int32]int32)}}
+	applyToOverlay(fresh, deltas)
+	for try := 0; try < 20; try++ {
+		o := NewOverlay(e)
+		applyToOverlay(o, deltas)
+		sameSlacks(t, "a pooled overlay over the grown engine", overlaySlacks(o), overlaySlacks(fresh))
+		if released[o] {
+			return
+		}
+		released[o] = true
+		o.Release()
+	}
+	t.Fatal("no NewOverlay handed back a released overlay — test is vacuous")
 }

@@ -41,10 +41,11 @@ type ArcEdit struct {
 // fan-in delay changed, appended pins included. No pin's fan-in count may
 // change — insert, bypass and annotate never change one. e's state slabs must
 // be its own: a Fork's, or those NewEngine compiled, never those of a state
-// NewEngineFromState was given. The row units, the arc ids and the pins are
-// checked before the first write, so a refused batch leaves e as it was; the
-// seeds are trusted, and no op batch can introduce a levelize cycle (an insert
-// adds an edge only via a fresh pin, a bypass shortcuts an existing path).
+// NewEngineFromState was given. The row units, the arc ids, the pins and the
+// seeds (each in range, every appended pin among them) are checked before the
+// first write, so a refused batch leaves e as it was; no op batch can
+// introduce a levelize cycle (an insert adds an edge only via a fresh pin, a
+// bypass shortcuts an existing path).
 func (e *Engine) Patch(edits []ArcEdit, newPins int, seeds []int32) (levelize.IncStats, error) {
 	if err := e.checkRowUnits(e.st.NumPins + newPins); err != nil {
 		return levelize.IncStats{}, err
@@ -78,6 +79,18 @@ func compileIncrementalPatched(prev *State, edits []ArcEdit, newPins int, seeds 
 	}
 	prevArcs := len(prev.ArcFrom)
 	numPins := prev.NumPins + newPins
+	seeded := make([]bool, newPins)
+	for _, p := range seeds {
+		if p < 0 || int(p) >= numPins {
+			return nil, is, fmt.Errorf("core: patch: seed pin %d out of range [0,%d)", p, numPins)
+		}
+		if int(p) >= prev.NumPins {
+			seeded[int(p)-prev.NumPins] = true
+		}
+	}
+	if i := slices.Index(seeded, false); i >= 0 {
+		return nil, is, fmt.Errorf("core: patch: appended pin %d is not a seed", prev.NumPins+i)
+	}
 
 	chg := slices.Clone(edits)
 	slices.SortFunc(chg, func(a, b ArcEdit) int { return int(a.ID - b.ID) })

@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime/debug"
 	"slices"
 	"testing"
@@ -286,4 +287,55 @@ func TestCheckRowUnitsEdge(t *testing.T) {
 		}
 		e.Close()
 	}
+}
+
+// TestPatchRefusesBadSeeds: a seed outside the edited pin range, or an
+// appended pin that is not a seed, is refused before the first write — the
+// engine's state slabs, row spans, tensors and slacks stay bit-identical —
+// and the same batch with its seeds right is then accepted.
+func TestPatchRefusesBadSeeds(t *testing.T) {
+	h := buildHarness(t, testSpec(83))
+	base := newLaneEngine(t, h.tab, laneCases[1].lanes, Options{TopK: 6, Workers: 1})
+	base.Run()
+	e := base.Fork()
+	defer e.Close()
+	edits, newPins, seeds := bufferEdits(e.st, positiveNetArc(t, e.st))
+	n := int32(e.st.NumPins)
+	st, stp, rows := e.st.fork(), e.st, slices.Clone(e.rows)
+	q := *e.top.q
+	mean, std, sps := slices.Clone(q.mean), slices.Clone(q.std), slices.Clone(q.sp)
+	slacks := engineSlacks(e)
+	for _, bad := range []struct {
+		what  string
+		seeds []int32
+	}{
+		{"a negative seed", append(slices.Clone(seeds), -1)},
+		{"a seed past the appended pins", append(slices.Clone(seeds), n+int32(newPins))},
+		{"an appended pin left out", slices.DeleteFunc(slices.Clone(seeds), func(p int32) bool { return p == n+1 })},
+	} {
+		if _, err := e.Patch(edits, newPins, bad.seeds); err == nil {
+			t.Fatalf("%s: Patch accepted seeds %v", bad.what, bad.seeds)
+		}
+		if e.st != stp || !reflect.DeepEqual(*e.st, *st) || !slices.Equal(e.rows, rows) {
+			t.Fatalf("%s: a refused patch changed the engine's state", bad.what)
+		}
+		if !slices.Equal(e.top.q.mean, mean) || !slices.Equal(e.top.q.std, std) || !slices.Equal(e.top.q.sp, sps) {
+			t.Fatalf("%s: a refused patch changed the engine's queues", bad.what)
+		}
+		sameSlacks(t, bad.what, engineSlacks(e), slacks)
+	}
+	mustPatch(t, e, edits, newPins, seeds)
+}
+
+// positiveNetArc returns st's first positive-unate net arc, where a buffer
+// can go.
+func positiveNetArc(t *testing.T, st *State) int32 {
+	t.Helper()
+	for a := range st.ArcFrom {
+		if st.ArcKind[a] == 1 && liberty.Unate(st.FaninSense[faninPos(st, int32(a))]) == liberty.PositiveUnate {
+			return int32(a)
+		}
+	}
+	t.Fatal("test design has no positive-unate net arc")
+	return -1
 }

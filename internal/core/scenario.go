@@ -215,24 +215,14 @@ func (o *Overlay) MergedSlack(i int32) float64 {
 }
 
 // MergedWNS returns the merged (per-endpoint worst lane) WNS under the
-// overlay, scanning endpoints in index order like the base engine.
+// overlay, as Summarize folds it.
 func (o *Overlay) MergedWNS() float64 {
-	w := 0.0
-	for i := range o.e.st.EpPin {
-		if sl := o.MergedSlack(int32(i)); sl < w {
-			w = sl
-		}
-	}
-	return w
+	_, _, wns, _ := o.figures(0)
+	return wns
 }
 
-// MergedTNS returns the merged TNS under the overlay.
+// MergedTNS returns the merged TNS under the overlay, as Summarize folds it.
 func (o *Overlay) MergedTNS() float64 {
-	t := 0.0
-	for i := range o.e.st.EpPin {
-		if sl := o.MergedSlack(int32(i)); sl < 0 {
-			t += sl
-		}
-	}
-	return t
+	_, _, _, tns := o.figures(0)
+	return tns
 }

@@ -33,29 +33,28 @@ func (w *nullWriter) WriteHeader(int)             {}
 // off (what `server.New` alone serves) and on (what a daemon serves: dormant
 // tracer, flight recorder, SLO tracker).
 //
-// The limits are what this commit allocates; the first column is what the one
-// before it did, which built a json.Decoder per ECO body and an ECORequest
-// whose Arcs grew by doubling (the body is now read into a pooled buffer and
-// unmarshalled into a pooled request). The moved read is new: it allocates
-// what the plain one does, because a float the lane's cached text does not
-// cover is formatted without allocating.
+// The limits are what the handlers allocate now; the first column is what
+// they allocated before a route bound the request counter of its usual status
+// once (it built a label key and the status text per request) and the slack
+// reads stopped parsing an absent query string (the base read parsed its
+// query twice and built a strconv error for an absent ?worst).
 //
 //	                         single      {ss,tt,ff}
-//	shell off  eco           21 -> 16     22 -> 17
-//	           session read   7 ->  7      7 ->  7
-//	           base read      8            9
-//	           create        10           10
-//	           moved read          7            7
-//	shell on   eco           23 -> 18     24 -> 19
-//	           session read   9 ->  9      9 ->  9
-//	           base read     10           11
-//	           create        12           12
-//	           moved read          9            9
+//	shell off  eco            7 ->  5      8 ->  6
+//	           session read   7 ->  4      7 ->  4
+//	           base read      8 ->  3      9 ->  4
+//	           create         9 ->  7      9 ->  7
+//	           moved read     7 ->  4      7 ->  4
+//	shell on   eco            9 ->  7     10 ->  8
+//	           session read   9 ->  6      9 ->  6
+//	           base read     10 ->  5     11 ->  6
+//	           create        11 ->  9     11 ->  9
+//	           moved read     9 ->  6      9 ->  6
 func TestServeAllocsPerRequest(t *testing.T) {
 	const runs = 40
 	limits := map[bool][2][5]float64{ // corners -> shell off, on -> eco, session read, base read, create, moved read
-		false: {{16, 7, 8, 10, 7}, {18, 9, 10, 12, 9}},
-		true:  {{17, 7, 9, 10, 7}, {19, 9, 11, 12, 9}},
+		false: {{5, 4, 3, 7, 4}, {7, 6, 5, 9, 6}},
+		true:  {{6, 4, 4, 7, 4}, {8, 6, 6, 9, 6}},
 	}
 	dormant := obs.NewTracer()
 	dormant.Disable()
@@ -104,5 +103,51 @@ func TestServeAllocsPerRequest(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSessionCycleAllocsPerECO holds what a short-lived session costs per ECO
+// in process: Create, two ApplyECO batches — a 2-arc and a 64-arc one — and
+// Close, over and over, on both kinds of daemon. A new session takes back the overlay the last one released, with
+// the rows, index and wave scratch its cones grew, so what is left per ECO is
+// the result it returns and the session's own bookkeeping, amortized. When
+// only the row chunks and the index went round, every new session regrew the
+// rest: 122 and 124 objects per ECO on the two kinds (3 and 4 now).
+func TestSessionCycleAllocsPerECO(t *testing.T) {
+	const ecos = 2
+	limits := map[bool]float64{false: 4, true: 5}
+	for _, kind := range managerKinds {
+		mgr, _ := newKindManager(t, kind.corners, "des", 6, 1, server.Options{})
+		e := mgr.Engine()
+		batch := func(start, n int) server.ECORequest {
+			var req server.ECORequest
+			step := e.NumArcs() / n
+			for i := 0; i < n; i++ {
+				arc := int32(start + i*step)
+				rise, fall := e.ArcDelay(arc, 0), e.ArcDelay(arc, 1)
+				rise.Mean, fall.Mean = rise.Mean*1.3+1, fall.Mean*1.3+1
+				req.Arcs = append(req.Arcs, server.ArcECO{Arc: arc, Rise: rise, Fall: fall})
+			}
+			return req
+		}
+		reqs := [ecos]server.ECORequest{batch(3, 2), batch(1, 64)}
+		cycle := func() {
+			sess, err := mgr.Create()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, req := range reqs {
+				if res, err := sess.ApplyECO(req); err != nil || len(res.Changed) == 0 {
+					t.Fatalf("%s: ECO moved %d endpoints, err %v", kind.name, len(res.Changed), err)
+				}
+			}
+			sess.Close()
+		}
+		a := testing.AllocsPerRun(20, cycle) / ecos
+		t.Logf("%s: %.1f allocs per ECO", kind.name, a)
+		if max := limits[kind.corners]; a > max {
+			t.Errorf("%s: %.1f allocs per ECO in fresh sessions, want <= %.0f", kind.name, a, max)
+		}
+		mgr.Close()
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"runtime/debug"
 	"sort"
 	"strconv"
@@ -124,7 +125,7 @@ func (s *Server) Observe(sh *shell.Shell) {
 			d, err := time.ParseDuration(v)
 			if err != nil {
 				// Bare numbers are seconds, the curl-friendly spelling.
-				if n := intQuery(r, "dur", 0); n > 0 {
+				if n := intParam(v, 0); n > 0 {
 					d, err = time.Duration(n)*time.Second, nil
 				}
 			}
@@ -170,6 +171,7 @@ func (s *Server) Observe(sh *shell.Shell) {
 func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 	work := name != "healthz" && name != "metrics"
 	span := "serve-" + name
+	rt := &routeCount{name: name}
 	return func(w http.ResponseWriter, r *http.Request) {
 		var sh *shell.Shell
 		if work {
@@ -190,7 +192,7 @@ func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
 				rq.Epoch, rq.TopoGen = s.mgr.Epoch(), s.mgr.TopoGen()
 			}
 			code, d := rq.End(name)
-			s.met.observe(name, code, d)
+			s.met.observe(rt, code, d)
 			level := slog.LevelDebug
 			if code >= 400 {
 				level = slog.LevelWarn
@@ -337,7 +339,8 @@ var slackBufPool = sync.Pool{New: func() any { return new([]float64) }}
 func (s *Server) handleSlacks(w http.ResponseWriter, r *http.Request) {
 	bufp := slackBufPool.Get().(*[]float64)
 	defer func() { slackBufPool.Put(bufp) }()
-	scn := r.URL.Query().Get("scenario")
+	q := query(r)
+	scn := q.Get("scenario")
 	v, err := s.mgr.BaseViewInto(scn, (*bufp)[:0])
 	if err != nil {
 		WriteError(w, errCode(err), err)
@@ -354,7 +357,7 @@ func (s *Server) handleSlacks(w http.ResponseWriter, r *http.Request) {
 		Violations: core.Violations(slacks),
 		WNS:        v.WNS,
 	}
-	if n := min(intQuery(r, "worst", 0), len(slacks)); n > 0 {
+	if n := min(intParam(q.Get("worst"), 0), len(slacks)); n > 0 {
 		idx := make([]int, len(slacks))
 		for i := range idx {
 			idx[i] = i
@@ -374,7 +377,7 @@ func (s *Server) handleSlacks(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGradients(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, gradients{Epoch: s.mgr.Epoch(), Stages: s.mgr.Gradients(intQuery(r, "top", 32))})
+	WriteJSON(w, http.StatusOK, gradients{Epoch: s.mgr.Epoch(), Stages: s.mgr.Gradients(intParam(query(r).Get("top"), 32))})
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
@@ -406,7 +409,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, sess *Session
 // nominal lane; ?scenario=<name|merged> selects a corner, priced through the
 // session's uncommitted deltas.
 func (s *Server) handleSessionSlacks(w http.ResponseWriter, r *http.Request, sess *Session) {
-	scn := r.URL.Query().Get("scenario")
+	scn := query(r).Get("scenario")
 	bufp := slackBufPool.Get().(*[]float64)
 	defer func() { slackBufPool.Put(bufp) }()
 	slacks, lane, err := sess.scenarioSlacksInto(scn, (*bufp)[:0])
@@ -567,10 +570,22 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request, sess *Se
 	WriteJSON(w, http.StatusOK, rolledBack{Epoch: s.mgr.Epoch(), RolledBack: sess.ID})
 }
 
-// intQuery reads a non-negative decimal query parameter; anything else —
-// absent, signed, not a number, too large for an int — is def.
-func intQuery(r *http.Request, key string, def int) int {
-	n, err := strconv.ParseUint(r.URL.Query().Get(key), 10, 31)
+// query parses r's query string; a request without one parses nothing and
+// allocates nothing (a nil Values answers every Get with "").
+func query(r *http.Request) url.Values {
+	if r.URL.RawQuery == "" {
+		return nil
+	}
+	return r.URL.Query()
+}
+
+// intParam reads a non-negative decimal query parameter value; anything else
+// — absent, signed, not a number, too large for an int — is def.
+func intParam(v string, def int) int {
+	if v == "" {
+		return def
+	}
+	n, err := strconv.ParseUint(v, 10, 31)
 	if err != nil {
 		return def
 	}

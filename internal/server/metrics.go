@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"insta/internal/obs"
@@ -112,11 +113,31 @@ func newMetrics(m *Manager) *metrics {
 	return mt
 }
 
-func (mt *metrics) observe(route string, code int, d time.Duration) {
+// routeCount is one route's request counter for the status it answered
+// last, bound on the first request with that status: a route answers one
+// status nearly always, so the series look-up — a label key and the status
+// text — is paid when the status changes, not per request. A series is
+// still created only when a request first lands in it.
+type routeCount struct {
+	name string
+	last atomic.Pointer[statusCounter]
+}
+
+type statusCounter struct {
+	code int
+	c    *obs.Counter
+}
+
+func (mt *metrics) observe(rt *routeCount, code int, d time.Duration) {
+	sc := rt.last.Load()
+	if sc == nil || sc.code != code {
+		sc = &statusCounter{code, mt.requests.With(rt.name, strconv.Itoa(code))}
+		rt.last.Store(sc)
+	}
+	sc.c.Inc()
 	sec := d.Seconds()
-	mt.requests.With(route, strconv.Itoa(code)).Inc()
 	mt.latency.Observe(sec)
-	if route == "eco" {
+	if rt.name == "eco" {
 		mt.ecoLat.Observe(sec)
 	}
 }

@@ -55,6 +55,32 @@ func getBody(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(buf)
 }
 
+// TestRequestCountsFollowStatus: a route binds the counter of the status it
+// last answered, so a status change must land in a series of its own — and
+// a return to the first status in the first series again.
+func TestRequestCountsFollowStatus(t *testing.T) {
+	mgr, _ := newTestManager(t, "des", 8, 2, server.Options{})
+	srv := httptest.NewServer(server.New(mgr, "des").Handler())
+	defer srv.Close()
+	sess, err := mgr.Create()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for _, id := range []string{sess.ID, "nope", sess.ID, sess.ID} {
+		getBody(t, srv.URL+"/session/"+id+"/slacks")
+	}
+	_, body := getBody(t, srv.URL+"/metrics")
+	for _, want := range []string{
+		"insta_requests_total{route=\"session-slacks\",code=\"200\"} 3\n",
+		"insta_requests_total{route=\"session-slacks\",code=\"404\"} 1\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("/metrics missing %q:\n%s", want, body)
+		}
+	}
+}
+
 // TestMetricsByteCompat pins the /metrics exposition byte-for-byte on a fresh
 // server: the obs-registry rewrite must render the exact same bytes the
 // pre-obs hand-rolled writer produced (scrape names, label format, family

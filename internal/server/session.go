@@ -164,24 +164,23 @@ func jsonSlack(v float64) float64 {
 	return v
 }
 
-// scenarioRowsLocked prices ov in every corner: one row per scenario with
-// ΔWNS/ΔTNS against that scenario's committed base, plus the merged row.
-// Caller holds at least m.mu.RLock.
-func (m *Manager) scenarioRowsLocked(ov *core.Overlay) []ScenarioView {
+// scenarioRowsLocked is the per-corner part of a result: one row per
+// scenario, from lane i's wns[i] and tns[i], and the merged row, each with
+// ΔWNS/ΔTNS against that scenario's committed base. Caller holds at least
+// m.mu.RLock.
+func (m *Manager) scenarioRowsLocked(wns, tns []float64, mergedWNS, mergedTNS float64) []ScenarioView {
 	out := make([]ScenarioView, len(m.baseScn))
 	for i, b := range m.baseScn {
-		var wns, tns float64
-		if b.Name == "merged" {
-			wns, tns = ov.MergedWNS(), ov.MergedTNS()
-		} else {
-			wns, tns = ov.LaneWNS(i), ov.LaneTNS(i)
+		w, t := mergedWNS, mergedTNS
+		if b.Name != "merged" {
+			w, t = wns[i], tns[i]
 		}
 		out[i] = ScenarioView{
 			Name:     b.Name,
-			WNS:      wns,
-			TNS:      tns,
-			DeltaWNS: wns - b.WNS,
-			DeltaTNS: tns - b.TNS,
+			WNS:      w,
+			TNS:      t,
+			DeltaWNS: w - b.WNS,
+			DeltaTNS: t - b.TNS,
 		}
 	}
 	return out
@@ -189,7 +188,7 @@ func (m *Manager) scenarioRowsLocked(ov *core.Overlay) []ScenarioView {
 
 // resultLocked builds the session's current view from its overlay: the
 // nominal lane's figures and changed endpoints, and on a multi-corner server
-// the per-scenario rows.
+// the per-scenario rows, all from one scan of the endpoints (Summarize).
 //
 // A session holding structural edits reads the overlay over its working
 // engine. Endpoint indices are stable across structural edits (startpoints
@@ -223,11 +222,17 @@ func (s *Session) resultLocked() *ECOResult {
 			res.Changed = append(res.Changed, m.endpointSlackLocked(int(ep), ov.LaneSlack(m.nom, ep)))
 		}
 	}
-	res.WNS, res.TNS = ov.LaneWNS(m.nom), ov.LaneTNS(m.nom)
+	var figs [16]float64 // up to eight lanes' WNS and TNS, on the stack
+	wns, tns := figs[:8], figs[8:]
+	if S := ov.Base().Lanes(); S > 8 {
+		wns, tns = make([]float64, S), make([]float64, S)
+	}
+	mergedWNS, mergedTNS := ov.Summarize(wns, tns)
+	res.WNS, res.TNS = wns[m.nom], tns[m.nom]
 	res.DeltaWNS = res.WNS - m.baseWNS
 	res.DeltaTNS = res.TNS - m.baseTNS
 	if m.baseScn != nil {
-		res.Scenarios = m.scenarioRowsLocked(ov)
+		res.Scenarios = m.scenarioRowsLocked(wns, tns, mergedWNS, mergedTNS)
 	}
 	return res
 }
@@ -344,10 +349,12 @@ func (m *Manager) resolveResizeLocked(e *edit, cell, lib string) error {
 // engine is edited in place, and the overlay is rebased onto it. The
 // session's first creates the working engine as a fork of the served base —
 // unless the overlay, then over the base, holds annotations the fork would
-// drop (ErrPendingAnnotations) — so its overlay commit is a no-op. A refused
-// batch applies nothing: a fold it made is the overlay's own preview,
-// committed, so the session's view is as it was, and a refused first batch
-// closes the fork. Caller holds s.mu and at least m.mu.RLock.
+// drop (ErrPendingAnnotations) — so its overlay commit is a no-op; it is
+// validated against the base first (topo.Apply only reads the state), so a
+// batch topo refuses costs no fork. A refused batch applies nothing: a fold
+// it made is the overlay's own preview, committed, so the session's view is
+// as it was, and a first batch the patch refuses closes the fork. Caller
+// holds s.mu and at least m.mu.RLock.
 func (s *Session) applyLocked(e *edit, structural bool) (res *topo.Result, err error) {
 	switch {
 	case !structural:
@@ -361,6 +368,9 @@ func (s *Session) applyLocked(e *edit, structural bool) (res *topo.Result, err e
 	default:
 		forked := s.work == nil
 		if forked {
+			if _, err := topo.Apply(s.m.eng.ExportState(), e.ops); err != nil {
+				return nil, err
+			}
 			s.work = s.m.eng.Fork()
 		}
 		s.wst.Annotated += s.ov.Stats().TouchedArcs

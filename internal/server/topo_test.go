@@ -20,6 +20,7 @@ import (
 	"insta/internal/core"
 	"insta/internal/exp"
 	"insta/internal/num"
+	"insta/internal/obs"
 	"insta/internal/refsta"
 	"insta/internal/server"
 	"insta/internal/snap"
@@ -329,15 +330,26 @@ func TestTopoPendingAnnotationsRejected(t *testing.T) {
 }
 
 // TestTopoRefusedFirstBatchKeepsAnnotationSession: a session's first /topo
-// batch forks the base before topo validates it. An unbuffer of a net arc —
-// the resolver lets any arc through, and topo refuses a removal whose arc is
-// not a buffer's cell arc — is refused there: the fork is dropped and the
-// session stays an annotation session. Its Result is as it was, no structural
-// batch is counted, and after an ECO a buffer batch answers
+// batch is validated against the base before the base is forked. An unbuffer
+// of a net arc — the resolver lets any arc through, and topo refuses a
+// removal whose arc is not a buffer's cell arc — is refused there: no fork is
+// made and the session stays an annotation session. Its Result is as it was,
+// no structural batch is counted, and after an ECO a buffer batch answers
 // ErrPendingAnnotations, which only a session without a working engine does.
+// Another session's valid first batch then forks once.
 func TestTopoRefusedFirstBatchKeepsAnnotationSession(t *testing.T) {
 	mgr, s := newTestManager(t, "des", 8, 2, server.Options{})
 	defer mgr.Close()
+	tr := obs.NewTracer()
+	mgr.Engine().SetTracer(tr)
+	forks := func() int64 {
+		for _, p := range tr.Totals() {
+			if p.Name == "engine-fork" {
+				return p.Count
+			}
+		}
+		return 0
+	}
 	sess, err := mgr.Create()
 	if err != nil {
 		t.Fatal(err)
@@ -362,12 +374,27 @@ func TestTopoRefusedFirstBatchKeepsAnnotationSession(t *testing.T) {
 	if n := mgr.TopoCountersSnapshot().Edits; n != 0 {
 		t.Fatalf("%d structural batches counted after a refused one", n)
 	}
+	if n := forks(); n != 0 {
+		t.Fatalf("a refused first batch forked the base %d times", n)
+	}
 	if _, err := sess.ApplyDeltas(arcDeltas(mgr.Engine(), 0, 131, 1.02)); err != nil {
 		t.Fatal(err)
 	}
 	req := server.TopoRequest{Ops: []server.TopoOp{{Op: "buffer", Arc: net}}}
 	if _, err := sess.ApplyTopo(req); !errors.Is(err, server.ErrPendingAnnotations) {
 		t.Fatalf("buffer batch after an ECO: err %v, want ErrPendingAnnotations", err)
+	}
+
+	other, err := mgr.Create()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	if _, err := other.ApplyTopo(req); err != nil {
+		t.Fatal(err)
+	}
+	if n := forks(); n != 1 {
+		t.Fatalf("a valid first batch forked the base %d times, want 1", n)
 	}
 }
 
