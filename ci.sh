@@ -17,7 +17,13 @@
 #                      released overlay goes back whole to its engine's one
 #                      pool: no chunkPool or indexPool
 #   2. go build      — everything compiles, including cmd/ and examples/
-#   3. go test       — full suite (unit + determinism + differential + a
+#   3. go test       — full suite (unit + determinism + differential + the
+#                      paper-artifact check (TestArtifactsMatchResults in
+#                      cmd/insta-paper: results/table1_fig6, fig7_fig8,
+#                      table3_fig9 and pocv_validation rendered in process
+#                      on one worker, every deterministic cell equal to the
+#                      committed file byte for byte; durations, Fig. 7's
+#                      speed-up and Fig. 9's overhead line masked) + a
 #                      commit adopting its preview equal to a cold run
 #                      (TestCommitEqualsCold: the base's late and early
 #                      queues, setup and hold slacks and critical startpoints

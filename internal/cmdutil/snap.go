@@ -1,8 +1,8 @@
 package cmdutil
 
 // Snapshot flags and the shared boot path: the tools that boot one compiled
-// design (insta-sta, insta-extract, insta-served, insta-router, insta-hier,
-// insta-correlate -hier) take -snapshot-dir/-snapshot-max-mb, hash their
+// design (insta-sta, insta-extract, insta-served, insta-router, insta-hier)
+// take -snapshot-dir/-snapshot-max-mb, hash their
 // inputs to a content address, and either warm-start from a cached
 // compiled-state snapshot (internal/snap) or cold-build — parse, reference
 // signoff, extraction, compile — and write the snapshot back for the next

@@ -2,7 +2,7 @@
 // of the paper's evaluation (§IV) on the synthetic design suite:
 //
 //	Table I  — INSTA vs reference-engine correlation on five blocks
-//	Fig. 6   — Top-K=1 vs Top-K=128 endpoint-slack scatter on block-1
+//	Fig. 6   — the Top-K trade-off (K = 1 to 128) on block-1
 //	Fig. 7   — incremental STA runtime per sizing iteration (3 engines)
 //	Fig. 8   — correlation before/after a sizing flow with estimate_eco only
 //	Table II — INSTA-Size vs baseline sizer on the IWLS-like suite
@@ -11,7 +11,7 @@
 //
 // Each harness returns structured results (consumed by the benchmarks in
 // bench_test.go and by tests) and can render the paper-style table to a
-// writer (consumed by the cmd/ tools).
+// writer (consumed by cmd/insta-paper, which writes results/).
 package exp
 
 import (

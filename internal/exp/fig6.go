@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"io"
 
 	"insta/internal/bench"
@@ -19,10 +18,8 @@ type Fig6Result struct {
 }
 
 // Fig6 reproduces the Fig. 6 study: endpoint slack correlation on the named
-// block without CPPR resolution (Top-K=1) and with it (Top-K=128). When
-// scatter is non-nil, a CSV of (refSlack, instaSlack, endpointLevel) rows is
-// written per K for plotting the paper's scatter panels.
-func Fig6(w io.Writer, blockName string, ks []int, opt core.Options, scatter io.Writer) ([]Fig6Result, error) {
+// block at each Top-K in ks, from no CPPR resolution (Top-K=1) up.
+func Fig6(w io.Writer, blockName string, ks []int, opt core.Options) ([]Fig6Result, error) {
 	spec, err := bench.BlockSpec(blockName)
 	if err != nil {
 		return nil, err
@@ -43,30 +40,15 @@ func Fig6(w io.Writer, blockName string, ks []int, opt core.Options, scatter io.
 		if err != nil {
 			return nil, err
 		}
-		got := e.Run()
-		r, ms, _, dis, err := Correlate(refSlacks, got)
+		r, ms, _, dis, err := Correlate(refSlacks, e.Run())
+		mem := e.MemoryBytes()
+		e.Close()
 		if err != nil {
-			e.Close()
 			return nil, err
 		}
-		res := Fig6Result{TopK: k, Corr: r, Mismatch: ms, MemoryGB: float64(e.MemoryBytes()) / (1 << 30), Disagree: dis}
+		res := Fig6Result{TopK: k, Corr: r, Mismatch: ms, MemoryGB: float64(mem) / (1 << 30), Disagree: dis}
 		out = append(out, res)
 		fprintf(w, "%6d %12.6f       (%.2e, %6.2f) %12.3f %10d\n", k, r, ms.Avg, ms.Worst, res.MemoryGB, dis)
-		if scatter != nil {
-			fmt.Fprintf(scatter, "# topk=%d columns: ref_slack insta_slack ep_level\n", k)
-			eps := e.Endpoints()
-			for i, rs := range refSlacks {
-				if isInfOrNaN(rs) || isInfOrNaN(got[i]) {
-					continue
-				}
-				fmt.Fprintf(scatter, "%.6f,%.6f,%d\n", rs, got[i], e.Level(eps[i]))
-			}
-		}
-		e.Close()
 	}
 	return out, nil
-}
-
-func isInfOrNaN(x float64) bool {
-	return x != x || x > 1e300 || x < -1e300
 }

@@ -146,7 +146,7 @@ func (a *sessionAudit) checkHold(st *core.State, delay exact.Delay, hold [][]flo
 // which is what it serves. It reports false for a session a commit has
 // conflicted.
 func (a *sessionAudit) session(s *Session) bool {
-	view, err := laneViews(a.m.Scenarios(), s.ScenarioSlacks)
+	view, err := laneViews(a.m.Scenarios(), readSession(s))
 	if errors.Is(err, ErrStructuralConflict) {
 		return false
 	} else if err != nil {
@@ -204,7 +204,7 @@ func auditScript(t *testing.T, spec bench.Spec, workers int) {
 	defer m.Close()
 	m.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
 	a := &sessionAudit{t: t, m: m, moved: make([]bool, e.Lanes()), holdMoved: make([]bool, e.Lanes()), seen: map[*Session][]int32{}}
-	if a.base, err = laneViews(m.Scenarios(), m.BaseScenarioSlacks); err != nil {
+	if a.base, err = laneViews(m.Scenarios(), readBase(m)); err != nil {
 		t.Fatal(err)
 	}
 	a.baseHold = holdViews(m.eng)
@@ -334,7 +334,7 @@ func auditScript(t *testing.T, spec bench.Spec, workers int) {
 		case "commit":
 			if _, err = s.Commit(); err == nil {
 				// The base is walked at the endpoints the commit moved.
-				if a.base, err = laneViews(m.Scenarios(), m.BaseScenarioSlacks); err != nil {
+				if a.base, err = laneViews(m.Scenarios(), readBase(m)); err != nil {
 					t.Fatal(err)
 				}
 				a.check(m.eng.ExportState(), m.eng.ArcDelay, a.base, changed(nil, a.base, before))
@@ -515,10 +515,10 @@ func TestRebaseDropsScratchAcrossEngines(t *testing.T) {
 		}
 	}
 	a := &sessionAudit{t: t, m: m, moved: make([]bool, m.eng.Lanes()), tag: "re-annotated driver"}
-	if a.base, err = laneViews(m.Scenarios(), m.BaseScenarioSlacks); err != nil {
+	if a.base, err = laneViews(m.Scenarios(), readBase(m)); err != nil {
 		t.Fatal(err)
 	}
-	view, err := laneViews(m.Scenarios(), sAnn.ScenarioSlacks)
+	view, err := laneViews(m.Scenarios(), readSession(sAnn))
 	if err != nil {
 		t.Fatal(err)
 	}

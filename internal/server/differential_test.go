@@ -152,6 +152,19 @@ func (p *diffPair) checkBase(tag string) {
 	}
 }
 
+// readSession and readBase adapt a session and the committed base to the
+// one-lane reader checkScenarios takes.
+func readSession(s *server.Session) func(name string) ([]float64, error) {
+	return func(name string) ([]float64, error) { return s.ScenarioSlacksInto(name, nil) }
+}
+
+func readBase(m *server.Manager) func(name string) ([]float64, error) {
+	return func(name string) ([]float64, error) {
+		v, err := m.BaseViewInto(name, nil)
+		return v.Slacks, err
+	}
+}
+
 // checkScenarios holds the multi-corner view (rows and per-scenario slack
 // vectors as read by read) to independent single-lane engines over
 // ScaleTables(model, scenario).
@@ -233,7 +246,7 @@ func TestNominalLaneDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.checkNominal(tag, sp, rs, rm)
-		p.checkScenarios(tag, model, rm.Scenarios, sp.multi.ScenarioSlacks)
+		p.checkScenarios(tag, model, rm.Scenarios, readSession(sp.multi))
 	}
 	// view re-reads both sessions (rebasing them if the base moved).
 	view := func(tag string, sp sessPair, model *circuitops.Tables) {
@@ -247,7 +260,7 @@ func TestNominalLaneDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.checkNominal(tag, sp, rs, rm)
-		p.checkScenarios(tag, model, rm.Scenarios, sp.multi.ScenarioSlacks)
+		p.checkScenarios(tag, model, rm.Scenarios, readSession(sp.multi))
 	}
 	// commit commits both sessions and checks the new bases against model.
 	commit := func(tag string, sp sessPair, model *circuitops.Tables) {
@@ -270,7 +283,7 @@ func TestNominalLaneDifferential(t *testing.T) {
 		for i := range rows {
 			rows[i].Violations = 0
 		}
-		p.checkScenarios(tag, model, rows, p.multi.BaseScenarioSlacks)
+		p.checkScenarios(tag, model, rows, readBase(p.multi))
 	}
 
 	base := s.Tab
@@ -358,7 +371,7 @@ func TestNominalLaneDifferential(t *testing.T) {
 	// multi-corner base must equal a cold engine over their derated copy, and
 	// the preview rows must have said the same before the commit.
 	base = p.single.Engine().ExportState().Tables()
-	p.checkScenarios("structural commit", base, pre.View.Scenarios, p.multi.BaseScenarioSlacks)
+	p.checkScenarios("structural commit", base, pre.View.Scenarios, readBase(p.multi))
 
 	// The annotation session re-binds to the replaced engine and commits.
 	view("rebind D", sD, annotate(base, b5))

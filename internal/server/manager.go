@@ -329,13 +329,6 @@ func laneSlacksInto(eng *core.Engine, ov *core.Overlay, lane int, dst []float64)
 	return dst
 }
 
-// BaseScenarioSlacks returns the committed endpoint slacks of one scenario,
-// or the per-endpoint worst across scenarios for "merged".
-func (m *Manager) BaseScenarioSlacks(name string) ([]float64, error) {
-	v, err := m.BaseViewInto(name, nil)
-	return v.Slacks, err
-}
-
 // BaseView is one consistent read of the committed base: every field belongs
 // to the same epoch.
 type BaseView struct {

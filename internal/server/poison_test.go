@@ -51,6 +51,19 @@ func laneViews(scns []core.Scenario, read func(name string) ([]float64, error)) 
 	return out, nil
 }
 
+// readSession and readBase adapt a session and the committed base to the
+// one-lane reader laneViews takes.
+func readSession(s *Session) func(name string) ([]float64, error) {
+	return func(name string) ([]float64, error) { return s.ScenarioSlacksInto(name, nil) }
+}
+
+func readBase(m *Manager) func(name string) ([]float64, error) {
+	return func(name string) ([]float64, error) {
+		v, err := m.BaseViewInto(name, nil)
+		return v.Slacks, err
+	}
+}
+
 // sameBits reports whether a and b hold the same float64 bit patterns.
 func sameBits(a, b [][]float64) bool {
 	return slices.EqualFunc(a, b, func(x, y []float64) bool {
@@ -132,7 +145,7 @@ func TestSessionPanicPoisonsOnlyThatSession(t *testing.T) {
 		}
 		return v
 	}
-	base, liveView := lanes(m.BaseScenarioSlacks), lanes(live.ScenarioSlacks)
+	base, liveView := lanes(readBase(m)), lanes(readSession(live))
 
 	doomed, err := m.Create()
 	if err != nil {
@@ -174,9 +187,9 @@ func TestSessionPanicPoisonsOnlyThatSession(t *testing.T) {
 			default:
 			}
 			for i, scn := range scns {
-				sv, err := live.ScenarioSlacks(scn.Name)
-				bv, berr := m.BaseScenarioSlacks(scn.Name)
-				if err != nil || berr != nil || !sameBits([][]float64{sv, bv}, [][]float64{liveView[i], base[i]}) {
+				sv, err := live.ScenarioSlacksInto(scn.Name, nil)
+				bv, berr := m.BaseViewInto(scn.Name, nil)
+				if err != nil || berr != nil || !sameBits([][]float64{sv, bv.Slacks}, [][]float64{liveView[i], base[i]}) {
 					t.Errorf("lane %s moved while another session was poisoned (%v, %v)", scn.Name, err, berr)
 					return
 				}
@@ -212,7 +225,7 @@ func TestSessionPanicPoisonsOnlyThatSession(t *testing.T) {
 	if got, _ := small.OverlayRows(); got != 0 {
 		t.Fatalf("the smaller engine counts %d rows after the poisoning, want 0", got)
 	}
-	if !sameBits(lanes(m.BaseScenarioSlacks), base) || !sameBits(lanes(live.ScenarioSlacks), liveView) {
+	if !sameBits(lanes(readBase(m)), base) || !sameBits(lanes(readSession(live)), liveView) {
 		t.Fatal("the base or the live session reads differently after the poisoning")
 	}
 	if code, body := post("/session", nil); code != http.StatusCreated {

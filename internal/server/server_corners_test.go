@@ -115,11 +115,11 @@ func TestServeMultiCornerPreviewMatchesCommit(t *testing.T) {
 	// Preview slacks per scenario, captured before commit.
 	previews := make([][]float64, S)
 	for i, scn := range be.Scenarios() {
-		if previews[i], err = sess.ScenarioSlacks(scn.Name); err != nil {
+		if previews[i], err = sess.ScenarioSlacksInto(scn.Name, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	prevMerged, err := sess.ScenarioSlacks("merged")
+	prevMerged, err := sess.ScenarioSlacksInto("merged", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestServeMultiCornerRebase(t *testing.T) {
 		t.Fatal(err)
 	}
 	// B's next scenario read rebases over A's commit.
-	view, err := b.ScenarioSlacks("ss")
+	view, err := b.ScenarioSlacksInto("ss", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -476,16 +476,12 @@ func (s *Session) SlacksInto(dst []float64) ([]float64, error) {
 	return s.ScenarioSlacksInto("", dst)
 }
 
-// ScenarioSlacks returns the session's full endpoint slack view in one
-// scenario ("merged" = per-endpoint worst corner): the scenario's committed
-// base slacks with the overlay's re-derived endpoints applied on top.
-func (s *Session) ScenarioSlacks(name string) ([]float64, error) {
-	return s.ScenarioSlacksInto(name, nil)
-}
-
-// ScenarioSlacksInto is the allocation-free form of ScenarioSlacks; the
-// scenario "" is the nominal lane, which every server has. A session holding
-// structural edits reads its working engine with its overlay on top.
+// ScenarioSlacksInto returns the session's full endpoint slack view in one
+// scenario ("merged" = per-endpoint worst corner) — the scenario's committed
+// base slacks with the overlay's re-derived endpoints applied on top — written
+// into dst (grown only when too small); the scenario "" is the nominal lane,
+// which every server has. A session holding structural edits reads its
+// working engine with its overlay on top.
 func (s *Session) ScenarioSlacksInto(name string, dst []float64) ([]float64, error) {
 	dst, _, err := s.scenarioSlacksInto(name, dst)
 	return dst, err
@@ -653,9 +649,15 @@ func (s *Session) Close() bool {
 		return false
 	}
 	s.closed = true
+	m := s.m
+	m.mu.RLock()
 	s.discardLocked()
+	// A structural session's overlay sat over the working engine just closed:
+	// re-point it at the served base, whose pool the next session draws from.
+	s.ov.Rebase(m.eng)
 	s.ov.Release() // its rows and indices go to the next session over this engine
-	return s.m.remove(s)
+	m.mu.RUnlock()
+	return m.remove(s)
 }
 
 // ECOCount returns how many batches this session has evaluated.

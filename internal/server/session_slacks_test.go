@@ -137,7 +137,7 @@ func TestSessionSlacksBodyIsEncodingJSON(t *testing.T) {
 						}
 						scn := views[(r+i)%len(views)]
 						before := mgr.Epoch()
-						want, err := sess.ScenarioSlacks(scn)
+						want, err := sess.ScenarioSlacksInto(scn, nil)
 						if err != nil {
 							t.Errorf("reader %d: %v", r, err)
 							return
@@ -212,7 +212,7 @@ func TestSessionSlacksBodyIsEncodingJSON(t *testing.T) {
 						break
 					}
 					for _, scn := range views { // the working engine's view, before it is the base
-						want, err := sess.ScenarioSlacks(scn)
+						want, err := sess.ScenarioSlacksInto(scn, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -227,7 +227,7 @@ func TestSessionSlacksBodyIsEncodingJSON(t *testing.T) {
 					}
 				default:
 					scn := views[rng.Intn(len(views))]
-					want, err := sess.ScenarioSlacks(scn)
+					want, err := sess.ScenarioSlacksInto(scn, nil)
 					if errors.Is(err, server.ErrStructuralConflict) {
 						_ = sess.Rollback()
 						break
@@ -319,16 +319,16 @@ func TestSlackTextCountsWhatMoved(t *testing.T) {
 		arcs := mgr.Engine().NumArcs()
 		bitsMoved := func(scn string) (moved int) {
 			t.Helper()
-			base, err := mgr.BaseScenarioSlacks(scn)
+			base, err := mgr.BaseViewInto(scn, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			view, err := sess.ScenarioSlacks(scn)
+			view, err := sess.ScenarioSlacksInto(scn, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range view {
-				if math.Float64bits(view[i]) != math.Float64bits(base[i]) {
+				if math.Float64bits(view[i]) != math.Float64bits(base.Slacks[i]) {
 					moved++
 				}
 			}

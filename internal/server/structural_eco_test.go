@@ -88,12 +88,12 @@ func TestStructuralSessionECOInOverlay(t *testing.T) {
 		t.Cleanup(ce.Close)
 		return NewManager(ce, nil, Options{})
 	}
-	prev := views(m.BaseScenarioSlacks)
+	prev := views(readBase(m))
 	// check holds the session to a cold manager over want, and a step to
 	// moving some lane's slacks.
 	check := func(step string, want *circuitops.Tables) *Manager {
-		got, cm := views(sess.ScenarioSlacks), cold(want)
-		if w := views(cm.BaseScenarioSlacks); !sameBits(got, w) {
+		got, cm := views(readSession(sess)), cold(want)
+		if w := views(readBase(cm)); !sameBits(got, w) {
 			t.Fatalf("%s: the session's slacks differ from a cold manager's over the edited tables", step)
 		}
 		if sameBits(got, prev) {
@@ -151,12 +151,47 @@ func TestStructuralSessionECOInOverlay(t *testing.T) {
 	if _, err := sess.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if base := views(m.BaseScenarioSlacks); !sameBits(base, prev) {
+	if base := views(readBase(m)); !sameBits(base, prev) {
 		t.Fatal("commit: the base's slacks differ from the cold manager's")
 	}
 	for l := range e.Lanes() {
 		if got, w := m.Engine().LaneHoldSlacks(l), cm.Engine().LaneHoldSlacks(l); !slices.Equal(got, w) {
 			t.Fatalf("commit: lane %d's hold slacks differ from the cold manager's", l)
 		}
+	}
+}
+
+// TestClosedStructuralSessionPoolsOnBase closes a session that holds a
+// structural edit. Its overlay sat over the session's working engine, which
+// Close discards, so it must go back re-pointed at the served base: that
+// engine's pool is where the next session looks for one.
+func TestClosedStructuralSessionPoolsOnBase(t *testing.T) {
+	spec, err := bench.IWLSSpec("des")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, tab := buildTables(t, spec)
+	e, err := core.NewEngine(tab, core.Options{TopK: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	m := NewManager(e, ref, Options{})
+	defer m.Close()
+	sess, err := m.Create()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.ApplyTopo(TopoRequest{Ops: []TopoOp{{Op: "buffer", Arc: 0}}}); err != nil {
+		t.Fatal(err)
+	}
+	if sess.ov.Base() == e {
+		t.Fatal("the structural session's overlay sits over the served base, not its working engine")
+	}
+	if !sess.Close() {
+		t.Fatal("Close did not close the session")
+	}
+	if got := sess.ov.Base(); got != m.eng {
+		t.Errorf("after Close the overlay's base is %p, want the manager's engine %p", got, m.eng)
 	}
 }

@@ -536,18 +536,18 @@ func TestUnbufferCommitRebasesAnnotationSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, lane := range []string{"", "ss", "tt", "ff", "merged"} {
-		got, err := sAnn.ScenarioSlacks(lane)
+		got, err := sAnn.ScenarioSlacksInto(lane, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := sCold.ScenarioSlacks(lane)
+		want, err := sCold.ScenarioSlacksInto(lane, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("lane %q: the rebased session's slacks differ from a cold manager's over the edited tables", lane)
 		}
-		if base, _ := mgr.BaseScenarioSlacks(lane); slices.Equal(got, base) {
+		if base, _ := mgr.BaseViewInto(lane, nil); slices.Equal(got, base.Slacks) {
 			t.Fatalf("lane %q: the session's deltas move no slack — test is vacuous", lane)
 		}
 	}
@@ -649,18 +649,18 @@ func TestStructuralECOLastDelayWins(t *testing.T) {
 	defer cold.Close()
 	coldMgr := server.NewManager(cold, nil, server.Options{})
 	for _, lane := range []string{"", "ss", "tt", "ff", "merged"} {
-		got, err := sess.ScenarioSlacks(lane)
+		got, err := sess.ScenarioSlacksInto(lane, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := coldMgr.BaseScenarioSlacks(lane)
+		w, err := coldMgr.BaseViewInto(lane, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(got, w) {
+		if !slices.Equal(got, w.Slacks) {
 			t.Fatalf("lane %q: the session's slacks differ from a cold manager's over the edited tables", lane)
 		}
-		if base, _ := mgr.BaseScenarioSlacks(lane); slices.Equal(got, base) {
+		if base, _ := mgr.BaseViewInto(lane, nil); slices.Equal(got, base.Slacks) {
 			t.Fatalf("lane %q: the ECO moves no slack — test is vacuous", lane)
 		}
 	}
