@@ -7,7 +7,10 @@
 #                      server/manager.go and snap/snap.go (its two
 #                      compatibility points); and a session commit stays the
 #                      one writer of the served base: no Manager.Exclusive,
-#                      no exported PropagateIncremental; and an ECO on a
+#                      no exported PropagateIncremental; and a commit only
+#                      adopts what its preview computed, early view too: no
+#                      propagateIncremental (the in-place commit wave,
+#                      gone); and an ECO on a
 #                      structural session stays in its overlay: no
 #                      edit.fold into a topo batch, no engineFigures; and
 #                      a structural batch has one in-place path behind one
@@ -32,8 +35,12 @@
 #                      hold on and off, Workers 1 and 4) and what a served
 #                      commit launches (TestCommitAdoptsPreview: over a
 #                      current preview no cone wave and a slack pass over
-#                      just its changed endpoints, over a stale one one
-#                      overlay wave) + the
+#                      just its changed endpoints — with hold on, and a hold
+#                      slack pass over just the endpoints whose early queues
+#                      it moved — over a stale one one overlay wave) and a
+#                      hold engine's preview (TestOverlayPreviewsEarlyView:
+#                      the overlay's early queues a cold run's, pin by pin,
+#                      and its commit no wave) + the
 #                      four golden-digest files — core, refsta, topo and hier,
 #                      the last pinning extracted block models and the
 #                      flat-vs-composed comparison of three chip
@@ -108,6 +115,11 @@
 #                      reference's queue fed the row before it (the
 #                      checked-in corpus under internal/core/testdata/fuzz/
 #                      runs in step 3 already);
+#                      then 10 s of FuzzParseScenarios: any -corners value
+#                      errors or resolves to >= 1 scenario with unique names,
+#                      none "" or "merged", and finite positive scales, and
+#                      the list written back as name:delay/sigma/rc fields
+#                      parses to the same list;
 #                      then 10 s of FuzzJSONFloat: the float formatter behind
 #                      GET /session/{id}/slacks — cached text and fresh floats
 #                      alike — against encoding/json, byte for byte, for any
@@ -246,6 +258,10 @@ if git grep --untracked -n -e 'func (m \*Manager) Exclusive' -e 'func (e \*Engin
 	echo "a session commit is the one writer of the served base: Manager.Exclusive and an exported PropagateIncremental must stay gone" >&2
 	exit 1
 fi
+if git grep --untracked -n -e 'propagateIncremental' -- '*.go'; then
+	echo "a commit only adopts its preview, late and early view alike: the in-place commit wave (propagateIncremental) must stay gone" >&2
+	exit 1
+fi
 if git grep --untracked -n -e 'func (e \*edit) fold' -e 'engineFigures' -- '*.go'; then
 	echo "a session's ECOs preview in its overlay, structural or not: edit.fold and engineFigures must stay gone" >&2
 	exit 1
@@ -267,6 +283,8 @@ go test ./...
 
 echo "== go test -fuzz FuzzMergeTopK (10s, indexed merge vs the scanning Algorithm-2 reference) =="
 go test ./internal/core -run '^$' -fuzz FuzzMergeTopK -fuzztime 10s -fuzzminimizetime 1s
+echo "== go test -fuzz FuzzParseScenarios (10s, -corners values: refused, or valid scenarios that round-trip) =="
+go test ./internal/core -run '^$' -fuzz FuzzParseScenarios -fuzztime 10s -fuzzminimizetime 1s
 echo "== go test -fuzz FuzzJSONFloat (10s, the session reads' float formatter vs encoding/json) =="
 go test ./internal/server -run '^$' -fuzz FuzzJSONFloat -fuzztime 10s -fuzzminimizetime 1s
 echo "== go test -fuzz FuzzDecodeECO (10s, the one-pass ECO body decoder: declines, or encoding/json's value) =="

@@ -210,7 +210,7 @@ func TestNetArcGradients(t *testing.T) {
 		t.Fatal("no net arc gradients")
 	}
 	for _, g := range nets {
-		if !e.ArcIsNet(g.Arc) {
+		if e.st.ArcKind[g.Arc] != 1 {
 			t.Fatalf("arc %d reported as net arc but isn't", g.Arc)
 		}
 		if g.Grad >= 0 {
@@ -263,7 +263,7 @@ func TestGradientIdentifiesCriticalCell(t *testing.T) {
 	}
 	// Speed up every arc of that cell by 5%.
 	for arc := int32(0); arc < int32(e.NumArcs()); arc++ {
-		isOwn := !e.ArcIsNet(arc) && e.ArcCell(arc) == worst.Cell
+		isOwn := e.st.ArcKind[arc] != 1 && e.st.ArcCell[arc] == worst.Cell
 		if !isOwn {
 			continue
 		}

@@ -67,8 +67,8 @@ func assertCommitIsCold(t *testing.T, what string, e *Engine, lanes []Scenario, 
 		t.Fatalf("%s: critical startpoints or transitions differ from a cold run's", what)
 	}
 	for i := range e.Endpoints() {
-		if sp, rf := e.CriticalStartpoint(i); sp != cold.epSP[i] || rf != int(cold.epRF[i]) {
-			t.Fatalf("%s: ep %d: CriticalStartpoint (%d, %d) differs from a cold run's", what, i, sp, rf)
+		if sp, rf := e.LaneCriticalStartpoint(0, i); sp != cold.epSP[i] || rf != int(cold.epRF[i]) {
+			t.Fatalf("%s: ep %d: LaneCriticalStartpoint(0) (%d, %d) differs from a cold run's", what, i, sp, rf)
 		}
 	}
 	if !opt.Hold {
@@ -83,6 +83,67 @@ func assertCommitIsCold(t *testing.T, what string, e *Engine, lanes []Scenario, 
 	for s := range lanes {
 		if !slices.Equal(e.LaneHoldSlacks(s), cold.LaneHoldSlacks(s)) {
 			t.Fatalf("%s: lane %d: hold slacks differ from a cold run's", what, s)
+		}
+	}
+}
+
+// TestOverlayPreviewsEarlyView: on a hold engine an overlay's wave rebuilds
+// the early view next to the late one, so the preview's early view is a cold
+// Run's over the same annotations, pin by pin in every lane, and its commit
+// only adopts: no wave runs, the base's early queues and every lane's hold
+// slacks come out a cold engine's bit for bit, and the hold slack pass
+// re-evaluates exactly the endpoints whose early queues the preview moved.
+func TestOverlayPreviewsEarlyView(t *testing.T) {
+	h := buildHarness(t, testSpec(77))
+	for _, lc := range laneCases[:2] {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/W%d", lc.name, workers), func(t *testing.T) {
+				opt := Options{TopK: 6, Hold: true, Workers: workers, Grain: 8}
+				e := newLaneEngine(t, h.tab, lc.lanes, opt)
+				stats := e.EnableKernelStats()
+				e.Run()
+				e.RefreshHoldSlacks()
+				before := slices.Clone(e.hold.epSlack)
+
+				deltas := perturb(e, 2, 29, 0.6, 1.1)
+				o := NewOverlay(e)
+				applyToOverlay(o, deltas)
+				cold := newLaneEngine(t, h.tab, lc.lanes, opt)
+				applyToEngine(cold, deltas)
+				cold.Run()
+				cold.RefreshHoldSlacks()
+				var moved int64 // endpoints whose early queues the preview moved
+				for p := int32(0); p < int32(e.st.NumPins); p++ {
+					if !sameShown(&o.early, &cold.hold.view, -1, p) {
+						t.Fatalf("pin %d: the overlay's early queues differ from a cold run's", p)
+					}
+					if e.st.EpOfPin[p] >= 0 && !sameShown(&e.hold.view, &cold.hold.view, -1, p) {
+						moved++
+					}
+				}
+
+				waves, holds := stats.KernelLaunches(kIncremental), stats.KernelSpans(kHoldSlack)
+				o.Commit()
+				if n := stats.KernelLaunches(kIncremental) - waves; n != 0 {
+					t.Fatalf("the commit launched %d in-place wave levels, want 0", n)
+				}
+				if n := stats.KernelSpans(kHoldSlack) - holds; n != moved {
+					t.Fatalf("the commit evaluated %d hold slacks, want the %d endpoints whose early queues moved", n, moved)
+				}
+				for p := int32(0); p < int32(e.st.NumPins); p++ {
+					if !sameShown(&e.hold.view, &cold.hold.view, -1, p) {
+						t.Fatalf("pin %d: committed early queues differ from a cold run's", p)
+					}
+				}
+				for s := range lc.lanes {
+					if !slices.Equal(e.LaneHoldSlacks(s), cold.LaneHoldSlacks(s)) {
+						t.Fatalf("lane %d: committed hold slacks differ from a cold run's", s)
+					}
+				}
+				if slices.Equal(e.hold.epSlack, before) {
+					t.Fatal("the preview moved no hold slack — test is vacuous")
+				}
+			})
 		}
 	}
 }

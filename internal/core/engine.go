@@ -225,16 +225,16 @@ func (e *Engine) levelPlan() []levelGroup {
 // owner's three hooks, per-level wavefront buckets, the queued-pin set and
 // per-bucket change flags, next to the merge scratch set the wave has on loan
 // from the engine while it runs. The engine owns one for its in-place wave — a
-// commit and a structural edit mutate base state, so calls are exclusive —
-// while every Overlay owns its own, because many overlays may evaluate
-// concurrently over one frozen base.
+// structural edit mutates base state, so calls are exclusive — while every
+// Overlay owns its own, because many overlays may evaluate concurrently over
+// one frozen base.
 type propScratch struct {
 	// rebuild is what a wave does to stored pin bucket[i] = p on a
-	// participant's scratch: view.rebuild into a row of the owner's choosing,
-	// then whatever the owner does with that row, reporting whether any lane's
-	// queues came out different from what the view shows. It runs inside the
-	// level's kernel, concurrently for different i.
-	rebuild func(i int, p int32, ms *mergeScratch) bool
+	// participant's scratch: view.rebuild of each of the owner's views into a
+	// row of its choosing, then whatever the owner does with that row,
+	// reporting the views (lateMoved, earlyMoved) whose queues changed in any
+	// lane. It runs inside the level's kernel, concurrently for different i.
+	rebuild func(i int, p int32, ms *mergeScratch) uint8
 	// bind, when set, runs serially on each level's bucket before its kernel:
 	// an overlay takes the bucket's fresh shadow rows there. settle, when set,
 	// is told serially, in bucket order and after the kernel has returned,
@@ -251,11 +251,11 @@ type propScratch struct {
 	// no map overhead on its hottest dedupe check.
 	queuedAt []uint32
 	stamp    uint32
-	changed  []bool
+	changed  []uint8
 	scratch  []*mergeScratch // borrowed by coneWave for its duration, nil outside
-	// eps lists, in settle order, the endpoints whose pins the last wave
-	// changed: the slacks its owner re-evaluates.
-	eps []int32
+	// eps and holdEps list, in settle order, the endpoints whose late and early
+	// queues the last wave changed: the slacks its owner re-evaluates.
+	eps, holdEps []int32
 
 	// The level kernel is bound once per scratch and reads the launched
 	// bucket through this field — a closure literal per launch would escape
@@ -264,11 +264,17 @@ type propScratch struct {
 	kernFn func(id, lo, hi int)
 }
 
+// The views a cone wave rebuilds a pin in, as bits of what its rebuild moved.
+const (
+	lateMoved uint8 = 1 << iota
+	earlyMoved
+)
+
 // newPropScratch sizes a wave scratch for e's current graph around its owner's
 // hooks. A derived pin is never handed to rebuild: it has no row, and the
 // wave passes on to its one child, which replays it. A dead pin is never in a
 // bucket (coneWave).
-func (e *Engine) newPropScratch(rebuild func(int, int32, *mergeScratch) bool, bind func([]int32), settle func(int, int32)) *propScratch {
+func (e *Engine) newPropScratch(rebuild func(int, int32, *mergeScratch) uint8, bind func([]int32), settle func(int, int32)) *propScratch {
 	s := &propScratch{
 		rebuild: rebuild, bind: bind, settle: settle,
 		buckets:  make([][]int32, e.st.NumLevels),
@@ -278,8 +284,10 @@ func (e *Engine) newPropScratch(rebuild func(int, int32, *mergeScratch) bool, bi
 	s.kernFn = func(id, lo, hi int) {
 		ms := s.scratch[id]
 		for i := lo; i < hi; i++ {
-			p := s.bucket[i]
-			s.changed[i] = !e.rows[p].stored() || s.rebuild(i, p, ms)
+			s.changed[i] = lateMoved | earlyMoved
+			if p := s.bucket[i]; e.rows[p].stored() {
+				s.changed[i] = s.rebuild(i, p, ms)
+			}
 		}
 	}
 	return s
@@ -309,7 +317,7 @@ func (s *propScratch) reset() {
 	for i := range s.buckets {
 		s.buckets[i] = s.buckets[i][:0]
 	}
-	s.eps = s.eps[:0]
+	s.eps, s.holdEps = s.eps[:0], s.holdEps[:0]
 	s.stamp++
 	if s.stamp == 0 {
 		clear(s.queuedAt)
@@ -502,9 +510,6 @@ func (e *Engine) Lanes() int { return len(e.scns) }
 // rather than with pin count (paper §IV-A).
 func (e *Engine) NumLevels() int { return e.st.NumLevels }
 
-// Level returns the timing level of pin p.
-func (e *Engine) Level(p int32) int32 { return e.st.LvLevel[p] }
-
 // MemoryBytes returns the engine's resident state footprint: the Top-K
 // tensors and their row spans, arc annotations, CSR topology and SP/EP tables —
 // the analogue of Table I's GPU memory column. The tensors and endpoint
@@ -562,12 +567,6 @@ func (e *Engine) SetArcDelay(arc int32, rf int, d num.Dist) {
 func (e *Engine) ArcDelay(arc int32, rf int) num.Dist {
 	return num.Dist{Mean: e.st.ArcMean[rf][arc], Std: e.st.ArcStd[rf][arc]}
 }
-
-// ArcIsNet reports whether arc is an interconnect arc.
-func (e *Engine) ArcIsNet(arc int32) bool { return e.st.ArcKind[arc] == 1 }
-
-// ArcCell returns the owning cell of a cell arc, or -1.
-func (e *Engine) ArcCell(arc int32) int32 { return e.st.ArcCell[arc] }
 
 // Endpoints returns the endpoint pin ids in extraction order.
 func (e *Engine) Endpoints() []int32 { return e.st.EpPin }

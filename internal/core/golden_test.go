@@ -85,10 +85,10 @@ func goldenDigest(t *testing.T, tab *circuitops.Tables, k int) uint64 {
 	}
 	ov.Propagate()
 	for i := range e.Endpoints() {
-		d.floats(ov.Slack(int32(i)))
+		d.floats(ov.LaneSlack(0, int32(i)))
 	}
 	d.floats(ov.WNS(), ov.TNS())
-	for _, ep := range ov.ChangedEndpoints() {
+	for _, ep := range ov.ChangedEndpointsView() {
 		d.u64(uint64(ep))
 	}
 	ov.Commit()

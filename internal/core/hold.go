@@ -9,7 +9,9 @@ package core
 // with sign -1: the ordering key is the negated early corner), upper-bound
 // reject and copy path included, so all of Algorithm 2's invariants — packed
 // slots, unique startpoints, strict ordering — carry over, as do the unit
-// properties tested on insert.
+// properties tested on insert. A cone wave rebuilds a pin's early queues next
+// to its late ones, in place (a structural reseed) or in an Overlay's preview,
+// which a commit adopts, hold slacks of the endpoints it moved included.
 
 import "math"
 

@@ -19,8 +19,8 @@ package core
 // so N concurrent sessions cost O(Σ cone sizes), not N engine clones. The
 // overlay writes no base state until Commit adopts the preview, which is
 // bit-identical to a full propagation: the overlay *is* the engine's late view
-// (view.go) with the deltas shadowing it, run through the one cone wave, the
-// one recompute and the one slack walk.
+// (view.go), and on a hold engine its early one, with the deltas shadowing
+// it, run through the one cone wave, the one recompute and the one slack walk.
 //
 // Concurrency contract: an Overlay itself is single-threaded (the serving
 // layer serializes per-session), but any number of overlays may evaluate in
@@ -62,6 +62,9 @@ type Overlay struct {
 	// Entries may be equal to the base (a wavefront that converged); reads
 	// through them are still correct.
 	view
+	// On a hold engine, the early view under the same shadows: a pin's early
+	// queues are row r of early.chunks where its late ones are row r of chunks.
+	early view
 
 	touched []int32 // overlaid arc ids in first-annotation order
 	pending []int32 // arcs annotated since the last propagate
@@ -85,10 +88,12 @@ type Overlay struct {
 	// while the base's stand, else 1 + t, with the endpoint's S lane slacks at
 	// epSlack[t*S:]) and the sorted set of all endpoints ever re-evaluated
 	// (ChangedEndpointsView). The endpoints a wave changed are its scratch's
-	// eps until they are re-evaluated.
+	// eps until they are re-evaluated; holdEPs, the sorted set of those whose
+	// early queues a wave changed, until Commit re-evaluates their hold slacks.
 	epSlot     []int32
 	epSlack    []float64
 	changedEPs []int32
+	holdEPs    []int32
 	epOut      []float64 // slack kernel output scratch, S per changed endpoint
 	figs       []float64 // the per-lane figures the accessors fold (figures)
 
@@ -169,6 +174,10 @@ func (o *Overlay) takeRow() int32 {
 		c := newQueues(chunkRows * 2 * o.e.qstride)
 		o.chunks = append(o.chunks, &c)
 	}
+	for o.e.hold != nil && len(o.early.chunks) < len(o.chunks) {
+		c := newQueues(chunkRows * 2 * o.e.qstride)
+		o.early.chunks = append(o.early.chunks, &c)
+	}
 	o.nRows++
 	return o.nRows - 1
 }
@@ -188,16 +197,17 @@ func (o *Overlay) bindBucket(bucket []int32) {
 	}
 }
 
-// rebuildPin is the wave's rebuild hook: pin p = bucket[i] into its fresh row.
-func (o *Overlay) rebuildPin(i int, p int32, ms *mergeScratch) bool {
-	return o.rebuild(1, p, ms, o.shadowRow(p, o.fresh[i]))
-}
-
-// shadowRow is stored pin p's row in the shadow row slot entry t > 0 names.
-func (o *Overlay) shadowRow(p, t int32) rowRef {
-	q, b0 := o.shadow(0, t)
-	_, b1 := o.shadow(1, t)
-	return rowRef{q, [2]int{b0, b1}, int(o.e.rows[p].k)}
+// rebuildPin is the wave's rebuild hook: pin p = bucket[i] into its fresh row
+// in the late view and, on a hold engine, in the early one.
+func (o *Overlay) rebuildPin(i int, p int32, ms *mergeScratch) (m uint8) {
+	t := o.fresh[i]
+	if o.rebuild(1, p, ms, o.shadowRow(p, t)) {
+		m = lateMoved
+	}
+	if o.e.hold != nil && o.early.rebuild(-1, p, ms, o.early.shadowRow(p, t)) {
+		m |= earlyMoved
+	}
+	return m
 }
 
 // settlePin is the wave's settle hook. The level's kernel has returned, so pin
@@ -245,9 +255,9 @@ func (o *Overlay) ArcDelay(arc int32, rf int) num.Dist {
 
 // Propagate re-propagates the fan-out cone of every arc annotated since the
 // last call, writing recomputed queues into the overlay only: the engine's
-// cone wave (coneWave) over the shadowed late view, so the overlay state is
-// bit-identical to what committing the same deltas would produce on the base.
-// Hold is not previewed — overlays shadow the late view only.
+// cone wave (coneWave) over the shadowed late view and, on a hold engine, the
+// shadowed early one, so the overlay state is bit-identical to what a full
+// propagation would produce on the base. It prices setup slacks only.
 func (o *Overlay) Propagate() {
 	arcs := o.pending
 	o.pending = o.pending[:0]
@@ -266,6 +276,9 @@ func (o *Overlay) Propagate() {
 	if o.ix == nil {
 		o.bindIndex()
 	}
+	if e.hold != nil { // the shadows the early view aliases may have been remade or grown
+		o.early = view{e: e, q: e.hold.q, slot: o.slot, chunks: o.early.chunks, arcSlot: o.arcSlot, arcBit: o.arcBit, arcDist: o.arcDist}
+	}
 	o.scratch.reset()
 	o.scratch.seedArcs(e, arcs)
 	// The rows the wave takes are counted even if it panics, so that a Reset
@@ -274,6 +287,9 @@ func (o *Overlay) Propagate() {
 	defer func() { e.overlayRows.Add(int64(o.rowsInUse() - was)) }()
 	e.coneWave(KernelOverlay, o.scratch)
 	o.evalDirtyEndpoints()
+	o.holdEPs = append(o.holdEPs, o.scratch.holdEps...)
+	slices.Sort(o.holdEPs)
+	o.holdEPs = slices.Compact(o.holdEPs)
 }
 
 // evalDirtyEndpoints re-evaluates the slack of every endpoint whose pin
@@ -333,9 +349,6 @@ func (o *Overlay) LaneSlack(s int, i int32) float64 {
 	}
 	return o.e.epSlack[s*len(o.e.st.EpPin)+int(i)]
 }
-
-// Slack returns endpoint i's lane-0 slack as seen through the overlay.
-func (o *Overlay) Slack(i int32) float64 { return o.LaneSlack(0, i) }
 
 // Summarize is every figure an ECO result reports, from one scan of the
 // endpoints in index order: it fills wns[s] and tns[s] with lane s's worst
@@ -414,15 +427,8 @@ func (o *Overlay) WNS() float64 { return o.LaneWNS(0) }
 // TNS returns lane 0's total negative slack under the overlay.
 func (o *Overlay) TNS() float64 { return o.LaneTNS(0) }
 
-// ChangedEndpoints returns the sorted indices of endpoints whose slack the
-// overlay re-evaluated (their cone contained at least one changed pin). The
-// returned slice is a fresh copy; hot paths use ChangedEndpointsView.
-func (o *Overlay) ChangedEndpoints() []int32 {
-	return append([]int32(nil), o.changedEPs...)
-}
-
-// ChangedEndpointsView is ChangedEndpoints without the copy: the returned
-// slice is owned by the overlay, stays sorted, and is valid until the next
+// ChangedEndpointsView returns the sorted endpoints whose slack the overlay
+// re-evaluated (their cone held a changed pin), valid until the next
 // Propagate, Reset or Rebase. Callers must not mutate or retain it.
 func (o *Overlay) ChangedEndpointsView() []int32 { return o.changedEPs }
 
@@ -444,13 +450,17 @@ func (o *Overlay) Stats() OverlayStats {
 
 // OverlayRows returns how many shadow rows the overlays over e hold in use
 // right now — one per pin a live preview recomputed, but for the derived pins
-// in its cone, which are recomputed without a row — and their size in bytes.
+// in its cone, which are recomputed without a row — and their size in bytes
+// (on a hold engine, with the early rows).
 // What the overlays hold beyond that (the unused rows of their chunks, 4
 // bytes of index per pin and endpoint from an overlay's first preview on, and
 // all of it for the released overlays in e's pool) is not in the figure.
 func (e *Engine) OverlayRows() (rows, bytes int64) {
-	rows = e.overlayRows.Load()
-	return rows, rows * 2 * int64(e.qstride) * (8 + 8 + 4)
+	rows, views := e.overlayRows.Load(), int64(1)
+	if e.hold != nil {
+		views = 2
+	}
+	return rows, rows * views * 2 * int64(e.qstride) * (8 + 8 + 4)
 }
 
 // rowsInUse returns how many shadow rows the overlay has handed out and not
@@ -484,6 +494,7 @@ func (o *Overlay) dropDerived() {
 	o.freeRows, o.nRows = o.freeRows[:0], 0
 	o.epSlack = o.epSlack[:0]
 	o.changedEPs = o.changedEPs[:0]
+	o.holdEPs = o.holdEPs[:0]
 }
 
 // Release resets the overlay and hands it, with every chunk, index, scratch
@@ -506,8 +517,8 @@ func (o *Overlay) Release() {
 // levels and pins and e is the same engine (its kernel is bound to it);
 // otherwise the next Propagate makes the scratch at e's size, and the
 // indices are made at once if the overlay holds deltas, which they flag. Row
-// chunks always survive: their size depends only on TopK and the lane count,
-// which no commit changes.
+// chunks of both views always survive: their size depends only on TopK and
+// the lane count, which no commit changes.
 func (o *Overlay) Rebase(e *Engine) {
 	o.dropDerived()
 	if sc := o.scratch; e != o.e || sc != nil && (len(sc.buckets) < e.st.NumLevels || len(sc.queuedAt) < e.st.NumPins) {
@@ -525,12 +536,12 @@ func (o *Overlay) Rebase(e *Engine) {
 
 // Commit adopts the overlay's preview (a pending batch is propagated first)
 // into the base engine and resets the overlay: the arc deltas, each rebuilt
-// stored pin's shadow row, and the changed endpoints' slacks, critical
-// startpoints and transitions in every lane from the engine's own slack walk.
-// With hold on, the in-place wave then retimes the early view, which
-// overlays do not preview, and the hold slacks of the endpoints it changed.
-// The caller holds the base exclusively and has rebased the overlay onto any
-// change of it; the base is then bit-identical to a full Run.
+// stored pin's shadow rows (late and, on a hold engine, early), the changed
+// endpoints' slacks, critical startpoints and transitions in every lane from
+// the engine's own slack walk, and the hold slacks of the endpoints whose
+// early queues changed. It runs no wave. The caller holds the base
+// exclusively and has rebased the overlay onto any change of it; the base is
+// then bit-identical to a full Run.
 func (o *Overlay) Commit() {
 	if len(o.touched) == 0 {
 		return
@@ -547,12 +558,14 @@ func (o *Overlay) Commit() {
 	for _, p := range o.shadowed {
 		if t := o.slot[p]; t > 0 {
 			e.top.row(p).store(o.shadowRow(p, t), e.rowSlots(p))
+			if e.hold != nil {
+				e.hold.row(p).store(o.early.shadowRow(p, t), e.rowSlots(p))
+			}
 		}
 	}
 	e.refreshSlacks(len(o.changedEPs), o.changedEPs)
 	if e.hold != nil {
-		eps := e.propagateIncremental(o.touched)
-		e.refreshHoldSlacks(len(eps), eps)
+		e.refreshHoldSlacks(len(o.holdEPs), o.holdEPs)
 	}
 	o.Reset()
 }

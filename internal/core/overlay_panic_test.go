@@ -25,7 +25,7 @@ func TestOverlayPanicKeepsRowCount(t *testing.T) {
 	applyToOverlay(o, perturb(e, 4, 43, 0.9, 1.0))
 	held := o.rowsInUse()
 	rebuild, n := o.scratch.rebuild, atomic.Int32{}
-	o.scratch.rebuild = func(i int, p int32, ms *mergeScratch) bool {
+	o.scratch.rebuild = func(i int, p int32, ms *mergeScratch) uint8 {
 		if n.Add(1) > 20 {
 			panic("rebuild hook")
 		}

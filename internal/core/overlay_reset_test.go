@@ -26,7 +26,7 @@ func TestOverlayResetReapplyMatches(t *testing.T) {
 			o := NewOverlay(e)
 			applyToOverlay(o, deltas)
 			want := overlaySlacks(o)
-			changed := len(o.ChangedEndpoints())
+			changed := len(o.ChangedEndpointsView())
 			if changed == 0 {
 				t.Fatal("perturbation changed no endpoints — test is vacuous")
 			}
@@ -34,7 +34,7 @@ func TestOverlayResetReapplyMatches(t *testing.T) {
 			for it := 0; it < 5; it++ {
 				o.Reset()
 				applyToOverlay(o, deltas)
-				if got := len(o.ChangedEndpoints()); got != changed {
+				if got := len(o.ChangedEndpointsView()); got != changed {
 					t.Fatalf("iter %d: %d changed endpoints != first apply's %d", it, got, changed)
 				}
 				sameSlacks(t, "reapply vs first apply", overlaySlacks(o), want)

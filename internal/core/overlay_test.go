@@ -148,7 +148,7 @@ func TestOverlayMatchesFreshFull(t *testing.T) {
 					t.Fatalf("lane %d: overlay WNS/TNS %v/%v != fresh %v/%v", s, o.LaneWNS(s), o.LaneTNS(s), w, tn)
 				}
 			}
-			if len(o.ChangedEndpoints()) == 0 {
+			if len(o.ChangedEndpointsView()) == 0 {
 				t.Fatal("perturbation changed no endpoints — test is vacuous")
 			}
 			// The base engine must be untouched by the overlay evaluation.
@@ -188,9 +188,10 @@ func TestOverlayCommitMatchesPreview(t *testing.T) {
 				t.Fatalf("overlay not reset after commit: %+v", st)
 			}
 
-			// Hold rides through the commit: the wave retimes the early view
-			// over the same cone, so the early queues and every lane's hold
-			// slacks are a cold engine's over the same annotations.
+			// Hold rides through the commit: the preview's wave rebuilt the
+			// early view over the same cone and the commit adopts it, so the
+			// early queues and every lane's hold slacks are a cold engine's
+			// over the same annotations.
 			cold := newLaneEngine(t, h.tab, lc.lanes, Options{TopK: 8, Hold: true, Workers: 1})
 			applyToEngine(cold, deltas)
 			cold.Run()
@@ -334,7 +335,7 @@ func TestOverlayEstimateECOPath(t *testing.T) {
 	o.Propagate()
 	want := twin.Run()
 	for i := range want {
-		if got := o.Slack(int32(i)); got != want[i] {
+		if got := o.LaneSlack(0, int32(i)); got != want[i] {
 			t.Fatalf("ep %d: estimate_eco overlay %v != fresh %v", i, got, want[i])
 		}
 	}

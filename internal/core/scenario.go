@@ -220,9 +220,3 @@ func (o *Overlay) MergedWNS() float64 {
 	_, _, wns, _ := o.figures(0)
 	return wns
 }
-
-// MergedTNS returns the merged TNS under the overlay, as Summarize folds it.
-func (o *Overlay) MergedTNS() float64 {
-	_, _, _, tns := o.figures(0)
-	return tns
-}

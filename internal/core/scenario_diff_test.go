@@ -302,7 +302,7 @@ func TestOverlayMatchesIndependentScaledOverlays(t *testing.T) {
 		}
 		for _, a := range arcs {
 			ms := scn.DelayScale
-			if e.ArcIsNet(a) {
+			if e.st.ArcKind[a] == 1 {
 				ms = scn.RCScale
 			}
 			for rf := 0; rf < 2; rf++ {

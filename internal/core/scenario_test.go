@@ -7,6 +7,8 @@ package core
 
 import (
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -97,6 +99,54 @@ func TestParseScenarios(t *testing.T) {
 			t.Errorf("spec %q: error %v, want a reserved-name refusal", bad, err)
 		}
 	}
+}
+
+// FuzzParseScenarios: any -corners value either errors or resolves to at
+// least one scenario, with unique names, none "" or "merged", and finite
+// positive scales; and the list it resolves to, written back as
+// name:delay/sigma/rc fields (formatScenarios), parses to the same list.
+func FuzzParseScenarios(f *testing.F) {
+	for _, spec := range []string{"ss,tt,ff", "tt, hot:1.3/1.4/1.2", "", ",", "ss,ss", "x:1.0/2.0",
+		"x:0/1/1", "hot:NaN/1/1", "hot:1e400/1/1", ":1.2/1/1", "merged:1/1/1", " hot :0x1p-3/5e-324/1e308",
+		"a/b:1/1/1,ss:1/1/1", "tt,tt:1/1/1"} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		scns, err := ParseScenarios(spec)
+		if err != nil {
+			return
+		}
+		if len(scns) == 0 {
+			t.Fatalf("%q: no scenario and no error", spec)
+		}
+		seen := make(map[string]bool)
+		for _, s := range scns {
+			if s.Name == "" || s.Name == "merged" || seen[s.Name] {
+				t.Fatalf("%q: scenario name %q is reserved or repeated", spec, s.Name)
+			}
+			seen[s.Name] = true
+			for _, v := range []float64{s.DelayScale, s.SigmaScale, s.RCScale} {
+				if !(v > 0) || math.IsInf(v, 0) {
+					t.Fatalf("%q: scenario %q has scale %v", spec, s.Name, v)
+				}
+			}
+		}
+		text := formatScenarios(scns)
+		if again, err := ParseScenarios(text); err != nil || !slices.Equal(again, scns) {
+			t.Fatalf("%q resolved to %+v, written back as %q, which parses to %+v, %v", spec, scns, text, again, err)
+		}
+	})
+}
+
+// formatScenarios writes scns as a -corners value of name:delay/sigma/rc
+// fields, each scale in the shortest form that parses back to it.
+func formatScenarios(scns []Scenario) string {
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	fields := make([]string, len(scns))
+	for i, s := range scns {
+		fields[i] = s.Name + ":" + g(s.DelayScale) + "/" + g(s.SigmaScale) + "/" + g(s.RCScale)
+	}
+	return strings.Join(fields, ",")
 }
 
 func TestScaleTablesScalesByKind(t *testing.T) {
@@ -317,8 +367,8 @@ func TestOverlayPreviewMatchesCommit(t *testing.T) {
 	for s := 0; s < S; s++ {
 		pWNS[s], pTNS[s] = ov.LaneWNS(s), ov.LaneTNS(s)
 	}
-	pmWNS, pmTNS := ov.MergedWNS(), ov.MergedTNS()
-	changed := ov.ChangedEndpoints()
+	pmWNS, pmTNS := ov.Summarize(make([]float64, S), make([]float64, S))
+	changed := slices.Clone(ov.ChangedEndpointsView())
 	if len(changed) == 0 {
 		t.Fatal("ECO touched no endpoints — test design is vacuous")
 	}
@@ -396,7 +446,7 @@ func TestOverlayConcurrentReuseMatchesFresh(t *testing.T) {
 		apply(ov, g)
 		want[g] = make([]float64, S*nEP)
 		snapshot(ov, want[g])
-		if len(ov.ChangedEndpoints()) == 0 {
+		if len(ov.ChangedEndpointsView()) == 0 {
 			t.Fatalf("session %d: deltas changed no endpoints — test is vacuous", g)
 		}
 	}

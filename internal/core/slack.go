@@ -128,11 +128,8 @@ func (e *Engine) TNS() float64 { return TNS(e.Slacks()) }
 // NumViolations counts lane 0's endpoints with negative slack.
 func (e *Engine) NumViolations() int { return Violations(e.Slacks()) }
 
-// CriticalStartpoint returns the startpoint index and data transition behind
-// endpoint i's last-evaluated lane-0 slack (-1 when untimed).
-func (e *Engine) CriticalStartpoint(i int) (sp int32, rf int) { return e.LaneCriticalStartpoint(0, i) }
-
-// LaneCriticalStartpoint is CriticalStartpoint for lane s.
+// LaneCriticalStartpoint returns the startpoint index and data transition
+// behind endpoint i's last-evaluated lane-s slack (-1 when untimed).
 func (e *Engine) LaneCriticalStartpoint(s, i int) (sp int32, rf int) {
 	j := s*len(e.st.EpPin) + i
 	return e.epSP[j], int(e.epRF[j])

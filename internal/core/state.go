@@ -832,7 +832,7 @@ func (e *Engine) reseed(st *State, seeds []int32) {
 	e.coneWave(kIncremental, sc)
 	e.refreshSlacks(len(sc.eps), sc.eps)
 	if e.hold != nil {
-		e.refreshHoldSlacks(len(sc.eps), sc.eps)
+		e.refreshHoldSlacks(len(sc.holdEps), sc.holdEps)
 	}
 }
 
@@ -855,6 +855,3 @@ func (e *Engine) ExportState() *State {
 	out := *e.st
 	return &out
 }
-
-// Design returns the design name carried through compilation.
-func (e *Engine) Design() string { return e.st.Design }

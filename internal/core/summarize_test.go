@@ -55,7 +55,6 @@ func TestSummarizeIsTheFolds(t *testing.T) {
 				same("merged WNS", mw, WNS(merged))
 				same("merged TNS", mt, TNS(merged))
 				same("MergedWNS", o.MergedWNS(), mw)
-				same("MergedTNS", o.MergedTNS(), mt)
 			}
 
 			o := NewOverlay(e)

@@ -5,10 +5,11 @@ import "insta/internal/num"
 // view is the one way the kernels see timing state: dense Top-K tensors q,
 // optionally shadowed per pin by rows of chunks and per arc by arcDist. The
 // engine's late and early tensors are views with nothing shadowed; an Overlay
-// is the late view with its shadows filled in. Everything that rebuilds,
-// compares or reads a queue — recompute, the cone wave, the setup slack walk —
-// goes through the two resolvers below, so a what-if preview and the
-// propagation it previews are the same code over different storage.
+// is the late one (and, on a hold engine, the early) with shadows filled in.
+// Everything that rebuilds, compares or reads a queue — recompute, the cone
+// wave, the setup slack walk — goes through the two resolvers below, so a
+// what-if preview and the propagation it previews are the same code over
+// different storage.
 type view struct {
 	e *Engine // geometry and graph the tensors are laid out over
 	q *queues // dense tensors, row (rf, pin) at e.base(rf, pin)
@@ -56,6 +57,13 @@ func (v *view) queues(rf int, p int32) (*queues, int, int) {
 func (v *view) shadow(rf int, t int32) (*queues, int) {
 	r := int(t - 1)
 	return v.chunks[r>>chunkShift], ((r&(chunkRows-1))<<1 | rf) * v.e.qstride
+}
+
+// shadowRow is stored pin p's row in the shadow row slot entry t > 0 names.
+func (v *view) shadowRow(p, t int32) rowRef {
+	q, b0 := v.shadow(0, t)
+	_, b1 := v.shadow(1, t)
+	return rowRef{q, [2]int{b0, b1}, int(v.e.rows[p].k)}
 }
 
 // arcDelay resolves arc's nominal delay for output transition rf.

@@ -190,7 +190,7 @@ func TestEditScriptMatchesEngine(t *testing.T) {
 				res, _ := w.Walk(e.ArcDelay, eps...)
 				for i, ep := range eps {
 					r := res[i]
-					sp, rf := e.CriticalStartpoint(int(ep))
+					sp, rf := e.LaneCriticalStartpoint(0, int(ep))
 					if math.Float64bits(r.Setup) != math.Float64bits(slacks[ep]) || r.SP != sp || r.RF != rf ||
 						math.Float64bits(r.Hold) != math.Float64bits(holds[ep]) {
 						t.Fatalf("step %d (%s): endpoint %d: setup %v by (%d, %d), hold %v; the engine's %v by (%d, %d), %v",

@@ -126,7 +126,7 @@ type Manager struct {
 	// by it.
 	mu sync.RWMutex
 	// eng is the one engine served and nom its unit-scale lane, resolved once.
-	// The lane-0 shorthands (Slacks, WNS, Overlay.Slack) are never used here:
+	// The lane-0 shorthands (Slacks, WNS, Overlay.WNS) are never used here:
 	// lane 0 of {ss,tt,ff} is ss.
 	eng     *core.Engine
 	nom     int

@@ -283,8 +283,8 @@ func TestExportState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.State.Design != e.Design() {
-		t.Fatalf("design: got %q want %q", s.State.Design, e.Design())
+	if design := e.ExportState().Design; s.State.Design != design {
+		t.Fatalf("design: got %q want %q", s.State.Design, design)
 	}
 	warm, err := s.Engine(opt)
 	if err != nil {

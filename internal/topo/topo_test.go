@@ -146,8 +146,8 @@ func assertEnginesIdentical(t *testing.T, tag string, got *core.Engine, tab *cir
 	// them, not re-evaluated: a reseed re-evaluates only the endpoints its
 	// wave changed.
 	for i := range ws {
-		gsp, grf := got.CriticalStartpoint(i)
-		wsp, wrf := want.CriticalStartpoint(i)
+		gsp, grf := got.LaneCriticalStartpoint(0, i)
+		wsp, wrf := want.LaneCriticalStartpoint(0, i)
 		if gsp != wsp || grf != wrf {
 			t.Fatalf("%s: ep %d critical startpoint %d/%d != cold %d/%d", tag, i, gsp, grf, wsp, wrf)
 		}
@@ -523,11 +523,12 @@ func TestApplyBeatsColdRebuild(t *testing.T) {
 	// endpoint-driven sizing candidates live; an edit at the input boundary
 	// would re-level (correctly, but unrepresentatively) a quarter of the
 	// design.
+	levels := base.ExportState().LvLevel
 	deep := func(kind uint8, frac float64) int32 {
 		want := int32(float64(base.NumLevels()) * frac)
 		best, bestLv := int32(-1), int32(-1)
 		for i := range tab.Arcs {
-			if lv := base.Level(tab.Arcs[i].To); tab.Arcs[i].Kind == kind && lv <= want && lv > bestLv {
+			if lv := levels[tab.Arcs[i].To]; tab.Arcs[i].Kind == kind && lv <= want && lv > bestLv {
 				best, bestLv = int32(i), lv
 			}
 		}
